@@ -9,7 +9,8 @@
 
 use crate::plan::FaultPlan;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use tc_simnet::SplitMix64;
 
 /// What kind of fault a decision injected.
@@ -97,13 +98,18 @@ struct LinkState {
 }
 
 /// The deterministic decision machine for one [`FaultPlan`].
+///
+/// Per-link and per-node state lives in dense tables indexed by rank (they
+/// grow to the largest rank seen), so callers bound the ranks they pass by
+/// the cluster size.
 #[derive(Debug)]
 pub struct ChaosEngine {
     plan: FaultPlan,
-    links: HashMap<(usize, usize), LinkState>,
+    /// `links[src][dst]`; `None` until the link's first traversal.
+    links: Vec<Vec<Option<LinkState>>>,
     /// Traversals touching each node (inbound + outbound), for crash
     /// windows.
-    node_traffic: HashMap<usize, u64>,
+    node_traffic: Vec<u64>,
     stats: ChaosStats,
 }
 
@@ -129,8 +135,8 @@ impl ChaosEngine {
     pub fn new(plan: FaultPlan) -> Self {
         ChaosEngine {
             plan,
-            links: HashMap::new(),
-            node_traffic: HashMap::new(),
+            links: Vec::new(),
+            node_traffic: Vec::new(),
             stats: ChaosStats::default(),
         }
     }
@@ -151,7 +157,14 @@ impl ChaosEngine {
     pub fn decide(&mut self, src: usize, dst: usize) -> Decision {
         self.stats.decisions += 1;
         let faults = self.plan.faults_for(src, dst);
-        let state = self.links.entry((src, dst)).or_insert_with(|| LinkState {
+        if self.links.len() <= src {
+            self.links.resize_with(src + 1, Vec::new);
+        }
+        let row = &mut self.links[src];
+        if row.len() <= dst {
+            row.resize_with(dst + 1, || None);
+        }
+        let state = row[dst].get_or_insert_with(|| LinkState {
             rng: SplitMix64::new(mix_link_seed(self.plan.seed, src, dst)),
             traversals: 0,
         });
@@ -165,16 +178,13 @@ impl ChaosEngine {
         let draw_reorder = state.rng.next_u64();
         let draw_units = state.rng.next_u64();
 
-        let src_traffic = {
-            let c = self.node_traffic.entry(src).or_insert(0);
-            *c += 1;
-            *c - 1
-        };
-        let dst_traffic = {
-            let c = self.node_traffic.entry(dst).or_insert(0);
-            *c += 1;
-            *c - 1
-        };
+        if self.node_traffic.len() <= src.max(dst) {
+            self.node_traffic.resize(src.max(dst) + 1, 0);
+        }
+        let src_traffic = self.node_traffic[src];
+        self.node_traffic[src] += 1;
+        let dst_traffic = self.node_traffic[dst];
+        self.node_traffic[dst] += 1;
 
         // Scheduled faults first: a partitioned or crashed endpoint drops
         // the message regardless of the probabilistic draws.
@@ -255,6 +265,14 @@ pub struct ChaosSession {
 }
 
 impl ChaosSession {
+    /// Lock the engine, recovering from poison: every update `decide` makes
+    /// is a counter or RNG step that leaves the tables valid, so a panic
+    /// elsewhere on a thread holding the guard must not take fault
+    /// injection (and with it the whole send path) down.
+    fn engine(&self) -> MutexGuard<'_, ChaosEngine> {
+        self.engine.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Start a session executing `plan`.
     pub fn new(plan: FaultPlan) -> Self {
         ChaosSession {
@@ -264,24 +282,92 @@ impl ChaosSession {
 
     /// Decide the fate of the next `(src, dst)` traversal.
     pub fn decide(&self, src: usize, dst: usize) -> Decision {
-        self.engine
-            .lock()
-            .expect("chaos engine poisoned")
-            .decide(src, dst)
+        self.engine().decide(src, dst)
     }
 
     /// Snapshot of the injected-fault counters.
     pub fn stats(&self) -> ChaosStats {
-        self.engine.lock().expect("chaos engine poisoned").stats()
+        self.engine().stats()
     }
 
     /// Clone of the underlying plan.
     pub fn plan(&self) -> FaultPlan {
-        self.engine
-            .lock()
-            .expect("chaos engine poisoned")
-            .plan()
-            .clone()
+        self.engine().plan().clone()
+    }
+}
+
+/// How carriers that cannot delay a message in time (threads, sockets) act
+/// on a [`Decision`]: delay and reorder share one mechanism — the message is
+/// *held back*, one slot per directed link, and released behind the link's
+/// next traffic.  A held message that is never overtaken is recovered by the
+/// sender's retransmission timer, whose re-send also flushes it.
+///
+/// Shareable between sender threads.  A message that is not being held back
+/// skips the table while nothing is parked; racing a concurrent hold-back on
+/// its own link it may miss that release, which the retransmission timer
+/// covers like any other never-overtaken message.
+#[derive(Debug)]
+pub struct HoldBack<T> {
+    held: Mutex<HashMap<(usize, usize), T>>,
+    /// Entries in `held`, written under its lock.
+    len: AtomicUsize,
+}
+
+impl<T> Default for HoldBack<T> {
+    fn default() -> Self {
+        HoldBack {
+            held: Mutex::new(HashMap::new()),
+            len: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl<T: Clone> HoldBack<T> {
+    /// Update the table under its lock (recovered from poison: every update
+    /// is a single map operation) and republish its length.
+    fn with_table<R>(&self, f: impl FnOnce(&mut HashMap<(usize, usize), T>) -> R) -> R {
+        let mut held = self.held.lock().unwrap_or_else(|e| e.into_inner());
+        let r = f(&mut held);
+        self.len.store(held.len(), Ordering::SeqCst);
+        r
+    }
+
+    /// Carry out `decision` for `item` crossing `(src, dst)`: whatever
+    /// travels now goes to `out`, in order — the duplicate, the item itself
+    /// unless it is dropped or held back, then what the link had parked (it
+    /// has now been overtaken at least once).
+    pub fn apply(
+        &self,
+        decision: Decision,
+        src: usize,
+        dst: usize,
+        item: T,
+        out: &mut dyn FnMut(T),
+    ) {
+        if !decision.deliver {
+            return;
+        }
+        if decision.duplicate {
+            out(item.clone());
+        }
+        let prev = if decision.reorder || decision.delay_units > 0 {
+            self.with_table(|held| held.insert((src, dst), item))
+        } else {
+            out(item);
+            if self.len.load(Ordering::SeqCst) == 0 {
+                return;
+            }
+            self.with_table(|held| held.remove(&(src, dst)))
+        };
+        if let Some(prev) = prev {
+            out(prev);
+        }
+    }
+
+    /// Discard everything parked on links touching `node` (it restarted:
+    /// frames of its old sequence space must not be released at it).
+    pub fn forget_node(&self, node: usize) {
+        self.with_table(|held| held.retain(|&(src, dst), _| src != node && dst != node));
     }
 }
 
@@ -408,5 +494,32 @@ mod tests {
         let mut e = ChaosEngine::new(FaultPlan::seeded(1).link(0, 1, loud));
         assert!(!e.decide(0, 1).deliver);
         assert!(e.decide(1, 0).deliver);
+    }
+
+    #[test]
+    fn hold_back_releases_behind_the_links_next_traffic() {
+        let hb = HoldBack::default();
+        let mut seen = Vec::new();
+        let reorder = Decision {
+            reorder: true,
+            ..Decision::CLEAN
+        };
+        let dup = Decision {
+            duplicate: true,
+            ..Decision::CLEAN
+        };
+        let drop = Decision {
+            deliver: false,
+            ..Decision::CLEAN
+        };
+        hb.apply(reorder, 0, 1, 'a', &mut |x| seen.push(x)); // parked
+        hb.apply(Decision::CLEAN, 0, 2, 'b', &mut |x| seen.push(x)); // other link
+        hb.apply(drop, 0, 1, 'c', &mut |x| seen.push(x)); // dropped, releases nothing
+        hb.apply(dup, 0, 1, 'd', &mut |x| seen.push(x)); // overtakes 'a'
+        assert_eq!(seen, vec!['b', 'd', 'd', 'a']);
+        hb.apply(reorder, 0, 1, 'e', &mut |x| seen.push(x));
+        hb.forget_node(1);
+        hb.apply(Decision::CLEAN, 0, 1, 'f', &mut |x| seen.push(x));
+        assert_eq!(seen[4..], ['f'], "'e' was forgotten with its node");
     }
 }

@@ -29,5 +29,5 @@
 pub mod engine;
 pub mod plan;
 
-pub use engine::{ChaosEngine, ChaosSession, ChaosStats, Decision, FaultKind};
+pub use engine::{ChaosEngine, ChaosSession, ChaosStats, Decision, FaultKind, HoldBack};
 pub use plan::{CrashWindow, FaultPlan, LinkFaults, Partition};

@@ -65,7 +65,7 @@ pub use thread_transport::{ThreadTransport, ThreadTuning};
 
 use crate::error::{CoreError, Result};
 use crate::ifunc::{IfuncHandle, IfuncLibrary, IfuncMessage};
-use crate::layout::result_slot_addr;
+use crate::layout::{result_slot_addr, RESULT_MAILBOX_SLOTS};
 use crate::metrics::RuntimeStats;
 use crate::runtime::{Completion, NativeAmHandler, NodeRuntime};
 use std::sync::Arc;
@@ -1001,26 +1001,37 @@ impl<T: Transport> Cluster<T> {
         Ok(())
     }
 
-    /// Allocate a fresh X-RDMA result-mailbox slot on the primary client.
+    /// Allocate an X-RDMA result-mailbox slot on the primary client.
     /// Encode [`ResultHandle::slot`] into the ifunc payload, send, then
     /// [`Cluster::wait`] on the handle.  Slots reserved through
     /// [`Cluster::reserve_result_slot`] are skipped, so manually constructed
     /// handles never collide with allocated ones.
+    ///
+    /// **Contract (claimed before reuse):** the mailbox has
+    /// [`RESULT_MAILBOX_SLOTS`] slots and the allocator wraps, so a slot is
+    /// handed out again after that many allocations.  A handle must have
+    /// been claimed (waited on) by then; an unclaimed result still sitting
+    /// in a reused slot would resolve the newer handle.
     pub fn result_slot(&mut self) -> ResultHandle {
         self.result_slot_on(ClientId::PRIMARY)
     }
 
-    /// Allocate a fresh result-mailbox slot on client `client`.  Allocators
-    /// are per-client: each client owns an independent mailbox, so two
-    /// clients receiving results into equal slot numbers never interfere.
+    /// Allocate a result-mailbox slot on client `client`.  Allocators are
+    /// per-client: each client owns an independent mailbox, so two clients
+    /// receiving results into equal slot numbers never interfere.
     pub fn result_slot_on(&mut self, client: ClientId) -> ResultHandle {
         let next = &mut self.next_result_slot[client.0];
         let reserved = &self.reserved_slots[client.0];
-        while reserved.contains(next) {
-            *next += 1;
+        // Bounded: a fully reserved mailbox yields the cursor's slot rather
+        // than spinning.
+        for _ in 0..RESULT_MAILBOX_SLOTS {
+            if !reserved.contains(next) {
+                break;
+            }
+            *next = (*next + 1) % RESULT_MAILBOX_SLOTS;
         }
         let slot = *next;
-        *next += 1;
+        *next = (slot + 1) % RESULT_MAILBOX_SLOTS;
         ResultHandle { client, slot }
     }
 
@@ -1036,7 +1047,7 @@ impl<T: Transport> Cluster<T> {
     /// Reservations are per-client and never affect another client's
     /// allocator.
     pub fn reserve_result_slot_on(&mut self, client: ClientId, slot: u64) -> ResultHandle {
-        self.reserved_slots[client.0].insert(slot);
+        self.reserved_slots[client.0].insert(slot % RESULT_MAILBOX_SLOTS);
         ResultHandle { client, slot }
     }
 

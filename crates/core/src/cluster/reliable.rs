@@ -4,12 +4,22 @@
 //! The paper's transports assume a lossless RDMA fabric; under a
 //! [`tc_chaos::FaultPlan`] that assumption is gone — envelopes drop,
 //! duplicate and reorder.  This module implements the classic fix at the
-//! framework level, once, for both backends:
+//! framework level, once, for every backend:
 //!
 //! * **per-link sequence numbers** — every data message on a directed link
 //!   carries a monotonically increasing sequence number;
-//! * **cumulative acks** — receivers acknowledge the highest in-order
-//!   sequence delivered, piggybacked on data and echoed as pure acks;
+//! * **cumulative acks, piggybacked and batch-coalesced** — an in-order
+//!   arrival only marks its link *ack-owed*.  Every data frame sent to that
+//!   peer afterwards ([`ReliableSet::send`], retransmits from
+//!   [`ReliableSet::tick`]) carries the cumulative ack and clears the mark;
+//!   at the end of its natural batch the backend calls
+//!   [`ReliableSet::acks_due`] once, which emits **one** pure cumulative ack
+//!   per peer still owed.  A duplicate or out-of-order arrival is acked
+//!   **immediately** ([`Arrival::ack_now`]), so a sender whose ack was lost
+//!   stops retransmitting and a gap is signalled at once.  Server-side
+//!   callers keep one more invariant: an ack — pure or piggybacked — never
+//!   covers a frame whose operation has not been polled, so "observed ack ⇒
+//!   effects durable" holds and kill-anywhere recovery stays sound;
 //! * **timeout-based retransmission with bounded backoff** — unacked
 //!   messages are re-sent after an RTO that doubles per silent round up to
 //!   a cap (the retries themselves are unbounded: a partition heals
@@ -30,7 +40,7 @@
 //! [`tc_ucx::OutgoingMessage`] in the simulator, an encoded envelope pair in
 //! the threaded backend).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Reliability tunables.  Times are in nanoseconds of the caller's clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +94,9 @@ pub struct RelMetrics {
     pub dup_drops: u64,
     /// Out-of-order arrivals parked until their gap filled.
     pub out_of_order: u64,
-    /// Pure acks emitted.
+    /// Pure acks emitted: one per immediate duplicate/out-of-order ack and
+    /// one per peer drained by [`ReliableSet::acks_due`].  Piggybacked acks
+    /// are not counted — they cost no message.
     pub acks_sent: u64,
 }
 
@@ -135,31 +147,52 @@ pub struct RelFrame<M> {
     pub m: M,
 }
 
-/// What [`ReliableSet::on_data`] decided about one arrival.
+/// What [`ReliableSet::on_data_into`] decided about one arrival.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Arrival {
+    /// The link's cumulative ack after this arrival.
+    pub ack: u64,
+    /// True when the arrival was a duplicate and was dropped.
+    pub dup: bool,
+    /// True when the arrival was a duplicate or was parked out of order:
+    /// the caller must send `ack` to the peer as a pure ack **now** (it has
+    /// been counted in [`RelMetrics::acks_sent`]).  In-order arrivals leave
+    /// this false — their ack rides the next data frame to the peer or the
+    /// batch's [`ReliableSet::acks_due`].
+    pub ack_now: bool,
+}
+
+/// [`ReliableSet::on_data`]'s result: an [`Arrival`] plus the messages it
+/// made deliverable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataOutcome<M> {
     /// Messages now deliverable in order (possibly several, when this
     /// arrival filled a gap; empty for duplicates and parked arrivals).
     pub deliver: Vec<M>,
-    /// Cumulative ack to send back to the peer (always returned — the
-    /// sender needs it even, especially, for duplicates).
+    /// See [`Arrival::ack`].
     pub ack: u64,
-    /// True when the arrival was a duplicate and was dropped.
+    /// See [`Arrival::dup`].
     pub dup: bool,
+    /// See [`Arrival::ack_now`].
+    pub ack_now: bool,
 }
 
 #[derive(Debug)]
 struct PeerLink<M> {
     /// Next sequence number to assign (first message is 1).
     next_seq: u64,
-    /// Sent but not yet cumulatively acked, keyed by seq.
-    unacked: BTreeMap<u64, SentEntry<M>>,
+    /// Sent but not yet cumulatively acked, oldest first.  Sequence numbers
+    /// are contiguous, so entry `i` carries `next_seq - unacked.len() + i`.
+    unacked: VecDeque<SentEntry<M>>,
     /// Consecutive silent RTO rounds (resets on ack progress).
     backoff: u32,
     /// Caller-clock deadline of the next retransmission round.
     next_retx_at: u64,
     /// Highest in-order sequence received from the peer.
     recv_cum: u64,
+    /// True while `recv_cum` has advanced past what any frame sent to the
+    /// peer has carried.
+    ack_owed: bool,
     /// Out-of-order arrivals parked until the gap fills.
     parked: BTreeMap<u64, M>,
     /// Smoothed RTT estimate (ns); meaningless until `has_sample`.
@@ -177,10 +210,11 @@ impl<M> PeerLink<M> {
     fn new(initial_rto: u64) -> Self {
         PeerLink {
             next_seq: 1,
-            unacked: BTreeMap::new(),
+            unacked: VecDeque::new(),
             backoff: 0,
             next_retx_at: u64::MAX,
             recv_cum: 0,
+            ack_owed: false,
             parked: BTreeMap::new(),
             srtt: 0,
             rttvar: 0,
@@ -207,17 +241,56 @@ impl<M> PeerLink<M> {
             .saturating_add(4u64.saturating_mul(self.rttvar))
             .clamp(cfg.rto, cfg.rto_max);
     }
+
+    /// Process a cumulative ack: see [`ReliableSet::on_ack`].
+    fn on_ack(&mut self, ack: u64, now: u64, cfg: &RelConfig) {
+        let base = self.next_seq - self.unacked.len() as u64;
+        let covered = (ack.saturating_add(1).saturating_sub(base)).min(self.unacked.len() as u64);
+        if covered == 0 {
+            return;
+        }
+        // The most recently sent eligible frame this ack covers is the
+        // freshest measurement of the link as it is now.
+        let mut sample = None;
+        for e in self.unacked.drain(..covered as usize) {
+            if !e.retransmitted {
+                sample = Some(now.saturating_sub(e.sent_at));
+            }
+        }
+        if let (true, Some(r)) = (cfg.adaptive, sample) {
+            self.sample_rtt(r, cfg);
+        }
+        self.backoff = 0;
+        self.next_retx_at = if self.unacked.is_empty() {
+            u64::MAX
+        } else {
+            now.saturating_add(self.cur_rto)
+        };
+    }
+
+    fn health(&self, peer: u32) -> LinkHealth {
+        LinkHealth {
+            peer,
+            srtt: if self.has_sample { self.srtt } else { 0 },
+            rttvar: if self.has_sample { self.rttvar } else { 0 },
+            rto: self.cur_rto,
+            unacked: self.unacked.len() as u64,
+            silent_rounds: self.backoff,
+        }
+    }
 }
 
 /// One node's reliability state across all of its links.
 #[derive(Debug)]
 pub struct ReliableSet<M> {
     cfg: RelConfig,
-    /// Keyed by peer rank.  A BTreeMap so [`ReliableSet::tick`] visits
-    /// links in rank order — the retransmission path feeds the chaos
-    /// engine, whose crash windows count *global* traffic, so iteration
-    /// order is part of the same-seed-same-faults contract.
-    peers: BTreeMap<u32, PeerLink<M>>,
+    /// Indexed by peer rank; `None` until traffic touches the link.  Rank
+    /// order is what [`ReliableSet::tick`] and [`ReliableSet::acks_due`]
+    /// visit links in — both feed the chaos engine, whose crash windows
+    /// count *global* traffic, so iteration order is part of the
+    /// same-seed-same-faults contract.  Callers bound `peer` by the cluster
+    /// size before it gets here (the table grows to the largest rank seen).
+    peers: Vec<Option<PeerLink<M>>>,
     /// Cumulative counters (public: transports export them).
     pub metrics: RelMetrics,
 }
@@ -227,75 +300,130 @@ impl<M: Clone> ReliableSet<M> {
     pub fn new(cfg: RelConfig) -> Self {
         ReliableSet {
             cfg,
-            peers: BTreeMap::new(),
+            peers: Vec::new(),
             metrics: RelMetrics::default(),
         }
     }
 
     fn link(&mut self, peer: u32) -> &mut PeerLink<M> {
+        let i = peer as usize;
+        if i >= self.peers.len() {
+            self.peers.resize_with(i + 1, || None);
+        }
         let initial_rto = self.cfg.rto;
+        self.peers[i].get_or_insert_with(|| PeerLink::new(initial_rto))
+    }
+
+    /// Links that have carried traffic, in peer-rank order.
+    fn links(&self) -> impl Iterator<Item = (u32, &PeerLink<M>)> {
         self.peers
-            .entry(peer)
-            .or_insert_with(|| PeerLink::new(initial_rto))
+            .iter()
+            .enumerate()
+            .filter_map(|(peer, l)| Some((peer as u32, l.as_ref()?)))
     }
 
     /// Register an outgoing message on the `(local, peer)` link: assigns its
     /// sequence number, buffers it for retransmission and arms the RTO.
-    /// Returns the reliability header `(seq, ack)` to attach.
+    /// Returns the reliability header `(seq, ack)` to attach; the ack is
+    /// the piggyback that settles whatever the link owed.
     pub fn send(&mut self, peer: u32, m: M, now: u64) -> (u64, u64) {
+        self.send_with(peer, now, |seq, ack| (m, (seq, ack)))
+    }
+
+    /// [`ReliableSet::send`] for callers that encode the header into the
+    /// message itself: `build(seq, ack)` returns the message to retain and
+    /// whatever the caller wants back (typically the frame to transmit).
+    pub fn send_with<T>(
+        &mut self,
+        peer: u32,
+        now: u64,
+        build: impl FnOnce(u64, u64) -> (M, T),
+    ) -> T {
         let link = self.link(peer);
-        let seq = link.next_seq;
+        let (m, out) = build(link.next_seq, link.recv_cum);
         link.next_seq += 1;
-        link.unacked.insert(
-            seq,
-            SentEntry {
-                m,
-                sent_at: now,
-                retransmitted: false,
-            },
-        );
+        link.ack_owed = false;
+        link.unacked.push_back(SentEntry {
+            m,
+            sent_at: now,
+            retransmitted: false,
+        });
         if link.next_retx_at == u64::MAX {
             link.next_retx_at = now.saturating_add(link.cur_rto);
         }
-        (seq, link.recv_cum)
+        out
     }
 
-    /// Process an arriving data frame from `peer` carrying `(seq, ack)`.
-    pub fn on_data(&mut self, peer: u32, seq: u64, ack: u64, m: M, now: u64) -> DataOutcome<M> {
-        self.on_ack(peer, ack, now);
+    /// Process an arriving data frame from `peer` carrying `(seq, ack)`;
+    /// messages that became deliverable are appended to `deliver` in order
+    /// (several when this arrival filled a gap, none for duplicates and
+    /// parked arrivals).
+    pub fn on_data_into(
+        &mut self,
+        peer: u32,
+        seq: u64,
+        ack: u64,
+        m: M,
+        now: u64,
+        deliver: &mut Vec<M>,
+    ) -> Arrival {
+        let cfg = self.cfg;
         let link = self.link(peer);
-        if seq <= link.recv_cum || link.parked.contains_key(&seq) {
-            self.metrics.dup_drops += 1;
-            let ack = self.link(peer).recv_cum;
-            self.metrics.acks_sent += 1;
-            return DataOutcome {
-                deliver: Vec::new(),
-                ack,
-                dup: true,
-            };
-        }
-        let mut deliver = Vec::new();
-        let mut parked = false;
-        if seq == link.recv_cum + 1 {
+        link.on_ack(ack, now, &cfg);
+        let dup = seq <= link.recv_cum || link.parked.contains_key(&seq);
+        let in_order = seq == link.recv_cum + 1;
+        if in_order {
             link.recv_cum = seq;
+            link.ack_owed = true;
             deliver.push(m);
             while let Some(next) = link.parked.remove(&(link.recv_cum + 1)) {
                 link.recv_cum += 1;
                 deliver.push(next);
             }
-        } else {
+        } else if !dup {
             link.parked.insert(seq, m);
-            parked = true;
         }
         let ack = link.recv_cum;
-        if parked {
-            self.metrics.out_of_order += 1;
+        if !in_order {
+            // The ack leaves now and carries everything owed.
+            link.ack_owed = false;
+            self.metrics.acks_sent += 1;
+            if dup {
+                self.metrics.dup_drops += 1;
+            } else {
+                self.metrics.out_of_order += 1;
+            }
         }
-        self.metrics.acks_sent += 1;
+        Arrival {
+            ack,
+            dup,
+            ack_now: !in_order,
+        }
+    }
+
+    /// [`ReliableSet::on_data_into`] with a freshly allocated delivery
+    /// buffer.
+    pub fn on_data(&mut self, peer: u32, seq: u64, ack: u64, m: M, now: u64) -> DataOutcome<M> {
+        let mut deliver = Vec::new();
+        let a = self.on_data_into(peer, seq, ack, m, now, &mut deliver);
         DataOutcome {
             deliver,
-            ack,
-            dup: false,
+            ack: a.ack,
+            dup: a.dup,
+            ack_now: a.ack_now,
+        }
+    }
+
+    /// End-of-batch ack flush: for every link that still owes its peer an
+    /// ack (in-order arrivals since the last frame sent to it), `emit(peer,
+    /// cumulative ack)` — one pure ack per peer, in rank order.
+    pub fn acks_due(&mut self, mut emit: impl FnMut(u32, u64)) {
+        for (peer, link) in self.peers.iter_mut().enumerate() {
+            let Some(link) = link else { continue };
+            if std::mem::take(&mut link.ack_owed) {
+                self.metrics.acks_sent += 1;
+                emit(peer as u32, link.recv_cum);
+            }
         }
     }
 
@@ -310,54 +438,34 @@ impl<M: Clone> ReliableSet<M> {
     /// sample to the link's Jacobson estimator.
     pub fn on_ack(&mut self, peer: u32, ack: u64, now: u64) {
         let cfg = self.cfg;
-        let link = self.link(peer);
-        let before = link.unacked.len();
-        if cfg.adaptive {
-            // Sample from the most recently sent eligible frame this ack
-            // covers: the freshest measurement of the link as it is now.
-            let sample = link
-                .unacked
-                .range(..=ack)
-                .rev()
-                .find(|(_, e)| !e.retransmitted)
-                .map(|(_, e)| now.saturating_sub(e.sent_at));
-            if let Some(r) = sample {
-                link.sample_rtt(r, &cfg);
-            }
-        }
-        link.unacked.retain(|&seq, _| seq > ack);
-        if link.unacked.is_empty() {
-            link.next_retx_at = u64::MAX;
-            link.backoff = 0;
-        } else if link.unacked.len() < before {
-            link.backoff = 0;
-            link.next_retx_at = now.saturating_add(link.cur_rto);
-        }
+        self.link(peer).on_ack(ack, now, &cfg);
     }
 
     /// Retransmission timer: returns every frame whose link's RTO expired
     /// (all unacked messages of that link, oldest first, with a fresh
-    /// cumulative ack), doubling that link's RTO up to the cap.  Every
-    /// re-emitted frame is marked retransmitted so Karn's rule keeps it out
-    /// of the RTT estimator for good.
+    /// cumulative ack — which settles what the link owed), doubling that
+    /// link's RTO up to the cap.  Every re-emitted frame is marked
+    /// retransmitted so Karn's rule keeps it out of the RTT estimator for
+    /// good.
     pub fn tick(&mut self, now: u64) -> Vec<RelFrame<M>> {
         let mut out = Vec::new();
         let rto_max = self.cfg.rto_max;
-        let mut retx = 0u64;
-        for (&peer, link) in self.peers.iter_mut() {
+        for (peer, link) in self.peers.iter_mut().enumerate() {
+            let Some(link) = link else { continue };
             if link.unacked.is_empty() || now < link.next_retx_at {
                 continue;
             }
-            for (&seq, entry) in link.unacked.iter_mut() {
+            let base = link.next_seq - link.unacked.len() as u64;
+            for (i, entry) in link.unacked.iter_mut().enumerate() {
                 entry.retransmitted = true;
                 out.push(RelFrame {
-                    peer,
-                    seq,
+                    peer: peer as u32,
+                    seq: base + i as u64,
                     ack: link.recv_cum,
                     m: entry.m.clone(),
                 });
-                retx += 1;
             }
+            link.ack_owed = false;
             link.backoff = link.backoff.saturating_add(1);
             let delay = link
                 .cur_rto
@@ -365,7 +473,7 @@ impl<M: Clone> ReliableSet<M> {
                 .min(rto_max);
             link.next_retx_at = now.saturating_add(delay);
         }
-        self.metrics.retransmits += retx;
+        self.metrics.retransmits += out.len() as u64;
         out
     }
 
@@ -374,7 +482,7 @@ impl<M: Clone> ReliableSet<M> {
     /// replay the retained unacked frames immediately after a peer rejoins
     /// instead of waiting out a (possibly capped) silent-round delay.
     pub fn expire_now(&mut self) {
-        for link in self.peers.values_mut() {
+        for link in self.peers.iter_mut().flatten() {
             if !link.unacked.is_empty() {
                 link.next_retx_at = 0;
                 link.backoff = 0;
@@ -393,8 +501,8 @@ impl<M: Clone> ReliableSet<M> {
     /// would park forever behind a gap that no longer exists.  The RTT
     /// estimator resets too: the new process is a new RTT regime.
     pub fn reset_peer(&mut self, peer: u32) -> Vec<M> {
-        match self.peers.remove(&peer) {
-            Some(link) => link.unacked.into_values().map(|e| e.m).collect(),
+        match self.peers.get_mut(peer as usize).and_then(Option::take) {
+            Some(link) => link.unacked.into_iter().map(|e| e.m).collect(),
             None => Vec::new(),
         }
     }
@@ -402,53 +510,40 @@ impl<M: Clone> ReliableSet<M> {
     /// Caller-clock instant of the earliest armed RTO (`None` when nothing
     /// is outstanding).
     pub fn next_deadline(&self) -> Option<u64> {
-        self.peers
-            .values()
-            .filter(|l| !l.unacked.is_empty())
-            .map(|l| l.next_retx_at)
+        self.links()
+            .filter(|(_, l)| !l.unacked.is_empty())
+            .map(|(_, l)| l.next_retx_at)
             .min()
     }
 
     /// Total messages awaiting acknowledgement across all links.
     pub fn unacked_total(&self) -> u64 {
-        self.peers.values().map(|l| l.unacked.len() as u64).sum()
+        self.links().map(|(_, l)| l.unacked.len() as u64).sum()
     }
 
-    /// Current cumulative ack for `peer` (to piggyback on unrelated sends).
-    pub fn recv_cum(&mut self, peer: u32) -> u64 {
-        self.link(peer).recv_cum
+    /// Per-link reliability health, in peer-rank order, without allocating.
+    /// Links exist once traffic has touched them; a never-used peer has no
+    /// row.
+    pub fn health_rows(&self) -> impl Iterator<Item = LinkHealth> + '_ {
+        self.links().map(|(peer, l)| l.health(peer))
     }
 
-    /// Per-link reliability health, in peer-rank order.  Links exist once
-    /// traffic has touched them; a never-used peer has no row.
+    /// [`ReliableSet::health_rows`], collected.
     pub fn link_health(&self) -> Vec<LinkHealth> {
-        self.peers
-            .iter()
-            .map(|(&peer, l)| LinkHealth {
-                peer,
-                srtt: if l.has_sample { l.srtt } else { 0 },
-                rttvar: if l.has_sample { l.rttvar } else { 0 },
-                rto: l.cur_rto,
-                unacked: l.unacked.len() as u64,
-                silent_rounds: l.backoff,
-            })
-            .collect()
+        self.health_rows().collect()
     }
 
     /// Health of one link, if traffic has touched it.
     pub fn peer_health(&self, peer: u32) -> Option<LinkHealth> {
-        self.link_health().into_iter().find(|h| h.peer == peer)
-    }
-
-    /// The tunables this set was built with.
-    pub fn config(&self) -> RelConfig {
-        self.cfg
+        let link = self.peers.get(peer as usize)?.as_ref()?;
+        Some(link.health(peer))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_simnet::SplitMix64;
 
     const CFG: RelConfig = RelConfig {
         rto: 100,
@@ -550,50 +645,173 @@ mod tests {
         assert_eq!(r[0].seq, 2);
     }
 
+    #[derive(Clone)]
+    enum Pkt {
+        Data { seq: u64, ack: u64, m: u64 },
+        Ack(u64),
+    }
+
+    /// The faulty medium of the property test: `(drop, duplicate, reorder)`
+    /// rates in percent.
+    struct Net {
+        rng: SplitMix64,
+        faults: (u64, u64, u64),
+    }
+
+    impl Net {
+        fn ship(&mut self, wire: &mut VecDeque<Pkt>, p: Pkt) {
+            let (drop, dup, reorder) = self.faults;
+            if self.rng.below(100) < drop {
+                return;
+            }
+            for _ in 0..1 + u64::from(self.rng.below(100) < dup) {
+                let at = if self.rng.below(100) < reorder {
+                    self.rng.below(wire.len() as u64 + 1) as usize
+                } else {
+                    wire.len()
+                };
+                wire.insert(at, p.clone());
+            }
+        }
+    }
+
+    /// One side of the two-node link the property test drives.
+    struct Side {
+        set: ReliableSet<u64>,
+        /// The wire toward this side.
+        inbox: VecDeque<Pkt>,
+        got: Vec<u64>,
+        posted: u64,
+        pure_acks: u64,
+        batches: u64,
+    }
+
+    const TOTAL: u64 = 40; // messages each side posts
+
+    impl Side {
+        /// Post the next application message.
+        fn post(&mut self, peer: u32, now: u64, net: &mut Net, out: &mut VecDeque<Pkt>) {
+            let (seq, ack) = self.set.send(peer, self.posted, now);
+            net.ship(
+                out,
+                Pkt::Data {
+                    seq,
+                    ack,
+                    m: self.posted,
+                },
+            );
+            self.posted += 1;
+        }
+
+        /// One turn the way a backend drives its set: everything inbound in
+        /// randomly sized batches (`acks_due` at each boundary, immediate
+        /// acks when told to, an occasional mid-batch answer for the
+        /// piggyback path), then a few fresh posts and the timer.
+        fn turn(&mut self, peer: u32, now: u64, net: &mut Net, out: &mut VecDeque<Pkt>) {
+            while !self.inbox.is_empty() {
+                self.batches += 1;
+                for _ in 0..net.rng.range(1, self.inbox.len() as u64 + 1) {
+                    match self.inbox.pop_front().unwrap() {
+                        Pkt::Ack(ack) => self.set.on_ack(peer, ack, now),
+                        Pkt::Data { seq, ack, m } => {
+                            let before = self.got.len();
+                            let got = &mut self.got;
+                            let arr = self.set.on_data_into(peer, seq, ack, m, now, got);
+                            let in_order = seq == before as u64 + 1;
+                            assert_eq!(arr.ack_now, !in_order, "immediate iff dup or parked");
+                            assert_eq!(arr.ack, self.got.len() as u64);
+                            if arr.ack_now {
+                                assert_eq!(self.got.len(), before);
+                                self.pure_acks += 1;
+                                net.ship(out, Pkt::Ack(arr.ack));
+                            }
+                        }
+                    }
+                    if self.posted < TOTAL && net.rng.below(3) == 0 {
+                        self.post(peer, now, net, out);
+                    }
+                }
+                let mut due = 0;
+                self.set.acks_due(|to, ack| {
+                    assert_eq!(to, peer);
+                    due += 1;
+                    net.ship(out, Pkt::Ack(ack));
+                });
+                assert!(due <= 1, "one pure ack per peer per batch");
+                self.pure_acks += due;
+            }
+            for _ in 0..net.rng.below(4).min(TOTAL - self.posted) {
+                self.post(peer, now, net, out);
+            }
+            for f in self.set.tick(now) {
+                let (seq, ack, m) = (f.seq, f.ack, f.m);
+                net.ship(out, Pkt::Data { seq, ack, m });
+            }
+        }
+    }
+
+    /// The ack rule under 240 generated drop/duplicate/reorder/batch-boundary
+    /// schedules between two `ReliableSet`s.
     #[test]
-    fn lossy_link_simulation_is_exactly_once() {
-        // Drop every 3rd transmission attempt, deliver the rest; the
-        // protocol must hand the receiver each message exactly once, in
-        // order, despite drops hitting first sends and retransmits alike.
-        let mut a: ReliableSet<u64> = ReliableSet::new(CFG);
-        let mut b: ReliableSet<u64> = ReliableSet::new(CFG);
-        let mut now = 0u64;
-        let mut attempts = 0u64;
-        let mut received: Vec<u64> = Vec::new();
-        let mut wire: Vec<(u64, u64, u64)> = Vec::new(); // (seq, ack, m)
-        for i in 0..20u64 {
-            let (seq, ack) = a.send(1, i, now);
-            wire.push((seq, ack, i));
-        }
-        for round in 0..200 {
-            // Transmit queued frames through the lossy medium.
-            for (seq, ack, m) in std::mem::take(&mut wire) {
-                attempts += 1;
-                if attempts.is_multiple_of(3) {
-                    continue; // dropped
+    fn ack_rule_holds_under_generated_schedules() {
+        let mut rng = SplitMix64::new(0xACED);
+        let (mut lossy_retx, mut lossy_dups) = (0, 0);
+        for schedule in 0..240u64 {
+            // Every third schedule is lossless.
+            let faults = match schedule % 3 {
+                0 => (0, 0, 0),
+                _ => (rng.below(30), rng.below(30), rng.below(30)),
+            };
+            let mut net = Net {
+                rng: SplitMix64::new(rng.next_u64()),
+                faults,
+            };
+            let mut sides = [0, 1].map(|_| Side {
+                set: ReliableSet::new(CFG),
+                inbox: VecDeque::new(),
+                got: Vec::new(),
+                posted: 0,
+                pure_acks: 0,
+                batches: 0,
+            });
+            let (mut now, mut turns) = (0u64, 0);
+            let busy = |s: &Side| s.posted < TOTAL || s.set.unacked_total() > 0;
+            while sides.iter().any(busy) {
+                turns += 1;
+                assert!(
+                    turns < 20_000,
+                    "schedule {schedule} {faults:?} never drained"
+                );
+                let [a, b] = &mut sides;
+                a.turn(1, now, &mut net, &mut b.inbox);
+                b.turn(0, now, &mut net, &mut a.inbox);
+                now += 1;
+                // Nothing in flight: jump to the next retransmission.
+                if sides.iter().all(|s| s.inbox.is_empty()) {
+                    let next = sides.iter().filter_map(|s| s.set.next_deadline()).min();
+                    now = now.max(next.unwrap_or(now));
                 }
-                let out = b.on_data(0, seq, ack, m, now);
-                received.extend(out.deliver);
-                // The pure ack travels back, also lossy — and the first
-                // rounds lose every ack, forcing retransmits of messages
-                // that DID arrive (the dedup path).
-                attempts += 1;
-                if round >= 2 && !attempts.is_multiple_of(3) {
-                    a.on_ack(1, out.ack, now);
+            }
+            for s in &sides {
+                let m = s.set.metrics;
+                assert_eq!(
+                    s.got,
+                    (0..TOTAL).collect::<Vec<_>>(),
+                    "exactly once, in order"
+                );
+                assert_eq!(s.set.unacked_total(), 0);
+                assert_eq!(m.acks_sent, s.pure_acks, "counts the pure acks emitted");
+                if faults == (0, 0, 0) {
+                    assert_eq!(m.retransmits, 0, "schedule {schedule}");
+                    assert_eq!(m.dup_drops + m.out_of_order, 0);
+                    assert!(s.pure_acks <= s.batches);
+                } else {
+                    lossy_retx += m.retransmits;
+                    lossy_dups += m.dup_drops;
                 }
             }
-            if a.unacked_total() == 0 {
-                break;
-            }
-            now = a.next_deadline().unwrap_or(now + CFG.rto);
-            for f in a.tick(now) {
-                wire.push((f.seq, f.ack, f.m));
-            }
         }
-        assert_eq!(received, (0..20).collect::<Vec<_>>());
-        assert_eq!(a.unacked_total(), 0);
-        assert!(a.metrics.retransmits > 0);
-        assert!(b.metrics.dup_drops > 0, "retransmit races must be deduped");
+        assert!(lossy_retx > 0 && lossy_dups > 0, "the faults must bite");
     }
 
     /// Drive one send/ack round trip with the given RTT and return the

@@ -284,18 +284,31 @@ impl SimTransport {
             self.dropped_misaddressed += 1;
             return; // misaddressed message: dropped (and counted)
         }
+        let src = msg.src.index();
         let deliverable = match (rel, &mut self.chaos) {
             (Some((seq, ack)), Some(chaos)) => {
-                let src = msg.src.index();
                 let out = chaos.rel[dst].on_data(src as u32, seq, ack, msg, arrival.as_nanos());
-                // The cumulative ack travels back over the (faulty) fabric.
-                self.schedule_ack(dst, src, out.ack);
+                if out.ack_now {
+                    // Duplicate or out of order: the cumulative ack travels
+                    // back at once, over the (faulty) fabric.
+                    self.schedule_ack(dst, src, out.ack);
+                }
                 out.deliver
             }
             _ => vec![msg],
         };
         for m in deliverable {
             self.deliver_and_charge(arrival, m, transmission, wire_bytes);
+        }
+        // End of the event: what the deliveries posted has departed (and
+        // piggybacked the ack where it went back to `src`); a link still
+        // owing gets its one pure ack now.
+        let mut due = Vec::new();
+        if let Some(chaos) = &mut self.chaos {
+            chaos.rel[dst].acks_due(|peer, ack| due.push((peer as usize, ack)));
+        }
+        for (peer, ack) in due {
+            self.schedule_ack(dst, peer, ack);
         }
     }
 

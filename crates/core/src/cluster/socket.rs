@@ -28,14 +28,13 @@ use super::{wire, ClientId, ClientRef, ClientRefMut, Transport, TransportMetrics
 use crate::error::{CoreError, Result};
 use crate::metrics::RuntimeStats;
 use crate::runtime::{Completion, NativeAmHandler, NodeRuntime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use tc_bitir::TargetTriple;
-use tc_chaos::{ChaosSession, ChaosStats, FaultPlan};
+use tc_chaos::{ChaosSession, ChaosStats, FaultPlan, HoldBack};
 use tc_jit::{Memory, OptLevel};
 use tc_net::{ChildGuard, Connection, Frame, Listener, NetError, SocketSpec};
-use tc_ucx::Bytes;
 
 /// True when `TC_SOCKET_TRACE` is set: both halves of the socket backend
 /// print per-frame routing decisions to stderr.  For debugging distributed
@@ -244,11 +243,10 @@ pub struct RelInfo {
 /// Pick the most-stressed link of a health table: most unacked frames,
 /// widest RTO as the tie-break.  The fixed-size [`RelInfo`] digest carries
 /// this one row.
-pub fn most_stressed(health: &[LinkHealth]) -> Option<LinkHealth> {
+pub fn most_stressed(health: impl IntoIterator<Item = LinkHealth>) -> Option<LinkHealth> {
     health
-        .iter()
+        .into_iter()
         .max_by_key(|h| (h.unacked, h.rto, h.peer))
-        .copied()
 }
 
 /// Encode a [`TAG_REL_INFO`] body (104 bytes: 13 little-endian u64 fields).
@@ -453,10 +451,6 @@ fn resolve_server_bin(config: &SocketConfig) -> Result<PathBuf> {
     ))
 }
 
-/// An encoded-but-unwrapped data-plane message buffered for retransmission:
-/// op head (without the reliability prefix) plus detached payload.
-type StoredEnv = (Bytes, Bytes);
-
 /// Why a server link is no longer usable.
 #[derive(Debug, Clone)]
 enum LinkState {
@@ -514,10 +508,9 @@ struct SocketChaos {
     session: ChaosSession,
     /// One reliability state machine per client rank — sequence spaces of
     /// different clients must never interfere.
-    rels: Vec<ReliableSet<StoredEnv>>,
-    /// Held-back frames implementing delay/reorder: one slot per directed
-    /// link, released behind the link's next traffic.
-    held: HashMap<(usize, usize), Frame>,
+    rels: Vec<ReliableSet<wire::StoredEnv>>,
+    /// Held-back frames implementing delay/reorder.
+    held: HoldBack<Frame>,
     last_tick: Instant,
     tick: Duration,
     rto_max: u64,
@@ -609,7 +602,7 @@ impl SocketTransport {
         let chaos = fault_plan.map(|plan| SocketChaos {
             session: ChaosSession::new(plan),
             rels: (0..clients).map(|_| ReliableSet::new(rel_cfg)).collect(),
-            held: HashMap::new(),
+            held: HoldBack::default(),
             last_tick: Instant::now(),
             tick: Duration::from_nanos(rel_cfg.rto / 2),
             rto_max: rel_cfg.rto_max,
@@ -1139,9 +1132,7 @@ impl SocketTransport {
         let mut replay = Vec::new();
         if let Some(chaos) = &mut self.chaos {
             let now = self.epoch.elapsed().as_nanos() as u64;
-            chaos
-                .held
-                .retain(|&(src, dst), _| src != rank && dst != rank);
+            chaos.held.forget_node(rank);
             for c in 0..chaos.rels.len() {
                 for (head, payload) in chaos.rels[c].reset_peer(rank as u32) {
                     let (seq, ack) =
@@ -1365,55 +1356,43 @@ impl SocketTransport {
         };
         let src = frame.from as usize;
         let dst = frame.to as usize;
-        let decision = chaos.session.decide(src, dst);
-        if !decision.deliver {
+        // Ranks index dense per-link tables (chaos engine, reliable sets):
+        // bound them here, where frames from server processes enter.
+        let ranks = self.clients.len() + self.servers;
+        if src >= ranks || dst >= ranks {
+            self.errors.push(CoreError::Transport(format!(
+                "reliable frame between invalid ranks {src} -> {dst}"
+            )));
             return;
         }
+        let decision = chaos.session.decide(src, dst);
         let mut release = Vec::new();
-        if decision.reorder || decision.delay_units > 0 {
-            if decision.duplicate {
-                release.push(frame.clone());
-            }
-            // Park this frame; release whatever the link previously parked
-            // (it has now been overtaken at least once).
-            if let Some(prev) = chaos.held.insert((src, dst), frame) {
-                release.push(prev);
-            }
-        } else {
-            if decision.duplicate {
-                release.push(frame.clone());
-            }
-            release.push(frame);
-            if let Some(prev) = chaos.held.remove(&(src, dst)) {
-                release.push(prev);
-            }
-        }
+        chaos
+            .held
+            .apply(decision, src, dst, frame, &mut |f| release.push(f));
         for f in release {
             self.route_reliable(f);
         }
     }
 
-    /// Physically move one reliable frame that survived the chaos engine.
+    /// Physically move one reliable frame that survived the chaos engine
+    /// (which bounded its ranks).
     fn route_reliable(&mut self, frame: Frame) {
         let clients = self.clients.len();
         let dst = frame.to as usize;
         if dst < clients {
             self.reliable_to_client(frame);
-        } else if dst < clients + self.servers {
-            if self.recover && matches!(self.links[dst - clients].state, LinkState::Dead(_)) {
-                // The rank is being healed.  The frame stays buffered in its
-                // sender's ReliableSet and is replayed (renumbered) once the
-                // link is back; surfacing an error per retransmission would
-                // flood the error log for a transient outage.
-                return;
-            }
-            if let Err(e) = self.queue_to_server(dst, frame) {
-                self.errors.push(e);
-            }
-        } else {
-            self.errors.push(CoreError::Transport(format!(
-                "reliable frame addressed to invalid rank {dst}"
-            )));
+            return;
+        }
+        if self.recover && matches!(self.links[dst - clients].state, LinkState::Dead(_)) {
+            // The rank is being healed.  The frame stays buffered in its
+            // sender's ReliableSet and is replayed (renumbered) once the
+            // link is back; surfacing an error per retransmission would
+            // flood the error log for a transient outage.
+            return;
+        }
+        if let Err(e) = self.queue_to_server(dst, frame) {
+            self.errors.push(e);
         }
     }
 
@@ -1421,52 +1400,70 @@ impl SocketTransport {
     fn reliable_to_client(&mut self, frame: Frame) {
         let port = frame.to as usize;
         let now = self.now();
-        let rels_len = match &self.chaos {
-            Some(c) => c.rels.len(),
-            None => return,
+        let Some(chaos) = &mut self.chaos else {
+            self.errors.push(CoreError::Transport(
+                "reliable frame without a fault plan".into(),
+            ));
+            return;
         };
-        if port >= rels_len {
-            self.errors.push(CoreError::Transport(format!(
-                "reliable frame addressed to unknown client port {port}"
-            )));
+        if frame.tag == wire::TAG_ACK {
+            if let Ok(ack) = wire::decode_ack(frame.data.as_slice()) {
+                chaos.rels[port].on_ack(frame.from, ack, now);
+            }
             return;
         }
-        match frame.tag {
-            wire::TAG_ACK => {
-                if let Ok(ack) = wire::decode_ack(frame.data.as_slice()) {
-                    if let Some(chaos) = &mut self.chaos {
-                        chaos.rels[port].on_ack(frame.from, ack, now);
-                    }
-                }
+        let (seq, ack, head) = match wire::decode_rel_head(&frame.data) {
+            Ok(parts) => parts,
+            Err(e) => {
+                self.errors.push(e);
+                return;
             }
-            _ => {
-                let (seq, ack, head) = match wire::decode_rel_head(&frame.data) {
-                    Ok(parts) => parts,
-                    Err(e) => {
-                        self.errors.push(e);
-                        return;
-                    }
-                };
-                let out = {
-                    let chaos = self.chaos.as_mut().expect("checked above");
-                    chaos.rels[port].on_data(frame.from, seq, ack, (head, frame.payload), now)
-                };
-                let ack_frame = Frame::new(
-                    port as u32,
-                    frame.from,
-                    wire::TAG_ACK,
-                    wire::encode_ack(out.ack),
-                );
-                // The ack's own traversal passes the chaos engine too.
-                self.chaos_route(ack_frame);
-                for (h, p) in out.deliver {
-                    match wire::decode_op_vectored(&h, &p) {
-                        Ok(msg) => self.deliver_to_client(msg),
-                        Err(e) => self.errors.push(e),
-                    }
-                }
+        };
+        let out = chaos.rels[port].on_data(frame.from, seq, ack, (head, frame.payload), now);
+        if out.ack_now {
+            // Duplicate or out of order: ack at once.  The ack's own
+            // traversal passes the chaos engine too.
+            self.chaos_route(Frame::new(
+                port as u32,
+                frame.from,
+                wire::TAG_ACK,
+                wire::encode_ack(out.ack),
+            ));
+        }
+        for (h, p) in out.deliver {
+            match wire::decode_op_vectored(&h, &p) {
+                Ok(msg) => self.deliver_to_client(msg),
+                Err(e) => self.errors.push(e),
             }
         }
+    }
+
+    /// Route everything in the inbox, then send the one pure cumulative ack
+    /// per (client, server) link that nothing routed has piggybacked on.
+    /// Returns how many frames were routed.
+    fn drain_inbox(&mut self) -> usize {
+        let mut routed = 0;
+        while let Some(frame) = self.inbox.pop_front() {
+            self.route_frame(frame);
+            routed += 1;
+        }
+        let mut acks = Vec::new();
+        if let Some(chaos) = &mut self.chaos {
+            for (c, rel) in chaos.rels.iter_mut().enumerate() {
+                rel.acks_due(|peer, ack| {
+                    acks.push(Frame::new(
+                        c as u32,
+                        peer,
+                        wire::TAG_ACK,
+                        wire::encode_ack(ack),
+                    ))
+                });
+            }
+        }
+        for f in acks {
+            self.chaos_route(f);
+        }
+        routed
     }
 
     /// Deliver one in-order fabric operation to its destination client
@@ -1560,46 +1557,30 @@ impl SocketTransport {
                         self.dropped += 1;
                         continue;
                     }
-                    let (head, payload) = wire::encode_op_vectored(&msg);
-                    // The payload Bytes moves into exactly one frame; the
-                    // reliable path clones it once for the retransmit buffer
-                    // (a refcount bump, not a copy).
-                    enum Routed {
-                        Rel(Frame),
-                        Raw(Frame),
-                    }
-                    let routed = match &mut self.chaos {
+                    match &mut self.chaos {
                         Some(chaos) => {
                             let now = self.epoch.elapsed().as_nanos() as u64;
-                            let (seq, ack) = chaos.rels[c].send(
-                                dst as u32,
-                                (head.clone(), payload.clone()),
-                                now,
-                            );
-                            let data = wire::encode_rel_head(seq, ack, &head);
-                            Routed::Rel(Frame::with_payload(
+                            let (data, payload) =
+                                wire::send_reliable(&mut chaos.rels[c], dst as u32, &msg, now);
+                            self.chaos_route(Frame::with_payload(
                                 c as u32,
                                 dst as u32,
                                 wire::TAG_ROP,
                                 data,
                                 payload,
-                            ))
+                            ));
                         }
-                        None => Routed::Raw(Frame::with_payload(
-                            c as u32,
-                            dst as u32,
-                            wire::TAG_OP,
-                            head,
-                            payload,
-                        )),
-                    };
-                    match routed {
-                        Routed::Rel(f) => self.chaos_route(f),
-                        Routed::Raw(f) => {
-                            if let Err(e) = self.queue_to_server(dst, f) {
-                                if first_err.is_none() {
-                                    first_err = Some(e);
-                                }
+                        None => {
+                            let (head, payload) = wire::encode_op_vectored(&msg);
+                            let raw = Frame::with_payload(
+                                c as u32,
+                                dst as u32,
+                                wire::TAG_OP,
+                                head,
+                                payload,
+                            );
+                            if let Err(e) = self.queue_to_server(dst, raw) {
+                                first_err.get_or_insert(e);
                             }
                         }
                     }
@@ -1618,11 +1599,7 @@ impl SocketTransport {
     fn pump_round(&mut self) -> usize {
         self.pump_writes();
         self.pump_reads();
-        let mut routed = 0;
-        while let Some(frame) = self.inbox.pop_front() {
-            self.route_frame(frame);
-            routed += 1;
-        }
+        let routed = self.drain_inbox();
         // Routing may have queued acks/relays; start them on their way.
         self.pump_writes();
         routed
@@ -1691,9 +1668,7 @@ impl SocketTransport {
                 rest.push_back(frame);
             }
             self.inbox = rest;
-            while let Some(frame) = self.inbox.pop_front() {
-                self.route_frame(frame);
-            }
+            self.drain_inbox();
             if let Some(body) = reply {
                 return Ok(body);
             }
@@ -1948,12 +1923,7 @@ impl Transport for SocketTransport {
     fn node_reliability(&self, rank: usize) -> Option<RelMetrics> {
         let clients = self.clients.len();
         if rank < clients {
-            return self.chaos.as_ref().map(|c| RelMetrics {
-                retransmits: c.rels[rank].metrics.retransmits,
-                dup_drops: c.rels[rank].metrics.dup_drops,
-                out_of_order: c.rels[rank].metrics.out_of_order,
-                acks_sent: c.rels[rank].metrics.acks_sent,
-            });
+            return self.chaos.as_ref().map(|c| c.rels[rank].metrics);
         }
         if self.chaos.is_some() && rank < clients + self.servers {
             return Some(self.links[rank - clients].rel_metrics);
@@ -2106,7 +2076,7 @@ mod tests {
 
     #[test]
     fn most_stressed_prefers_unacked_then_rto() {
-        assert_eq!(most_stressed(&[]), None);
+        assert_eq!(most_stressed([]), None);
         let a = LinkHealth {
             peer: 1,
             unacked: 3,
@@ -2125,6 +2095,6 @@ mod tests {
             rto: 400,
             ..Default::default()
         };
-        assert_eq!(most_stressed(&[a, b, c]), Some(c));
+        assert_eq!(most_stressed([a, b, c]), Some(c));
     }
 }

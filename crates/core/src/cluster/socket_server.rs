@@ -21,12 +21,10 @@ use super::socket::{
     RANK_ANY, TAG_AM_ACK, TAG_AM_DEPLOY, TAG_BYE, TAG_HELLO, TAG_LINK_RESET, TAG_PING, TAG_PONG,
     TAG_REL_INFO, TAG_SHUTDOWN, TAG_WELCOME,
 };
-use super::wire;
+use super::wire::{self, StoredEnv};
 use crate::runtime::{NativeAmHandler, NodeRuntime};
 use std::time::{Duration, Instant};
-use tc_jit::Memory;
 use tc_net::{Connection, Frame, NetError, SocketSpec};
-use tc_ucx::Bytes;
 
 /// Command-line configuration of a server process.
 #[derive(Debug, Clone)]
@@ -70,10 +68,6 @@ impl ServerOptions {
         })
     }
 }
-
-/// An encoded op head plus its detached payload, buffered for
-/// retransmission.
-type StoredEnv = (Bytes, Bytes);
 
 /// Everything the event loop tracks beyond the runtime itself.
 struct Server {
@@ -126,24 +120,17 @@ impl Server {
                     self.runtime.deliver(msg);
                     continue;
                 }
-                let (head, payload) = wire::encode_op_vectored(&msg);
                 // Misaddressed sends bypass reliability (they would
                 // retransmit forever); the driver counts the drop.
                 let bypass_rel = dst >= self.total;
-                match &mut self.rel {
+                let (tag, data, payload) = match &mut self.rel {
                     Some(rel) if !bypass_rel => {
                         let now = self.epoch.elapsed().as_nanos() as u64;
-                        let (seq, ack) = rel.send(dst as u32, (head.clone(), payload.clone()), now);
-                        let data = wire::encode_rel_head(seq, ack, &head);
-                        self.conn.queue(Frame::with_payload(
-                            self.rank,
-                            dst as u32,
-                            wire::TAG_ROP,
-                            data,
-                            payload,
-                        ));
+                        let (data, payload) = wire::send_reliable(rel, dst as u32, &msg, now);
+                        (wire::TAG_ROP, data, payload)
                     }
                     _ => {
+                        let (head, payload) = wire::encode_op_vectored(&msg);
                         super::socket::strace!(
                             "[server {}] send tag={} to={} data={}B payload={}B",
                             self.rank,
@@ -152,18 +139,14 @@ impl Server {
                             head.len(),
                             payload.len()
                         );
-                        self.conn.queue(Frame::with_payload(
-                            self.rank,
-                            dst as u32,
-                            wire::TAG_OP,
-                            head,
-                            payload,
-                        ));
+                        (wire::TAG_OP, head, payload)
                     }
-                }
+                };
+                self.conn.queue(Frame::with_payload(
+                    self.rank, dst as u32, tag, data, payload,
+                ));
             }
         }
-        self.publish_rel_info();
     }
 
     /// Push the reliability digest to the driver when it meaningfully
@@ -182,7 +165,7 @@ impl Server {
             unacked: rel.unacked_total(),
             remaining_ns: remaining,
             metrics: rel.metrics,
-            health: most_stressed(&rel.link_health()),
+            health: most_stressed(rel.health_rows()),
         };
         let deadline_moved = info.remaining_ns.abs_diff(self.last_info.remaining_ns) > 1_000_000;
         if info.unacked != self.last_info.unacked
@@ -200,50 +183,61 @@ impl Server {
         }
     }
 
-    /// Handle one reliable data-plane frame; returns whether operations
-    /// became deliverable, and the cumulative ack to send the peer.  The ack
-    /// is *not* queued here: the main loop queues it behind the replies the
-    /// delivered ops generate, so on the FIFO socket the driver can never
-    /// observe an op as acked without also holding its effects — which is
-    /// what makes a kill between two flushes recoverable by frame replay.
-    fn on_reliable_op(&mut self, frame: Frame) -> (bool, Option<u64>) {
+    /// Handle one reliable data-plane frame, setting `pending_ops` when
+    /// operations became deliverable.  An in-order arrival queues no ack
+    /// here: it rides the replies `process_delivered` generates or goes out
+    /// from `finish_batch` behind them, so on the FIFO socket the driver can
+    /// never observe an op as acked without also holding its effects — which
+    /// is what makes a kill between two flushes recoverable by frame replay.
+    /// A duplicate or out-of-order arrival is acked at once, behind a poll
+    /// of anything pending (the ack is cumulative).
+    fn on_reliable_op(&mut self, frame: Frame, pending_ops: &mut bool) {
         let Some(rel) = &mut self.rel else {
             self.send_error("reliable frame on a server without a fault plan".into());
-            return (false, None);
+            return;
         };
+        if frame.from as usize >= self.total {
+            self.send_error(format!("reliable frame from invalid rank {}", frame.from));
+            return;
+        }
         let (seq, ack, head) = match wire::decode_rel_head(&frame.data) {
             Ok(parts) => parts,
             Err(e) => {
                 self.send_error(e.to_string());
-                return (false, None);
+                return;
             }
         };
         let now = self.epoch.elapsed().as_nanos() as u64;
         let out = rel.on_data(frame.from, seq, ack, (head, frame.payload), now);
-        let mut delivered = false;
         for (h, p) in out.deliver {
             match wire::decode_op_vectored(&h, &p) {
                 Ok(op) => {
                     self.runtime.deliver(op);
-                    delivered = true;
+                    *pending_ops = true;
                 }
                 Err(e) => self.send_error(e.to_string()),
             }
         }
-        self.publish_rel_info();
-        (delivered, Some(out.ack))
+        if out.ack_now {
+            if std::mem::take(pending_ops) {
+                self.process_delivered();
+            }
+            let ack = wire::encode_ack(out.ack);
+            self.conn
+                .queue(Frame::new(self.rank, frame.from, wire::TAG_ACK, ack));
+        }
     }
 
-    /// Flush deferred cumulative acks (one per peer, newest value wins).
-    fn queue_acks(&mut self, acks: &mut Vec<(u32, u64)>) {
-        for (peer, ack) in acks.drain(..) {
-            self.conn.queue(Frame::new(
-                self.rank,
-                peer,
-                wire::TAG_ACK,
-                wire::encode_ack(ack),
-            ));
+    /// End of one frame-drain pass: one pure cumulative ack per peer the
+    /// pass's replies did not piggyback on, then the reliability digest.
+    fn finish_batch(&mut self) {
+        let (conn, rank) = (&mut self.conn, self.rank);
+        if let Some(rel) = &mut self.rel {
+            rel.acks_due(|peer, ack| {
+                conn.queue(Frame::new(rank, peer, wire::TAG_ACK, wire::encode_ack(ack)))
+            });
         }
+        self.publish_rel_info();
     }
 
     /// The driver respawned peer rank `peer` with a fresh sequence space:
@@ -278,54 +272,12 @@ impl Server {
     /// processed — the control plane doubles as a barrier).
     fn on_control(&mut self, frame: Frame) {
         match frame.tag {
-            wire::TAG_PEEK => {
-                let Ok((token, body)) = wire::decode_control(frame.data.as_slice()) else {
-                    return;
-                };
-                if body.len() != 16 {
-                    return;
+            wire::TAG_PEEK | wire::TAG_POKE | wire::TAG_STATS => {
+                let served = wire::serve_control(&mut self.runtime, frame.tag, &frame.data);
+                if let Some((tag, reply)) = served {
+                    self.conn
+                        .queue(Frame::new(self.rank, DRIVER_PORT, tag, reply));
                 }
-                let addr = u64::from_le_bytes(body[0..8].try_into().unwrap());
-                let len = u64::from_le_bytes(body[8..16].try_into().unwrap()) as usize;
-                let mut buf = vec![0u8; len];
-                let reply = match self.runtime.memory.read(addr, &mut buf) {
-                    Ok(()) => wire::encode_control(token, &buf),
-                    Err(_) => wire::encode_control(token, &[]),
-                };
-                self.conn.queue(Frame::new(
-                    self.rank,
-                    DRIVER_PORT,
-                    wire::TAG_PEEK_REPLY,
-                    reply,
-                ));
-            }
-            wire::TAG_POKE => {
-                let Ok((token, body)) = wire::decode_control(frame.data.as_slice()) else {
-                    return;
-                };
-                if body.len() < 8 {
-                    return;
-                }
-                let addr = u64::from_le_bytes(body[0..8].try_into().unwrap());
-                let ok = self.runtime.memory.write(addr, &body[8..]).is_ok();
-                self.conn.queue(Frame::new(
-                    self.rank,
-                    DRIVER_PORT,
-                    wire::TAG_POKE_ACK,
-                    wire::encode_control(token, &[ok as u8]),
-                ));
-            }
-            wire::TAG_STATS => {
-                let Ok((token, _)) = wire::decode_control(frame.data.as_slice()) else {
-                    return;
-                };
-                let reply = wire::encode_control(token, &wire::encode_stats(&self.runtime.stats));
-                self.conn.queue(Frame::new(
-                    self.rank,
-                    DRIVER_PORT,
-                    wire::TAG_STATS_REPLY,
-                    reply,
-                ));
             }
             TAG_AM_DEPLOY => {
                 let Ok((token, body)) = wire::decode_control(frame.data.as_slice()) else {
@@ -357,23 +309,23 @@ impl Server {
 
     /// Run the retransmission timer if its cadence elapsed.
     fn tick(&mut self) {
-        if self.rel.is_none() || self.last_tick.elapsed() < self.rel_tick {
+        if self.last_tick.elapsed() < self.rel_tick {
             return;
         }
         self.last_tick = Instant::now();
         let now = self.now();
-        let frames: Vec<Frame> = {
-            let rel = self.rel.as_mut().expect("checked above");
-            rel.tick(now)
-                .into_iter()
-                .map(|f| {
-                    let data = wire::encode_rel_head(f.seq, f.ack, &f.m.0);
-                    Frame::with_payload(self.rank, f.peer, wire::TAG_ROP, data, f.m.1.clone())
-                })
-                .collect()
+        let Some(rel) = &mut self.rel else {
+            return;
         };
-        for f in frames {
-            self.conn.queue(f);
+        for f in rel.tick(now) {
+            let data = wire::encode_rel_head(f.seq, f.ack, &f.m.0);
+            self.conn.queue(Frame::with_payload(
+                self.rank,
+                f.peer,
+                wire::TAG_ROP,
+                data,
+                f.m.1,
+            ));
         }
         self.publish_rel_info();
     }
@@ -479,7 +431,6 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
             last_activity = Instant::now();
         }
         let mut pending_ops = false;
-        let mut pending_acks: Vec<(u32, u64)> = Vec::new();
         let mut shutdown = false;
         for frame in frames.drain(..) {
             super::socket::strace!(
@@ -499,17 +450,7 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
                     }
                     Err(e) => server.send_error(e.to_string()),
                 },
-                wire::TAG_ROP => {
-                    let from = frame.from;
-                    let (delivered, ack) = server.on_reliable_op(frame);
-                    pending_ops |= delivered;
-                    if let Some(a) = ack {
-                        match pending_acks.iter_mut().find(|(p, _)| *p == from) {
-                            Some(entry) => entry.1 = a,
-                            None => pending_acks.push((from, a)),
-                        }
-                    }
-                }
+                wire::TAG_ROP => server.on_reliable_op(frame, &mut pending_ops),
                 TAG_PING => {
                     // Liveness probe: echo the nonce straight back.
                     server.conn.queue(Frame::new(
@@ -533,7 +474,6 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
                             rel.on_ack(frame.from, ack, now);
                         }
                     }
-                    server.publish_rel_info();
                 }
                 TAG_SHUTDOWN => shutdown = true,
                 _ => {
@@ -542,7 +482,6 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
                         server.process_delivered();
                         pending_ops = false;
                     }
-                    server.queue_acks(&mut pending_acks);
                     server.on_control(frame);
                 }
             }
@@ -550,7 +489,7 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
         if pending_ops {
             server.process_delivered();
         }
-        server.queue_acks(&mut pending_acks);
+        server.finish_batch();
         if shutdown {
             server.graceful_exit();
             return Ok(());

@@ -41,17 +41,17 @@
 use super::completion::ClaimShards;
 use super::reliable::{LinkHealth, RelConfig, RelMetrics, ReliableSet};
 use super::socket::most_stressed;
+use super::wire::StoredEnv;
 use super::{wire, ClientRef, ClientRefMut, Transport, TransportMetrics};
 use crate::error::{CoreError, Result};
 use crate::metrics::RuntimeStats;
 use crate::runtime::{Completion, NativeAmHandler, NodeRuntime};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 use tc_bitir::TargetTriple;
-use tc_chaos::{ChaosSession, ChaosStats, FaultPlan};
+use tc_chaos::{ChaosSession, ChaosStats, FaultPlan, HoldBack};
 use tc_jit::{Memory, OptLevel};
 use tc_simnet::{
     external_port, Envelope, EnvelopeFilter, ExternalQueue, Injector, NodeCtx, ThreadCluster,
@@ -139,11 +139,6 @@ fn rank_of(clients: usize, fabric_id: usize) -> usize {
     }
 }
 
-/// An encoded-but-unwrapped data-plane message buffered for retransmission:
-/// the op head (without the reliability prefix — each transmission gets a
-/// fresh cumulative ack) and the detached payload segment.
-type StoredEnv = (Bytes, Bytes);
-
 /// Per-rank reliability counters published by their owner (the owning node
 /// thread for servers; the client's worker thread or the driver's flush path
 /// for clients) and read by the driver without taking any lock.
@@ -200,6 +195,8 @@ impl RelTable {
         }
     }
 
+    /// Publish `rank`'s counters, once per batch of its owner (node batch,
+    /// worker batch, driver flush, retransmission tick).
     fn publish(&self, rank: usize, set: &ReliableSet<StoredEnv>) {
         let s = &self.slots[rank];
         s.retransmits
@@ -210,7 +207,7 @@ impl RelTable {
         s.acks_sent.store(set.metrics.acks_sent, Ordering::Relaxed);
         s.next_deadline
             .store(set.next_deadline().unwrap_or(u64::MAX), Ordering::Relaxed);
-        if let Some(h) = most_stressed(&set.link_health()) {
+        if let Some(h) = most_stressed(set.health_rows()) {
             s.health_srtt.store(h.srtt, Ordering::Relaxed);
             s.health_rttvar.store(h.rttvar, Ordering::Relaxed);
             s.health_rto.store(h.rto, Ordering::Relaxed);
@@ -280,6 +277,8 @@ impl RelTable {
 /// Reliability state of one node thread (server side).
 struct NodeRel {
     set: ReliableSet<StoredEnv>,
+    /// Reused delivery buffer of [`ReliableSet::on_data_into`].
+    scratch: Vec<StoredEnv>,
     table: Arc<RelTable>,
     rank: usize,
     epoch: Instant,
@@ -290,18 +289,9 @@ impl NodeRel {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Transmit a reliable envelope to `peer` (rank) through the node ctx.
-    /// Ranks below `clients` are driver-side endpoints (external ports).
-    fn transmit(
-        ctx: &NodeCtx,
-        clients: usize,
-        peer: usize,
-        seq: u64,
-        ack: u64,
-        head: &Bytes,
-        payload: Bytes,
-    ) {
-        let data = wire::encode_rel_head(seq, ack, head);
+    /// Put a reliable envelope for `peer` (rank) on the fabric.  Ranks below
+    /// `clients` are driver-side endpoints (external ports).
+    fn transmit(ctx: &NodeCtx, clients: usize, peer: usize, data: Bytes, payload: Bytes) {
         let _ = if peer < clients {
             ctx.send_external_port_vectored(peer, wire::TAG_ROP, data, payload)
         } else {
@@ -343,7 +333,7 @@ struct ServerNode {
 
 impl ServerNode {
     fn sync_am(&mut self) {
-        let registry = self.am_registry.lock().expect("AM registry poisoned");
+        let registry = relock(&self.am_registry);
         for (name, handler) in registry.iter().skip(self.am_applied) {
             self.runtime
                 .deploy_am_handler(name.clone(), handler.clone());
@@ -351,14 +341,13 @@ impl ServerNode {
         self.am_applied = registry.len();
     }
 
+    /// Ship everything the runtime posted.  Runs only after
+    /// `poll(usize::MAX)`, so the cumulative acks these frames piggyback
+    /// never cover an operation that has not been polled.
     fn route_outgoing(&mut self, ctx: &NodeCtx) {
         let clients = self.clients;
         for msg in self.runtime.take_outgoing() {
             let dst = msg.dst.index();
-            // Scatter-gather: the head is pooled, large payloads ship as a
-            // shared view (no copy).  Drops are counted by the ThreadCluster's
-            // delivery counters and surfaced through the transport metrics.
-            let (head, payload) = wire::encode_op_vectored(&msg);
             // Two cases bypass the reliability layer and go out raw:
             // misaddressed sends (rank beyond the cluster — they would
             // retransmit forever; the raw path lets the fabric count the
@@ -373,12 +362,15 @@ impl ServerNode {
             match &mut self.rel {
                 Some(rel) if !bypass_rel => {
                     let now = rel.now();
-                    let (seq, ack) = rel
-                        .set
-                        .send(dst as u32, (head.clone(), payload.clone()), now);
-                    NodeRel::transmit(ctx, clients, dst, seq, ack, &head, payload);
+                    let (data, payload) = wire::send_reliable(&mut rel.set, dst as u32, &msg, now);
+                    NodeRel::transmit(ctx, clients, dst, data, payload);
                 }
                 _ => {
+                    // Scatter-gather: the head is pooled, large payloads
+                    // ship as a shared view (no copy).  Drops are counted by
+                    // the ThreadCluster's delivery counters and surfaced
+                    // through the transport metrics.
+                    let (head, payload) = wire::encode_op_vectored(&msg);
                     let _ = if dst < clients {
                         ctx.send_external_port_vectored(dst, wire::TAG_OP, head, payload)
                     } else {
@@ -386,9 +378,6 @@ impl ServerNode {
                     };
                 }
             }
-        }
-        if let Some(rel) = &self.rel {
-            rel.table.publish(rel.rank, &rel.set);
         }
     }
 }
@@ -415,7 +404,7 @@ impl ThreadedNode for ServerNode {
                 continue;
             }
             if msg.tag == wire::TAG_ROP {
-                pending_ops |= self.on_reliable_op(msg, ctx);
+                self.on_reliable_op(msg, ctx, &mut pending_ops);
                 continue;
             }
             if msg.tag == wire::TAG_ACK {
@@ -423,7 +412,6 @@ impl ThreadedNode for ServerNode {
                 if let (Some(rel), Ok(ack)) = (&mut self.rel, wire::decode_ack(&msg.data)) {
                     let now = rel.now();
                     rel.set.on_ack(rank_of(clients, msg.from) as u32, ack, now);
-                    rel.table.publish(rel.rank, &rel.set);
                 }
                 continue;
             }
@@ -435,6 +423,14 @@ impl ThreadedNode for ServerNode {
         }
         if pending_ops {
             self.process_delivered(ctx);
+        }
+        // Whatever the replies above did not piggyback goes out as one pure
+        // ack per peer — after the poll, so it too only covers polled ops.
+        let clients = self.clients;
+        if let Some(rel) = &mut self.rel {
+            rel.set
+                .acks_due(|peer, ack| NodeRel::send_ack(ctx, clients, peer as usize, ack));
+            rel.table.publish(rel.rank, &rel.set);
         }
     }
 
@@ -449,15 +445,8 @@ impl ThreadedNode for ServerNode {
         };
         let now = rel.now();
         for f in rel.set.tick(now) {
-            NodeRel::transmit(
-                ctx,
-                clients,
-                f.peer as usize,
-                f.seq,
-                f.ack,
-                &f.m.0,
-                f.m.1.clone(),
-            );
+            let data = wire::encode_rel_head(f.seq, f.ack, &f.m.0);
+            NodeRel::transmit(ctx, clients, f.peer as usize, data, f.m.1);
         }
         rel.table.publish(rel.rank, &rel.set);
     }
@@ -465,9 +454,11 @@ impl ThreadedNode for ServerNode {
 
 impl ServerNode {
     /// Handle one reliable data-plane envelope: run it through the node's
-    /// reliability state, ack the sender, deliver whatever became in-order.
-    /// Returns true when operations were delivered to the runtime.
-    fn on_reliable_op(&mut self, msg: Envelope, ctx: &NodeCtx) -> bool {
+    /// reliability state and deliver whatever became in-order, setting
+    /// `pending_ops` when operations reached the runtime.  A duplicate or
+    /// out-of-order arrival is acked on the spot — behind a poll of anything
+    /// still pending, because that ack is cumulative.
+    fn on_reliable_op(&mut self, msg: Envelope, ctx: &NodeCtx, pending_ops: &mut bool) {
         let clients = self.clients;
         let Some(rel) = &mut self.rel else {
             report_error(
@@ -475,33 +466,36 @@ impl ServerNode {
                 clients,
                 "reliable envelope on a node without a fault plan".into(),
             );
-            return false;
+            return;
         };
         let src = rank_of(clients, msg.from);
         let (seq, ack, head) = match wire::decode_rel_head(&msg.data) {
             Ok(parts) => parts,
             Err(e) => {
                 report_error(ctx, clients, e.to_string());
-                return false;
+                return;
             }
         };
         let now = rel.now();
-        let out = rel
+        let env = (head, msg.payload);
+        let arrival = rel
             .set
-            .on_data(src as u32, seq, ack, (head, msg.payload), now);
-        NodeRel::send_ack(ctx, clients, src, out.ack);
-        rel.table.publish(rel.rank, &rel.set);
-        let mut delivered = false;
-        for (h, p) in out.deliver {
+            .on_data_into(src as u32, seq, ack, env, now, &mut rel.scratch);
+        for (h, p) in rel.scratch.drain(..) {
             match wire::decode_op_vectored(&h, &p) {
                 Ok(op) => {
                     self.runtime.deliver(op);
-                    delivered = true;
+                    *pending_ops = true;
                 }
                 Err(e) => report_error(ctx, clients, e.to_string()),
             }
         }
-        delivered
+        if arrival.ack_now {
+            if std::mem::take(pending_ops) {
+                self.process_delivered(ctx);
+            }
+            NodeRel::send_ack(ctx, clients, src, arrival.ack);
+        }
     }
 
     /// Poll every delivered operation and flush whatever the runtime posted.
@@ -519,46 +513,8 @@ impl ServerNode {
     /// port issued it (the driver's control port in practice).
     fn on_control(&mut self, msg: Envelope, ctx: &NodeCtx) {
         let reply_to = external_port(msg.from).unwrap_or(self.clients);
-        match msg.tag {
-            wire::TAG_PEEK => {
-                let Ok((token, body)) = wire::decode_control(&msg.data) else {
-                    return;
-                };
-                if body.len() != 16 {
-                    return;
-                }
-                let addr = u64::from_le_bytes(body[0..8].try_into().unwrap());
-                let len = u64::from_le_bytes(body[8..16].try_into().unwrap()) as usize;
-                let mut buf = vec![0u8; len];
-                let reply = match self.runtime.memory.read(addr, &mut buf) {
-                    Ok(()) => wire::encode_control(token, &buf),
-                    Err(_) => wire::encode_control(token, &[]),
-                };
-                let _ = ctx.send_external_port(reply_to, wire::TAG_PEEK_REPLY, reply);
-            }
-            wire::TAG_POKE => {
-                let Ok((token, body)) = wire::decode_control(&msg.data) else {
-                    return;
-                };
-                if body.len() < 8 {
-                    return;
-                }
-                let addr = u64::from_le_bytes(body[0..8].try_into().unwrap());
-                let ok = self.runtime.memory.write(addr, &body[8..]).is_ok();
-                let _ = ctx.send_external_port(
-                    reply_to,
-                    wire::TAG_POKE_ACK,
-                    wire::encode_control(token, &[ok as u8]),
-                );
-            }
-            wire::TAG_STATS => {
-                let Ok((token, _)) = wire::decode_control(&msg.data) else {
-                    return;
-                };
-                let reply = wire::encode_control(token, &wire::encode_stats(&self.runtime.stats));
-                let _ = ctx.send_external_port(reply_to, wire::TAG_STATS_REPLY, reply);
-            }
-            _ => {}
+        if let Some((tag, reply)) = wire::serve_control(&mut self.runtime, msg.tag, &msg.data) {
+            let _ = ctx.send_external_port(reply_to, tag, reply);
         }
     }
 }
@@ -568,10 +524,8 @@ impl ServerNode {
 /// ([`wire::TAG_ROP`]) and acks ([`wire::TAG_ACK`]) are faulted; the
 /// control plane (peek/poke/stats) stays exact so observation never lies.
 ///
-/// Delay and reorder share one mechanism — the envelope is *held back* and
-/// released behind the link's next traffic (wall-clock sleeping inside a
-/// sender is not an option).  A held envelope that is never overtaken is
-/// recovered by the retransmission timer, whose re-send also flushes it.
+/// Delay and reorder are carried out by a [`HoldBack`] (wall-clock sleeping
+/// inside a sender is not an option).
 ///
 /// `clients` maps fabric ids to cluster ranks, so the per-link decision
 /// streams are drawn for the *true* (src rank, dst rank) pair — a send from
@@ -580,38 +534,14 @@ impl ServerNode {
 /// same filter as node and driver sends, so moving the clients onto worker
 /// threads changes nothing about which traffic is faulted.
 fn chaos_filter(session: ChaosSession, clients: usize) -> EnvelopeFilter {
-    let held: Mutex<HashMap<(usize, usize), Envelope>> = Mutex::new(HashMap::new());
-    Arc::new(move |env: Envelope| {
+    let held = HoldBack::default();
+    Arc::new(move |env: Envelope, out: &mut dyn FnMut(Envelope)| {
         if env.tag != wire::TAG_ROP && env.tag != wire::TAG_ACK {
-            return vec![env];
+            return out(env);
         }
         let src = rank_of(clients, env.from);
         let dst = rank_of(clients, env.to);
-        let decision = session.decide(src, dst);
-        if !decision.deliver {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        let mut held = held.lock().expect("chaos hold-back table poisoned");
-        if decision.reorder || decision.delay_units > 0 {
-            if decision.duplicate {
-                out.push(env.clone());
-            }
-            // Park this envelope; release whatever the link previously
-            // parked (it has now been overtaken at least once).
-            if let Some(prev) = held.insert((src, dst), env) {
-                out.push(prev);
-            }
-            return out;
-        }
-        if decision.duplicate {
-            out.push(env.clone());
-        }
-        out.push(env);
-        if let Some(prev) = held.remove(&(src, dst)) {
-            out.push(prev);
-        }
-        out
+        held.apply(session.decide(src, dst), src, dst, env, out);
     })
 }
 
@@ -779,13 +709,11 @@ fn flush_outgoing(shared: &WorkerShared, injector: &Injector, origin: usize) {
                 // (unknown rank, stopped node) are recorded in the cluster's
                 // counters and show up in the transport metrics, mirroring
                 // the fabric's lossy-but-accounted model.
-                let (head, payload) = wire::encode_op_vectored(&msg);
                 match &shared.clients[c].rel {
                     Some(rel) if dst < clients + shared.servers => {
                         let now = shared.now();
-                        let (seq, ack) =
-                            relock(rel).send(dst as u32, (head.clone(), payload.clone()), now);
-                        let data = wire::encode_rel_head(seq, ack, &head);
+                        let (data, payload) =
+                            wire::send_reliable(&mut relock(rel), dst as u32, &msg, now);
                         let _ = injector.send_vectored_from_port(
                             c,
                             dst - clients,
@@ -798,6 +726,7 @@ fn flush_outgoing(shared: &WorkerShared, injector: &Injector, origin: usize) {
                         // Lossless — or misaddressed in chaos mode, which
                         // skips reliability (it would retransmit forever)
                         // and lets the fabric count the drop.
+                        let (head, payload) = wire::encode_op_vectored(&msg);
                         let _ = injector.send_vectored_from_port(
                             c,
                             dst - clients,
@@ -871,29 +800,57 @@ fn tick_rel(ctx: &WorkerCtx) {
     shared.publish_rel(c);
 }
 
-/// Handle one batch of inbound envelopes for this worker's client.  Marks
-/// every client runtime that received operations in `staged` (the op head
-/// carries the true destination rank; in practice that is this worker's own
+/// Send a pure ack from this worker's client to server rank `peer`.
+fn send_ack(ctx: &WorkerCtx, peer: usize, ack: u64) {
+    let clients = ctx.shared.clients.len();
+    if peer >= clients {
+        let _ = ctx.injector.send_from_port(
+            ctx.id,
+            peer - clients,
+            wire::TAG_ACK,
+            wire::encode_ack(ack),
+        );
+    }
+}
+
+/// Deliver one decoded inbound operation to the client runtime its head
+/// names and mark that client in `staged` (in practice this worker's own
 /// client, but a misrouted head is delivered where it says, as the old
 /// driver loop did).
-fn process_batch(ctx: &WorkerCtx, staged: &mut [bool], batch: Vec<Envelope>) {
+fn stage_op(shared: &WorkerShared, staged: &mut [bool], decoded: Result<tc_ucx::OutgoingMessage>) {
+    match decoded {
+        Ok(msg) if msg.dst.index() < staged.len() => {
+            let dst = msg.dst.index();
+            relock(&shared.clients[dst].runtime).deliver(msg);
+            staged[dst] = true;
+        }
+        Ok(msg) => shared.push_error(CoreError::Transport(format!(
+            "driver received an operation for non-client rank {}",
+            msg.dst.index()
+        ))),
+        Err(e) => shared.push_error(e),
+    }
+}
+
+/// Handle one batch of inbound envelopes for this worker's client, marking
+/// every client runtime that received operations in `staged`.  `scratch` is
+/// the reused delivery buffer of [`ReliableSet::on_data_into`].
+fn process_batch(
+    ctx: &WorkerCtx,
+    staged: &mut [bool],
+    scratch: &mut Vec<StoredEnv>,
+    batch: Vec<Envelope>,
+) {
     let shared = &*ctx.shared;
     let c = ctx.id;
     let clients = shared.clients.len();
     for env in batch {
         match env.tag {
-            wire::TAG_OP => match wire::decode_op_vectored(&env.data, &env.payload) {
-                Ok(msg) if msg.dst.index() < clients => {
-                    let dst = msg.dst.index();
-                    relock(&shared.clients[dst].runtime).deliver(msg);
-                    staged[dst] = true;
-                }
-                Ok(msg) => shared.push_error(CoreError::Transport(format!(
-                    "driver received an operation for non-client rank {}",
-                    msg.dst.index()
-                ))),
-                Err(e) => shared.push_error(e),
-            },
+            wire::TAG_OP => stage_op(
+                shared,
+                staged,
+                wire::decode_op_vectored(&env.data, &env.payload),
+            ),
             wire::TAG_ROP => {
                 let Some(rel) = &shared.clients[c].rel else {
                     shared.push_error(CoreError::Transport(
@@ -910,29 +867,19 @@ fn process_batch(ctx: &WorkerCtx, staged: &mut [bool], batch: Vec<Envelope>) {
                     }
                 };
                 let now = shared.now();
-                let out = relock(rel).on_data(src as u32, seq, ack, (head, env.payload), now);
-                if src >= clients && src < clients + shared.servers {
-                    let _ = ctx.injector.send_from_port(
-                        c,
-                        src - clients,
-                        wire::TAG_ACK,
-                        wire::encode_ack(out.ack),
-                    );
+                let arrival = relock(rel).on_data_into(
+                    src as u32,
+                    seq,
+                    ack,
+                    (head, env.payload),
+                    now,
+                    scratch,
+                );
+                if arrival.ack_now {
+                    send_ack(ctx, src, arrival.ack);
                 }
-                shared.publish_rel(c);
-                for (h, p) in out.deliver {
-                    match wire::decode_op_vectored(&h, &p) {
-                        Ok(msg) if msg.dst.index() < clients => {
-                            let dst = msg.dst.index();
-                            relock(&shared.clients[dst].runtime).deliver(msg);
-                            staged[dst] = true;
-                        }
-                        Ok(msg) => shared.push_error(CoreError::Transport(format!(
-                            "driver received an operation for non-client rank {}",
-                            msg.dst.index()
-                        ))),
-                        Err(e) => shared.push_error(e),
-                    }
+                for (h, p) in scratch.drain(..) {
+                    stage_op(shared, staged, wire::decode_op_vectored(&h, &p));
                 }
             }
             wire::TAG_ACK => {
@@ -940,7 +887,6 @@ fn process_batch(ctx: &WorkerCtx, staged: &mut [bool], batch: Vec<Envelope>) {
                 {
                     let now = shared.now();
                     relock(rel).on_ack(rank_of(clients, env.from) as u32, ack, now);
-                    shared.publish_rel(c);
                 }
             }
             wire::TAG_ERROR => shared.push_error(CoreError::Transport(
@@ -953,6 +899,19 @@ fn process_batch(ctx: &WorkerCtx, staged: &mut [bool], batch: Vec<Envelope>) {
     }
 }
 
+/// End of a worker batch: one pure cumulative ack per server whose frames
+/// arrived in order and that nothing the batch sent has piggybacked on, then
+/// the batch's one publication of the client's reliability counters.
+fn finish_batch(ctx: &WorkerCtx) {
+    let shared = &*ctx.shared;
+    let (Some(table), Some(rel)) = (&shared.rel_table, &shared.clients[ctx.id].rel) else {
+        return;
+    };
+    let mut set = relock(rel);
+    set.acks_due(|peer, ack| send_ack(ctx, peer as usize, ack));
+    table.publish(ctx.id, &set);
+}
+
 /// The body of one client worker thread: park on the client's dedicated
 /// external queue, process inbound batches, run the retransmission timer,
 /// and signal the driver after every batch.  In-flight accounting
@@ -962,6 +921,7 @@ fn process_batch(ctx: &WorkerCtx, staged: &mut [bool], batch: Vec<Envelope>) {
 fn run_worker(ctx: WorkerCtx) {
     let clients = ctx.shared.clients.len();
     let mut staged = vec![false; clients];
+    let mut scratch = Vec::new();
     let mut last_tick = Instant::now();
     loop {
         if ctx.shared.stop.load(Ordering::SeqCst) {
@@ -978,12 +938,13 @@ fn run_worker(ctx: WorkerCtx) {
                 }
             }
             let n = batch.len() as u64;
-            process_batch(&ctx, &mut staged, batch);
+            process_batch(&ctx, &mut staged, &mut scratch, batch);
             for (dst, dirty) in staged.iter_mut().enumerate() {
                 if std::mem::take(dirty) {
                     pump_client(&ctx.shared, &ctx.injector, dst);
                 }
             }
+            finish_batch(&ctx);
             ctx.queue.done(n);
             ctx.shared.progress.bump();
         }
@@ -1138,6 +1099,7 @@ impl ThreadTransport {
                 am_applied: 0,
                 rel: node_chaos.as_ref().map(|table| NodeRel {
                     set: ReliableSet::new(rel_cfg),
+                    scratch: Vec::new(),
                     table: Arc::clone(table),
                     rank: rank as usize,
                     epoch,

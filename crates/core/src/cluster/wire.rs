@@ -17,9 +17,14 @@
 //!   [`RuntimeStats`].
 //! * [`TAG_ERROR`] — a node reports a runtime error to the driver.
 
+use super::reliable::ReliableSet;
 use crate::error::{CoreError, Result};
 use crate::metrics::RuntimeStats;
-use tc_ucx::{AmHandlerId, BufPool, Bytes, OutgoingMessage, RequestId, UcpOp, WorkerAddr};
+use crate::runtime::NodeRuntime;
+use tc_jit::Memory;
+use tc_ucx::{
+    AmHandlerId, BufPool, Bytes, OutgoingMessage, PoolWriter, RequestId, UcpOp, WorkerAddr,
+};
 
 /// Envelope tag: encoded fabric operation (data plane).
 pub const TAG_OP: u64 = 1;
@@ -46,13 +51,18 @@ pub const TAG_ROP: u64 = 9;
 /// delivery layer.
 pub const TAG_ACK: u64 = 10;
 
-/// Prefix an encoded op head with the reliability header, producing the
-/// data segment of a [`TAG_ROP`] envelope.  (Chaos mode only — the
-/// fault-free path ships the head untouched as [`TAG_OP`], so this copy
-/// never lands on the zero-copy hot path.)
+/// Size of the `[seq][ack]` reliability prefix of a [`TAG_ROP`] data
+/// segment.
+pub const REL_HEAD_LEN: usize = 16;
+
+/// Prefix an already-encoded op head with the reliability header,
+/// producing the data segment of a [`TAG_ROP`] envelope.  This copies the
+/// head: it is the retransmission path (a retained frame needs a fresh
+/// cumulative ack).  First transmissions use [`encode_rel_op_vectored`],
+/// which writes the prefix and the head into one buffer.
 pub fn encode_rel_head(seq: u64, ack: u64, head: &[u8]) -> Bytes {
     tc_ucx::bytes::with_pool(|pool| {
-        let mut out = pool.acquire(16 + head.len());
+        let mut out = pool.acquire(REL_HEAD_LEN + head.len());
         out.put_u64_le(seq);
         out.put_u64_le(ack);
         out.put_slice(head);
@@ -63,19 +73,24 @@ pub fn encode_rel_head(seq: u64, ack: u64, head: &[u8]) -> Bytes {
 /// Split a [`TAG_ROP`] data segment into `(seq, ack, op head)`.  The head is
 /// a zero-copy sub-view.
 pub fn decode_rel_head(bytes: &Bytes) -> Result<(u64, u64, Bytes)> {
-    if bytes.len() < 16 {
+    if bytes.len() < REL_HEAD_LEN {
         return Err(CoreError::Transport(
             "reliable envelope shorter than its header".into(),
         ));
     }
     let seq = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
     let ack = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    Ok((seq, ack, bytes.slice(16..)))
+    Ok((seq, ack, bytes.slice(REL_HEAD_LEN..)))
 }
 
-/// Encode a pure cumulative ack for a [`TAG_ACK`] envelope.
-pub fn encode_ack(ack: u64) -> Vec<u8> {
-    ack.to_le_bytes().to_vec()
+/// Encode a pure cumulative ack for a [`TAG_ACK`] envelope (a pooled
+/// buffer: steady-state acks allocate nothing).
+pub fn encode_ack(ack: u64) -> Bytes {
+    tc_ucx::bytes::with_pool(|pool| {
+        let mut out = pool.acquire(8);
+        out.put_u64_le(ack);
+        out.freeze(pool)
+    })
 }
 
 /// Decode a [`TAG_ACK`] payload.
@@ -97,94 +112,36 @@ const OP_IFUNC: u8 = 4;
 const OP_PUT_CONFIRM: u8 = 5;
 const OP_PUT_ACK: u8 = 6;
 
+/// The bulk payload of an operation: what follows its fixed fields on the
+/// wire, and what a scatter-gather encode may detach.
+fn bulk(op: &UcpOp) -> Option<&Bytes> {
+    match op {
+        UcpOp::Put { data, .. } | UcpOp::PutConfirm { data, .. } | UcpOp::GetReply { data, .. } => {
+            Some(data)
+        }
+        UcpOp::ActiveMessage { payload, .. } => Some(payload),
+        UcpOp::IfuncFrame { bytes } => Some(bytes),
+        UcpOp::Get { .. } | UcpOp::PutAck { .. } => None,
+    }
+}
+
 /// Exact encoded size of a [`TAG_OP`] envelope for `msg`.
 fn encoded_op_size(op: &UcpOp) -> usize {
-    17 + match op {
-        UcpOp::Put { data, .. } => 8 + data.len(),
-        UcpOp::PutConfirm { data, .. } => 8 + data.len(),
-        UcpOp::PutAck { .. } => 8,
+    let fixed = match op {
+        UcpOp::Put { .. }
+        | UcpOp::PutConfirm { .. }
+        | UcpOp::PutAck { .. }
+        | UcpOp::GetReply { .. } => 8,
         UcpOp::Get { .. } => 16,
-        UcpOp::GetReply { data, .. } => 8 + data.len(),
-        UcpOp::ActiveMessage { payload, .. } => 2 + payload.len(),
-        UcpOp::IfuncFrame { bytes } => bytes.len(),
-    }
-}
-
-/// Encode a fabric operation for a [`TAG_OP`] envelope into a buffer from
-/// `pool`.  Steady-state sends reuse released pool slots, so the encode path
-/// performs one payload copy and zero allocations.
-pub fn encode_op_with(msg: &OutgoingMessage, pool: &mut BufPool) -> Bytes {
-    let mut out = pool.acquire(encoded_op_size(&msg.op));
-    out.put_u32_le(msg.src.0);
-    out.put_u32_le(msg.dst.0);
-    out.put_u64_le(msg.request.0);
-    match &msg.op {
-        UcpOp::Put { remote_addr, data } => {
-            out.put_u8(OP_PUT);
-            out.put_u64_le(*remote_addr);
-            out.put_slice(data);
-        }
-        UcpOp::PutConfirm { remote_addr, data } => {
-            out.put_u8(OP_PUT_CONFIRM);
-            out.put_u64_le(*remote_addr);
-            out.put_slice(data);
-        }
-        UcpOp::PutAck { acked } => {
-            out.put_u8(OP_PUT_ACK);
-            out.put_u64_le(acked.0);
-        }
-        UcpOp::Get { remote_addr, len } => {
-            out.put_u8(OP_GET);
-            out.put_u64_le(*remote_addr);
-            out.put_u64_le(*len);
-        }
-        UcpOp::GetReply { request, data } => {
-            out.put_u8(OP_GET_REPLY);
-            out.put_u64_le(request.0);
-            out.put_slice(data);
-        }
-        UcpOp::ActiveMessage { handler, payload } => {
-            out.put_u8(OP_AM);
-            out.put_u16_le(handler.0);
-            out.put_slice(payload);
-        }
-        UcpOp::IfuncFrame { bytes } => {
-            out.put_u8(OP_IFUNC);
-            out.put_slice(bytes);
-        }
-    }
-    out.freeze(pool)
-}
-
-/// Encode a fabric operation with this thread's encode pool.
-pub fn encode_op(msg: &OutgoingMessage) -> Bytes {
-    tc_ucx::bytes::with_pool(|pool| encode_op_with(msg, pool))
-}
-
-/// Payloads at or above this many bytes travel as a detached scatter-gather
-/// envelope segment instead of being copied into the encoded head buffer.
-/// Below it, the copy is cheaper than handling a second segment.
-pub const SCATTER_THRESHOLD: usize = 512;
-
-/// Scatter-gather encode: returns `(head, payload)` where `head` is the
-/// encoded envelope minus the bulk payload and `payload` is a shared view of
-/// the operation's payload bytes (empty when the operation is small or has
-/// no payload).  Together with [`decode_op_vectored`] this makes large sends
-/// **zero-copy**: the payload crosses the transport as a refcount, never as
-/// a memcpy.  The logical wire image is `head ‖ payload`, identical to what
-/// [`encode_op`] produces in one buffer.
-pub fn encode_op_vectored_with(msg: &OutgoingMessage, pool: &mut BufPool) -> (Bytes, Bytes) {
-    let detached = match &msg.op {
-        UcpOp::Put { data, .. } if data.len() >= SCATTER_THRESHOLD => data.clone(),
-        UcpOp::PutConfirm { data, .. } if data.len() >= SCATTER_THRESHOLD => data.clone(),
-        UcpOp::GetReply { data, .. } if data.len() >= SCATTER_THRESHOLD => data.clone(),
-        UcpOp::ActiveMessage { payload, .. } if payload.len() >= SCATTER_THRESHOLD => {
-            payload.clone()
-        }
-        UcpOp::IfuncFrame { bytes } if bytes.len() >= SCATTER_THRESHOLD => bytes.clone(),
-        _ => return (encode_op_with(msg, pool), Bytes::new()),
+        UcpOp::ActiveMessage { .. } => 2,
+        UcpOp::IfuncFrame { .. } => 0,
     };
-    let mut out = pool.acquire(17 + 8);
+    17 + fixed + bulk(op).map_or(0, |b| b.len())
+}
+
+/// Append `msg`'s envelope header and fixed op fields — everything but the
+/// bulk payload.
+fn put_op_head(out: &mut PoolWriter, msg: &OutgoingMessage) {
     out.put_u32_le(msg.src.0);
     out.put_u32_le(msg.dst.0);
     out.put_u64_le(msg.request.0);
@@ -197,6 +154,15 @@ pub fn encode_op_vectored_with(msg: &OutgoingMessage, pool: &mut BufPool) -> (By
             out.put_u8(OP_PUT_CONFIRM);
             out.put_u64_le(*remote_addr);
         }
+        UcpOp::PutAck { acked } => {
+            out.put_u8(OP_PUT_ACK);
+            out.put_u64_le(acked.0);
+        }
+        UcpOp::Get { remote_addr, len } => {
+            out.put_u8(OP_GET);
+            out.put_u64_le(*remote_addr);
+            out.put_u64_le(*len);
+        }
         UcpOp::GetReply { request, .. } => {
             out.put_u8(OP_GET_REPLY);
             out.put_u64_le(request.0);
@@ -205,87 +171,174 @@ pub fn encode_op_vectored_with(msg: &OutgoingMessage, pool: &mut BufPool) -> (By
             out.put_u8(OP_AM);
             out.put_u16_le(handler.0);
         }
-        UcpOp::IfuncFrame { .. } => {
-            out.put_u8(OP_IFUNC);
-        }
-        UcpOp::Get { .. } | UcpOp::PutAck { .. } => {
-            unreachable!("ops without a detachable payload")
-        }
+        UcpOp::IfuncFrame { .. } => out.put_u8(OP_IFUNC),
+    }
+}
+
+/// Payloads at or above this many bytes travel as a detached scatter-gather
+/// envelope segment instead of being copied into the encoded head buffer.
+/// Below it, the copy is cheaper than handling a second segment.
+pub const SCATTER_THRESHOLD: usize = 512;
+
+/// The one encoder: an optional `(seq, ack)` reliability prefix, then the op
+/// head, in **one** pool buffer; with `scatter`, a bulk payload of at least
+/// [`SCATTER_THRESHOLD`] bytes is detached as a shared view instead of
+/// copied behind the head.
+fn encode(
+    msg: &OutgoingMessage,
+    rel: Option<(u64, u64)>,
+    scatter: bool,
+    pool: &mut BufPool,
+) -> (Bytes, Bytes) {
+    let bulk = bulk(&msg.op);
+    let detached = bulk
+        .filter(|b| scatter && b.len() >= SCATTER_THRESHOLD)
+        .cloned()
+        .unwrap_or_default();
+    let prefix = if rel.is_some() { REL_HEAD_LEN } else { 0 };
+    let mut out = pool.acquire(prefix + encoded_op_size(&msg.op) - detached.len());
+    if let Some((seq, ack)) = rel {
+        out.put_u64_le(seq);
+        out.put_u64_le(ack);
+    }
+    put_op_head(&mut out, msg);
+    if let (Some(bulk), true) = (bulk, detached.is_empty()) {
+        out.put_slice(bulk);
     }
     (out.freeze(pool), detached)
 }
 
+/// Encode a fabric operation for a [`TAG_OP`] envelope into a buffer from
+/// `pool`.  Steady-state sends reuse released pool slots, so the encode path
+/// performs one payload copy and zero allocations.
+pub fn encode_op_with(msg: &OutgoingMessage, pool: &mut BufPool) -> Bytes {
+    encode(msg, None, false, pool).0
+}
+
+/// Encode a fabric operation with this thread's encode pool.
+pub fn encode_op(msg: &OutgoingMessage) -> Bytes {
+    tc_ucx::bytes::with_pool(|pool| encode_op_with(msg, pool))
+}
+
+/// Scatter-gather encode: returns `(head, payload)` where `head` is the
+/// encoded envelope minus the bulk payload and `payload` is a shared view of
+/// the operation's payload bytes (empty when the operation is small or has
+/// no payload).  Together with [`decode_op_vectored`] this makes large sends
+/// **zero-copy**: the payload crosses the transport as a refcount, never as
+/// a memcpy.  The logical wire image is `head ‖ payload`, identical to what
+/// [`encode_op`] produces in one buffer.
+pub fn encode_op_vectored_with(msg: &OutgoingMessage, pool: &mut BufPool) -> (Bytes, Bytes) {
+    encode(msg, None, true, pool)
+}
+
 /// Scatter-gather encode with this thread's encode pool.
 pub fn encode_op_vectored(msg: &OutgoingMessage) -> (Bytes, Bytes) {
-    tc_ucx::bytes::with_pool(|pool| encode_op_vectored_with(msg, pool))
+    tc_ucx::bytes::with_pool(|pool| encode(msg, None, true, pool))
+}
+
+/// First transmission of a reliable frame: `(data, payload)` where `data` is
+/// the complete [`TAG_ROP`] data segment — the `(seq, ack)` prefix and the
+/// op head written into one pool buffer, no intermediate copy — and
+/// `payload` the detached bulk segment as in [`encode_op_vectored`].
+/// `data.slice(REL_HEAD_LEN..)` is the bare op head to retain for
+/// retransmission ([`encode_rel_head`] re-prefixes it).
+pub fn encode_rel_op_vectored(msg: &OutgoingMessage, seq: u64, ack: u64) -> (Bytes, Bytes) {
+    tc_ucx::bytes::with_pool(|pool| encode(msg, Some((seq, ack)), true, pool))
+}
+
+/// An encoded data-plane message as the threaded and socket backends retain
+/// it for retransmission: the bare op head (every transmission gets a fresh
+/// reliability prefix) and the detached payload segment.
+pub type StoredEnv = (Bytes, Bytes);
+
+/// Register `msg` on `rel`'s link to `peer` and encode its first
+/// transmission: returns the [`TAG_ROP`] `(data, payload)` to put on the
+/// wire.  The retained head is a sub-view of `data`, so the frame is encoded
+/// exactly once.
+pub fn send_reliable(
+    rel: &mut ReliableSet<StoredEnv>,
+    peer: u32,
+    msg: &OutgoingMessage,
+    now: u64,
+) -> (Bytes, Bytes) {
+    rel.send_with(peer, now, |seq, ack| {
+        let (data, payload) = encode_rel_op_vectored(msg, seq, ack);
+        (
+            (data.slice(REL_HEAD_LEN..), payload.clone()),
+            (data, payload),
+        )
+    })
 }
 
 /// Inverse of [`encode_op_vectored`]: decode `(head, payload)` back into a
-/// fabric operation.  The reconstructed operation's payload *is* the
-/// detached segment (refcount clone) — nothing is copied.
+/// fabric operation.
+///
+/// Zero-copy: the payload of the returned operation (`Put` data, `GetReply`
+/// data, AM payload, ifunc frame bytes) is the detached segment when there
+/// is one, else a sub-view of `head`'s shared allocation — a refcount
+/// clone, never a memcpy.
 pub fn decode_op_vectored(head: &Bytes, payload: &Bytes) -> Result<OutgoingMessage> {
-    if payload.is_empty() {
-        return decode_op(head);
-    }
-    let err = |msg: &str| CoreError::Transport(format!("bad vectored op envelope: {msg}"));
+    let err = |msg: &str| CoreError::Transport(format!("bad op envelope: {msg}"));
     if head.len() < 17 {
-        return Err(err("head shorter than the fixed header"));
+        return Err(err("shorter than the fixed header"));
     }
     let src = WorkerAddr(u32::from_le_bytes(head[0..4].try_into().unwrap()));
     let dst = WorkerAddr(u32::from_le_bytes(head[4..8].try_into().unwrap()));
     let request = RequestId(u64::from_le_bytes(head[8..16].try_into().unwrap()));
     let tag = head[16];
     let body = &head[17..];
+    // Bytes of fixed fields behind the header, and whether a bulk payload
+    // follows them.
+    let (fixed, has_bulk) = match tag {
+        OP_PUT | OP_PUT_CONFIRM | OP_GET_REPLY => (8, true),
+        OP_PUT_ACK => (8, false),
+        OP_GET => (16, false),
+        OP_AM => (2, true),
+        OP_IFUNC => (0, true),
+        other => return Err(err(&format!("unknown op tag {other}"))),
+    };
+    if !has_bulk && !payload.is_empty() {
+        return Err(err("op tag cannot carry a payload segment"));
+    }
+    // The bulk is the rest of the head — or the detached segment, behind a
+    // head that ends with the fixed fields.
+    let inline_bulk = has_bulk && payload.is_empty();
+    if body.len() < fixed || (!inline_bulk && body.len() != fixed) {
+        return Err(err("wrong length for its op tag"));
+    }
+    let bulk = || {
+        if inline_bulk {
+            head.slice(17 + fixed..)
+        } else {
+            payload.clone()
+        }
+    };
+    let u64_at = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
     let op = match tag {
-        OP_PUT => {
-            if body.len() != 8 {
-                return Err(err("PUT head must carry exactly the address"));
-            }
-            UcpOp::Put {
-                remote_addr: u64::from_le_bytes(body[0..8].try_into().unwrap()),
-                data: payload.clone(),
-            }
-        }
-        OP_PUT_CONFIRM => {
-            if body.len() != 8 {
-                return Err(err("confirmed PUT head must carry exactly the address"));
-            }
-            UcpOp::PutConfirm {
-                remote_addr: u64::from_le_bytes(body[0..8].try_into().unwrap()),
-                data: payload.clone(),
-            }
-        }
-        OP_GET_REPLY => {
-            if body.len() != 8 {
-                return Err(err("GetReply head must carry exactly the request id"));
-            }
-            UcpOp::GetReply {
-                request: RequestId(u64::from_le_bytes(body[0..8].try_into().unwrap())),
-                data: payload.clone(),
-            }
-        }
-        OP_AM => {
-            if body.len() != 2 {
-                return Err(err("ActiveMessage head must carry exactly the handler id"));
-            }
-            UcpOp::ActiveMessage {
-                handler: AmHandlerId(u16::from_le_bytes(body[0..2].try_into().unwrap())),
-                payload: payload.clone(),
-            }
-        }
-        OP_IFUNC => {
-            if !body.is_empty() {
-                return Err(err("IfuncFrame head must be bare"));
-            }
-            UcpOp::IfuncFrame {
-                bytes: payload.clone(),
-            }
-        }
-        other => {
-            return Err(err(&format!(
-                "op tag {other} cannot carry a payload segment"
-            )))
-        }
+        OP_PUT => UcpOp::Put {
+            remote_addr: u64_at(0),
+            data: bulk(),
+        },
+        OP_PUT_CONFIRM => UcpOp::PutConfirm {
+            remote_addr: u64_at(0),
+            data: bulk(),
+        },
+        OP_PUT_ACK => UcpOp::PutAck {
+            acked: RequestId(u64_at(0)),
+        },
+        OP_GET => UcpOp::Get {
+            remote_addr: u64_at(0),
+            len: u64_at(8),
+        },
+        OP_GET_REPLY => UcpOp::GetReply {
+            request: RequestId(u64_at(0)),
+            data: bulk(),
+        },
+        OP_AM => UcpOp::ActiveMessage {
+            handler: AmHandlerId(u16::from_le_bytes(body[0..2].try_into().unwrap())),
+            payload: bulk(),
+        },
+        _ => UcpOp::IfuncFrame { bytes: bulk() },
     };
     Ok(OutgoingMessage {
         src,
@@ -295,86 +348,10 @@ pub fn decode_op_vectored(head: &Bytes, payload: &Bytes) -> Result<OutgoingMessa
     })
 }
 
-/// Decode a [`TAG_OP`] envelope payload back into a fabric operation.
-///
-/// Zero-copy: the payload of the returned operation (`Put` data, `GetReply`
-/// data, AM payload, ifunc frame bytes) is a sub-view of `bytes`' shared
-/// allocation — nothing is copied on the receive path.
+/// Decode a single-buffer [`TAG_OP`] envelope ([`decode_op_vectored`] with
+/// no detached segment).
 pub fn decode_op(bytes: &Bytes) -> Result<OutgoingMessage> {
-    let err = |msg: &str| CoreError::Transport(format!("bad op envelope: {msg}"));
-    if bytes.len() < 17 {
-        return Err(err("shorter than the fixed header"));
-    }
-    let src = WorkerAddr(u32::from_le_bytes(bytes[0..4].try_into().unwrap()));
-    let dst = WorkerAddr(u32::from_le_bytes(bytes[4..8].try_into().unwrap()));
-    let request = RequestId(u64::from_le_bytes(bytes[8..16].try_into().unwrap()));
-    let tag = bytes[16];
-    let body = &bytes[17..];
-    let op = match tag {
-        OP_PUT => {
-            if body.len() < 8 {
-                return Err(err("PUT missing address"));
-            }
-            UcpOp::Put {
-                remote_addr: u64::from_le_bytes(body[0..8].try_into().unwrap()),
-                data: bytes.slice(17 + 8..),
-            }
-        }
-        OP_PUT_CONFIRM => {
-            if body.len() < 8 {
-                return Err(err("confirmed PUT missing address"));
-            }
-            UcpOp::PutConfirm {
-                remote_addr: u64::from_le_bytes(body[0..8].try_into().unwrap()),
-                data: bytes.slice(17 + 8..),
-            }
-        }
-        OP_PUT_ACK => {
-            if body.len() != 8 {
-                return Err(err("PUT ack body must be 8 bytes"));
-            }
-            UcpOp::PutAck {
-                acked: RequestId(u64::from_le_bytes(body[0..8].try_into().unwrap())),
-            }
-        }
-        OP_GET => {
-            if body.len() != 16 {
-                return Err(err("GET body must be 16 bytes"));
-            }
-            UcpOp::Get {
-                remote_addr: u64::from_le_bytes(body[0..8].try_into().unwrap()),
-                len: u64::from_le_bytes(body[8..16].try_into().unwrap()),
-            }
-        }
-        OP_GET_REPLY => {
-            if body.len() < 8 {
-                return Err(err("GetReply missing request id"));
-            }
-            UcpOp::GetReply {
-                request: RequestId(u64::from_le_bytes(body[0..8].try_into().unwrap())),
-                data: bytes.slice(17 + 8..),
-            }
-        }
-        OP_AM => {
-            if body.len() < 2 {
-                return Err(err("ActiveMessage missing handler id"));
-            }
-            UcpOp::ActiveMessage {
-                handler: AmHandlerId(u16::from_le_bytes(body[0..2].try_into().unwrap())),
-                payload: bytes.slice(17 + 2..),
-            }
-        }
-        OP_IFUNC => UcpOp::IfuncFrame {
-            bytes: bytes.slice(17..),
-        },
-        other => return Err(err(&format!("unknown op tag {other}"))),
-    };
-    Ok(OutgoingMessage {
-        src,
-        dst,
-        request,
-        op,
-    })
+    decode_op_vectored(bytes, &Bytes::new())
 }
 
 /// Encode a control request carrying a matching token and a body.
@@ -396,6 +373,37 @@ pub fn decode_control(bytes: &[u8]) -> Result<(u64, &[u8])> {
         u64::from_le_bytes(bytes[0..8].try_into().unwrap()),
         &bytes[8..],
     ))
+}
+
+/// Serve one control-plane request (peek/poke/stats) against a node's
+/// runtime: the reply's tag and body, or `None` for a malformed request or a
+/// tag that is not one of the three.
+pub(crate) fn serve_control(
+    runtime: &mut NodeRuntime,
+    tag: u64,
+    data: &[u8],
+) -> Option<(u64, Vec<u8>)> {
+    let (token, body) = decode_control(data).ok()?;
+    match tag {
+        TAG_PEEK if body.len() == 16 => {
+            let addr = u64::from_le_bytes(body[0..8].try_into().unwrap());
+            let len = u64::from_le_bytes(body[8..16].try_into().unwrap()) as usize;
+            let mut buf = vec![0u8; len];
+            let read = runtime.memory.read(addr, &mut buf);
+            let reply = if read.is_ok() { &buf[..] } else { &[] };
+            Some((TAG_PEEK_REPLY, encode_control(token, reply)))
+        }
+        TAG_POKE if body.len() >= 8 => {
+            let addr = u64::from_le_bytes(body[0..8].try_into().unwrap());
+            let ok = runtime.memory.write(addr, &body[8..]).is_ok();
+            Some((TAG_POKE_ACK, encode_control(token, &[ok as u8])))
+        }
+        TAG_STATS => Some((
+            TAG_STATS_REPLY,
+            encode_control(token, &encode_stats(&runtime.stats)),
+        )),
+        _ => None,
+    }
 }
 
 /// Serialize runtime counters for a [`TAG_STATS_REPLY`].
@@ -636,6 +644,9 @@ mod tests {
             },
         });
         let wrapped = encode_rel_head(7, 3, &head);
+        // The first-transmission encoder writes the same image in one go.
+        let (direct, payload) = encode_rel_op_vectored(&decode_op(&head).unwrap(), 7, 3);
+        assert_eq!((direct, payload), (wrapped.clone(), Bytes::new()));
         let (seq, ack, inner) = decode_rel_head(&wrapped).unwrap();
         assert_eq!((seq, ack), (7, 3));
         assert_eq!(inner, head);

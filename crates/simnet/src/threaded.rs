@@ -67,12 +67,14 @@ pub const DEFAULT_MAX_BATCH: usize = 128;
 
 /// An interposed envelope filter: sees every envelope entering the fabric
 /// (node-to-node, driver-to-node and node-to-driver) *before* it is
-/// enqueued, and decides what actually travels.  Returning the envelope
-/// unchanged is a pass-through; returning an empty vector absorbs it
-/// (reported as [`SendStatus::Filtered`], not counted as a fabric drop);
-/// returning several delivers each — which is how fault injection expresses
-/// duplication and release of previously held-back traffic.
-pub type EnvelopeFilter = Arc<dyn Fn(Envelope) -> Vec<Envelope> + Send + Sync>;
+/// enqueued, and decides what actually travels by handing envelopes to the
+/// sink it is given.  Emitting the envelope unchanged is a pass-through;
+/// emitting nothing absorbs it (reported as [`SendStatus::Filtered`], not
+/// counted as a fabric drop); emitting several delivers each, in order —
+/// which is how fault injection expresses duplication and release of
+/// previously held-back traffic.  The sink routes as it is called, so a
+/// filter allocates nothing for the envelopes it lets through.
+pub type EnvelopeFilter = Arc<dyn Fn(Envelope, &mut dyn FnMut(Envelope)) + Send + Sync>;
 
 /// Tunables of a [`ThreadCluster`], all defaulted to the former hard-coded
 /// behaviour.
@@ -297,16 +299,12 @@ impl Router {
         let Some(filter) = self.filter.as_ref() else {
             return self.route(env);
         };
-        let survivors = filter(env);
-        if survivors.is_empty() {
-            return self.counters.record(SendStatus::Filtered);
-        }
         let mut first = None;
-        for e in survivors {
+        filter(env, &mut |e| {
             let status = self.route(e);
             first.get_or_insert(status);
-        }
-        first.unwrap_or(SendStatus::Filtered)
+        });
+        first.unwrap_or_else(|| self.counters.record(SendStatus::Filtered))
     }
 }
 
@@ -956,10 +954,13 @@ mod tests {
     #[test]
     fn filter_can_absorb_duplicate_and_pass() {
         // A filter that drops tag 0, duplicates tag 1, passes the rest.
-        let filter: EnvelopeFilter = Arc::new(|env: Envelope| match env.tag {
-            0 => vec![],
-            1 => vec![env.clone(), env],
-            _ => vec![env],
+        let filter: EnvelopeFilter = Arc::new(|env, out| match env.tag {
+            0 => {}
+            1 => {
+                out(env.clone());
+                out(env);
+            }
+            _ => out(env),
         });
         let cluster = ThreadCluster::start_with_config(
             1,
@@ -996,11 +997,9 @@ mod tests {
     #[test]
     fn filter_applies_to_external_sends_too() {
         // Absorb everything a node reports outward.
-        let filter: EnvelopeFilter = Arc::new(|env: Envelope| {
-            if env.to == EXTERNAL_SENDER {
-                vec![]
-            } else {
-                vec![env]
+        let filter: EnvelopeFilter = Arc::new(|env, out| {
+            if env.to != EXTERNAL_SENDER {
+                out(env);
             }
         });
         struct Reporter;
@@ -1156,7 +1155,7 @@ mod tests {
     fn injector_passes_the_interposed_filter() {
         // Worker-thread injections must see the same fault filter as driver
         // sends — absorb everything and check the status + counter.
-        let filter: EnvelopeFilter = Arc::new(|_| vec![]);
+        let filter: EnvelopeFilter = Arc::new(|_, _| {});
         let cluster = ThreadCluster::start_with_config(
             1,
             ThreadConfig {

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 use tc_bitir::{BinOp, Module, ModuleBuilder, ScalarType};
-use tc_core::layout::TARGET_REGION_BASE;
+use tc_core::layout::{DATA_REGION_BASE, TARGET_REGION_BASE};
 use tc_core::{
     build_ifunc_library, Backend, Cluster, ClusterBuilder, FaultPlan, NativeAmHandler, Transport,
 };
@@ -233,6 +233,58 @@ fn empty_fault_plan_keeps_reliability_invisible() {
     assert_eq!(m.dup_drops, 0);
     assert_eq!(m.faults_injected, 0);
     assert!(cluster.transport().chaos_stats().unwrap().decisions > 0);
+}
+
+/// The ack rule on a live backend with no fault firing: acks ride the data
+/// frames going the other way, and what is left is one pure ack per peer per
+/// worker batch — so a GET costs about two fabric messages, not four, and
+/// fewer, later acks never cause a spurious retransmit.
+#[test]
+fn zero_rate_plan_on_threads_piggybacks_its_acks() {
+    const OPS: u64 = 10_000;
+    const WINDOW: u64 = 16;
+    // An RTO far above any scheduling stall of a loaded test host: an ack
+    // that is merely late must not retransmit, one that is never sent would.
+    let patient = tc_core::RelConfig {
+        rto: 250_000_000,
+        rto_max: 1_000_000_000,
+        adaptive: true,
+    };
+    let mut cluster = ClusterBuilder::new()
+        .servers(1)
+        .fault_plan(FaultPlan::seeded(7))
+        .rel_config(patient)
+        .build_threaded();
+    cluster.write_u64(1, DATA_REGION_BASE, 0xFEED).unwrap();
+    let before = cluster.metrics().messages_delivered;
+    for _ in 0..OPS / WINDOW {
+        let handles: Vec<_> = (0..WINDOW)
+            .map(|_| cluster.post_get(1, DATA_REGION_BASE, 8))
+            .collect();
+        cluster.flush().unwrap();
+        for h in &handles {
+            let data = cluster.wait(h).unwrap();
+            assert_eq!(u64::from_le_bytes(data[..8].try_into().unwrap()), 0xFEED);
+        }
+    }
+    cluster.run_until_idle(1_000).unwrap();
+    let m = cluster.metrics();
+    assert_eq!(m.retransmits, 0, "no fault fired, nothing may be re-sent");
+    assert_eq!(m.faults_injected, 0);
+    let client = cluster.transport().node_reliability(0).unwrap();
+    let server = cluster.transport().node_reliability(1).unwrap();
+    assert!(
+        client.acks_sent <= OPS / 4,
+        "client sent {} pure acks for {OPS} GETs",
+        client.acks_sent
+    );
+    assert_eq!(server.acks_sent, 0, "every server ack rides a GET reply");
+    let msgs = m.messages_delivered - before;
+    assert!(
+        msgs * 2 <= OPS * 5,
+        "{msgs} fabric messages for {OPS} GETs (more than 2.5 per op)"
+    );
+    cluster.shutdown();
 }
 
 #[test]

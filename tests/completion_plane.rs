@@ -269,6 +269,36 @@ fn result_slot_allocator_skips_reserved_slots() {
     assert_ne!(c.slot(), later.slot());
 }
 
+/// REGRESSION (result-mailbox wrap): the mailbox has 4096 slots and
+/// `result_slot_addr` wraps, so the allocator must wrap with it — it used to
+/// count on forever, and the 4097th handle (slot 4096, delivered into slot
+/// 0) never resolved.
+#[test]
+fn result_slot_allocator_wraps_with_the_mailbox() {
+    let platform = tc_simnet::Platform::thor_xeon();
+    for backend in [Backend::Simnet, Backend::Threads] {
+        let mut cluster = builder().build(backend);
+        let lib = build_ifunc_library(
+            &tsi_reporting_module("rtsi_wrap"),
+            &platform_toolchain(&platform),
+        )
+        .unwrap();
+        let handle = cluster.register_ifunc(lib);
+        for i in 0..4_100u64 {
+            let slot = cluster.result_slot();
+            assert!(slot.slot() < tc_core::layout::RESULT_MAILBOX_SLOTS);
+            let payload = tc_workloads::reporting_tsi_payload::encode(0, slot.slot(), 1, 0);
+            let msg = cluster.bitcode_message(handle, payload).unwrap();
+            cluster.send_ifunc(&msg, 1).unwrap();
+            let got = cluster
+                .wait(&slot)
+                .unwrap_or_else(|e| panic!("handle {i} on {backend}: {e}"));
+            assert_eq!(got, i + 1, "handle {i} on {backend}");
+        }
+        cluster.shutdown();
+    }
+}
+
 /// REGRESSION (wait-timeout/RTO interplay, threaded backend): with a park
 /// timeout and busy budget far below the reliable layer's 30 ms base RTO and
 /// 480 ms backoff cap, a partition covering the first link traversals used

@@ -11,7 +11,7 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 use tc_core::cluster::{CompletionSet, SocketSpec, SocketTuning};
 use tc_core::layout::DATA_REGION_BASE;
-use tc_core::{ClusterBuilder, CoreError, FaultPlan, Ready};
+use tc_core::{Backend, ClusterBuilder, CoreError, FaultPlan, Ready, Transport};
 
 fn server_bin() -> &'static str {
     env!("CARGO_BIN_EXE_tc-socket-server")
@@ -74,6 +74,53 @@ fn four_server_processes_complete_a_pipelined_get_workload() {
     // Clean teardown: every spawned process must be gone.
     let mut transport = cluster.shutdown();
     assert_eq!(transport.live_children(), 0, "no orphaned server processes");
+}
+
+/// Effects before acks, on the threaded backend and on server processes:
+/// a server acks a frame — piggybacked on a reply or as the batch's pure
+/// ack, and at once for a duplicate — only after polling its operation.  So
+/// whenever the client sees nothing unacked after a burst of unconfirmed
+/// PUTs (lossy links, so retransmits and duplicate acks are in play), a
+/// control-plane read already shows every one of them.
+#[test]
+fn an_acked_put_is_already_applied_on_threads_and_socket() {
+    const PUTS: u64 = 48;
+    for backend in [Backend::Threads, Backend::Socket] {
+        let plan = FaultPlan::seeded(0xACED)
+            .drop_rate(0.05)
+            .duplicate_rate(0.05);
+        let mut cluster = builder(1).fault_plan(plan).build(backend);
+        let server = cluster.server_rank(0);
+        for round in 1..=6u64 {
+            for i in 0..PUTS {
+                let value = (round << 32 | i).to_le_bytes().to_vec();
+                cluster
+                    .put(server, DATA_REGION_BASE + 8 * i, value)
+                    .unwrap();
+            }
+            let deadline = Instant::now() + Duration::from_secs(30);
+            loop {
+                let client_rows = cluster.link_health().into_iter().filter(|(r, _)| *r == 0);
+                if client_rows.map(|(_, h)| h.unacked).sum::<u64>() == 0 {
+                    break;
+                }
+                assert!(Instant::now() < deadline, "{backend}: PUTs never acked");
+                cluster.transport_mut().step().unwrap();
+            }
+            for i in 0..PUTS {
+                assert_eq!(
+                    cluster.read_u64(server, DATA_REGION_BASE + 8 * i).unwrap(),
+                    round << 32 | i,
+                    "{backend}: PUT {i} of round {round} was acked before it was applied"
+                );
+            }
+        }
+        assert!(
+            cluster.metrics().retransmits > 0,
+            "{backend}: the plan must have forced retransmits"
+        );
+        cluster.shutdown();
+    }
 }
 
 /// Byte-level round trips over real TCP (loopback, ephemeral port), both
