@@ -173,7 +173,6 @@ fn bench_data_plane_inflight(c: &mut Criterion) {
     // Deep pipelines benefit from larger drain batches on both the driver
     // and the node threads (one wakeup amortised over more envelopes).
     let tuning = tc_core::ThreadTuning {
-        step_batch: 512,
         node_batch: 512,
         ..tc_core::ThreadTuning::default()
     };
@@ -246,7 +245,6 @@ fn bench_data_plane_clients(c: &mut Criterion) {
 
     for clients in [1usize, 2, 4, 8] {
         let tuning = tc_core::ThreadTuning {
-            step_batch: 512,
             node_batch: 512,
             ..tc_core::ThreadTuning::default()
         };
@@ -310,7 +308,6 @@ fn bench_data_plane_cores(c: &mut Criterion) {
 
     for cores in [1usize, 2, 4] {
         let tuning = tc_core::ThreadTuning {
-            step_batch: 512,
             node_batch: 512,
             ..tc_core::ThreadTuning::default()
         };

@@ -1,0 +1,615 @@
+//! The one reliable link endpoint under the four wall-clock hosts.
+//!
+//! The threaded server node, the threaded client worker, the socket server
+//! process and each client of the socket driver all sit between a
+//! [`crate::runtime::NodeRuntime`] and a wire that carries `(tag, data,
+//! payload)` frames.  A [`Link`] is everything that is the same among them:
+//!
+//! * [`Link::outbound`] — pick [`wire::TAG_ROP`] (sequence, retain, piggyback
+//!   the owed ack) or [`wire::TAG_OP`] (no fault plan, or a destination the
+//!   fault model excludes) and encode the frame once;
+//! * [`Link::inbound`] — bound the sender's rank, then decode, sequence,
+//!   dedup and deliver whatever became in-order, or settle an ack;
+//! * [`Link::tick`], [`Link::finish_batch`], [`Link::replay`] — the
+//!   retransmission timer, the batch-end pure acks, and the renumbered
+//!   re-send after a peer was reborn;
+//! * [`Link::digest`] — what quiescence detection and operators read.
+//!
+//! A host supplies what genuinely differs: where loopback traffic is
+//! delivered, whether pending operations must be polled before an immediate
+//! ack leaves (servers: an ack never covers an unpolled op), its lock
+//! discipline, and the `emit(to_rank, tag, data, payload)` closure that
+//! reaches its fabric, socket or chaos router — the whole carrier interface.
+//!
+//! [`super::SimTransport`] deliberately does not use this module: it is the
+//! oracle the parity suites compare against and keeps un-encoded messages in
+//! virtual time with per-frame cost charging.
+
+use super::reliable::{LinkHealth, RelConfig, RelMetrics, ReliableSet};
+use super::socket::most_stressed;
+use super::wire::{self, StoredEnv};
+use crate::error::{CoreError, Result};
+use std::time::{Duration, Instant};
+use tc_ucx::{Bytes, OutgoingMessage};
+
+/// How long one `step` of a wall-clock backend keeps waiting while messages
+/// are verifiably queued or mid-processing without reporting progress.
+/// Guards against a runaway ifunc wedging the driver forever.
+pub(crate) const BUSY_STEP_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// A wall-clock `step` saw a full park of silence while reliable frames stay
+/// unacked.  That is *busy* (they will retransmit), so report progress — but
+/// only up to a stall horizon measured from `since`, the first such step: a
+/// frame that can never be acked (dead node, unhealable partition) must
+/// eventually let waits time out.  The horizon out-waits several fully
+/// backed-off retransmission rounds (`rto_max`, nanoseconds), because a
+/// healthy-but-lossy link can legitimately stay silent that long.
+pub(crate) fn within_stall_horizon(since: &mut Option<Instant>, rto_max: u64) -> bool {
+    let now = Instant::now();
+    let horizon = (BUSY_STEP_TIMEOUT * 10).max(Duration::from_nanos(rto_max) * 4);
+    now.duration_since(*since.get_or_insert(now)) < horizon
+}
+
+fn nanos_since(epoch: Instant) -> u64 {
+    epoch.elapsed().as_nanos() as u64
+}
+
+/// What a [`Link`] publishes about itself: enough for quiescence detection
+/// (`unacked`, `next_deadline` on the link's clock) and for operators (the
+/// counters and the most-stressed link's RTT estimator state).  All zero /
+/// `None` on a link without a fault plan.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Digest {
+    pub unacked: u64,
+    pub next_deadline: Option<u64>,
+    pub metrics: RelMetrics,
+    pub health: Option<LinkHealth>,
+}
+
+impl Digest {
+    /// Cluster-wide `(retransmits, dup_drops)` over every rank's digest.
+    pub(crate) fn totals(digests: impl Iterator<Item = Digest>) -> (u64, u64) {
+        digests.fold((0, 0), |(r, d), digest| {
+            (r + digest.metrics.retransmits, d + digest.metrics.dup_drops)
+        })
+    }
+}
+
+/// One rank's end of every link it has: see the module docs.
+pub(crate) struct Link {
+    rank: u32,
+    /// Cluster size; valid peer ranks are `0..ranks`.
+    ranks: u32,
+    /// `None` without a fault plan: every frame is a raw [`wire::TAG_OP`].
+    rel: Option<ReliableSet<StoredEnv>>,
+    /// Reused delivery buffer of [`ReliableSet::on_data_into`].
+    scratch: Vec<StoredEnv>,
+    /// Origin of the reliable layer's clock.
+    epoch: Instant,
+    /// Retransmission-timer cadence (half the base RTO) and its last run.
+    cadence: Duration,
+    last_tick: Instant,
+}
+
+impl Link {
+    /// The endpoint of `rank` in a cluster of `ranks`; reliable when `rel`
+    /// carries the tunables of an installed fault plan.
+    pub(crate) fn new(rank: u32, ranks: u32, rel: Option<RelConfig>, epoch: Instant) -> Self {
+        Link {
+            rank,
+            ranks,
+            rel: rel.map(ReliableSet::new),
+            scratch: Vec::new(),
+            epoch,
+            cadence: Duration::from_nanos(rel.map_or(0, |cfg| cfg.rto / 2)),
+            last_tick: Instant::now(),
+        }
+    }
+
+    /// Nanoseconds on the link's clock.
+    pub(crate) fn now(&self) -> u64 {
+        nanos_since(self.epoch)
+    }
+
+    /// Encode `msg` for the wire as `(tag, data, payload)`.  Two cases skip
+    /// the reliable layer even under a fault plan and leave as raw
+    /// [`wire::TAG_OP`], never retained: misaddressed sends (rank beyond the
+    /// cluster — they would retransmit forever; raw, the carrier counts the
+    /// drop) and self-sends (the simulated backend excludes loopback from
+    /// the fault model, so every backend must or the chaos schedules
+    /// diverge).
+    pub(crate) fn outbound(&mut self, msg: &OutgoingMessage) -> (u64, Bytes, Bytes) {
+        let dst = msg.dst.0;
+        match &mut self.rel {
+            Some(rel) if dst < self.ranks && dst != self.rank => {
+                let now = nanos_since(self.epoch);
+                let (data, payload) = wire::send_reliable(rel, dst, msg, now);
+                (wire::TAG_ROP, data, payload)
+            }
+            _ => {
+                let (head, payload) = wire::encode_op_vectored(msg);
+                (wire::TAG_OP, head, payload)
+            }
+        }
+    }
+
+    /// Terminate one data-plane frame ([`wire::TAG_OP`], [`wire::TAG_ROP`]
+    /// or [`wire::TAG_ACK`]) that `from` sent to this rank, handing every
+    /// operation that became deliverable to `deliver` in order.
+    ///
+    /// `Ok(Some(ack))` is the body of a pure [`wire::TAG_ACK`] the host must
+    /// send to `from` right away (a duplicate or out-of-order arrival;
+    /// nothing was delivered) — on servers behind a poll of whatever earlier
+    /// frames delivered, because the ack is cumulative.  In-order arrivals
+    /// return `Ok(None)`: their ack rides the next frame to the peer or
+    /// [`Link::finish_batch`].
+    ///
+    /// `from` indexes the dense per-peer link table, so it is bounded here,
+    /// once, for every tag.  A frame rejected before sequencing (bad rank,
+    /// truncated header, reliable tag without a fault plan) leaves the link
+    /// untouched.  An operation that fails to decode *after* sequencing is
+    /// consumed — the same bytes could never succeed on retransmission — and
+    /// the first such error is returned once the rest has been delivered.
+    pub(crate) fn inbound(
+        &mut self,
+        from: u32,
+        tag: u64,
+        data: Bytes,
+        payload: Bytes,
+        mut deliver: impl FnMut(OutgoingMessage),
+    ) -> Result<Option<Bytes>> {
+        if from >= self.ranks {
+            return Err(CoreError::Transport(format!(
+                "frame (tag {tag}) from invalid rank {from} at rank {} of {}",
+                self.rank, self.ranks
+            )));
+        }
+        if tag == wire::TAG_OP {
+            deliver(wire::decode_op_vectored(&data, &payload)?);
+            return Ok(None);
+        }
+        let now = nanos_since(self.epoch);
+        let Some(rel) = &mut self.rel else {
+            return Err(CoreError::Transport(format!(
+                "reliable frame (tag {tag}) at rank {} without a fault plan",
+                self.rank
+            )));
+        };
+        match tag {
+            wire::TAG_ACK => {
+                rel.on_ack(from, wire::decode_ack(&data)?, now);
+                Ok(None)
+            }
+            wire::TAG_ROP => {
+                let (seq, ack, head) = wire::decode_rel_head(&data)?;
+                let arrival =
+                    rel.on_data_into(from, seq, ack, (head, payload), now, &mut self.scratch);
+                let mut failed = None;
+                for (h, p) in self.scratch.drain(..) {
+                    match wire::decode_op_vectored(&h, &p) {
+                        Ok(op) => deliver(op),
+                        Err(e) => failed = failed.or(Some(e)),
+                    }
+                }
+                match failed {
+                    Some(e) => Err(e),
+                    None => Ok(arrival.ack_now.then(|| wire::encode_ack(arrival.ack))),
+                }
+            }
+            other => Err(CoreError::Transport(format!(
+                "tag {other} is not a data-plane tag"
+            ))),
+        }
+    }
+
+    /// Run the retransmission timer if its cadence elapsed: every frame of
+    /// every link whose RTO expired leaves again through `emit`, with a
+    /// fresh piggybacked ack.
+    pub(crate) fn tick(&mut self, mut emit: impl FnMut(u32, u64, Bytes, Bytes)) {
+        let Some(rel) = &mut self.rel else {
+            return;
+        };
+        if self.last_tick.elapsed() < self.cadence {
+            return;
+        }
+        self.last_tick = Instant::now();
+        for f in rel.tick(nanos_since(self.epoch)) {
+            let data = wire::encode_rel_head(f.seq, f.ack, &f.m.0);
+            emit(f.peer, wire::TAG_ROP, data, f.m.1);
+        }
+    }
+
+    /// End of the host's natural batch: one pure cumulative ack per peer
+    /// whose in-order frames nothing sent since has piggybacked on.  Servers
+    /// call this after polling, so it too only covers polled operations.
+    pub(crate) fn finish_batch(&mut self, mut emit: impl FnMut(u32, u64, Bytes, Bytes)) {
+        if let Some(rel) = &mut self.rel {
+            rel.acks_due(|peer, ack| {
+                emit(peer, wire::TAG_ACK, wire::encode_ack(ack), Bytes::new())
+            });
+        }
+    }
+
+    /// `peer` was reborn with a fresh sequence space: tear the link to it
+    /// down (send and receive state both) and re-send the retained unacked
+    /// frames, oldest first, renumbered from seq 1.
+    pub(crate) fn replay(&mut self, peer: u32, mut emit: impl FnMut(u32, u64, Bytes, Bytes)) {
+        let Some(rel) = &mut self.rel else {
+            return;
+        };
+        let now = nanos_since(self.epoch);
+        for (head, payload) in rel.reset_peer(peer) {
+            let (seq, ack) = rel.send(peer, (head.clone(), payload.clone()), now);
+            emit(
+                peer,
+                wire::TAG_ROP,
+                wire::encode_rel_head(seq, ack, &head),
+                payload,
+            );
+        }
+    }
+
+    /// See [`Digest`].
+    pub(crate) fn digest(&self) -> Digest {
+        self.rel
+            .as_ref()
+            .map_or_else(Digest::default, |rel| Digest {
+                unacked: rel.unacked_total(),
+                next_deadline: rel.next_deadline(),
+                metrics: rel.metrics,
+                health: most_stressed(rel.health_rows()),
+            })
+    }
+
+    /// Health of every link that has carried reliable traffic, in peer-rank
+    /// order (the digest keeps only the most-stressed row).
+    pub(crate) fn health_rows(&self) -> impl Iterator<Item = LinkHealth> + '_ {
+        self.rel.iter().flat_map(|rel| rel.health_rows())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::reliable::tests::Net;
+    use super::*;
+    use std::collections::VecDeque;
+    use tc_simnet::SplitMix64;
+    use tc_ucx::{AmHandlerId, RequestId, UcpOp, WorkerAddr};
+
+    /// A microsecond RTO on the wall clock: practically every `tick` of a
+    /// test loop finds its links expired, so loss is recovered without
+    /// sleeping.
+    const CFG: RelConfig = RelConfig {
+        rto: 1_000,
+        rto_max: 8_000,
+        adaptive: true,
+    };
+
+    /// One frame on the in-memory carrier: `(from, tag, data, payload)`.
+    type Wire = (u32, u64, Bytes, Bytes);
+
+    fn link(rank: u32, ranks: u32, rel: Option<RelConfig>) -> Link {
+        Link::new(rank, ranks, rel, Instant::now())
+    }
+
+    /// Every `OutgoingMessage` kind from `src` to `dst`; those with a bulk
+    /// payload once inline and once detached (at least the scatter
+    /// threshold).
+    fn messages(src: u32, dst: u32) -> Vec<OutgoingMessage> {
+        let mut ops = vec![
+            UcpOp::Get {
+                remote_addr: 0x80,
+                len: 16,
+            },
+            UcpOp::PutAck {
+                acked: RequestId(31),
+            },
+        ];
+        for len in [3, wire::SCATTER_THRESHOLD + 88] {
+            let bulk = || Bytes::from(vec![len as u8; len]);
+            ops.extend([
+                UcpOp::Put {
+                    remote_addr: 0x40,
+                    data: bulk(),
+                },
+                UcpOp::PutConfirm {
+                    remote_addr: 0x48,
+                    data: bulk(),
+                },
+                UcpOp::GetReply {
+                    request: RequestId(9),
+                    data: bulk(),
+                },
+                UcpOp::ActiveMessage {
+                    handler: AmHandlerId(3),
+                    payload: bulk(),
+                },
+                UcpOp::IfuncFrame { bytes: bulk() },
+            ]);
+        }
+        let msg = |(i, op)| OutgoingMessage {
+            src: WorkerAddr(src),
+            dst: WorkerAddr(dst),
+            request: RequestId(i as u64),
+            op,
+        };
+        ops.into_iter().enumerate().map(msg).collect()
+    }
+
+    /// One end of the two-link loop.
+    struct Side {
+        link: Link,
+        /// The faulty wire toward this side.
+        inbox: VecDeque<Wire>,
+        to_post: VecDeque<OutgoingMessage>,
+        got: Vec<OutgoingMessage>,
+    }
+
+    impl Side {
+        fn new(rank: u32, peer: u32) -> Side {
+            let mut to_post = VecDeque::new();
+            for _ in 0..3 {
+                to_post.extend(messages(rank, peer));
+            }
+            Side {
+                link: link(rank, 2, Some(CFG)),
+                inbox: VecDeque::new(),
+                to_post,
+                got: Vec::new(),
+            }
+        }
+
+        fn rank(&self) -> u32 {
+            self.link.rank
+        }
+
+        /// Put one frame this side produced on the wire toward its peer —
+        /// after checking that the cumulative ack it carries, pure or
+        /// piggybacked, covers nothing this side has not delivered.  (The
+        /// peer numbers its frames 1.. in posting order and nothing here
+        /// resets a link, so "delivered" is `got.len()`.)
+        fn ship(&self, net: &mut Net, out: &mut VecDeque<Wire>, tag: u64, data: Bytes, p: Bytes) {
+            let ack = match tag {
+                wire::TAG_ACK => wire::decode_ack(&data).unwrap(),
+                wire::TAG_ROP => wire::decode_rel_head(&data).unwrap().1,
+                other => panic!("a reliable link emitted tag {other}"),
+            };
+            assert!(
+                ack <= self.got.len() as u64,
+                "ack {ack} covers an undelivered frame ({} delivered)",
+                self.got.len()
+            );
+            net.ship(out, (self.rank(), tag, data, p));
+        }
+
+        fn post(&mut self, net: &mut Net, out: &mut VecDeque<Wire>) {
+            if let Some(msg) = self.to_post.pop_front() {
+                let (tag, data, payload) = self.link.outbound(&msg);
+                assert_eq!(tag, wire::TAG_ROP);
+                self.ship(net, out, tag, data, payload);
+            }
+        }
+
+        /// Sends the fault model excludes — to this rank itself and beyond
+        /// the cluster — leave raw and are never retained.
+        fn post_excluded(&mut self) {
+            for dst in [self.rank(), 9] {
+                let msg = messages(self.rank(), dst).pop().unwrap();
+                let before = self.link.digest();
+                let (tag, data, payload) = self.link.outbound(&msg);
+                assert_eq!(tag, wire::TAG_OP);
+                assert_eq!(wire::decode_op_vectored(&data, &payload).unwrap(), msg);
+                assert_eq!(
+                    self.link.digest(),
+                    before,
+                    "a raw send must not be retained"
+                );
+            }
+        }
+
+        /// One turn the way a host drives its link: everything inbound in
+        /// randomly sized batches (`finish_batch` at each boundary,
+        /// immediate acks when told to, an occasional mid-batch post for the
+        /// piggyback path), then a few fresh posts and the timer.
+        fn turn(&mut self, net: &mut Net, out: &mut VecDeque<Wire>) {
+            while !self.inbox.is_empty() {
+                for _ in 0..net.rng.range(1, self.inbox.len() as u64 + 1) {
+                    let (from, tag, data, payload) = self.inbox.pop_front().unwrap();
+                    let before = self.got.len();
+                    let got = &mut self.got;
+                    let arrival = self.link.inbound(from, tag, data, payload, |m| got.push(m));
+                    if let Some(ack) = arrival.unwrap() {
+                        assert_eq!(self.got.len(), before, "immediate acks deliver nothing");
+                        self.ship(net, out, wire::TAG_ACK, ack, Bytes::new());
+                    }
+                    if net.rng.below(3) == 0 {
+                        self.post(net, out);
+                    }
+                }
+                let mut acks = Vec::new();
+                self.link
+                    .finish_batch(|to, tag, data, p| acks.push((to, tag, data, p)));
+                assert!(acks.len() <= 1, "one pure ack per peer per batch");
+                for (to, tag, data, p) in acks {
+                    assert_eq!((to, tag), (1 - self.rank(), wire::TAG_ACK));
+                    self.ship(net, out, tag, data, p);
+                }
+            }
+            self.post_excluded();
+            for _ in 0..net.rng.below(4) {
+                self.post(net, out);
+            }
+            let mut retx = Vec::new();
+            self.link
+                .tick(|to, tag, data, p| retx.push((to, tag, data, p)));
+            for (to, tag, data, p) in retx {
+                assert_eq!((to, tag), (1 - self.rank(), wire::TAG_ROP));
+                self.ship(net, out, tag, data, p);
+            }
+        }
+
+        fn busy(&self) -> bool {
+            !self.to_post.is_empty() || self.link.digest().unacked > 0
+        }
+    }
+
+    /// Two links over a seeded carrier that drops, duplicates and reorders:
+    /// every message kind arrives exactly once, in order, and no ack ever
+    /// runs ahead of delivery (checked in `Side::ship`).
+    #[test]
+    fn two_links_deliver_exactly_once_in_order_over_a_faulty_carrier() {
+        let mut rng = SplitMix64::new(0x11CC);
+        let (mut retransmits, mut dup_drops, mut out_of_order) = (0, 0, 0);
+        for schedule in 0..48u64 {
+            // Every third schedule is lossless.
+            let faults = match schedule % 3 {
+                0 => (0, 0, 0),
+                _ => (rng.below(30), rng.below(30), rng.below(30)),
+            };
+            let mut net = Net {
+                rng: SplitMix64::new(rng.next_u64()),
+                faults,
+            };
+            let mut sides = [Side::new(0, 1), Side::new(1, 0)];
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while sides.iter().any(Side::busy) {
+                assert!(
+                    Instant::now() < deadline,
+                    "schedule {schedule} {faults:?} never drained"
+                );
+                let [a, b] = &mut sides;
+                a.turn(&mut net, &mut b.inbox);
+                b.turn(&mut net, &mut a.inbox);
+            }
+            let [a, b] = &sides;
+            for (side, peer) in [(a, b), (b, a)] {
+                let mut want = Vec::new();
+                for _ in 0..3 {
+                    want.extend(messages(peer.rank(), side.rank()));
+                }
+                assert_eq!(
+                    side.got, want,
+                    "schedule {schedule}: exactly once, in order"
+                );
+                let digest = side.link.digest();
+                assert_eq!((digest.unacked, digest.next_deadline), (0, None));
+                let health = digest.health.expect("the link carried traffic");
+                assert_eq!((health.peer, health.unacked), (peer.rank(), 0));
+                retransmits += digest.metrics.retransmits;
+                dup_drops += digest.metrics.dup_drops;
+                out_of_order += digest.metrics.out_of_order;
+            }
+        }
+        assert!(
+            retransmits > 0 && dup_drops > 0 && out_of_order > 0,
+            "the lossy schedules must exercise recovery: {retransmits} retransmits, \
+             {dup_drops} duplicates, {out_of_order} out of order"
+        );
+    }
+
+    /// Frames a link must reject — before they touch its state.
+    #[test]
+    fn hostile_frames_are_typed_errors_and_leave_the_link_untouched() {
+        let msg = messages(1, 0).pop().unwrap();
+        let (head, payload) = wire::encode_op_vectored(&msg);
+        let rop = wire::encode_rel_head(1, 0, &head);
+        let ack = wire::encode_ack(1);
+        let refuse = |link: &mut Link, from, tag, data: &Bytes| {
+            let before = link.digest();
+            let arrival = link.inbound(from, tag, data.clone(), payload.clone(), |m| {
+                panic!("a rejected frame delivered {m:?}")
+            });
+            assert!(
+                matches!(arrival, Err(CoreError::Transport(_))),
+                "from {from} tag {tag}: {arrival:?}"
+            );
+            assert_eq!(link.digest(), before, "from {from} tag {tag}");
+        };
+
+        // A reliable link with something outstanding, so the digest has
+        // something to lose.
+        let mut reliable = link(0, 3, Some(CFG));
+        let _ = reliable.outbound(&messages(0, 1).pop().unwrap());
+        assert_eq!(reliable.digest().unacked, 1);
+        // `from` indexes the dense per-peer table: one corrupt frame naming
+        // rank 0xFFFF_FFFE must not size it.
+        for from in [3, 0xFFFF_FFFE] {
+            refuse(&mut reliable, from, wire::TAG_OP, &head);
+            refuse(&mut reliable, from, wire::TAG_ROP, &rop);
+            refuse(&mut reliable, from, wire::TAG_ACK, &ack);
+        }
+        refuse(&mut reliable, 1, wire::TAG_ROP, &rop.slice(..15));
+        refuse(&mut reliable, 1, wire::TAG_ACK, &ack.slice(..7));
+        refuse(&mut reliable, 1, wire::TAG_PEEK, &head);
+
+        // Without a fault plan there is no reliable plane to address.
+        let mut plain = link(0, 3, None);
+        refuse(&mut plain, 1, wire::TAG_ROP, &rop);
+        refuse(&mut plain, 1, wire::TAG_ACK, &ack);
+        assert_eq!(plain.digest(), Digest::default());
+        // ...while its raw plane works.
+        let mut got = Vec::new();
+        let arrival = plain.inbound(1, wire::TAG_OP, head, payload.clone(), |m| got.push(m));
+        assert_eq!((arrival.unwrap(), got), (None, vec![msg]));
+    }
+
+    /// `replay(peer)` restarts the link to a reborn peer: the retained
+    /// frames go out again oldest first, renumbered from seq 1 with a reset
+    /// receive cursor, and other links keep their state.
+    #[test]
+    fn replay_renumbers_from_one_and_preserves_order() {
+        let mut a = link(0, 3, Some(CFG));
+        let mut b = link(1, 3, Some(CFG));
+        let msgs = messages(0, 1);
+        let mut acks = Vec::new();
+        for (i, msg) in msgs.iter().enumerate() {
+            let (tag, data, payload) = a.outbound(msg);
+            // The old peer only ever saw — and acked — the first two.
+            if i < 2 {
+                let arrival = b.inbound(0, tag, data, payload, |_| {});
+                assert_eq!(arrival.unwrap(), None);
+            }
+        }
+        b.finish_batch(|_, tag, data, payload| acks.push((tag, data, payload)));
+        // The ack travels on a frame from b, so a's receive cursor moves too.
+        let (tag, data, payload) = b.outbound(&messages(1, 0)[0]);
+        assert_eq!(a.inbound(1, tag, data, payload, |_| {}).unwrap(), None);
+        for (tag, data, payload) in acks {
+            assert_eq!(a.inbound(1, tag, data, payload, |_| {}).unwrap(), None);
+        }
+        let _ = a.outbound(&messages(0, 2)[0]);
+        let retained = msgs.len() as u64 - 2;
+        assert_eq!(a.digest().unacked, retained + 1);
+
+        let mut reborn = link(1, 3, Some(CFG));
+        let mut got = Vec::new();
+        let mut seqs = Vec::new();
+        a.replay(1, |to, tag, data, payload| {
+            assert_eq!((to, tag), (1, wire::TAG_ROP));
+            let (seq, ack, _) = wire::decode_rel_head(&data).unwrap();
+            assert_eq!(ack, 0, "the receive cursor toward a reborn peer restarts");
+            seqs.push(seq);
+            let arrival = reborn.inbound(0, tag, data, payload, |m| got.push(m));
+            assert_eq!(arrival.unwrap(), None, "seq {seq} must arrive in order");
+        });
+        assert_eq!(seqs, (1..=retained).collect::<Vec<_>>());
+        assert_eq!(got, msgs[2..]);
+        assert_eq!(
+            a.digest().unacked,
+            retained + 1,
+            "still retained until acked"
+        );
+
+        // The reborn peer's fresh seq 1 is accepted, not dropped as a
+        // duplicate of the old incarnation's.
+        let (tag, data, payload) = reborn.outbound(&messages(1, 0)[1]);
+        let mut fresh = Vec::new();
+        let arrival = a.inbound(1, tag, data, payload, |m| fresh.push(m));
+        assert_eq!((arrival.unwrap(), fresh.len()), (None, 1));
+        assert_eq!(
+            a.digest().unacked,
+            1,
+            "its piggybacked ack settled the replay"
+        );
+    }
+}

@@ -12,6 +12,15 @@
 //! * [`ThreadTransport`] — real OS threads and channels (wall-clock time,
 //!   genuine concurrency; no timing model).
 //!
+//! [`SocketTransport`] (server ranks as OS processes, [`socket_server`] on
+//! their side) is the third.  Beneath the backends: [`wire`] is the frame
+//! codec, [`reliable`] the per-link sequence/ack/retransmit state machine,
+//! and the crate-private `link` module the one endpoint that joins the two
+//! to a [`NodeRuntime`] — the threaded server node, the threaded client
+//! worker, the socket server and the socket driver's clients all drive it,
+//! each supplying only its carrier.  The simulated backend stays on
+//! [`reliable`] directly: it is the oracle the others are compared against.
+//!
 //! ```
 //! use tc_core::cluster::ClusterBuilder;
 //! use tc_core::{build_ifunc_library, ToolchainOptions};
@@ -47,6 +56,7 @@
 //! ```
 
 pub mod completion;
+mod link;
 pub mod reliable;
 pub mod sim_transport;
 pub mod socket;
@@ -1454,9 +1464,8 @@ impl ClusterBuilder {
         (client, server)
     }
 
-    /// Build on the discrete-event backend.
-    pub fn build_sim(self) -> Cluster<SimTransport> {
-        let transport = SimTransport::with_config(
+    fn sim_transport(self) -> SimTransport {
+        SimTransport::with_config(
             self.platform,
             self.clients,
             self.servers,
@@ -1465,14 +1474,12 @@ impl ClusterBuilder {
             self.opt_level,
             self.fault_plan,
             self.rel_config,
-        );
-        Cluster::new(transport)
+        )
     }
 
-    /// Build on the real-thread backend.
-    pub fn build_threaded(self) -> Cluster<ThreadTransport> {
+    fn thread_transport(self) -> ThreadTransport {
         let (client, server) = self.resolved_triples();
-        Cluster::new(ThreadTransport::with_config(
+        ThreadTransport::with_config(
             self.clients,
             self.servers,
             client,
@@ -1481,18 +1488,14 @@ impl ClusterBuilder {
             self.tuning,
             self.fault_plan,
             self.rel_config,
-        ))
+        )
     }
 
-    /// Build on the cross-process socket backend: spawns (or awaits) one OS
-    /// process per server rank and handshakes with each.  Unlike the other
-    /// backends, startup is fallible — the server binary may be missing or
-    /// a server process may fail to dial in.
-    pub fn build_socket(self) -> Result<Cluster<SocketTransport>> {
+    fn socket_transport(self) -> Result<SocketTransport> {
         let (client, server) = self.resolved_triples();
         let mut socket = self.socket;
         socket.rel_config = self.rel_config.or(socket.rel_config);
-        Ok(Cluster::new(SocketTransport::connect_config(
+        SocketTransport::connect_config(
             self.clients,
             self.servers,
             client,
@@ -1500,24 +1503,39 @@ impl ClusterBuilder {
             self.opt_level,
             self.fault_plan,
             socket,
-        )?))
+        )
+    }
+
+    /// Build on the discrete-event backend.
+    pub fn build_sim(self) -> Cluster<SimTransport> {
+        Cluster::new(self.sim_transport())
+    }
+
+    /// Build on the real-thread backend.
+    pub fn build_threaded(self) -> Cluster<ThreadTransport> {
+        Cluster::new(self.thread_transport())
+    }
+
+    /// Build on the cross-process socket backend: spawns (or awaits) one OS
+    /// process per server rank and handshakes with each.  Unlike the other
+    /// backends, startup is fallible — the server binary may be missing or
+    /// a server process may fail to dial in.
+    pub fn build_socket(self) -> Result<Cluster<SocketTransport>> {
+        Ok(Cluster::new(self.socket_transport()?))
     }
 
     /// Build on a runtime-chosen backend behind a trait object — lets one
-    /// scenario function iterate over backends.
+    /// scenario function iterate over backends.  The transport is built and
+    /// wrapped once.
     pub fn build(self, backend: Backend) -> Cluster<Box<dyn Transport>> {
-        match backend {
-            Backend::Simnet => {
-                Cluster::new(Box::new(self.build_sim().into_transport()) as Box<dyn Transport>)
-            }
-            Backend::Threads => {
-                Cluster::new(Box::new(self.build_threaded().into_transport()) as Box<dyn Transport>)
-            }
-            Backend::Socket => Cluster::new(Box::new(
-                self.build_socket()
-                    .expect("socket backend failed to start")
-                    .into_transport(),
-            ) as Box<dyn Transport>),
-        }
+        let transport: Box<dyn Transport> = match backend {
+            Backend::Simnet => Box::new(self.sim_transport()),
+            Backend::Threads => Box::new(self.thread_transport()),
+            Backend::Socket => Box::new(
+                self.socket_transport()
+                    .expect("socket backend failed to start"),
+            ),
+        };
+        Cluster::new(transport)
     }
 }

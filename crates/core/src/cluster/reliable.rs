@@ -541,7 +541,7 @@ impl<M: Clone> ReliableSet<M> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use tc_simnet::SplitMix64;
 
@@ -651,15 +651,15 @@ mod tests {
         Ack(u64),
     }
 
-    /// The faulty medium of the property test: `(drop, duplicate, reorder)`
-    /// rates in percent.
-    struct Net {
-        rng: SplitMix64,
-        faults: (u64, u64, u64),
+    /// The faulty medium of the property tests (here and in `link.rs`):
+    /// `(drop, duplicate, reorder)` rates in percent.
+    pub(in crate::cluster) struct Net {
+        pub rng: SplitMix64,
+        pub faults: (u64, u64, u64),
     }
 
     impl Net {
-        fn ship(&mut self, wire: &mut VecDeque<Pkt>, p: Pkt) {
+        pub fn ship<P: Clone>(&mut self, wire: &mut VecDeque<P>, p: P) {
             let (drop, dup, reorder) = self.faults;
             if self.rng.below(100) < drop {
                 return;

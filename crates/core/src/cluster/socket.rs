@@ -20,10 +20,11 @@
 //! per-link decisions exactly once per traversal (client egress, server
 //! ingress, server-to-server relay) to reliable data frames and acks —
 //! mirroring the threaded backend's envelope filter — and every endpoint
-//! runs a [`ReliableSet`], so delivery stays exactly-once and in-order over
-//! a lossy socket.
+//! runs a reliable link endpoint (the crate-private `link` module), so
+//! delivery stays exactly-once and in-order over a lossy socket.
 
-use super::reliable::{LinkHealth, RelConfig, RelMetrics, ReliableSet};
+use super::link::{self, Digest, Link};
+use super::reliable::{LinkHealth, RelConfig, RelMetrics};
 use super::{wire, ClientId, ClientRef, ClientRefMut, Transport, TransportMetrics};
 use crate::error::{CoreError, Result};
 use crate::metrics::RuntimeStats;
@@ -35,6 +36,7 @@ use tc_bitir::TargetTriple;
 use tc_chaos::{ChaosSession, ChaosStats, FaultPlan, HoldBack};
 use tc_jit::{Memory, OptLevel};
 use tc_net::{ChildGuard, Connection, Frame, Listener, NetError, SocketSpec};
+use tc_ucx::Bytes;
 
 /// True when `TC_SOCKET_TRACE` is set: both halves of the socket backend
 /// print per-frame routing decisions to stderr.  For debugging distributed
@@ -310,9 +312,6 @@ pub struct SocketTuning {
     /// How long one driver `step` keeps polling for traffic before reporting
     /// an idle step.
     pub step_timeout: Duration,
-    /// Upper bound one `step` keeps waiting while writes are still queued
-    /// toward server processes.
-    pub busy_step_timeout: Duration,
     /// Sleep between poll iterations when the sockets are quiet.
     pub poll_interval: Duration,
     /// How long a poll loop busy-yields before it starts sleeping
@@ -351,7 +350,6 @@ impl Default for SocketTuning {
     fn default() -> Self {
         SocketTuning {
             step_timeout: Duration::from_millis(20),
-            busy_step_timeout: Duration::from_secs(1),
             poll_interval: Duration::from_micros(500),
             spin_window: Duration::from_micros(300),
             idle_grace: 2,
@@ -468,13 +466,9 @@ struct ServerLink {
     conn: Option<Connection>,
     child: Option<ChildGuard>,
     state: LinkState,
-    /// Latest reliability digest published by the server.  `remaining_ns`
-    /// has been rebased onto the driver clock (absolute deadline).
-    rel_unacked: u64,
-    rel_deadline_abs: u64,
-    rel_metrics: RelMetrics,
-    /// Most-stressed-link health digest published by the server.
-    rel_health: Option<LinkHealth>,
+    /// Latest link digest published by the server, its deadline rebased
+    /// onto the driver clock.
+    rel: Digest,
     /// Last instant any frame arrived from this link (liveness baseline).
     last_activity: Instant,
     /// When an outstanding liveness PING was sent, if any.
@@ -491,35 +485,41 @@ impl ServerLink {
             conn: None,
             child: None,
             state: LinkState::Active,
-            rel_unacked: 0,
-            rel_deadline_abs: u64::MAX,
-            rel_metrics: RelMetrics::default(),
-            rel_health: None,
+            rel: Digest::default(),
             last_activity: Instant::now(),
             ping_sent_at: None,
             respawn_attempts: 0,
             next_attempt_at: None,
         }
     }
+
+    /// The rank died or was reborn: its published digest is stale (a dead
+    /// rank has no link state anymore); only the counters stay.
+    fn forget_rel(&mut self) {
+        self.rel = Digest {
+            metrics: self.rel.metrics,
+            ..Digest::default()
+        };
+    }
 }
 
-/// Driver-side chaos state (mirrors the threaded backend's `DriverChaos`).
+/// Driver-side chaos state (mirrors the threaded backend's `DriverChaos`;
+/// each client's link lives in [`SocketTransport::client_links`]).
 struct SocketChaos {
     session: ChaosSession,
-    /// One reliability state machine per client rank — sequence spaces of
-    /// different clients must never interfere.
-    rels: Vec<ReliableSet<wire::StoredEnv>>,
     /// Held-back frames implementing delay/reorder.
     held: HoldBack<Frame>,
-    last_tick: Instant,
-    tick: Duration,
-    rto_max: u64,
 }
 
 /// The cross-process cluster backend (OS processes + sockets, wall-clock
 /// time).
 pub struct SocketTransport {
     clients: Vec<NodeRuntime>,
+    /// One link endpoint per client rank — sequence spaces of different
+    /// clients must never interfere.  Reliable exactly when `chaos` is set.
+    client_links: Vec<Link>,
+    /// Clients that received operations and await their poll-and-flush.
+    staged: Vec<bool>,
     links: Vec<ServerLink>,
     listener: Option<Listener>,
     servers: usize,
@@ -601,13 +601,10 @@ impl SocketTransport {
         let rel_cfg = config.rel_config.unwrap_or_else(RelConfig::threads_default);
         let chaos = fault_plan.map(|plan| SocketChaos {
             session: ChaosSession::new(plan),
-            rels: (0..clients).map(|_| ReliableSet::new(rel_cfg)).collect(),
             held: HoldBack::default(),
-            last_tick: Instant::now(),
-            tick: Duration::from_nanos(rel_cfg.rto / 2),
-            rto_max: rel_cfg.rto_max,
         });
         let reliable = chaos.is_some();
+        let link_cfg = reliable.then_some(rel_cfg);
 
         let mut links: Vec<ServerLink> = (0..servers).map(|_| ServerLink::empty()).collect();
         let mut server_bin = None;
@@ -734,6 +731,10 @@ impl SocketTransport {
                     )
                 })
                 .collect(),
+            client_links: (0..clients as u32)
+                .map(|c| Link::new(c, total, link_cfg, epoch))
+                .collect(),
+            staged: vec![false; clients],
             links,
             listener: Some(listener),
             servers,
@@ -856,11 +857,7 @@ impl SocketTransport {
         link.state = LinkState::Dead(err.clone());
         link.ping_sent_at = None;
         link.next_attempt_at = None;
-        // The old incarnation's published digest is stale; a dead rank has
-        // no server-side reliability state anymore.
-        link.rel_unacked = 0;
-        link.rel_deadline_abs = u64::MAX;
-        link.rel_health = None;
+        link.forget_rel();
         if !self.recover {
             self.pending_errors.push_back(err);
         }
@@ -1120,9 +1117,7 @@ impl SocketTransport {
             link.last_activity = Instant::now();
             link.ping_sent_at = None;
             link.next_attempt_at = None;
-            link.rel_unacked = 0;
-            link.rel_deadline_abs = u64::MAX;
-            link.rel_health = None;
+            link.forget_rel();
         }
         // Reset the reliable links *before* any traffic can flow: the
         // reborn rank has a fresh sequence space in both directions.  The
@@ -1131,22 +1126,12 @@ impl SocketTransport {
         // the control plane below is rebuilt — they may invoke AM handlers.
         let mut replay = Vec::new();
         if let Some(chaos) = &mut self.chaos {
-            let now = self.epoch.elapsed().as_nanos() as u64;
             chaos.held.forget_node(rank);
-            for c in 0..chaos.rels.len() {
-                for (head, payload) in chaos.rels[c].reset_peer(rank as u32) {
-                    let (seq, ack) =
-                        chaos.rels[c].send(rank as u32, (head.clone(), payload.clone()), now);
-                    let data = wire::encode_rel_head(seq, ack, &head);
-                    replay.push(Frame::with_payload(
-                        c as u32,
-                        rank as u32,
-                        wire::TAG_ROP,
-                        data,
-                        payload,
-                    ));
-                }
-            }
+        }
+        for (c, link) in self.client_links.iter_mut().enumerate() {
+            link.replay(rank as u32, |to, tag, data, payload| {
+                replay.push(Frame::with_payload(c as u32, to, tag, data, payload))
+            });
         }
         // Re-deploy the AM catalog in original deploy order so the reborn
         // process's handler ids line up with the cluster's.
@@ -1288,10 +1273,7 @@ impl SocketTransport {
         match frame.tag {
             wire::TAG_OP => {
                 if frame.to < clients {
-                    match wire::decode_op_vectored(&frame.data, &frame.payload) {
-                        Ok(msg) => self.deliver_to_client(msg),
-                        Err(e) => self.errors.push(e),
-                    }
+                    self.client_inbound(frame);
                 } else if (frame.to as usize) < self.clients.len() + self.servers {
                     // Server-to-server relay.
                     if let Err(e) = self.queue_to_server(frame.to as usize, frame) {
@@ -1309,15 +1291,14 @@ impl SocketTransport {
                 let idx = (frame.from as usize).wrapping_sub(self.clients.len());
                 match decode_rel_info(frame.data.as_slice()) {
                     Ok(info) if idx < self.links.len() => {
-                        let link = &mut self.links[idx];
-                        link.rel_unacked = info.unacked;
-                        link.rel_deadline_abs = if info.remaining_ns == u64::MAX {
-                            u64::MAX
-                        } else {
-                            self.epoch.elapsed().as_nanos() as u64 + info.remaining_ns
+                        let now = self.now();
+                        self.links[idx].rel = Digest {
+                            unacked: info.unacked,
+                            next_deadline: (info.remaining_ns != u64::MAX)
+                                .then(|| now.saturating_add(info.remaining_ns)),
+                            metrics: info.metrics,
+                            health: info.health,
                         };
-                        link.rel_metrics = info.metrics;
-                        link.rel_health = info.health;
                     }
                     Ok(_) => {}
                     Err(e) => self.errors.push(e),
@@ -1381,7 +1362,7 @@ impl SocketTransport {
         let clients = self.clients.len();
         let dst = frame.to as usize;
         if dst < clients {
-            self.reliable_to_client(frame);
+            self.client_inbound(frame);
             return;
         }
         if self.recover && matches!(self.links[dst - clients].state, LinkState::Dead(_)) {
@@ -1396,50 +1377,70 @@ impl SocketTransport {
         }
     }
 
-    /// Terminate a reliable frame at a driver-side client port.
-    fn reliable_to_client(&mut self, frame: Frame) {
+    /// Put one frame client `c`'s link produced on its way: reliable frames
+    /// and acks traverse the chaos engine, raw ops go straight to the socket.
+    fn client_emit(
+        &mut self,
+        c: usize,
+        to: u32,
+        tag: u64,
+        data: Bytes,
+        payload: Bytes,
+    ) -> Result<()> {
+        let frame = Frame::with_payload(c as u32, to, tag, data, payload);
+        if tag == wire::TAG_OP {
+            return self.queue_to_server(to as usize, frame);
+        }
+        self.chaos_route(frame);
+        Ok(())
+    }
+
+    /// Terminate a data-plane frame at the driver-side client port it names
+    /// (bounded by the callers): deliver what became in-order, then poll
+    /// each client that received operations and flush its responses.
+    fn client_inbound(&mut self, frame: Frame) {
         let port = frame.to as usize;
-        let now = self.now();
-        let Some(chaos) = &mut self.chaos else {
-            self.errors.push(CoreError::Transport(
-                "reliable frame without a fault plan".into(),
-            ));
-            return;
-        };
-        if frame.tag == wire::TAG_ACK {
-            if let Ok(ack) = wire::decode_ack(frame.data.as_slice()) {
-                chaos.rels[port].on_ack(frame.from, ack, now);
+        let (clients, staged, errors) = (&mut self.clients, &mut self.staged, &mut self.errors);
+        let mut delivered = 0;
+        let arrival = self.client_links[port].inbound(
+            frame.from,
+            frame.tag,
+            frame.data,
+            frame.payload,
+            |msg| {
+                let dst = msg.dst.index();
+                if dst < clients.len() {
+                    clients[dst].deliver(msg);
+                    staged[dst] = true;
+                    delivered += 1;
+                } else {
+                    errors.push(CoreError::Transport(format!(
+                        "driver received an operation for non-client rank {dst}"
+                    )));
+                }
+            },
+        );
+        self.delivered += delivered;
+        match arrival {
+            Ok(None) => {}
+            // Duplicate or out of order: ack at once (nothing on a client
+            // waits on a poll).  The ack's own traversal passes the chaos
+            // engine too.
+            Ok(Some(ack)) => {
+                let _ = self.client_emit(port, frame.from, wire::TAG_ACK, ack, Bytes::new());
             }
-            return;
+            Err(e) => self.errors.push(e),
         }
-        let (seq, ack, head) = match wire::decode_rel_head(&frame.data) {
-            Ok(parts) => parts,
-            Err(e) => {
-                self.errors.push(e);
-                return;
-            }
-        };
-        let out = chaos.rels[port].on_data(frame.from, seq, ack, (head, frame.payload), now);
-        if out.ack_now {
-            // Duplicate or out of order: ack at once.  The ack's own
-            // traversal passes the chaos engine too.
-            self.chaos_route(Frame::new(
-                port as u32,
-                frame.from,
-                wire::TAG_ACK,
-                wire::encode_ack(out.ack),
-            ));
-        }
-        for (h, p) in out.deliver {
-            match wire::decode_op_vectored(&h, &p) {
-                Ok(msg) => self.deliver_to_client(msg),
-                Err(e) => self.errors.push(e),
+        for c in 0..self.staged.len() {
+            if std::mem::take(&mut self.staged[c]) {
+                self.drain_client(c);
             }
         }
     }
 
-    /// Route everything in the inbox, then send the one pure cumulative ack
-    /// per (client, server) link that nothing routed has piggybacked on.
+    /// Route everything in the inbox, then close the pass on every client
+    /// link: the one pure cumulative ack per (client, server) link that
+    /// nothing routed has piggybacked on, and the retransmission timer.
     /// Returns how many frames were routed.
     fn drain_inbox(&mut self) -> usize {
         let mut routed = 0;
@@ -1447,38 +1448,18 @@ impl SocketTransport {
             self.route_frame(frame);
             routed += 1;
         }
-        let mut acks = Vec::new();
-        if let Some(chaos) = &mut self.chaos {
-            for (c, rel) in chaos.rels.iter_mut().enumerate() {
-                rel.acks_due(|peer, ack| {
-                    acks.push(Frame::new(
-                        c as u32,
-                        peer,
-                        wire::TAG_ACK,
-                        wire::encode_ack(ack),
-                    ))
-                });
-            }
+        let mut out = Vec::new();
+        for (c, link) in self.client_links.iter_mut().enumerate() {
+            let mut emit = |to, tag, data, payload| {
+                out.push(Frame::with_payload(c as u32, to, tag, data, payload))
+            };
+            link.finish_batch(&mut emit);
+            link.tick(&mut emit);
         }
-        for f in acks {
+        for f in out {
             self.chaos_route(f);
         }
         routed
-    }
-
-    /// Deliver one in-order fabric operation to its destination client
-    /// runtime and flush anything it posted in response.
-    fn deliver_to_client(&mut self, msg: tc_ucx::OutgoingMessage) {
-        let dst = msg.dst.index();
-        if dst >= self.clients.len() {
-            self.errors.push(CoreError::Transport(format!(
-                "driver received an operation for non-client rank {dst}"
-            )));
-            return;
-        }
-        self.clients[dst].deliver(msg);
-        self.drain_client(dst);
-        self.delivered += 1;
     }
 
     /// Poll everything delivered to client `c` and flush its responses.
@@ -1489,36 +1470,6 @@ impl SocketTransport {
             }
         }
         let _ = self.dispatch_client_outgoing(c);
-    }
-
-    /// Run every client's retransmission timer if the tick cadence elapsed.
-    fn client_tick(&mut self) {
-        let now = self.now();
-        let mut frames = Vec::new();
-        {
-            let Some(chaos) = &mut self.chaos else {
-                return;
-            };
-            if chaos.last_tick.elapsed() < chaos.tick {
-                return;
-            }
-            chaos.last_tick = Instant::now();
-            for c in 0..chaos.rels.len() {
-                for f in chaos.rels[c].tick(now) {
-                    let data = wire::encode_rel_head(f.seq, f.ack, &f.m.0);
-                    frames.push(Frame::with_payload(
-                        c as u32,
-                        f.peer,
-                        wire::TAG_ROP,
-                        data,
-                        f.m.1.clone(),
-                    ));
-                }
-            }
-        }
-        for f in frames {
-            self.chaos_route(f);
-        }
     }
 
     /// Move everything client `origin` posted onto the sockets, looping
@@ -1557,32 +1508,9 @@ impl SocketTransport {
                         self.dropped += 1;
                         continue;
                     }
-                    match &mut self.chaos {
-                        Some(chaos) => {
-                            let now = self.epoch.elapsed().as_nanos() as u64;
-                            let (data, payload) =
-                                wire::send_reliable(&mut chaos.rels[c], dst as u32, &msg, now);
-                            self.chaos_route(Frame::with_payload(
-                                c as u32,
-                                dst as u32,
-                                wire::TAG_ROP,
-                                data,
-                                payload,
-                            ));
-                        }
-                        None => {
-                            let (head, payload) = wire::encode_op_vectored(&msg);
-                            let raw = Frame::with_payload(
-                                c as u32,
-                                dst as u32,
-                                wire::TAG_OP,
-                                head,
-                                payload,
-                            );
-                            if let Err(e) = self.queue_to_server(dst, raw) {
-                                first_err.get_or_insert(e);
-                            }
-                        }
+                    let (tag, data, payload) = self.client_links[c].outbound(&msg);
+                    if let Err(e) = self.client_emit(c, msg.dst.0, tag, data, payload) {
+                        first_err.get_or_insert(e);
                     }
                 }
             }
@@ -1646,7 +1574,6 @@ impl SocketTransport {
         let started = Instant::now();
         let deadline = started + self.tuning.control_timeout;
         loop {
-            self.client_tick();
             self.health_check();
             self.poll_recovery();
             self.pump_writes();
@@ -1697,6 +1624,13 @@ impl SocketTransport {
             )));
         }
         Ok(())
+    }
+
+    /// Every rank's link digest, in rank order: the clients' own, then the
+    /// latest each server process published.
+    fn digests(&self) -> impl Iterator<Item = Digest> + '_ {
+        let clients = self.client_links.iter().map(Link::digest);
+        clients.chain(self.links.iter().map(|l| l.rel))
     }
 
     /// Number of successful link heals so far (recovery mode) — the hook the
@@ -1768,9 +1702,8 @@ impl Transport for SocketTransport {
         }
         let started = Instant::now();
         let step_deadline = started + self.tuning.step_timeout;
-        let busy_deadline = started + self.tuning.busy_step_timeout;
+        let busy_deadline = started + link::BUSY_STEP_TIMEOUT;
         loop {
-            self.client_tick();
             self.health_check();
             self.poll_recovery();
             let routed = self.pump_round();
@@ -1790,17 +1723,12 @@ impl Transport for SocketTransport {
             // keep the transport "busy" (they will retransmit), but only up
             // to a stall horizon — a frame that can never be acked (dead
             // server process, unhealable partition) must eventually let
-            // waits time out.  The horizon out-waits several fully
-            // backed-off retransmission rounds, like the threaded backend.
+            // waits time out.
             if self.unacked_total() > 0 {
-                let since = *self.stalled_since.get_or_insert(now);
-                let rel_horizon = self
-                    .chaos
-                    .as_ref()
-                    .map(|c| Duration::from_nanos(c.rto_max) * 4)
-                    .unwrap_or(Duration::ZERO);
-                let horizon = (self.tuning.busy_step_timeout * 10).max(rel_horizon);
-                return Ok(now.duration_since(since) < horizon);
+                return Ok(link::within_stall_horizon(
+                    &mut self.stalled_since,
+                    self.rel_cfg.rto_max,
+                ));
             }
             self.stalled_since = None;
             if self.pending_writes_total() > 0 && now < busy_deadline {
@@ -1825,30 +1753,11 @@ impl Transport for SocketTransport {
     }
 
     fn unacked_total(&self) -> u64 {
-        let client_side: u64 = self
-            .chaos
-            .as_ref()
-            .map(|c| c.rels.iter().map(|r| r.unacked_total()).sum())
-            .unwrap_or(0);
-        let server_side: u64 = self.links.iter().map(|l| l.rel_unacked).sum();
-        client_side + server_side
+        self.digests().map(|d| d.unacked).sum()
     }
 
     fn next_rel_deadline(&self) -> Option<u64> {
-        let client_side = self
-            .chaos
-            .as_ref()
-            .and_then(|c| c.rels.iter().filter_map(|r| r.next_deadline()).min());
-        let server_side = self
-            .links
-            .iter()
-            .map(|l| l.rel_deadline_abs)
-            .filter(|&d| d != u64::MAX)
-            .min();
-        match (client_side, server_side) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.digests().filter_map(|d| d.next_deadline).min()
     }
 
     fn read_memory(&mut self, rank: usize, addr: u64, len: usize) -> Result<Vec<u8>> {
@@ -1895,17 +1804,7 @@ impl Transport for SocketTransport {
     }
 
     fn metrics(&self) -> TransportMetrics {
-        let (mut retransmits, mut dup_drops) = (0u64, 0u64);
-        if let Some(chaos) = &self.chaos {
-            for r in &chaos.rels {
-                retransmits += r.metrics.retransmits;
-                dup_drops += r.metrics.dup_drops;
-            }
-        }
-        for link in &self.links {
-            retransmits += link.rel_metrics.retransmits;
-            dup_drops += link.rel_metrics.dup_drops;
-        }
+        let (retransmits, dup_drops) = Digest::totals(self.digests());
         TransportMetrics {
             messages_delivered: self.delivered,
             messages_dropped: self.dropped,
@@ -1921,14 +1820,8 @@ impl Transport for SocketTransport {
     }
 
     fn node_reliability(&self, rank: usize) -> Option<RelMetrics> {
-        let clients = self.clients.len();
-        if rank < clients {
-            return self.chaos.as_ref().map(|c| c.rels[rank].metrics);
-        }
-        if self.chaos.is_some() && rank < clients + self.servers {
-            return Some(self.links[rank - clients].rel_metrics);
-        }
-        None
+        self.chaos.as_ref()?;
+        self.digests().nth(rank).map(|d| d.metrics)
     }
 
     fn chaos_stats(&self) -> Option<ChaosStats> {
@@ -1959,18 +1852,18 @@ impl Transport for SocketTransport {
     }
 
     fn link_health(&self) -> Vec<(u32, LinkHealth)> {
+        // Clients report every link they hold; a server process publishes
+        // only its most-stressed one.
         let mut out = Vec::new();
-        if let Some(chaos) = &self.chaos {
-            for (c, rel) in chaos.rels.iter().enumerate() {
-                for h in rel.link_health() {
-                    out.push((c as u32, h));
-                }
-            }
+        for (c, link) in self.client_links.iter().enumerate() {
+            out.extend(link.health_rows().map(|h| (c as u32, h)));
         }
         for (idx, link) in self.links.iter().enumerate() {
-            if let Some(h) = link.rel_health {
-                out.push(((self.clients.len() + idx) as u32, h));
-            }
+            out.extend(
+                link.rel
+                    .health
+                    .map(|h| ((self.clients.len() + idx) as u32, h)),
+            );
         }
         out
     }

@@ -15,16 +15,17 @@
 //! `deploy_am` ships only the name, and the server deploys its catalog
 //! entry under it.
 
-use super::reliable::ReliableSet;
+use super::link::Link;
 use super::socket::{
-    decode_welcome, encode_hello, encode_rel_info, most_stressed, RelInfo, Welcome, DRIVER_PORT,
-    RANK_ANY, TAG_AM_ACK, TAG_AM_DEPLOY, TAG_BYE, TAG_HELLO, TAG_LINK_RESET, TAG_PING, TAG_PONG,
+    decode_welcome, encode_hello, encode_rel_info, RelInfo, Welcome, DRIVER_PORT, RANK_ANY,
+    TAG_AM_ACK, TAG_AM_DEPLOY, TAG_BYE, TAG_HELLO, TAG_LINK_RESET, TAG_PING, TAG_PONG,
     TAG_REL_INFO, TAG_SHUTDOWN, TAG_WELCOME,
 };
-use super::wire::{self, StoredEnv};
+use super::wire;
 use crate::runtime::{NativeAmHandler, NodeRuntime};
 use std::time::{Duration, Instant};
 use tc_net::{Connection, Frame, NetError, SocketSpec};
+use tc_ucx::Bytes;
 
 /// Command-line configuration of a server process.
 #[derive(Debug, Clone)]
@@ -74,21 +75,23 @@ struct Server {
     conn: Connection,
     runtime: NodeRuntime,
     rank: u32,
-    clients: usize,
-    total: usize,
-    rel: Option<ReliableSet<StoredEnv>>,
-    rel_tick: Duration,
-    last_tick: Instant,
+    /// This rank's link endpoint (reliable when the WELCOME said so).
+    link: Link,
     last_info: RelInfo,
-    epoch: Instant,
     catalog: Vec<(String, NativeAmHandler)>,
 }
 
-impl Server {
-    fn now(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
+/// Queue a frame from `rank` toward rank `to`; the driver routes it.
+fn queue(conn: &mut Connection, rank: u32, to: u32, tag: u64, data: Bytes, payload: Bytes) {
+    super::socket::strace!(
+        "[server {rank}] send tag={tag} to={to} data={}B payload={}B",
+        data.len(),
+        payload.len()
+    );
+    conn.queue(Frame::with_payload(rank, to, tag, data, payload));
+}
 
+impl Server {
     fn send_error(&mut self, detail: String) {
         self.conn.queue(Frame::new(
             self.rank,
@@ -100,6 +103,10 @@ impl Server {
 
     /// Poll every delivered operation and flush the runtime's outgoing
     /// queue onto the socket, looping over self-sends until quiescent.
+    /// Frames are queued behind the poll, so on the FIFO socket the driver
+    /// can never observe an op as acked — pure or piggybacked — without also
+    /// holding its effects, which is what makes a kill between two flushes
+    /// recoverable by frame replay.
     fn process_delivered(&mut self) {
         loop {
             for outcome in self.runtime.poll(usize::MAX) {
@@ -112,39 +119,15 @@ impl Server {
                 break;
             }
             for msg in outgoing {
-                let dst = msg.dst.index();
-                if dst == self.rank as usize {
+                if msg.dst.0 == self.rank {
                     // Loopback: the fault model excludes self-sends on every
                     // backend, so deliver directly and let the outer loop
                     // re-poll.
                     self.runtime.deliver(msg);
                     continue;
                 }
-                // Misaddressed sends bypass reliability (they would
-                // retransmit forever); the driver counts the drop.
-                let bypass_rel = dst >= self.total;
-                let (tag, data, payload) = match &mut self.rel {
-                    Some(rel) if !bypass_rel => {
-                        let now = self.epoch.elapsed().as_nanos() as u64;
-                        let (data, payload) = wire::send_reliable(rel, dst as u32, &msg, now);
-                        (wire::TAG_ROP, data, payload)
-                    }
-                    _ => {
-                        let (head, payload) = wire::encode_op_vectored(&msg);
-                        super::socket::strace!(
-                            "[server {}] send tag={} to={} data={}B payload={}B",
-                            self.rank,
-                            wire::TAG_OP,
-                            dst,
-                            head.len(),
-                            payload.len()
-                        );
-                        (wire::TAG_OP, head, payload)
-                    }
-                };
-                self.conn.queue(Frame::with_payload(
-                    self.rank, dst as u32, tag, data, payload,
-                ));
+                let (tag, data, payload) = self.link.outbound(&msg);
+                queue(&mut self.conn, self.rank, msg.dst.0, tag, data, payload);
             }
         }
     }
@@ -153,19 +136,14 @@ impl Server {
     /// changed (counters moved, unacked count moved, or the earliest
     /// deadline shifted by more than a millisecond).
     fn publish_rel_info(&mut self) {
-        let Some(rel) = &self.rel else {
-            return;
-        };
-        let now = self.now();
-        let remaining = match rel.next_deadline() {
-            Some(d) => d.saturating_sub(now),
-            None => u64::MAX,
-        };
+        let digest = self.link.digest();
         let info = RelInfo {
-            unacked: rel.unacked_total(),
-            remaining_ns: remaining,
-            metrics: rel.metrics,
-            health: most_stressed(rel.health_rows()),
+            unacked: digest.unacked,
+            remaining_ns: digest
+                .next_deadline
+                .map_or(u64::MAX, |d| d.saturating_sub(self.link.now())),
+            metrics: digest.metrics,
+            health: digest.health,
         };
         let deadline_moved = info.remaining_ns.abs_diff(self.last_info.remaining_ns) > 1_000_000;
         if info.unacked != self.last_info.unacked
@@ -183,88 +161,48 @@ impl Server {
         }
     }
 
-    /// Handle one reliable data-plane frame, setting `pending_ops` when
-    /// operations became deliverable.  An in-order arrival queues no ack
-    /// here: it rides the replies `process_delivered` generates or goes out
-    /// from `finish_batch` behind them, so on the FIFO socket the driver can
-    /// never observe an op as acked without also holding its effects — which
-    /// is what makes a kill between two flushes recoverable by frame replay.
-    /// A duplicate or out-of-order arrival is acked at once, behind a poll
-    /// of anything pending (the ack is cumulative).
-    fn on_reliable_op(&mut self, frame: Frame, pending_ops: &mut bool) {
-        let Some(rel) = &mut self.rel else {
-            self.send_error("reliable frame on a server without a fault plan".into());
-            return;
-        };
-        if frame.from as usize >= self.total {
-            self.send_error(format!("reliable frame from invalid rank {}", frame.from));
-            return;
-        }
-        let (seq, ack, head) = match wire::decode_rel_head(&frame.data) {
-            Ok(parts) => parts,
-            Err(e) => {
-                self.send_error(e.to_string());
-                return;
-            }
-        };
-        let now = self.epoch.elapsed().as_nanos() as u64;
-        let out = rel.on_data(frame.from, seq, ack, (head, frame.payload), now);
-        for (h, p) in out.deliver {
-            match wire::decode_op_vectored(&h, &p) {
-                Ok(op) => {
-                    self.runtime.deliver(op);
-                    *pending_ops = true;
+    /// Terminate one data-plane frame, setting `pending_ops` when operations
+    /// reached the runtime.  A duplicate or out-of-order arrival is acked at
+    /// once, behind a poll of anything pending (the ack is cumulative).
+    fn on_link_frame(&mut self, frame: Frame, pending_ops: &mut bool) {
+        let runtime = &mut self.runtime;
+        let arrival = self
+            .link
+            .inbound(frame.from, frame.tag, frame.data, frame.payload, |op| {
+                runtime.deliver(op);
+                *pending_ops = true;
+            });
+        match arrival {
+            Ok(None) => {}
+            Ok(Some(ack)) => {
+                if std::mem::take(pending_ops) {
+                    self.process_delivered();
                 }
-                Err(e) => self.send_error(e.to_string()),
+                let (conn, rank) = (&mut self.conn, self.rank);
+                queue(conn, rank, frame.from, wire::TAG_ACK, ack, Bytes::new());
             }
-        }
-        if out.ack_now {
-            if std::mem::take(pending_ops) {
-                self.process_delivered();
-            }
-            let ack = wire::encode_ack(out.ack);
-            self.conn
-                .queue(Frame::new(self.rank, frame.from, wire::TAG_ACK, ack));
+            Err(e) => self.send_error(e.to_string()),
         }
     }
 
     /// End of one frame-drain pass: one pure cumulative ack per peer the
-    /// pass's replies did not piggyback on, then the reliability digest.
+    /// pass's replies did not piggyback on, the retransmission timer, then
+    /// the reliability digest.
     fn finish_batch(&mut self) {
         let (conn, rank) = (&mut self.conn, self.rank);
-        if let Some(rel) = &mut self.rel {
-            rel.acks_due(|peer, ack| {
-                conn.queue(Frame::new(rank, peer, wire::TAG_ACK, wire::encode_ack(ack)))
-            });
-        }
+        let mut emit = |to, tag, data, payload| queue(conn, rank, to, tag, data, payload);
+        self.link.finish_batch(&mut emit);
+        self.link.tick(&mut emit);
         self.publish_rel_info();
     }
 
     /// The driver respawned peer rank `peer` with a fresh sequence space:
-    /// tear down the reliable link (send and receive state both) and re-send
-    /// the retained unacked frames renumbered from seq 1.
+    /// renumber and re-send what this rank retained for it.
     fn on_link_reset(&mut self, peer: u32) {
-        let Some(rel) = &mut self.rel else {
-            return;
-        };
-        let now = self.epoch.elapsed().as_nanos() as u64;
-        let retained = rel.reset_peer(peer);
-        super::socket::strace!(
-            "[server {}] link reset to peer {peer}: replaying {} frames",
-            self.rank,
-            retained.len()
-        );
-        for (head, payload) in retained {
-            let (seq, ack) = rel.send(peer, (head.clone(), payload.clone()), now);
-            let data = wire::encode_rel_head(seq, ack, &head);
-            self.conn.queue(Frame::with_payload(
-                self.rank,
-                peer,
-                wire::TAG_ROP,
-                data,
-                payload,
-            ));
-        }
+        let (conn, rank) = (&mut self.conn, self.rank);
+        self.link.replay(peer, |to, tag, data, payload| {
+            queue(conn, rank, to, tag, data, payload)
+        });
         self.publish_rel_info();
     }
 
@@ -305,29 +243,6 @@ impl Server {
             }
             _ => {}
         }
-    }
-
-    /// Run the retransmission timer if its cadence elapsed.
-    fn tick(&mut self) {
-        if self.last_tick.elapsed() < self.rel_tick {
-            return;
-        }
-        self.last_tick = Instant::now();
-        let now = self.now();
-        let Some(rel) = &mut self.rel else {
-            return;
-        };
-        for f in rel.tick(now) {
-            let data = wire::encode_rel_head(f.seq, f.ack, &f.m.0);
-            self.conn.queue(Frame::with_payload(
-                self.rank,
-                f.peer,
-                wire::TAG_ROP,
-                data,
-                f.m.1,
-            ));
-        }
-        self.publish_rel_info();
     }
 
     /// Flush everything, announce the close, and drain the socket.
@@ -392,27 +307,26 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
         std::thread::sleep(Duration::from_micros(500));
     };
 
-    let total = (welcome.clients + welcome.servers) as usize;
-    let rel_cfg = welcome.rel_config();
+    let total = welcome.clients + welcome.servers;
+    let rel_cfg = welcome.reliable.then(|| welcome.rel_config());
     let mut server = Server {
         conn,
         runtime: NodeRuntime::with_opt_level(
             tc_ucx::WorkerAddr(welcome.rank),
-            total as u32,
+            total,
             welcome.triple,
             welcome.opt,
         ),
         rank: welcome.rank,
-        clients: welcome.clients as usize,
-        total,
-        rel: welcome.reliable.then(|| ReliableSet::new(rel_cfg)),
-        rel_tick: Duration::from_nanos(rel_cfg.rto / 2),
-        last_tick: Instant::now(),
-        last_info: RelInfo::default(),
-        epoch: Instant::now(),
+        link: Link::new(welcome.rank, total, rel_cfg, Instant::now()),
+        // What a fresh link reports (nothing armed), so nothing is pushed
+        // until the digest first moves — never, without a fault plan.
+        last_info: RelInfo {
+            remaining_ns: u64::MAX,
+            ..RelInfo::default()
+        },
         catalog,
     };
-    let _ = server.clients; // rank layout is driver-routed; kept for clarity
 
     let mut frames = Vec::new();
     let mut last_activity = Instant::now();
@@ -443,14 +357,9 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
                 frame.payload.len()
             );
             match frame.tag {
-                wire::TAG_OP => match wire::decode_op_vectored(&frame.data, &frame.payload) {
-                    Ok(op) => {
-                        server.runtime.deliver(op);
-                        pending_ops = true;
-                    }
-                    Err(e) => server.send_error(e.to_string()),
-                },
-                wire::TAG_ROP => server.on_reliable_op(frame, &mut pending_ops),
+                wire::TAG_OP | wire::TAG_ROP | wire::TAG_ACK => {
+                    server.on_link_frame(frame, &mut pending_ops)
+                }
                 TAG_PING => {
                     // Liveness probe: echo the nonce straight back.
                     server.conn.queue(Frame::new(
@@ -465,14 +374,6 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
                     if body.len() == 4 {
                         let peer = u32::from_le_bytes(body.try_into().unwrap());
                         server.on_link_reset(peer);
-                    }
-                }
-                wire::TAG_ACK => {
-                    let now = server.epoch.elapsed().as_nanos() as u64;
-                    if let Some(rel) = &mut server.rel {
-                        if let Ok(ack) = wire::decode_ack(frame.data.as_slice()) {
-                            rel.on_ack(frame.from, ack, now);
-                        }
                     }
                 }
                 TAG_SHUTDOWN => shutdown = true,
@@ -494,7 +395,6 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
             server.graceful_exit();
             return Ok(());
         }
-        server.tick();
         if let Err(e) = server.conn.pump_write() {
             return match e {
                 NetError::PeerClosed { .. } => Ok(()),

@@ -17,8 +17,9 @@
 //!   and handles all inbound traffic for the client: data-plane operations
 //!   are delivered into the client's [`NodeRuntime`], polled, and any
 //!   responses flushed back out; reliable-delivery frames and acks drive the
-//!   client's own [`ReliableSet`]; completions are deposited straight into
-//!   the cluster's sharded claim table (see [`Transport::attach_claims`]).
+//!   client's own link endpoint (the crate-private `link` module);
+//!   completions are deposited straight into the cluster's sharded claim
+//!   table (see [`Transport::attach_claims`]).
 //! * The **driver thread** (whoever owns the [`ThreadTransport`]) keeps the
 //!   *send* path: `flush_client` moves posted operations into the fabric
 //!   synchronously on the caller's thread, so a control-plane round trip
@@ -39,14 +40,13 @@
 //! without shipping closures through channels.
 
 use super::completion::ClaimShards;
-use super::reliable::{LinkHealth, RelConfig, RelMetrics, ReliableSet};
-use super::socket::most_stressed;
-use super::wire::StoredEnv;
+use super::link::{self, Digest, Link};
+use super::reliable::{LinkHealth, RelConfig, RelMetrics};
 use super::{wire, ClientRef, ClientRefMut, Transport, TransportMetrics};
 use crate::error::{CoreError, Result};
 use crate::metrics::RuntimeStats;
 use crate::runtime::{Completion, NativeAmHandler, NodeRuntime};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -57,7 +57,7 @@ use tc_simnet::{
     external_port, Envelope, EnvelopeFilter, ExternalQueue, Injector, NodeCtx, ThreadCluster,
     ThreadConfig, ThreadedNode,
 };
-use tc_ucx::{Bytes, WorkerAddr};
+use tc_ucx::{Bytes, OutgoingMessage, WorkerAddr};
 
 use super::ClientId;
 
@@ -84,30 +84,14 @@ pub struct ThreadTuning {
     /// finish a batch (condvar notify), so this bounds *idle-detection*
     /// latency only, not delivery latency.
     pub step_timeout: Duration,
-    /// Upper bound one `step` keeps waiting while node threads or client
-    /// workers are verifiably busy (messages enqueued or mid-processing)
-    /// without reporting progress.  Guards against a runaway ifunc wedging
-    /// the driver forever.
-    ///
-    /// Note: this knob predates the per-client worker threads (it used to
-    /// bound the driver's own receive loop, which no longer exists).  It is
-    /// retained — with unchanged semantics for the idle-confirmation loop —
-    /// so existing tunings keep working; new code should rarely need to
-    /// touch it, since client workers now make progress without the driver.
-    pub busy_step_timeout: Duration,
-    /// Most inbound envelopes a *client worker* drains per wakeup (batch
-    /// drain: one park, many messages).  Before the per-client worker
-    /// threads this bounded the driver's own external drain; the semantics
-    /// carried over to the workers unchanged.
-    pub step_batch: usize,
     /// Consecutive idle steps before waits give up.  A step only reports
     /// idle after `step_timeout` of silence with zero pending node-bound or
     /// worker-bound messages, so two suffice: the second covers the one-step
     /// race where a worker finished a batch right as the first park timed
     /// out.
     pub idle_grace: u32,
-    /// Most messages a *node thread* drains per wakeup (the former
-    /// `MAX_BATCH` in `tc_simnet::threaded`).
+    /// Most messages a node thread — or a client worker — drains per wakeup
+    /// (batch drain: one park, many messages).
     pub node_batch: usize,
     /// How long a control-plane round trip (peek/poke/stats) may take.
     pub control_timeout: Duration,
@@ -117,8 +101,6 @@ impl Default for ThreadTuning {
     fn default() -> Self {
         ThreadTuning {
             step_timeout: Duration::from_millis(20),
-            busy_step_timeout: Duration::from_secs(1),
-            step_batch: 128,
             idle_grace: 2,
             node_batch: 128,
             control_timeout: Duration::from_secs(10),
@@ -139,175 +121,43 @@ fn rank_of(clients: usize, fabric_id: usize) -> usize {
     }
 }
 
-/// Per-rank reliability counters published by their owner (the owning node
-/// thread for servers; the client's worker thread or the driver's flush path
-/// for clients) and read by the driver without taking any lock.
-struct RelSlot {
-    retransmits: AtomicU64,
-    dup_drops: AtomicU64,
-    out_of_order: AtomicU64,
-    acks_sent: AtomicU64,
-    unacked: AtomicU64,
-    /// Earliest armed retransmission deadline of this rank, on the shared
-    /// epoch clock; `u64::MAX` when nothing is outstanding.
-    next_deadline: AtomicU64,
-    /// Most-stressed-link health of this rank (RTT estimator state for the
-    /// link with the most unacked frames).  `health_peer == u64::MAX` means
-    /// no link has carried traffic yet.  Published field-by-field with
-    /// relaxed stores — the snapshot is diagnostic, tearing between fields
-    /// is acceptable.
-    health_peer: AtomicU64,
-    health_srtt: AtomicU64,
-    health_rttvar: AtomicU64,
-    health_rto: AtomicU64,
-    health_unacked: AtomicU64,
-    health_silent: AtomicU64,
-}
-
-impl Default for RelSlot {
-    fn default() -> Self {
-        RelSlot {
-            retransmits: AtomicU64::new(0),
-            dup_drops: AtomicU64::new(0),
-            out_of_order: AtomicU64::new(0),
-            acks_sent: AtomicU64::new(0),
-            unacked: AtomicU64::new(0),
-            next_deadline: AtomicU64::new(u64::MAX),
-            health_peer: AtomicU64::new(u64::MAX),
-            health_srtt: AtomicU64::new(0),
-            health_rttvar: AtomicU64::new(0),
-            health_rto: AtomicU64::new(0),
-            health_unacked: AtomicU64::new(0),
-            health_silent: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Shared table of every rank's reliability counters.
+/// Every rank's latest link [`Digest`], published by the rank's owner (the
+/// owning node thread for servers; the client's worker thread or the
+/// driver's flush path for clients) once per batch, flush or retransmission
+/// tick, and read by the driver.  One leaf mutex per rank, held only for the
+/// copy of a digest, so the driver never stalls a worker and a snapshot
+/// never tears.
 struct RelTable {
-    slots: Vec<RelSlot>,
+    slots: Vec<Mutex<Digest>>,
 }
 
 impl RelTable {
     fn new(ranks: usize) -> Self {
         RelTable {
-            slots: (0..ranks).map(|_| RelSlot::default()).collect(),
+            slots: (0..ranks).map(|_| Mutex::default()).collect(),
         }
     }
 
-    /// Publish `rank`'s counters, once per batch of its owner (node batch,
-    /// worker batch, driver flush, retransmission tick).
-    fn publish(&self, rank: usize, set: &ReliableSet<StoredEnv>) {
-        let s = &self.slots[rank];
-        s.retransmits
-            .store(set.metrics.retransmits, Ordering::Relaxed);
-        s.dup_drops.store(set.metrics.dup_drops, Ordering::Relaxed);
-        s.out_of_order
-            .store(set.metrics.out_of_order, Ordering::Relaxed);
-        s.acks_sent.store(set.metrics.acks_sent, Ordering::Relaxed);
-        s.next_deadline
-            .store(set.next_deadline().unwrap_or(u64::MAX), Ordering::Relaxed);
-        if let Some(h) = most_stressed(set.health_rows()) {
-            s.health_srtt.store(h.srtt, Ordering::Relaxed);
-            s.health_rttvar.store(h.rttvar, Ordering::Relaxed);
-            s.health_rto.store(h.rto, Ordering::Relaxed);
-            s.health_unacked.store(h.unacked, Ordering::Relaxed);
-            s.health_silent
-                .store(u64::from(h.silent_rounds), Ordering::Relaxed);
-            s.health_peer.store(h.peer as u64, Ordering::Relaxed);
-        }
-        // SeqCst: the driver's idleness check must not miss outstanding
-        // frames behind a relaxed store.
-        s.unacked.store(set.unacked_total(), Ordering::SeqCst);
+    fn publish(&self, rank: usize, digest: Digest) {
+        *relock(&self.slots[rank]) = digest;
     }
 
-    fn snapshot(&self, rank: usize) -> Option<RelMetrics> {
-        let s = self.slots.get(rank)?;
-        Some(RelMetrics {
-            retransmits: s.retransmits.load(Ordering::Relaxed),
-            dup_drops: s.dup_drops.load(Ordering::Relaxed),
-            out_of_order: s.out_of_order.load(Ordering::Relaxed),
-            acks_sent: s.acks_sent.load(Ordering::Relaxed),
-        })
-    }
-
-    /// Most-stressed-link health last published by `rank`, if any link has
-    /// carried reliable traffic there.
-    fn health_snapshot(&self, rank: usize) -> Option<LinkHealth> {
-        let s = self.slots.get(rank)?;
-        let peer = s.health_peer.load(Ordering::Relaxed);
-        if peer == u64::MAX {
-            return None;
-        }
-        Some(LinkHealth {
-            peer: peer as u32,
-            srtt: s.health_srtt.load(Ordering::Relaxed),
-            rttvar: s.health_rttvar.load(Ordering::Relaxed),
-            rto: s.health_rto.load(Ordering::Relaxed),
-            unacked: s.health_unacked.load(Ordering::Relaxed),
-            silent_rounds: s.health_silent.load(Ordering::Relaxed) as u32,
-        })
-    }
-
-    fn total_unacked(&self) -> u64 {
-        self.slots
-            .iter()
-            .map(|s| s.unacked.load(Ordering::SeqCst))
-            .sum()
-    }
-
-    fn earliest_deadline(&self) -> Option<u64> {
-        self.slots
-            .iter()
-            .map(|s| s.next_deadline.load(Ordering::Relaxed))
-            .min()
-            .filter(|&d| d != u64::MAX)
-    }
-
-    fn totals(&self) -> (u64, u64) {
-        self.slots.iter().fold((0, 0), |(r, d), s| {
-            (
-                r + s.retransmits.load(Ordering::Relaxed),
-                d + s.dup_drops.load(Ordering::Relaxed),
-            )
-        })
+    fn digests(&self) -> impl Iterator<Item = Digest> + '_ {
+        self.slots.iter().map(|slot| *relock(slot))
     }
 }
 
-/// Reliability state of one node thread (server side).
-struct NodeRel {
-    set: ReliableSet<StoredEnv>,
-    /// Reused delivery buffer of [`ReliableSet::on_data_into`].
-    scratch: Vec<StoredEnv>,
-    table: Arc<RelTable>,
-    rank: usize,
-    epoch: Instant,
-}
-
-impl NodeRel {
-    fn now(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Put a reliable envelope for `peer` (rank) on the fabric.  Ranks below
-    /// `clients` are driver-side endpoints (external ports).
-    fn transmit(ctx: &NodeCtx, clients: usize, peer: usize, data: Bytes, payload: Bytes) {
-        let _ = if peer < clients {
-            ctx.send_external_port_vectored(peer, wire::TAG_ROP, data, payload)
-        } else {
-            ctx.send_vectored(peer - clients, wire::TAG_ROP, data, payload)
-        };
-    }
-
-    /// Send a pure ack to `peer` (rank).
-    fn send_ack(ctx: &NodeCtx, clients: usize, peer: usize, ack: u64) {
-        let bytes = wire::encode_ack(ack);
-        let _ = if peer < clients {
-            ctx.send_external_port(peer, wire::TAG_ACK, bytes)
-        } else {
-            ctx.send(peer - clients, wire::TAG_ACK, bytes)
-        };
-    }
+/// Put a frame for rank `to` on the fabric from a node thread.  Ranks below
+/// `clients` are driver-side endpoints (external ports).  Drops (unknown
+/// rank, stopped node) are counted by the ThreadCluster's delivery counters
+/// and surfaced through the transport metrics.
+fn node_send(ctx: &NodeCtx, clients: usize, to: u32, tag: u64, data: Bytes, payload: Bytes) {
+    let to = to as usize;
+    let _ = if to < clients {
+        ctx.send_external_port_vectored(to, tag, data, payload)
+    } else {
+        ctx.send_vectored(to - clients, tag, data, payload)
+    };
 }
 
 /// Report a node-side failure to the driver's control port.  Errors ride the
@@ -326,9 +176,11 @@ struct ServerNode {
     clients: usize,
     am_registry: AmRegistry,
     am_applied: usize,
-    /// Reliability state when a fault plan is installed; `None` keeps the
-    /// original lossless fast path byte-for-byte.
-    rel: Option<NodeRel>,
+    /// This rank's link endpoint; reliable when a fault plan is installed,
+    /// else the original lossless fast path byte-for-byte.
+    link: Link,
+    /// Where the link digest is published (chaos mode only).
+    table: Option<Arc<RelTable>>,
 }
 
 impl ServerNode {
@@ -341,43 +193,34 @@ impl ServerNode {
         self.am_applied = registry.len();
     }
 
-    /// Ship everything the runtime posted.  Runs only after
-    /// `poll(usize::MAX)`, so the cumulative acks these frames piggyback
-    /// never cover an operation that has not been polled.
-    fn route_outgoing(&mut self, ctx: &NodeCtx) {
+    fn publish(&self) {
+        if let Some(table) = &self.table {
+            table.publish(self.runtime.node_id().index(), self.link.digest());
+        }
+    }
+
+    /// Poll every delivered operation and ship whatever the runtime posted.
+    /// Frames leave only after `poll(usize::MAX)`, so the cumulative acks
+    /// they piggyback never cover an operation that has not been polled.
+    fn process_delivered(&mut self, ctx: &NodeCtx) {
         let clients = self.clients;
-        for msg in self.runtime.take_outgoing() {
-            let dst = msg.dst.index();
-            // Two cases bypass the reliability layer and go out raw:
-            // misaddressed sends (rank beyond the cluster — they would
-            // retransmit forever; the raw path lets the fabric count the
-            // drop, exactly like the driver path) and self-sends (the
-            // simulated backend excludes loopback from the fault model, so
-            // the threaded backend must too or the chaos schedules
-            // diverge).  Valid remote ranks are `0..clients` (driver-side
-            // clients) and `clients..clients + node_count()` (servers).
-            let own_rank = self.runtime.node_id().index();
-            let bypass_rel =
-                dst >= clients && (dst >= clients + ctx.node_count() || dst == own_rank);
-            match &mut self.rel {
-                Some(rel) if !bypass_rel => {
-                    let now = rel.now();
-                    let (data, payload) = wire::send_reliable(&mut rel.set, dst as u32, &msg, now);
-                    NodeRel::transmit(ctx, clients, dst, data, payload);
-                }
-                _ => {
-                    // Scatter-gather: the head is pooled, large payloads
-                    // ship as a shared view (no copy).  Drops are counted by
-                    // the ThreadCluster's delivery counters and surfaced
-                    // through the transport metrics.
-                    let (head, payload) = wire::encode_op_vectored(&msg);
-                    let _ = if dst < clients {
-                        ctx.send_external_port_vectored(dst, wire::TAG_OP, head, payload)
-                    } else {
-                        ctx.send_vectored(dst - clients, wire::TAG_OP, head, payload)
-                    };
-                }
+        for outcome in self.runtime.poll(usize::MAX) {
+            if let Err(e) = outcome {
+                report_error(ctx, clients, e.to_string());
             }
+        }
+        for msg in self.runtime.take_outgoing() {
+            let (tag, data, payload) = self.link.outbound(&msg);
+            node_send(ctx, clients, msg.dst.0, tag, data, payload);
+        }
+    }
+
+    /// Handle one control-plane envelope, replying to whichever external
+    /// port issued it (the driver's control port in practice).
+    fn on_control(&mut self, msg: Envelope, ctx: &NodeCtx) {
+        let reply_to = external_port(msg.from).unwrap_or(self.clients);
+        if let Some((tag, reply)) = wire::serve_control(&mut self.runtime, msg.tag, &msg.data) {
+            let _ = ctx.send_external_port(reply_to, tag, reply);
         }
     }
 }
@@ -390,48 +233,46 @@ impl ThreadedNode for ServerNode {
     /// plane doubles as a barrier behind the data plane).
     fn on_batch(&mut self, msgs: Vec<Envelope>, ctx: &NodeCtx) {
         self.sync_am();
-        let control_port = self.clients;
+        let clients = self.clients;
         let mut pending_ops = false;
         for msg in msgs {
-            if msg.tag == wire::TAG_OP {
-                match wire::decode_op_vectored(&msg.data, &msg.payload) {
-                    Ok(op) => {
-                        self.runtime.deliver(op);
-                        pending_ops = true;
+            if !matches!(msg.tag, wire::TAG_OP | wire::TAG_ROP | wire::TAG_ACK) {
+                if std::mem::take(&mut pending_ops) {
+                    self.process_delivered(ctx);
+                }
+                self.on_control(msg, ctx);
+                continue;
+            }
+            let from = rank_of(clients, msg.from) as u32;
+            let runtime = &mut self.runtime;
+            let arrival = self
+                .link
+                .inbound(from, msg.tag, msg.data, msg.payload, |op| {
+                    runtime.deliver(op);
+                    pending_ops = true;
+                });
+            match arrival {
+                Ok(None) => {}
+                // A duplicate or out-of-order arrival is acked on the spot —
+                // behind a poll of anything still pending, because that ack
+                // is cumulative.
+                Ok(Some(ack)) => {
+                    if std::mem::take(&mut pending_ops) {
+                        self.process_delivered(ctx);
                     }
-                    Err(e) => report_error(ctx, control_port, e.to_string()),
+                    node_send(ctx, clients, from, wire::TAG_ACK, ack, Bytes::new());
                 }
-                continue;
+                Err(e) => report_error(ctx, clients, e.to_string()),
             }
-            if msg.tag == wire::TAG_ROP {
-                self.on_reliable_op(msg, ctx, &mut pending_ops);
-                continue;
-            }
-            if msg.tag == wire::TAG_ACK {
-                let clients = self.clients;
-                if let (Some(rel), Ok(ack)) = (&mut self.rel, wire::decode_ack(&msg.data)) {
-                    let now = rel.now();
-                    rel.set.on_ack(rank_of(clients, msg.from) as u32, ack, now);
-                }
-                continue;
-            }
-            if pending_ops {
-                self.process_delivered(ctx);
-                pending_ops = false;
-            }
-            self.on_control(msg, ctx);
         }
         if pending_ops {
             self.process_delivered(ctx);
         }
         // Whatever the replies above did not piggyback goes out as one pure
         // ack per peer — after the poll, so it too only covers polled ops.
-        let clients = self.clients;
-        if let Some(rel) = &mut self.rel {
-            rel.set
-                .acks_due(|peer, ack| NodeRel::send_ack(ctx, clients, peer as usize, ack));
-            rel.table.publish(rel.rank, &rel.set);
-        }
+        self.link
+            .finish_batch(|to, tag, data, payload| node_send(ctx, clients, to, tag, data, payload));
+        self.publish();
     }
 
     fn on_message(&mut self, msg: Envelope, ctx: &NodeCtx) {
@@ -440,82 +281,9 @@ impl ThreadedNode for ServerNode {
 
     fn on_tick(&mut self, ctx: &NodeCtx) {
         let clients = self.clients;
-        let Some(rel) = &mut self.rel else {
-            return;
-        };
-        let now = rel.now();
-        for f in rel.set.tick(now) {
-            let data = wire::encode_rel_head(f.seq, f.ack, &f.m.0);
-            NodeRel::transmit(ctx, clients, f.peer as usize, data, f.m.1);
-        }
-        rel.table.publish(rel.rank, &rel.set);
-    }
-}
-
-impl ServerNode {
-    /// Handle one reliable data-plane envelope: run it through the node's
-    /// reliability state and deliver whatever became in-order, setting
-    /// `pending_ops` when operations reached the runtime.  A duplicate or
-    /// out-of-order arrival is acked on the spot — behind a poll of anything
-    /// still pending, because that ack is cumulative.
-    fn on_reliable_op(&mut self, msg: Envelope, ctx: &NodeCtx, pending_ops: &mut bool) {
-        let clients = self.clients;
-        let Some(rel) = &mut self.rel else {
-            report_error(
-                ctx,
-                clients,
-                "reliable envelope on a node without a fault plan".into(),
-            );
-            return;
-        };
-        let src = rank_of(clients, msg.from);
-        let (seq, ack, head) = match wire::decode_rel_head(&msg.data) {
-            Ok(parts) => parts,
-            Err(e) => {
-                report_error(ctx, clients, e.to_string());
-                return;
-            }
-        };
-        let now = rel.now();
-        let env = (head, msg.payload);
-        let arrival = rel
-            .set
-            .on_data_into(src as u32, seq, ack, env, now, &mut rel.scratch);
-        for (h, p) in rel.scratch.drain(..) {
-            match wire::decode_op_vectored(&h, &p) {
-                Ok(op) => {
-                    self.runtime.deliver(op);
-                    *pending_ops = true;
-                }
-                Err(e) => report_error(ctx, clients, e.to_string()),
-            }
-        }
-        if arrival.ack_now {
-            if std::mem::take(pending_ops) {
-                self.process_delivered(ctx);
-            }
-            NodeRel::send_ack(ctx, clients, src, arrival.ack);
-        }
-    }
-
-    /// Poll every delivered operation and flush whatever the runtime posted.
-    fn process_delivered(&mut self, ctx: &NodeCtx) {
-        let control_port = self.clients;
-        for outcome in self.runtime.poll(usize::MAX) {
-            if let Err(e) = outcome {
-                report_error(ctx, control_port, e.to_string());
-            }
-        }
-        self.route_outgoing(ctx);
-    }
-
-    /// Handle one control-plane envelope, replying to whichever external
-    /// port issued it (the driver's control port in practice).
-    fn on_control(&mut self, msg: Envelope, ctx: &NodeCtx) {
-        let reply_to = external_port(msg.from).unwrap_or(self.clients);
-        if let Some((tag, reply)) = wire::serve_control(&mut self.runtime, msg.tag, &msg.data) {
-            let _ = ctx.send_external_port(reply_to, tag, reply);
-        }
+        self.link
+            .tick(|to, tag, data, payload| node_send(ctx, clients, to, tag, data, payload));
+        self.publish();
     }
 }
 
@@ -545,20 +313,22 @@ fn chaos_filter(session: ChaosSession, clients: usize) -> EnvelopeFilter {
     })
 }
 
-/// One driver-side client: its runtime and (in chaos mode) its reliability
-/// state, each behind its own lock.  Only two threads ever touch a given
-/// client — its worker and the driver — so these locks are two-party and
-/// uncontended in steady state.
+/// One driver-side client: its runtime and its link endpoint, each behind
+/// its own lock.  Only two threads ever touch a given client — its worker
+/// and the driver — so these locks are two-party and uncontended in steady
+/// state.
 ///
-/// Lock discipline: `runtime` and `rel` are leaf locks (never held while
-/// acquiring another client's locks); `order` serialises whole
-/// flush-outgoing passes and is the only lock held across a sequence of
-/// sends (see [`flush_outgoing`]).
+/// Lock discipline: `order` serialises whole flush-outgoing passes and is
+/// the only lock held across a sequence of sends (see [`flush_outgoing`]);
+/// under it `runtime` and `link` are taken one at a time.  The worker holds
+/// `link` across an inbound batch and takes a `runtime` lock beneath it to
+/// stage each delivered operation; nothing takes `link` while holding a
+/// `runtime`.
 struct ClientShared {
     runtime: Mutex<NodeRuntime>,
-    /// Reliability state when a fault plan is installed; one independent
-    /// sequence space per (client, server) link, exactly as before.
-    rel: Option<Mutex<ReliableSet<StoredEnv>>>,
+    /// One independent sequence space per (client, server) link when a fault
+    /// plan is installed.
+    link: Mutex<Link>,
     /// Flush serialiser: take-outgoing and the resulting sends must form one
     /// critical section per client, or a driver `flush_client` racing the
     /// client's worker could invert same-link wire order (e.g. ship a
@@ -604,15 +374,14 @@ impl Progress {
 /// State shared by the driver and every client worker thread.
 struct WorkerShared {
     clients: Vec<ClientShared>,
-    servers: usize,
     /// The cluster's sharded claim table, installed by
     /// [`Transport::attach_claims`].  Until it is attached (or when the
     /// transport is driven without a [`super::Cluster`]), completions stay
     /// buffered in the client runtimes and flow through
     /// [`Transport::take_completions`] as before.  A re-attach *replaces*
-    /// the table: `ClusterBuilder::build` wraps the transport in a
-    /// `Cluster` once per boxing layer, and only the outermost cluster's
-    /// table is live.
+    /// the table: a caller may re-wrap a built transport (`tc-benchmark`
+    /// boxes its socket transport through `Cluster::into_transport` →
+    /// `Cluster::new`), and only the outermost cluster's table is live.
     claims: RwLock<Option<Arc<ClaimShards>>>,
     /// Errors reported by server nodes, client workers, or the driver's own
     /// decode paths.
@@ -621,16 +390,9 @@ struct WorkerShared {
     stop: AtomicBool,
     /// Shared reliability counter table (chaos mode only).
     rel_table: Option<Arc<RelTable>>,
-    /// Transport-clock origin; shared with the reliability layer's
-    /// timestamps in chaos mode.
-    epoch: Instant,
 }
 
 impl WorkerShared {
-    fn now(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
     fn push_error(&self, e: CoreError) {
         relock(&self.errors).push(e);
     }
@@ -652,11 +414,30 @@ impl WorkerShared {
         }
     }
 
-    /// Publish client `c`'s reliability counters to the shared table.
+    /// Publish client `c`'s link digest to the shared table (chaos mode).
     fn publish_rel(&self, c: usize) {
-        if let (Some(table), Some(rel)) = (&self.rel_table, &self.clients[c].rel) {
-            table.publish(c, &relock(rel));
+        if let Some(table) = &self.rel_table {
+            table.publish(c, relock(&self.clients[c].link).digest());
         }
+    }
+}
+
+/// Inject a frame from client `c` toward rank `to`.  Client links only ever
+/// reach servers (thread node ids are rank - clients): client-to-client
+/// traffic is loopback and never enters a link.  Drops (unknown rank,
+/// stopped node) are recorded in the cluster's counters and show up in the
+/// transport metrics, mirroring the fabric's lossy-but-accounted model.
+fn client_send(
+    injector: &Injector,
+    clients: usize,
+    c: usize,
+    to: u32,
+    tag: u64,
+    data: Bytes,
+    payload: Bytes,
+) {
+    if let Some(node) = (to as usize).checked_sub(clients) {
+        let _ = injector.send_vectored_from_port(c, node, tag, data, payload);
     }
 }
 
@@ -705,37 +486,11 @@ fn flush_outgoing(shared: &WorkerShared, injector: &Injector, origin: usize) {
                     }
                     continue;
                 }
-                // Server-bound: thread node ids are rank - clients.  Drops
-                // (unknown rank, stopped node) are recorded in the cluster's
-                // counters and show up in the transport metrics, mirroring
-                // the fabric's lossy-but-accounted model.
-                match &shared.clients[c].rel {
-                    Some(rel) if dst < clients + shared.servers => {
-                        let now = shared.now();
-                        let (data, payload) =
-                            wire::send_reliable(&mut relock(rel), dst as u32, &msg, now);
-                        let _ = injector.send_vectored_from_port(
-                            c,
-                            dst - clients,
-                            wire::TAG_ROP,
-                            data,
-                            payload,
-                        );
-                    }
-                    _ => {
-                        // Lossless — or misaddressed in chaos mode, which
-                        // skips reliability (it would retransmit forever)
-                        // and lets the fabric count the drop.
-                        let (head, payload) = wire::encode_op_vectored(&msg);
-                        let _ = injector.send_vectored_from_port(
-                            c,
-                            dst - clients,
-                            wire::TAG_OP,
-                            head,
-                            payload,
-                        );
-                    }
-                }
+                // Server-bound (or misaddressed, which the link leaves raw
+                // for the fabric to count).  The link lock is released
+                // before the fabric send.
+                let (tag, data, payload) = relock(&shared.clients[c].link).outbound(&msg);
+                client_send(injector, clients, c, msg.dst.0, tag, data, payload);
             }
         }
         shared.publish_rel(c);
@@ -768,125 +523,53 @@ struct WorkerCtx {
     queue: ExternalQueue,
     shared: Arc<WorkerShared>,
     injector: Injector,
-    /// Most envelopes drained per wakeup ([`ThreadTuning::step_batch`]).
+    /// Most envelopes drained per wakeup ([`ThreadTuning::node_batch`]).
     batch: usize,
     /// Receive-park bound: doubles as the stop-flag poll interval and (in
     /// chaos mode) the retransmission-tick cadence floor.
     park: Duration,
-    /// Retransmission cadence when a fault plan is installed.
-    tick: Option<Duration>,
 }
 
-/// Run client `ctx.id`'s retransmission timer.
-fn tick_rel(ctx: &WorkerCtx) {
-    let shared = &*ctx.shared;
-    let c = ctx.id;
-    let clients = shared.clients.len();
-    let Some(rel) = &shared.clients[c].rel else {
-        return;
-    };
-    let now = shared.now();
-    let frames = relock(rel).tick(now);
-    for f in frames {
-        let peer = f.peer as usize;
-        if peer < clients {
-            continue; // loopback links never enter the reliable layer
-        }
-        let data = wire::encode_rel_head(f.seq, f.ack, &f.m.0);
-        let _ = ctx
-            .injector
-            .send_vectored_from_port(c, peer - clients, wire::TAG_ROP, data, f.m.1);
-    }
-    shared.publish_rel(c);
-}
-
-/// Send a pure ack from this worker's client to server rank `peer`.
-fn send_ack(ctx: &WorkerCtx, peer: usize, ack: u64) {
-    let clients = ctx.shared.clients.len();
-    if peer >= clients {
-        let _ = ctx.injector.send_from_port(
-            ctx.id,
-            peer - clients,
-            wire::TAG_ACK,
-            wire::encode_ack(ack),
-        );
+impl WorkerCtx {
+    fn send(&self, to: u32, tag: u64, data: Bytes, payload: Bytes) {
+        let clients = self.shared.clients.len();
+        client_send(&self.injector, clients, self.id, to, tag, data, payload);
     }
 }
 
-/// Deliver one decoded inbound operation to the client runtime its head
-/// names and mark that client in `staged` (in practice this worker's own
-/// client, but a misrouted head is delivered where it says, as the old
-/// driver loop did).
-fn stage_op(shared: &WorkerShared, staged: &mut [bool], decoded: Result<tc_ucx::OutgoingMessage>) {
-    match decoded {
-        Ok(msg) if msg.dst.index() < staged.len() => {
-            let dst = msg.dst.index();
-            relock(&shared.clients[dst].runtime).deliver(msg);
-            staged[dst] = true;
-        }
-        Ok(msg) => shared.push_error(CoreError::Transport(format!(
-            "driver received an operation for non-client rank {}",
-            msg.dst.index()
-        ))),
-        Err(e) => shared.push_error(e),
+/// Deliver one inbound operation to the client runtime its head names and
+/// mark that client in `staged` (in practice this worker's own client, but a
+/// misrouted head is delivered where it says, as the old driver loop did).
+fn stage_op(shared: &WorkerShared, staged: &mut [bool], msg: OutgoingMessage) {
+    let dst = msg.dst.index();
+    if dst < staged.len() {
+        relock(&shared.clients[dst].runtime).deliver(msg);
+        staged[dst] = true;
+    } else {
+        shared.push_error(CoreError::Transport(format!(
+            "driver received an operation for non-client rank {dst}"
+        )));
     }
 }
 
 /// Handle one batch of inbound envelopes for this worker's client, marking
-/// every client runtime that received operations in `staged`.  `scratch` is
-/// the reused delivery buffer of [`ReliableSet::on_data_into`].
-fn process_batch(
-    ctx: &WorkerCtx,
-    staged: &mut [bool],
-    scratch: &mut Vec<StoredEnv>,
-    batch: Vec<Envelope>,
-) {
+/// every client runtime that received operations in `staged`.
+fn process_batch(ctx: &WorkerCtx, staged: &mut [bool], batch: Vec<Envelope>) {
     let shared = &*ctx.shared;
-    let c = ctx.id;
     let clients = shared.clients.len();
+    let mut link = relock(&shared.clients[ctx.id].link);
     for env in batch {
         match env.tag {
-            wire::TAG_OP => stage_op(
-                shared,
-                staged,
-                wire::decode_op_vectored(&env.data, &env.payload),
-            ),
-            wire::TAG_ROP => {
-                let Some(rel) = &shared.clients[c].rel else {
-                    shared.push_error(CoreError::Transport(
-                        "reliable envelope without a fault plan".into(),
-                    ));
-                    continue;
-                };
-                let src = rank_of(clients, env.from);
-                let (seq, ack, head) = match wire::decode_rel_head(&env.data) {
-                    Ok(parts) => parts,
-                    Err(e) => {
-                        shared.push_error(e);
-                        continue;
-                    }
-                };
-                let now = shared.now();
-                let arrival = relock(rel).on_data_into(
-                    src as u32,
-                    seq,
-                    ack,
-                    (head, env.payload),
-                    now,
-                    scratch,
-                );
-                if arrival.ack_now {
-                    send_ack(ctx, src, arrival.ack);
-                }
-                for (h, p) in scratch.drain(..) {
-                    stage_op(shared, staged, wire::decode_op_vectored(&h, &p));
-                }
-            }
-            wire::TAG_ACK => {
-                if let (Some(rel), Ok(ack)) = (&shared.clients[c].rel, wire::decode_ack(&env.data))
-                {
-                    let now = shared.now();
-                    relock(rel).on_ack(rank_of(clients, env.from) as u32, ack, now);
+            wire::TAG_OP | wire::TAG_ROP | wire::TAG_ACK => {
+                let from = rank_of(clients, env.from) as u32;
+                let arrival = link.inbound(from, env.tag, env.data, env.payload, |msg| {
+                    stage_op(shared, staged, msg)
+                });
+                match arrival {
+                    Ok(None) => {}
+                    // Nothing on a client waits on a poll: ack at once.
+                    Ok(Some(ack)) => ctx.send(from, wire::TAG_ACK, ack, Bytes::new()),
+                    Err(e) => shared.push_error(e),
                 }
             }
             wire::TAG_ERROR => shared.push_error(CoreError::Transport(
@@ -899,17 +582,20 @@ fn process_batch(
     }
 }
 
-/// End of a worker batch: one pure cumulative ack per server whose frames
-/// arrived in order and that nothing the batch sent has piggybacked on, then
-/// the batch's one publication of the client's reliability counters.
-fn finish_batch(ctx: &WorkerCtx) {
-    let shared = &*ctx.shared;
-    let (Some(table), Some(rel)) = (&shared.rel_table, &shared.clients[ctx.id].rel) else {
+/// End of a worker pass (chaos mode): one pure cumulative ack per server
+/// whose frames arrived in order and that nothing the batch sent has
+/// piggybacked on, the retransmission timer — it runs on its cadence whether
+/// or not traffic flows (a parked envelope is recovered by the re-send) —
+/// and the pass's one publication of the client's link digest.
+fn finish_pass(ctx: &WorkerCtx) {
+    let Some(table) = &ctx.shared.rel_table else {
         return;
     };
-    let mut set = relock(rel);
-    set.acks_due(|peer, ack| send_ack(ctx, peer as usize, ack));
-    table.publish(ctx.id, &set);
+    let mut link = relock(&ctx.shared.clients[ctx.id].link);
+    let emit = |to, tag, data, payload| ctx.send(to, tag, data, payload);
+    link.finish_batch(emit);
+    link.tick(emit);
+    table.publish(ctx.id, link.digest());
 }
 
 /// The body of one client worker thread: park on the client's dedicated
@@ -921,13 +607,12 @@ fn finish_batch(ctx: &WorkerCtx) {
 fn run_worker(ctx: WorkerCtx) {
     let clients = ctx.shared.clients.len();
     let mut staged = vec![false; clients];
-    let mut scratch = Vec::new();
-    let mut last_tick = Instant::now();
     loop {
         if ctx.shared.stop.load(Ordering::SeqCst) {
             ctx.queue.drain();
             return;
         }
+        let mut n = 0;
         if let Some(env) = ctx.queue.recv_timeout(ctx.park) {
             // Drain the burst behind the first envelope: one park, one batch.
             let mut batch = vec![env];
@@ -937,30 +622,24 @@ fn run_worker(ctx: WorkerCtx) {
                     None => break,
                 }
             }
-            let n = batch.len() as u64;
-            process_batch(&ctx, &mut staged, &mut scratch, batch);
+            n = batch.len() as u64;
+            process_batch(&ctx, &mut staged, batch);
             for (dst, dirty) in staged.iter_mut().enumerate() {
                 if std::mem::take(dirty) {
                     pump_client(&ctx.shared, &ctx.injector, dst);
                 }
             }
-            finish_batch(&ctx);
+        }
+        finish_pass(&ctx);
+        if n > 0 {
             ctx.queue.done(n);
             ctx.shared.progress.bump();
-        }
-        // The retransmission timer runs on its cadence whether or not
-        // traffic flows (a parked envelope is recovered by the re-send).
-        if let Some(tick) = ctx.tick {
-            if last_tick.elapsed() >= tick {
-                last_tick = Instant::now();
-                tick_rel(&ctx);
-            }
         }
     }
 }
 
 /// Driver-side chaos state: the shared fault session and the counter table
-/// (per-client reliability lives with the clients in [`ClientShared`]).
+/// (each client's link lives with the client in [`ClientShared`]).
 struct DriverChaos {
     session: ChaosSession,
     table: Arc<RelTable>,
@@ -1070,9 +749,10 @@ impl ThreadTransport {
             table: Arc::new(RelTable::new(servers + clients)),
             rto_max: rel_cfg.rto_max,
         });
-        let tick = chaos
-            .as_ref()
-            .map(|_| Duration::from_nanos(rel_cfg.rto / 2));
+        // Reliable links (and their retransmission cadence) exist exactly
+        // when a fault plan does.
+        let link_cfg = chaos.as_ref().map(|_| rel_cfg);
+        let tick = link_cfg.map(|cfg| Duration::from_nanos(cfg.rto / 2));
 
         let mut config = ThreadConfig {
             max_batch: tuning.node_batch,
@@ -1097,13 +777,8 @@ impl ThreadTransport {
                 clients,
                 am_registry: Arc::clone(&registry_for_nodes),
                 am_applied: 0,
-                rel: node_chaos.as_ref().map(|table| NodeRel {
-                    set: ReliableSet::new(rel_cfg),
-                    scratch: Vec::new(),
-                    table: Arc::clone(table),
-                    rank: rank as usize,
-                    epoch,
-                }),
+                link: Link::new(rank, total, link_cfg, epoch),
+                table: node_chaos.clone(),
             }
         });
 
@@ -1116,19 +791,15 @@ impl ThreadTransport {
                         client_triple,
                         opt_level,
                     )),
-                    rel: chaos
-                        .as_ref()
-                        .map(|_| Mutex::new(ReliableSet::new(rel_cfg))),
+                    link: Mutex::new(Link::new(c as u32, total, link_cfg, epoch)),
                     order: Mutex::new(()),
                 })
                 .collect(),
-            servers,
             claims: RwLock::new(None),
             errors: Mutex::new(Vec::new()),
             progress: Progress::new(),
             stop: AtomicBool::new(false),
             rel_table: chaos.as_ref().map(|c| Arc::clone(&c.table)),
-            epoch,
         });
 
         let injector = cluster.injector();
@@ -1145,9 +816,8 @@ impl ThreadTransport {
                         .expect("dedicated client queue"),
                     shared: Arc::clone(&shared),
                     injector: injector.clone(),
-                    batch: tuning.step_batch.max(1),
+                    batch: tuning.node_batch.max(1),
                     park,
-                    tick,
                 };
                 thread::Builder::new()
                     .name(format!("tc-client-{c}"))
@@ -1173,6 +843,12 @@ impl ThreadTransport {
         }
     }
 
+    /// Every rank's last published link digest, in rank order (empty
+    /// without a fault plan).
+    fn digests(&self) -> impl Iterator<Item = Digest> + '_ {
+        self.chaos.iter().flat_map(|c| c.table.digests())
+    }
+
     /// Snapshot of the injected-fault counters (chaos mode only).
     pub fn chaos_stats(&self) -> Option<ChaosStats> {
         self.chaos.as_ref().map(|c| c.session.stats())
@@ -1180,7 +856,7 @@ impl ThreadTransport {
 
     /// Reliability counters of one rank (chaos mode only).
     pub fn rel_metrics(&self, rank: usize) -> Option<RelMetrics> {
-        self.chaos.as_ref().and_then(|c| c.table.snapshot(rank))
+        self.digests().nth(rank).map(|d| d.metrics)
     }
 
     /// Errors reported by server nodes, client workers, or transport-level
@@ -1271,19 +947,14 @@ impl Transport for ThreadTransport {
         "threads"
     }
 
-    /// Per-link reliability health, assembled **without blocking any client
-    /// worker**: every rank — clients included — reports the most-stressed
-    /// link it last published to the shared atomic table (one row per rank).
-    /// Rows are read field-by-field with relaxed loads, so a snapshot may
-    /// tear between fields of a row that is being republished concurrently;
-    /// the values are diagnostic and each field is individually recent.
+    /// Per-link reliability health, assembled from the shared digest table
+    /// without touching any client's link or runtime lock: every rank —
+    /// clients included — reports the most-stressed link it last published
+    /// (one row per rank).
     fn link_health(&self) -> Vec<(u32, LinkHealth)> {
-        let Some(chaos) = &self.chaos else {
-            return Vec::new();
-        };
-        let ranks = self.shared.clients.len() + self.servers;
-        (0..ranks)
-            .filter_map(|rank| chaos.table.health_snapshot(rank).map(|h| (rank as u32, h)))
+        self.digests()
+            .enumerate()
+            .filter_map(|(rank, d)| Some((rank as u32, d.health?)))
             .collect()
     }
 
@@ -1309,9 +980,9 @@ impl Transport for ThreadTransport {
         // Workers pick the table up through the shared slot and start
         // depositing completions directly; `take_completions` then drains
         // whatever (rare) residue is still buffered runtime-side.  Replace,
-        // don't set-once: `ClusterBuilder::build` wraps the transport in a
-        // `Cluster` twice (once typed, once boxed) and only the outer
-        // cluster's table is ever read.
+        // don't set-once: a caller that re-wraps a built transport
+        // (`tc-benchmark`: `into_transport` → `Cluster::new`) attaches
+        // twice, and only the outer cluster's table is ever read.
         *self
             .shared
             .claims
@@ -1348,7 +1019,7 @@ impl Transport for ThreadTransport {
     }
 
     fn step(&mut self) -> Result<bool> {
-        let busy_deadline = Instant::now() + self.tuning.busy_step_timeout;
+        let busy_deadline = Instant::now() + link::BUSY_STEP_TIMEOUT;
         let step_timeout = self.tuning.step_timeout;
         loop {
             let Some(cluster) = &self.cluster else {
@@ -1378,37 +1049,9 @@ impl Transport for ThreadTransport {
             // — and, in chaos mode, no frame anywhere awaits an ack (a
             // partitioned link with retransmits pending is *busy*, not idle)
             // — otherwise keep waiting (bounded).
-            let unacked = self
-                .chaos
-                .as_ref()
-                .map(|c| c.table.total_unacked())
-                .unwrap_or(0);
-            if unacked > 0 {
-                // Reliability work is outstanding: report progress so waits
-                // keep running — but bound the total silence.  A frame that
-                // stays unacked through many busy budgets with zero traffic
-                // (dead node thread, unhealable partition) must not wedge
-                // idleness detection forever.
-                //
-                // The bound must out-wait the retransmission machinery
-                // itself: with an armed RTO deadline, a healthy link can
-                // legitimately stay silent for a full backed-off round (up
-                // to `rto_max`), so a horizon shorter than a few such rounds
-                // would declare `WaitTimeout` on traffic the reliable layer
-                // was about to recover (the pre-fix bug when
-                // `busy_step_timeout` was tuned below the RTO backoff).
-                let now = Instant::now();
-                let since = *self.stalled_since.get_or_insert(now);
-                let rel_horizon = self
-                    .chaos
-                    .as_ref()
-                    .map(|c| Duration::from_nanos(c.rto_max) * 4)
-                    .unwrap_or(Duration::ZERO);
-                let horizon = (self.tuning.busy_step_timeout * 10).max(rel_horizon);
-                if now.duration_since(since) < horizon {
-                    return Ok(true);
-                }
-                return Ok(false);
+            if self.unacked_total() > 0 {
+                let rto_max = self.chaos.as_ref().map_or(0, |c| c.rto_max);
+                return Ok(link::within_stall_horizon(&mut self.stalled_since, rto_max));
             }
             self.stalled_since = None;
             if cluster.pending_messages() == 0 || Instant::now() >= busy_deadline {
@@ -1434,16 +1077,11 @@ impl Transport for ThreadTransport {
     }
 
     fn unacked_total(&self) -> u64 {
-        self.chaos
-            .as_ref()
-            .map(|c| c.table.total_unacked())
-            .unwrap_or(0)
+        self.digests().map(|d| d.unacked).sum()
     }
 
     fn next_rel_deadline(&self) -> Option<u64> {
-        self.chaos
-            .as_ref()
-            .and_then(|c| c.table.earliest_deadline())
+        self.digests().filter_map(|d| d.next_deadline).min()
     }
 
     fn read_memory(&mut self, rank: usize, addr: u64, len: usize) -> Result<Vec<u8>> {
@@ -1501,11 +1139,7 @@ impl Transport for ThreadTransport {
             .as_ref()
             .map(|c| c.metrics())
             .unwrap_or(self.final_metrics);
-        let (retransmits, dup_drops) = self
-            .chaos
-            .as_ref()
-            .map(|c| c.table.totals())
-            .unwrap_or((0, 0));
+        let (retransmits, dup_drops) = Digest::totals(self.digests());
         TransportMetrics {
             messages_delivered: m.delivered,
             messages_dropped: m.dropped(),

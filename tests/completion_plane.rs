@@ -300,8 +300,8 @@ fn result_slot_allocator_wraps_with_the_mailbox() {
 }
 
 /// REGRESSION (wait-timeout/RTO interplay, threaded backend): with a park
-/// timeout and busy budget far below the reliable layer's 30 ms base RTO and
-/// 480 ms backoff cap, a partition covering the first link traversals used
+/// timeout far below the reliable layer's 30 ms base RTO and 480 ms backoff
+/// cap, a partition covering the first link traversals used
 /// to make `wait()` report `WaitTimeout` while frames sat unacked with an
 /// armed retransmission deadline.  Quiescence now out-waits the RTO backoff.
 #[test]
@@ -309,7 +309,6 @@ fn threaded_wait_survives_partition_until_reliable_heal() {
     let plan = FaultPlan::seeded(11).partition(&[0], 0, 4);
     let tuning = ThreadTuning {
         step_timeout: Duration::from_millis(10),
-        busy_step_timeout: Duration::from_millis(30),
         ..ThreadTuning::default()
     };
     let mut cluster = ClusterBuilder::new()

@@ -179,8 +179,6 @@ fn thread_tuning_is_configurable_through_the_builder() {
     let platform = tc_simnet::Platform::thor_bf2();
     let tuning = tc_core::ThreadTuning {
         step_timeout: std::time::Duration::from_millis(5),
-        busy_step_timeout: std::time::Duration::from_millis(200),
-        step_batch: 8,
         idle_grace: 4,
         node_batch: 4,
         control_timeout: std::time::Duration::from_secs(2),
