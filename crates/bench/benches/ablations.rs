@@ -5,7 +5,7 @@
 use tc_bench::crit::{BenchmarkId, Criterion};
 use tc_bench::{criterion_group, criterion_main};
 use tc_bitir::{FatBitcode, TargetTriple};
-use tc_core::{build_ifunc_library, ClusterSim, ToolchainOptions};
+use tc_core::{build_ifunc_library, ClusterBuilder, ToolchainOptions};
 use tc_jit::{CompileOptions, OptLevel, OrcJit, SparseMemory};
 use tc_simnet::Platform;
 use tc_workloads::{platform_toolchain, tsi_module};
@@ -18,15 +18,12 @@ fn bench_caching_ablation(c: &mut Criterion) {
 
     let make_sim = || {
         let platform = Platform::thor_xeon();
-        let mut sim = ClusterSim::new(platform, 1);
+        let mut sim = ClusterBuilder::new().platform(platform).build_sim();
         let lib = build_ifunc_library(&tsi_module(), &platform_toolchain(&platform)).unwrap();
-        let handle = sim.register_on_client(lib);
-        let msg = sim
-            .client_mut()
-            .create_bitcode_message(handle, vec![1])
-            .unwrap();
-        sim.client_send_ifunc(&msg, 1);
-        sim.run_until_idle(10_000);
+        let handle = sim.register_ifunc(lib);
+        let msg = sim.bitcode_message(handle, vec![1]).unwrap();
+        sim.send_ifunc(&msg, 1).unwrap();
+        sim.run_until_idle(10_000).unwrap();
         (sim, msg)
     };
 
@@ -35,10 +32,10 @@ fn bench_caching_ablation(c: &mut Criterion) {
             make_sim,
             |(mut sim, msg)| {
                 for _ in 0..50 {
-                    sim.client_send_ifunc(&msg, 1);
+                    sim.send_ifunc(&msg, 1).unwrap();
                 }
-                sim.run_until_idle(100_000);
-                sim.now()
+                sim.run_until_idle(100_000).unwrap();
+                sim.transport().now()
             },
             tc_bench::crit::BatchSize::SmallInput,
         );
@@ -54,10 +51,11 @@ fn bench_caching_ablation(c: &mut Criterion) {
                     sim.client_mut()
                         .worker
                         .post(tc_ucx::WorkerAddr(1), tc_ucx::UcpOp::IfuncFrame { bytes });
-                    sim.client_put(1, tc_core::layout::TARGET_REGION_BASE + 64, vec![0]);
+                    sim.put(1, tc_core::layout::TARGET_REGION_BASE + 64, vec![0])
+                        .unwrap();
                 }
-                sim.run_until_idle(100_000);
-                sim.now()
+                sim.run_until_idle(100_000).unwrap();
+                sim.transport().now()
             },
             tc_bench::crit::BatchSize::SmallInput,
         );

@@ -9,21 +9,18 @@ use tc_workloads::run_tsi;
 
 // Small helper reused by the message-rate benchmark.
 mod helpers {
-    use tc_core::{build_ifunc_library, ClusterSim, IfuncMessage};
+    use tc_core::{build_ifunc_library, Cluster, ClusterBuilder, IfuncMessage, SimTransport};
     use tc_simnet::Platform;
     use tc_workloads::{platform_toolchain, tsi_module};
 
     /// Build a simulation with the TSI ifunc already cached on server 1.
-    pub fn warmed_tsi_sim(platform: Platform) -> (ClusterSim, IfuncMessage) {
-        let mut sim = ClusterSim::new(platform, 1);
+    pub fn warmed_tsi_sim(platform: Platform) -> (Cluster<SimTransport>, IfuncMessage) {
+        let mut sim = ClusterBuilder::new().platform(platform).build_sim();
         let lib = build_ifunc_library(&tsi_module(), &platform_toolchain(&platform)).unwrap();
-        let handle = sim.register_on_client(lib);
-        let msg = sim
-            .client_mut()
-            .create_bitcode_message(handle, vec![1])
-            .unwrap();
-        sim.client_send_ifunc(&msg, 1);
-        sim.run_until_idle(10_000);
+        let handle = sim.register_ifunc(lib);
+        let msg = sim.bitcode_message(handle, vec![1]).unwrap();
+        sim.send_ifunc(&msg, 1).unwrap();
+        sim.run_until_idle(10_000).unwrap();
         (sim, msg)
     }
 }
@@ -59,10 +56,10 @@ fn bench_cached_send_loop(c: &mut Criterion) {
                     || helpers::warmed_tsi_sim(*p),
                     |(mut sim, msg)| {
                         for _ in 0..100 {
-                            sim.client_send_ifunc(&msg, 1);
+                            sim.send_ifunc(&msg, 1).unwrap();
                         }
-                        sim.run_until_idle(100_000);
-                        sim.now()
+                        sim.run_until_idle(100_000).unwrap();
+                        sim.transport().now()
                     },
                     tc_bench::crit::BatchSize::SmallInput,
                 );

@@ -172,14 +172,14 @@ fn bench_data_plane_inflight(c: &mut Criterion) {
 
     // Deep pipelines benefit from larger drain batches on both the driver
     // and the node threads (one wakeup amortised over more envelopes).
-    let tuning = tc_core::ThreadTuning {
+    let tuning = tc_core::Tuning {
         node_batch: 512,
-        ..tc_core::ThreadTuning::default()
+        ..tc_core::Tuning::default()
     };
     let mut cluster = ClusterBuilder::new()
         .platform(tc_simnet::Platform::thor_xeon())
         .servers(SERVERS)
-        .thread_tuning(tuning)
+        .tuning(tuning)
         .build_threaded();
     let addr = tc_core::layout::DATA_REGION_BASE;
     for rank in 1..=SERVERS {
@@ -244,15 +244,15 @@ fn bench_data_plane_clients(c: &mut Criterion) {
     group.throughput(Throughput::Elements(OPS as u64));
 
     for clients in [1usize, 2, 4, 8] {
-        let tuning = tc_core::ThreadTuning {
+        let tuning = tc_core::Tuning {
             node_batch: 512,
-            ..tc_core::ThreadTuning::default()
+            ..tc_core::Tuning::default()
         };
         let mut cluster = ClusterBuilder::new()
             .platform(tc_simnet::Platform::thor_xeon())
             .clients(clients)
             .servers(SERVERS)
-            .thread_tuning(tuning)
+            .tuning(tuning)
             .build_threaded();
         let addr = tc_core::layout::DATA_REGION_BASE;
         for s in 0..SERVERS {
@@ -307,15 +307,15 @@ fn bench_data_plane_cores(c: &mut Criterion) {
     group.throughput(Throughput::Elements(OPS as u64));
 
     for cores in [1usize, 2, 4] {
-        let tuning = tc_core::ThreadTuning {
+        let tuning = tc_core::Tuning {
             node_batch: 512,
-            ..tc_core::ThreadTuning::default()
+            ..tc_core::Tuning::default()
         };
         let mut cluster = ClusterBuilder::new()
             .platform(tc_simnet::Platform::thor_xeon())
             .clients(cores)
             .servers(SERVERS)
-            .thread_tuning(tuning)
+            .tuning(tuning)
             .build_threaded();
         let addr = tc_core::layout::DATA_REGION_BASE;
         for s in 0..SERVERS {

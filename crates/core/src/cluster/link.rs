@@ -16,19 +16,25 @@
 //! * [`Link::digest`] — what quiescence detection and operators read.
 //!
 //! A host supplies what genuinely differs: where loopback traffic is
-//! delivered, whether pending operations must be polled before an immediate
-//! ack leaves (servers: an ack never covers an unpolled op), its lock
-//! discipline, and the `emit(to_rank, tag, data, payload)` closure that
-//! reaches its fabric, socket or chaos router — the whole carrier interface.
+//! delivered, its lock discipline, and the `emit(to_rank, tag, data,
+//! payload)` closure that reaches its fabric, socket or chaos router — the
+//! whole carrier interface.  The two server ranks share more than the link
+//! (when pending operations are polled, what an ack may cover, where control
+//! frames sit): that is [`super::host::ServerHost`], built on this module.
 //!
 //! [`super::SimTransport`] deliberately does not use this module: it is the
 //! oracle the parity suites compare against and keeps un-encoded messages in
 //! virtual time with per-frame cost charging.
+//!
+//! The scheduling constants of the wall-clock backends that no caller has
+//! ever needed to change live here too; the five that tests and benches do
+//! set are [`super::Tuning`].
 
 use super::reliable::{LinkHealth, RelConfig, RelMetrics, ReliableSet};
 use super::socket::most_stressed;
 use super::wire::{self, StoredEnv};
 use crate::error::{CoreError, Result};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use tc_ucx::{Bytes, OutgoingMessage};
 
@@ -36,6 +42,32 @@ use tc_ucx::{Bytes, OutgoingMessage};
 /// are verifiably queued or mid-processing without reporting progress.
 /// Guards against a runaway ifunc wedging the driver forever.
 pub(crate) const BUSY_STEP_TIMEOUT: Duration = Duration::from_secs(1);
+/// Socket driver: sleep between poll iterations once the sockets are quiet.
+pub(crate) const POLL_INTERVAL: Duration = Duration::from_micros(500);
+/// Socket driver: how long a poll loop busy-yields before it starts sleeping
+/// [`POLL_INTERVAL`] per iteration — a socket round trip is tens of
+/// microseconds, far below any sleep quantum.
+pub(crate) const SPIN_WINDOW: Duration = Duration::from_micros(300);
+/// Socket driver: how long every server process has to dial in and complete
+/// the HELLO/WELCOME handshake at startup.
+pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
+/// Socket driver: how long one WELCOME may take to drain into the socket
+/// (a peer that connects and never reads must not wedge admission).
+pub(crate) const WELCOME_DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
+/// Socket driver: how long `shutdown` waits for a server process to exit
+/// voluntarily after the SHUTDOWN frame before killing it.
+pub(crate) const SHUTDOWN_TIMEOUT: Duration = Duration::from_secs(5);
+/// Socket recovery: how long a link may be silent before the driver sends a
+/// liveness PING.
+pub(crate) const PING_INTERVAL: Duration = Duration::from_millis(250);
+/// Socket recovery: how long an unanswered PING may ride before the rank is
+/// declared dead.
+pub(crate) const PING_TIMEOUT: Duration = Duration::from_secs(1);
+/// Socket recovery: delay before the first respawn attempt; doubles per
+/// failed attempt up to [`RECOVERY_BACKOFF_MAX`].
+pub(crate) const RECOVERY_BACKOFF: Duration = Duration::from_millis(30);
+/// Socket recovery: ceiling of the respawn backoff.
+pub(crate) const RECOVERY_BACKOFF_MAX: Duration = Duration::from_secs(2);
 
 /// A wall-clock `step` saw a full park of silence while reliable frames stay
 /// unacked.  That is *busy* (they will retransmit), so report progress — but
@@ -50,28 +82,43 @@ pub(crate) fn within_stall_horizon(since: &mut Option<Instant>, rto_max: u64) ->
     now.duration_since(*since.get_or_insert(now)) < horizon
 }
 
-fn nanos_since(epoch: Instant) -> u64 {
-    epoch.elapsed().as_nanos() as u64
+/// Nanoseconds on the wall clock shared by everything in this process that
+/// keeps wall-clock time (origin: first use) — every [`Link`]'s reliable
+/// layer, and [`super::Transport::now_nanos`] unless a backend keeps virtual
+/// time.  One origin means a deadline a link arms and the time a driver
+/// reads are directly comparable, with no epoch to hand around.
+pub(crate) fn wall_nanos() -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-/// What a [`Link`] publishes about itself: enough for quiescence detection
-/// (`unacked`, `next_deadline` on the link's clock) and for operators (the
-/// counters and the most-stressed link's RTT estimator state).  All zero /
-/// `None` on a link without a fault plan.
+/// What one rank's reliable endpoint publishes about itself: enough for
+/// quiescence detection (`unacked`, `next_deadline` on the transport's
+/// clock) and for operators (the counters and the most-stressed link's RTT
+/// estimator state).  [`super::Transport::link_digest`] is the per-rank view
+/// every backend answers; everything the driver reads about reliability is
+/// derived from it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Digest {
+pub struct Digest {
+    /// Frames sent but not yet cumulatively acked.
     pub unacked: u64,
+    /// Earliest armed retransmission deadline (`None` when nothing is).
     pub next_deadline: Option<u64>,
+    /// Cumulative reliability counters.
     pub metrics: RelMetrics,
+    /// Health of the rank's most-stressed link (`None` before any traffic).
     pub health: Option<LinkHealth>,
 }
 
 impl Digest {
-    /// Cluster-wide `(retransmits, dup_drops)` over every rank's digest.
-    pub(crate) fn totals(digests: impl Iterator<Item = Digest>) -> (u64, u64) {
-        digests.fold((0, 0), |(r, d), digest| {
-            (r + digest.metrics.retransmits, d + digest.metrics.dup_drops)
-        })
+    /// The digest of one rank's reliability state.
+    pub(crate) fn of<M: Clone>(rel: &ReliableSet<M>) -> Digest {
+        Digest {
+            unacked: rel.unacked_total(),
+            next_deadline: rel.next_deadline(),
+            metrics: rel.metrics,
+            health: most_stressed(rel.health_rows()),
+        }
     }
 }
 
@@ -84,8 +131,6 @@ pub(crate) struct Link {
     rel: Option<ReliableSet<StoredEnv>>,
     /// Reused delivery buffer of [`ReliableSet::on_data_into`].
     scratch: Vec<StoredEnv>,
-    /// Origin of the reliable layer's clock.
-    epoch: Instant,
     /// Retransmission-timer cadence (half the base RTO) and its last run.
     cadence: Duration,
     last_tick: Instant,
@@ -94,21 +139,15 @@ pub(crate) struct Link {
 impl Link {
     /// The endpoint of `rank` in a cluster of `ranks`; reliable when `rel`
     /// carries the tunables of an installed fault plan.
-    pub(crate) fn new(rank: u32, ranks: u32, rel: Option<RelConfig>, epoch: Instant) -> Self {
+    pub(crate) fn new(rank: u32, ranks: u32, rel: Option<RelConfig>) -> Self {
         Link {
             rank,
             ranks,
             rel: rel.map(ReliableSet::new),
             scratch: Vec::new(),
-            epoch,
             cadence: Duration::from_nanos(rel.map_or(0, |cfg| cfg.rto / 2)),
             last_tick: Instant::now(),
         }
-    }
-
-    /// Nanoseconds on the link's clock.
-    pub(crate) fn now(&self) -> u64 {
-        nanos_since(self.epoch)
     }
 
     /// Encode `msg` for the wire as `(tag, data, payload)`.  Two cases skip
@@ -122,7 +161,7 @@ impl Link {
         let dst = msg.dst.0;
         match &mut self.rel {
             Some(rel) if dst < self.ranks && dst != self.rank => {
-                let now = nanos_since(self.epoch);
+                let now = wall_nanos();
                 let (data, payload) = wire::send_reliable(rel, dst, msg, now);
                 (wire::TAG_ROP, data, payload)
             }
@@ -168,7 +207,7 @@ impl Link {
             deliver(wire::decode_op_vectored(&data, &payload)?);
             return Ok(None);
         }
-        let now = nanos_since(self.epoch);
+        let now = wall_nanos();
         let Some(rel) = &mut self.rel else {
             return Err(CoreError::Transport(format!(
                 "reliable frame (tag {tag}) at rank {} without a fault plan",
@@ -213,7 +252,7 @@ impl Link {
             return;
         }
         self.last_tick = Instant::now();
-        for f in rel.tick(nanos_since(self.epoch)) {
+        for f in rel.tick(wall_nanos()) {
             let data = wire::encode_rel_head(f.seq, f.ack, &f.m.0);
             emit(f.peer, wire::TAG_ROP, data, f.m.1);
         }
@@ -237,7 +276,7 @@ impl Link {
         let Some(rel) = &mut self.rel else {
             return;
         };
-        let now = nanos_since(self.epoch);
+        let now = wall_nanos();
         for (head, payload) in rel.reset_peer(peer) {
             let (seq, ack) = rel.send(peer, (head.clone(), payload.clone()), now);
             emit(
@@ -249,16 +288,9 @@ impl Link {
         }
     }
 
-    /// See [`Digest`].
+    /// See [`Digest`]: all zero / `None` on a link without a fault plan.
     pub(crate) fn digest(&self) -> Digest {
-        self.rel
-            .as_ref()
-            .map_or_else(Digest::default, |rel| Digest {
-                unacked: rel.unacked_total(),
-                next_deadline: rel.next_deadline(),
-                metrics: rel.metrics,
-                health: most_stressed(rel.health_rows()),
-            })
+        self.rel.as_ref().map_or_else(Digest::default, Digest::of)
     }
 
     /// Health of every link that has carried reliable traffic, in peer-rank
@@ -289,7 +321,7 @@ mod tests {
     type Wire = (u32, u64, Bytes, Bytes);
 
     fn link(rank: u32, ranks: u32, rel: Option<RelConfig>) -> Link {
-        Link::new(rank, ranks, rel, Instant::now())
+        Link::new(rank, ranks, rel)
     }
 
     /// Every `OutgoingMessage` kind from `src` to `dst`; those with a bulk

@@ -16,10 +16,19 @@
 //! their side) is the third.  Beneath the backends: [`wire`] is the frame
 //! codec, [`reliable`] the per-link sequence/ack/retransmit state machine,
 //! and the crate-private `link` module the one endpoint that joins the two
-//! to a [`NodeRuntime`] — the threaded server node, the threaded client
-//! worker, the socket server and the socket driver's clients all drive it,
-//! each supplying only its carrier.  The simulated backend stays on
-//! [`reliable`] directly: it is the oracle the others are compared against.
+//! to a [`NodeRuntime`] — the threaded client worker and the socket
+//! driver's clients drive it directly, each supplying only its carrier.
+//! The crate-private `host` module is the one *server rank* on top of it
+//! (control as a barrier behind data, replies and acks behind the poll, one
+//! pass close): the threaded server node and the socket server process are
+//! carriers over it.  The simulated backend stays on [`reliable`] directly:
+//! it is the oracle the others are compared against.
+//!
+//! On the driving side a backend answers a handful of primitives — among
+//! them one [`Transport::control`] round trip to a server rank and one
+//! [`Transport::link_digest`] per rank — and everything an operator reads
+//! (node memory, node counters, reliability totals, quiescence inputs) is a
+//! provided [`Transport`] method written once, here.
 //!
 //! ```
 //! use tc_core::cluster::ClusterBuilder;
@@ -56,6 +65,7 @@
 //! ```
 
 pub mod completion;
+mod host;
 mod link;
 pub mod reliable;
 pub mod sim_transport;
@@ -65,13 +75,14 @@ pub mod thread_transport;
 pub mod wire;
 
 pub use completion::{ClaimShards, ClaimTable, CompletionSet, CompletionToken, PutHandle, Ready};
+pub use link::Digest as LinkDigest;
 pub use reliable::{LinkHealth, RelConfig, RelMetrics};
 pub use sim_transport::SimTransport;
-pub use socket::{SocketConfig, SocketTransport, SocketTuning};
+pub use socket::{SocketConfig, SocketTransport};
 pub use socket_server::{serve as serve_socket, ServerOptions};
 pub use tc_chaos::{ChaosSession, ChaosStats, FaultPlan, LinkFaults};
 pub use tc_net::SocketSpec;
-pub use thread_transport::{ThreadTransport, ThreadTuning};
+pub use thread_transport::ThreadTransport;
 
 use crate::error::{CoreError, Result};
 use crate::ifunc::{IfuncHandle, IfuncLibrary, IfuncMessage};
@@ -79,8 +90,9 @@ use crate::layout::{result_slot_addr, RESULT_MAILBOX_SLOTS};
 use crate::metrics::RuntimeStats;
 use crate::runtime::{Completion, NativeAmHandler, NodeRuntime};
 use std::sync::Arc;
+use std::time::Duration;
 use tc_bitir::TargetTriple;
-use tc_jit::OptLevel;
+use tc_jit::{Memory, OptLevel};
 use tc_simnet::Platform;
 use tc_ucx::{Bytes, RequestId, WorkerAddr};
 
@@ -134,6 +146,47 @@ impl ClientId {
 impl std::fmt::Display for ClientId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "client {}", self.0)
+    }
+}
+
+/// Scheduling tunables of the wall-clock backends (threads and socket): the
+/// five values tests and benches actually set, behind
+/// [`ClusterBuilder::tuning`].  Everything else that used to be tunable is a
+/// documented constant of the crate-private `link` module.  Ignored by the
+/// simulated backend.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tuning {
+    /// How long one driver `step` waits for traffic (threads: parks on the
+    /// worker-progress signal; socket: polls its connections) before running
+    /// its idleness checks.  Bounds *idle-detection* latency only, not
+    /// delivery latency.
+    pub step_timeout: Duration,
+    /// Consecutive idle steps before waits give up.  A step only reports
+    /// idle after `step_timeout` of silence with nothing queued or
+    /// mid-processing, so two suffice: the second covers the one-step race
+    /// where work finished right as the first wait timed out.
+    pub idle_grace: u32,
+    /// Threads: most messages a node thread — or a client worker — drains
+    /// per wakeup (batch drain: one park, many messages).
+    pub node_batch: usize,
+    /// How long a control-plane round trip (peek/poke/stats/AM deploy) may
+    /// take.
+    pub control_timeout: Duration,
+    /// Socket recovery: give up on a rank after this many consecutive
+    /// failed respawn attempts (the link then stays dead with its typed
+    /// error).
+    pub max_respawns: u32,
+}
+
+impl Default for Tuning {
+    fn default() -> Self {
+        Tuning {
+            step_timeout: Duration::from_millis(20),
+            idle_grace: 2,
+            node_batch: 128,
+            control_timeout: Duration::from_secs(10),
+            max_respawns: 8,
+        }
     }
 }
 
@@ -223,6 +276,10 @@ impl std::ops::DerefMut for ClientRefMut<'_> {
 /// Implementations provide *mechanism* (where runtimes live, how operations
 /// travel, what "time" means); [`Cluster`] provides the uniform *policy* API
 /// (sends, typed completion waits, snapshots) on top.
+///
+/// The methods up to [`Transport::shutdown`] are the **primitives** a
+/// backend answers.  Everything after it is **provided**: written once, here,
+/// in terms of the primitives, and overridden by no backend.
 pub trait Transport {
     /// Short backend name for diagnostics ("simnet", "threads").
     fn backend_name(&self) -> &'static str;
@@ -272,53 +329,41 @@ pub trait Transport {
         1
     }
 
-    /// Drain completions (GET results, X-RDMA results, confirmed-PUT acks)
-    /// that reached client `id`.
-    fn take_completions(&mut self, id: ClientId) -> Vec<Completion>;
-
-    /// The transport's clock in nanoseconds: virtual time for the simulated
-    /// backend, wall-clock time for the threaded one.  Per-handle deadlines
-    /// in a [`CompletionSet`] are measured on this clock.  Transports
-    /// without a meaningful clock may return 0 (deadlines then never expire
-    /// by time, only by quiescence).
+    /// The transport's clock in nanoseconds.  Per-handle deadlines in a
+    /// [`CompletionSet`] are measured on this clock.  The default is wall
+    /// time on the one process-wide origin the wall-clock backends' links
+    /// share; the simulated backend answers with its virtual time.
     fn now_nanos(&self) -> u64 {
-        0
+        link::wall_nanos()
     }
 
-    /// Messages the reliable-delivery layer still holds unacknowledged,
-    /// summed across all nodes (0 without a fault plan).  The cluster's wait
-    /// loops consult this so a quiet-but-retransmitting fabric is never
-    /// mistaken for a quiescent one.
-    fn unacked_total(&self) -> u64 {
-        0
-    }
+    /// One control-plane round trip to *server* rank `rank`: send `body`
+    /// under `request_tag` (one of the [`wire`] control tags), return the
+    /// body of the matching `reply_tag` reply.  The request queues behind
+    /// everything already flushed toward that rank, so it doubles as a
+    /// barrier behind the data plane.  A rank that is not a server is a
+    /// typed error.
+    fn control(
+        &mut self,
+        rank: usize,
+        request_tag: u64,
+        reply_tag: u64,
+        body: &[u8],
+    ) -> Result<Vec<u8>>;
 
-    /// Earliest armed retransmission deadline across all nodes, on the
-    /// [`Transport::now_nanos`] clock (`None` when nothing is outstanding).
-    /// Implement together with [`Transport::unacked_total`]: the wait loops
-    /// treat unacked frames as busy only while a deadline is armed.
-    fn next_rel_deadline(&self) -> Option<u64> {
+    /// The reliability digest rank `rank` last published: unacked frames,
+    /// earliest armed retransmission deadline on the
+    /// [`Transport::now_nanos`] clock, counters, most-stressed link.  `None`
+    /// without a fault plan (no reliable layer) and for a rank beyond the
+    /// cluster.
+    fn link_digest(&self, _rank: usize) -> Option<LinkDigest> {
         None
     }
 
-    /// Read `len` bytes at `addr` from node `rank`'s memory.
-    fn read_memory(&mut self, rank: usize, addr: u64, len: usize) -> Result<Vec<u8>>;
-
-    /// Write into node `rank`'s memory (scenario setup: seeding counters,
-    /// installing data shards).
-    fn write_memory(&mut self, rank: usize, addr: u64, data: &[u8]) -> Result<()>;
-
-    /// Snapshot node `rank`'s runtime counters.
-    fn node_stats(&mut self, rank: usize) -> Result<RuntimeStats>;
-
-    /// Fabric-level counters (deliveries, drops, bytes).
-    fn metrics(&self) -> TransportMetrics;
-
-    /// Reliability counters of one node — retransmits, dup drops,
-    /// out-of-order parks (`None` without a fault plan).
-    fn node_reliability(&self, _rank: usize) -> Option<RelMetrics> {
-        None
-    }
+    /// Messages the fabric delivered to a destination node, and messages it
+    /// dropped (misaddressed rank, stopped node).  Never silently zero:
+    /// every backend counts its drops.
+    fn fabric_counts(&self) -> (u64, u64);
 
     /// Injected-fault counters of the chaos engine (`None` without a fault
     /// plan).
@@ -339,14 +384,138 @@ pub trait Transport {
     /// Per-link reliability health rows as `(owning rank, health)` pairs:
     /// SRTT/RTTVAR estimate, current RTO, unacked frames, consecutive silent
     /// backoff rounds.  Empty without a fault plan (the reliable layer is
-    /// what keeps the estimators).
+    /// what keeps the estimators).  The default reports the most-stressed
+    /// link of every rank ([`LinkDigest::health`]) — all a rank on another
+    /// thread or in another process publishes; a backend that holds every
+    /// link's state itself may report them all.
     fn link_health(&self) -> Vec<(u32, LinkHealth)> {
-        Vec::new()
+        (0..self.node_count())
+            .filter_map(|rank| Some((rank as u32, self.link_digest(rank)?.health?)))
+            .collect()
     }
 
     /// Tear the backend down (join threads).  Idempotent; the default is a
     /// no-op for in-process backends.
     fn shutdown(&mut self) {}
+
+    // --- provided: the driver's control and observation plane ---------------
+
+    /// Drain completions (GET results, X-RDMA results, confirmed-PUT acks)
+    /// that reached client `id`.
+    fn take_completions(&mut self, id: ClientId) -> Vec<Completion> {
+        self.client_mut(id).take_completions()
+    }
+
+    /// Read `len` bytes at `addr` from node `rank`'s memory.
+    fn read_memory(&mut self, rank: usize, addr: u64, len: usize) -> Result<Vec<u8>> {
+        let failed = || {
+            CoreError::Transport(format!(
+                "peek of {len} bytes at {addr:#x} on rank {rank} failed"
+            ))
+        };
+        if rank < self.client_count() {
+            return wire::peek(&self.client(ClientId(rank)), addr, len as u64).ok_or_else(failed);
+        }
+        let mut body = Vec::with_capacity(16);
+        body.extend_from_slice(&addr.to_le_bytes());
+        body.extend_from_slice(&(len as u64).to_le_bytes());
+        let reply = self.control(rank, wire::TAG_PEEK, wire::TAG_PEEK_REPLY, &body)?;
+        // A failed peek answers with an empty body.
+        if reply.len() != len {
+            return Err(failed());
+        }
+        Ok(reply)
+    }
+
+    /// Write into node `rank`'s memory (scenario setup: seeding counters,
+    /// installing data shards).
+    fn write_memory(&mut self, rank: usize, addr: u64, data: &[u8]) -> Result<()> {
+        let ok = if rank < self.client_count() {
+            let mut client = self.client_mut(ClientId(rank));
+            client.memory.write(addr, data).is_ok()
+        } else {
+            let mut body = Vec::with_capacity(8 + data.len());
+            body.extend_from_slice(&addr.to_le_bytes());
+            body.extend_from_slice(data);
+            self.control(rank, wire::TAG_POKE, wire::TAG_POKE_ACK, &body)? == [1]
+        };
+        if !ok {
+            return Err(CoreError::Transport(format!(
+                "poke of {} bytes at {addr:#x} on rank {rank} failed",
+                data.len()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Snapshot node `rank`'s runtime counters.
+    fn node_stats(&mut self, rank: usize) -> Result<RuntimeStats> {
+        if rank < self.client_count() {
+            return Ok(self.client(ClientId(rank)).stats);
+        }
+        let reply = self.control(rank, wire::TAG_STATS, wire::TAG_STATS_REPLY, &[])?;
+        wire::decode_stats(&reply)
+    }
+
+    /// Messages the reliable-delivery layer still holds unacknowledged,
+    /// summed across all nodes (0 without a fault plan).  The cluster's wait
+    /// loops consult this so a quiet-but-retransmitting fabric is never
+    /// mistaken for a quiescent one.
+    fn unacked_total(&self) -> u64 {
+        link_digests(self).map(|d| d.unacked).sum()
+    }
+
+    /// Earliest armed retransmission deadline across all nodes, on the
+    /// [`Transport::now_nanos`] clock (`None` when nothing is outstanding).
+    /// The wait loops treat unacked frames as busy only while a deadline is
+    /// armed.
+    fn next_rel_deadline(&self) -> Option<u64> {
+        link_digests(self).filter_map(|d| d.next_deadline).min()
+    }
+
+    /// Reliability counters of one node — retransmits, dup drops,
+    /// out-of-order parks (`None` without a fault plan).
+    fn node_reliability(&self, rank: usize) -> Option<RelMetrics> {
+        self.link_digest(rank).map(|d| d.metrics)
+    }
+
+    /// Fabric-level counters (deliveries, drops, bytes, reliability and
+    /// fault totals).
+    fn metrics(&self) -> TransportMetrics {
+        let (messages_delivered, messages_dropped) = self.fabric_counts();
+        let mut m = TransportMetrics {
+            messages_delivered,
+            messages_dropped,
+            faults_injected: self.chaos_stats().map_or(0, |c| c.total_injected()),
+            ..TransportMetrics::default()
+        };
+        for c in 0..self.client_count() {
+            m.bytes_sent += self.client(ClientId(c)).stats.bytes_sent;
+        }
+        for digest in link_digests(self) {
+            m.retransmits += digest.metrics.retransmits;
+            m.dup_drops += digest.metrics.dup_drops;
+        }
+        m
+    }
+}
+
+/// Every rank's published digest, in rank order (empty without a fault plan).
+fn link_digests<T: Transport + ?Sized>(transport: &T) -> impl Iterator<Item = LinkDigest> + '_ {
+    (0..transport.node_count()).filter_map(|rank| transport.link_digest(rank))
+}
+
+/// `rank` must be a server's: the check every backend's
+/// [`Transport::control`] starts with (and socket admission, for the rank a
+/// HELLO asks for).
+pub(crate) fn check_server_rank(clients: usize, servers: usize, rank: usize) -> Result<()> {
+    if rank < clients || rank >= clients + servers {
+        return Err(CoreError::Transport(format!(
+            "rank {rank} is not a server rank ({clients}..{} expected)",
+            clients + servers
+        )));
+    }
+    Ok(())
 }
 
 impl Transport for Box<dyn Transport> {
@@ -380,32 +549,23 @@ impl Transport for Box<dyn Transport> {
     fn idle_grace(&self) -> u32 {
         (**self).idle_grace()
     }
-    fn take_completions(&mut self, id: ClientId) -> Vec<Completion> {
-        (**self).take_completions(id)
-    }
     fn now_nanos(&self) -> u64 {
         (**self).now_nanos()
     }
-    fn unacked_total(&self) -> u64 {
-        (**self).unacked_total()
+    fn control(
+        &mut self,
+        rank: usize,
+        request_tag: u64,
+        reply_tag: u64,
+        body: &[u8],
+    ) -> Result<Vec<u8>> {
+        (**self).control(rank, request_tag, reply_tag, body)
     }
-    fn next_rel_deadline(&self) -> Option<u64> {
-        (**self).next_rel_deadline()
+    fn link_digest(&self, rank: usize) -> Option<LinkDigest> {
+        (**self).link_digest(rank)
     }
-    fn read_memory(&mut self, rank: usize, addr: u64, len: usize) -> Result<Vec<u8>> {
-        (**self).read_memory(rank, addr, len)
-    }
-    fn write_memory(&mut self, rank: usize, addr: u64, data: &[u8]) -> Result<()> {
-        (**self).write_memory(rank, addr, data)
-    }
-    fn node_stats(&mut self, rank: usize) -> Result<RuntimeStats> {
-        (**self).node_stats(rank)
-    }
-    fn metrics(&self) -> TransportMetrics {
-        (**self).metrics()
-    }
-    fn node_reliability(&self, rank: usize) -> Option<RelMetrics> {
-        (**self).node_reliability(rank)
+    fn fabric_counts(&self) -> (u64, u64) {
+        (**self).fabric_counts()
     }
     fn chaos_stats(&self) -> Option<tc_chaos::ChaosStats> {
         (**self).chaos_stats()
@@ -1312,7 +1472,7 @@ pub struct ClusterBuilder {
     opt_level: OptLevel,
     fault_plan: Option<tc_chaos::FaultPlan>,
     rel_config: Option<RelConfig>,
-    tuning: thread_transport::ThreadTuning,
+    tuning: Tuning,
     socket: socket::SocketConfig,
 }
 
@@ -1334,7 +1494,7 @@ impl ClusterBuilder {
             opt_level: OptLevel::O2,
             fault_plan: None,
             rel_config: None,
-            tuning: thread_transport::ThreadTuning::default(),
+            tuning: Tuning::default(),
             socket: socket::SocketConfig::default(),
         }
     }
@@ -1413,10 +1573,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Tune the threaded backend's scheduling constants (park timeout,
-    /// batch caps, idle grace, control timeout) — formerly hard-coded.
-    /// Ignored by the simulated backend.
-    pub fn thread_tuning(mut self, tuning: thread_transport::ThreadTuning) -> Self {
+    /// Tune the wall-clock backends' scheduling ([`Tuning`]: step timeout,
+    /// idle grace, batch cap, control timeout, respawn budget).  Ignored by
+    /// the simulated backend.
+    pub fn tuning(mut self, tuning: Tuning) -> Self {
         self.tuning = tuning;
         self
     }
@@ -1446,13 +1606,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Tune the socket backend's scheduling constants.  Ignored by the
-    /// other backends.
-    pub fn socket_tuning(mut self, tuning: socket::SocketTuning) -> Self {
-        self.socket.tuning = tuning;
-        self
-    }
-
     fn resolved_triples(&self) -> (TargetTriple, TargetTriple) {
         let client = self.client_triple.unwrap_or_else(|| {
             TargetTriple::parse(self.platform.client_triple).unwrap_or(TargetTriple::X86_64_GENERIC)
@@ -1465,12 +1618,13 @@ impl ClusterBuilder {
     }
 
     fn sim_transport(self) -> SimTransport {
+        let (client, server) = self.resolved_triples();
         SimTransport::with_config(
             self.platform,
             self.clients,
             self.servers,
-            self.client_triple,
-            self.server_triple,
+            client,
+            server,
             self.opt_level,
             self.fault_plan,
             self.rel_config,
@@ -1495,6 +1649,7 @@ impl ClusterBuilder {
         let (client, server) = self.resolved_triples();
         let mut socket = self.socket;
         socket.rel_config = self.rel_config.or(socket.rel_config);
+        socket.tuning = self.tuning;
         SocketTransport::connect_config(
             self.clients,
             self.servers,

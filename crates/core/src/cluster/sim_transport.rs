@@ -17,16 +17,17 @@
 //! reconstruct the paper's overhead breakdown (transmission / lookup / JIT /
 //! execution) without re-instrumenting the runtime.
 
-use super::reliable::{LinkHealth, RelConfig, RelMetrics, ReliableSet};
-use super::{ClientId, ClientRef, ClientRefMut, Transport, TransportMetrics};
+use super::link::Digest;
+use super::reliable::{LinkHealth, RelConfig, ReliableSet};
+use super::{check_server_rank, wire, ClientId, ClientRef, ClientRefMut, Transport};
 use crate::error::{CoreError, Result};
-use crate::metrics::{OutcomeKind, ProcessOutcome, RuntimeStats};
-use crate::runtime::{Completion, NativeAmHandler, NodeRuntime};
+use crate::metrics::{OutcomeKind, ProcessOutcome};
+use crate::runtime::{NativeAmHandler, NodeRuntime};
 use crate::sim::{DeliveryRecord, TimingLog};
 use std::collections::HashMap;
 use tc_bitir::TargetTriple;
 use tc_chaos::{ChaosSession, ChaosStats, FaultPlan};
-use tc_jit::{Memory, OptLevel};
+use tc_jit::OptLevel;
 use tc_simnet::{EventQueue, FabricOp, Platform, SimDuration, SimTime};
 use tc_ucx::{OutgoingMessage, UcpOp};
 
@@ -98,34 +99,6 @@ impl std::fmt::Debug for SimTransport {
 }
 
 impl SimTransport {
-    /// Create a backend with one client (rank 0) and `servers` server nodes
-    /// (ranks 1..=servers) on the given platform.
-    pub fn new(platform: Platform, servers: usize) -> Self {
-        Self::with_triples_and_opt(platform, servers, None, None, OptLevel::O2)
-    }
-
-    /// Full-control constructor used by the cluster builder: override the
-    /// node target triples (defaulting to the platform's) and the JIT
-    /// optimisation level used for cost accounting and compilation.
-    pub fn with_triples_and_opt(
-        platform: Platform,
-        servers: usize,
-        client_triple: Option<TargetTriple>,
-        server_triple: Option<TargetTriple>,
-        opt_level: OptLevel,
-    ) -> Self {
-        Self::with_config(
-            platform,
-            1,
-            servers,
-            client_triple,
-            server_triple,
-            opt_level,
-            None,
-            None,
-        )
-    }
-
     /// Constructor with `clients` driver runtimes (ranks `0..clients`),
     /// `servers` server runtimes (ranks `clients..clients+servers`) and an
     /// optional fault plan: when present, every fabric traversal consults
@@ -140,20 +113,14 @@ impl SimTransport {
         platform: Platform,
         clients: usize,
         servers: usize,
-        client_triple: Option<TargetTriple>,
-        server_triple: Option<TargetTriple>,
+        client_triple: TargetTriple,
+        server_triple: TargetTriple,
         opt_level: OptLevel,
         fault_plan: Option<FaultPlan>,
         rel_config: Option<RelConfig>,
     ) -> Self {
         let clients = clients.max(1);
         let total = servers + clients;
-        let client_triple = client_triple.unwrap_or_else(|| {
-            TargetTriple::parse(platform.client_triple).unwrap_or(TargetTriple::X86_64_GENERIC)
-        });
-        let server_triple = server_triple.unwrap_or_else(|| {
-            TargetTriple::parse(platform.server_triple).unwrap_or(TargetTriple::AARCH64_GENERIC)
-        });
         let nodes = (0..total)
             .map(|i| {
                 let triple = if i < clients {
@@ -191,19 +158,6 @@ impl SimTransport {
                 }
             }),
         }
-    }
-
-    /// Snapshot of the injected-fault counters (chaos mode only).
-    pub fn chaos_stats(&self) -> Option<ChaosStats> {
-        self.chaos.as_ref().map(|c| c.session.stats())
-    }
-
-    /// Reliability counters of one node (chaos mode only).
-    pub fn rel_metrics(&self, rank: usize) -> Option<RelMetrics> {
-        self.chaos
-            .as_ref()
-            .and_then(|c| c.rel.get(rank))
-            .map(|r| r.metrics)
     }
 
     /// The platform this backend models.
@@ -633,89 +587,38 @@ impl Transport for SimTransport {
         Ok(self.step_event())
     }
 
-    fn take_completions(&mut self, id: ClientId) -> Vec<Completion> {
-        assert!(id.0 < self.clients, "no client with id {id}");
-        self.nodes[id.0].take_completions()
-    }
-
     fn now_nanos(&self) -> u64 {
         self.queue.now().as_nanos()
     }
 
-    fn unacked_total(&self) -> u64 {
-        self.chaos
-            .as_ref()
-            .map(|c| c.rel.iter().map(|r| r.unacked_total()).sum())
-            .unwrap_or(0)
-    }
-
-    fn next_rel_deadline(&self) -> Option<u64> {
-        self.chaos
-            .as_ref()
-            .and_then(|c| c.rel.iter().filter_map(|r| r.next_deadline()).min())
-    }
-
-    fn read_memory(&mut self, rank: usize, addr: u64, len: usize) -> Result<Vec<u8>> {
-        let node = self
-            .nodes
-            .get_mut(rank)
-            .ok_or_else(|| CoreError::Sim(format!("no node with rank {rank}")))?;
-        let mut buf = vec![0u8; len];
-        node.memory
-            .read(addr, &mut buf)
-            .map_err(|e| CoreError::Sim(e.to_string()))?;
-        Ok(buf)
-    }
-
-    fn write_memory(&mut self, rank: usize, addr: u64, data: &[u8]) -> Result<()> {
-        let node = self
-            .nodes
-            .get_mut(rank)
-            .ok_or_else(|| CoreError::Sim(format!("no node with rank {rank}")))?;
-        node.memory
-            .write(addr, data)
-            .map_err(|e| CoreError::Sim(e.to_string()))
-    }
-
-    fn node_stats(&mut self, rank: usize) -> Result<RuntimeStats> {
-        self.nodes
-            .get(rank)
-            .map(|n| n.stats)
-            .ok_or_else(|| CoreError::Sim(format!("no node with rank {rank}")))
-    }
-
-    fn metrics(&self) -> TransportMetrics {
-        let (retransmits, dup_drops) = self
-            .chaos
-            .as_ref()
-            .map(|c| {
-                c.rel.iter().fold((0, 0), |(r, d), set| {
-                    (r + set.metrics.retransmits, d + set.metrics.dup_drops)
-                })
-            })
-            .unwrap_or((0, 0));
-        TransportMetrics {
-            messages_delivered: self.delivered,
-            messages_dropped: self.dropped_misaddressed,
-            bytes_sent: self.nodes[..self.clients]
-                .iter()
-                .map(|n| n.stats.bytes_sent)
-                .sum(),
-            retransmits,
-            dup_drops,
-            faults_injected: self
-                .chaos
-                .as_ref()
-                .map(|c| c.session.stats().total_injected())
-                .unwrap_or(0),
+    /// The oracle runs the same server-side control code as the live
+    /// backends, minus the wire: the request is served in place.
+    fn control(
+        &mut self,
+        rank: usize,
+        request_tag: u64,
+        reply_tag: u64,
+        body: &[u8],
+    ) -> Result<Vec<u8>> {
+        check_server_rank(self.clients, self.nodes.len() - self.clients, rank)?;
+        let request = wire::encode_control(0, body);
+        match wire::serve_control(&mut self.nodes[rank], request_tag, &request) {
+            Some((tag, reply)) if tag == reply_tag => Ok(wire::decode_control(&reply)?.1.to_vec()),
+            _ => Err(CoreError::Transport(format!(
+                "rank {rank} did not answer control request {request_tag} with {reply_tag}"
+            ))),
         }
     }
 
-    fn node_reliability(&self, rank: usize) -> Option<RelMetrics> {
-        self.rel_metrics(rank)
+    fn link_digest(&self, rank: usize) -> Option<Digest> {
+        self.chaos.as_ref()?.rel.get(rank).map(Digest::of)
+    }
+
+    fn fabric_counts(&self) -> (u64, u64) {
+        (self.delivered, self.dropped_misaddressed)
     }
 
     fn chaos_stats(&self) -> Option<ChaosStats> {
-        SimTransport::chaos_stats(self)
+        self.chaos.as_ref().map(|c| c.session.stats())
     }
 }

@@ -25,16 +25,15 @@
 
 use super::link::{self, Digest, Link};
 use super::reliable::{LinkHealth, RelConfig, RelMetrics};
-use super::{wire, ClientId, ClientRef, ClientRefMut, Transport, TransportMetrics};
+use super::{check_server_rank, wire, ClientId, ClientRef, ClientRefMut, Transport, Tuning};
 use crate::error::{CoreError, Result};
-use crate::metrics::RuntimeStats;
-use crate::runtime::{Completion, NativeAmHandler, NodeRuntime};
+use crate::runtime::{NativeAmHandler, NodeRuntime};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use tc_bitir::TargetTriple;
 use tc_chaos::{ChaosSession, ChaosStats, FaultPlan, HoldBack};
-use tc_jit::{Memory, OptLevel};
+use tc_jit::OptLevel;
 use tc_net::{ChildGuard, Connection, Frame, Listener, NetError, SocketSpec};
 use tc_ucx::Bytes;
 
@@ -194,6 +193,16 @@ pub fn decode_welcome(body: &[u8]) -> Result<Welcome> {
     let clients = u32::from_le_bytes(body[0..4].try_into().unwrap());
     let servers = u32::from_le_bytes(body[4..8].try_into().unwrap());
     let rank = u32::from_le_bytes(body[8..12].try_into().unwrap());
+    // The server sizes its runtime and its per-peer link table from these:
+    // the layout must add up and the assigned rank must be a server's.
+    if !clients
+        .checked_add(servers)
+        .is_some_and(|total| (clients..total).contains(&rank))
+    {
+        return Err(err(&format!(
+            "rank {rank} is not a server of {clients} clients + {servers} servers"
+        )));
+    }
     let opt = match body[12] {
         0 => OptLevel::O0,
         1 => OptLevel::O1,
@@ -306,65 +315,6 @@ pub fn decode_rel_info(body: &[u8]) -> Result<RelInfo> {
     })
 }
 
-/// Scheduling tunables of the socket backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SocketTuning {
-    /// How long one driver `step` keeps polling for traffic before reporting
-    /// an idle step.
-    pub step_timeout: Duration,
-    /// Sleep between poll iterations when the sockets are quiet.
-    pub poll_interval: Duration,
-    /// How long a poll loop busy-yields before it starts sleeping
-    /// `poll_interval` per iteration — the latency/CPU trade: a socket round
-    /// trip is tens of microseconds, far below any sleep quantum.
-    pub spin_window: Duration,
-    /// Consecutive idle steps before waits give up (server processes may be
-    /// mid-computation with nothing on the wire).
-    pub idle_grace: u32,
-    /// How long a control-plane round trip (peek/poke/stats/AM deploy) may
-    /// take.
-    pub control_timeout: Duration,
-    /// How long the driver waits for every server process to dial in and
-    /// complete the HELLO/WELCOME handshake.
-    pub handshake_timeout: Duration,
-    /// How long `shutdown` waits for a server process to exit voluntarily
-    /// after the SHUTDOWN frame before killing it.
-    pub shutdown_timeout: Duration,
-    /// Recovery mode: how long a link may be silent before the driver sends
-    /// a liveness PING.
-    pub ping_interval: Duration,
-    /// Recovery mode: how long an unanswered PING may ride before the rank
-    /// is declared dead.
-    pub ping_timeout: Duration,
-    /// Recovery mode: delay before the first respawn/rejoin attempt; doubles
-    /// per failed attempt.
-    pub recovery_backoff: Duration,
-    /// Recovery mode: ceiling of the respawn backoff.
-    pub recovery_backoff_max: Duration,
-    /// Recovery mode: give up on a rank after this many consecutive failed
-    /// respawn attempts (the link then stays dead with its typed error).
-    pub max_respawns: u32,
-}
-
-impl Default for SocketTuning {
-    fn default() -> Self {
-        SocketTuning {
-            step_timeout: Duration::from_millis(20),
-            poll_interval: Duration::from_micros(500),
-            spin_window: Duration::from_micros(300),
-            idle_grace: 2,
-            control_timeout: Duration::from_secs(10),
-            handshake_timeout: Duration::from_secs(10),
-            shutdown_timeout: Duration::from_secs(5),
-            ping_interval: Duration::from_millis(250),
-            ping_timeout: Duration::from_secs(1),
-            recovery_backoff: Duration::from_millis(30),
-            recovery_backoff_max: Duration::from_secs(2),
-            max_respawns: 8,
-        }
-    }
-}
-
 /// How a [`super::ClusterBuilder`] should set up the socket backend.
 #[derive(Debug, Clone)]
 pub struct SocketConfig {
@@ -389,7 +339,7 @@ pub struct SocketConfig {
     /// [`RelConfig::threads_default`]; only meaningful with a fault plan).
     pub rel_config: Option<RelConfig>,
     /// Scheduling tunables.
-    pub tuning: SocketTuning,
+    pub tuning: Tuning,
 }
 
 impl Default for SocketConfig {
@@ -400,7 +350,7 @@ impl Default for SocketConfig {
             spawn_servers: true,
             recover: false,
             rel_config: None,
-            tuning: SocketTuning::default(),
+            tuning: Tuning::default(),
         }
     }
 }
@@ -527,9 +477,8 @@ pub struct SocketTransport {
     /// Fatal link errors waiting to be surfaced from `step`.
     pending_errors: VecDeque<CoreError>,
     next_token: u64,
-    tuning: SocketTuning,
+    tuning: Tuning,
     chaos: Option<SocketChaos>,
-    epoch: Instant,
     stalled_since: Option<Instant>,
     delivered: u64,
     dropped: u64,
@@ -597,7 +546,6 @@ impl SocketTransport {
             .local_spec()
             .map_err(|e| CoreError::Transport(e.to_string()))?;
 
-        let epoch = Instant::now();
         let rel_cfg = config.rel_config.unwrap_or_else(RelConfig::threads_default);
         let chaos = fault_plan.map(|plan| SocketChaos {
             session: ChaosSession::new(plan),
@@ -620,107 +568,7 @@ impl SocketTransport {
             server_bin = Some(bin);
         }
 
-        // Handshake: accept connections, read HELLOs, assign ranks, send
-        // WELCOMEs, until every server rank has a live link.
-        let deadline = Instant::now() + tuning.handshake_timeout;
-        let mut pending: Vec<Connection> = Vec::new();
-        let mut connected = 0usize;
-        while connected < servers {
-            if Instant::now() >= deadline {
-                return Err(CoreError::Transport(format!(
-                    "socket handshake timed out with {connected}/{servers} servers connected \
-                     on {actual}"
-                )));
-            }
-            for link in links.iter_mut() {
-                if let Some(child) = link.child.as_mut() {
-                    if !child.alive() {
-                        return Err(CoreError::Transport(format!(
-                            "server process for rank {} exited during the handshake",
-                            child.rank()
-                        )));
-                    }
-                }
-            }
-            match listener.accept() {
-                Ok(Some(conn)) => pending.push(conn),
-                Ok(None) => {}
-                Err(e) => return Err(CoreError::Transport(format!("accept on {actual}: {e}"))),
-            }
-            let mut still_pending = Vec::new();
-            for mut conn in pending.drain(..) {
-                let mut frames = Vec::new();
-                match conn.pump_read(&mut frames) {
-                    Ok(()) => {}
-                    Err(NetError::PeerClosed { .. }) => continue, // gave up; drop it
-                    Err(e) => return Err(CoreError::Transport(e.to_string())),
-                }
-                let Some(hello) = frames.into_iter().find(|f| f.tag == TAG_HELLO) else {
-                    still_pending.push(conn);
-                    continue;
-                };
-                let wanted = decode_hello(hello.data.as_slice())?;
-                let idx = if wanted == RANK_ANY {
-                    match links.iter().position(|l| l.conn.is_none()) {
-                        Some(i) => i,
-                        None => {
-                            return Err(CoreError::Transport(
-                                "a server asked for a rank but all are taken".into(),
-                            ))
-                        }
-                    }
-                } else {
-                    let rank = wanted as usize;
-                    if rank < clients || rank >= clients + servers {
-                        return Err(CoreError::Transport(format!(
-                            "HELLO requested rank {rank}, valid servers are {}..{}",
-                            clients,
-                            clients + servers
-                        )));
-                    }
-                    if links[rank - clients].conn.is_some() {
-                        return Err(CoreError::Transport(format!(
-                            "two servers claimed rank {rank}"
-                        )));
-                    }
-                    rank - clients
-                };
-                let rank = (clients + idx) as u32;
-                let welcome = Welcome {
-                    clients: clients as u32,
-                    servers: servers as u32,
-                    rank,
-                    opt: opt_level,
-                    reliable,
-                    adaptive: rel_cfg.adaptive,
-                    rto: rel_cfg.rto,
-                    rto_max: rel_cfg.rto_max,
-                    triple: server_triple,
-                };
-                conn.queue(Frame::new(
-                    DRIVER_PORT,
-                    rank,
-                    TAG_WELCOME,
-                    encode_welcome(&welcome),
-                ));
-                while conn.pending_writes() > 0 {
-                    conn.pump_write()
-                        .map_err(|e| CoreError::Transport(e.to_string()))?;
-                    if conn.pending_writes() > 0 {
-                        std::thread::sleep(Duration::from_micros(200));
-                    }
-                }
-                links[idx].conn = Some(conn);
-                links[idx].last_activity = Instant::now();
-                connected += 1;
-            }
-            pending = still_pending;
-            if connected < servers {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-
-        Ok(SocketTransport {
+        let mut transport = SocketTransport {
             clients: (0..clients)
                 .map(|c| {
                     NodeRuntime::with_opt_level(
@@ -732,7 +580,7 @@ impl SocketTransport {
                 })
                 .collect(),
             client_links: (0..clients as u32)
-                .map(|c| Link::new(c, total, link_cfg, epoch))
+                .map(|c| Link::new(c, total, link_cfg))
                 .collect(),
             staged: vec![false; clients],
             links,
@@ -743,7 +591,6 @@ impl SocketTransport {
             next_token: 1,
             tuning,
             chaos,
-            epoch,
             stalled_since: None,
             delivered: 0,
             dropped: 0,
@@ -761,7 +608,158 @@ impl SocketTransport {
             opt_level,
             server_triple,
             rel_cfg,
-        })
+        };
+        if let Err(e) = transport.await_servers() {
+            // Nobody to ask politely: dropping the links kills the children.
+            transport.shut_down = true;
+            return Err(e);
+        }
+        Ok(transport)
+    }
+
+    /// Startup handshake: admit dialing servers until every rank has a live
+    /// link.
+    fn await_servers(&mut self) -> Result<()> {
+        let deadline = Instant::now() + link::HANDSHAKE_TIMEOUT;
+        let mut connected = 0;
+        while connected < self.servers {
+            if Instant::now() >= deadline {
+                return Err(CoreError::Transport(format!(
+                    "socket handshake timed out with {connected}/{} servers connected",
+                    self.servers
+                )));
+            }
+            for child in self.links.iter_mut().filter_map(|l| l.child.as_mut()) {
+                if !child.alive() {
+                    return Err(CoreError::Transport(format!(
+                        "server process for rank {} exited during the handshake",
+                        child.rank()
+                    )));
+                }
+            }
+            connected += self.admit(true)?.len();
+            if connected < self.servers {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        Ok(())
+    }
+
+    /// Admission, written once: accept whoever is dialing, read each waiting
+    /// connection's HELLO, give it the rank it asks for (any, for
+    /// [`RANK_ANY`]) among the free ones — at startup those without a
+    /// connection, during a heal the dead ones — answer with the WELCOME
+    /// and install the connection.  Returns the server indices admitted.  At
+    /// startup the first failure aborts the build; during a heal it is
+    /// logged and that connection dropped, the cluster keeps running.
+    fn admit(&mut self, startup: bool) -> Result<Vec<usize>> {
+        if let Some(listener) = self.listener.as_ref() {
+            loop {
+                match listener.accept() {
+                    Ok(Some(conn)) => self.rejoining.push(conn),
+                    Ok(None) => break,
+                    Err(e) => {
+                        let e = CoreError::Transport(format!("accepting a server: {e}"));
+                        self.reject(startup, e)?;
+                        break;
+                    }
+                }
+            }
+        }
+        let mut admitted = Vec::new();
+        for mut conn in std::mem::take(&mut self.rejoining) {
+            let mut frames = Vec::new();
+            match conn.pump_read(&mut frames) {
+                Ok(()) => {}
+                Err(NetError::PeerClosed { .. }) => continue, // gave up; drop it
+                Err(e) => {
+                    self.reject(startup, CoreError::Transport(e.to_string()))?;
+                    continue;
+                }
+            }
+            let Some(hello) = frames.into_iter().find(|f| f.tag == TAG_HELLO) else {
+                self.rejoining.push(conn);
+                continue;
+            };
+            let welcomed = decode_hello(hello.data.as_slice())
+                .and_then(|wanted| self.free_rank(wanted, startup))
+                .and_then(|idx| self.welcome(&mut conn, idx).map(|()| idx));
+            match welcomed {
+                Ok(idx) => {
+                    self.links[idx].conn = Some(conn);
+                    self.links[idx].last_activity = Instant::now();
+                    admitted.push(idx);
+                }
+                Err(e) => self.reject(startup, e)?,
+            }
+        }
+        Ok(admitted)
+    }
+
+    /// The error policy of [`SocketTransport::admit`].
+    fn reject(&mut self, startup: bool, e: CoreError) -> Result<()> {
+        if startup {
+            return Err(e);
+        }
+        self.errors.push(e);
+        Ok(())
+    }
+
+    /// The server index a HELLO asking for rank `wanted` is admitted to.
+    fn free_rank(&self, wanted: u32, startup: bool) -> Result<usize> {
+        let clients = self.clients.len();
+        let free =
+            |l: &ServerLink| l.conn.is_none() && (startup || matches!(l.state, LinkState::Dead(_)));
+        if wanted == RANK_ANY {
+            return self.links.iter().position(free).ok_or_else(|| {
+                CoreError::Transport("a server asked for a rank but none is free".into())
+            });
+        }
+        let rank = wanted as usize;
+        check_server_rank(clients, self.servers, rank)?;
+        if !free(&self.links[rank - clients]) {
+            return Err(CoreError::Transport(format!(
+                "a server claimed rank {rank}, which is not free"
+            )));
+        }
+        Ok(rank - clients)
+    }
+
+    /// Send server `idx` its WELCOME and see it into the socket — bounded: a
+    /// peer that connects and never reads must not wedge admission.
+    fn welcome(&self, conn: &mut Connection, idx: usize) -> Result<()> {
+        let rank = (self.clients.len() + idx) as u32;
+        let welcome = Welcome {
+            clients: self.clients.len() as u32,
+            servers: self.servers as u32,
+            rank,
+            opt: self.opt_level,
+            reliable: self.chaos.is_some(),
+            adaptive: self.rel_cfg.adaptive,
+            rto: self.rel_cfg.rto,
+            rto_max: self.rel_cfg.rto_max,
+            triple: self.server_triple,
+        };
+        conn.queue(Frame::new(
+            DRIVER_PORT,
+            rank,
+            TAG_WELCOME,
+            encode_welcome(&welcome),
+        ));
+        let deadline = Instant::now() + link::WELCOME_DRAIN_TIMEOUT;
+        while conn.pending_writes() > 0 {
+            conn.pump_write()
+                .map_err(|e| CoreError::Transport(e.to_string()))?;
+            if Instant::now() >= deadline {
+                return Err(CoreError::Transport(format!(
+                    "rank {rank} never read its WELCOME"
+                )));
+            }
+            if conn.pending_writes() > 0 {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        }
+        Ok(())
     }
 
     /// The endpoint the driver is listening on.
@@ -790,15 +788,6 @@ impl SocketTransport {
         if let Some(child) = self.links.get_mut(idx).and_then(|l| l.child.as_mut()) {
             child.kill();
         }
-    }
-
-    /// Snapshot of the injected-fault counters (chaos mode only).
-    pub fn chaos_stats(&self) -> Option<ChaosStats> {
-        self.chaos.as_ref().map(|c| c.session.stats())
-    }
-
-    fn now(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
     }
 
     /// Classify a socket-plane failure on the link of server `idx` into the
@@ -877,12 +866,12 @@ impl SocketTransport {
             }
             match link.ping_sent_at {
                 Some(at) => {
-                    if at.elapsed() >= self.tuning.ping_timeout {
+                    if at.elapsed() >= link::PING_TIMEOUT {
                         timed_out.push(idx);
                     }
                 }
                 None => {
-                    if link.last_activity.elapsed() >= self.tuning.ping_interval {
+                    if link.last_activity.elapsed() >= link::PING_INTERVAL {
                         let nonce = self.next_token;
                         self.next_token += 1;
                         let rank = (self.clients.len() + idx) as u32;
@@ -905,37 +894,18 @@ impl SocketTransport {
                 idx,
                 CoreError::PeerDisconnected {
                     rank,
-                    detail: format!(
-                        "no PONG within {:?} (liveness probe)",
-                        self.tuning.ping_timeout
-                    ),
+                    detail: format!("no PONG within {:?} (liveness probe)", link::PING_TIMEOUT),
                 },
             );
-        }
-    }
-
-    /// WELCOME for (re)admitting server rank `rank`.
-    fn make_welcome(&self, rank: u32) -> Welcome {
-        Welcome {
-            clients: self.clients.len() as u32,
-            servers: self.servers as u32,
-            rank,
-            opt: self.opt_level,
-            reliable: self.chaos.is_some(),
-            adaptive: self.rel_cfg.adaptive,
-            rto: self.rel_cfg.rto,
-            rto_max: self.rel_cfg.rto_max,
-            triple: self.server_triple,
         }
     }
 
     /// Exponential respawn backoff: `recovery_backoff · 2^attempt`, capped.
     fn recovery_delay(&self, attempt: u32) -> Duration {
         let mult = 1u32 << attempt.min(10);
-        self.tuning
-            .recovery_backoff
+        link::RECOVERY_BACKOFF
             .saturating_mul(mult)
-            .min(self.tuning.recovery_backoff_max)
+            .min(link::RECOVERY_BACKOFF_MAX)
     }
 
     /// The recovery driver (recovery mode): schedule respawns of dead ranks
@@ -1018,82 +988,10 @@ impl SocketTransport {
         if !any_dead && self.rejoining.is_empty() {
             return;
         }
-        if let Some(listener) = self.listener.as_ref() {
-            loop {
-                match listener.accept() {
-                    Ok(Some(conn)) => self.rejoining.push(conn),
-                    Ok(None) => break,
-                    Err(e) => {
-                        self.errors
-                            .push(CoreError::Transport(format!("recovery accept: {e}")));
-                        break;
-                    }
-                }
-            }
-        }
-        let mut still = Vec::new();
-        let mut admitted = Vec::new();
-        for mut conn in std::mem::take(&mut self.rejoining) {
-            let mut frames = Vec::new();
-            match conn.pump_read(&mut frames) {
-                Ok(()) => {}
-                Err(NetError::PeerClosed { .. }) => continue, // gave up; drop it
-                Err(e) => {
-                    self.errors.push(CoreError::Transport(e.to_string()));
-                    continue;
-                }
-            }
-            let Some(hello) = frames.into_iter().find(|f| f.tag == TAG_HELLO) else {
-                still.push(conn);
-                continue;
-            };
-            let wanted = match decode_hello(hello.data.as_slice()) {
-                Ok(w) => w,
-                Err(e) => {
-                    self.errors.push(e);
-                    continue;
-                }
-            };
-            let dead_and_free =
-                |l: &ServerLink| matches!(l.state, LinkState::Dead(_)) && l.conn.is_none();
-            let idx = if wanted == RANK_ANY {
-                self.links.iter().position(dead_and_free)
-            } else {
-                let rank = wanted as usize;
-                (rank >= clients
-                    && rank < clients + self.servers
-                    && dead_and_free(&self.links[rank - clients]))
-                .then(|| rank - clients)
-            };
-            let Some(idx) = idx else {
-                // No dead rank wants this connection; drop it.
-                continue;
-            };
-            let rank = (clients + idx) as u32;
-            conn.queue(Frame::new(
-                DRIVER_PORT,
-                rank,
-                TAG_WELCOME,
-                encode_welcome(&self.make_welcome(rank)),
-            ));
-            let drain_deadline = Instant::now() + Duration::from_secs(2);
-            let mut failed = false;
-            while conn.pending_writes() > 0 {
-                if conn.pump_write().is_err() || Instant::now() >= drain_deadline {
-                    failed = true;
-                    break;
-                }
-                if conn.pending_writes() > 0 {
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            }
-            if failed {
-                continue;
-            }
-            self.links[idx].conn = Some(conn);
-            admitted.push(idx);
-        }
-        self.rejoining = still;
+        // Only startup admission fails; a heal logs and carries on.
+        let Ok(admitted) = self.admit(false) else {
+            return;
+        };
         for idx in admitted {
             if let Err(e) = self.heal_link(idx) {
                 // The rank died again mid-heal; fail_link already re-marked
@@ -1136,7 +1034,7 @@ impl SocketTransport {
         // Re-deploy the AM catalog in original deploy order so the reborn
         // process's handler ids line up with the cluster's.
         for name in self.deployed_ams.clone() {
-            let reply = self.control_roundtrip(rank, TAG_AM_DEPLOY, TAG_AM_ACK, name.as_bytes())?;
+            let reply = self.control(rank, TAG_AM_DEPLOY, TAG_AM_ACK, name.as_bytes())?;
             if reply != [1] {
                 return Err(CoreError::UnknownAmHandler {
                     name: format!("{name} (lost from the server AM catalog after respawn)"),
@@ -1151,7 +1049,7 @@ impl SocketTransport {
             .map(|(&(_, addr), data)| (addr, data.clone()))
             .collect();
         for (addr, data) in pokes {
-            self.poke_server(rank, addr, &data)?;
+            self.write_memory(rank, addr, &data)?;
         }
         // Now the replay can flow, along with the surviving servers'
         // renumbered re-sends.
@@ -1291,7 +1189,7 @@ impl SocketTransport {
                 let idx = (frame.from as usize).wrapping_sub(self.clients.len());
                 match decode_rel_info(frame.data.as_slice()) {
                     Ok(info) if idx < self.links.len() => {
-                        let now = self.now();
+                        let now = link::wall_nanos();
                         self.links[idx].rel = Digest {
                             unacked: info.unacked,
                             next_deadline: (info.remaining_ns != u64::MAX)
@@ -1320,7 +1218,7 @@ impl SocketTransport {
                 }
             }
             // Stale control replies (from a timed-out request) are dropped;
-            // live ones are intercepted by `control_roundtrip` before this.
+            // live ones are intercepted by `control` before this.
             _ => {}
         }
     }
@@ -1536,101 +1434,11 @@ impl SocketTransport {
     /// Briefly yield, then back off to `poll_interval` sleeps once a quiet
     /// poll loop has outlived the spin window.
     fn poll_pause(&self, since: Instant) {
-        if since.elapsed() < self.tuning.spin_window {
+        if since.elapsed() < link::SPIN_WINDOW {
             std::thread::yield_now();
         } else {
-            std::thread::sleep(self.tuning.poll_interval);
+            std::thread::sleep(link::POLL_INTERVAL);
         }
-    }
-
-    /// Issue a control request to server `rank` and wait for its tokened
-    /// reply, routing data-plane traffic that arrives in between.
-    fn control_roundtrip(
-        &mut self,
-        rank: usize,
-        request_tag: u64,
-        reply_tag: u64,
-        body: &[u8],
-    ) -> Result<Vec<u8>> {
-        let clients = self.clients.len();
-        if rank < clients || rank >= clients + self.servers {
-            return Err(CoreError::Transport(format!(
-                "control request addressed to invalid rank {rank} ({}..={} expected)",
-                clients,
-                clients + self.servers - 1
-            )));
-        }
-        let token = self.next_token;
-        self.next_token += 1;
-        self.queue_to_server(
-            rank,
-            Frame::new(
-                DRIVER_PORT,
-                rank as u32,
-                request_tag,
-                wire::encode_control(token, body),
-            ),
-        )?;
-        let started = Instant::now();
-        let deadline = started + self.tuning.control_timeout;
-        loop {
-            self.health_check();
-            self.poll_recovery();
-            self.pump_writes();
-            self.pump_reads();
-            let mut reply = None;
-            let mut rest = VecDeque::new();
-            while let Some(frame) = self.inbox.pop_front() {
-                if reply.is_none() && frame.tag == reply_tag && frame.from as usize == rank {
-                    if let Ok((reply_token, reply_body)) =
-                        wire::decode_control(frame.data.as_slice())
-                    {
-                        if reply_token == token {
-                            reply = Some(reply_body.to_vec());
-                            continue;
-                        }
-                        continue; // stale reply from an abandoned request
-                    }
-                }
-                rest.push_back(frame);
-            }
-            self.inbox = rest;
-            self.drain_inbox();
-            if let Some(body) = reply {
-                return Ok(body);
-            }
-            if let LinkState::Dead(err) = &self.links[rank - clients].state {
-                return Err(err.clone());
-            }
-            if Instant::now() >= deadline {
-                return Err(CoreError::WaitTimeout {
-                    what: format!("control reply (tag {reply_tag}) from rank {rank}"),
-                });
-            }
-            self.poll_pause(started);
-        }
-    }
-
-    /// Control-plane memory write to a server rank (TAG_POKE round trip).
-    fn poke_server(&mut self, rank: usize, addr: u64, data: &[u8]) -> Result<()> {
-        let mut body = Vec::with_capacity(8 + data.len());
-        body.extend_from_slice(&addr.to_le_bytes());
-        body.extend_from_slice(data);
-        let reply = self.control_roundtrip(rank, wire::TAG_POKE, wire::TAG_POKE_ACK, &body)?;
-        if reply != [1] {
-            return Err(CoreError::Transport(format!(
-                "poke of {} bytes at {addr:#x} on rank {rank} failed",
-                data.len()
-            )));
-        }
-        Ok(())
-    }
-
-    /// Every rank's link digest, in rank order: the clients' own, then the
-    /// latest each server process published.
-    fn digests(&self) -> impl Iterator<Item = Digest> + '_ {
-        let clients = self.client_links.iter().map(Link::digest);
-        clients.chain(self.links.iter().map(|l| l.rel))
     }
 
     /// Number of successful link heals so far (recovery mode) — the hook the
@@ -1673,7 +1481,7 @@ impl Transport for SocketTransport {
         }
         let clients = self.clients.len();
         for rank in clients..clients + self.servers {
-            let reply = self.control_roundtrip(rank, TAG_AM_DEPLOY, TAG_AM_ACK, name.as_bytes())?;
+            let reply = self.control(rank, TAG_AM_DEPLOY, TAG_AM_ACK, name.as_bytes())?;
             if reply != [1] {
                 return Err(CoreError::UnknownAmHandler {
                     name: format!("{name} (not in the server-process AM catalog)"),
@@ -1743,89 +1551,92 @@ impl Transport for SocketTransport {
         self.tuning.idle_grace
     }
 
-    fn take_completions(&mut self, id: ClientId) -> Vec<Completion> {
-        assert!(id.0 < self.clients.len(), "no client with id {id}");
-        self.clients[id.0].take_completions()
-    }
-
-    fn now_nanos(&self) -> u64 {
-        self.now()
-    }
-
-    fn unacked_total(&self) -> u64 {
-        self.digests().map(|d| d.unacked).sum()
-    }
-
-    fn next_rel_deadline(&self) -> Option<u64> {
-        self.digests().filter_map(|d| d.next_deadline).min()
-    }
-
-    fn read_memory(&mut self, rank: usize, addr: u64, len: usize) -> Result<Vec<u8>> {
-        if rank < self.clients.len() {
-            let mut buf = vec![0u8; len];
-            self.clients[rank]
-                .memory
-                .read(addr, &mut buf)
-                .map_err(|e| CoreError::Transport(e.to_string()))?;
-            return Ok(buf);
-        }
-        let mut body = Vec::with_capacity(16);
-        body.extend_from_slice(&addr.to_le_bytes());
-        body.extend_from_slice(&(len as u64).to_le_bytes());
-        let reply = self.control_roundtrip(rank, wire::TAG_PEEK, wire::TAG_PEEK_REPLY, &body)?;
-        if reply.len() != len {
-            return Err(CoreError::Transport(format!(
-                "peek of {len} bytes at {addr:#x} on rank {rank} failed"
-            )));
-        }
-        Ok(reply)
-    }
-
-    fn write_memory(&mut self, rank: usize, addr: u64, data: &[u8]) -> Result<()> {
-        if rank < self.clients.len() {
-            return self.clients[rank]
-                .memory
-                .write(addr, data)
-                .map_err(|e| CoreError::Transport(e.to_string()));
-        }
-        if self.recover {
-            // Latest value per (rank, addr) is enough: replays overwrite.
+    /// Queue the request behind the rank's data and wait for its tokened
+    /// reply, routing data-plane traffic that arrives in between.
+    fn control(
+        &mut self,
+        rank: usize,
+        request_tag: u64,
+        reply_tag: u64,
+        body: &[u8],
+    ) -> Result<Vec<u8>> {
+        let clients = self.clients.len();
+        check_server_rank(clients, self.servers, rank)?;
+        if let (true, wire::TAG_POKE, Some((addr, data))) =
+            (self.recover, request_tag, wire::split_poke(body))
+        {
+            // A healed rank is brought back to parity by replaying its
+            // recorded memory writes; the latest value per (rank, addr) is
+            // enough, replays overwrite.
             self.poke_log.insert((rank, addr), data.to_vec());
         }
-        self.poke_server(rank, addr, data)
-    }
-
-    fn node_stats(&mut self, rank: usize) -> Result<RuntimeStats> {
-        if rank < self.clients.len() {
-            return Ok(self.clients[rank].stats);
+        let token = self.next_token;
+        self.next_token += 1;
+        self.queue_to_server(
+            rank,
+            Frame::new(
+                DRIVER_PORT,
+                rank as u32,
+                request_tag,
+                wire::encode_control(token, body),
+            ),
+        )?;
+        let started = Instant::now();
+        let deadline = started + self.tuning.control_timeout;
+        loop {
+            self.health_check();
+            self.poll_recovery();
+            self.pump_writes();
+            self.pump_reads();
+            let mut reply = None;
+            let mut rest = VecDeque::new();
+            while let Some(frame) = self.inbox.pop_front() {
+                if reply.is_none() && frame.tag == reply_tag && frame.from as usize == rank {
+                    if let Ok((reply_token, reply_body)) =
+                        wire::decode_control(frame.data.as_slice())
+                    {
+                        if reply_token == token {
+                            reply = Some(reply_body.to_vec());
+                            continue;
+                        }
+                        continue; // stale reply from an abandoned request
+                    }
+                }
+                rest.push_back(frame);
+            }
+            self.inbox = rest;
+            self.drain_inbox();
+            if let Some(body) = reply {
+                return Ok(body);
+            }
+            if let LinkState::Dead(err) = &self.links[rank - clients].state {
+                return Err(err.clone());
+            }
+            if Instant::now() >= deadline {
+                return Err(CoreError::WaitTimeout {
+                    what: format!("control reply (tag {reply_tag}) from rank {rank}"),
+                });
+            }
+            self.poll_pause(started);
         }
-        let reply = self.control_roundtrip(rank, wire::TAG_STATS, wire::TAG_STATS_REPLY, &[])?;
-        wire::decode_stats(&reply)
     }
 
-    fn metrics(&self) -> TransportMetrics {
-        let (retransmits, dup_drops) = Digest::totals(self.digests());
-        TransportMetrics {
-            messages_delivered: self.delivered,
-            messages_dropped: self.dropped,
-            bytes_sent: self.clients.iter().map(|c| c.stats.bytes_sent).sum(),
-            retransmits,
-            dup_drops,
-            faults_injected: self
-                .chaos
-                .as_ref()
-                .map(|c| c.session.stats().total_injected())
-                .unwrap_or(0),
-        }
-    }
-
-    fn node_reliability(&self, rank: usize) -> Option<RelMetrics> {
+    /// The clients' own digests, then the latest each server process
+    /// published.
+    fn link_digest(&self, rank: usize) -> Option<Digest> {
         self.chaos.as_ref()?;
-        self.digests().nth(rank).map(|d| d.metrics)
+        match rank.checked_sub(self.clients.len()) {
+            None => Some(self.client_links[rank].digest()),
+            Some(idx) => self.links.get(idx).map(|l| l.rel),
+        }
+    }
+
+    fn fabric_counts(&self) -> (u64, u64) {
+        (self.delivered, self.dropped)
     }
 
     fn chaos_stats(&self) -> Option<ChaosStats> {
-        SocketTransport::chaos_stats(self)
+        self.chaos.as_ref().map(|c| c.session.stats())
     }
 
     fn failed_ranks(&self) -> Vec<usize> {
@@ -1851,20 +1662,15 @@ impl Transport for SocketTransport {
             .collect()
     }
 
+    /// Clients report every link they hold; a server process publishes
+    /// only its most-stressed one.
     fn link_health(&self) -> Vec<(u32, LinkHealth)> {
-        // Clients report every link they hold; a server process publishes
-        // only its most-stressed one.
         let mut out = Vec::new();
         for (c, link) in self.client_links.iter().enumerate() {
             out.extend(link.health_rows().map(|h| (c as u32, h)));
         }
-        for (idx, link) in self.links.iter().enumerate() {
-            out.extend(
-                link.rel
-                    .health
-                    .map(|h| ((self.clients.len() + idx) as u32, h)),
-            );
-        }
+        let servers = self.links.iter().zip(self.clients.len() as u32..);
+        out.extend(servers.filter_map(|(link, rank)| Some((rank, link.rel.health?))));
         out
     }
 
@@ -1880,7 +1686,7 @@ impl Transport for SocketTransport {
                 conn.queue(Frame::new(DRIVER_PORT, rank, TAG_SHUTDOWN, Vec::new()));
             }
         }
-        let deadline = Instant::now() + self.tuning.shutdown_timeout;
+        let deadline = Instant::now() + link::SHUTDOWN_TIMEOUT;
         while self.pending_writes_total() > 0 && Instant::now() < deadline {
             self.pump_writes();
             if self.pending_writes_total() > 0 {
@@ -1939,6 +1745,43 @@ mod tests {
             }
         );
         assert!(decode_welcome(&[0u8; 10]).is_err());
+    }
+
+    /// A server sizes its runtime and link table from the WELCOME: a layout
+    /// that overflows, or a rank that is not one of its servers, is refused
+    /// before `serve` builds anything from it.
+    #[test]
+    fn welcome_with_an_impossible_layout_is_rejected() {
+        let welcome = |clients, servers, rank| Welcome {
+            clients,
+            servers,
+            rank,
+            opt: OptLevel::O2,
+            reliable: false,
+            adaptive: true,
+            rto: 1,
+            rto_max: 2,
+            triple: TargetTriple::X86_64_GENERIC,
+        };
+        for (clients, servers, rank) in [(1, 2, 1), (1, 2, 2), (3, 1, 3)] {
+            let w = welcome(clients, servers, rank);
+            assert_eq!(decode_welcome(&encode_welcome(&w)).unwrap(), w);
+        }
+        for (clients, servers, rank) in [
+            (u32::MAX, 2, 0),     // clients + servers overflows
+            (2, u32::MAX - 1, 5), // likewise
+            (1, 2, 0),            // a client's rank
+            (1, 2, 3),            // one past the last server
+            (1, 0, 1),            // no servers at all
+            (1, 2, RANK_ANY),     // the wildcard is not an assignment
+        ] {
+            let body = encode_welcome(&welcome(clients, servers, rank));
+            let refused = decode_welcome(&body);
+            assert!(
+                matches!(refused, Err(CoreError::Transport(_))),
+                "{clients} + {servers}, rank {rank}: {refused:?}"
+            );
+        }
     }
 
     #[test]

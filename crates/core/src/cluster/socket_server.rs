@@ -15,7 +15,8 @@
 //! `deploy_am` ships only the name, and the server deploys its catalog
 //! entry under it.
 
-use super::link::Link;
+use super::host::ServerHost;
+use super::link::{wall_nanos, Digest, Link};
 use super::socket::{
     decode_welcome, encode_hello, encode_rel_info, RelInfo, Welcome, DRIVER_PORT, RANK_ANY,
     TAG_AM_ACK, TAG_AM_DEPLOY, TAG_BYE, TAG_HELLO, TAG_LINK_RESET, TAG_PING, TAG_PONG,
@@ -70,18 +71,19 @@ impl ServerOptions {
     }
 }
 
-/// Everything the event loop tracks beyond the runtime itself.
+/// The socket carrier of one [`ServerHost`]: a connection to the driver, the
+/// last reliability digest pushed over it, and the AM catalog.  Frames the
+/// host emits — replies, acks, errors, control replies — are queued on the
+/// connection; the driver routes them.
 struct Server {
     conn: Connection,
-    runtime: NodeRuntime,
+    host: ServerHost,
     rank: u32,
-    /// This rank's link endpoint (reliable when the WELCOME said so).
-    link: Link,
     last_info: RelInfo,
     catalog: Vec<(String, NativeAmHandler)>,
 }
 
-/// Queue a frame from `rank` toward rank `to`; the driver routes it.
+/// Queue a frame from `rank` toward `to` (a rank, or [`DRIVER_PORT`]).
 fn queue(conn: &mut Connection, rank: u32, to: u32, tag: u64, data: Bytes, payload: Bytes) {
     super::socket::strace!(
         "[server {rank}] send tag={tag} to={to} data={}B payload={}B",
@@ -92,56 +94,15 @@ fn queue(conn: &mut Connection, rank: u32, to: u32, tag: u64, data: Bytes, paylo
 }
 
 impl Server {
-    fn send_error(&mut self, detail: String) {
-        self.conn.queue(Frame::new(
-            self.rank,
-            DRIVER_PORT,
-            wire::TAG_ERROR,
-            detail.into_bytes(),
-        ));
-    }
-
-    /// Poll every delivered operation and flush the runtime's outgoing
-    /// queue onto the socket, looping over self-sends until quiescent.
-    /// Frames are queued behind the poll, so on the FIFO socket the driver
-    /// can never observe an op as acked — pure or piggybacked — without also
-    /// holding its effects, which is what makes a kill between two flushes
-    /// recoverable by frame replay.
-    fn process_delivered(&mut self) {
-        loop {
-            for outcome in self.runtime.poll(usize::MAX) {
-                if let Err(e) = outcome {
-                    self.send_error(e.to_string());
-                }
-            }
-            let outgoing = self.runtime.take_outgoing();
-            if outgoing.is_empty() {
-                break;
-            }
-            for msg in outgoing {
-                if msg.dst.0 == self.rank {
-                    // Loopback: the fault model excludes self-sends on every
-                    // backend, so deliver directly and let the outer loop
-                    // re-poll.
-                    self.runtime.deliver(msg);
-                    continue;
-                }
-                let (tag, data, payload) = self.link.outbound(&msg);
-                queue(&mut self.conn, self.rank, msg.dst.0, tag, data, payload);
-            }
-        }
-    }
-
     /// Push the reliability digest to the driver when it meaningfully
     /// changed (counters moved, unacked count moved, or the earliest
     /// deadline shifted by more than a millisecond).
-    fn publish_rel_info(&mut self) {
-        let digest = self.link.digest();
+    fn publish(&mut self, digest: Digest) {
         let info = RelInfo {
             unacked: digest.unacked,
             remaining_ns: digest
                 .next_deadline
-                .map_or(u64::MAX, |d| d.saturating_sub(self.link.now())),
+                .map_or(u64::MAX, |d| d.saturating_sub(wall_nanos())),
             metrics: digest.metrics,
             health: digest.health,
         };
@@ -161,94 +122,59 @@ impl Server {
         }
     }
 
-    /// Terminate one data-plane frame, setting `pending_ops` when operations
-    /// reached the runtime.  A duplicate or out-of-order arrival is acked at
-    /// once, behind a poll of anything pending (the ack is cumulative).
-    fn on_link_frame(&mut self, frame: Frame, pending_ops: &mut bool) {
-        let runtime = &mut self.runtime;
-        let arrival = self
-            .link
-            .inbound(frame.from, frame.tag, frame.data, frame.payload, |op| {
-                runtime.deliver(op);
-                *pending_ops = true;
-            });
-        match arrival {
-            Ok(None) => {}
-            Ok(Some(ack)) => {
-                if std::mem::take(pending_ops) {
-                    self.process_delivered();
-                }
-                let (conn, rank) = (&mut self.conn, self.rank);
-                queue(conn, rank, frame.from, wire::TAG_ACK, ack, Bytes::new());
-            }
-            Err(e) => self.send_error(e.to_string()),
-        }
-    }
-
-    /// End of one frame-drain pass: one pure cumulative ack per peer the
-    /// pass's replies did not piggyback on, the retransmission timer, then
-    /// the reliability digest.
-    fn finish_batch(&mut self) {
+    /// One frame off the socket, in FIFO position.  Liveness probes, link
+    /// resets and the shutdown request (returns `true`) are the carrier's
+    /// own; AM deployment is a control request of this carrier, served
+    /// behind the host's barrier; everything else is the host's.
+    fn on_frame(&mut self, frame: Frame) -> bool {
         let (conn, rank) = (&mut self.conn, self.rank);
         let mut emit = |to, tag, data, payload| queue(conn, rank, to, tag, data, payload);
-        self.link.finish_batch(&mut emit);
-        self.link.tick(&mut emit);
-        self.publish_rel_info();
-    }
-
-    /// The driver respawned peer rank `peer` with a fresh sequence space:
-    /// renumber and re-send what this rank retained for it.
-    fn on_link_reset(&mut self, peer: u32) {
-        let (conn, rank) = (&mut self.conn, self.rank);
-        self.link.replay(peer, |to, tag, data, payload| {
-            queue(conn, rank, to, tag, data, payload)
-        });
-        self.publish_rel_info();
-    }
-
-    /// Handle one control-plane frame (strictly after pending data has been
-    /// processed — the control plane doubles as a barrier).
-    fn on_control(&mut self, frame: Frame) {
         match frame.tag {
-            wire::TAG_PEEK | wire::TAG_POKE | wire::TAG_STATS => {
-                let served = wire::serve_control(&mut self.runtime, frame.tag, &frame.data);
-                if let Some((tag, reply)) = served {
-                    self.conn
-                        .queue(Frame::new(self.rank, DRIVER_PORT, tag, reply));
+            // Liveness probe: echo the nonce straight back.
+            TAG_PING => emit(DRIVER_PORT, TAG_PONG, frame.data, Bytes::new()),
+            TAG_LINK_RESET => {
+                if let Ok(peer) = frame.data.as_slice().try_into() {
+                    let digest = self.host.replay(u32::from_le_bytes(peer), emit);
+                    self.publish(digest);
                 }
             }
+            TAG_SHUTDOWN => return true,
             TAG_AM_DEPLOY => {
                 let Ok((token, body)) = wire::decode_control(frame.data.as_slice()) else {
-                    return;
+                    return false;
                 };
                 let name = String::from_utf8_lossy(body).into_owned();
-                let found = self
-                    .catalog
-                    .iter()
-                    .find(|(n, _)| *n == name)
-                    .map(|(_, h)| h.clone());
+                let found = self.catalog.iter().find(|(n, _)| *n == name);
+                let runtime = self.host.barrier(&mut emit);
                 let ok = match found {
-                    Some(handler) => {
-                        self.runtime.deploy_am_handler(name, handler);
+                    Some((_, handler)) => {
+                        runtime.deploy_am_handler(name, handler.clone());
                         true
                     }
                     None => false,
                 };
-                self.conn.queue(Frame::new(
-                    self.rank,
-                    DRIVER_PORT,
-                    TAG_AM_ACK,
-                    wire::encode_control(token, &[ok as u8]),
-                ));
+                let ack = wire::encode_control(token, &[ok as u8]);
+                emit(DRIVER_PORT, TAG_AM_ACK, ack.into(), Bytes::new());
             }
-            _ => {}
+            tag => self
+                .host
+                .on_frame(frame.from, tag, frame.data, frame.payload, emit),
         }
+        false
     }
 
-    /// Flush everything, announce the close, and drain the socket.
+    /// End of one frame-drain pass.
+    fn end_pass(&mut self) {
+        let (conn, rank) = (&mut self.conn, self.rank);
+        let digest = self
+            .host
+            .end_pass(|to, tag, data, payload| queue(conn, rank, to, tag, data, payload));
+        self.publish(digest);
+    }
+
+    /// Announce the close and drain the socket (the pass that carried the
+    /// SHUTDOWN has already been closed, so everything is flushed).
     fn graceful_exit(&mut self) {
-        self.process_delivered();
-        self.publish_rel_info();
         self.conn
             .queue(Frame::new(self.rank, DRIVER_PORT, TAG_BYE, Vec::new()));
         let deadline = Instant::now() + Duration::from_secs(2);
@@ -307,18 +233,21 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
         std::thread::sleep(Duration::from_micros(500));
     };
 
+    // `decode_welcome` validated the layout: the sum cannot overflow and the
+    // rank is a server's.
     let total = welcome.clients + welcome.servers;
     let rel_cfg = welcome.reliable.then(|| welcome.rel_config());
+    let runtime = NodeRuntime::with_opt_level(
+        tc_ucx::WorkerAddr(welcome.rank),
+        total,
+        welcome.triple,
+        welcome.opt,
+    );
     let mut server = Server {
         conn,
-        runtime: NodeRuntime::with_opt_level(
-            tc_ucx::WorkerAddr(welcome.rank),
-            total,
-            welcome.triple,
-            welcome.opt,
-        ),
+        // A process's only wire leads to the driver: self-sends loop back.
+        host: ServerHost::new(runtime, Link::new(welcome.rank, total, rel_cfg), true),
         rank: welcome.rank,
-        link: Link::new(welcome.rank, total, rel_cfg, Instant::now()),
         // What a fresh link reports (nothing armed), so nothing is pushed
         // until the digest first moves — never, without a fault plan.
         last_info: RelInfo {
@@ -344,7 +273,6 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
         if !frames.is_empty() {
             last_activity = Instant::now();
         }
-        let mut pending_ops = false;
         let mut shutdown = false;
         for frame in frames.drain(..) {
             super::socket::strace!(
@@ -356,41 +284,9 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
                 frame.data.len(),
                 frame.payload.len()
             );
-            match frame.tag {
-                wire::TAG_OP | wire::TAG_ROP | wire::TAG_ACK => {
-                    server.on_link_frame(frame, &mut pending_ops)
-                }
-                TAG_PING => {
-                    // Liveness probe: echo the nonce straight back.
-                    server.conn.queue(Frame::new(
-                        server.rank,
-                        DRIVER_PORT,
-                        TAG_PONG,
-                        frame.data.as_slice().to_vec(),
-                    ));
-                }
-                TAG_LINK_RESET => {
-                    let body = frame.data.as_slice();
-                    if body.len() == 4 {
-                        let peer = u32::from_le_bytes(body.try_into().unwrap());
-                        server.on_link_reset(peer);
-                    }
-                }
-                TAG_SHUTDOWN => shutdown = true,
-                _ => {
-                    // Control frames act as a barrier behind the data plane.
-                    if pending_ops {
-                        server.process_delivered();
-                        pending_ops = false;
-                    }
-                    server.on_control(frame);
-                }
-            }
+            shutdown |= server.on_frame(frame);
         }
-        if pending_ops {
-            server.process_delivered();
-        }
-        server.finish_batch();
+        server.end_pass();
         if shutdown {
             server.graceful_exit();
             return Ok(());
@@ -401,7 +297,7 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
                 other => Err(other.to_string()),
             };
         }
-        if server.conn.pending_writes() == 0 && server.runtime.completions_pending() == 0 {
+        if server.conn.pending_writes() == 0 && server.host.runtime().completions_pending() == 0 {
             // Spin briefly after traffic (a driver round trip is tens of
             // microseconds away), then back off to sleeping when idle.
             if last_activity.elapsed() < Duration::from_millis(1) {

@@ -40,19 +40,20 @@
 //! without shipping closures through channels.
 
 use super::completion::ClaimShards;
+use super::host::ServerHost;
 use super::link::{self, Digest, Link};
-use super::reliable::{LinkHealth, RelConfig, RelMetrics};
-use super::{wire, ClientRef, ClientRefMut, Transport, TransportMetrics};
+use super::reliable::RelConfig;
+use super::socket::DRIVER_PORT;
+use super::{check_server_rank, wire, ClientRef, ClientRefMut, Transport, Tuning};
 use crate::error::{CoreError, Result};
-use crate::metrics::RuntimeStats;
-use crate::runtime::{Completion, NativeAmHandler, NodeRuntime};
+use crate::runtime::{NativeAmHandler, NodeRuntime};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 use tc_bitir::TargetTriple;
 use tc_chaos::{ChaosSession, ChaosStats, FaultPlan, HoldBack};
-use tc_jit::{Memory, OptLevel};
+use tc_jit::OptLevel;
 use tc_simnet::{
     external_port, Envelope, EnvelopeFilter, ExternalQueue, Injector, NodeCtx, ThreadCluster,
     ThreadConfig, ThreadedNode,
@@ -71,41 +72,6 @@ type AmRegistry = Arc<Mutex<Vec<(String, NativeAmHandler)>>>;
 /// whole transport to a poisoned diagnostic lock would be worse.
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Scheduling tunables of the threaded backend — every value that used to
-/// be a hard-coded constant, configurable through
-/// [`super::ClusterBuilder::thread_tuning`].  The defaults reproduce the
-/// former behaviour exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThreadTuning {
-    /// How long one driver `step` parks on the worker-progress signal before
-    /// running its idleness checks.  Workers wake the driver the moment they
-    /// finish a batch (condvar notify), so this bounds *idle-detection*
-    /// latency only, not delivery latency.
-    pub step_timeout: Duration,
-    /// Consecutive idle steps before waits give up.  A step only reports
-    /// idle after `step_timeout` of silence with zero pending node-bound or
-    /// worker-bound messages, so two suffice: the second covers the one-step
-    /// race where a worker finished a batch right as the first park timed
-    /// out.
-    pub idle_grace: u32,
-    /// Most messages a node thread — or a client worker — drains per wakeup
-    /// (batch drain: one park, many messages).
-    pub node_batch: usize,
-    /// How long a control-plane round trip (peek/poke/stats) may take.
-    pub control_timeout: Duration,
-}
-
-impl Default for ThreadTuning {
-    fn default() -> Self {
-        ThreadTuning {
-            step_timeout: Duration::from_millis(20),
-            idle_grace: 2,
-            node_batch: 128,
-            control_timeout: Duration::from_secs(10),
-        }
-    }
 }
 
 /// Map a threaded-fabric sender/receiver id to a cluster rank in a cluster
@@ -142,137 +108,86 @@ impl RelTable {
         *relock(&self.slots[rank]) = digest;
     }
 
-    fn digests(&self) -> impl Iterator<Item = Digest> + '_ {
-        self.slots.iter().map(|slot| *relock(slot))
+    fn get(&self, rank: usize) -> Option<Digest> {
+        self.slots.get(rank).map(|slot| *relock(slot))
     }
 }
 
 /// Put a frame for rank `to` on the fabric from a node thread.  Ranks below
-/// `clients` are driver-side endpoints (external ports).  Drops (unknown
-/// rank, stopped node) are counted by the ThreadCluster's delivery counters
-/// and surfaced through the transport metrics.
+/// `clients` are driver-side endpoints (external ports), and [`DRIVER_PORT`]
+/// — error reports and control replies — is the driver's own control port
+/// `clients`, which no worker owns.  Drops (unknown rank, stopped node) are
+/// counted by the ThreadCluster's delivery counters and surfaced through
+/// the transport metrics.
 fn node_send(ctx: &NodeCtx, clients: usize, to: u32, tag: u64, data: Bytes, payload: Bytes) {
     let to = to as usize;
     let _ = if to < clients {
         ctx.send_external_port_vectored(to, tag, data, payload)
+    } else if to == DRIVER_PORT as usize {
+        ctx.send_external_port_vectored(clients, tag, data, payload)
     } else {
         ctx.send_vectored(to - clients, tag, data, payload)
     };
 }
 
-/// Report a node-side failure to the driver's control port.  Errors ride the
-/// same queue as control replies, so the existing FIFO barrier argument
-/// holds: an error emitted before a stats reply is collected before it.
-fn report_error(ctx: &NodeCtx, control_port: usize, text: String) {
-    let _ = ctx.send_external_port(control_port, wire::TAG_ERROR, text.into_bytes());
-}
-
-/// A server node: owns a full Three-Chains runtime and speaks the transport's
-/// wire protocol.
+/// A server node: the fabric carrier of one [`ServerHost`].  It feeds the
+/// host envelopes in FIFO order, sends what the host emits (self-sends
+/// included — the fabric delivers them), and publishes the host's digest.
 struct ServerNode {
-    runtime: NodeRuntime,
+    host: ServerHost,
     /// Number of driver-side client ranks (this node's rank is
     /// `clients + thread_id`; the driver's control port is `clients`).
     clients: usize,
     am_registry: AmRegistry,
     am_applied: usize,
-    /// This rank's link endpoint; reliable when a fault plan is installed,
-    /// else the original lossless fast path byte-for-byte.
-    link: Link,
     /// Where the link digest is published (chaos mode only).
     table: Option<Arc<RelTable>>,
 }
 
 impl ServerNode {
-    fn sync_am(&mut self) {
+    /// The host's `emit`: everything leaves through [`node_send`].
+    fn emit<'a>(&self, ctx: &'a NodeCtx) -> impl FnMut(u32, u64, Bytes, Bytes) + 'a {
+        let clients = self.clients;
+        move |to, tag, data, payload| node_send(ctx, clients, to, tag, data, payload)
+    }
+
+    fn sync_am(&mut self, ctx: &NodeCtx) {
         let registry = relock(&self.am_registry);
+        if self.am_applied == registry.len() {
+            return;
+        }
+        let emit = self.emit(ctx);
+        let runtime = self.host.barrier(emit);
         for (name, handler) in registry.iter().skip(self.am_applied) {
-            self.runtime
-                .deploy_am_handler(name.clone(), handler.clone());
+            runtime.deploy_am_handler(name.clone(), handler.clone());
         }
         self.am_applied = registry.len();
     }
 
-    fn publish(&self) {
+    /// Close the pass and publish its digest.
+    fn end_pass(&mut self, ctx: &NodeCtx) {
+        let emit = self.emit(ctx);
+        let digest = self.host.end_pass(emit);
         if let Some(table) = &self.table {
-            table.publish(self.runtime.node_id().index(), self.link.digest());
-        }
-    }
-
-    /// Poll every delivered operation and ship whatever the runtime posted.
-    /// Frames leave only after `poll(usize::MAX)`, so the cumulative acks
-    /// they piggyback never cover an operation that has not been polled.
-    fn process_delivered(&mut self, ctx: &NodeCtx) {
-        let clients = self.clients;
-        for outcome in self.runtime.poll(usize::MAX) {
-            if let Err(e) = outcome {
-                report_error(ctx, clients, e.to_string());
-            }
-        }
-        for msg in self.runtime.take_outgoing() {
-            let (tag, data, payload) = self.link.outbound(&msg);
-            node_send(ctx, clients, msg.dst.0, tag, data, payload);
-        }
-    }
-
-    /// Handle one control-plane envelope, replying to whichever external
-    /// port issued it (the driver's control port in practice).
-    fn on_control(&mut self, msg: Envelope, ctx: &NodeCtx) {
-        let reply_to = external_port(msg.from).unwrap_or(self.clients);
-        if let Some((tag, reply)) = wire::serve_control(&mut self.runtime, msg.tag, &msg.data) {
-            let _ = ctx.send_external_port(reply_to, tag, reply);
+            table.publish(self.host.runtime().node_id().index(), digest);
         }
     }
 }
 
 impl ThreadedNode for ServerNode {
-    /// One wakeup's worth of envelopes.  Consecutive data-plane messages are
-    /// delivered together and polled/flushed once, so a burst of N ifunc
-    /// frames pays for one poll loop and one outgoing flush instead of N.
-    /// Control messages are handled strictly in FIFO position (the control
-    /// plane doubles as a barrier behind the data plane).
+    /// One wakeup's worth of envelopes, in FIFO order: the host delivers
+    /// consecutive data-plane messages together and polls/flushes them once,
+    /// so a burst of N ifunc frames pays for one poll loop and one outgoing
+    /// flush instead of N.
     fn on_batch(&mut self, msgs: Vec<Envelope>, ctx: &NodeCtx) {
-        self.sync_am();
-        let clients = self.clients;
-        let mut pending_ops = false;
+        self.sync_am(ctx);
+        let mut emit = self.emit(ctx);
         for msg in msgs {
-            if !matches!(msg.tag, wire::TAG_OP | wire::TAG_ROP | wire::TAG_ACK) {
-                if std::mem::take(&mut pending_ops) {
-                    self.process_delivered(ctx);
-                }
-                self.on_control(msg, ctx);
-                continue;
-            }
-            let from = rank_of(clients, msg.from) as u32;
-            let runtime = &mut self.runtime;
-            let arrival = self
-                .link
-                .inbound(from, msg.tag, msg.data, msg.payload, |op| {
-                    runtime.deliver(op);
-                    pending_ops = true;
-                });
-            match arrival {
-                Ok(None) => {}
-                // A duplicate or out-of-order arrival is acked on the spot —
-                // behind a poll of anything still pending, because that ack
-                // is cumulative.
-                Ok(Some(ack)) => {
-                    if std::mem::take(&mut pending_ops) {
-                        self.process_delivered(ctx);
-                    }
-                    node_send(ctx, clients, from, wire::TAG_ACK, ack, Bytes::new());
-                }
-                Err(e) => report_error(ctx, clients, e.to_string()),
-            }
+            let from = rank_of(self.clients, msg.from) as u32;
+            self.host
+                .on_frame(from, msg.tag, msg.data, msg.payload, &mut emit);
         }
-        if pending_ops {
-            self.process_delivered(ctx);
-        }
-        // Whatever the replies above did not piggyback goes out as one pure
-        // ack per peer — after the poll, so it too only covers polled ops.
-        self.link
-            .finish_batch(|to, tag, data, payload| node_send(ctx, clients, to, tag, data, payload));
-        self.publish();
+        self.end_pass(ctx);
     }
 
     fn on_message(&mut self, msg: Envelope, ctx: &NodeCtx) {
@@ -280,10 +195,7 @@ impl ThreadedNode for ServerNode {
     }
 
     fn on_tick(&mut self, ctx: &NodeCtx) {
-        let clients = self.clients;
-        self.link
-            .tick(|to, tag, data, payload| node_send(ctx, clients, to, tag, data, payload));
-        self.publish();
+        self.end_pass(ctx);
     }
 }
 
@@ -523,7 +435,7 @@ struct WorkerCtx {
     queue: ExternalQueue,
     shared: Arc<WorkerShared>,
     injector: Injector,
-    /// Most envelopes drained per wakeup ([`ThreadTuning::node_batch`]).
+    /// Most envelopes drained per wakeup ([`Tuning::node_batch`]).
     batch: usize,
     /// Receive-park bound: doubles as the stop-flag poll interval and (in
     /// chaos mode) the retransmission-tick cadence floor.
@@ -666,12 +578,10 @@ pub struct ThreadTransport {
     servers: usize,
     am_registry: AmRegistry,
     next_token: u64,
-    tuning: ThreadTuning,
+    tuning: Tuning,
     /// Chaos-mode state (fault session + counter table); `None` keeps the
     /// lossless fast path.
     chaos: Option<DriverChaos>,
-    /// Transport-clock origin ([`Transport::now_nanos`] measures from here).
-    epoch: Instant,
     /// Since when `step` has seen zero progress while reliability frames
     /// stay unacked (chaos mode).  Bounds how long outstanding
     /// retransmissions can keep the driver reporting "busy" — a frame that
@@ -693,31 +603,6 @@ impl std::fmt::Debug for ThreadTransport {
 }
 
 impl ThreadTransport {
-    /// Start a backend with one client (rank 0, on its own worker thread)
-    /// and `servers` threaded server nodes (ranks 1..=servers).
-    pub fn new(servers: usize, client_triple: TargetTriple, server_triple: TargetTriple) -> Self {
-        Self::with_opt(servers, client_triple, server_triple, OptLevel::O2)
-    }
-
-    /// Constructor with default tuning, one client and no fault plan.
-    pub fn with_opt(
-        servers: usize,
-        client_triple: TargetTriple,
-        server_triple: TargetTriple,
-        opt_level: OptLevel,
-    ) -> Self {
-        Self::with_config(
-            1,
-            servers,
-            client_triple,
-            server_triple,
-            opt_level,
-            ThreadTuning::default(),
-            None,
-            None,
-        )
-    }
-
     /// Full-control constructor used by the cluster builder: `clients`
     /// client runtimes (ranks `0..clients`, one worker thread each),
     /// `servers` threaded server nodes (ranks `clients..clients+servers`),
@@ -733,7 +618,7 @@ impl ThreadTransport {
         client_triple: TargetTriple,
         server_triple: TargetTriple,
         opt_level: OptLevel,
-        tuning: ThreadTuning,
+        tuning: Tuning,
         fault_plan: Option<FaultPlan>,
         rel_config: Option<RelConfig>,
     ) -> Self {
@@ -742,7 +627,6 @@ impl ThreadTransport {
         let am_registry: AmRegistry = Arc::new(Mutex::new(Vec::new()));
         let registry_for_nodes = Arc::clone(&am_registry);
 
-        let epoch = Instant::now();
         let rel_cfg = rel_config.unwrap_or_else(RelConfig::threads_default);
         let chaos = fault_plan.map(|plan| DriverChaos {
             session: ChaosSession::new(plan),
@@ -767,17 +651,13 @@ impl ThreadTransport {
 
         let mut cluster = ThreadCluster::start_with_config(servers, config, move |thread_id| {
             let rank = (thread_id + clients) as u32;
+            let runtime =
+                NodeRuntime::with_opt_level(WorkerAddr(rank), total, server_triple, opt_level);
             ServerNode {
-                runtime: NodeRuntime::with_opt_level(
-                    WorkerAddr(rank),
-                    total,
-                    server_triple,
-                    opt_level,
-                ),
+                host: ServerHost::new(runtime, Link::new(rank, total, link_cfg), false),
                 clients,
                 am_registry: Arc::clone(&registry_for_nodes),
                 am_applied: 0,
-                link: Link::new(rank, total, link_cfg, epoch),
                 table: node_chaos.clone(),
             }
         });
@@ -791,7 +671,7 @@ impl ThreadTransport {
                         client_triple,
                         opt_level,
                     )),
-                    link: Mutex::new(Link::new(c as u32, total, link_cfg, epoch)),
+                    link: Mutex::new(Link::new(c as u32, total, link_cfg)),
                     order: Mutex::new(()),
                 })
                 .collect(),
@@ -837,26 +717,9 @@ impl ThreadTransport {
             next_token: 1,
             tuning,
             chaos,
-            epoch,
             stalled_since: None,
             seen_gen: 0,
         }
-    }
-
-    /// Every rank's last published link digest, in rank order (empty
-    /// without a fault plan).
-    fn digests(&self) -> impl Iterator<Item = Digest> + '_ {
-        self.chaos.iter().flat_map(|c| c.table.digests())
-    }
-
-    /// Snapshot of the injected-fault counters (chaos mode only).
-    pub fn chaos_stats(&self) -> Option<ChaosStats> {
-        self.chaos.as_ref().map(|c| c.session.stats())
-    }
-
-    /// Reliability counters of one rank (chaos mode only).
-    pub fn rel_metrics(&self, rank: usize) -> Option<RelMetrics> {
-        self.digests().nth(rank).map(|d| d.metrics)
     }
 
     /// Errors reported by server nodes, client workers, or transport-level
@@ -875,87 +738,13 @@ impl ThreadTransport {
             ));
         }
         // Stale control replies (from a timed-out request) are dropped; live
-        // ones are intercepted by `control_roundtrip` before this.
-    }
-
-    /// Issue a control request to server `rank` and wait for its tokened
-    /// reply.  The request is sent from the driver's own control port
-    /// (`clients`), so the reply comes back on the shared queue no worker
-    /// owns; data-plane traffic keeps flowing through the workers in the
-    /// meantime.
-    fn control_roundtrip(
-        &mut self,
-        rank: usize,
-        request_tag: u64,
-        reply_tag: u64,
-        body: &[u8],
-    ) -> Result<Vec<u8>> {
-        let clients = self.shared.clients.len();
-        if rank < clients || rank >= clients + self.servers {
-            return Err(CoreError::Transport(format!(
-                "control request addressed to invalid rank {rank} ({}..={} expected)",
-                clients,
-                clients + self.servers - 1
-            )));
-        }
-        let token = self.next_token;
-        self.next_token += 1;
-        let status = match &self.cluster {
-            Some(cluster) => cluster.send_from_port(
-                clients,
-                rank - clients,
-                request_tag,
-                wire::encode_control(token, body),
-            ),
-            None => return Err(CoreError::Transport("thread transport is shut down".into())),
-        };
-        if !status.is_delivered() {
-            return Err(CoreError::Transport(format!(
-                "control request to rank {rank} not delivered: {status:?}"
-            )));
-        }
-        let deadline = Instant::now() + self.tuning.control_timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(CoreError::WaitTimeout {
-                    what: format!("control reply (tag {reply_tag}) from rank {rank}"),
-                });
-            }
-            let env = match &self.cluster {
-                Some(cluster) => cluster.recv_external(remaining),
-                None => return Err(CoreError::Transport("thread transport is shut down".into())),
-            };
-            let Some(env) = env else {
-                continue;
-            };
-            if env.tag == reply_tag && env.from == rank - clients {
-                if let Ok((reply_token, reply_body)) = wire::decode_control(&env.data) {
-                    if reply_token == token {
-                        return Ok(reply_body.to_vec());
-                    }
-                    continue; // stale reply from an abandoned request
-                }
-            }
-            self.on_driver_envelope(env);
-        }
+        // ones are intercepted by `control` before this.
     }
 }
 
 impl Transport for ThreadTransport {
     fn backend_name(&self) -> &'static str {
         "threads"
-    }
-
-    /// Per-link reliability health, assembled from the shared digest table
-    /// without touching any client's link or runtime lock: every rank —
-    /// clients included — reports the most-stressed link it last published
-    /// (one row per rank).
-    fn link_health(&self) -> Vec<(u32, LinkHealth)> {
-        self.digests()
-            .enumerate()
-            .filter_map(|(rank, d)| Some((rank as u32, d.health?)))
-            .collect()
     }
 
     fn node_count(&self) -> usize {
@@ -1064,107 +853,80 @@ impl Transport for ThreadTransport {
         self.tuning.idle_grace
     }
 
-    fn take_completions(&mut self, id: ClientId) -> Vec<Completion> {
-        assert!(id.0 < self.shared.clients.len(), "no client with id {id}");
-        // Post-`attach_claims` the worker deposits straight into the shards
-        // and this is usually empty; completions produced on the driver's
-        // own paths (loopback before attach) still flow through here.
-        relock(&self.shared.clients[id.0].runtime).take_completions()
-    }
-
-    fn now_nanos(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    fn unacked_total(&self) -> u64 {
-        self.digests().map(|d| d.unacked).sum()
-    }
-
-    fn next_rel_deadline(&self) -> Option<u64> {
-        self.digests().filter_map(|d| d.next_deadline).min()
-    }
-
-    fn read_memory(&mut self, rank: usize, addr: u64, len: usize) -> Result<Vec<u8>> {
-        if rank < self.shared.clients.len() {
-            let mut buf = vec![0u8; len];
-            relock(&self.shared.clients[rank].runtime)
-                .memory
-                .read(addr, &mut buf)
-                .map_err(|e| CoreError::Transport(e.to_string()))?;
-            return Ok(buf);
-        }
-        let mut body = Vec::with_capacity(16);
-        body.extend_from_slice(&addr.to_le_bytes());
-        body.extend_from_slice(&(len as u64).to_le_bytes());
-        let reply = self.control_roundtrip(rank, wire::TAG_PEEK, wire::TAG_PEEK_REPLY, &body)?;
-        if reply.len() != len {
+    /// Issue a control request to server `rank` and wait for its tokened
+    /// reply.  The request is sent from the driver's own control port
+    /// (`clients`), so the reply comes back on the shared queue no worker
+    /// owns; data-plane traffic keeps flowing through the workers in the
+    /// meantime.
+    fn control(
+        &mut self,
+        rank: usize,
+        request_tag: u64,
+        reply_tag: u64,
+        body: &[u8],
+    ) -> Result<Vec<u8>> {
+        let clients = self.shared.clients.len();
+        check_server_rank(clients, self.servers, rank)?;
+        let token = self.next_token;
+        self.next_token += 1;
+        let status = match &self.cluster {
+            Some(cluster) => cluster.send_from_port(
+                clients,
+                rank - clients,
+                request_tag,
+                wire::encode_control(token, body),
+            ),
+            None => return Err(CoreError::Transport("thread transport is shut down".into())),
+        };
+        if !status.is_delivered() {
             return Err(CoreError::Transport(format!(
-                "peek of {len} bytes at {addr:#x} on rank {rank} failed"
+                "control request to rank {rank} not delivered: {status:?}"
             )));
         }
-        Ok(reply)
+        let deadline = Instant::now() + self.tuning.control_timeout;
+        loop {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return Err(CoreError::WaitTimeout {
+                    what: format!("control reply (tag {reply_tag}) from rank {rank}"),
+                });
+            }
+            let env = match &self.cluster {
+                Some(cluster) => cluster.recv_external(remaining),
+                None => return Err(CoreError::Transport("thread transport is shut down".into())),
+            };
+            let Some(env) = env else {
+                continue;
+            };
+            if env.tag == reply_tag && env.from == rank - clients {
+                if let Ok((reply_token, reply_body)) = wire::decode_control(&env.data) {
+                    if reply_token == token {
+                        return Ok(reply_body.to_vec());
+                    }
+                    continue; // stale reply from an abandoned request
+                }
+            }
+            self.on_driver_envelope(env);
+        }
     }
 
-    fn write_memory(&mut self, rank: usize, addr: u64, data: &[u8]) -> Result<()> {
-        if rank < self.shared.clients.len() {
-            return relock(&self.shared.clients[rank].runtime)
-                .memory
-                .write(addr, data)
-                .map_err(|e| CoreError::Transport(e.to_string()));
-        }
-        let mut body = Vec::with_capacity(8 + data.len());
-        body.extend_from_slice(&addr.to_le_bytes());
-        body.extend_from_slice(data);
-        let reply = self.control_roundtrip(rank, wire::TAG_POKE, wire::TAG_POKE_ACK, &body)?;
-        if reply != [1] {
-            return Err(CoreError::Transport(format!(
-                "poke of {} bytes at {addr:#x} on rank {rank} failed",
-                data.len()
-            )));
-        }
-        Ok(())
+    /// Assembled from the shared digest table without touching any client's
+    /// link or runtime lock.
+    fn link_digest(&self, rank: usize) -> Option<Digest> {
+        self.chaos.as_ref()?.table.get(rank)
     }
 
-    fn node_stats(&mut self, rank: usize) -> Result<RuntimeStats> {
-        if rank < self.shared.clients.len() {
-            return Ok(relock(&self.shared.clients[rank].runtime).stats);
-        }
-        let reply = self.control_roundtrip(rank, wire::TAG_STATS, wire::TAG_STATS_REPLY, &[])?;
-        wire::decode_stats(&reply)
-    }
-
-    fn metrics(&self) -> TransportMetrics {
+    fn fabric_counts(&self) -> (u64, u64) {
         let m = self
             .cluster
             .as_ref()
             .map(|c| c.metrics())
             .unwrap_or(self.final_metrics);
-        let (retransmits, dup_drops) = Digest::totals(self.digests());
-        TransportMetrics {
-            messages_delivered: m.delivered,
-            messages_dropped: m.dropped(),
-            bytes_sent: self
-                .shared
-                .clients
-                .iter()
-                .map(|c| relock(&c.runtime).stats.bytes_sent)
-                .sum(),
-            retransmits,
-            dup_drops,
-            faults_injected: self
-                .chaos
-                .as_ref()
-                .map(|c| c.session.stats().total_injected())
-                .unwrap_or(0),
-        }
-    }
-
-    fn node_reliability(&self, rank: usize) -> Option<RelMetrics> {
-        self.rel_metrics(rank)
+        (m.delivered, m.dropped())
     }
 
     fn chaos_stats(&self) -> Option<ChaosStats> {
-        ThreadTransport::chaos_stats(self)
+        self.chaos.as_ref().map(|c| c.session.stats())
     }
 
     fn shutdown(&mut self) {

@@ -375,9 +375,29 @@ pub fn decode_control(bytes: &[u8]) -> Result<(u64, &[u8])> {
     ))
 }
 
+/// Read `len` bytes at `addr` of a node's memory; `None` when the read
+/// fails.  `len` may come straight off the wire, so it is bounded before
+/// anything is allocated for it: no reply above [`tc_net::MAX_FRAME_BYTES`]
+/// could be framed anyway.
+pub(crate) fn peek(runtime: &NodeRuntime, addr: u64, len: u64) -> Option<Vec<u8>> {
+    let len = usize::try_from(len)
+        .ok()
+        .filter(|&len| len <= tc_net::MAX_FRAME_BYTES)?;
+    let mut buf = vec![0u8; len];
+    runtime.memory.read(addr, &mut buf).ok()?;
+    Some(buf)
+}
+
+/// Split a [`TAG_POKE`] body into `(addr, data)`.
+pub(crate) fn split_poke(body: &[u8]) -> Option<(u64, &[u8])> {
+    let (addr, data) = body.split_first_chunk::<8>()?;
+    Some((u64::from_le_bytes(*addr), data))
+}
+
 /// Serve one control-plane request (peek/poke/stats) against a node's
 /// runtime: the reply's tag and body, or `None` for a malformed request or a
-/// tag that is not one of the three.
+/// tag that is not one of the three.  A peek that fails — unreadable range,
+/// or a length no reply could carry — answers with an empty body.
 pub(crate) fn serve_control(
     runtime: &mut NodeRuntime,
     tag: u64,
@@ -387,15 +407,13 @@ pub(crate) fn serve_control(
     match tag {
         TAG_PEEK if body.len() == 16 => {
             let addr = u64::from_le_bytes(body[0..8].try_into().unwrap());
-            let len = u64::from_le_bytes(body[8..16].try_into().unwrap()) as usize;
-            let mut buf = vec![0u8; len];
-            let read = runtime.memory.read(addr, &mut buf);
-            let reply = if read.is_ok() { &buf[..] } else { &[] };
-            Some((TAG_PEEK_REPLY, encode_control(token, reply)))
+            let len = u64::from_le_bytes(body[8..16].try_into().unwrap());
+            let read = peek(runtime, addr, len).unwrap_or_default();
+            Some((TAG_PEEK_REPLY, encode_control(token, &read)))
         }
-        TAG_POKE if body.len() >= 8 => {
-            let addr = u64::from_le_bytes(body[0..8].try_into().unwrap());
-            let ok = runtime.memory.write(addr, &body[8..]).is_ok();
+        TAG_POKE => {
+            let (addr, data) = split_poke(body)?;
+            let ok = runtime.memory.write(addr, data).is_ok();
             Some((TAG_POKE_ACK, encode_control(token, &[ok as u8])))
         }
         TAG_STATS => Some((
@@ -678,6 +696,33 @@ mod tests {
         };
         assert_eq!(decode_stats(&encode_stats(&stats)).unwrap(), stats);
         assert!(decode_stats(&[0; 3]).is_err());
+    }
+
+    #[test]
+    fn a_peek_length_off_the_wire_is_bounded_before_it_is_allocated() {
+        let mut runtime = NodeRuntime::with_opt_level(
+            WorkerAddr(1),
+            2,
+            tc_bitir::TargetTriple::X86_64_GENERIC,
+            tc_jit::OptLevel::O2,
+        );
+        let addr = crate::layout::DATA_REGION_BASE;
+        let peek_reply = |runtime: &mut NodeRuntime, len: u64| {
+            let mut body = addr.to_le_bytes().to_vec();
+            body.extend_from_slice(&len.to_le_bytes());
+            let (tag, reply) =
+                serve_control(runtime, TAG_PEEK, &encode_control(9, &body)).expect("well-formed");
+            assert_eq!(tag, TAG_PEEK_REPLY);
+            let (token, read) = decode_control(&reply).unwrap();
+            assert_eq!(token, 9);
+            read.to_vec()
+        };
+        assert_eq!(peek_reply(&mut runtime, 8), [0u8; 8]);
+        // Lengths that would abort the process if allocated answer with the
+        // empty failure reply instead.
+        for len in [tc_net::MAX_FRAME_BYTES as u64 + 1, 1 << 60, u64::MAX] {
+            assert!(peek_reply(&mut runtime, len).is_empty(), "len {len}");
+        }
     }
 
     #[test]

@@ -20,9 +20,8 @@
 //!   [`Transport`] trait, and two first-class backends (the calibrated
 //!   discrete-event simulation and real OS threads) driving the same node
 //!   runtimes;
-//! * [`sim`] — timing records plus [`ClusterSim`], the simulation-first
-//!   facade over the simulated backend — the engine behind every table and
-//!   figure reproduction.
+//! * [`sim`] — the timing records of the simulated backend, the engine
+//!   behind every table and figure reproduction.
 //!
 //! ## Quick start
 //!
@@ -52,12 +51,15 @@
 //!
 //! // 3. Spin up a simulated heterogeneous cluster (Xeon client, DPU servers)
 //! //    and inject the ifunc.
-//! let mut sim = ClusterSim::new(tc_simnet::Platform::thor_bf2(), 2);
-//! let handle = sim.register_on_client(library);
-//! let msg = sim.client_mut().create_bitcode_message(handle, vec![5]).unwrap();
-//! sim.client_send_ifunc(&msg, 1);
-//! sim.run_until_idle(1_000);
-//! assert_eq!(sim.node(1).stats.ifuncs_executed, 1);
+//! let mut sim = ClusterBuilder::new()
+//!     .platform(tc_simnet::Platform::thor_bf2())
+//!     .servers(2)
+//!     .build_sim();
+//! let handle = sim.register_ifunc(library);
+//! let msg = sim.bitcode_message(handle, vec![5]).unwrap();
+//! sim.send_ifunc(&msg, 1).unwrap();
+//! sim.run_until_idle(1_000).unwrap();
+//! assert_eq!(sim.stats(1).unwrap().ifuncs_executed, 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -77,8 +79,8 @@ pub use cache::{SendDecision, SenderCache};
 pub use cluster::{
     Backend, ChaosStats, ClaimTable, ClientId, Cluster, ClusterBuilder, CompletionHandle,
     CompletionSet, CompletionToken, FaultPlan, GetHandle, LinkFaults, LinkHealth, PutHandle, Ready,
-    RelConfig, RelMetrics, ResultHandle, SimTransport, ThreadTransport, ThreadTuning, Transport,
-    TransportMetrics,
+    RelConfig, RelMetrics, ResultHandle, SimTransport, ThreadTransport, Transport,
+    TransportMetrics, Tuning,
 };
 pub use error::{CoreError, Result};
 pub use frame::{CodeRepr, DecodedFrame, MessageFrame, FRAME_MAGIC};
@@ -87,7 +89,7 @@ pub use ifunc::{
 };
 pub use metrics::{OutcomeKind, ProcessOutcome, RuntimeStats};
 pub use runtime::{AmContext, Completion, HostAction, NativeAmHandler, NodeRuntime};
-pub use sim::{ClusterSim, DeliveryRecord, TimingLog};
+pub use sim::{DeliveryRecord, TimingLog};
 
 /// Commonly used items, re-exported for examples and downstream crates.
 pub mod prelude {
@@ -95,8 +97,8 @@ pub mod prelude {
     pub use crate::cluster::{
         Backend, ChaosStats, ClaimTable, ClientId, Cluster, ClusterBuilder, CompletionHandle,
         CompletionSet, CompletionToken, FaultPlan, GetHandle, LinkFaults, LinkHealth, PutHandle,
-        Ready, RelConfig, RelMetrics, ResultHandle, SimTransport, ThreadTransport, ThreadTuning,
-        Transport, TransportMetrics,
+        Ready, RelConfig, RelMetrics, ResultHandle, SimTransport, ThreadTransport, Transport,
+        TransportMetrics, Tuning,
     };
     pub use crate::error::{CoreError, Result};
     pub use crate::frame::{CodeRepr, MessageFrame};
@@ -109,5 +111,5 @@ pub mod prelude {
     };
     pub use crate::metrics::{OutcomeKind, ProcessOutcome, RuntimeStats};
     pub use crate::runtime::{AmContext, Completion, HostAction, NativeAmHandler, NodeRuntime};
-    pub use crate::sim::{ClusterSim, DeliveryRecord, TimingLog};
+    pub use crate::sim::{DeliveryRecord, TimingLog};
 }

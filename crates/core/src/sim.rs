@@ -1,25 +1,14 @@
-//! Timing records and the classic [`ClusterSim`] facade over the simulated
-//! backend of the cluster API.
+//! Timing records of the simulated backend.
 //!
 //! The discrete-event engine itself lives in
-//! [`crate::cluster::SimTransport`]; this module keeps:
-//!
-//! * [`DeliveryRecord`] / [`TimingLog`] — one record per
-//!   delivered-and-processed fabric operation, decomposed the way the paper
-//!   decomposes end-to-end latency (transmission / lookup / JIT / execution);
-//! * [`ClusterSim`] — a thin convenience wrapper over
-//!   [`Cluster<SimTransport>`](crate::cluster::Cluster) preserving the
-//!   original simulation-first API (`client_send_ifunc`, `run_until_idle`,
-//!   direct node access) used throughout the workloads and the benchmark
-//!   harness.
+//! [`crate::cluster::SimTransport`] (build one with
+//! [`ClusterBuilder::build_sim`](crate::cluster::ClusterBuilder::build_sim));
+//! this module keeps [`DeliveryRecord`] / [`TimingLog`] — one record per
+//! delivered-and-processed fabric operation, decomposed the way the paper
+//! decomposes end-to-end latency (transmission / lookup / JIT / execution).
 
-use crate::cluster::{Cluster, ClusterBuilder, SimTransport};
-use crate::error::Result;
-use crate::ifunc::{IfuncHandle, IfuncLibrary, IfuncMessage};
 use crate::metrics::OutcomeKind;
-use crate::runtime::{Completion, NativeAmHandler, NodeRuntime};
-use tc_simnet::{Platform, SimDuration, SimTime};
-use tc_ucx::RequestId;
+use tc_simnet::{SimDuration, SimTime};
 
 /// One record per delivered-and-processed fabric operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,178 +71,17 @@ impl TimingLog {
     }
 }
 
-/// The timed cluster simulation: a thin wrapper over
-/// [`Cluster<SimTransport>`](crate::cluster::Cluster) with the original
-/// simulation-first method names.
-pub struct ClusterSim {
-    inner: Cluster<SimTransport>,
-}
-
-impl std::fmt::Debug for ClusterSim {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClusterSim")
-            .field("platform", &self.platform().name)
-            .field("nodes", &self.node_count())
-            .field("now", &self.now())
-            .finish()
-    }
-}
-
-impl ClusterSim {
-    /// Create a simulation with one client (rank 0) and `servers` server
-    /// nodes (ranks 1..=servers) on the given platform.
-    pub fn new(platform: Platform, servers: usize) -> Self {
-        ClusterSim {
-            inner: ClusterBuilder::new()
-                .platform(platform)
-                .servers(servers)
-                .build_sim(),
-        }
-    }
-
-    /// View this simulation as the unified cluster API.
-    pub fn cluster(&self) -> &Cluster<SimTransport> {
-        &self.inner
-    }
-
-    /// Mutable view as the unified cluster API.
-    pub fn cluster_mut(&mut self) -> &mut Cluster<SimTransport> {
-        &mut self.inner
-    }
-
-    /// The platform this simulation models.
-    pub fn platform(&self) -> &Platform {
-        self.inner.transport().platform()
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.inner.transport().now()
-    }
-
-    /// Timing log of every processed delivery.
-    pub fn timings(&self) -> &TimingLog {
-        self.inner.transport().timings()
-    }
-
-    /// Number of nodes (client + servers).
-    pub fn node_count(&self) -> usize {
-        self.inner.node_count()
-    }
-
-    /// Number of server nodes.
-    pub fn server_count(&self) -> usize {
-        self.inner.server_count()
-    }
-
-    /// Errors collected from node runtimes during event processing.
-    pub fn errors(&self) -> &[crate::error::CoreError] {
-        self.inner.transport().errors()
-    }
-
-    /// Access a node runtime (0 = client).
-    pub fn node(&self, rank: usize) -> &NodeRuntime {
-        self.inner.transport().node(rank)
-    }
-
-    /// Mutable access to a node runtime (0 = client).
-    pub fn node_mut(&mut self, rank: usize) -> &mut NodeRuntime {
-        self.inner.transport_mut().node_mut(rank)
-    }
-
-    /// The client runtime.  (The simulated backend owns its runtimes on the
-    /// driving thread, so this is a plain borrow, not a cross-thread guard.)
-    pub fn client(&self) -> &NodeRuntime {
-        self.inner.transport().node(0)
-    }
-
-    /// Mutable client runtime.
-    pub fn client_mut(&mut self) -> &mut NodeRuntime {
-        self.inner.transport_mut().node_mut(0)
-    }
-
-    /// Register an ifunc library on the client, returning its handle.
-    pub fn register_on_client(&mut self, library: IfuncLibrary) -> IfuncHandle {
-        self.inner.register_ifunc(library)
-    }
-
-    /// Predeploy a native Active-Message handler on every node (the AM
-    /// baseline requires code presence everywhere).
-    pub fn deploy_am_everywhere(&mut self, name: &str, handler: NativeAmHandler) {
-        self.inner
-            .deploy_am(name, handler)
-            .expect("AM deployment on the simulated backend cannot fail");
-    }
-
-    /// Send an ifunc message from the client to server rank `dst`.
-    pub fn client_send_ifunc(&mut self, message: &IfuncMessage, dst: usize) -> usize {
-        self.inner
-            .send_ifunc(message, dst)
-            .expect("simulated sends cannot fail")
-    }
-
-    /// Send an Active Message from the client to server rank `dst`.
-    pub fn client_send_am(
-        &mut self,
-        handler: &str,
-        dst: usize,
-        payload: impl Into<tc_ucx::Bytes>,
-    ) -> Result<usize> {
-        self.inner.send_am(handler, dst, payload)
-    }
-
-    /// Post a GET from the client against server rank `dst`.
-    pub fn client_get(&mut self, dst: usize, addr: u64, len: u64) -> RequestId {
-        self.inner
-            .get(dst, addr, len)
-            .expect("simulated GETs cannot fail to post")
-            .request()
-    }
-
-    /// Post a PUT from the client against server rank `dst`.  A
-    /// [`tc_ucx::Bytes`] argument is posted zero-copy.
-    pub fn client_put(
-        &mut self,
-        dst: usize,
-        addr: u64,
-        data: impl Into<tc_ucx::Bytes>,
-    ) -> RequestId {
-        self.inner
-            .put(dst, addr, data)
-            .expect("simulated puts cannot fail")
-    }
-
-    /// Run until the event queue drains or `max_events` have been processed.
-    /// Returns the virtual time at the end.
-    pub fn run_until_idle(&mut self, max_events: u64) -> SimTime {
-        self.inner
-            .run_until_idle(max_events)
-            .expect("simulated stepping cannot fail");
-        self.now()
-    }
-
-    /// Run until the client has accumulated `count` completions (GET results
-    /// or X-RDMA results), the queue drains, or `max_events` is exceeded.
-    /// Returns the completions collected (possibly fewer than requested).
-    pub fn run_until_client_completions(
-        &mut self,
-        count: usize,
-        max_events: u64,
-    ) -> Vec<Completion> {
-        self.inner
-            .run_until_completions(count, max_events)
-            .expect("simulated stepping cannot fail")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ifunc::{build_ifunc_library, ToolchainOptions};
+    use crate::cluster::{Cluster, ClusterBuilder, SimTransport};
+    use crate::ifunc::{build_ifunc_library, IfuncHandle, ToolchainOptions};
     use crate::layout::TARGET_REGION_BASE;
+    use crate::runtime::NativeAmHandler;
     use std::sync::Arc;
     use tc_bitir::{BinOp, Module, ModuleBuilder, ScalarType};
     use tc_jit::MemoryExt;
+    use tc_simnet::Platform;
 
     fn tsi_module() -> Module {
         let mut mb = ModuleBuilder::new("tsi");
@@ -272,29 +100,27 @@ mod tests {
         mb.build()
     }
 
-    fn sim_with_tsi(platform: Platform, servers: usize) -> (ClusterSim, IfuncHandle) {
-        let mut sim = ClusterSim::new(platform, servers);
+    fn sim_with_tsi(platform: Platform, servers: usize) -> (Cluster<SimTransport>, IfuncHandle) {
+        let mut sim = ClusterBuilder::new()
+            .platform(platform)
+            .servers(servers)
+            .build_sim();
         let lib = build_ifunc_library(&tsi_module(), &ToolchainOptions::default()).unwrap();
-        let handle = sim.register_on_client(lib);
+        let handle = sim.register_ifunc(lib);
         (sim, handle)
     }
 
     #[test]
     fn uncached_then_cached_latency_shape_matches_paper() {
         let (mut sim, handle) = sim_with_tsi(Platform::thor_xeon(), 1);
-        sim.node_mut(1)
-            .memory
-            .write_u64(TARGET_REGION_BASE, 0)
-            .unwrap();
-        let msg = sim
-            .client_mut()
-            .create_bitcode_message(handle, vec![1])
-            .unwrap();
+        sim.write_u64(1, TARGET_REGION_BASE, 0).unwrap();
+        let msg = sim.bitcode_message(handle, vec![1]).unwrap();
 
         // First (uncached) send: transmission of the full frame + JIT.
-        sim.client_send_ifunc(&msg, 1);
-        sim.run_until_idle(1_000);
+        sim.send_ifunc(&msg, 1).unwrap();
+        sim.run_until_idle(1_000).unwrap();
         let first = *sim
+            .transport()
             .timings()
             .last_of_kind(OutcomeKind::IfuncExecutedFirstArrival)
             .expect("first arrival record");
@@ -302,9 +128,10 @@ mod tests {
         assert!(first.transmission.as_micros_f64() > 2.0);
 
         // Second (cached) send: truncated frame, no JIT, µs-scale end-to-end.
-        sim.client_send_ifunc(&msg, 1);
-        sim.run_until_idle(1_000);
+        sim.send_ifunc(&msg, 1).unwrap();
+        sim.run_until_idle(1_000).unwrap();
         let cached = *sim
+            .transport()
             .timings()
             .last_of_kind(OutcomeKind::IfuncExecutedCached)
             .expect("cached record");
@@ -312,27 +139,24 @@ mod tests {
         assert!(cached.transmission < first.transmission);
         assert!(cached.end_to_end().as_micros_f64() < 3.0);
         // Both sends actually incremented the counter.
-        assert_eq!(sim.node(1).memory.read_u64(TARGET_REGION_BASE).unwrap(), 2);
+        assert_eq!(sim.read_u64(1, TARGET_REGION_BASE).unwrap(), 2);
     }
 
     #[test]
     fn injection_gap_bounds_message_rate() {
         let (mut sim, handle) = sim_with_tsi(Platform::thor_xeon(), 1);
-        let msg = sim
-            .client_mut()
-            .create_bitcode_message(handle, vec![1])
-            .unwrap();
+        let msg = sim.bitcode_message(handle, vec![1]).unwrap();
         // Prime the cache.
-        sim.client_send_ifunc(&msg, 1);
-        sim.run_until_idle(1_000);
-        let start = sim.now();
+        sim.send_ifunc(&msg, 1).unwrap();
+        sim.run_until_idle(1_000).unwrap();
+        let start = sim.transport().now();
 
         let n = 200usize;
         for _ in 0..n {
-            sim.client_send_ifunc(&msg, 1);
+            sim.send_ifunc(&msg, 1).unwrap();
         }
-        sim.run_until_idle(100_000);
-        let elapsed = (sim.now() - start).as_secs_f64();
+        sim.run_until_idle(100_000).unwrap();
+        let elapsed = (sim.transport().now() - start).as_secs_f64();
         let rate = n as f64 / elapsed;
         // Thor Xeon cached-bitcode rate is ~7.3 M msg/s in the paper; the
         // pipelined rate here must land in the right order of magnitude
@@ -351,27 +175,26 @@ mod tests {
             let _ = ctx.memory.write_u64(TARGET_REGION_BASE, old + delta);
             25
         });
-        sim.deploy_am_everywhere("tsi_am", handler);
-        sim.client_send_am("tsi_am", 2, vec![9]).unwrap();
-        sim.run_until_idle(100);
-        assert_eq!(sim.node(2).memory.read_u64(TARGET_REGION_BASE).unwrap(), 9);
-        let rec = sim.timings().last_of_kind(OutcomeKind::AmExecuted).unwrap();
+        sim.deploy_am("tsi_am", handler).unwrap();
+        sim.send_am("tsi_am", 2, vec![9]).unwrap();
+        sim.run_until_idle(100).unwrap();
+        assert_eq!(sim.read_u64(2, TARGET_REGION_BASE).unwrap(), 9);
+        let timings = sim.transport().timings();
+        let rec = timings.last_of_kind(OutcomeKind::AmExecuted).unwrap();
         assert!(rec.end_to_end().as_micros_f64() < 3.0);
-        assert!(sim.errors().is_empty());
+        assert!(sim.transport().errors().is_empty());
     }
 
     #[test]
     fn get_roundtrip_latency_is_two_transfers() {
         let (mut sim, _handle) = sim_with_tsi(Platform::thor_xeon(), 1);
-        sim.node_mut(1)
-            .memory
-            .write_u64(crate::layout::DATA_REGION_BASE, 777)
+        sim.write_u64(1, crate::layout::DATA_REGION_BASE, 777)
             .unwrap();
-        let start = sim.now();
-        sim.client_get(1, crate::layout::DATA_REGION_BASE, 8);
-        let completions = sim.run_until_client_completions(1, 10_000);
+        let start = sim.transport().now();
+        sim.get(1, crate::layout::DATA_REGION_BASE, 8).unwrap();
+        let completions = sim.run_until_completions(1, 10_000).unwrap();
         assert_eq!(completions.len(), 1);
-        let rtt = (sim.now() - start).as_micros_f64();
+        let rtt = (sim.transport().now() - start).as_micros_f64();
         // One GET + one reply over a ~1.5 µs fabric: 3–4 µs round trip.
         assert!(rtt > 2.5 && rtt < 6.0, "rtt {rtt}");
     }
@@ -379,26 +202,22 @@ mod tests {
     #[test]
     fn heterogeneous_platform_jit_is_slower_on_dpu() {
         let (mut sim_bf2, h1) = sim_with_tsi(Platform::thor_bf2(), 1);
-        let msg = sim_bf2
-            .client_mut()
-            .create_bitcode_message(h1, vec![1])
-            .unwrap();
-        sim_bf2.client_send_ifunc(&msg, 1);
-        sim_bf2.run_until_idle(1_000);
+        let msg = sim_bf2.bitcode_message(h1, vec![1]).unwrap();
+        sim_bf2.send_ifunc(&msg, 1).unwrap();
+        sim_bf2.run_until_idle(1_000).unwrap();
         let bf2_jit = sim_bf2
+            .transport()
             .timings()
             .last_of_kind(OutcomeKind::IfuncExecutedFirstArrival)
             .unwrap()
             .jit;
 
         let (mut sim_xeon, h2) = sim_with_tsi(Platform::thor_xeon(), 1);
-        let msg = sim_xeon
-            .client_mut()
-            .create_bitcode_message(h2, vec![1])
-            .unwrap();
-        sim_xeon.client_send_ifunc(&msg, 1);
-        sim_xeon.run_until_idle(1_000);
+        let msg = sim_xeon.bitcode_message(h2, vec![1]).unwrap();
+        sim_xeon.send_ifunc(&msg, 1).unwrap();
+        sim_xeon.run_until_idle(1_000).unwrap();
         let xeon_jit = sim_xeon
+            .transport()
             .timings()
             .last_of_kind(OutcomeKind::IfuncExecutedFirstArrival)
             .unwrap()
@@ -413,15 +232,12 @@ mod tests {
     #[test]
     fn misaddressed_messages_are_dropped_without_panic() {
         let (mut sim, handle) = sim_with_tsi(Platform::ookami(), 1);
-        let msg = sim
-            .client_mut()
-            .create_bitcode_message(handle, vec![1])
-            .unwrap();
-        sim.client_send_ifunc(&msg, 17); // no such rank
-        sim.run_until_idle(100);
-        assert!(sim.errors().is_empty());
-        assert_eq!(sim.node(1).stats.ifuncs_executed, 0);
+        let msg = sim.bitcode_message(handle, vec![1]).unwrap();
+        sim.send_ifunc(&msg, 17).unwrap(); // no such rank
+        sim.run_until_idle(100).unwrap();
+        assert!(sim.transport().errors().is_empty());
+        assert_eq!(sim.stats(1).unwrap().ifuncs_executed, 0);
         // The drop is visible in the transport metrics, not silent.
-        assert_eq!(sim.cluster().metrics().messages_dropped, 1);
+        assert_eq!(sim.metrics().messages_dropped, 1);
     }
 }

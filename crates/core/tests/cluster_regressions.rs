@@ -3,8 +3,8 @@
 //! failure modes are reachable deterministically.
 
 use tc_bitir::TargetTriple;
-use tc_core::cluster::{ClientRef, ClientRefMut, Cluster, Transport, TransportMetrics};
-use tc_core::{ClientId, Completion, CoreError, NativeAmHandler, NodeRuntime, RuntimeStats};
+use tc_core::cluster::{ClientRef, ClientRefMut, Cluster, Transport};
+use tc_core::{ClientId, Completion, CoreError, NativeAmHandler, NodeRuntime};
 use tc_ucx::{RequestId, WorkerAddr};
 
 /// A transport that serves short memory reads and hand-fed completions.
@@ -54,14 +54,17 @@ impl Transport for MockTransport {
     fn read_memory(&mut self, _rank: usize, _addr: u64, len: usize) -> tc_core::Result<Vec<u8>> {
         Ok(vec![0xAA; len.saturating_sub(self.short_by)])
     }
-    fn write_memory(&mut self, _rank: usize, _addr: u64, _data: &[u8]) -> tc_core::Result<()> {
-        Ok(())
+    fn control(
+        &mut self,
+        rank: usize,
+        _request_tag: u64,
+        _reply_tag: u64,
+        _body: &[u8],
+    ) -> tc_core::Result<Vec<u8>> {
+        Err(CoreError::Transport(format!("rank {rank} is not served")))
     }
-    fn node_stats(&mut self, _rank: usize) -> tc_core::Result<RuntimeStats> {
-        Ok(RuntimeStats::default())
-    }
-    fn metrics(&self) -> TransportMetrics {
-        TransportMetrics::default()
+    fn fabric_counts(&self) -> (u64, u64) {
+        (0, 0)
     }
 }
 

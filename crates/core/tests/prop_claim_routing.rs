@@ -13,13 +13,8 @@
 
 use std::collections::HashMap;
 use tc_bitir::TargetTriple;
-use tc_core::cluster::{
-    ClientRef, ClientRefMut, Cluster, CompletionSet, Transport, TransportMetrics,
-};
-use tc_core::{
-    ClientId, Completion, GetHandle, NativeAmHandler, NodeRuntime, Ready, ResultHandle,
-    RuntimeStats,
-};
+use tc_core::cluster::{ClientRef, ClientRefMut, Cluster, CompletionSet, Transport};
+use tc_core::{ClientId, Completion, GetHandle, NativeAmHandler, NodeRuntime, Ready, ResultHandle};
 use tc_ucx::{RequestId, WorkerAddr};
 
 const CASES: u64 = 64;
@@ -175,17 +170,19 @@ impl Transport for MockTransport {
     fn take_completions(&mut self, id: ClientId) -> Vec<Completion> {
         std::mem::take(&mut self.queued[id.0])
     }
-    fn read_memory(&mut self, _rank: usize, _addr: u64, len: usize) -> tc_core::Result<Vec<u8>> {
-        Ok(vec![0; len])
+    fn control(
+        &mut self,
+        rank: usize,
+        _request_tag: u64,
+        _reply_tag: u64,
+        _body: &[u8],
+    ) -> tc_core::Result<Vec<u8>> {
+        Err(tc_core::CoreError::Transport(format!(
+            "rank {rank} is not served"
+        )))
     }
-    fn write_memory(&mut self, _rank: usize, _addr: u64, _data: &[u8]) -> tc_core::Result<()> {
-        Ok(())
-    }
-    fn node_stats(&mut self, _rank: usize) -> tc_core::Result<RuntimeStats> {
-        Ok(RuntimeStats::default())
-    }
-    fn metrics(&self) -> TransportMetrics {
-        TransportMetrics::default()
+    fn fabric_counts(&self) -> (u64, u64) {
+        (0, 0)
     }
 }
 

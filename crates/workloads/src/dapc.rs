@@ -6,7 +6,9 @@ use crate::pointer_table::PointerTable;
 use crate::tsi::platform_toolchain;
 use std::sync::Arc;
 use tc_core::layout::DATA_REGION_BASE;
-use tc_core::{build_ifunc_library, ClusterSim, HostAction, NativeAmHandler};
+use tc_core::{
+    build_ifunc_library, Cluster, ClusterBuilder, HostAction, NativeAmHandler, SimTransport,
+};
 use tc_jit::MemoryExt;
 use tc_simnet::Platform;
 use tc_ucx::WorkerAddr;
@@ -128,7 +130,7 @@ pub fn dapc_am_handler() -> NativeAmHandler {
 /// A prepared DAPC experiment: a simulated cluster with the pointer table
 /// installed and every mode's code path registered/predeployed.
 pub struct DapcExperiment {
-    sim: ClusterSim,
+    sim: Cluster<SimTransport>,
     table: PointerTable,
     bitcode_handle: tc_core::IfuncHandle,
     chainlang_handle: tc_core::IfuncHandle,
@@ -138,9 +140,14 @@ pub struct DapcExperiment {
 impl DapcExperiment {
     /// Set up the experiment on a platform.
     pub fn new(platform: Platform, config: &ChaseConfig) -> Self {
-        let mut sim = ClusterSim::new(platform, config.servers);
+        let mut sim = ClusterBuilder::new()
+            .platform(platform)
+            .servers(config.servers)
+            .build_sim();
         let table = PointerTable::generate(config.servers, config.shard_size, config.seed);
-        table.install(&mut sim);
+        table
+            .install_cluster(&mut sim)
+            .expect("shard images fit the data region");
 
         let toolchain = platform_toolchain(&platform);
         let bitcode_lib = build_ifunc_library(&chaser_module("dapc_chaser"), &toolchain)
@@ -151,10 +158,11 @@ impl DapcExperiment {
         let binary_lib = build_ifunc_library(&chaser_module("dapc_chaser_bin"), &toolchain)
             .expect("binary chaser library builds");
 
-        let bitcode_handle = sim.register_on_client(bitcode_lib);
-        let chainlang_handle = sim.register_on_client(chainlang_lib);
-        let binary_handle = sim.register_on_client(binary_lib);
-        sim.deploy_am_everywhere("dapc_chase", dapc_am_handler());
+        let bitcode_handle = sim.register_ifunc(bitcode_lib);
+        let chainlang_handle = sim.register_ifunc(chainlang_lib);
+        let binary_handle = sim.register_ifunc(binary_lib);
+        sim.deploy_am("dapc_chase", dapc_am_handler())
+            .expect("AM deploys");
 
         DapcExperiment {
             sim,
@@ -171,15 +179,15 @@ impl DapcExperiment {
     }
 
     /// Access the simulation (e.g. for statistics inspection).
-    pub fn sim(&self) -> &ClusterSim {
+    pub fn sim(&self) -> &Cluster<SimTransport> {
         &self.sim
     }
 
     fn payload(&mut self, start: u64, depth: u64) -> (u64, Vec<u8>) {
         // Slots come from the cluster's allocator so they can never collide
         // with reserved/manual slots (see `Cluster::reserve_result_slot`).
-        let slot = self.sim.cluster_mut().result_slot().slot();
-        let base = self.sim.cluster().first_server_rank() as u64;
+        let slot = self.sim.result_slot().slot();
+        let base = self.sim.first_server_rank() as u64;
         let payload =
             chaser_payload::encode(0, slot, start, depth, base, self.table.shard_size as u64);
         (slot, payload)
@@ -189,7 +197,7 @@ impl DapcExperiment {
     /// The result value is checked against the pointer table's ground truth.
     pub fn run_one_chase(&mut self, mode: ChaseMode, start: u64, depth: u64) -> (u64, f64) {
         let expected = self.table.chase(start, depth);
-        let t0 = self.sim.now();
+        let t0 = self.sim.transport().now();
         let value = match mode {
             ChaseMode::Get => {
                 // Client-driven iterative GETs over the typed completion
@@ -198,16 +206,8 @@ impl DapcExperiment {
                 for _ in 0..depth {
                     let owner = self.table.owner_rank(idx);
                     let addr = self.table.entry_addr(idx);
-                    let handle = self
-                        .sim
-                        .cluster_mut()
-                        .get(owner, addr, 8)
-                        .expect("simulated GETs post");
-                    let data = self
-                        .sim
-                        .cluster_mut()
-                        .wait(&handle)
-                        .expect("GET did not complete");
+                    let handle = self.sim.get(owner, addr, 8).expect("simulated GETs post");
+                    let data = self.sim.wait(&handle).expect("GET did not complete");
                     idx = u64::from_le_bytes(data[..8].try_into().unwrap());
                 }
                 idx
@@ -216,7 +216,7 @@ impl DapcExperiment {
                 let (slot, payload) = self.payload(start, depth);
                 let owner = self.table.owner_rank(start);
                 self.sim
-                    .client_send_am("dapc_chase", owner, payload)
+                    .send_am("dapc_chase", owner, payload)
                     .expect("AM send");
                 self.wait_for_result(slot)
             }
@@ -231,18 +231,16 @@ impl DapcExperiment {
                 let (slot, payload) = self.payload(start, depth);
                 let owner = self.table.owner_rank(start);
                 let msg = if mode == ChaseMode::CachedBinary {
-                    let triple = self.sim.platform().server_triple.to_string();
+                    let triple = self.sim.transport().platform().server_triple.to_string();
                     self.sim
-                        .client_mut()
-                        .create_binary_message(handle, &triple, payload)
+                        .binary_message(handle, &triple, payload)
                         .expect("binary message")
                 } else {
                     self.sim
-                        .client_mut()
-                        .create_bitcode_message(handle, payload)
+                        .bitcode_message(handle, payload)
                         .expect("bitcode message")
                 };
-                self.sim.client_send_ifunc(&msg, owner);
+                self.sim.send_ifunc(&msg, owner).expect("ifunc send");
                 self.wait_for_result(slot)
             }
         };
@@ -252,13 +250,13 @@ impl DapcExperiment {
             "{} chase of depth {depth} from {start} returned the wrong value",
             mode.label()
         );
-        let elapsed_us = (self.sim.now() - t0).as_micros_f64();
+        let elapsed_us = (self.sim.transport().now() - t0).as_micros_f64();
         (value, elapsed_us)
     }
 
     fn wait_for_result(&mut self, slot: u64) -> u64 {
         let handle = tc_core::ResultHandle::for_slot(slot);
-        match self.sim.cluster_mut().wait(&handle) {
+        match self.sim.wait(&handle) {
             Ok(value) => value,
             // Fall back to polling the mailbox directly (the result may have
             // been delivered by a direct memory write).
@@ -288,12 +286,12 @@ impl DapcExperiment {
     pub fn measure(&mut self, mode: ChaseMode, depth: u64, chases: usize) -> ChaseResult {
         self.warm_caches(mode);
         let total_entries = self.table.total_entries() as u64;
-        let t0 = self.sim.now();
+        let t0 = self.sim.transport().now();
         for i in 0..chases {
             let start = (i as u64 * 7919) % total_entries;
             let _ = self.run_one_chase(mode, start, depth);
         }
-        let elapsed = (self.sim.now() - t0).as_secs_f64();
+        let elapsed = (self.sim.transport().now() - t0).as_secs_f64();
         let per_chase_us = elapsed * 1.0e6 / chases as f64;
         ChaseResult {
             mode,

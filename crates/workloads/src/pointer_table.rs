@@ -9,8 +9,6 @@
 
 use tc_core::cluster::{Cluster, Transport};
 use tc_core::layout::DATA_REGION_BASE;
-use tc_core::ClusterSim;
-use tc_jit::Memory;
 use tc_simnet::SplitMix64;
 
 /// In-place Fisher–Yates shuffle driven by [`SplitMix64`].
@@ -96,24 +94,6 @@ impl PointerTable {
         idx
     }
 
-    /// Install the table's shards into the server memories of a simulation.
-    /// Server rank `r` (1-based) receives entries `[(r-1)*shard, r*shard)`.
-    pub fn install(&self, sim: &mut ClusterSim) {
-        assert_eq!(
-            sim.server_count(),
-            self.num_servers,
-            "simulation has a different number of servers than the table"
-        );
-        for server in 0..self.num_servers {
-            // One bulk write per shard instead of one per entry: serialise
-            // the shard once and hand the whole image to the node's memory.
-            sim.node_mut(server + 1)
-                .memory
-                .write(DATA_REGION_BASE, &self.shard_image(server))
-                .expect("sparse memory write cannot fail");
-        }
-    }
-
     /// Serialised image of one server's shard (entries in local order).
     pub fn shard_image(&self, server: usize) -> Vec<u8> {
         let shard = &self.entries[server * self.shard_size..(server + 1) * self.shard_size];
@@ -125,8 +105,7 @@ impl PointerTable {
     }
 
     /// Install the table's shards into the server memories of any cluster
-    /// backend through the transport's memory plane (the generic analogue of
-    /// [`PointerTable::install`], usable on the threaded backend too).
+    /// backend through the transport's memory plane.
     pub fn install_cluster<T: Transport>(&self, cluster: &mut Cluster<T>) -> tc_core::Result<()> {
         assert_eq!(
             cluster.server_count(),

@@ -5,7 +5,9 @@ use crate::kernels::tsi_module;
 use std::sync::Arc;
 use tc_bitir::TargetTriple;
 use tc_core::layout::TARGET_REGION_BASE;
-use tc_core::{build_ifunc_library, ClusterSim, NativeAmHandler, OutcomeKind, ToolchainOptions};
+use tc_core::{
+    build_ifunc_library, ClusterBuilder, NativeAmHandler, OutcomeKind, ToolchainOptions,
+};
 use tc_jit::MemoryExt;
 use tc_simnet::{FabricOp, Platform};
 
@@ -122,37 +124,38 @@ pub fn platform_toolchain(platform: &Platform) -> ToolchainOptions {
 /// sends (the paper saturates the link; a few hundred is enough for the
 /// steady-state rate to emerge in the model).
 pub fn run_tsi(platform: Platform, rate_messages: usize) -> TsiResults {
-    let mut sim = ClusterSim::new(platform, 1);
+    let mut sim = ClusterBuilder::new().platform(platform).build_sim();
     let library = build_ifunc_library(&tsi_module(), &platform_toolchain(&platform))
         .expect("TSI library builds");
-    let handle = sim.register_on_client(library);
-    sim.deploy_am_everywhere("tsi_am", tsi_am_handler());
+    let handle = sim.register_ifunc(library);
+    sim.deploy_am("tsi_am", tsi_am_handler())
+        .expect("AM deploys");
 
-    let msg = sim
-        .client_mut()
-        .create_bitcode_message(handle, vec![1])
-        .expect("message");
+    let msg = sim.bitcode_message(handle, vec![1]).expect("message");
 
     // --- Active Message breakdown -------------------------------------------
-    let am_bytes = sim.client_send_am("tsi_am", 1, vec![1]).expect("am send");
-    sim.run_until_idle(1_000);
+    let am_bytes = sim.send_am("tsi_am", 1, vec![1]).expect("am send");
+    sim.run_until_idle(1_000).expect("sim steps");
     let am_rec = *sim
+        .transport()
         .timings()
         .last_of_kind(OutcomeKind::AmExecuted)
         .expect("AM record");
 
     // --- Uncached bitcode (first arrival, includes JIT) ----------------------
-    let uncached_bytes = sim.client_send_ifunc(&msg, 1);
-    sim.run_until_idle(1_000);
+    let uncached_bytes = sim.send_ifunc(&msg, 1).expect("ifunc send");
+    sim.run_until_idle(1_000).expect("sim steps");
     let uncached_rec = *sim
+        .transport()
         .timings()
         .last_of_kind(OutcomeKind::IfuncExecutedFirstArrival)
         .expect("uncached record");
 
     // --- Cached bitcode -------------------------------------------------------
-    let cached_bytes = sim.client_send_ifunc(&msg, 1);
-    sim.run_until_idle(1_000);
+    let cached_bytes = sim.send_ifunc(&msg, 1).expect("ifunc send");
+    sim.run_until_idle(1_000).expect("sim steps");
     let cached_rec = *sim
+        .transport()
         .timings()
         .last_of_kind(OutcomeKind::IfuncExecutedCached)
         .expect("cached record");

@@ -233,3 +233,69 @@ fn simulated_backend_still_produces_a_populated_timing_log() {
         .expect("cached record");
     assert!(cached.end_to_end() < first.end_to_end());
 }
+
+/// The driver's control/observation plane is written once over the
+/// transport primitives, so `write_memory` / `read_memory` / `stats` on
+/// client ranks, server ranks and a rank beyond the cluster must answer with
+/// identical bytes — or the same typed error kind — on all three backends.
+#[test]
+fn memory_and_stats_plane_is_identical_on_every_rank_class_and_backend() {
+    use tc_core::layout::DATA_REGION_BASE;
+    use tc_core::CoreError;
+
+    /// Everything observed, errors reduced to their kind.
+    fn observe(backend: Backend) -> Vec<String> {
+        let mut cluster = ClusterBuilder::new()
+            .platform(tc_simnet::Platform::thor_bf2())
+            .clients(2)
+            .servers(2)
+            .server_bin(env!("CARGO_BIN_EXE_tc-socket-server"))
+            .build(backend);
+        let ranks = cluster.node_count();
+        let mut seen = Vec::new();
+        let mut note = |what: &str, rank: usize, outcome: Result<String, CoreError>| {
+            let outcome = match outcome {
+                Ok(value) => value,
+                Err(CoreError::Transport(_)) => "Err(Transport)".into(),
+                Err(other) => format!("Err({other:?})"),
+            };
+            seen.push(format!("{what}@{rank}: {outcome}"));
+        };
+        // Ranks 0..2 are clients, 2..4 servers, `ranks` is out of range.
+        for rank in 0..=ranks {
+            let image: Vec<u8> = (0..48u8).map(|i| i ^ rank as u8).collect();
+            let wrote = cluster.write_memory(rank, DATA_REGION_BASE + 8, &image);
+            note("write", rank, wrote.map(|()| "ok".into()));
+            let read = cluster.read_memory(rank, DATA_REGION_BASE, 64);
+            note("read", rank, read.map(|bytes| format!("{bytes:?}")));
+            // A length no reply could ever carry (the serving side used to
+            // allocate it as asked, and abort).
+            let huge = cluster.read_memory(rank, DATA_REGION_BASE, 1 << 60);
+            note(
+                "read-huge",
+                rank,
+                huge.map(|b| format!("{} bytes", b.len())),
+            );
+            let stats = cluster.stats(rank);
+            note("stats", rank, stats.map(|s| format!("{s:?}")));
+        }
+        cluster.shutdown();
+        seen
+    }
+
+    let sim = observe(Backend::Simnet);
+    // The table is not vacuous: in-range ranks round-trip their image, the
+    // huge read on each of them and everything on the out-of-range rank is
+    // a typed transport error, and nothing fails any other way.
+    assert!(sim[0].ends_with("ok") && sim[1].contains("[0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2"));
+    let errors = sim.iter().filter(|l| l.contains("Err(")).count();
+    let typed = sim.iter().filter(|l| l.ends_with("Err(Transport)")).count();
+    assert_eq!((errors, typed), (4 + 4, 4 + 4), "{sim:#?}");
+    for backend in [Backend::Threads, Backend::Socket] {
+        let live = observe(backend);
+        for (s, l) in sim.iter().zip(&live) {
+            assert_eq!(s, l, "{backend} diverges from the simulated oracle");
+        }
+        assert_eq!(sim.len(), live.len());
+    }
+}

@@ -8,7 +8,7 @@ use std::time::Duration;
 use tc_core::layout::DATA_REGION_BASE;
 use tc_core::{
     build_ifunc_library, Backend, Cluster, ClusterBuilder, CompletionSet, FaultPlan, Ready,
-    ResultHandle, ThreadTuning, Transport,
+    ResultHandle, Transport, Tuning,
 };
 use tc_workloads::{
     chaser_module, gather_entries, platform_toolchain, run_reporting_tsi, tsi_reporting_module,
@@ -307,14 +307,14 @@ fn result_slot_allocator_wraps_with_the_mailbox() {
 #[test]
 fn threaded_wait_survives_partition_until_reliable_heal() {
     let plan = FaultPlan::seeded(11).partition(&[0], 0, 4);
-    let tuning = ThreadTuning {
+    let tuning = Tuning {
         step_timeout: Duration::from_millis(10),
-        ..ThreadTuning::default()
+        ..Tuning::default()
     };
     let mut cluster = ClusterBuilder::new()
         .servers(1)
         .fault_plan(plan)
-        .thread_tuning(tuning)
+        .tuning(tuning)
         .build_threaded();
     cluster.write_u64(1, DATA_REGION_BASE, 0x50AF).unwrap();
     let handle = cluster.get(1, DATA_REGION_BASE, 8).unwrap();

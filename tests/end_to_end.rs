@@ -3,7 +3,7 @@
 //! binary load, recursive X-RDMA forwarding and result return.
 
 use tc_core::layout::{DATA_REGION_BASE, TARGET_REGION_BASE};
-use tc_core::{build_ifunc_library, ClusterSim, OutcomeKind, ToolchainOptions};
+use tc_core::{build_ifunc_library, ClusterBuilder, OutcomeKind, ToolchainOptions};
 use tc_simnet::Platform;
 use tc_workloads::{
     chaser_payload, platform_toolchain, run_tsi, ChaseConfig, ChaseMode, DapcExperiment,
@@ -57,7 +57,7 @@ fn recursive_chaser_visits_many_servers_and_returns_correctly() {
     assert!(elapsed_us > 0.0);
     // The chase must actually have executed ifuncs on several servers.
     let servers_used = (1..=8)
-        .filter(|&r| exp.sim().node(r).stats.ifuncs_executed > 0)
+        .filter(|&r| exp.sim().transport().node(r).stats.ifuncs_executed > 0)
         .count();
     assert!(
         servers_used >= 4,
@@ -66,7 +66,7 @@ fn recursive_chaser_visits_many_servers_and_returns_correctly() {
     // Each server JIT-compiled the chaser at most once (propagated code is
     // cached on every hop).
     for r in 1..=8 {
-        assert!(exp.sim().node(r).jit_stats().compilations <= 2);
+        assert!(exp.sim().transport().node(r).jit_stats().compilations <= 2);
     }
 }
 
@@ -103,22 +103,25 @@ fn chainlang_ifunc_interoperates_with_builder_ifunc_on_heterogeneous_cluster() {
 #[test]
 fn gbpc_reads_exactly_depth_entries_over_the_fabric() {
     let platform = Platform::thor_xeon();
-    let mut sim = ClusterSim::new(platform, 2);
+    let mut sim = ClusterBuilder::new()
+        .platform(platform)
+        .servers(2)
+        .build_sim();
     let table = PointerTable::generate(2, 32, 4);
-    table.install(&mut sim);
+    table.install_cluster(&mut sim).unwrap();
     let depth = 10u64;
     let mut idx = 0u64;
     for _ in 0..depth {
         let owner = table.owner_rank(idx);
-        sim.client_get(owner, table.entry_addr(idx), 8);
-        let completions = sim.run_until_client_completions(1, 100_000);
+        sim.get(owner, table.entry_addr(idx), 8).unwrap();
+        let completions = sim.run_until_completions(1, 100_000).unwrap();
         let tc_core::Completion::Get { data, .. } = &completions[0] else {
             panic!("expected GET completion");
         };
         idx = u64::from_le_bytes(data[..8].try_into().unwrap());
     }
     assert_eq!(idx, table.chase(0, depth));
-    let served: u64 = (1..=2).map(|r| sim.node(r).stats.gets_served).sum();
+    let served: u64 = (1..=2).map(|r| sim.stats(r).unwrap().gets_served).sum();
     assert_eq!(served, depth);
 }
 
@@ -159,22 +162,15 @@ fn ifunc_can_write_remote_memory_and_payload_roundtrips() {
     }
     let platform = Platform::ookami();
     let lib = build_ifunc_library(&mb.build(), &platform_toolchain(&platform)).unwrap();
-    let mut sim = ClusterSim::new(platform, 1);
-    let handle = sim.register_on_client(lib);
-    let msg = sim
-        .client_mut()
-        .create_bitcode_message(handle, b"bitcode!".to_vec())
-        .unwrap();
-    sim.client_send_ifunc(&msg, 1);
-    sim.run_until_idle(100_000);
-    let mut out = vec![0u8; 8];
-    use tc_jit::Memory;
-    sim.node(1)
-        .memory
-        .read(TARGET_REGION_BASE, &mut out)
-        .unwrap();
+    let mut sim = ClusterBuilder::new().platform(platform).build_sim();
+    let handle = sim.register_ifunc(lib);
+    let msg = sim.bitcode_message(handle, b"bitcode!".to_vec()).unwrap();
+    sim.send_ifunc(&msg, 1).unwrap();
+    sim.run_until_idle(100_000).unwrap();
+    let out = sim.read_memory(1, TARGET_REGION_BASE, 8).unwrap();
     assert_eq!(&out, b"!edoctib");
     assert!(sim
+        .transport()
         .timings()
         .last_of_kind(OutcomeKind::IfuncExecutedFirstArrival)
         .is_some());

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
-use tc_core::cluster::{CompletionSet, SocketSpec, SocketTuning};
+use tc_core::cluster::{CompletionSet, SocketSpec, Tuning};
 use tc_core::layout::DATA_REGION_BASE;
 use tc_core::{Backend, ClusterBuilder, CoreError, FaultPlan, Ready, Transport};
 
@@ -345,9 +345,9 @@ fn wait_any_resolves_peer_lost_when_the_respawn_budget_is_exhausted() {
     let mut cluster = builder(2)
         .fault_plan(FaultPlan::seeded(7))
         .socket_recovery()
-        .socket_tuning(SocketTuning {
+        .tuning(Tuning {
             max_respawns: 0,
-            ..SocketTuning::default()
+            ..Tuning::default()
         })
         .build_socket()
         .expect("cluster starts");

@@ -177,16 +177,17 @@ fn thread_tuning_is_configurable_through_the_builder() {
     // idle grace, control timeout) are builder-configurable; a deliberately
     // unusual combination must still run the scenario correctly.
     let platform = tc_simnet::Platform::thor_bf2();
-    let tuning = tc_core::ThreadTuning {
+    let tuning = tc_core::Tuning {
         step_timeout: std::time::Duration::from_millis(5),
         idle_grace: 4,
         node_batch: 4,
         control_timeout: std::time::Duration::from_secs(2),
+        ..tc_core::Tuning::default()
     };
     let mut cluster = ClusterBuilder::new()
         .platform(platform)
         .servers(3)
-        .thread_tuning(tuning)
+        .tuning(tuning)
         .build_threaded();
     let library = build_ifunc_library(&tsi_module(), &platform_toolchain(&platform)).unwrap();
     let handle = cluster.register_ifunc(library);
