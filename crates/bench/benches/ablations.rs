@@ -1,12 +1,11 @@
 //! Ablation benchmarks for the design choices called out in `DESIGN.md`:
-//! caching on/off, fat-bitcode vs single-target bitcode, and the JIT
-//! optimisation level.
+//! caching on/off and fat-bitcode vs single-target bitcode.
 
 use tc_bench::crit::{BenchmarkId, Criterion};
 use tc_bench::{criterion_group, criterion_main};
 use tc_bitir::{FatBitcode, TargetTriple};
 use tc_core::{build_ifunc_library, ClusterBuilder, ToolchainOptions};
-use tc_jit::{CompileOptions, OptLevel, OrcJit, SparseMemory};
+use tc_jit::{OrcJit, SparseMemory};
 use tc_simnet::Platform;
 use tc_workloads::{platform_toolchain, tsi_module};
 
@@ -84,7 +83,7 @@ fn bench_fatbitcode_ablation(c: &mut Criterion) {
             |b, targets| {
                 b.iter(|| {
                     let fat = FatBitcode::from_module(&module, targets).unwrap();
-                    let mut jit = OrcJit::new(TargetTriple::THOR_XEON, OptLevel::O2);
+                    let mut jit = OrcJit::new(TargetTriple::THOR_XEON);
                     let mut mem = SparseMemory::new();
                     jit.add_fat_bitcode(&fat, &mut mem).unwrap();
                     fat.encoded_size()
@@ -99,38 +98,5 @@ fn bench_fatbitcode_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-/// Optimisation-level ablation: compile time and code size across O0–O3.
-fn bench_optlevel_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("optlevel_ablation");
-    group.sample_size(30);
-    let module = tc_bitir::lower_for_target(&tsi_module(), TargetTriple::OOKAMI_A64FX).unwrap();
-    for opt in OptLevel::ALL {
-        group.bench_with_input(
-            BenchmarkId::new("compile", format!("{opt:?}")),
-            &opt,
-            |b, &opt| {
-                b.iter(|| {
-                    tc_jit::compile_module(
-                        &module,
-                        CompileOptions {
-                            opt_level: opt,
-                            verify: true,
-                        },
-                    )
-                    .unwrap()
-                    .module
-                    .inst_count()
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_caching_ablation,
-    bench_fatbitcode_ablation,
-    bench_optlevel_ablation
-);
+criterion_group!(benches, bench_caching_ablation, bench_fatbitcode_ablation);
 criterion_main!(benches);

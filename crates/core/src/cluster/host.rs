@@ -1,9 +1,14 @@
-//! The one server rank under the two wall-clock backends.
+//! The one server rank and the one client rank under the two wall-clock
+//! backends.
 //!
-//! A threaded server node and a socket server process are the same machine:
-//! a [`NodeRuntime`] behind a [`Link`], fed frames by a carrier and answering
-//! through the carrier's `emit(to, tag, data, payload)` closure.  A
-//! [`ServerHost`] owns the four rules both must keep:
+//! Every rank is the same machine: a [`NodeRuntime`] behind a [`Link`], fed
+//! frames by a carrier and answering through the carrier's `emit(to, tag,
+//! data, payload)` closure.
+//!
+//! # Server ranks
+//!
+//! A threaded server node and a socket server process are carriers over a
+//! [`ServerHost`], which owns the four rules both must keep:
 //!
 //! * **Control is a FIFO barrier.**  A control request (peek/poke/stats, or
 //!   a carrier's own through [`ServerHost::barrier`]) is served only after
@@ -24,14 +29,44 @@
 //! go), where the digest is published, and whether a send to this very rank
 //! is looped back here (the socket rank: its only wire leads to the driver)
 //! or emitted like any other (the thread rank: the fabric delivers it).
+//!
+//! # Client ranks
+//!
+//! A client is a rank that also serves (GET replies, result writes,
+//! client-to-client PUTs).  The threaded backend's worker threads and the
+//! socket backend's single driver are carriers over one [`ClientHost`] per
+//! client — behind one mutex each on threads, owned outright by the socket
+//! driver — and [`flush_clients`] is the one worklist that moves what they
+//! post.  The host owns the client-rank rules:
+//!
+//! * **Client-to-client traffic is loopback class**: it never enters a link
+//!   and is never faulted (the simulated backend exempts it too, or the
+//!   chaos schedules diverge).  A self-send is delivered in place; a
+//!   sibling's is handed to the flusher, which delivers it holding the
+//!   destination alone — never two clients at once — and then flushes the
+//!   destination, so what the delivery provokes leaves in the same flush.
+//! * **Take, encode, emit is one step** ([`ClientHost::flush`]), so the
+//!   driver's `flush_client` racing the worker's response flush cannot
+//!   invert same-link wire order (a cached-id ifunc frame ahead of the
+//!   registration frame it needs).
+//! * **A destination beyond the cluster leaves raw**, unretained; the
+//!   carrier counts the fabric drop.
+//! * **Inbound frames pass the link**; a duplicate or out-of-order arrival
+//!   is acked at once (nothing on a client waits on a poll), and an
+//!   operation whose head names another rank is a typed error.
+//! * **One pass: stage, flush, close.**  Frames only stage operations;
+//!   [`flush_clients`] polls and answers them once and the carrier collects
+//!   errors and completions; [`ClientHost::end_pass`] emits the owed pure
+//!   acks, runs the retransmission timer and returns the [`Digest`].
 
 use super::link::{Digest, Link};
 use super::socket::DRIVER_PORT;
 use super::wire;
+use crate::error::CoreError;
 use crate::runtime::NodeRuntime;
-use tc_ucx::Bytes;
+use tc_ucx::{Bytes, OutgoingMessage};
 
-/// See the module docs.
+/// One server rank: see the module docs.
 pub(crate) struct ServerHost {
     runtime: NodeRuntime,
     link: Link,
@@ -149,12 +184,198 @@ fn report(emit: &mut impl FnMut(u32, u64, Bytes, Bytes), text: String) {
     );
 }
 
+/// One client rank: see the module docs.
+pub(crate) struct ClientHost {
+    runtime: NodeRuntime,
+    link: Link,
+    /// Ranks `0..clients` are the client ranks.
+    clients: u32,
+    /// Operations were delivered to the runtime and not polled yet.
+    pending: bool,
+    /// Sibling-bound messages no flusher has claimed yet, in posting order.
+    handoff: Vec<OutgoingMessage>,
+    /// A flusher is delivering a batch it took out of `handoff`; later ones
+    /// wait there until it resumes, or they could overtake it.
+    handing_off: bool,
+    /// Failures since the carrier last collected them.
+    errors: Vec<CoreError>,
+}
+
+impl ClientHost {
+    pub(crate) fn new(runtime: NodeRuntime, link: Link, clients: u32) -> Self {
+        ClientHost {
+            runtime,
+            link,
+            clients,
+            pending: false,
+            handoff: Vec::new(),
+            handing_off: false,
+            errors: Vec::new(),
+        }
+    }
+
+    pub(crate) fn runtime(&self) -> &NodeRuntime {
+        &self.runtime
+    }
+
+    pub(crate) fn runtime_mut(&mut self) -> &mut NodeRuntime {
+        &mut self.runtime
+    }
+
+    /// Read access to the link: its digest and health rows.
+    pub(crate) fn link(&self) -> &Link {
+        &self.link
+    }
+
+    /// Operations are staged and await the next [`ClientHost::flush`].
+    pub(crate) fn pending(&self) -> bool {
+        self.pending
+    }
+
+    pub(crate) fn take_errors(&mut self) -> Vec<CoreError> {
+        std::mem::take(&mut self.errors)
+    }
+
+    /// Terminate one data-plane frame `from` sent to this rank: stage what
+    /// became deliverable (returning how many operations) and ack a
+    /// duplicate or out-of-order arrival at once.
+    pub(crate) fn on_frame(
+        &mut self,
+        from: u32,
+        tag: u64,
+        data: Bytes,
+        payload: Bytes,
+        mut emit: impl FnMut(u32, u64, Bytes, Bytes),
+    ) -> u64 {
+        let rank = self.runtime.node_id().0;
+        let (runtime, errors) = (&mut self.runtime, &mut self.errors);
+        let mut staged = 0;
+        let arrival = self.link.inbound(from, tag, data, payload, |op| {
+            if op.dst.0 == rank {
+                runtime.deliver(op);
+                staged += 1;
+            } else {
+                errors.push(CoreError::Transport(format!(
+                    "client rank {rank} received an operation for rank {}",
+                    op.dst.0
+                )));
+            }
+        });
+        self.pending |= staged > 0;
+        match arrival {
+            Ok(None) => {}
+            Ok(Some(ack)) => emit(from, wire::TAG_ACK, ack, Bytes::new()),
+            Err(e) => self.errors.push(e),
+        }
+        staged
+    }
+
+    /// A sibling's loopback delivery: stage it for the flush that follows.
+    pub(crate) fn accept(&mut self, msg: OutgoingMessage) {
+        self.runtime.deliver(msg);
+        self.pending = true;
+    }
+
+    /// Poll what is staged and move everything the runtime posted, until it
+    /// posts no more.  Returns the sibling-bound messages the caller must
+    /// [`ClientHost::accept`] into their destinations, in order, before it
+    /// calls again with `resume` — none while another flusher holds an
+    /// earlier batch (that one picks these up when it resumes).
+    pub(crate) fn flush(
+        &mut self,
+        resume: bool,
+        mut emit: impl FnMut(u32, u64, Bytes, Bytes),
+    ) -> Vec<OutgoingMessage> {
+        let rank = self.runtime.node_id().0;
+        self.handing_off &= !resume;
+        loop {
+            if std::mem::take(&mut self.pending) {
+                let failed = self.runtime.poll(usize::MAX).into_iter();
+                self.errors.extend(failed.filter_map(Result::err));
+            }
+            let outgoing = self.runtime.take_outgoing();
+            if outgoing.is_empty() {
+                break;
+            }
+            for msg in outgoing {
+                if msg.dst.0 == rank {
+                    self.accept(msg);
+                } else if msg.dst.0 < self.clients {
+                    self.handoff.push(msg);
+                } else {
+                    let (tag, data, payload) = self.link.outbound(&msg);
+                    emit(msg.dst.0, tag, data, payload);
+                }
+            }
+        }
+        if self.handing_off {
+            return Vec::new();
+        }
+        self.handing_off = !self.handoff.is_empty();
+        std::mem::take(&mut self.handoff)
+    }
+
+    /// Close one pass over the carrier's inbound frames (or one idle tick),
+    /// after [`flush_clients`] answered what the pass staged.
+    pub(crate) fn end_pass(&mut self, mut emit: impl FnMut(u32, u64, Bytes, Bytes)) -> Digest {
+        self.link.finish_batch(&mut emit);
+        self.link.tick(&mut emit);
+        self.link.digest()
+    }
+}
+
+/// Move everything client `origin` posted — and everything its loopback
+/// traffic makes its siblings post — until all of them are quiescent.
+/// `visit(c, f)` runs `f` on client `c`'s host (under its lock, where it has
+/// one) and collects what the visit left for the carrier; `emit(from, to,
+/// tag, data, payload)` puts a frame of client `from` on the wire.
+pub(crate) fn flush_clients(
+    origin: usize,
+    mut visit: impl FnMut(usize, &mut dyn FnMut(&mut ClientHost)),
+    mut emit: impl FnMut(usize, u32, u64, Bytes, Bytes),
+) {
+    let mut dirty = vec![origin];
+    while let Some(c) = dirty.pop() {
+        let (mut batch, mut resume) = (Vec::new(), false);
+        loop {
+            visit(c, &mut |host| {
+                let emit = |to, tag, data, payload| emit(c, to, tag, data, payload);
+                batch = host.flush(resume, emit);
+            });
+            if batch.is_empty() {
+                break;
+            }
+            for msg in batch.drain(..) {
+                let dst = msg.dst.index();
+                let mut msg = Some(msg);
+                visit(dst, &mut |host| host.accept(msg.take().expect("one visit")));
+                if !dirty.contains(&dst) {
+                    dirty.push(dst);
+                }
+            }
+            resume = true;
+        }
+    }
+}
+
+/// Server rank `peer` was reborn with a fresh sequence space: every client
+/// renumbers and re-sends what it retained for it.
+pub(crate) fn replay_clients(
+    hosts: &mut [ClientHost],
+    peer: u32,
+    mut emit: impl FnMut(usize, u32, u64, Bytes, Bytes),
+) {
+    for (c, host) in hosts.iter_mut().enumerate() {
+        let emit = |to, tag, data, payload| emit(c, to, tag, data, payload);
+        host.link.replay(peer, emit);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::reliable::RelConfig;
     use super::*;
     use tc_bitir::TargetTriple;
-    use tc_jit::OptLevel;
     use tc_ucx::{OutgoingMessage, RequestId, UcpOp, WorkerAddr};
 
     const SERVER: u32 = 1;
@@ -168,12 +389,7 @@ mod tests {
     type Emitted = (u32, u64, Bytes, Bytes);
 
     fn host(rel: Option<RelConfig>, loopback: bool) -> ServerHost {
-        let runtime = NodeRuntime::with_opt_level(
-            WorkerAddr(SERVER),
-            2,
-            TargetTriple::X86_64_GENERIC,
-            OptLevel::O2,
-        );
+        let runtime = NodeRuntime::new(WorkerAddr(SERVER), 2, TargetTriple::X86_64_GENERIC);
         ServerHost::new(runtime, Link::new(SERVER, 2, rel), loopback)
     }
 
@@ -324,5 +540,272 @@ mod tests {
         check(&host, &out, before);
         assert_eq!((replied(&out[before]), replied(&out[before + 1])), (3, 4));
         assert_eq!(ack_of(&out[before + 1]), 4);
+    }
+
+    // --- the client rank: two clients (ranks 0, 1) and one server (rank 2) --
+
+    const FAR: u32 = 2;
+    const DATA: u64 = crate::layout::DATA_REGION_BASE;
+
+    fn clients(rel: Option<RelConfig>) -> Vec<ClientHost> {
+        (0..2)
+            .map(|c| {
+                let runtime = NodeRuntime::new(WorkerAddr(c), 3, TargetTriple::X86_64_GENERIC);
+                ClientHost::new(runtime, Link::new(c, 3, rel), 2)
+            })
+            .collect()
+    }
+
+    /// [`flush_clients`] over plain hosts, recording `(from, frame)`.
+    fn flush_all(hosts: &mut [ClientHost], origin: usize) -> Vec<(usize, Emitted)> {
+        let mut out = Vec::new();
+        flush_clients(
+            origin,
+            |c, f| f(&mut hosts[c]),
+            |from, to, tag, data, payload| out.push((from, (to, tag, data, payload))),
+        );
+        out
+    }
+
+    /// The operation a data frame carries, and its sequence number and
+    /// piggybacked ack when it is reliable.
+    fn op_of(frame: &Emitted) -> (UcpOp, Option<(u64, u64)>) {
+        let (head, rel) = match frame.1 {
+            wire::TAG_OP => (frame.2.clone(), None),
+            wire::TAG_ROP => {
+                let (seq, ack, head) = wire::decode_rel_head(&frame.2).unwrap();
+                (head, Some((seq, ack)))
+            }
+            other => panic!("tag {other} is not a data frame"),
+        };
+        (wire::decode_op_vectored(&head, &frame.3).unwrap().op, rel)
+    }
+
+    /// `n` reliable frames of 8-byte PUTs the server addressed to rank `to`.
+    fn server_puts(to: u32, n: u64) -> Vec<(Bytes, Bytes)> {
+        let mut server = Link::new(FAR, 3, Some(CFG));
+        (0..n)
+            .map(|i| {
+                let (tag, data, payload) = server.outbound(&OutgoingMessage {
+                    src: WorkerAddr(FAR),
+                    dst: WorkerAddr(to),
+                    request: RequestId(i + 1),
+                    op: UcpOp::Put {
+                        remote_addr: DATA + 8 * i,
+                        data: vec![i as u8 + 1; 8].into(),
+                    },
+                });
+                assert_eq!(tag, wire::TAG_ROP);
+                (data, payload)
+            })
+            .collect()
+    }
+
+    fn read(host: &ClientHost, addr: u64) -> Vec<u8> {
+        wire::peek(host.runtime(), addr, 8).unwrap()
+    }
+
+    #[test]
+    fn client_to_client_and_self_sends_are_loopback_and_never_enter_a_link() {
+        let mut hosts = clients(Some(CFG));
+        let rt = hosts[0].runtime_mut();
+        rt.post_put(WorkerAddr(1), DATA, vec![0xA1; 8]);
+        rt.post_put(WorkerAddr(0), DATA, vec![0xA0; 8]);
+        // The GET's reply is posted by client 1 *during* the flush and must
+        // reach client 0 in the same one.
+        rt.post_get(WorkerAddr(1), DATA, 8);
+        let out = flush_all(&mut hosts, 0);
+        assert!(out.is_empty(), "loopback traffic was emitted: {out:?}");
+        assert_eq!(read(&hosts[1], DATA), [0xA1; 8]);
+        assert_eq!(read(&hosts[0], DATA), [0xA0; 8]);
+        assert_eq!(hosts[0].runtime().completions_pending(), 1);
+        for host in &mut hosts {
+            assert_eq!(host.link().digest().unacked, 0);
+            assert_eq!(
+                host.end_pass(|_, _, _, _| panic!("nothing is owed"))
+                    .unacked,
+                0
+            );
+            assert!(host.take_errors().is_empty() && !host.pending());
+        }
+    }
+
+    /// Two flushers of client 0 race; the first took a PUT for client 1 and
+    /// has not delivered it yet.  The second must not be handed the GET
+    /// behind it, or it could read the bytes before the PUT lands.
+    #[test]
+    fn sibling_hand_offs_of_one_client_are_claimed_by_one_flusher_at_a_time() {
+        let mut hosts = clients(None);
+        let none = |_, _, _, _| panic!("loopback traffic was emitted");
+        hosts[0]
+            .runtime_mut()
+            .post_put(WorkerAddr(1), DATA, vec![7; 8]);
+        let first = hosts[0].flush(false, none);
+        assert_eq!(first.len(), 1);
+        hosts[0].runtime_mut().post_get(WorkerAddr(1), DATA, 8);
+        assert!(hosts[0].flush(false, none).is_empty(), "claimed elsewhere");
+        for msg in first {
+            hosts[1].accept(msg);
+        }
+        // The first flusher reports back and picks the GET up, in order.
+        let second = hosts[0].flush(true, none);
+        assert!(matches!(
+            second[..],
+            [OutgoingMessage {
+                op: UcpOp::Get { .. },
+                ..
+            }]
+        ));
+        for msg in second {
+            hosts[1].accept(msg);
+        }
+        assert!(hosts[0].flush(true, none).is_empty());
+        let reply = hosts[1].flush(false, none);
+        match &reply[..] {
+            [OutgoingMessage {
+                op: UcpOp::GetReply { data, .. },
+                ..
+            }] => {
+                assert_eq!(data.as_slice(), [7; 8])
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn each_flush_emits_what_it_took_so_the_registration_frame_stays_first() {
+        let mut mb = tc_bitir::ModuleBuilder::new("noop");
+        {
+            let mut f = mb.entry_function();
+            let zero = f.const_i64(0);
+            f.ret(zero);
+            f.finish();
+        }
+        let library =
+            crate::build_ifunc_library(&mb.build(), &crate::ToolchainOptions::default()).unwrap();
+        let mut host = clients(Some(CFG)).remove(0);
+        let handle = host.runtime_mut().register_library(library);
+        let msg = host
+            .runtime()
+            .create_bitcode_message(handle, vec![1])
+            .unwrap();
+        // Two flushers alternate (say the driver and the worker): each finds
+        // one send posted and has emitted it by the time it returns.
+        let mut out: Vec<(char, Emitted)> = Vec::new();
+        for flusher in ['a', 'b', 'a'] {
+            host.runtime_mut().send_ifunc(&msg, WorkerAddr(FAR));
+            let emit = |to, tag, data, payload| out.push((flusher, (to, tag, data, payload)));
+            assert!(host.flush(false, emit).is_empty());
+        }
+        let order: String = out.iter().map(|(flusher, _)| *flusher).collect();
+        assert_eq!(order, "aba");
+        let sizes: Vec<usize> = out
+            .iter()
+            .zip(1..)
+            .map(|((_, frame), seq)| match op_of(frame) {
+                (UcpOp::IfuncFrame { bytes }, Some((s, 0))) if s == seq => bytes.len(),
+                other => panic!("frame {seq}: {other:?}"),
+            })
+            .collect();
+        assert!(
+            sizes[0] > sizes[1] && sizes[1] == sizes[2],
+            "the code-carrying frame must be seq 1, the cached-id frames behind it: {sizes:?}"
+        );
+        assert_eq!(host.link().digest().unacked, 3);
+    }
+
+    #[test]
+    fn a_duplicate_is_acked_at_once_and_a_burst_once_unless_piggybacked() {
+        let mut host = clients(Some(CFG)).remove(0);
+        let frames = server_puts(0, 4);
+        let mut out: Vec<Emitted> = Vec::new();
+        let feed = |host: &mut ClientHost, out: &mut Vec<Emitted>, i: usize| {
+            let (data, payload) = frames[i].clone();
+            host.on_frame(
+                FAR,
+                wire::TAG_ROP,
+                data,
+                payload,
+                |to, tag, data, payload| out.push((to, tag, data, payload)),
+            )
+        };
+        // An in-order burst stages its operations and owes one ack, which
+        // the pass close pays — once.
+        for i in 0..3 {
+            assert_eq!(feed(&mut host, &mut out, i), 1);
+        }
+        assert!(out.is_empty() && host.pending());
+        assert!(flush_all(std::slice::from_mut(&mut host), 0).is_empty());
+        assert_eq!(read(&host, DATA + 16), [3; 8]);
+        for _ in 0..2 {
+            host.end_pass(|to, tag, data, payload| out.push((to, tag, data, payload)));
+        }
+        assert_eq!(out.len(), 1);
+        assert_eq!(
+            (out[0].0, out[0].1, ack_of(&out[0])),
+            (FAR, wire::TAG_ACK, 3)
+        );
+        // A duplicate stages nothing and is acked before `on_frame` returns.
+        assert_eq!(feed(&mut host, &mut out, 1), 0);
+        assert_eq!(out.len(), 2);
+        assert_eq!((out[1].1, ack_of(&out[1])), (wire::TAG_ACK, 3));
+        assert_eq!(host.link().digest().metrics.dup_drops, 1);
+        // A reverse data frame piggybacks the next owed ack; the close then
+        // has nothing to add.
+        assert_eq!(feed(&mut host, &mut out, 3), 1);
+        host.runtime_mut().post_get(WorkerAddr(FAR), DATA, 8);
+        let sent = flush_all(std::slice::from_mut(&mut host), 0);
+        assert_eq!(sent.len(), 1);
+        assert_eq!(op_of(&sent[0].1).1, Some((1, 4)));
+        host.end_pass(|_, _, _, _| panic!("the GET carried the ack"));
+        assert_eq!(host.link().digest().metrics.acks_sent, 2);
+    }
+
+    #[test]
+    fn a_destination_beyond_the_cluster_leaves_raw_and_unretained() {
+        let mut host = clients(Some(CFG)).remove(0);
+        host.runtime_mut()
+            .post_put(WorkerAddr(99), DATA, vec![1; 8]);
+        let out = flush_all(std::slice::from_mut(&mut host), 0);
+        assert_eq!(out.len(), 1);
+        let (from, frame) = &out[0];
+        assert_eq!((*from, frame.0, frame.1), (0, 99, wire::TAG_OP));
+        assert!(matches!(op_of(frame), (UcpOp::Put { .. }, None)));
+        assert_eq!(
+            host.link().digest().unacked,
+            0,
+            "it would retransmit forever"
+        );
+    }
+
+    #[test]
+    fn an_operation_for_another_rank_is_a_typed_error_and_touches_no_runtime() {
+        for rel in [None, Some(CFG)] {
+            let mut hosts = clients(rel);
+            // The server addressed client 1; the carrier hands the frame to
+            // client 0.
+            let stray = OutgoingMessage {
+                src: WorkerAddr(FAR),
+                dst: WorkerAddr(1),
+                request: RequestId(1),
+                op: UcpOp::Put {
+                    remote_addr: DATA,
+                    data: vec![9; 8].into(),
+                },
+            };
+            let (tag, data, payload) = Link::new(FAR, 3, rel).outbound(&stray);
+            let none = |_, _, _, _| panic!("an in-order arrival emits nothing");
+            assert_eq!(hosts[0].on_frame(FAR, tag, data, payload, none), 0);
+            assert!(matches!(
+                hosts[0].take_errors()[..],
+                [CoreError::Transport(_)]
+            ));
+            assert!(flush_all(&mut hosts, 0).is_empty());
+            for host in &hosts {
+                assert!(!host.pending());
+                assert_eq!(host.runtime().stats.puts_applied, 0);
+                assert_eq!(read(host, DATA), [0; 8]);
+            }
+        }
     }
 }

@@ -1,9 +1,9 @@
-//! The one reliable link endpoint under the four wall-clock hosts.
+//! The one reliable link endpoint under every wall-clock rank.
 //!
-//! The threaded server node, the threaded client worker, the socket server
-//! process and each client of the socket driver all sit between a
-//! [`crate::runtime::NodeRuntime`] and a wire that carries `(tag, data,
-//! payload)` frames.  A [`Link`] is everything that is the same among them:
+//! A server rank and a client rank of the threaded and socket backends both
+//! sit between a [`crate::runtime::NodeRuntime`] and a wire that carries
+//! `(tag, data, payload)` frames.  A [`Link`] is everything that is the same
+//! among them:
 //!
 //! * [`Link::outbound`] — pick [`wire::TAG_ROP`] (sequence, retain, piggyback
 //!   the owed ack) or [`wire::TAG_OP`] (no fault plan, or a destination the
@@ -15,12 +15,11 @@
 //!   re-send after a peer was reborn;
 //! * [`Link::digest`] — what quiescence detection and operators read.
 //!
-//! A host supplies what genuinely differs: where loopback traffic is
-//! delivered, its lock discipline, and the `emit(to_rank, tag, data,
-//! payload)` closure that reaches its fabric, socket or chaos router — the
-//! whole carrier interface.  The two server ranks share more than the link
-//! (when pending operations are polled, what an ack may cover, where control
-//! frames sit): that is [`super::host::ServerHost`], built on this module.
+//! What a rank does around its link — when pending operations are polled,
+//! what an ack may cover, where control frames sit, which sends are loopback
+//! — is [`super::host`]'s `ServerHost` and `ClientHost`, the only callers of
+//! this module; they pass on the carrier's `emit(to_rank, tag, data,
+//! payload)` closure, which reaches its fabric, socket or chaos router.
 //!
 //! [`super::SimTransport`] deliberately does not use this module: it is the
 //! oracle the parity suites compare against and keeps un-encoded messages in

@@ -16,13 +16,14 @@
 //! their side) is the third.  Beneath the backends: [`wire`] is the frame
 //! codec, [`reliable`] the per-link sequence/ack/retransmit state machine,
 //! and the crate-private `link` module the one endpoint that joins the two
-//! to a [`NodeRuntime`] — the threaded client worker and the socket
-//! driver's clients drive it directly, each supplying only its carrier.
-//! The crate-private `host` module is the one *server rank* on top of it
-//! (control as a barrier behind data, replies and acks behind the poll, one
-//! pass close): the threaded server node and the socket server process are
-//! carriers over it.  The simulated backend stays on [`reliable`] directly:
-//! it is the oracle the others are compared against.
+//! to a [`NodeRuntime`].  The crate-private `host` module is the one
+//! *server rank* on top of it (control as a barrier behind data, replies
+//! and acks behind the poll, one pass close) and the one *client rank*
+//! (client-to-client traffic as loopback, take-encode-emit as one step, one
+//! poll and flush per pass): the threaded server node and the socket server
+//! process are carriers over the first, the threaded client worker and the
+//! socket driver over the second.  The simulated backend stays on
+//! [`reliable`] directly: it is the oracle the others are compared against.
 //!
 //! On the driving side a backend answers a handful of primitives — among
 //! them one [`Transport::control`] round trip to a server rank and one
@@ -92,7 +93,7 @@ use crate::runtime::{Completion, NativeAmHandler, NodeRuntime};
 use std::sync::Arc;
 use std::time::Duration;
 use tc_bitir::TargetTriple;
-use tc_jit::{Memory, OptLevel};
+use tc_jit::Memory;
 use tc_simnet::Platform;
 use tc_ucx::{Bytes, RequestId, WorkerAddr};
 
@@ -167,7 +168,9 @@ pub struct Tuning {
     /// where work finished right as the first wait timed out.
     pub idle_grace: u32,
     /// Threads: most messages a node thread — or a client worker — drains
-    /// per wakeup (batch drain: one park, many messages).
+    /// per wakeup (batch drain: one park, many messages).  0 means the
+    /// fabric's default burst (`tc_simnet::threaded::DEFAULT_MAX_BATCH`,
+    /// 128) for both.
     pub node_batch: usize,
     /// How long a control-plane round trip (peek/poke/stats/AM deploy) may
     /// take.
@@ -218,16 +221,20 @@ pub struct TransportMetrics {
 /// Borrowed view of a client runtime handed out by [`Transport::client`].
 ///
 /// Backends whose runtimes live on the driving thread (sim, socket) hand out
-/// plain references; the threaded backend's runtimes are owned by per-client
-/// worker threads behind mutexes, so its guard holds the client's lock for
-/// the duration of the borrow.  Dereferences to [`NodeRuntime`], so call
-/// sites read through it unchanged — but holding a guard across a blocking
-/// wait would stall that client's worker thread; drop it promptly.
+/// plain references; the threaded backend's client ranks are shared with
+/// per-client worker threads behind one mutex each, so its guard holds the
+/// client's lock for the duration of the borrow.  Dereferences to
+/// [`NodeRuntime`], so call sites read through it unchanged — but holding a
+/// guard across a blocking wait would stall that client's worker thread;
+/// drop it promptly.
+// The lock guards the whole crate-private client rank; callers only ever
+// dereference to the runtime inside it.
+#[allow(private_interfaces)]
 pub enum ClientRef<'a> {
     /// Runtime directly owned by the transport on the driving thread.
     Direct(&'a NodeRuntime),
-    /// Runtime shared with a per-client worker thread; holds its lock.
-    Locked(std::sync::MutexGuard<'a, NodeRuntime>),
+    /// Client rank shared with a per-client worker thread; holds its lock.
+    Locked(std::sync::MutexGuard<'a, host::ClientHost>),
 }
 
 impl std::ops::Deref for ClientRef<'_> {
@@ -236,18 +243,19 @@ impl std::ops::Deref for ClientRef<'_> {
     fn deref(&self) -> &NodeRuntime {
         match self {
             ClientRef::Direct(runtime) => runtime,
-            ClientRef::Locked(guard) => guard,
+            ClientRef::Locked(guard) => guard.runtime(),
         }
     }
 }
 
 /// Mutable counterpart of [`ClientRef`], handed out by
 /// [`Transport::client_mut`].
+#[allow(private_interfaces)]
 pub enum ClientRefMut<'a> {
     /// Runtime directly owned by the transport on the driving thread.
     Direct(&'a mut NodeRuntime),
-    /// Runtime shared with a per-client worker thread; holds its lock.
-    Locked(std::sync::MutexGuard<'a, NodeRuntime>),
+    /// Client rank shared with a per-client worker thread; holds its lock.
+    Locked(std::sync::MutexGuard<'a, host::ClientHost>),
 }
 
 impl std::ops::Deref for ClientRefMut<'_> {
@@ -256,7 +264,7 @@ impl std::ops::Deref for ClientRefMut<'_> {
     fn deref(&self) -> &NodeRuntime {
         match self {
             ClientRefMut::Direct(runtime) => runtime,
-            ClientRefMut::Locked(guard) => guard,
+            ClientRefMut::Locked(guard) => guard.runtime(),
         }
     }
 }
@@ -265,7 +273,7 @@ impl std::ops::DerefMut for ClientRefMut<'_> {
     fn deref_mut(&mut self) -> &mut NodeRuntime {
         match self {
             ClientRefMut::Direct(runtime) => runtime,
-            ClientRefMut::Locked(guard) => guard,
+            ClientRefMut::Locked(guard) => guard.runtime_mut(),
         }
     }
 }
@@ -1457,8 +1465,7 @@ impl<T: Transport> Cluster<T> {
     }
 }
 
-/// Builder for a [`Cluster`]: platform, node count, target triples, JIT
-/// optimisation level, backend.
+/// Builder for a [`Cluster`]: platform, node count, target triples, backend.
 ///
 /// The platform always provides the fabric/CPU calibration for the simulated
 /// backend and the default target triples for both backends.
@@ -1469,7 +1476,6 @@ pub struct ClusterBuilder {
     servers: usize,
     client_triple: Option<TargetTriple>,
     server_triple: Option<TargetTriple>,
-    opt_level: OptLevel,
     fault_plan: Option<tc_chaos::FaultPlan>,
     rel_config: Option<RelConfig>,
     tuning: Tuning,
@@ -1491,7 +1497,6 @@ impl ClusterBuilder {
             servers: 1,
             client_triple: None,
             server_triple: None,
-            opt_level: OptLevel::O2,
             fault_plan: None,
             rel_config: None,
             tuning: Tuning::default(),
@@ -1529,12 +1534,6 @@ impl ClusterBuilder {
     /// Override the servers' target triple (defaults to the platform's).
     pub fn server_triple(mut self, triple: TargetTriple) -> Self {
         self.server_triple = Some(triple);
-        self
-    }
-
-    /// JIT optimisation level used on every node.
-    pub fn opt_level(mut self, opt_level: OptLevel) -> Self {
-        self.opt_level = opt_level;
         self
     }
 
@@ -1625,7 +1624,6 @@ impl ClusterBuilder {
             self.servers,
             client,
             server,
-            self.opt_level,
             self.fault_plan,
             self.rel_config,
         )
@@ -1638,7 +1636,6 @@ impl ClusterBuilder {
             self.servers,
             client,
             server,
-            self.opt_level,
             self.tuning,
             self.fault_plan,
             self.rel_config,
@@ -1655,7 +1652,6 @@ impl ClusterBuilder {
             self.servers,
             client,
             server,
-            self.opt_level,
             self.fault_plan,
             socket,
         )

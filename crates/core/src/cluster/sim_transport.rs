@@ -27,7 +27,6 @@ use crate::sim::{DeliveryRecord, TimingLog};
 use std::collections::HashMap;
 use tc_bitir::TargetTriple;
 use tc_chaos::{ChaosSession, ChaosStats, FaultPlan};
-use tc_jit::OptLevel;
 use tc_simnet::{EventQueue, FabricOp, Platform, SimDuration, SimTime};
 use tc_ucx::{OutgoingMessage, UcpOp};
 
@@ -80,7 +79,6 @@ pub struct SimTransport {
     /// are faster), so arrivals are clamped to each link's FIFO order.
     link_last_arrival: HashMap<(usize, usize), SimTime>,
     timings: TimingLog,
-    opt_cost_factor: f64,
     errors: Vec<CoreError>,
     delivered: u64,
     dropped_misaddressed: u64,
@@ -108,14 +106,12 @@ impl SimTransport {
     /// deterministically: each client owns its own injection port
     /// (per-rank `link_ready_at`) and flushed sends meet in the one virtual
     /// time event queue.
-    #[allow(clippy::too_many_arguments)]
     pub fn with_config(
         platform: Platform,
         clients: usize,
         servers: usize,
         client_triple: TargetTriple,
         server_triple: TargetTriple,
-        opt_level: OptLevel,
         fault_plan: Option<FaultPlan>,
         rel_config: Option<RelConfig>,
     ) -> Self {
@@ -128,12 +124,7 @@ impl SimTransport {
                 } else {
                     server_triple
                 };
-                NodeRuntime::with_opt_level(
-                    tc_ucx::WorkerAddr(i as u32),
-                    total as u32,
-                    triple,
-                    opt_level,
-                )
+                NodeRuntime::new(tc_ucx::WorkerAddr(i as u32), total as u32, triple)
             })
             .collect();
         SimTransport {
@@ -145,7 +136,6 @@ impl SimTransport {
             link_ready_at: vec![SimTime::ZERO; total],
             link_last_arrival: HashMap::new(),
             timings: TimingLog::default(),
-            opt_cost_factor: opt_level.compile_cost_factor(),
             errors: Vec::new(),
             delivered: 0,
             dropped_misaddressed: 0,
@@ -468,7 +458,7 @@ impl SimTransport {
             OutcomeKind::IfuncExecutedFirstArrival => {
                 let jit = outcome
                     .jit_bitcode_bytes
-                    .map(|b| cpu.jit_time(b, self.opt_cost_factor))
+                    .map(|b| cpu.jit_time(b, 1.0))
                     .unwrap_or(SimDuration::ZERO);
                 let load = if outcome.binary_loaded {
                     cpu.binary_load()

@@ -4,7 +4,7 @@
 //! Topology is a star: the driver process hosts the client runtimes and a
 //! listener; every server process dials in, introduces itself with a HELLO
 //! frame, and receives the cluster configuration (rank layout, target
-//! triple, optimisation level, reliability tunables) in the WELCOME reply.
+//! triple, reliability tunables) in the WELCOME reply.
 //! Server-to-server traffic — recursive ifunc hops, X-RDMA result returns —
 //! is relayed through the driver, preserving end-to-end reliability
 //! semantics per (source, destination) link.
@@ -23,6 +23,7 @@
 //! runs a reliable link endpoint (the crate-private `link` module), so
 //! delivery stays exactly-once and in-order over a lossy socket.
 
+use super::host::{self, ClientHost};
 use super::link::{self, Digest, Link};
 use super::reliable::{LinkHealth, RelConfig, RelMetrics};
 use super::{check_server_rank, wire, ClientId, ClientRef, ClientRefMut, Transport, Tuning};
@@ -33,9 +34,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use tc_bitir::TargetTriple;
 use tc_chaos::{ChaosSession, ChaosStats, FaultPlan, HoldBack};
-use tc_jit::OptLevel;
 use tc_net::{ChildGuard, Connection, Frame, Listener, NetError, SocketSpec};
-use tc_ucx::Bytes;
 
 /// True when `TC_SOCKET_TRACE` is set: both halves of the socket backend
 /// print per-frame routing decisions to stderr.  For debugging distributed
@@ -87,8 +86,10 @@ pub const TAG_LINK_RESET: u64 = 109;
 
 /// HELLO magic ("TCN1").
 pub const HELLO_MAGIC: u32 = 0x5443_4E31;
-/// Session protocol version.
-pub const PROTO_VERSION: u32 = 1;
+/// Session protocol version.  2: the WELCOME body lost its optimisation-level
+/// byte — a version-1 server must be refused at HELLO, not fed a body it
+/// would misparse.
+pub const PROTO_VERSION: u32 = 2;
 /// HELLO rank value meaning "assign me one".
 pub const RANK_ANY: u32 = u32::MAX;
 /// `from`/`to` value of the driver itself (it is not a rank).
@@ -136,8 +137,6 @@ pub struct Welcome {
     pub servers: u32,
     /// The rank assigned to this server.
     pub rank: u32,
-    /// JIT optimisation level for the server runtime.
-    pub opt: OptLevel,
     /// Whether a fault plan is installed (reliable delivery on).
     pub reliable: bool,
     /// Whether the reliable layer estimates its RTO adaptively (Jacobson
@@ -165,16 +164,10 @@ impl Welcome {
 /// Encode a WELCOME body.
 pub fn encode_welcome(w: &Welcome) -> Vec<u8> {
     let triple = w.triple.to_string();
-    let mut out = Vec::with_capacity(33 + triple.len());
+    let mut out = Vec::with_capacity(32 + triple.len());
     out.extend_from_slice(&w.clients.to_le_bytes());
     out.extend_from_slice(&w.servers.to_le_bytes());
     out.extend_from_slice(&w.rank.to_le_bytes());
-    out.push(match w.opt {
-        OptLevel::O0 => 0,
-        OptLevel::O1 => 1,
-        OptLevel::O2 => 2,
-        OptLevel::O3 => 3,
-    });
     out.push(w.reliable as u8);
     out.push(w.adaptive as u8);
     out.extend_from_slice(&w.rto.to_le_bytes());
@@ -187,7 +180,7 @@ pub fn encode_welcome(w: &Welcome) -> Vec<u8> {
 /// Decode a WELCOME body.
 pub fn decode_welcome(body: &[u8]) -> Result<Welcome> {
     let err = |m: &str| CoreError::Transport(format!("bad WELCOME: {m}"));
-    if body.len() < 33 {
+    if body.len() < 32 {
         return Err(err("shorter than the fixed header"));
     }
     let clients = u32::from_le_bytes(body[0..4].try_into().unwrap());
@@ -203,29 +196,21 @@ pub fn decode_welcome(body: &[u8]) -> Result<Welcome> {
             "rank {rank} is not a server of {clients} clients + {servers} servers"
         )));
     }
-    let opt = match body[12] {
-        0 => OptLevel::O0,
-        1 => OptLevel::O1,
-        2 => OptLevel::O2,
-        3 => OptLevel::O3,
-        other => return Err(err(&format!("unknown opt level {other}"))),
-    };
-    let reliable = body[13] != 0;
-    let adaptive = body[14] != 0;
-    let rto = u64::from_le_bytes(body[15..23].try_into().unwrap());
-    let rto_max = u64::from_le_bytes(body[23..31].try_into().unwrap());
-    let triple_len = u16::from_le_bytes(body[31..33].try_into().unwrap()) as usize;
-    if body.len() != 33 + triple_len {
+    let reliable = body[12] != 0;
+    let adaptive = body[13] != 0;
+    let rto = u64::from_le_bytes(body[14..22].try_into().unwrap());
+    let rto_max = u64::from_le_bytes(body[22..30].try_into().unwrap());
+    let triple_len = u16::from_le_bytes(body[30..32].try_into().unwrap()) as usize;
+    if body.len() != 32 + triple_len {
         return Err(err("triple length disagrees with the body"));
     }
-    let triple_str = std::str::from_utf8(&body[33..]).map_err(|_| err("triple is not UTF-8"))?;
+    let triple_str = std::str::from_utf8(&body[32..]).map_err(|_| err("triple is not UTF-8"))?;
     let triple = TargetTriple::parse(triple_str)
         .ok_or_else(|| err(&format!("unknown triple `{triple_str}`")))?;
     Ok(Welcome {
         clients,
         servers,
         rank,
-        opt,
         reliable,
         adaptive,
         rto,
@@ -454,7 +439,7 @@ impl ServerLink {
 }
 
 /// Driver-side chaos state (mirrors the threaded backend's `DriverChaos`;
-/// each client's link lives in [`SocketTransport::client_links`]).
+/// each client's link lives in its [`ClientHost`]).
 struct SocketChaos {
     session: ChaosSession,
     /// Held-back frames implementing delay/reorder.
@@ -464,12 +449,10 @@ struct SocketChaos {
 /// The cross-process cluster backend (OS processes + sockets, wall-clock
 /// time).
 pub struct SocketTransport {
-    clients: Vec<NodeRuntime>,
-    /// One link endpoint per client rank — sequence spaces of different
-    /// clients must never interfere.  Reliable exactly when `chaos` is set.
-    client_links: Vec<Link>,
-    /// Clients that received operations and await their poll-and-flush.
-    staged: Vec<bool>,
+    /// The client ranks, progressed by this driver's pump (the backend is
+    /// single-driver: no worker threads).  Their links are reliable exactly
+    /// when `chaos` is set.
+    clients: Vec<ClientHost>,
     links: Vec<ServerLink>,
     listener: Option<Listener>,
     servers: usize,
@@ -507,7 +490,6 @@ pub struct SocketTransport {
     /// Successful heals, for tests and the recovery bench.
     heals: u64,
     /// WELCOME ingredients, retained for recovery-mode re-handshakes.
-    opt_level: OptLevel,
     server_triple: TargetTriple,
     rel_cfg: RelConfig,
 }
@@ -526,13 +508,11 @@ impl SocketTransport {
     /// Start the backend: bind the listener, spawn (or await) `servers`
     /// server processes, run the HELLO/WELCOME handshake with each, and
     /// return once every rank is connected.
-    #[allow(clippy::too_many_arguments)]
     pub fn connect_config(
         clients: usize,
         servers: usize,
         client_triple: TargetTriple,
         server_triple: TargetTriple,
-        opt_level: OptLevel,
         fault_plan: Option<FaultPlan>,
         config: SocketConfig,
     ) -> Result<Self> {
@@ -569,20 +549,12 @@ impl SocketTransport {
         }
 
         let mut transport = SocketTransport {
-            clients: (0..clients)
+            clients: (0..clients as u32)
                 .map(|c| {
-                    NodeRuntime::with_opt_level(
-                        tc_ucx::WorkerAddr(c as u32),
-                        total,
-                        client_triple,
-                        opt_level,
-                    )
+                    let runtime = NodeRuntime::new(tc_ucx::WorkerAddr(c), total, client_triple);
+                    ClientHost::new(runtime, Link::new(c, total, link_cfg), clients as u32)
                 })
                 .collect(),
-            client_links: (0..clients as u32)
-                .map(|c| Link::new(c, total, link_cfg))
-                .collect(),
-            staged: vec![false; clients],
             links,
             listener: Some(listener),
             servers,
@@ -605,7 +577,6 @@ impl SocketTransport {
             poke_log: std::collections::BTreeMap::new(),
             rejoining: Vec::new(),
             heals: 0,
-            opt_level,
             server_triple,
             rel_cfg,
         };
@@ -733,7 +704,6 @@ impl SocketTransport {
             clients: self.clients.len() as u32,
             servers: self.servers as u32,
             rank,
-            opt: self.opt_level,
             reliable: self.chaos.is_some(),
             adaptive: self.rel_cfg.adaptive,
             rto: self.rel_cfg.rto,
@@ -1026,11 +996,13 @@ impl SocketTransport {
         if let Some(chaos) = &mut self.chaos {
             chaos.held.forget_node(rank);
         }
-        for (c, link) in self.client_links.iter_mut().enumerate() {
-            link.replay(rank as u32, |to, tag, data, payload| {
-                replay.push(Frame::with_payload(c as u32, to, tag, data, payload))
-            });
-        }
+        host::replay_clients(
+            &mut self.clients,
+            rank as u32,
+            |from, to, tag, data, payload| {
+                replay.push(Frame::with_payload(from as u32, to, tag, data, payload))
+            },
+        );
         // Re-deploy the AM catalog in original deploy order so the reborn
         // process's handler ids line up with the cluster's.
         for name in self.deployed_ams.clone() {
@@ -1167,18 +1139,10 @@ impl SocketTransport {
             frame.data.len(),
             frame.payload.len()
         );
-        let clients = self.clients.len() as u32;
         match frame.tag {
             wire::TAG_OP => {
-                if frame.to < clients {
-                    self.client_inbound(frame);
-                } else if (frame.to as usize) < self.clients.len() + self.servers {
-                    // Server-to-server relay.
-                    if let Err(e) = self.queue_to_server(frame.to as usize, frame) {
-                        self.errors.push(e);
-                    }
-                } else {
-                    self.dropped += 1;
+                if let Err(e) = self.deliver(frame) {
+                    self.errors.push(e);
                 }
             }
             wire::TAG_ROP | wire::TAG_ACK => self.chaos_route(frame),
@@ -1257,89 +1221,91 @@ impl SocketTransport {
     /// Physically move one reliable frame that survived the chaos engine
     /// (which bounded its ranks).
     fn route_reliable(&mut self, frame: Frame) {
-        let clients = self.clients.len();
-        let dst = frame.to as usize;
-        if dst < clients {
-            self.client_inbound(frame);
-            return;
-        }
-        if self.recover && matches!(self.links[dst - clients].state, LinkState::Dead(_)) {
+        let server = (frame.to as usize).checked_sub(self.clients.len());
+        if self.recover && server.is_some_and(|s| matches!(self.links[s].state, LinkState::Dead(_)))
+        {
             // The rank is being healed.  The frame stays buffered in its
             // sender's ReliableSet and is replayed (renumbered) once the
             // link is back; surfacing an error per retransmission would
             // flood the error log for a transient outage.
             return;
         }
-        if let Err(e) = self.queue_to_server(dst, frame) {
+        if let Err(e) = self.deliver(frame) {
             self.errors.push(e);
         }
     }
 
-    /// Put one frame client `c`'s link produced on its way: reliable frames
-    /// and acks traverse the chaos engine, raw ops go straight to the socket.
-    fn client_emit(
-        &mut self,
-        c: usize,
-        to: u32,
-        tag: u64,
-        data: Bytes,
-        payload: Bytes,
-    ) -> Result<()> {
-        let frame = Frame::with_payload(c as u32, to, tag, data, payload);
-        if tag == wire::TAG_OP {
-            return self.queue_to_server(to as usize, frame);
+    /// Put one frame a client's host emitted on its way: reliable frames and
+    /// acks traverse the chaos engine, raw ops go straight out.
+    fn client_emit(&mut self, frame: Frame) -> Result<()> {
+        if frame.tag == wire::TAG_OP {
+            return self.deliver(frame);
         }
         self.chaos_route(frame);
         Ok(())
     }
 
-    /// Terminate a data-plane frame at the driver-side client port it names
-    /// (bounded by the callers): deliver what became in-order, then poll
-    /// each client that received operations and flush its responses.
-    fn client_inbound(&mut self, frame: Frame) {
-        let port = frame.to as usize;
-        let (clients, staged, errors) = (&mut self.clients, &mut self.staged, &mut self.errors);
-        let mut delivered = 0;
-        let arrival = self.client_links[port].inbound(
+    /// Physically move one data-plane frame to the rank it names.  A server
+    /// (a relay, or a client's send) gets it queued on its socket; a rank
+    /// beyond the cluster is the fabric drop every backend counts.  A
+    /// client's host only stages what became deliverable — the pass close
+    /// in [`SocketTransport::drain_inbox`] polls and answers it — but a
+    /// duplicate's ack leaves at once, its traversal passing the chaos
+    /// engine like any other.
+    fn deliver(&mut self, frame: Frame) -> Result<()> {
+        let to = frame.to as usize;
+        let Some(host) = self.clients.get_mut(to) else {
+            if to >= self.clients.len() + self.servers {
+                self.dropped += 1;
+                return Ok(());
+            }
+            return self.queue_to_server(to, frame);
+        };
+        let mut ack = None;
+        self.delivered += host.on_frame(
             frame.from,
             frame.tag,
             frame.data,
             frame.payload,
-            |msg| {
-                let dst = msg.dst.index();
-                if dst < clients.len() {
-                    clients[dst].deliver(msg);
-                    staged[dst] = true;
-                    delivered += 1;
-                } else {
-                    errors.push(CoreError::Transport(format!(
-                        "driver received an operation for non-client rank {dst}"
-                    )));
-                }
+            |dst, tag, data, payload| {
+                ack = Some(Frame::with_payload(frame.to, dst, tag, data, payload))
             },
         );
-        self.delivered += delivered;
-        match arrival {
-            Ok(None) => {}
-            // Duplicate or out of order: ack at once (nothing on a client
-            // waits on a poll).  The ack's own traversal passes the chaos
-            // engine too.
-            Ok(Some(ack)) => {
-                let _ = self.client_emit(port, frame.from, wire::TAG_ACK, ack, Bytes::new());
-            }
-            Err(e) => self.errors.push(e),
-        }
-        for c in 0..self.staged.len() {
-            if std::mem::take(&mut self.staged[c]) {
-                self.drain_client(c);
-            }
-        }
+        self.errors.extend(host.take_errors());
+        ack.map_or(Ok(()), |ack| self.client_emit(ack))
     }
 
-    /// Route everything in the inbox, then close the pass on every client
-    /// link: the one pure cumulative ack per (client, server) link that
-    /// nothing routed has piggybacked on, and the retransmission timer.
-    /// Returns how many frames were routed.
+    /// Move everything client `origin` (and whoever its loopback traffic
+    /// reaches) posted toward the sockets.  The hosts' frames are routed
+    /// only after the flush returns: routing may release held-back frames
+    /// into these same hosts.
+    fn flush_from(&mut self, origin: usize) -> Result<()> {
+        let (hosts, errors) = (&mut self.clients, &mut self.errors);
+        let mut out = Vec::new();
+        host::flush_clients(
+            origin,
+            |c, f| {
+                f(&mut hosts[c]);
+                errors.extend(hosts[c].take_errors());
+            },
+            |from, to, tag, data, payload| {
+                out.push(Frame::with_payload(from as u32, to, tag, data, payload))
+            },
+        );
+        let mut result = Ok(());
+        for frame in out {
+            let sent = self.client_emit(frame);
+            result = result.and(sent);
+        }
+        result
+    }
+
+    /// Route everything in the inbox, then close the pass on every client:
+    /// poll and answer what the pass staged, emit the one pure cumulative
+    /// ack per (client, server) link that nothing routed has piggybacked
+    /// on, run the retransmission timer, and start the writes.  Returns how
+    /// many frames were routed (a client with operations staged since the
+    /// last pass — released by a flush outside it — counts as one).
     fn drain_inbox(&mut self) -> usize {
         let mut routed = 0;
         while let Some(frame) = self.inbox.pop_front() {
@@ -1347,77 +1313,20 @@ impl SocketTransport {
             routed += 1;
         }
         let mut out = Vec::new();
-        for (c, link) in self.client_links.iter_mut().enumerate() {
-            let mut emit = |to, tag, data, payload| {
+        for c in 0..self.clients.len() {
+            if self.clients[c].pending() {
+                routed += 1;
+                let _ = self.flush_from(c);
+            }
+            self.clients[c].end_pass(|to, tag, data, payload| {
                 out.push(Frame::with_payload(c as u32, to, tag, data, payload))
-            };
-            link.finish_batch(&mut emit);
-            link.tick(&mut emit);
+            });
         }
-        for f in out {
-            self.chaos_route(f);
-        }
-        routed
-    }
-
-    /// Poll everything delivered to client `c` and flush its responses.
-    fn drain_client(&mut self, c: usize) {
-        for outcome in self.clients[c].poll(usize::MAX) {
-            if let Err(e) = outcome {
-                self.errors.push(e);
-            }
-        }
-        let _ = self.dispatch_client_outgoing(c);
-    }
-
-    /// Move everything client `origin` posted onto the sockets, looping
-    /// until the outgoing queues are quiescent.  Client-to-client traffic is
-    /// delivered directly on the driver (loopback-class, never faulted).
-    fn dispatch_client_outgoing(&mut self, origin: usize) -> Result<()> {
-        if self.shut_down {
-            return Err(CoreError::Transport("socket transport is shut down".into()));
-        }
-        let clients = self.clients.len();
-        let mut first_err = None;
-        let mut dirty = vec![origin];
-        while let Some(c) = dirty.pop() {
-            loop {
-                let outgoing = self.clients[c].take_outgoing();
-                if outgoing.is_empty() {
-                    break;
-                }
-                for msg in outgoing {
-                    let dst = msg.dst.index();
-                    if dst < clients {
-                        self.clients[dst].deliver(msg);
-                        for outcome in self.clients[dst].poll(usize::MAX) {
-                            if let Err(e) = outcome {
-                                self.errors.push(e);
-                            }
-                        }
-                        if dst != c && !dirty.contains(&dst) {
-                            dirty.push(dst);
-                        }
-                        continue;
-                    }
-                    if dst >= clients + self.servers {
-                        // Misaddressed: counted as a fabric drop, like the
-                        // other backends.
-                        self.dropped += 1;
-                        continue;
-                    }
-                    let (tag, data, payload) = self.client_links[c].outbound(&msg);
-                    if let Err(e) = self.client_emit(c, msg.dst.0, tag, data, payload) {
-                        first_err.get_or_insert(e);
-                    }
-                }
-            }
+        for frame in out {
+            let _ = self.client_emit(frame);
         }
         self.pump_writes();
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        routed
     }
 
     /// One I/O round: flush writes, read frames, route everything in the
@@ -1425,10 +1334,7 @@ impl SocketTransport {
     fn pump_round(&mut self) -> usize {
         self.pump_writes();
         self.pump_reads();
-        let routed = self.drain_inbox();
-        // Routing may have queued acks/relays; start them on their way.
-        self.pump_writes();
-        routed
+        self.drain_inbox()
     }
 
     /// Briefly yield, then back off to `poll_interval` sleeps once a quiet
@@ -1463,12 +1369,12 @@ impl Transport for SocketTransport {
 
     fn client(&self, id: ClientId) -> ClientRef<'_> {
         assert!(id.0 < self.clients.len(), "no client with id {id}");
-        ClientRef::Direct(&self.clients[id.0])
+        ClientRef::Direct(self.clients[id.0].runtime())
     }
 
     fn client_mut(&mut self, id: ClientId) -> ClientRefMut<'_> {
         assert!(id.0 < self.clients.len(), "no client with id {id}");
-        ClientRefMut::Direct(&mut self.clients[id.0])
+        ClientRefMut::Direct(self.clients[id.0].runtime_mut())
     }
 
     fn deploy_am(&mut self, name: &str, handler: NativeAmHandler) -> Result<()> {
@@ -1477,7 +1383,9 @@ impl Transport for SocketTransport {
         // cross a process boundary).  Deploy order fixes the handler ids
         // cluster-wide, exactly as on the other backends.
         for client in &mut self.clients {
-            client.deploy_am_handler(name.to_string(), handler.clone());
+            client
+                .runtime_mut()
+                .deploy_am_handler(name.to_string(), handler.clone());
         }
         let clients = self.clients.len();
         for rank in clients..clients + self.servers {
@@ -1498,7 +1406,12 @@ impl Transport for SocketTransport {
         if id.0 >= self.clients.len() {
             return Err(CoreError::Transport(format!("no client with id {id}")));
         }
-        self.dispatch_client_outgoing(id.0)
+        if self.shut_down {
+            return Err(CoreError::Transport("socket transport is shut down".into()));
+        }
+        let flushed = self.flush_from(id.0);
+        self.pump_writes();
+        flushed
     }
 
     fn step(&mut self) -> Result<bool> {
@@ -1626,7 +1539,7 @@ impl Transport for SocketTransport {
     fn link_digest(&self, rank: usize) -> Option<Digest> {
         self.chaos.as_ref()?;
         match rank.checked_sub(self.clients.len()) {
-            None => Some(self.client_links[rank].digest()),
+            None => Some(self.clients[rank].link().digest()),
             Some(idx) => self.links.get(idx).map(|l| l.rel),
         }
     }
@@ -1666,8 +1579,8 @@ impl Transport for SocketTransport {
     /// only its most-stressed one.
     fn link_health(&self) -> Vec<(u32, LinkHealth)> {
         let mut out = Vec::new();
-        for (c, link) in self.client_links.iter().enumerate() {
-            out.extend(link.health_rows().map(|h| (c as u32, h)));
+        for (c, host) in self.clients.iter().enumerate() {
+            out.extend(host.link().health_rows().map(|h| (c as u32, h)));
         }
         let servers = self.links.iter().zip(self.clients.len() as u32..);
         out.extend(servers.filter_map(|(link, rank)| Some((rank, link.rel.health?))));
@@ -1723,12 +1636,19 @@ mod tests {
         let mut bad = encode_hello(1);
         bad[0] ^= 0xFF;
         assert!(decode_hello(&bad).is_err());
+        // A server binary from before the WELCOME lost its optimisation-level
+        // byte speaks version 1: refused here, not fed a body it misparses.
+        let mut stale = encode_hello(1);
+        stale[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            decode_hello(&stale),
+            Err(CoreError::Transport(m)) if m.contains("protocol version 1")
+        ));
 
         let w = Welcome {
             clients: 2,
             servers: 4,
             rank: 3,
-            opt: OptLevel::O3,
             reliable: true,
             adaptive: true,
             rto: 30_000_000,
@@ -1756,7 +1676,6 @@ mod tests {
             clients,
             servers,
             rank,
-            opt: OptLevel::O2,
             reliable: false,
             adaptive: true,
             rto: 1,

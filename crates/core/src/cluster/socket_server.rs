@@ -237,12 +237,7 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
     // rank is a server's.
     let total = welcome.clients + welcome.servers;
     let rel_cfg = welcome.reliable.then(|| welcome.rel_config());
-    let runtime = NodeRuntime::with_opt_level(
-        tc_ucx::WorkerAddr(welcome.rank),
-        total,
-        welcome.triple,
-        welcome.opt,
-    );
+    let runtime = NodeRuntime::new(tc_ucx::WorkerAddr(welcome.rank), total, welcome.triple);
     let mut server = Server {
         conn,
         // A process's only wire leads to the driver: self-sends loop back.

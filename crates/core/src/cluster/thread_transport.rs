@@ -14,12 +14,11 @@
 //!   inbox independently.
 //! * Client rank `c` (ranks `0..clients`) owns a dedicated external port `c`
 //!   of the fabric.  A **client worker thread** parks on that port's queue
-//!   and handles all inbound traffic for the client: data-plane operations
-//!   are delivered into the client's [`NodeRuntime`], polled, and any
-//!   responses flushed back out; reliable-delivery frames and acks drive the
-//!   client's own link endpoint (the crate-private `link` module);
-//!   completions are deposited straight into the cluster's sharded claim
-//!   table (see [`Transport::attach_claims`]).
+//!   and is the carrier of the client's rank (the crate-private `host`
+//!   module's `ClientHost`: runtime, link endpoint and the client-rank
+//!   rules): it feeds the host each inbound burst, flushes what that
+//!   provoked, closes the pass, and deposits completions straight into the
+//!   cluster's sharded claim table (see [`Transport::attach_claims`]).
 //! * The **driver thread** (whoever owns the [`ThreadTransport`]) keeps the
 //!   *send* path: `flush_client` moves posted operations into the fabric
 //!   synchronously on the caller's thread, so a control-plane round trip
@@ -28,11 +27,11 @@
 //!   control traffic (peek/poke/stats) uses the shared external port
 //!   `clients`, which no worker owns.
 //!
-//! Each client's runtime lives behind a mutex that only its worker and the
-//! driver ever contend on; two different clients never share a lock, so N
-//! clients genuinely execute on N cores.  `step` no longer pumps any data —
-//! it parks on a progress generation that workers bump, and reports whether
-//! anything moved.
+//! Each client rank lives behind one mutex that its worker and the driver
+//! contend on; two different clients never share a lock and no thread holds
+//! two, so N clients genuinely execute on N cores.  `step` no longer pumps
+//! any data — it parks on a progress generation that workers bump, and
+//! reports whether anything moved.
 //!
 //! Active-Message deployment after startup works through a shared,
 //! append-only handler registry: every node applies new registry entries (in
@@ -40,7 +39,7 @@
 //! without shipping closures through channels.
 
 use super::completion::ClaimShards;
-use super::host::ServerHost;
+use super::host::{self, ClientHost, ServerHost};
 use super::link::{self, Digest, Link};
 use super::reliable::RelConfig;
 use super::socket::DRIVER_PORT;
@@ -53,12 +52,11 @@ use std::thread;
 use std::time::{Duration, Instant};
 use tc_bitir::TargetTriple;
 use tc_chaos::{ChaosSession, ChaosStats, FaultPlan, HoldBack};
-use tc_jit::OptLevel;
 use tc_simnet::{
     external_port, Envelope, EnvelopeFilter, ExternalQueue, Injector, NodeCtx, ThreadCluster,
     ThreadConfig, ThreadedNode,
 };
-use tc_ucx::{Bytes, OutgoingMessage, WorkerAddr};
+use tc_ucx::{Bytes, WorkerAddr};
 
 use super::ClientId;
 
@@ -225,29 +223,6 @@ fn chaos_filter(session: ChaosSession, clients: usize) -> EnvelopeFilter {
     })
 }
 
-/// One driver-side client: its runtime and its link endpoint, each behind
-/// its own lock.  Only two threads ever touch a given client — its worker
-/// and the driver — so these locks are two-party and uncontended in steady
-/// state.
-///
-/// Lock discipline: `order` serialises whole flush-outgoing passes and is
-/// the only lock held across a sequence of sends (see [`flush_outgoing`]);
-/// under it `runtime` and `link` are taken one at a time.  The worker holds
-/// `link` across an inbound batch and takes a `runtime` lock beneath it to
-/// stage each delivered operation; nothing takes `link` while holding a
-/// `runtime`.
-struct ClientShared {
-    runtime: Mutex<NodeRuntime>,
-    /// One independent sequence space per (client, server) link when a fault
-    /// plan is installed.
-    link: Mutex<Link>,
-    /// Flush serialiser: take-outgoing and the resulting sends must form one
-    /// critical section per client, or a driver `flush_client` racing the
-    /// client's worker could invert same-link wire order (e.g. ship a
-    /// cached-id ifunc frame ahead of the registration frame it needs).
-    order: Mutex<()>,
-}
-
 /// Worker→driver progress signal: a generation counter bumped after every
 /// batch of client-side work, with a condvar the driver's `step` parks on.
 struct Progress {
@@ -285,7 +260,10 @@ impl Progress {
 
 /// State shared by the driver and every client worker thread.
 struct WorkerShared {
-    clients: Vec<ClientShared>,
+    /// One client rank each behind its one lock: its worker, the driver and
+    /// (through loopback traffic) a sibling's flusher contend on it, and no
+    /// thread ever holds two.
+    clients: Vec<Mutex<ClientHost>>,
     /// The cluster's sharded claim table, installed by
     /// [`Transport::attach_claims`].  Until it is attached (or when the
     /// transport is driven without a [`super::Cluster`]), completions stay
@@ -309,36 +287,52 @@ impl WorkerShared {
         relock(&self.errors).push(e);
     }
 
-    /// Move client `c`'s buffered completions into the sharded claim table,
-    /// if one is attached.
-    fn deposit_completions(&self, c: usize) {
-        let claims = self
-            .claims
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
-        let Some(claims) = claims else {
-            return;
-        };
-        let completions = relock(&self.clients[c].runtime).take_completions();
-        if !completions.is_empty() {
+    /// Run `f` on client `c` under its lock, then hand over what the visit
+    /// left: failures to the error list, the link digest to the shared table
+    /// (chaos mode) and — once a claim table is attached — completions to
+    /// the client's shard.
+    fn visit(&self, c: usize, f: &mut dyn FnMut(&mut ClientHost)) {
+        let mut host = relock(&self.clients[c]);
+        f(&mut host);
+        if let Some(table) = &self.rel_table {
+            table.publish(c, host.link().digest());
+        }
+        let errors = host.take_errors();
+        let mut deposit = None;
+        if host.runtime().completions_pending() > 0 {
+            let claims = self.claims.read().unwrap_or_else(|e| e.into_inner());
+            if let Some(claims) = &*claims {
+                deposit = Some((Arc::clone(claims), host.runtime_mut().take_completions()));
+            }
+        }
+        drop(host);
+        for e in errors {
+            self.push_error(e);
+        }
+        if let Some((claims, completions)) = deposit {
             claims.absorb(ClientId(c), completions);
         }
     }
 
-    /// Publish client `c`'s link digest to the shared table (chaos mode).
-    fn publish_rel(&self, c: usize) {
-        if let Some(table) = &self.rel_table {
-            table.publish(c, relock(&self.clients[c].link).digest());
-        }
+    /// Move everything client `origin` (and whoever its loopback traffic
+    /// reaches) posted into the fabric.  Callable from the driver
+    /// (`flush_client`) and from client workers (response flushing) alike.
+    fn flush(&self, injector: &Injector, origin: usize) {
+        let clients = self.clients.len();
+        host::flush_clients(
+            origin,
+            |c, f| self.visit(c, f),
+            |from, to, tag, data, payload| {
+                client_send(injector, clients, from, to, tag, data, payload)
+            },
+        );
     }
 }
 
-/// Inject a frame from client `c` toward rank `to`.  Client links only ever
-/// reach servers (thread node ids are rank - clients): client-to-client
-/// traffic is loopback and never enters a link.  Drops (unknown rank,
-/// stopped node) are recorded in the cluster's counters and show up in the
-/// transport metrics, mirroring the fabric's lossy-but-accounted model.
+/// Inject a frame from client `c` toward rank `to`: a server's thread node
+/// (rank - clients), as client-to-client traffic never leaves its host.
+/// Drops (unknown rank, stopped node) are counted by the fabric and show up
+/// in the transport metrics.
 fn client_send(
     injector: &Injector,
     clients: usize,
@@ -353,205 +347,78 @@ fn client_send(
     }
 }
 
-/// Move everything client `origin` posted into the threaded fabric, looping
-/// until the outgoing queues are quiescent.  Client-to-client traffic
-/// (including client-to-self) is delivered locally — under the *destination*
-/// runtime's lock only, never two runtime locks at once — and may post
-/// follow-on operations (GET replies, result writes) that go out in the same
-/// flush, possibly from a different client than the origin.
-///
-/// Callable from the driver (`flush_client`) and from client workers
-/// (response flushing) alike; the per-client `order` lock keeps concurrent
-/// flushers of the *same* client from interleaving their take/send windows.
-fn flush_outgoing(shared: &WorkerShared, injector: &Injector, origin: usize) {
-    let clients = shared.clients.len();
-    let mut dirty = vec![origin];
-    while let Some(c) = dirty.pop() {
-        let _order = relock(&shared.clients[c].order);
-        loop {
-            let outgoing = relock(&shared.clients[c].runtime).take_outgoing();
-            if outgoing.is_empty() {
-                break;
-            }
-            for msg in outgoing {
-                let dst = msg.dst.index();
-                if dst < clients {
-                    // Client-to-client delivery: execute locally (loopback
-                    // class, like the simulated backend's self-delivery —
-                    // never faulted).
-                    let mut errs = Vec::new();
-                    {
-                        let mut rt = relock(&shared.clients[dst].runtime);
-                        rt.deliver(msg);
-                        for outcome in rt.poll(usize::MAX) {
-                            if let Err(e) = outcome {
-                                errs.push(e);
-                            }
-                        }
-                    }
-                    for e in errs {
-                        shared.push_error(e);
-                    }
-                    shared.deposit_completions(dst);
-                    if dst != c && !dirty.contains(&dst) {
-                        dirty.push(dst);
-                    }
-                    continue;
-                }
-                // Server-bound (or misaddressed, which the link leaves raw
-                // for the fabric to count).  The link lock is released
-                // before the fabric send.
-                let (tag, data, payload) = relock(&shared.clients[c].link).outbound(&msg);
-                client_send(injector, clients, c, msg.dst.0, tag, data, payload);
-            }
-        }
-        shared.publish_rel(c);
-    }
-}
-
-/// Poll everything delivered to client `c`'s runtime, flush whatever it
-/// posted in response, and deposit its completions.
-fn pump_client(shared: &WorkerShared, injector: &Injector, c: usize) {
-    let mut errs = Vec::new();
-    {
-        let mut rt = relock(&shared.clients[c].runtime);
-        for outcome in rt.poll(usize::MAX) {
-            if let Err(e) = outcome {
-                errs.push(e);
-            }
-        }
-    }
-    for e in errs {
-        shared.push_error(e);
-    }
-    flush_outgoing(shared, injector, c);
-    shared.deposit_completions(c);
-}
-
-/// Everything one client worker thread needs.
-struct WorkerCtx {
-    /// The client rank this worker owns (also its external port).
+/// The body of client `id`'s worker thread, the fabric carrier of one
+/// [`ClientHost`]: park on the client's dedicated external queue (`park`
+/// doubles as the stop-flag poll interval and, in chaos mode, the
+/// retransmission cadence floor), feed the host each burst of at most
+/// `batch` envelopes, flush what it provoked, close the pass — the timer
+/// runs whether or not traffic flows (a parked envelope is recovered by the
+/// re-send) — and signal the driver.  In-flight accounting
+/// (`ExternalQueue::done`) is released only after the batch is fully
+/// processed — staged, polled, flushed, deposited — so the driver's
+/// quiescence detection spans worker processing, not just queue emptiness.
+fn run_worker(
     id: usize,
     queue: ExternalQueue,
-    shared: Arc<WorkerShared>,
+    shared: &WorkerShared,
     injector: Injector,
-    /// Most envelopes drained per wakeup ([`Tuning::node_batch`]).
     batch: usize,
-    /// Receive-park bound: doubles as the stop-flag poll interval and (in
-    /// chaos mode) the retransmission-tick cadence floor.
     park: Duration,
-}
-
-impl WorkerCtx {
-    fn send(&self, to: u32, tag: u64, data: Bytes, payload: Bytes) {
-        let clients = self.shared.clients.len();
-        client_send(&self.injector, clients, self.id, to, tag, data, payload);
-    }
-}
-
-/// Deliver one inbound operation to the client runtime its head names and
-/// mark that client in `staged` (in practice this worker's own client, but a
-/// misrouted head is delivered where it says, as the old driver loop did).
-fn stage_op(shared: &WorkerShared, staged: &mut [bool], msg: OutgoingMessage) {
-    let dst = msg.dst.index();
-    if dst < staged.len() {
-        relock(&shared.clients[dst].runtime).deliver(msg);
-        staged[dst] = true;
-    } else {
-        shared.push_error(CoreError::Transport(format!(
-            "driver received an operation for non-client rank {dst}"
-        )));
-    }
-}
-
-/// Handle one batch of inbound envelopes for this worker's client, marking
-/// every client runtime that received operations in `staged`.
-fn process_batch(ctx: &WorkerCtx, staged: &mut [bool], batch: Vec<Envelope>) {
-    let shared = &*ctx.shared;
+) {
     let clients = shared.clients.len();
-    let mut link = relock(&shared.clients[ctx.id].link);
-    for env in batch {
-        match env.tag {
-            wire::TAG_OP | wire::TAG_ROP | wire::TAG_ACK => {
-                let from = rank_of(clients, env.from) as u32;
-                let arrival = link.inbound(from, env.tag, env.data, env.payload, |msg| {
-                    stage_op(shared, staged, msg)
-                });
-                match arrival {
-                    Ok(None) => {}
-                    // Nothing on a client waits on a poll: ack at once.
-                    Ok(Some(ack)) => ctx.send(from, wire::TAG_ACK, ack, Bytes::new()),
-                    Err(e) => shared.push_error(e),
-                }
-            }
-            wire::TAG_ERROR => shared.push_error(CoreError::Transport(
-                String::from_utf8_lossy(&env.data).into_owned(),
-            )),
-            // Control replies never arrive here (the driver owns its own
-            // port); anything else is stale and dropped.
-            _ => {}
-        }
-    }
-}
-
-/// End of a worker pass (chaos mode): one pure cumulative ack per server
-/// whose frames arrived in order and that nothing the batch sent has
-/// piggybacked on, the retransmission timer — it runs on its cadence whether
-/// or not traffic flows (a parked envelope is recovered by the re-send) —
-/// and the pass's one publication of the client's link digest.
-fn finish_pass(ctx: &WorkerCtx) {
-    let Some(table) = &ctx.shared.rel_table else {
-        return;
-    };
-    let mut link = relock(&ctx.shared.clients[ctx.id].link);
-    let emit = |to, tag, data, payload| ctx.send(to, tag, data, payload);
-    link.finish_batch(emit);
-    link.tick(emit);
-    table.publish(ctx.id, link.digest());
-}
-
-/// The body of one client worker thread: park on the client's dedicated
-/// external queue, process inbound batches, run the retransmission timer,
-/// and signal the driver after every batch.  In-flight accounting
-/// (`ExternalQueue::done`) is released only after the batch is fully
-/// processed — delivered, polled, flushed, deposited — so the driver's
-/// quiescence detection spans worker processing, not just queue emptiness.
-fn run_worker(ctx: WorkerCtx) {
-    let clients = ctx.shared.clients.len();
-    let mut staged = vec![false; clients];
+    let mut emit =
+        |to, tag, data, payload| client_send(&injector, clients, id, to, tag, data, payload);
     loop {
-        if ctx.shared.stop.load(Ordering::SeqCst) {
-            ctx.queue.drain();
+        if shared.stop.load(Ordering::SeqCst) {
+            queue.drain();
             return;
         }
         let mut n = 0;
-        if let Some(env) = ctx.queue.recv_timeout(ctx.park) {
+        if let Some(env) = queue.recv_timeout(park) {
             // Drain the burst behind the first envelope: one park, one batch.
-            let mut batch = vec![env];
-            while batch.len() < ctx.batch {
-                match ctx.queue.try_recv() {
-                    Some(env) => batch.push(env),
+            let mut burst = vec![env];
+            while burst.len() < batch {
+                match queue.try_recv() {
+                    Some(env) => burst.push(env),
                     None => break,
                 }
             }
-            n = batch.len() as u64;
-            process_batch(&ctx, &mut staged, batch);
-            for (dst, dirty) in staged.iter_mut().enumerate() {
-                if std::mem::take(dirty) {
-                    pump_client(&ctx.shared, &ctx.injector, dst);
+            n = burst.len() as u64;
+            let mut host = relock(&shared.clients[id]);
+            for env in burst {
+                match env.tag {
+                    wire::TAG_OP | wire::TAG_ROP | wire::TAG_ACK => {
+                        let from = rank_of(clients, env.from) as u32;
+                        host.on_frame(from, env.tag, env.data, env.payload, &mut emit);
+                    }
+                    wire::TAG_ERROR => shared.push_error(CoreError::Transport(
+                        String::from_utf8_lossy(&env.data).into_owned(),
+                    )),
+                    // Control replies never arrive here (the driver owns its
+                    // own port); anything else is stale and dropped.
+                    _ => {}
                 }
             }
+            drop(host);
+            // Polls what the burst staged; its visits also collect whatever
+            // the frames above left in the host.
+            shared.flush(&injector, id);
         }
-        finish_pass(&ctx);
+        // Without a fault plan there is no ack to owe and no timer to run.
+        if shared.rel_table.is_some() {
+            shared.visit(id, &mut |host| {
+                host.end_pass(&mut emit);
+            });
+        }
         if n > 0 {
-            ctx.queue.done(n);
-            ctx.shared.progress.bump();
+            queue.done(n);
+            shared.progress.bump();
         }
     }
 }
 
 /// Driver-side chaos state: the shared fault session and the counter table
-/// (each client's link lives with the client in [`ClientShared`]).
+/// (each client's link lives in its [`ClientHost`]).
 struct DriverChaos {
     session: ChaosSession,
     table: Arc<RelTable>,
@@ -611,13 +478,11 @@ impl ThreadTransport {
     /// envelope filter and travels over the reliable-delivery layer
     /// (sequence numbers, cumulative acks, retransmission, dedup) — with one
     /// independent sequence space per (client, server) link.
-    #[allow(clippy::too_many_arguments)]
     pub fn with_config(
         clients: usize,
         servers: usize,
         client_triple: TargetTriple,
         server_triple: TargetTriple,
-        opt_level: OptLevel,
         tuning: Tuning,
         fault_plan: Option<FaultPlan>,
         rel_config: Option<RelConfig>,
@@ -638,8 +503,14 @@ impl ThreadTransport {
         let link_cfg = chaos.as_ref().map(|_| rel_cfg);
         let tick = link_cfg.map(|cfg| Duration::from_nanos(cfg.rto / 2));
 
+        // One burst size for both rank classes: 0 asks for the fabric's
+        // default on server nodes and client workers alike.
+        let batch = match tuning.node_batch {
+            0 => tc_simnet::threaded::DEFAULT_MAX_BATCH,
+            n => n,
+        };
         let mut config = ThreadConfig {
-            max_batch: tuning.node_batch,
+            max_batch: batch,
             dedicated_external_ports: clients,
             ..ThreadConfig::default()
         };
@@ -651,8 +522,7 @@ impl ThreadTransport {
 
         let mut cluster = ThreadCluster::start_with_config(servers, config, move |thread_id| {
             let rank = (thread_id + clients) as u32;
-            let runtime =
-                NodeRuntime::with_opt_level(WorkerAddr(rank), total, server_triple, opt_level);
+            let runtime = NodeRuntime::new(WorkerAddr(rank), total, server_triple);
             ServerNode {
                 host: ServerHost::new(runtime, Link::new(rank, total, link_cfg), false),
                 clients,
@@ -664,15 +534,10 @@ impl ThreadTransport {
 
         let shared = Arc::new(WorkerShared {
             clients: (0..clients)
-                .map(|c| ClientShared {
-                    runtime: Mutex::new(NodeRuntime::with_opt_level(
-                        WorkerAddr(c as u32),
-                        total,
-                        client_triple,
-                        opt_level,
-                    )),
-                    link: Mutex::new(Link::new(c as u32, total, link_cfg)),
-                    order: Mutex::new(()),
+                .map(|c| {
+                    let runtime = NodeRuntime::new(WorkerAddr(c as u32), total, client_triple);
+                    let link = Link::new(c as u32, total, link_cfg);
+                    Mutex::new(ClientHost::new(runtime, link, clients as u32))
                 })
                 .collect(),
             claims: RwLock::new(None),
@@ -689,19 +554,13 @@ impl ThreadTransport {
             .max(Duration::from_micros(50));
         let workers = (0..clients)
             .map(|c| {
-                let ctx = WorkerCtx {
-                    id: c,
-                    queue: cluster
-                        .take_external_queue(c)
-                        .expect("dedicated client queue"),
-                    shared: Arc::clone(&shared),
-                    injector: injector.clone(),
-                    batch: tuning.node_batch.max(1),
-                    park,
-                };
+                let queue = cluster
+                    .take_external_queue(c)
+                    .expect("dedicated client queue");
+                let (shared, injector) = (Arc::clone(&shared), injector.clone());
                 thread::Builder::new()
                     .name(format!("tc-client-{c}"))
-                    .spawn(move || run_worker(ctx))
+                    .spawn(move || run_worker(c, queue, &shared, injector, batch, park))
                     .expect("spawn client worker thread")
             })
             .collect();
@@ -757,12 +616,12 @@ impl Transport for ThreadTransport {
 
     fn client(&self, id: ClientId) -> ClientRef<'_> {
         assert!(id.0 < self.shared.clients.len(), "no client with id {id}");
-        ClientRef::Locked(relock(&self.shared.clients[id.0].runtime))
+        ClientRef::Locked(relock(&self.shared.clients[id.0]))
     }
 
     fn client_mut(&mut self, id: ClientId) -> ClientRefMut<'_> {
         assert!(id.0 < self.shared.clients.len(), "no client with id {id}");
-        ClientRefMut::Locked(relock(&self.shared.clients[id.0].runtime))
+        ClientRefMut::Locked(relock(&self.shared.clients[id.0]))
     }
 
     fn attach_claims(&mut self, claims: &Arc<ClaimShards>) {
@@ -780,11 +639,13 @@ impl Transport for ThreadTransport {
     }
 
     fn deploy_am(&mut self, name: &str, handler: NativeAmHandler) -> Result<()> {
-        // Clients apply immediately (under their runtime locks); servers
+        // Clients apply immediately (under their locks); servers
         // catch up (in registry order, hence with identical handler ids)
         // before their next message.
         for client in &self.shared.clients {
-            relock(&client.runtime).deploy_am_handler(name.to_string(), handler.clone());
+            relock(client)
+                .runtime_mut()
+                .deploy_am_handler(name.to_string(), handler.clone());
         }
         self.am_registry
             .lock()
@@ -803,7 +664,7 @@ impl Transport for ThreadTransport {
         // Synchronous on the caller's thread: when this returns, the ops are
         // in the node channels, so a control round trip issued next acts as
         // a barrier behind them (same per-producer FIFO).
-        flush_outgoing(&self.shared, &self.injector, id.0);
+        self.shared.flush(&self.injector, id.0);
         Ok(())
     }
 
@@ -911,7 +772,7 @@ impl Transport for ThreadTransport {
     }
 
     /// Assembled from the shared digest table without touching any client's
-    /// link or runtime lock.
+    /// lock.
     fn link_digest(&self, rank: usize) -> Option<Digest> {
         self.chaos.as_ref()?.table.get(rank)
     }

@@ -700,12 +700,8 @@ mod tests {
 
     #[test]
     fn a_peek_length_off_the_wire_is_bounded_before_it_is_allocated() {
-        let mut runtime = NodeRuntime::with_opt_level(
-            WorkerAddr(1),
-            2,
-            tc_bitir::TargetTriple::X86_64_GENERIC,
-            tc_jit::OptLevel::O2,
-        );
+        let mut runtime =
+            NodeRuntime::new(WorkerAddr(1), 2, tc_bitir::TargetTriple::X86_64_GENERIC);
         let addr = crate::layout::DATA_REGION_BASE;
         let peek_reply = |runtime: &mut NodeRuntime, len: u64| {
             let mut body = addr.to_le_bytes().to_vec();

@@ -17,7 +17,7 @@ use crate::frame::{CodeRepr, MessageFrame};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use tc_bitir::{FatBitcode, Module, TargetTriple};
-use tc_jit::{build_object, CompileOptions, OptLevel};
+use tc_jit::{build_object, CompileOptions};
 use tc_ucx::Bytes;
 
 /// Output of the toolchain for one ifunc library.
@@ -68,8 +68,6 @@ pub struct ToolchainOptions {
     /// Target triples to include in the fat-bitcode archive and to build
     /// binary objects for.
     pub targets: Vec<TargetTriple>,
-    /// Optimisation level used for the ahead-of-time (binary) builds.
-    pub opt_level: OptLevel,
     /// Also build per-target binary objects (disable to model a
     /// bitcode-only deployment).
     pub build_binaries: bool,
@@ -79,7 +77,6 @@ impl Default for ToolchainOptions {
     fn default() -> Self {
         ToolchainOptions {
             targets: TargetTriple::default_toolchain_targets(),
-            opt_level: OptLevel::O2,
             build_binaries: true,
         }
     }
@@ -105,10 +102,7 @@ pub fn build_ifunc_library(module: &Module, options: &ToolchainOptions) -> Resul
             let obj = build_object(
                 module,
                 t,
-                CompileOptions {
-                    opt_level: options.opt_level,
-                    verify: false, // already verified above
-                },
+                CompileOptions { verify: false }, // already verified above
             )
             .map_err(|e| CoreError::Toolchain(e.to_string()))?;
             binaries.insert(t.name(), obj.encode());

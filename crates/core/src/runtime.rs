@@ -33,7 +33,7 @@ use crate::metrics::{OutcomeKind, ProcessOutcome, RuntimeStats};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tc_bitir::{FatBitcode, TargetTriple};
-use tc_jit::{Engine, ExternalHost, JitError, MachModule, Memory, OptLevel, OrcJit, SparseMemory};
+use tc_jit::{Engine, ExternalHost, JitError, MachModule, Memory, OrcJit, SparseMemory};
 use tc_ucx::{
     AmHandlerId, BufPool, Bytes, OutgoingMessage, RequestId, UcpOp, Worker, WorkerAddr, WorkerEvent,
 };
@@ -183,25 +183,15 @@ impl std::fmt::Debug for NodeRuntime {
 
 impl NodeRuntime {
     /// Create a runtime for node `node_id` of a `num_nodes`-node job running
-    /// on the given target triple (JIT at the default `O2`).
+    /// on the given target triple.
     pub fn new(node_id: WorkerAddr, num_nodes: u32, triple: TargetTriple) -> Self {
-        Self::with_opt_level(node_id, num_nodes, triple, OptLevel::O2)
-    }
-
-    /// Create a runtime whose JIT session compiles at `opt_level`.
-    pub fn with_opt_level(
-        node_id: WorkerAddr,
-        num_nodes: u32,
-        triple: TargetTriple,
-        opt_level: OptLevel,
-    ) -> Self {
         NodeRuntime {
             node_id,
             num_nodes,
             triple,
             worker: Worker::new(node_id),
             memory: SparseMemory::new(),
-            jit: OrcJit::new(triple, opt_level),
+            jit: OrcJit::new(triple),
             engine: Engine::new(),
             registry: IfuncRegistry::new(),
             sender_cache: SenderCache::new(),

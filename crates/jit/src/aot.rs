@@ -98,7 +98,6 @@ pub fn module_from_image(image: &LoadedImage) -> Result<MachModule> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::OptLevel;
     use crate::engine::{Engine, ExternalHost, Memory, MemoryExt, NoExternals, VecMemory};
     use tc_binfmt::{load_object, LoadOptions, MapResolver};
     use tc_bitir::{BinOp, ModuleBuilder, ScalarType};
@@ -264,10 +263,7 @@ mod tests {
         let obj = build_object(
             &mb.build(),
             TargetTriple::OOKAMI_A64FX,
-            CompileOptions {
-                opt_level: OptLevel::O1,
-                verify: true,
-            },
+            CompileOptions::default(),
         )
         .unwrap();
         let tbl = obj.symbol("tbl").unwrap();

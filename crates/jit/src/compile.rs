@@ -1,10 +1,11 @@
 //! Compilation of IR modules into machine code.
 //!
 //! The compiler is the back-end half of the ORC-JIT analogue: it takes a
-//! (target-lowered) [`tc_bitir::Module`], verifies it, runs a handful of
-//! optimisation passes controlled by [`OptLevel`], selects instructions based
-//! on the module's [`tc_bitir::LowerInfo`] (SIMD lane count, LSE vs CAS-loop
-//! atomics) and produces a [`MachModule`] the execution engine can run.
+//! (target-lowered) [`tc_bitir::Module`], verifies it, selects instructions
+//! based on the module's [`tc_bitir::LowerInfo`] (SIMD lane count, LSE vs CAS-loop
+//! atomics), runs its two peephole passes (redundant-move elimination,
+//! constant folding) and produces a [`MachModule`] the execution engine can
+//! run.
 //!
 //! The *time* compilation takes on a given CPU is modelled separately in
 //! [`crate::cost`]; this module only does the functional work.
@@ -15,46 +16,9 @@ use tc_bitir::{
     AtomicsExt, BinOp, Function, Inst, LowerInfo, Module, ScalarType, TargetTriple, VectorExt,
 };
 
-/// Optimisation level, mirroring `-O0`…`-O3`.
-///
-/// Higher levels perform more work at compile time (captured by the cost
-/// model) and emit slightly better code (constant folding, redundant-move
-/// elimination, wider vectorisation).  The paper notes that `-O3` *increases*
-/// the shipped binary size for trivial kernels — the ablation bench
-/// `optlevel_ablation` reproduces that trade-off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub enum OptLevel {
-    /// No optimisation.
-    O0,
-    /// Cheap cleanups.
-    O1,
-    /// Standard optimisation (default).
-    #[default]
-    O2,
-    /// Aggressive optimisation.
-    O3,
-}
-
-impl OptLevel {
-    /// All levels, in ascending order.
-    pub const ALL: [OptLevel; 4] = [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3];
-
-    /// Multiplier applied to the compile-time cost model.
-    pub fn compile_cost_factor(self) -> f64 {
-        match self {
-            OptLevel::O0 => 0.6,
-            OptLevel::O1 => 0.85,
-            OptLevel::O2 => 1.0,
-            OptLevel::O3 => 1.35,
-        }
-    }
-}
-
 /// Compiler configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct CompileOptions {
-    /// Optimisation level.
-    pub opt_level: OptLevel,
     /// Verify the module before compiling (recommended; mirrors LLVM's
     /// verifier being run on bitcode loaded from untrusted sources).
     pub verify: bool,
@@ -62,10 +26,7 @@ pub struct CompileOptions {
 
 impl Default for CompileOptions {
     fn default() -> Self {
-        CompileOptions {
-            opt_level: OptLevel::O2,
-            verify: true,
-        }
+        CompileOptions { verify: true }
     }
 }
 
@@ -90,8 +51,6 @@ pub struct Compiled {
     pub module: MachModule,
     /// Compilation statistics.
     pub stats: CompileStats,
-    /// Options used.
-    pub opt_level: OptLevel,
 }
 
 /// Compile a lowered IR module into machine code.
@@ -122,12 +81,7 @@ pub fn compile_module(module: &Module, options: CompileOptions) -> Result<Compil
 
     let mut functions = Vec::with_capacity(module.functions.len());
     for f in &module.functions {
-        functions.push(compile_function(
-            f,
-            &lower_info,
-            options.opt_level,
-            &mut stats,
-        )?);
+        functions.push(compile_function(f, &lower_info, &mut stats)?);
     }
 
     let data = module
@@ -153,7 +107,6 @@ pub fn compile_module(module: &Module, options: CompileOptions) -> Result<Compil
     Ok(Compiled {
         module: mach,
         stats,
-        opt_level: options.opt_level,
     })
 }
 
@@ -170,7 +123,6 @@ pub fn lower_and_compile(
 fn compile_function(
     f: &Function,
     lower: &LowerInfo,
-    opt: OptLevel,
     stats: &mut CompileStats,
 ) -> Result<MachFunction> {
     let mut blocks = Vec::with_capacity(f.blocks.len());
@@ -182,15 +134,9 @@ fn compile_function(
         blocks.push(insts);
     }
 
-    if opt >= OptLevel::O1 {
-        for block in &mut blocks {
-            stats.insts_folded += eliminate_redundant_moves(block);
-        }
-    }
-    if opt >= OptLevel::O2 {
-        for block in &mut blocks {
-            stats.insts_folded += fold_constant_alu(block);
-        }
+    for block in &mut blocks {
+        stats.insts_folded += eliminate_redundant_moves(block);
+        stats.insts_folded += fold_constant_alu(block);
     }
 
     Ok(MachFunction {
@@ -526,7 +472,7 @@ mod tests {
     }
 
     #[test]
-    fn constant_folding_reduces_inst_count_at_o2() {
+    fn constant_folding_folds_the_add_and_keeps_its_immediate() {
         let mut mb = ModuleBuilder::new("fold");
         {
             let mut f = mb.function("f", vec![], Some(ScalarType::I64));
@@ -536,24 +482,7 @@ mod tests {
             f.ret(c);
             f.finish();
         }
-        let m = mb.build();
-        let o0 = compile_module(
-            &m,
-            CompileOptions {
-                opt_level: OptLevel::O0,
-                verify: true,
-            },
-        )
-        .unwrap();
-        let o2 = compile_module(
-            &m,
-            CompileOptions {
-                opt_level: OptLevel::O2,
-                verify: true,
-            },
-        )
-        .unwrap();
-        assert!(o2.module.inst_count() < o0.module.inst_count());
+        let o2 = compile_module(&mb.build(), CompileOptions::default()).unwrap();
         assert!(o2.stats.insts_folded >= 2);
         // The folded constant must be correct.
         let has_42 = o2.module.functions[0]
@@ -611,15 +540,6 @@ mod tests {
             .unwrap();
         assert_eq!(lanes, 1, "portable compile must scalarise");
         assert_eq!(compiled.module.triple, "portable-sim");
-    }
-
-    #[test]
-    fn opt_cost_factors_monotone() {
-        let mut prev = 0.0;
-        for lvl in OptLevel::ALL {
-            assert!(lvl.compile_cost_factor() > prev);
-            prev = lvl.compile_cost_factor();
-        }
     }
 
     #[test]

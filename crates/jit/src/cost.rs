@@ -4,15 +4,13 @@
 //! A64FX, 4.50 ms on the BlueField-2 DPU cores, and 0.83 ms on the Xeon
 //! (Tables I–III) — a one-time cost paid on the first arrival of an uncached
 //! bitcode ifunc.  The reproduction cannot measure LLVM, so it *models* the
-//! compile time as a function of bitcode size, optimisation level, and a
-//! per-platform speed factor, and the execution time as a function of the
+//! compile time as a function of bitcode size and a per-platform speed
+//! factor, and the execution time as a function of the
 //! interpreter's retired cycle count and a per-platform clock.  The platform
 //! parameters live in `tc-simnet::platform` so all calibration is in one
 //! place; this module defines the formulas.
 
-use crate::compile::OptLevel;
-
-/// Compile-time model: `time_ns = base_ns + ns_per_byte * bytes * opt_factor`.
+/// Compile-time model: `time_ns = base_ns + ns_per_byte * bytes`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompileCostModel {
     /// Fixed per-compilation overhead (ORC session setup, symbol table
@@ -31,10 +29,9 @@ impl CompileCostModel {
         }
     }
 
-    /// Predicted JIT compile time in nanoseconds for `bitcode_bytes` of input
-    /// at the given optimisation level.
-    pub fn compile_time_ns(&self, bitcode_bytes: usize, opt: OptLevel) -> f64 {
-        self.base_ns + self.ns_per_byte * bitcode_bytes as f64 * opt.compile_cost_factor()
+    /// Predicted JIT compile time in nanoseconds for `bitcode_bytes` of input.
+    pub fn compile_time_ns(&self, bitcode_bytes: usize) -> f64 {
+        self.base_ns + self.ns_per_byte * bitcode_bytes as f64
     }
 }
 
@@ -63,25 +60,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn compile_time_scales_with_size_and_opt() {
+    fn compile_time_scales_with_size() {
         let model = CompileCostModel::new(50_000.0, 1_000.0);
-        let small_o0 = model.compile_time_ns(100, OptLevel::O0);
-        let small_o3 = model.compile_time_ns(100, OptLevel::O3);
-        let big_o0 = model.compile_time_ns(10_000, OptLevel::O0);
-        assert!(small_o0 < small_o3);
-        assert!(small_o3 < big_o0);
+        assert_eq!(model.compile_time_ns(0), 50_000.0);
+        assert!(model.compile_time_ns(100) < model.compile_time_ns(10_000));
     }
 
     #[test]
     fn paper_scale_jit_times_are_reachable() {
         // Xeon-like: ~0.83 ms for ~5.2 KiB of bitcode.
         let xeon = CompileCostModel::new(100_000.0, 140.0);
-        let t = xeon.compile_time_ns(5159, OptLevel::O2);
+        let t = xeon.compile_time_ns(5159);
         assert!(t > 0.5e6 && t < 1.5e6, "xeon-like JIT time {t} ns");
 
         // A64FX-like: ~6.6 ms for the same input.
         let a64fx = CompileCostModel::new(400_000.0, 1_200.0);
-        let t = a64fx.compile_time_ns(5159, OptLevel::O2);
+        let t = a64fx.compile_time_ns(5159);
         assert!(t > 4.0e6 && t < 9.0e6, "a64fx-like JIT time {t} ns");
     }
 

@@ -35,9 +35,7 @@ pub mod machine;
 pub mod orc;
 
 pub use aot::{build_object, module_from_image};
-pub use compile::{
-    compile_module, lower_and_compile, CompileOptions, CompileStats, Compiled, OptLevel,
-};
+pub use compile::{compile_module, lower_and_compile, CompileOptions, CompileStats, Compiled};
 pub use cost::{CompileCostModel, ExecCostModel};
 pub use dylib::{
     standard_libc, standard_libcounters, standard_libm, Dylib, DylibHost, DylibRegistry, HostFn,

@@ -14,7 +14,7 @@
 //! * it materialises module globals into the node's memory and hands the
 //!   execution engine everything it needs to invoke the entry function.
 
-use crate::compile::{compile_module, CompileOptions, Compiled, OptLevel};
+use crate::compile::{compile_module, CompileOptions, Compiled};
 use crate::dylib::{DylibHost, DylibRegistry, LoadedDylibs};
 use crate::engine::{Engine, ExecOutcome, ExternalHost, Memory};
 use crate::error::{JitError, Result};
@@ -55,7 +55,6 @@ pub struct JitStats {
 /// The ORC-like JIT session owned by each process/node runtime.
 pub struct OrcJit {
     target: TargetTriple,
-    opt: OptLevel,
     registry: DylibRegistry,
     cache: HashMap<String, Arc<MaterializedModule>>,
     data_cursor: u64,
@@ -67,7 +66,6 @@ impl std::fmt::Debug for OrcJit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OrcJit")
             .field("target", &self.target)
-            .field("opt", &self.opt)
             .field("cached_modules", &self.cache.keys().collect::<Vec<_>>())
             .field("stats", &self.stats)
             .finish()
@@ -77,15 +75,14 @@ impl std::fmt::Debug for OrcJit {
 impl OrcJit {
     /// Create a JIT session for the given target with the standard library
     /// registry.
-    pub fn new(target: TargetTriple, opt: OptLevel) -> Self {
-        Self::with_registry(target, opt, DylibRegistry::with_standard_libs())
+    pub fn new(target: TargetTriple) -> Self {
+        Self::with_registry(target, DylibRegistry::with_standard_libs())
     }
 
     /// Create a JIT session with an explicit dylib registry.
-    pub fn with_registry(target: TargetTriple, opt: OptLevel, registry: DylibRegistry) -> Self {
+    pub fn with_registry(target: TargetTriple, registry: DylibRegistry) -> Self {
         OrcJit {
             target,
-            opt,
             registry,
             cache: HashMap::new(),
             data_cursor: JIT_DATA_BASE,
@@ -207,13 +204,7 @@ impl OrcJit {
         // Remote dynamic linking: every dependency must be loadable here.
         let deps = self.registry.load(&module.deps)?;
 
-        let compiled = compile_module(
-            &module,
-            CompileOptions {
-                opt_level: self.opt,
-                verify: true,
-            },
-        )?;
+        let compiled = compile_module(&module, CompileOptions::default())?;
 
         // Materialise globals into node memory.
         let mut data_addrs = Vec::with_capacity(compiled.module.data.len());
@@ -336,7 +327,7 @@ mod tests {
     #[test]
     fn fat_bitcode_compiles_once_and_caches() {
         let fat = FatBitcode::from_module_default_targets(&tsi_module("tsi")).unwrap();
-        let mut jit = OrcJit::new(TargetTriple::OOKAMI_A64FX, OptLevel::O2);
+        let mut jit = OrcJit::new(TargetTriple::OOKAMI_A64FX);
         let mut mem = SparseMemory::new();
 
         let first = jit.add_fat_bitcode(&fat, &mut mem).unwrap();
@@ -353,7 +344,7 @@ mod tests {
     #[test]
     fn execute_entry_runs_the_kernel() {
         let fat = FatBitcode::from_module_default_targets(&tsi_module("tsi")).unwrap();
-        let mut jit = OrcJit::new(TargetTriple::THOR_XEON, OptLevel::O2);
+        let mut jit = OrcJit::new(TargetTriple::THOR_XEON);
         let mut mem = SparseMemory::new();
         jit.add_fat_bitcode(&fat, &mut mem).unwrap();
 
@@ -368,7 +359,7 @@ mod tests {
 
     #[test]
     fn globals_materialised_and_dylibs_linked() {
-        let mut jit = OrcJit::new(TargetTriple::THOR_XEON, OptLevel::O2);
+        let mut jit = OrcJit::new(TargetTriple::THOR_XEON);
         let mut mem = SparseMemory::new();
         jit.add_module(module_with_global_and_dep(), &mut mem)
             .unwrap();
@@ -393,7 +384,7 @@ mod tests {
             f.ret(z);
             f.finish();
         }
-        let mut jit = OrcJit::new(TargetTriple::THOR_BF2, OptLevel::O2);
+        let mut jit = OrcJit::new(TargetTriple::THOR_BF2);
         let mut mem = SparseMemory::new();
         let err = jit.add_module(mb.build(), &mut mem).unwrap_err();
         assert_eq!(
@@ -408,7 +399,7 @@ mod tests {
     #[test]
     fn missing_target_in_archive_is_reported() {
         let fat = FatBitcode::from_module(&tsi_module("tsi"), &[TargetTriple::THOR_XEON]).unwrap();
-        let mut jit = OrcJit::new(TargetTriple::OOKAMI_A64FX, OptLevel::O2);
+        let mut jit = OrcJit::new(TargetTriple::OOKAMI_A64FX);
         let mut mem = SparseMemory::new();
         let err = jit.add_fat_bitcode(&fat, &mut mem).unwrap_err();
         assert!(err.to_string().contains("no entry for target"));
@@ -417,7 +408,7 @@ mod tests {
     #[test]
     fn remove_deregisters_and_allows_recompilation() {
         let fat = FatBitcode::from_module_default_targets(&tsi_module("tsi")).unwrap();
-        let mut jit = OrcJit::new(TargetTriple::THOR_BF2, OptLevel::O2);
+        let mut jit = OrcJit::new(TargetTriple::THOR_BF2);
         let mut mem = SparseMemory::new();
         jit.add_fat_bitcode(&fat, &mut mem).unwrap();
         assert!(jit.contains("tsi"));
@@ -431,7 +422,7 @@ mod tests {
 
     #[test]
     fn different_ifuncs_cached_independently() {
-        let mut jit = OrcJit::new(TargetTriple::THOR_XEON, OptLevel::O2);
+        let mut jit = OrcJit::new(TargetTriple::THOR_XEON);
         let mut mem = SparseMemory::new();
         jit.add_module(tsi_module("a"), &mut mem).unwrap();
         jit.add_module(tsi_module("b"), &mut mem).unwrap();
@@ -443,7 +434,7 @@ mod tests {
 
     #[test]
     fn executing_unknown_module_fails() {
-        let jit = OrcJit::new(TargetTriple::THOR_XEON, OptLevel::O2);
+        let jit = OrcJit::new(TargetTriple::THOR_XEON);
         let mut mem = VecMemory::new(0, 64);
         let err = jit
             .execute_entry("ghost", 0, 0, 0, &mut mem, &mut NoExternals)

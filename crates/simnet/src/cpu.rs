@@ -88,8 +88,8 @@ impl CpuProfile {
         SimDuration::from_nanos_f64(cycles as f64 / self.clock_ghz)
     }
 
-    /// Predicted JIT compilation time for `bitcode_bytes` at an optimisation
-    /// cost factor (see `tc-jit::OptLevel::compile_cost_factor`).
+    /// Predicted JIT compilation time for `bitcode_bytes`, its per-byte term
+    /// scaled by `opt_cost_factor` (1.0 is the calibrated toolchain).
     pub fn jit_time(&self, bitcode_bytes: usize, opt_cost_factor: f64) -> SimDuration {
         SimDuration::from_nanos_f64(
             self.jit_base_ns + self.jit_ns_per_byte * bitcode_bytes as f64 * opt_cost_factor,

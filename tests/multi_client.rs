@@ -418,11 +418,8 @@ fn get_burst_scales_across_client_counts_on_both_backends() {
 /// backends, with zero retransmits attributable to it.
 #[test]
 fn cross_client_traffic_bypasses_the_fault_plan_on_both_backends() {
-    for backend in [Backend::Simnet, Backend::Threads] {
-        let mut cluster = ClusterBuilder::new()
-            .platform(tc_simnet::Platform::thor_xeon())
-            .clients(2)
-            .servers(1)
+    for backend in [Backend::Simnet, Backend::Threads, Backend::Socket] {
+        let mut cluster = socket_builder(2, 1)
             .fault_plan(tc_core::FaultPlan::seeded(3).drop_rate(1.0))
             .build(backend);
         cluster
@@ -447,8 +444,8 @@ fn cross_client_traffic_bypasses_the_fault_plan_on_both_backends() {
 /// documented rank layout and per-client runtimes at the right ranks.
 #[test]
 fn four_client_layout_is_consistent_on_both_backends() {
-    for backend in [Backend::Simnet, Backend::Threads] {
-        let mut cluster = builder(4, 3).build(backend);
+    for backend in [Backend::Simnet, Backend::Threads, Backend::Socket] {
+        let mut cluster = socket_builder(4, 3).build(backend);
         assert_eq!(cluster.client_count(), 4);
         assert_eq!(cluster.server_count(), 3);
         assert_eq!(cluster.node_count(), 7);

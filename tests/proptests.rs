@@ -235,14 +235,7 @@ fn interpreter_matches_host_arithmetic() {
             f.ret(acc);
             f.finish();
         }
-        let compiled = tc_jit::compile_module(
-            &mb.build(),
-            CompileOptions {
-                opt_level: tc_jit::OptLevel::O0,
-                verify: true,
-            },
-        )
-        .unwrap();
+        let compiled = tc_jit::compile_module(&mb.build(), CompileOptions::default()).unwrap();
         let mut mem = VecMemory::new(0, 8);
         let out = Engine::new()
             .run(

@@ -5,8 +5,8 @@
 //! execution, result return) are correct under actual parallelism, driven
 //! through exactly the same `ClusterBuilder` API as the simulated backend.
 
-use tc_core::layout::TARGET_REGION_BASE;
-use tc_core::{build_ifunc_library, ClusterBuilder};
+use tc_core::layout::{DATA_REGION_BASE, TARGET_REGION_BASE};
+use tc_core::{build_ifunc_library, ClusterBuilder, Transport};
 use tc_ucx::{UcpOp, WorkerAddr};
 use tc_workloads::{platform_toolchain, tsi_module};
 
@@ -202,5 +202,142 @@ fn thread_tuning_is_configurable_through_the_builder() {
         assert_eq!(cluster.read_u64(server, TARGET_REGION_BASE).unwrap(), 20);
         assert_eq!(cluster.stats(server).unwrap().ifuncs_executed, 10);
     }
+    cluster.shutdown();
+}
+
+/// `node_batch: 0` asks for the default burst on *both* rank classes.  The
+/// client workers used to read it as "one envelope per wakeup", which shows
+/// under a zero-rate fault plan: a worker that closes its pass after every
+/// reply owes — and sends — a pure ack per reply instead of one per burst.
+#[test]
+fn node_batch_zero_means_the_default_burst_for_servers_and_clients() {
+    const OPS: u64 = 2_000;
+    const WINDOW: u64 = 16;
+    let tuning = tc_core::Tuning {
+        node_batch: 0,
+        ..tc_core::Tuning::default()
+    };
+    // Patient enough that a loaded test host never retransmits.
+    let patient = tc_core::RelConfig {
+        rto: 250_000_000,
+        rto_max: 1_000_000_000,
+        adaptive: true,
+    };
+    let mut cluster = ClusterBuilder::new()
+        .servers(1)
+        .tuning(tuning)
+        .fault_plan(tc_core::FaultPlan::seeded(11))
+        .rel_config(patient)
+        .build_threaded();
+    cluster.write_u64(1, DATA_REGION_BASE, 0xBA7C).unwrap();
+    for _ in 0..OPS / WINDOW {
+        let handles: Vec<_> = (0..WINDOW)
+            .map(|_| cluster.post_get(1, DATA_REGION_BASE, 8))
+            .collect();
+        cluster.flush().unwrap();
+        for h in &handles {
+            let data = cluster.wait(h).unwrap();
+            assert_eq!(u64::from_le_bytes(data[..8].try_into().unwrap()), 0xBA7C);
+        }
+    }
+    cluster.run_until_idle(1_000).unwrap();
+    assert_eq!(cluster.stats(1).unwrap().gets_served, OPS);
+    let client = cluster.transport().node_reliability(0).unwrap();
+    let server = cluster.transport().node_reliability(1).unwrap();
+    assert!(
+        client.acks_sent <= OPS / 2,
+        "client sent {} pure acks for {OPS} GETs: it closes a pass per reply",
+        client.acks_sent
+    );
+    assert_eq!(server.acks_sent, 0, "every server ack rides a GET reply");
+    cluster.shutdown();
+}
+
+/// The driver's `flush_client` races the client worker's response flush on
+/// one client: the driver posts a seeded mix of GETs and ifunc sends and
+/// flushes late, while replies keep waking the worker, which flushes
+/// whatever the driver has posted so far.  Whoever takes an operation must
+/// also have put it on the wire before the other can take the next, or a
+/// link's sequence numbers leave out of order (and a cached-id ifunc frame
+/// overtakes the frame that ships its code).  Under a zero-rate fault plan
+/// the servers' reliable links count exactly that.
+#[test]
+fn driver_flush_racing_the_worker_flush_keeps_every_link_in_order() {
+    const SEED: u64 = 0x0F1A_5EED;
+    let platform = tc_simnet::Platform::thor_xeon();
+    // Patient enough that a loaded test host never retransmits, so a
+    // duplicate can only come from the race.
+    let patient = tc_core::RelConfig {
+        rto: 250_000_000,
+        rto_max: 1_000_000_000,
+        adaptive: true,
+    };
+    let mut cluster = ClusterBuilder::new()
+        .platform(platform)
+        .servers(2)
+        .fault_plan(tc_core::FaultPlan::seeded(SEED))
+        .rel_config(patient)
+        .build_threaded();
+    for server in 1..=2 {
+        cluster.write_u64(server, DATA_REGION_BASE, 0xD00D).unwrap();
+        cluster.write_u64(server, TARGET_REGION_BASE, 0).unwrap();
+    }
+    let library = build_ifunc_library(&tsi_module(), &platform_toolchain(&platform)).unwrap();
+    let handle = cluster.register_ifunc(library);
+    let message = cluster.bitcode_message(handle, vec![1]).unwrap();
+
+    let mut rng = tc_simnet::SplitMix64::new(SEED);
+    let mut ifuncs = [0u64; 2];
+    let mut gets = Vec::new();
+    for _ in 0..3_000 {
+        for _ in 0..1 + rng.next_u64() % 8 {
+            let server = 1 + (rng.next_u64() % 2) as usize;
+            if rng.next_u64().is_multiple_of(3) {
+                // Posted, not flushed: the first one per server ships the
+                // code, every later one only its id.
+                cluster
+                    .client_mut()
+                    .send_ifunc(&message, WorkerAddr(server as u32));
+                ifuncs[server - 1] += 1;
+            } else {
+                gets.push(cluster.post_get(server, DATA_REGION_BASE, 8));
+            }
+            // A seeded pause between two posts: replies of earlier rounds
+            // wake the worker meanwhile.
+            for _ in 0..rng.next_u64() % 2_000 {
+                std::hint::spin_loop();
+            }
+        }
+        cluster.flush().unwrap();
+        if rng.next_u64().is_multiple_of(16) {
+            for h in gets.drain(..) {
+                let data = cluster.wait(&h).unwrap();
+                assert_eq!(u64::from_le_bytes(data[..8].try_into().unwrap()), 0xD00D);
+            }
+        }
+    }
+    for h in &gets {
+        cluster.wait(h).unwrap();
+    }
+    cluster.run_until_idle(100_000).unwrap();
+    for server in 1..=2 {
+        assert_eq!(
+            cluster.read_u64(server, TARGET_REGION_BASE).unwrap(),
+            ifuncs[server - 1]
+        );
+        assert_eq!(
+            cluster.stats(server).unwrap().ifuncs_executed,
+            ifuncs[server - 1]
+        );
+    }
+    for rank in 0..3 {
+        let rel = cluster.transport().node_reliability(rank).unwrap();
+        assert_eq!(
+            (rel.out_of_order, rel.dup_drops, rel.retransmits),
+            (0, 0, 0),
+            "rank {rank}"
+        );
+    }
+    assert!(cluster.transport().errors().is_empty());
     cluster.shutdown();
 }
