@@ -44,4 +44,10 @@ fn main() {
         eprintln!("FAILURE: at least one sweep point lost or duplicated a message");
         std::process::exit(1);
     }
+    // A gap-signalled repair costs one frame per loss; only a timeout
+    // re-sends a whole window.
+    if rows.iter().any(|r| r.retransmits > 2 * r.faults_injected) {
+        eprintln!("FAILURE: a sweep point retransmitted more than twice per injected fault");
+        std::process::exit(1);
+    }
 }

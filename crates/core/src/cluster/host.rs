@@ -18,11 +18,13 @@
 //!   piggybacked — ever covers an operation whose effects do not exist yet.
 //!   On the FIFO socket that is what makes a kill between two flushes
 //!   recoverable by frame replay.
-//! * **A duplicate's immediate ack goes out behind that poll too** — it is
-//!   cumulative like any other.
+//! * **An immediate ack goes out behind that poll too** — a duplicate's, or
+//!   one naming the gap an arrival left open — it is cumulative like any
+//!   other.
 //! * **One pass, one close.**  [`ServerHost::end_pass`] polls what is still
-//!   pending, emits the one pure ack per peer nothing piggybacked, runs the
-//!   retransmission timer and returns the [`Digest`] to publish.
+//!   pending, re-sends what the pass's acks named missing, emits the one pure
+//!   ack per peer nothing piggybacked, runs the retransmission timer and
+//!   returns the [`Digest`] to publish.
 //!
 //! The carrier supplies what differs: how frames arrive, what `emit` does
 //! with a rank (and with [`DRIVER_PORT`], where errors and control replies
@@ -51,13 +53,15 @@
 //!   registration frame it needs).
 //! * **A destination beyond the cluster leaves raw**, unretained; the
 //!   carrier counts the fabric drop.
-//! * **Inbound frames pass the link**; a duplicate or out-of-order arrival
-//!   is acked at once (nothing on a client waits on a poll), and an
-//!   operation whose head names another rank is a typed error.
+//! * **Inbound frames pass the link**; a duplicate, or an arrival that
+//!   leaves frames parked behind a gap, is acked at once (nothing on a
+//!   client waits on a poll), and an operation whose head names another rank
+//!   is a typed error.
 //! * **One pass: stage, flush, close.**  Frames only stage operations;
 //!   [`flush_clients`] polls and answers them once and the carrier collects
-//!   errors and completions; [`ClientHost::end_pass`] emits the owed pure
-//!   acks, runs the retransmission timer and returns the [`Digest`].
+//!   errors and completions; [`ClientHost::end_pass`] re-sends what the
+//!   pass's acks named missing, emits the owed pure acks, runs the
+//!   retransmission timer and returns the [`Digest`].
 
 use super::link::{Digest, Link};
 use super::socket::DRIVER_PORT;
@@ -237,8 +241,8 @@ impl ClientHost {
     }
 
     /// Terminate one data-plane frame `from` sent to this rank: stage what
-    /// became deliverable (returning how many operations) and ack a
-    /// duplicate or out-of-order arrival at once.
+    /// became deliverable (returning how many operations) and emit the ack
+    /// the link wants sent at once, if any.
     pub(crate) fn on_frame(
         &mut self,
         from: u32,
@@ -421,7 +425,7 @@ mod tests {
     /// The cumulative ack a reliable frame carries, pure or piggybacked.
     fn ack_of(frame: &Emitted) -> u64 {
         match frame.1 {
-            wire::TAG_ACK => wire::decode_ack(&frame.2).unwrap(),
+            wire::TAG_ACK => wire::decode_ack(&frame.2).unwrap().0,
             wire::TAG_ROP => wire::decode_rel_head(&frame.2).unwrap().1,
             other => panic!("tag {other} carries no ack"),
         }

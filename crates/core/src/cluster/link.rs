@@ -11,8 +11,8 @@
 //! * [`Link::inbound`] — bound the sender's rank, then decode, sequence,
 //!   dedup and deliver whatever became in-order, or settle an ack;
 //! * [`Link::tick`], [`Link::finish_batch`], [`Link::replay`] — the
-//!   retransmission timer, the batch-end pure acks, and the renumbered
-//!   re-send after a peer was reborn;
+//!   retransmission timer, the batch-end gap repairs and pure acks, and the
+//!   renumbered re-send after a peer was reborn;
 //! * [`Link::digest`] — what quiescence detection and operators read.
 //!
 //! What a rank does around its link — when pending operations are polled,
@@ -29,7 +29,7 @@
 //! ever needed to change live here too; the five that tests and benches do
 //! set are [`super::Tuning`].
 
-use super::reliable::{LinkHealth, RelConfig, RelMetrics, ReliableSet};
+use super::reliable::{LinkHealth, RelConfig, RelFrame, RelMetrics, ReliableSet};
 use super::socket::most_stressed;
 use super::wire::{self, StoredEnv};
 use crate::error::{CoreError, Result};
@@ -130,6 +130,8 @@ pub(crate) struct Link {
     rel: Option<ReliableSet<StoredEnv>>,
     /// Reused delivery buffer of [`ReliableSet::on_data_into`].
     scratch: Vec<StoredEnv>,
+    /// Gap repairs ([`ReliableSet::on_gap`]) awaiting [`Link::finish_batch`].
+    repairs: Vec<RelFrame<StoredEnv>>,
     /// Retransmission-timer cadence (half the base RTO) and its last run.
     cadence: Duration,
     last_tick: Instant,
@@ -144,6 +146,7 @@ impl Link {
             ranks,
             rel: rel.map(ReliableSet::new),
             scratch: Vec::new(),
+            repairs: Vec::new(),
             cadence: Duration::from_nanos(rel.map_or(0, |cfg| cfg.rto / 2)),
             last_tick: Instant::now(),
         }
@@ -176,11 +179,12 @@ impl Link {
     /// operation that became deliverable to `deliver` in order.
     ///
     /// `Ok(Some(ack))` is the body of a pure [`wire::TAG_ACK`] the host must
-    /// send to `from` right away (a duplicate or out-of-order arrival;
-    /// nothing was delivered) — on servers behind a poll of whatever earlier
-    /// frames delivered, because the ack is cumulative.  In-order arrivals
-    /// return `Ok(None)`: their ack rides the next frame to the peer or
-    /// [`Link::finish_batch`].
+    /// send to `from` right away (a duplicate, or an arrival that leaves
+    /// frames parked behind the gap the ack names) — on servers behind a
+    /// poll of whatever this and earlier frames delivered, because the ack
+    /// is cumulative.  Other in-order arrivals return `Ok(None)`: their ack
+    /// rides the next frame to the peer or [`Link::finish_batch`], which
+    /// also re-sends what an arriving ack named missing.
     ///
     /// `from` indexes the dense per-peer link table, so it is bounded here,
     /// once, for every tag.  A frame rejected before sequencing (bad rank,
@@ -215,7 +219,8 @@ impl Link {
         };
         match tag {
             wire::TAG_ACK => {
-                rel.on_ack(from, wire::decode_ack(&data)?, now);
+                let (cum, gap) = wire::decode_ack(&data)?;
+                rel.on_gap(from, cum, gap, now, &mut self.repairs);
                 Ok(None)
             }
             wire::TAG_ROP => {
@@ -231,7 +236,9 @@ impl Link {
                 }
                 match failed {
                     Some(e) => Err(e),
-                    None => Ok(arrival.ack_now.then(|| wire::encode_ack(arrival.ack))),
+                    None => Ok(arrival
+                        .ack_now
+                        .then(|| wire::encode_ack(arrival.ack, arrival.gap))),
                 }
             }
             other => Err(CoreError::Transport(format!(
@@ -243,7 +250,7 @@ impl Link {
     /// Run the retransmission timer if its cadence elapsed: every frame of
     /// every link whose RTO expired leaves again through `emit`, with a
     /// fresh piggybacked ack.
-    pub(crate) fn tick(&mut self, mut emit: impl FnMut(u32, u64, Bytes, Bytes)) {
+    pub(crate) fn tick(&mut self, emit: impl FnMut(u32, u64, Bytes, Bytes)) {
         let Some(rel) = &mut self.rel else {
             return;
         };
@@ -251,19 +258,19 @@ impl Link {
             return;
         }
         self.last_tick = Instant::now();
-        for f in rel.tick(wall_nanos()) {
-            let data = wire::encode_rel_head(f.seq, f.ack, &f.m.0);
-            emit(f.peer, wire::TAG_ROP, data, f.m.1);
-        }
+        retransmit(rel.tick(wall_nanos()), emit);
     }
 
-    /// End of the host's natural batch: one pure cumulative ack per peer
-    /// whose in-order frames nothing sent since has piggybacked on.  Servers
-    /// call this after polling, so it too only covers polled operations.
+    /// End of the host's natural batch: the frames its acks named missing,
+    /// then one pure cumulative ack per peer whose in-order frames nothing
+    /// sent since (those repairs included) has piggybacked on.  Servers call
+    /// this after polling, so it too only covers polled operations.
     pub(crate) fn finish_batch(&mut self, mut emit: impl FnMut(u32, u64, Bytes, Bytes)) {
         if let Some(rel) = &mut self.rel {
+            retransmit(self.repairs.drain(..), &mut emit);
             rel.acks_due(|peer, ack| {
-                emit(peer, wire::TAG_ACK, wire::encode_ack(ack), Bytes::new())
+                let ack = wire::encode_ack(ack, None);
+                emit(peer, wire::TAG_ACK, ack, Bytes::new())
             });
         }
     }
@@ -276,6 +283,8 @@ impl Link {
             return;
         };
         let now = wall_nanos();
+        // A repair queued for the old incarnation carries its numbering.
+        self.repairs.retain(|f| f.peer != peer);
         for (head, payload) in rel.reset_peer(peer) {
             let (seq, ack) = rel.send(peer, (head.clone(), payload.clone()), now);
             emit(
@@ -299,6 +308,17 @@ impl Link {
     }
 }
 
+/// Put retained frames back on the wire under fresh reliability prefixes.
+fn retransmit(
+    frames: impl IntoIterator<Item = RelFrame<StoredEnv>>,
+    mut emit: impl FnMut(u32, u64, Bytes, Bytes),
+) {
+    for f in frames {
+        let data = wire::encode_rel_head(f.seq, f.ack, &f.m.0);
+        emit(f.peer, wire::TAG_ROP, data, f.m.1);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::reliable::tests::Net;
@@ -307,12 +327,12 @@ mod tests {
     use tc_simnet::SplitMix64;
     use tc_ucx::{AmHandlerId, RequestId, UcpOp, WorkerAddr};
 
-    /// A microsecond RTO on the wall clock: practically every `tick` of a
-    /// test loop finds its links expired, so loss is recovered without
-    /// sleeping.
+    /// An RTO long enough on the wall clock that a loss with traffic behind
+    /// it is repaired by the gap signal, and short enough that a test loop
+    /// can spin through the timeouts its tail losses need.
     const CFG: RelConfig = RelConfig {
-        rto: 1_000,
-        rto_max: 8_000,
+        rto: 100_000,
+        rto_max: 800_000,
         adaptive: true,
     };
 
@@ -374,6 +394,8 @@ mod tests {
         inbox: VecDeque<Wire>,
         to_post: VecDeque<OutgoingMessage>,
         got: Vec<OutgoingMessage>,
+        /// Pure acks this side put on the wire.
+        pure_acks: u64,
     }
 
     impl Side {
@@ -387,6 +409,7 @@ mod tests {
                 inbox: VecDeque::new(),
                 to_post,
                 got: Vec::new(),
+                pure_acks: 0,
             }
         }
 
@@ -399,9 +422,17 @@ mod tests {
         /// piggybacked, covers nothing this side has not delivered.  (The
         /// peer numbers its frames 1.. in posting order and nothing here
         /// resets a link, so "delivered" is `got.len()`.)
-        fn ship(&self, net: &mut Net, out: &mut VecDeque<Wire>, tag: u64, data: Bytes, p: Bytes) {
+        fn ship(
+            &mut self,
+            net: &mut Net,
+            out: &mut VecDeque<Wire>,
+            tag: u64,
+            data: Bytes,
+            p: Bytes,
+        ) {
+            self.pure_acks += u64::from(tag == wire::TAG_ACK);
             let ack = match tag {
-                wire::TAG_ACK => wire::decode_ack(&data).unwrap(),
+                wire::TAG_ACK => wire::decode_ack(&data).unwrap().0,
                 wire::TAG_ROP => wire::decode_rel_head(&data).unwrap().1,
                 other => panic!("a reliable link emitted tag {other}"),
             };
@@ -439,30 +470,37 @@ mod tests {
         }
 
         /// One turn the way a host drives its link: everything inbound in
-        /// randomly sized batches (`finish_batch` at each boundary,
-        /// immediate acks when told to, an occasional mid-batch post for the
-        /// piggyback path), then a few fresh posts and the timer.
+        /// randomly sized batches (`finish_batch` at each boundary — gap
+        /// repairs, then at most one pure ack —, immediate acks when told
+        /// to, an occasional mid-batch post for the piggyback path), then a
+        /// few fresh posts and the timer.
         fn turn(&mut self, net: &mut Net, out: &mut VecDeque<Wire>) {
             while !self.inbox.is_empty() {
                 for _ in 0..net.rng.range(1, self.inbox.len() as u64 + 1) {
                     let (from, tag, data, payload) = self.inbox.pop_front().unwrap();
-                    let before = self.got.len();
                     let got = &mut self.got;
                     let arrival = self.link.inbound(from, tag, data, payload, |m| got.push(m));
                     if let Some(ack) = arrival.unwrap() {
-                        assert_eq!(self.got.len(), before, "immediate acks deliver nothing");
                         self.ship(net, out, wire::TAG_ACK, ack, Bytes::new());
                     }
                     if net.rng.below(3) == 0 {
                         self.post(net, out);
                     }
                 }
-                let mut acks = Vec::new();
+                let mut closing = Vec::new();
                 self.link
-                    .finish_batch(|to, tag, data, p| acks.push((to, tag, data, p)));
-                assert!(acks.len() <= 1, "one pure ack per peer per batch");
-                for (to, tag, data, p) in acks {
-                    assert_eq!((to, tag), (1 - self.rank(), wire::TAG_ACK));
+                    .finish_batch(|to, tag, data, p| closing.push((to, tag, data, p)));
+                let acks = closing.iter().filter(|f| f.1 == wire::TAG_ACK).count();
+                assert!(acks <= 1, "one pure ack per peer per batch");
+                let last = closing.len() - acks;
+                for (i, (to, tag, data, p)) in closing.into_iter().enumerate() {
+                    assert_eq!(to, 1 - self.rank());
+                    let expected = if i < last {
+                        wire::TAG_ROP
+                    } else {
+                        wire::TAG_ACK
+                    };
+                    assert_eq!(tag, expected, "repairs, then the ack");
                     self.ship(net, out, tag, data, p);
                 }
             }
@@ -490,17 +528,10 @@ mod tests {
     #[test]
     fn two_links_deliver_exactly_once_in_order_over_a_faulty_carrier() {
         let mut rng = SplitMix64::new(0x11CC);
-        let (mut retransmits, mut dup_drops, mut out_of_order) = (0, 0, 0);
+        let (mut retransmits, mut fast_retransmits, mut dup_drops, mut out_of_order) = (0, 0, 0, 0);
         for schedule in 0..48u64 {
-            // Every third schedule is lossless.
-            let faults = match schedule % 3 {
-                0 => (0, 0, 0),
-                _ => (rng.below(30), rng.below(30), rng.below(30)),
-            };
-            let mut net = Net {
-                rng: SplitMix64::new(rng.next_u64()),
-                faults,
-            };
+            let faults = Net::schedule(&mut rng, schedule);
+            let mut net = Net::new(rng.next_u64(), faults);
             let mut sides = [Side::new(0, 1), Side::new(1, 0)];
             let deadline = Instant::now() + Duration::from_secs(60);
             while sides.iter().any(Side::busy) {
@@ -526,15 +557,31 @@ mod tests {
                 assert_eq!((digest.unacked, digest.next_deadline), (0, None));
                 let health = digest.health.expect("the link carried traffic");
                 assert_eq!((health.peer, health.unacked), (peer.rank(), 0));
+                assert_eq!(digest.metrics.acks_sent, side.pure_acks);
                 retransmits += digest.metrics.retransmits;
                 dup_drops += digest.metrics.dup_drops;
                 out_of_order += digest.metrics.out_of_order;
             }
+            // As in `reliable.rs`: a gap repair is never spurious without
+            // reordering and never repeated — whatever the wall clock did.
+            let fast =
+                a.link.digest().metrics.fast_retransmits + b.link.digest().metrics.fast_retransmits;
+            assert!(
+                fast <= net.dropped + net.overtaken,
+                "schedule {schedule} {faults:?}: {fast} fast retransmits for {} drops, {} overtaken",
+                net.dropped,
+                net.overtaken
+            );
+            fast_retransmits += fast;
         }
         assert!(
-            retransmits > 0 && dup_drops > 0 && out_of_order > 0,
-            "the lossy schedules must exercise recovery: {retransmits} retransmits, \
-             {dup_drops} duplicates, {out_of_order} out of order"
+            retransmits > fast_retransmits
+                && fast_retransmits > 0
+                && dup_drops > 0
+                && out_of_order > 0,
+            "the lossy schedules must exercise recovery: {retransmits} retransmits \
+             ({fast_retransmits} on a gap signal), {dup_drops} duplicates, \
+             {out_of_order} out of order"
         );
     }
 
@@ -544,7 +591,7 @@ mod tests {
         let msg = messages(1, 0).pop().unwrap();
         let (head, payload) = wire::encode_op_vectored(&msg);
         let rop = wire::encode_rel_head(1, 0, &head);
-        let ack = wire::encode_ack(1);
+        let ack = wire::encode_ack(1, Some(3));
         let refuse = |link: &mut Link, from, tag, data: &Bytes| {
             let before = link.digest();
             let arrival = link.inbound(from, tag, data.clone(), payload.clone(), |m| {
@@ -570,7 +617,9 @@ mod tests {
             refuse(&mut reliable, from, wire::TAG_ACK, &ack);
         }
         refuse(&mut reliable, 1, wire::TAG_ROP, &rop.slice(..15));
-        refuse(&mut reliable, 1, wire::TAG_ACK, &ack.slice(..7));
+        for len in [7, 9, 15] {
+            refuse(&mut reliable, 1, wire::TAG_ACK, &ack.slice(..len));
+        }
         refuse(&mut reliable, 1, wire::TAG_PEEK, &head);
 
         // Without a fault plan there is no reliable plane to address.

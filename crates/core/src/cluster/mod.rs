@@ -210,6 +210,9 @@ pub struct TransportMetrics {
     /// Messages re-sent by the reliable-delivery layer (0 without a fault
     /// plan).
     pub retransmits: u64,
+    /// The subset of `retransmits` that repaired a loss on the peer's gap
+    /// signal, a round trip after it, instead of waiting for a timeout.
+    pub fast_retransmits: u64,
     /// Duplicate arrivals dropped by receiver-side dedup (0 without a
     /// fault plan).
     pub dup_drops: u64,
@@ -502,6 +505,7 @@ pub trait Transport {
         }
         for digest in link_digests(self) {
             m.retransmits += digest.metrics.retransmits;
+            m.fast_retransmits += digest.metrics.fast_retransmits;
             m.dup_drops += digest.metrics.dup_drops;
         }
         m

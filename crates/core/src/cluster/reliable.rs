@@ -14,16 +14,27 @@
 //!   [`ReliableSet::tick`]) carries the cumulative ack and clears the mark;
 //!   at the end of its natural batch the backend calls
 //!   [`ReliableSet::acks_due`] once, which emits **one** pure cumulative ack
-//!   per peer still owed.  A duplicate or out-of-order arrival is acked
-//!   **immediately** ([`Arrival::ack_now`]), so a sender whose ack was lost
-//!   stops retransmitting and a gap is signalled at once.  Server-side
-//!   callers keep one more invariant: an ack — pure or piggybacked — never
-//!   covers a frame whose operation has not been polled, so "observed ack ⇒
-//!   effects durable" holds and kill-anywhere recovery stays sound;
-//! * **timeout-based retransmission with bounded backoff** — unacked
-//!   messages are re-sent after an RTO that doubles per silent round up to
-//!   a cap (the retries themselves are unbounded: a partition heals
-//!   *because* retransmissions keep probing it);
+//!   per peer still owed.  A duplicate arrival, and any arrival that leaves
+//!   frames parked behind a gap, is acked **immediately**
+//!   ([`Arrival::ack_now`]): a sender whose ack was lost stops
+//!   retransmitting, and an open gap is named at once ([`Arrival::gap`]).
+//!   Server-side callers keep one more invariant: an ack — pure or
+//!   piggybacked — never covers a frame whose operation has not been polled,
+//!   so "observed ack ⇒ effects durable" holds and kill-anywhere recovery
+//!   stays sound;
+//! * **gap-signalled fast retransmit** — the stand-in for an RC fabric's
+//!   out-of-sequence NAK.  While frames sit parked, the immediate ack also
+//!   carries the lowest parked sequence number, so the open interval
+//!   `(cum, gap)` is exactly what is missing; [`ReliableSet::on_gap`]
+//!   re-sends each of those frames **once**, a round trip after the loss
+//!   instead of a timeout after it.  There is no duplicate-ack threshold:
+//!   the signal is explicit, so reordering costs at most one spurious copy
+//!   per frame (dropped and acked *without* a gap: copies provoke no copies);
+//! * **timeout-based retransmission with bounded backoff** — the fallback
+//!   for what no gap can signal (a lost repair, a lost tail frame, a
+//!   partition): unacked messages are re-sent after an RTO that doubles per
+//!   silent round up to a cap (the retries themselves are unbounded: a
+//!   partition heals *because* retransmissions keep probing it);
 //! * **adaptive per-link RTO** — the base timeout is estimated per link
 //!   from ack round-trip samples (Jacobson's SRTT/RTTVAR with Karn's rule:
 //!   retransmitted frames never feed the estimator), clamped to
@@ -88,13 +99,17 @@ impl RelConfig {
 /// Cumulative reliability counters of one node.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RelMetrics {
-    /// Messages re-sent after an RTO expiry.
+    /// Messages re-sent, whether an RTO expired ([`ReliableSet::tick`]) or
+    /// the peer named them missing ([`ReliableSet::on_gap`]).
     pub retransmits: u64,
+    /// The subset of `retransmits` that left on a gap signal — losses
+    /// repaired in a round trip instead of after a timeout.
+    pub fast_retransmits: u64,
     /// Duplicate arrivals dropped by the receiver.
     pub dup_drops: u64,
     /// Out-of-order arrivals parked until their gap filled.
     pub out_of_order: u64,
-    /// Pure acks emitted: one per immediate duplicate/out-of-order ack and
+    /// Pure acks emitted: one per immediate ack ([`Arrival::ack_now`]) and
     /// one per peer drained by [`ReliableSet::acks_due`].  Piggybacked acks
     /// are not counted — they cost no message.
     pub acks_sent: u64,
@@ -154,12 +169,17 @@ pub struct Arrival {
     pub ack: u64,
     /// True when the arrival was a duplicate and was dropped.
     pub dup: bool,
-    /// True when the arrival was a duplicate or was parked out of order:
-    /// the caller must send `ack` to the peer as a pure ack **now** (it has
-    /// been counted in [`RelMetrics::acks_sent`]).  In-order arrivals leave
-    /// this false — their ack rides the next data frame to the peer or the
-    /// batch's [`ReliableSet::acks_due`].
+    /// True when the arrival was a duplicate or left frames parked behind a
+    /// gap: the caller must send `ack` (and `gap`) to the peer as a pure ack
+    /// **now** (it has been counted in [`RelMetrics::acks_sent`]).  Other
+    /// in-order arrivals leave this false — their ack rides the next data
+    /// frame to the peer or the batch's [`ReliableSet::acks_due`].
     pub ack_now: bool,
+    /// The lowest sequence number still parked after this arrival: every
+    /// frame in the open interval `(ack, gap)` is missing, and the peer
+    /// feeds the pair to [`ReliableSet::on_gap`].  `None` when nothing is
+    /// parked — and for a duplicate, which says nothing new about the gap.
+    pub gap: Option<u64>,
 }
 
 /// [`ReliableSet::on_data`]'s result: an [`Arrival`] plus the messages it
@@ -175,6 +195,8 @@ pub struct DataOutcome<M> {
     pub dup: bool,
     /// See [`Arrival::ack_now`].
     pub ack_now: bool,
+    /// See [`Arrival::gap`].
+    pub gap: Option<u64>,
 }
 
 #[derive(Debug)]
@@ -206,7 +228,7 @@ struct PeerLink<M> {
     has_sample: bool,
 }
 
-impl<M> PeerLink<M> {
+impl<M: Clone> PeerLink<M> {
     fn new(initial_rto: u64) -> Self {
         PeerLink {
             next_seq: 1,
@@ -277,6 +299,34 @@ impl<M> PeerLink<M> {
             unacked: self.unacked.len() as u64,
             silent_rounds: self.backoff,
         }
+    }
+
+    /// Hand back the frames numbered `seqs` that are still retained (`seqs`
+    /// ends at or below `next_seq`) for retransmission, oldest first, with a
+    /// fresh cumulative ack — which settles what the link owed — and return
+    /// how many.  Each is marked retransmitted so Karn's rule keeps it out
+    /// of the RTT estimator for good; `once` skips the frames that already
+    /// are.
+    fn resend(
+        &mut self,
+        peer: u32,
+        seqs: std::ops::Range<u64>,
+        once: bool,
+        out: &mut Vec<RelFrame<M>>,
+    ) -> u64 {
+        let base = self.next_seq - self.unacked.len() as u64;
+        let before = out.len();
+        for seq in seqs.start.max(base)..seqs.end {
+            let entry = &mut self.unacked[(seq - base) as usize];
+            if once && entry.retransmitted {
+                continue;
+            }
+            entry.retransmitted = true;
+            let (ack, m) = (self.recv_cum, entry.m.clone());
+            out.push(RelFrame { peer, seq, ack, m });
+        }
+        self.ack_owed &= out.len() == before;
+        (out.len() - before) as u64
     }
 }
 
@@ -383,21 +433,23 @@ impl<M: Clone> ReliableSet<M> {
         } else if !dup {
             link.parked.insert(seq, m);
         }
-        let ack = link.recv_cum;
-        if !in_order {
+        // A duplicate names no gap, or every spurious copy would provoke
+        // another.
+        let gap = link.parked.keys().next().copied().filter(|_| !dup);
+        let ack_now = dup || gap.is_some();
+        if ack_now {
             // The ack leaves now and carries everything owed.
             link.ack_owed = false;
-            self.metrics.acks_sent += 1;
-            if dup {
-                self.metrics.dup_drops += 1;
-            } else {
-                self.metrics.out_of_order += 1;
-            }
         }
+        let ack = link.recv_cum;
+        self.metrics.acks_sent += u64::from(ack_now);
+        self.metrics.dup_drops += u64::from(dup);
+        self.metrics.out_of_order += u64::from(!dup && !in_order);
         Arrival {
             ack,
             dup,
-            ack_now: !in_order,
+            ack_now,
+            gap,
         }
     }
 
@@ -411,6 +463,7 @@ impl<M: Clone> ReliableSet<M> {
             ack: a.ack,
             dup: a.dup,
             ack_now: a.ack_now,
+            gap: a.gap,
         }
     }
 
@@ -441,12 +494,40 @@ impl<M: Clone> ReliableSet<M> {
         self.link(peer).on_ack(ack, now, &cfg);
     }
 
+    /// Process a pure ack from `peer`: `cum` as in [`ReliableSet::on_ack`],
+    /// then the gap signal ([`Arrival::gap`]) — every retained frame with
+    /// `cum < seq < gap` that has never been retransmitted is appended to
+    /// `out` for the caller to re-send, oldest first, so a repeated signal
+    /// re-sends nothing.  A lost repair is the RTO's to recover: the timer
+    /// restarts at `now` plus the base RTO (backoff untouched) instead of
+    /// firing right behind the repair and re-sending the whole window.  A
+    /// `gap` the link has not sent (a stale incarnation's, a hostile peer's)
+    /// is ignored; one at or below `cum + 1` names nothing.
+    pub fn on_gap(
+        &mut self,
+        peer: u32,
+        cum: u64,
+        gap: Option<u64>,
+        now: u64,
+        out: &mut Vec<RelFrame<M>>,
+    ) {
+        let cfg = self.cfg;
+        let link = self.link(peer);
+        link.on_ack(cum, now, &cfg);
+        let Some(gap) = gap.filter(|&gap| gap < link.next_seq) else {
+            return;
+        };
+        let resent = link.resend(peer, cum.saturating_add(1)..gap, true, out);
+        if resent > 0 {
+            link.next_retx_at = now.saturating_add(link.cur_rto);
+            self.metrics.retransmits += resent;
+            self.metrics.fast_retransmits += resent;
+        }
+    }
+
     /// Retransmission timer: returns every frame whose link's RTO expired
     /// (all unacked messages of that link, oldest first, with a fresh
-    /// cumulative ack — which settles what the link owed), doubling that
-    /// link's RTO up to the cap.  Every re-emitted frame is marked
-    /// retransmitted so Karn's rule keeps it out of the RTT estimator for
-    /// good.
+    /// cumulative ack), doubling that link's RTO up to the cap.
     pub fn tick(&mut self, now: u64) -> Vec<RelFrame<M>> {
         let mut out = Vec::new();
         let rto_max = self.cfg.rto_max;
@@ -456,16 +537,7 @@ impl<M: Clone> ReliableSet<M> {
                 continue;
             }
             let base = link.next_seq - link.unacked.len() as u64;
-            for (i, entry) in link.unacked.iter_mut().enumerate() {
-                entry.retransmitted = true;
-                out.push(RelFrame {
-                    peer: peer as u32,
-                    seq: base + i as u64,
-                    ack: link.recv_cum,
-                    m: entry.m.clone(),
-                });
-            }
-            link.ack_owed = false;
+            link.resend(peer as u32, base..link.next_seq, false, &mut out);
             link.backoff = link.backoff.saturating_add(1);
             let delay = link
                 .cur_rto
@@ -630,6 +702,197 @@ pub(super) mod tests {
         assert_eq!(a.metrics.retransmits, 12);
     }
 
+    /// `n` frames posted at time 0 on `a`'s link to rank 1.
+    fn burst(a: &mut ReliableSet<u64>, n: u64) {
+        for m in 1..=n {
+            assert_eq!(a.send(1, m, 0).0, m);
+        }
+    }
+
+    /// Feed `b` the frame `seq` of [`burst`] and, when it acks at once, hand
+    /// that ack to `a`: the frames `a` re-sends on it.
+    fn arrive(a: &mut ReliableSet<u64>, b: &mut ReliableSet<u64>, seq: u64, now: u64) -> Vec<u64> {
+        let mut got = Vec::new();
+        let arrival = b.on_data_into(0, seq, 0, seq, now, &mut got);
+        let mut out = Vec::new();
+        if arrival.ack_now {
+            a.on_gap(1, arrival.ack, arrival.gap, now, &mut out);
+        }
+        assert!(out.iter().all(|f| f.peer == 1 && f.m == f.seq));
+        out.iter().map(|f| f.seq).collect()
+    }
+
+    #[test]
+    fn a_gap_signal_resends_the_lost_frame_once_and_no_parked_one() {
+        let mut a: ReliableSet<u64> = ReliableSet::new(CFG);
+        let mut b: ReliableSet<u64> = ReliableSet::new(CFG);
+        burst(&mut a, 8);
+        // Frame 1 is lost.  The first arrival behind it names the gap and
+        // gets the repair; the next six name the same gap and get nothing —
+        // least of all a frame the receiver already holds.
+        assert_eq!(arrive(&mut a, &mut b, 2, 10), [1]);
+        for seq in 3..=8 {
+            assert_eq!(arrive(&mut a, &mut b, seq, 10 + seq), [], "seq {seq}");
+        }
+        assert_eq!(a.metrics.retransmits, 1);
+        assert_eq!(a.metrics.fast_retransmits, 1);
+        assert_eq!((b.metrics.out_of_order, b.metrics.acks_sent), (7, 7));
+        // The repair fills the gap: everything is delivered and nothing is
+        // parked, so the ack waits for the batch like any in-order one.
+        let mut got = Vec::new();
+        let arrival = b.on_data_into(0, 1, 0, 1, 30, &mut got);
+        assert_eq!(got, (1..=8).collect::<Vec<_>>());
+        assert_eq!(
+            (arrival.ack, arrival.ack_now, arrival.gap),
+            (8, false, None)
+        );
+    }
+
+    #[test]
+    fn two_losses_in_one_window_are_repaired_without_the_timer() {
+        let mut a: ReliableSet<u64> = ReliableSet::new(CFG);
+        let mut b: ReliableSet<u64> = ReliableSet::new(CFG);
+        burst(&mut a, 8);
+        // Frames 3 and 6 are lost.
+        for (seq, repaired) in [(1, vec![]), (2, vec![]), (4, vec![3]), (5, vec![])] {
+            assert_eq!(arrive(&mut a, &mut b, seq, 10), repaired, "seq {seq}");
+        }
+        for seq in [7, 8] {
+            assert_eq!(arrive(&mut a, &mut b, seq, 11), [], "6 is not below gap 4");
+        }
+        // The repair of 3 arrives in order and releases 4 and 5 — but 7 and
+        // 8 stay parked, so it is acked at once and names the second gap.
+        let mut got = Vec::new();
+        let arrival = b.on_data_into(0, 3, 0, 3, 20, &mut got);
+        assert_eq!(got, [3, 4, 5]);
+        assert_eq!(
+            (arrival.ack, arrival.ack_now, arrival.gap),
+            (5, true, Some(7))
+        );
+        // One pure ack per arrival: the immediate one settled the link.
+        b.acks_due(|_, _| panic!("the gap ack was the arrival's ack"));
+        assert_eq!(b.metrics.acks_sent, 5);
+        let mut out = Vec::new();
+        a.on_gap(1, arrival.ack, arrival.gap, 21, &mut out);
+        assert_eq!(out.iter().map(|f| f.seq).collect::<Vec<_>>(), [6]);
+        assert_eq!(arrive(&mut a, &mut b, 6, 30), []);
+        b.acks_due(|_, ack| a.on_ack(1, ack, 31));
+        assert_eq!(a.unacked_total(), 0);
+        assert_eq!((a.metrics.retransmits, a.metrics.fast_retransmits), (2, 2));
+        assert_eq!(b.metrics.dup_drops, 0);
+    }
+
+    #[test]
+    fn a_duplicates_ack_names_no_gap_and_resends_nothing() {
+        let mut a: ReliableSet<u64> = ReliableSet::new(CFG);
+        let mut b: ReliableSet<u64> = ReliableSet::new(CFG);
+        burst(&mut a, 4);
+        let mut got = Vec::new();
+        // 3 is missing and 4 parked — its gap ack never reaches the sender.
+        for seq in [1, 2, 4] {
+            b.on_data_into(0, seq, 0, seq, 10, &mut got);
+        }
+        // Spurious copies, of a delivered frame and of the parked one, are
+        // acked at once but say nothing about the gap.
+        for seq in [2, 4] {
+            let arrival = b.on_data_into(0, seq, 0, seq, 11, &mut got);
+            assert_eq!(
+                (arrival.dup, arrival.ack, arrival.ack_now, arrival.gap),
+                (true, 2, true, None)
+            );
+            let mut out = Vec::new();
+            a.on_gap(1, arrival.ack, arrival.gap, 12, &mut out);
+            assert!(out.is_empty(), "a copy provoked a copy");
+        }
+        assert_eq!((a.unacked_total(), a.metrics.retransmits), (2, 0));
+    }
+
+    #[test]
+    fn a_fast_retransmitted_frame_never_feeds_the_estimator() {
+        let mut a: ReliableSet<u64> = ReliableSet::new(ADAPTIVE);
+        let mut now = 0u64;
+        let h0 = round_trip(&mut a, &mut now, 1_000);
+        let _ = a.send(1, 2, now); // seq 2: lost
+        let _ = a.send(1, 3, now); // seq 3: arrives, parks, names the gap
+        let mut out = Vec::new();
+        a.on_gap(1, 1, Some(3), now + 1_000, &mut out);
+        assert_eq!(out.len(), 1);
+        // The ack for the repair is ambiguous about which copy it answers.
+        a.on_ack(1, 2, now + 1_000_000);
+        let h1 = a.peer_health(1).unwrap();
+        assert_eq!(
+            (h1.srtt, h1.rttvar, h1.rto, h1.unacked),
+            (h0.srtt, h0.rttvar, h0.rto, 1)
+        );
+    }
+
+    #[test]
+    fn a_lost_repair_is_the_timers_one_rto_after_the_repair() {
+        let mut a: ReliableSet<u64> = ReliableSet::new(CFG);
+        burst(&mut a, 2);
+        assert_eq!(a.next_deadline(), Some(100));
+        // The repair carries whatever ack the link owes, like any data frame.
+        assert_eq!(a.on_data(1, 1, 0, 9, 50).deliver, [9]);
+        let mut out = Vec::new();
+        a.on_gap(1, 0, Some(2), 60, &mut out);
+        assert_eq!((out.len(), out[0].ack), (1, 1));
+        a.acks_due(|_, _| panic!("the repair carried the ack"));
+        // The timer that was about to fire does not re-send the window right
+        // behind the repair...
+        assert_eq!(a.next_deadline(), Some(160));
+        // ...a repeated signal does not push it out again...
+        a.on_gap(1, 0, Some(2), 90, &mut out);
+        assert_eq!((out.len(), a.next_deadline()), (1, Some(160)));
+        assert!(a.tick(100).is_empty());
+        // ...and it is what recovers the repair if that is lost too.
+        let seqs: Vec<u64> = a.tick(160).iter().map(|f| f.seq).collect();
+        assert_eq!(seqs, [1, 2]);
+        assert_eq!((a.metrics.retransmits, a.metrics.fast_retransmits), (3, 1));
+
+        // The restart uses the base RTO and leaves the backoff alone: one
+        // silent round on the books stays on the books.
+        let _ = a.send(1, 3, 170); // 1 and 2 are marked, 3 is fresh
+        let _ = a.send(1, 4, 170);
+        assert_eq!(a.peer_health(1).unwrap().silent_rounds, 1);
+        assert_eq!(a.next_deadline(), Some(160 + 200));
+        out.clear();
+        a.on_gap(1, 0, Some(4), 200, &mut out);
+        assert_eq!(out.iter().map(|f| f.seq).collect::<Vec<_>>(), [3]);
+        assert_eq!(a.next_deadline(), Some(200 + CFG.rto));
+        assert_eq!(a.peer_health(1).unwrap().silent_rounds, 1);
+    }
+
+    #[test]
+    fn stale_and_out_of_range_gaps_are_ignored_after_the_ack_is_applied() {
+        let mut a: ReliableSet<u64> = ReliableSet::new(CFG);
+        burst(&mut a, 4);
+        a.on_ack(1, 1, 5); // retained: 2, 3, 4
+        let mut out = Vec::new();
+        // Beyond what the link has sent; at or below `cum + 1`.
+        for (cum, gap) in [(1, 5), (1, u64::MAX), (1, 2), (1, 1), (1, 0)] {
+            a.on_gap(1, cum, Some(gap), 10, &mut out);
+            assert!(out.is_empty(), "({cum}, {gap}) re-sent {out:?}");
+            assert_eq!(a.unacked_total(), 3);
+        }
+        // A link that never carried traffic, and one torn down since.
+        a.on_gap(7, 0, Some(3), 10, &mut out);
+        let mut c: ReliableSet<u64> = ReliableSet::new(CFG);
+        burst(&mut c, 4);
+        assert_eq!(c.reset_peer(1).len(), 4);
+        c.on_gap(1, 1, Some(4), 10, &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        // A cumulative ack older than the link's: only what is still
+        // retained is in range.
+        a.on_gap(1, 0, Some(3), 10, &mut out);
+        assert_eq!(out.iter().map(|f| f.seq).collect::<Vec<_>>(), [2]);
+        // The ack part is applied even when the gap part is nonsense.
+        a.on_gap(1, 3, Some(2), 11, &mut out);
+        assert_eq!((out.len(), a.unacked_total()), (1, 1));
+        a.on_gap(1, u64::MAX, Some(u64::MAX), 12, &mut out);
+        assert_eq!((out.len(), a.unacked_total()), (1, 0));
+        assert_eq!(a.metrics.retransmits, 1);
+    }
+
     #[test]
     fn ack_progress_resets_backoff() {
         let mut a: ReliableSet<u32> = ReliableSet::new(CFG);
@@ -648,20 +911,43 @@ pub(super) mod tests {
     #[derive(Clone)]
     enum Pkt {
         Data { seq: u64, ack: u64, m: u64 },
-        Ack(u64),
+        Ack(u64, Option<u64>),
     }
 
     /// The faulty medium of the property tests (here and in `link.rs`):
-    /// `(drop, duplicate, reorder)` rates in percent.
+    /// `(drop, duplicate, reorder)` rates in percent, and how many packets
+    /// it has dropped and how many it has let a later one overtake so far.
     pub(in crate::cluster) struct Net {
         pub rng: SplitMix64,
         pub faults: (u64, u64, u64),
+        pub dropped: u64,
+        pub overtaken: u64,
     }
 
     impl Net {
+        pub fn new(seed: u64, faults: (u64, u64, u64)) -> Net {
+            Net {
+                rng: SplitMix64::new(seed),
+                faults,
+                dropped: 0,
+                overtaken: 0,
+            }
+        }
+
+        /// The fault rates of generated schedule `n`: every third lossless,
+        /// every third drop-only, every third mixed.
+        pub fn schedule(rng: &mut SplitMix64, n: u64) -> (u64, u64, u64) {
+            match n % 3 {
+                0 => (0, 0, 0),
+                1 => (1 + rng.below(29), 0, 0),
+                _ => (rng.below(30), rng.below(30), rng.below(30)),
+            }
+        }
+
         pub fn ship<P: Clone>(&mut self, wire: &mut VecDeque<P>, p: P) {
             let (drop, dup, reorder) = self.faults;
             if self.rng.below(100) < drop {
+                self.dropped += 1;
                 return;
             }
             for _ in 0..1 + u64::from(self.rng.below(100) < dup) {
@@ -670,6 +956,7 @@ pub(super) mod tests {
                 } else {
                     wire.len()
                 };
+                self.overtaken += (wire.len() - at) as u64;
                 wire.insert(at, p.clone());
             }
         }
@@ -712,18 +999,26 @@ pub(super) mod tests {
                 self.batches += 1;
                 for _ in 0..net.rng.range(1, self.inbox.len() as u64 + 1) {
                     match self.inbox.pop_front().unwrap() {
-                        Pkt::Ack(ack) => self.set.on_ack(peer, ack, now),
+                        Pkt::Ack(ack, gap) => {
+                            let mut repairs = Vec::new();
+                            self.set.on_gap(peer, ack, gap, now, &mut repairs);
+                            for f in repairs {
+                                assert!(ack < f.seq && f.seq < gap.unwrap(), "named missing");
+                                let (seq, ack, m) = (f.seq, f.ack, f.m);
+                                net.ship(out, Pkt::Data { seq, ack, m });
+                            }
+                        }
                         Pkt::Data { seq, ack, m } => {
                             let before = self.got.len();
                             let got = &mut self.got;
                             let arr = self.set.on_data_into(peer, seq, ack, m, now, got);
-                            let in_order = seq == before as u64 + 1;
-                            assert_eq!(arr.ack_now, !in_order, "immediate iff dup or parked");
                             assert_eq!(arr.ack, self.got.len() as u64);
+                            assert_eq!(arr.dup, self.got.len() == before && arr.gap.is_none());
+                            assert_eq!(arr.ack_now, arr.dup || arr.gap.is_some());
+                            assert!(arr.gap.is_none_or(|gap| gap > arr.ack + 1));
                             if arr.ack_now {
-                                assert_eq!(self.got.len(), before);
                                 self.pure_acks += 1;
-                                net.ship(out, Pkt::Ack(arr.ack));
+                                net.ship(out, Pkt::Ack(arr.ack, arr.gap));
                             }
                         }
                     }
@@ -735,7 +1030,7 @@ pub(super) mod tests {
                 self.set.acks_due(|to, ack| {
                     assert_eq!(to, peer);
                     due += 1;
-                    net.ship(out, Pkt::Ack(ack));
+                    net.ship(out, Pkt::Ack(ack, None));
                 });
                 assert!(due <= 1, "one pure ack per peer per batch");
                 self.pure_acks += due;
@@ -755,17 +1050,10 @@ pub(super) mod tests {
     #[test]
     fn ack_rule_holds_under_generated_schedules() {
         let mut rng = SplitMix64::new(0xACED);
-        let (mut lossy_retx, mut lossy_dups) = (0, 0);
+        let (mut lossy_retx, mut lossy_fast, mut lossy_dups) = (0, 0, 0);
         for schedule in 0..240u64 {
-            // Every third schedule is lossless.
-            let faults = match schedule % 3 {
-                0 => (0, 0, 0),
-                _ => (rng.below(30), rng.below(30), rng.below(30)),
-            };
-            let mut net = Net {
-                rng: SplitMix64::new(rng.next_u64()),
-                faults,
-            };
+            let faults = Net::schedule(&mut rng, schedule);
+            let mut net = Net::new(rng.next_u64(), faults);
             let mut sides = [0, 1].map(|_| Side {
                 set: ReliableSet::new(CFG),
                 inbox: VecDeque::new(),
@@ -810,8 +1098,22 @@ pub(super) mod tests {
                     lossy_dups += m.dup_drops;
                 }
             }
+            // Every gap-signalled copy answers a frame the medium really
+            // dropped or let a later one overtake: without reordering no
+            // fast retransmit is spurious, and none is ever repeated.
+            let fast: u64 = sides.iter().map(|s| s.set.metrics.fast_retransmits).sum();
+            assert!(
+                fast <= net.dropped + net.overtaken,
+                "schedule {schedule} {faults:?}: {fast} fast retransmits for {} drops, {} overtaken",
+                net.dropped,
+                net.overtaken
+            );
+            lossy_fast += fast;
         }
-        assert!(lossy_retx > 0 && lossy_dups > 0, "the faults must bite");
+        assert!(
+            lossy_retx > lossy_fast && lossy_fast > 0 && lossy_dups > 0,
+            "the faults must bite, and both recovery paths must run"
+        );
     }
 
     /// Drive one send/ack round trip with the given RTT and return the

@@ -40,8 +40,14 @@ enum InFlight {
         transmission: SimDuration,
         wire_bytes: usize,
     },
-    /// A pure cumulative ack of the reliability layer (chaos mode only).
-    Ack { src: usize, dst: usize, ack: u64 },
+    /// A pure cumulative ack of the reliability layer, naming the gap behind
+    /// it if frames are parked (chaos mode only).
+    Ack {
+        src: usize,
+        dst: usize,
+        ack: u64,
+        gap: Option<u64>,
+    },
     /// Periodic retransmission-timer sweep (chaos mode only).
     RetxTick,
 }
@@ -200,11 +206,13 @@ impl SimTransport {
                 transmission,
                 wire_bytes,
             } => self.handle_frame(arrival, msg, rel, transmission, wire_bytes),
-            InFlight::Ack { src, dst, ack } => {
-                if let Some(chaos) = &mut self.chaos {
-                    if let Some(rel) = chaos.rel.get_mut(dst) {
-                        rel.on_ack(src as u32, ack, arrival.as_nanos());
-                    }
+            InFlight::Ack { src, dst, ack, gap } => {
+                let mut repairs = Vec::new();
+                if let Some(rel) = self.chaos.as_mut().and_then(|c| c.rel.get_mut(dst)) {
+                    rel.on_gap(src as u32, ack, gap, arrival.as_nanos(), &mut repairs);
+                }
+                for f in repairs {
+                    self.schedule_frame(dst, f.m, Some((f.seq, f.ack)), false, arrival);
                 }
             }
             InFlight::RetxTick => self.handle_retx_tick(arrival),
@@ -229,20 +237,22 @@ impl SimTransport {
             return; // misaddressed message: dropped (and counted)
         }
         let src = msg.src.index();
+        let mut ack_now = None;
         let deliverable = match (rel, &mut self.chaos) {
             (Some((seq, ack)), Some(chaos)) => {
                 let out = chaos.rel[dst].on_data(src as u32, seq, ack, msg, arrival.as_nanos());
-                if out.ack_now {
-                    // Duplicate or out of order: the cumulative ack travels
-                    // back at once, over the (faulty) fabric.
-                    self.schedule_ack(dst, src, out.ack);
-                }
+                ack_now = out.ack_now.then_some((out.ack, out.gap));
                 out.deliver
             }
             _ => vec![msg],
         };
         for m in deliverable {
             self.deliver_and_charge(arrival, m, transmission, wire_bytes);
+        }
+        if let Some((ack, gap)) = ack_now {
+            // A duplicate, or frames parked behind a gap: the cumulative ack
+            // travels back at once, over the (faulty) fabric.
+            self.schedule_ack(dst, src, ack, gap);
         }
         // End of the event: what the deliveries posted has departed (and
         // piggybacked the ack where it went back to `src`); a link still
@@ -252,7 +262,7 @@ impl SimTransport {
             chaos.rel[dst].acks_due(|peer, ack| due.push((peer as usize, ack)));
         }
         for (peer, ack) in due {
-            self.schedule_ack(dst, peer, ack);
+            self.schedule_ack(dst, peer, ack, None);
         }
     }
 
@@ -289,7 +299,7 @@ impl SimTransport {
     }
 
     /// Send a pure cumulative ack `from → to` through the chaos engine.
-    fn schedule_ack(&mut self, from: usize, to: usize, ack: u64) {
+    fn schedule_ack(&mut self, from: usize, to: usize, ack: u64, gap: Option<u64>) {
         let Some(chaos) = &mut self.chaos else {
             return;
         };
@@ -311,6 +321,7 @@ impl SimTransport {
                     src: from,
                     dst: to,
                     ack,
+                    gap,
                 },
             );
         }

@@ -86,10 +86,10 @@ pub const TAG_LINK_RESET: u64 = 109;
 
 /// HELLO magic ("TCN1").
 pub const HELLO_MAGIC: u32 = 0x5443_4E31;
-/// Session protocol version.  2: the WELCOME body lost its optimisation-level
-/// byte — a version-1 server must be refused at HELLO, not fed a body it
-/// would misparse.
-pub const PROTO_VERSION: u32 = 2;
+/// Session protocol version.  3: a [`wire::TAG_ACK`] body may carry a second
+/// `u64` and [`TAG_REL_INFO`] grew one — an older server must be refused at
+/// HELLO, not fed bodies it would reject one by one.
+pub const PROTO_VERSION: u32 = 3;
 /// HELLO rank value meaning "assign me one".
 pub const RANK_ANY: u32 = u32::MAX;
 /// `from`/`to` value of the driver itself (it is not a rank).
@@ -245,13 +245,14 @@ pub fn most_stressed(health: impl IntoIterator<Item = LinkHealth>) -> Option<Lin
         .max_by_key(|h| (h.unacked, h.rto, h.peer))
 }
 
-/// Encode a [`TAG_REL_INFO`] body (104 bytes: 13 little-endian u64 fields).
+/// Encode a [`TAG_REL_INFO`] body (112 bytes: 14 little-endian u64 fields).
 pub fn encode_rel_info(info: &RelInfo) -> Vec<u8> {
     let h = info.health.unwrap_or_default();
     let fields = [
         info.unacked,
         info.remaining_ns,
         info.metrics.retransmits,
+        info.metrics.fast_retransmits,
         info.metrics.dup_drops,
         info.metrics.out_of_order,
         info.metrics.acks_sent,
@@ -263,7 +264,7 @@ pub fn encode_rel_info(info: &RelInfo) -> Vec<u8> {
         h.unacked,
         h.silent_rounds as u64,
     ];
-    let mut out = Vec::with_capacity(104);
+    let mut out = Vec::with_capacity(112);
     for f in fields {
         out.extend_from_slice(&f.to_le_bytes());
     }
@@ -272,29 +273,30 @@ pub fn encode_rel_info(info: &RelInfo) -> Vec<u8> {
 
 /// Decode a [`TAG_REL_INFO`] body.
 pub fn decode_rel_info(body: &[u8]) -> Result<RelInfo> {
-    if body.len() != 104 {
+    if body.len() != 112 {
         return Err(CoreError::Transport(format!(
-            "REL_INFO must be 104 bytes, got {}",
+            "REL_INFO must be 112 bytes, got {}",
             body.len()
         )));
     }
     let f = |i: usize| u64::from_le_bytes(body[i * 8..i * 8 + 8].try_into().unwrap());
-    let health = (f(6) != 0).then(|| LinkHealth {
-        peer: f(7) as u32,
-        srtt: f(8),
-        rttvar: f(9),
-        rto: f(10),
-        unacked: f(11),
-        silent_rounds: f(12) as u32,
+    let health = (f(7) != 0).then(|| LinkHealth {
+        peer: f(8) as u32,
+        srtt: f(9),
+        rttvar: f(10),
+        rto: f(11),
+        unacked: f(12),
+        silent_rounds: f(13) as u32,
     });
     Ok(RelInfo {
         unacked: f(0),
         remaining_ns: f(1),
         metrics: RelMetrics {
             retransmits: f(2),
-            dup_drops: f(3),
-            out_of_order: f(4),
-            acks_sent: f(5),
+            fast_retransmits: f(3),
+            dup_drops: f(4),
+            out_of_order: f(5),
+            acks_sent: f(6),
         },
         health,
     })
@@ -1636,14 +1638,17 @@ mod tests {
         let mut bad = encode_hello(1);
         bad[0] ^= 0xFF;
         assert!(decode_hello(&bad).is_err());
-        // A server binary from before the WELCOME lost its optimisation-level
-        // byte speaks version 1: refused here, not fed a body it misparses.
-        let mut stale = encode_hello(1);
-        stale[4..8].copy_from_slice(&1u32.to_le_bytes());
-        assert!(matches!(
-            decode_hello(&stale),
-            Err(CoreError::Transport(m)) if m.contains("protocol version 1")
-        ));
+        // A server binary of an earlier protocol (1: an optimisation-level
+        // byte in the WELCOME; 2: 8-byte acks only) is refused here, not fed
+        // bodies it misparses.
+        for version in [1u32, 2] {
+            let mut stale = encode_hello(1);
+            stale[4..8].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                decode_hello(&stale),
+                Err(CoreError::Transport(m)) if m.contains(&format!("protocol version {version},"))
+            ));
+        }
 
         let w = Welcome {
             clients: 2,
@@ -1710,6 +1715,7 @@ mod tests {
             remaining_ns: 1_000_000,
             metrics: RelMetrics {
                 retransmits: 5,
+                fast_retransmits: 4,
                 dup_drops: 2,
                 out_of_order: 1,
                 acks_sent: 9,

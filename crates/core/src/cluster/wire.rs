@@ -47,8 +47,9 @@ pub const TAG_ERROR: u64 = 8;
 /// a [`TAG_OP`] envelope carries.  Used instead of [`TAG_OP`] when a fault
 /// plan is installed.
 pub const TAG_ROP: u64 = 9;
-/// Envelope tag: a pure cumulative ack (`[ack u64]`) for the reliable
-/// delivery layer.
+/// Envelope tag: a pure cumulative ack for the reliable delivery layer —
+/// `[ack u64]`, or `[ack u64][gap u64]` when frames are parked behind a gap
+/// (see [`super::reliable::Arrival::gap`]).
 pub const TAG_ACK: u64 = 10;
 
 /// Size of the `[seq][ack]` reliability prefix of a [`TAG_ROP`] data
@@ -83,25 +84,30 @@ pub fn decode_rel_head(bytes: &Bytes) -> Result<(u64, u64, Bytes)> {
     Ok((seq, ack, bytes.slice(REL_HEAD_LEN..)))
 }
 
-/// Encode a pure cumulative ack for a [`TAG_ACK`] envelope (a pooled
-/// buffer: steady-state acks allocate nothing).
-pub fn encode_ack(ack: u64) -> Bytes {
+/// Encode a pure cumulative ack, and the gap it names if any, for a
+/// [`TAG_ACK`] envelope (a pooled buffer: steady-state acks allocate
+/// nothing).
+pub fn encode_ack(ack: u64, gap: Option<u64>) -> Bytes {
     tc_ucx::bytes::with_pool(|pool| {
-        let mut out = pool.acquire(8);
+        let mut out = pool.acquire(if gap.is_some() { 16 } else { 8 });
         out.put_u64_le(ack);
+        if let Some(gap) = gap {
+            out.put_u64_le(gap);
+        }
         out.freeze(pool)
     })
 }
 
-/// Decode a [`TAG_ACK`] payload.
-pub fn decode_ack(bytes: &[u8]) -> Result<u64> {
-    if bytes.len() != 8 {
-        return Err(CoreError::Transport(format!(
-            "ack envelope must be 8 bytes, got {}",
-            bytes.len()
-        )));
+/// Decode a [`TAG_ACK`] payload into `(ack, gap)`.
+pub fn decode_ack(bytes: &[u8]) -> Result<(u64, Option<u64>)> {
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    match bytes.len() {
+        8 => Ok((word(0), None)),
+        16 => Ok((word(0), Some(word(8)))),
+        other => Err(CoreError::Transport(format!(
+            "ack envelope must be 8 or 16 bytes, got {other}"
+        ))),
     }
-    Ok(u64::from_le_bytes(bytes[0..8].try_into().unwrap()))
 }
 
 const OP_PUT: u8 = 0;
@@ -674,9 +680,15 @@ mod tests {
 
     #[test]
     fn ack_codec_roundtrips() {
-        assert_eq!(decode_ack(&encode_ack(42)).unwrap(), 42);
-        assert!(decode_ack(&[1, 2, 3]).is_err());
-        assert!(decode_ack(&[0; 9]).is_err());
+        assert_eq!(decode_ack(&encode_ack(42, None)).unwrap(), (42, None));
+        assert_eq!(encode_ack(42, None).len(), 8);
+        assert_eq!(
+            decode_ack(&encode_ack(42, Some(45))).unwrap(),
+            (42, Some(45))
+        );
+        for len in [0, 3, 7, 9, 15, 17, 24] {
+            assert!(decode_ack(&vec![0; len]).is_err(), "{len} bytes");
+        }
     }
 
     #[test]

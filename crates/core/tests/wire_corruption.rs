@@ -220,6 +220,35 @@ fn control_plane_codecs_reject_garbage() {
     assert!(wire::decode_stats(&[0; 87]).is_err());
     assert!(wire::decode_ack(&[0; 7]).is_err());
     assert!(wire::decode_rel_head(&Bytes::from(vec![0u8; 15])).is_err());
+
+    // An ack body is 8 bytes, or 16 when it names a gap: every other
+    // truncation is an error, and a flipped bit is at worst another ack.
+    let ack = wire::encode_ack(0x0102_0304_0506_0708, Some(0x1112_1314_1516_1718));
+    assert_eq!(ack.len(), 16);
+    let ok = truncation_sweep(&ack, |b| wire::decode_ack(b).is_ok());
+    assert_eq!(ok, 1, "only the 8-byte prefix is an ack");
+    assert_eq!(
+        wire::decode_ack(&ack[..8]).unwrap(),
+        (0x0102_0304_0506_0708, None)
+    );
+    // ...which the reliable layer bounds before it indexes anything: a
+    // corrupt `(cum, gap)` re-sends at most the four frames retained, once.
+    let cfg = tc_core::RelConfig::sim_default();
+    let mut rel: tc_core::cluster::reliable::ReliableSet<u8> =
+        tc_core::cluster::reliable::ReliableSet::new(cfg);
+    for m in 0..4 {
+        rel.send(1, m, 0);
+    }
+    let mut resent = Vec::new();
+    for _ in 0..200 {
+        let mut bad = ack.to_vec();
+        bad[rng.below(16) as usize] = rng.next_u64() as u8;
+        let (cum, gap) = wire::decode_ack(&bad).expect("only the length can be wrong");
+        assert!(gap.is_some());
+        rel.on_gap(1, cum, gap, 1, &mut resent);
+        rel.on_gap(1, rng.below(6), Some(rng.below(8)), 1, &mut resent);
+    }
+    assert!(resent.len() <= 4, "{resent:?}");
 }
 
 /// The socket backend adds one more decode layer beneath everything above:

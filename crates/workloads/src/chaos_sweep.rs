@@ -65,6 +65,8 @@ pub struct ChaosSweepRow {
     pub faults_injected: u64,
     /// Messages re-sent by the reliability layer.
     pub retransmits: u64,
+    /// The retransmits that left on a gap signal instead of a timeout.
+    pub fast_retransmits: u64,
     /// Duplicate arrivals dropped by receiver-side dedup.
     pub dup_drops: u64,
     /// Wall-clock time of the run in milliseconds.
@@ -139,6 +141,7 @@ pub fn run_chaos_point(backend: Backend, drop_rate: f64, cfg: &ChaosSweepConfig)
         messages_delivered: metrics.messages_delivered,
         faults_injected: metrics.faults_injected,
         retransmits: metrics.retransmits,
+        fast_retransmits: metrics.fast_retransmits,
         dup_drops: metrics.dup_drops,
         elapsed_ms,
         per_node,
@@ -175,7 +178,7 @@ mod tests {
         let row = run_chaos_point(Backend::Simnet, 0.15, &cfg);
         assert!(row.exact, "reliability must keep the sweep exact: {row:?}");
         assert!(row.faults_injected > 0);
-        assert!(row.retransmits > 0);
+        assert!(row.retransmits >= row.fast_retransmits && row.fast_retransmits > 0);
         assert_eq!(row.per_node.len(), 3);
         assert!(row.per_node[1..].iter().all(|n| n.ifuncs_executed == 20));
     }

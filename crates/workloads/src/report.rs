@@ -154,17 +154,26 @@ pub fn render_chaos_table(title: &str, rows: &[ChaosSweepRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!("{title}\n"));
     out.push_str(&format!(
-        "{:<10} {:>7} {:>11} {:>8} {:>12} {:>10} {:>10} {:>8}\n",
-        "Backend", "Drop", "Delivered", "Faults", "Retransmits", "DupDrops", "Elapsed", "Result"
+        "{:<10} {:>7} {:>11} {:>8} {:>12} {:>9} {:>10} {:>10} {:>8}\n",
+        "Backend",
+        "Drop",
+        "Delivered",
+        "Faults",
+        "Retransmits",
+        "FastRetx",
+        "DupDrops",
+        "Elapsed",
+        "Result"
     ));
     for r in rows {
         out.push_str(&format!(
-            "{:<10} {:>6.1}% {:>11} {:>8} {:>12} {:>10} {:>7.1}ms {:>8}\n",
+            "{:<10} {:>6.1}% {:>11} {:>8} {:>12} {:>9} {:>10} {:>7.1}ms {:>8}\n",
             r.backend,
             r.drop_rate * 100.0,
             r.messages_delivered,
             r.faults_injected,
             r.retransmits,
+            r.fast_retransmits,
             r.dup_drops,
             r.elapsed_ms,
             if r.exact { "exact" } else { "LOST" },
@@ -219,8 +228,8 @@ pub fn render_chaos_nodes(row: &ChaosSweepRow) -> String {
         row.drop_rate * 100.0
     ));
     out.push_str(&format!(
-        "{:<8} {:>12} {:>10} {:>12} {:>10} {:>8}\n",
-        "Rank", "Retransmits", "DupDrops", "OutOfOrder", "AcksSent", "Ifuncs"
+        "{:<8} {:>12} {:>9} {:>10} {:>12} {:>10} {:>8}\n",
+        "Rank", "Retransmits", "FastRetx", "DupDrops", "OutOfOrder", "AcksSent", "Ifuncs"
     ));
     for n in &row.per_node {
         let name = if n.rank == 0 {
@@ -229,9 +238,10 @@ pub fn render_chaos_nodes(row: &ChaosSweepRow) -> String {
             format!("srv {}", n.rank)
         };
         out.push_str(&format!(
-            "{:<8} {:>12} {:>10} {:>12} {:>10} {:>8}\n",
+            "{:<8} {:>12} {:>9} {:>10} {:>12} {:>10} {:>8}\n",
             name,
             n.rel.retransmits,
+            n.rel.fast_retransmits,
             n.rel.dup_drops,
             n.rel.out_of_order,
             n.rel.acks_sent,
@@ -344,6 +354,7 @@ mod tests {
             messages_delivered: 123,
             faults_injected: 17,
             retransmits: 9,
+            fast_retransmits: 6,
             dup_drops: 4,
             elapsed_ms: 2.5,
             per_node: vec![
@@ -351,6 +362,7 @@ mod tests {
                     rank: 0,
                     rel: tc_core::RelMetrics {
                         retransmits: 9,
+                        fast_retransmits: 6,
                         dup_drops: 0,
                         out_of_order: 2,
                         acks_sent: 0,
@@ -361,6 +373,7 @@ mod tests {
                     rank: 1,
                     rel: tc_core::RelMetrics {
                         retransmits: 0,
+                        fast_retransmits: 0,
                         dup_drops: 4,
                         out_of_order: 1,
                         acks_sent: 40,
@@ -374,10 +387,12 @@ mod tests {
         assert!(table.contains("5.0%"));
         assert!(table.contains("exact"));
         assert!(table.contains("17"));
+        assert!(table.contains("FastRetx") && table.contains(" 6 "));
         let nodes = render_chaos_nodes(&row);
         assert!(nodes.contains("client"));
         assert!(nodes.contains("srv 1"));
         assert!(nodes.contains("25"));
         assert!(nodes.contains("40"));
+        assert!(nodes.contains("FastRetx") && nodes.contains(" 6 "));
     }
 }

@@ -323,6 +323,84 @@ fn heavy_drop_rate_still_exactly_once_on_sim() {
     assert!(m.faults_injected > 0);
 }
 
+/// Loss recovery costs a round trip, not a timeout: 2 000 windowed GETs
+/// under 1 % drops with an RTO no run can afford to wait for.  The receiver
+/// names the gap behind every loss that has traffic behind it and the sender
+/// repairs it at once, on every backend by the same rule; the timer is left
+/// with the losses no gap can signal (the last frame of a window, a repair).
+#[test]
+fn a_lost_frame_is_repaired_on_the_gap_signal_not_the_timer() {
+    const OPS: usize = 2_000;
+    const WINDOW: usize = 16;
+    const LEN: usize = 1024;
+    let patient = tc_core::RelConfig {
+        rto: 50_000_000,
+        rto_max: 400_000_000,
+        adaptive: true,
+    };
+    let image: Vec<u8> = (0..WINDOW * LEN).map(|i| ((i * 31) >> 3) as u8).collect();
+    for backend in [Backend::Simnet, Backend::Threads, Backend::Socket] {
+        let mut cluster = ClusterBuilder::new()
+            .platform(tc_simnet::Platform::thor_bf2())
+            .servers(1)
+            .fault_plan(FaultPlan::seeded(0xFA57).drop_rate(0.01))
+            .rel_config(patient)
+            .server_bin(env!("CARGO_BIN_EXE_tc-socket-server"))
+            .build(backend);
+        cluster.write_memory(1, DATA_REGION_BASE, &image).unwrap();
+        let start = std::time::Instant::now();
+        for _ in 0..OPS / WINDOW {
+            let handles: Vec<_> = (0..WINDOW)
+                .map(|i| cluster.post_get(1, DATA_REGION_BASE + (i * LEN) as u64, LEN as u64))
+                .collect();
+            cluster.flush().unwrap();
+            for (i, h) in handles.iter().enumerate() {
+                let data = cluster.wait(h).unwrap();
+                assert_eq!(data, image[i * LEN..][..LEN], "{backend}: GET {i}");
+            }
+        }
+        let (elapsed, virtual_ns) = (start.elapsed(), cluster.transport().now_nanos());
+        cluster.run_until_idle(10_000_000).unwrap();
+        let m = cluster.metrics();
+        assert!(
+            m.faults_injected > 0,
+            "{backend}: the plan must drop frames"
+        );
+        assert!(
+            m.fast_retransmits > 0 && m.retransmits >= m.fast_retransmits,
+            "{backend}: {m:?}"
+        );
+        assert!(
+            m.retransmits <= 2 * m.faults_injected,
+            "{backend}: {} frames re-sent for {} faults",
+            m.retransmits,
+            m.faults_injected
+        );
+        if backend == Backend::Simnet {
+            // Deterministic: a change to the rule shows up here as a diff.
+            assert_eq!(
+                (
+                    virtual_ns,
+                    m.faults_injected,
+                    m.retransmits,
+                    m.fast_retransmits
+                ),
+                (52_639_632, 59, 34, 33)
+            );
+        } else {
+            // One timer round per fault is what recovery cost before.
+            let timer_rounds =
+                std::time::Duration::from_nanos(patient.rto) * m.faults_injected as u32;
+            assert!(
+                elapsed < timer_rounds / 2,
+                "{backend}: {elapsed:?} for {} faults",
+                m.faults_injected
+            );
+        }
+        cluster.shutdown();
+    }
+}
+
 #[test]
 fn misaddressed_sends_under_chaos_do_not_wedge_either_side() {
     // Reliability must never adopt a message the fabric can only drop
