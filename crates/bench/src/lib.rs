@@ -1,28 +1,28 @@
-//! # tc-bench — benchmarks and paper-reproduction harnesses
+//! # tc-bench — deterministic paper-reproduction binaries
 //!
-//! Two kinds of artefacts live here:
+//! The figure and table specifications below, and three binaries over them
+//! and `tc-workloads`:
 //!
-//! * **Benchmarks** (`benches/`, on the Criterion-style [`crit`] shim)
-//!   measuring the real wall-clock cost of the reproduction's own machinery
-//!   (frame encoding, bitcode encode/decode, JIT compilation, interpretation,
-//!   the cluster simulation) plus the ablations called out in `DESIGN.md`;
-//! * **Reproduction binaries** (`src/bin/repro_tables.rs`,
-//!   `src/bin/repro_figures.rs`) that regenerate every table and figure of
-//!   the paper in *virtual* time on the calibrated simulated testbed:
+//! ```text
+//! cargo run -p tc-bench --release --bin repro_tables  -- all
+//! cargo run -p tc-bench --release --bin repro_figures -- all
+//! cargo run -p tc-bench --release --bin repro_figures -- fig5 --fast
+//! cargo run -p tc-bench --release --bin chaos_sweep   -- --nodes
+//! ```
 //!
-//!   ```text
-//!   cargo run -p tc-bench --release --bin repro_tables  -- all
-//!   cargo run -p tc-bench --release --bin repro_figures -- all
-//!   cargo run -p tc-bench --release --bin repro_figures -- fig5 --fast
-//!   ```
+//! `repro_tables` and `repro_figures` regenerate every table and figure of
+//! the paper in *virtual* time on the calibrated simulated testbed, byte for
+//! byte; `chaos_sweep` runs the TSI workload under a seeded fault plan on
+//! the simulated and threaded backends and exits 1 if delivery is not exact.
+//! `EXPERIMENTS.md` at the repository root holds the paper-vs-reproduction
+//! comparison they produce.
 //!
-//! See `EXPERIMENTS.md` at the repository root for the paper-vs-measured
-//! comparison produced by these harnesses.
+//! No timing harness lives here: wall-clock measurement of the live
+//! backends is `tc-benchmark/` (declared by `BENCHMARK.json`), a package of
+//! its own.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-
-pub mod crit;
 
 use tc_simnet::Platform;
 use tc_workloads::ChaseMode;

@@ -270,6 +270,15 @@ mod tests {
         let size = fat.encoded_size();
         assert!(size > 2000, "archive unexpectedly small: {size}");
         assert!(size < 32 * 1024, "archive unexpectedly large: {size}");
+        // Every extra target is paid for in the uncached frame.
+        let sized = |targets: &[TargetTriple]| {
+            FatBitcode::from_module(&tsi_module(), targets)
+                .unwrap()
+                .encoded_size()
+        };
+        let one = sized(&[TargetTriple::THOR_XEON]);
+        let two = sized(&[TargetTriple::THOR_XEON, TargetTriple::THOR_BF2]);
+        assert!(one < two && two < size, "{one} / {two} / {size}");
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //! this module; they pass on the carrier's `emit(to_rank, tag, data,
 //! payload)` closure, which reaches its fabric, socket or chaos router.
 //!
-//! [`super::SimTransport`] deliberately does not use this module: it is the
-//! oracle the parity suites compare against and keeps un-encoded messages in
-//! virtual time with per-frame cost charging.
+//! [`super::SimTransport`] stays a separate implementation: it is the
+//! reference the parity and chaos suites compare this module against (on
+//! `Link` that would be the code against itself) and charges per-frame cost.
 //!
 //! The scheduling constants of the wall-clock backends that no caller has
 //! ever needed to change live here too; the five that tests and benches do

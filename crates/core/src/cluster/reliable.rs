@@ -87,7 +87,7 @@ impl RelConfig {
     }
 
     /// The same tunables with the estimator disabled (the fixed-RTO
-    /// comparison arm of the reliability-cost benches).
+    /// comparison arm of the chaos suite).
     pub fn fixed(self) -> Self {
         RelConfig {
             adaptive: false,

@@ -469,7 +469,7 @@ impl SimTransport {
             OutcomeKind::IfuncExecutedFirstArrival => {
                 let jit = outcome
                     .jit_bitcode_bytes
-                    .map(|b| cpu.jit_time(b, 1.0))
+                    .map(|b| cpu.jit_time(b))
                     .unwrap_or(SimDuration::ZERO);
                 let load = if outcome.binary_loaded {
                     cpu.binary_load()

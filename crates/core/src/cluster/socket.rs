@@ -489,7 +489,7 @@ pub struct SocketTransport {
     poke_log: std::collections::BTreeMap<(usize, u64), Vec<u8>>,
     /// Connections accepted but not yet through their HELLO (recovery mode).
     rejoining: Vec<Connection>,
-    /// Successful heals, for tests and the recovery bench.
+    /// Successful heals, for tests.
     heals: u64,
     /// WELCOME ingredients, retained for recovery-mode re-handshakes.
     server_triple: TargetTriple,
@@ -1350,7 +1350,7 @@ impl SocketTransport {
     }
 
     /// Number of successful link heals so far (recovery mode) — the hook the
-    /// heal tests and the recovery bench key on.
+    /// heal tests key on.
     pub fn heals(&self) -> u64 {
         self.heals
     }

@@ -341,6 +341,20 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &second));
     }
 
+    /// Archive width is a wire cost, not a JIT cost: intake decodes and
+    /// compiles the host's slice of a five-target archive and nothing else.
+    #[test]
+    fn fat_bitcode_intake_takes_only_the_hosts_slice() {
+        let fat = FatBitcode::from_module_default_targets(&tsi_module("tsi")).unwrap();
+        assert_eq!(fat.entries.len(), 5);
+        let mut jit = OrcJit::new(TargetTriple::THOR_XEON);
+        let module = jit.add_fat_bitcode(&fat, &mut SparseMemory::new()).unwrap();
+        let slice = fat.select(TargetTriple::THOR_XEON).unwrap();
+        assert_eq!(slice.triple, TargetTriple::THOR_XEON);
+        assert_eq!(module.bitcode_size, slice.bitcode.len());
+        assert_eq!(jit.stats().compilations, 1);
+    }
+
     #[test]
     fn execute_entry_runs_the_kernel() {
         let fat = FatBitcode::from_module_default_targets(&tsi_module("tsi")).unwrap();

@@ -5,7 +5,7 @@
 //! (Ookami compute nodes), the Intel Xeon E5-2697A v4 (Thor hosts) and the
 //! Arm Cortex-A72 cores of the BlueField-2 DPU (Thor adapters).  The numbers
 //! are calibrated against the paper's Tables I–III rather than measured from
-//! hardware; see `DESIGN.md` for the substitution rationale.
+//! hardware; `EXPERIMENTS.md` sets the resulting columns beside the paper's.
 
 use crate::time::SimDuration;
 
@@ -88,12 +88,9 @@ impl CpuProfile {
         SimDuration::from_nanos_f64(cycles as f64 / self.clock_ghz)
     }
 
-    /// Predicted JIT compilation time for `bitcode_bytes`, its per-byte term
-    /// scaled by `opt_cost_factor` (1.0 is the calibrated toolchain).
-    pub fn jit_time(&self, bitcode_bytes: usize, opt_cost_factor: f64) -> SimDuration {
-        SimDuration::from_nanos_f64(
-            self.jit_base_ns + self.jit_ns_per_byte * bitcode_bytes as f64 * opt_cost_factor,
-        )
+    /// Predicted JIT compilation time for `bitcode_bytes`.
+    pub fn jit_time(&self, bitcode_bytes: usize) -> SimDuration {
+        SimDuration::from_nanos_f64(self.jit_base_ns + self.jit_ns_per_byte * bitcode_bytes as f64)
     }
 
     /// Dispatch overhead of an Active-Message handler invocation.
@@ -128,9 +125,9 @@ mod tests {
     #[test]
     fn jit_times_match_paper_order() {
         // Table I/II/III: A64FX 6.59 ms, BF2 4.50 ms, Xeon 0.83 ms.
-        let a64fx = CpuProfile::a64fx().jit_time(TSI_SELECTED_BITCODE_BYTES, 1.0);
-        let bf2 = CpuProfile::bf2_cortex_a72().jit_time(TSI_SELECTED_BITCODE_BYTES, 1.0);
-        let xeon = CpuProfile::xeon_e5().jit_time(TSI_SELECTED_BITCODE_BYTES, 1.0);
+        let a64fx = CpuProfile::a64fx().jit_time(TSI_SELECTED_BITCODE_BYTES);
+        let bf2 = CpuProfile::bf2_cortex_a72().jit_time(TSI_SELECTED_BITCODE_BYTES);
+        let xeon = CpuProfile::xeon_e5().jit_time(TSI_SELECTED_BITCODE_BYTES);
         assert!(a64fx > bf2 && bf2 > xeon);
         assert!(
             (a64fx.as_millis_f64() - 6.59).abs() < 0.7,
@@ -160,11 +157,5 @@ mod tests {
             assert!(cpu.uncached_lookup().as_nanos() < 1_000);
             assert!(cpu.binary_load().as_nanos() < 5_000);
         }
-    }
-
-    #[test]
-    fn opt_factor_scales_jit_time() {
-        let cpu = CpuProfile::xeon_e5();
-        assert!(cpu.jit_time(5000, 1.35) > cpu.jit_time(5000, 0.6));
     }
 }

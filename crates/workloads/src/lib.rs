@@ -18,9 +18,9 @@
 //!   message-rate driver);
 //! * [`report`] — text/CSV rendering of tables and figures.
 //!
-//! The `tc-bench` crate wraps these in Criterion benchmarks and in the
-//! `repro_tables` / `repro_figures` binaries that regenerate every table and
-//! figure of the paper.
+//! The `tc-bench` crate wraps these in the `repro_tables` / `repro_figures`
+//! binaries that regenerate every table and figure of the paper, and in
+//! `chaos_sweep`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -16,9 +16,9 @@
 //!   table by windowed GETs *and* runs an independent pointer-chase stream;
 //!   returns every per-client artifact for byte-exact comparison across
 //!   backends and against ground truth;
-//! * [`multi_client_get_burst`] — the aggregate message-rate driver behind
-//!   the `data_plane/clients/{C}` benchmark axis: all clients issue windowed
-//!   GET streams concurrently, round-robin over the servers.
+//! * [`multi_client_get_burst`] — the aggregate message-rate driver: all
+//!   clients issue windowed GET streams concurrently, round-robin over the
+//!   servers.
 
 use crate::kernels::{chaser_module, chaser_payload};
 use crate::pipeline::Window;
@@ -195,9 +195,7 @@ fn chase_all_clients<T: Transport>(
 /// Aggregate GET message-rate driver: every client issues `ops_per_client`
 /// windowed GETs of `len` bytes round-robin over the servers, all streams in
 /// flight concurrently through one merged completion set.  Returns the total
-/// number of completed operations (`ops_per_client × client_count`) — the
-/// quantity the `data_plane/clients/{C}` benchmark axis divides by elapsed
-/// wall time.
+/// number of completed operations (`ops_per_client × client_count`).
 pub fn multi_client_get_burst<T: Transport>(
     cluster: &mut Cluster<T>,
     ops_per_client: usize,

@@ -705,6 +705,86 @@ fn adaptive_estimator_trajectory_is_deterministic_on_sim() {
     );
 }
 
+/// What the RTO estimator buys, decided exactly in virtual time: 2 000
+/// dependent 512 B GETs over links that drop 2 % of frames and delay 20 %,
+/// under three timer regimes.  With a floor below the round trip the
+/// estimator lifts the timeout clear of the delayed acks; pinned at that
+/// floor the timer also fires on frames that were only late (no slower here,
+/// but three times the copies for the receiver to drop).  A fixed timeout
+/// provisioned for the delayed frames repairs exactly the real losses and
+/// waits that long for each one.
+#[test]
+fn adaptive_rto_against_both_fixed_provisionings_is_exact_on_sim() {
+    use tc_core::RelConfig;
+
+    #[derive(Debug)]
+    struct Arm {
+        now: u64,
+        retransmits: u64,
+        dup_drops: u64,
+    }
+    const OPS: usize = 2_000;
+    const LEN: usize = 512;
+    let image: Vec<u8> = (0..4 * LEN).map(|i| ((i * 31) >> 3) as u8).collect();
+    let run = |cfg: RelConfig| {
+        let mut cluster = ClusterBuilder::new()
+            .platform(tc_simnet::Platform::thor_bf2())
+            .servers(2)
+            .fault_plan(FaultPlan::seeded(0x1EC0).drop_rate(0.02).delay_rate(0.2))
+            .rel_config(cfg)
+            .build_sim();
+        for server in 1..=2 {
+            cluster
+                .write_memory(server, DATA_REGION_BASE, &image)
+                .unwrap();
+        }
+        for i in 0..OPS {
+            let at = (i % 4) * LEN;
+            let handle = cluster
+                .get(1 + i % 2, DATA_REGION_BASE + at as u64, LEN as u64)
+                .unwrap();
+            let data = cluster.wait(&handle).unwrap();
+            assert_eq!(data, image[at..][..LEN], "GET {i}");
+        }
+        let m = cluster.metrics();
+        Arm {
+            now: cluster.transport().now_nanos(),
+            retransmits: m.retransmits,
+            dup_drops: m.dup_drops,
+        }
+    };
+
+    let low = RelConfig {
+        rto: 5_000,
+        rto_max: 2_000_000,
+        adaptive: true,
+    };
+    let adaptive = run(low);
+    let fixed_low = run(low.fixed());
+    let fixed_high = run(RelConfig {
+        rto: 500_000,
+        ..low.fixed()
+    });
+    assert_eq!(
+        adaptive.retransmits, fixed_high.retransmits,
+        "the estimator must re-send what a timeout above every delay re-sends"
+    );
+    assert!(
+        fixed_high.now >= 3 * adaptive.now,
+        "{fixed_high:?} {adaptive:?}"
+    );
+    assert!(
+        fixed_low.dup_drops >= 2 * adaptive.dup_drops,
+        "{fixed_low:?} {adaptive:?}"
+    );
+    // Deterministic: a change to the estimator or to `on_gap` shows up here
+    // as a diff.
+    assert_eq!(
+        (adaptive.now, fixed_low.now, fixed_high.now),
+        (15_491_284, 14_631_587, 62_033_558)
+    );
+}
+
 /// Adaptive vs fixed RTO on the threaded backend: with the default adaptive
 /// config the estimator takes real wall-clock samples; with
 /// `RelConfig::fixed()` it must take none and pin the RTO at the floor.

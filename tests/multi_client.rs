@@ -391,7 +391,7 @@ fn result_slot_allocators_are_per_client() {
 }
 
 /// The aggregate burst driver completes every operation for every client
-/// count on both backends (the exact driver behind the bench axis).
+/// count on both backends.
 #[test]
 fn get_burst_scales_across_client_counts_on_both_backends() {
     for backend in [Backend::Simnet, Backend::Threads] {
