@@ -372,15 +372,17 @@ impl ClaimTable {
 ///
 /// Sharding by [`ClientId`] is exact, not probabilistic — every claim key is
 /// qualified by its owning client, so a completion's shard is a direct index
-/// and cross-shard claims cannot exist.  The per-shard mutexes mean a client
-/// worker thread depositing completions contends only with waiters touching
-/// *that* client, never with another client's hot claim path; the shared
+/// and cross-shard claims cannot exist.  The per-shard mutexes mean a
+/// thread depositing completions contends only with waiters touching
+/// *that* client, never with another client's hot claim path (every in-tree
+/// backend now deposits from the driving thread; the table stays safe to
+/// share); the shared
 /// arrival counter keeps `wait_any` first-arrived fairness globally
 /// meaningful even though different shards absorb concurrently.
 ///
 /// Locking discipline: at most one shard lock is held at a time, always
 /// acquired and released within a single method — so there is no lock-order
-/// hazard between shards, and producers (transport worker threads) can never
+/// hazard between shards, and a producer on another thread can never
 /// deadlock against consumers (the user thread driving the wait loops).
 #[derive(Debug)]
 pub struct ClaimShards {

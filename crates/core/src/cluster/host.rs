@@ -35,22 +35,21 @@
 //! # Client ranks
 //!
 //! A client is a rank that also serves (GET replies, result writes,
-//! client-to-client PUTs).  The threaded backend's worker threads and the
-//! socket backend's single driver are carriers over one [`ClientHost`] per
-//! client — behind one mutex each on threads, owned outright by the socket
-//! driver — and [`flush_clients`] is the one worklist that moves what they
-//! post.  The host owns the client-rank rules:
+//! client-to-client PUTs).  The threaded backend's caller (inside `step`,
+//! `control` and `flush_client`) and the socket backend's driver are each
+//! the one carrier of every [`ClientHost`] they own, and [`flush_clients`]
+//! is the one worklist that moves what the clients post.  The host owns the
+//! client-rank rules:
 //!
 //! * **Client-to-client traffic is loopback class**: it never enters a link
 //!   and is never faulted (the simulated backend exempts it too, or the
 //!   chaos schedules diverge).  A self-send is delivered in place; a
-//!   sibling's is handed to the flusher, which delivers it holding the
-//!   destination alone — never two clients at once — and then flushes the
-//!   destination, so what the delivery provokes leaves in the same flush.
-//! * **Take, encode, emit is one step** ([`ClientHost::flush`]), so the
-//!   driver's `flush_client` racing the worker's response flush cannot
-//!   invert same-link wire order (a cached-id ifunc frame ahead of the
-//!   registration frame it needs).
+//!   sibling's is handed to [`flush_clients`], which delivers it in posting
+//!   order and then flushes the destination, so what the delivery provokes
+//!   leaves in the same flush.
+//! * **Take, encode, emit is one step** ([`ClientHost::flush`]), so
+//!   same-link wire order is posting order (a cached-id ifunc frame never
+//!   ahead of the registration frame it needs).
 //! * **A destination beyond the cluster leaves raw**, unretained; the
 //!   carrier counts the fabric drop.
 //! * **Inbound frames pass the link**; a duplicate, or an arrival that
@@ -196,11 +195,6 @@ pub(crate) struct ClientHost {
     clients: u32,
     /// Operations were delivered to the runtime and not polled yet.
     pending: bool,
-    /// Sibling-bound messages no flusher has claimed yet, in posting order.
-    handoff: Vec<OutgoingMessage>,
-    /// A flusher is delivering a batch it took out of `handoff`; later ones
-    /// wait there until it resumes, or they could overtake it.
-    handing_off: bool,
     /// Failures since the carrier last collected them.
     errors: Vec<CoreError>,
 }
@@ -212,8 +206,6 @@ impl ClientHost {
             link,
             clients,
             pending: false,
-            handoff: Vec::new(),
-            handing_off: false,
             errors: Vec::new(),
         }
     }
@@ -281,17 +273,14 @@ impl ClientHost {
     }
 
     /// Poll what is staged and move everything the runtime posted, until it
-    /// posts no more.  Returns the sibling-bound messages the caller must
-    /// [`ClientHost::accept`] into their destinations, in order, before it
-    /// calls again with `resume` — none while another flusher holds an
-    /// earlier batch (that one picks these up when it resumes).
+    /// posts no more.  Returns the sibling-bound messages, in posting order,
+    /// for the caller to [`ClientHost::accept`] into their destinations.
     pub(crate) fn flush(
         &mut self,
-        resume: bool,
         mut emit: impl FnMut(u32, u64, Bytes, Bytes),
     ) -> Vec<OutgoingMessage> {
         let rank = self.runtime.node_id().0;
-        self.handing_off &= !resume;
+        let mut siblings = Vec::new();
         loop {
             if std::mem::take(&mut self.pending) {
                 let failed = self.runtime.poll(usize::MAX).into_iter();
@@ -305,18 +294,14 @@ impl ClientHost {
                 if msg.dst.0 == rank {
                     self.accept(msg);
                 } else if msg.dst.0 < self.clients {
-                    self.handoff.push(msg);
+                    siblings.push(msg);
                 } else {
                     let (tag, data, payload) = self.link.outbound(&msg);
                     emit(msg.dst.0, tag, data, payload);
                 }
             }
         }
-        if self.handing_off {
-            return Vec::new();
-        }
-        self.handing_off = !self.handoff.is_empty();
-        std::mem::take(&mut self.handoff)
+        siblings
     }
 
     /// Close one pass over the carrier's inbound frames (or one idle tick),
@@ -330,34 +315,29 @@ impl ClientHost {
 
 /// Move everything client `origin` posted — and everything its loopback
 /// traffic makes its siblings post — until all of them are quiescent.
-/// `visit(c, f)` runs `f` on client `c`'s host (under its lock, where it has
-/// one) and collects what the visit left for the carrier; `emit(from, to,
-/// tag, data, payload)` puts a frame of client `from` on the wire.
+/// `emit(from, to, tag, data, payload)` puts a frame of client `from` on the
+/// wire; the caller collects the hosts' errors afterwards.
 pub(crate) fn flush_clients(
     origin: usize,
-    mut visit: impl FnMut(usize, &mut dyn FnMut(&mut ClientHost)),
+    hosts: &mut [ClientHost],
     mut emit: impl FnMut(usize, u32, u64, Bytes, Bytes),
 ) {
     let mut dirty = vec![origin];
     while let Some(c) = dirty.pop() {
-        let (mut batch, mut resume) = (Vec::new(), false);
-        loop {
-            visit(c, &mut |host| {
-                let emit = |to, tag, data, payload| emit(c, to, tag, data, payload);
-                batch = host.flush(resume, emit);
-            });
-            if batch.is_empty() {
-                break;
-            }
-            for msg in batch.drain(..) {
-                let dst = msg.dst.index();
-                let mut msg = Some(msg);
-                visit(dst, &mut |host| host.accept(msg.take().expect("one visit")));
+        let Some(host) = hosts.get_mut(c) else {
+            continue;
+        };
+        let siblings = host.flush(|to, tag, data, payload| emit(c, to, tag, data, payload));
+        for msg in siblings {
+            // `ClientHost::flush` only hands back destinations below its
+            // client count, which is `hosts.len()`.
+            let dst = msg.dst.index();
+            if let Some(host) = hosts.get_mut(dst) {
+                host.accept(msg);
                 if !dirty.contains(&dst) {
                     dirty.push(dst);
                 }
             }
-            resume = true;
         }
     }
 }
@@ -563,11 +543,9 @@ mod tests {
     /// [`flush_clients`] over plain hosts, recording `(from, frame)`.
     fn flush_all(hosts: &mut [ClientHost], origin: usize) -> Vec<(usize, Emitted)> {
         let mut out = Vec::new();
-        flush_clients(
-            origin,
-            |c, f| f(&mut hosts[c]),
-            |from, to, tag, data, payload| out.push((from, (to, tag, data, payload))),
-        );
+        flush_clients(origin, hosts, |from, to, tag, data, payload| {
+            out.push((from, (to, tag, data, payload)))
+        });
         out
     }
 
@@ -634,43 +612,21 @@ mod tests {
         }
     }
 
-    /// Two flushers of client 0 race; the first took a PUT for client 1 and
-    /// has not delivered it yet.  The second must not be handed the GET
-    /// behind it, or it could read the bytes before the PUT lands.
+    /// Client 0 posts a PUT to client 1 and then a GET of the same bytes:
+    /// one flush delivers both in posting order, so the GET reads the PUT.
     #[test]
-    fn sibling_hand_offs_of_one_client_are_claimed_by_one_flusher_at_a_time() {
+    fn sibling_traffic_of_one_client_is_delivered_in_posting_order() {
         let mut hosts = clients(None);
-        let none = |_, _, _, _| panic!("loopback traffic was emitted");
-        hosts[0]
-            .runtime_mut()
-            .post_put(WorkerAddr(1), DATA, vec![7; 8]);
-        let first = hosts[0].flush(false, none);
-        assert_eq!(first.len(), 1);
-        hosts[0].runtime_mut().post_get(WorkerAddr(1), DATA, 8);
-        assert!(hosts[0].flush(false, none).is_empty(), "claimed elsewhere");
-        for msg in first {
-            hosts[1].accept(msg);
-        }
-        // The first flusher reports back and picks the GET up, in order.
-        let second = hosts[0].flush(true, none);
-        assert!(matches!(
-            second[..],
-            [OutgoingMessage {
-                op: UcpOp::Get { .. },
-                ..
-            }]
-        ));
-        for msg in second {
-            hosts[1].accept(msg);
-        }
-        assert!(hosts[0].flush(true, none).is_empty());
-        let reply = hosts[1].flush(false, none);
-        match &reply[..] {
-            [OutgoingMessage {
-                op: UcpOp::GetReply { data, .. },
-                ..
-            }] => {
-                assert_eq!(data.as_slice(), [7; 8])
+        let rt = hosts[0].runtime_mut();
+        rt.post_put(WorkerAddr(1), DATA, vec![7; 8]);
+        let get = rt.post_get(WorkerAddr(1), DATA, 8);
+        let out = flush_all(&mut hosts, 0);
+        assert!(out.is_empty(), "loopback traffic was emitted: {out:?}");
+        let completions = hosts[0].runtime_mut().take_completions();
+        match &completions[..] {
+            [crate::runtime::Completion::Get { request, data }] => {
+                assert_eq!(*request, get);
+                assert_eq!(data.as_slice(), [7; 8]);
             }
             other => panic!("{other:?}"),
         }
@@ -693,13 +649,13 @@ mod tests {
             .runtime()
             .create_bitcode_message(handle, vec![1])
             .unwrap();
-        // Two flushers alternate (say the driver and the worker): each finds
-        // one send posted and has emitted it by the time it returns.
+        // Two flushes alternate (say `flush_client` and a pass close): each
+        // finds one send posted and has emitted it by the time it returns.
         let mut out: Vec<(char, Emitted)> = Vec::new();
         for flusher in ['a', 'b', 'a'] {
             host.runtime_mut().send_ifunc(&msg, WorkerAddr(FAR));
             let emit = |to, tag, data, payload| out.push((flusher, (to, tag, data, payload)));
-            assert!(host.flush(false, emit).is_empty());
+            assert!(host.flush(emit).is_empty());
         }
         let order: String = out.iter().map(|(flusher, _)| *flusher).collect();
         assert_eq!(order, "aba");

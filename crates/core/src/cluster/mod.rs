@@ -21,8 +21,8 @@
 //! and acks behind the poll, one pass close) and the one *client rank*
 //! (client-to-client traffic as loopback, take-encode-emit as one step, one
 //! poll and flush per pass): the threaded server node and the socket server
-//! process are carriers over the first, the threaded client worker and the
-//! socket driver over the second.  The simulated backend stays on
+//! process are carriers over the first, the threaded backend's caller and
+//! the socket driver over the second.  The simulated backend stays on
 //! [`reliable`] directly: it is the oracle the others are compared against.
 //!
 //! On the driving side a backend answers a handful of primitives — among
@@ -90,7 +90,6 @@ use crate::ifunc::{IfuncHandle, IfuncLibrary, IfuncMessage};
 use crate::layout::{result_slot_addr, RESULT_MAILBOX_SLOTS};
 use crate::metrics::RuntimeStats;
 use crate::runtime::{Completion, NativeAmHandler, NodeRuntime};
-use std::sync::Arc;
 use std::time::Duration;
 use tc_bitir::TargetTriple;
 use tc_jit::Memory;
@@ -158,19 +157,19 @@ impl std::fmt::Display for ClientId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tuning {
     /// How long one driver `step` waits for traffic (threads: parks on the
-    /// worker-progress signal; socket: polls its connections) before running
-    /// its idleness checks.  Bounds *idle-detection* latency only, not
-    /// delivery latency.
+    /// fabric's external queue, for at most half the base RTO under a fault
+    /// plan; socket: polls its connections) before running its idleness
+    /// checks.  Bounds *idle-detection* latency only, not delivery latency.
     pub step_timeout: Duration,
     /// Consecutive idle steps before waits give up.  A step only reports
     /// idle after `step_timeout` of silence with nothing queued or
     /// mid-processing, so two suffice: the second covers the one-step race
     /// where work finished right as the first wait timed out.
     pub idle_grace: u32,
-    /// Threads: most messages a node thread — or a client worker — drains
-    /// per wakeup (batch drain: one park, many messages).  0 means the
-    /// fabric's default burst (`tc_simnet::threaded::DEFAULT_MAX_BATCH`,
-    /// 128) for both.
+    /// Threads: most messages a node thread — or one pass of the caller's
+    /// `step` over the client ranks — drains per wakeup (batch drain: one
+    /// park, many messages).  0 means the fabric's default burst
+    /// (`tc_simnet::threaded::DEFAULT_MAX_BATCH`, 128) for both.
     pub node_batch: usize,
     /// How long a control-plane round trip (peek/poke/stats/AM deploy) may
     /// take.
@@ -221,66 +220,6 @@ pub struct TransportMetrics {
     pub faults_injected: u64,
 }
 
-/// Borrowed view of a client runtime handed out by [`Transport::client`].
-///
-/// Backends whose runtimes live on the driving thread (sim, socket) hand out
-/// plain references; the threaded backend's client ranks are shared with
-/// per-client worker threads behind one mutex each, so its guard holds the
-/// client's lock for the duration of the borrow.  Dereferences to
-/// [`NodeRuntime`], so call sites read through it unchanged — but holding a
-/// guard across a blocking wait would stall that client's worker thread;
-/// drop it promptly.
-// The lock guards the whole crate-private client rank; callers only ever
-// dereference to the runtime inside it.
-#[allow(private_interfaces)]
-pub enum ClientRef<'a> {
-    /// Runtime directly owned by the transport on the driving thread.
-    Direct(&'a NodeRuntime),
-    /// Client rank shared with a per-client worker thread; holds its lock.
-    Locked(std::sync::MutexGuard<'a, host::ClientHost>),
-}
-
-impl std::ops::Deref for ClientRef<'_> {
-    type Target = NodeRuntime;
-
-    fn deref(&self) -> &NodeRuntime {
-        match self {
-            ClientRef::Direct(runtime) => runtime,
-            ClientRef::Locked(guard) => guard.runtime(),
-        }
-    }
-}
-
-/// Mutable counterpart of [`ClientRef`], handed out by
-/// [`Transport::client_mut`].
-#[allow(private_interfaces)]
-pub enum ClientRefMut<'a> {
-    /// Runtime directly owned by the transport on the driving thread.
-    Direct(&'a mut NodeRuntime),
-    /// Client rank shared with a per-client worker thread; holds its lock.
-    Locked(std::sync::MutexGuard<'a, host::ClientHost>),
-}
-
-impl std::ops::Deref for ClientRefMut<'_> {
-    type Target = NodeRuntime;
-
-    fn deref(&self) -> &NodeRuntime {
-        match self {
-            ClientRefMut::Direct(runtime) => runtime,
-            ClientRefMut::Locked(guard) => guard.runtime(),
-        }
-    }
-}
-
-impl std::ops::DerefMut for ClientRefMut<'_> {
-    fn deref_mut(&mut self) -> &mut NodeRuntime {
-        match self {
-            ClientRefMut::Direct(runtime) => runtime,
-            ClientRefMut::Locked(guard) => guard.runtime_mut(),
-        }
-    }
-}
-
 /// A pluggable cluster backend: hosts the node runtimes and moves fabric
 /// operations between them.
 ///
@@ -304,21 +243,12 @@ pub trait Transport {
         1
     }
 
-    /// A client runtime.  On backends whose runtimes are owned by worker
-    /// threads the returned guard holds that client's lock — see
-    /// [`ClientRef`].
-    fn client(&self, id: ClientId) -> ClientRef<'_>;
+    /// A client runtime.  Every backend keeps its client runtimes on the
+    /// driving thread, so this is a plain borrow of the transport.
+    fn client(&self, id: ClientId) -> &NodeRuntime;
 
-    /// Mutable client runtime (same locking semantics as
-    /// [`Transport::client`]).
-    fn client_mut(&mut self, id: ClientId) -> ClientRefMut<'_>;
-
-    /// Hand the transport the cluster's sharded claim table.  Backends whose
-    /// worker threads deliver completions off the driving thread deposit
-    /// straight into the shards (their [`Transport::take_completions`] then
-    /// returns nothing); the default is a no-op and completions keep flowing
-    /// through `take_completions`.
-    fn attach_claims(&mut self, _claims: &Arc<ClaimShards>) {}
+    /// Mutable client runtime.
+    fn client_mut(&mut self, id: ClientId) -> &mut NodeRuntime;
 
     /// Predeploy a native Active-Message handler on every node, assigning
     /// consistent handler ids cluster-wide.
@@ -425,7 +355,7 @@ pub trait Transport {
             ))
         };
         if rank < self.client_count() {
-            return wire::peek(&self.client(ClientId(rank)), addr, len as u64).ok_or_else(failed);
+            return wire::peek(self.client(ClientId(rank)), addr, len as u64).ok_or_else(failed);
         }
         let mut body = Vec::with_capacity(16);
         body.extend_from_slice(&addr.to_le_bytes());
@@ -442,7 +372,7 @@ pub trait Transport {
     /// installing data shards).
     fn write_memory(&mut self, rank: usize, addr: u64, data: &[u8]) -> Result<()> {
         let ok = if rank < self.client_count() {
-            let mut client = self.client_mut(ClientId(rank));
+            let client = self.client_mut(ClientId(rank));
             client.memory.write(addr, data).is_ok()
         } else {
             let mut body = Vec::with_capacity(8 + data.len());
@@ -540,14 +470,11 @@ impl Transport for Box<dyn Transport> {
     fn client_count(&self) -> usize {
         (**self).client_count()
     }
-    fn client(&self, id: ClientId) -> ClientRef<'_> {
+    fn client(&self, id: ClientId) -> &NodeRuntime {
         (**self).client(id)
     }
-    fn client_mut(&mut self, id: ClientId) -> ClientRefMut<'_> {
+    fn client_mut(&mut self, id: ClientId) -> &mut NodeRuntime {
         (**self).client_mut(id)
-    }
-    fn attach_claims(&mut self, claims: &Arc<ClaimShards>) {
-        (**self).attach_claims(claims)
     }
     fn deploy_am(&mut self, name: &str, handler: NativeAmHandler) -> Result<()> {
         (**self).deploy_am(name, handler)
@@ -747,9 +674,9 @@ impl CompletionHandle for ResultHandle {
 /// at rank 0, servers at ranks `1..=server_count()`.
 pub struct Cluster<T: Transport> {
     transport: T,
-    /// The sharded completion table, shared with the transport (worker
-    /// threads of the threaded backend deposit into it directly).
-    claims: Arc<ClaimShards>,
+    /// The sharded completion table, fed from
+    /// [`Transport::take_completions`] by every wait and claim.
+    claims: ClaimShards,
     /// Per-client result-slot allocator state (indexed by client id).
     next_result_slot: Vec<u64>,
     reserved_slots: Vec<std::collections::HashSet<u64>>,
@@ -817,13 +744,11 @@ impl Idleness {
 
 impl<T: Transport> Cluster<T> {
     /// Wrap an already-constructed transport.  Prefer [`ClusterBuilder`].
-    pub fn new(mut transport: T) -> Self {
+    pub fn new(transport: T) -> Self {
         let clients = transport.client_count().max(1);
-        let claims = Arc::new(ClaimShards::new(clients));
-        transport.attach_claims(&claims);
         Cluster {
             transport,
-            claims,
+            claims: ClaimShards::new(clients),
             next_result_slot: vec![0; clients],
             reserved_slots: vec![std::collections::HashSet::new(); clients],
         }
@@ -877,26 +802,24 @@ impl<T: Transport> Cluster<T> {
         self.transport.client_count() + idx
     }
 
-    /// The primary client's runtime.  On the threaded backend the returned
-    /// guard holds that client's lock — drop it before driving the cluster.
-    pub fn client(&self) -> ClientRef<'_> {
+    /// The primary client's runtime.
+    pub fn client(&self) -> &NodeRuntime {
         self.transport.client(ClientId::PRIMARY)
     }
 
     /// Mutable primary-client runtime (escape hatch for source-side
     /// operations the high-level API does not cover).
-    pub fn client_mut(&mut self) -> ClientRefMut<'_> {
+    pub fn client_mut(&mut self) -> &mut NodeRuntime {
         self.transport.client_mut(ClientId::PRIMARY)
     }
 
-    /// The runtime of client `id` (locking semantics of
-    /// [`Cluster::client`]).
-    pub fn client_runtime(&self, id: ClientId) -> ClientRef<'_> {
+    /// The runtime of client `id`.
+    pub fn client_runtime(&self, id: ClientId) -> &NodeRuntime {
         self.transport.client(id)
     }
 
     /// Mutable runtime of client `id`.
-    pub fn client_runtime_mut(&mut self, id: ClientId) -> ClientRefMut<'_> {
+    pub fn client_runtime_mut(&mut self, id: ClientId) -> &mut NodeRuntime {
         self.transport.client_mut(id)
     }
 
@@ -1236,9 +1159,6 @@ impl<T: Transport> Cluster<T> {
     // --- completion and progress --------------------------------------------
 
     fn absorb_completions(&mut self) {
-        // On transports whose worker threads deposit into the shards
-        // directly (post-`attach_claims`), `take_completions` returns
-        // nothing and this is a no-op sweep.
         for c in 0..self.transport.client_count() {
             let client = ClientId(c);
             let completions = self.transport.take_completions(client);

@@ -19,7 +19,7 @@
 
 use super::link::Digest;
 use super::reliable::{LinkHealth, RelConfig, ReliableSet};
-use super::{check_server_rank, wire, ClientId, ClientRef, ClientRefMut, Transport};
+use super::{check_server_rank, wire, ClientId, Transport};
 use crate::error::{CoreError, Result};
 use crate::metrics::{OutcomeKind, ProcessOutcome};
 use crate::runtime::{NativeAmHandler, NodeRuntime};
@@ -559,14 +559,14 @@ impl Transport for SimTransport {
         self.clients
     }
 
-    fn client(&self, id: ClientId) -> ClientRef<'_> {
+    fn client(&self, id: ClientId) -> &NodeRuntime {
         assert!(id.0 < self.clients, "no client with id {id}");
-        ClientRef::Direct(&self.nodes[id.0])
+        &self.nodes[id.0]
     }
 
-    fn client_mut(&mut self, id: ClientId) -> ClientRefMut<'_> {
+    fn client_mut(&mut self, id: ClientId) -> &mut NodeRuntime {
         assert!(id.0 < self.clients, "no client with id {id}");
-        ClientRefMut::Direct(&mut self.nodes[id.0])
+        &mut self.nodes[id.0]
     }
 
     fn deploy_am(&mut self, name: &str, handler: NativeAmHandler) -> Result<()> {

@@ -26,7 +26,7 @@
 use super::host::{self, ClientHost};
 use super::link::{self, Digest, Link};
 use super::reliable::{LinkHealth, RelConfig, RelMetrics};
-use super::{check_server_rank, wire, ClientId, ClientRef, ClientRefMut, Transport, Tuning};
+use super::{check_server_rank, wire, ClientId, Transport, Tuning};
 use crate::error::{CoreError, Result};
 use crate::runtime::{NativeAmHandler, NodeRuntime};
 use std::collections::VecDeque;
@@ -1282,18 +1282,13 @@ impl SocketTransport {
     /// only after the flush returns: routing may release held-back frames
     /// into these same hosts.
     fn flush_from(&mut self, origin: usize) -> Result<()> {
-        let (hosts, errors) = (&mut self.clients, &mut self.errors);
         let mut out = Vec::new();
-        host::flush_clients(
-            origin,
-            |c, f| {
-                f(&mut hosts[c]);
-                errors.extend(hosts[c].take_errors());
-            },
-            |from, to, tag, data, payload| {
-                out.push(Frame::with_payload(from as u32, to, tag, data, payload))
-            },
-        );
+        host::flush_clients(origin, &mut self.clients, |from, to, tag, data, payload| {
+            out.push(Frame::with_payload(from as u32, to, tag, data, payload))
+        });
+        for host in &mut self.clients {
+            self.errors.extend(host.take_errors());
+        }
         let mut result = Ok(());
         for frame in out {
             let sent = self.client_emit(frame);
@@ -1369,14 +1364,14 @@ impl Transport for SocketTransport {
         self.clients.len()
     }
 
-    fn client(&self, id: ClientId) -> ClientRef<'_> {
+    fn client(&self, id: ClientId) -> &NodeRuntime {
         assert!(id.0 < self.clients.len(), "no client with id {id}");
-        ClientRef::Direct(self.clients[id.0].runtime())
+        self.clients[id.0].runtime()
     }
 
-    fn client_mut(&mut self, id: ClientId) -> ClientRefMut<'_> {
+    fn client_mut(&mut self, id: ClientId) -> &mut NodeRuntime {
         assert!(id.0 < self.clients.len(), "no client with id {id}");
-        ClientRefMut::Direct(self.clients[id.0].runtime_mut())
+        self.clients[id.0].runtime_mut()
     }
 
     fn deploy_am(&mut self, name: &str, handler: NativeAmHandler) -> Result<()> {

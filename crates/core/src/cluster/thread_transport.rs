@@ -1,6 +1,6 @@
-//! The real-concurrency backend: server runtimes on OS threads, **client
-//! runtimes on their own OS threads too**, fabric operations as tagged
-//! envelopes over channels.
+//! The real-concurrency backend: server runtimes on OS threads, the client
+//! runtimes on the caller's thread, fabric operations as tagged envelopes
+//! over channels.
 //!
 //! No virtual time is involved — this backend exists to show that the
 //! framework's state machines (auto-registration, sender-side caching,
@@ -12,49 +12,45 @@
 //! * Server rank `r` (ranks `clients..clients + servers`) runs as thread
 //!   node `r - clients` of a [`tc_simnet::ThreadCluster`] and drains its own
 //!   inbox independently.
-//! * Client rank `c` (ranks `0..clients`) owns a dedicated external port `c`
-//!   of the fabric.  A **client worker thread** parks on that port's queue
-//!   and is the carrier of the client's rank (the crate-private `host`
-//!   module's `ClientHost`: runtime, link endpoint and the client-rank
-//!   rules): it feeds the host each inbound burst, flushes what that
-//!   provoked, closes the pass, and deposits completions straight into the
-//!   cluster's sharded claim table (see [`Transport::attach_claims`]).
-//! * The **driver thread** (whoever owns the [`ThreadTransport`]) keeps the
-//!   *send* path: `flush_client` moves posted operations into the fabric
-//!   synchronously on the caller's thread, so a control-plane round trip
-//!   issued right after a flush still acts as a barrier behind that
-//!   client's data (both ride the same per-producer FIFO channel).  Driver
-//!   control traffic (peek/poke/stats) uses the shared external port
-//!   `clients`, which no worker owns.
+//! * Client rank `c` (ranks `0..clients`) is external port `c` of the fabric
+//!   and the driver's control plane is port `clients`; everything addressed
+//!   to either arrives on the fabric's one external queue, with
+//!   [`Envelope::to`] naming the port.
+//! * The **caller's thread** (whoever owns the [`ThreadTransport`]) carries
+//!   every client rank (the crate-private `host` module's `ClientHost`:
+//!   runtime, link endpoint and the client-rank rules), like the initiator
+//!   of a UCX GET progressing its own worker.  `flush_client` moves posted
+//!   operations into the fabric synchronously, so a control-plane round trip
+//!   issued right after a flush still acts as a barrier behind that client's
+//!   data (both ride the same per-producer FIFO channel).  `step` parks on
+//!   the external queue, feeds a burst to the hosts, flushes what it
+//!   provoked and closes the pass; `control` does the same for whatever
+//!   arrives ahead of its reply.
 //!
-//! Each client rank lives behind one mutex that its worker and the driver
-//! contend on; two different clients never share a lock and no thread holds
-//! two, so N clients genuinely execute on N cores.  `step` no longer pumps
-//! any data — it parks on a progress generation that workers bump, and
-//! reports whether anything moved.
+//! So nothing moves on a client rank unless the caller is inside `flush*`,
+//! `step`, a wait or a control call — the progress model of the simulated
+//! and socket backends.  A caller that computes for longer than a server's
+//! RTO between waits sees that server's retransmission arrive and be
+//! deduplicated, as on the socket backend.
 //!
 //! Active-Message deployment after startup works through a shared,
 //! append-only handler registry: every node applies new registry entries (in
 //! order) before handling each message, so `AmHandlerId`s agree cluster-wide
 //! without shipping closures through channels.
 
-use super::completion::ClaimShards;
 use super::host::{self, ClientHost, ServerHost};
 use super::link::{self, Digest, Link};
 use super::reliable::RelConfig;
 use super::socket::DRIVER_PORT;
-use super::{check_server_rank, wire, ClientRef, ClientRefMut, Transport, Tuning};
+use super::{check_server_rank, wire, Transport, Tuning};
 use crate::error::{CoreError, Result};
 use crate::runtime::{NativeAmHandler, NodeRuntime};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
-use std::thread;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use tc_bitir::TargetTriple;
 use tc_chaos::{ChaosSession, ChaosStats, FaultPlan, HoldBack};
 use tc_simnet::{
-    external_port, Envelope, EnvelopeFilter, ExternalQueue, Injector, NodeCtx, ThreadCluster,
-    ThreadConfig, ThreadedNode,
+    external_port, Envelope, EnvelopeFilter, NodeCtx, ThreadCluster, ThreadConfig, ThreadedNode,
 };
 use tc_ucx::{Bytes, WorkerAddr};
 
@@ -64,10 +60,11 @@ use super::ClientId;
 /// the cluster-wide handler ids.
 type AmRegistry = Arc<Mutex<Vec<(String, NativeAmHandler)>>>;
 
-/// Lock a mutex, recovering from poison: a worker that panicked mid-update
-/// may leave partial state, but every structure behind these locks is
-/// per-message (delivered ops, counters) and safe to keep using — losing the
-/// whole transport to a poisoned diagnostic lock would be worse.
+/// Lock a mutex, recovering from poison: a node thread that panicked
+/// mid-update may leave partial state, but every structure behind these
+/// locks is per-message (handler registry entries, digests) and safe to keep
+/// using — losing the whole transport to a poisoned diagnostic lock would be
+/// worse.
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -85,36 +82,37 @@ fn rank_of(clients: usize, fabric_id: usize) -> usize {
     }
 }
 
-/// Every rank's latest link [`Digest`], published by the rank's owner (the
-/// owning node thread for servers; the client's worker thread or the
-/// driver's flush path for clients) once per batch, flush or retransmission
-/// tick, and read by the driver.  One leaf mutex per rank, held only for the
-/// copy of a digest, so the driver never stalls a worker and a snapshot
+/// Every server's latest link [`Digest`], published by its node thread once
+/// per batch or retransmission tick and read by the driver (the clients'
+/// links are the driver's own).  One leaf mutex per server, held only for
+/// the copy of a digest, so the driver never stalls a node and a snapshot
 /// never tears.
 struct RelTable {
     slots: Vec<Mutex<Digest>>,
 }
 
 impl RelTable {
-    fn new(ranks: usize) -> Self {
+    fn new(servers: usize) -> Self {
         RelTable {
-            slots: (0..ranks).map(|_| Mutex::default()).collect(),
+            slots: (0..servers).map(|_| Mutex::default()).collect(),
         }
     }
 
-    fn publish(&self, rank: usize, digest: Digest) {
-        *relock(&self.slots[rank]) = digest;
+    fn publish(&self, server: usize, digest: Digest) {
+        if let Some(slot) = self.slots.get(server) {
+            *relock(slot) = digest;
+        }
     }
 
-    fn get(&self, rank: usize) -> Option<Digest> {
-        self.slots.get(rank).map(|slot| *relock(slot))
+    fn get(&self, server: usize) -> Option<Digest> {
+        self.slots.get(server).map(|slot| *relock(slot))
     }
 }
 
 /// Put a frame for rank `to` on the fabric from a node thread.  Ranks below
 /// `clients` are driver-side endpoints (external ports), and [`DRIVER_PORT`]
 /// — error reports and control replies — is the driver's own control port
-/// `clients`, which no worker owns.  Drops (unknown rank, stopped node) are
+/// `clients`.  Drops (unknown rank, stopped node) are
 /// counted by the ThreadCluster's delivery counters and surfaced through
 /// the transport metrics.
 fn node_send(ctx: &NodeCtx, clients: usize, to: u32, tag: u64, data: Bytes, payload: Bytes) {
@@ -167,7 +165,7 @@ impl ServerNode {
         let emit = self.emit(ctx);
         let digest = self.host.end_pass(emit);
         if let Some(table) = &self.table {
-            table.publish(self.host.runtime().node_id().index(), digest);
+            table.publish(ctx.node_id(), digest);
         }
     }
 }
@@ -208,9 +206,7 @@ impl ThreadedNode for ServerNode {
 /// `clients` maps fabric ids to cluster ranks, so the per-link decision
 /// streams are drawn for the *true* (src rank, dst rank) pair — a send from
 /// client 1 and one from client 0 to the same server are different links,
-/// exactly as on the simulated backend.  Client-worker injections pass the
-/// same filter as node and driver sends, so moving the clients onto worker
-/// threads changes nothing about which traffic is faulted.
+/// exactly as on the simulated backend.
 fn chaos_filter(session: ChaosSession, clients: usize) -> EnvelopeFilter {
     let held = HoldBack::default();
     Arc::new(move |env: Envelope, out: &mut dyn FnMut(Envelope)| {
@@ -223,118 +219,12 @@ fn chaos_filter(session: ChaosSession, clients: usize) -> EnvelopeFilter {
     })
 }
 
-/// Worker→driver progress signal: a generation counter bumped after every
-/// batch of client-side work, with a condvar the driver's `step` parks on.
-struct Progress {
-    gen: Mutex<u64>,
-    cv: Condvar,
-}
-
-impl Progress {
-    fn new() -> Self {
-        Progress {
-            gen: Mutex::new(0),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn bump(&self) {
-        *relock(&self.gen) += 1;
-        self.cv.notify_all();
-    }
-
-    /// Wait until the generation moves past `seen` (or `timeout`).  Returns
-    /// the current generation and whether it advanced.
-    fn wait_past(&self, seen: u64, timeout: Duration) -> (u64, bool) {
-        let g = relock(&self.gen);
-        if *g != seen {
-            return (*g, true);
-        }
-        let (g, _) = self
-            .cv
-            .wait_timeout_while(g, timeout, |g| *g == seen)
-            .unwrap_or_else(|e| e.into_inner());
-        (*g, *g != seen)
-    }
-}
-
-/// State shared by the driver and every client worker thread.
-struct WorkerShared {
-    /// One client rank each behind its one lock: its worker, the driver and
-    /// (through loopback traffic) a sibling's flusher contend on it, and no
-    /// thread ever holds two.
-    clients: Vec<Mutex<ClientHost>>,
-    /// The cluster's sharded claim table, installed by
-    /// [`Transport::attach_claims`].  Until it is attached (or when the
-    /// transport is driven without a [`super::Cluster`]), completions stay
-    /// buffered in the client runtimes and flow through
-    /// [`Transport::take_completions`] as before.  A re-attach *replaces*
-    /// the table: a caller may re-wrap a built transport (`tc-benchmark`
-    /// boxes its socket transport through `Cluster::into_transport` →
-    /// `Cluster::new`), and only the outermost cluster's table is live.
-    claims: RwLock<Option<Arc<ClaimShards>>>,
-    /// Errors reported by server nodes, client workers, or the driver's own
-    /// decode paths.
-    errors: Mutex<Vec<CoreError>>,
-    progress: Progress,
-    stop: AtomicBool,
-    /// Shared reliability counter table (chaos mode only).
-    rel_table: Option<Arc<RelTable>>,
-}
-
-impl WorkerShared {
-    fn push_error(&self, e: CoreError) {
-        relock(&self.errors).push(e);
-    }
-
-    /// Run `f` on client `c` under its lock, then hand over what the visit
-    /// left: failures to the error list, the link digest to the shared table
-    /// (chaos mode) and — once a claim table is attached — completions to
-    /// the client's shard.
-    fn visit(&self, c: usize, f: &mut dyn FnMut(&mut ClientHost)) {
-        let mut host = relock(&self.clients[c]);
-        f(&mut host);
-        if let Some(table) = &self.rel_table {
-            table.publish(c, host.link().digest());
-        }
-        let errors = host.take_errors();
-        let mut deposit = None;
-        if host.runtime().completions_pending() > 0 {
-            let claims = self.claims.read().unwrap_or_else(|e| e.into_inner());
-            if let Some(claims) = &*claims {
-                deposit = Some((Arc::clone(claims), host.runtime_mut().take_completions()));
-            }
-        }
-        drop(host);
-        for e in errors {
-            self.push_error(e);
-        }
-        if let Some((claims, completions)) = deposit {
-            claims.absorb(ClientId(c), completions);
-        }
-    }
-
-    /// Move everything client `origin` (and whoever its loopback traffic
-    /// reaches) posted into the fabric.  Callable from the driver
-    /// (`flush_client`) and from client workers (response flushing) alike.
-    fn flush(&self, injector: &Injector, origin: usize) {
-        let clients = self.clients.len();
-        host::flush_clients(
-            origin,
-            |c, f| self.visit(c, f),
-            |from, to, tag, data, payload| {
-                client_send(injector, clients, from, to, tag, data, payload)
-            },
-        );
-    }
-}
-
 /// Inject a frame from client `c` toward rank `to`: a server's thread node
 /// (rank - clients), as client-to-client traffic never leaves its host.
 /// Drops (unknown rank, stopped node) are counted by the fabric and show up
 /// in the transport metrics.
 fn client_send(
-    injector: &Injector,
+    cluster: &ThreadCluster,
     clients: usize,
     c: usize,
     to: u32,
@@ -343,82 +233,12 @@ fn client_send(
     payload: Bytes,
 ) {
     if let Some(node) = (to as usize).checked_sub(clients) {
-        let _ = injector.send_vectored_from_port(c, node, tag, data, payload);
+        let _ = cluster.send_vectored_from_port(c, node, tag, data, payload);
     }
 }
 
-/// The body of client `id`'s worker thread, the fabric carrier of one
-/// [`ClientHost`]: park on the client's dedicated external queue (`park`
-/// doubles as the stop-flag poll interval and, in chaos mode, the
-/// retransmission cadence floor), feed the host each burst of at most
-/// `batch` envelopes, flush what it provoked, close the pass — the timer
-/// runs whether or not traffic flows (a parked envelope is recovered by the
-/// re-send) — and signal the driver.  In-flight accounting
-/// (`ExternalQueue::done`) is released only after the batch is fully
-/// processed — staged, polled, flushed, deposited — so the driver's
-/// quiescence detection spans worker processing, not just queue emptiness.
-fn run_worker(
-    id: usize,
-    queue: ExternalQueue,
-    shared: &WorkerShared,
-    injector: Injector,
-    batch: usize,
-    park: Duration,
-) {
-    let clients = shared.clients.len();
-    let mut emit =
-        |to, tag, data, payload| client_send(&injector, clients, id, to, tag, data, payload);
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            queue.drain();
-            return;
-        }
-        let mut n = 0;
-        if let Some(env) = queue.recv_timeout(park) {
-            // Drain the burst behind the first envelope: one park, one batch.
-            let mut burst = vec![env];
-            while burst.len() < batch {
-                match queue.try_recv() {
-                    Some(env) => burst.push(env),
-                    None => break,
-                }
-            }
-            n = burst.len() as u64;
-            let mut host = relock(&shared.clients[id]);
-            for env in burst {
-                match env.tag {
-                    wire::TAG_OP | wire::TAG_ROP | wire::TAG_ACK => {
-                        let from = rank_of(clients, env.from) as u32;
-                        host.on_frame(from, env.tag, env.data, env.payload, &mut emit);
-                    }
-                    wire::TAG_ERROR => shared.push_error(CoreError::Transport(
-                        String::from_utf8_lossy(&env.data).into_owned(),
-                    )),
-                    // Control replies never arrive here (the driver owns its
-                    // own port); anything else is stale and dropped.
-                    _ => {}
-                }
-            }
-            drop(host);
-            // Polls what the burst staged; its visits also collect whatever
-            // the frames above left in the host.
-            shared.flush(&injector, id);
-        }
-        // Without a fault plan there is no ack to owe and no timer to run.
-        if shared.rel_table.is_some() {
-            shared.visit(id, &mut |host| {
-                host.end_pass(&mut emit);
-            });
-        }
-        if n > 0 {
-            queue.done(n);
-            shared.progress.bump();
-        }
-    }
-}
-
-/// Driver-side chaos state: the shared fault session and the counter table
-/// (each client's link lives in its [`ClientHost`]).
+/// Driver-side chaos state: the shared fault session and the servers' digest
+/// table (each client's link lives in its [`ClientHost`]).
 struct DriverChaos {
     session: ChaosSession,
     table: Arc<RelTable>,
@@ -428,25 +248,40 @@ struct DriverChaos {
     rto_max: u64,
 }
 
+/// The control reply `control` is waiting for: its tag, the thread node it
+/// must come from and the request's token.
+type Awaited = (u64, usize, u64);
+
+/// What the caller's thread carries: every client rank, and the errors
+/// collected on their behalf.  Kept apart from the fabric handle so that a
+/// pass can borrow the hosts mutably and the fabric shared.
+struct Carrier {
+    hosts: Vec<ClientHost>,
+    /// Errors reported by server nodes, the client hosts, or the dispatcher.
+    errors: Vec<CoreError>,
+    /// Links are reliable (a fault plan is installed): passes close them.
+    reliable: bool,
+    /// Most envelopes one pass drains from the external queue.
+    batch: usize,
+}
+
 /// The real-concurrency cluster backend (threads + channels, wall-clock time).
 pub struct ThreadTransport {
-    /// Client runtimes and reliability state, shared with the client worker
-    /// threads.
-    shared: Arc<WorkerShared>,
-    /// One worker thread per client, each owning that client's dedicated
-    /// external queue.
-    workers: Vec<thread::JoinHandle<()>>,
+    /// The client ranks, carried by whichever thread drives the transport.
+    carrier: Carrier,
     /// `None` once shut down (threads joined).
     cluster: Option<ThreadCluster>,
-    /// Injection handle for the driver's own synchronous send path.
-    injector: Injector,
     /// Delivery counters captured at shutdown so `metrics` stays meaningful.
     final_metrics: tc_simnet::ThreadMetrics,
     servers: usize,
     am_registry: AmRegistry,
     next_token: u64,
     tuning: Tuning,
-    /// Chaos-mode state (fault session + counter table); `None` keeps the
+    /// How long `step` parks on the external queue: the step timeout, capped
+    /// at the retransmission cadence under a fault plan (the timer runs
+    /// whether or not traffic flows).
+    park: Duration,
+    /// Chaos-mode state (fault session + digest table); `None` keeps the
     /// lossless fast path.
     chaos: Option<DriverChaos>,
     /// Since when `step` has seen zero progress while reliability frames
@@ -455,23 +290,21 @@ pub struct ThreadTransport {
     /// can never be acked (e.g. a dead node thread) must eventually let
     /// waits time out instead of spinning forever.
     stalled_since: Option<Instant>,
-    /// Last observed worker-progress generation.
-    seen_gen: u64,
 }
 
 impl std::fmt::Debug for ThreadTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadTransport")
-            .field("clients", &self.shared.clients.len())
+            .field("clients", &self.carrier.hosts.len())
             .field("servers", &self.servers)
-            .field("errors", &relock(&self.shared.errors).len())
+            .field("errors", &self.carrier.errors.len())
             .finish()
     }
 }
 
 impl ThreadTransport {
     /// Full-control constructor used by the cluster builder: `clients`
-    /// client runtimes (ranks `0..clients`, one worker thread each),
+    /// client runtimes (ranks `0..clients`, carried by the caller),
     /// `servers` threaded server nodes (ranks `clients..clients+servers`),
     /// scheduling tunables plus an optional fault plan.  With a plan
     /// installed, every data-plane envelope passes the chaos engine's
@@ -495,7 +328,7 @@ impl ThreadTransport {
         let rel_cfg = rel_config.unwrap_or_else(RelConfig::threads_default);
         let chaos = fault_plan.map(|plan| DriverChaos {
             session: ChaosSession::new(plan),
-            table: Arc::new(RelTable::new(servers + clients)),
+            table: Arc::new(RelTable::new(servers)),
             rto_max: rel_cfg.rto_max,
         });
         // Reliable links (and their retransmission cadence) exist exactly
@@ -504,14 +337,13 @@ impl ThreadTransport {
         let tick = link_cfg.map(|cfg| Duration::from_nanos(cfg.rto / 2));
 
         // One burst size for both rank classes: 0 asks for the fabric's
-        // default on server nodes and client workers alike.
+        // default on server nodes and the caller's passes alike.
         let batch = match tuning.node_batch {
             0 => tc_simnet::threaded::DEFAULT_MAX_BATCH,
             n => n,
         };
         let mut config = ThreadConfig {
             max_batch: batch,
-            dedicated_external_ports: clients,
             ..ThreadConfig::default()
         };
         let node_chaos = chaos.as_ref().map(|c| {
@@ -520,7 +352,7 @@ impl ThreadTransport {
             Arc::clone(&c.table)
         });
 
-        let mut cluster = ThreadCluster::start_with_config(servers, config, move |thread_id| {
+        let cluster = ThreadCluster::start_with_config(servers, config, move |thread_id| {
             let rank = (thread_id + clients) as u32;
             let runtime = NodeRuntime::new(WorkerAddr(rank), total, server_triple);
             ServerNode {
@@ -532,72 +364,138 @@ impl ThreadTransport {
             }
         });
 
-        let shared = Arc::new(WorkerShared {
-            clients: (0..clients)
-                .map(|c| {
-                    let runtime = NodeRuntime::new(WorkerAddr(c as u32), total, client_triple);
-                    let link = Link::new(c as u32, total, link_cfg);
-                    Mutex::new(ClientHost::new(runtime, link, clients as u32))
-                })
-                .collect(),
-            claims: RwLock::new(None),
-            errors: Mutex::new(Vec::new()),
-            progress: Progress::new(),
-            stop: AtomicBool::new(false),
-            rel_table: chaos.as_ref().map(|c| Arc::clone(&c.table)),
-        });
-
-        let injector = cluster.injector();
-        let park = tick
-            .map(|t| t.min(tuning.step_timeout))
-            .unwrap_or(tuning.step_timeout)
-            .max(Duration::from_micros(50));
-        let workers = (0..clients)
+        let hosts = (0..clients as u32)
             .map(|c| {
-                let queue = cluster
-                    .take_external_queue(c)
-                    .expect("dedicated client queue");
-                let (shared, injector) = (Arc::clone(&shared), injector.clone());
-                thread::Builder::new()
-                    .name(format!("tc-client-{c}"))
-                    .spawn(move || run_worker(c, queue, &shared, injector, batch, park))
-                    .expect("spawn client worker thread")
+                let runtime = NodeRuntime::new(WorkerAddr(c), total, client_triple);
+                ClientHost::new(runtime, Link::new(c, total, link_cfg), clients as u32)
             })
             .collect();
-
         ThreadTransport {
-            shared,
-            workers,
+            carrier: Carrier {
+                hosts,
+                errors: Vec::new(),
+                reliable: chaos.is_some(),
+                batch,
+            },
             cluster: Some(cluster),
-            injector,
             final_metrics: tc_simnet::ThreadMetrics::default(),
             servers,
             am_registry,
             next_token: 1,
             tuning,
+            park: tick.map_or(tuning.step_timeout, |t| t.min(tuning.step_timeout)),
             chaos,
             stalled_since: None,
-            seen_gen: 0,
         }
     }
 
-    /// Errors reported by server nodes, client workers, or transport-level
-    /// decode failures, in observation order (a snapshot — the shared list
-    /// keeps growing while workers run).
-    pub fn errors(&self) -> Vec<CoreError> {
-        relock(&self.shared.errors).clone()
+    /// Errors reported by server nodes, the client hosts, or transport-level
+    /// decode failures, in observation order.
+    pub fn errors(&self) -> &[CoreError] {
+        &self.carrier.errors
     }
+}
 
-    /// Handle a non-reply envelope that reached the driver's control port
-    /// (error reports, stale control replies).
-    fn on_driver_envelope(&self, env: Envelope) {
-        if env.tag == wire::TAG_ERROR {
-            self.shared.push_error(CoreError::Transport(
+impl Carrier {
+    /// Terminate one envelope taken off the external queue: a data-plane
+    /// frame goes to the client host its port names (which only stages what
+    /// became deliverable — [`Carrier::close_pass`] answers it), an
+    /// error report to the error list.  A control reply nobody awaits is
+    /// stale (its request timed out) and dropped; a port that is neither a
+    /// client's nor the control port is a typed error.
+    fn dispatch(&mut self, cluster: &ThreadCluster, env: Envelope) {
+        let clients = self.hosts.len();
+        let data_plane = matches!(env.tag, wire::TAG_OP | wire::TAG_ROP | wire::TAG_ACK);
+        let port = external_port(env.to);
+        let host = port.and_then(|port| self.hosts.get_mut(port));
+        match (port, host) {
+            _ if env.tag == wire::TAG_ERROR => self.errors.push(CoreError::Transport(
                 String::from_utf8_lossy(&env.data).into_owned(),
-            ));
+            )),
+            (Some(port), Some(host)) if data_plane => {
+                let from = rank_of(clients, env.from) as u32;
+                let emit = |to, tag, data, payload| {
+                    client_send(cluster, clients, port, to, tag, data, payload)
+                };
+                host.on_frame(from, env.tag, env.data, env.payload, emit);
+            }
+            (Some(port), None) if !data_plane && port == clients => {}
+            _ => self.errors.push(CoreError::Transport(format!(
+                "envelope (tag {}) for fabric id {} dropped: the driver has {clients} client \
+                 ports and one control port",
+                env.tag, env.to
+            ))),
         }
-        // Stale control replies (from a timed-out request) are dropped; live
-        // ones are intercepted by `control` before this.
+    }
+
+    /// Close one pass over the external queue (or one park of silence): poll
+    /// and answer what the pass staged, collect the hosts' errors and, when
+    /// links are reliable, emit the owed acks and gap repairs and run the
+    /// retransmission timer.
+    fn close_pass(&mut self, cluster: &ThreadCluster) {
+        let clients = self.hosts.len();
+        // A flush leaves every client it reached with nothing staged.
+        while let Some(c) = self.hosts.iter().position(ClientHost::pending) {
+            self.flush_from(cluster, c);
+        }
+        for (c, host) in self.hosts.iter_mut().enumerate() {
+            if self.reliable {
+                host.end_pass(|to, tag, data, payload| {
+                    client_send(cluster, clients, c, to, tag, data, payload)
+                });
+            }
+        }
+        self.collect_errors();
+    }
+
+    /// Move everything client `origin` (and whoever its loopback traffic
+    /// reaches) posted into the fabric.
+    fn flush_from(&mut self, cluster: &ThreadCluster, origin: usize) {
+        let clients = self.hosts.len();
+        host::flush_clients(origin, &mut self.hosts, |from, to, tag, data, payload| {
+            client_send(cluster, clients, from, to, tag, data, payload)
+        });
+    }
+
+    /// Move what the hosts' frames and polls left behind to the error list.
+    fn collect_errors(&mut self) {
+        for host in &mut self.hosts {
+            self.errors.extend(host.take_errors());
+        }
+    }
+
+    /// One pass: `first` and the burst queued behind it (at most `batch`
+    /// envelopes), dispatched in order and closed once.  Stops at the
+    /// `awaited` control reply, if it is in the burst, and returns its body;
+    /// what is queued behind it waits for the next pass.
+    fn pass(
+        &mut self,
+        cluster: &ThreadCluster,
+        first: Envelope,
+        awaited: Option<Awaited>,
+    ) -> Option<Vec<u8>> {
+        let mut reply = None;
+        let mut next = Some(first);
+        let mut taken = 0;
+        while let Some(env) = next.take() {
+            taken += 1;
+            match awaited {
+                Some((tag, node, token)) if env.tag == tag && env.from == node => {
+                    // The reply to an abandoned request carries an older
+                    // token and is dropped, as is one that does not decode.
+                    match wire::decode_control(&env.data) {
+                        Ok((t, body)) if t == token => reply = Some(body.to_vec()),
+                        _ => {}
+                    }
+                }
+                _ => self.dispatch(cluster, env),
+            }
+            if reply.is_none() && taken < self.batch {
+                next = cluster.try_recv_external();
+            }
+        }
+        self.close_pass(cluster);
+        reply
     }
 }
 
@@ -607,44 +505,28 @@ impl Transport for ThreadTransport {
     }
 
     fn node_count(&self) -> usize {
-        self.servers + self.shared.clients.len()
+        self.servers + self.carrier.hosts.len()
     }
 
     fn client_count(&self) -> usize {
-        self.shared.clients.len()
+        self.carrier.hosts.len()
     }
 
-    fn client(&self, id: ClientId) -> ClientRef<'_> {
-        assert!(id.0 < self.shared.clients.len(), "no client with id {id}");
-        ClientRef::Locked(relock(&self.shared.clients[id.0]))
+    fn client(&self, id: ClientId) -> &NodeRuntime {
+        assert!(id.0 < self.carrier.hosts.len(), "no client with id {id}");
+        self.carrier.hosts[id.0].runtime()
     }
 
-    fn client_mut(&mut self, id: ClientId) -> ClientRefMut<'_> {
-        assert!(id.0 < self.shared.clients.len(), "no client with id {id}");
-        ClientRefMut::Locked(relock(&self.shared.clients[id.0]))
-    }
-
-    fn attach_claims(&mut self, claims: &Arc<ClaimShards>) {
-        // Workers pick the table up through the shared slot and start
-        // depositing completions directly; `take_completions` then drains
-        // whatever (rare) residue is still buffered runtime-side.  Replace,
-        // don't set-once: a caller that re-wraps a built transport
-        // (`tc-benchmark`: `into_transport` → `Cluster::new`) attaches
-        // twice, and only the outer cluster's table is ever read.
-        *self
-            .shared
-            .claims
-            .write()
-            .unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(claims));
+    fn client_mut(&mut self, id: ClientId) -> &mut NodeRuntime {
+        assert!(id.0 < self.carrier.hosts.len(), "no client with id {id}");
+        self.carrier.hosts[id.0].runtime_mut()
     }
 
     fn deploy_am(&mut self, name: &str, handler: NativeAmHandler) -> Result<()> {
-        // Clients apply immediately (under their locks); servers
-        // catch up (in registry order, hence with identical handler ids)
-        // before their next message.
-        for client in &self.shared.clients {
-            relock(client)
-                .runtime_mut()
+        // Clients apply immediately; servers catch up (in registry order,
+        // hence with identical handler ids) before their next message.
+        for host in &mut self.carrier.hosts {
+            host.runtime_mut()
                 .deploy_am_handler(name.to_string(), handler.clone());
         }
         self.am_registry
@@ -655,57 +537,53 @@ impl Transport for ThreadTransport {
     }
 
     fn flush_client(&mut self, id: ClientId) -> Result<()> {
-        if id.0 >= self.shared.clients.len() {
+        if id.0 >= self.carrier.hosts.len() {
             return Err(CoreError::Transport(format!("no client with id {id}")));
         }
-        if self.cluster.is_none() {
+        let Some(cluster) = &self.cluster else {
             return Err(CoreError::Transport("thread transport is shut down".into()));
-        }
+        };
         // Synchronous on the caller's thread: when this returns, the ops are
         // in the node channels, so a control round trip issued next acts as
         // a barrier behind them (same per-producer FIFO).
-        self.shared.flush(&self.injector, id.0);
+        self.carrier.flush_from(cluster, id.0);
+        self.carrier.collect_errors();
         Ok(())
     }
 
+    /// One park on the external queue — one queue whatever the client count
+    /// — and one pass over what arrived.
     fn step(&mut self) -> Result<bool> {
         let busy_deadline = Instant::now() + link::BUSY_STEP_TIMEOUT;
-        let step_timeout = self.tuning.step_timeout;
         loop {
             let Some(cluster) = &self.cluster else {
                 return Ok(false);
             };
-            // Driver-port housekeeping: error reports and stale control
-            // replies addressed to the control port.
-            let mut drained = false;
-            while let Some(env) = cluster.try_recv_external() {
-                self.on_driver_envelope(env);
-                drained = true;
-            }
-            if drained {
+            if let Some(env) = cluster.recv_external(self.park) {
+                self.carrier.pass(cluster, env, None);
                 self.stalled_since = None;
                 return Ok(true);
             }
-            // Park until a worker signals progress (completions deposited,
-            // ops delivered, acks processed) or the idle-check timeout.
-            let (gen, progressed) = self.shared.progress.wait_past(self.seen_gen, step_timeout);
-            self.seen_gen = gen;
-            if progressed {
-                self.stalled_since = None;
-                return Ok(true);
-            }
-            // step_timeout of silence.  Only call it idleness when no
-            // node-bound or worker-bound message is queued or mid-processing
-            // — and, in chaos mode, no frame anywhere awaits an ack (a
-            // partitioned link with retransmits pending is *busy*, not idle)
-            // — otherwise keep waiting (bounded).
+            // A park of silence; the retransmission timer runs regardless.
+            self.carrier.close_pass(cluster);
+            // Only call it idleness when no node-bound message is queued or
+            // mid-processing — and, in chaos mode, no frame anywhere awaits
+            // an ack (a partitioned link with retransmits pending is *busy*,
+            // not idle) — otherwise keep waiting (bounded).
             if self.unacked_total() > 0 {
                 let rto_max = self.chaos.as_ref().map_or(0, |c| c.rto_max);
                 return Ok(link::within_stall_horizon(&mut self.stalled_since, rto_max));
             }
             self.stalled_since = None;
             if cluster.pending_messages() == 0 || Instant::now() >= busy_deadline {
-                return Ok(false);
+                // A node enqueues its reply *before* its batch's in-flight
+                // count drops, so one may have landed between the park
+                // timing out and the count reading zero: look once more.
+                let Some(env) = cluster.try_recv_external() else {
+                    return Ok(false);
+                };
+                self.carrier.pass(cluster, env, None);
+                return Ok(true);
             }
         }
     }
@@ -716,9 +594,8 @@ impl Transport for ThreadTransport {
 
     /// Issue a control request to server `rank` and wait for its tokened
     /// reply.  The request is sent from the driver's own control port
-    /// (`clients`), so the reply comes back on the shared queue no worker
-    /// owns; data-plane traffic keeps flowing through the workers in the
-    /// meantime.
+    /// (`clients`); data-plane traffic that arrives ahead of the reply is
+    /// handed to the client hosts exactly as `step` would.
     fn control(
         &mut self,
         rank: usize,
@@ -726,24 +603,22 @@ impl Transport for ThreadTransport {
         reply_tag: u64,
         body: &[u8],
     ) -> Result<Vec<u8>> {
-        let clients = self.shared.clients.len();
+        let clients = self.carrier.hosts.len();
         check_server_rank(clients, self.servers, rank)?;
+        let Some(cluster) = &self.cluster else {
+            return Err(CoreError::Transport("thread transport is shut down".into()));
+        };
         let token = self.next_token;
         self.next_token += 1;
-        let status = match &self.cluster {
-            Some(cluster) => cluster.send_from_port(
-                clients,
-                rank - clients,
-                request_tag,
-                wire::encode_control(token, body),
-            ),
-            None => return Err(CoreError::Transport("thread transport is shut down".into())),
-        };
+        let node = rank - clients;
+        let request = wire::encode_control(token, body);
+        let status = cluster.send_from_port(clients, node, request_tag, request);
         if !status.is_delivered() {
             return Err(CoreError::Transport(format!(
                 "control request to rank {rank} not delivered: {status:?}"
             )));
         }
+        let awaited = Some((reply_tag, node, token));
         let deadline = Instant::now() + self.tuning.control_timeout;
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
@@ -752,29 +627,25 @@ impl Transport for ThreadTransport {
                     what: format!("control reply (tag {reply_tag}) from rank {rank}"),
                 });
             }
-            let env = match &self.cluster {
-                Some(cluster) => cluster.recv_external(remaining),
-                None => return Err(CoreError::Transport("thread transport is shut down".into())),
-            };
-            let Some(env) = env else {
+            let Some(env) = cluster.recv_external(remaining.min(self.park)) else {
+                // The retransmission timer keeps its cadence while a reply
+                // is slow in coming.
+                self.carrier.close_pass(cluster);
                 continue;
             };
-            if env.tag == reply_tag && env.from == rank - clients {
-                if let Ok((reply_token, reply_body)) = wire::decode_control(&env.data) {
-                    if reply_token == token {
-                        return Ok(reply_body.to_vec());
-                    }
-                    continue; // stale reply from an abandoned request
-                }
+            if let Some(reply) = self.carrier.pass(cluster, env, awaited) {
+                return Ok(reply);
             }
-            self.on_driver_envelope(env);
         }
     }
 
-    /// Assembled from the shared digest table without touching any client's
-    /// lock.
+    /// The clients' own links, then the latest each server node published.
     fn link_digest(&self, rank: usize) -> Option<Digest> {
-        self.chaos.as_ref()?.table.get(rank)
+        let chaos = self.chaos.as_ref()?;
+        match rank.checked_sub(self.carrier.hosts.len()) {
+            None => Some(self.carrier.hosts[rank].link().digest()),
+            Some(server) => chaos.table.get(server),
+        }
     }
 
     fn fabric_counts(&self) -> (u64, u64) {
@@ -792,10 +663,6 @@ impl Transport for ThreadTransport {
 
     fn shutdown(&mut self) {
         if let Some(cluster) = self.cluster.take() {
-            self.shared.stop.store(true, Ordering::SeqCst);
-            for w in self.workers.drain(..) {
-                let _ = w.join();
-            }
             self.final_metrics = cluster.metrics();
             cluster.shutdown();
         }
@@ -805,5 +672,92 @@ impl Transport for ThreadTransport {
 impl Drop for ThreadTransport {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tc_simnet::external_id;
+
+    fn transport(clients: usize) -> ThreadTransport {
+        ThreadTransport::with_config(
+            clients,
+            1,
+            TargetTriple::X86_64_GENERIC,
+            TargetTriple::X86_64_GENERIC,
+            Tuning::default(),
+            None,
+            None,
+        )
+    }
+
+    fn envelope(to_port: usize, tag: u64, data: Vec<u8>) -> Envelope {
+        Envelope {
+            from: 0,
+            to: external_id(to_port),
+            tag,
+            data: data.into(),
+            payload: Bytes::new(),
+        }
+    }
+
+    #[test]
+    fn an_envelope_for_a_port_the_driver_does_not_have_is_a_typed_error() {
+        let mut t = transport(2);
+        let cluster = t.cluster.take().unwrap();
+        // Ports 0 and 1 are clients, port 2 is the control port.
+        for (port, tag) in [
+            (3, wire::TAG_OP),
+            (tc_simnet::MAX_EXTERNAL_PORTS - 1, wire::TAG_ACK),
+            (7, wire::TAG_STATS_REPLY),
+            // A data-plane frame has no business on the control port.
+            (2, wire::TAG_OP),
+        ] {
+            let before = t.carrier.errors.len();
+            t.carrier
+                .dispatch(&cluster, envelope(port, tag, vec![1, 2, 3]));
+            assert!(
+                matches!(t.carrier.errors[before..], [CoreError::Transport(_)]),
+                "port {port}, tag {tag}: {:?}",
+                t.carrier.errors
+            );
+        }
+        // An envelope addressed to a node id cannot come off the external
+        // queue; if one did, it is dropped the same way.
+        t.carrier.dispatch(
+            &cluster,
+            Envelope {
+                to: 0,
+                ..envelope(0, wire::TAG_OP, vec![])
+            },
+        );
+        assert_eq!(t.carrier.errors.len(), 5);
+        for host in &t.carrier.hosts {
+            assert!(!host.pending());
+        }
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn error_reports_are_recorded_and_stale_control_replies_dropped() {
+        let mut t = transport(1);
+        let cluster = t.cluster.take().unwrap();
+        t.carrier
+            .dispatch(&cluster, envelope(1, wire::TAG_ERROR, b"boom".to_vec()));
+        assert!(matches!(&t.carrier.errors[..], [CoreError::Transport(m)] if m == "boom"));
+        // A reply nobody awaits any more (its request timed out).
+        let stale = wire::encode_control(41, &[9; 8]);
+        t.carrier
+            .dispatch(&cluster, envelope(1, wire::TAG_PEEK_REPLY, stale.clone()));
+        // The same reply arriving while a later request of the same kind is
+        // awaited: the token tells them apart.
+        let awaited = Some((wire::TAG_PEEK_REPLY, 0, 42));
+        let stale = envelope(1, wire::TAG_PEEK_REPLY, stale);
+        assert_eq!(t.carrier.pass(&cluster, stale, awaited), None);
+        let live = envelope(1, wire::TAG_PEEK_REPLY, wire::encode_control(42, &[7; 8]));
+        assert_eq!(t.carrier.pass(&cluster, live, awaited), Some(vec![7; 8]));
+        assert_eq!(t.carrier.errors.len(), 1);
+        cluster.shutdown();
     }
 }

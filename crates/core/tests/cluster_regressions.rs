@@ -3,7 +3,7 @@
 //! failure modes are reachable deterministically.
 
 use tc_bitir::TargetTriple;
-use tc_core::cluster::{ClientRef, ClientRefMut, Cluster, Transport};
+use tc_core::cluster::{Cluster, Transport};
 use tc_core::{ClientId, Completion, CoreError, NativeAmHandler, NodeRuntime};
 use tc_ucx::{RequestId, WorkerAddr};
 
@@ -33,11 +33,11 @@ impl Transport for MockTransport {
     fn node_count(&self) -> usize {
         2
     }
-    fn client(&self, _id: ClientId) -> ClientRef<'_> {
-        ClientRef::Direct(&self.client)
+    fn client(&self, _id: ClientId) -> &NodeRuntime {
+        &self.client
     }
-    fn client_mut(&mut self, _id: ClientId) -> ClientRefMut<'_> {
-        ClientRefMut::Direct(&mut self.client)
+    fn client_mut(&mut self, _id: ClientId) -> &mut NodeRuntime {
+        &mut self.client
     }
     fn deploy_am(&mut self, _name: &str, _handler: NativeAmHandler) -> tc_core::Result<()> {
         Ok(())

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 use tc_bitir::TargetTriple;
-use tc_core::cluster::{ClientRef, ClientRefMut, Cluster, CompletionSet, Transport};
+use tc_core::cluster::{Cluster, CompletionSet, Transport};
 use tc_core::{ClientId, Completion, GetHandle, NativeAmHandler, NodeRuntime, Ready, ResultHandle};
 use tc_ucx::{RequestId, WorkerAddr};
 
@@ -152,11 +152,11 @@ impl Transport for MockTransport {
     fn client_count(&self) -> usize {
         self.clients.len()
     }
-    fn client(&self, id: ClientId) -> ClientRef<'_> {
-        ClientRef::Direct(&self.clients[id.0])
+    fn client(&self, id: ClientId) -> &NodeRuntime {
+        &self.clients[id.0]
     }
-    fn client_mut(&mut self, id: ClientId) -> ClientRefMut<'_> {
-        ClientRefMut::Direct(&mut self.clients[id.0])
+    fn client_mut(&mut self, id: ClientId) -> &mut NodeRuntime {
+        &mut self.clients[id.0]
     }
     fn deploy_am(&mut self, _name: &str, _handler: NativeAmHandler) -> tc_core::Result<()> {
         Ok(())

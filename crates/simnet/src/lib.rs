@@ -38,8 +38,7 @@ pub use fabric::{paper_sizes, FabricOp, FabricProfile};
 pub use platform::{Platform, PlatformId};
 pub use rand::SplitMix64;
 pub use threaded::{
-    external_id, external_port, Envelope, EnvelopeFilter, ExternalQueue, Injector, NodeCtx,
-    SendStatus, ThreadCluster, ThreadConfig, ThreadMetrics, ThreadedNode, EXTERNAL_SENDER,
-    MAX_EXTERNAL_PORTS,
+    external_id, external_port, Envelope, EnvelopeFilter, NodeCtx, SendStatus, ThreadCluster,
+    ThreadConfig, ThreadMetrics, ThreadedNode, EXTERNAL_SENDER, MAX_EXTERNAL_PORTS,
 };
 pub use time::{SimDuration, SimTime};

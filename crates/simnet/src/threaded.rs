@@ -88,15 +88,6 @@ pub struct ThreadConfig {
     pub tick: Option<Duration>,
     /// Interposed envelope filter (fault injection).
     pub filter: Option<EnvelopeFilter>,
-    /// External ports `0..n` each get a *dedicated* receive queue (taken
-    /// with [`ThreadCluster::take_external_queue`]) instead of sharing the
-    /// cluster's one external channel — so a driver can park one worker
-    /// thread per port and deliveries to different ports never serialize on
-    /// a single receiver.  Messages to dedicated ports carry in-flight
-    /// accounting like node-bound ones (the consumer acknowledges with
-    /// [`ExternalQueue::done`]).  Ports `>= n` keep the shared queue.
-    /// Default 0: every port shares the classic single external queue.
-    pub dedicated_external_ports: usize,
 }
 
 impl std::fmt::Debug for ThreadConfig {
@@ -105,7 +96,6 @@ impl std::fmt::Debug for ThreadConfig {
             .field("max_batch", &self.max_batch)
             .field("tick", &self.tick)
             .field("filter", &self.filter.is_some())
-            .field("dedicated_external_ports", &self.dedicated_external_ports)
             .finish()
     }
 }
@@ -247,43 +237,26 @@ fn send_control(peers: &[Sender<Control>], counters: &Counters, env: Envelope) -
     }
 }
 
-/// The shared routing fabric: node channels, the external queues, counters,
+/// The shared routing fabric: node channels, the external queue, counters,
 /// and the interposed filter.  Every path that can inject an envelope — node
-/// contexts, the cluster handle, cloned [`Injector`]s on driver worker
-/// threads — goes through one `Router`, so fault filtering and delivery
-/// accounting stay uniform no matter which thread sends.
+/// contexts and the cluster handle — goes through one `Router`, so fault
+/// filtering and delivery accounting stay uniform no matter which thread
+/// sends.
 #[derive(Clone)]
 struct Router {
     peers: Vec<Sender<Control>>,
     external: Sender<Envelope>,
-    /// Dedicated queues of external ports `0..dedicated.len()` (see
-    /// [`ThreadConfig::dedicated_external_ports`]); higher ports share the
-    /// classic external channel.
-    dedicated: Vec<Sender<Envelope>>,
     counters: Arc<Counters>,
     filter: Option<EnvelopeFilter>,
 }
 
 impl Router {
-    /// Route one envelope to its destination queue: a node channel, a
-    /// dedicated external-port queue, or the shared external observer (the
-    /// envelope's `to` field tells the driver which port it was for).
+    /// Route one envelope to its destination queue: a node channel, or the
+    /// external observer's one queue (the envelope's `to` field tells the
+    /// driver which port it was for).
     fn route(&self, env: Envelope) -> SendStatus {
-        let Some(port) = external_port(env.to) else {
+        if external_port(env.to).is_none() {
             return send_control(&self.peers, &self.counters, env);
-        };
-        if let Some(tx) = self.dedicated.get(port) {
-            // Dedicated queues carry in-flight accounting like node
-            // channels: counted before enqueue, acknowledged by the
-            // consumer through `ExternalQueue::done`.
-            self.counters.in_flight.fetch_add(1, Ordering::SeqCst);
-            return match tx.send(env) {
-                Ok(()) => self.counters.record(SendStatus::Delivered),
-                Err(_) => {
-                    self.counters.in_flight.fetch_sub(1, Ordering::SeqCst);
-                    self.counters.record(SendStatus::Disconnected)
-                }
-            };
         }
         match self.external.send(env) {
             Ok(()) => self.counters.record(SendStatus::Delivered),
@@ -407,110 +380,10 @@ pub trait ThreadedNode: Send {
     fn on_tick(&mut self, _ctx: &NodeCtx) {}
 }
 
-/// A dedicated external-port receive queue, taken from a cluster started
-/// with [`ThreadConfig::dedicated_external_ports`] `> 0`.  The owning
-/// (driver worker) thread parks on it directly — no polling, no contention
-/// with other ports — and acknowledges processed messages with
-/// [`ExternalQueue::done`] so [`ThreadCluster::pending_messages`] keeps
-/// counting port-bound work as in flight until it is actually handled.
-pub struct ExternalQueue {
-    port: usize,
-    rx: Receiver<Envelope>,
-    counters: Arc<Counters>,
-}
-
-impl ExternalQueue {
-    /// The external port this queue receives for.
-    pub fn port(&self) -> usize {
-        self.port
-    }
-
-    /// Park for the next envelope, up to `timeout`.  `None` on timeout or a
-    /// shut-down cluster.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Envelope> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-
-    /// Take an already-queued envelope without blocking.
-    pub fn try_recv(&self) -> Option<Envelope> {
-        self.rx.try_recv().ok()
-    }
-
-    /// Acknowledge `n` received envelopes as fully processed (decrements the
-    /// cluster's in-flight count).  Call after handling, not after receiving
-    /// — in-flight means enqueued *or processing*.
-    pub fn done(&self, n: u64) {
-        if n > 0 {
-            self.counters.in_flight.fetch_sub(n, Ordering::SeqCst);
-        }
-    }
-
-    /// Drain and discard everything still queued, acknowledging it (used on
-    /// worker shutdown so abandoned messages don't pin the in-flight count).
-    pub fn drain(&self) -> u64 {
-        let mut n = 0;
-        while self.rx.try_recv().is_ok() {
-            n += 1;
-        }
-        self.done(n);
-        n
-    }
-}
-
-/// A cloneable injection handle for driver-side worker threads: envelopes
-/// sent through it carry the chosen external port's identity and pass the
-/// same interposed filter and delivery accounting as every other send.
-/// This is what lets per-client worker threads inject into the fabric
-/// without funnelling through the [`ThreadCluster`] handle (which the
-/// driving thread owns mutably).
-#[derive(Clone)]
-pub struct Injector {
-    router: Router,
-}
-
-impl Injector {
-    /// Inject a message carrying external port `port`'s identity.
-    pub fn send_from_port(
-        &self,
-        port: usize,
-        to: usize,
-        tag: u64,
-        data: impl Into<Bytes>,
-    ) -> SendStatus {
-        self.send_vectored_from_port(port, to, tag, data.into(), Bytes::new())
-    }
-
-    /// Two-segment injection from external port `port` (zero-copy payload).
-    pub fn send_vectored_from_port(
-        &self,
-        port: usize,
-        to: usize,
-        tag: u64,
-        data: Bytes,
-        payload: Bytes,
-    ) -> SendStatus {
-        self.router.dispatch(Envelope {
-            from: external_id(port),
-            to,
-            tag,
-            data,
-            payload,
-        })
-    }
-
-    /// Node-bound and dedicated-port messages currently enqueued or being
-    /// processed (the cluster-wide counter).
-    pub fn pending_messages(&self) -> u64 {
-        self.router.counters.in_flight.load(Ordering::SeqCst)
-    }
-}
-
 /// A running cluster of threaded nodes.
 pub struct ThreadCluster {
     router: Router,
     external_rx: Receiver<Envelope>,
-    /// Dedicated-port receivers not yet taken by a worker thread.
-    dedicated_rxs: Vec<Option<Receiver<Envelope>>>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -539,17 +412,9 @@ impl ThreadCluster {
         let counters = Arc::new(Counters::default());
         let max_batch = config.effective_batch();
         let tick = config.tick;
-        let mut dedicated_txs = Vec::with_capacity(config.dedicated_external_ports);
-        let mut dedicated_rxs = Vec::with_capacity(config.dedicated_external_ports);
-        for _ in 0..config.dedicated_external_ports.min(MAX_EXTERNAL_PORTS) {
-            let (tx, rx) = channel();
-            dedicated_txs.push(tx);
-            dedicated_rxs.push(Some(rx));
-        }
         let router = Router {
             peers: senders,
             external: ext_tx,
-            dedicated: dedicated_txs,
             counters: Arc::clone(&counters),
             filter: config.filter.clone(),
         };
@@ -642,7 +507,6 @@ impl ThreadCluster {
         ThreadCluster {
             router,
             external_rx: ext_rx,
-            dedicated_rxs,
             handles,
         }
     }
@@ -662,32 +526,14 @@ impl ThreadCluster {
         self.router.counters.snapshot().dropped()
     }
 
-    /// Node-bound and dedicated-port messages currently enqueued or being
-    /// processed.  Zero means every node thread is parked with an empty
-    /// queue and every dedicated port is drained — combined with an empty
-    /// shared external queue, the cluster is quiescent.
+    /// Node-bound messages currently enqueued or being processed.  Zero
+    /// means every node thread is parked with an empty queue.  A node sends
+    /// what a batch provokes *before* the batch stops counting, so zero
+    /// followed by an empty external queue means the cluster is quiescent —
+    /// in that order: a reply can land between an earlier look at the queue
+    /// and the count reaching zero.
     pub fn pending_messages(&self) -> u64 {
         self.router.counters.in_flight.load(Ordering::SeqCst)
-    }
-
-    /// A cloneable [`Injector`] for driver-side worker threads.
-    pub fn injector(&self) -> Injector {
-        Injector {
-            router: self.router.clone(),
-        }
-    }
-
-    /// Take ownership of dedicated external port `port`'s receive queue
-    /// (configured via [`ThreadConfig::dedicated_external_ports`]).  Each
-    /// queue can be taken exactly once; `None` if the port has no dedicated
-    /// queue or it was already taken.
-    pub fn take_external_queue(&mut self, port: usize) -> Option<ExternalQueue> {
-        let rx = self.dedicated_rxs.get_mut(port)?.take()?;
-        Some(ExternalQueue {
-            port,
-            rx,
-            counters: Arc::clone(&self.router.counters),
-        })
     }
 
     /// Inject a message into the cluster from the driver thread (external
@@ -1097,64 +943,36 @@ mod tests {
     }
 
     #[test]
-    fn dedicated_ports_receive_independently_and_count_in_flight() {
-        // Port 0 and 1 get dedicated queues; port 2 falls through to the
-        // shared external queue.  Replies route by destination port, and
-        // dedicated-port messages stay "in flight" until acknowledged.
+    fn replies_to_two_ports_share_one_queue_in_send_order() {
+        // One node echoes to whichever port sent: the driver's ports share
+        // the external queue, so replies arrive in the order the node sent
+        // them, each still naming its port.
         struct PortEcho;
         impl ThreadedNode for PortEcho {
             fn on_message(&mut self, msg: Envelope, ctx: &NodeCtx) {
-                let port = external_port(msg.from).unwrap();
-                let _ = ctx.send_external_port(port, msg.tag, msg.data);
+                if let Some(port) = external_port(msg.from) {
+                    let _ = ctx.send_external_port(port, msg.tag, msg.data);
+                }
             }
         }
-        let mut cluster = ThreadCluster::start_with_config(
-            1,
-            ThreadConfig {
-                dedicated_external_ports: 2,
-                ..ThreadConfig::default()
-            },
-            |_| PortEcho,
-        );
-        let q0 = cluster.take_external_queue(0).expect("port 0 queue");
-        let q1 = cluster.take_external_queue(1).expect("port 1 queue");
-        assert!(
-            cluster.take_external_queue(0).is_none(),
-            "a queue can be taken once"
-        );
-        assert!(cluster.take_external_queue(2).is_none(), "port 2 is shared");
-        let injector = cluster.injector();
-        let _ = injector.send_from_port(0, 0, 10, vec![0u8]);
-        let _ = injector.send_from_port(1, 0, 11, vec![1u8]);
-        let _ = cluster.send_from_port(2, 0, 12, vec![2u8]);
-        let e0 = q0.recv_timeout(Duration::from_secs(5)).expect("port 0");
-        let e1 = q1.recv_timeout(Duration::from_secs(5)).expect("port 1");
-        let e2 = cluster
-            .recv_external(Duration::from_secs(5))
-            .expect("shared queue still works for high ports");
-        assert_eq!((e0.tag, e1.tag, e2.tag), (10, 11, 12));
-        // Both dedicated deliveries are still in flight until acknowledged.
-        // The node's own inbound accounting drains asynchronously (its
-        // in-flight decrement lands after `on_message` returns, racing the
-        // echo receive above), so wait for it to settle first.
-        let settle = |cluster: &ThreadCluster, want: u64| {
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while cluster.pending_messages() != want && Instant::now() < deadline {
-                std::thread::yield_now();
-            }
-            cluster.pending_messages()
-        };
-        assert_eq!(settle(&cluster, 2), 2);
-        q0.done(1);
-        q1.done(1);
-        assert_eq!(settle(&cluster, 0), 0);
+        let cluster = ThreadCluster::start(1, |_| PortEcho);
+        let sends = [(1usize, 10u64), (0, 11), (1, 12), (0, 13), (0, 14), (1, 15)];
+        for (port, tag) in sends {
+            assert!(cluster.send_from_port(port, 0, tag, vec![]).is_delivered());
+        }
+        let got: Vec<(usize, u64)> = cluster
+            .collect_external(sends.len(), Duration::from_secs(5))
+            .iter()
+            .filter_map(|env| Some((external_port(env.to)?, env.tag)))
+            .collect();
+        assert_eq!(got, sends);
         cluster.shutdown();
     }
 
     #[test]
-    fn injector_passes_the_interposed_filter() {
-        // Worker-thread injections must see the same fault filter as driver
-        // sends — absorb everything and check the status + counter.
+    fn port_sends_pass_the_interposed_filter() {
+        // A send carrying a port's identity must see the same fault filter
+        // as every other — absorb everything and check the status + counter.
         let filter: EnvelopeFilter = Arc::new(|_, _| {});
         let cluster = ThreadCluster::start_with_config(
             1,
@@ -1164,9 +982,8 @@ mod tests {
             },
             |_| RelayNode,
         );
-        let injector = cluster.injector();
         assert_eq!(
-            injector.send_from_port(3, 0, 0, vec![]),
+            cluster.send_from_port(3, 0, 0, vec![]),
             SendStatus::Filtered
         );
         assert_eq!(cluster.metrics().filtered, 1);

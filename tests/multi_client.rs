@@ -494,3 +494,95 @@ fn four_client_layout_is_consistent_on_both_backends() {
         cluster.shutdown();
     }
 }
+
+/// Control round trips issued while data is in flight share the driver's
+/// receive path with it (one external queue on threads, one inbox on the
+/// socket backend): whatever arrives ahead of a control reply must be
+/// delivered to its client, not discarded as "not the reply".
+#[test]
+fn control_round_trips_do_not_eat_data_in_flight() {
+    const PER_CLIENT: u64 = 32;
+    for backend in [Backend::Threads, Backend::Socket] {
+        let mut cluster = socket_builder(2, 2).build(backend);
+        let value = |c: u64, i: u64| (c + 1) << 32 | i;
+        let addr = |c: u64, i: u64| DATA_REGION_BASE + 8 * (c * PER_CLIENT + i);
+        for s in 0..2 {
+            for c in 0..2 {
+                for i in 0..PER_CLIENT {
+                    cluster
+                        .write_u64(cluster.server_rank(s), addr(c, i), value(c, i))
+                        .unwrap();
+                }
+            }
+        }
+        let mut set = CompletionSet::new();
+        let mut expected = std::collections::HashMap::new();
+        for c in 0..2 {
+            for i in 0..PER_CLIENT {
+                let server = cluster.server_rank((i % 2) as usize);
+                let h = cluster.post_get_from(ClientId(c as usize), server, addr(c, i), 8);
+                assert_eq!(h.client(), ClientId(c as usize));
+                expected.insert(set.add_get(h), value(c, i));
+            }
+        }
+        cluster.flush_all().unwrap();
+        // Each control call queues behind the GETs on its server, so the
+        // replies to those are what it has to step over.
+        for s in 0..2 {
+            let rank = cluster.server_rank(s);
+            let bytes = cluster.read_memory(rank, addr(1, 5), 8).unwrap();
+            assert_eq!(bytes, value(1, 5).to_le_bytes(), "{backend}");
+            assert_eq!(
+                cluster.stats(rank).unwrap().gets_served,
+                PER_CLIENT,
+                "{backend}: the stats request is a barrier behind the GETs"
+            );
+            cluster.write_u64(rank, TARGET_REGION_BASE, 1).unwrap();
+        }
+        let resolved = cluster.wait_all(&mut set).unwrap();
+        assert_eq!(resolved.len(), 2 * PER_CLIENT as usize, "{backend}");
+        for (token, ready) in resolved {
+            // Each token resolves once, with the bytes its own client asked for.
+            let want = expected.remove(&token).expect("a token resolved twice");
+            match ready {
+                Ready::Get(data) => assert_eq!(data.as_slice(), want.to_le_bytes(), "{backend}"),
+                other => panic!("{backend}: unexpected readiness {other:?}"),
+            }
+        }
+        assert!(expected.is_empty());
+        assert_eq!(cluster.pending_completions(), 0, "{backend}");
+        cluster.shutdown();
+    }
+}
+
+/// A control request abandoned at its timeout still gets its reply, late.
+/// That reply is stale: the next request of the same kind must not take it
+/// for its own, and nothing else may trip over it.
+#[test]
+fn a_late_reply_to_an_abandoned_control_request_is_dropped() {
+    let tuning = tc_core::Tuning {
+        control_timeout: std::time::Duration::from_millis(100),
+        ..tc_core::Tuning::default()
+    };
+    let mut cluster = builder(1, 1).tuning(tuning).build_threaded();
+    let nap: tc_core::NativeAmHandler = std::sync::Arc::new(|_, _| {
+        std::thread::sleep(std::time::Duration::from_millis(500));
+        1
+    });
+    cluster.deploy_am("nap", nap).unwrap();
+    cluster.send_am("nap", 1, vec![]).unwrap();
+    // The request waits behind the sleeping handler and is given up on.
+    assert!(matches!(
+        cluster.stats(1),
+        Err(tc_core::CoreError::WaitTimeout { .. })
+    ));
+    std::thread::sleep(std::time::Duration::from_millis(600));
+    // Its reply (`ams_executed == 1`) is queued by now; the GET in between
+    // makes the second snapshot differ from it.
+    let h = cluster.get(1, DATA_REGION_BASE, 8).unwrap();
+    cluster.wait(&h).unwrap();
+    let stats = cluster.stats(1).unwrap();
+    assert_eq!((stats.ams_executed, stats.gets_served), (1, 1));
+    assert!(cluster.transport().errors().is_empty());
+    cluster.shutdown();
+}

@@ -206,8 +206,8 @@ fn thread_tuning_is_configurable_through_the_builder() {
 }
 
 /// `node_batch: 0` asks for the default burst on *both* rank classes.  The
-/// client workers used to read it as "one envelope per wakeup", which shows
-/// under a zero-rate fault plan: a worker that closes its pass after every
+/// client side used to read it as "one envelope per wakeup", which shows
+/// under a zero-rate fault plan: a carrier that closes its pass after every
 /// reply owes — and sends — a pure ack per reply instead of one per burst.
 #[test]
 fn node_batch_zero_means_the_default_burst_for_servers_and_clients() {
@@ -253,20 +253,19 @@ fn node_batch_zero_means_the_default_burst_for_servers_and_clients() {
     cluster.shutdown();
 }
 
-/// The driver's `flush_client` races the client worker's response flush on
-/// one client: the driver posts a seeded mix of GETs and ifunc sends and
-/// flushes late, while replies keep waking the worker, which flushes
-/// whatever the driver has posted so far.  Whoever takes an operation must
-/// also have put it on the wire before the other can take the next, or a
-/// link's sequence numbers leave out of order (and a cached-id ifunc frame
-/// overtakes the frame that ships its code).  Under a zero-rate fault plan
-/// the servers' reliable links count exactly that.
+/// The driver's `flush_client` interleaves with the response flushes of the
+/// passes its waits run on the same client: the driver posts a seeded mix of
+/// GETs and ifunc sends and flushes late, with waits in between.  Whoever
+/// takes an operation must also have put it on the wire before the next is
+/// taken, or a link's sequence numbers leave out of order (and a cached-id
+/// ifunc frame overtakes the frame that ships its code).  Under a zero-rate
+/// fault plan the servers' reliable links count exactly that.
 #[test]
 fn driver_flush_racing_the_worker_flush_keeps_every_link_in_order() {
     const SEED: u64 = 0x0F1A_5EED;
     let platform = tc_simnet::Platform::thor_xeon();
     // Patient enough that a loaded test host never retransmits, so a
-    // duplicate can only come from the race.
+    // duplicate can only come from misordering.
     let patient = tc_core::RelConfig {
         rto: 250_000_000,
         rto_max: 1_000_000_000,
@@ -303,7 +302,7 @@ fn driver_flush_racing_the_worker_flush_keeps_every_link_in_order() {
                 gets.push(cluster.post_get(server, DATA_REGION_BASE, 8));
             }
             // A seeded pause between two posts: replies of earlier rounds
-            // wake the worker meanwhile.
+            // queue up meanwhile.
             for _ in 0..rng.next_u64() % 2_000 {
                 std::hint::spin_loop();
             }
@@ -339,5 +338,96 @@ fn driver_flush_racing_the_worker_flush_keeps_every_link_in_order() {
         );
     }
     assert!(cluster.transport().errors().is_empty());
+    cluster.shutdown();
+}
+
+/// A server enqueues its reply *before* its batch stops counting as in
+/// flight, so a `step` whose park times out just as the reply lands reads
+/// "nothing pending" over a queued reply.  With the shortest park and no
+/// grace at all, one such misreading is a `WaitTimeout`.
+#[test]
+fn idleness_is_never_declared_over_a_queued_reply() {
+    use tc_workloads::{chaser_module, run_pipelined_chases, PointerTable, Window};
+    let platform = tc_simnet::Platform::thor_xeon();
+    let tuning = tc_core::Tuning {
+        step_timeout: std::time::Duration::from_micros(50),
+        idle_grace: 1,
+        ..tc_core::Tuning::default()
+    };
+    let mut cluster = ClusterBuilder::new()
+        .platform(platform)
+        .servers(2)
+        .tuning(tuning)
+        .build_threaded();
+    let table = PointerTable::generate(2, 64, 19);
+    table.install_cluster(&mut cluster).unwrap();
+    for i in 0..20_000u64 {
+        let g = i % table.total_entries() as u64;
+        let handle = cluster
+            .get(table.owner_rank(g), table.entry_addr(g), 8)
+            .unwrap();
+        let data = cluster.wait(&handle).unwrap();
+        assert_eq!(
+            u64::from_le_bytes(data[..8].try_into().unwrap()),
+            table.next(g)
+        );
+    }
+    let library = build_ifunc_library(
+        &chaser_module("idle_chaser"),
+        &platform_toolchain(&platform),
+    )
+    .unwrap();
+    let handle = cluster.register_ifunc(library);
+    let mut message = move |c: &mut tc_core::Cluster<tc_core::ThreadTransport>, payload| {
+        c.bitcode_message(handle, payload)
+    };
+    let starts: Vec<u64> = (0..2_000).map(|i| (i * 7) % 128).collect();
+    let values = run_pipelined_chases(
+        &mut cluster,
+        &mut message,
+        &table,
+        &starts,
+        8,
+        Window::new(1),
+    )
+    .unwrap();
+    for (value, start) in values.iter().zip(&starts) {
+        assert_eq!(*value, table.chase(*start, 8));
+    }
+    assert!(cluster.transport().errors().is_empty());
+    cluster.shutdown();
+}
+
+/// A threaded cluster of `C` clients and `S` servers starts `S` threads: the
+/// caller carries the clients.  No thread of this process is ever named
+/// `tc-client-*`, whatever other tests run beside this one.
+#[cfg(target_os = "linux")]
+#[test]
+fn no_thread_is_started_for_a_client_rank() {
+    let mut cluster = ClusterBuilder::new().clients(2).servers(2).build_threaded();
+    for s in 0..2 {
+        let rank = cluster.server_rank(s);
+        cluster.write_u64(rank, DATA_REGION_BASE, 0xC0DE).unwrap();
+    }
+    for c in 0..2 {
+        let client = tc_core::ClientId(c);
+        let handle = cluster
+            .get_from(client, cluster.server_rank(c), DATA_REGION_BASE, 8)
+            .unwrap();
+        let data = cluster.wait(&handle).unwrap();
+        assert_eq!(u64::from_le_bytes(data[..8].try_into().unwrap()), 0xC0DE);
+    }
+    let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .collect();
+    assert!(
+        names.iter().any(|n| n.starts_with("tc-node-")),
+        "the servers' threads are visible: {names:?}"
+    );
+    assert!(
+        !names.iter().any(|n| n.starts_with("tc-client-")),
+        "a client rank has a thread of its own: {names:?}"
+    );
     cluster.shutdown();
 }
