@@ -4,8 +4,8 @@
 //! The paper's X-RDMA story depends on keeping many one-sided operations and
 //! result mailboxes in flight at once.  Three pieces make that scale:
 //!
-//! * [`ClaimTable`] — the client-side buffer of arrived-but-unclaimed
-//!   completions, indexed by request id / mailbox slot *and* threaded on an
+//! * [`ClaimTable`] — the driver-side buffer of arrived-but-unclaimed
+//!   completions: one map keyed by `(kind, client, id)` threaded on one
 //!   arrival queue, so claiming one of hundreds of outstanding operations
 //!   is a hash lookup plus an O(1) amortized queue pop — not the linear
 //!   `Vec<Completion>` scan (quadratic across a pipelined run) it replaces;
@@ -19,6 +19,11 @@
 //! * [`Ready`] — the typed outcome `wait_any` hands back together with the
 //!   registering [`CompletionToken`].
 //!
+//! The table has one owner, its [`Cluster`](super::Cluster), and is fed and
+//! claimed from on the thread that drives the cluster — as in the paper,
+//! where an initiator reaps its own completions on the thread that
+//! progresses its worker.  Nothing here is shared, so nothing here locks.
+//!
 //! The table also powers the fixed
 //! [`Cluster::run_until_completions`](super::Cluster::run_until_completions)
 //! contract: completions returned from that call stay *claimable* by later
@@ -26,9 +31,8 @@
 
 use super::{ClientId, CompletionHandle, GetHandle, ResultHandle};
 use crate::runtime::Completion;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
 use tc_ucx::{Bytes, RequestId};
 
 /// What a pending completion is keyed by — the join point between the claim
@@ -36,7 +40,8 @@ use tc_ucx::{Bytes, RequestId};
 /// carries the owning [`ClientId`]: request ids and mailbox slots are
 /// per-client spaces (each client runtime allocates its own), so two clients
 /// posting concurrently produce *colliding* numeric ids that must never
-/// claim each other's completions.
+/// claim each other's completions.  The key is the only thing that keeps
+/// clients apart: they share one table and one arrival order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(super) enum ClaimKey {
     Get(ClientId, u64),
@@ -44,15 +49,26 @@ pub(super) enum ClaimKey {
     Result(ClientId, u64),
 }
 
-/// One arrived-but-unclaimed completion value.
-#[derive(Debug, Clone)]
-struct Arrived<V> {
-    /// Global arrival order (used for fairness in `wait_any`).
+impl ClaimKey {
+    /// Human-readable description for timeout errors.
+    pub(super) fn describe(&self) -> String {
+        match self {
+            ClaimKey::Get(c, r) => format!("GET completion (client {}, request {r})", c.0),
+            ClaimKey::Put(c, r) => format!("confirmed PUT (client {}, request {r})", c.0),
+            ClaimKey::Result(c, s) => format!("X-RDMA result (client {}, mailbox slot {s})", c.0),
+        }
+    }
+}
+
+/// One arrived-but-unclaimed completion.
+#[derive(Debug)]
+struct Arrived {
+    /// Arrival number: the one order `wait_any`, `take_fresh` and the
+    /// arrival queue all follow.
     seq: u64,
-    /// True once the completion was handed out by `run_until_completions`
-    /// (it stays claimable, but is not returned or counted again).
-    observed: bool,
-    value: V,
+    /// What the claimer receives: `Ready::Get`, `Ready::Put` or
+    /// `Ready::Result`, matching the kind of the key it is stored under.
+    value: Ready,
 }
 
 /// Indexed buffer of completions that reached a client but have not been
@@ -62,397 +78,191 @@ struct Arrived<V> {
 /// `(client, confirmed-PUT request id)`, `(client, result-mailbox slot)` —
 /// always qualified by the owning [`ClientId`], so completions of different
 /// clients are routed independently even when their numeric ids collide.
-/// Claiming is O(1), and one arrival queue shared across all clients keeps
-/// first-arrived fairness O(1) amortized; with hundreds of operations
-/// outstanding this is the difference between linear and quadratic
-/// completion draining.
+/// Claiming is one hash removal, and one arrival queue shared across all
+/// clients keeps first-arrived fairness O(1) amortized; with hundreds of
+/// operations outstanding this is the difference between linear and
+/// quadratic completion draining.
+///
+/// There is one arrival order.  Every deposit takes the next arrival number
+/// and queues a `(number, key)` record; a record is *live* only while the
+/// table's entry for its key still carries that number.  Claiming an entry
+/// or overwriting it kills its record, so a key never has two live records
+/// and the queue, [`ClaimTable::take_fresh`] and `wait_any` cannot disagree.
+/// Freshness is a mark on the same order: a completion is *fresh* until
+/// `take_fresh` has handed it out, i.e. while its number is at or above the
+/// next number at the last `take_fresh`.
 #[derive(Debug, Default)]
 pub struct ClaimTable {
-    gets: HashMap<(ClientId, u64), Arrived<Bytes>>,
-    puts: HashMap<(ClientId, u64), Arrived<()>>,
-    results: HashMap<(ClientId, u64), Arrived<u64>>,
-    /// Pending keys in arrival order (entries whose completion was since
-    /// claimed are pruned lazily).
-    arrivals: VecDeque<ClaimKey>,
-    /// Unclaimed completions not yet handed out by `run_until_completions`
-    /// (maintained incrementally so the wait loops check it in O(1)).
+    pending: HashMap<ClaimKey, Arrived>,
+    /// Arrival records, oldest first (dead ones are pruned lazily).
+    arrivals: VecDeque<(u64, ClaimKey)>,
+    next_seq: u64,
+    /// Arrivals numbered below this were handed out by `take_fresh` (they
+    /// stay claimable, but are not returned or counted again).
+    fresh_from: u64,
+    /// Fresh pending completions (maintained incrementally so the wait loop
+    /// checks it in O(1)).
     fresh: usize,
-    seq: SeqSource,
-}
-
-/// Where a table draws its arrival-order numbers from.  A standalone table
-/// numbers arrivals locally; a shard of a [`ClaimShards`] draws from the
-/// counter shared by every shard, so arrival order stays globally comparable
-/// even when different client threads absorb concurrently.
-#[derive(Debug)]
-enum SeqSource {
-    Local(u64),
-    Shared(Arc<AtomicU64>),
-}
-
-impl Default for SeqSource {
-    fn default() -> Self {
-        SeqSource::Local(0)
-    }
-}
-
-impl SeqSource {
-    fn next(&mut self) -> u64 {
-        match self {
-            SeqSource::Local(n) => {
-                let seq = *n;
-                *n += 1;
-                seq
-            }
-            SeqSource::Shared(counter) => counter.fetch_add(1, Ordering::Relaxed),
-        }
-    }
 }
 
 impl ClaimTable {
-    /// A table that numbers arrivals from a counter shared with other
-    /// tables — the shard constructor used by [`ClaimShards`].
-    fn sharing_seq(counter: &Arc<AtomicU64>) -> Self {
-        ClaimTable {
-            seq: SeqSource::Shared(Arc::clone(counter)),
-            ..ClaimTable::default()
-        }
-    }
-
     /// Fold a batch of one client's transport completions into the table.
     ///
     /// A result slot holds at most one unclaimed value per client (the
-    /// mailbox slot is a single 16-byte record; a second arrival before the
-    /// first claim is an overwrite: the entry takes the new value and counts
-    /// as a *fresh* arrival again, though it keeps its original position in
-    /// the arrival queue).  Duplicate confirmed-PUT acks collapse onto the
-    /// first.
+    /// mailbox slot is a single 16-byte record): a second arrival before
+    /// the first claim is an overwrite — the entry takes the new value,
+    /// counts as a *fresh* arrival again and moves to the back of the
+    /// arrival order, which is where a new completion belongs.  A duplicate
+    /// GET or confirmed-PUT completion collapses onto the first.
     pub fn absorb(&mut self, client: ClientId, completions: Vec<Completion>) {
-        self.compact_arrivals();
+        // Before depositing: a driver that claims what it waits for arrives
+        // here with an empty map, where checking a record costs no hashing.
+        self.sweep_arrivals(32);
         for c in completions {
-            let seq = self.seq.next();
-            match c {
+            let (key, value) = match c {
                 Completion::Get { request, data } => {
-                    if let std::collections::hash_map::Entry::Vacant(v) =
-                        self.gets.entry((client, request.0))
-                    {
-                        v.insert(Arrived {
-                            seq,
-                            observed: false,
-                            value: data,
-                        });
-                        self.arrivals.push_back(ClaimKey::Get(client, request.0));
+                    (ClaimKey::Get(client, request.0), Ready::Get(data))
+                }
+                Completion::Put { request } => (ClaimKey::Put(client, request.0), Ready::Put),
+                Completion::Result { slot, value } => {
+                    (ClaimKey::Result(client, slot), Ready::Result(value))
+                }
+            };
+            let seq = self.next_seq;
+            let arrived = Arrived { seq, value };
+            match self.pending.entry(key) {
+                Entry::Vacant(v) => {
+                    v.insert(arrived);
+                    self.fresh += 1;
+                }
+                Entry::Occupied(mut o) if matches!(key, ClaimKey::Result(..)) => {
+                    // Even if the record it replaces was already handed out
+                    // by `run_until_completions`, this one was not.
+                    if o.insert(arrived).seq < self.fresh_from {
                         self.fresh += 1;
                     }
                 }
-                Completion::Put { request } => {
-                    if let std::collections::hash_map::Entry::Vacant(v) =
-                        self.puts.entry((client, request.0))
-                    {
-                        v.insert(Arrived {
-                            seq,
-                            observed: false,
-                            value: (),
-                        });
-                        self.arrivals.push_back(ClaimKey::Put(client, request.0));
-                        self.fresh += 1;
-                    }
-                }
-                Completion::Result { slot, value } => match self.results.get_mut(&(client, slot)) {
-                    Some(existing) => {
-                        // A reused slot delivered a new record: it is a new
-                        // completion, even if the previous one was already
-                        // handed out by `run_until_completions`.
-                        existing.value = value;
-                        existing.seq = seq;
-                        if existing.observed {
-                            existing.observed = false;
-                            self.fresh += 1;
-                        }
-                    }
-                    None => {
-                        self.results.insert(
-                            (client, slot),
-                            Arrived {
-                                seq,
-                                observed: false,
-                                value,
-                            },
-                        );
-                        self.arrivals.push_back(ClaimKey::Result(client, slot));
-                        self.fresh += 1;
-                    }
-                },
+                Entry::Occupied(_) => continue,
             }
+            self.next_seq += 1;
+            self.arrivals.push_back((seq, key));
+        }
+        // A batch that overwrites slots leaves dead records of its own.
+        self.sweep_arrivals(64);
+    }
+
+    fn is_live(&self, (seq, key): (u64, ClaimKey)) -> bool {
+        self.pending.get(&key).is_some_and(|a| a.seq == seq)
+    }
+
+    /// Sweep dead arrival records once the queue is longer than `floor` and
+    /// than twice the pending completions.  Claims through typed
+    /// `wait`/`try_claim` never walk the queue, so without this a wait-only
+    /// driver would grow `arrivals` without bound; amortised over `absorb`,
+    /// the queue stays within 2× the pending completions.
+    fn sweep_arrivals(&mut self, floor: usize) {
+        if self.arrivals.len() > floor.max(2 * self.len()) {
+            let mut arrivals = std::mem::take(&mut self.arrivals);
+            arrivals.retain(|&record| self.is_live(record));
+            self.arrivals = arrivals;
         }
     }
 
-    fn is_pending(&self, key: ClaimKey) -> bool {
-        match key {
-            ClaimKey::Get(c, r) => self.gets.contains_key(&(c, r)),
-            ClaimKey::Put(c, r) => self.puts.contains_key(&(c, r)),
-            ClaimKey::Result(c, s) => self.results.contains_key(&(c, s)),
-        }
-    }
-
-    /// Sweep stale (already-claimed) arrival records once the queue holds
-    /// more stale entries than live ones.  Claims through typed
-    /// `wait`/`try_claim` never walk the queue, so without this a
-    /// wait-only driver would grow `arrivals` without bound; amortised over
-    /// `absorb`, the queue stays within 2× the pending completions.
-    fn compact_arrivals(&mut self) {
-        if self.arrivals.len() > 32 && self.arrivals.len() > 2 * self.len() {
-            let arrivals = std::mem::take(&mut self.arrivals);
-            self.arrivals = arrivals
-                .into_iter()
-                .filter(|&k| self.is_pending(k))
-                .collect();
-        }
-    }
-
-    /// The earliest-arrived pending key accepted by `wanted`.  Stale
-    /// (claimed) records are popped eagerly at the front and swept from the
-    /// interior by [`ClaimTable::compact_arrivals`]; entries that are
-    /// pending but not wanted (e.g. observed completions no handle waits on
-    /// yet) are skipped without being dropped.
+    /// The earliest-arrived pending key accepted by `wanted`.  Dead records
+    /// are popped eagerly at the front and swept from the interior by
+    /// [`ClaimTable::sweep_arrivals`]; entries that are pending but not
+    /// wanted (e.g. observed completions no handle waits on yet) are
+    /// skipped without being dropped.
     pub(super) fn earliest_pending(
         &mut self,
         mut wanted: impl FnMut(ClaimKey) -> bool,
     ) -> Option<ClaimKey> {
-        // Pop claimed records off the front (O(1)); interior stale entries
-        // are just skipped — `compact_arrivals` reclaims them in bulk.
-        while let Some(&key) = self.arrivals.front() {
-            if self.is_pending(key) {
+        while let Some(&record) = self.arrivals.front() {
+            if self.is_live(record) {
                 break;
             }
             self.arrivals.pop_front();
         }
-        let mut i = 0;
-        while i < self.arrivals.len() {
-            let key = self.arrivals[i];
-            if self.is_pending(key) && wanted(key) {
-                return Some(key);
-            }
-            i += 1;
-        }
-        None
+        self.arrivals
+            .iter()
+            .find(|&&record| self.is_live(record) && wanted(record.1))
+            .map(|&(_, key)| key)
     }
 
-    /// Arrival-order number of a pending key, if present.
-    fn seq_of(&self, key: ClaimKey) -> Option<u64> {
-        match key {
-            ClaimKey::Get(c, r) => self.gets.get(&(c, r)).map(|a| a.seq),
-            ClaimKey::Put(c, r) => self.puts.get(&(c, r)).map(|a| a.seq),
-            ClaimKey::Result(c, s) => self.results.get(&(c, s)).map(|a| a.seq),
+    /// Remove and return the completion pending under `key`.
+    pub(super) fn claim(&mut self, key: ClaimKey) -> Option<Ready> {
+        let arrived = self.pending.remove(&key)?;
+        if arrived.seq >= self.fresh_from {
+            self.fresh -= 1;
         }
-    }
-
-    /// Like [`ClaimTable::earliest_pending`] but paired with the key's
-    /// arrival-order number, so shards can compare candidates globally.
-    pub(super) fn earliest_pending_seq(
-        &mut self,
-        wanted: impl FnMut(ClaimKey) -> bool,
-    ) -> Option<(u64, ClaimKey)> {
-        let key = self.earliest_pending(wanted)?;
-        let seq = self.seq_of(key).expect("earliest_pending keys are pending");
-        Some((seq, key))
-    }
-
-    fn note_claimed(fresh: &mut usize, observed: bool) {
-        if !observed {
-            *fresh -= 1;
-        }
+        Some(arrived.value)
     }
 
     /// Remove and return one client's GET completion.
     pub fn claim_get(&mut self, client: ClientId, request: RequestId) -> Option<Bytes> {
-        self.gets.remove(&(client, request.0)).map(|a| {
-            Self::note_claimed(&mut self.fresh, a.observed);
-            a.value
-        })
+        match self.claim(ClaimKey::Get(client, request.0))? {
+            Ready::Get(data) => Some(data),
+            _ => None,
+        }
     }
 
     /// Remove and return one client's confirmed-PUT completion.
     pub fn claim_put(&mut self, client: ClientId, request: RequestId) -> Option<()> {
-        self.puts.remove(&(client, request.0)).map(|a| {
-            Self::note_claimed(&mut self.fresh, a.observed);
-            a.value
-        })
+        self.claim(ClaimKey::Put(client, request.0)).map(|_| ())
     }
 
     /// Remove and return one client's X-RDMA result completion.
     pub fn claim_result(&mut self, client: ClientId, slot: u64) -> Option<u64> {
-        self.results.remove(&(client, slot)).map(|a| {
-            Self::note_claimed(&mut self.fresh, a.observed);
-            a.value
-        })
+        match self.claim(ClaimKey::Result(client, slot))? {
+            Ready::Result(value) => Some(value),
+            _ => None,
+        }
     }
 
-    /// Arrival order of a pending GET completion, if present.
-    pub fn get_arrival(&self, client: ClientId, request: RequestId) -> Option<u64> {
-        self.gets.get(&(client, request.0)).map(|a| a.seq)
-    }
-
-    /// Arrival order of a pending confirmed-PUT completion, if present.
-    pub fn put_arrival(&self, client: ClientId, request: RequestId) -> Option<u64> {
-        self.puts.get(&(client, request.0)).map(|a| a.seq)
-    }
-
-    /// Arrival order of a pending result completion, if present.
-    pub fn result_arrival(&self, client: ClientId, slot: u64) -> Option<u64> {
-        self.results.get(&(client, slot)).map(|a| a.seq)
-    }
-
-    /// Number of unclaimed completions (observed or not).
+    /// Number of unclaimed completions (fresh or not).
     pub fn len(&self) -> usize {
-        self.gets.len() + self.puts.len() + self.results.len()
+        self.pending.len()
     }
 
     /// True when no completion is pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.pending.is_empty()
     }
 
     /// Number of unclaimed completions that have not yet been handed out by
-    /// `run_until_completions` (O(1): the wait loops check it per step).
+    /// `run_until_completions` (O(1): the wait loop checks it per step).
     pub fn fresh_len(&self) -> usize {
         self.fresh
     }
 
-    /// Snapshot the not-yet-observed completions in arrival order, marking
-    /// them observed.  They remain claimable by typed handles.  (The
-    /// returned [`Completion`] values carry the per-client numeric ids; on a
+    /// Snapshot the fresh completions in arrival order; they are fresh no
+    /// longer, but remain claimable by typed handles.  (The returned
+    /// [`Completion`] values carry the per-client numeric ids; on a
     /// multi-client cluster use typed handles to keep the client attribution.)
     pub fn take_fresh(&mut self) -> Vec<Completion> {
-        let mut out = self.take_fresh_seq();
-        out.sort_by_key(|(seq, _)| *seq);
-        out.into_iter().map(|(_, c)| c).collect()
-    }
-
-    /// [`ClaimTable::take_fresh`] with arrival-order numbers attached and no
-    /// sorting — shards merge-sort across tables instead.
-    fn take_fresh_seq(&mut self) -> Vec<(u64, Completion)> {
-        let mut out: Vec<(u64, Completion)> = Vec::new();
-        for (&(_, request), a) in self.gets.iter_mut().filter(|(_, a)| !a.observed) {
-            a.observed = true;
-            out.push((
-                a.seq,
-                Completion::Get {
+        let fresh_from = std::mem::replace(&mut self.fresh_from, self.next_seq);
+        let mut out = Vec::with_capacity(std::mem::take(&mut self.fresh));
+        let oldest = self.arrivals.partition_point(|&(seq, _)| seq < fresh_from);
+        for &(seq, key) in self.arrivals.range(oldest..) {
+            let Some(a) = self.pending.get(&key).filter(|a| a.seq == seq) else {
+                continue;
+            };
+            out.push(match (key, &a.value) {
+                (ClaimKey::Get(_, request), Ready::Get(data)) => Completion::Get {
                     request: RequestId(request),
-                    data: a.value.clone(),
+                    data: data.clone(),
                 },
-            ));
-        }
-        for (&(_, request), a) in self.puts.iter_mut().filter(|(_, a)| !a.observed) {
-            a.observed = true;
-            out.push((
-                a.seq,
-                Completion::Put {
+                (ClaimKey::Result(_, slot), &Ready::Result(value)) => {
+                    Completion::Result { slot, value }
+                }
+                (ClaimKey::Put(_, request), _) => Completion::Put {
                     request: RequestId(request),
                 },
-            ));
+                // `absorb` stores every key with its own kind's value.
+                _ => continue,
+            });
         }
-        for (&(_, slot), a) in self.results.iter_mut().filter(|(_, a)| !a.observed) {
-            a.observed = true;
-            out.push((
-                a.seq,
-                Completion::Result {
-                    slot,
-                    value: a.value,
-                },
-            ));
-        }
-        self.fresh = 0;
         out
-    }
-}
-
-/// The sharded claim table: one [`ClaimTable`] per client behind its own
-/// mutex, numbering arrivals from one shared counter.
-///
-/// Sharding by [`ClientId`] is exact, not probabilistic — every claim key is
-/// qualified by its owning client, so a completion's shard is a direct index
-/// and cross-shard claims cannot exist.  The per-shard mutexes mean a
-/// thread depositing completions contends only with waiters touching
-/// *that* client, never with another client's hot claim path (every in-tree
-/// backend now deposits from the driving thread; the table stays safe to
-/// share); the shared
-/// arrival counter keeps `wait_any` first-arrived fairness globally
-/// meaningful even though different shards absorb concurrently.
-///
-/// Locking discipline: at most one shard lock is held at a time, always
-/// acquired and released within a single method — so there is no lock-order
-/// hazard between shards, and a producer on another thread can never
-/// deadlock against consumers (the user thread driving the wait loops).
-#[derive(Debug)]
-pub struct ClaimShards {
-    shards: Vec<Mutex<ClaimTable>>,
-}
-
-impl ClaimShards {
-    /// A sharded table with one shard per client (at least one).
-    pub fn new(clients: usize) -> Self {
-        let counter = Arc::new(AtomicU64::new(0));
-        ClaimShards {
-            shards: (0..clients.max(1))
-                .map(|_| Mutex::new(ClaimTable::sharing_seq(&counter)))
-                .collect(),
-        }
-    }
-
-    /// Number of shards (clients the table was sized for).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn lock(&self, shard: usize) -> MutexGuard<'_, ClaimTable> {
-        // A shard is only poisoned if a thread panicked mid-`absorb`; the
-        // table's invariants are per-entry, so recover rather than cascade.
-        self.shards[shard]
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Lock and return one client's shard.
-    pub fn shard(&self, client: ClientId) -> MutexGuard<'_, ClaimTable> {
-        self.lock(client.0)
-    }
-
-    /// Fold a batch of one client's transport completions into its shard.
-    /// Callable from any thread; blocks only on that client's shard lock.
-    pub fn absorb(&self, client: ClientId, completions: Vec<Completion>) {
-        if completions.is_empty() {
-            return;
-        }
-        self.shard(client).absorb(client, completions);
-    }
-
-    /// Total unclaimed completions across all shards (observed or not).
-    pub fn len(&self) -> usize {
-        (0..self.shards.len()).map(|i| self.lock(i).len()).sum()
-    }
-
-    /// True when no completion is pending in any shard.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total not-yet-observed completions across all shards.
-    pub fn fresh_len(&self) -> usize {
-        (0..self.shards.len())
-            .map(|i| self.lock(i).fresh_len())
-            .sum()
-    }
-
-    /// Snapshot the not-yet-observed completions of every shard in global
-    /// arrival order, marking them observed (they stay claimable).
-    pub fn take_fresh(&self) -> Vec<Completion> {
-        let mut out: Vec<(u64, Completion)> = Vec::new();
-        for i in 0..self.shards.len() {
-            out.extend(self.lock(i).take_fresh_seq());
-        }
-        out.sort_by_key(|(seq, _)| *seq);
-        out.into_iter().map(|(_, c)| c).collect()
     }
 }
 
@@ -490,23 +300,12 @@ impl PutHandle {
 impl CompletionHandle for PutHandle {
     type Output = ();
 
-    fn try_claim(&self, claims: &ClaimShards) -> Option<()> {
-        claims
-            .shard(self.client)
-            .claim_put(self.client, self.request)
-    }
-
-    fn ready_at(&self, claims: &ClaimShards) -> Option<u64> {
-        claims
-            .shard(self.client)
-            .put_arrival(self.client, self.request)
+    fn try_claim(&self, claims: &mut ClaimTable) -> Option<()> {
+        claims.claim_put(self.client, self.request)
     }
 
     fn describe(&self) -> String {
-        format!(
-            "confirmed PUT (client {}, request {})",
-            self.client.0, self.request.0
-        )
+        ClaimKey::Put(self.client, self.request.0).describe()
     }
 }
 
@@ -548,34 +347,12 @@ enum DeadlineState {
     Absolute(u64),
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Registered {
-    Get(GetHandle),
-    Result(ResultHandle),
-    Put(PutHandle),
-}
-
-impl Registered {
-    fn key(&self) -> ClaimKey {
-        match self {
-            Registered::Get(h) => ClaimKey::Get(h.client(), h.request().0),
-            Registered::Result(h) => ClaimKey::Result(h.client(), h.slot()),
-            Registered::Put(h) => ClaimKey::Put(h.client(), h.request().0),
-        }
-    }
-
-    fn describe(&self) -> String {
-        match self {
-            Registered::Get(h) => h.describe(),
-            Registered::Result(h) => h.describe(),
-            Registered::Put(h) => h.describe(),
-        }
-    }
-}
-
 #[derive(Debug)]
 struct SetEntry {
-    target: Registered,
+    key: ClaimKey,
+    /// The server rank the operation is pinned to (GETs and confirmed PUTs;
+    /// a result can be delivered from anywhere).
+    target: Option<usize>,
     deadline: Option<DeadlineState>,
 }
 
@@ -585,18 +362,14 @@ struct SetEntry {
 #[derive(Debug)]
 enum Tokens {
     One(u64),
+    /// Two or more (never empty: it collapses back to `One`).
     Many(BTreeSet<u64>),
 }
 
 impl Tokens {
     fn insert(&mut self, token: u64) {
         match self {
-            Tokens::One(existing) => {
-                let mut set = BTreeSet::new();
-                set.insert(*existing);
-                set.insert(token);
-                *self = Tokens::Many(set);
-            }
+            Tokens::One(existing) => *self = Tokens::Many(BTreeSet::from([*existing, token])),
             Tokens::Many(set) => {
                 set.insert(token);
             }
@@ -607,7 +380,7 @@ impl Tokens {
     fn first(&self) -> u64 {
         match self {
             Tokens::One(t) => *t,
-            Tokens::Many(set) => *set.iter().next().expect("Many is never empty"),
+            Tokens::Many(set) => *set.first().expect("Many is never empty"),
         }
     }
 
@@ -618,7 +391,7 @@ impl Tokens {
             Tokens::Many(set) => {
                 set.remove(&token);
                 if set.len() == 1 {
-                    *self = Tokens::One(*set.iter().next().unwrap());
+                    *self = Tokens::One(*set.first().expect("len is 1"));
                 }
                 false
             }
@@ -672,18 +445,19 @@ impl CompletionSet {
         self.entries.is_empty()
     }
 
-    fn push(&mut self, target: Registered) -> CompletionToken {
+    fn push(&mut self, key: ClaimKey, target: Option<usize>) -> CompletionToken {
         let token = self.next_token;
         self.next_token += 1;
-        match self.index.entry(target.key()) {
-            std::collections::hash_map::Entry::Vacant(v) => {
+        match self.index.entry(key) {
+            Entry::Vacant(v) => {
                 v.insert(Tokens::One(token));
             }
-            std::collections::hash_map::Entry::Occupied(mut o) => o.get_mut().insert(token),
+            Entry::Occupied(mut o) => o.get_mut().insert(token),
         }
         self.entries.insert(
             token,
             SetEntry {
+                key,
                 target,
                 deadline: None,
             },
@@ -693,17 +467,19 @@ impl CompletionSet {
 
     /// Register a GET handle.
     pub fn add_get(&mut self, handle: GetHandle) -> CompletionToken {
-        self.push(Registered::Get(handle))
+        let key = ClaimKey::Get(handle.client(), handle.request().0);
+        self.push(key, Some(handle.target()))
     }
 
     /// Register an X-RDMA result handle.
     pub fn add_result(&mut self, handle: ResultHandle) -> CompletionToken {
-        self.push(Registered::Result(handle))
+        self.push(ClaimKey::Result(handle.client(), handle.slot()), None)
     }
 
     /// Register a confirmed-PUT handle.
     pub fn add_put(&mut self, handle: PutHandle) -> CompletionToken {
-        self.push(Registered::Put(handle))
+        let key = ClaimKey::Put(handle.client, handle.request.0);
+        self.push(key, Some(handle.target))
     }
 
     /// Arm (or re-arm) a per-handle deadline, `nanos` transport-clock
@@ -728,34 +504,24 @@ impl CompletionSet {
         let Some(entry) = self.entries.remove(&token.0) else {
             return false;
         };
-        self.unindex(token.0, &entry);
+        if let Entry::Occupied(mut tokens) = self.index.entry(entry.key) {
+            if tokens.get_mut().remove(token.0) {
+                tokens.remove();
+            }
+        }
+        self.deadlined.remove(&token.0);
         true
     }
 
-    fn unindex(&mut self, token: u64, entry: &SetEntry) {
-        let key = entry.target.key();
-        if let Some(tokens) = self.index.get_mut(&key) {
-            if tokens.remove(token) {
-                self.index.remove(&key);
-            }
-        }
-        self.deadlined.remove(&token);
-    }
-
-    fn take_entry(&mut self, token: u64) -> SetEntry {
-        let entry = self.entries.remove(&token).expect("token is registered");
-        self.unindex(token, &entry);
-        entry
-    }
-
     /// Resolve relative deadlines against the transport clock.  Called by
-    /// the cluster's wait loops before checking expiry; touches only
-    /// deadline-armed registrations.
+    /// the cluster before checking expiry; touches only deadline-armed
+    /// registrations.
     pub(super) fn resolve_deadlines(&mut self, now: u64) {
-        for &token in &self.deadlined {
-            let e = self.entries.get_mut(&token).expect("deadlined ⊆ entries");
-            if let Some(DeadlineState::Relative(d)) = e.deadline {
-                e.deadline = Some(DeadlineState::Absolute(now.saturating_add(d)));
+        for token in &self.deadlined {
+            if let Some(e) = self.entries.get_mut(token) {
+                if let Some(DeadlineState::Relative(d)) = e.deadline {
+                    e.deadline = Some(DeadlineState::Absolute(now.saturating_add(d)));
+                }
             }
         }
     }
@@ -765,43 +531,19 @@ impl CompletionSet {
         !self.deadlined.is_empty()
     }
 
-    /// Claim the ready entry whose completion arrived earliest, if any.
-    ///
-    /// Scans every shard for its earliest wanted pending key (one shard
-    /// lock at a time) and picks the global minimum by the shared arrival
-    /// counter — so first-arrived fairness is preserved across shards
-    /// exactly as it was on the unsharded table.  The set itself is owned
-    /// by the waiting thread; only the shard locks are contended.
+    /// Claim the ready entry whose completion arrived earliest, if any: the
+    /// first live record of the table's arrival queue whose key is
+    /// registered here, handed to that key's earliest registration.
     pub(super) fn claim_earliest(
         &mut self,
-        claims: &ClaimShards,
+        claims: &mut ClaimTable,
     ) -> Option<(CompletionToken, Ready)> {
         let index = &self.index;
-        let mut best: Option<(u64, ClaimKey)> = None;
-        for shard in 0..claims.shard_count() {
-            let candidate = claims
-                .lock(shard)
-                .earliest_pending_seq(|k| index.contains_key(&k));
-            if let Some((seq, key)) = candidate {
-                if best.map(|(b, _)| seq < b).unwrap_or(true) {
-                    best = Some((seq, key));
-                }
-            }
-        }
-        let (_, key) = best?;
-        let token = self.index[&key].first();
-        let entry = self.take_entry(token);
-        let ready = match entry.target {
-            Registered::Get(h) => Ready::Get(h.try_claim(claims).expect("ready GET claims")),
-            Registered::Result(h) => {
-                Ready::Result(h.try_claim(claims).expect("ready result claims"))
-            }
-            Registered::Put(h) => {
-                h.try_claim(claims).expect("ready PUT claims");
-                Ready::Put
-            }
-        };
-        Some((CompletionToken(token), ready))
+        let key = claims.earliest_pending(|k| index.contains_key(&k))?;
+        let token = CompletionToken(index.get(&key)?.first());
+        let ready = claims.claim(key)?;
+        self.remove(token);
+        Some((token, ready))
     }
 
     /// Remove and return the earliest-registered entry pinned to one of the
@@ -810,19 +552,13 @@ impl CompletionSet {
     /// terminally failed target means the wait can never succeed; result
     /// registrations are not pinned and never resolve this way.
     pub(super) fn take_peer_lost(&mut self, failed: &[usize]) -> Option<(CompletionToken, usize)> {
-        let mut best: Option<(u64, usize)> = None;
-        for (&token, e) in &self.entries {
-            let target = match &e.target {
-                Registered::Get(h) => h.target,
-                Registered::Put(h) => h.target,
-                Registered::Result(_) => continue,
-            };
-            if failed.contains(&target) && best.map(|(b, _)| token < b).unwrap_or(true) {
-                best = Some((token, target));
-            }
-        }
-        let (token, rank) = best?;
-        self.take_entry(token);
+        let (token, rank) = self
+            .entries
+            .iter()
+            .filter_map(|(&token, e)| Some((token, e.target?)))
+            .filter(|(_, target)| failed.contains(target))
+            .min()?;
+        self.remove(CompletionToken(token));
         Some((CompletionToken(token), rank))
     }
 
@@ -839,9 +575,9 @@ impl CompletionSet {
                 }
             }
         }
-        let (_, token) = best?;
-        self.take_entry(token);
-        Some(CompletionToken(token))
+        let token = CompletionToken(best?.1);
+        self.remove(token);
+        Some(token)
     }
 
     /// Remove and return the deadline-armed entry whose deadline is
@@ -860,22 +596,22 @@ impl CompletionSet {
                 best = Some((at, token));
             }
         }
-        let (_, token) = best?;
-        self.take_entry(token);
-        Some(CompletionToken(token))
+        let token = CompletionToken(best?.1);
+        self.remove(token);
+        Some(token)
     }
 
     /// Description of the still-registered handles, for timeout errors.
     pub(super) fn describe(&self) -> String {
-        let mut tokens: Vec<u64> = self.entries.keys().copied().collect();
-        tokens.sort_unstable();
-        let mut parts: Vec<String> = tokens
+        let mut waiting: Vec<(&u64, &SetEntry)> = self.entries.iter().collect();
+        waiting.sort_unstable_by_key(|(token, _)| **token);
+        let mut parts: Vec<String> = waiting
             .iter()
             .take(4)
-            .map(|t| self.entries[t].target.describe())
+            .map(|(_, e)| e.key.describe())
             .collect();
-        if self.entries.len() > 4 {
-            parts.push(format!("… {} more", self.entries.len() - 4));
+        if waiting.len() > 4 {
+            parts.push(format!("… {} more", waiting.len() - 4));
         }
         format!("any of [{}]", parts.join(", "))
     }
@@ -884,6 +620,7 @@ impl CompletionSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_simnet::SplitMix64;
 
     const C0: ClientId = ClientId::PRIMARY;
     const C1: ClientId = ClientId(1);
@@ -893,6 +630,53 @@ mod tests {
             request: RequestId(id),
             data: vec![byte; 4].into(),
         }
+    }
+
+    fn result(slot: u64, value: u64) -> Completion {
+        Completion::Result { slot, value }
+    }
+
+    /// Register the handle that waits on `key`.
+    fn register(set: &mut CompletionSet, key: ClaimKey) -> CompletionToken {
+        match key {
+            ClaimKey::Get(client, r) => set.add_get(GetHandle {
+                client,
+                request: RequestId(r),
+                target: 1,
+            }),
+            ClaimKey::Put(client, r) => set.add_put(PutHandle {
+                client,
+                request: RequestId(r),
+                target: 1,
+            }),
+            ClaimKey::Result(client, slot) => {
+                set.add_result(ResultHandle::for_client_slot(client, slot))
+            }
+        }
+    }
+
+    /// The keys of the live arrival records, oldest first.
+    fn live_records(t: &ClaimTable) -> Vec<ClaimKey> {
+        let live = t.arrivals.iter().filter(|&&record| t.is_live(record));
+        live.map(|&(_, key)| key).collect()
+    }
+
+    /// Claim everything through `earliest_pending`, in the order it offers.
+    fn drain_by_queue(t: &mut ClaimTable) -> Vec<ClaimKey> {
+        std::iter::from_fn(|| {
+            let key = t.earliest_pending(|_| true)?;
+            t.claim(key).map(|_| key)
+        })
+        .collect()
+    }
+
+    /// Claim everything through a set holding `keys`, in resolution order.
+    fn drain_by_set(t: &mut ClaimTable, keys: &[ClaimKey]) -> Vec<ClaimKey> {
+        let mut set = CompletionSet::new();
+        let tokens: Vec<CompletionToken> = keys.iter().map(|&k| register(&mut set, k)).collect();
+        std::iter::from_fn(|| set.claim_earliest(t))
+            .filter_map(|(token, _)| Some(keys[tokens.iter().position(|&t| t == token)?]))
+            .collect()
     }
 
     #[test]
@@ -955,9 +739,13 @@ mod tests {
                 request: RequestId(2),
             }],
         );
-        assert!(t.result_arrival(C0, 0).unwrap() < t.get_arrival(C0, RequestId(1)).unwrap());
-        assert!(
-            t.get_arrival(C0, RequestId(1)).unwrap() < t.put_arrival(C0, RequestId(2)).unwrap()
+        assert_eq!(
+            live_records(&t),
+            [
+                ClaimKey::Result(C0, 0),
+                ClaimKey::Get(C0, 1),
+                ClaimKey::Put(C0, 2)
+            ]
         );
         // The arrival queue yields pending keys oldest-first.
         assert_eq!(t.earliest_pending(|_| true), Some(ClaimKey::Result(C0, 0)));
@@ -980,6 +768,60 @@ mod tests {
         assert_eq!(t.fresh_len(), 1);
         assert_eq!(t.claim_result(C0, 5), Some(2));
         assert_eq!(t.fresh_len(), 0);
+    }
+
+    /// A slot claimed and then filled again is a *new* arrival: it must not
+    /// inherit the queue position its dead record still occupies.
+    #[test]
+    fn a_reused_result_slot_does_not_jump_the_arrival_queue() {
+        let scenario = || {
+            let mut t = ClaimTable::default();
+            t.absorb(C0, vec![result(5, 1), get_completion(1, 0)]);
+            assert_eq!(t.claim_result(C0, 5), Some(1));
+            t.absorb(C0, vec![get_completion(2, 0)]);
+            t.absorb(C0, vec![result(5, 2)]);
+            t
+        };
+        let want = [
+            ClaimKey::Get(C0, 1),
+            ClaimKey::Get(C0, 2),
+            ClaimKey::Result(C0, 5),
+        ];
+        let mut t = scenario();
+        assert_eq!(live_records(&t), want, "one live record per pending key");
+        assert_eq!(
+            t.take_fresh(),
+            [get_completion(1, 0), get_completion(2, 0), result(5, 2)]
+        );
+        assert_eq!(drain_by_queue(&mut t), want);
+        // Registration order disagrees with arrival order on purpose.
+        assert_eq!(
+            drain_by_set(&mut scenario(), &[want[2], want[1], want[0]]),
+            want
+        );
+    }
+
+    /// An unclaimed slot that is overwritten is the newer completion from
+    /// then on — in every order, not only in `take_fresh`'s.
+    #[test]
+    fn an_overwritten_result_slot_requeues_behind_earlier_arrivals() {
+        let scenario = || {
+            let mut t = ClaimTable::default();
+            t.absorb(C0, vec![result(5, 1)]);
+            t.absorb(C0, vec![get_completion(1, 0)]);
+            t.absorb(C0, vec![result(5, 2)]);
+            t
+        };
+        let want = [ClaimKey::Get(C0, 1), ClaimKey::Result(C0, 5)];
+        let mut t = scenario();
+        assert_eq!((t.len(), t.fresh_len()), (2, 2), "the slot counts once");
+        assert_eq!(live_records(&t), want);
+        assert_eq!(t.take_fresh(), [get_completion(1, 0), result(5, 2)]);
+        assert_eq!(t.fresh_len(), 0);
+        assert_eq!(drain_by_set(&mut scenario(), &[want[1], want[0]]), want);
+        assert_eq!(t.earliest_pending(|_| true), Some(want[0]));
+        assert_eq!(t.claim_result(C0, 5), Some(2), "the latest value wins");
+        assert_eq!(drain_by_queue(&mut t), want[..1]);
     }
 
     #[test]
@@ -1031,7 +873,7 @@ mod tests {
 
     #[test]
     fn set_claims_in_arrival_order_and_duplicates_wait() {
-        let claims = ClaimShards::new(1);
+        let mut claims = ClaimTable::default();
         let mut set = CompletionSet::new();
         let g = GetHandle {
             client: C0,
@@ -1050,109 +892,212 @@ mod tests {
         );
         // The result arrived first, so it wins even though the GET is also
         // ready and registered earlier.
-        let (tok, ready) = set.claim_earliest(&claims).unwrap();
+        let (tok, ready) = set.claim_earliest(&mut claims).unwrap();
         assert_eq!(tok, t3);
         assert_eq!(ready, Ready::Result(11));
         // The first GET registration claims the data…
-        let (tok, ready) = set.claim_earliest(&claims).unwrap();
+        let (tok, ready) = set.claim_earliest(&mut claims).unwrap();
         assert_eq!(tok, t1);
         assert!(matches!(ready, Ready::Get(d) if d[0] == 5));
         // …and the duplicate stays unresolved.
-        assert!(set.claim_earliest(&claims).is_none());
+        assert!(set.claim_earliest(&mut claims).is_none());
         assert_eq!(set.len(), 1);
         assert!(set.remove(t2));
         assert!(set.is_empty());
     }
 
-    #[test]
-    fn wait_any_fairness_survives_sharding() {
-        // Registration order and shard index both disagree with arrival
-        // order; the shared arrival counter must be the only tiebreak, so
-        // the sharded table resolves exactly like the unsharded one did.
-        let claims = ClaimShards::new(3);
-        let mut set = CompletionSet::new();
-        let handle = |c: usize| GetHandle {
-            client: ClientId(c),
-            request: RequestId(1),
-            target: 1,
-        };
-        let t2 = set.add_get(handle(2));
-        let t0 = set.add_get(handle(0));
-        let t1 = set.add_get(handle(1));
-        claims.absorb(ClientId(1), vec![get_completion(1, 0)]);
-        claims.absorb(ClientId(2), vec![get_completion(1, 0)]);
-        claims.absorb(ClientId(0), vec![get_completion(1, 0)]);
-        let order: Vec<CompletionToken> =
-            std::iter::from_fn(|| set.claim_earliest(&claims).map(|(tok, _)| tok)).collect();
-        assert_eq!(
-            order,
-            vec![t1, t2, t0],
-            "global arrival order wins, not shard index or token order"
-        );
-        assert!(claims.is_empty());
+    // --- the table against a naive model -----------------------------------
+
+    /// One step of the model test.
+    #[derive(Debug)]
+    enum Op {
+        /// One client's batch; values are stamped by the runner.
+        Absorb(ClientId, Vec<ClaimKey>),
+        /// A typed claim (`claim_get` / `claim_put` / `claim_result`).
+        Claim(ClaimKey),
+        /// Register the keys in this order, resolve up to this many.
+        ClaimEarliest(Vec<ClaimKey>, usize),
+        TakeFresh,
+    }
+
+    /// What the table must behave like: every pending completion in one
+    /// `Vec`, every question answered by scanning it.
+    #[derive(Default)]
+    struct Model {
+        /// `(arrival number, key, stamp, observed)`.
+        pending: Vec<(u64, ClaimKey, u64, bool)>,
+        arrived: u64,
+    }
+
+    impl Model {
+        fn absorb(&mut self, key: ClaimKey, stamp: u64) {
+            let held = self.pending.iter().position(|e| e.1 == key);
+            match (held, key) {
+                (Some(i), ClaimKey::Result(..)) => drop(self.pending.remove(i)),
+                (Some(_), _) => return,
+                (None, _) => {}
+            }
+            self.pending.push((self.arrived, key, stamp, false));
+            self.arrived += 1;
+        }
+
+        fn claim(&mut self, key: ClaimKey) -> Option<Ready> {
+            let i = self.pending.iter().position(|e| e.1 == key)?;
+            let (_, key, stamp, _) = self.pending.remove(i);
+            Some(ready_of(key, stamp))
+        }
+
+        /// Earliest-arrived pending key among `wanted`.
+        fn earliest(&self, wanted: &[ClaimKey]) -> Option<ClaimKey> {
+            let ready = self.pending.iter().filter(|e| wanted.contains(&e.1));
+            ready.min_by_key(|e| e.0).map(|e| e.1)
+        }
+
+        fn take_fresh(&mut self) -> Vec<Completion> {
+            let fresh = self.pending.iter_mut().filter(|e| !e.3);
+            fresh
+                .map(|e| {
+                    e.3 = true;
+                    completion_of(e.1, e.2)
+                })
+                .collect()
+        }
+    }
+
+    /// A stamp is unique per deposited completion, so a value that comes
+    /// back names exactly which deposit (of which client) it was.
+    fn completion_of(key: ClaimKey, stamp: u64) -> Completion {
+        match key {
+            ClaimKey::Get(_, r) => Completion::Get {
+                request: RequestId(r),
+                data: stamp.to_le_bytes().to_vec().into(),
+            },
+            ClaimKey::Put(_, r) => Completion::Put {
+                request: RequestId(r),
+            },
+            ClaimKey::Result(_, slot) => result(slot, stamp),
+        }
+    }
+
+    fn ready_of(key: ClaimKey, stamp: u64) -> Ready {
+        match key {
+            ClaimKey::Get(..) => Ready::Get(stamp.to_le_bytes().to_vec().into()),
+            ClaimKey::Put(..) => Ready::Put,
+            ClaimKey::Result(..) => Ready::Result(stamp),
+        }
+    }
+
+    fn typed_claim(t: &mut ClaimTable, key: ClaimKey) -> Option<Ready> {
+        match key {
+            ClaimKey::Get(c, r) => t.claim_get(c, RequestId(r)).map(Ready::Get),
+            ClaimKey::Put(c, r) => t.claim_put(c, RequestId(r)).map(|()| Ready::Put),
+            ClaimKey::Result(c, s) => t.claim_result(c, s).map(Ready::Result),
+        }
+    }
+
+    /// Run `ops` on a fresh table and a fresh model in lock step.
+    fn check_against_model(label: &str, ops: impl IntoIterator<Item = Op>) {
+        let (mut t, mut m) = (ClaimTable::default(), Model::default());
+        let mut stamp = 0u64;
+        for (step, op) in ops.into_iter().enumerate() {
+            let at = || format!("{label}, step {step}: {op:?}");
+            match &op {
+                Op::Absorb(client, keys) => {
+                    let mut batch = Vec::new();
+                    for &key in keys {
+                        stamp += 1;
+                        batch.push(completion_of(key, stamp));
+                        m.absorb(key, stamp);
+                    }
+                    t.absorb(*client, batch);
+                    let (queued, bound) = (t.arrivals.len(), 64.max(2 * t.len() + 1));
+                    assert!(queued <= bound, "{}: {queued} records queued", at());
+                }
+                Op::Claim(key) => {
+                    assert_eq!(typed_claim(&mut t, *key), m.claim(*key), "{}", at())
+                }
+                Op::ClaimEarliest(keys, rounds) => {
+                    let mut set = CompletionSet::new();
+                    let tokens: Vec<_> = keys.iter().map(|&k| register(&mut set, k)).collect();
+                    for _ in 0..*rounds {
+                        let want = m.earliest(keys).and_then(|key| {
+                            let token = tokens[keys.iter().position(|&k| k == key)?];
+                            Some((token, m.claim(key)?))
+                        });
+                        assert_eq!(set.claim_earliest(&mut t), want, "{}", at());
+                    }
+                }
+                Op::TakeFresh => assert_eq!(t.take_fresh(), m.take_fresh(), "{}", at()),
+            }
+            let mut by_arrival = m.pending.clone();
+            by_arrival.sort_by_key(|e| e.0);
+            let by_arrival: Vec<ClaimKey> = by_arrival.iter().map(|e| e.1).collect();
+            assert_eq!(live_records(&t), by_arrival, "{}", at());
+            let fresh = m.pending.iter().filter(|e| !e.3).count();
+            assert_eq!(
+                (t.len(), t.fresh_len()),
+                (m.pending.len(), fresh),
+                "{}",
+                at()
+            );
+        }
+        // Whatever is left comes out once, in arrival order, as deposited.
+        let left: Vec<ClaimKey> = m.pending.iter().map(|e| e.1).collect();
+        while let Some(key) = t.earliest_pending(|_| true) {
+            assert_eq!(Some(key), m.earliest(&left), "{label}: drain");
+            assert_eq!(t.claim(key), m.claim(key), "{label}: drain");
+        }
+        assert!(t.is_empty() && m.pending.is_empty(), "{label}: drained");
     }
 
     #[test]
-    fn sharded_claims_survive_concurrent_producers_and_racing_waiters() {
-        // N producer threads absorb colliding per-client id spaces while
-        // 2×N waiter threads race to claim them: every completion must be
-        // observed exactly once (the claim count reaching the absorb count
-        // with empty shards proves no loss; a double-observe would overshoot
-        // the target and trip the final assertions).
-        const CLIENTS: usize = 4;
-        const PER_CLIENT: u64 = 500;
-        const TARGET: u64 = (CLIENTS as u64) * PER_CLIENT;
-        let shards = Arc::new(ClaimShards::new(CLIENTS));
-        let claimed = Arc::new(AtomicU64::new(0));
-        let mut threads = Vec::new();
-        for c in 0..CLIENTS {
-            let shards = Arc::clone(&shards);
-            threads.push(std::thread::spawn(move || {
-                // Ids 0..PER_CLIENT collide numerically across every client.
-                for id in 0..PER_CLIENT {
-                    shards.absorb(
-                        ClientId(c),
-                        vec![Completion::Get {
-                            request: RequestId(id),
-                            data: vec![c as u8; 2].into(),
-                        }],
-                    );
-                }
-            }));
-        }
-        for c in 0..CLIENTS {
-            for _ in 0..2 {
-                // Two waiters per client race for the same id space.
-                let shards = Arc::clone(&shards);
-                let claimed = Arc::clone(&claimed);
-                threads.push(std::thread::spawn(move || {
-                    let mut passes = 0u64;
-                    while claimed.load(Ordering::Relaxed) < TARGET {
-                        for id in 0..PER_CLIENT {
-                            let got = shards
-                                .shard(ClientId(c))
-                                .claim_get(ClientId(c), RequestId(id));
-                            if let Some(data) = got {
-                                assert_eq!(data[0], c as u8, "cross-client claim leak");
-                                claimed.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        passes += 1;
-                        assert!(passes < 1_000_000, "lost completion: waiters spinning dry");
-                        std::thread::yield_now();
-                    }
-                }));
+    fn the_table_agrees_with_a_naive_model_on_generated_schedules() {
+        const CLIENTS: u64 = 3;
+        const IDS: u64 = 8; // collisions across clients and slot reuse are the norm
+        let key = |rng: &mut SplitMix64, client: ClientId| {
+            let id = rng.below(IDS);
+            match rng.below(3) {
+                0 => ClaimKey::Get(client, id),
+                1 => ClaimKey::Put(client, id),
+                _ => ClaimKey::Result(client, id),
             }
-        }
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(
-            claimed.load(Ordering::Relaxed),
-            TARGET,
-            "every completion observed exactly once"
+        };
+        let any_key = |rng: &mut SplitMix64| {
+            let client = ClientId(rng.below(CLIENTS) as usize);
+            key(rng, client)
+        };
+
+        // Three clients absorb interleaved; registration order and client
+        // index both disagree with arrival order, which alone decides.
+        let gets: Vec<ClaimKey> = (0..3).map(|c| ClaimKey::Get(ClientId(c), 1)).collect();
+        check_against_model(
+            "interleaved clients",
+            [
+                Op::Absorb(ClientId(1), vec![gets[1]]),
+                Op::Absorb(ClientId(2), vec![gets[2]]),
+                Op::Absorb(ClientId(0), vec![gets[0]]),
+                Op::ClaimEarliest(vec![gets[2], gets[0], gets[1]], 4),
+            ],
         );
-        assert!(shards.is_empty(), "no completion left behind");
+
+        for seed in 0..200u64 {
+            let mut rng = SplitMix64::new(0xC1A1_0000 + seed);
+            let ops = (0..400).map(|_| match rng.below(8) {
+                0..=3 => {
+                    let client = ClientId(rng.below(CLIENTS) as usize);
+                    let batch = 1 + rng.below(4);
+                    Op::Absorb(client, (0..batch).map(|_| key(&mut rng, client)).collect())
+                }
+                4 | 5 => Op::Claim(any_key(&mut rng)),
+                6 => {
+                    let registered = rng.below(12);
+                    let keys = (0..registered).map(|_| any_key(&mut rng)).collect();
+                    Op::ClaimEarliest(keys, 1 + rng.below(3) as usize)
+                }
+                _ => Op::TakeFresh,
+            });
+            check_against_model(&format!("seed {seed}"), ops);
+        }
     }
 
     #[test]

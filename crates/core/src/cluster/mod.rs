@@ -4,16 +4,21 @@
 //! processing elements.  This module makes the *driving* side equally
 //! transparent: a [`Cluster`] owns a client runtime and a set of server
 //! runtimes behind a [`Transport`], and the same scenario code runs unchanged
-//! on either first-class backend:
+//! on any of the three first-class backends:
 //!
 //! * [`SimTransport`] — the calibrated discrete-event engine (virtual time,
 //!   [`crate::sim::TimingLog`] records, the machinery behind every table and
 //!   figure reproduction);
-//! * [`ThreadTransport`] — real OS threads and channels (wall-clock time,
-//!   genuine concurrency; no timing model).
+//! * [`ThreadTransport`] — server ranks as real OS threads over channels
+//!   (wall-clock time, genuine concurrency; no timing model);
+//! * [`SocketTransport`] — server ranks as OS processes over TCP/Unix
+//!   sockets, [`socket_server`] on their side.
 //!
-//! [`SocketTransport`] (server ranks as OS processes, [`socket_server`] on
-//! their side) is the third.  Beneath the backends: [`wire`] is the frame
+//! Above the backends, the driver plane is single-threaded by type: a
+//! [`Cluster`] owns its transport and its one [`ClaimTable`] outright, every
+//! method that moves or claims a completion is `&mut self`, and the four
+//! public waits share one loop whose only quiescence rule is the answer of
+//! [`Transport::step`].  Beneath the backends: [`wire`] is the frame
 //! codec, [`reliable`] the per-link sequence/ack/retransmit state machine,
 //! and the crate-private `link` module the one endpoint that joins the two
 //! to a [`NodeRuntime`].  The crate-private `host` module is the one
@@ -75,7 +80,7 @@ pub mod socket_server;
 pub mod thread_transport;
 pub mod wire;
 
-pub use completion::{ClaimShards, ClaimTable, CompletionSet, CompletionToken, PutHandle, Ready};
+pub use completion::{ClaimTable, CompletionSet, CompletionToken, PutHandle, Ready};
 pub use link::Digest as LinkDigest;
 pub use reliable::{LinkHealth, RelConfig, RelMetrics};
 pub use sim_transport::SimTransport;
@@ -85,6 +90,7 @@ pub use tc_chaos::{ChaosSession, ChaosStats, FaultPlan, LinkFaults};
 pub use tc_net::SocketSpec;
 pub use thread_transport::ThreadTransport;
 
+use self::completion::ClaimKey;
 use crate::error::{CoreError, Result};
 use crate::ifunc::{IfuncHandle, IfuncLibrary, IfuncMessage};
 use crate::layout::{result_slot_addr, RESULT_MAILBOX_SLOTS};
@@ -259,13 +265,17 @@ pub trait Transport {
     fn flush_client(&mut self, id: ClientId) -> Result<()>;
 
     /// Advance the transport by one unit of progress (one simulated event,
-    /// or one received envelope).  Returns `false` when nothing happened —
-    /// the queue was empty or the poll timed out.
+    /// or one pass over a burst of received envelopes).  Returns `false`
+    /// when nothing happened — the queue was empty or the poll timed out —
+    /// *and* nothing is owed: a backend whose reliable layer still holds
+    /// unacked frames keeps answering `true` until its stall horizon, so
+    /// `false` is the whole quiescence signal the wait loop needs.
     fn step(&mut self) -> Result<bool>;
 
     /// How many consecutive idle [`Transport::step`]s mean "quiescent".  The
-    /// simulator's queue emptiness is definitive (1); the threaded backend
-    /// needs a grace period because work may be mid-flight on another thread.
+    /// simulator's queue emptiness is definitive (1); the wall-clock
+    /// backends need a grace period because work may be mid-flight on a
+    /// server thread or in a server process.
     fn idle_grace(&self) -> u32 {
         1
     }
@@ -399,19 +409,11 @@ pub trait Transport {
     }
 
     /// Messages the reliable-delivery layer still holds unacknowledged,
-    /// summed across all nodes (0 without a fault plan).  The cluster's wait
-    /// loops consult this so a quiet-but-retransmitting fabric is never
-    /// mistaken for a quiescent one.
+    /// summed across all nodes (0 without a fault plan).  The wall-clock
+    /// backends' `step` consults this so a quiet-but-retransmitting fabric
+    /// is never reported idle before the stall horizon.
     fn unacked_total(&self) -> u64 {
         link_digests(self).map(|d| d.unacked).sum()
-    }
-
-    /// Earliest armed retransmission deadline across all nodes, on the
-    /// [`Transport::now_nanos`] clock (`None` when nothing is outstanding).
-    /// The wait loops treat unacked frames as busy only while a deadline is
-    /// armed.
-    fn next_rel_deadline(&self) -> Option<u64> {
-        link_digests(self).filter_map(|d| d.next_deadline).min()
     }
 
     /// Reliability counters of one node — retransmits, dup drops,
@@ -521,20 +523,16 @@ impl Transport for Box<dyn Transport> {
 }
 
 /// A handle that can be waited on through [`Cluster::wait`], claiming a typed
-/// value from the sharded [`ClaimShards`] table of client completions.  A
-/// handle locks only its own client's shard, so claims on one client never
-/// contend with another client's completion traffic.
+/// value from the cluster's [`ClaimTable`].  A handle names its client, so
+/// one that names a client the cluster does not have simply never finds a
+/// completion.
 pub trait CompletionHandle {
     /// What the completed operation yields.
     type Output;
 
-    /// Remove and return this handle's completion from its client's shard,
-    /// if present.
-    fn try_claim(&self, claims: &ClaimShards) -> Option<Self::Output>;
-
-    /// Arrival order of this handle's completion, if it is pending — used
-    /// by [`CompletionSet`] for first-arrived fairness.
-    fn ready_at(&self, claims: &ClaimShards) -> Option<u64>;
+    /// Remove and return this handle's completion from the table, if
+    /// present.
+    fn try_claim(&self, claims: &mut ClaimTable) -> Option<Self::Output>;
 
     /// Human-readable description for timeout errors.
     fn describe(&self) -> String;
@@ -571,23 +569,12 @@ impl GetHandle {
 impl CompletionHandle for GetHandle {
     type Output = Bytes;
 
-    fn try_claim(&self, claims: &ClaimShards) -> Option<Bytes> {
-        claims
-            .shard(self.client)
-            .claim_get(self.client, self.request)
-    }
-
-    fn ready_at(&self, claims: &ClaimShards) -> Option<u64> {
-        claims
-            .shard(self.client)
-            .get_arrival(self.client, self.request)
+    fn try_claim(&self, claims: &mut ClaimTable) -> Option<Bytes> {
+        claims.claim_get(self.client, self.request)
     }
 
     fn describe(&self) -> String {
-        format!(
-            "GET completion (client {}, request {})",
-            self.client.0, self.request.0
-        )
+        ClaimKey::Get(self.client, self.request.0).describe()
     }
 }
 
@@ -643,23 +630,12 @@ impl ResultHandle {
 impl CompletionHandle for ResultHandle {
     type Output = u64;
 
-    fn try_claim(&self, claims: &ClaimShards) -> Option<u64> {
-        claims
-            .shard(self.client)
-            .claim_result(self.client, self.slot)
-    }
-
-    fn ready_at(&self, claims: &ClaimShards) -> Option<u64> {
-        claims
-            .shard(self.client)
-            .result_arrival(self.client, self.slot)
+    fn try_claim(&self, claims: &mut ClaimTable) -> Option<u64> {
+        claims.claim_result(self.client, self.slot)
     }
 
     fn describe(&self) -> String {
-        format!(
-            "X-RDMA result (client {}, mailbox slot {})",
-            self.client.0, self.slot
-        )
+        ClaimKey::Result(self.client, self.slot).describe()
     }
 }
 
@@ -674,9 +650,10 @@ impl CompletionHandle for ResultHandle {
 /// at rank 0, servers at ranks `1..=server_count()`.
 pub struct Cluster<T: Transport> {
     transport: T,
-    /// The sharded completion table, fed from
-    /// [`Transport::take_completions`] by every wait and claim.
-    claims: ClaimShards,
+    /// The completion table, fed from [`Transport::take_completions`] by
+    /// every wait and claim.  Owned outright: only `&mut self` methods reach
+    /// it, so the borrow checker is its one guard.
+    claims: ClaimTable,
     /// Per-client result-slot allocator state (indexed by client id).
     next_result_slot: Vec<u64>,
     reserved_slots: Vec<std::collections::HashSet<u64>>,
@@ -692,63 +669,13 @@ impl<T: Transport> std::fmt::Debug for Cluster<T> {
     }
 }
 
-/// How many consecutive idle transport steps the wait loops tolerate while
-/// the reliable-delivery layer still reports unacked frames, before giving
-/// up anyway.  Both built-in transports keep reporting progress while their
-/// retransmission timers are armed, so this only bounds a transport that is
-/// wedged (or a third-party transport with incomplete accounting).
-const REL_STALL_LIMIT: u32 = 64;
-
-/// Shared quiescence tracker of the wait loops: `grace` idle steps in a row
-/// mean quiescent — but an idle step observed while the reliability layer
-/// holds unacked frames does not count (bounded by [`REL_STALL_LIMIT`]).
-struct Idleness {
-    grace: u32,
-    idle: u32,
-    rel_stall: u32,
-}
-
-impl Idleness {
-    fn new(grace: u32) -> Self {
-        Idleness {
-            grace,
-            idle: 0,
-            rel_stall: 0,
-        }
-    }
-
-    /// Record one driven step.  Returns true when the transport should be
-    /// considered quiescent (give up waiting).
-    fn note<T: Transport>(&mut self, transport: &T, progressed: bool) -> bool {
-        if progressed {
-            self.idle = 0;
-            self.rel_stall = 0;
-            return false;
-        }
-        // A retransmitting link is busy, not idle — but only while a
-        // retransmission deadline is actually armed: unacked frames with no
-        // armed timer (`next_rel_deadline() == None`) can never be
-        // re-driven, so waiting on them would just delay the timeout.
-        if transport.unacked_total() > 0
-            && transport.next_rel_deadline().is_some()
-            && self.rel_stall < REL_STALL_LIMIT
-        {
-            self.rel_stall += 1;
-            self.idle = 0;
-            return false;
-        }
-        self.idle += 1;
-        self.idle >= self.grace
-    }
-}
-
 impl<T: Transport> Cluster<T> {
     /// Wrap an already-constructed transport.  Prefer [`ClusterBuilder`].
     pub fn new(transport: T) -> Self {
         let clients = transport.client_count().max(1);
         Cluster {
             transport,
-            claims: ClaimShards::new(clients),
+            claims: ClaimTable::default(),
             next_result_slot: vec![0; clients],
             reserved_slots: vec![std::collections::HashSet::new(); clients],
         }
@@ -1168,37 +1095,62 @@ impl<T: Transport> Cluster<T> {
         }
     }
 
-    /// Drive the transport until `handle`'s completion arrives, returning its
-    /// typed value.  Gives up with [`CoreError::WaitTimeout`] once the
-    /// transport stays quiescent for its grace period — where quiescence
-    /// also requires the reliable-delivery layer to hold no unacked frames
-    /// ([`Transport::unacked_total`]), so a silent-but-retransmitting link
-    /// under a fault plan is never mistaken for idle.
-    pub fn wait<H: CompletionHandle>(&mut self, handle: &H) -> Result<H::Output> {
-        let mut idleness = Idleness::new(self.transport.idle_grace());
+    /// The one wait loop under [`Cluster::wait`], [`Cluster::wait_any`],
+    /// [`Cluster::run_until_idle`] and [`Cluster::run_until_completions`]:
+    /// ask `check` (which absorbs and claims whatever its caller is after),
+    /// then step the transport, until `check` answers, `max_steps` steps
+    /// have made progress, or [`Transport::idle_grace`] steps in a row made
+    /// none.  Returns `check`'s answer, if any, and the progress steps
+    /// taken.
+    ///
+    /// An idle step is the only quiescence signal: how long unacked frames
+    /// keep a wait alive is decided inside each backend's `step` (the
+    /// simulator's retransmission tick is an event; the wall-clock backends
+    /// report progress up to their stall horizon).
+    fn drive<R>(
+        &mut self,
+        max_steps: u64,
+        mut check: impl FnMut(&mut Self) -> Option<R>,
+    ) -> Result<(Option<R>, u64)> {
+        let grace = self.transport.idle_grace();
+        let (mut steps, mut idle) = (0u64, 0u32);
         loop {
-            self.absorb_completions();
-            if let Some(out) = handle.try_claim(&self.claims) {
-                return Ok(out);
+            let found = check(self);
+            if found.is_some() || steps >= max_steps || idle >= grace {
+                return Ok((found, steps));
             }
-            let progressed = self.transport.step()?;
-            if idleness.note(&self.transport, progressed) {
-                return Err(CoreError::WaitTimeout {
-                    what: handle.describe(),
-                });
+            if self.transport.step()? {
+                steps += 1;
+                idle = 0;
+            } else {
+                idle += 1;
             }
         }
+    }
+
+    /// Drive the transport until `handle`'s completion arrives, returning its
+    /// typed value.  Gives up with [`CoreError::WaitTimeout`] once the
+    /// transport stays quiescent for its grace period — and a backend whose
+    /// reliable-delivery layer still holds unacked frames does not report
+    /// quiescence before its stall horizon, so a silent-but-retransmitting
+    /// link under a fault plan is never mistaken for idle.
+    pub fn wait<H: CompletionHandle>(&mut self, handle: &H) -> Result<H::Output> {
+        let (claimed, _) = self.drive(u64::MAX, |cluster| cluster.try_claim(handle))?;
+        claimed.ok_or_else(|| CoreError::WaitTimeout {
+            what: handle.describe(),
+        })
     }
 
     /// Check for `handle`'s completion without driving the transport.
     pub fn try_claim<H: CompletionHandle>(&mut self, handle: &H) -> Option<H::Output> {
         self.absorb_completions();
-        handle.try_claim(&self.claims)
+        handle.try_claim(&mut self.claims)
     }
 
     /// Drive the transport until any handle registered in `set` resolves:
-    /// first ready wins (ties broken by completion arrival order), expired
-    /// per-handle deadlines surface as [`Ready::Deadline`].  The resolved
+    /// first ready wins (ties broken by completion arrival order), a handle
+    /// pinned to a terminally failed rank surfaces as [`Ready::PeerLost`],
+    /// expired per-handle deadlines as [`Ready::Deadline`].  The resolved
     /// registration is removed from the set.
     ///
     /// When the transport goes quiescent with registrations outstanding, a
@@ -1212,37 +1164,14 @@ impl<T: Transport> Cluster<T> {
                 what: "wait_any on an empty completion set".into(),
             });
         }
-        let mut idleness = Idleness::new(self.transport.idle_grace());
-        loop {
-            self.absorb_completions();
-            if let Some(ready) = set.claim_earliest(&self.claims) {
-                return Ok(ready);
-            }
-            // A handle pinned to a terminally failed rank can never
-            // complete; fail it fast instead of riding to the quiescence
-            // timeout.  (A rank mid-recovery is not in `failed_ranks`.)
-            let failed = self.transport.failed_ranks();
-            if !failed.is_empty() {
-                if let Some((token, rank)) = set.take_peer_lost(&failed) {
-                    return Ok((token, Ready::PeerLost(rank as u32)));
-                }
-            }
-            if set.has_deadlines() {
-                let now = self.transport.now_nanos();
-                set.resolve_deadlines(now);
-                if let Some(token) = set.take_expired(now) {
-                    return Ok((token, Ready::Deadline));
-                }
-            }
-            let progressed = self.transport.step()?;
-            if idleness.note(&self.transport, progressed) {
-                if let Some(token) = set.take_any_deadlined() {
-                    return Ok((token, Ready::Deadline));
-                }
-                return Err(CoreError::WaitTimeout {
-                    what: set.describe(),
-                });
-            }
+        if let (Some(resolved), _) = self.drive(u64::MAX, |cluster| cluster.poll_any(set))? {
+            return Ok(resolved);
+        }
+        match set.take_any_deadlined() {
+            Some(token) => Ok((token, Ready::Deadline)),
+            None => Err(CoreError::WaitTimeout {
+                what: set.describe(),
+            }),
         }
     }
 
@@ -1257,12 +1186,22 @@ impl<T: Transport> Cluster<T> {
     }
 
     /// Non-blocking check of `set`: absorbs pending completions and resolves
-    /// at most one registration (ready completion first, then expired
-    /// deadline) without driving the transport.
+    /// at most one registration — ready completion first, then a handle
+    /// whose peer is lost, then an expired deadline — without driving the
+    /// transport.
     pub fn poll_any(&mut self, set: &mut CompletionSet) -> Option<(CompletionToken, Ready)> {
         self.absorb_completions();
-        if let Some(ready) = set.claim_earliest(&self.claims) {
+        if let Some(ready) = set.claim_earliest(&mut self.claims) {
             return Some(ready);
+        }
+        // A handle pinned to a terminally failed rank can never complete;
+        // fail it fast instead of riding to the quiescence timeout.  (A
+        // rank mid-recovery is not in `failed_ranks`.)
+        let failed = self.transport.failed_ranks();
+        if !failed.is_empty() {
+            if let Some((token, rank)) = set.take_peer_lost(&failed) {
+                return Some((token, Ready::PeerLost(rank as u32)));
+            }
         }
         if !set.has_deadlines() {
             return None;
@@ -1280,17 +1219,7 @@ impl<T: Transport> Cluster<T> {
     /// Drive the transport until it goes quiescent or `max_steps` progress
     /// steps have been made.  Returns the number of steps taken.
     pub fn run_until_idle(&mut self, max_steps: u64) -> Result<u64> {
-        let mut idleness = Idleness::new(self.transport.idle_grace());
-        let mut steps = 0u64;
-        while steps < max_steps {
-            let progressed = self.transport.step()?;
-            if progressed {
-                steps += 1;
-            }
-            if idleness.note(&self.transport, progressed) {
-                break;
-            }
-        }
+        let (_, steps) = self.drive(max_steps, |_| None::<()>)?;
         Ok(steps)
     }
 
@@ -1307,21 +1236,10 @@ impl<T: Transport> Cluster<T> {
         count: usize,
         max_steps: u64,
     ) -> Result<Vec<Completion>> {
-        let mut idleness = Idleness::new(self.transport.idle_grace());
-        let mut steps = 0u64;
-        loop {
-            self.absorb_completions();
-            if self.claims.fresh_len() >= count || steps >= max_steps {
-                break;
-            }
-            let progressed = self.transport.step()?;
-            if progressed {
-                steps += 1;
-            }
-            if idleness.note(&self.transport, progressed) {
-                break;
-            }
-        }
+        self.drive(max_steps, |cluster| {
+            cluster.absorb_completions();
+            (cluster.claims.fresh_len() >= count).then_some(())
+        })?;
         Ok(self.claims.take_fresh())
     }
 

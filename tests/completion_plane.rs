@@ -7,8 +7,8 @@
 use std::time::Duration;
 use tc_core::layout::DATA_REGION_BASE;
 use tc_core::{
-    build_ifunc_library, Backend, Cluster, ClusterBuilder, CompletionSet, FaultPlan, Ready,
-    ResultHandle, Transport, Tuning,
+    build_ifunc_library, Backend, ClientId, Cluster, ClusterBuilder, CompletionSet, CoreError,
+    FaultPlan, GetHandle, PutHandle, Ready, ResultHandle, Transport, Tuning,
 };
 use tc_workloads::{
     chaser_module, gather_entries, platform_toolchain, run_reporting_tsi, tsi_reporting_module,
@@ -132,6 +132,135 @@ fn wait_any_orders_mixed_handles_by_arrival() {
     assert_eq!(second, t_result);
     assert_eq!(ready, Ready::Result(5));
     assert!(set.is_empty());
+}
+
+/// One table, one arrival order, whatever the kind and whoever the client:
+/// six completions of two clients (their mailbox slots collide) are
+/// deposited one at a time, then claimed through a set registered newest
+/// first — `wait_any` must follow the deposits, not the registrations, the
+/// kinds or the client ids.
+#[test]
+fn wait_any_follows_arrival_order_across_two_clients() {
+    enum Posted {
+        Get(GetHandle),
+        Put(PutHandle),
+        Result(ResultHandle),
+    }
+    let platform = tc_simnet::Platform::thor_xeon();
+    let mut cluster = builder().clients(2).build_sim();
+    let lib = build_ifunc_library(
+        &tsi_reporting_module("rtsi_two_clients"),
+        &platform_toolchain(&platform),
+    )
+    .unwrap();
+    let server = cluster.server_rank(0);
+    let (c0, c1) = (ClientId(0), ClientId(1));
+    let ifuncs = [c0, c1].map(|c| cluster.register_ifunc_on(c, lib.clone()));
+    let nobody = ResultHandle::for_slot(4000);
+
+    let schedule = [
+        (c1, 'g'),
+        (c0, 'p'),
+        (c1, 'r'),
+        (c0, 'g'),
+        (c0, 'r'),
+        (c1, 'p'),
+    ];
+    let posted: Vec<Posted> = schedule
+        .iter()
+        .map(|&(client, kind)| {
+            let posted = match kind {
+                'g' => Posted::Get(
+                    cluster
+                        .get_from(client, server, DATA_REGION_BASE, 8)
+                        .unwrap(),
+                ),
+                'p' => Posted::Put(
+                    cluster
+                        .put_confirmed_from(client, server, DATA_REGION_BASE, vec![7u8; 8])
+                        .unwrap(),
+                ),
+                _ => {
+                    let slot = cluster.result_slot_on(client);
+                    assert_eq!(slot.slot(), 0, "both clients use mailbox slot 0");
+                    let payload = tc_workloads::reporting_tsi_payload::encode(
+                        client.rank() as u64,
+                        slot.slot(),
+                        1,
+                        0,
+                    );
+                    let msg = cluster
+                        .bitcode_message_on(client, ifuncs[client.index()], payload)
+                        .unwrap();
+                    cluster.send_ifunc_from(client, &msg, server).unwrap();
+                    Posted::Result(slot)
+                }
+            };
+            // Complete it, and deposit it (a claim that finds nothing still
+            // absorbs) before the next operation is even posted.
+            cluster.run_until_idle(1_000_000).unwrap();
+            assert_eq!(cluster.try_claim(&nobody), None);
+            posted
+        })
+        .collect();
+    assert_eq!(cluster.pending_completions(), schedule.len());
+
+    let mut set = CompletionSet::new();
+    let mut tokens: Vec<_> = posted
+        .iter()
+        .rev()
+        .map(|posted| match posted {
+            Posted::Get(h) => set.add_get(*h),
+            Posted::Put(h) => set.add_put(*h),
+            Posted::Result(h) => set.add_result(*h),
+        })
+        .collect();
+    tokens.reverse(); // back to posting order
+    let resolved = cluster.wait_all(&mut set).unwrap();
+    for (i, (token, ready)) in resolved.iter().enumerate() {
+        assert_eq!(*token, tokens[i], "resolution {i} follows deposit {i}");
+        let kind = match ready {
+            Ready::Get(_) => 'g',
+            Ready::Put => 'p',
+            Ready::Result(_) => 'r',
+            other => panic!("resolution {i}: {other:?}"),
+        };
+        assert_eq!(kind, schedule[i].1, "resolution {i}");
+    }
+    assert_eq!(cluster.pending_completions(), 0);
+}
+
+/// A handle may name a client the cluster does not have (`ResultHandle`s are
+/// constructible from plain numbers): it is a completion that never arrives,
+/// not an index out of range.
+#[test]
+fn a_handle_for_an_unknown_client_times_out_instead_of_panicking() {
+    for backend in [Backend::Simnet, Backend::Threads] {
+        let mut cluster = builder().build(backend);
+        cluster.write_u64(1, DATA_REGION_BASE, 0x5EED).unwrap();
+        let ghost = ResultHandle::for_client_slot(ClientId(9), 0);
+        assert_eq!(cluster.try_claim(&ghost), None, "{backend}");
+        assert!(
+            matches!(cluster.wait(&ghost), Err(CoreError::WaitTimeout { .. })),
+            "{backend}"
+        );
+        // Beside a live GET in one set: the GET resolves, the ghost times out.
+        let mut set = CompletionSet::new();
+        let t_ghost = set.add_result(ghost);
+        let t_get = set.add_get(cluster.get(1, DATA_REGION_BASE, 8).unwrap());
+        let (token, ready) = cluster.wait_any(&mut set).unwrap();
+        assert_eq!(token, t_get, "{backend}");
+        assert!(matches!(ready, Ready::Get(d) if d[..2] == [0xED, 0x5E]));
+        assert!(
+            matches!(
+                cluster.wait_any(&mut set),
+                Err(CoreError::WaitTimeout { .. })
+            ),
+            "{backend}"
+        );
+        assert!(set.remove(t_ghost), "{backend}: still registered");
+        cluster.shutdown();
+    }
 }
 
 /// Registering the same handle twice: exactly one token claims the
