@@ -13,7 +13,7 @@
 //! receiver auto-registers on the first full frame it sees and can always ask
 //! for retransmission by reporting [`crate::error::CoreError::TruncatedWithoutRegistration`].
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use tc_ucx::WorkerAddr;
 
 /// Decision made for one send.
@@ -26,9 +26,12 @@ pub enum SendDecision {
 }
 
 /// Sender-side cache of which endpoints have seen which ifunc types.
+///
+/// Stored as ifunc name → endpoints, so a send is answered from the borrowed
+/// name: one probe, and no key is built unless the name is new.
 #[derive(Debug, Default, Clone)]
 pub struct SenderCache {
-    seen: HashSet<(String, WorkerAddr)>,
+    seen: HashMap<String, HashSet<WorkerAddr>>,
     /// Number of sends that shipped the full frame.
     pub full_sends: u64,
     /// Number of sends that shipped the truncated frame.
@@ -44,36 +47,48 @@ impl SenderCache {
     /// Record a send of `ifunc_name` to `endpoint` and return what should be
     /// transmitted.
     pub fn on_send(&mut self, ifunc_name: &str, endpoint: WorkerAddr) -> SendDecision {
-        if self.seen.contains(&(ifunc_name.to_string(), endpoint)) {
-            self.truncated_sends += 1;
-            SendDecision::SendTruncated
-        } else {
-            self.seen.insert((ifunc_name.to_string(), endpoint));
+        let first = match self.seen.get_mut(ifunc_name) {
+            Some(endpoints) => endpoints.insert(endpoint),
+            None => {
+                self.seen
+                    .insert(ifunc_name.to_string(), HashSet::from([endpoint]));
+                true
+            }
+        };
+        if first {
             self.full_sends += 1;
             SendDecision::SendFull
+        } else {
+            self.truncated_sends += 1;
+            SendDecision::SendTruncated
         }
     }
 
     /// Peek without recording (used by benchmarks to predict message sizes).
     pub fn would_truncate(&self, ifunc_name: &str, endpoint: WorkerAddr) -> bool {
-        self.seen.contains(&(ifunc_name.to_string(), endpoint))
+        self.seen
+            .get(ifunc_name)
+            .is_some_and(|endpoints| endpoints.contains(&endpoint))
     }
 
     /// Forget an endpoint entirely (connection teardown).
     pub fn forget_endpoint(&mut self, endpoint: WorkerAddr) {
-        self.seen.retain(|(_, ep)| *ep != endpoint);
+        self.seen.retain(|_, endpoints| {
+            endpoints.remove(&endpoint);
+            !endpoints.is_empty()
+        });
     }
 
     /// Forget one ifunc type everywhere (ifunc de-registration on the source:
     /// the next send must ship code again because targets may also have
     /// dropped it).
     pub fn forget_ifunc(&mut self, ifunc_name: &str) {
-        self.seen.retain(|(name, _)| name != ifunc_name);
+        self.seen.remove(ifunc_name);
     }
 
     /// Number of `(ifunc, endpoint)` pairs currently cached.
     pub fn len(&self) -> usize {
-        self.seen.len()
+        self.seen.values().map(HashSet::len).sum()
     }
 
     /// True when nothing has been cached.

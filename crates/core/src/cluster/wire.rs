@@ -22,9 +22,8 @@ use crate::error::{CoreError, Result};
 use crate::metrics::RuntimeStats;
 use crate::runtime::NodeRuntime;
 use tc_jit::Memory;
-use tc_ucx::{
-    AmHandlerId, BufPool, Bytes, OutgoingMessage, PoolWriter, RequestId, UcpOp, WorkerAddr,
-};
+use tc_ucx::bytes::put;
+use tc_ucx::{AmHandlerId, BufPool, Bytes, OutgoingMessage, RequestId, UcpOp, WorkerAddr};
 
 /// Envelope tag: encoded fabric operation (data plane).
 pub const TAG_OP: u64 = 1;
@@ -145,39 +144,39 @@ fn encoded_op_size(op: &UcpOp) -> usize {
     17 + fixed + bulk(op).map_or(0, |b| b.len())
 }
 
-/// Append `msg`'s envelope header and fixed op fields — everything but the
-/// bulk payload.
-fn put_op_head(out: &mut PoolWriter, msg: &OutgoingMessage) {
-    out.put_u32_le(msg.src.0);
-    out.put_u32_le(msg.dst.0);
-    out.put_u64_le(msg.request.0);
+/// Write `msg`'s envelope header and fixed op fields — everything but the
+/// bulk payload — to the front of `out`.
+fn put_op_head(out: &mut &mut [u8], msg: &OutgoingMessage) {
+    put(out, &msg.src.0.to_le_bytes());
+    put(out, &msg.dst.0.to_le_bytes());
+    put(out, &msg.request.0.to_le_bytes());
     match &msg.op {
         UcpOp::Put { remote_addr, .. } => {
-            out.put_u8(OP_PUT);
-            out.put_u64_le(*remote_addr);
+            put(out, &[OP_PUT]);
+            put(out, &remote_addr.to_le_bytes());
         }
         UcpOp::PutConfirm { remote_addr, .. } => {
-            out.put_u8(OP_PUT_CONFIRM);
-            out.put_u64_le(*remote_addr);
+            put(out, &[OP_PUT_CONFIRM]);
+            put(out, &remote_addr.to_le_bytes());
         }
         UcpOp::PutAck { acked } => {
-            out.put_u8(OP_PUT_ACK);
-            out.put_u64_le(acked.0);
+            put(out, &[OP_PUT_ACK]);
+            put(out, &acked.0.to_le_bytes());
         }
         UcpOp::Get { remote_addr, len } => {
-            out.put_u8(OP_GET);
-            out.put_u64_le(*remote_addr);
-            out.put_u64_le(*len);
+            put(out, &[OP_GET]);
+            put(out, &remote_addr.to_le_bytes());
+            put(out, &len.to_le_bytes());
         }
         UcpOp::GetReply { request, .. } => {
-            out.put_u8(OP_GET_REPLY);
-            out.put_u64_le(request.0);
+            put(out, &[OP_GET_REPLY]);
+            put(out, &request.0.to_le_bytes());
         }
         UcpOp::ActiveMessage { handler, .. } => {
-            out.put_u8(OP_AM);
-            out.put_u16_le(handler.0);
+            put(out, &[OP_AM]);
+            put(out, &handler.0.to_le_bytes());
         }
-        UcpOp::IfuncFrame { .. } => out.put_u8(OP_IFUNC),
+        UcpOp::IfuncFrame { .. } => put(out, &[OP_IFUNC]),
     }
 }
 
@@ -202,16 +201,20 @@ fn encode(
         .cloned()
         .unwrap_or_default();
     let prefix = if rel.is_some() { REL_HEAD_LEN } else { 0 };
-    let mut out = pool.acquire(prefix + encoded_op_size(&msg.op) - detached.len());
+    let size = prefix + encoded_op_size(&msg.op) - detached.len();
+    let mut writer = pool.acquire(size);
+    // The whole envelope is one region of the pool buffer: one uniqueness
+    // check, however many fields.
+    let mut out = writer.reserve(size);
     if let Some((seq, ack)) = rel {
-        out.put_u64_le(seq);
-        out.put_u64_le(ack);
+        put(&mut out, &seq.to_le_bytes());
+        put(&mut out, &ack.to_le_bytes());
     }
     put_op_head(&mut out, msg);
     if let (Some(bulk), true) = (bulk, detached.is_empty()) {
-        out.put_slice(bulk);
+        put(&mut out, bulk);
     }
-    (out.freeze(pool), detached)
+    (writer.freeze(pool), detached)
 }
 
 /// Encode a fabric operation for a [`TAG_OP`] envelope into a buffer from

@@ -12,6 +12,8 @@
 //! trusting the sender.
 
 use crate::error::{CoreError, Result};
+use std::ops::Range;
+use tc_ucx::bytes::put;
 use tc_ucx::{BufPool, Bytes};
 
 /// The MAGIC delimiter bytes (one before the code section, one after it).
@@ -95,37 +97,26 @@ impl MessageFrame {
         }
     }
 
-    fn header_size(&self) -> usize {
-        // version + repr + name len + name + payload len + code len + deps
-        // count.
-        1 + 1 + 2 + self.ifunc_name.len() + 4 + 4 + 2
-    }
-
-    fn write_header(&self, w: &mut tc_ucx::PoolWriter) {
-        w.put_u8(FRAME_VERSION);
-        w.put_u8(self.repr.tag());
-        let name = self.ifunc_name.as_bytes();
-        w.put_u16_le(name.len() as u16);
-        w.put_slice(name);
-        w.put_u32_le(self.payload.len() as u32);
-        w.put_u32_le(self.code.len() as u32);
-        w.put_u16_le(self.deps.len() as u16);
-    }
-
     /// Encode the *full* frame into a pooled buffer:
     /// HEADER | PAYLOAD | MAGIC | CODE | DEPS | MAGIC.
     pub fn encode_full_with(&self, pool: &mut BufPool) -> Bytes {
-        let mut w = pool.acquire(self.full_size());
-        self.write_header(&mut w);
-        w.put_slice(&self.payload);
-        w.put_slice(&FRAME_MAGIC);
-        w.put_slice(&self.code);
+        let size = self.full_size();
+        let mut w = pool.acquire(size);
+        let mut out = w.reserve(size);
+        write_truncated(
+            &mut out,
+            &self.ifunc_name,
+            self.repr,
+            &self.payload,
+            self.code.len() as u32,
+            self.deps.len() as u16,
+        );
+        put(&mut out, &self.code);
         for d in &self.deps {
-            let b = d.as_bytes();
-            w.put_u16_le(b.len() as u16);
-            w.put_slice(b);
+            put(&mut out, &(d.len() as u16).to_le_bytes());
+            put(&mut out, d.as_bytes());
         }
-        w.put_slice(&FRAME_MAGIC);
+        put(&mut out, &FRAME_MAGIC);
         w.freeze(pool)
     }
 
@@ -133,11 +124,14 @@ impl MessageFrame {
     /// and including the first MAGIC — sent when the target has already
     /// cached this ifunc type, so the code section and trailer are elided.
     pub fn encode_truncated_with(&self, pool: &mut BufPool) -> Bytes {
-        let mut w = pool.acquire(self.truncated_size());
-        self.write_header(&mut w);
-        w.put_slice(&self.payload);
-        w.put_slice(&FRAME_MAGIC);
-        w.freeze(pool)
+        encode_truncated_parts(
+            &self.ifunc_name,
+            self.repr,
+            &self.payload,
+            self.code.len() as u32,
+            self.deps.len() as u16,
+            pool,
+        )
     }
 
     /// Encode the full frame with this thread's encode pool.
@@ -160,7 +154,7 @@ impl MessageFrame {
 
     /// Size in bytes of the truncated encoding (computed, not materialised).
     pub fn truncated_size(&self) -> usize {
-        self.header_size() + self.payload.len() + FRAME_MAGIC.len()
+        truncated_size(&self.ifunc_name, &self.payload)
     }
 
     /// Decode a frame from a borrowed slice.  The payload and code of the
@@ -168,54 +162,107 @@ impl MessageFrame {
     /// prefer [`MessageFrame::decode_view`] on the receive path, which
     /// borrows sub-views of the shared buffer and copies nothing.
     pub fn decode(bytes: &[u8]) -> Result<DecodedFrame> {
-        let layout = FrameLayout::parse(bytes)?;
-        Ok(DecodedFrame {
-            ifunc_name: layout.ifunc_name,
-            repr: layout.repr,
-            payload: Bytes::copy_from_slice(&bytes[layout.payload]),
-            code: layout.code.map(|r| Bytes::copy_from_slice(&bytes[r])),
-            deps: layout.deps,
-        })
+        Ok(FrameView::parse(bytes)?.to_decoded(|range| Bytes::copy_from_slice(&bytes[range])))
     }
 
     /// Decode a frame as zero-copy views into a shared receive buffer: the
     /// payload and code sections of the result alias `bytes`' allocation.
     pub fn decode_view(bytes: &Bytes) -> Result<DecodedFrame> {
-        let layout = FrameLayout::parse(bytes)?;
-        Ok(DecodedFrame {
-            ifunc_name: layout.ifunc_name,
-            repr: layout.repr,
-            payload: bytes.slice(layout.payload),
-            code: layout.code.map(|r| bytes.slice(r)),
-            deps: layout.deps,
-        })
+        Ok(FrameView::parse(bytes)?.to_decoded(|range| bytes.slice(range)))
     }
 }
 
-/// Parsed offsets of one encoded frame: byte ranges for the bulk sections,
-/// decoded values for the small ones.  Computed once; both the copying and
-/// the zero-copy decoders are thin wrappers over it.
-struct FrameLayout {
-    ifunc_name: String,
-    repr: CodeRepr,
-    payload: std::ops::Range<usize>,
-    code: Option<std::ops::Range<usize>>,
-    deps: Vec<String>,
+/// Size of a truncated frame: version + repr + name len + name + payload
+/// len + code len + deps count, the payload, the MAGIC.
+fn truncated_size(name: &str, payload: &[u8]) -> usize {
+    1 + 1 + 2 + name.len() + 4 + 4 + 2 + payload.len() + FRAME_MAGIC.len()
 }
 
-impl FrameLayout {
-    fn parse(bytes: &[u8]) -> Result<FrameLayout> {
+/// Write HEADER | PAYLOAD | MAGIC to the front of `out`.  The length fields
+/// are as wide as the wire format makes them; the toolchain refuses names
+/// and dependency lists that do not fit
+/// ([`crate::ifunc::build_ifunc_library`]).
+fn write_truncated(
+    out: &mut &mut [u8],
+    name: &str,
+    repr: CodeRepr,
+    payload: &[u8],
+    code_len: u32,
+    deps_count: u16,
+) {
+    put(out, &[FRAME_VERSION, repr.tag()]);
+    put(out, &(name.len() as u16).to_le_bytes());
+    put(out, name.as_bytes());
+    put(out, &(payload.len() as u32).to_le_bytes());
+    put(out, &code_len.to_le_bytes());
+    put(out, &deps_count.to_le_bytes());
+    put(out, payload);
+    put(out, &FRAME_MAGIC);
+}
+
+/// The truncated encoding written straight from its parts — byte for byte
+/// what [`MessageFrame::encode_truncated`] produces for a frame with this
+/// name, representation and payload whose code section is `code_len` bytes
+/// and which names `deps_count` dependencies.  A node forwarding an ifunc it
+/// has received sends this without materialising a [`MessageFrame`].
+pub(crate) fn encode_truncated_parts(
+    name: &str,
+    repr: CodeRepr,
+    payload: &[u8],
+    code_len: u32,
+    deps_count: u16,
+    pool: &mut BufPool,
+) -> Bytes {
+    let size = truncated_size(name, payload);
+    let mut w = pool.acquire(size);
+    write_truncated(
+        &mut w.reserve(size),
+        name,
+        repr,
+        payload,
+        code_len,
+        deps_count,
+    );
+    w.freeze(pool)
+}
+
+/// One encoded frame parsed in place: names borrowed from the buffer, byte
+/// ranges for the bulk sections.  Parsing allocates nothing for a truncated
+/// frame; [`MessageFrame::decode`] and [`MessageFrame::decode_view`] are thin
+/// wrappers over it.
+#[derive(Debug)]
+pub(crate) struct FrameView<'a> {
+    pub(crate) ifunc_name: &'a str,
+    pub(crate) repr: CodeRepr,
+    pub(crate) payload: Range<usize>,
+    /// `None` when the sender elided the code section (cached path).
+    pub(crate) code: Option<Range<usize>>,
+    pub(crate) deps: Vec<&'a str>,
+}
+
+impl<'a> FrameView<'a> {
+    pub(crate) fn parse(bytes: &'a [u8]) -> Result<FrameView<'a>> {
         let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-            if bytes.len() < *pos + n {
-                return Err(CoreError::Frame(format!(
-                    "truncated header: need {n} bytes at offset {pos}",
-                    pos = *pos
-                )));
-            }
-            let s = &bytes[*pos..*pos + n];
+        let take = |pos: &mut usize, n: usize| -> Result<&'a [u8]> {
+            let s = pos
+                .checked_add(n)
+                .and_then(|end| bytes.get(*pos..end))
+                .ok_or_else(|| {
+                    CoreError::Frame(format!(
+                        "truncated header: need {n} bytes at offset {pos}",
+                        pos = *pos
+                    ))
+                })?;
             *pos += n;
             Ok(s)
+        };
+        let take_u16 = |pos: &mut usize| -> Result<usize> {
+            let b = take(pos, 2)?;
+            Ok(usize::from(u16::from_le_bytes([b[0], b[1]])))
+        };
+        let take_u32 = |pos: &mut usize| -> Result<usize> {
+            let b = take(pos, 4)?;
+            Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize)
         };
 
         let version = take(&mut pos, 1)?[0];
@@ -227,18 +274,16 @@ impl FrameLayout {
         let repr_tag = take(&mut pos, 1)?[0];
         let repr = CodeRepr::from_tag(repr_tag)
             .ok_or_else(|| CoreError::Frame(format!("bad code representation tag {repr_tag}")))?;
-        let name_len = u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap()) as usize;
-        let name = std::str::from_utf8(take(&mut pos, name_len)?)
-            .map_err(|_| CoreError::Frame("ifunc name is not UTF-8".into()))?
-            .to_string();
-        let payload_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let code_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let deps_count = u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap()) as usize;
+        let name_len = take_u16(&mut pos)?;
+        let ifunc_name = std::str::from_utf8(take(&mut pos, name_len)?)
+            .map_err(|_| CoreError::Frame("ifunc name is not UTF-8".into()))?;
+        let payload_len = take_u32(&mut pos)?;
+        let code_len = take_u32(&mut pos)?;
+        let deps_count = take_u16(&mut pos)?;
         let payload_start = pos;
         take(&mut pos, payload_len)?;
         let payload = payload_start..pos;
-        let magic = take(&mut pos, 4)?;
-        if magic != FRAME_MAGIC {
+        if take(&mut pos, 4)? != FRAME_MAGIC {
             return Err(CoreError::Frame(
                 "missing payload/code MAGIC delimiter".into(),
             ));
@@ -246,8 +291,8 @@ impl FrameLayout {
 
         if pos == bytes.len() {
             // Truncated frame: code section elided by the sender-side cache.
-            return Ok(FrameLayout {
-                ifunc_name: name,
+            return Ok(FrameView {
+                ifunc_name,
                 repr,
                 payload,
                 code: None,
@@ -260,14 +305,12 @@ impl FrameLayout {
         let code = code_start..pos;
         let mut deps = Vec::with_capacity(deps_count);
         for _ in 0..deps_count {
-            let dlen = u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap()) as usize;
+            let dlen = take_u16(&mut pos)?;
             let dep = std::str::from_utf8(take(&mut pos, dlen)?)
-                .map_err(|_| CoreError::Frame("dependency name is not UTF-8".into()))?
-                .to_string();
+                .map_err(|_| CoreError::Frame("dependency name is not UTF-8".into()))?;
             deps.push(dep);
         }
-        let trailer = take(&mut pos, 4)?;
-        if trailer != FRAME_MAGIC {
+        if take(&mut pos, 4)? != FRAME_MAGIC {
             return Err(CoreError::Frame("missing trailer MAGIC delimiter".into()));
         }
         if pos != bytes.len() {
@@ -276,13 +319,25 @@ impl FrameLayout {
                 bytes.len() - pos
             )));
         }
-        Ok(FrameLayout {
-            ifunc_name: name,
+        Ok(FrameView {
+            ifunc_name,
             repr,
             payload,
             code: Some(code),
             deps,
         })
+    }
+
+    /// The owned form, its bulk sections produced by `section` from their
+    /// byte ranges (a copy or a shared view).
+    fn to_decoded(&self, section: impl Fn(Range<usize>) -> Bytes) -> DecodedFrame {
+        DecodedFrame {
+            ifunc_name: self.ifunc_name.to_string(),
+            repr: self.repr,
+            payload: section(self.payload.clone()),
+            code: self.code.clone().map(section),
+            deps: self.deps.iter().map(|d| d.to_string()).collect(),
+        }
     }
 }
 
@@ -453,5 +508,155 @@ mod tests {
         assert_eq!(full.code.unwrap().len(), 0);
         let trunc = MessageFrame::decode(&f.encode_truncated()).unwrap();
         assert!(trunc.is_truncated());
+    }
+
+    /// The wire format written out longhand, as Figures 2 and 3 give it:
+    /// what every encoder here must reproduce byte for byte.
+    fn reference_encoding(f: &MessageFrame, full: bool) -> Vec<u8> {
+        let mut out = vec![FRAME_VERSION, f.repr.tag()];
+        out.extend_from_slice(&(f.ifunc_name.len() as u16).to_le_bytes());
+        out.extend_from_slice(f.ifunc_name.as_bytes());
+        out.extend_from_slice(&(f.payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(f.code.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(f.deps.len() as u16).to_le_bytes());
+        out.extend_from_slice(&f.payload);
+        out.extend_from_slice(&FRAME_MAGIC);
+        if full {
+            out.extend_from_slice(&f.code);
+            for d in &f.deps {
+                out.extend_from_slice(&(d.len() as u16).to_le_bytes());
+                out.extend_from_slice(d.as_bytes());
+            }
+            out.extend_from_slice(&FRAME_MAGIC);
+        }
+        out
+    }
+
+    fn seeded_frame(rng: &mut tc_simnet::SplitMix64) -> MessageFrame {
+        let mut ident = |max: u64| -> String {
+            (0..rng.below(max + 1))
+                .map(|_| char::from(b'a' + rng.below(26) as u8))
+                .collect()
+        };
+        let name = ident(40);
+        let deps = (0..ident(3).len()).map(|_| ident(12)).collect();
+        let mut bytes = |max: u64| -> Vec<u8> {
+            (0..rng.below(max + 1))
+                .map(|_| rng.next_u64() as u8)
+                .collect()
+        };
+        let (payload, code) = (bytes(96), bytes(600));
+        let repr = [CodeRepr::Bitcode, CodeRepr::Binary][rng.below(2) as usize];
+        MessageFrame::new(name, repr, payload, code, deps)
+    }
+
+    /// Over 256 seeded frames: the by-value encoders and the encoder that
+    /// writes a truncated frame straight from its parts all produce the
+    /// reference bytes, and the borrowed parse agrees with the owned decoders
+    /// field for field.
+    #[test]
+    fn encoders_and_borrowed_parse_agree_with_the_reference_over_seeded_frames() {
+        let mut rng = tc_simnet::SplitMix64::new(0xF4A3_E5ED);
+        for case in 0..256 {
+            let f = seeded_frame(&mut rng);
+            let full = f.encode_full();
+            let truncated = f.encode_truncated();
+            assert_eq!(full, reference_encoding(&f, true), "case {case}");
+            assert_eq!(truncated, reference_encoding(&f, false), "case {case}");
+            let direct = tc_ucx::bytes::with_pool(|pool| {
+                encode_truncated_parts(
+                    &f.ifunc_name,
+                    f.repr,
+                    &f.payload,
+                    f.code.len() as u32,
+                    f.deps.len() as u16,
+                    pool,
+                )
+            });
+            assert_eq!(direct, truncated, "case {case}");
+
+            for (bytes, has_code) in [(&full, true), (&truncated, false)] {
+                let view = FrameView::parse(bytes).unwrap();
+                let owned = MessageFrame::decode(bytes).unwrap();
+                assert_eq!(owned, MessageFrame::decode_view(bytes).unwrap());
+                assert_eq!(view.ifunc_name, owned.ifunc_name);
+                assert_eq!(view.ifunc_name, f.ifunc_name);
+                assert_eq!(view.repr, owned.repr);
+                assert_eq!(bytes[view.payload.clone()], *owned.payload);
+                assert_eq!(owned.payload, f.payload);
+                assert_eq!(view.code.is_some(), has_code);
+                assert_eq!(
+                    view.code.clone().map(|r| &bytes[r]),
+                    owned.code.as_deref(),
+                    "case {case}"
+                );
+                assert_eq!(view.deps, owned.deps);
+                if has_code {
+                    assert_eq!(owned.code.as_ref(), Some(&f.code));
+                    assert_eq!(owned.deps, f.deps);
+                }
+            }
+        }
+    }
+
+    /// Every class of hostile input gets the same typed error from the
+    /// borrowed parse and from both owned decoders — the checks of the
+    /// receive path, each pinned by its message.
+    #[test]
+    fn hostile_frames_get_the_same_typed_error_from_every_decoder() {
+        let f = frame();
+        let full = f.encode_full().to_vec();
+        let name_at = 4;
+        let edit = |at: usize, byte: u8| {
+            let mut bad = full.clone();
+            bad[at] = byte;
+            bad
+        };
+        let mut trailing = full.clone();
+        trailing.extend_from_slice(&[0, 0, 0]);
+        let cases: [(&str, Vec<u8>, &str); 8] = [
+            ("version", edit(0, 99), "unsupported frame version 99"),
+            ("repr tag", edit(1, 9), "bad code representation tag 9"),
+            (
+                "short header",
+                full[..3].to_vec(),
+                "truncated header: need 2 bytes at offset 2",
+            ),
+            (
+                "empty",
+                Vec::new(),
+                "truncated header: need 1 bytes at offset 0",
+            ),
+            (
+                "missing MAGIC",
+                edit(f.truncated_size() - 1, 0),
+                "missing payload/code MAGIC delimiter",
+            ),
+            (
+                "non-UTF-8 name",
+                edit(name_at, 0xFF),
+                "ifunc name is not UTF-8",
+            ),
+            (
+                "missing trailer",
+                edit(full.len() - 1, 0),
+                "missing trailer MAGIC delimiter",
+            ),
+            (
+                "trailing bytes",
+                trailing,
+                "3 trailing bytes after trailer MAGIC",
+            ),
+        ];
+        for (what, bad, message) in cases {
+            let expected = CoreError::Frame(message.to_string());
+            assert_eq!(FrameView::parse(&bad).unwrap_err(), expected, "{what}");
+            assert_eq!(MessageFrame::decode(&bad).unwrap_err(), expected, "{what}");
+            assert_eq!(
+                MessageFrame::decode_view(&Bytes::from(bad)).unwrap_err(),
+                expected,
+                "{what}"
+            );
+        }
     }
 }

@@ -93,6 +93,27 @@ pub fn build_ifunc_library(module: &Module, options: &ToolchainOptions) -> Resul
             Module::ENTRY_NAME
         )));
     }
+    // The frame header carries the name length, the dependency count and each
+    // dependency's length as u16: what does not fit cannot be framed.
+    let oversized = [
+        ("name length", module.name.len()),
+        ("dependency count", module.deps.len()),
+    ]
+    .into_iter()
+    .chain(
+        module
+            .deps
+            .iter()
+            .map(|d| ("dependency name length", d.len())),
+    )
+    .find(|(_, len)| *len > usize::from(u16::MAX));
+    if let Some((what, len)) = oversized {
+        return Err(CoreError::Toolchain(format!(
+            "ifunc library `{:.64}`: {what} {len} exceeds the frame format's limit of {}",
+            module.name,
+            u16::MAX
+        )));
+    }
     let fat = FatBitcode::from_module(module, &options.targets)?;
     let fat_bytes = Bytes::from(fat.encode());
 
@@ -321,6 +342,40 @@ mod tests {
         }
         let err = build_ifunc_library(&mb.build(), &ToolchainOptions::default()).unwrap_err();
         assert!(err.to_string().contains("entry"));
+    }
+
+    /// The frame header stores the name length, the dependency count and
+    /// each dependency's length in 16 bits; a library that does not fit is
+    /// refused by the toolchain instead of encoding a header that lies
+    /// about its own layout.
+    #[test]
+    fn toolchain_rejects_what_the_frame_header_cannot_hold() {
+        let limit = usize::from(u16::MAX);
+        let mut long_name = tsi_module();
+        long_name.name = "n".repeat(70_000);
+        let mut long_dep = tsi_module();
+        long_dep.deps = vec!["d".repeat(limit + 1)];
+        let mut many_deps = tsi_module();
+        many_deps.deps = vec!["libc.so".to_string(); limit + 1];
+        for (module, what) in [
+            (long_name, "name length 70000"),
+            (long_dep, "dependency name length 65536"),
+            (many_deps, "dependency count 65536"),
+        ] {
+            let err = build_ifunc_library(&module, &ToolchainOptions::default()).unwrap_err();
+            assert!(
+                matches!(&err, CoreError::Toolchain(msg) if msg.contains(what)),
+                "{what}: {err}"
+            );
+        }
+
+        // At the limit everything still fits.
+        let mut widest = tsi_module();
+        widest.name = "n".repeat(limit);
+        let lib = build_ifunc_library(&widest, &ToolchainOptions::default()).unwrap();
+        let frame = IfuncMessage::bitcode(IfuncHandle(0), &lib, vec![1]).frame;
+        let decoded = MessageFrame::decode(&frame.encode_truncated()).unwrap();
+        assert_eq!(decoded.ifunc_name.len(), limit);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use crate::cache::{SendDecision, SenderCache};
 use crate::error::{CoreError, Result};
-use crate::frame::{CodeRepr, DecodedFrame, MessageFrame};
+use crate::frame::{encode_truncated_parts, CodeRepr, FrameView, MessageFrame};
 use crate::ifunc::{IfuncHandle, IfuncLibrary, IfuncMessage, IfuncRegistry};
 use crate::layout::{
     decode_result_record, encode_result_record, is_result_mailbox_addr, result_slot_addr,
@@ -33,7 +33,9 @@ use crate::metrics::{OutcomeKind, ProcessOutcome, RuntimeStats};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tc_bitir::{FatBitcode, TargetTriple};
-use tc_jit::{Engine, ExternalHost, JitError, MachModule, Memory, OrcJit, SparseMemory};
+use tc_jit::{
+    Engine, ExternalHost, JitError, MachModule, MaterializedModule, Memory, OrcJit, SparseMemory,
+};
 use tc_ucx::{
     AmHandlerId, BufPool, Bytes, OutgoingMessage, RequestId, UcpOp, Worker, WorkerAddr, WorkerEvent,
 };
@@ -131,17 +133,37 @@ pub enum Completion {
     },
 }
 
-/// Target-side record of an ifunc that has been received and registered.
+/// Executable form of a registered ifunc.
+enum LoadedCode {
+    /// Bitcode, compiled by this node's JIT session (which caches the same
+    /// module under the same name).
+    Jit(Arc<MaterializedModule>),
+    /// A binary object, loaded and GOT-patched for this node's ISA.
+    Binary(MachModule),
+}
+
+/// Target-side record of an ifunc that has been received and registered:
+/// everything a later arrival of the same name needs, resolved once.
 struct ReceivedIfunc {
-    repr: CodeRepr,
+    /// The registration key, shared with the table that holds this record.
+    name: Arc<str>,
+    loaded: LoadedCode,
+    /// Index of the entry function in the loaded module.
+    entry: u32,
     /// The code section as originally received — a shared view of the
     /// arrival buffer, kept so this node can itself forward the ifunc to
     /// peers that have not seen it (recursive propagation) without copying.
     code: Bytes,
     deps: Vec<String>,
-    /// Loaded machine module for binary ifuncs (bitcode ifuncs live in the
-    /// JIT cache keyed by name).
-    binary: Option<Arc<MachModule>>,
+}
+
+impl ReceivedIfunc {
+    fn repr(&self) -> CodeRepr {
+        match self.loaded {
+            LoadedCode::Jit(_) => CodeRepr::Bitcode,
+            LoadedCode::Binary(_) => CodeRepr::Binary,
+        }
+    }
 }
 
 /// The per-node Three-Chains runtime.
@@ -157,11 +179,20 @@ pub struct NodeRuntime {
     engine: Engine,
     registry: IfuncRegistry,
     sender_cache: SenderCache,
-    received: HashMap<String, ReceivedIfunc>,
-    am_handlers: HashMap<String, NativeAmHandler>,
+    /// Probed once per arrival, by the name borrowed from the arrival
+    /// buffer; the record is shared out so it can be used while the rest of
+    /// the runtime is borrowed mutably.
+    received: HashMap<Arc<str>, Arc<ReceivedIfunc>>,
+    /// Predeployed AM handlers and their names, both indexed by
+    /// [`AmHandlerId`].
+    am_handlers: Vec<NativeAmHandler>,
     am_names: Vec<String>,
     am_ids: HashMap<String, AmHandlerId>,
     completions: Vec<Completion>,
+    /// The action list of the execution before, emptied: executing code
+    /// requests its follow-on actions into it, so a handled message grows no
+    /// list of its own.
+    spare_actions: Vec<HostAction>,
     /// Recycled scratch buffers for reply payloads (GET serving).
     reply_pool: BufPool,
     /// Cumulative counters.
@@ -196,10 +227,11 @@ impl NodeRuntime {
             registry: IfuncRegistry::new(),
             sender_cache: SenderCache::new(),
             received: HashMap::new(),
-            am_handlers: HashMap::new(),
+            am_handlers: Vec::new(),
             am_names: Vec::new(),
             am_ids: HashMap::new(),
             completions: Vec::new(),
+            spare_actions: Vec::new(),
             reply_pool: BufPool::new(),
             stats: RuntimeStats::default(),
         }
@@ -371,13 +403,13 @@ impl NodeRuntime {
     ) -> AmHandlerId {
         let name = name.into();
         if let Some(&id) = self.am_ids.get(&name) {
-            self.am_handlers.insert(name, handler);
+            self.am_handlers[usize::from(id.0)] = handler;
             return id;
         }
         let id = self.worker.register_am_handler(name.clone());
         self.am_ids.insert(name.clone(), id);
-        self.am_names.push(name.clone());
-        self.am_handlers.insert(name, handler);
+        self.am_names.push(name);
+        self.am_handlers.push(handler);
         id
     }
 
@@ -497,19 +529,13 @@ impl NodeRuntime {
     }
 
     fn handle_am(&mut self, handler: AmHandlerId, payload: &[u8]) -> Result<ProcessOutcome> {
-        let name = self
-            .worker
-            .am_handler_name(handler)
-            .ok_or_else(|| CoreError::UnknownAmHandler {
-                name: format!("#{}", handler.0),
-            })?
-            .to_string();
         let func = self
             .am_handlers
-            .get(&name)
-            .cloned()
-            .ok_or_else(|| CoreError::UnknownAmHandler { name: name.clone() })?;
-        let mut actions = Vec::new();
+            .get(usize::from(handler.0))
+            .ok_or_else(|| CoreError::UnknownAmHandler {
+                name: format!("#{}", handler.0),
+            })?;
+        let mut actions = std::mem::take(&mut self.spare_actions);
         let cycles = {
             let mut ctx = AmContext {
                 node_id: self.node_id.0,
@@ -533,37 +559,42 @@ impl NodeRuntime {
     }
 
     fn handle_ifunc_frame(&mut self, bytes: &Bytes) -> Result<ProcessOutcome> {
-        // Zero-copy: payload and code of the decoded frame are views of the
-        // received buffer.
-        let frame = MessageFrame::decode_view(bytes)?;
-        let name = frame.ifunc_name.clone();
-
+        // Parsed in place: the name is borrowed from the received buffer and
+        // the payload is a sub-slice of it.
+        let frame = FrameView::parse(bytes)?;
+        // The receiver decides by its own registration table, not by
+        // trusting the sender.
+        let known = self.received.get(frame.ifunc_name).cloned();
+        let first_arrival = known.is_none();
         let mut jit_bitcode_bytes = None;
-        let mut binary_loaded = false;
-        let first_arrival;
 
-        if frame.is_truncated() {
-            self.stats.truncated_frames_received += 1;
-            if !self.received.contains_key(&name) {
-                return Err(CoreError::TruncatedWithoutRegistration { name });
+        let rec = match &frame.code {
+            None => {
+                self.stats.truncated_frames_received += 1;
+                known.ok_or_else(|| CoreError::TruncatedWithoutRegistration {
+                    name: frame.ifunc_name.to_string(),
+                })?
             }
-            first_arrival = false;
-        } else {
-            self.stats.full_frames_received += 1;
-            if self.received.contains_key(&name) {
-                // Code arrived again even though we already have it (e.g. a
-                // different source that had not sent to us before); treat as
-                // cached — no recompilation, matching ORC-JIT's symbol cache.
-                first_arrival = false;
-            } else {
-                first_arrival = true;
-                let registered = self.register_received(&frame)?;
-                jit_bitcode_bytes = registered.0;
-                binary_loaded = registered.1;
+            Some(code) => {
+                self.stats.full_frames_received += 1;
+                match known {
+                    // Code arrived again even though we already have it
+                    // (e.g. a different source that had not sent to us
+                    // before); treat as cached — no recompilation, matching
+                    // ORC-JIT's symbol cache.
+                    Some(rec) => rec,
+                    None => {
+                        let (rec, jitted) =
+                            self.register_received(&frame, bytes.slice(code.clone()))?;
+                        jit_bitcode_bytes = jitted;
+                        rec
+                    }
+                }
             }
-        }
+        };
 
-        let outcome = self.execute_ifunc(&name, &frame.payload)?;
+        let payload = &bytes[frame.payload.clone()];
+        let (exec_cycles, actions_emitted) = self.execute_ifunc(&rec, payload)?;
         self.stats.ifuncs_executed += 1;
         Ok(ProcessOutcome {
             kind: if first_arrival {
@@ -571,49 +602,47 @@ impl NodeRuntime {
             } else {
                 OutcomeKind::IfuncExecutedCached
             },
-            exec_cycles: outcome.0,
+            exec_cycles,
             jit_bitcode_bytes,
-            binary_loaded,
-            actions_emitted: outcome.1,
-            payload_bytes: frame.payload.len(),
+            binary_loaded: first_arrival && rec.repr() == CodeRepr::Binary,
+            actions_emitted,
+            payload_bytes: payload.len(),
         })
     }
 
-    /// Register a newly arrived full frame.  Returns (jit_bitcode_bytes,
-    /// binary_loaded).
-    fn register_received(&mut self, frame: &DecodedFrame) -> Result<(Option<usize>, bool)> {
-        let code = frame
-            .code
-            .as_ref()
-            .expect("register_received requires a full frame");
-        match frame.repr {
+    /// Register a newly arrived full frame whose code section is `code`.
+    /// Returns the record and, for a bitcode frame, the size of the bitcode
+    /// that was compiled.
+    fn register_received(
+        &mut self,
+        frame: &FrameView<'_>,
+        code: Bytes,
+    ) -> Result<(Arc<ReceivedIfunc>, Option<usize>)> {
+        let (loaded, jit_bitcode_bytes) = match frame.repr {
             CodeRepr::Bitcode => {
-                let fat = FatBitcode::decode(code)?;
+                let mut fat = FatBitcode::decode(&code)?;
                 // The DEPS field of the frame wins over whatever the archive
                 // itself recorded (they are normally identical).
-                let mut fat = fat;
                 for d in &frame.deps {
-                    if !fat.deps.contains(d) {
-                        fat.deps.push(d.clone());
+                    if !fat.deps.iter().any(|have| have == d) {
+                        fat.deps.push(d.to_string());
                     }
                 }
                 let selected_size = fat.select(self.triple).map(|e| e.bitcode.len())?;
-                self.jit.add_fat_bitcode(&fat, &mut self.memory)?;
+                let module = self.jit.add_fat_bitcode(&fat, &mut self.memory)?;
                 self.stats.jit_compilations += 1;
-                self.received.insert(
-                    frame.ifunc_name.clone(),
-                    ReceivedIfunc {
-                        repr: CodeRepr::Bitcode,
-                        // A view of the arrival buffer — no copy.
-                        code: code.clone(),
-                        deps: frame.deps.clone(),
-                        binary: None,
-                    },
-                );
-                Ok((Some(selected_size), false))
+                // The JIT session caches by the module's own name; the frame
+                // must name the module it carries.
+                if module.compiled.module.name != frame.ifunc_name {
+                    return Err(JitError::UnknownFunction {
+                        name: format!("{}::{}", frame.ifunc_name, tc_bitir::Module::ENTRY_NAME),
+                    }
+                    .into());
+                }
+                (LoadedCode::Jit(module), Some(selected_size))
             }
             CodeRepr::Binary => {
-                let obj = tc_binfmt::ObjectFile::decode(code)?;
+                let obj = tc_binfmt::ObjectFile::decode(&code)?;
                 let resolver = FrameworkSymbolResolver;
                 let image = tc_binfmt::load_object(
                     &obj,
@@ -623,87 +652,73 @@ impl NodeRuntime {
                 )?;
                 let mach = tc_jit::module_from_image(&image)?;
                 self.stats.binary_loads += 1;
-                self.received.insert(
-                    frame.ifunc_name.clone(),
-                    ReceivedIfunc {
-                        repr: CodeRepr::Binary,
-                        code: code.clone(),
-                        deps: frame.deps.clone(),
-                        binary: Some(Arc::new(mach)),
-                    },
-                );
-                Ok((None, true))
+                (LoadedCode::Binary(mach), None)
             }
-        }
+        };
+        let module = match &loaded {
+            LoadedCode::Jit(m) => &m.compiled.module,
+            LoadedCode::Binary(m) => m,
+        };
+        let entry = module
+            .function_index(tc_bitir::Module::ENTRY_NAME)
+            .ok_or_else(|| JitError::UnknownFunction {
+                name: tc_bitir::Module::ENTRY_NAME.to_string(),
+            })?;
+        let name: Arc<str> = Arc::from(frame.ifunc_name);
+        let rec = Arc::new(ReceivedIfunc {
+            name: Arc::clone(&name),
+            loaded,
+            entry,
+            code,
+            deps: frame.deps.iter().map(|d| d.to_string()).collect(),
+        });
+        self.received.insert(name, Arc::clone(&rec));
+        Ok((rec, jit_bitcode_bytes))
     }
 
     /// Execute a registered ifunc with the given payload.  Returns
     /// (exec_cycles, actions_emitted).
-    fn execute_ifunc(&mut self, name: &str, payload: &[u8]) -> Result<(u64, usize)> {
+    fn execute_ifunc(&mut self, rec: &ReceivedIfunc, payload: &[u8]) -> Result<(u64, usize)> {
         // Stage the payload.
         self.memory
             .write(PAYLOAD_STAGING_BASE, payload)
             .map_err(|e| CoreError::Sim(e.to_string()))?;
 
-        let rec = self
-            .received
-            .get(name)
-            .ok_or_else(|| CoreError::UnknownIfunc {
-                name: name.to_string(),
-            })?;
-        let repr = rec.repr;
-        let binary = rec.binary.clone();
-
         let mut host = FrameworkHost {
             node_id: self.node_id.0,
             num_nodes: self.num_nodes,
-            current_ifunc: name.to_string(),
-            actions: Vec::new(),
+            current_ifunc: &rec.name,
+            actions: std::mem::take(&mut self.spare_actions),
         };
-
-        let cycles = match repr {
-            CodeRepr::Bitcode => {
-                let out = self.jit.execute_entry(
-                    name,
-                    PAYLOAD_STAGING_BASE,
-                    payload.len() as u64,
-                    TARGET_REGION_BASE,
-                    &mut self.memory,
-                    &mut host,
-                )?;
-                out.cycles
+        let args = [
+            PAYLOAD_STAGING_BASE,
+            payload.len() as u64,
+            TARGET_REGION_BASE,
+        ];
+        let out = match &rec.loaded {
+            LoadedCode::Jit(module) => {
+                module.execute(&self.engine, rec.entry, &args, &mut self.memory, &mut host)?
             }
-            CodeRepr::Binary => {
-                let mach = binary.expect("binary ifunc without loaded image");
-                let out = self.engine.run(
-                    &mach,
-                    tc_bitir::Module::ENTRY_NAME,
-                    &[
-                        PAYLOAD_STAGING_BASE,
-                        payload.len() as u64,
-                        TARGET_REGION_BASE,
-                    ],
-                    &[],
-                    &mut self.memory,
-                    &mut host,
-                )?;
-                out.cycles
+            LoadedCode::Binary(module) => {
+                self.engine
+                    .run_index(module, rec.entry, &args, &[], &mut self.memory, &mut host)?
             }
         };
 
         let actions = host.actions;
         let emitted = actions.len();
-        self.perform_actions(actions, Some(name))?;
-        Ok((cycles, emitted))
+        self.perform_actions(actions, Some(rec))?;
+        Ok((out.cycles, emitted))
     }
 
-    /// Convert follow-on actions into posted fabric operations.
+    /// Convert follow-on actions into posted fabric operations.  The emptied
+    /// list is kept for the next execution (an error drops it).
     fn perform_actions(
         &mut self,
-        actions: Vec<HostAction>,
-        current_ifunc: Option<&str>,
+        mut actions: Vec<HostAction>,
+        current_ifunc: Option<&ReceivedIfunc>,
     ) -> Result<()> {
-        for action in actions {
+        for action in actions.drain(..) {
             match action {
                 HostAction::Put {
                     dst,
@@ -719,17 +734,17 @@ impl NodeRuntime {
                     }
                 }
                 HostAction::ForwardSelf { dst, payload } => {
-                    let name = current_ifunc.ok_or_else(|| {
+                    let rec = current_ifunc.ok_or_else(|| {
                         CoreError::Sim("tc_forward_self called outside an ifunc".into())
                     })?;
-                    self.forward_received(name, dst, payload)?;
+                    self.forward_received(rec, dst, payload)?;
                 }
                 HostAction::SendIfunc { name, dst, payload } => {
                     if let Some(handle) = self.registry.handle(&name) {
                         let msg = self.create_bitcode_message(handle, payload)?;
                         self.send_ifunc(&msg, dst);
-                    } else if self.received.contains_key(&name) {
-                        self.forward_received(&name, dst, payload)?;
+                    } else if let Some(rec) = self.received.get(name.as_str()).cloned() {
+                        self.forward_received(&rec, dst, payload)?;
                     } else {
                         return Err(CoreError::UnknownIfunc { name });
                     }
@@ -742,7 +757,7 @@ impl NodeRuntime {
                     self.send_am(&handler, dst, payload)?;
                 }
                 HostAction::ReturnResult { dst, slot, value } => {
-                    let record = encode_result_record(value).to_vec();
+                    let record = encode_result_record(value);
                     if dst == self.node_id {
                         self.memory
                             .write(result_slot_addr(slot), &record)
@@ -754,40 +769,51 @@ impl NodeRuntime {
                 }
             }
         }
+        self.spare_actions = actions;
         Ok(())
     }
 
     /// Forward a *received* ifunc onward to another node, re-using its code
     /// section and applying this node's own sender cache — recursive
     /// propagation of injected code.
-    fn forward_received(&mut self, name: &str, dst: WorkerAddr, payload: Vec<u8>) -> Result<()> {
+    fn forward_received(
+        &mut self,
+        rec: &ReceivedIfunc,
+        dst: WorkerAddr,
+        payload: Vec<u8>,
+    ) -> Result<()> {
         // Local delivery: execute directly without touching the fabric.
         if dst == self.node_id {
-            let (_cycles, _emitted) = self.execute_ifunc(name, &payload)?;
+            let (_cycles, _emitted) = self.execute_ifunc(rec, &payload)?;
             self.stats.ifuncs_executed += 1;
             return Ok(());
         }
-        let rec = self
-            .received
-            .get(name)
-            .ok_or_else(|| CoreError::UnknownIfunc {
-                name: name.to_string(),
-            })?;
-        let frame = MessageFrame::new(
-            name.to_string(),
-            rec.repr,
-            payload,
-            rec.code.clone(),
-            rec.deps.clone(),
-        );
-        let bytes = match self.sender_cache.on_send(name, dst) {
+        let bytes = match self.sender_cache.on_send(&rec.name, dst) {
             SendDecision::SendFull => {
                 self.stats.ifunc_full_sends += 1;
-                frame.encode_full()
+                MessageFrame::new(
+                    &*rec.name,
+                    rec.repr(),
+                    payload,
+                    rec.code.clone(),
+                    rec.deps.clone(),
+                )
+                .encode_full()
             }
             SendDecision::SendTruncated => {
                 self.stats.ifunc_truncated_sends += 1;
-                frame.encode_truncated()
+                // The lengths below were read from u32 / u16 fields of the
+                // full frame this record was registered from.
+                tc_ucx::bytes::with_pool(|pool| {
+                    encode_truncated_parts(
+                        &rec.name,
+                        rec.repr(),
+                        &payload,
+                        rec.code.len() as u32,
+                        rec.deps.len() as u16,
+                        pool,
+                    )
+                })
             }
         };
         self.stats.bytes_sent += bytes.len() as u64;
@@ -823,14 +849,14 @@ impl tc_binfmt::SymbolResolver for FrameworkSymbolResolver {
 
 /// The [`ExternalHost`] exposed to executing ifuncs: framework services
 /// reachable as external symbols.
-struct FrameworkHost {
+struct FrameworkHost<'a> {
     node_id: u32,
     num_nodes: u32,
-    current_ifunc: String,
+    current_ifunc: &'a str,
     actions: Vec<HostAction>,
 }
 
-impl FrameworkHost {
+impl FrameworkHost<'_> {
     fn read_bytes(mem: &mut dyn Memory, addr: u64, len: u64) -> tc_jit::Result<Vec<u8>> {
         let mut buf = vec![0u8; len as usize];
         mem.read(addr, &mut buf)?;
@@ -838,7 +864,7 @@ impl FrameworkHost {
     }
 }
 
-impl ExternalHost for FrameworkHost {
+impl ExternalHost for FrameworkHost<'_> {
     fn call_external(
         &mut self,
         symbol: &str,
@@ -1165,6 +1191,197 @@ mod tests {
         assert!(client
             .send_am("not_deployed", WorkerAddr(1), vec![])
             .is_err());
+    }
+
+    /// An ifunc that forwards itself: payload `[dst u64][hops u64]`; with
+    /// hops left it decrements them in place and calls
+    /// `tc_forward_self(dst, payload, len)`.
+    fn forwarder_module() -> Module {
+        let mut mb = ModuleBuilder::new("forwarder");
+        {
+            let mut f = mb.entry_function();
+            let payload = f.param(0);
+            let len = f.param(1);
+            let dst = f.load(ScalarType::U64, payload, 0);
+            let hops = f.load(ScalarType::U64, payload, 8);
+            let zero = f.const_u64(0);
+            let done = f.cmp(BinOp::CmpEq, ScalarType::U64, hops, zero);
+            let stop = f.new_block();
+            let go = f.new_block();
+            f.br_if(done, stop, go);
+            f.switch_to(go);
+            let one = f.const_u64(1);
+            let left = f.bin(BinOp::Sub, ScalarType::U64, hops, one);
+            f.store(ScalarType::U64, left, payload, 8);
+            f.call_ext("tc_forward_self", vec![dst, payload, len], true);
+            f.br(stop);
+            f.switch_to(stop);
+            let z = f.const_i64(0);
+            f.ret(z);
+            f.finish();
+        }
+        mb.build()
+    }
+
+    /// Deliver `frame` bytes to `node` as if `from` had sent them, and poll.
+    fn arrive(node: &mut NodeRuntime, from: WorkerAddr, bytes: Bytes) -> Result<ProcessOutcome> {
+        node.deliver(OutgoingMessage {
+            src: from,
+            dst: node.node_id(),
+            request: RequestId(0),
+            op: UcpOp::IfuncFrame { bytes },
+        });
+        node.poll(usize::MAX).remove(0)
+    }
+
+    /// The frames `node` has posted, as `(destination, truncated?)`.
+    fn posted_frames(node: &mut NodeRuntime) -> Vec<(WorkerAddr, bool)> {
+        node.take_outgoing()
+            .into_iter()
+            .map(|m| match m.op {
+                UcpOp::IfuncFrame { bytes } => (
+                    m.dst,
+                    MessageFrame::decode_view(&bytes).unwrap().is_truncated(),
+                ),
+                other => panic!("unexpected operation {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_second_full_frame_for_a_known_name_compiles_nothing() {
+        let mut server = NodeRuntime::new(WorkerAddr(1), 3, TargetTriple::THOR_BF2);
+        let library = lib(&tsi_module());
+        let frame = IfuncMessage::bitcode(IfuncHandle(0), &library, vec![1]).frame;
+
+        let first = arrive(&mut server, WorkerAddr(0), frame.encode_full()).unwrap();
+        assert_eq!(first.kind, OutcomeKind::IfuncExecutedFirstArrival);
+        assert!(first.jit_bitcode_bytes.is_some());
+
+        // A second source that had not sent to this node before ships the
+        // code again: executed from the registration, nothing recompiled.
+        let again = arrive(&mut server, WorkerAddr(2), frame.encode_full()).unwrap();
+        assert_eq!(again.kind, OutcomeKind::IfuncExecutedCached);
+        assert_eq!(again.jit_bitcode_bytes, None);
+        let cached = arrive(&mut server, WorkerAddr(2), frame.encode_truncated()).unwrap();
+        assert_eq!(cached.kind, OutcomeKind::IfuncExecutedCached);
+
+        assert_eq!(server.jit_stats().compilations, 1);
+        assert_eq!(server.jit_stats().cache_hits, 0);
+        assert_eq!(server.stats.jit_compilations, 1);
+        assert_eq!(server.stats.full_frames_received, 2);
+        assert_eq!(server.stats.truncated_frames_received, 1);
+        assert_eq!(server.stats.ifuncs_executed, 3);
+    }
+
+    #[test]
+    fn a_frame_must_name_the_module_it_carries() {
+        let mut server = NodeRuntime::new(WorkerAddr(1), 2, TargetTriple::THOR_XEON);
+        let library = lib(&tsi_module());
+        let alias = MessageFrame::new(
+            "alias",
+            CodeRepr::Bitcode,
+            vec![1],
+            library.fat_bitcode_bytes.clone(),
+            vec![],
+        );
+        let refused = arrive(&mut server, WorkerAddr(0), alias.encode_full());
+        assert!(
+            matches!(&refused, Err(CoreError::Jit(msg)) if msg.contains("alias::main")),
+            "{refused:?}"
+        );
+        // Nothing was registered under the alias.
+        assert!(matches!(
+            arrive(&mut server, WorkerAddr(0), alias.encode_truncated()),
+            Err(CoreError::TruncatedWithoutRegistration { name }) if name == "alias"
+        ));
+    }
+
+    #[test]
+    fn forgetting_an_endpoint_or_an_ifunc_makes_the_next_forward_ship_code_again() {
+        let (a, b) = (WorkerAddr(1), WorkerAddr(2));
+        let mut node = NodeRuntime::new(a, 3, TargetTriple::THOR_XEON);
+        let library = lib(&forwarder_module());
+        let mut payload = u64::from(b.0).to_le_bytes().to_vec();
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        let frame = IfuncMessage::bitcode(IfuncHandle(0), &library, payload).frame;
+        let forward = |node: &mut NodeRuntime, bytes: Bytes| {
+            let outcome = arrive(node, WorkerAddr(0), bytes).unwrap();
+            assert_eq!(outcome.actions_emitted, 1);
+            posted_frames(node)
+        };
+
+        // The first forward to B ships the code, the second does not.
+        assert_eq!(forward(&mut node, frame.encode_full()), [(b, false)]);
+        assert_eq!(forward(&mut node, frame.encode_truncated()), [(b, true)]);
+
+        node.sender_cache.forget_endpoint(b);
+        assert_eq!(forward(&mut node, frame.encode_truncated()), [(b, false)]);
+        assert_eq!(forward(&mut node, frame.encode_truncated()), [(b, true)]);
+
+        node.sender_cache.forget_ifunc("forwarder");
+        assert_eq!(forward(&mut node, frame.encode_truncated()), [(b, false)]);
+        assert_eq!(forward(&mut node, frame.encode_truncated()), [(b, true)]);
+
+        assert_eq!(node.stats.ifunc_full_sends, 3);
+        assert_eq!(node.stats.ifunc_truncated_sends, 3);
+        assert_eq!(node.sender_cache_stats(), (3, 3));
+        assert_eq!(node.jit_stats().compilations, 1);
+    }
+
+    /// A forwarded frame is byte for byte the frame the origin would have
+    /// sent with the same payload: full the first time, truncated after.
+    #[test]
+    fn forwarded_frames_equal_the_origins_encodings() {
+        let b = WorkerAddr(2);
+        let mut node = NodeRuntime::new(WorkerAddr(1), 3, TargetTriple::THOR_XEON);
+        let mut module = forwarder_module();
+        module.deps = vec!["libc.so".into(), "libm.so".into()];
+        let library = lib(&module);
+        let message = |hops: u64| {
+            let mut payload = u64::from(b.0).to_le_bytes().to_vec();
+            payload.extend_from_slice(&hops.to_le_bytes());
+            IfuncMessage::bitcode(IfuncHandle(0), &library, payload).frame
+        };
+        for (arriving, expected) in [
+            (message(1).encode_full(), message(0).encode_full()),
+            (message(1).encode_truncated(), message(0).encode_truncated()),
+        ] {
+            arrive(&mut node, WorkerAddr(0), arriving).unwrap();
+            let sent = node.take_outgoing();
+            assert_eq!(sent.len(), 1);
+            assert_eq!(sent[0].op, UcpOp::IfuncFrame { bytes: expected });
+        }
+    }
+
+    #[test]
+    fn am_dispatch_is_by_id_and_redeploying_replaces_the_handler() {
+        let mut node = NodeRuntime::new(WorkerAddr(1), 2, TargetTriple::THOR_XEON);
+        let returns = |cycles: u64| -> NativeAmHandler { Arc::new(move |_, _| cycles) };
+        let first = node.deploy_am_handler("first", returns(1));
+        let second = node.deploy_am_handler("second", returns(2));
+        assert_eq!((first, second), (AmHandlerId(0), AmHandlerId(1)));
+        assert_eq!(node.deploy_am_handler("first", returns(10)), first);
+        assert_eq!(node.am_handler_names(), ["first", "second"]);
+
+        let mut run = |handler: AmHandlerId| {
+            node.deliver(OutgoingMessage {
+                src: WorkerAddr(0),
+                dst: WorkerAddr(1),
+                request: RequestId(0),
+                op: UcpOp::ActiveMessage {
+                    handler,
+                    payload: Bytes::new(),
+                },
+            });
+            node.poll(usize::MAX).remove(0)
+        };
+        assert_eq!(run(first).unwrap().exec_cycles, 10);
+        assert_eq!(run(second).unwrap().exec_cycles, 2);
+        assert!(matches!(
+            run(AmHandlerId(7)),
+            Err(CoreError::UnknownAmHandler { name }) if name == "#7"
+        ));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::collections::HashSet;
 use tc_core::{CodeRepr, MessageFrame, SendDecision, SenderCache};
-use tc_ucx::WorkerAddr;
+use tc_ucx::{Bytes, WorkerAddr};
 
 const CASES: u64 = 128;
 
@@ -107,15 +107,27 @@ fn decode_never_panics_on_mutated_or_clipped_frames() {
         let frame = g.frame();
         let mut bytes = frame.encode_full().to_vec();
 
+        // The copying and the zero-copy decoder give the same frame or the
+        // same typed error, whatever the input.
+        let decode = |b: &[u8]| {
+            let decoded = MessageFrame::decode(b);
+            assert_eq!(
+                decoded,
+                MessageFrame::decode_view(&Bytes::copy_from_slice(b)),
+                "case {case}"
+            );
+            decoded
+        };
+
         // Clip at an arbitrary boundary: either an error or (exactly at the
         // truncation point) a truncated decode — never a panic.
         let cut = g.range(0, bytes.len() as u64 + 1) as usize;
-        let _ = MessageFrame::decode(&bytes[..cut]);
+        let _ = decode(&bytes[..cut]);
 
         // Flip one byte anywhere: must not panic.
         let idx = g.range(0, bytes.len() as u64) as usize;
         bytes[idx] ^= 1 + (g.next_u64() as u8 & 0x7f);
-        let _ = MessageFrame::decode(&bytes);
+        let _ = decode(&bytes);
     }
 }
 

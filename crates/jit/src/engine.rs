@@ -10,7 +10,8 @@
 //! discrete-event simulator to charge virtual execution time.
 
 use crate::error::{JitError, Result};
-use crate::machine::{MachFunction, MachInst, MachModule};
+use crate::machine::{MReg, MachFunction, MachInst, MachModule};
+use std::cell::Cell;
 use std::collections::HashMap;
 use tc_bitir::{AtomicOp, BinOp, ScalarType, UnOp, VecOp};
 
@@ -108,9 +109,20 @@ impl Memory for VecMemory {
 /// A sparse, page-based memory covering the full 64-bit address space.
 /// Used for node memories where payload buffers, pointer-table shards and
 /// JIT-materialised globals live at widely separated addresses.
+///
+/// Pages live in a slab and are found through a map from page number to slab
+/// slot.  The map keeps the standard library's keyed hasher, because page
+/// numbers come from addresses remote peers choose; in front of it sits a
+/// memo of the page touched last, so a run of accesses to one page (an
+/// ifunc reading its staged payload field by field) pays for one probe.
+/// Pages are never unmapped, so a memoised slot stays valid; a clone copies
+/// slab, map and memo together and shares nothing with its origin.
 #[derive(Debug, Clone, Default)]
 pub struct SparseMemory {
-    pages: HashMap<u64, Box<[u8; Self::PAGE_SIZE]>>,
+    slots: HashMap<u64, usize>,
+    pages: Vec<Box<[u8; Self::PAGE_SIZE]>>,
+    /// `(page number, slab slot)` of the page touched last.
+    last: Cell<Option<(u64, usize)>>,
 }
 
 impl SparseMemory {
@@ -133,16 +145,30 @@ impl SparseMemory {
             (addr % Self::PAGE_SIZE as u64) as usize,
         )
     }
+
+    /// Slab slot of a materialised page.
+    fn slot_of(&self, page: u64) -> Option<usize> {
+        if let Some((last, slot)) = self.last.get() {
+            if last == page {
+                return Some(slot);
+            }
+        }
+        let slot = *self.slots.get(&page)?;
+        self.last.set(Some((page, slot)));
+        Some(slot)
+    }
 }
 
 impl Memory for SparseMemory {
     fn read(&self, addr: u64, buf: &mut [u8]) -> Result<()> {
         let mut done = 0usize;
         while done < buf.len() {
-            let (page, off) = Self::page_of(addr + done as u64);
+            let (page, off) = Self::page_of(addr.wrapping_add(done as u64));
             let chunk = (Self::PAGE_SIZE - off).min(buf.len() - done);
-            match self.pages.get(&page) {
-                Some(p) => buf[done..done + chunk].copy_from_slice(&p[off..off + chunk]),
+            match self.slot_of(page) {
+                Some(slot) => {
+                    buf[done..done + chunk].copy_from_slice(&self.pages[slot][off..off + chunk])
+                }
                 None => buf[done..done + chunk].fill(0),
             }
             done += chunk;
@@ -153,13 +179,19 @@ impl Memory for SparseMemory {
     fn write(&mut self, addr: u64, data: &[u8]) -> Result<()> {
         let mut done = 0usize;
         while done < data.len() {
-            let (page, off) = Self::page_of(addr + done as u64);
+            let (page, off) = Self::page_of(addr.wrapping_add(done as u64));
             let chunk = (Self::PAGE_SIZE - off).min(data.len() - done);
-            let p = self
-                .pages
-                .entry(page)
-                .or_insert_with(|| Box::new([0u8; Self::PAGE_SIZE]));
-            p[off..off + chunk].copy_from_slice(&data[done..done + chunk]);
+            let slot = match self.slot_of(page) {
+                Some(slot) => slot,
+                None => {
+                    let slot = self.pages.len();
+                    self.pages.push(Box::new([0u8; Self::PAGE_SIZE]));
+                    self.slots.insert(page, slot);
+                    self.last.set(Some((page, slot)));
+                    slot
+                }
+            };
+            self.pages[slot][off..off + chunk].copy_from_slice(&data[done..done + chunk]);
             done += chunk;
         }
         Ok(())
@@ -301,6 +333,21 @@ impl Engine {
                 .ok_or_else(|| JitError::UnknownFunction {
                     name: func_name.to_string(),
                 })?;
+        self.run_index(module, func_index, args, data_addrs, mem, host)
+    }
+
+    /// Execute function number `func_index` of `module`: [`Engine::run`] for
+    /// callers that resolved the name once (see
+    /// [`MachModule::function_index`]) and invoke the function many times.
+    pub fn run_index(
+        &self,
+        module: &MachModule,
+        func_index: u32,
+        args: &[u64],
+        data_addrs: &[u64],
+        mem: &mut dyn Memory,
+        host: &mut dyn ExternalHost,
+    ) -> Result<ExecOutcome> {
         let mut ctx = ExecContext {
             module,
             data_addrs,
@@ -310,6 +357,7 @@ impl Engine {
             max_depth: self.limits.max_call_depth,
             insts: 0,
             cycles: 0,
+            spare_frames: Vec::new(),
         };
         let ret = ctx.call_function(func_index, args, 0)?;
         Ok(ExecOutcome {
@@ -320,6 +368,13 @@ impl Engine {
     }
 }
 
+/// Register files of at most this many registers live in the interpreter's
+/// own stack frame; larger ones take a buffer from
+/// `ExecContext::spare_frames`.
+const INLINE_REGS: usize = 64;
+/// Call argument lists of at most this length are gathered on the stack.
+const INLINE_ARGS: usize = 8;
+
 struct ExecContext<'a> {
     module: &'a MachModule,
     data_addrs: &'a [u64],
@@ -329,17 +384,40 @@ struct ExecContext<'a> {
     max_depth: u32,
     insts: u64,
     cycles: u64,
+    /// Register files too large for the stack, handed back by the calls that
+    /// returned and reused by the next one.
+    spare_frames: Vec<Vec<u64>>,
 }
 
-impl ExecContext<'_> {
+/// The values of the registers `args` names: on the stack when they fit,
+/// in `heap` otherwise.
+fn gather<'b>(
+    regs: &[u64],
+    args: &[MReg],
+    inline: &'b mut [u64; INLINE_ARGS],
+    heap: &'b mut Vec<u64>,
+) -> &'b [u64] {
+    if args.len() <= INLINE_ARGS {
+        for (value, r) in inline.iter_mut().zip(args) {
+            *value = regs[*r as usize];
+        }
+        &inline[..args.len()]
+    } else {
+        heap.extend(args.iter().map(|r| regs[*r as usize]));
+        heap
+    }
+}
+
+impl<'a> ExecContext<'a> {
     fn call_function(&mut self, func_index: u32, args: &[u64], depth: u32) -> Result<u64> {
         if depth > self.max_depth {
             return Err(JitError::Trap {
                 reason: format!("call depth exceeded {}", self.max_depth),
             });
         }
+        let module: &'a MachModule = self.module;
         let func: &MachFunction =
-            self.module
+            module
                 .functions
                 .get(func_index as usize)
                 .ok_or_else(|| JitError::UnknownFunction {
@@ -355,9 +433,28 @@ impl ExecContext<'_> {
                 ),
             });
         }
-        let mut regs = vec![0u64; func.num_regs.max(func.num_params) as usize];
+        let num_regs = func.num_regs.max(func.num_params) as usize;
+        let mut inline = [0u64; INLINE_REGS];
+        let mut spilled = Vec::new();
+        let regs: &mut [u64] = if num_regs <= INLINE_REGS {
+            &mut inline[..num_regs]
+        } else {
+            spilled = self.spare_frames.pop().unwrap_or_default();
+            spilled.clear();
+            spilled.resize(num_regs, 0);
+            &mut spilled
+        };
         regs[..args.len()].copy_from_slice(args);
+        let ret = self.run_frame(func, regs, depth);
+        if num_regs > INLINE_REGS {
+            self.spare_frames.push(spilled);
+        }
+        ret
+    }
 
+    /// Interpret `func` over its register file until it returns or traps.
+    fn run_frame(&mut self, func: &'a MachFunction, regs: &mut [u64], depth: u32) -> Result<u64> {
+        let module: &'a MachModule = self.module;
         let mut block = 0usize;
         loop {
             let insts = func.blocks.get(block).ok_or_else(|| JitError::Trap {
@@ -488,8 +585,9 @@ impl ExecContext<'_> {
                         func_index,
                         args,
                     } => {
-                        let argv: Vec<u64> = args.iter().map(|r| regs[*r as usize]).collect();
-                        let ret = self.call_function(*func_index, &argv, depth + 1)?;
+                        let (mut inline, mut heap) = ([0u64; INLINE_ARGS], Vec::new());
+                        let argv = gather(regs, args, &mut inline, &mut heap);
+                        let ret = self.call_function(*func_index, argv, depth + 1)?;
                         if let Some(d) = dst {
                             regs[*d as usize] = ret;
                         }
@@ -499,17 +597,17 @@ impl ExecContext<'_> {
                         sym_index,
                         args,
                     } => {
-                        let symbol = self
-                            .module
-                            .ext_symbols
-                            .get(*sym_index as usize)
-                            .ok_or_else(|| JitError::Trap {
-                                reason: format!("external symbol #{sym_index} out of range"),
-                            })?
-                            .clone();
-                        let argv: Vec<u64> = args.iter().map(|r| regs[*r as usize]).collect();
-                        self.cycles += self.host.external_cost(&symbol);
-                        let ret = self.host.call_external(&symbol, &argv, self.mem)?;
+                        // Borrowed from the module for the length of the call.
+                        let symbol: &str =
+                            module.ext_symbols.get(*sym_index as usize).ok_or_else(|| {
+                                JitError::Trap {
+                                    reason: format!("external symbol #{sym_index} out of range"),
+                                }
+                            })?;
+                        let (mut inline, mut heap) = ([0u64; INLINE_ARGS], Vec::new());
+                        let argv = gather(regs, args, &mut inline, &mut heap);
+                        self.cycles += self.host.external_cost(symbol);
+                        let ret = self.host.call_external(symbol, argv, self.mem)?;
                         if let Some(d) = dst {
                             regs[*d as usize] = ret;
                         }
@@ -929,6 +1027,53 @@ mod tests {
         assert!(matches!(err, JitError::Trap { .. }));
     }
 
+    /// Register files and argument lists beyond the inline sizes take the
+    /// heap path, and give the same answers.
+    #[test]
+    fn wide_frames_and_long_argument_lists_execute_like_small_ones() {
+        let mut mb = ModuleBuilder::new("wide");
+        let wide_id = mb.next_func_id();
+        {
+            // wide(x) = x + 1 + 2 + … + 100, every term in its own register.
+            let mut f = mb.function("wide", vec![ScalarType::U64], Some(ScalarType::U64));
+            let mut sum = f.param(0);
+            for k in 1..=100 {
+                let term = f.const_u64(k);
+                sum = f.bin(BinOp::Add, ScalarType::U64, sum, term);
+            }
+            f.ret(sum);
+            f.finish();
+        }
+        {
+            let mut f = mb.entry_function();
+            let x = f.param(0);
+            let once = f.call(wide_id, vec![x], true).unwrap();
+            let twice = f.call(wide_id, vec![once], true).unwrap();
+            let args: Vec<_> = (1..=12).map(|k| f.const_u64(k)).collect();
+            let ext = f.call_ext("sum12", args, true).unwrap();
+            let total = f.bin(BinOp::Add, ScalarType::U64, twice, ext);
+            f.ret(total);
+            f.finish();
+        }
+        let compiled = compile_module(&mb.build(), CompileOptions::default()).unwrap();
+        let wide = &compiled.module.functions[wide_id.0 as usize];
+        assert!(wide.num_regs as usize > INLINE_REGS, "{}", wide.num_regs);
+        let mut mem = VecMemory::new(0, 8);
+        let mut host = RecordingHost::default();
+        let out = Engine::new()
+            .run(
+                &compiled.module,
+                "main",
+                &[7, 0, 0],
+                &[],
+                &mut mem,
+                &mut host,
+            )
+            .unwrap();
+        assert_eq!(out.return_value, 7 + 2 * 5050 + 78);
+        assert_eq!(host.calls[0].1, (1..=12).collect::<Vec<u64>>());
+    }
+
     #[test]
     fn fuel_limit_stops_infinite_loops() {
         let mut mb = ModuleBuilder::new("spin");
@@ -1090,6 +1235,78 @@ mod tests {
         mem.read(addr, &mut buf).unwrap();
         assert_eq!(buf, [1, 2, 3, 4, 5, 6]);
         assert!(mem.page_count() >= 2);
+    }
+
+    /// Seeded model test: `SparseMemory` against a naive byte map, with
+    /// accesses biased to straddle page boundaries, a clone that diverges
+    /// from its origin, and reads of pages nobody wrote.  A failure prints
+    /// its step.
+    #[test]
+    fn sparse_memory_matches_a_naive_byte_map() {
+        const PAGE: u64 = SparseMemory::PAGE_SIZE as u64;
+        let mut state: u64 = 0x5EED_5BA5_E0F0;
+        let mut next = move || {
+            // SplitMix64, the generator family of tc_simnet's.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        // Each memory beside the bytes written to it (absent = zero).
+        type Model = HashMap<u64, u8>;
+        let mut mems: Vec<(SparseMemory, Model)> = vec![Default::default()];
+        let check = |mem: &SparseMemory, model: &Model, addr: u64, len: usize, step: usize| {
+            let mut got = vec![0xEEu8; len];
+            mem.read(addr, &mut got).unwrap();
+            let want: Vec<u8> = (0..len as u64)
+                .map(|i| model.get(&(addr + i)).copied().unwrap_or(0))
+                .collect();
+            assert_eq!(got, want, "step {step}: read of {len} at {addr:#x}");
+        };
+        for step in 0..3000 {
+            // A handful of pages far apart, and offsets hugging their edges.
+            let page = [0, 1, 2, 0x4_0000, 0x7_0000_0000, u64::MAX / PAGE - 2][next() as usize % 6];
+            let edge = [0, 1, PAGE - 9, PAGE - 8, PAGE - 1][next() as usize % 5];
+            let addr = page * PAGE + (edge + next() % 8) % PAGE;
+            let len = [1, 2, 4, 8, 9, 100, 5000][next() as usize % 7];
+            let which = next() as usize % mems.len();
+            match next() % 8 {
+                0..=3 => {
+                    let (mem, model) = &mut mems[which];
+                    let data: Vec<u8> = (0..len).map(|_| next() as u8 | 1).collect();
+                    mem.write(addr, &data).unwrap();
+                    for (i, b) in data.iter().enumerate() {
+                        model.insert(addr + i as u64, *b);
+                    }
+                }
+                4..=6 => {
+                    let (mem, model) = &mems[which];
+                    check(mem, model, addr, len, step);
+                }
+                _ if mems.len() < 4 => {
+                    // The clone starts equal — memo included — and shares
+                    // nothing afterwards.
+                    let (mem, model) = &mems[which];
+                    check(mem, model, addr, 8, step);
+                    let copy = (mem.clone(), model.clone());
+                    mems.push(copy);
+                }
+                _ => {
+                    // A page nobody wrote reads as zeros and stays unmapped.
+                    let (mem, model) = &mems[which];
+                    let untouched = (0x9_0000 + next() % 64) * PAGE;
+                    let pages = mem.page_count();
+                    check(mem, model, untouched, 16, step);
+                    assert_eq!(mem.page_count(), pages, "step {step}");
+                }
+            }
+        }
+        assert_eq!(mems.len(), 4, "the run cloned");
+        for (mem, model) in &mems {
+            let mapped: std::collections::HashSet<u64> = model.keys().map(|a| a / PAGE).collect();
+            assert_eq!(mem.page_count(), mapped.len());
+        }
     }
 
     #[test]

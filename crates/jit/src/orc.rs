@@ -39,6 +39,34 @@ pub struct MaterializedModule {
     pub bitcode_size: usize,
 }
 
+impl MaterializedModule {
+    /// Execute function number `func_index` of this module on `engine` —
+    /// for callers that resolved the index once (see
+    /// [`crate::machine::MachModule::function_index`]) and run the function
+    /// on every arrival.
+    ///
+    /// External symbols are resolved against the module's loaded dylibs
+    /// first, then against `framework_host` (the Three-Chains runtime).
+    pub fn execute(
+        &self,
+        engine: &Engine,
+        func_index: u32,
+        args: &[u64],
+        mem: &mut dyn Memory,
+        framework_host: &mut dyn ExternalHost,
+    ) -> Result<ExecOutcome> {
+        let mut host = DylibHost::with_fallback(&self.deps, framework_host);
+        engine.run_index(
+            &self.compiled.module,
+            func_index,
+            args,
+            &self.data_addrs,
+            mem,
+            &mut host,
+        )
+    }
+}
+
 /// Counters describing the JIT session's activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JitStats {
@@ -230,10 +258,9 @@ impl OrcJit {
         Ok(mat)
     }
 
-    /// Execute a function of a cached module.
-    ///
-    /// External symbols are resolved against the module's loaded dylibs
-    /// first, then against `framework_host` (the Three-Chains runtime).
+    /// Execute a function of a cached module, both looked up by name:
+    /// [`MaterializedModule::execute`] for tests and tools that hold no
+    /// resolved entry point.
     pub fn execute(
         &self,
         name: &str,
@@ -242,21 +269,17 @@ impl OrcJit {
         mem: &mut dyn Memory,
         framework_host: &mut dyn ExternalHost,
     ) -> Result<ExecOutcome> {
+        let unknown = |name: String| JitError::UnknownFunction { name };
         let mat = self
             .cache
             .get(name)
-            .ok_or_else(|| JitError::UnknownFunction {
-                name: format!("{name}::{func}"),
-            })?;
-        let mut host = DylibHost::with_fallback(&mat.deps, framework_host);
-        self.engine.run(
-            &mat.compiled.module,
-            func,
-            args,
-            &mat.data_addrs,
-            mem,
-            &mut host,
-        )
+            .ok_or_else(|| unknown(format!("{name}::{func}")))?;
+        let func_index = mat
+            .compiled
+            .module
+            .function_index(func)
+            .ok_or_else(|| unknown(func.to_string()))?;
+        mat.execute(&self.engine, func_index, args, mem, framework_host)
     }
 
     /// Execute the ifunc entry function (`main(payload_ptr, payload_len,

@@ -413,6 +413,21 @@ impl PoolWriter {
     }
 }
 
+/// Copy `src` to the front of `*out` and advance `*out` past it.
+///
+/// The append step for encoders that fill one [`PoolWriter::reserve`]d
+/// region field by field: the region costs one uniqueness check of the pool
+/// buffer, where every `PoolWriter::put_*` call costs its own.
+///
+/// # Panics
+/// Panics when `src` is longer than what is left of `*out`, mirroring slice
+/// indexing.
+pub fn put(out: &mut &mut [u8], src: &[u8]) {
+    let (head, rest) = std::mem::take(out).split_at_mut(src.len());
+    head.copy_from_slice(src);
+    *out = rest;
+}
+
 thread_local! {
     static TLS_POOL: RefCell<BufPool> = RefCell::new(BufPool::new());
 }
@@ -564,6 +579,20 @@ mod tests {
         assert_eq!(b[0], 0xAB);
         assert_eq!(u16::from_le_bytes(b[1..3].try_into().unwrap()), 0x1234);
         assert_eq!(&b[15..], &[9, 9]);
+    }
+
+    #[test]
+    fn put_fills_a_reserved_region_field_by_field() {
+        let mut pool = BufPool::new();
+        let mut w = pool.acquire(16);
+        w.put_u8(0xAB);
+        let mut region = w.reserve(7);
+        put(&mut region, &0x1234u16.to_le_bytes());
+        put(&mut region, &[]);
+        put(&mut region, &[1, 2, 3, 4, 5]);
+        assert!(region.is_empty(), "the cursor ends where the region does");
+        assert_eq!(w.written(), 8);
+        assert_eq!(w.freeze(&mut pool), [0xAB, 0x34, 0x12, 1, 2, 3, 4, 5]);
     }
 
     #[test]

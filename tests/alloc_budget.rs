@@ -1,0 +1,210 @@
+//! Allocation budget of the cached-ifunc hit path.
+//!
+//! A cached chaser arrival that forwards — `deliver` of a truncated frame →
+//! `poll` → `take_outgoing` — is the unit of work the paper's X-RDMA pointer
+//! chase repeats per hop, and §III-D's claim is that it costs what an Active
+//! Message costs.  This suite holds the line on the part of that cost an
+//! allocator can count: after warm-up one such arrival may allocate at most
+//! [`BUDGET`] times, and the count may not depend on how long the ifunc's
+//! name is or how many dependencies it names (both were cloned per message
+//! before the registration record carried them).
+//!
+//! Its own test binary, because it installs a counting `#[global_allocator]`;
+//! the count is per thread, so the tests here may run in parallel.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use tc_bitir::TargetTriple;
+use tc_core::frame::MessageFrame;
+use tc_core::layout::DATA_REGION_BASE;
+use tc_core::{build_ifunc_library, NodeRuntime, OutcomeKind, ToolchainOptions};
+use tc_jit::MemoryExt;
+use tc_ucx::{OutgoingMessage, UcpOp, WorkerAddr};
+use tc_workloads::{chaser_module, chaser_payload};
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn note() {
+    // A thread being torn down has no counter left; nothing is measured there.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations (and reallocations) `f` performs on this thread.
+fn count<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// What one forwarding arrival may allocate: the event list and the outcome
+/// list of `poll`, the payload the ifunc hands to `tc_forward_self`, and the
+/// list `take_outgoing` returns.  (The parent commit of the change that added
+/// this suite measured 15 with an 11-byte name and no dependencies, and 18
+/// with a 280-byte name and two.)
+const BUDGET: u64 = 4;
+
+const CLIENT: WorkerAddr = WorkerAddr(0);
+const SERVER_A: WorkerAddr = WorkerAddr(1);
+const SERVER_B: WorkerAddr = WorkerAddr(2);
+/// Entries per shard: shard 0 on `SERVER_A`, shard 1 on `SERVER_B`.
+const SHARD: u64 = 8;
+
+struct Nodes {
+    client: NodeRuntime,
+    a: NodeRuntime,
+    b: NodeRuntime,
+}
+
+impl Nodes {
+    /// Three runtimes and a pointer table in which every entry points into
+    /// the other server's shard, so every hop of a chase forwards.
+    fn new() -> Nodes {
+        let node = |rank| NodeRuntime::new(rank, 3, TargetTriple::THOR_XEON);
+        let mut nodes = Nodes {
+            client: node(CLIENT),
+            a: node(SERVER_A),
+            b: node(SERVER_B),
+        };
+        for i in 0..SHARD {
+            let at = DATA_REGION_BASE + i * 8;
+            nodes.a.memory.write_u64(at, SHARD + i).unwrap();
+            nodes.b.memory.write_u64(at, i).unwrap();
+        }
+        nodes
+    }
+
+    fn node(&mut self, rank: WorkerAddr) -> &mut NodeRuntime {
+        match rank {
+            CLIENT => &mut self.client,
+            SERVER_A => &mut self.a,
+            _ => &mut self.b,
+        }
+    }
+
+    /// Move messages between the three runtimes until nothing is in flight.
+    fn settle(&mut self) {
+        loop {
+            let mut progressed = false;
+            for rank in [CLIENT, SERVER_A, SERVER_B] {
+                for msg in self.node(rank).take_outgoing() {
+                    progressed = true;
+                    let dst = msg.dst;
+                    self.node(dst).deliver(msg);
+                }
+                for outcome in self.node(rank).poll(usize::MAX) {
+                    progressed = true;
+                    outcome.expect("every message is handled");
+                }
+            }
+            if !progressed {
+                return;
+            }
+        }
+    }
+}
+
+/// Allocations of one warmed-up forwarding arrival of a chaser named `name`
+/// that lists `deps`.
+fn forwarding_arrival_allocs(name: &str, deps: &[&str]) -> u64 {
+    let mut module = chaser_module(name);
+    module.deps = deps.iter().map(|d| d.to_string()).collect();
+    let toolchain = ToolchainOptions {
+        build_binaries: false,
+        ..ToolchainOptions::default()
+    };
+    let library = build_ifunc_library(&module, &toolchain).unwrap();
+
+    let mut nodes = Nodes::new();
+    let handle = nodes.client.register_library(library);
+    let chase = |nodes: &mut Nodes, depth: u64| {
+        let payload = chaser_payload::encode(u64::from(CLIENT.0), 0, 0, depth, 1, SHARD);
+        let msg = nodes
+            .client
+            .create_bitcode_message(handle, payload)
+            .unwrap();
+        nodes.client.send_ifunc(&msg, SERVER_A);
+    };
+
+    // Warm-up: code reaches both servers (the client ships it to A, A to B,
+    // B back to A), every later frame is truncated, pools and queues grow to
+    // their steady-state capacity.
+    for _ in 0..4 {
+        chase(&mut nodes, 6);
+        nodes.settle();
+        assert_eq!(nodes.client.take_completions().len(), 1);
+    }
+
+    // The measured arrival: a truncated frame at A, one local lookup, a
+    // truncated forward to B.
+    chase(&mut nodes, 2);
+    let mut arrival: Vec<OutgoingMessage> = nodes.client.take_outgoing();
+    let arrival = arrival.pop().expect("the client posted one frame");
+    assert!(matches!(&arrival.op, UcpOp::IfuncFrame { bytes }
+        if MessageFrame::decode_view(bytes).unwrap().is_truncated()));
+
+    let jit_before = nodes.a.jit_stats().compilations;
+    let ((outcomes, forwarded), allocs) = count(|| {
+        nodes.a.deliver(arrival);
+        let outcomes = nodes.a.poll(usize::MAX);
+        (outcomes, nodes.a.take_outgoing())
+    });
+
+    assert_eq!(outcomes.len(), 1);
+    let outcome = outcomes.into_iter().next().unwrap().unwrap();
+    assert_eq!(outcome.kind, OutcomeKind::IfuncExecutedCached);
+    assert_eq!(nodes.a.jit_stats().compilations, jit_before);
+    assert_eq!(forwarded.len(), 1);
+    assert_eq!(forwarded[0].dst, SERVER_B);
+    assert!(matches!(&forwarded[0].op, UcpOp::IfuncFrame { bytes }
+        if MessageFrame::decode_view(bytes).unwrap().is_truncated()));
+    allocs
+}
+
+#[test]
+fn a_cached_forwarding_arrival_stays_within_its_allocation_budget() {
+    let allocs = forwarding_arrival_allocs("dapc_chaser", &[]);
+    assert!(
+        allocs <= BUDGET,
+        "one cached forwarding arrival allocated {allocs} times (budget {BUDGET})"
+    );
+}
+
+#[test]
+fn the_allocation_count_does_not_grow_with_name_length_or_dependency_count() {
+    let short = forwarding_arrival_allocs("c", &[]);
+    let long = forwarding_arrival_allocs(&"chaser_".repeat(40), &["libc.so", "libm.so"]);
+    assert_eq!(
+        short, long,
+        "a 1-byte name without dependencies and a 280-byte name with two must cost the same"
+    );
+}
