@@ -60,9 +60,10 @@
 //!   [`flush_clients`] polls and answers them once and the carrier collects
 //!   errors and completions; [`ClientHost::end_pass`] re-sends what the
 //!   pass's acks named missing, emits the owed pure acks, runs the
-//!   retransmission timer and returns the [`Digest`].
+//!   retransmission timer.
 
 use super::link::{Digest, Link};
+use super::snapshot::RankSnapshot;
 use super::socket::DRIVER_PORT;
 use super::wire;
 use crate::error::CoreError;
@@ -164,14 +165,14 @@ impl ServerHost {
         self.flush(&mut emit);
         self.link.finish_batch(&mut emit);
         self.link.tick(&mut emit);
-        self.link.digest()
+        self.link.digest().unwrap_or_default()
     }
 
     /// Peer rank `peer` was reborn with a fresh sequence space: renumber and
     /// re-send what this rank retained for it.
     pub(crate) fn replay(&mut self, peer: u32, emit: impl FnMut(u32, u64, Bytes, Bytes)) -> Digest {
         self.link.replay(peer, emit);
-        self.link.digest()
+        self.link.digest().unwrap_or_default()
     }
 }
 
@@ -218,9 +219,10 @@ impl ClientHost {
         &mut self.runtime
     }
 
-    /// Read access to the link: its digest and health rows.
-    pub(crate) fn link(&self) -> &Link {
-        &self.link
+    /// This rank's entry in a [`super::Snapshot`].
+    pub(crate) fn observe(&self) -> RankSnapshot {
+        let (rank, stats) = (self.runtime.node_id().0, self.runtime.stats);
+        RankSnapshot::local(rank, Some(stats), self.link.rel())
     }
 
     /// Operations are staged and await the next [`ClientHost::flush`].
@@ -306,10 +308,9 @@ impl ClientHost {
 
     /// Close one pass over the carrier's inbound frames (or one idle tick),
     /// after [`flush_clients`] answered what the pass staged.
-    pub(crate) fn end_pass(&mut self, mut emit: impl FnMut(u32, u64, Bytes, Bytes)) -> Digest {
+    pub(crate) fn end_pass(&mut self, mut emit: impl FnMut(u32, u64, Bytes, Bytes)) {
         self.link.finish_batch(&mut emit);
         self.link.tick(&mut emit);
-        self.link.digest()
     }
 }
 
@@ -602,12 +603,8 @@ mod tests {
         assert_eq!(read(&hosts[0], DATA), [0xA0; 8]);
         assert_eq!(hosts[0].runtime().completions_pending(), 1);
         for host in &mut hosts {
-            assert_eq!(host.link().digest().unacked, 0);
-            assert_eq!(
-                host.end_pass(|_, _, _, _| panic!("nothing is owed"))
-                    .unacked,
-                0
-            );
+            host.end_pass(|_, _, _, _| panic!("nothing is owed"));
+            assert_eq!(host.link.digest().unwrap().unacked, 0);
             assert!(host.take_errors().is_empty() && !host.pending());
         }
     }
@@ -671,7 +668,7 @@ mod tests {
             sizes[0] > sizes[1] && sizes[1] == sizes[2],
             "the code-carrying frame must be seq 1, the cached-id frames behind it: {sizes:?}"
         );
-        assert_eq!(host.link().digest().unacked, 3);
+        assert_eq!(host.link.digest().unwrap().unacked, 3);
     }
 
     #[test]
@@ -709,7 +706,7 @@ mod tests {
         assert_eq!(feed(&mut host, &mut out, 1), 0);
         assert_eq!(out.len(), 2);
         assert_eq!((out[1].1, ack_of(&out[1])), (wire::TAG_ACK, 3));
-        assert_eq!(host.link().digest().metrics.dup_drops, 1);
+        assert_eq!(host.link.digest().unwrap().metrics.dup_drops, 1);
         // A reverse data frame piggybacks the next owed ack; the close then
         // has nothing to add.
         assert_eq!(feed(&mut host, &mut out, 3), 1);
@@ -718,7 +715,7 @@ mod tests {
         assert_eq!(sent.len(), 1);
         assert_eq!(op_of(&sent[0].1).1, Some((1, 4)));
         host.end_pass(|_, _, _, _| panic!("the GET carried the ack"));
-        assert_eq!(host.link().digest().metrics.acks_sent, 2);
+        assert_eq!(host.link.digest().unwrap().metrics.acks_sent, 2);
     }
 
     #[test]
@@ -732,7 +729,7 @@ mod tests {
         assert_eq!((*from, frame.0, frame.1), (0, 99, wire::TAG_OP));
         assert!(matches!(op_of(frame), (UcpOp::Put { .. }, None)));
         assert_eq!(
-            host.link().digest().unacked,
+            host.link.digest().unwrap().unacked,
             0,
             "it would retransmit forever"
         );

@@ -30,6 +30,7 @@
 //! set are [`super::Tuning`].
 
 use super::reliable::{LinkHealth, RelConfig, RelFrame, RelMetrics, ReliableSet};
+use super::snapshot::{EventKind, EventRing};
 use super::socket::most_stressed;
 use super::wire::{self, StoredEnv};
 use crate::error::{CoreError, Result};
@@ -74,11 +75,23 @@ pub(crate) const RECOVERY_BACKOFF_MAX: Duration = Duration::from_secs(2);
 /// frame that can never be acked (dead node, unhealable partition) must
 /// eventually let waits time out.  The horizon out-waits several fully
 /// backed-off retransmission rounds (`rto_max`, nanoseconds), because a
-/// healthy-but-lossy link can legitimately stay silent that long.
-pub(crate) fn within_stall_horizon(since: &mut Option<Instant>, rto_max: u64) -> bool {
+/// healthy-but-lossy link can legitimately stay silent that long.  Entering
+/// the horizon and giving up on it are recorded in `events`.
+pub(crate) fn within_stall_horizon(
+    since: &mut Option<Instant>,
+    rto_max: u64,
+    events: &mut EventRing,
+) -> bool {
     let now = Instant::now();
     let horizon = (BUSY_STEP_TIMEOUT * 10).max(Duration::from_nanos(rto_max) * 4);
-    now.duration_since(*since.get_or_insert(now)) < horizon
+    if since.is_none() {
+        events.push(None, EventKind::StallEntered);
+    }
+    let within = now.duration_since(*since.get_or_insert(now)) < horizon;
+    if !within {
+        events.push(None, EventKind::StallGivenUp);
+    }
+    within
 }
 
 /// Nanoseconds on the wall clock shared by everything in this process that
@@ -92,17 +105,15 @@ pub(crate) fn wall_nanos() -> u64 {
 }
 
 /// What one rank's reliable endpoint publishes about itself: enough for
-/// quiescence detection (`unacked`, `next_deadline` on the transport's
-/// clock) and for operators (the counters and the most-stressed link's RTT
-/// estimator state).  [`super::Transport::link_digest`] is the per-rank view
-/// every backend answers; everything the driver reads about reliability is
-/// derived from it.
+/// quiescence detection (`unacked`) and for operators (the counters and the
+/// most-stressed link's RTT estimator state).  A server rank on another
+/// thread or in another process publishes exactly this; it is the per-rank
+/// `digest` of a [`super::Snapshot`], and everything the driver reads about
+/// reliability is derived from it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Digest {
     /// Frames sent but not yet cumulatively acked.
     pub unacked: u64,
-    /// Earliest armed retransmission deadline (`None` when nothing is).
-    pub next_deadline: Option<u64>,
     /// Cumulative reliability counters.
     pub metrics: RelMetrics,
     /// Health of the rank's most-stressed link (`None` before any traffic).
@@ -114,7 +125,6 @@ impl Digest {
     pub(crate) fn of<M: Clone>(rel: &ReliableSet<M>) -> Digest {
         Digest {
             unacked: rel.unacked_total(),
-            next_deadline: rel.next_deadline(),
             metrics: rel.metrics,
             health: most_stressed(rel.health_rows()),
         }
@@ -296,15 +306,14 @@ impl Link {
         }
     }
 
-    /// See [`Digest`]: all zero / `None` on a link without a fault plan.
-    pub(crate) fn digest(&self) -> Digest {
-        self.rel.as_ref().map_or_else(Digest::default, Digest::of)
+    /// See [`Digest`]: `None` on a link without a fault plan.
+    pub(crate) fn digest(&self) -> Option<Digest> {
+        self.rel().map(Digest::of)
     }
 
-    /// Health of every link that has carried reliable traffic, in peer-rank
-    /// order (the digest keeps only the most-stressed row).
-    pub(crate) fn health_rows(&self) -> impl Iterator<Item = LinkHealth> + '_ {
-        self.rel.iter().flat_map(|rel| rel.health_rows())
+    /// The reliable layer under this link (`None` without a fault plan).
+    pub(crate) fn rel(&self) -> Option<&ReliableSet<StoredEnv>> {
+        self.rel.as_ref()
     }
 }
 
@@ -518,7 +527,7 @@ mod tests {
         }
 
         fn busy(&self) -> bool {
-            !self.to_post.is_empty() || self.link.digest().unacked > 0
+            !self.to_post.is_empty() || self.link.digest().unwrap().unacked > 0
         }
     }
 
@@ -553,8 +562,8 @@ mod tests {
                     side.got, want,
                     "schedule {schedule}: exactly once, in order"
                 );
-                let digest = side.link.digest();
-                assert_eq!((digest.unacked, digest.next_deadline), (0, None));
+                let digest = side.link.digest().unwrap();
+                assert_eq!(digest.unacked, 0);
                 let health = digest.health.expect("the link carried traffic");
                 assert_eq!((health.peer, health.unacked), (peer.rank(), 0));
                 assert_eq!(digest.metrics.acks_sent, side.pure_acks);
@@ -564,8 +573,8 @@ mod tests {
             }
             // As in `reliable.rs`: a gap repair is never spurious without
             // reordering and never repeated — whatever the wall clock did.
-            let fast =
-                a.link.digest().metrics.fast_retransmits + b.link.digest().metrics.fast_retransmits;
+            let fast_of = |s: &Side| s.link.digest().unwrap().metrics.fast_retransmits;
+            let fast = fast_of(a) + fast_of(b);
             assert!(
                 fast <= net.dropped + net.overtaken,
                 "schedule {schedule} {faults:?}: {fast} fast retransmits for {} drops, {} overtaken",
@@ -608,7 +617,7 @@ mod tests {
         // something to lose.
         let mut reliable = link(0, 3, Some(CFG));
         let _ = reliable.outbound(&messages(0, 1).pop().unwrap());
-        assert_eq!(reliable.digest().unacked, 1);
+        assert_eq!(reliable.digest().unwrap().unacked, 1);
         // `from` indexes the dense per-peer table: one corrupt frame naming
         // rank 0xFFFF_FFFE must not size it.
         for from in [3, 0xFFFF_FFFE] {
@@ -626,7 +635,7 @@ mod tests {
         let mut plain = link(0, 3, None);
         refuse(&mut plain, 1, wire::TAG_ROP, &rop);
         refuse(&mut plain, 1, wire::TAG_ACK, &ack);
-        assert_eq!(plain.digest(), Digest::default());
+        assert_eq!(plain.digest(), None);
         // ...while its raw plane works.
         let mut got = Vec::new();
         let arrival = plain.inbound(1, wire::TAG_OP, head, payload.clone(), |m| got.push(m));
@@ -659,7 +668,7 @@ mod tests {
         }
         let _ = a.outbound(&messages(0, 2)[0]);
         let retained = msgs.len() as u64 - 2;
-        assert_eq!(a.digest().unacked, retained + 1);
+        assert_eq!(a.digest().unwrap().unacked, retained + 1);
 
         let mut reborn = link(1, 3, Some(CFG));
         let mut got = Vec::new();
@@ -675,7 +684,7 @@ mod tests {
         assert_eq!(seqs, (1..=retained).collect::<Vec<_>>());
         assert_eq!(got, msgs[2..]);
         assert_eq!(
-            a.digest().unacked,
+            a.digest().unwrap().unacked,
             retained + 1,
             "still retained until acked"
         );
@@ -687,7 +696,7 @@ mod tests {
         let arrival = a.inbound(1, tag, data, payload, |m| fresh.push(m));
         assert_eq!((arrival.unwrap(), fresh.len()), (None, 1));
         assert_eq!(
-            a.digest().unacked,
+            a.digest().unwrap().unacked,
             1,
             "its piggybacked ack settled the replay"
         );

@@ -32,9 +32,9 @@
 //!
 //! On the driving side a backend answers a handful of primitives — among
 //! them one [`Transport::control`] round trip to a server rank and one
-//! [`Transport::link_digest`] per rank — and everything an operator reads
-//! (node memory, node counters, reliability totals, quiescence inputs) is a
-//! provided [`Transport`] method written once, here.
+//! non-blocking [`Transport::observe`] — and everything an operator reads
+//! (node memory, node counters, reliability totals, quiescence inputs, the
+//! [`Snapshot`] behind [`Cluster::snapshot`]) is written once, here.
 //!
 //! ```
 //! use tc_core::cluster::ClusterBuilder;
@@ -75,6 +75,7 @@ mod host;
 mod link;
 pub mod reliable;
 pub mod sim_transport;
+pub mod snapshot;
 pub mod socket;
 pub mod socket_server;
 pub mod thread_transport;
@@ -84,6 +85,7 @@ pub use completion::{ClaimTable, CompletionSet, CompletionToken, PutHandle, Read
 pub use link::Digest as LinkDigest;
 pub use reliable::{LinkHealth, RelConfig, RelMetrics};
 pub use sim_transport::SimTransport;
+pub use snapshot::{Event, EventKind, RankSnapshot, RankState, Snapshot};
 pub use socket::{SocketConfig, SocketTransport};
 pub use socket_server::{serve as serve_socket, ServerOptions};
 pub use tc_chaos::{ChaosSession, ChaosStats, FaultPlan, LinkFaults};
@@ -302,25 +304,11 @@ pub trait Transport {
         body: &[u8],
     ) -> Result<Vec<u8>>;
 
-    /// The reliability digest rank `rank` last published: unacked frames,
-    /// earliest armed retransmission deadline on the
-    /// [`Transport::now_nanos`] clock, counters, most-stressed link.  `None`
-    /// without a fault plan (no reliable layer) and for a rank beyond the
-    /// cluster.
-    fn link_digest(&self, _rank: usize) -> Option<LinkDigest> {
-        None
-    }
-
-    /// Messages the fabric delivered to a destination node, and messages it
-    /// dropped (misaddressed rank, stopped node).  Never silently zero:
-    /// every backend counts its drops.
-    fn fabric_counts(&self) -> (u64, u64);
-
-    /// Injected-fault counters of the chaos engine (`None` without a fault
-    /// plan).
-    fn chaos_stats(&self) -> Option<tc_chaos::ChaosStats> {
-        None
-    }
+    /// Everything this backend knows about its cluster right now, from
+    /// state the driver already holds: no control round trip, no waiting (a
+    /// server rank may be dead or mid-heal).  Server [`RuntimeStats`] are not
+    /// in it: they are [`Transport::node_stats`], a barrier read.
+    fn observe(&self) -> Snapshot;
 
     /// Ranks whose links have failed *terminally* — the peer is dead and no
     /// recovery is pending (either self-healing is off, or its respawn
@@ -330,19 +318,6 @@ pub trait Transport {
     /// lose a peer.
     fn failed_ranks(&self) -> Vec<usize> {
         Vec::new()
-    }
-
-    /// Per-link reliability health rows as `(owning rank, health)` pairs:
-    /// SRTT/RTTVAR estimate, current RTO, unacked frames, consecutive silent
-    /// backoff rounds.  Empty without a fault plan (the reliable layer is
-    /// what keeps the estimators).  The default reports the most-stressed
-    /// link of every rank ([`LinkDigest::health`]) — all a rank on another
-    /// thread or in another process publishes; a backend that holds every
-    /// link's state itself may report them all.
-    fn link_health(&self) -> Vec<(u32, LinkHealth)> {
-        (0..self.node_count())
-            .filter_map(|rank| Some((rank as u32, self.link_digest(rank)?.health?)))
-            .collect()
     }
 
     /// Tear the backend down (join threads).  Idempotent; the default is a
@@ -413,40 +388,31 @@ pub trait Transport {
     /// backends' `step` consults this so a quiet-but-retransmitting fabric
     /// is never reported idle before the stall horizon.
     fn unacked_total(&self) -> u64 {
-        link_digests(self).map(|d| d.unacked).sum()
+        let ranks = self.observe().ranks;
+        ranks.iter().filter_map(|r| Some(r.digest?.unacked)).sum()
     }
 
     /// Reliability counters of one node — retransmits, dup drops,
     /// out-of-order parks (`None` without a fault plan).
     fn node_reliability(&self, rank: usize) -> Option<RelMetrics> {
-        self.link_digest(rank).map(|d| d.metrics)
+        Some(self.observe().ranks.get(rank)?.digest?.metrics)
+    }
+
+    /// Per-link reliability health rows as `(owning rank, health)` pairs:
+    /// SRTT/RTTVAR estimate, current RTO, unacked frames, consecutive silent
+    /// backoff rounds ([`RankSnapshot::links`] of every rank).  Empty without
+    /// a fault plan (the reliable layer is what keeps the estimators).
+    fn link_health(&self) -> Vec<(u32, LinkHealth)> {
+        let ranks = self.observe().ranks;
+        let rows = |r: RankSnapshot| r.links.into_iter().map(move |h| (r.rank, h));
+        ranks.into_iter().flat_map(rows).collect()
     }
 
     /// Fabric-level counters (deliveries, drops, bytes, reliability and
-    /// fault totals).
+    /// fault totals): [`Snapshot::totals`].
     fn metrics(&self) -> TransportMetrics {
-        let (messages_delivered, messages_dropped) = self.fabric_counts();
-        let mut m = TransportMetrics {
-            messages_delivered,
-            messages_dropped,
-            faults_injected: self.chaos_stats().map_or(0, |c| c.total_injected()),
-            ..TransportMetrics::default()
-        };
-        for c in 0..self.client_count() {
-            m.bytes_sent += self.client(ClientId(c)).stats.bytes_sent;
-        }
-        for digest in link_digests(self) {
-            m.retransmits += digest.metrics.retransmits;
-            m.fast_retransmits += digest.metrics.fast_retransmits;
-            m.dup_drops += digest.metrics.dup_drops;
-        }
-        m
+        self.observe().totals()
     }
-}
-
-/// Every rank's published digest, in rank order (empty without a fault plan).
-fn link_digests<T: Transport + ?Sized>(transport: &T) -> impl Iterator<Item = LinkDigest> + '_ {
-    (0..transport.node_count()).filter_map(|rank| transport.link_digest(rank))
 }
 
 /// `rank` must be a server's: the check every backend's
@@ -502,20 +468,11 @@ impl Transport for Box<dyn Transport> {
     ) -> Result<Vec<u8>> {
         (**self).control(rank, request_tag, reply_tag, body)
     }
-    fn link_digest(&self, rank: usize) -> Option<LinkDigest> {
-        (**self).link_digest(rank)
-    }
-    fn fabric_counts(&self) -> (u64, u64) {
-        (**self).fabric_counts()
-    }
-    fn chaos_stats(&self) -> Option<tc_chaos::ChaosStats> {
-        (**self).chaos_stats()
+    fn observe(&self) -> Snapshot {
+        (**self).observe()
     }
     fn failed_ranks(&self) -> Vec<usize> {
         (**self).failed_ranks()
-    }
-    fn link_health(&self) -> Vec<(u32, LinkHealth)> {
-        (**self).link_health()
     }
     fn shutdown(&mut self) {
         (**self).shutdown()
@@ -707,11 +664,6 @@ impl<T: Transport> Cluster<T> {
         self.transport.client_count()
     }
 
-    /// Iterator over every client id, `0..client_count()`.
-    pub fn client_ids(&self) -> impl Iterator<Item = ClientId> {
-        (0..self.transport.client_count()).map(ClientId)
-    }
-
     /// Number of server nodes.
     pub fn server_count(&self) -> usize {
         self.transport.node_count() - self.transport.client_count()
@@ -743,11 +695,6 @@ impl<T: Transport> Cluster<T> {
     /// The runtime of client `id`.
     pub fn client_runtime(&self, id: ClientId) -> &NodeRuntime {
         self.transport.client(id)
-    }
-
-    /// Mutable runtime of client `id`.
-    pub fn client_runtime_mut(&mut self, id: ClientId) -> &mut NodeRuntime {
-        self.transport.client_mut(id)
     }
 
     // --- scenario setup -----------------------------------------------------
@@ -1278,19 +1225,19 @@ impl<T: Transport> Cluster<T> {
         self.transport.metrics()
     }
 
-    /// Per-link reliability health as `(owning rank, health)` rows: the
-    /// SRTT/RTTVAR estimate, current RTO, unacked frames, and consecutive
-    /// silent backoff rounds of every link that has carried reliable
-    /// traffic.  Empty without a fault plan.  Render with
-    /// `report::render_link_health` for the operator's table view.
-    pub fn link_health(&self) -> Vec<(u32, LinkHealth)> {
-        self.transport.link_health()
+    /// What the cluster knows about itself right now, without asking any
+    /// rank ([`Transport::observe`] plus the pending-claim count); `{}` dumps it.
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot {
+            pending_claims: self.claims.len(),
+            ..self.transport.observe()
+        }
     }
 
-    /// Ranks whose links have terminally failed (dead peer, no recovery
-    /// pending).  Empty on healthy clusters and on in-process backends.
-    pub fn failed_ranks(&self) -> Vec<usize> {
-        self.transport.failed_ranks()
+    /// [`Transport::link_health`]: the snapshot's per-link rows, flattened.
+    /// Render with `report::render_link_health` for the operator's table.
+    pub fn link_health(&self) -> Vec<(u32, LinkHealth)> {
+        self.transport.link_health()
     }
 
     /// Tear the cluster down, returning the transport for post-mortem
@@ -1443,7 +1390,7 @@ impl ClusterBuilder {
     /// (e.g. `tc-socket-server --connect ...` on another terminal or host)
     /// to dial in instead.
     pub fn socket_external(mut self) -> Self {
-        self.socket.spawn_servers = false;
+        self.socket.external = true;
         self
     }
 
@@ -1486,16 +1433,15 @@ impl ClusterBuilder {
 
     fn socket_transport(self) -> Result<SocketTransport> {
         let (client, server) = self.resolved_triples();
-        let mut socket = self.socket;
-        socket.rel_config = self.rel_config.or(socket.rel_config);
-        socket.tuning = self.tuning;
         SocketTransport::connect_config(
             self.clients,
             self.servers,
             client,
             server,
+            self.tuning,
             self.fault_plan,
-            socket,
+            self.rel_config,
+            self.socket,
         )
     }
 

@@ -116,7 +116,7 @@ pub struct RelMetrics {
 }
 
 /// Operator-facing snapshot of one link's reliability state
-/// ([`ReliableSet::link_health`]); `srtt`/`rttvar` are zero until the first
+/// ([`ReliableSet::health_rows`]); `srtt`/`rttvar` are zero until the first
 /// RTT sample arrives, at which point `rto` starts tracking the estimate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkHealth {
@@ -579,15 +579,6 @@ impl<M: Clone> ReliableSet<M> {
         }
     }
 
-    /// Caller-clock instant of the earliest armed RTO (`None` when nothing
-    /// is outstanding).
-    pub fn next_deadline(&self) -> Option<u64> {
-        self.links()
-            .filter(|(_, l)| !l.unacked.is_empty())
-            .map(|(_, l)| l.next_retx_at)
-            .min()
-    }
-
     /// Total messages awaiting acknowledgement across all links.
     pub fn unacked_total(&self) -> u64 {
         self.links().map(|(_, l)| l.unacked.len() as u64).sum()
@@ -599,23 +590,29 @@ impl<M: Clone> ReliableSet<M> {
     pub fn health_rows(&self) -> impl Iterator<Item = LinkHealth> + '_ {
         self.links().map(|(peer, l)| l.health(peer))
     }
-
-    /// [`ReliableSet::health_rows`], collected.
-    pub fn link_health(&self) -> Vec<LinkHealth> {
-        self.health_rows().collect()
-    }
-
-    /// Health of one link, if traffic has touched it.
-    pub fn peer_health(&self, peer: u32) -> Option<LinkHealth> {
-        let link = self.peers.get(peer as usize)?.as_ref()?;
-        Some(link.health(peer))
-    }
 }
 
 #[cfg(test)]
 pub(super) mod tests {
     use super::*;
     use tc_simnet::SplitMix64;
+
+    /// What only these tests ask of a set: when its next timer fires, and
+    /// one link's health.
+    impl<M: Clone> ReliableSet<M> {
+        /// Caller-clock instant of the earliest armed RTO (`None` when
+        /// nothing is outstanding).
+        fn next_deadline(&self) -> Option<u64> {
+            self.links()
+                .filter(|(_, l)| !l.unacked.is_empty())
+                .map(|(_, l)| l.next_retx_at)
+                .min()
+        }
+
+        fn peer_health(&self, peer: u32) -> Option<LinkHealth> {
+            self.health_rows().find(|h| h.peer == peer)
+        }
+    }
 
     const CFG: RelConfig = RelConfig {
         rto: 100,
@@ -1286,6 +1283,6 @@ pub(super) mod tests {
             delivered.extend(b2.on_data(0, seq, 0, m, 0).deliver);
         }
         assert_eq!(delivered, vec![40, 50], "renumbered from seq 1");
-        assert_eq!(b2.link_health()[0].unacked, 0);
+        assert_eq!(b2.peer_health(0).unwrap().unacked, 0);
     }
 }

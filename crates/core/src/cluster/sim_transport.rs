@@ -17,8 +17,8 @@
 //! reconstruct the paper's overhead breakdown (transmission / lookup / JIT /
 //! execution) without re-instrumenting the runtime.
 
-use super::link::Digest;
-use super::reliable::{LinkHealth, RelConfig, ReliableSet};
+use super::reliable::{RelConfig, ReliableSet};
+use super::snapshot::{RankSnapshot, Snapshot};
 use super::{check_server_rank, wire, ClientId, Transport};
 use crate::error::{CoreError, Result};
 use crate::metrics::{OutcomeKind, ProcessOutcome};
@@ -26,7 +26,7 @@ use crate::runtime::{NativeAmHandler, NodeRuntime};
 use crate::sim::{DeliveryRecord, TimingLog};
 use std::collections::HashMap;
 use tc_bitir::TargetTriple;
-use tc_chaos::{ChaosSession, ChaosStats, FaultPlan};
+use tc_chaos::{ChaosSession, FaultPlan};
 use tc_simnet::{EventQueue, FabricOp, Platform, SimDuration, SimTime};
 use tc_ucx::{OutgoingMessage, UcpOp};
 
@@ -179,11 +179,6 @@ impl SimTransport {
     /// Access a node runtime (0 = client).
     pub fn node(&self, rank: usize) -> &NodeRuntime {
         &self.nodes[rank]
-    }
-
-    /// Mutable access to a node runtime (0 = client).
-    pub fn node_mut(&mut self, rank: usize) -> &mut NodeRuntime {
-        &mut self.nodes[rank]
     }
 
     /// Process a single event.  Returns false when the queue is empty.
@@ -538,19 +533,6 @@ impl Transport for SimTransport {
         "simnet"
     }
 
-    fn link_health(&self) -> Vec<(u32, LinkHealth)> {
-        let Some(chaos) = &self.chaos else {
-            return Vec::new();
-        };
-        let mut rows = Vec::new();
-        for (rank, rel) in chaos.rel.iter().enumerate() {
-            for h in rel.link_health() {
-                rows.push((rank as u32, h));
-            }
-        }
-        rows
-    }
-
     fn node_count(&self) -> usize {
         self.nodes.len()
     }
@@ -611,15 +593,22 @@ impl Transport for SimTransport {
         }
     }
 
-    fn link_digest(&self, rank: usize) -> Option<Digest> {
-        self.chaos.as_ref()?.rel.get(rank).map(Digest::of)
-    }
-
-    fn fabric_counts(&self) -> (u64, u64) {
-        (self.delivered, self.dropped_misaddressed)
-    }
-
-    fn chaos_stats(&self) -> Option<ChaosStats> {
-        self.chaos.as_ref().map(|c| c.session.stats())
+    /// Every rank's link rows are here; nothing dies, heals or stalls.
+    fn observe(&self) -> Snapshot {
+        let rank = |(rank, node): (usize, &NodeRuntime)| {
+            let rel = self.chaos.as_ref().map(|c| &c.rel[rank]);
+            let stats = (rank < self.clients).then_some(node.stats);
+            RankSnapshot::local(rank as u32, stats, rel)
+        };
+        Snapshot {
+            backend: self.backend_name(),
+            now_nanos: self.now_nanos(),
+            delivered: self.delivered,
+            dropped: self.dropped_misaddressed,
+            chaos: self.chaos.as_ref().map(|c| c.session.stats()),
+            ranks: self.nodes.iter().enumerate().map(rank).collect(),
+            errors: self.errors.len(),
+            ..Snapshot::default()
+        }
     }
 }

@@ -25,33 +25,18 @@
 
 use super::host::{self, ClientHost};
 use super::link::{self, Digest, Link};
-use super::reliable::{LinkHealth, RelConfig, RelMetrics};
-use super::{check_server_rank, wire, ClientId, Transport, Tuning};
+use super::reliable::{LinkHealth, RelConfig};
+use super::snapshot::{EventKind, EventRing, RankSnapshot, RankState, Snapshot};
+use super::wire::{self, Welcome, RANK_ANY};
+use super::{check_server_rank, ClientId, Transport, Tuning};
 use crate::error::{CoreError, Result};
 use crate::runtime::{NativeAmHandler, NodeRuntime};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use tc_bitir::TargetTriple;
-use tc_chaos::{ChaosSession, ChaosStats, FaultPlan, HoldBack};
+use tc_chaos::{ChaosSession, FaultPlan, HoldBack};
 use tc_net::{ChildGuard, Connection, Frame, Listener, NetError, SocketSpec};
-
-/// True when `TC_SOCKET_TRACE` is set: both halves of the socket backend
-/// print per-frame routing decisions to stderr.  For debugging distributed
-/// runs; the check is a single atomic load after the first call.
-pub(crate) fn trace_on() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("TC_SOCKET_TRACE").is_some())
-}
-
-macro_rules! strace {
-    ($($arg:tt)*) => {
-        if crate::cluster::socket::trace_on() {
-            eprintln!($($arg)*);
-        }
-    };
-}
-pub(crate) use strace;
 
 /// Session tag: server → driver introduction (`[magic][version][rank]`).
 pub const TAG_HELLO: u64 = 100;
@@ -68,9 +53,9 @@ pub const TAG_SHUTDOWN: u64 = 104;
 /// Session tag: server announces a voluntary close (EOF after this is a
 /// clean exit, not a peer failure).
 pub const TAG_BYE: u64 = 105;
-/// Session tag: server publishes its reliability state (unacked count,
-/// deadline, counters) so the driver's quiescence detection sees the whole
-/// cluster.
+/// Session tag: server publishes its reliability [`Digest`]
+/// ([`wire::encode_digest`]) so the driver's quiescence detection and
+/// [`Snapshot`] see the whole cluster.
 pub const TAG_REL_INFO: u64 = 106;
 /// Session tag: driver-side liveness probe (body: 8-byte nonce).  A healthy
 /// server echoes it back as [`TAG_PONG`]; silence past the ping timeout
@@ -84,226 +69,20 @@ pub const TAG_PONG: u64 = 108;
 /// renumbered from seq 1.
 pub const TAG_LINK_RESET: u64 = 109;
 
-/// HELLO magic ("TCN1").
-pub const HELLO_MAGIC: u32 = 0x5443_4E31;
-/// Session protocol version.  3: a [`wire::TAG_ACK`] body may carry a second
-/// `u64` and [`TAG_REL_INFO`] grew one — an older server must be refused at
-/// HELLO, not fed bodies it would reject one by one.
-pub const PROTO_VERSION: u32 = 3;
-/// HELLO rank value meaning "assign me one".
-pub const RANK_ANY: u32 = u32::MAX;
 /// `from`/`to` value of the driver itself (it is not a rank).
 pub const DRIVER_PORT: u32 = u32::MAX;
 
-/// Encode a HELLO body.
-pub fn encode_hello(rank: u32) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12);
-    out.extend_from_slice(&HELLO_MAGIC.to_le_bytes());
-    out.extend_from_slice(&PROTO_VERSION.to_le_bytes());
-    out.extend_from_slice(&rank.to_le_bytes());
-    out
-}
-
-/// Decode a HELLO body into the requested rank.
-pub fn decode_hello(body: &[u8]) -> Result<u32> {
-    if body.len() != 12 {
-        return Err(CoreError::Transport(format!(
-            "HELLO must be 12 bytes, got {}",
-            body.len()
-        )));
-    }
-    let magic = u32::from_le_bytes(body[0..4].try_into().unwrap());
-    let version = u32::from_le_bytes(body[4..8].try_into().unwrap());
-    if magic != HELLO_MAGIC {
-        return Err(CoreError::Transport(format!(
-            "HELLO magic {magic:#x} is not {HELLO_MAGIC:#x}"
-        )));
-    }
-    if version != PROTO_VERSION {
-        return Err(CoreError::Transport(format!(
-            "peer speaks protocol version {version}, this driver speaks {PROTO_VERSION}"
-        )));
-    }
-    Ok(u32::from_le_bytes(body[8..12].try_into().unwrap()))
-}
-
-/// Everything a server process needs to build its runtime, carried by the
-/// WELCOME frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Welcome {
-    /// Driver-side client count (clients occupy ranks `0..clients`).
-    pub clients: u32,
-    /// Server count (servers occupy ranks `clients..clients+servers`).
-    pub servers: u32,
-    /// The rank assigned to this server.
-    pub rank: u32,
-    /// Whether a fault plan is installed (reliable delivery on).
-    pub reliable: bool,
-    /// Whether the reliable layer estimates its RTO adaptively (Jacobson
-    /// SRTT/RTTVAR) or pins it at `rto`.
-    pub adaptive: bool,
-    /// Reliability: initial retransmission timeout, nanoseconds.
-    pub rto: u64,
-    /// Reliability: backoff cap, nanoseconds.
-    pub rto_max: u64,
-    /// The server target triple, in its textual form.
-    pub triple: TargetTriple,
-}
-
-impl Welcome {
-    /// The reliability tunables this WELCOME configures.
-    pub fn rel_config(&self) -> RelConfig {
-        RelConfig {
-            rto: self.rto,
-            rto_max: self.rto_max,
-            adaptive: self.adaptive,
-        }
-    }
-}
-
-/// Encode a WELCOME body.
-pub fn encode_welcome(w: &Welcome) -> Vec<u8> {
-    let triple = w.triple.to_string();
-    let mut out = Vec::with_capacity(32 + triple.len());
-    out.extend_from_slice(&w.clients.to_le_bytes());
-    out.extend_from_slice(&w.servers.to_le_bytes());
-    out.extend_from_slice(&w.rank.to_le_bytes());
-    out.push(w.reliable as u8);
-    out.push(w.adaptive as u8);
-    out.extend_from_slice(&w.rto.to_le_bytes());
-    out.extend_from_slice(&w.rto_max.to_le_bytes());
-    out.extend_from_slice(&(triple.len() as u16).to_le_bytes());
-    out.extend_from_slice(triple.as_bytes());
-    out
-}
-
-/// Decode a WELCOME body.
-pub fn decode_welcome(body: &[u8]) -> Result<Welcome> {
-    let err = |m: &str| CoreError::Transport(format!("bad WELCOME: {m}"));
-    if body.len() < 32 {
-        return Err(err("shorter than the fixed header"));
-    }
-    let clients = u32::from_le_bytes(body[0..4].try_into().unwrap());
-    let servers = u32::from_le_bytes(body[4..8].try_into().unwrap());
-    let rank = u32::from_le_bytes(body[8..12].try_into().unwrap());
-    // The server sizes its runtime and its per-peer link table from these:
-    // the layout must add up and the assigned rank must be a server's.
-    if !clients
-        .checked_add(servers)
-        .is_some_and(|total| (clients..total).contains(&rank))
-    {
-        return Err(err(&format!(
-            "rank {rank} is not a server of {clients} clients + {servers} servers"
-        )));
-    }
-    let reliable = body[12] != 0;
-    let adaptive = body[13] != 0;
-    let rto = u64::from_le_bytes(body[14..22].try_into().unwrap());
-    let rto_max = u64::from_le_bytes(body[22..30].try_into().unwrap());
-    let triple_len = u16::from_le_bytes(body[30..32].try_into().unwrap()) as usize;
-    if body.len() != 32 + triple_len {
-        return Err(err("triple length disagrees with the body"));
-    }
-    let triple_str = std::str::from_utf8(&body[32..]).map_err(|_| err("triple is not UTF-8"))?;
-    let triple = TargetTriple::parse(triple_str)
-        .ok_or_else(|| err(&format!("unknown triple `{triple_str}`")))?;
-    Ok(Welcome {
-        clients,
-        servers,
-        rank,
-        reliable,
-        adaptive,
-        rto,
-        rto_max,
-        triple,
-    })
-}
-
-/// One endpoint's reliability digest, as carried by [`TAG_REL_INFO`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RelInfo {
-    /// Frames sent but not yet cumulatively acked.
-    pub unacked: u64,
-    /// Nanoseconds until the earliest armed retransmission deadline
-    /// (`u64::MAX` when nothing is armed).
-    pub remaining_ns: u64,
-    /// Cumulative reliability counters.
-    pub metrics: RelMetrics,
-    /// Health of the endpoint's most-stressed link (highest unacked count,
-    /// RTO breaking ties): the fixed-size stand-in for the full per-link
-    /// table, which only the owning process holds.  `None` when no link has
-    /// carried traffic yet.
-    pub health: Option<LinkHealth>,
-}
-
 /// Pick the most-stressed link of a health table: most unacked frames,
-/// widest RTO as the tie-break.  The fixed-size [`RelInfo`] digest carries
-/// this one row.
+/// widest RTO as the tie-break.  The fixed-size [`Digest`] carries this one
+/// row.
 pub fn most_stressed(health: impl IntoIterator<Item = LinkHealth>) -> Option<LinkHealth> {
     health
         .into_iter()
         .max_by_key(|h| (h.unacked, h.rto, h.peer))
 }
 
-/// Encode a [`TAG_REL_INFO`] body (112 bytes: 14 little-endian u64 fields).
-pub fn encode_rel_info(info: &RelInfo) -> Vec<u8> {
-    let h = info.health.unwrap_or_default();
-    let fields = [
-        info.unacked,
-        info.remaining_ns,
-        info.metrics.retransmits,
-        info.metrics.fast_retransmits,
-        info.metrics.dup_drops,
-        info.metrics.out_of_order,
-        info.metrics.acks_sent,
-        info.health.is_some() as u64,
-        h.peer as u64,
-        h.srtt,
-        h.rttvar,
-        h.rto,
-        h.unacked,
-        h.silent_rounds as u64,
-    ];
-    let mut out = Vec::with_capacity(112);
-    for f in fields {
-        out.extend_from_slice(&f.to_le_bytes());
-    }
-    out
-}
-
-/// Decode a [`TAG_REL_INFO`] body.
-pub fn decode_rel_info(body: &[u8]) -> Result<RelInfo> {
-    if body.len() != 112 {
-        return Err(CoreError::Transport(format!(
-            "REL_INFO must be 112 bytes, got {}",
-            body.len()
-        )));
-    }
-    let f = |i: usize| u64::from_le_bytes(body[i * 8..i * 8 + 8].try_into().unwrap());
-    let health = (f(7) != 0).then(|| LinkHealth {
-        peer: f(8) as u32,
-        srtt: f(9),
-        rttvar: f(10),
-        rto: f(11),
-        unacked: f(12),
-        silent_rounds: f(13) as u32,
-    });
-    Ok(RelInfo {
-        unacked: f(0),
-        remaining_ns: f(1),
-        metrics: RelMetrics {
-            retransmits: f(2),
-            fast_retransmits: f(3),
-            dup_drops: f(4),
-            out_of_order: f(5),
-            acks_sent: f(6),
-        },
-        health,
-    })
-}
-
 /// How a [`super::ClusterBuilder`] should set up the socket backend.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SocketConfig {
     /// Endpoint the driver listens on.  `None` picks a fresh Unix-domain
     /// socket under the system temp directory.
@@ -312,9 +91,9 @@ pub struct SocketConfig {
     /// `None` falls back to `TC_SOCKET_SERVER_BIN` and then to a sibling of
     /// the current executable.
     pub server_bin: Option<PathBuf>,
-    /// Spawn the server processes (default).  `false` waits for externally
-    /// launched servers to dial in instead.
-    pub spawn_servers: bool,
+    /// Don't spawn the server processes: wait for externally launched
+    /// servers to dial in instead.
+    pub external: bool,
     /// Self-heal dead server ranks: detect death (socket failure or ping
     /// silence), respawn the process (or await an external rejoin) with
     /// bounded exponential backoff, re-run the handshake, re-deploy AMs,
@@ -322,24 +101,6 @@ pub struct SocketConfig {
     /// frames.  Off by default: without it a dead rank stays dead and
     /// replays its typed error, the PR 6 semantics.
     pub recover: bool,
-    /// Override the reliability tunables (defaults to
-    /// [`RelConfig::threads_default`]; only meaningful with a fault plan).
-    pub rel_config: Option<RelConfig>,
-    /// Scheduling tunables.
-    pub tuning: Tuning,
-}
-
-impl Default for SocketConfig {
-    fn default() -> Self {
-        SocketConfig {
-            addr: None,
-            server_bin: None,
-            spawn_servers: true,
-            recover: false,
-            rel_config: None,
-            tuning: Tuning::default(),
-        }
-    }
 }
 
 fn default_unix_spec() -> SocketSpec {
@@ -361,17 +122,7 @@ fn resolve_server_bin(config: &SocketConfig) -> Result<PathBuf> {
         return Ok(PathBuf::from(bin));
     }
     if let Ok(exe) = std::env::current_exe() {
-        let mut dirs = Vec::new();
-        if let Some(d) = exe.parent() {
-            dirs.push(d.to_path_buf());
-            if let Some(d2) = d.parent() {
-                dirs.push(d2.to_path_buf());
-                if let Some(d3) = d2.parent() {
-                    dirs.push(d3.to_path_buf());
-                }
-            }
-        }
-        for dir in dirs {
+        for dir in exe.ancestors().skip(1).take(3) {
             let candidate = dir.join("tc-socket-server");
             if candidate.is_file() {
                 return Ok(candidate);
@@ -403,8 +154,7 @@ struct ServerLink {
     conn: Option<Connection>,
     child: Option<ChildGuard>,
     state: LinkState,
-    /// Latest link digest published by the server, its deadline rebased
-    /// onto the driver clock.
+    /// Latest link digest published by the server.
     rel: Digest,
     /// Last instant any frame arrived from this link (liveness baseline).
     last_activity: Instant,
@@ -412,6 +162,8 @@ struct ServerLink {
     ping_sent_at: Option<Instant>,
     /// Consecutive failed respawn attempts since the last heal.
     respawn_attempts: u32,
+    /// The respawn budget is spent: the rank stays dead.
+    gave_up: bool,
     /// When the next respawn/rejoin attempt is due (recovery mode).
     next_attempt_at: Option<Instant>,
 }
@@ -426,6 +178,7 @@ impl ServerLink {
             last_activity: Instant::now(),
             ping_sent_at: None,
             respawn_attempts: 0,
+            gave_up: false,
             next_attempt_at: None,
         }
     }
@@ -471,15 +224,12 @@ pub struct SocketTransport {
     /// Frames read but not yet routed (control round trips intercept their
     /// replies here).
     inbox: VecDeque<Frame>,
-    /// Self-healing enabled ([`SocketConfig::recover`]).
-    recover: bool,
+    /// The configuration as resolved at startup — the endpoint actually
+    /// bound, the server binary actually spawned — kept for respawns.
+    config: SocketConfig,
     /// Re-entrancy guard: a heal in progress drives the pump machinery,
     /// which must not start a second heal underneath it.
     healing: bool,
-    /// Respawn ingredients, retained for recovery mode.
-    spawn_servers: bool,
-    server_bin: Option<PathBuf>,
-    connect_spec: Option<SocketSpec>,
     /// AM names in deploy order, replayed to a healed rank so its handler
     /// ids line up with the cluster's.
     deployed_ams: Vec<String>,
@@ -489,8 +239,10 @@ pub struct SocketTransport {
     poke_log: std::collections::BTreeMap<(usize, u64), Vec<u8>>,
     /// Connections accepted but not yet through their HELLO (recovery mode).
     rejoining: Vec<Connection>,
-    /// Successful heals, for tests.
+    /// Successful heals.
     heals: u64,
+    /// Liveness, recovery and stall transitions, for [`Transport::observe`].
+    events: EventRing,
     /// WELCOME ingredients, retained for recovery-mode re-handshakes.
     server_triple: TargetTriple,
     rel_cfg: RelConfig,
@@ -509,18 +261,21 @@ impl std::fmt::Debug for SocketTransport {
 impl SocketTransport {
     /// Start the backend: bind the listener, spawn (or await) `servers`
     /// server processes, run the HELLO/WELCOME handshake with each, and
-    /// return once every rank is connected.
+    /// return once every rank is connected.  What
+    /// [`super::ThreadTransport::with_config`] takes, plus the socket setup.
+    #[allow(clippy::too_many_arguments)]
     pub fn connect_config(
         clients: usize,
         servers: usize,
         client_triple: TargetTriple,
         server_triple: TargetTriple,
+        tuning: Tuning,
         fault_plan: Option<FaultPlan>,
-        config: SocketConfig,
+        rel_config: Option<RelConfig>,
+        mut config: SocketConfig,
     ) -> Result<Self> {
         let clients = clients.max(1);
         let total = (clients + servers) as u32;
-        let tuning = config.tuning;
         let spec = config.addr.clone().unwrap_or_else(default_unix_spec);
         let listener = Listener::bind(&spec)
             .map_err(|e| CoreError::Transport(format!("binding {spec}: {e}")))?;
@@ -528,7 +283,7 @@ impl SocketTransport {
             .local_spec()
             .map_err(|e| CoreError::Transport(e.to_string()))?;
 
-        let rel_cfg = config.rel_config.unwrap_or_else(RelConfig::threads_default);
+        let rel_cfg = rel_config.unwrap_or_else(RelConfig::threads_default);
         let chaos = fault_plan.map(|plan| SocketChaos {
             session: ChaosSession::new(plan),
             held: HoldBack::default(),
@@ -537,8 +292,7 @@ impl SocketTransport {
         let link_cfg = reliable.then_some(rel_cfg);
 
         let mut links: Vec<ServerLink> = (0..servers).map(|_| ServerLink::empty()).collect();
-        let mut server_bin = None;
-        if config.spawn_servers {
+        if !config.external {
             let bin = resolve_server_bin(&config)?;
             for (idx, link) in links.iter_mut().enumerate() {
                 let rank = (clients + idx) as u32;
@@ -547,8 +301,9 @@ impl SocketTransport {
                         .map_err(|e| CoreError::Transport(e.to_string()))?,
                 );
             }
-            server_bin = Some(bin);
+            config.server_bin = Some(bin);
         }
+        config.addr = Some(actual);
 
         let mut transport = SocketTransport {
             clients: (0..clients as u32)
@@ -570,15 +325,13 @@ impl SocketTransport {
             dropped: 0,
             shut_down: false,
             inbox: VecDeque::new(),
-            recover: config.recover,
+            config,
             healing: false,
-            spawn_servers: config.spawn_servers,
-            server_bin,
-            connect_spec: Some(actual),
             deployed_ams: Vec::new(),
             poke_log: std::collections::BTreeMap::new(),
             rejoining: Vec::new(),
             heals: 0,
+            events: EventRing::default(),
             server_triple,
             rel_cfg,
         };
@@ -654,13 +407,14 @@ impl SocketTransport {
                 self.rejoining.push(conn);
                 continue;
             };
-            let welcomed = decode_hello(hello.data.as_slice())
+            let welcomed = wire::decode_hello(hello.data.as_slice())
                 .and_then(|wanted| self.free_rank(wanted, startup))
                 .and_then(|idx| self.welcome(&mut conn, idx).map(|()| idx));
             match welcomed {
                 Ok(idx) => {
                     self.links[idx].conn = Some(conn);
                     self.links[idx].last_activity = Instant::now();
+                    self.note(idx, EventKind::Admit);
                     admitted.push(idx);
                 }
                 Err(e) => self.reject(startup, e)?,
@@ -706,17 +460,14 @@ impl SocketTransport {
             clients: self.clients.len() as u32,
             servers: self.servers as u32,
             rank,
-            reliable: self.chaos.is_some(),
-            adaptive: self.rel_cfg.adaptive,
-            rto: self.rel_cfg.rto,
-            rto_max: self.rel_cfg.rto_max,
+            rel: self.chaos.as_ref().map(|_| self.rel_cfg),
             triple: self.server_triple,
         };
         conn.queue(Frame::new(
             DRIVER_PORT,
             rank,
             TAG_WELCOME,
-            encode_welcome(&welcome),
+            wire::encode_welcome(&welcome),
         ));
         let deadline = Instant::now() + link::WELCOME_DRAIN_TIMEOUT;
         while conn.pending_writes() > 0 {
@@ -813,55 +564,50 @@ impl SocketTransport {
         if matches!(link.state, LinkState::Dead(_)) {
             return;
         }
-        strace!("[driver] link {} dead: {err}", self.clients.len() + idx);
         link.conn = None;
         link.state = LinkState::Dead(err.clone());
         link.ping_sent_at = None;
         link.next_attempt_at = None;
         link.forget_rel();
-        if !self.recover {
+        self.note(idx, EventKind::PeerLost(err.to_string()));
+        if !self.config.recover {
             self.pending_errors.push_back(err);
         }
+    }
+
+    /// Record a state transition of server `idx` in the event ring.
+    fn note(&mut self, idx: usize, kind: EventKind) {
+        let rank = (self.clients.len() + idx) as u32;
+        self.events.push(Some(rank), kind);
     }
 
     /// Liveness monitor (recovery mode): ping links that have been silent
     /// past the ping interval, and declare ranks whose PING went unanswered
     /// past the ping timeout dead.
     fn health_check(&mut self) {
-        if !self.recover || self.shut_down {
+        if !self.config.recover || self.shut_down {
             return;
         }
         let mut timed_out = Vec::new();
         for (idx, link) in self.links.iter_mut().enumerate() {
-            if link.conn.is_none() || !matches!(link.state, LinkState::Active) {
+            let (Some(conn), LinkState::Active) = (link.conn.as_mut(), &link.state) else {
                 continue;
-            }
+            };
             match link.ping_sent_at {
-                Some(at) => {
-                    if at.elapsed() >= link::PING_TIMEOUT {
-                        timed_out.push(idx);
-                    }
+                Some(at) if at.elapsed() >= link::PING_TIMEOUT => timed_out.push(idx),
+                None if link.last_activity.elapsed() >= link::PING_INTERVAL => {
+                    let nonce = self.next_token.to_le_bytes().to_vec();
+                    self.next_token += 1;
+                    let rank = (self.clients.len() + idx) as u32;
+                    conn.queue(Frame::new(DRIVER_PORT, rank, TAG_PING, nonce));
+                    link.ping_sent_at = Some(Instant::now());
                 }
-                None => {
-                    if link.last_activity.elapsed() >= link::PING_INTERVAL {
-                        let nonce = self.next_token;
-                        self.next_token += 1;
-                        let rank = (self.clients.len() + idx) as u32;
-                        if let Some(conn) = link.conn.as_mut() {
-                            conn.queue(Frame::new(
-                                DRIVER_PORT,
-                                rank,
-                                TAG_PING,
-                                nonce.to_le_bytes().to_vec(),
-                            ));
-                            link.ping_sent_at = Some(Instant::now());
-                        }
-                    }
-                }
+                _ => {}
             }
         }
         for idx in timed_out {
             let rank = self.clients.len() + idx;
+            self.note(idx, EventKind::PingTimeout);
             self.fail_link_with(
                 idx,
                 CoreError::PeerDisconnected {
@@ -886,7 +632,7 @@ impl SocketTransport {
     /// from the step and control-wait loops; a no-op while a heal is
     /// already in progress underneath us.
     fn poll_recovery(&mut self) {
-        if !self.recover || self.shut_down || self.healing {
+        if !self.config.recover || self.shut_down || self.healing {
             return;
         }
         self.healing = true;
@@ -898,27 +644,28 @@ impl SocketTransport {
         let clients = self.clients.len();
         // Respawn scheduling (spawn mode only; external servers rejoin on
         // their own schedule).
-        if self.spawn_servers {
+        if !self.config.external {
             for idx in 0..self.links.len() {
-                if !matches!(self.links[idx].state, LinkState::Dead(_)) {
+                let link = &mut self.links[idx];
+                if !matches!(link.state, LinkState::Dead(_)) || link.gave_up {
                     continue;
                 }
-                let attempts = self.links[idx].respawn_attempts;
-                match self.links[idx].next_attempt_at {
+                let attempts = link.respawn_attempts;
+                let due = link.next_attempt_at.map(|at| Instant::now() >= at);
+                if due != Some(false) && attempts >= self.tuning.max_respawns {
+                    // Respawn budget exhausted — the rank becomes
+                    // terminally failed (surfaced by failed_ranks).
+                    link.gave_up = true;
+                    link.next_attempt_at = None;
+                    self.note(idx, EventKind::RespawnBudgetExhausted);
+                    continue;
+                }
+                match due {
                     None => {
-                        if attempts >= self.tuning.max_respawns {
-                            continue; // gave up; the rank stays dead
-                        }
                         let delay = self.recovery_delay(attempts);
                         self.links[idx].next_attempt_at = Some(Instant::now() + delay);
                     }
-                    Some(at) if Instant::now() >= at => {
-                        if attempts >= self.tuning.max_respawns {
-                            // Respawn budget exhausted — the rank becomes
-                            // terminally failed (surfaced by failed_ranks).
-                            self.links[idx].next_attempt_at = None;
-                            continue;
-                        }
+                    Some(true) => {
                         // Allow the spawned child a generous window to dial
                         // back in before the next (backed-off) attempt
                         // replaces it.
@@ -933,13 +680,13 @@ impl SocketTransport {
                             child.wait_timeout(Duration::from_millis(50));
                         }
                         link.child = None;
+                        self.note(idx, EventKind::Respawn(attempts + 1));
                         let rank = (clients + idx) as u32;
                         let (Some(bin), Some(spec)) =
-                            (self.server_bin.as_ref(), self.connect_spec.as_ref())
+                            (self.config.server_bin.as_ref(), self.config.addr.as_ref())
                         else {
                             continue;
                         };
-                        strace!("[driver] respawning rank {rank} (attempt {})", attempts + 1);
                         match tc_net::spawn_server(bin, spec, rank) {
                             Ok(child) => self.links[idx].child = Some(child),
                             Err(e) => self.errors.push(CoreError::Transport(format!(
@@ -947,7 +694,7 @@ impl SocketTransport {
                             ))),
                         }
                     }
-                    Some(_) => {}
+                    Some(false) => {}
                 }
             }
         }
@@ -980,10 +727,11 @@ impl SocketTransport {
     fn heal_link(&mut self, idx: usize) -> Result<()> {
         let clients = self.clients.len();
         let rank = clients + idx;
-        strace!("[driver] healing rank {rank}");
+        self.note(idx, EventKind::HealStart);
         {
             let link = &mut self.links[idx];
             link.state = LinkState::Active;
+            link.gave_up = false;
             link.last_activity = Instant::now();
             link.ping_sent_at = None;
             link.next_attempt_at = None;
@@ -1027,6 +775,7 @@ impl SocketTransport {
         }
         // Now the replay can flow, along with the surviving servers'
         // renumbered re-sends.
+        let replayed = replay.len() as u64;
         for f in replay {
             self.chaos_route(f);
         }
@@ -1050,7 +799,7 @@ impl SocketTransport {
         self.pump_writes();
         self.links[idx].respawn_attempts = 0;
         self.heals += 1;
-        strace!("[driver] rank {rank} healed");
+        self.note(idx, EventKind::HealDone(replayed));
         Ok(())
     }
 
@@ -1067,14 +816,6 @@ impl SocketTransport {
             ServerLink {
                 conn: Some(conn), ..
             } => {
-                strace!(
-                    "[driver] send tag={} from={} to={} data={}B payload={}B",
-                    frame.tag,
-                    frame.from,
-                    frame.to,
-                    frame.data.len(),
-                    frame.payload.len()
-                );
                 conn.queue(frame);
                 self.delivered += 1;
                 Ok(())
@@ -1133,14 +874,9 @@ impl SocketTransport {
 
     /// Route one frame that arrived from a server connection.
     fn route_frame(&mut self, frame: Frame) {
-        strace!(
-            "[driver] recv tag={} from={} to={} data={}B payload={}B",
-            frame.tag,
-            frame.from,
-            frame.to,
-            frame.data.len(),
-            frame.payload.len()
-        );
+        // The link of the server it came from, for the session frames.
+        let sender = (frame.from as usize).wrapping_sub(self.clients.len());
+        let sender = self.links.get_mut(sender);
         match frame.tag {
             wire::TAG_OP => {
                 if let Err(e) = self.deliver(frame) {
@@ -1151,36 +887,20 @@ impl SocketTransport {
             wire::TAG_ERROR => self.errors.push(CoreError::Transport(
                 String::from_utf8_lossy(frame.data.as_slice()).into_owned(),
             )),
-            TAG_REL_INFO => {
-                let idx = (frame.from as usize).wrapping_sub(self.clients.len());
-                match decode_rel_info(frame.data.as_slice()) {
-                    Ok(info) if idx < self.links.len() => {
-                        let now = link::wall_nanos();
-                        self.links[idx].rel = Digest {
-                            unacked: info.unacked,
-                            next_deadline: (info.remaining_ns != u64::MAX)
-                                .then(|| now.saturating_add(info.remaining_ns)),
-                            metrics: info.metrics,
-                            health: info.health,
-                        };
-                    }
-                    Ok(_) => {}
-                    Err(e) => self.errors.push(e),
-                }
-            }
+            TAG_REL_INFO => match (wire::decode_digest(&frame.data), sender) {
+                (Ok(digest), Some(link)) => link.rel = digest,
+                (Ok(_), None) => {}
+                (Err(e), _) => self.errors.push(e),
+            },
             TAG_PONG => {
-                let idx = (frame.from as usize).wrapping_sub(self.clients.len());
-                if let Some(link) = self.links.get_mut(idx) {
+                if let Some(link) = sender {
                     link.ping_sent_at = None;
                     link.last_activity = Instant::now();
                 }
             }
             TAG_BYE => {
-                let idx = (frame.from as usize).wrapping_sub(self.clients.len());
-                if let Some(link) = self.links.get_mut(idx) {
-                    if matches!(link.state, LinkState::Active) {
-                        link.state = LinkState::Closing;
-                    }
+                if let Some(link) = sender.filter(|l| matches!(l.state, LinkState::Active)) {
+                    link.state = LinkState::Closing;
                 }
             }
             // Stale control replies (from a timed-out request) are dropped;
@@ -1224,7 +944,8 @@ impl SocketTransport {
     /// (which bounded its ranks).
     fn route_reliable(&mut self, frame: Frame) {
         let server = (frame.to as usize).checked_sub(self.clients.len());
-        if self.recover && server.is_some_and(|s| matches!(self.links[s].state, LinkState::Dead(_)))
+        if self.config.recover
+            && server.is_some_and(|s| matches!(self.links[s].state, LinkState::Dead(_)))
         {
             // The rank is being healed.  The frame stays buffered in its
             // sender's ReliableSet and is replayed (renumbered) once the
@@ -1344,10 +1065,17 @@ impl SocketTransport {
         }
     }
 
-    /// Number of successful link heals so far (recovery mode) — the hook the
-    /// heal tests key on.
-    pub fn heals(&self) -> u64 {
-        self.heals
+    /// Whether server link `link` is in service, being recovered, or lost
+    /// for good.  A dead rank is *terminally* failed only once no recovery
+    /// can still bring it back: recovery off entirely, or the respawn budget
+    /// spent.  (External rejoin mode never gives up, so with recovery on and
+    /// spawns off a dead rank is perpetually "recovering", not failed.)
+    fn rank_state(&self, link: &ServerLink) -> RankState {
+        match link.state {
+            LinkState::Dead(_) if !self.config.recover || link.gave_up => RankState::Failed,
+            LinkState::Dead(_) => RankState::Recovering,
+            LinkState::Active | LinkState::Closing => RankState::Live,
+        }
     }
 }
 
@@ -1443,10 +1171,9 @@ impl Transport for SocketTransport {
             // server process, unhealable partition) must eventually let
             // waits time out.
             if self.unacked_total() > 0 {
-                return Ok(link::within_stall_horizon(
-                    &mut self.stalled_since,
-                    self.rel_cfg.rto_max,
-                ));
+                let (since, events) = (&mut self.stalled_since, &mut self.events);
+                let rto_max = self.rel_cfg.rto_max;
+                return Ok(link::within_stall_horizon(since, rto_max, events));
             }
             self.stalled_since = None;
             if self.pending_writes_total() > 0 && now < busy_deadline {
@@ -1473,7 +1200,7 @@ impl Transport for SocketTransport {
         let clients = self.clients.len();
         check_server_rank(clients, self.servers, rank)?;
         if let (true, wire::TAG_POKE, Some((addr, data))) =
-            (self.recover, request_tag, wire::split_poke(body))
+            (self.config.recover, request_tag, wire::split_poke(body))
         {
             // A healed rank is brought back to parity by replaying its
             // recorded memory writes; the latest value per (rank, addr) is
@@ -1531,57 +1258,33 @@ impl Transport for SocketTransport {
         }
     }
 
-    /// The clients' own digests, then the latest each server process
-    /// published.
-    fn link_digest(&self, rank: usize) -> Option<Digest> {
-        self.chaos.as_ref()?;
-        match rank.checked_sub(self.clients.len()) {
-            None => Some(self.clients[rank].link().digest()),
-            Some(idx) => self.links.get(idx).map(|l| l.rel),
+    /// The clients' own links, then what each server process last published.
+    fn observe(&self) -> Snapshot {
+        let clients = self.clients.len();
+        let server = |(idx, link): (usize, &ServerLink)| {
+            let digest = self.chaos.as_ref().map(|_| link.rel);
+            RankSnapshot::server(clients + idx, self.rank_state(link), digest)
+        };
+        let hosts = self.clients.iter().map(ClientHost::observe);
+        let servers = self.links.iter().enumerate().map(server);
+        Snapshot {
+            backend: self.backend_name(),
+            now_nanos: self.now_nanos(),
+            delivered: self.delivered,
+            dropped: self.dropped,
+            chaos: self.chaos.as_ref().map(|c| c.session.stats()),
+            ranks: hosts.chain(servers).collect(),
+            errors: self.errors.len(),
+            heals: self.heals,
+            events: self.events.to_vec(),
+            ..Snapshot::default()
         }
-    }
-
-    fn fabric_counts(&self) -> (u64, u64) {
-        (self.delivered, self.dropped)
-    }
-
-    fn chaos_stats(&self) -> Option<ChaosStats> {
-        self.chaos.as_ref().map(|c| c.session.stats())
     }
 
     fn failed_ranks(&self) -> Vec<usize> {
-        let clients = self.clients.len();
-        self.links
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| {
-                if !matches!(l.state, LinkState::Dead(_)) {
-                    return false;
-                }
-                // A dead rank is *terminally* failed only once no recovery
-                // can still bring it back: recovery off entirely, or the
-                // respawn budget spent with no attempt pending.  (External
-                // rejoin mode never gives up, so with recovery on and spawns
-                // off a dead rank is perpetually "recovering", not failed.)
-                !self.recover
-                    || (self.spawn_servers
-                        && l.respawn_attempts >= self.tuning.max_respawns
-                        && l.next_attempt_at.is_none())
-            })
-            .map(|(idx, _)| clients + idx)
-            .collect()
-    }
-
-    /// Clients report every link they hold; a server process publishes
-    /// only its most-stressed one.
-    fn link_health(&self) -> Vec<(u32, LinkHealth)> {
-        let mut out = Vec::new();
-        for (c, host) in self.clients.iter().enumerate() {
-            out.extend(host.link().health_rows().map(|h| (c as u32, h)));
-        }
-        let servers = self.links.iter().zip(self.clients.len() as u32..);
-        out.extend(servers.filter_map(|(link, rank)| Some((rank, link.rel.health?))));
-        out
+        let failed = |l: &ServerLink| self.rank_state(l) == RankState::Failed;
+        let ranks = self.links.iter().zip(self.clients.len()..);
+        ranks.filter(|(l, _)| failed(l)).map(|(_, r)| r).collect()
     }
 
     fn shutdown(&mut self) {
@@ -1624,111 +1327,6 @@ impl Drop for SocketTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hello_welcome_round_trip() {
-        assert_eq!(decode_hello(&encode_hello(7)).unwrap(), 7);
-        assert_eq!(decode_hello(&encode_hello(RANK_ANY)).unwrap(), RANK_ANY);
-        assert!(decode_hello(&[0u8; 11]).is_err());
-        let mut bad = encode_hello(1);
-        bad[0] ^= 0xFF;
-        assert!(decode_hello(&bad).is_err());
-        // A server binary of an earlier protocol (1: an optimisation-level
-        // byte in the WELCOME; 2: 8-byte acks only) is refused here, not fed
-        // bodies it misparses.
-        for version in [1u32, 2] {
-            let mut stale = encode_hello(1);
-            stale[4..8].copy_from_slice(&version.to_le_bytes());
-            assert!(matches!(
-                decode_hello(&stale),
-                Err(CoreError::Transport(m)) if m.contains(&format!("protocol version {version},"))
-            ));
-        }
-
-        let w = Welcome {
-            clients: 2,
-            servers: 4,
-            rank: 3,
-            reliable: true,
-            adaptive: true,
-            rto: 30_000_000,
-            rto_max: 480_000_000,
-            triple: TargetTriple::X86_64_GENERIC,
-        };
-        assert_eq!(decode_welcome(&encode_welcome(&w)).unwrap(), w);
-        assert_eq!(
-            w.rel_config(),
-            RelConfig {
-                rto: 30_000_000,
-                rto_max: 480_000_000,
-                adaptive: true
-            }
-        );
-        assert!(decode_welcome(&[0u8; 10]).is_err());
-    }
-
-    /// A server sizes its runtime and link table from the WELCOME: a layout
-    /// that overflows, or a rank that is not one of its servers, is refused
-    /// before `serve` builds anything from it.
-    #[test]
-    fn welcome_with_an_impossible_layout_is_rejected() {
-        let welcome = |clients, servers, rank| Welcome {
-            clients,
-            servers,
-            rank,
-            reliable: false,
-            adaptive: true,
-            rto: 1,
-            rto_max: 2,
-            triple: TargetTriple::X86_64_GENERIC,
-        };
-        for (clients, servers, rank) in [(1, 2, 1), (1, 2, 2), (3, 1, 3)] {
-            let w = welcome(clients, servers, rank);
-            assert_eq!(decode_welcome(&encode_welcome(&w)).unwrap(), w);
-        }
-        for (clients, servers, rank) in [
-            (u32::MAX, 2, 0),     // clients + servers overflows
-            (2, u32::MAX - 1, 5), // likewise
-            (1, 2, 0),            // a client's rank
-            (1, 2, 3),            // one past the last server
-            (1, 0, 1),            // no servers at all
-            (1, 2, RANK_ANY),     // the wildcard is not an assignment
-        ] {
-            let body = encode_welcome(&welcome(clients, servers, rank));
-            let refused = decode_welcome(&body);
-            assert!(
-                matches!(refused, Err(CoreError::Transport(_))),
-                "{clients} + {servers}, rank {rank}: {refused:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn rel_info_round_trip() {
-        let mut info = RelInfo {
-            unacked: 3,
-            remaining_ns: 1_000_000,
-            metrics: RelMetrics {
-                retransmits: 5,
-                fast_retransmits: 4,
-                dup_drops: 2,
-                out_of_order: 1,
-                acks_sent: 9,
-            },
-            health: None,
-        };
-        assert_eq!(decode_rel_info(&encode_rel_info(&info)).unwrap(), info);
-        info.health = Some(LinkHealth {
-            peer: 6,
-            srtt: 120_000,
-            rttvar: 40_000,
-            rto: 280_000,
-            unacked: 2,
-            silent_rounds: 1,
-        });
-        assert_eq!(decode_rel_info(&encode_rel_info(&info)).unwrap(), info);
-        assert!(decode_rel_info(&[0u8; 47]).is_err());
-    }
 
     #[test]
     fn most_stressed_prefers_unacked_then_rto() {

@@ -16,13 +16,12 @@
 //! entry under it.
 
 use super::host::ServerHost;
-use super::link::{wall_nanos, Digest, Link};
+use super::link::{Digest, Link};
 use super::socket::{
-    decode_welcome, encode_hello, encode_rel_info, RelInfo, Welcome, DRIVER_PORT, RANK_ANY,
-    TAG_AM_ACK, TAG_AM_DEPLOY, TAG_BYE, TAG_HELLO, TAG_LINK_RESET, TAG_PING, TAG_PONG,
+    DRIVER_PORT, TAG_AM_ACK, TAG_AM_DEPLOY, TAG_BYE, TAG_HELLO, TAG_LINK_RESET, TAG_PING, TAG_PONG,
     TAG_REL_INFO, TAG_SHUTDOWN, TAG_WELCOME,
 };
-use super::wire;
+use super::wire::{self, Welcome, RANK_ANY};
 use crate::runtime::{NativeAmHandler, NodeRuntime};
 use std::time::{Duration, Instant};
 use tc_net::{Connection, Frame, NetError, SocketSpec};
@@ -79,46 +78,24 @@ struct Server {
     conn: Connection,
     host: ServerHost,
     rank: u32,
-    last_info: RelInfo,
+    /// The digest the driver holds (a fresh link's, until the first push).
+    published: Digest,
     catalog: Vec<(String, NativeAmHandler)>,
 }
 
 /// Queue a frame from `rank` toward `to` (a rank, or [`DRIVER_PORT`]).
 fn queue(conn: &mut Connection, rank: u32, to: u32, tag: u64, data: Bytes, payload: Bytes) {
-    super::socket::strace!(
-        "[server {rank}] send tag={tag} to={to} data={}B payload={}B",
-        data.len(),
-        payload.len()
-    );
     conn.queue(Frame::with_payload(rank, to, tag, data, payload));
 }
 
 impl Server {
-    /// Push the reliability digest to the driver when it meaningfully
-    /// changed (counters moved, unacked count moved, or the earliest
-    /// deadline shifted by more than a millisecond).
+    /// Push the reliability digest to the driver when it changed.
     fn publish(&mut self, digest: Digest) {
-        let info = RelInfo {
-            unacked: digest.unacked,
-            remaining_ns: digest
-                .next_deadline
-                .map_or(u64::MAX, |d| d.saturating_sub(wall_nanos())),
-            metrics: digest.metrics,
-            health: digest.health,
-        };
-        let deadline_moved = info.remaining_ns.abs_diff(self.last_info.remaining_ns) > 1_000_000;
-        if info.unacked != self.last_info.unacked
-            || info.metrics != self.last_info.metrics
-            || info.health != self.last_info.health
-            || deadline_moved
-        {
-            self.last_info = info;
-            self.conn.queue(Frame::new(
-                self.rank,
-                DRIVER_PORT,
-                TAG_REL_INFO,
-                encode_rel_info(&info),
-            ));
+        if digest != self.published {
+            self.published = digest;
+            let body = wire::encode_digest(&digest);
+            self.conn
+                .queue(Frame::new(self.rank, DRIVER_PORT, TAG_REL_INFO, body));
         }
     }
 
@@ -203,7 +180,7 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
         hello_rank,
         DRIVER_PORT,
         TAG_HELLO,
-        encode_hello(hello_rank),
+        wire::encode_hello(hello_rank),
     ));
 
     // Await the WELCOME (pumping writes so the HELLO actually leaves).  A
@@ -222,7 +199,8 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
         let mut welcome = None;
         for f in frames {
             if welcome.is_none() && f.tag == TAG_WELCOME {
-                welcome = Some(decode_welcome(f.data.as_slice()).map_err(|e| e.to_string())?);
+                let decoded = wire::decode_welcome(f.data.as_slice());
+                welcome = Some(decoded.map_err(|e| e.to_string())?);
             } else {
                 carry.push(f);
             }
@@ -236,19 +214,13 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
     // `decode_welcome` validated the layout: the sum cannot overflow and the
     // rank is a server's.
     let total = welcome.clients + welcome.servers;
-    let rel_cfg = welcome.reliable.then(|| welcome.rel_config());
     let runtime = NodeRuntime::new(tc_ucx::WorkerAddr(welcome.rank), total, welcome.triple);
     let mut server = Server {
         conn,
         // A process's only wire leads to the driver: self-sends loop back.
-        host: ServerHost::new(runtime, Link::new(welcome.rank, total, rel_cfg), true),
+        host: ServerHost::new(runtime, Link::new(welcome.rank, total, welcome.rel), true),
         rank: welcome.rank,
-        // What a fresh link reports (nothing armed), so nothing is pushed
-        // until the digest first moves — never, without a fault plan.
-        last_info: RelInfo {
-            remaining_ns: u64::MAX,
-            ..RelInfo::default()
-        },
+        published: Digest::default(),
         catalog,
     };
 
@@ -270,15 +242,6 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
         }
         let mut shutdown = false;
         for frame in frames.drain(..) {
-            super::socket::strace!(
-                "[server {}] recv tag={} from={} to={} data={}B payload={}B",
-                server.rank,
-                frame.tag,
-                frame.from,
-                frame.to,
-                frame.data.len(),
-                frame.payload.len()
-            );
             shutdown |= server.on_frame(frame);
         }
         server.end_pass();

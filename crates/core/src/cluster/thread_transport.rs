@@ -41,6 +41,7 @@
 use super::host::{self, ClientHost, ServerHost};
 use super::link::{self, Digest, Link};
 use super::reliable::RelConfig;
+use super::snapshot::{EventRing, RankSnapshot, RankState, Snapshot};
 use super::socket::DRIVER_PORT;
 use super::{check_server_rank, wire, Transport, Tuning};
 use crate::error::{CoreError, Result};
@@ -48,7 +49,7 @@ use crate::runtime::{NativeAmHandler, NodeRuntime};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use tc_bitir::TargetTriple;
-use tc_chaos::{ChaosSession, ChaosStats, FaultPlan, HoldBack};
+use tc_chaos::{ChaosSession, FaultPlan, HoldBack};
 use tc_simnet::{
     external_port, Envelope, EnvelopeFilter, NodeCtx, ThreadCluster, ThreadConfig, ThreadedNode,
 };
@@ -87,27 +88,7 @@ fn rank_of(clients: usize, fabric_id: usize) -> usize {
 /// links are the driver's own).  One leaf mutex per server, held only for
 /// the copy of a digest, so the driver never stalls a node and a snapshot
 /// never tears.
-struct RelTable {
-    slots: Vec<Mutex<Digest>>,
-}
-
-impl RelTable {
-    fn new(servers: usize) -> Self {
-        RelTable {
-            slots: (0..servers).map(|_| Mutex::default()).collect(),
-        }
-    }
-
-    fn publish(&self, server: usize, digest: Digest) {
-        if let Some(slot) = self.slots.get(server) {
-            *relock(slot) = digest;
-        }
-    }
-
-    fn get(&self, server: usize) -> Option<Digest> {
-        self.slots.get(server).map(|slot| *relock(slot))
-    }
-}
+type RelTable = Arc<[Mutex<Digest>]>;
 
 /// Put a frame for rank `to` on the fabric from a node thread.  Ranks below
 /// `clients` are driver-side endpoints (external ports), and [`DRIVER_PORT`]
@@ -137,7 +118,7 @@ struct ServerNode {
     am_registry: AmRegistry,
     am_applied: usize,
     /// Where the link digest is published (chaos mode only).
-    table: Option<Arc<RelTable>>,
+    table: Option<RelTable>,
 }
 
 impl ServerNode {
@@ -164,8 +145,8 @@ impl ServerNode {
     fn end_pass(&mut self, ctx: &NodeCtx) {
         let emit = self.emit(ctx);
         let digest = self.host.end_pass(emit);
-        if let Some(table) = &self.table {
-            table.publish(ctx.node_id(), digest);
+        if let Some(slot) = self.table.as_ref().and_then(|t| t.get(ctx.node_id())) {
+            *relock(slot) = digest;
         }
     }
 }
@@ -241,7 +222,7 @@ fn client_send(
 /// table (each client's link lives in its [`ClientHost`]).
 struct DriverChaos {
     session: ChaosSession,
-    table: Arc<RelTable>,
+    table: RelTable,
     /// The reliability layer's backoff cap, in nanoseconds — the longest
     /// silence a healthy-but-lossy link can exhibit between retransmission
     /// rounds.  Quiescence detection must out-wait several of these.
@@ -290,6 +271,8 @@ pub struct ThreadTransport {
     /// can never be acked (e.g. a dead node thread) must eventually let
     /// waits time out instead of spinning forever.
     stalled_since: Option<Instant>,
+    /// Stall-horizon transitions, for [`Transport::observe`].
+    events: EventRing,
 }
 
 impl std::fmt::Debug for ThreadTransport {
@@ -328,7 +311,7 @@ impl ThreadTransport {
         let rel_cfg = rel_config.unwrap_or_else(RelConfig::threads_default);
         let chaos = fault_plan.map(|plan| DriverChaos {
             session: ChaosSession::new(plan),
-            table: Arc::new(RelTable::new(servers)),
+            table: (0..servers).map(|_| Mutex::default()).collect(),
             rto_max: rel_cfg.rto_max,
         });
         // Reliable links (and their retransmission cadence) exist exactly
@@ -386,6 +369,7 @@ impl ThreadTransport {
             park: tick.map_or(tuning.step_timeout, |t| t.min(tuning.step_timeout)),
             chaos,
             stalled_since: None,
+            events: EventRing::default(),
         }
     }
 
@@ -572,7 +556,8 @@ impl Transport for ThreadTransport {
             // not idle) — otherwise keep waiting (bounded).
             if self.unacked_total() > 0 {
                 let rto_max = self.chaos.as_ref().map_or(0, |c| c.rto_max);
-                return Ok(link::within_stall_horizon(&mut self.stalled_since, rto_max));
+                let (since, events) = (&mut self.stalled_since, &mut self.events);
+                return Ok(link::within_stall_horizon(since, rto_max, events));
             }
             self.stalled_since = None;
             if cluster.pending_messages() == 0 || Instant::now() >= busy_deadline {
@@ -639,26 +624,28 @@ impl Transport for ThreadTransport {
         }
     }
 
-    /// The clients' own links, then the latest each server node published.
-    fn link_digest(&self, rank: usize) -> Option<Digest> {
-        let chaos = self.chaos.as_ref()?;
-        match rank.checked_sub(self.carrier.hosts.len()) {
-            None => Some(self.carrier.hosts[rank].link().digest()),
-            Some(server) => chaos.table.get(server),
+    /// The clients' own links, then what each server node last published.
+    fn observe(&self) -> Snapshot {
+        let clients = self.carrier.hosts.len();
+        let fabric = self.cluster.as_ref();
+        let fabric = fabric.map_or(self.final_metrics, |c| c.metrics());
+        let table = self.chaos.as_ref().map(|c| &c.table);
+        let server = |s| {
+            let digest = table.and_then(|t| t.get(s)).map(|slot| *relock(slot));
+            RankSnapshot::server(clients + s, RankState::Live, digest)
+        };
+        let hosts = self.carrier.hosts.iter().map(ClientHost::observe);
+        Snapshot {
+            backend: self.backend_name(),
+            now_nanos: self.now_nanos(),
+            delivered: fabric.delivered,
+            dropped: fabric.dropped(),
+            chaos: self.chaos.as_ref().map(|c| c.session.stats()),
+            ranks: hosts.chain((0..self.servers).map(server)).collect(),
+            errors: self.carrier.errors.len(),
+            events: self.events.to_vec(),
+            ..Snapshot::default()
         }
-    }
-
-    fn fabric_counts(&self) -> (u64, u64) {
-        let m = self
-            .cluster
-            .as_ref()
-            .map(|c| c.metrics())
-            .unwrap_or(self.final_metrics);
-        (m.delivered, m.dropped())
-    }
-
-    fn chaos_stats(&self) -> Option<ChaosStats> {
-        self.chaos.as_ref().map(|c| c.session.stats())
     }
 
     fn shutdown(&mut self) {

@@ -1,10 +1,7 @@
-//! Wire conventions of the threaded cluster backend.
+//! Wire conventions of the wall-clock cluster backends.
 //!
-//! The threaded transport moves [`tc_ucx::OutgoingMessage`]s between OS
-//! threads as tagged byte envelopes.  Earlier versions of the repository left
-//! these conventions to each integration test (ad-hoc tag constants and
-//! hand-rolled framing); they are now part of the transport layer so every
-//! user of the cluster API shares one protocol.
+//! The threaded and socket transports move [`tc_ucx::OutgoingMessage`]s
+//! between threads and processes as tagged byte envelopes.
 //!
 //! Envelope tags:
 //!
@@ -16,11 +13,17 @@
 //! * [`TAG_STATS`] / [`TAG_STATS_REPLY`] — driver samples a node's
 //!   [`RuntimeStats`].
 //! * [`TAG_ERROR`] — a node reports a runtime error to the driver.
+//!
+//! The bodies of the socket backend's session frames — HELLO, WELCOME and the
+//! reliability digest a server process publishes — are encoded here too,
+//! beside the other codecs; their tags are [`super::socket`]'s.
 
-use super::reliable::ReliableSet;
+use super::link::Digest;
+use super::reliable::{LinkHealth, RelConfig, RelMetrics, ReliableSet};
 use crate::error::{CoreError, Result};
 use crate::metrics::RuntimeStats;
 use crate::runtime::NodeRuntime;
+use tc_bitir::TargetTriple;
 use tc_jit::Memory;
 use tc_ucx::bytes::put;
 use tc_ucx::{AmHandlerId, BufPool, Bytes, OutgoingMessage, RequestId, UcpOp, WorkerAddr};
@@ -55,6 +58,46 @@ pub const TAG_ACK: u64 = 10;
 /// segment.
 pub const REL_HEAD_LEN: usize = 16;
 
+/// The one checked little-endian reader under every decoder of this module.
+/// Each `take*` answers `None` instead of reading past the end, so a decoder
+/// maps that to its own error text and writes no length check by hand; `.0`
+/// is what has not been read yet.
+struct Cursor<'a>(&'a [u8]);
+
+impl Cursor<'_> {
+    fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (head, rest) = self.0.split_first_chunk()?;
+        self.0 = rest;
+        Some(*head)
+    }
+
+    fn take_u16(&mut self) -> Option<u16> {
+        self.take().map(u16::from_le_bytes)
+    }
+
+    fn take_u32(&mut self) -> Option<u32> {
+        self.take().map(u32::from_le_bytes)
+    }
+
+    fn take_u64(&mut self) -> Option<u64> {
+        self.take().map(u64::from_le_bytes)
+    }
+
+    /// `N` consecutive words: the whole body of a fixed-size counter reply.
+    fn take_u64s<const N: usize>(&mut self) -> Option<[u64; N]> {
+        let mut words = [0; N];
+        for w in &mut words {
+            *w = self.take_u64()?;
+        }
+        Some(words)
+    }
+}
+
+/// Inverse of [`Cursor::take_u64s`].
+fn put_u64s(words: &[u64]) -> Vec<u8> {
+    words.iter().flat_map(|w| w.to_le_bytes()).collect()
+}
+
 /// Prefix an already-encoded op head with the reliability header,
 /// producing the data segment of a [`TAG_ROP`] envelope.  This copies the
 /// head: it is the retransmission path (a retained frame needs a fresh
@@ -73,13 +116,12 @@ pub fn encode_rel_head(seq: u64, ack: u64, head: &[u8]) -> Bytes {
 /// Split a [`TAG_ROP`] data segment into `(seq, ack, op head)`.  The head is
 /// a zero-copy sub-view.
 pub fn decode_rel_head(bytes: &Bytes) -> Result<(u64, u64, Bytes)> {
-    if bytes.len() < REL_HEAD_LEN {
+    let mut c = Cursor(bytes);
+    let (Some(seq), Some(ack)) = (c.take_u64(), c.take_u64()) else {
         return Err(CoreError::Transport(
             "reliable envelope shorter than its header".into(),
         ));
-    }
-    let seq = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
-    let ack = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+    };
     Ok((seq, ack, bytes.slice(REL_HEAD_LEN..)))
 }
 
@@ -99,11 +141,10 @@ pub fn encode_ack(ack: u64, gap: Option<u64>) -> Bytes {
 
 /// Decode a [`TAG_ACK`] payload into `(ack, gap)`.
 pub fn decode_ack(bytes: &[u8]) -> Result<(u64, Option<u64>)> {
-    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-    match bytes.len() {
-        8 => Ok((word(0), None)),
-        16 => Ok((word(0), Some(word(8)))),
-        other => Err(CoreError::Transport(format!(
+    let mut c = Cursor(bytes);
+    match (bytes.len(), c.take_u64(), c.take_u64()) {
+        (8 | 16, Some(ack), gap) => Ok((ack, gap)),
+        (other, ..) => Err(CoreError::Transport(format!(
             "ack envelope must be 8 or 16 bytes, got {other}"
         ))),
     }
@@ -288,14 +329,13 @@ pub fn send_reliable(
 /// clone, never a memcpy.
 pub fn decode_op_vectored(head: &Bytes, payload: &Bytes) -> Result<OutgoingMessage> {
     let err = |msg: &str| CoreError::Transport(format!("bad op envelope: {msg}"));
-    if head.len() < 17 {
+    let mut c = Cursor(head);
+    let (Some(src), Some(dst), Some(request), Some([tag])) =
+        (c.take_u32(), c.take_u32(), c.take_u64(), c.take())
+    else {
         return Err(err("shorter than the fixed header"));
-    }
-    let src = WorkerAddr(u32::from_le_bytes(head[0..4].try_into().unwrap()));
-    let dst = WorkerAddr(u32::from_le_bytes(head[4..8].try_into().unwrap()));
-    let request = RequestId(u64::from_le_bytes(head[8..16].try_into().unwrap()));
-    let tag = head[16];
-    let body = &head[17..];
+    };
+    let body = c.0;
     // Bytes of fixed fields behind the header, and whether a bulk payload
     // follows them.
     let (fixed, has_bulk) = match tag {
@@ -312,8 +352,9 @@ pub fn decode_op_vectored(head: &Bytes, payload: &Bytes) -> Result<OutgoingMessa
     // The bulk is the rest of the head — or the detached segment, behind a
     // head that ends with the fixed fields.
     let inline_bulk = has_bulk && payload.is_empty();
+    let short = || err("wrong length for its op tag");
     if body.len() < fixed || (!inline_bulk && body.len() != fixed) {
-        return Err(err("wrong length for its op tag"));
+        return Err(short());
     }
     let bulk = || {
         if inline_bulk {
@@ -322,37 +363,38 @@ pub fn decode_op_vectored(head: &Bytes, payload: &Bytes) -> Result<OutgoingMessa
             payload.clone()
         }
     };
-    let u64_at = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
+    // The fixed fields; the length check above covers every one of them.
+    let mut word = || c.take_u64().ok_or_else(short);
     let op = match tag {
         OP_PUT => UcpOp::Put {
-            remote_addr: u64_at(0),
+            remote_addr: word()?,
             data: bulk(),
         },
         OP_PUT_CONFIRM => UcpOp::PutConfirm {
-            remote_addr: u64_at(0),
+            remote_addr: word()?,
             data: bulk(),
         },
         OP_PUT_ACK => UcpOp::PutAck {
-            acked: RequestId(u64_at(0)),
+            acked: RequestId(word()?),
         },
         OP_GET => UcpOp::Get {
-            remote_addr: u64_at(0),
-            len: u64_at(8),
+            remote_addr: word()?,
+            len: word()?,
         },
         OP_GET_REPLY => UcpOp::GetReply {
-            request: RequestId(u64_at(0)),
+            request: RequestId(word()?),
             data: bulk(),
         },
         OP_AM => UcpOp::ActiveMessage {
-            handler: AmHandlerId(u16::from_le_bytes(body[0..2].try_into().unwrap())),
+            handler: AmHandlerId(c.take_u16().ok_or_else(short)?),
             payload: bulk(),
         },
         _ => UcpOp::IfuncFrame { bytes: bulk() },
     };
     Ok(OutgoingMessage {
-        src,
-        dst,
-        request,
+        src: WorkerAddr(src),
+        dst: WorkerAddr(dst),
+        request: RequestId(request),
         op,
     })
 }
@@ -373,15 +415,11 @@ pub fn encode_control(token: u64, body: &[u8]) -> Vec<u8> {
 
 /// Split a control envelope into `(token, body)`.
 pub fn decode_control(bytes: &[u8]) -> Result<(u64, &[u8])> {
-    if bytes.len() < 8 {
-        return Err(CoreError::Transport(
-            "control envelope shorter than its token".into(),
-        ));
-    }
-    Ok((
-        u64::from_le_bytes(bytes[0..8].try_into().unwrap()),
-        &bytes[8..],
-    ))
+    let mut c = Cursor(bytes);
+    let token = c
+        .take_u64()
+        .ok_or_else(|| CoreError::Transport("control envelope shorter than its token".into()))?;
+    Ok((token, c.0))
 }
 
 /// Read `len` bytes at `addr` of a node's memory; `None` when the read
@@ -399,8 +437,8 @@ pub(crate) fn peek(runtime: &NodeRuntime, addr: u64, len: u64) -> Option<Vec<u8>
 
 /// Split a [`TAG_POKE`] body into `(addr, data)`.
 pub(crate) fn split_poke(body: &[u8]) -> Option<(u64, &[u8])> {
-    let (addr, data) = body.split_first_chunk::<8>()?;
-    Some((u64::from_le_bytes(*addr), data))
+    let mut c = Cursor(body);
+    Some((c.take_u64()?, c.0))
 }
 
 /// Serve one control-plane request (peek/poke/stats) against a node's
@@ -414,9 +452,12 @@ pub(crate) fn serve_control(
 ) -> Option<(u64, Vec<u8>)> {
     let (token, body) = decode_control(data).ok()?;
     match tag {
-        TAG_PEEK if body.len() == 16 => {
-            let addr = u64::from_le_bytes(body[0..8].try_into().unwrap());
-            let len = u64::from_le_bytes(body[8..16].try_into().unwrap());
+        TAG_PEEK => {
+            let mut c = Cursor(body);
+            let (addr, len) = (c.take_u64()?, c.take_u64()?);
+            if !c.0.is_empty() {
+                return None;
+            }
             let read = peek(runtime, addr, len).unwrap_or_default();
             Some((TAG_PEEK_REPLY, encode_control(token, &read)))
         }
@@ -435,7 +476,7 @@ pub(crate) fn serve_control(
 
 /// Serialize runtime counters for a [`TAG_STATS_REPLY`].
 pub fn encode_stats(stats: &RuntimeStats) -> Vec<u8> {
-    let fields = [
+    put_u64s(&[
         stats.full_frames_received,
         stats.truncated_frames_received,
         stats.ifuncs_executed,
@@ -447,26 +488,18 @@ pub fn encode_stats(stats: &RuntimeStats) -> Vec<u8> {
         stats.ifunc_full_sends,
         stats.ifunc_truncated_sends,
         stats.bytes_sent,
-    ];
-    let mut out = Vec::with_capacity(fields.len() * 8);
-    for f in fields {
-        out.extend_from_slice(&f.to_le_bytes());
-    }
-    out
+    ])
 }
 
 /// Inverse of [`encode_stats`].
 pub fn decode_stats(bytes: &[u8]) -> Result<RuntimeStats> {
-    if bytes.len() != 11 * 8 {
+    let mut c = Cursor(bytes);
+    let (Some(fields), []) = (c.take_u64s::<11>(), c.0) else {
         return Err(CoreError::Transport(format!(
             "stats reply must be 88 bytes, got {}",
             bytes.len()
         )));
-    }
-    let mut fields = [0u64; 11];
-    for (i, f) in fields.iter_mut().enumerate() {
-        *f = u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap());
-    }
+    };
     Ok(RuntimeStats {
         full_frames_received: fields[0],
         truncated_frames_received: fields[1],
@@ -479,6 +512,173 @@ pub fn decode_stats(bytes: &[u8]) -> Result<RuntimeStats> {
         ifunc_full_sends: fields[8],
         ifunc_truncated_sends: fields[9],
         bytes_sent: fields[10],
+    })
+}
+
+/// HELLO magic ("TCN1").
+pub const HELLO_MAGIC: u32 = 0x5443_4E31;
+/// Session protocol version.  4: the reliability digest a server process
+/// publishes lost its retransmission deadline (104 bytes, was 112) — an older
+/// server must be refused at HELLO, not fed bodies it would reject one by one.
+pub const PROTO_VERSION: u32 = 4;
+/// HELLO rank value meaning "assign me one".
+pub const RANK_ANY: u32 = u32::MAX;
+
+/// Encode a HELLO body (`[magic][version][rank]`).
+pub fn encode_hello(rank: u32) -> Vec<u8> {
+    let words = [HELLO_MAGIC, PROTO_VERSION, rank];
+    words.into_iter().flat_map(u32::to_le_bytes).collect()
+}
+
+/// Decode a HELLO body into the requested rank.
+pub fn decode_hello(body: &[u8]) -> Result<u32> {
+    let mut c = Cursor(body);
+    let (Some(magic), Some(version), Some(rank), []) =
+        (c.take_u32(), c.take_u32(), c.take_u32(), c.0)
+    else {
+        return Err(CoreError::Transport(format!(
+            "HELLO must be 12 bytes, got {}",
+            body.len()
+        )));
+    };
+    if magic != HELLO_MAGIC {
+        return Err(CoreError::Transport(format!(
+            "HELLO magic {magic:#x} is not {HELLO_MAGIC:#x}"
+        )));
+    }
+    if version != PROTO_VERSION {
+        return Err(CoreError::Transport(format!(
+            "peer speaks protocol version {version}, this driver speaks {PROTO_VERSION}"
+        )));
+    }
+    Ok(rank)
+}
+
+/// Everything a server process needs to build its runtime, carried by the
+/// WELCOME frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Welcome {
+    /// Driver-side client count (clients occupy ranks `0..clients`).
+    pub clients: u32,
+    /// Server count (servers occupy ranks `clients..clients+servers`).
+    pub servers: u32,
+    /// The rank assigned to this server.
+    pub rank: u32,
+    /// The reliability tunables when a fault plan is installed (reliable
+    /// delivery on); `None` without one.
+    pub rel: Option<RelConfig>,
+    /// The server target triple.
+    pub triple: TargetTriple,
+}
+
+/// Encode a WELCOME body.
+pub fn encode_welcome(w: &Welcome) -> Vec<u8> {
+    let triple = w.triple.to_string();
+    // Without a fault plan the tunables are carried, and ignored.
+    let rel = w.rel.unwrap_or_else(RelConfig::threads_default);
+    let mut out = Vec::with_capacity(32 + triple.len());
+    out.extend_from_slice(&w.clients.to_le_bytes());
+    out.extend_from_slice(&w.servers.to_le_bytes());
+    out.extend_from_slice(&w.rank.to_le_bytes());
+    out.push(w.rel.is_some() as u8);
+    out.push(rel.adaptive as u8);
+    out.extend_from_slice(&rel.rto.to_le_bytes());
+    out.extend_from_slice(&rel.rto_max.to_le_bytes());
+    out.extend_from_slice(&(triple.len() as u16).to_le_bytes());
+    out.extend_from_slice(triple.as_bytes());
+    out
+}
+
+/// Decode a WELCOME body.
+pub fn decode_welcome(body: &[u8]) -> Result<Welcome> {
+    let err = |m: &str| CoreError::Transport(format!("bad WELCOME: {m}"));
+    let mut c = Cursor(body);
+    let fixed = (|| {
+        let ranks = (c.take_u32()?, c.take_u32()?, c.take_u32()?);
+        let [reliable, adaptive] = c.take()?.map(|flag: u8| flag != 0);
+        let (rto, rto_max) = (c.take_u64()?, c.take_u64()?);
+        let rel = RelConfig {
+            rto,
+            rto_max,
+            adaptive,
+        };
+        Some((ranks, reliable.then_some(rel), c.take_u16()?))
+    })();
+    let Some(((clients, servers, rank), rel, triple_len)) = fixed else {
+        return Err(err("shorter than the fixed header"));
+    };
+    // The server sizes its runtime and its per-peer link table from these:
+    // the layout must add up and the assigned rank must be a server's.
+    if !clients
+        .checked_add(servers)
+        .is_some_and(|total| (clients..total).contains(&rank))
+    {
+        return Err(err(&format!(
+            "rank {rank} is not a server of {clients} clients + {servers} servers"
+        )));
+    }
+    if c.0.len() != usize::from(triple_len) {
+        return Err(err("triple length disagrees with the body"));
+    }
+    let triple_str = std::str::from_utf8(c.0).map_err(|_| err("triple is not UTF-8"))?;
+    let triple = TargetTriple::parse(triple_str)
+        .ok_or_else(|| err(&format!("unknown triple `{triple_str}`")))?;
+    Ok(Welcome {
+        clients,
+        servers,
+        rank,
+        rel,
+        triple,
+    })
+}
+
+/// Encode the [`Digest`] a server process publishes about its links (the
+/// body of [`super::socket::TAG_REL_INFO`]: 13 little-endian words).
+pub fn encode_digest(digest: &Digest) -> Vec<u8> {
+    let (m, h) = (digest.metrics, digest.health.unwrap_or_default());
+    put_u64s(&[
+        digest.unacked,
+        m.retransmits,
+        m.fast_retransmits,
+        m.dup_drops,
+        m.out_of_order,
+        m.acks_sent,
+        digest.health.is_some() as u64,
+        h.peer as u64,
+        h.srtt,
+        h.rttvar,
+        h.rto,
+        h.unacked,
+        h.silent_rounds as u64,
+    ])
+}
+
+/// Inverse of [`encode_digest`].
+pub fn decode_digest(body: &[u8]) -> Result<Digest> {
+    let mut c = Cursor(body);
+    let (Some(f), []) = (c.take_u64s::<13>(), c.0) else {
+        return Err(CoreError::Transport(format!(
+            "REL_INFO must be 104 bytes, got {}",
+            body.len()
+        )));
+    };
+    Ok(Digest {
+        unacked: f[0],
+        metrics: RelMetrics {
+            retransmits: f[1],
+            fast_retransmits: f[2],
+            dup_drops: f[3],
+            out_of_order: f[4],
+            acks_sent: f[5],
+        },
+        health: (f[6] != 0).then_some(LinkHealth {
+            peer: f[7] as u32,
+            srtt: f[8],
+            rttvar: f[9],
+            rto: f[10],
+            unacked: f[11],
+            silent_rounds: f[12] as u32,
+        }),
     })
 }
 
@@ -743,5 +943,111 @@ mod tests {
         assert_eq!(token, 42);
         assert_eq!(body, &[1, 2, 3]);
         assert!(decode_control(&[0; 4]).is_err());
+    }
+
+    #[test]
+    fn hello_welcome_round_trip() {
+        assert_eq!(decode_hello(&encode_hello(7)).unwrap(), 7);
+        assert_eq!(decode_hello(&encode_hello(RANK_ANY)).unwrap(), RANK_ANY);
+        assert!(decode_hello(&[0u8; 11]).is_err());
+        let mut bad = encode_hello(1);
+        bad[0] ^= 0xFF;
+        assert!(decode_hello(&bad).is_err());
+        // A server binary of an earlier protocol (1: an optimisation-level
+        // byte in the WELCOME; 2: 8-byte acks only; 3: a 112-byte REL_INFO)
+        // is refused here, not fed bodies it misparses.
+        for version in [1u32, 2, 3] {
+            let mut stale = encode_hello(1);
+            stale[4..8].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                decode_hello(&stale),
+                Err(CoreError::Transport(m)) if m.contains(&format!("protocol version {version},"))
+            ));
+        }
+
+        let w = Welcome {
+            clients: 2,
+            servers: 4,
+            rank: 3,
+            rel: Some(RelConfig {
+                rto: 30_000_000,
+                rto_max: 480_000_000,
+                adaptive: true,
+            }),
+            triple: TargetTriple::X86_64_GENERIC,
+        };
+        assert_eq!(decode_welcome(&encode_welcome(&w)).unwrap(), w);
+        let plain = Welcome { rel: None, ..w };
+        assert_eq!(decode_welcome(&encode_welcome(&plain)).unwrap(), plain);
+        assert!(decode_welcome(&[0u8; 10]).is_err());
+    }
+
+    /// A server sizes its runtime and link table from the WELCOME: a layout
+    /// that overflows, or a rank that is not one of its servers, is refused
+    /// before `serve` builds anything from it.
+    #[test]
+    fn welcome_with_an_impossible_layout_is_rejected() {
+        let welcome = |clients, servers, rank| Welcome {
+            clients,
+            servers,
+            rank,
+            rel: None,
+            triple: TargetTriple::X86_64_GENERIC,
+        };
+        for (clients, servers, rank) in [(1, 2, 1), (1, 2, 2), (3, 1, 3)] {
+            let w = welcome(clients, servers, rank);
+            assert_eq!(decode_welcome(&encode_welcome(&w)).unwrap(), w);
+        }
+        for (clients, servers, rank) in [
+            (u32::MAX, 2, 0),     // clients + servers overflows
+            (2, u32::MAX - 1, 5), // likewise
+            (1, 2, 0),            // a client's rank
+            (1, 2, 3),            // one past the last server
+            (1, 0, 1),            // no servers at all
+            (1, 2, RANK_ANY),     // the wildcard is not an assignment
+        ] {
+            let body = encode_welcome(&welcome(clients, servers, rank));
+            let refused = decode_welcome(&body);
+            assert!(
+                matches!(refused, Err(CoreError::Transport(_))),
+                "{clients} + {servers}, rank {rank}: {refused:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rel_info_round_trip() {
+        let mut digest = Digest {
+            unacked: 3,
+            metrics: RelMetrics {
+                retransmits: 5,
+                fast_retransmits: 4,
+                dup_drops: 2,
+                out_of_order: 1,
+                acks_sent: 9,
+            },
+            health: None,
+        };
+        assert_eq!(decode_digest(&encode_digest(&digest)).unwrap(), digest);
+        digest.health = Some(LinkHealth {
+            peer: 6,
+            srtt: 120_000,
+            rttvar: 40_000,
+            rto: 280_000,
+            unacked: 2,
+            silent_rounds: 1,
+        });
+        let body = encode_digest(&digest);
+        assert_eq!(decode_digest(&body).unwrap(), digest);
+        // The body protocol 3 carried (one more word, the retransmission
+        // deadline nothing read) is refused, as is anything else off-size.
+        for len in [0, 47, 103, 105, 112] {
+            let mut resized = body.clone();
+            resized.resize(len, 0);
+            assert!(
+                matches!(decode_digest(&resized), Err(CoreError::Transport(m)) if m.contains("104 bytes")),
+                "{len} bytes"
+            );
+        }
     }
 }

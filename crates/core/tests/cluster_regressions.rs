@@ -3,7 +3,7 @@
 //! failure modes are reachable deterministically.
 
 use tc_bitir::TargetTriple;
-use tc_core::cluster::{Cluster, Transport};
+use tc_core::cluster::{Cluster, Snapshot, Transport};
 use tc_core::{ClientId, Completion, CoreError, NativeAmHandler, NodeRuntime};
 use tc_ucx::{RequestId, WorkerAddr};
 
@@ -63,8 +63,8 @@ impl Transport for MockTransport {
     ) -> tc_core::Result<Vec<u8>> {
         Err(CoreError::Transport(format!("rank {rank} is not served")))
     }
-    fn fabric_counts(&self) -> (u64, u64) {
-        (0, 0)
+    fn observe(&self) -> Snapshot {
+        Snapshot::default()
     }
 }
 

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 use tc_bitir::TargetTriple;
-use tc_core::cluster::{Cluster, CompletionSet, Transport};
+use tc_core::cluster::{Cluster, CompletionSet, Snapshot, Transport};
 use tc_core::{ClientId, Completion, GetHandle, NativeAmHandler, NodeRuntime, Ready, ResultHandle};
 use tc_ucx::{RequestId, WorkerAddr};
 
@@ -181,8 +181,8 @@ impl Transport for MockTransport {
             "rank {rank} is not served"
         )))
     }
-    fn fabric_counts(&self) -> (u64, u64) {
-        (0, 0)
+    fn observe(&self) -> Snapshot {
+        Snapshot::default()
     }
 }
 

@@ -4,7 +4,7 @@
 //! count steps the same way.
 
 use tc_bitir::TargetTriple;
-use tc_core::cluster::{Cluster, LinkDigest, Transport};
+use tc_core::cluster::{Cluster, LinkDigest, RankSnapshot, RankState, Snapshot, Transport};
 use tc_core::{
     ClientId, Completion, CompletionSet, CoreError, NativeAmHandler, NodeRuntime, Ready,
     ResultHandle,
@@ -12,7 +12,7 @@ use tc_core::{
 use tc_ucx::WorkerAddr;
 
 /// `step` answers from `script` (then `false` forever) and counts its calls;
-/// every rank claims to hold an unacked frame with its timer armed.
+/// every rank claims to hold an unacked frame.
 struct ScriptedTransport {
     client: NodeRuntime,
     script: Vec<bool>,
@@ -75,15 +75,17 @@ impl Transport for ScriptedTransport {
     ) -> tc_core::Result<Vec<u8>> {
         Err(CoreError::Transport(format!("rank {rank} is not served")))
     }
-    fn link_digest(&self, _rank: usize) -> Option<LinkDigest> {
-        Some(LinkDigest {
+    fn observe(&self) -> Snapshot {
+        let digest = LinkDigest {
             unacked: 1,
-            next_deadline: Some(u64::MAX),
             ..LinkDigest::default()
-        })
-    }
-    fn fabric_counts(&self) -> (u64, u64) {
-        (0, 0)
+        };
+        Snapshot {
+            ranks: (0..2)
+                .map(|rank| RankSnapshot::server(rank, RankState::Live, Some(digest)))
+                .collect(),
+            ..Snapshot::default()
+        }
     }
 }
 

@@ -9,6 +9,11 @@
 //! name is or how many dependencies it names (both were cloned per message
 //! before the registration record carried them).
 //!
+//! The same counter holds the driver plane's idle and observation paths to
+//! zero: checking a completion set against a healthy cluster and taking a
+//! snapshot allocate nothing but the snapshot's own vectors, and a `step`
+//! that carries traffic allocates what it did before the snapshot existed.
+//!
 //! Its own test binary, because it installs a counting `#[global_allocator]`;
 //! the count is per thread, so the tests here may run in parallel.
 
@@ -17,7 +22,10 @@ use std::cell::Cell;
 use tc_bitir::TargetTriple;
 use tc_core::frame::MessageFrame;
 use tc_core::layout::DATA_REGION_BASE;
-use tc_core::{build_ifunc_library, NodeRuntime, OutcomeKind, ToolchainOptions};
+use tc_core::{
+    build_ifunc_library, ClusterBuilder, CompletionSet, NodeRuntime, OutcomeKind, ToolchainOptions,
+    Transport,
+};
 use tc_jit::MemoryExt;
 use tc_ucx::{OutgoingMessage, UcpOp, WorkerAddr};
 use tc_workloads::{chaser_module, chaser_payload};
@@ -207,4 +215,48 @@ fn the_allocation_count_does_not_grow_with_name_length_or_dependency_count() {
         short, long,
         "a 1-byte name without dependencies and a 280-byte name with two must cost the same"
     );
+}
+
+/// What one `step` of a healthy threaded cluster allocates on the caller's
+/// thread when it carries one GET reply from the fabric to the client — the
+/// count at the parent of the change that put `Transport::observe` beside it.
+const STEP_WITH_ONE_REPLY: u64 = 4;
+
+#[test]
+fn polling_and_observing_a_healthy_cluster_allocate_nothing_of_their_own() {
+    let mut cluster = ClusterBuilder::new().servers(1).build_threaded();
+    cluster.write_u64(1, DATA_REGION_BASE, 7).unwrap();
+    let mut set = CompletionSet::new();
+    let mut round_trip = |measure: bool| {
+        let token = set.add_get(cluster.post_get(1, DATA_REGION_BASE, 8));
+        cluster.flush().unwrap();
+        // Nothing has been stepped, so nothing can be ready: the check asks
+        // `failed_ranks` and allocates nothing.
+        let (ready, polled) = count(|| cluster.poll_any(&mut set));
+        assert_eq!((ready, polled), (None, 0));
+        let (progressed, stepped) = count(|| cluster.transport_mut().step().unwrap());
+        assert!(progressed, "the reply is the only traffic");
+        if measure {
+            assert_eq!(
+                stepped, STEP_WITH_ONE_REPLY,
+                "allocations of one traffic step"
+            );
+        }
+        let (resolved, _) = cluster.poll_any(&mut set).expect("the reply arrived");
+        assert_eq!(resolved, token);
+    };
+    // Warm-up: pools, queues and the claim table reach their steady size.
+    for _ in 0..8 {
+        round_trip(false);
+    }
+    round_trip(true);
+
+    // Without a fault plan a snapshot holds one vector, its ranks: there is
+    // no link row, no event, and nothing else is allocated to take it.
+    let (snapshot, observed) = count(|| cluster.transport().observe());
+    assert_eq!((snapshot.ranks.len(), snapshot.events.len()), (2, 0));
+    assert!(snapshot.ranks.iter().all(|r| r.links.is_empty()));
+    assert_eq!(observed, 1, "{snapshot}");
+    let (failed, asked) = count(|| cluster.transport().failed_ranks());
+    assert_eq!((failed, asked), (Vec::new(), 0));
 }

@@ -8,6 +8,9 @@
 //! with `TransportMetrics` proving the faults actually fired (retransmits,
 //! dedup drops, injected-fault counts all nonzero).
 
+mod common;
+
+use common::OrDump;
 use std::sync::Arc;
 use tc_bitir::{BinOp, Module, ModuleBuilder, ScalarType};
 use tc_core::layout::{DATA_REGION_BASE, TARGET_REGION_BASE};
@@ -106,11 +109,11 @@ fn run_scenario<T: Transport>(cluster: &mut Cluster<T>) -> ScenarioOutcome {
     payload.extend_from_slice(&21u64.to_le_bytes());
     let dmsg = cluster.bitcode_message(doubler_handle, payload).unwrap();
     cluster.send_ifunc(&dmsg, 2).unwrap();
-    let doubled = cluster.wait(&slot).unwrap();
+    let doubled = cluster.wait(&slot).or_dump(cluster);
 
     // 4. Let retransmissions drain, then observe through the transport
     //    (the control plane is never faulted, so reads are exact).
-    cluster.run_until_idle(10_000_000).unwrap();
+    cluster.run_until_idle(10_000_000).or_dump(cluster);
     let mut outcome = ScenarioOutcome {
         counters: Vec::new(),
         ifuncs_executed: Vec::new(),
@@ -169,12 +172,12 @@ fn chaos_scenario_identical_results_on_both_backends() {
     let mut sim = builder().build(Backend::Simnet);
     let sim_outcome = run_scenario(&mut sim);
     let sim_metrics = sim.metrics();
-    let sim_chaos = sim.transport().chaos_stats().expect("chaos installed");
+    let sim_chaos = sim.snapshot().chaos.expect("chaos installed");
 
     let mut threaded = builder().build(Backend::Threads);
     let threaded_outcome = run_scenario(&mut threaded);
     let threaded_metrics = threaded.metrics();
-    let threaded_chaos = threaded.transport().chaos_stats().expect("chaos installed");
+    let threaded_chaos = threaded.snapshot().chaos.expect("chaos installed");
     threaded.shutdown();
 
     // Functional parity: every observable agrees across backends despite
@@ -224,7 +227,7 @@ fn empty_fault_plan_keeps_reliability_invisible() {
         cluster.send_ifunc(&msg, server).unwrap();
         cluster.send_ifunc(&msg, server).unwrap();
     }
-    cluster.run_until_idle(1_000_000).unwrap();
+    cluster.run_until_idle(1_000_000).or_dump(&cluster);
     for server in 1..=2 {
         assert_eq!(cluster.read_u64(server, TARGET_REGION_BASE).unwrap(), 4);
     }
@@ -232,7 +235,7 @@ fn empty_fault_plan_keeps_reliability_invisible() {
     assert_eq!(m.retransmits, 0);
     assert_eq!(m.dup_drops, 0);
     assert_eq!(m.faults_injected, 0);
-    assert!(cluster.transport().chaos_stats().unwrap().decisions > 0);
+    assert!(cluster.snapshot().chaos.unwrap().decisions > 0);
 }
 
 /// The ack rule on a live backend with no fault firing: acks ride the data
@@ -263,11 +266,11 @@ fn zero_rate_plan_on_threads_piggybacks_its_acks() {
             .collect();
         cluster.flush().unwrap();
         for h in &handles {
-            let data = cluster.wait(h).unwrap();
+            let data = cluster.wait(h).or_dump(&cluster);
             assert_eq!(u64::from_le_bytes(data[..8].try_into().unwrap()), 0xFEED);
         }
     }
-    cluster.run_until_idle(1_000).unwrap();
+    cluster.run_until_idle(1_000).or_dump(&cluster);
     let m = cluster.metrics();
     assert_eq!(m.retransmits, 0, "no fault fired, nothing may be re-sent");
     assert_eq!(m.faults_injected, 0);
@@ -308,7 +311,7 @@ fn heavy_drop_rate_still_exactly_once_on_sim() {
         cluster.send_ifunc(&msg, 1).unwrap();
         cluster.send_ifunc(&msg, 2).unwrap();
     }
-    cluster.run_until_idle(10_000_000).unwrap();
+    cluster.run_until_idle(10_000_000).or_dump(&cluster);
     for server in 1..=2 {
         assert_eq!(
             cluster.read_u64(server, TARGET_REGION_BASE).unwrap(),
@@ -355,12 +358,12 @@ fn a_lost_frame_is_repaired_on_the_gap_signal_not_the_timer() {
                 .collect();
             cluster.flush().unwrap();
             for (i, h) in handles.iter().enumerate() {
-                let data = cluster.wait(h).unwrap();
+                let data = cluster.wait(h).or_dump(&cluster);
                 assert_eq!(data, image[i * LEN..][..LEN], "{backend}: GET {i}");
             }
         }
         let (elapsed, virtual_ns) = (start.elapsed(), cluster.transport().now_nanos());
-        cluster.run_until_idle(10_000_000).unwrap();
+        cluster.run_until_idle(10_000_000).or_dump(&cluster);
         let m = cluster.metrics();
         assert!(
             m.faults_injected > 0,
@@ -431,7 +434,7 @@ fn misaddressed_sends_under_chaos_do_not_wedge_either_side() {
     cluster.send_ifunc(&msg, 1).unwrap(); // server 1 forwards to rank 99
     cluster.send_ifunc(&msg, 99).unwrap(); // client sends to rank 99
     let start = std::time::Instant::now();
-    cluster.run_until_idle(100_000).unwrap();
+    cluster.run_until_idle(100_000).or_dump(&cluster);
     assert!(
         start.elapsed() < std::time::Duration::from_secs(20),
         "misaddressed reliable sends must not retransmit forever"
@@ -500,7 +503,7 @@ fn two_client_streams_survive_chaos_exactly_once() {
         let metrics = cluster.metrics();
         assert!(metrics.retransmits > 0, "{backend}: recovery retransmitted");
         assert!(metrics.faults_injected > 0, "{backend}: faults fired");
-        let chaos = cluster.transport().chaos_stats().expect("chaos installed");
+        let chaos = cluster.snapshot().chaos.expect("chaos installed");
         assert!(
             chaos.partition_drops > 0,
             "{backend}: the partition must actually cut traffic"
@@ -581,7 +584,7 @@ fn two_client_reporting_tsi_under_chaos_is_exactly_once_in_order() {
                 inflight[c] += 1;
             }
         }
-        let (token, ready) = cluster.wait_any(&mut set).unwrap();
+        let (token, ready) = cluster.wait_any(&mut set).or_dump(&cluster);
         let (c, op, server) = owner.remove(&token).unwrap();
         match ready {
             Ready::Result(value) => {
@@ -592,7 +595,7 @@ fn two_client_reporting_tsi_under_chaos_is_exactly_once_in_order() {
             other => panic!("client {c} op {op} resolved as {other:?}"),
         }
     }
-    cluster.run_until_idle(10_000_000).unwrap();
+    cluster.run_until_idle(10_000_000).or_dump(&cluster);
 
     // Exactly-once: each server's counter is the exact sum of both clients'
     // deltas addressed to it.
@@ -662,7 +665,7 @@ fn adaptive_estimator_trajectory_is_deterministic_on_sim() {
                     cluster.send_ifunc(&msg, server).unwrap();
                 }
             }
-            cluster.run_until_idle(10_000_000).unwrap();
+            cluster.run_until_idle(10_000_000).or_dump(&cluster);
             trajectory.push(cluster.link_health());
         }
         let counters = (1..=2)
@@ -743,7 +746,7 @@ fn adaptive_rto_against_both_fixed_provisionings_is_exact_on_sim() {
             let handle = cluster
                 .get(1 + i % 2, DATA_REGION_BASE + at as u64, LEN as u64)
                 .unwrap();
-            let data = cluster.wait(&handle).unwrap();
+            let data = cluster.wait(&handle).or_dump(&cluster);
             assert_eq!(data, image[at..][..LEN], "GET {i}");
         }
         let m = cluster.metrics();
@@ -809,7 +812,7 @@ fn threaded_backend_samples_rtt_only_in_adaptive_mode() {
                 cluster.send_ifunc(&msg, server).unwrap();
             }
         }
-        cluster.run_until_idle(10_000_000).unwrap();
+        cluster.run_until_idle(10_000_000).or_dump(&cluster);
         for server in 1..=2 {
             assert_eq!(cluster.read_u64(server, TARGET_REGION_BASE).unwrap(), 8);
         }
@@ -854,9 +857,9 @@ fn crash_window_heals_and_delivery_resumes() {
     for _ in 0..5 {
         cluster.send_ifunc(&msg, 1).unwrap();
     }
-    cluster.run_until_idle(10_000_000).unwrap();
+    cluster.run_until_idle(10_000_000).or_dump(&cluster);
     assert_eq!(cluster.read_u64(1, TARGET_REGION_BASE).unwrap(), 20);
-    let chaos = cluster.transport().chaos_stats().unwrap();
+    let chaos = cluster.snapshot().chaos.unwrap();
     assert!(chaos.crash_drops > 0, "the crash window must have fired");
     assert!(cluster.metrics().retransmits > 0);
 }

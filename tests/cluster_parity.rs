@@ -183,7 +183,7 @@ fn lossy_socket_run_matches_lossless_results_via_retransmission() {
         .build(Backend::Socket);
     let lossy = run_scenario(&mut socket);
     let metrics = socket.metrics();
-    let chaos = socket.transport().chaos_stats().expect("chaos installed");
+    let chaos = socket.snapshot().chaos.expect("chaos installed");
     socket.shutdown();
 
     assert_eq!(
@@ -297,5 +297,94 @@ fn memory_and_stats_plane_is_identical_on_every_rank_class_and_backend() {
             assert_eq!(s, l, "{backend} diverges from the simulated oracle");
         }
         assert_eq!(sim.len(), live.len());
+    }
+}
+
+/// One observation surface: after the same seeded chaos scenario — a plan
+/// that consults the chaos engine on every traversal and runs the reliable
+/// layer, with rates of zero and a window of one so that no retransmission
+/// timer decides a count — every backend's snapshot sums to its `metrics()`
+/// field for field, lists every rank exactly once, and the three agree on the
+/// chaos counters and on each client rank's reliability counters.
+#[test]
+fn snapshots_agree_with_metrics_and_across_backends_under_a_seeded_plan() {
+    use tc_core::cluster::{RankState, RelConfig, Snapshot};
+    use tc_core::layout::DATA_REGION_BASE;
+    use tc_core::{ClientId, FaultPlan};
+
+    const CLIENTS: usize = 2;
+    const ROUNDS: u64 = 6;
+
+    fn observe(backend: Backend) -> Snapshot {
+        // An RTO no round trip of this scenario approaches, on either clock.
+        let patient = RelConfig {
+            rto: 5_000_000_000,
+            rto_max: 10_000_000_000,
+            adaptive: true,
+        };
+        let mut cluster = ClusterBuilder::new()
+            .platform(tc_simnet::Platform::thor_bf2())
+            .clients(CLIENTS)
+            .servers(2)
+            .fault_plan(FaultPlan::seeded(0x0B5E))
+            .rel_config(patient)
+            .server_bin(env!("CARGO_BIN_EXE_tc-socket-server"))
+            .build(backend);
+        for round in 0..ROUNDS {
+            for c in 0..CLIENTS {
+                let (client, server) = (ClientId(c), cluster.server_rank((round as usize + c) % 2));
+                let addr = DATA_REGION_BASE + 64 * c as u64;
+                let word = (round << 8 | c as u64).to_le_bytes();
+                let put = cluster
+                    .put_confirmed_from(client, server, addr, word.to_vec())
+                    .unwrap();
+                cluster.wait(&put).unwrap();
+                let get = cluster.get_from(client, server, addr, 8).unwrap();
+                assert_eq!(cluster.wait(&get).unwrap(), word, "{backend}");
+            }
+        }
+        cluster.run_until_idle(1_000_000).unwrap();
+
+        let snapshot = cluster.snapshot();
+        assert_eq!(
+            snapshot.totals(),
+            cluster.metrics(),
+            "{backend}:\n{snapshot}"
+        );
+        assert_eq!(snapshot.backend, cluster.backend_name());
+        assert_eq!(snapshot.pending_claims, 0, "{backend}:\n{snapshot}");
+        let ranks: Vec<usize> = snapshot.ranks.iter().map(|r| r.rank as usize).collect();
+        assert_eq!(ranks, (0..cluster.node_count()).collect::<Vec<_>>());
+        for r in &snapshot.ranks {
+            let client = (r.rank as usize) < CLIENTS;
+            assert_eq!(r.stats.is_some(), client, "{backend}:\n{snapshot}");
+            assert_eq!(r.state, RankState::Live);
+            assert!(r.digest.is_some(), "{backend}: a fault plan is installed");
+        }
+        cluster.shutdown();
+        snapshot
+    }
+
+    let sim = observe(Backend::Simnet);
+    let chaos = sim.chaos.expect("chaos installed");
+    // Per operation: the request, the reply that carries its ack, and the
+    // client's pure ack of the reply.
+    assert_eq!(chaos.decisions, 3 * 2 * ROUNDS * CLIENTS as u64, "{sim}");
+    assert_eq!(chaos.total_injected(), 0);
+    for backend in [Backend::Threads, Backend::Socket] {
+        let live = observe(backend);
+        assert_eq!(live.chaos, sim.chaos, "{backend}:\n{live}\nvs\n{sim}");
+        for c in 0..CLIENTS {
+            let rel = |s: &Snapshot| s.ranks[c].digest.expect("reliable").metrics;
+            assert_eq!(
+                rel(&live),
+                rel(&sim),
+                "{backend} client {c}:\n{live}\nvs\n{sim}"
+            );
+            assert_eq!(
+                live.ranks[c].stats, sim.ranks[c].stats,
+                "{backend} client {c}"
+            );
+        }
     }
 }

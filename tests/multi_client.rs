@@ -14,6 +14,9 @@
 //! `owner + 1`, chaser hops computed as `idx/shard + 1`) has a test here
 //! that fails against the pre-fix behaviour on a multi-client layout.
 
+mod common;
+
+use common::OrDump;
 use tc_core::layout::{DATA_REGION_BASE, TARGET_REGION_BASE};
 use tc_core::{Backend, ClientId, Cluster, ClusterBuilder, CompletionSet, Ready, Transport};
 use tc_workloads::{
@@ -51,7 +54,7 @@ fn run_streams(
         Window::new(6),
         SEED,
     )
-    .unwrap()
+    .or_dump(cluster)
 }
 
 fn assert_report_matches_ground_truth(
@@ -162,7 +165,7 @@ fn completions_never_leak_across_clients() {
         assert_eq!(h0.request(), h1.request(), "ids collide by construction");
 
         // Wait for client 1's reply first.
-        let d1 = cluster.wait(&h1).unwrap();
+        let d1 = cluster.wait(&h1).or_dump(&cluster);
         assert_eq!(&d1[..], &[0x22; 8], "{backend}: client 1 got its bytes");
 
         // Client 1's completion is claimed; re-claiming with client 1's
@@ -174,7 +177,7 @@ fn completions_never_leak_across_clients() {
             "{backend}: client 0's completion must not satisfy client 1"
         );
 
-        let d0 = cluster.wait(&h0).unwrap();
+        let d0 = cluster.wait(&h0).or_dump(&cluster);
         assert_eq!(&d0[..], &[0x11; 8], "{backend}: client 0 got its bytes");
         cluster.shutdown();
     }
@@ -238,7 +241,7 @@ fn merged_completion_set_routes_by_client() {
         }
         let mut resolved = 0;
         while !set.is_empty() {
-            let (_token, ready) = cluster.wait_any(&mut set).unwrap();
+            let (_token, ready) = cluster.wait_any(&mut set).or_dump(&cluster);
             match ready {
                 Ready::Get(data) => assert_eq!(&data[..], &[0x7A; 8]),
                 other => panic!("{backend}: unexpected readiness {other:?}"),
@@ -425,7 +428,7 @@ fn cross_client_traffic_bypasses_the_fault_plan_on_both_backends() {
         cluster
             .put_from(ClientId(0), 1, DATA_REGION_BASE, vec![0xEE; 8])
             .unwrap();
-        cluster.run_until_idle(100_000).unwrap();
+        cluster.run_until_idle(100_000).or_dump(&cluster);
         assert_eq!(
             cluster.read_memory(1, DATA_REGION_BASE, 8).unwrap(),
             vec![0xEE; 8],
@@ -481,7 +484,7 @@ fn four_client_layout_is_consistent_on_both_backends() {
                     .unwrap();
             }
         }
-        cluster.run_until_idle(1_000_000).unwrap();
+        cluster.run_until_idle(1_000_000).or_dump(&cluster);
         for s in 0..3 {
             assert_eq!(
                 cluster
@@ -539,7 +542,7 @@ fn control_round_trips_do_not_eat_data_in_flight() {
             );
             cluster.write_u64(rank, TARGET_REGION_BASE, 1).unwrap();
         }
-        let resolved = cluster.wait_all(&mut set).unwrap();
+        let resolved = cluster.wait_all(&mut set).or_dump(&cluster);
         assert_eq!(resolved.len(), 2 * PER_CLIENT as usize, "{backend}");
         for (token, ready) in resolved {
             // Each token resolves once, with the bytes its own client asked for.
@@ -580,7 +583,7 @@ fn a_late_reply_to_an_abandoned_control_request_is_dropped() {
     // Its reply (`ams_executed == 1`) is queued by now; the GET in between
     // makes the second snapshot differ from it.
     let h = cluster.get(1, DATA_REGION_BASE, 8).unwrap();
-    cluster.wait(&h).unwrap();
+    cluster.wait(&h).or_dump(&cluster);
     let stats = cluster.stats(1).unwrap();
     assert_eq!((stats.ams_executed, stats.gets_served), (1, 1));
     assert!(cluster.transport().errors().is_empty());

@@ -6,12 +6,21 @@
 //! this suite is the proof that the deployment model in README.md actually
 //! works end to end — including the part where things die.
 
+mod common;
+
+use common::OrDump;
 use std::collections::HashMap;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
-use tc_core::cluster::{CompletionSet, SocketSpec, Tuning};
+use tc_core::cluster::{CompletionSet, Event, EventKind, RankState, Snapshot, SocketSpec, Tuning};
 use tc_core::layout::DATA_REGION_BASE;
 use tc_core::{Backend, ClusterBuilder, CoreError, FaultPlan, Ready, Transport};
+
+/// What the event ring of `snapshot` says happened to `rank`, oldest first.
+fn events_of(snapshot: &Snapshot, rank: usize) -> impl Iterator<Item = &EventKind> {
+    let of_rank = move |e: &&Event| e.rank == Some(rank as u32);
+    snapshot.events.iter().filter(of_rank).map(|e| &e.kind)
+}
 
 fn server_bin() -> &'static str {
     env!("CARGO_BIN_EXE_tc-socket-server")
@@ -56,7 +65,7 @@ fn four_server_processes_complete_a_pipelined_get_workload() {
         if posted {
             cluster.flush().unwrap();
         }
-        let (_, ready) = cluster.wait_any(&mut set).unwrap();
+        let (_, ready) = cluster.wait_any(&mut set).or_dump(&cluster);
         match ready {
             Ready::Get(data) => {
                 assert_eq!(data.len(), SIZE);
@@ -139,7 +148,7 @@ fn tcp_transport_round_trips_puts_and_gets() {
         let payload: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
         cluster.put(rank, addr, payload.clone()).unwrap();
         let handle = cluster.get(rank, addr, size as u64).unwrap();
-        let data = cluster.wait(&handle).unwrap();
+        let data = cluster.wait(&handle).or_dump(&cluster);
         assert_eq!(&data[..], &payload[..], "TCP round trip of {size} bytes");
     }
     cluster.shutdown();
@@ -241,11 +250,27 @@ fn killed_server_surfaces_typed_error_and_peers_keep_serving() {
         other => panic!("expected a typed peer-death error, got {other:?}"),
     }
 
+    // The snapshot is local: it answers with a rank dead, and says so (no
+    // recovery here, so the loss is terminal).
+    let snapshot = cluster.snapshot();
+    assert_eq!(
+        snapshot.ranks[dead_rank].state,
+        RankState::Failed,
+        "{snapshot}"
+    );
+    assert!(
+        matches!(
+            events_of(&snapshot, dead_rank).last(),
+            Some(EventKind::PeerLost(_))
+        ),
+        "{snapshot}"
+    );
+
     // The surviving rank still answers on both planes.
     let live_rank = cluster.server_rank(1);
     assert_eq!(cluster.read_u64(live_rank, addr).unwrap(), 42);
     let handle = cluster.get(live_rank, addr, 8).unwrap();
-    assert_eq!(cluster.wait(&handle).unwrap().len(), 8);
+    assert_eq!(cluster.wait(&handle).or_dump(&cluster).len(), 8);
 
     let mut transport = cluster.shutdown();
     assert_eq!(transport.live_children(), 0, "shutdown reaps everything");
@@ -302,7 +327,7 @@ fn sigkill_mid_workload_heals_and_completes_byte_identical() {
             cluster.transport_mut().kill_server(0);
             killed = true;
         }
-        let (token, ready) = cluster.wait_any(&mut set).unwrap();
+        let (token, ready) = cluster.wait_any(&mut set).or_dump(&cluster);
         let s = owner.remove(&token).unwrap();
         match ready {
             Ready::Get(data) => {
@@ -315,10 +340,13 @@ fn sigkill_mid_workload_heals_and_completes_byte_identical() {
             other => panic!("operation on server {s} resolved as {other:?}"),
         }
         done += 1;
+        // Dead, mid-heal or healed, the snapshot answers at once and lists
+        // every rank.
+        assert_eq!(cluster.snapshot().ranks.len(), 1 + SERVERS);
     }
 
     assert!(
-        cluster.failed_ranks().is_empty(),
+        cluster.transport().failed_ranks().is_empty(),
         "the killed rank must be healed, not terminally failed"
     );
     let healed_rank = cluster.server_rank(0) as u32;
@@ -331,8 +359,32 @@ fn sigkill_mid_workload_heals_and_completes_byte_identical() {
         "client link to the healed rank must have drained:\n{table}"
     );
 
+    // The ring tells the story of the killed rank, in order (a slow respawn
+    // may take more than one attempt).
+    let snapshot = cluster.snapshot();
+    assert_eq!(snapshot.heals, 1, "exactly one heal cycle:\n{snapshot}");
+    let mut story: Vec<&str> = events_of(&snapshot, healed_rank as usize)
+        .map(|kind| match kind {
+            EventKind::Admit => "admit",
+            EventKind::PeerLost(_) => "peer-lost",
+            EventKind::Respawn(_) => "respawn",
+            EventKind::HealStart => "heal-start",
+            EventKind::HealDone(_) => "heal-done",
+            _ => "other",
+        })
+        .collect();
+    story.dedup();
+    let expected = [
+        "admit",
+        "peer-lost",
+        "respawn",
+        "admit",
+        "heal-start",
+        "heal-done",
+    ];
+    assert_eq!(story, expected, "{snapshot}");
+
     let mut transport = cluster.shutdown();
-    assert_eq!(transport.heals(), 1, "exactly one heal cycle");
     assert_eq!(transport.live_children(), 0, "shutdown reaps everything");
 }
 
@@ -365,20 +417,27 @@ fn wait_any_resolves_peer_lost_when_the_respawn_budget_is_exhausted() {
     let token = set.add_get(cluster.post_get(dead, addr, 8));
     let _ = cluster.flush();
     let started = Instant::now();
-    let (got, ready) = cluster.wait_any(&mut set).unwrap();
+    let (got, ready) = cluster.wait_any(&mut set).or_dump(&cluster);
     assert_eq!(got, token);
     assert_eq!(ready, Ready::PeerLost(dead as u32));
     assert!(
         started.elapsed() < Duration::from_secs(10),
         "PeerLost must surface eagerly, not as a quiescence timeout"
     );
-    assert_eq!(cluster.failed_ranks(), vec![dead]);
+    assert_eq!(cluster.transport().failed_ranks(), vec![dead]);
+    let snapshot = cluster.snapshot();
+    assert_eq!(
+        events_of(&snapshot, dead).last(),
+        Some(&EventKind::RespawnBudgetExhausted),
+        "{snapshot}"
+    );
+    assert_eq!(snapshot.ranks[dead].state, RankState::Failed, "{snapshot}");
 
     // The surviving rank still answers on both planes.
     let live = cluster.server_rank(1);
     assert_eq!(cluster.read_u64(live, addr).unwrap(), 10);
     let handle = cluster.get(live, addr, 8).unwrap();
-    assert_eq!(cluster.wait(&handle).unwrap().len(), 8);
+    assert_eq!(cluster.wait(&handle).or_dump(&cluster).len(), 8);
     cluster.shutdown();
 }
 
