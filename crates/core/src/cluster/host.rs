@@ -3,7 +3,7 @@
 //!
 //! Every rank is the same machine: a [`NodeRuntime`] behind a [`Link`], fed
 //! frames by a carrier and answering through the carrier's `emit(to, tag,
-//! data, payload)` closure.
+//! data, payload)` closure, on the carrier's one clock reading per pass.
 //!
 //! # Server ranks
 //!
@@ -62,7 +62,7 @@
 //!   pass's acks named missing, emits the owed pure acks, runs the
 //!   retransmission timer.
 
-use super::link::{Digest, Link};
+use super::link::{Digest, Emit, Link};
 use super::snapshot::RankSnapshot;
 use super::socket::DRIVER_PORT;
 use super::wire;
@@ -95,7 +95,7 @@ impl ServerHost {
     }
 
     /// Poll every delivered operation and emit what the runtime posted.
-    fn flush(&mut self, emit: &mut impl FnMut(u32, u64, Bytes, Bytes)) {
+    fn flush(&mut self, now: u64, emit: &mut impl Emit) {
         let rank = self.runtime.node_id().0;
         while std::mem::take(&mut self.pending) {
             for outcome in self.runtime.poll(usize::MAX) {
@@ -111,7 +111,7 @@ impl ServerHost {
                     self.pending = true;
                     continue;
                 }
-                let (tag, data, payload) = self.link.outbound(&msg);
+                let (tag, data, payload) = self.link.outbound(&msg, now);
                 emit(msg.dst.0, tag, data, payload);
             }
         }
@@ -119,11 +119,8 @@ impl ServerHost {
 
     /// Everything that arrived before this point has taken effect and been
     /// answered: the runtime, for a control request of the carrier's own.
-    pub(crate) fn barrier(
-        &mut self,
-        mut emit: impl FnMut(u32, u64, Bytes, Bytes),
-    ) -> &mut NodeRuntime {
-        self.flush(&mut emit);
+    pub(crate) fn barrier(&mut self, now: u64, mut emit: impl Emit) -> &mut NodeRuntime {
+        self.flush(now, &mut emit);
         &mut self.runtime
     }
 
@@ -136,24 +133,25 @@ impl ServerHost {
         tag: u64,
         data: Bytes,
         payload: Bytes,
-        mut emit: impl FnMut(u32, u64, Bytes, Bytes),
+        now: u64,
+        mut emit: impl Emit,
     ) {
         if !matches!(tag, wire::TAG_OP | wire::TAG_ROP | wire::TAG_ACK) {
-            self.flush(&mut emit);
+            self.flush(now, &mut emit);
             if let Some((tag, reply)) = wire::serve_control(&mut self.runtime, tag, &data) {
                 emit(DRIVER_PORT, tag, reply.into(), Bytes::new());
             }
             return;
         }
         let (runtime, pending) = (&mut self.runtime, &mut self.pending);
-        let arrival = self.link.inbound(from, tag, data, payload, |op| {
+        let arrival = self.link.inbound(from, tag, data, payload, now, |op| {
             runtime.deliver(op);
             *pending = true;
         });
         match arrival {
             Ok(None) => {}
             Ok(Some(ack)) => {
-                self.flush(&mut emit);
+                self.flush(now, &mut emit);
                 emit(from, wire::TAG_ACK, ack, Bytes::new());
             }
             Err(e) => report(&mut emit, e.to_string()),
@@ -161,16 +159,15 @@ impl ServerHost {
     }
 
     /// Close one pass over the carrier's inbound frames (or one idle tick).
-    pub(crate) fn end_pass(&mut self, mut emit: impl FnMut(u32, u64, Bytes, Bytes)) -> Digest {
-        self.flush(&mut emit);
-        self.link.finish_batch(&mut emit);
-        self.link.tick(&mut emit);
+    pub(crate) fn end_pass(&mut self, now: u64, mut emit: impl Emit) -> Digest {
+        self.flush(now, &mut emit);
+        self.link.finish_batch(now, &mut emit);
         self.link.digest().unwrap_or_default()
     }
 
     /// Peer rank `peer` was reborn with a fresh sequence space: renumber and
     /// re-send what this rank retained for it.
-    pub(crate) fn replay(&mut self, peer: u32, emit: impl FnMut(u32, u64, Bytes, Bytes)) -> Digest {
+    pub(crate) fn replay(&mut self, peer: u32, emit: impl Emit) -> Digest {
         self.link.replay(peer, emit);
         self.link.digest().unwrap_or_default()
     }
@@ -179,7 +176,7 @@ impl ServerHost {
 /// Report a node-side failure to the driver.  Errors ride the same wire as
 /// control replies, so one emitted before a stats reply is collected before
 /// it.
-fn report(emit: &mut impl FnMut(u32, u64, Bytes, Bytes), text: String) {
+fn report(emit: &mut impl Emit, text: String) {
     emit(
         DRIVER_PORT,
         wire::TAG_ERROR,
@@ -243,12 +240,13 @@ impl ClientHost {
         tag: u64,
         data: Bytes,
         payload: Bytes,
-        mut emit: impl FnMut(u32, u64, Bytes, Bytes),
+        now: u64,
+        mut emit: impl Emit,
     ) -> u64 {
         let rank = self.runtime.node_id().0;
         let (runtime, errors) = (&mut self.runtime, &mut self.errors);
         let mut staged = 0;
-        let arrival = self.link.inbound(from, tag, data, payload, |op| {
+        let arrival = self.link.inbound(from, tag, data, payload, now, |op| {
             if op.dst.0 == rank {
                 runtime.deliver(op);
                 staged += 1;
@@ -277,10 +275,7 @@ impl ClientHost {
     /// Poll what is staged and move everything the runtime posted, until it
     /// posts no more.  Returns the sibling-bound messages, in posting order,
     /// for the caller to [`ClientHost::accept`] into their destinations.
-    pub(crate) fn flush(
-        &mut self,
-        mut emit: impl FnMut(u32, u64, Bytes, Bytes),
-    ) -> Vec<OutgoingMessage> {
+    pub(crate) fn flush(&mut self, now: u64, mut emit: impl Emit) -> Vec<OutgoingMessage> {
         let rank = self.runtime.node_id().0;
         let mut siblings = Vec::new();
         loop {
@@ -298,7 +293,7 @@ impl ClientHost {
                 } else if msg.dst.0 < self.clients {
                     siblings.push(msg);
                 } else {
-                    let (tag, data, payload) = self.link.outbound(&msg);
+                    let (tag, data, payload) = self.link.outbound(&msg, now);
                     emit(msg.dst.0, tag, data, payload);
                 }
             }
@@ -308,9 +303,8 @@ impl ClientHost {
 
     /// Close one pass over the carrier's inbound frames (or one idle tick),
     /// after [`flush_clients`] answered what the pass staged.
-    pub(crate) fn end_pass(&mut self, mut emit: impl FnMut(u32, u64, Bytes, Bytes)) {
-        self.link.finish_batch(&mut emit);
-        self.link.tick(&mut emit);
+    pub(crate) fn end_pass(&mut self, now: u64, emit: impl Emit) {
+        self.link.finish_batch(now, emit);
     }
 }
 
@@ -321,6 +315,7 @@ impl ClientHost {
 pub(crate) fn flush_clients(
     origin: usize,
     hosts: &mut [ClientHost],
+    now: u64,
     mut emit: impl FnMut(usize, u32, u64, Bytes, Bytes),
 ) {
     let mut dirty = vec![origin];
@@ -328,7 +323,8 @@ pub(crate) fn flush_clients(
         let Some(host) = hosts.get_mut(c) else {
             continue;
         };
-        let siblings = host.flush(|to, tag, data, payload| emit(c, to, tag, data, payload));
+        let emit_c = |to, tag, data, payload| emit(c, to, tag, data, payload);
+        let siblings = host.flush(now, emit_c);
         for msg in siblings {
             // `ClientHost::flush` only hands back destinations below its
             // client count, which is `hosts.len()`.
@@ -341,6 +337,12 @@ pub(crate) fn flush_clients(
             }
         }
     }
+}
+
+/// Frames unacked on any rank, summed in place (`step` asks every silent park).
+pub(crate) fn unacked(hosts: &[ClientHost], servers: impl Iterator<Item = u64>) -> u64 {
+    let own = hosts.iter().filter_map(|h| h.link.rel());
+    own.map(|rel| rel.unacked_total()).chain(servers).sum()
 }
 
 /// Server rank `peer` was reborn with a fresh sequence space: every client
@@ -364,6 +366,8 @@ mod tests {
     use tc_ucx::{OutgoingMessage, RequestId, UcpOp, WorkerAddr};
 
     const SERVER: u32 = 1;
+    /// No test here runs a timer: every pass reads the clock as zero.
+    const NOW: u64 = 0;
     const CFG: RelConfig = RelConfig {
         rto: 1_000_000_000,
         rto_max: 8_000_000_000,
@@ -423,9 +427,9 @@ mod tests {
                     wire::TAG_OP => wire::encode_op_vectored(&get(0, request)),
                     _ => (wire::encode_control(request, &[]).into(), Bytes::new()),
                 };
-                host.on_frame(0, tag, data, payload, &mut emit);
+                host.on_frame(0, tag, data, payload, NOW, &mut emit);
             }
-            assert_eq!(host.end_pass(&mut emit), Digest::default());
+            assert_eq!(host.end_pass(NOW, &mut emit), Digest::default());
             let tags: Vec<(u32, u64)> = out.iter().map(|f| (f.0, f.1)).collect();
             assert_eq!(
                 tags,
@@ -454,8 +458,8 @@ mod tests {
             // A GET this rank posted against itself: the reply is a
             // self-send, raw on every backend.
             let (data, payload) = wire::encode_op_vectored(&get(SERVER, 5));
-            host.on_frame(SERVER, wire::TAG_OP, data, payload, &mut emit);
-            host.end_pass(&mut emit);
+            host.on_frame(SERVER, wire::TAG_OP, data, payload, NOW, &mut emit);
+            host.end_pass(NOW, &mut emit);
             if loopback {
                 assert!(out.is_empty(), "{out:?}");
                 assert_eq!(host.runtime().completions_pending(), 1);
@@ -475,7 +479,7 @@ mod tests {
         let mut client = Link::new(0, 2, Some(CFG));
         let frames: Vec<(Bytes, Bytes)> = (1..=5)
             .map(|request| {
-                let (tag, data, payload) = client.outbound(&get(0, request));
+                let (tag, data, payload) = client.outbound(&get(0, request), NOW);
                 assert_eq!(tag, wire::TAG_ROP);
                 (data, payload)
             })
@@ -498,14 +502,16 @@ mod tests {
             let (data, payload) = frames[i].clone();
             let before = out.len();
             let emit = |to, tag, data, payload| out.push((to, tag, data, payload));
-            host.on_frame(0, wire::TAG_ROP, data, payload, emit);
+            host.on_frame(0, wire::TAG_ROP, data, payload, NOW, emit);
             check(&host, &out, before);
         }
         let tags: Vec<u64> = out.iter().map(|f| f.1).collect();
         assert_eq!(tags, [wire::TAG_ROP, wire::TAG_ROP, wire::TAG_ACK]);
         assert_eq!((replied(&out[0]), replied(&out[1])), (1, 2));
         assert_eq!(ack_of(&out[2]), 2);
-        let digest = host.end_pass(|to, tag, data, payload| out.push((to, tag, data, payload)));
+        let digest = host.end_pass(NOW, |to, tag, data, payload| {
+            out.push((to, tag, data, payload))
+        });
         assert_eq!(out.len(), 3, "the replies piggybacked the owed ack");
         assert_eq!((digest.unacked, digest.metrics.dup_drops), (2, 1));
 
@@ -515,13 +521,15 @@ mod tests {
             let (data, payload) = frames[i].clone();
             let before = out.len();
             let emit = |to, tag, data, payload| out.push((to, tag, data, payload));
-            host.on_frame(0, wire::TAG_ROP, data, payload, emit);
+            host.on_frame(0, wire::TAG_ROP, data, payload, NOW, emit);
             assert_eq!(out.len() - before, emitted);
             assert_eq!(host.runtime().stats.gets_served, served);
             check(&host, &out, before);
         }
         let before = out.len();
-        host.end_pass(|to, tag, data, payload| out.push((to, tag, data, payload)));
+        host.end_pass(NOW, |to, tag, data, payload| {
+            out.push((to, tag, data, payload))
+        });
         check(&host, &out, before);
         assert_eq!((replied(&out[before]), replied(&out[before + 1])), (3, 4));
         assert_eq!(ack_of(&out[before + 1]), 4);
@@ -544,7 +552,7 @@ mod tests {
     /// [`flush_clients`] over plain hosts, recording `(from, frame)`.
     fn flush_all(hosts: &mut [ClientHost], origin: usize) -> Vec<(usize, Emitted)> {
         let mut out = Vec::new();
-        flush_clients(origin, hosts, |from, to, tag, data, payload| {
+        flush_clients(origin, hosts, NOW, |from, to, tag, data, payload| {
             out.push((from, (to, tag, data, payload)))
         });
         out
@@ -569,7 +577,7 @@ mod tests {
         let mut server = Link::new(FAR, 3, Some(CFG));
         (0..n)
             .map(|i| {
-                let (tag, data, payload) = server.outbound(&OutgoingMessage {
+                let msg = OutgoingMessage {
                     src: WorkerAddr(FAR),
                     dst: WorkerAddr(to),
                     request: RequestId(i + 1),
@@ -577,7 +585,8 @@ mod tests {
                         remote_addr: DATA + 8 * i,
                         data: vec![i as u8 + 1; 8].into(),
                     },
-                });
+                };
+                let (tag, data, payload) = server.outbound(&msg, NOW);
                 assert_eq!(tag, wire::TAG_ROP);
                 (data, payload)
             })
@@ -603,7 +612,7 @@ mod tests {
         assert_eq!(read(&hosts[0], DATA), [0xA0; 8]);
         assert_eq!(hosts[0].runtime().completions_pending(), 1);
         for host in &mut hosts {
-            host.end_pass(|_, _, _, _| panic!("nothing is owed"));
+            host.end_pass(NOW, |_, _, _, _| panic!("nothing is owed"));
             assert_eq!(host.link.digest().unwrap().unacked, 0);
             assert!(host.take_errors().is_empty() && !host.pending());
         }
@@ -652,7 +661,7 @@ mod tests {
         for flusher in ['a', 'b', 'a'] {
             host.runtime_mut().send_ifunc(&msg, WorkerAddr(FAR));
             let emit = |to, tag, data, payload| out.push((flusher, (to, tag, data, payload)));
-            assert!(host.flush(emit).is_empty());
+            assert!(host.flush(NOW, emit).is_empty());
         }
         let order: String = out.iter().map(|(flusher, _)| *flusher).collect();
         assert_eq!(order, "aba");
@@ -683,6 +692,7 @@ mod tests {
                 wire::TAG_ROP,
                 data,
                 payload,
+                NOW,
                 |to, tag, data, payload| out.push((to, tag, data, payload)),
             )
         };
@@ -695,7 +705,9 @@ mod tests {
         assert!(flush_all(std::slice::from_mut(&mut host), 0).is_empty());
         assert_eq!(read(&host, DATA + 16), [3; 8]);
         for _ in 0..2 {
-            host.end_pass(|to, tag, data, payload| out.push((to, tag, data, payload)));
+            host.end_pass(NOW, |to, tag, data, payload| {
+                out.push((to, tag, data, payload))
+            });
         }
         assert_eq!(out.len(), 1);
         assert_eq!(
@@ -714,7 +726,7 @@ mod tests {
         let sent = flush_all(std::slice::from_mut(&mut host), 0);
         assert_eq!(sent.len(), 1);
         assert_eq!(op_of(&sent[0].1).1, Some((1, 4)));
-        host.end_pass(|_, _, _, _| panic!("the GET carried the ack"));
+        host.end_pass(NOW, |_, _, _, _| panic!("the GET carried the ack"));
         assert_eq!(host.link.digest().unwrap().metrics.acks_sent, 2);
     }
 
@@ -750,9 +762,9 @@ mod tests {
                     data: vec![9; 8].into(),
                 },
             };
-            let (tag, data, payload) = Link::new(FAR, 3, rel).outbound(&stray);
+            let (tag, data, payload) = Link::new(FAR, 3, rel).outbound(&stray, NOW);
             let none = |_, _, _, _| panic!("an in-order arrival emits nothing");
-            assert_eq!(hosts[0].on_frame(FAR, tag, data, payload, none), 0);
+            assert_eq!(hosts[0].on_frame(FAR, tag, data, payload, NOW, none), 0);
             assert!(matches!(
                 hosts[0].take_errors()[..],
                 [CoreError::Transport(_)]

@@ -10,9 +10,9 @@
 //!   fault model excludes) and encode the frame once;
 //! * [`Link::inbound`] — bound the sender's rank, then decode, sequence,
 //!   dedup and deliver whatever became in-order, or settle an ack;
-//! * [`Link::tick`], [`Link::finish_batch`], [`Link::replay`] — the
-//!   retransmission timer, the batch-end gap repairs and pure acks, and the
-//!   renumbered re-send after a peer was reborn;
+//! * [`Link::finish_batch`], [`Link::replay`] — the batch-end gap repairs,
+//!   pure acks and retransmission timer, and the renumbered re-send after a
+//!   peer was reborn;
 //! * [`Link::digest`] — what quiescence detection and operators read.
 //!
 //! What a rank does around its link — when pending operations are polled,
@@ -104,6 +104,16 @@ pub(crate) fn wall_nanos() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
+/// The one clock reading a carrier takes per pass, for every call that wants
+/// a `now`: nothing over plain links, which never ask the time.
+pub(crate) fn pass_now(reliable: bool) -> u64 {
+    reliable.then(wall_nanos).unwrap_or(0)
+}
+
+/// A carrier's way out for a frame: `emit(to_rank, tag, data, payload)`.
+pub(crate) trait Emit: FnMut(u32, u64, Bytes, Bytes) {}
+impl<F: FnMut(u32, u64, Bytes, Bytes)> Emit for F {}
+
 /// What one rank's reliable endpoint publishes about itself: enough for
 /// quiescence detection (`unacked`) and for operators (the counters and the
 /// most-stressed link's RTT estimator state).  A server rank on another
@@ -142,9 +152,6 @@ pub(crate) struct Link {
     scratch: Vec<StoredEnv>,
     /// Gap repairs ([`ReliableSet::on_gap`]) awaiting [`Link::finish_batch`].
     repairs: Vec<RelFrame<StoredEnv>>,
-    /// Retransmission-timer cadence (half the base RTO) and its last run.
-    cadence: Duration,
-    last_tick: Instant,
 }
 
 impl Link {
@@ -157,8 +164,6 @@ impl Link {
             rel: rel.map(ReliableSet::new),
             scratch: Vec::new(),
             repairs: Vec::new(),
-            cadence: Duration::from_nanos(rel.map_or(0, |cfg| cfg.rto / 2)),
-            last_tick: Instant::now(),
         }
     }
 
@@ -169,11 +174,10 @@ impl Link {
     /// drop) and self-sends (the simulated backend excludes loopback from
     /// the fault model, so every backend must or the chaos schedules
     /// diverge).
-    pub(crate) fn outbound(&mut self, msg: &OutgoingMessage) -> (u64, Bytes, Bytes) {
+    pub(crate) fn outbound(&mut self, msg: &OutgoingMessage, now: u64) -> (u64, Bytes, Bytes) {
         let dst = msg.dst.0;
         match &mut self.rel {
             Some(rel) if dst < self.ranks && dst != self.rank => {
-                let now = wall_nanos();
                 let (data, payload) = wire::send_reliable(rel, dst, msg, now);
                 (wire::TAG_ROP, data, payload)
             }
@@ -208,6 +212,7 @@ impl Link {
         tag: u64,
         data: Bytes,
         payload: Bytes,
+        now: u64,
         mut deliver: impl FnMut(OutgoingMessage),
     ) -> Result<Option<Bytes>> {
         if from >= self.ranks {
@@ -220,7 +225,6 @@ impl Link {
             deliver(wire::decode_op_vectored(&data, &payload)?);
             return Ok(None);
         }
-        let now = wall_nanos();
         let Some(rel) = &mut self.rel else {
             return Err(CoreError::Transport(format!(
                 "reliable frame (tag {tag}) at rank {} without a fault plan",
@@ -257,38 +261,27 @@ impl Link {
         }
     }
 
-    /// Run the retransmission timer if its cadence elapsed: every frame of
-    /// every link whose RTO expired leaves again through `emit`, with a
-    /// fresh piggybacked ack.
-    pub(crate) fn tick(&mut self, emit: impl FnMut(u32, u64, Bytes, Bytes)) {
-        let Some(rel) = &mut self.rel else {
-            return;
-        };
-        if self.last_tick.elapsed() < self.cadence {
-            return;
-        }
-        self.last_tick = Instant::now();
-        retransmit(rel.tick(wall_nanos()), emit);
-    }
-
     /// End of the host's natural batch: the frames its acks named missing,
     /// then one pure cumulative ack per peer whose in-order frames nothing
     /// sent since (those repairs included) has piggybacked on.  Servers call
-    /// this after polling, so it too only covers polled operations.
-    pub(crate) fn finish_batch(&mut self, mut emit: impl FnMut(u32, u64, Bytes, Bytes)) {
+    /// this after polling, so it too only covers polled operations.  Last,
+    /// the retransmission timer: every frame of every link whose RTO expired
+    /// by `now` leaves again, with a fresh piggybacked ack.
+    pub(crate) fn finish_batch(&mut self, now: u64, mut emit: impl Emit) {
         if let Some(rel) = &mut self.rel {
             retransmit(self.repairs.drain(..), &mut emit);
             rel.acks_due(|peer, ack| {
                 let ack = wire::encode_ack(ack, None);
                 emit(peer, wire::TAG_ACK, ack, Bytes::new())
             });
+            retransmit(rel.tick(now), emit);
         }
     }
 
     /// `peer` was reborn with a fresh sequence space: tear the link to it
     /// down (send and receive state both) and re-send the retained unacked
     /// frames, oldest first, renumbered from seq 1.
-    pub(crate) fn replay(&mut self, peer: u32, mut emit: impl FnMut(u32, u64, Bytes, Bytes)) {
+    pub(crate) fn replay(&mut self, peer: u32, mut emit: impl Emit) {
         let Some(rel) = &mut self.rel else {
             return;
         };
@@ -318,10 +311,7 @@ impl Link {
 }
 
 /// Put retained frames back on the wire under fresh reliability prefixes.
-fn retransmit(
-    frames: impl IntoIterator<Item = RelFrame<StoredEnv>>,
-    mut emit: impl FnMut(u32, u64, Bytes, Bytes),
-) {
+fn retransmit(frames: impl IntoIterator<Item = RelFrame<StoredEnv>>, mut emit: impl Emit) {
     for f in frames {
         let data = wire::encode_rel_head(f.seq, f.ack, &f.m.0);
         emit(f.peer, wire::TAG_ROP, data, f.m.1);
@@ -453,9 +443,9 @@ mod tests {
             net.ship(out, (self.rank(), tag, data, p));
         }
 
-        fn post(&mut self, net: &mut Net, out: &mut VecDeque<Wire>) {
+        fn post(&mut self, now: u64, net: &mut Net, out: &mut VecDeque<Wire>) {
             if let Some(msg) = self.to_post.pop_front() {
-                let (tag, data, payload) = self.link.outbound(&msg);
+                let (tag, data, payload) = self.link.outbound(&msg, now);
                 assert_eq!(tag, wire::TAG_ROP);
                 self.ship(net, out, tag, data, payload);
             }
@@ -463,11 +453,11 @@ mod tests {
 
         /// Sends the fault model excludes — to this rank itself and beyond
         /// the cluster — leave raw and are never retained.
-        fn post_excluded(&mut self) {
+        fn post_excluded(&mut self, now: u64) {
             for dst in [self.rank(), 9] {
                 let msg = messages(self.rank(), dst).pop().unwrap();
                 let before = self.link.digest();
-                let (tag, data, payload) = self.link.outbound(&msg);
+                let (tag, data, payload) = self.link.outbound(&msg, now);
                 assert_eq!(tag, wire::TAG_OP);
                 assert_eq!(wire::decode_op_vectored(&data, &payload).unwrap(), msg);
                 assert_eq!(
@@ -478,50 +468,47 @@ mod tests {
             }
         }
 
-        /// One turn the way a host drives its link: everything inbound in
+        /// One turn the way a host drives its link — on one reading of the
+        /// clock, as a pass is: everything inbound in
         /// randomly sized batches (`finish_batch` at each boundary — gap
-        /// repairs, then at most one pure ack —, immediate acks when told
-        /// to, an occasional mid-batch post for the piggyback path), then a
-        /// few fresh posts and the timer.
+        /// repairs, at most one pure ack, what the timer re-sends —,
+        /// immediate acks when told to, an occasional mid-batch post for the
+        /// piggyback path), then a few fresh posts and one more batch end.
         fn turn(&mut self, net: &mut Net, out: &mut VecDeque<Wire>) {
+            let now = wall_nanos();
             while !self.inbox.is_empty() {
                 for _ in 0..net.rng.range(1, self.inbox.len() as u64 + 1) {
                     let (from, tag, data, payload) = self.inbox.pop_front().unwrap();
                     let got = &mut self.got;
-                    let arrival = self.link.inbound(from, tag, data, payload, |m| got.push(m));
+                    let arrival = self
+                        .link
+                        .inbound(from, tag, data, payload, now, |m| got.push(m));
                     if let Some(ack) = arrival.unwrap() {
                         self.ship(net, out, wire::TAG_ACK, ack, Bytes::new());
                     }
                     if net.rng.below(3) == 0 {
-                        self.post(net, out);
+                        self.post(now, net, out);
                     }
                 }
-                let mut closing = Vec::new();
-                self.link
-                    .finish_batch(|to, tag, data, p| closing.push((to, tag, data, p)));
-                let acks = closing.iter().filter(|f| f.1 == wire::TAG_ACK).count();
-                assert!(acks <= 1, "one pure ack per peer per batch");
-                let last = closing.len() - acks;
-                for (i, (to, tag, data, p)) in closing.into_iter().enumerate() {
-                    assert_eq!(to, 1 - self.rank());
-                    let expected = if i < last {
-                        wire::TAG_ROP
-                    } else {
-                        wire::TAG_ACK
-                    };
-                    assert_eq!(tag, expected, "repairs, then the ack");
-                    self.ship(net, out, tag, data, p);
-                }
+                self.finish_batch(now, net, out);
             }
-            self.post_excluded();
+            self.post_excluded(now);
             for _ in 0..net.rng.below(4) {
-                self.post(net, out);
+                self.post(now, net, out);
             }
-            let mut retx = Vec::new();
+            self.finish_batch(now, net, out);
+        }
+
+        /// Close a batch and ship what that emits: reliable frames (repairs
+        /// and timer re-sends) around at most one pure ack.
+        fn finish_batch(&mut self, now: u64, net: &mut Net, out: &mut VecDeque<Wire>) {
+            let mut closing = Vec::new();
             self.link
-                .tick(|to, tag, data, p| retx.push((to, tag, data, p)));
-            for (to, tag, data, p) in retx {
-                assert_eq!((to, tag), (1 - self.rank(), wire::TAG_ROP));
+                .finish_batch(now, |to, tag, data, p| closing.push((to, tag, data, p)));
+            let acks = closing.iter().filter(|f| f.1 == wire::TAG_ACK).count();
+            assert!(acks <= 1, "one pure ack per peer per batch");
+            for (to, tag, data, p) in closing {
+                assert_eq!(to, 1 - self.rank());
                 self.ship(net, out, tag, data, p);
             }
         }
@@ -603,7 +590,7 @@ mod tests {
         let ack = wire::encode_ack(1, Some(3));
         let refuse = |link: &mut Link, from, tag, data: &Bytes| {
             let before = link.digest();
-            let arrival = link.inbound(from, tag, data.clone(), payload.clone(), |m| {
+            let arrival = link.inbound(from, tag, data.clone(), payload.clone(), 0, |m| {
                 panic!("a rejected frame delivered {m:?}")
             });
             assert!(
@@ -616,7 +603,7 @@ mod tests {
         // A reliable link with something outstanding, so the digest has
         // something to lose.
         let mut reliable = link(0, 3, Some(CFG));
-        let _ = reliable.outbound(&messages(0, 1).pop().unwrap());
+        let _ = reliable.outbound(&messages(0, 1).pop().unwrap(), 0);
         assert_eq!(reliable.digest().unwrap().unacked, 1);
         // `from` indexes the dense per-peer table: one corrupt frame naming
         // rank 0xFFFF_FFFE must not size it.
@@ -638,7 +625,7 @@ mod tests {
         assert_eq!(plain.digest(), None);
         // ...while its raw plane works.
         let mut got = Vec::new();
-        let arrival = plain.inbound(1, wire::TAG_OP, head, payload.clone(), |m| got.push(m));
+        let arrival = plain.inbound(1, wire::TAG_OP, head, payload.clone(), 0, |m| got.push(m));
         assert_eq!((arrival.unwrap(), got), (None, vec![msg]));
     }
 
@@ -652,21 +639,21 @@ mod tests {
         let msgs = messages(0, 1);
         let mut acks = Vec::new();
         for (i, msg) in msgs.iter().enumerate() {
-            let (tag, data, payload) = a.outbound(msg);
+            let (tag, data, payload) = a.outbound(msg, 0);
             // The old peer only ever saw — and acked — the first two.
             if i < 2 {
-                let arrival = b.inbound(0, tag, data, payload, |_| {});
+                let arrival = b.inbound(0, tag, data, payload, 0, |_| {});
                 assert_eq!(arrival.unwrap(), None);
             }
         }
-        b.finish_batch(|_, tag, data, payload| acks.push((tag, data, payload)));
+        b.finish_batch(0, |_, tag, data, payload| acks.push((tag, data, payload)));
         // The ack travels on a frame from b, so a's receive cursor moves too.
-        let (tag, data, payload) = b.outbound(&messages(1, 0)[0]);
-        assert_eq!(a.inbound(1, tag, data, payload, |_| {}).unwrap(), None);
+        let (tag, data, payload) = b.outbound(&messages(1, 0)[0], 0);
+        assert_eq!(a.inbound(1, tag, data, payload, 0, |_| {}).unwrap(), None);
         for (tag, data, payload) in acks {
-            assert_eq!(a.inbound(1, tag, data, payload, |_| {}).unwrap(), None);
+            assert_eq!(a.inbound(1, tag, data, payload, 0, |_| {}).unwrap(), None);
         }
-        let _ = a.outbound(&messages(0, 2)[0]);
+        let _ = a.outbound(&messages(0, 2)[0], 0);
         let retained = msgs.len() as u64 - 2;
         assert_eq!(a.digest().unwrap().unacked, retained + 1);
 
@@ -678,7 +665,7 @@ mod tests {
             let (seq, ack, _) = wire::decode_rel_head(&data).unwrap();
             assert_eq!(ack, 0, "the receive cursor toward a reborn peer restarts");
             seqs.push(seq);
-            let arrival = reborn.inbound(0, tag, data, payload, |m| got.push(m));
+            let arrival = reborn.inbound(0, tag, data, payload, 0, |m| got.push(m));
             assert_eq!(arrival.unwrap(), None, "seq {seq} must arrive in order");
         });
         assert_eq!(seqs, (1..=retained).collect::<Vec<_>>());
@@ -691,9 +678,9 @@ mod tests {
 
         // The reborn peer's fresh seq 1 is accepted, not dropped as a
         // duplicate of the old incarnation's.
-        let (tag, data, payload) = reborn.outbound(&messages(1, 0)[1]);
+        let (tag, data, payload) = reborn.outbound(&messages(1, 0)[1], 0);
         let mut fresh = Vec::new();
-        let arrival = a.inbound(1, tag, data, payload, |m| fresh.push(m));
+        let arrival = a.inbound(1, tag, data, payload, 0, |m| fresh.push(m));
         assert_eq!((arrival.unwrap(), fresh.len()), (None, 1));
         assert_eq!(
             a.digest().unwrap().unacked,

@@ -165,14 +165,14 @@ impl std::fmt::Display for ClientId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tuning {
     /// How long one driver `step` waits for traffic (threads: parks on the
-    /// fabric's external queue, for at most half the base RTO under a fault
-    /// plan; socket: polls its connections) before running its idleness
-    /// checks.  Bounds *idle-detection* latency only, not delivery latency.
+    /// fabric's external queue, ended silent by its clock every half base
+    /// RTO under a fault plan; socket: polls its connections) before running
+    /// its idleness checks.  Bounds *idle-detection* latency only.
     pub step_timeout: Duration,
     /// Consecutive idle steps before waits give up.  A step only reports
-    /// idle after `step_timeout` of silence with nothing queued or
-    /// mid-processing, so two suffice: the second covers the one-step race
-    /// where work finished right as the first wait timed out.
+    /// idle after a silent park (a whole one from the second on) with nothing
+    /// queued or mid-processing, so two suffice: the second covers the
+    /// one-step race where work finished right as the first wait timed out.
     pub idle_grace: u32,
     /// Threads: most messages a node thread — or one pass of the caller's
     /// `step` over the client ranks — drains per wakeup (batch drain: one
@@ -384,9 +384,9 @@ pub trait Transport {
     }
 
     /// Messages the reliable-delivery layer still holds unacknowledged,
-    /// summed across all nodes (0 without a fault plan).  The wall-clock
-    /// backends' `step` consults this so a quiet-but-retransmitting fabric
-    /// is never reported idle before the stall horizon.
+    /// summed across all nodes (0 without a fault plan).  While it is
+    /// non-zero a wall-clock backend's `step` (which sums the same digests
+    /// in place) never reports idle before the stall horizon.
     fn unacked_total(&self) -> u64 {
         let ranks = self.observe().ranks;
         ranks.iter().filter_map(|r| Some(r.digest?.unacked)).sum()

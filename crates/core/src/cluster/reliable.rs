@@ -47,7 +47,9 @@
 //! channels or event queues.  Callers feed it their own notion of "now" in
 //! nanoseconds — virtual time for [`super::SimTransport`], wall-clock time
 //! for [`super::ThreadTransport`] — and transmit whatever frames it hands
-//! back.  `M` is the caller's message representation (a decoded
+//! back (wall-clock ranks read the clock once per pass, so their RTT samples
+//! are per-pass granular: microseconds against a 2 ms RTO floor).  `M` is
+//! the caller's message representation (a decoded
 //! [`tc_ucx::OutgoingMessage`] in the simulator, an encoded envelope pair in
 //! the threaded backend).
 

@@ -990,6 +990,7 @@ impl SocketTransport {
             frame.tag,
             frame.data,
             frame.payload,
+            link::pass_now(self.chaos.is_some()),
             |dst, tag, data, payload| {
                 ack = Some(Frame::with_payload(frame.to, dst, tag, data, payload))
             },
@@ -1004,9 +1005,11 @@ impl SocketTransport {
     /// into these same hosts.
     fn flush_from(&mut self, origin: usize) -> Result<()> {
         let mut out = Vec::new();
-        host::flush_clients(origin, &mut self.clients, |from, to, tag, data, payload| {
+        let now = link::pass_now(self.chaos.is_some());
+        let emit = |from, to, tag, data, payload| {
             out.push(Frame::with_payload(from as u32, to, tag, data, payload))
-        });
+        };
+        host::flush_clients(origin, &mut self.clients, now, emit);
         for host in &mut self.clients {
             self.errors.extend(host.take_errors());
         }
@@ -1031,12 +1034,13 @@ impl SocketTransport {
             routed += 1;
         }
         let mut out = Vec::new();
+        let now = link::pass_now(self.chaos.is_some());
         for c in 0..self.clients.len() {
             if self.clients[c].pending() {
                 routed += 1;
                 let _ = self.flush_from(c);
             }
-            self.clients[c].end_pass(|to, tag, data, payload| {
+            self.clients[c].end_pass(now, |to, tag, data, payload| {
                 out.push(Frame::with_payload(c as u32, to, tag, data, payload))
             });
         }
@@ -1170,7 +1174,7 @@ impl Transport for SocketTransport {
             // to a stall horizon — a frame that can never be acked (dead
             // server process, unhealable partition) must eventually let
             // waits time out.
-            if self.unacked_total() > 0 {
+            if host::unacked(&self.clients, self.links.iter().map(|l| l.rel.unacked)) > 0 {
                 let (since, events) = (&mut self.stalled_since, &mut self.events);
                 let rto_max = self.rel_cfg.rto_max;
                 return Ok(link::within_stall_horizon(since, rto_max, events));

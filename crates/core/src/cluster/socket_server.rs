@@ -16,7 +16,7 @@
 //! entry under it.
 
 use super::host::ServerHost;
-use super::link::{Digest, Link};
+use super::link::{wall_nanos, Digest, Link};
 use super::socket::{
     DRIVER_PORT, TAG_AM_ACK, TAG_AM_DEPLOY, TAG_BYE, TAG_HELLO, TAG_LINK_RESET, TAG_PING, TAG_PONG,
     TAG_REL_INFO, TAG_SHUTDOWN, TAG_WELCOME,
@@ -102,8 +102,9 @@ impl Server {
     /// One frame off the socket, in FIFO position.  Liveness probes, link
     /// resets and the shutdown request (returns `true`) are the carrier's
     /// own; AM deployment is a control request of this carrier, served
-    /// behind the host's barrier; everything else is the host's.
-    fn on_frame(&mut self, frame: Frame) -> bool {
+    /// behind the host's barrier; everything else is the host's.  `now` is
+    /// the pass's one clock reading.
+    fn on_frame(&mut self, frame: Frame, now: u64) -> bool {
         let (conn, rank) = (&mut self.conn, self.rank);
         let mut emit = |to, tag, data, payload| queue(conn, rank, to, tag, data, payload);
         match frame.tag {
@@ -122,7 +123,7 @@ impl Server {
                 };
                 let name = String::from_utf8_lossy(body).into_owned();
                 let found = self.catalog.iter().find(|(n, _)| *n == name);
-                let runtime = self.host.barrier(&mut emit);
+                let runtime = self.host.barrier(now, &mut emit);
                 let ok = match found {
                     Some((_, handler)) => {
                         runtime.deploy_am_handler(name, handler.clone());
@@ -135,17 +136,16 @@ impl Server {
             }
             tag => self
                 .host
-                .on_frame(frame.from, tag, frame.data, frame.payload, emit),
+                .on_frame(frame.from, tag, frame.data, frame.payload, now, emit),
         }
         false
     }
 
     /// End of one frame-drain pass.
-    fn end_pass(&mut self) {
+    fn end_pass(&mut self, now: u64) {
         let (conn, rank) = (&mut self.conn, self.rank);
-        let digest = self
-            .host
-            .end_pass(|to, tag, data, payload| queue(conn, rank, to, tag, data, payload));
+        let emit = |to, tag, data, payload| queue(conn, rank, to, tag, data, payload);
+        let digest = self.host.end_pass(now, emit);
         self.publish(digest);
     }
 
@@ -225,7 +225,7 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
     };
 
     let mut frames = Vec::new();
-    let mut last_activity = Instant::now();
+    let mut last_activity = wall_nanos();
     loop {
         frames.clear();
         // First pass: whatever rode in behind the WELCOME.
@@ -237,14 +237,15 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
             Err(NetError::PeerClosed { .. }) => return Ok(()),
             Err(e) => return Err(e.to_string()),
         }
+        let now = wall_nanos();
         if !frames.is_empty() {
-            last_activity = Instant::now();
+            last_activity = now;
         }
         let mut shutdown = false;
         for frame in frames.drain(..) {
-            shutdown |= server.on_frame(frame);
+            shutdown |= server.on_frame(frame, now);
         }
-        server.end_pass();
+        server.end_pass(now);
         if shutdown {
             server.graceful_exit();
             return Ok(());
@@ -258,7 +259,7 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
         if server.conn.pending_writes() == 0 && server.host.runtime().completions_pending() == 0 {
             // Spin briefly after traffic (a driver round trip is tens of
             // microseconds away), then back off to sleeping when idle.
-            if last_activity.elapsed() < Duration::from_millis(1) {
+            if now - last_activity < 1_000_000 {
                 std::thread::yield_now();
             } else {
                 std::thread::sleep(Duration::from_micros(200));

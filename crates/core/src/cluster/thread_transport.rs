@@ -26,6 +26,9 @@
 //!   the external queue, feeds a burst to the hosts, flushes what it
 //!   provoked and closes the pass; `control` does the same for whatever
 //!   arrives ahead of its reply.
+//! * No rank arms a timer to park: under a fault plan the fabric's one
+//!   `tc-clock` thread ticks every half base RTO, a server runs its timer
+//!   behind the tick and the caller's park (the step timeout) ends with it.
 //!
 //! So nothing moves on a client rank unless the caller is inside `flush*`,
 //! `step`, a wait or a control call — the progress model of the simulated
@@ -39,7 +42,7 @@
 //! without shipping closures through channels.
 
 use super::host::{self, ClientHost, ServerHost};
-use super::link::{self, Digest, Link};
+use super::link::{self, pass_now, Digest, Link};
 use super::reliable::RelConfig;
 use super::snapshot::{EventRing, RankSnapshot, RankState, Snapshot};
 use super::socket::DRIVER_PORT;
@@ -128,13 +131,13 @@ impl ServerNode {
         move |to, tag, data, payload| node_send(ctx, clients, to, tag, data, payload)
     }
 
-    fn sync_am(&mut self, ctx: &NodeCtx) {
+    fn sync_am(&mut self, now: u64, ctx: &NodeCtx) {
         let registry = relock(&self.am_registry);
         if self.am_applied == registry.len() {
             return;
         }
         let emit = self.emit(ctx);
-        let runtime = self.host.barrier(emit);
+        let runtime = self.host.barrier(now, emit);
         for (name, handler) in registry.iter().skip(self.am_applied) {
             runtime.deploy_am_handler(name.clone(), handler.clone());
         }
@@ -142,9 +145,9 @@ impl ServerNode {
     }
 
     /// Close the pass and publish its digest.
-    fn end_pass(&mut self, ctx: &NodeCtx) {
+    fn end_pass(&mut self, now: u64, ctx: &NodeCtx) {
         let emit = self.emit(ctx);
-        let digest = self.host.end_pass(emit);
+        let digest = self.host.end_pass(now, emit);
         if let Some(slot) = self.table.as_ref().and_then(|t| t.get(ctx.node_id())) {
             *relock(slot) = digest;
         }
@@ -157,14 +160,15 @@ impl ThreadedNode for ServerNode {
     /// so a burst of N ifunc frames pays for one poll loop and one outgoing
     /// flush instead of N.
     fn on_batch(&mut self, msgs: Vec<Envelope>, ctx: &NodeCtx) {
-        self.sync_am(ctx);
+        let now = pass_now(self.table.is_some());
+        self.sync_am(now, ctx);
         let mut emit = self.emit(ctx);
         for msg in msgs {
             let from = rank_of(self.clients, msg.from) as u32;
             self.host
-                .on_frame(from, msg.tag, msg.data, msg.payload, &mut emit);
+                .on_frame(from, msg.tag, msg.data, msg.payload, now, &mut emit);
         }
-        self.end_pass(ctx);
+        self.end_pass(now, ctx);
     }
 
     fn on_message(&mut self, msg: Envelope, ctx: &NodeCtx) {
@@ -172,7 +176,7 @@ impl ThreadedNode for ServerNode {
     }
 
     fn on_tick(&mut self, ctx: &NodeCtx) {
-        self.end_pass(ctx);
+        self.end_pass(pass_now(self.table.is_some()), ctx);
     }
 }
 
@@ -240,7 +244,7 @@ struct Carrier {
     hosts: Vec<ClientHost>,
     /// Errors reported by server nodes, the client hosts, or the dispatcher.
     errors: Vec<CoreError>,
-    /// Links are reliable (a fault plan is installed): passes close them.
+    /// Links are reliable (a fault plan is installed): passes read the clock.
     reliable: bool,
     /// Most envelopes one pass drains from the external queue.
     batch: usize,
@@ -258,10 +262,6 @@ pub struct ThreadTransport {
     am_registry: AmRegistry,
     next_token: u64,
     tuning: Tuning,
-    /// How long `step` parks on the external queue: the step timeout, capped
-    /// at the retransmission cadence under a fault plan (the timer runs
-    /// whether or not traffic flows).
-    park: Duration,
     /// Chaos-mode state (fault session + digest table); `None` keeps the
     /// lossless fast path.
     chaos: Option<DriverChaos>,
@@ -314,10 +314,9 @@ impl ThreadTransport {
             table: (0..servers).map(|_| Mutex::default()).collect(),
             rto_max: rel_cfg.rto_max,
         });
-        // Reliable links (and their retransmission cadence) exist exactly
-        // when a fault plan does.
+        // Reliable links (and the fabric clock that keeps their
+        // retransmission cadence) exist exactly when a fault plan does.
         let link_cfg = chaos.as_ref().map(|_| rel_cfg);
-        let tick = link_cfg.map(|cfg| Duration::from_nanos(cfg.rto / 2));
 
         // One burst size for both rank classes: 0 asks for the fabric's
         // default on server nodes and the caller's passes alike.
@@ -325,15 +324,14 @@ impl ThreadTransport {
             0 => tc_simnet::threaded::DEFAULT_MAX_BATCH,
             n => n,
         };
-        let mut config = ThreadConfig {
+        let config = ThreadConfig {
             max_batch: batch,
-            ..ThreadConfig::default()
+            tick: link_cfg.map(|cfg| Duration::from_nanos(cfg.rto / 2)),
+            filter: chaos
+                .as_ref()
+                .map(|c| chaos_filter(c.session.clone(), clients)),
         };
-        let node_chaos = chaos.as_ref().map(|c| {
-            config.tick = tick;
-            config.filter = Some(chaos_filter(c.session.clone(), clients));
-            Arc::clone(&c.table)
-        });
+        let node_chaos = chaos.as_ref().map(|c| Arc::clone(&c.table));
 
         let cluster = ThreadCluster::start_with_config(servers, config, move |thread_id| {
             let rank = (thread_id + clients) as u32;
@@ -366,7 +364,6 @@ impl ThreadTransport {
             am_registry,
             next_token: 1,
             tuning,
-            park: tick.map_or(tuning.step_timeout, |t| t.min(tuning.step_timeout)),
             chaos,
             stalled_since: None,
             events: EventRing::default(),
@@ -387,7 +384,7 @@ impl Carrier {
     /// error report to the error list.  A control reply nobody awaits is
     /// stale (its request timed out) and dropped; a port that is neither a
     /// client's nor the control port is a typed error.
-    fn dispatch(&mut self, cluster: &ThreadCluster, env: Envelope) {
+    fn dispatch(&mut self, cluster: &ThreadCluster, env: Envelope, now: u64) {
         let clients = self.hosts.len();
         let data_plane = matches!(env.tag, wire::TAG_OP | wire::TAG_ROP | wire::TAG_ACK);
         let port = external_port(env.to);
@@ -401,7 +398,7 @@ impl Carrier {
                 let emit = |to, tag, data, payload| {
                     client_send(cluster, clients, port, to, tag, data, payload)
                 };
-                host.on_frame(from, env.tag, env.data, env.payload, emit);
+                host.on_frame(from, env.tag, env.data, env.payload, now, emit);
             }
             (Some(port), None) if !data_plane && port == clients => {}
             _ => self.errors.push(CoreError::Transport(format!(
@@ -416,29 +413,28 @@ impl Carrier {
     /// and answer what the pass staged, collect the hosts' errors and, when
     /// links are reliable, emit the owed acks and gap repairs and run the
     /// retransmission timer.
-    fn close_pass(&mut self, cluster: &ThreadCluster) {
+    fn close_pass(&mut self, cluster: &ThreadCluster, now: u64) {
         let clients = self.hosts.len();
         // A flush leaves every client it reached with nothing staged.
         while let Some(c) = self.hosts.iter().position(ClientHost::pending) {
-            self.flush_from(cluster, c);
+            self.flush_from(cluster, c, now);
         }
         for (c, host) in self.hosts.iter_mut().enumerate() {
-            if self.reliable {
-                host.end_pass(|to, tag, data, payload| {
-                    client_send(cluster, clients, c, to, tag, data, payload)
-                });
-            }
+            host.end_pass(now, |to, tag, data, payload| {
+                client_send(cluster, clients, c, to, tag, data, payload)
+            });
         }
         self.collect_errors();
     }
 
     /// Move everything client `origin` (and whoever its loopback traffic
     /// reaches) posted into the fabric.
-    fn flush_from(&mut self, cluster: &ThreadCluster, origin: usize) {
+    fn flush_from(&mut self, cluster: &ThreadCluster, origin: usize, now: u64) {
         let clients = self.hosts.len();
-        host::flush_clients(origin, &mut self.hosts, |from, to, tag, data, payload| {
+        let emit = |from, to, tag, data, payload| {
             client_send(cluster, clients, from, to, tag, data, payload)
-        });
+        };
+        host::flush_clients(origin, &mut self.hosts, now, emit);
     }
 
     /// Move what the hosts' frames and polls left behind to the error list.
@@ -448,18 +444,19 @@ impl Carrier {
         }
     }
 
-    /// One pass: `first` and the burst queued behind it (at most `batch`
-    /// envelopes), dispatched in order and closed once.  Stops at the
-    /// `awaited` control reply, if it is in the burst, and returns its body;
-    /// what is queued behind it waits for the next pass.
+    /// One pass: `first` (none after a silent park) and the burst behind it
+    /// (at most `batch` envelopes), dispatched in order and closed once.
+    /// Stops at the `awaited` control reply, if it is in the burst, and
+    /// returns its body; what is queued behind it waits for the next pass.
     fn pass(
         &mut self,
         cluster: &ThreadCluster,
-        first: Envelope,
+        first: Option<Envelope>,
         awaited: Option<Awaited>,
     ) -> Option<Vec<u8>> {
+        let now = pass_now(self.reliable);
         let mut reply = None;
-        let mut next = Some(first);
+        let mut next = first;
         let mut taken = 0;
         while let Some(env) = next.take() {
             taken += 1;
@@ -472,13 +469,13 @@ impl Carrier {
                         _ => {}
                     }
                 }
-                _ => self.dispatch(cluster, env),
+                _ => self.dispatch(cluster, env, now),
             }
             if reply.is_none() && taken < self.batch {
                 next = cluster.try_recv_external();
             }
         }
-        self.close_pass(cluster);
+        self.close_pass(cluster, now);
         reply
     }
 }
@@ -530,7 +527,8 @@ impl Transport for ThreadTransport {
         // Synchronous on the caller's thread: when this returns, the ops are
         // in the node channels, so a control round trip issued next acts as
         // a barrier behind them (same per-producer FIFO).
-        self.carrier.flush_from(cluster, id.0);
+        self.carrier
+            .flush_from(cluster, id.0, pass_now(self.carrier.reliable));
         self.carrier.collect_errors();
         Ok(())
     }
@@ -538,36 +536,39 @@ impl Transport for ThreadTransport {
     /// One park on the external queue — one queue whatever the client count
     /// — and one pass over what arrived.
     fn step(&mut self) -> Result<bool> {
-        let busy_deadline = Instant::now() + link::BUSY_STEP_TIMEOUT;
+        let mut busy_deadline = None;
         loop {
             let Some(cluster) = &self.cluster else {
                 return Ok(false);
             };
-            if let Some(env) = cluster.recv_external(self.park) {
-                self.carrier.pass(cluster, env, None);
+            if let Some(env) = cluster.recv_external(self.tuning.step_timeout) {
+                self.carrier.pass(cluster, Some(env), None);
                 self.stalled_since = None;
                 return Ok(true);
             }
             // A park of silence; the retransmission timer runs regardless.
-            self.carrier.close_pass(cluster);
+            self.carrier.pass(cluster, None, None);
             // Only call it idleness when no node-bound message is queued or
             // mid-processing — and, in chaos mode, no frame anywhere awaits
             // an ack (a partitioned link with retransmits pending is *busy*,
             // not idle) — otherwise keep waiting (bounded).
-            if self.unacked_total() > 0 {
+            let table = self.chaos.iter().flat_map(|c| c.table.iter());
+            if host::unacked(&self.carrier.hosts, table.map(|slot| relock(slot).unacked)) > 0 {
                 let rto_max = self.chaos.as_ref().map_or(0, |c| c.rto_max);
                 let (since, events) = (&mut self.stalled_since, &mut self.events);
                 return Ok(link::within_stall_horizon(since, rto_max, events));
             }
             self.stalled_since = None;
-            if cluster.pending_messages() == 0 || Instant::now() >= busy_deadline {
+            let now = Instant::now();
+            let busy_deadline = *busy_deadline.get_or_insert(now + link::BUSY_STEP_TIMEOUT);
+            if cluster.pending_messages() == 0 || now >= busy_deadline {
                 // A node enqueues its reply *before* its batch's in-flight
                 // count drops, so one may have landed between the park
-                // timing out and the count reading zero: look once more.
+                // ending and the count reading zero: look once more.
                 let Some(env) = cluster.try_recv_external() else {
                     return Ok(false);
                 };
-                self.carrier.pass(cluster, env, None);
+                self.carrier.pass(cluster, Some(env), None);
                 return Ok(true);
             }
         }
@@ -612,13 +613,13 @@ impl Transport for ThreadTransport {
                     what: format!("control reply (tag {reply_tag}) from rank {rank}"),
                 });
             }
-            let Some(env) = cluster.recv_external(remaining.min(self.park)) else {
+            let Some(env) = cluster.recv_external(remaining.min(self.tuning.step_timeout)) else {
                 // The retransmission timer keeps its cadence while a reply
                 // is slow in coming.
-                self.carrier.close_pass(cluster);
+                self.carrier.pass(cluster, None, None);
                 continue;
             };
-            if let Some(reply) = self.carrier.pass(cluster, env, awaited) {
+            if let Some(reply) = self.carrier.pass(cluster, Some(env), awaited) {
                 return Ok(reply);
             }
         }
@@ -703,7 +704,7 @@ mod tests {
         ] {
             let before = t.carrier.errors.len();
             t.carrier
-                .dispatch(&cluster, envelope(port, tag, vec![1, 2, 3]));
+                .dispatch(&cluster, envelope(port, tag, vec![1, 2, 3]), 0);
             assert!(
                 matches!(t.carrier.errors[before..], [CoreError::Transport(_)]),
                 "port {port}, tag {tag}: {:?}",
@@ -718,6 +719,7 @@ mod tests {
                 to: 0,
                 ..envelope(0, wire::TAG_OP, vec![])
             },
+            0,
         );
         assert_eq!(t.carrier.errors.len(), 5);
         for host in &t.carrier.hosts {
@@ -731,19 +733,23 @@ mod tests {
         let mut t = transport(1);
         let cluster = t.cluster.take().unwrap();
         t.carrier
-            .dispatch(&cluster, envelope(1, wire::TAG_ERROR, b"boom".to_vec()));
+            .dispatch(&cluster, envelope(1, wire::TAG_ERROR, b"boom".to_vec()), 0);
         assert!(matches!(&t.carrier.errors[..], [CoreError::Transport(m)] if m == "boom"));
         // A reply nobody awaits any more (its request timed out).
         let stale = wire::encode_control(41, &[9; 8]);
-        t.carrier
-            .dispatch(&cluster, envelope(1, wire::TAG_PEEK_REPLY, stale.clone()));
+        t.carrier.dispatch(
+            &cluster,
+            envelope(1, wire::TAG_PEEK_REPLY, stale.clone()),
+            0,
+        );
         // The same reply arriving while a later request of the same kind is
         // awaited: the token tells them apart.
         let awaited = Some((wire::TAG_PEEK_REPLY, 0, 42));
         let stale = envelope(1, wire::TAG_PEEK_REPLY, stale);
-        assert_eq!(t.carrier.pass(&cluster, stale, awaited), None);
+        assert_eq!(t.carrier.pass(&cluster, Some(stale), awaited), None);
         let live = envelope(1, wire::TAG_PEEK_REPLY, wire::encode_control(42, &[7; 8]));
-        assert_eq!(t.carrier.pass(&cluster, live, awaited), Some(vec![7; 8]));
+        let reply = t.carrier.pass(&cluster, Some(live), awaited);
+        assert_eq!(reply, Some(vec![7; 8]));
         assert_eq!(t.carrier.errors.len(), 1);
         cluster.shutdown();
     }

@@ -10,14 +10,22 @@
 //! result return) are correct under genuine concurrency, independent of the
 //! virtual-time model.
 //!
-//! Two properties matter for performance:
+//! Three properties matter for performance:
 //!
 //! * **zero-copy payloads** — envelopes carry [`tc_ucx::Bytes`] views, so
 //!   handing a message to a channel moves a refcount, not the payload;
 //! * **batched draining** — a node thread that wakes up drains everything
 //!   queued on its channel (up to a cap) and hands the whole batch to
 //!   [`ThreadedNode::on_batch`], paying the wakeup/synchronisation cost once
-//!   per burst instead of once per message.
+//!   per burst instead of once per message;
+//! * **no rank arms a timer to park** — every node thread parks untimed on
+//!   its channel.  A cluster with a [`ThreadConfig::tick`] has one
+//!   timekeeper, the `tc-clock` thread, the only thread that sleeps on a
+//!   timer; each cadence it puts one tick on every node's queue and on the
+//!   external queue.  A park whose timeout is shorter than the kernel's own
+//!   tick becomes the earliest timer on its CPU and re-programs the
+//!   deadline register once to arm and once to cancel — around *every*
+//!   hand-off, where the clock pays it once per cadence.
 //!
 //! Delivery is not silent-lossy: every send reports a [`SendStatus`], and the
 //! cluster counts messages that could not be delivered (unknown node id,
@@ -26,11 +34,11 @@
 //! enqueued-or-processing ([`ThreadCluster::pending_messages`]), giving
 //! drivers a cheap, race-tolerant idleness signal.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tc_ucx::Bytes;
 
 /// Sender id used for messages injected from outside the cluster.
@@ -82,9 +90,10 @@ pub type EnvelopeFilter = Arc<dyn Fn(Envelope, &mut dyn FnMut(Envelope)) + Send 
 pub struct ThreadConfig {
     /// Most messages a node thread drains per wakeup (0 = default).
     pub max_batch: usize,
-    /// When set, node threads park with this timeout and receive
+    /// When set, the cluster runs a clock thread and every node receives
     /// [`ThreadedNode::on_tick`] callbacks at least this often — the hook
-    /// reliability layers use for timeout-based retransmission.
+    /// reliability layers use for timeout-based retransmission — while
+    /// [`ThreadCluster::recv_external`] returns early once per cadence.
     pub tick: Option<Duration>,
     /// Interposed envelope filter (fault injection).
     pub filter: Option<EnvelopeFilter>,
@@ -214,9 +223,39 @@ impl Counters {
     }
 }
 
+/// What travels on a node's channel and on the external queue.
 enum Control {
     Deliver(Envelope),
+    /// The clock's cadence elapsed (never queued twice: see [`TickPort`]).
+    Tick,
     Stop,
+}
+
+/// One queue as the clock sees it.  `pending` is set while a tick sits on
+/// the queue and cleared by whoever takes it off, so a receiver that was
+/// away for twenty cadences finds one tick, not twenty.  The flag publishes
+/// no data (the channel orders the tick itself); the clear is a `Release`
+/// store so that it stays behind the dequeue it follows.
+struct TickPort {
+    tx: Sender<Control>,
+    pending: Arc<AtomicBool>,
+}
+
+impl TickPort {
+    fn tick(&self) {
+        if !self.pending.swap(true, Ordering::AcqRel) {
+            let _ = self.tx.send(Control::Tick);
+        }
+    }
+}
+
+/// The fabric's one timekeeper: every `period`, one (coalesced) tick on
+/// every port.  It parks on the stop channel rather than sleeping, so
+/// [`ThreadCluster::shutdown`] — or dropping the cluster — ends it at once.
+fn run_clock(period: Duration, ports: Vec<TickPort>, stop: Receiver<()>) {
+    while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(period) {
+        ports.iter().for_each(TickPort::tick);
+    }
 }
 
 fn send_control(peers: &[Sender<Control>], counters: &Counters, env: Envelope) -> SendStatus {
@@ -245,7 +284,7 @@ fn send_control(peers: &[Sender<Control>], counters: &Counters, env: Envelope) -
 #[derive(Clone)]
 struct Router {
     peers: Vec<Sender<Control>>,
-    external: Sender<Envelope>,
+    external: Sender<Control>,
     counters: Arc<Counters>,
     filter: Option<EnvelopeFilter>,
 }
@@ -258,7 +297,7 @@ impl Router {
         if external_port(env.to).is_none() {
             return send_control(&self.peers, &self.counters, env);
         }
-        match self.external.send(env) {
+        match self.external.send(Control::Deliver(env)) {
             Ok(()) => self.counters.record(SendStatus::Delivered),
             Err(_) => self.counters.record(SendStatus::Disconnected),
         }
@@ -383,8 +422,13 @@ pub trait ThreadedNode: Send {
 /// A running cluster of threaded nodes.
 pub struct ThreadCluster {
     router: Router,
-    external_rx: Receiver<Envelope>,
+    external_rx: Receiver<Control>,
+    /// Set while a tick sits on the external queue.
+    external_tick: Arc<AtomicBool>,
     handles: Vec<JoinHandle<()>>,
+    /// The clock thread and the channel that stops it (only with a
+    /// [`ThreadConfig::tick`]).
+    clock: Option<(Sender<()>, JoinHandle<()>)>,
 }
 
 impl ThreadCluster {
@@ -411,88 +455,82 @@ impl ThreadCluster {
         let (ext_tx, ext_rx) = channel();
         let counters = Arc::new(Counters::default());
         let max_batch = config.effective_batch();
-        let tick = config.tick;
         let router = Router {
             peers: senders,
             external: ext_tx,
             counters: Arc::clone(&counters),
             filter: config.filter.clone(),
         };
+        // The external queue's tick port first, then one per node.
+        let external_tick = Arc::new(AtomicBool::new(false));
+        let mut ports = vec![TickPort {
+            tx: router.external.clone(),
+            pending: Arc::clone(&external_tick),
+        }];
 
         let mut handles = Vec::with_capacity(n);
-        for (node_id, (_, rx)) in channels.into_iter().enumerate() {
+        for (node_id, (tx, rx)) in channels.into_iter().enumerate() {
             let ctx = NodeCtx {
                 node_id,
                 router: router.clone(),
             };
+            let tick_pending = Arc::new(AtomicBool::new(false));
+            ports.push(TickPort {
+                tx,
+                pending: Arc::clone(&tick_pending),
+            });
             let mut node = factory(node_id);
             let handle = std::thread::Builder::new()
                 .name(format!("tc-node-{node_id}"))
                 .spawn(move || {
                     node.on_start(&ctx);
                     let mut batch: Vec<Envelope> = Vec::new();
-                    let mut last_tick = Instant::now();
-                    'run: loop {
-                        let ctrl = match tick {
-                            None => match rx.recv() {
-                                Ok(ctrl) => ctrl,
-                                Err(_) => break 'run,
-                            },
-                            Some(period) => match rx.recv_timeout(period) {
-                                Ok(ctrl) => ctrl,
-                                Err(RecvTimeoutError::Timeout) => {
-                                    node.on_tick(&ctx);
-                                    last_tick = Instant::now();
-                                    continue 'run;
-                                }
-                                Err(RecvTimeoutError::Disconnected) => break 'run,
-                            },
-                        };
-                        match ctrl {
-                            Control::Deliver(env) => batch.push(env),
-                            Control::Stop => break 'run,
-                        }
+                    // One untimed park per wakeup, ticked cluster or not.
+                    while let Ok(mut ctrl) = rx.recv() {
                         // Drain the burst that accumulated while we were
-                        // parked (or busy), then process it in one go.
-                        let mut stop = false;
-                        while batch.len() < max_batch {
+                        // parked (or busy), then process it in one go.  A
+                        // tick met on the way runs once, behind the batch:
+                        // the queue is FIFO, so a saturated node still gets
+                        // its `on_tick` every cadence.
+                        let (mut ticked, mut stop) = (false, false);
+                        loop {
+                            match ctrl {
+                                Control::Deliver(env) => batch.push(env),
+                                Control::Tick => {
+                                    tick_pending.store(false, Ordering::Release);
+                                    ticked = true;
+                                }
+                                Control::Stop => stop = true,
+                            }
+                            if stop || batch.len() >= max_batch {
+                                break;
+                            }
                             match rx.try_recv() {
-                                Ok(Control::Deliver(env)) => batch.push(env),
-                                Ok(Control::Stop) => {
-                                    stop = true;
-                                    break;
-                                }
-                                Err(TryRecvError::Empty) => break,
-                                Err(TryRecvError::Disconnected) => {
-                                    stop = true;
-                                    break;
-                                }
+                                Ok(next) => ctrl = next,
+                                Err(_) => break,
                             }
                         }
-                        let count = batch.len() as u64;
-                        node.on_batch(std::mem::take(&mut batch), &ctx);
-                        ctx.router
-                            .counters
-                            .in_flight
-                            .fetch_sub(count, Ordering::SeqCst);
-                        // A saturated node never hits the park timeout, so
-                        // honour the tick cadence between batches too.
-                        if let Some(period) = tick {
-                            if last_tick.elapsed() >= period {
-                                node.on_tick(&ctx);
-                                last_tick = Instant::now();
-                            }
+                        if !batch.is_empty() {
+                            let count = batch.len() as u64;
+                            node.on_batch(std::mem::take(&mut batch), &ctx);
+                            ctx.router
+                                .counters
+                                .in_flight
+                                .fetch_sub(count, Ordering::SeqCst);
+                        }
+                        if ticked {
+                            node.on_tick(&ctx);
                         }
                         if stop {
-                            break 'run;
+                            break;
                         }
                     }
                     // Anything left queued on a stopping node is no longer
                     // in flight.
-                    let leftover = batch.len() as u64
-                        + rx.try_iter()
-                            .filter(|c| matches!(c, Control::Deliver(_)))
-                            .count() as u64;
+                    let leftover = rx
+                        .try_iter()
+                        .filter(|c| matches!(c, Control::Deliver(_)))
+                        .count() as u64;
                     if leftover > 0 {
                         ctx.router
                             .counters
@@ -504,10 +542,21 @@ impl ThreadCluster {
             handles.push(handle);
         }
 
+        let clock = config.tick.map(|period| {
+            let (stop_tx, stop_rx) = channel();
+            let handle = std::thread::Builder::new()
+                .name("tc-clock".into())
+                .spawn(move || run_clock(period, ports, stop_rx))
+                .expect("failed to spawn clock thread");
+            (stop_tx, handle)
+        });
+
         ThreadCluster {
             router,
             external_rx: ext_rx,
+            external_tick,
             handles,
+            clock,
         }
     }
 
@@ -579,22 +628,40 @@ impl ThreadCluster {
         })
     }
 
-    /// Wait for a message sent to the external observer.  Parks on the
-    /// channel and wakes immediately on enqueue (no polling).
-    pub fn recv_external(&self, timeout: Duration) -> Option<Envelope> {
-        match self.external_rx.recv_timeout(timeout) {
-            Ok(env) => Some(env),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
+    /// The envelope in something taken off the external queue, if it is one;
+    /// a tick is taken off the books instead.
+    fn external(&self, ctrl: Control) -> Option<Envelope> {
+        match ctrl {
+            Control::Deliver(env) => Some(env),
+            Control::Tick => {
+                self.external_tick.store(false, Ordering::Release);
+                None
+            }
+            Control::Stop => None,
         }
     }
 
-    /// Take an already-queued external message without blocking.
+    /// Wait for a message sent to the external observer.  Parks on the
+    /// channel and wakes immediately on enqueue (no polling).  `None` means
+    /// `timeout` elapsed — or, with a [`ThreadConfig::tick`], that a cadence
+    /// did: the caller's timeout-driven work is due, and it never had to arm
+    /// a timer shorter than `timeout` to learn so.
+    pub fn recv_external(&self, timeout: Duration) -> Option<Envelope> {
+        self.external(self.external_rx.recv_timeout(timeout).ok()?)
+    }
+
+    /// Take an already-queued external message without blocking (a queued
+    /// tick is skipped).
     pub fn try_recv_external(&self) -> Option<Envelope> {
-        self.external_rx.try_recv().ok()
+        loop {
+            if let Some(env) = self.external(self.external_rx.try_recv().ok()?) {
+                return Some(env);
+            }
+        }
     }
 
     /// Collect external messages until `count` have arrived or `timeout`
-    /// elapses (whichever comes first).
+    /// elapses (whichever comes first; ticks are skipped).
     pub fn collect_external(&self, count: usize, timeout: Duration) -> Vec<Envelope> {
         let deadline = std::time::Instant::now() + timeout;
         let mut out = Vec::with_capacity(count);
@@ -604,15 +671,19 @@ impl ThreadCluster {
                 break;
             }
             match self.external_rx.recv_timeout(remaining) {
-                Ok(env) => out.push(env),
+                Ok(ctrl) => out.extend(self.external(ctrl)),
                 Err(_) => break,
             }
         }
         out
     }
 
-    /// Stop all nodes and join their threads.
+    /// Stop the clock and all nodes and join their threads.
     pub fn shutdown(self) {
+        if let Some((stop, handle)) = self.clock {
+            let _ = stop.send(());
+            let _ = handle.join();
+        }
         for tx in &self.router.peers {
             let _ = tx.send(Control::Stop);
         }
@@ -868,28 +939,171 @@ mod tests {
         cluster.shutdown();
     }
 
-    #[test]
-    fn configured_tick_fires_without_traffic() {
-        struct TickNode;
-        impl ThreadedNode for TickNode {
-            fn on_message(&mut self, _msg: Envelope, _ctx: &NodeCtx) {}
-            fn on_tick(&mut self, ctx: &NodeCtx) {
-                let _ = ctx.send_external(99, vec![]);
+    /// What a node under the clock did, in order.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Did {
+        Batch(usize),
+        Tick,
+    }
+
+    /// Logs batches and ticks; tag 2 blocks its handler until released, tag
+    /// 1 is echoed to the external queue.
+    struct Logged {
+        log: Arc<std::sync::Mutex<Vec<Did>>>,
+        entered: std::sync::mpsc::Sender<()>,
+        release: Arc<std::sync::Mutex<Receiver<()>>>,
+    }
+
+    impl ThreadedNode for Logged {
+        fn on_message(&mut self, msg: Envelope, ctx: &NodeCtx) {
+            match msg.tag {
+                1 => {
+                    let _ = ctx.send_external(1, msg.data);
+                }
+                2 => {
+                    let _ = self.entered.send(());
+                    let _ = self.release.lock().unwrap().recv();
+                }
+                _ => {}
             }
         }
-        let cluster = ThreadCluster::start_with_config(
-            1,
-            ThreadConfig {
-                tick: Some(Duration::from_millis(5)),
-                ..ThreadConfig::default()
-            },
-            |_| TickNode,
+
+        fn on_batch(&mut self, msgs: Vec<Envelope>, ctx: &NodeCtx) {
+            self.log.lock().unwrap().push(Did::Batch(msgs.len()));
+            for msg in msgs {
+                self.on_message(msg, ctx);
+            }
+        }
+
+        fn on_tick(&mut self, _ctx: &NodeCtx) {
+            self.log.lock().unwrap().push(Did::Tick);
+        }
+    }
+
+    /// A cluster of `Logged` nodes under a clock of `cadence`.
+    struct Ticked {
+        cluster: ThreadCluster,
+        logs: Vec<Arc<std::sync::Mutex<Vec<Did>>>>,
+        entered: Receiver<()>,
+        release: Sender<()>,
+    }
+
+    fn ticked(nodes: usize, cadence: Duration) -> Ticked {
+        let logs: Vec<_> = (0..nodes).map(|_| Arc::default()).collect();
+        let (entered_tx, entered) = channel();
+        let (release, release_rx) = channel();
+        let release_rx = Arc::new(std::sync::Mutex::new(release_rx));
+        let config = ThreadConfig {
+            tick: Some(cadence),
+            ..ThreadConfig::default()
+        };
+        let cluster = ThreadCluster::start_with_config(nodes, config, |id| Logged {
+            log: Arc::clone(&logs[id]),
+            entered: entered_tx.clone(),
+            release: Arc::clone(&release_rx),
+        });
+        Ticked {
+            cluster,
+            logs,
+            entered,
+            release,
+        }
+    }
+
+    /// Poll `done` until it holds (the clock keeps wall time; five seconds
+    /// is a thousand cadences).
+    fn eventually(what: &str, done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "never: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    const CADENCE: Duration = Duration::from_millis(5);
+
+    #[test]
+    fn the_clock_ticks_every_node_and_ends_the_drivers_park_with_no_traffic_at_all() {
+        let t = ticked(3, CADENCE);
+        // The park is asked for five seconds and arms no shorter timer: it
+        // is the clock's tick that ends it, silent, not an envelope.
+        let parked = std::time::Instant::now();
+        assert_eq!(t.cluster.recv_external(Duration::from_secs(5)), None);
+        assert!(
+            parked.elapsed() < Duration::from_secs(1),
+            "the park rode out its own timeout: {:?}",
+            parked.elapsed()
         );
-        let env = cluster
-            .recv_external(Duration::from_secs(5))
-            .expect("tick fired with no traffic at all");
-        assert_eq!(env.tag, 99);
-        cluster.shutdown();
+        for log in &t.logs {
+            eventually("on_tick on every node", || {
+                log.lock().unwrap().contains(&Did::Tick)
+            });
+            assert!(!log
+                .lock()
+                .unwrap()
+                .iter()
+                .any(|d| matches!(d, Did::Batch(_))));
+        }
+        // Ticks are not messages: nothing is pending, nothing was delivered.
+        assert_eq!(t.cluster.pending_messages(), 0);
+        assert_eq!(t.cluster.metrics(), ThreadMetrics::default());
+        assert_eq!(t.cluster.try_recv_external(), None);
+        t.cluster.shutdown();
+    }
+
+    #[test]
+    fn a_node_busy_for_twenty_cadences_runs_on_tick_once_behind_its_next_batch() {
+        let t = ticked(1, CADENCE);
+        assert!(t.cluster.send(0, 2, vec![]).is_delivered());
+        t.entered.recv().expect("the handler is entered");
+        // Twenty cadences pass over the blocked handler; three messages
+        // queue up behind the one tick they left.
+        std::thread::sleep(CADENCE * 20);
+        for _ in 0..3 {
+            assert!(t.cluster.send(0, 0, vec![]).is_delivered());
+        }
+        assert_eq!(t.cluster.pending_messages(), 4, "ticks are not counted");
+        t.release.send(()).unwrap();
+        let log = &t.logs[0];
+        let tail = || {
+            let log = log.lock().unwrap();
+            let blocked = log.iter().position(|d| *d == Did::Batch(1));
+            log[blocked.expect("the blocking batch is logged first")..].to_vec()
+        };
+        let burst = || tail().iter().position(|d| *d == Did::Batch(3));
+        eventually("the tick behind the batch", || {
+            burst().is_some_and(|at| tail().len() > at + 1)
+        });
+        let (tail, burst) = (tail(), burst().unwrap());
+        // (A tick drained together with the blocking message ran behind it;
+        // that is the only other `on_tick` twenty cadences can have left.)
+        assert!(
+            burst <= 2,
+            "one on_tick per batch, not per cadence: {tail:?}"
+        );
+        assert_eq!(tail[burst + 1], Did::Tick, "{tail:?}");
+        t.cluster.shutdown();
+    }
+
+    #[test]
+    fn a_driver_away_for_twenty_cadences_finds_one_tick_then_its_envelopes_in_order() {
+        let t = ticked(1, CADENCE);
+        std::thread::sleep(CADENCE * 20);
+        // The one pending tick keeps the clock off the queue, so the echoes
+        // line up behind it and nothing lands between them.
+        for i in 0..3u8 {
+            assert!(t.cluster.send(0, 1, vec![i]).is_delivered());
+        }
+        eventually("three echoes queued", || t.cluster.metrics().delivered == 6);
+        let parked = std::time::Instant::now();
+        assert_eq!(t.cluster.recv_external(Duration::from_secs(5)), None);
+        assert!(parked.elapsed() < Duration::from_secs(1));
+        for i in 0..3u8 {
+            let env = t.cluster.recv_external(Duration::from_secs(5));
+            assert_eq!(env.expect("an echo, not a second tick").data[..], [i]);
+        }
+        assert_eq!(t.cluster.metrics().delivered, 6);
+        t.cluster.shutdown();
     }
 
     #[test]

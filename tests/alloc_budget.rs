@@ -12,7 +12,10 @@
 //! The same counter holds the driver plane's idle and observation paths to
 //! zero: checking a completion set against a healthy cluster and taking a
 //! snapshot allocate nothing but the snapshot's own vectors, and a `step`
-//! that carries traffic allocates what it did before the snapshot existed.
+//! that carries traffic allocates what it did before the snapshot existed;
+//! and a `step` that carries nothing — a silent park of a cluster under a
+//! fault plan, which happens once per retransmission cadence of every
+//! blocked wait — allocates nothing at all.
 //!
 //! Its own test binary, because it installs a counting `#[global_allocator]`;
 //! the count is per thread, so the tests here may run in parallel.
@@ -259,4 +262,31 @@ fn polling_and_observing_a_healthy_cluster_allocate_nothing_of_their_own() {
     assert_eq!(observed, 1, "{snapshot}");
     let (failed, asked) = count(|| cluster.transport().failed_ranks());
     assert_eq!((failed, asked), (Vec::new(), 0));
+}
+
+/// Under a fault plan the wait path asks "is anything unacked?" after every
+/// silent park.  That is a sum over the hosts and the servers' published
+/// digests, taken in place — not a `Snapshot` (two rank vectors, the link
+/// rows, the chaos session's lock and a copy of the event ring) built to be
+/// reduced to one number.
+#[test]
+fn a_silent_park_of_a_reliable_threaded_cluster_allocates_nothing() {
+    let mut cluster = ClusterBuilder::new()
+        .servers(2)
+        .fault_plan(tc_core::FaultPlan::seeded(5))
+        .build_threaded();
+    // Traffic first, so that every link exists and has something to report.
+    for server in 1..=2 {
+        cluster.write_u64(server, DATA_REGION_BASE, 7).unwrap();
+        let handle = cluster.get(server, DATA_REGION_BASE, 8).unwrap();
+        assert_eq!(cluster.wait(&handle).unwrap()[0], 7);
+    }
+    cluster.run_until_idle(1_000).unwrap();
+    // The first park also sets up this thread's channel context.
+    assert!(!cluster.transport_mut().step().unwrap());
+    for _ in 0..3 {
+        let (progressed, allocs) = count(|| cluster.transport_mut().step().unwrap());
+        assert_eq!((progressed, allocs), (false, 0), "a silent, idle park");
+    }
+    assert_eq!(cluster.transport().unacked_total(), 0);
 }

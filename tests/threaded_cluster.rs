@@ -431,3 +431,79 @@ fn no_thread_is_started_for_a_client_rank() {
     );
     cluster.shutdown();
 }
+
+/// Under a fault plan the caller's park is ended by the fabric's clock, and a
+/// tick can land microseconds behind a real envelope: a silent park is no
+/// longer a cadence of silence.  Quiescence never rested on how long the
+/// silence lasted — only on nothing unacked on any rank, nothing queued for a
+/// node and nothing queued for the caller — so `run_until_idle` still returns
+/// only once every frame is acked and every posted operation is claimable,
+/// whatever the plan dropped or reordered on the way.
+#[test]
+fn a_tick_close_behind_an_envelope_does_not_make_quiescence_eager() {
+    const GETS: u64 = 32;
+    const PUTS: u64 = 8;
+    let rel = tc_core::RelConfig {
+        rto: 2_000_000,
+        rto_max: 16_000_000,
+        adaptive: true,
+    };
+    let (mut faults, mut retransmits) = (0, 0);
+    for seed in 0..100u64 {
+        let plan = tc_core::FaultPlan::seeded(0x71C4_0000 + seed)
+            .drop_rate(0.05)
+            .reorder_rate(0.05);
+        let mut cluster = ClusterBuilder::new()
+            .servers(2)
+            .fault_plan(plan)
+            .rel_config(rel)
+            .build_threaded();
+        let value = |server: u64, i: u64| (seed << 16) | (server << 8) | i;
+        for server in 1..=2 {
+            for i in 0..GETS / 2 {
+                let at = DATA_REGION_BASE + 8 * i;
+                cluster
+                    .write_u64(server as usize, at, value(server, i))
+                    .unwrap();
+            }
+        }
+        let gets: Vec<_> = (0..GETS)
+            .map(|n| {
+                let (server, i) = (1 + n % 2, n / 2);
+                let handle = cluster.post_get(server as usize, DATA_REGION_BASE + 8 * i, 8);
+                (handle, value(server, i))
+            })
+            .collect();
+        let puts: Vec<_> = (0..PUTS)
+            .map(|n| {
+                let at = TARGET_REGION_BASE + 8 * n;
+                cluster.post_put_confirmed(1 + (n % 2) as usize, at, n.to_le_bytes().to_vec())
+            })
+            .collect();
+        cluster.flush().unwrap();
+        cluster.run_until_idle(u64::MAX).unwrap();
+
+        let snapshot = cluster.snapshot();
+        for rank in &snapshot.ranks {
+            let unacked = rank.digest.map(|d| d.unacked);
+            assert_eq!(unacked, Some(0), "seed {seed}: idle with\n{snapshot}");
+        }
+        for (handle, want) in &gets {
+            let data = cluster.try_claim(handle);
+            let data = data.unwrap_or_else(|| panic!("seed {seed}: idle with\n{snapshot}"));
+            assert_eq!(data.as_slice(), want.to_le_bytes(), "seed {seed}");
+        }
+        for handle in &puts {
+            let confirmed = cluster.try_claim(handle);
+            assert!(confirmed.is_some(), "seed {seed}: idle with\n{snapshot}");
+        }
+        assert_eq!(cluster.pending_completions(), 0, "seed {seed}");
+        faults += snapshot.totals().faults_injected;
+        retransmits += snapshot.totals().retransmits;
+        cluster.shutdown();
+    }
+    assert!(
+        faults >= 100 && retransmits >= 100,
+        "the plans must bite: {faults} faults, {retransmits} retransmits"
+    );
+}
