@@ -64,13 +64,6 @@ impl SenderCache {
         }
     }
 
-    /// Peek without recording (used by benchmarks to predict message sizes).
-    pub fn would_truncate(&self, ifunc_name: &str, endpoint: WorkerAddr) -> bool {
-        self.seen
-            .get(ifunc_name)
-            .is_some_and(|endpoints| endpoints.contains(&endpoint))
-    }
-
     /// Forget an endpoint entirely (connection teardown).
     pub fn forget_endpoint(&mut self, endpoint: WorkerAddr) {
         self.seen.retain(|_, endpoints| {
@@ -130,7 +123,7 @@ mod tests {
         c.on_send("tsi", WorkerAddr(2));
         c.forget_endpoint(WorkerAddr(1));
         assert_eq!(c.on_send("tsi", WorkerAddr(1)), SendDecision::SendFull);
-        assert!(c.would_truncate("tsi", WorkerAddr(2)));
+        assert_eq!(c.on_send("tsi", WorkerAddr(2)), SendDecision::SendTruncated);
     }
 
     #[test]
@@ -142,15 +135,9 @@ mod tests {
         c.forget_ifunc("tsi");
         assert_eq!(c.on_send("tsi", WorkerAddr(1)), SendDecision::SendFull);
         assert_eq!(c.on_send("tsi", WorkerAddr(2)), SendDecision::SendFull);
-        assert!(c.would_truncate("chaser", WorkerAddr(1)));
-    }
-
-    #[test]
-    fn would_truncate_does_not_mutate() {
-        let mut c = SenderCache::new();
-        assert!(!c.would_truncate("tsi", WorkerAddr(0)));
-        assert!(c.is_empty());
-        c.on_send("tsi", WorkerAddr(0));
-        assert!(c.would_truncate("tsi", WorkerAddr(0)));
+        assert_eq!(
+            c.on_send("chaser", WorkerAddr(1)),
+            SendDecision::SendTruncated
+        );
     }
 }

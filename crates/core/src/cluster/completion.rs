@@ -23,11 +23,9 @@
 //! claimed from on the thread that drives the cluster — as in the paper,
 //! where an initiator reaps its own completions on the thread that
 //! progresses its worker.  Nothing here is shared, so nothing here locks.
-//!
-//! The table also powers the fixed
-//! [`Cluster::run_until_completions`](super::Cluster::run_until_completions)
-//! contract: completions returned from that call stay *claimable* by later
-//! typed waits until something actually claims them.
+//! A completion leaves the table one way: a typed handle claims it, directly
+//! ([`Cluster::wait`](super::Cluster::wait) /
+//! [`try_claim`](super::Cluster::try_claim)) or through a [`CompletionSet`].
 
 use super::{ClientId, CompletionHandle, GetHandle, ResultHandle};
 use crate::runtime::Completion;
@@ -63,8 +61,7 @@ impl ClaimKey {
 /// One arrived-but-unclaimed completion.
 #[derive(Debug)]
 struct Arrived {
-    /// Arrival number: the one order `wait_any`, `take_fresh` and the
-    /// arrival queue all follow.
+    /// Arrival number: the order `wait_any` and the arrival queue follow.
     seq: u64,
     /// What the claimer receives: `Ready::Get`, `Ready::Put` or
     /// `Ready::Result`, matching the kind of the key it is stored under.
@@ -86,23 +83,14 @@ struct Arrived {
 /// There is one arrival order.  Every deposit takes the next arrival number
 /// and queues a `(number, key)` record; a record is *live* only while the
 /// table's entry for its key still carries that number.  Claiming an entry
-/// or overwriting it kills its record, so a key never has two live records
-/// and the queue, [`ClaimTable::take_fresh`] and `wait_any` cannot disagree.
-/// Freshness is a mark on the same order: a completion is *fresh* until
-/// `take_fresh` has handed it out, i.e. while its number is at or above the
-/// next number at the last `take_fresh`.
+/// or overwriting it kills its record, so a key never has two live records;
+/// the queue has one reader, [`CompletionSet::claim_earliest`] (`wait_any`).
 #[derive(Debug, Default)]
 pub struct ClaimTable {
     pending: HashMap<ClaimKey, Arrived>,
     /// Arrival records, oldest first (dead ones are pruned lazily).
     arrivals: VecDeque<(u64, ClaimKey)>,
     next_seq: u64,
-    /// Arrivals numbered below this were handed out by `take_fresh` (they
-    /// stay claimable, but are not returned or counted again).
-    fresh_from: u64,
-    /// Fresh pending completions (maintained incrementally so the wait loop
-    /// checks it in O(1)).
-    fresh: usize,
 }
 
 impl ClaimTable {
@@ -110,10 +98,10 @@ impl ClaimTable {
     ///
     /// A result slot holds at most one unclaimed value per client (the
     /// mailbox slot is a single 16-byte record): a second arrival before
-    /// the first claim is an overwrite — the entry takes the new value,
-    /// counts as a *fresh* arrival again and moves to the back of the
-    /// arrival order, which is where a new completion belongs.  A duplicate
-    /// GET or confirmed-PUT completion collapses onto the first.
+    /// the first claim is an overwrite — the entry takes the new value and
+    /// moves to the back of the arrival order, which is where a new
+    /// completion belongs.  A duplicate GET or confirmed-PUT completion
+    /// collapses onto the first.
     pub fn absorb(&mut self, client: ClientId, completions: Vec<Completion>) {
         // Before depositing: a driver that claims what it waits for arrives
         // here with an empty map, where checking a record costs no hashing.
@@ -131,19 +119,9 @@ impl ClaimTable {
             let seq = self.next_seq;
             let arrived = Arrived { seq, value };
             match self.pending.entry(key) {
-                Entry::Vacant(v) => {
-                    v.insert(arrived);
-                    self.fresh += 1;
-                }
-                Entry::Occupied(mut o) if matches!(key, ClaimKey::Result(..)) => {
-                    // Even if the record it replaces was already handed out
-                    // by `run_until_completions`, this one was not.
-                    if o.insert(arrived).seq < self.fresh_from {
-                        self.fresh += 1;
-                    }
-                }
-                Entry::Occupied(_) => continue,
-            }
+                Entry::Occupied(_) if !matches!(key, ClaimKey::Result(..)) => continue,
+                entry => entry.insert_entry(arrived),
+            };
             self.next_seq += 1;
             self.arrivals.push_back((seq, key));
         }
@@ -171,8 +149,8 @@ impl ClaimTable {
     /// The earliest-arrived pending key accepted by `wanted`.  Dead records
     /// are popped eagerly at the front and swept from the interior by
     /// [`ClaimTable::sweep_arrivals`]; entries that are pending but not
-    /// wanted (e.g. observed completions no handle waits on yet) are
-    /// skipped without being dropped.
+    /// wanted (completions no registered handle waits on) are skipped
+    /// without being dropped.
     pub(super) fn earliest_pending(
         &mut self,
         mut wanted: impl FnMut(ClaimKey) -> bool,
@@ -191,11 +169,7 @@ impl ClaimTable {
 
     /// Remove and return the completion pending under `key`.
     pub(super) fn claim(&mut self, key: ClaimKey) -> Option<Ready> {
-        let arrived = self.pending.remove(&key)?;
-        if arrived.seq >= self.fresh_from {
-            self.fresh -= 1;
-        }
-        Some(arrived.value)
+        Some(self.pending.remove(&key)?.value)
     }
 
     /// Remove and return one client's GET completion.
@@ -219,7 +193,7 @@ impl ClaimTable {
         }
     }
 
-    /// Number of unclaimed completions (fresh or not).
+    /// Number of unclaimed completions.
     pub fn len(&self) -> usize {
         self.pending.len()
     }
@@ -227,42 +201,6 @@ impl ClaimTable {
     /// True when no completion is pending.
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
-    }
-
-    /// Number of unclaimed completions that have not yet been handed out by
-    /// `run_until_completions` (O(1): the wait loop checks it per step).
-    pub fn fresh_len(&self) -> usize {
-        self.fresh
-    }
-
-    /// Snapshot the fresh completions in arrival order; they are fresh no
-    /// longer, but remain claimable by typed handles.  (The returned
-    /// [`Completion`] values carry the per-client numeric ids; on a
-    /// multi-client cluster use typed handles to keep the client attribution.)
-    pub fn take_fresh(&mut self) -> Vec<Completion> {
-        let fresh_from = std::mem::replace(&mut self.fresh_from, self.next_seq);
-        let mut out = Vec::with_capacity(std::mem::take(&mut self.fresh));
-        let oldest = self.arrivals.partition_point(|&(seq, _)| seq < fresh_from);
-        for &(seq, key) in self.arrivals.range(oldest..) {
-            let Some(a) = self.pending.get(&key).filter(|a| a.seq == seq) else {
-                continue;
-            };
-            out.push(match (key, &a.value) {
-                (ClaimKey::Get(_, request), Ready::Get(data)) => Completion::Get {
-                    request: RequestId(request),
-                    data: data.clone(),
-                },
-                (ClaimKey::Result(_, slot), &Ready::Result(value)) => {
-                    Completion::Result { slot, value }
-                }
-                (ClaimKey::Put(_, request), _) => Completion::Put {
-                    request: RequestId(request),
-                },
-                // `absorb` stores every key with its own kind's value.
-                _ => continue,
-            });
-        }
-        out
     }
 }
 
@@ -765,9 +703,8 @@ mod tests {
         t.absorb(C0, vec![Completion::Result { slot: 5, value: 1 }]);
         t.absorb(C0, vec![Completion::Result { slot: 5, value: 2 }]);
         assert_eq!(t.len(), 1, "a mailbox slot holds one record");
-        assert_eq!(t.fresh_len(), 1);
         assert_eq!(t.claim_result(C0, 5), Some(2));
-        assert_eq!(t.fresh_len(), 0);
+        assert!(t.is_empty());
     }
 
     /// A slot claimed and then filled again is a *new* arrival: it must not
@@ -789,10 +726,6 @@ mod tests {
         ];
         let mut t = scenario();
         assert_eq!(live_records(&t), want, "one live record per pending key");
-        assert_eq!(
-            t.take_fresh(),
-            [get_completion(1, 0), get_completion(2, 0), result(5, 2)]
-        );
         assert_eq!(drain_by_queue(&mut t), want);
         // Registration order disagrees with arrival order on purpose.
         assert_eq!(
@@ -802,7 +735,7 @@ mod tests {
     }
 
     /// An unclaimed slot that is overwritten is the newer completion from
-    /// then on — in every order, not only in `take_fresh`'s.
+    /// then on, to the queue and to a set alike.
     #[test]
     fn an_overwritten_result_slot_requeues_behind_earlier_arrivals() {
         let scenario = || {
@@ -814,10 +747,8 @@ mod tests {
         };
         let want = [ClaimKey::Get(C0, 1), ClaimKey::Result(C0, 5)];
         let mut t = scenario();
-        assert_eq!((t.len(), t.fresh_len()), (2, 2), "the slot counts once");
+        assert_eq!(t.len(), 2, "the slot counts once");
         assert_eq!(live_records(&t), want);
-        assert_eq!(t.take_fresh(), [get_completion(1, 0), result(5, 2)]);
-        assert_eq!(t.fresh_len(), 0);
         assert_eq!(drain_by_set(&mut scenario(), &[want[1], want[0]]), want);
         assert_eq!(t.earliest_pending(|_| true), Some(want[0]));
         assert_eq!(t.claim_result(C0, 5), Some(2), "the latest value wins");
@@ -840,35 +771,6 @@ mod tests {
             "stale arrival records must be swept, got {}",
             t.arrivals.len()
         );
-    }
-
-    #[test]
-    fn reused_slot_counts_as_fresh_again_after_take_fresh() {
-        // A second result on a reused slot must be returned by the next
-        // `run_until_completions` even though the first was already handed
-        // out (and never claimed).
-        let mut t = ClaimTable::default();
-        t.absorb(C0, vec![Completion::Result { slot: 5, value: 1 }]);
-        assert_eq!(t.take_fresh().len(), 1);
-        assert_eq!(t.fresh_len(), 0);
-        t.absorb(C0, vec![Completion::Result { slot: 5, value: 2 }]);
-        assert_eq!(t.fresh_len(), 1, "the overwrite is a new completion");
-        let fresh = t.take_fresh();
-        assert_eq!(fresh, vec![Completion::Result { slot: 5, value: 2 }]);
-        assert_eq!(t.claim_result(C0, 5), Some(2), "still claimable afterwards");
-    }
-
-    #[test]
-    fn take_fresh_marks_observed_but_keeps_claimable() {
-        let mut t = ClaimTable::default();
-        t.absorb(C0, vec![get_completion(1, 9), get_completion(2, 8)]);
-        let fresh = t.take_fresh();
-        assert_eq!(fresh.len(), 2);
-        assert!(matches!(&fresh[0], Completion::Get { request, .. } if request.0 == 1));
-        assert_eq!(t.fresh_len(), 0, "observed completions are not re-counted");
-        assert_eq!(t.len(), 2, "…but they stay claimable");
-        assert!(t.take_fresh().is_empty());
-        assert!(t.claim_get(C0, RequestId(2)).is_some());
     }
 
     #[test]
@@ -917,15 +819,14 @@ mod tests {
         Claim(ClaimKey),
         /// Register the keys in this order, resolve up to this many.
         ClaimEarliest(Vec<ClaimKey>, usize),
-        TakeFresh,
     }
 
     /// What the table must behave like: every pending completion in one
     /// `Vec`, every question answered by scanning it.
     #[derive(Default)]
     struct Model {
-        /// `(arrival number, key, stamp, observed)`.
-        pending: Vec<(u64, ClaimKey, u64, bool)>,
+        /// `(arrival number, key, stamp)`.
+        pending: Vec<(u64, ClaimKey, u64)>,
         arrived: u64,
     }
 
@@ -937,13 +838,13 @@ mod tests {
                 (Some(_), _) => return,
                 (None, _) => {}
             }
-            self.pending.push((self.arrived, key, stamp, false));
+            self.pending.push((self.arrived, key, stamp));
             self.arrived += 1;
         }
 
         fn claim(&mut self, key: ClaimKey) -> Option<Ready> {
             let i = self.pending.iter().position(|e| e.1 == key)?;
-            let (_, key, stamp, _) = self.pending.remove(i);
+            let (_, key, stamp) = self.pending.remove(i);
             Some(ready_of(key, stamp))
         }
 
@@ -951,16 +852,6 @@ mod tests {
         fn earliest(&self, wanted: &[ClaimKey]) -> Option<ClaimKey> {
             let ready = self.pending.iter().filter(|e| wanted.contains(&e.1));
             ready.min_by_key(|e| e.0).map(|e| e.1)
-        }
-
-        fn take_fresh(&mut self) -> Vec<Completion> {
-            let fresh = self.pending.iter_mut().filter(|e| !e.3);
-            fresh
-                .map(|e| {
-                    e.3 = true;
-                    completion_of(e.1, e.2)
-                })
-                .collect()
         }
     }
 
@@ -1027,19 +918,12 @@ mod tests {
                         assert_eq!(set.claim_earliest(&mut t), want, "{}", at());
                     }
                 }
-                Op::TakeFresh => assert_eq!(t.take_fresh(), m.take_fresh(), "{}", at()),
             }
             let mut by_arrival = m.pending.clone();
             by_arrival.sort_by_key(|e| e.0);
             let by_arrival: Vec<ClaimKey> = by_arrival.iter().map(|e| e.1).collect();
             assert_eq!(live_records(&t), by_arrival, "{}", at());
-            let fresh = m.pending.iter().filter(|e| !e.3).count();
-            assert_eq!(
-                (t.len(), t.fresh_len()),
-                (m.pending.len(), fresh),
-                "{}",
-                at()
-            );
+            assert_eq!(t.len(), m.pending.len(), "{}", at());
         }
         // Whatever is left comes out once, in arrival order, as deposited.
         let left: Vec<ClaimKey> = m.pending.iter().map(|e| e.1).collect();
@@ -1082,19 +966,18 @@ mod tests {
 
         for seed in 0..200u64 {
             let mut rng = SplitMix64::new(0xC1A1_0000 + seed);
-            let ops = (0..400).map(|_| match rng.below(8) {
+            let ops = (0..400).map(|_| match rng.below(7) {
                 0..=3 => {
                     let client = ClientId(rng.below(CLIENTS) as usize);
                     let batch = 1 + rng.below(4);
                     Op::Absorb(client, (0..batch).map(|_| key(&mut rng, client)).collect())
                 }
                 4 | 5 => Op::Claim(any_key(&mut rng)),
-                6 => {
+                _ => {
                     let registered = rng.below(12);
                     let keys = (0..registered).map(|_| any_key(&mut rng)).collect();
                     Op::ClaimEarliest(keys, 1 + rng.below(3) as usize)
                 }
-                _ => Op::TakeFresh,
             });
             check_against_model(&format!("seed {seed}"), ops);
         }

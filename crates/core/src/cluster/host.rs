@@ -360,9 +360,14 @@ pub(crate) fn replay_clients(
 
 #[cfg(test)]
 mod tests {
+    use super::super::reliable::tests::Net;
     use super::super::reliable::RelConfig;
     use super::*;
+    use crate::runtime::Completion;
+    use std::collections::{HashMap, VecDeque};
+    use std::sync::{Arc, Mutex};
     use tc_bitir::TargetTriple;
+    use tc_simnet::SplitMix64;
     use tc_ucx::{OutgoingMessage, RequestId, UcpOp, WorkerAddr};
 
     const SERVER: u32 = 1;
@@ -776,5 +781,330 @@ mod tests {
                 assert_eq!(read(host, DATA), [0; 8]);
             }
         }
+    }
+
+    // --- one client (rank 0) and two servers (ranks 1, 2) over a seeded carrier --
+
+    /// Retransmission timeouts on the carrier's counter clock: a handful of
+    /// turns, so a tail loss is repaired within a run and a slow turn order
+    /// fires the timer spuriously now and then.
+    const TICKS: RelConfig = RelConfig {
+        rto: 1_000,
+        rto_max: 8_000,
+        adaptive: true,
+    };
+
+    /// What the client posted, kept by a test that scans for its answers.
+    #[derive(Default)]
+    struct Posted {
+        /// Per server: the value the last posted PUT writes to `DATA`.
+        cell: [u64; 2],
+        /// Request id → its server and, for a GET, the value it must read.
+        awaited: HashMap<u64, (usize, Option<u64>)>,
+        /// Per server: the last request a completion arrived for.
+        last_done: [Option<u64>; 2],
+        /// Per server: posted GETs, confirmed PUTs and AMs (the AMs by id).
+        gets: [u64; 2],
+        puts: [u64; 2],
+        ams: [Vec<u64>; 2],
+        /// Per server: whether its n-th posted operation — the client's
+        /// frame n + 1 on that link — is an AM.
+        is_am: [Vec<bool>; 2],
+    }
+
+    impl Posted {
+        /// Post operation `id` — a GET, a confirmed PUT or an AM, to either
+        /// server, as `rng` draws.
+        fn post(&mut self, id: u64, client: &mut NodeRuntime, rng: &mut SplitMix64) {
+            let s = rng.below(2) as usize;
+            let dst = WorkerAddr(s as u32 + 1);
+            let kind = rng.below(3);
+            self.is_am[s].push(kind == 2);
+            match kind {
+                0 => {
+                    let request = client.post_get(dst, DATA, 8);
+                    self.awaited.insert(request.0, (s, Some(self.cell[s])));
+                    self.gets[s] += 1;
+                }
+                1 => {
+                    let value = id + 1;
+                    let request =
+                        client.post_put_confirmed(dst, DATA, value.to_le_bytes().to_vec());
+                    self.awaited.insert(request.0, (s, None));
+                    self.cell[s] = value;
+                    self.puts[s] += 1;
+                }
+                _ => {
+                    let payload = id.to_le_bytes().to_vec();
+                    client.send_am("record", dst, payload).unwrap();
+                    self.ams[s].push(id);
+                }
+            }
+        }
+
+        /// Exactly once (a second completion finds nothing awaited), with
+        /// the bytes the posting order implies, in per-link posting order.
+        fn complete(&mut self, completion: Completion, at: &str) {
+            let (request, data) = match completion {
+                Completion::Get { request, data } => (request.0, Some(data)),
+                Completion::Put { request } => (request.0, None),
+                other => panic!("{at}: {other:?} was never asked for"),
+            };
+            let (s, value) = self
+                .awaited
+                .remove(&request)
+                .unwrap_or_else(|| panic!("{at}: request {request} completed twice"));
+            assert_eq!(
+                data.map(|d| d.to_vec()),
+                value.map(|v| v.to_le_bytes().to_vec()),
+                "{at}: request {request} ran out of posting order on server {s}"
+            );
+            assert!(
+                self.last_done[s] < Some(request),
+                "{at}: request {request} overtook {:?} on the link from server {s}",
+                self.last_done[s]
+            );
+            self.last_done[s] = Some(request);
+        }
+    }
+
+    /// A server's `emit` into `out`.  The client numbers its frames to a
+    /// server 1.. in posting order and each is one operation, so an ack, pure
+    /// or piggybacked, covers a prefix of what was posted: as it leaves, every
+    /// AM of that prefix has run (`log`, the handler's, is the one effect
+    /// visible from inside `emit`).
+    fn checked_emit<'a>(
+        out: &'a mut Vec<Emitted>,
+        is_am: &'a [bool],
+        log: &'a Mutex<Vec<u64>>,
+        at: &'a str,
+    ) -> impl FnMut(u32, u64, Bytes, Bytes) + 'a {
+        move |to, tag, data, payload| {
+            let frame = (to, tag, data, payload);
+            assert_eq!(to, 0, "{at} answered a stranger");
+            let covered = &is_am[..ack_of(&frame) as usize];
+            let ams = covered.iter().filter(|am| **am).count();
+            let run = log.lock().unwrap().len();
+            assert!(
+                ams <= run,
+                "{at} acked {} frames, {ams} of them AMs, having run {run}",
+                covered.len()
+            );
+            out.push(frame);
+        }
+    }
+
+    /// The three ranks, the wires between them and what the client posted.
+    struct Ranks {
+        /// Which schedule this is, for a failing assertion to print.
+        at: String,
+        client: [ClientHost; 1],
+        servers: [ServerHost; 2],
+        /// The wire toward each rank: `(from, tag, data, payload)`.
+        inbox: [VecDeque<Emitted>; 3],
+        posted: Posted,
+        /// What each server's AM handler has run, by operation id.
+        logs: [Arc<Mutex<Vec<u64>>>; 2],
+        next_op: u64,
+        /// Each rank's unacked frames as of its last pass close.
+        unacked: [u64; 3],
+    }
+
+    impl Ranks {
+        /// One turn of rank `rank` at time `now`: the client posts `posts`
+        /// operations, the rank takes `batch` frames off its wire and closes
+        /// the pass.  What it emits leaves through `net`'s faults, or
+        /// straight onto the wire without them.
+        fn turn(
+            &mut self,
+            rank: usize,
+            batch: usize,
+            posts: u64,
+            now: u64,
+            net: &mut Net,
+            faulty: bool,
+        ) {
+            let at = &self.at;
+            let mut out: Vec<Emitted> = Vec::new();
+            if rank == 0 {
+                let mut emit = |to, tag, data, payload| out.push((to, tag, data, payload));
+                let host = &mut self.client[0];
+                for _ in 0..posts {
+                    self.posted
+                        .post(self.next_op, host.runtime_mut(), &mut net.rng);
+                    self.next_op += 1;
+                }
+                for _ in 0..batch {
+                    let (from, tag, data, payload) = self.inbox[0].pop_front().unwrap();
+                    host.on_frame(from, tag, data, payload, now, &mut emit);
+                }
+                flush_clients(0, &mut self.client, now, |_, to, tag, data, payload| {
+                    emit(to, tag, data, payload)
+                });
+                let host = &mut self.client[0];
+                host.end_pass(now, &mut emit);
+                let errors = host.take_errors();
+                assert!(errors.is_empty(), "{at}: {errors:?}");
+                for completion in host.runtime_mut().take_completions() {
+                    self.posted.complete(completion, at);
+                }
+                self.unacked[0] = host.link.digest().unwrap().unacked;
+            } else {
+                let host = &mut self.servers[rank - 1];
+                let (is_am, log) = (&self.posted.is_am[rank - 1], &self.logs[rank - 1]);
+                let at_rank = format!("{at}: rank {rank}");
+                // ...and by the time the host call returns, every operation
+                // of it has been polled.
+                let check = |host: &ServerHost, emitted: &[Emitted]| {
+                    let stats = host.runtime().stats;
+                    let polled = stats.gets_served + stats.puts_applied + stats.ams_executed;
+                    for frame in emitted {
+                        let ack = ack_of(frame);
+                        assert!(
+                            ack <= polled,
+                            "{at}: rank {rank} acked {ack}, polled {polled}"
+                        );
+                    }
+                };
+                for _ in 0..batch {
+                    let (from, tag, data, payload) = self.inbox[rank].pop_front().unwrap();
+                    let before = out.len();
+                    host.on_frame(
+                        from,
+                        tag,
+                        data,
+                        payload,
+                        now,
+                        checked_emit(&mut out, is_am, log, &at_rank),
+                    );
+                    check(host, &out[before..]);
+                }
+                let before = out.len();
+                self.unacked[rank] = host
+                    .end_pass(now, checked_emit(&mut out, is_am, log, &at_rank))
+                    .unacked;
+                check(host, &out[before..]);
+            }
+            for (to, tag, data, payload) in out {
+                assert!(to < 3, "{at}: rank {rank} emitted to {to}");
+                let (wire, frame) = (
+                    &mut self.inbox[to as usize],
+                    (rank as u32, tag, data, payload),
+                );
+                if faulty {
+                    net.ship(wire, frame);
+                } else {
+                    wire.push_back(frame);
+                }
+            }
+        }
+    }
+
+    /// One generated schedule; returns the ranks' summed
+    /// `[retransmits, dup_drops, out_of_order]`.
+    fn run_schedule(seed: u64) -> [u64; 3] {
+        const OPS: u64 = 48;
+        let mut rng = SplitMix64::new(0x4057_0000 + seed);
+        let faults = Net::schedule(&mut rng, seed);
+        let mut net = Net::new(rng.next_u64(), faults);
+
+        // The same handler name on every rank, so the id the client sends is
+        // the id a server dispatches; a server logs the ids it executed.
+        let logs: [Arc<Mutex<Vec<u64>>>; 2] = Default::default();
+        let runtime = |rank: u32| {
+            let mut rt = NodeRuntime::new(WorkerAddr(rank), 3, TargetTriple::X86_64_GENERIC);
+            let log = rank.checked_sub(1).map(|s| Arc::clone(&logs[s as usize]));
+            rt.deploy_am_handler(
+                "record",
+                Arc::new(move |_, payload| {
+                    let id = u64::from_le_bytes(payload[..8].try_into().unwrap());
+                    log.iter().for_each(|log| log.lock().unwrap().push(id));
+                    1
+                }),
+            );
+            rt
+        };
+        let link = |rank| Link::new(rank, 3, Some(TICKS));
+        let mut ranks = Ranks {
+            at: format!("seed {seed} faults {faults:?}"),
+            client: [ClientHost::new(runtime(0), link(0), 1)],
+            servers: [1, 2].map(|r| ServerHost::new(runtime(r), link(r), true)),
+            inbox: Default::default(),
+            posted: Posted::default(),
+            logs,
+            next_op: 0,
+            unacked: [0; 3],
+        };
+
+        // Which rank runs, how much of its wire it sees, how many operations
+        // the client posts and how far the clock moves are all draws.
+        let (mut now, mut turns) = (1u64, 0u32);
+        while ranks.next_op < OPS || !ranks.posted.awaited.is_empty() || ranks.unacked != [0; 3] {
+            turns += 1;
+            assert!(turns < 200_000, "{}: never drained", ranks.at);
+            now += net.rng.below(400);
+            let rank = net.rng.below(3) as usize;
+            let batch = net.rng.below(ranks.inbox[rank].len() as u64 + 1) as usize;
+            let posts = net.rng.below(4).min(OPS - ranks.next_op);
+            ranks.turn(rank, batch, posts, now, &mut net, true);
+        }
+        // What the faults left in flight arrives late and changes nothing.
+        while let Some(rank) = ranks.inbox.iter().position(|wire| !wire.is_empty()) {
+            ranks.turn(rank, ranks.inbox[rank].len(), 0, now, &mut net, false);
+        }
+
+        let Ranks {
+            at,
+            client: [client],
+            mut servers,
+            posted,
+            logs,
+            ..
+        } = ranks;
+        let mut totals = [0; 3];
+        let mut add = |digest: Digest| {
+            assert_eq!(digest.unacked, 0, "{at}");
+            let m = digest.metrics;
+            for (total, n) in totals
+                .iter_mut()
+                .zip([m.retransmits, m.dup_drops, m.out_of_order])
+            {
+                *total += n;
+            }
+        };
+        add(client.link.digest().unwrap());
+        for (s, host) in servers.iter_mut().enumerate() {
+            add(host.end_pass(now, |_, _, _, _| panic!("{at}: nothing is owed")));
+            let stats = host.runtime().stats;
+            assert_eq!(
+                (stats.gets_served, stats.puts_applied, stats.ams_executed),
+                (posted.gets[s], posted.puts[s], posted.ams[s].len() as u64),
+                "{at}: server {s} executes every operation exactly once"
+            );
+            assert_eq!(*logs[s].lock().unwrap(), posted.ams[s], "{at}: server {s}");
+        }
+        assert!(posted.awaited.is_empty() && client.runtime().completions_pending() == 0);
+        totals
+    }
+
+    /// One `ClientHost` and two `ServerHost`s over an in-memory carrier whose
+    /// every delivery, drop, duplicate and reorder is a seeded draw, on a
+    /// counter for a clock: every operation takes effect exactly once, each
+    /// link is FIFO in both directions, and no ack covers an unpolled
+    /// operation — `link.rs`'s faulty-carrier test, one layer up.
+    #[test]
+    fn a_client_and_two_servers_keep_their_invariants_on_generated_schedules() {
+        let mut totals = [0u64; 3];
+        for seed in 0..200 {
+            for (total, n) in totals.iter_mut().zip(run_schedule(seed)) {
+                *total += n;
+            }
+        }
+        let [retransmits, dup_drops, out_of_order] = totals;
+        assert!(
+            retransmits > 0 && dup_drops > 0 && out_of_order > 0,
+            "the faulty schedules must exercise recovery: {retransmits} retransmits, \
+             {dup_drops} duplicates, {out_of_order} out of order"
+        );
     }
 }

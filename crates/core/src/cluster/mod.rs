@@ -16,8 +16,8 @@
 //!
 //! Above the backends, the driver plane is single-threaded by type: a
 //! [`Cluster`] owns its transport and its one [`ClaimTable`] outright, every
-//! method that moves or claims a completion is `&mut self`, and the four
-//! public waits share one loop whose only quiescence rule is the answer of
+//! method that moves or claims a completion is `&mut self`, and the public
+//! waits share one loop whose only quiescence rule is the answer of
 //! [`Transport::step`].  Beneath the backends: [`wire`] is the frame
 //! codec, [`reliable`] the per-link sequence/ack/retransmit state machine,
 //! and the crate-private `link` module the one endpoint that joins the two
@@ -596,6 +596,34 @@ impl CompletionHandle for ResultHandle {
     }
 }
 
+/// One client's result-slot allocator: a wrapping cursor over its mailbox
+/// and the slots a driver reserved for handles it names itself.
+#[derive(Debug, Default, Clone)]
+struct SlotAllocator {
+    next: u64,
+    reserved: std::collections::HashSet<u64>,
+}
+
+impl SlotAllocator {
+    fn allocate(&mut self) -> u64 {
+        // Bounded: a fully reserved mailbox yields the cursor's slot rather
+        // than spinning.
+        for _ in 0..RESULT_MAILBOX_SLOTS {
+            if !self.reserved.contains(&self.next) {
+                break;
+            }
+            self.next = (self.next + 1) % RESULT_MAILBOX_SLOTS;
+        }
+        let slot = self.next;
+        self.next = (slot + 1) % RESULT_MAILBOX_SLOTS;
+        slot
+    }
+}
+
+fn no_such_client(client: ClientId) -> CoreError {
+    CoreError::Transport(format!("no client with id {client}"))
+}
+
 /// A heterogeneous cluster driven through a pluggable [`Transport`].
 ///
 /// Ranks `0..client_count()` are driver-side clients; ranks
@@ -611,9 +639,8 @@ pub struct Cluster<T: Transport> {
     /// every wait and claim.  Owned outright: only `&mut self` methods reach
     /// it, so the borrow checker is its one guard.
     claims: ClaimTable,
-    /// Per-client result-slot allocator state (indexed by client id).
-    next_result_slot: Vec<u64>,
-    reserved_slots: Vec<std::collections::HashSet<u64>>,
+    /// Result-slot allocators, indexed by client id; client 0 always has one.
+    slots: Vec<SlotAllocator>,
 }
 
 impl<T: Transport> std::fmt::Debug for Cluster<T> {
@@ -633,8 +660,7 @@ impl<T: Transport> Cluster<T> {
         Cluster {
             transport,
             claims: ClaimTable::default(),
-            next_result_slot: vec![0; clients],
-            reserved_slots: vec![std::collections::HashSet::new(); clients],
+            slots: vec![SlotAllocator::default(); clients],
         }
     }
 
@@ -992,26 +1018,18 @@ impl<T: Transport> Cluster<T> {
     /// been claimed (waited on) by then; an unclaimed result still sitting
     /// in a reused slot would resolve the newer handle.
     pub fn result_slot(&mut self) -> ResultHandle {
-        self.result_slot_on(ClientId::PRIMARY)
+        ResultHandle::for_slot(self.slots[0].allocate())
     }
 
     /// Allocate a result-mailbox slot on client `client`.  Allocators are
     /// per-client: each client owns an independent mailbox, so two clients
-    /// receiving results into equal slot numbers never interfere.
-    pub fn result_slot_on(&mut self, client: ClientId) -> ResultHandle {
-        let next = &mut self.next_result_slot[client.0];
-        let reserved = &self.reserved_slots[client.0];
-        // Bounded: a fully reserved mailbox yields the cursor's slot rather
-        // than spinning.
-        for _ in 0..RESULT_MAILBOX_SLOTS {
-            if !reserved.contains(next) {
-                break;
-            }
-            *next = (*next + 1) % RESULT_MAILBOX_SLOTS;
-        }
-        let slot = *next;
-        *next = (slot + 1) % RESULT_MAILBOX_SLOTS;
-        ResultHandle { client, slot }
+    /// receiving results into equal slot numbers never interfere.  A client
+    /// this cluster does not have is the typed error [`Cluster::flush_from`]
+    /// gives.
+    pub fn result_slot_on(&mut self, client: ClientId) -> Result<ResultHandle> {
+        let slots = self.slots.get_mut(client.0);
+        let slot = slots.ok_or_else(|| no_such_client(client))?.allocate();
+        Ok(ResultHandle { client, slot })
     }
 
     /// Reserve an explicitly chosen mailbox slot on the primary client,
@@ -1019,15 +1037,18 @@ impl<T: Transport> Cluster<T> {
     /// never hand out a reserved slot, which is the safe way to mix manual
     /// ([`ResultHandle::for_slot`]) and allocated slots in one driver.
     pub fn reserve_result_slot(&mut self, slot: u64) -> ResultHandle {
-        self.reserve_result_slot_on(ClientId::PRIMARY, slot)
+        self.slots[0].reserved.insert(slot % RESULT_MAILBOX_SLOTS);
+        ResultHandle::for_slot(slot)
     }
 
     /// Reserve an explicitly chosen mailbox slot on client `client`.
     /// Reservations are per-client and never affect another client's
-    /// allocator.
-    pub fn reserve_result_slot_on(&mut self, client: ClientId, slot: u64) -> ResultHandle {
-        self.reserved_slots[client.0].insert(slot % RESULT_MAILBOX_SLOTS);
-        ResultHandle { client, slot }
+    /// allocator; an unknown client fails as in [`Cluster::result_slot_on`].
+    pub fn reserve_result_slot_on(&mut self, client: ClientId, slot: u64) -> Result<ResultHandle> {
+        let slots = self.slots.get_mut(client.0);
+        let reserved = &mut slots.ok_or_else(|| no_such_client(client))?.reserved;
+        reserved.insert(slot % RESULT_MAILBOX_SLOTS);
+        Ok(ResultHandle { client, slot })
     }
 
     // --- completion and progress --------------------------------------------
@@ -1042,13 +1063,12 @@ impl<T: Transport> Cluster<T> {
         }
     }
 
-    /// The one wait loop under [`Cluster::wait`], [`Cluster::wait_any`],
-    /// [`Cluster::run_until_idle`] and [`Cluster::run_until_completions`]:
-    /// ask `check` (which absorbs and claims whatever its caller is after),
-    /// then step the transport, until `check` answers, `max_steps` steps
-    /// have made progress, or [`Transport::idle_grace`] steps in a row made
-    /// none.  Returns `check`'s answer, if any, and the progress steps
-    /// taken.
+    /// The one wait loop under [`Cluster::wait`], [`Cluster::wait_any`] and
+    /// [`Cluster::run_until_idle`]: ask `check` (which absorbs and claims
+    /// whatever its caller is after), then step the transport, until `check`
+    /// answers, `max_steps` steps have made progress, or
+    /// [`Transport::idle_grace`] steps in a row made none.  Returns `check`'s
+    /// answer, if any, and the progress steps taken.
     ///
     /// An idle step is the only quiescence signal: how long unacked frames
     /// keep a wait alive is decided inside each backend's `step` (the
@@ -1168,26 +1188,6 @@ impl<T: Transport> Cluster<T> {
     pub fn run_until_idle(&mut self, max_steps: u64) -> Result<u64> {
         let (_, steps) = self.drive(max_steps, |_| None::<()>)?;
         Ok(steps)
-    }
-
-    /// Drive the transport until at least `count` *new* completions are
-    /// pending (or quiescence / `max_steps`), then return them in arrival
-    /// order.
-    ///
-    /// Returned completions are **not** consumed: they stay claimable, so a
-    /// later [`Cluster::wait`] on a handle whose completion was already
-    /// returned here still succeeds instead of timing out.  Repeated calls
-    /// return only completions that arrived since the previous call.
-    pub fn run_until_completions(
-        &mut self,
-        count: usize,
-        max_steps: u64,
-    ) -> Result<Vec<Completion>> {
-        self.drive(max_steps, |cluster| {
-            cluster.absorb_completions();
-            (cluster.claims.fresh_len() >= count).then_some(())
-        })?;
-        Ok(self.claims.take_fresh())
     }
 
     // --- observation --------------------------------------------------------

@@ -551,19 +551,6 @@ impl<M: Clone> ReliableSet<M> {
         out
     }
 
-    /// Force every link's RTO to expire at the next [`ReliableSet::tick`],
-    /// regardless of its backed-off deadline.  Crash recovery uses this to
-    /// replay the retained unacked frames immediately after a peer rejoins
-    /// instead of waiting out a (possibly capped) silent-round delay.
-    pub fn expire_now(&mut self) {
-        for link in self.peers.iter_mut().flatten() {
-            if !link.unacked.is_empty() {
-                link.next_retx_at = 0;
-                link.backoff = 0;
-            }
-        }
-    }
-
     /// Tear down the link to `peer` as if it had never carried traffic,
     /// returning the unacked messages oldest-first so the caller can
     /// re-register them with [`ReliableSet::send`].
@@ -1240,26 +1227,6 @@ pub(super) mod tests {
         // srtt = 2000, rttvar = 1000 → rto = 6000.
         let (_, _) = a.send(1, 9, now);
         assert_eq!(a.next_deadline().unwrap(), now + 6_000);
-    }
-
-    #[test]
-    fn expire_now_forces_immediate_replay() {
-        let mut a: ReliableSet<u64> = ReliableSet::new(CFG);
-        let _ = a.send(1, 1, 0);
-        let _ = a.send(1, 2, 0);
-        // Back off twice so the deadline is far out.
-        let _ = a.tick(100);
-        let _ = a.tick(300);
-        assert!(a.tick(301).is_empty());
-        a.expire_now();
-        assert_eq!(a.next_deadline(), Some(0));
-        let replayed = a.tick(301);
-        assert_eq!(replayed.len(), 2, "all unacked frames replay at once");
-        assert_eq!(
-            a.peer_health(1).unwrap().silent_rounds,
-            1,
-            "expire_now resets the backoff before the replay round"
-        );
     }
 
     #[test]

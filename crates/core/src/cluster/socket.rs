@@ -28,7 +28,7 @@ use super::link::{self, Digest, Link};
 use super::reliable::{LinkHealth, RelConfig};
 use super::snapshot::{EventKind, EventRing, RankSnapshot, RankState, Snapshot};
 use super::wire::{self, Welcome, RANK_ANY};
-use super::{check_server_rank, ClientId, Transport, Tuning};
+use super::{check_server_rank, no_such_client, ClientId, Transport, Tuning};
 use crate::error::{CoreError, Result};
 use crate::runtime::{NativeAmHandler, NodeRuntime};
 use std::collections::VecDeque;
@@ -1133,7 +1133,7 @@ impl Transport for SocketTransport {
 
     fn flush_client(&mut self, id: ClientId) -> Result<()> {
         if id.0 >= self.clients.len() {
-            return Err(CoreError::Transport(format!("no client with id {id}")));
+            return Err(no_such_client(id));
         }
         if self.shut_down {
             return Err(CoreError::Transport("socket transport is shut down".into()));

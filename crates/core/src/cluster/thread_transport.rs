@@ -46,7 +46,7 @@ use super::link::{self, pass_now, Digest, Link};
 use super::reliable::RelConfig;
 use super::snapshot::{EventRing, RankSnapshot, RankState, Snapshot};
 use super::socket::DRIVER_PORT;
-use super::{check_server_rank, wire, Transport, Tuning};
+use super::{check_server_rank, no_such_client, wire, Transport, Tuning};
 use crate::error::{CoreError, Result};
 use crate::runtime::{NativeAmHandler, NodeRuntime};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -519,7 +519,7 @@ impl Transport for ThreadTransport {
 
     fn flush_client(&mut self, id: ClientId) -> Result<()> {
         if id.0 >= self.carrier.hosts.len() {
-            return Err(CoreError::Transport(format!("no client with id {id}")));
+            return Err(no_such_client(id));
         }
         let Some(cluster) = &self.cluster else {
             return Err(CoreError::Transport("thread transport is shut down".into()));

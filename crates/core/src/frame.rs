@@ -14,7 +14,7 @@
 use crate::error::{CoreError, Result};
 use std::ops::Range;
 use tc_ucx::bytes::put;
-use tc_ucx::{BufPool, Bytes};
+use tc_ucx::Bytes;
 
 /// The MAGIC delimiter bytes (one before the code section, one after it).
 pub const FRAME_MAGIC: [u8; 4] = *b"3CMG";
@@ -97,51 +97,43 @@ impl MessageFrame {
         }
     }
 
-    /// Encode the *full* frame into a pooled buffer:
+    /// Encode the *full* frame into a buffer of this thread's encode pool:
     /// HEADER | PAYLOAD | MAGIC | CODE | DEPS | MAGIC.
-    pub fn encode_full_with(&self, pool: &mut BufPool) -> Bytes {
-        let size = self.full_size();
-        let mut w = pool.acquire(size);
-        let mut out = w.reserve(size);
-        write_truncated(
-            &mut out,
-            &self.ifunc_name,
-            self.repr,
-            &self.payload,
-            self.code.len() as u32,
-            self.deps.len() as u16,
-        );
-        put(&mut out, &self.code);
-        for d in &self.deps {
-            put(&mut out, &(d.len() as u16).to_le_bytes());
-            put(&mut out, d.as_bytes());
-        }
-        put(&mut out, &FRAME_MAGIC);
-        w.freeze(pool)
+    pub fn encode_full(&self) -> Bytes {
+        tc_ucx::bytes::with_pool(|pool| {
+            let size = self.full_size();
+            let mut w = pool.acquire(size);
+            let mut out = w.reserve(size);
+            write_truncated(
+                &mut out,
+                &self.ifunc_name,
+                self.repr,
+                &self.payload,
+                self.code.len() as u32,
+                self.deps.len() as u16,
+            );
+            put(&mut out, &self.code);
+            for d in &self.deps {
+                put(&mut out, &(d.len() as u16).to_le_bytes());
+                put(&mut out, d.as_bytes());
+            }
+            put(&mut out, &FRAME_MAGIC);
+            w.freeze(pool)
+        })
     }
 
-    /// Encode the *truncated* frame into a pooled buffer: everything up to
-    /// and including the first MAGIC — sent when the target has already
-    /// cached this ifunc type, so the code section and trailer are elided.
-    pub fn encode_truncated_with(&self, pool: &mut BufPool) -> Bytes {
+    /// Encode the *truncated* frame into a buffer of this thread's encode
+    /// pool: everything up to and including the first MAGIC — sent when the
+    /// target has already cached this ifunc type, so the code section and
+    /// trailer are elided.
+    pub fn encode_truncated(&self) -> Bytes {
         encode_truncated_parts(
             &self.ifunc_name,
             self.repr,
             &self.payload,
             self.code.len() as u32,
             self.deps.len() as u16,
-            pool,
         )
-    }
-
-    /// Encode the full frame with this thread's encode pool.
-    pub fn encode_full(&self) -> Bytes {
-        tc_ucx::bytes::with_pool(|pool| self.encode_full_with(pool))
-    }
-
-    /// Encode the truncated frame with this thread's encode pool.
-    pub fn encode_truncated(&self) -> Bytes {
-        tc_ucx::bytes::with_pool(|pool| self.encode_truncated_with(pool))
     }
 
     /// Size in bytes of the full encoding (computed, not materialised).
@@ -211,19 +203,20 @@ pub(crate) fn encode_truncated_parts(
     payload: &[u8],
     code_len: u32,
     deps_count: u16,
-    pool: &mut BufPool,
 ) -> Bytes {
-    let size = truncated_size(name, payload);
-    let mut w = pool.acquire(size);
-    write_truncated(
-        &mut w.reserve(size),
-        name,
-        repr,
-        payload,
-        code_len,
-        deps_count,
-    );
-    w.freeze(pool)
+    tc_ucx::bytes::with_pool(|pool| {
+        let size = truncated_size(name, payload);
+        let mut w = pool.acquire(size);
+        write_truncated(
+            &mut w.reserve(size),
+            name,
+            repr,
+            payload,
+            code_len,
+            deps_count,
+        );
+        w.freeze(pool)
+    })
 }
 
 /// One encoded frame parsed in place: names borrowed from the buffer, byte
@@ -563,16 +556,13 @@ mod tests {
             let truncated = f.encode_truncated();
             assert_eq!(full, reference_encoding(&f, true), "case {case}");
             assert_eq!(truncated, reference_encoding(&f, false), "case {case}");
-            let direct = tc_ucx::bytes::with_pool(|pool| {
-                encode_truncated_parts(
-                    &f.ifunc_name,
-                    f.repr,
-                    &f.payload,
-                    f.code.len() as u32,
-                    f.deps.len() as u16,
-                    pool,
-                )
-            });
+            let direct = encode_truncated_parts(
+                &f.ifunc_name,
+                f.repr,
+                &f.payload,
+                f.code.len() as u32,
+                f.deps.len() as u16,
+            );
             assert_eq!(direct, truncated, "case {case}");
 
             for (bytes, has_code) in [(&full, true), (&truncated, false)] {

@@ -45,11 +45,6 @@ impl IfuncLibrary {
         self.fat_bitcode_bytes.len()
     }
 
-    /// Size of the binary code section for a given target triple name.
-    pub fn binary_size(&self, triple: &str) -> Option<usize> {
-        self.binaries.get(triple).map(Vec::len)
-    }
-
     /// Binary object bytes for a target triple name.
     pub fn binary_for(&self, triple: &str) -> Result<&[u8]> {
         self.binaries.get(triple).map(Vec::as_slice).ok_or_else(|| {
@@ -186,14 +181,6 @@ impl IfuncRegistry {
             })
     }
 
-    /// Fetch a registered library by name.
-    pub fn get_by_name(&self, name: &str) -> Result<&Arc<IfuncLibrary>> {
-        let h = self.handle(name).ok_or_else(|| CoreError::UnknownIfunc {
-            name: name.to_string(),
-        })?;
-        self.get(h)
-    }
-
     /// Number of registered libraries.
     pub fn len(&self) -> usize {
         self.libraries.len()
@@ -324,7 +311,7 @@ mod tests {
             lib.binaries.len(),
             TargetTriple::default_toolchain_targets().len()
         );
-        let xeon = lib.binary_size("x86_64-xeon-e5-sim").unwrap();
+        let xeon = lib.binary_for("x86_64-xeon-e5-sim").unwrap().len();
         assert!(
             xeon < lib.bitcode_size() / 4,
             "binary must be much smaller than fat bitcode"
@@ -398,8 +385,7 @@ mod tests {
         assert_eq!(h1, h2);
         assert_eq!(reg.len(), 1);
         assert_eq!(reg.handle("tsi"), Some(h1));
-        assert!(reg.get_by_name("tsi").is_ok());
-        assert!(reg.get_by_name("other").is_err());
+        assert_eq!(reg.handle("other"), None);
         assert_eq!(reg.names(), vec!["tsi"]);
     }
 
@@ -418,7 +404,7 @@ mod tests {
         assert_eq!(bin.frame.repr, CodeRepr::Binary);
         assert_eq!(
             bin.frame.code.len(),
-            lib.binary_size("aarch64-a64fx-sim").unwrap()
+            lib.binary_for("aarch64-a64fx-sim").unwrap().len()
         );
 
         assert!(IfuncMessage::binary(h, &lib, "riscv64-generic-sim", vec![1]).is_err());

@@ -36,9 +36,7 @@ use tc_bitir::{FatBitcode, TargetTriple};
 use tc_jit::{
     Engine, ExternalHost, JitError, MachModule, MaterializedModule, Memory, OrcJit, SparseMemory,
 };
-use tc_ucx::{
-    AmHandlerId, BufPool, Bytes, OutgoingMessage, RequestId, UcpOp, Worker, WorkerAddr, WorkerEvent,
-};
+use tc_ucx::{AmHandlerId, BufPool, Bytes, OutgoingMessage, RequestId, UcpOp, Worker, WorkerAddr};
 
 /// Follow-on work requested by executing code (ifunc externals or native AM
 /// handlers); the runtime converts these into posted fabric operations after
@@ -183,10 +181,8 @@ pub struct NodeRuntime {
     /// buffer; the record is shared out so it can be used while the rest of
     /// the runtime is borrowed mutably.
     received: HashMap<Arc<str>, Arc<ReceivedIfunc>>,
-    /// Predeployed AM handlers and their names, both indexed by
-    /// [`AmHandlerId`].
+    /// Predeployed AM handlers, indexed by [`AmHandlerId`].
     am_handlers: Vec<NativeAmHandler>,
-    am_names: Vec<String>,
     am_ids: HashMap<String, AmHandlerId>,
     completions: Vec<Completion>,
     /// The action list of the execution before, emptied: executing code
@@ -228,7 +224,6 @@ impl NodeRuntime {
             sender_cache: SenderCache::new(),
             received: HashMap::new(),
             am_handlers: Vec::new(),
-            am_names: Vec::new(),
             am_ids: HashMap::new(),
             completions: Vec::new(),
             spare_actions: Vec::new(),
@@ -257,24 +252,11 @@ impl NodeRuntime {
         self.jit.stats()
     }
 
-    /// Sender-cache statistics `(full_sends, truncated_sends)`.
-    pub fn sender_cache_stats(&self) -> (u64, u64) {
-        (
-            self.sender_cache.full_sends,
-            self.sender_cache.truncated_sends,
-        )
-    }
-
     // --- source-side API ----------------------------------------------------
 
     /// Register an ifunc library (source side), returning its handle.
     pub fn register_library(&mut self, library: IfuncLibrary) -> IfuncHandle {
         self.registry.register(library)
-    }
-
-    /// Look up a registered library handle by name.
-    pub fn library_handle(&self, name: &str) -> Option<IfuncHandle> {
-        self.registry.handle(name)
     }
 
     /// Create a bitcode-representation message for a registered library.
@@ -407,15 +389,9 @@ impl NodeRuntime {
             return id;
         }
         let id = self.worker.register_am_handler(name.clone());
-        self.am_ids.insert(name.clone(), id);
-        self.am_names.push(name);
+        self.am_ids.insert(name, id);
         self.am_handlers.push(handler);
         id
-    }
-
-    /// Names of predeployed AM handlers, in id order.
-    pub fn am_handler_names(&self) -> &[String] {
-        &self.am_names
     }
 
     // --- delivery and polling (target side) ----------------------------------
@@ -436,8 +412,14 @@ impl NodeRuntime {
     /// paper's "ifunc polling function" that a daemon thread would call
     /// periodically.
     pub fn poll(&mut self, max_events: usize) -> Vec<Result<ProcessOutcome>> {
-        let events = self.worker.progress(max_events);
-        events.into_iter().map(|ev| self.handle_event(ev)).collect()
+        let mut outcomes = Vec::new();
+        while outcomes.len() < max_events {
+            let Some(msg) = self.worker.next_delivered() else {
+                break;
+            };
+            outcomes.push(self.handle_message(msg));
+        }
+        outcomes
     }
 
     /// Take accumulated client-side completions (GET results, X-RDMA results).
@@ -458,11 +440,6 @@ impl NodeRuntime {
         decode_result_record(&buf)
     }
 
-    /// Clear a result-mailbox slot.
-    pub fn clear_result_slot(&mut self, slot: u64) {
-        let _ = self.memory.write(result_slot_addr(slot), &[0u8; 16]);
-    }
-
     /// Apply a remotely written PUT payload to local memory, surfacing a
     /// result completion when it lands in the X-RDMA mailbox.
     fn apply_put(&mut self, addr: u64, data: &Bytes) -> Result<()> {
@@ -480,51 +457,42 @@ impl NodeRuntime {
         Ok(())
     }
 
-    fn handle_event(&mut self, event: WorkerEvent) -> Result<ProcessOutcome> {
-        match event {
-            WorkerEvent::PutReceived { addr, data, .. } => {
-                self.apply_put(addr, &data)?;
+    fn handle_message(&mut self, msg: OutgoingMessage) -> Result<ProcessOutcome> {
+        let OutgoingMessage {
+            src, request, op, ..
+        } = msg;
+        match op {
+            UcpOp::Put { remote_addr, data } => {
+                self.apply_put(remote_addr, &data)?;
                 Ok(ProcessOutcome::passive(OutcomeKind::PutApplied))
             }
-            WorkerEvent::PutConfirmReceived {
-                from,
-                addr,
-                data,
-                request,
-            } => {
-                self.apply_put(addr, &data)?;
-                self.worker.post(from, UcpOp::PutAck { acked: request });
+            UcpOp::PutConfirm { remote_addr, data } => {
+                self.apply_put(remote_addr, &data)?;
+                self.worker.post(src, UcpOp::PutAck { acked: request });
                 Ok(ProcessOutcome::passive(OutcomeKind::PutConfirmed))
             }
-            WorkerEvent::PutAcked { acked } => {
+            UcpOp::PutAck { acked } => {
                 self.completions.push(Completion::Put { request: acked });
                 Ok(ProcessOutcome::passive(OutcomeKind::PutAckReceived))
             }
-            WorkerEvent::GetRequest {
-                from,
-                addr,
-                len,
-                request,
-            } => {
+            UcpOp::Get { remote_addr, len } => {
                 // Read straight into a recycled pool buffer: serving a GET
                 // allocates nothing in steady state.
                 let mut writer = self.reply_pool.acquire(len as usize);
                 self.memory
-                    .read(addr, writer.reserve(len as usize))
+                    .read(remote_addr, writer.reserve(len as usize))
                     .map_err(|e| CoreError::Sim(e.to_string()))?;
                 let data = writer.freeze(&mut self.reply_pool);
-                self.worker.post(from, UcpOp::GetReply { request, data });
+                self.worker.post(src, UcpOp::GetReply { request, data });
                 self.stats.gets_served += 1;
                 Ok(ProcessOutcome::passive(OutcomeKind::GetServed))
             }
-            WorkerEvent::GetCompleted { request, data } => {
+            UcpOp::GetReply { request, data } => {
                 self.completions.push(Completion::Get { request, data });
                 Ok(ProcessOutcome::passive(OutcomeKind::GetCompleted))
             }
-            WorkerEvent::AmReceived {
-                handler, payload, ..
-            } => self.handle_am(handler, &payload),
-            WorkerEvent::IfuncReceived { bytes, .. } => self.handle_ifunc_frame(&bytes),
+            UcpOp::ActiveMessage { handler, payload } => self.handle_am(handler, &payload),
+            UcpOp::IfuncFrame { bytes } => self.handle_ifunc_frame(&bytes),
         }
     }
 
@@ -804,16 +772,13 @@ impl NodeRuntime {
                 self.stats.ifunc_truncated_sends += 1;
                 // The lengths below were read from u32 / u16 fields of the
                 // full frame this record was registered from.
-                tc_ucx::bytes::with_pool(|pool| {
-                    encode_truncated_parts(
-                        &rec.name,
-                        rec.repr(),
-                        &payload,
-                        rec.code.len() as u32,
-                        rec.deps.len() as u16,
-                        pool,
-                    )
-                })
+                encode_truncated_parts(
+                    &rec.name,
+                    rec.repr(),
+                    &payload,
+                    rec.code.len() as u32,
+                    rec.deps.len() as u16,
+                )
             }
         };
         self.stats.bytes_sent += bytes.len() as u64;
@@ -947,7 +912,6 @@ mod tests {
     use crate::ifunc::{build_ifunc_library, ToolchainOptions};
     use tc_bitir::{BinOp, Module, ModuleBuilder, ScalarType};
     use tc_jit::MemoryExt;
-    use tc_ucx::LoopbackNetwork;
 
     fn tsi_module() -> Module {
         let mut mb = ModuleBuilder::new("tsi");
@@ -1013,9 +977,10 @@ mod tests {
                     b.deliver(msg);
                 }
             }
+            // An unbounded poll leaves both inboxes empty.
             outcomes.extend(a.poll(usize::MAX));
             outcomes.extend(b.poll(usize::MAX));
-            if !moved && a.worker.pending_inbox() == 0 && b.worker.pending_inbox() == 0 {
+            if !moved {
                 break;
             }
         }
@@ -1140,8 +1105,6 @@ mod tests {
         assert_eq!(client.poll_result_slot(7), Some(42));
         let completions = client.take_completions();
         assert!(completions.contains(&Completion::Result { slot: 7, value: 42 }));
-        client.clear_result_slot(7);
-        assert_eq!(client.poll_result_slot(7), None);
     }
 
     #[test]
@@ -1325,7 +1288,8 @@ mod tests {
 
         assert_eq!(node.stats.ifunc_full_sends, 3);
         assert_eq!(node.stats.ifunc_truncated_sends, 3);
-        assert_eq!(node.sender_cache_stats(), (3, 3));
+        assert_eq!(node.sender_cache.full_sends, 3);
+        assert_eq!(node.sender_cache.truncated_sends, 3);
         assert_eq!(node.jit_stats().compilations, 1);
     }
 
@@ -1362,7 +1326,6 @@ mod tests {
         let second = node.deploy_am_handler("second", returns(2));
         assert_eq!((first, second), (AmHandlerId(0), AmHandlerId(1)));
         assert_eq!(node.deploy_am_handler("first", returns(10)), first);
-        assert_eq!(node.am_handler_names(), ["first", "second"]);
 
         let mut run = |handler: AmHandlerId| {
             node.deliver(OutgoingMessage {
@@ -1398,14 +1361,78 @@ mod tests {
         assert!(full > 2_000, "full {full}");
     }
 
+    /// Two runtimes and nothing else: every message the pair posts is taken
+    /// from one outbox and delivered to the other inbox by `route`, with no
+    /// transport, codec or clock between them.
     #[test]
     fn loopback_network_integration() {
-        // Exercise the ucx loopback driver end-to-end with runtimes attached.
-        let net = LoopbackNetwork::new(1);
-        assert_eq!(net.len(), 1);
-        // (The runtimes own their workers; the loopback network is exercised
-        // directly in tc-ucx tests.  Here we only check constructibility so
-        // the dependency stays honest.)
-        assert!(!net.is_empty());
+        let mut client = NodeRuntime::new(WorkerAddr(0), 2, TargetTriple::THOR_XEON);
+        let mut server = NodeRuntime::new(WorkerAddr(1), 2, TargetTriple::THOR_BF2);
+        let addr = crate::layout::DATA_REGION_BASE;
+
+        let put = client.post_put_confirmed(WorkerAddr(1), addr, vec![7u8; 24]);
+        let get = client.post_get(WorkerAddr(1), addr + 8, 8);
+        let kinds: Vec<OutcomeKind> = route(&mut client, &mut server)
+            .into_iter()
+            .map(|o| o.unwrap().kind)
+            .collect();
+        // The server handles both in posting order, then the client its two
+        // replies in the order the server posted them.
+        assert_eq!(
+            kinds,
+            [
+                OutcomeKind::PutConfirmed,
+                OutcomeKind::GetServed,
+                OutcomeKind::PutAckReceived,
+                OutcomeKind::GetCompleted,
+            ]
+        );
+        assert_eq!(
+            client.take_completions(),
+            [
+                Completion::Put { request: put },
+                Completion::Get {
+                    request: get,
+                    data: vec![7u8; 8].into()
+                },
+            ]
+        );
+        assert_eq!(server.stats.puts_applied, 1);
+        assert_eq!(server.stats.gets_served, 1);
+        assert!(client.take_outgoing().is_empty() && server.take_outgoing().is_empty());
+    }
+
+    /// `poll(n)` handles at most `n` delivered messages and leaves the rest
+    /// queued, in order, for the next poll.
+    #[test]
+    fn poll_respects_max_events() {
+        let mut node = NodeRuntime::new(WorkerAddr(1), 2, TargetTriple::THOR_XEON);
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let log = Arc::clone(&seen);
+        let handler = node.deploy_am_handler(
+            "record",
+            Arc::new(move |_, payload| {
+                log.lock().unwrap().push(payload[0]);
+                1
+            }),
+        );
+        for i in 0..10u8 {
+            node.deliver(OutgoingMessage {
+                src: WorkerAddr(0),
+                dst: WorkerAddr(1),
+                request: RequestId(u64::from(i)),
+                op: UcpOp::ActiveMessage {
+                    handler,
+                    payload: vec![i].into(),
+                },
+            });
+        }
+        assert!(node.poll(0).is_empty());
+        assert_eq!(node.poll(3).len(), 3);
+        assert_eq!(*seen.lock().unwrap(), [0, 1, 2]);
+        assert_eq!(node.stats.ams_executed, 3);
+        assert_eq!(node.poll(usize::MAX).len(), 7);
+        assert_eq!(*seen.lock().unwrap(), (0..10).collect::<Vec<u8>>());
+        assert!(node.poll(usize::MAX).is_empty());
     }
 }

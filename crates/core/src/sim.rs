@@ -57,14 +57,6 @@ pub struct TimingLog {
 }
 
 impl TimingLog {
-    /// Records matching a predicate.
-    pub fn matching<'a>(
-        &'a self,
-        mut pred: impl FnMut(&DeliveryRecord) -> bool + 'a,
-    ) -> impl Iterator<Item = &'a DeliveryRecord> + 'a {
-        self.records.iter().filter(move |r| pred(r))
-    }
-
     /// The most recent record of a given outcome kind.
     pub fn last_of_kind(&self, kind: OutcomeKind) -> Option<&DeliveryRecord> {
         self.records.iter().rev().find(|r| r.kind == kind)
@@ -191,9 +183,9 @@ mod tests {
         sim.write_u64(1, crate::layout::DATA_REGION_BASE, 777)
             .unwrap();
         let start = sim.transport().now();
-        sim.get(1, crate::layout::DATA_REGION_BASE, 8).unwrap();
-        let completions = sim.run_until_completions(1, 10_000).unwrap();
-        assert_eq!(completions.len(), 1);
+        let get = sim.get(1, crate::layout::DATA_REGION_BASE, 8).unwrap();
+        let data = sim.wait(&get).unwrap();
+        assert_eq!(data[..], 777u64.to_le_bytes());
         let rtt = (sim.transport().now() - start).as_micros_f64();
         // One GET + one reply over a ~1.5 µs fabric: 3–4 µs round trip.
         assert!(rtt > 2.5 && rtt < 6.0, "rtt {rtt}");

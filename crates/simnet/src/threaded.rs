@@ -570,11 +570,6 @@ impl ThreadCluster {
         self.router.counters.snapshot()
     }
 
-    /// Total messages dropped so far (unknown destination + stopped nodes).
-    pub fn dropped_messages(&self) -> u64 {
-        self.router.counters.snapshot().dropped()
-    }
-
     /// Node-bound messages currently enqueued or being processed.  Zero
     /// means every node thread is parked with an empty queue.  A node sends
     /// what a batch provokes *before* the batch stops counting, so zero
@@ -833,7 +828,7 @@ mod tests {
         let cluster = ThreadCluster::start(2, |_| RelayNode);
         assert_eq!(cluster.send(99, 0, vec![0; 8]), SendStatus::UnknownNode);
         assert_eq!(cluster.node_count(), 2);
-        assert_eq!(cluster.dropped_messages(), 1);
+        assert_eq!(cluster.metrics().dropped(), 1);
         assert_eq!(cluster.metrics().dropped_unknown, 1);
         cluster.shutdown();
     }

@@ -52,16 +52,6 @@ impl Bytes {
         }
     }
 
-    /// Wrap an existing shared allocation whole.
-    pub fn from_arc(data: Arc<[u8]>) -> Self {
-        let len = data.len();
-        Bytes {
-            data,
-            start: 0,
-            len,
-        }
-    }
-
     /// Length of this view in bytes.
     pub fn len(&self) -> usize {
         self.len
@@ -110,14 +100,6 @@ impl Bytes {
         self.start += at;
         self.len -= at;
         head
-    }
-
-    /// Split off and return the bytes from `at` onward, keeping the first
-    /// `at` bytes in `self`.
-    pub fn split_off(&mut self, at: usize) -> Bytes {
-        let tail = self.slice(at..);
-        self.len = at;
-        tail
     }
 
     /// True when both views are backed by the same allocation — the
@@ -304,11 +286,6 @@ impl BufPool {
         }
     }
 
-    /// Number of slots currently retained (free or in flight).
-    pub fn retained(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Acquire a writable buffer of capacity at least `len`.  Call
     /// [`PoolWriter::freeze`] to turn the written prefix into a [`Bytes`] and
     /// return the slot to the pool for reuse once all views drop.
@@ -344,11 +321,6 @@ pub struct PoolWriter {
 }
 
 impl PoolWriter {
-    /// Bytes written so far.
-    pub fn written(&self) -> usize {
-        self.len
-    }
-
     fn buf_mut(&mut self) -> &mut [u8] {
         Arc::get_mut(&mut self.buf).expect("pool writer buffer is uniquely owned")
     }
@@ -358,21 +330,6 @@ impl PoolWriter {
         let at = self.len;
         self.buf_mut()[at..at + src.len()].copy_from_slice(src);
         self.len += src.len();
-    }
-
-    /// Append one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
-    /// Append a little-endian u16.
-    pub fn put_u16_le(&mut self, v: u16) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian u32.
-    pub fn put_u32_le(&mut self, v: u32) {
-        self.put_slice(&v.to_le_bytes());
     }
 
     /// Append a little-endian u64.
@@ -400,15 +357,6 @@ impl PoolWriter {
             data: buf,
             start: 0,
             len,
-        }
-    }
-
-    /// Freeze without returning the slot to any pool (one-off buffers).
-    pub fn freeze_detached(self) -> Bytes {
-        Bytes {
-            data: self.buf,
-            start: 0,
-            len: self.len,
         }
     }
 }
@@ -461,10 +409,6 @@ mod tests {
         assert_eq!(rest.len(), 54);
         assert_eq!(rest[0], 10);
         assert!(head.shares_storage(&rest));
-
-        let tail = rest.split_off(50);
-        assert_eq!(tail, [60, 61, 62, 63]);
-        assert_eq!(rest.len(), 50);
     }
 
     /// Seeded property test (no external crates): arbitrary chains of
@@ -488,26 +432,19 @@ mod tests {
             let mut view = root.clone();
             let mut window = 0..model.len();
             for _ in 0..16 {
-                match next() % 3 {
+                match next() % 2 {
                     0 => {
                         let a = (next() as usize) % (view.len() + 1);
                         let b = a + (next() as usize) % (view.len() - a + 1);
                         view = view.slice(a..b);
                         window = window.start + a..window.start + b;
                     }
-                    1 => {
+                    _ => {
                         let at = (next() as usize) % (view.len() + 1);
                         let head = view.split_to(at);
                         assert_eq!(head, model[window.start..window.start + at]);
                         assert!(head.shares_storage(&root));
                         window.start += at;
-                    }
-                    _ => {
-                        let at = (next() as usize) % (view.len() + 1);
-                        let tail = view.split_off(at);
-                        assert_eq!(tail, model[window.start + at..window.end]);
-                        assert!(tail.shares_storage(&root));
-                        window.end = window.start + at;
                     }
                 }
                 assert_eq!(view, model[window.clone()], "window {window:?}");
@@ -535,7 +472,7 @@ mod tests {
         w.put_slice(&[7; 100]);
         let bytes = w.freeze(&mut pool);
         assert_eq!(pool.stats.allocated, 1);
-        assert_eq!(pool.retained(), 1);
+        assert_eq!(pool.slots.len(), 1);
 
         // In flight: the slot is shared, a second acquire must allocate.
         let w2 = pool.acquire(100);
@@ -557,7 +494,7 @@ mod tests {
         let mut pool = BufPool::with_max_slots(1);
         let a = pool.acquire(10).freeze(&mut pool);
         let b = pool.acquire(10).freeze(&mut pool);
-        assert_eq!(pool.retained(), 1, "cap of one slot");
+        assert_eq!(pool.slots.len(), 1, "cap of one slot");
         drop((a, b));
         let w = pool.acquire(1);
         assert!(w.buf.len() >= MIN_BUF);
@@ -568,12 +505,12 @@ mod tests {
     fn writer_cursor_and_reserve() {
         let mut pool = BufPool::new();
         let mut w = pool.acquire(32);
-        w.put_u8(0xAB);
-        w.put_u16_le(0x1234);
-        w.put_u32_le(0xDEADBEEF);
+        w.put_slice(&[0xAB]);
+        w.put_slice(&0x1234u16.to_le_bytes());
+        w.put_slice(&0xDEADBEEFu32.to_le_bytes());
         w.put_u64_le(42);
         w.reserve(2).copy_from_slice(&[9, 9]);
-        assert_eq!(w.written(), 17);
+        assert_eq!(w.len, 17);
         let b = w.freeze(&mut pool);
         assert_eq!(b.len(), 17);
         assert_eq!(b[0], 0xAB);
@@ -585,22 +522,13 @@ mod tests {
     fn put_fills_a_reserved_region_field_by_field() {
         let mut pool = BufPool::new();
         let mut w = pool.acquire(16);
-        w.put_u8(0xAB);
+        w.put_slice(&[0xAB]);
         let mut region = w.reserve(7);
         put(&mut region, &0x1234u16.to_le_bytes());
         put(&mut region, &[]);
         put(&mut region, &[1, 2, 3, 4, 5]);
         assert!(region.is_empty(), "the cursor ends where the region does");
-        assert_eq!(w.written(), 8);
+        assert_eq!(w.len, 8);
         assert_eq!(w.freeze(&mut pool), [0xAB, 0x34, 0x12, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn freeze_detached_keeps_buffer_out_of_pool() {
-        let mut pool = BufPool::new();
-        let b = pool.acquire(8).freeze_detached();
-        assert_eq!(pool.retained(), 0);
-        drop(b);
-        assert_eq!(pool.stats.allocated, 1);
     }
 }

@@ -5,14 +5,16 @@
 //! GET (the pointer-chase baseline) and active messages (the predeployed
 //! baseline).  This crate reproduces that object model in simulation:
 //!
-//! * [`worker::Worker`] / [`worker::Endpoint`] — the per-process
-//!   communication objects, with post / take-outgoing / deliver / progress
-//!   phases so any transport driver (discrete-event simulator, threaded
-//!   cluster, loopback) can carry the messages;
-//! * [`worker::UcpOp`] / [`worker::WorkerEvent`] — the operation and
-//!   completion-event vocabulary;
-//! * [`loopback::LoopbackNetwork`] — an immediate-delivery driver for unit
-//!   tests and examples.
+//! * [`worker::Worker`] — the per-process communication object: an
+//!   address, a request-id counter, an outbox and an inbox, and the
+//!   active-message name table, with post / take-outgoing / deliver /
+//!   next-delivered phases so any transport driver (discrete-event
+//!   simulator, threaded cluster, socket driver) can carry the messages;
+//! * [`worker::UcpOp`] / [`worker::OutgoingMessage`] — the one
+//!   representation of an operation, from the post to the handler that
+//!   matches on it;
+//! * [`bytes::Bytes`] / [`bytes::BufPool`] — shared payload views and the
+//!   recycling encode pool under them.
 //!
 //! Timing is deliberately absent from this crate: the fabric model in
 //! `tc-simnet` decides *when* a posted operation arrives; this crate decides
@@ -22,12 +24,7 @@
 #![forbid(unsafe_code)]
 
 pub mod bytes;
-pub mod loopback;
 pub mod worker;
 
 pub use bytes::{BufPool, Bytes, PoolStats, PoolWriter};
-pub use loopback::LoopbackNetwork;
-pub use worker::{
-    AmHandlerId, Endpoint, OutgoingMessage, RequestId, UcpOp, Worker, WorkerAddr, WorkerEvent,
-    WorkerStats,
-};
+pub use worker::{AmHandlerId, OutgoingMessage, RequestId, UcpOp, Worker, WorkerAddr, WorkerStats};

@@ -1,22 +1,26 @@
-//! UCP-like workers, endpoints and operations.
+//! The UCP-like worker and its operations.
 //!
 //! Three-Chains is implemented as an extension of the UCP interface in UCX
 //! (Section III-A).  This module reproduces the slice of that interface the
-//! framework needs, in simulation form:
+//! framework needs, in simulation form.  A [`Worker`] is the per-process
+//! communication object (≈ `ucp_worker_h`), and it is four things:
 //!
-//! * a [`Worker`] is the per-process communication object (≈ `ucp_worker_h`);
-//! * an [`Endpoint`] addresses a remote worker (≈ `ucp_ep_h`);
-//! * operations are *posted* to the worker's outbox ([`Worker::post`]) and a
-//!   transport driver — the discrete-event simulator, the threaded cluster,
-//!   or the in-process loopback — moves them to the destination inbox with
-//!   whatever timing it models;
-//! * the destination drains its inbox with [`Worker::progress`], the
-//!   equivalent of `ucp_worker_progress` plus the paper's ifunc polling
-//!   function.
+//! * an address ([`WorkerAddr`], a dense rank);
+//! * a request-id counter, so a reply can name the operation it answers;
+//! * two queues — operations are *posted* to the outbox ([`Worker::post`]),
+//!   a transport driver (the discrete-event simulator, the threaded cluster,
+//!   the socket driver) takes them ([`Worker::take_outgoing`]) and hands
+//!   them to the destination's inbox ([`Worker::deliver`]) with whatever
+//!   timing it models, and the destination's runtime pops them one at a
+//!   time ([`Worker::next_delivered`], the equivalent of
+//!   `ucp_worker_progress` plus the paper's ifunc polling function);
+//! * the active-message name table, which hands out [`AmHandlerId`]s.
 //!
-//! The operation set is what the paper uses: one-sided PUT (carries ifunc
-//! message frames), one-sided GET (the GBPC baseline), and active messages
-//! with a handler index (the AM baseline).
+//! An operation has one representation from post to handler:
+//! [`OutgoingMessage`] carrying a [`UcpOp`].  The operation set is what the
+//! paper uses: one-sided PUT (carries ifunc message frames), one-sided GET
+//! (the GBPC baseline), and active messages with a handler index (the AM
+//! baseline).
 
 use crate::bytes::Bytes;
 use std::collections::VecDeque;
@@ -126,73 +130,6 @@ pub struct OutgoingMessage {
     pub op: UcpOp,
 }
 
-/// An event surfaced to the application by [`Worker::progress`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum WorkerEvent {
-    /// A remote PUT wrote `data` at `addr` in this node's memory.  The
-    /// runtime that owns the memory applies the write.
-    PutReceived {
-        /// Originating worker.
-        from: WorkerAddr,
-        /// Local destination address.
-        addr: u64,
-        /// Written bytes.
-        data: Bytes,
-    },
-    /// A remote confirmed PUT wrote `data` at `addr`; the runtime applies the
-    /// write and must answer with [`UcpOp::PutAck`] echoing `request`.
-    PutConfirmReceived {
-        /// Originating worker.
-        from: WorkerAddr,
-        /// Local destination address.
-        addr: u64,
-        /// Written bytes.
-        data: Bytes,
-        /// Id to echo in the [`UcpOp::PutAck`] reply.
-        request: RequestId,
-    },
-    /// A previously posted confirmed PUT was applied on the remote node.
-    PutAcked {
-        /// The confirmed PUT's request id.
-        acked: RequestId,
-    },
-    /// A remote worker asked to read `len` bytes at `addr`; the runtime must
-    /// answer with [`UcpOp::GetReply`] carrying `request`.
-    GetRequest {
-        /// Requesting worker.
-        from: WorkerAddr,
-        /// Local source address.
-        addr: u64,
-        /// Bytes requested.
-        len: u64,
-        /// Id to echo in the reply.
-        request: RequestId,
-    },
-    /// A previously posted GET completed.
-    GetCompleted {
-        /// The GET's request id.
-        request: RequestId,
-        /// Fetched bytes.
-        data: Bytes,
-    },
-    /// An active message arrived for a registered handler.
-    AmReceived {
-        /// Originating worker.
-        from: WorkerAddr,
-        /// Handler to dispatch.
-        handler: AmHandlerId,
-        /// Payload bytes.
-        payload: Bytes,
-    },
-    /// An ifunc message frame arrived (handled by the Three-Chains runtime).
-    IfuncReceived {
-        /// Originating worker.
-        from: WorkerAddr,
-        /// Encoded frame bytes.
-        bytes: Bytes,
-    },
-}
-
 /// The per-process UCP-like worker.
 #[derive(Debug, Default)]
 pub struct Worker {
@@ -200,7 +137,7 @@ pub struct Worker {
     next_request: u64,
     outbox: VecDeque<OutgoingMessage>,
     inbox: VecDeque<OutgoingMessage>,
-    am_handlers: Vec<Option<String>>,
+    am_handlers: Vec<String>,
     /// Counters for observability.
     pub stats: WorkerStats,
 }
@@ -212,7 +149,7 @@ pub struct WorkerStats {
     pub posted: u64,
     /// Messages delivered into the inbox.
     pub delivered: u64,
-    /// Events surfaced by progress().
+    /// Delivered messages handed to the runtime.
     pub progressed: u64,
     /// Bytes posted on the wire.
     pub bytes_sent: u64,
@@ -234,33 +171,13 @@ impl Worker {
         self.addr
     }
 
-    /// Create an endpoint to a remote worker (≈ `ucp_ep_create`).
-    pub fn endpoint(&self, remote: WorkerAddr) -> Endpoint {
-        Endpoint {
-            local: self.addr,
-            remote,
-        }
-    }
-
     /// Register an active-message handler name, returning its id.  The name
     /// is what the target runtime uses to find the predeployed function —
     /// exactly the "code must be present on the remote machine" constraint
     /// that distinguishes AM from ifuncs.
     pub fn register_am_handler(&mut self, name: impl Into<String>) -> AmHandlerId {
-        self.am_handlers.push(Some(name.into()));
+        self.am_handlers.push(name.into());
         AmHandlerId((self.am_handlers.len() - 1) as u16)
-    }
-
-    /// Name of a registered AM handler.
-    pub fn am_handler_name(&self, id: AmHandlerId) -> Option<&str> {
-        self.am_handlers
-            .get(id.0 as usize)
-            .and_then(|o| o.as_deref())
-    }
-
-    /// Number of registered AM handlers.
-    pub fn am_handler_count(&self) -> usize {
-        self.am_handlers.len()
     }
 
     /// Post an operation towards `dst`, returning its request id.
@@ -284,11 +201,6 @@ impl Worker {
         self.outbox.drain(..).collect()
     }
 
-    /// Number of posted-but-not-yet-taken operations.
-    pub fn pending_outgoing(&self) -> usize {
-        self.outbox.len()
-    }
-
     /// Deliver a message into this worker's inbox (called by the transport
     /// driver when the message "arrives").
     pub fn deliver(&mut self, msg: OutgoingMessage) {
@@ -298,102 +210,13 @@ impl Worker {
         self.inbox.push_back(msg);
     }
 
-    /// Number of delivered-but-not-yet-progressed messages.
-    pub fn pending_inbox(&self) -> usize {
-        self.inbox.len()
-    }
-
-    /// Progress the worker: convert up to `max_events` delivered messages
-    /// into application-visible [`WorkerEvent`]s (≈ `ucp_worker_progress`
-    /// plus the ifunc polling function).
-    pub fn progress(&mut self, max_events: usize) -> Vec<WorkerEvent> {
-        let mut events = Vec::new();
-        while events.len() < max_events {
-            let Some(msg) = self.inbox.pop_front() else {
-                break;
-            };
-            self.stats.progressed += 1;
-            let ev = match msg.op {
-                UcpOp::Put { remote_addr, data } => WorkerEvent::PutReceived {
-                    from: msg.src,
-                    addr: remote_addr,
-                    data,
-                },
-                UcpOp::PutConfirm { remote_addr, data } => WorkerEvent::PutConfirmReceived {
-                    from: msg.src,
-                    addr: remote_addr,
-                    data,
-                    request: msg.request,
-                },
-                UcpOp::PutAck { acked } => WorkerEvent::PutAcked { acked },
-                UcpOp::Get { remote_addr, len } => WorkerEvent::GetRequest {
-                    from: msg.src,
-                    addr: remote_addr,
-                    len,
-                    request: msg.request,
-                },
-                UcpOp::GetReply { request, data } => WorkerEvent::GetCompleted { request, data },
-                UcpOp::ActiveMessage { handler, payload } => WorkerEvent::AmReceived {
-                    from: msg.src,
-                    handler,
-                    payload,
-                },
-                UcpOp::IfuncFrame { bytes } => WorkerEvent::IfuncReceived {
-                    from: msg.src,
-                    bytes,
-                },
-            };
-            events.push(ev);
-        }
-        events
-    }
-}
-
-/// A lightweight endpoint: the (local, remote) pair operations are issued on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Endpoint {
-    /// Local worker address.
-    pub local: WorkerAddr,
-    /// Remote worker address.
-    pub remote: WorkerAddr,
-}
-
-impl Endpoint {
-    /// Helper constructing a PUT operation for this endpoint's remote side.
-    pub fn put(&self, remote_addr: u64, data: impl Into<Bytes>) -> (WorkerAddr, UcpOp) {
-        (
-            self.remote,
-            UcpOp::Put {
-                remote_addr,
-                data: data.into(),
-            },
-        )
-    }
-
-    /// Helper constructing a GET operation.
-    pub fn get(&self, remote_addr: u64, len: u64) -> (WorkerAddr, UcpOp) {
-        (self.remote, UcpOp::Get { remote_addr, len })
-    }
-
-    /// Helper constructing an active message.
-    pub fn am(&self, handler: AmHandlerId, payload: impl Into<Bytes>) -> (WorkerAddr, UcpOp) {
-        (
-            self.remote,
-            UcpOp::ActiveMessage {
-                handler,
-                payload: payload.into(),
-            },
-        )
-    }
-
-    /// Helper constructing an ifunc frame send.
-    pub fn ifunc(&self, bytes: impl Into<Bytes>) -> (WorkerAddr, UcpOp) {
-        (
-            self.remote,
-            UcpOp::IfuncFrame {
-                bytes: bytes.into(),
-            },
-        )
+    /// Pop the next delivered message, oldest first (≈ one step of
+    /// `ucp_worker_progress` plus the ifunc polling function): the runtime
+    /// that owns this worker matches on its [`UcpOp`].
+    pub fn next_delivered(&mut self) -> Option<OutgoingMessage> {
+        let msg = self.inbox.pop_front()?;
+        self.stats.progressed += 1;
+        Some(msg)
     }
 }
 
@@ -405,30 +228,31 @@ mod tests {
     fn post_take_deliver_progress_roundtrip() {
         let mut a = Worker::new(WorkerAddr(0));
         let mut b = Worker::new(WorkerAddr(1));
-        let ep = a.endpoint(WorkerAddr(1));
 
-        let (dst, op) = ep.put(0x1000, vec![1, 2, 3]);
-        let req = a.post(dst, op);
+        let req = a.post(
+            WorkerAddr(1),
+            UcpOp::Put {
+                remote_addr: 0x1000,
+                data: vec![1, 2, 3].into(),
+            },
+        );
         assert_eq!(req, RequestId(0));
-        assert_eq!(a.pending_outgoing(), 1);
 
         let outgoing = a.take_outgoing();
         assert_eq!(outgoing.len(), 1);
-        assert_eq!(a.pending_outgoing(), 0);
+        assert!(a.take_outgoing().is_empty(), "taking drains the outbox");
 
         b.deliver(outgoing.into_iter().next().unwrap());
-        assert_eq!(b.pending_inbox(), 1);
-
-        let events = b.progress(16);
-        assert_eq!(events.len(), 1);
-        match &events[0] {
-            WorkerEvent::PutReceived { from, addr, data } => {
-                assert_eq!(*from, WorkerAddr(0));
-                assert_eq!(*addr, 0x1000);
+        let msg = b.next_delivered().expect("one delivered message");
+        assert_eq!((msg.src, msg.dst, msg.request), (a.addr(), b.addr(), req));
+        match &msg.op {
+            UcpOp::Put { remote_addr, data } => {
+                assert_eq!(*remote_addr, 0x1000);
                 assert_eq!(data, &vec![1, 2, 3]);
             }
-            other => panic!("unexpected event {other:?}"),
+            other => panic!("unexpected operation {other:?}"),
         }
+        assert_eq!(b.next_delivered(), None, "popping drains the inbox");
         assert_eq!(b.stats.delivered, 1);
         assert_eq!(b.stats.progressed, 1);
         assert!(a.stats.bytes_sent > 0);
@@ -438,58 +262,61 @@ mod tests {
     fn get_request_and_reply_are_matched_by_request_id() {
         let mut client = Worker::new(WorkerAddr(0));
         let mut server = Worker::new(WorkerAddr(5));
-        let ep = client.endpoint(WorkerAddr(5));
 
-        let (dst, op) = ep.get(0x800, 8);
-        let req = client.post(dst, op);
+        let req = client.post(
+            WorkerAddr(5),
+            UcpOp::Get {
+                remote_addr: 0x800,
+                len: 8,
+            },
+        );
         for msg in client.take_outgoing() {
             server.deliver(msg);
         }
-        let events = server.progress(16);
-        let (from, addr, len, request) = match &events[0] {
-            WorkerEvent::GetRequest {
-                from,
-                addr,
-                len,
-                request,
-            } => (*from, *addr, *len, *request),
-            other => panic!("unexpected {other:?}"),
-        };
-        assert_eq!((from, addr, len), (WorkerAddr(0), 0x800, 8));
+        let asked = server.next_delivered().expect("the GET");
+        assert_eq!(asked.src, WorkerAddr(0));
+        assert_eq!(
+            asked.op,
+            UcpOp::Get {
+                remote_addr: 0x800,
+                len: 8
+            }
+        );
 
-        // The server's runtime answers with the memory contents.
+        // The server's runtime answers with the memory contents, naming the
+        // request it read off the arrival.
         server.post(
-            from,
+            asked.src,
             UcpOp::GetReply {
-                request,
+                request: asked.request,
                 data: vec![42; 8].into(),
             },
         );
         for msg in server.take_outgoing() {
             client.deliver(msg);
         }
-        let events = client.progress(16);
-        match &events[0] {
-            WorkerEvent::GetCompleted { request, data } => {
-                assert_eq!(*request, req);
+        match client.next_delivered().expect("the reply").op {
+            UcpOp::GetReply { request, data } => {
+                assert_eq!(request, req);
                 assert_eq!(data.len(), 8);
             }
             other => panic!("unexpected {other:?}"),
         }
     }
 
+    /// Ids are dense and follow registration order — what lets every node
+    /// of a job agree on them by registering the same names in the same
+    /// order.
     #[test]
     fn am_handlers_are_registered_by_name() {
         let mut w = Worker::new(WorkerAddr(3));
         let h1 = w.register_am_handler("tsi_increment");
         let h2 = w.register_am_handler("dapc_chase_step");
-        assert_ne!(h1, h2);
-        assert_eq!(w.am_handler_name(h1), Some("tsi_increment"));
-        assert_eq!(w.am_handler_name(h2), Some("dapc_chase_step"));
-        assert_eq!(w.am_handler_name(AmHandlerId(99)), None);
-        assert_eq!(w.am_handler_count(), 2);
+        assert_eq!((h1, h2), (AmHandlerId(0), AmHandlerId(1)));
     }
 
+    /// A caller bounds how many events it handles by how often it pops: what
+    /// it leaves stays queued, in arrival order, for the next round.
     #[test]
     fn progress_respects_max_events() {
         let mut a = Worker::new(WorkerAddr(0));
@@ -506,11 +333,13 @@ mod tests {
         for msg in a.take_outgoing() {
             b.deliver(msg);
         }
-        let first = b.progress(3);
-        assert_eq!(first.len(), 3);
-        assert_eq!(b.pending_inbox(), 7);
-        let rest = b.progress(usize::MAX);
-        assert_eq!(rest.len(), 7);
+        let mut pop = |n: usize| -> Vec<u64> {
+            let popped = std::iter::from_fn(|| b.next_delivered()).take(n);
+            popped.map(|msg| msg.request.0).collect()
+        };
+        assert_eq!(pop(3), [0, 1, 2]);
+        assert_eq!(pop(usize::MAX), [3, 4, 5, 6, 7, 8, 9]);
+        assert!(pop(1).is_empty());
     }
 
     #[test]

@@ -158,7 +158,7 @@ fn chase_all_clients<T: Transport>(
             while next[c] < starts[c].len() && inflight[c] < window.inflight {
                 let id = ClientId(c);
                 let start = starts[c][next[c]];
-                let slot = cluster.result_slot_on(id);
+                let slot = cluster.result_slot_on(id)?;
                 let payload = chaser_payload::encode(
                     c as u64,
                     slot.slot(),

@@ -167,7 +167,7 @@ pub fn run_reporting_tsi_from<T: Transport>(
     let mut done = 0usize;
     while done < total {
         while next < total && set.len() < window.inflight {
-            let slot = cluster.result_slot_on(client);
+            let slot = cluster.result_slot_on(client)?;
             let dst = cluster.server_rank(next % servers);
             let delta = 1 + (next as u64 % 7);
             let payload =
@@ -248,7 +248,7 @@ pub fn run_pipelined_chases_from<T: Transport>(
     while done < starts.len() {
         while next < starts.len() && set.len() < window.inflight {
             let start = starts[next];
-            let slot = cluster.result_slot_on(client);
+            let slot = cluster.result_slot_on(client)?;
             let payload = chaser_payload::encode(
                 client.rank() as u64,
                 slot.slot(),

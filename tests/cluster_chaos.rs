@@ -570,7 +570,7 @@ fn two_client_reporting_tsi_under_chaos_is_exactly_once_in_order() {
             while next[c] < OPS && inflight[c] < WINDOW {
                 let op = next[c];
                 let server = op % 2;
-                let slot = cluster.result_slot_on(ClientId(c));
+                let slot = cluster.result_slot_on(ClientId(c)).unwrap();
                 let delta = 1 + (op as u64 % 3) + c as u64;
                 let payload = reporting_tsi_payload::encode(c as u64, slot.slot(), delta, 1);
                 let msg = cluster

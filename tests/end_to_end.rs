@@ -113,11 +113,8 @@ fn gbpc_reads_exactly_depth_entries_over_the_fabric() {
     let mut idx = 0u64;
     for _ in 0..depth {
         let owner = table.owner_rank(idx);
-        sim.get(owner, table.entry_addr(idx), 8).unwrap();
-        let completions = sim.run_until_completions(1, 100_000).unwrap();
-        let tc_core::Completion::Get { data, .. } = &completions[0] else {
-            panic!("expected GET completion");
-        };
+        let get = sim.get(owner, table.entry_addr(idx), 8).unwrap();
+        let data = sim.wait(&get).unwrap();
         idx = u64::from_le_bytes(data[..8].try_into().unwrap());
     }
     assert_eq!(idx, table.chase(0, depth));

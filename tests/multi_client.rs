@@ -383,14 +383,15 @@ fn install_cluster_targets_server_ranks() {
 #[test]
 fn result_slot_allocators_are_per_client() {
     let mut cluster = builder(3, 1).build_sim();
-    let r = cluster.reserve_result_slot_on(ClientId(1), 0);
+    let r = cluster.reserve_result_slot_on(ClientId(1), 0).unwrap();
     assert_eq!(r.slot(), 0);
     assert_eq!(r.client(), ClientId(1));
     // Client 0 and 2 still allocate from 0; client 1 skips its reservation.
-    assert_eq!(cluster.result_slot_on(ClientId(0)).slot(), 0);
-    assert_eq!(cluster.result_slot_on(ClientId(1)).slot(), 1);
-    assert_eq!(cluster.result_slot_on(ClientId(2)).slot(), 0);
-    assert_eq!(cluster.result_slot_on(ClientId(0)).slot(), 1);
+    let mut next = |c| cluster.result_slot_on(ClientId(c)).unwrap().slot();
+    assert_eq!(next(0), 0);
+    assert_eq!(next(1), 1);
+    assert_eq!(next(2), 0);
+    assert_eq!(next(0), 1);
 }
 
 /// The aggregate burst driver completes every operation for every client
