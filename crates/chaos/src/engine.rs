@@ -54,11 +54,6 @@ impl Decision {
         delay_units: 0,
         reorder: false,
     };
-
-    /// True when this decision injected any fault at all.
-    pub fn is_faulty(&self) -> bool {
-        !self.deliver || self.duplicate || self.delay_units > 0 || self.reorder
-    }
 }
 
 /// Cumulative counters of injected faults.

@@ -37,13 +37,6 @@ impl Default for LinkFaults {
     }
 }
 
-impl LinkFaults {
-    /// True when every probability is zero (the link is fault-free).
-    pub fn is_quiet(&self) -> bool {
-        self.drop == 0.0 && self.duplicate == 0.0 && self.delay == 0.0 && self.reorder == 0.0
-    }
-}
-
 /// A scheduled network partition: while active, messages between `group_a`
 /// and the rest of the cluster are dropped.  The window is per-link: link
 /// `(a, b)` is partitioned while its traversal count is in `from..to`, and
@@ -186,8 +179,11 @@ impl FaultPlan {
 
     /// True when the plan injects nothing at all.
     pub fn is_empty(&self) -> bool {
-        self.default_link.is_quiet()
-            && self.link_overrides.iter().all(|(_, f)| f.is_quiet())
+        let fault_free = |f: &LinkFaults| {
+            f.drop == 0.0 && f.duplicate == 0.0 && f.delay == 0.0 && f.reorder == 0.0
+        };
+        fault_free(&self.default_link)
+            && self.link_overrides.iter().all(|(_, f)| fault_free(f))
             && self.partitions.is_empty()
             && self.crashes.is_empty()
     }
@@ -219,7 +215,8 @@ mod tests {
     #[test]
     fn empty_plan_is_empty() {
         assert!(FaultPlan::seeded(9).is_empty());
-        assert!(LinkFaults::default().is_quiet());
+        let quiet_override = FaultPlan::seeded(9).link(0, 1, LinkFaults::default());
+        assert!(quiet_override.is_empty());
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::layout::{
 use crate::metrics::{OutcomeKind, ProcessOutcome, RuntimeStats};
 use std::collections::HashMap;
 use std::sync::Arc;
-use tc_bitir::{FatBitcode, TargetTriple};
+use tc_bitir::{decode_module, FatBitcode, TargetTriple};
 use tc_jit::{
     Engine, ExternalHost, JitError, MachModule, MaterializedModule, Memory, OrcJit, SparseMemory,
 };
@@ -133,9 +133,9 @@ pub enum Completion {
 
 /// Executable form of a registered ifunc.
 enum LoadedCode {
-    /// Bitcode, compiled by this node's JIT session (which caches the same
-    /// module under the same name).
-    Jit(Arc<MaterializedModule>),
+    /// Bitcode, compiled once by this node's JIT session when the ifunc was
+    /// registered; the registration table is the only thing that keeps it.
+    Jit(MaterializedModule),
     /// A binary object, loaded and GOT-patched for this node's ISA.
     Binary(MachModule),
 }
@@ -245,11 +245,6 @@ impl NodeRuntime {
     /// Target triple of this node.
     pub fn triple(&self) -> TargetTriple {
         self.triple
-    }
-
-    /// Statistics of the embedded JIT session.
-    pub fn jit_stats(&self) -> tc_jit::JitStats {
-        self.jit.stats()
     }
 
     // --- source-side API ----------------------------------------------------
@@ -548,8 +543,8 @@ impl NodeRuntime {
                 match known {
                     // Code arrived again even though we already have it
                     // (e.g. a different source that had not sent to us
-                    // before); treat as cached — no recompilation, matching
-                    // ORC-JIT's symbol cache.
+                    // before); treat as cached — no recompilation: the
+                    // registration table plays ORC-JIT's symbol cache.
                     Some(rec) => rec,
                     None => {
                         let (rec, jitted) =
@@ -588,26 +583,30 @@ impl NodeRuntime {
     ) -> Result<(Arc<ReceivedIfunc>, Option<usize>)> {
         let (loaded, jit_bitcode_bytes) = match frame.repr {
             CodeRepr::Bitcode => {
-                let mut fat = FatBitcode::decode(&code)?;
-                // The DEPS field of the frame wins over whatever the archive
-                // itself recorded (they are normally identical).
-                for d in &frame.deps {
-                    if !fat.deps.iter().any(|have| have == d) {
-                        fat.deps.push(d.to_string());
-                    }
-                }
-                let selected_size = fat.select(self.triple).map(|e| e.bitcode.len())?;
-                let module = self.jit.add_fat_bitcode(&fat, &mut self.memory)?;
-                self.stats.jit_compilations += 1;
-                // The JIT session caches by the module's own name; the frame
-                // must name the module it carries.
-                if module.compiled.module.name != frame.ifunc_name {
+                let fat = FatBitcode::decode(&code)?;
+                let slice = &fat.select(self.triple)?.bitcode;
+                // A slice that does not decode is a JIT error, as one that
+                // does not compile is.
+                let mut module = decode_module(slice).map_err(JitError::from)?;
+                // The frame must name the module it carries: refused before
+                // anything is compiled, written to memory or counted.
+                if module.name != frame.ifunc_name {
                     return Err(JitError::UnknownFunction {
                         name: format!("{}::{}", frame.ifunc_name, tc_bitir::Module::ENTRY_NAME),
                     }
                     .into());
                 }
-                (LoadedCode::Jit(module), Some(selected_size))
+                // The archive's deps, then the frame's DEPS field, behind
+                // the module's own (they are normally identical).
+                let deps = fat.deps.iter().map(String::as_str);
+                for d in deps.chain(frame.deps.iter().copied()) {
+                    if !module.deps.iter().any(|have| have == d) {
+                        module.deps.push(d.to_string());
+                    }
+                }
+                let module = self.jit.materialize(module, &mut self.memory)?;
+                self.stats.jit_compilations += 1;
+                (LoadedCode::Jit(module), Some(slice.len()))
             }
             CodeRepr::Binary => {
                 let obj = tc_binfmt::ObjectFile::decode(&code)?;
@@ -1016,7 +1015,7 @@ mod tests {
             .iter()
             .any(|o| matches!(o.kind, OutcomeKind::IfuncExecutedCached)));
         assert_eq!(server.memory.read_u64(TARGET_REGION_BASE).unwrap(), 110);
-        assert_eq!(server.jit_stats().compilations, 1);
+        assert_eq!(server.stats.jit_compilations, 1);
         assert_eq!(server.stats.truncated_frames_received, 1);
     }
 
@@ -1034,11 +1033,7 @@ mod tests {
         assert!(outcomes.iter().all(|o| o.is_ok()));
         assert_eq!(server.memory.read_u64(TARGET_REGION_BASE).unwrap(), 4);
         assert_eq!(server.stats.binary_loads, 1);
-        assert_eq!(
-            server.jit_stats().compilations,
-            0,
-            "binary path must not JIT"
-        );
+        assert_eq!(server.stats.jit_compilations, 0, "binary path must not JIT");
     }
 
     #[test]
@@ -1229,8 +1224,6 @@ mod tests {
         let cached = arrive(&mut server, WorkerAddr(2), frame.encode_truncated()).unwrap();
         assert_eq!(cached.kind, OutcomeKind::IfuncExecutedCached);
 
-        assert_eq!(server.jit_stats().compilations, 1);
-        assert_eq!(server.jit_stats().cache_hits, 0);
         assert_eq!(server.stats.jit_compilations, 1);
         assert_eq!(server.stats.full_frames_received, 2);
         assert_eq!(server.stats.truncated_frames_received, 1);
@@ -1253,11 +1246,54 @@ mod tests {
             matches!(&refused, Err(CoreError::Jit(msg)) if msg.contains("alias::main")),
             "{refused:?}"
         );
-        // Nothing was registered under the alias.
+        // Nothing was registered under the alias, and nothing was compiled.
         assert!(matches!(
             arrive(&mut server, WorkerAddr(0), alias.encode_truncated()),
             Err(CoreError::TruncatedWithoutRegistration { name }) if name == "alias"
         ));
+        assert_eq!(server.stats.jit_compilations, 0);
+
+        // The module's own frame is then a first arrival that compiles once,
+        // from this node's slice of the archive.
+        let frame = IfuncMessage::bitcode(IfuncHandle(0), &library, vec![1]).frame;
+        let first = arrive(&mut server, WorkerAddr(0), frame.encode_full()).unwrap();
+        assert_eq!(first.kind, OutcomeKind::IfuncExecutedFirstArrival);
+        let slice = library.fat_bitcode.select(TargetTriple::THOR_XEON).unwrap();
+        assert_eq!(first.jit_bitcode_bytes, Some(slice.bitcode.len()));
+        assert_eq!(server.stats.jit_compilations, 1);
+    }
+
+    /// Archive width is a wire cost, not a JIT cost: intake decodes and
+    /// compiles the host's slice of a five-target archive and nothing else.
+    #[test]
+    fn fat_bitcode_intake_takes_only_the_hosts_slice() {
+        let mut server = NodeRuntime::new(WorkerAddr(1), 2, TargetTriple::THOR_XEON);
+        let library = lib(&tsi_module());
+        assert_eq!(library.fat_bitcode.entries.len(), 5);
+        let frame = IfuncMessage::bitcode(IfuncHandle(0), &library, vec![1]).frame;
+        let outcome = arrive(&mut server, WorkerAddr(0), frame.encode_full()).unwrap();
+        let slice = library.fat_bitcode.select(TargetTriple::THOR_XEON).unwrap();
+        assert_eq!(slice.triple, TargetTriple::THOR_XEON);
+        assert_eq!(outcome.jit_bitcode_bytes, Some(slice.bitcode.len()));
+        assert!(slice.bitcode.len() * 4 < library.bitcode_size());
+        assert_eq!(server.stats.jit_compilations, 1);
+    }
+
+    #[test]
+    fn missing_target_in_archive_is_reported() {
+        let toolchain = ToolchainOptions {
+            targets: vec![TargetTriple::THOR_XEON],
+            build_binaries: false,
+        };
+        let library = build_ifunc_library(&tsi_module(), &toolchain).unwrap();
+        let mut server = NodeRuntime::new(WorkerAddr(1), 2, TargetTriple::OOKAMI_A64FX);
+        let frame = IfuncMessage::bitcode(IfuncHandle(0), &library, vec![1]).frame;
+        let refused = arrive(&mut server, WorkerAddr(0), frame.encode_full());
+        assert!(
+            matches!(&refused, Err(CoreError::Toolchain(msg)) if msg.contains("no entry for target")),
+            "{refused:?}"
+        );
+        assert_eq!(server.stats.jit_compilations, 0);
     }
 
     #[test]
@@ -1290,7 +1326,7 @@ mod tests {
         assert_eq!(node.stats.ifunc_truncated_sends, 3);
         assert_eq!(node.sender_cache.full_sends, 3);
         assert_eq!(node.sender_cache.truncated_sends, 3);
-        assert_eq!(node.jit_stats().compilations, 1);
+        assert_eq!(node.stats.jit_compilations, 1);
     }
 
     /// A forwarded frame is byte for byte the frame the origin would have

@@ -7,8 +7,9 @@
 //! constant folding) and produces a [`MachModule`] the execution engine can
 //! run.
 //!
-//! The *time* compilation takes on a given CPU is modelled separately in
-//! [`crate::cost`]; this module only does the functional work.
+//! The *time* compilation takes on a given CPU is modelled separately, by
+//! `tc-simnet`'s `CpuProfile::jit_time`; this module only does the
+//! functional work.
 
 use crate::error::Result;
 use crate::machine::{DataObject, MachFunction, MachInst, MachModule};
@@ -30,8 +31,7 @@ impl Default for CompileOptions {
     }
 }
 
-/// Statistics describing a single compilation (consumed by the cost model
-/// and by the metrics layer in `tc-core`).
+/// Statistics describing a single compilation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CompileStats {
     /// IR instructions in the input module.

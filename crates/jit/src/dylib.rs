@@ -8,7 +8,7 @@
 //! available for loading, and a [`DylibHost`] adapts a set of *loaded*
 //! libraries into the execution engine's [`ExternalHost`] interface.
 
-use crate::engine::{ExternalHost, Memory, MemoryExt};
+use crate::engine::{ExternalHost, Memory};
 use crate::error::{JitError, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -20,7 +20,7 @@ use std::sync::Arc;
 pub type HostFn = Arc<dyn Fn(&[u64], &mut dyn Memory) -> Result<u64> + Send + Sync>;
 
 /// A simulated shared library: a name plus its exported functions.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct Dylib {
     /// Library file name (e.g. `"libm.so"`).
     pub name: String,
@@ -58,47 +58,23 @@ impl Dylib {
     pub fn lookup(&self, symbol: &str) -> Option<&HostFn> {
         self.functions.get(symbol)
     }
-
-    /// Exported symbol names.
-    pub fn symbols(&self) -> Vec<&str> {
-        self.functions.keys().map(String::as_str).collect()
-    }
 }
 
 /// The per-process registry of shared libraries available for loading.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub struct DylibRegistry {
     libs: HashMap<String, Dylib>,
 }
 
 impl DylibRegistry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registry pre-populated with the standard simulated libraries
-    /// ([`standard_libc`], [`standard_libm`]).
+    /// Registry of the standard simulated libraries ([`standard_libc`],
+    /// [`standard_libm`]).
     pub fn with_standard_libs() -> Self {
-        let mut reg = Self::new();
-        reg.register(standard_libc());
-        reg.register(standard_libm());
-        reg
-    }
-
-    /// Register (or replace) a library.
-    pub fn register(&mut self, lib: Dylib) {
-        self.libs.insert(lib.name.clone(), lib);
-    }
-
-    /// True when `name` can be loaded.
-    pub fn has(&self, name: &str) -> bool {
-        self.libs.contains_key(name)
-    }
-
-    /// Names of all registered libraries.
-    pub fn names(&self) -> Vec<&str> {
-        self.libs.keys().map(String::as_str).collect()
+        let libs = [standard_libc(), standard_libm()]
+            .into_iter()
+            .map(|lib| (lib.name.clone(), lib))
+            .collect();
+        DylibRegistry { libs }
     }
 
     /// Load the libraries named in `deps`, failing on the first one that is
@@ -120,7 +96,7 @@ impl DylibRegistry {
 }
 
 /// The set of libraries loaded for a particular ifunc, in dependency order.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub struct LoadedDylibs {
     libs: Vec<Dylib>,
 }
@@ -130,16 +106,6 @@ impl LoadedDylibs {
     pub fn lookup(&self, symbol: &str) -> Option<&HostFn> {
         self.libs.iter().find_map(|l| l.lookup(symbol))
     }
-
-    /// Number of loaded libraries.
-    pub fn len(&self) -> usize {
-        self.libs.len()
-    }
-
-    /// True when no library is loaded.
-    pub fn is_empty(&self) -> bool {
-        self.libs.is_empty()
-    }
 }
 
 /// An [`ExternalHost`] that resolves symbols against loaded dylibs and
@@ -147,37 +113,21 @@ impl LoadedDylibs {
 /// everything else.
 pub struct DylibHost<'a> {
     loaded: &'a LoadedDylibs,
-    fallback: Option<&'a mut dyn ExternalHost>,
+    fallback: &'a mut dyn ExternalHost,
 }
 
 impl<'a> DylibHost<'a> {
-    /// Host resolving only against `loaded`.
-    pub fn new(loaded: &'a LoadedDylibs) -> Self {
-        DylibHost {
-            loaded,
-            fallback: None,
-        }
-    }
-
     /// Host resolving against `loaded` first, then `fallback`.
-    pub fn with_fallback(loaded: &'a LoadedDylibs, fallback: &'a mut dyn ExternalHost) -> Self {
-        DylibHost {
-            loaded,
-            fallback: Some(fallback),
-        }
+    pub fn new(loaded: &'a LoadedDylibs, fallback: &'a mut dyn ExternalHost) -> Self {
+        DylibHost { loaded, fallback }
     }
 }
 
 impl ExternalHost for DylibHost<'_> {
     fn call_external(&mut self, symbol: &str, args: &[u64], mem: &mut dyn Memory) -> Result<u64> {
-        if let Some(f) = self.loaded.lookup(symbol) {
-            return f(args, mem);
-        }
-        match &mut self.fallback {
-            Some(h) => h.call_external(symbol, args, mem),
-            None => Err(JitError::UnresolvedSymbol {
-                symbol: symbol.to_string(),
-            }),
+        match self.loaded.lookup(symbol) {
+            Some(f) => f(args, mem),
+            None => self.fallback.call_external(symbol, args, mem),
         }
     }
 
@@ -185,10 +135,7 @@ impl ExternalHost for DylibHost<'_> {
         if self.loaded.lookup(symbol).is_some() {
             20
         } else {
-            match &self.fallback {
-                Some(h) => h.external_cost(symbol),
-                None => 0,
-            }
+            self.fallback.external_cost(symbol)
         }
     }
 }
@@ -197,7 +144,7 @@ impl ExternalHost for DylibHost<'_> {
 ///
 /// All functions use the (address, address/byte, length) calling convention
 /// over node memory.
-pub fn standard_libc() -> Dylib {
+fn standard_libc() -> Dylib {
     let mut lib = Dylib::new("libc.so");
     lib.export("memcpy", |args, mem| {
         let (dst, src, n) = three_args("memcpy", args)?;
@@ -232,7 +179,7 @@ pub fn standard_libc() -> Dylib {
 
 /// The simulated `libm.so`: `sqrt`, `fabs`, `pow2` operating on f64 bit
 /// patterns passed in registers.
-pub fn standard_libm() -> Dylib {
+fn standard_libm() -> Dylib {
     let mut lib = Dylib::new("libm.so");
     lib.export("sqrt", |args, _mem| {
         let x = f64::from_bits(one_arg("sqrt", args)?);
@@ -245,21 +192,6 @@ pub fn standard_libm() -> Dylib {
     lib.export("pow2", |args, _mem| {
         let x = f64::from_bits(one_arg("pow2", args)?);
         Ok((x * x).to_bits())
-    });
-    lib
-}
-
-/// The simulated `libcounters.so` used by examples: exposes an atomic-style
-/// `counter_add(addr, delta)` helper over node memory.
-pub fn standard_libcounters() -> Dylib {
-    let mut lib = Dylib::new("libcounters.so");
-    lib.export("counter_add", |args, mem| {
-        if args.len() != 2 {
-            return Err(JitError::Host("counter_add expects 2 args".into()));
-        }
-        let old = mem.read_u64(args[0])?;
-        mem.write_u64(args[0], old.wrapping_add(args[1]))?;
-        Ok(old)
     });
     lib
 }
@@ -287,15 +219,13 @@ fn three_args(name: &str, args: &[u64]) -> Result<(u64, u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::VecMemory;
+    use crate::engine::{NoExternals, VecMemory};
 
     #[test]
     fn registry_loads_known_deps_and_rejects_unknown() {
         let reg = DylibRegistry::with_standard_libs();
-        assert!(reg.has("libc.so"));
-        assert!(reg.has("libm.so"));
         let loaded = reg.load(&["libc.so".into(), "libm.so".into()]).unwrap();
-        assert_eq!(loaded.len(), 2);
+        assert_eq!(loaded.libs.len(), 2);
         assert!(loaded.lookup("memcpy").is_some());
         assert!(loaded.lookup("sqrt").is_some());
         assert!(loaded.lookup("nonexistent").is_none());
@@ -315,7 +245,8 @@ mod tests {
         let loaded = reg.load(&["libc.so".into()]).unwrap();
         let mut mem = VecMemory::new(0, 256);
         mem.write(0, b"hello world").unwrap();
-        let mut host = DylibHost::new(&loaded);
+        let mut none = NoExternals;
+        let mut host = DylibHost::new(&loaded, &mut none);
         host.call_external("memcpy", &[100, 0, 11], &mut mem)
             .unwrap();
         let mut buf = [0u8; 11];
@@ -334,7 +265,8 @@ mod tests {
         let reg = DylibRegistry::with_standard_libs();
         let loaded = reg.load(&["libm.so".into()]).unwrap();
         let mut mem = VecMemory::new(0, 8);
-        let mut host = DylibHost::new(&loaded);
+        let mut none = NoExternals;
+        let mut host = DylibHost::new(&loaded, &mut none);
         let r = host
             .call_external("sqrt", &[144.0f64.to_bits()], &mut mem)
             .unwrap();
@@ -367,26 +299,10 @@ mod tests {
         let reg = DylibRegistry::with_standard_libs();
         let loaded = reg.load(&["libm.so".into()]).unwrap();
         let mut fb = Fallback;
-        let mut host = DylibHost::with_fallback(&loaded, &mut fb);
+        let mut host = DylibHost::new(&loaded, &mut fb);
         let mut mem = VecMemory::new(0, 8);
         assert_eq!(host.call_external("tc_node_id", &[], &mut mem).unwrap(), 3);
         assert!(host.call_external("missing", &[], &mut mem).is_err());
-    }
-
-    #[test]
-    fn counters_lib_returns_old_value() {
-        let lib = standard_libcounters();
-        let mut reg = DylibRegistry::new();
-        reg.register(lib);
-        let loaded = reg.load(&["libcounters.so".into()]).unwrap();
-        let mut mem = VecMemory::new(0, 64);
-        mem.write_u64(8, 40).unwrap();
-        let mut host = DylibHost::new(&loaded);
-        let old = host
-            .call_external("counter_add", &[8, 2], &mut mem)
-            .unwrap();
-        assert_eq!(old, 40);
-        assert_eq!(mem.read_u64(8).unwrap(), 42);
     }
 
     #[test]
@@ -394,7 +310,8 @@ mod tests {
         let reg = DylibRegistry::with_standard_libs();
         let loaded = reg.load(&["libc.so".into()]).unwrap();
         let mut mem = VecMemory::new(0, 8);
-        let mut host = DylibHost::new(&loaded);
+        let mut none = NoExternals;
+        let mut host = DylibHost::new(&loaded, &mut none);
         let err = host.call_external("memcpy", &[1, 2], &mut mem).unwrap_err();
         assert!(matches!(err, JitError::Host(_)));
     }

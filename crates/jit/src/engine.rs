@@ -63,11 +63,6 @@ impl VecMemory {
         &self.bytes
     }
 
-    /// Direct mutable slice access.
-    pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        &mut self.bytes
-    }
-
     fn offset(&self, addr: u64, len: usize) -> Result<usize> {
         let off = addr.checked_sub(self.base).ok_or_else(|| JitError::Trap {
             reason: format!("address {addr:#x} below memory base {:#x}", self.base),
@@ -132,11 +127,6 @@ impl SparseMemory {
     /// Create an empty sparse memory.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of materialised pages (for resource accounting).
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
     }
 
     fn page_of(addr: u64) -> (u64, usize) {
@@ -300,16 +290,6 @@ impl Engine {
     /// Engine with default limits.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Engine with a specific fuel budget.
-    pub fn with_fuel(fuel: u64) -> Self {
-        Engine {
-            limits: ExecLimits {
-                fuel,
-                ..ExecLimits::default()
-            },
-        }
     }
 
     /// Execute `func_name` from `module` with `args`.
@@ -671,7 +651,7 @@ fn vec_mul_op(ty: ScalarType) -> BinOp {
 
 /// Normalise a 64-bit slot to the canonical representation of `ty`
 /// (truncate to width, sign-extend signed types back into the slot).
-pub fn normalize(ty: ScalarType, bits: u64) -> u64 {
+fn normalize(ty: ScalarType, bits: u64) -> u64 {
     match ty {
         ScalarType::I8 => bits as u8 as i8 as i64 as u64,
         ScalarType::I16 => bits as u16 as i16 as i64 as u64,
@@ -701,7 +681,7 @@ fn from_f64(ty: ScalarType, v: f64) -> u64 {
 }
 
 /// Evaluate a binary operation on normalised 64-bit slots.
-pub fn eval_bin(op: BinOp, ty: ScalarType, lhs: u64, rhs: u64) -> Result<u64> {
+fn eval_bin(op: BinOp, ty: ScalarType, lhs: u64, rhs: u64) -> Result<u64> {
     if op.is_float_only() || (ty.is_float() && op.is_comparison()) {
         let a = to_f64(ty, lhs);
         let b = to_f64(ty, rhs);
@@ -795,7 +775,7 @@ pub fn eval_bin(op: BinOp, ty: ScalarType, lhs: u64, rhs: u64) -> Result<u64> {
 }
 
 /// Evaluate a unary operation.
-pub fn eval_un(op: UnOp, ty: ScalarType, src: u64) -> u64 {
+fn eval_un(op: UnOp, ty: ScalarType, src: u64) -> u64 {
     match op {
         UnOp::Not => normalize(ty, !src),
         UnOp::Neg => normalize(ty, (src as i64).wrapping_neg() as u64),
@@ -1085,7 +1065,11 @@ mod tests {
         }
         let compiled = compile_module(&mb.build(), CompileOptions::default()).unwrap();
         let mut mem = VecMemory::new(0, 8);
-        let err = Engine::with_fuel(10_000)
+        let limits = ExecLimits {
+            fuel: 10_000,
+            ..ExecLimits::default()
+        };
+        let err = Engine { limits }
             .run(
                 &compiled.module,
                 "spin",
@@ -1234,7 +1218,7 @@ mod tests {
         let mut buf = [0u8; 6];
         mem.read(addr, &mut buf).unwrap();
         assert_eq!(buf, [1, 2, 3, 4, 5, 6]);
-        assert!(mem.page_count() >= 2);
+        assert!(mem.pages.len() >= 2);
     }
 
     /// Seeded model test: `SparseMemory` against a naive byte map, with
@@ -1296,16 +1280,16 @@ mod tests {
                     // A page nobody wrote reads as zeros and stays unmapped.
                     let (mem, model) = &mems[which];
                     let untouched = (0x9_0000 + next() % 64) * PAGE;
-                    let pages = mem.page_count();
+                    let pages = mem.pages.len();
                     check(mem, model, untouched, 16, step);
-                    assert_eq!(mem.page_count(), pages, "step {step}");
+                    assert_eq!(mem.pages.len(), pages, "step {step}");
                 }
             }
         }
         assert_eq!(mems.len(), 4, "the run cloned");
         for (mem, model) in &mems {
             let mapped: std::collections::HashSet<u64> = model.keys().map(|a| a / PAGE).collect();
-            assert_eq!(mem.page_count(), mapped.len());
+            assert_eq!(mem.pages.len(), mapped.len());
         }
     }
 

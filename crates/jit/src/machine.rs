@@ -179,7 +179,7 @@ impl MachInst {
     /// dynamic component at run time).  These are coarse, single-issue-style
     /// costs: what matters for the reproduction is the *relative* cost of
     /// cached execution vs. JIT vs. transmission, not cycle accuracy.
-    pub fn base_cycles(&self) -> u64 {
+    pub(crate) fn base_cycles(&self) -> u64 {
         match self {
             MachInst::Imm { .. } | MachInst::Mov { .. } => 1,
             MachInst::Alu { op, .. } => match op {

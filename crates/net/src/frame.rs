@@ -76,11 +76,6 @@ impl Frame {
         }
     }
 
-    /// Total bytes this frame occupies on the stream.
-    pub fn wire_len(&self) -> usize {
-        FRAME_OVERHEAD + self.data.len() + self.payload.len()
-    }
-
     /// The 24-byte framing header for this frame.
     pub fn header(&self) -> [u8; FRAME_OVERHEAD] {
         let len = (HEAD_BYTES + self.data.len() + self.payload.len()) as u32;
@@ -96,7 +91,7 @@ impl Frame {
     /// Encode to a flat byte vector (tests and small control paths; the hot
     /// path writes header/data/payload as separate vectored segments).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire_len());
+        let mut out = Vec::with_capacity(FRAME_OVERHEAD + self.data.len() + self.payload.len());
         out.extend_from_slice(&self.header());
         out.extend_from_slice(self.data.as_slice());
         out.extend_from_slice(self.payload.as_slice());

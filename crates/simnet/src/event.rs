@@ -99,11 +99,6 @@ impl<E> EventQueue<E> {
         self.schedule_at(self.now + delay, event);
     }
 
-    /// Timestamp of the next pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
-    }
-
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let s = self.heap.pop()?;
@@ -167,7 +162,7 @@ mod tests {
         q.schedule_at(SimTime(1_000), 1);
         q.pop();
         q.schedule_after(SimDuration::from_nanos(500), 2);
-        assert_eq!(q.peek_time(), Some(SimTime(1_500)));
+        assert_eq!(q.pop(), Some((SimTime(1_500), 2)));
     }
 
     #[test]

@@ -101,23 +101,6 @@ impl Platform {
             sweep_servers: 16,
         }
     }
-
-    /// Look a platform up by id.
-    pub fn by_id(id: PlatformId) -> Self {
-        match id {
-            PlatformId::Ookami => Self::ookami(),
-            PlatformId::ThorBf2 => Self::thor_bf2(),
-            PlatformId::ThorXeon => Self::thor_xeon(),
-        }
-    }
-
-    /// True when client and servers have different ISAs — the heterogeneous
-    /// case where binary ifuncs built on the client cannot run on the servers
-    /// and fat-bitcode is required.
-    pub fn is_heterogeneous(&self) -> bool {
-        let isa = |t: &str| t.split('-').next().unwrap_or("").to_string();
-        isa(self.client_triple) != isa(self.server_triple)
-    }
 }
 
 #[cfg(test)]
@@ -125,20 +108,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_platforms_constructible_by_id() {
-        for id in PlatformId::ALL {
-            let p = Platform::by_id(id);
-            assert_eq!(p.id, id);
+    fn each_platform_carries_its_id() {
+        let all = [
+            Platform::ookami(),
+            Platform::thor_bf2(),
+            Platform::thor_xeon(),
+        ];
+        assert_eq!(all.map(|p| p.id), PlatformId::ALL);
+        for p in all {
             assert!(!p.name.is_empty());
             assert!(p.sweep_servers >= 16);
         }
     }
 
+    /// Only on Thor-BF2 do client and servers differ in ISA: the case where a
+    /// binary ifunc built on the client cannot run on the servers.
     #[test]
     fn thor_bf2_is_the_heterogeneous_platform() {
-        assert!(Platform::thor_bf2().is_heterogeneous());
-        assert!(!Platform::ookami().is_heterogeneous());
-        assert!(!Platform::thor_xeon().is_heterogeneous());
+        let isa = |t: &'static str| t.split('-').next();
+        let heterogeneous = |p: Platform| isa(p.client_triple) != isa(p.server_triple);
+        assert!(heterogeneous(Platform::thor_bf2()));
+        assert!(!heterogeneous(Platform::ookami()));
+        assert!(!heterogeneous(Platform::thor_xeon()));
     }
 
     #[test]

@@ -138,13 +138,6 @@ pub struct Envelope {
     pub payload: Bytes,
 }
 
-impl Envelope {
-    /// Total logical size of the message (`data` plus detached payload).
-    pub fn total_len(&self) -> usize {
-        self.data.len() + self.payload.len()
-    }
-}
-
 /// Outcome of handing a message to the threaded fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[must_use = "dropped messages are silent data loss; check or explicitly discard the status"]
@@ -358,21 +351,12 @@ impl NodeCtx {
 
     /// Send bytes to the external observer (the driving thread), port 0.
     pub fn send_external(&self, tag: u64, data: impl Into<Bytes>) -> SendStatus {
-        self.send_external_vectored(tag, data.into(), Bytes::new())
+        self.send_external_port_vectored(0, tag, data.into(), Bytes::new())
     }
 
-    /// Two-segment send to the external observer (zero-copy payload), port 0.
-    pub fn send_external_vectored(&self, tag: u64, data: Bytes, payload: Bytes) -> SendStatus {
-        self.send_external_port_vectored(0, tag, data, payload)
-    }
-
-    /// Send bytes to external port `port` (a specific driver-side endpoint —
-    /// e.g. one of several client runtimes living on the driving thread).
-    pub fn send_external_port(&self, port: usize, tag: u64, data: impl Into<Bytes>) -> SendStatus {
-        self.send_external_port_vectored(port, tag, data.into(), Bytes::new())
-    }
-
-    /// Two-segment send to external port `port` (zero-copy payload).
+    /// Two-segment send (zero-copy payload) to external port `port`: a
+    /// specific driver-side endpoint, e.g. one of several client runtimes
+    /// living on the driving thread.
     pub fn send_external_port_vectored(
         &self,
         port: usize,
@@ -655,24 +639,6 @@ impl ThreadCluster {
         }
     }
 
-    /// Collect external messages until `count` have arrived or `timeout`
-    /// elapses (whichever comes first; ticks are skipped).
-    pub fn collect_external(&self, count: usize, timeout: Duration) -> Vec<Envelope> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut out = Vec::with_capacity(count);
-        while out.len() < count {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            match self.external_rx.recv_timeout(remaining) {
-                Ok(ctrl) => out.extend(self.external(ctrl)),
-                Err(_) => break,
-            }
-        }
-        out
-    }
-
     /// Stop the clock and all nodes and join their threads.
     pub fn shutdown(self) {
         if let Some((stop, handle)) = self.clock {
@@ -834,10 +800,11 @@ mod tests {
     }
 
     #[test]
-    fn collect_external_respects_timeout() {
+    fn recv_external_respects_timeout() {
         let cluster = ThreadCluster::start(2, |_| RelayNode);
-        let collected = cluster.collect_external(3, Duration::from_millis(50));
-        assert!(collected.is_empty());
+        let parked = std::time::Instant::now();
+        assert_eq!(cluster.recv_external(Duration::from_millis(50)), None);
+        assert!(parked.elapsed() >= Duration::from_millis(50));
         cluster.shutdown();
     }
 
@@ -1160,7 +1127,7 @@ mod tests {
         impl ThreadedNode for PortEcho {
             fn on_message(&mut self, msg: Envelope, ctx: &NodeCtx) {
                 if let Some(port) = external_port(msg.from) {
-                    let _ = ctx.send_external_port(port, msg.tag, msg.data);
+                    let _ = ctx.send_external_port_vectored(port, msg.tag, msg.data, Bytes::new());
                 }
             }
         }
@@ -1169,9 +1136,9 @@ mod tests {
         for (port, tag) in sends {
             assert!(cluster.send_from_port(port, 0, tag, vec![]).is_delivered());
         }
-        let got: Vec<(usize, u64)> = cluster
-            .collect_external(sends.len(), Duration::from_secs(5))
+        let got: Vec<(usize, u64)> = sends
             .iter()
+            .map_while(|_| cluster.recv_external(Duration::from_secs(5)))
             .filter_map(|env| Some((external_port(env.to)?, env.tag)))
             .collect();
         assert_eq!(got, sends);
@@ -1219,7 +1186,7 @@ mod tests {
         impl ThreadedNode for PortEcho {
             fn on_message(&mut self, msg: Envelope, ctx: &NodeCtx) {
                 let port = external_port(msg.from).expect("driver send carries a port");
-                let _ = ctx.send_external_port(port, msg.tag, msg.data);
+                let _ = ctx.send_external_port_vectored(port, msg.tag, msg.data, Bytes::new());
             }
         }
         let cluster = ThreadCluster::start(1, |_| PortEcho);

@@ -271,7 +271,7 @@ impl DapcExperiment {
     /// Warm every server's code cache for the ifunc modes by running one
     /// short chase per server — the "cached" series of the paper measure
     /// steady state, after the one-time JIT/transfer cost has been paid.
-    pub fn warm_caches(&mut self, mode: ChaseMode) {
+    fn warm_caches(&mut self, mode: ChaseMode) {
         if matches!(mode, ChaseMode::Get | ChaseMode::ActiveMessage) {
             return;
         }

@@ -1,4 +1,5 @@
-//! Allocation budget of the cached-ifunc hit path.
+//! Allocation budget of the cached-ifunc hit path, and the count of the
+//! first arrival.
 //!
 //! A cached chaser arrival that forwards — `deliver` of a truncated frame →
 //! `poll` → `take_outgoing` — is the unit of work the paper's X-RDMA pointer
@@ -7,7 +8,9 @@
 //! allocator can count: after warm-up one such arrival may allocate at most
 //! [`BUDGET`] times, and the count may not depend on how long the ifunc's
 //! name is or how many dependencies it names (both were cloned per message
-//! before the registration record carried them).
+//! before the registration record carried them).  A bitcode first arrival —
+//! archive decode, slice decode, compile, registration — is pinned at the
+//! count it has, so that a change to the receive path states what it moved.
 //!
 //! The same counter holds the driver plane's idle and observation paths to
 //! zero: checking a completion set against a healthy cluster and taking a
@@ -31,7 +34,7 @@ use tc_core::{
 };
 use tc_jit::MemoryExt;
 use tc_ucx::{OutgoingMessage, UcpOp, WorkerAddr};
-use tc_workloads::{chaser_module, chaser_payload};
+use tc_workloads::{chaser_module, chaser_payload, reporting_tsi_payload, tsi_reporting_module};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -183,7 +186,7 @@ fn forwarding_arrival_allocs(name: &str, deps: &[&str]) -> u64 {
     assert!(matches!(&arrival.op, UcpOp::IfuncFrame { bytes }
         if MessageFrame::decode_view(bytes).unwrap().is_truncated()));
 
-    let jit_before = nodes.a.jit_stats().compilations;
+    let jit_before = nodes.a.stats.jit_compilations;
     let ((outcomes, forwarded), allocs) = count(|| {
         nodes.a.deliver(arrival);
         let outcomes = nodes.a.poll(usize::MAX);
@@ -193,7 +196,7 @@ fn forwarding_arrival_allocs(name: &str, deps: &[&str]) -> u64 {
     assert_eq!(outcomes.len(), 1);
     let outcome = outcomes.into_iter().next().unwrap().unwrap();
     assert_eq!(outcome.kind, OutcomeKind::IfuncExecutedCached);
-    assert_eq!(nodes.a.jit_stats().compilations, jit_before);
+    assert_eq!(nodes.a.stats.jit_compilations, jit_before);
     assert_eq!(forwarded.len(), 1);
     assert_eq!(forwarded[0].dst, SERVER_B);
     assert!(matches!(&forwarded[0].op, UcpOp::IfuncFrame { bytes }
@@ -217,6 +220,58 @@ fn the_allocation_count_does_not_grow_with_name_length_or_dependency_count() {
     assert_eq!(
         short, long,
         "a 1-byte name without dependencies and a 280-byte name with two must cost the same"
+    );
+}
+
+/// What one bitcode first arrival allocates at a warm server: deliver of a
+/// full frame of a five-target archive → `poll` (decode the archive and the
+/// server's slice, compile, register, run) → `take_outgoing` (the result's
+/// PUT back to the client).  It was 63 while the JIT session kept its own
+/// name-keyed copy of every module beside the registration table.
+const FIRST_ARRIVAL: u64 = 61;
+
+#[test]
+fn a_bitcode_first_arrival_allocates_what_it_did() {
+    let toolchain = ToolchainOptions {
+        build_binaries: false,
+        ..ToolchainOptions::default()
+    };
+    let library =
+        |name: &str| build_ifunc_library(&tsi_reporting_module(name), &toolchain).unwrap();
+    let mut nodes = Nodes::new();
+    let send = |nodes: &mut Nodes, name: &str, slot: u64| {
+        let handle = nodes.client.register_library(library(name));
+        let payload = reporting_tsi_payload::encode(u64::from(CLIENT.0), slot, 1, 0);
+        let msg = nodes
+            .client
+            .create_bitcode_message(handle, payload)
+            .unwrap();
+        nodes.client.send_ifunc(&msg, SERVER_A);
+    };
+
+    // Warm-up: another library's first arrival sizes the server's
+    // registration table, pools and staging pages.
+    send(&mut nodes, "cold_warm_up", 0);
+    nodes.settle();
+    assert_eq!(nodes.client.take_completions().len(), 1);
+
+    send(&mut nodes, "cold_measured", 1);
+    let arrival = nodes.client.take_outgoing().pop().expect("one full frame");
+    let compiled = nodes.a.stats.jit_compilations;
+    let ((outcomes, replies), allocs) = count(|| {
+        nodes.a.deliver(arrival);
+        let outcomes = nodes.a.poll(usize::MAX);
+        (outcomes, nodes.a.take_outgoing())
+    });
+
+    let outcome = outcomes.into_iter().next().unwrap().unwrap();
+    assert_eq!(outcome.kind, OutcomeKind::IfuncExecutedFirstArrival);
+    assert_eq!(nodes.a.stats.jit_compilations, compiled + 1);
+    assert_eq!(replies.len(), 1);
+    assert_eq!(replies[0].dst, CLIENT);
+    assert_eq!(
+        allocs, FIRST_ARRIVAL,
+        "allocations of one bitcode first arrival"
     );
 }
 

@@ -14,7 +14,7 @@ use tc_core::{
 };
 use tc_jit::{
     compile_module, lower_and_compile, CompileOptions, Engine, ExecOutcome, ExternalHost, JitError,
-    Memory, MemoryExt, NoExternals, OrcJit, SparseMemory, VecMemory,
+    MaterializedModule, Memory, MemoryExt, NoExternals, OrcJit, SparseMemory, VecMemory,
 };
 use tc_ucx::{Bytes, OutgoingMessage, RequestId, UcpOp, WorkerAddr};
 use tc_workloads::{chaser_module, chaser_payload, tsi_module};
@@ -114,18 +114,23 @@ fn copying_module(name: &str, symbol: &str) -> Module {
     mb.build()
 }
 
+/// Run `main(0, 0, 0x500)` of a materialised module.
+fn run_main(module: &MaterializedModule, mem: &mut dyn Memory) -> tc_jit::Result<ExecOutcome> {
+    let entry = module.compiled.module.function_index("main").unwrap();
+    module.execute(&Engine::new(), entry, &[0, 0, 0x500], mem, &mut NoExternals)
+}
+
 /// A call into a loaded dylib is charged the dylib rate, and a symbol nobody
 /// exports is an error where it is called — the module around it still
-/// compiles, links and caches.
+/// compiles, links and materialises.
 #[test]
 fn external_calls_cost_and_fail_where_they_did() {
     let mut jit = OrcJit::new(XEON);
     let mut mem = SparseMemory::new();
-    jit.add_module(copying_module("copies", "memcpy"), &mut mem)
+    let copies = jit
+        .materialize(copying_module("copies", "memcpy"), &mut mem)
         .unwrap();
-    let out = jit
-        .execute_entry("copies", 0, 0, 0x500, &mut mem, &mut NoExternals)
-        .unwrap();
+    let out = run_main(&copies, &mut mem).unwrap();
     assert_eq!(
         out,
         ExecOutcome {
@@ -136,11 +141,11 @@ fn external_calls_cost_and_fail_where_they_did() {
     );
     assert_eq!(mem.read_u64(0x500).unwrap(), 10);
 
-    jit.add_module(copying_module("dangling", "memcopy"), &mut mem)
+    let dangling = jit
+        .materialize(copying_module("dangling", "memcopy"), &mut mem)
         .expect("an unresolved symbol is not a registration error");
-    assert_eq!(jit.stats().compilations, 2);
     assert_eq!(
-        jit.execute_entry("dangling", 0, 0, 0x500, &mut mem, &mut NoExternals),
+        run_main(&dangling, &mut mem),
         Err(JitError::UnresolvedSymbol {
             symbol: "memcopy".into()
         })
@@ -182,7 +187,7 @@ fn an_unresolved_symbol_fails_each_arrival_not_the_registration() {
             "{outcome:?}"
         );
         assert_eq!(server.stats.full_frames_received, 1);
-        assert_eq!(server.jit_stats().compilations, 1);
+        assert_eq!(server.stats.jit_compilations, 1);
     }
 
     // A resolvable library on the same node still runs as a first arrival.

@@ -66,7 +66,7 @@ fn recursive_chaser_visits_many_servers_and_returns_correctly() {
     // Each server JIT-compiled the chaser at most once (propagated code is
     // cached on every hop).
     for r in 1..=8 {
-        assert!(exp.sim().transport().node(r).jit_stats().compilations <= 2);
+        assert!(exp.sim().transport().node(r).stats.jit_compilations <= 2);
     }
 }
 
