@@ -1,5 +1,5 @@
-//! The one server rank and the one client rank under the two wall-clock
-//! backends.
+//! The one server rank, the one client rank and the one driver under the two
+//! wall-clock backends.
 //!
 //! Every rank is the same machine: a [`NodeRuntime`] behind a [`Link`], fed
 //! frames by a carrier and answering through the carrier's `emit(to, tag,
@@ -36,10 +36,10 @@
 //!
 //! A client is a rank that also serves (GET replies, result writes,
 //! client-to-client PUTs).  The threaded backend's caller (inside `step`,
-//! `control` and `flush_client`) and the socket backend's driver are each
-//! the one carrier of every [`ClientHost`] they own, and [`flush_clients`]
-//! is the one worklist that moves what the clients post.  The host owns the
-//! client-rank rules:
+//! `control` and `flush_client`) and the socket driver each carry every
+//! [`ClientHost`] their [`Driver`] owns, and [`flush_clients`] is the one
+//! worklist that moves what the clients post.  The host owns the client-rank
+//! rules:
 //!
 //! * **Client-to-client traffic is loopback class**: it never enters a link
 //!   and is never faulted (the simulated backend exempts it too, or the
@@ -61,14 +61,32 @@
 //!   errors and completions; [`ClientHost::end_pass`] re-sends what the
 //!   pass's acks named missing, emits the owed pure acks, runs the
 //!   retransmission timer.
+//!
+//! # The driver
+//!
+//! In the paper an initiator posts, progresses its own worker and reaps its
+//! own completions: one progress loop, whatever carries the bytes.  A
+//! [`Driver`] is that loop's driver side, kept once for both wall-clock
+//! backends: the client hosts, errors, chaos session, link tunables, tokens
+//! (control requests, liveness nonces), timeouts, and the one stall rule
+//! ([`Driver::silence`]) with its event ring.  [`Driver::flush`] and
+//! [`Driver::close_pass`] take the carrier's `emit(from, to, tag, data,
+//! payload)`; [`Driver::snapshot`] is the half of a [`Snapshot`] both
+//! backends share.  A backend keeps only its own: the threaded fabric
+//! (dispatch by port, the AM registry, the digest table) or the socket
+//! connections (admission, chaos routing, the inbox, recovery).
 
-use super::link::{Digest, Emit, Link};
-use super::snapshot::RankSnapshot;
+use super::link::{self, pass_now, Digest, Emit, Link};
+use super::reliable::RelConfig;
+use super::snapshot::{EventKind, EventRing, RankSnapshot, Snapshot};
 use super::socket::DRIVER_PORT;
-use super::wire;
-use crate::error::CoreError;
-use crate::runtime::NodeRuntime;
-use tc_ucx::{Bytes, OutgoingMessage};
+use super::{no_such_client, wire, ClientId};
+use crate::error::{CoreError, Result};
+use crate::runtime::{NativeAmHandler, NodeRuntime};
+use std::time::{Duration, Instant};
+use tc_bitir::TargetTriple;
+use tc_chaos::{ChaosSession, FaultPlan};
+use tc_ucx::{Bytes, OutgoingMessage, WorkerAddr};
 
 /// One server rank: see the module docs.
 pub(crate) struct ServerHost {
@@ -308,16 +326,15 @@ impl ClientHost {
     }
 }
 
+/// The driver's way out for a frame of client `from`: `emit(from, to_rank,
+/// tag, data, payload)`.
+pub(crate) trait EmitFrom: FnMut(usize, u32, u64, Bytes, Bytes) {}
+impl<F: FnMut(usize, u32, u64, Bytes, Bytes)> EmitFrom for F {}
+
 /// Move everything client `origin` posted — and everything its loopback
-/// traffic makes its siblings post — until all of them are quiescent.
-/// `emit(from, to, tag, data, payload)` puts a frame of client `from` on the
-/// wire; the caller collects the hosts' errors afterwards.
-pub(crate) fn flush_clients(
-    origin: usize,
-    hosts: &mut [ClientHost],
-    now: u64,
-    mut emit: impl FnMut(usize, u32, u64, Bytes, Bytes),
-) {
+/// traffic makes its siblings post — until all of them are quiescent,
+/// through `emit`; the caller collects the hosts' errors afterwards.
+fn flush_clients(origin: usize, hosts: &mut [ClientHost], now: u64, mut emit: impl EmitFrom) {
     let mut dirty = vec![origin];
     while let Some(c) = dirty.pop() {
         let Some(host) = hosts.get_mut(c) else {
@@ -339,22 +356,206 @@ pub(crate) fn flush_clients(
     }
 }
 
-/// Frames unacked on any rank, summed in place (`step` asks every silent park).
-pub(crate) fn unacked(hosts: &[ClientHost], servers: impl Iterator<Item = u64>) -> u64 {
-    let own = hosts.iter().filter_map(|h| h.link.rel());
-    own.map(|rel| rel.unacked_total()).chain(servers).sum()
+/// The driver side of a wall-clock backend: see the module docs.
+pub(crate) struct Driver {
+    /// The client ranks, in rank order.
+    pub(crate) hosts: Vec<ClientHost>,
+    /// Errors reported by server ranks, the client hosts or the carrier, in
+    /// observation order.
+    pub(crate) errors: Vec<CoreError>,
+    /// The fault session; `None` keeps every link plain.
+    pub(crate) chaos: Option<ChaosSession>,
+    /// The reliable links' tunables, in force under a fault plan only.
+    rel: RelConfig,
+    /// The last token handed out.
+    token: u64,
+    /// Since when steps have seen silence with frames unacked.
+    stalled_since: Option<Instant>,
+    /// Driver-side state transitions, for the snapshot.
+    pub(crate) events: EventRing,
+    /// How long one step waits for traffic: [`link::STEP_TIMEOUT`].
+    pub(crate) step_timeout: Duration,
+    /// How long a control round trip may take: [`link::CONTROL_TIMEOUT`].
+    pub(crate) control_timeout: Duration,
 }
 
-/// Server rank `peer` was reborn with a fresh sequence space: every client
-/// renumbers and re-sends what it retained for it.
-pub(crate) fn replay_clients(
-    hosts: &mut [ClientHost],
-    peer: u32,
-    mut emit: impl FnMut(usize, u32, u64, Bytes, Bytes),
-) {
-    for (c, host) in hosts.iter_mut().enumerate() {
-        let emit = |to, tag, data, payload| emit(c, to, tag, data, payload);
-        host.link.replay(peer, emit);
+impl Driver {
+    /// `clients` client ranks (at least one) of a cluster with `servers`
+    /// more, on `triple`; their links are reliable exactly when a fault plan
+    /// is given (under `rel`, or [`RelConfig::threads_default`]).
+    pub(crate) fn new(
+        clients: usize,
+        servers: usize,
+        triple: TargetTriple,
+        plan: Option<FaultPlan>,
+        rel: Option<RelConfig>,
+    ) -> Driver {
+        let clients = clients.max(1);
+        let total = (clients + servers) as u32;
+        let rel = rel.unwrap_or_else(RelConfig::threads_default);
+        let link = plan.as_ref().map(|_| rel);
+        let hosts = (0..clients as u32)
+            .map(|c| {
+                let runtime = NodeRuntime::new(WorkerAddr(c), total, triple);
+                ClientHost::new(runtime, Link::new(c, total, link), clients as u32)
+            })
+            .collect();
+        Driver {
+            hosts,
+            errors: Vec::new(),
+            chaos: plan.map(ChaosSession::new),
+            rel,
+            token: 0,
+            stalled_since: None,
+            events: EventRing::default(),
+            step_timeout: link::STEP_TIMEOUT,
+            control_timeout: link::CONTROL_TIMEOUT,
+        }
+    }
+
+    pub(crate) fn clients(&self) -> usize {
+        self.hosts.len()
+    }
+
+    /// What every rank's link runs under: `None` means plain links.
+    pub(crate) fn link_config(&self) -> Option<RelConfig> {
+        self.chaos.as_ref().map(|_| self.rel)
+    }
+
+    /// The one clock reading of a pass.
+    pub(crate) fn now(&self) -> u64 {
+        pass_now(self.chaos.is_some())
+    }
+
+    /// A token no earlier control request or liveness probe carried.
+    pub(crate) fn token(&mut self) -> u64 {
+        self.token += 1;
+        self.token
+    }
+
+    /// The index of client `id`, or the typed error for a client this
+    /// driver does not have.
+    pub(crate) fn known(&self, id: ClientId) -> Result<usize> {
+        let known = id.0 < self.hosts.len();
+        known.then_some(id.0).ok_or_else(|| no_such_client(id))
+    }
+
+    /// Client `id`'s runtime.  [`super::Cluster`] checks every id it hands
+    /// down, so an unknown one cannot arrive from there.
+    pub(crate) fn client(&self, id: ClientId) -> &NodeRuntime {
+        assert!(id.0 < self.hosts.len(), "no client with id {id}");
+        self.hosts[id.0].runtime()
+    }
+
+    pub(crate) fn client_mut(&mut self, id: ClientId) -> &mut NodeRuntime {
+        assert!(id.0 < self.hosts.len(), "no client with id {id}");
+        self.hosts[id.0].runtime_mut()
+    }
+
+    /// Deploy an AM handler on every client rank (the backend deploys it on
+    /// the servers, in the same order).
+    pub(crate) fn deploy_am(&mut self, name: &str, handler: &NativeAmHandler) {
+        for host in &mut self.hosts {
+            host.runtime_mut()
+                .deploy_am_handler(name.to_string(), handler.clone());
+        }
+    }
+
+    /// Move everything client `origin` (and whoever its loopback traffic
+    /// reaches) posted through `emit`, and collect the hosts' errors.
+    pub(crate) fn flush(&mut self, origin: usize, emit: impl EmitFrom) {
+        let now = self.now();
+        flush_clients(origin, &mut self.hosts, now, emit);
+        self.collect_errors();
+    }
+
+    /// Close one pass over the carrier's inbound frames (or one park of
+    /// silence): answer what the pass staged, close every client's link (owed
+    /// acks, gap repairs, the timer) and collect the hosts' errors.  Returns
+    /// how many flushes the staged operations took.
+    pub(crate) fn close_pass(&mut self, now: u64, mut emit: impl EmitFrom) -> usize {
+        let mut flushes = 0;
+        // A flush leaves every client it reached with nothing staged.
+        while let Some(c) = self.hosts.iter().position(ClientHost::pending) {
+            flush_clients(c, &mut self.hosts, now, &mut emit);
+            flushes += 1;
+        }
+        for (c, host) in self.hosts.iter_mut().enumerate() {
+            host.end_pass(now, |to, tag, data, payload| {
+                emit(c, to, tag, data, payload)
+            });
+        }
+        self.collect_errors();
+        flushes
+    }
+
+    fn collect_errors(&mut self) {
+        for host in &mut self.hosts {
+            self.errors.extend(host.take_errors());
+        }
+    }
+
+    /// A step made progress: the stall horizon starts over.
+    pub(crate) fn progress(&mut self) {
+        self.stalled_since = None;
+    }
+
+    /// The one stall rule, after a step's full park of silence.  Frames
+    /// unacked on any rank — the clients' own, or as `servers` last published
+    /// — will retransmit, so the step is busy (`Some(true)`) until a horizon
+    /// that out-waits several fully backed-off rounds; then `Some(false)`, as
+    /// a frame nobody can ack (dead node, unhealable partition) must let
+    /// waits time out.  With nothing unacked the horizon starts over and
+    /// `None` leaves the verdict to the carrier's own idleness checks.
+    pub(crate) fn silence(&mut self, servers: impl Iterator<Item = u64>) -> Option<bool> {
+        let own = self
+            .hosts
+            .iter()
+            .filter_map(|h| Some(h.link.rel()?.unacked_total()));
+        if own.chain(servers).sum::<u64>() == 0 {
+            self.stalled_since = None;
+            return None;
+        }
+        let now = Instant::now();
+        if self.stalled_since.is_none() {
+            self.events.push(None, EventKind::StallEntered);
+        }
+        let horizon =
+            (link::BUSY_STEP_TIMEOUT * 10).max(Duration::from_nanos(self.rel.rto_max) * 4);
+        let within = now.duration_since(*self.stalled_since.get_or_insert(now)) < horizon;
+        if !within {
+            self.events.push(None, EventKind::StallGivenUp);
+        }
+        Some(within)
+    }
+
+    /// Server rank `peer` was reborn with a fresh sequence space: every
+    /// client renumbers and re-sends what it retained for it.
+    pub(crate) fn replay_to(&mut self, peer: u32, mut emit: impl EmitFrom) {
+        for (c, host) in self.hosts.iter_mut().enumerate() {
+            let emit = |to, tag, data, payload| emit(c, to, tag, data, payload);
+            host.link.replay(peer, emit);
+        }
+    }
+
+    /// What a backend's [`super::Transport::observe`] shares: the clients'
+    /// own ranks, then `servers`, the errors, the chaos counters and the
+    /// events.  The backend adds its fabric counts.
+    pub(crate) fn snapshot(
+        &self,
+        backend: &'static str,
+        servers: impl Iterator<Item = RankSnapshot>,
+    ) -> Snapshot {
+        let clients = self.hosts.iter().map(ClientHost::observe);
+        Snapshot {
+            backend,
+            now_nanos: link::wall_nanos(),
+            chaos: self.chaos.as_ref().map(ChaosSession::stats),
+            ranks: clients.chain(servers).collect(),
+            errors: self.errors.len(),
+            events: self.events.to_vec(),
+            ..Snapshot::default()
+        }
     }
 }
 
@@ -1105,6 +1306,57 @@ mod tests {
             retransmits > 0 && dup_drops > 0 && out_of_order > 0,
             "the faulty schedules must exercise recovery: {retransmits} retransmits, \
              {dup_drops} duplicates, {out_of_order} out of order"
+        );
+    }
+
+    // --- the driver -------------------------------------------------------------
+
+    /// The stall rule: silence with a frame unacked enters the stall once,
+    /// stays busy until the horizon, gives up there, and progress starts it
+    /// over; silence with nothing unacked anywhere is the carrier's to judge.
+    #[test]
+    fn the_stall_rule_enters_once_gives_up_at_the_horizon_and_resets_on_progress() {
+        let stalls = |driver: &Driver| -> Vec<EventKind> {
+            driver.events.to_vec().into_iter().map(|e| e.kind).collect()
+        };
+        let plan = FaultPlan::seeded(1);
+        let mut driver = Driver::new(1, 1, TargetTriple::X86_64_GENERIC, Some(plan), Some(CFG));
+        // A server reports a frame unacked; the client has none.
+        assert_eq!(driver.silence([0].into_iter()), None);
+        assert_eq!(driver.silence([1].into_iter()), Some(true));
+        // A GET the server never acks: the client's own link holds it.
+        driver.hosts[0]
+            .runtime_mut()
+            .post_get(WorkerAddr(SERVER), DATA, 8);
+        let mut sent = 0;
+        driver.flush(0, |_, _, _, _, _| sent += 1);
+        assert_eq!(sent, 1);
+        for _ in 0..3 {
+            assert_eq!(driver.silence(std::iter::empty()), Some(true));
+        }
+        assert_eq!(stalls(&driver), [EventKind::StallEntered]);
+
+        // The horizon (ten busy-step timeouts, or four backoff caps) is past.
+        let horizon = (link::BUSY_STEP_TIMEOUT * 10).max(Duration::from_nanos(CFG.rto_max) * 4);
+        driver.stalled_since = Instant::now().checked_sub(horizon);
+        assert!(driver.stalled_since.is_some());
+        assert_eq!(driver.silence(std::iter::empty()), Some(false));
+        assert_eq!(
+            stalls(&driver),
+            [EventKind::StallEntered, EventKind::StallGivenUp]
+        );
+
+        // Progress starts the horizon over: the next silence is busy again.
+        driver.progress();
+        assert_eq!(driver.stalled_since, None);
+        assert_eq!(driver.silence(std::iter::empty()), Some(true));
+        assert_eq!(
+            stalls(&driver),
+            [
+                EventKind::StallEntered,
+                EventKind::StallGivenUp,
+                EventKind::StallEntered
+            ]
         );
     }
 }

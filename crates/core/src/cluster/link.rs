@@ -25,12 +25,11 @@
 //! reference the parity and chaos suites compare this module against (on
 //! `Link` that would be the code against itself) and charges per-frame cost.
 //!
-//! The scheduling constants of the wall-clock backends that no caller has
-//! ever needed to change live here too; the five that tests and benches do
-//! set are [`super::Tuning`].
+//! Every scheduling constant of the wall-clock backends lives here too.  None
+//! is settable from outside the crate: `host`'s `Driver` copies the two
+//! timeouts into fields, which only this crate's own tests shorten.
 
 use super::reliable::{LinkHealth, RelConfig, RelFrame, RelMetrics, ReliableSet};
-use super::snapshot::{EventKind, EventRing};
 use super::socket::most_stressed;
 use super::wire::{self, StoredEnv};
 use crate::error::{CoreError, Result};
@@ -38,6 +37,19 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use tc_ucx::{Bytes, OutgoingMessage};
 
+/// How long one driver `step` waits for traffic (threads: parks on the
+/// fabric's external queue, ended silent by its clock every half base RTO
+/// under a fault plan; socket: polls its connections) before running its
+/// idleness checks.  Bounds *idle-detection* latency only.
+pub(crate) const STEP_TIMEOUT: Duration = Duration::from_millis(20);
+/// Consecutive idle steps before a wall-clock backend's waits give up.  A
+/// step only reports idle after a silent park (a whole one from the second
+/// on) with nothing queued or mid-processing, so two suffice: the second
+/// covers the one-step race where work finished right as the first wait
+/// timed out.
+pub(crate) const IDLE_GRACE: u32 = 2;
+/// How long a control-plane round trip (peek/poke/stats/AM deploy) may take.
+pub(crate) const CONTROL_TIMEOUT: Duration = Duration::from_secs(10);
 /// How long one `step` of a wall-clock backend keeps waiting while messages
 /// are verifiably queued or mid-processing without reporting progress.
 /// Guards against a runaway ifunc wedging the driver forever.
@@ -48,8 +60,9 @@ pub(crate) const POLL_INTERVAL: Duration = Duration::from_micros(500);
 /// [`POLL_INTERVAL`] per iteration — a socket round trip is tens of
 /// microseconds, far below any sleep quantum.
 pub(crate) const SPIN_WINDOW: Duration = Duration::from_micros(300);
-/// Socket driver: how long every server process has to dial in and complete
-/// the HELLO/WELCOME handshake at startup.
+/// Socket backend: how long every server process has to dial in and complete
+/// the HELLO/WELCOME handshake at startup (a server process retries its
+/// connect for as long).
 pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 /// Socket driver: how long one WELCOME may take to drain into the socket
 /// (a peer that connects and never reads must not wedge admission).
@@ -68,31 +81,6 @@ pub(crate) const PING_TIMEOUT: Duration = Duration::from_secs(1);
 pub(crate) const RECOVERY_BACKOFF: Duration = Duration::from_millis(30);
 /// Socket recovery: ceiling of the respawn backoff.
 pub(crate) const RECOVERY_BACKOFF_MAX: Duration = Duration::from_secs(2);
-
-/// A wall-clock `step` saw a full park of silence while reliable frames stay
-/// unacked.  That is *busy* (they will retransmit), so report progress — but
-/// only up to a stall horizon measured from `since`, the first such step: a
-/// frame that can never be acked (dead node, unhealable partition) must
-/// eventually let waits time out.  The horizon out-waits several fully
-/// backed-off retransmission rounds (`rto_max`, nanoseconds), because a
-/// healthy-but-lossy link can legitimately stay silent that long.  Entering
-/// the horizon and giving up on it are recorded in `events`.
-pub(crate) fn within_stall_horizon(
-    since: &mut Option<Instant>,
-    rto_max: u64,
-    events: &mut EventRing,
-) -> bool {
-    let now = Instant::now();
-    let horizon = (BUSY_STEP_TIMEOUT * 10).max(Duration::from_nanos(rto_max) * 4);
-    if since.is_none() {
-        events.push(None, EventKind::StallEntered);
-    }
-    let within = now.duration_since(*since.get_or_insert(now)) < horizon;
-    if !within {
-        events.push(None, EventKind::StallGivenUp);
-    }
-    within
-}
 
 /// Nanoseconds on the wall clock shared by everything in this process that
 /// keeps wall-clock time (origin: first use) — every [`Link`]'s reliable

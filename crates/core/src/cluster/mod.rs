@@ -27,8 +27,11 @@
 //! (client-to-client traffic as loopback, take-encode-emit as one step, one
 //! poll and flush per pass): the threaded server node and the socket server
 //! process are carriers over the first, the threaded backend's caller and
-//! the socket driver over the second.  The simulated backend stays on
-//! [`reliable`] directly: it is the oracle the others are compared against.
+//! the socket driver over the second, which also share its one *driver*
+//! and keep only their fabric or their connections.  The simulated backend
+//! stays on [`reliable`] directly: it is the oracle the others are compared
+//! against.  The wall-clock backends' scheduling values are constants of the
+//! crate-private `link` module; none is a builder knob.
 //!
 //! On the driving side a backend answers a handful of primitives — among
 //! them one [`Transport::control`] round trip to a server rank and one
@@ -98,7 +101,6 @@ use crate::ifunc::{IfuncHandle, IfuncLibrary, IfuncMessage};
 use crate::layout::{result_slot_addr, RESULT_MAILBOX_SLOTS};
 use crate::metrics::RuntimeStats;
 use crate::runtime::{Completion, NativeAmHandler, NodeRuntime};
-use std::time::Duration;
 use tc_bitir::TargetTriple;
 use tc_jit::Memory;
 use tc_simnet::Platform;
@@ -154,49 +156,6 @@ impl ClientId {
 impl std::fmt::Display for ClientId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "client {}", self.0)
-    }
-}
-
-/// Scheduling tunables of the wall-clock backends (threads and socket): the
-/// five values tests and benches actually set, behind
-/// [`ClusterBuilder::tuning`].  Everything else that used to be tunable is a
-/// documented constant of the crate-private `link` module.  Ignored by the
-/// simulated backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Tuning {
-    /// How long one driver `step` waits for traffic (threads: parks on the
-    /// fabric's external queue, ended silent by its clock every half base
-    /// RTO under a fault plan; socket: polls its connections) before running
-    /// its idleness checks.  Bounds *idle-detection* latency only.
-    pub step_timeout: Duration,
-    /// Consecutive idle steps before waits give up.  A step only reports
-    /// idle after a silent park (a whole one from the second on) with nothing
-    /// queued or mid-processing, so two suffice: the second covers the
-    /// one-step race where work finished right as the first wait timed out.
-    pub idle_grace: u32,
-    /// Threads: most messages a node thread — or one pass of the caller's
-    /// `step` over the client ranks — drains per wakeup (batch drain: one
-    /// park, many messages).  0 means the fabric's default burst
-    /// (`tc_simnet::threaded::DEFAULT_MAX_BATCH`, 128) for both.
-    pub node_batch: usize,
-    /// How long a control-plane round trip (peek/poke/stats/AM deploy) may
-    /// take.
-    pub control_timeout: Duration,
-    /// Socket recovery: give up on a rank after this many consecutive
-    /// failed respawn attempts (the link then stays dead with its typed
-    /// error).
-    pub max_respawns: u32,
-}
-
-impl Default for Tuning {
-    fn default() -> Self {
-        Tuning {
-            step_timeout: Duration::from_millis(20),
-            idle_grace: 2,
-            node_batch: 128,
-            control_timeout: Duration::from_secs(10),
-            max_respawns: 8,
-        }
     }
 }
 
@@ -718,23 +677,39 @@ impl<T: Transport> Cluster<T> {
         self.transport.client_mut(ClientId::PRIMARY)
     }
 
-    /// The runtime of client `id`.
-    pub fn client_runtime(&self, id: ClientId) -> &NodeRuntime {
-        self.transport.client(id)
+    /// The runtime of client `id`.  A client this cluster does not have is
+    /// the typed error every per-client method returns.
+    pub fn client_runtime(&self, id: ClientId) -> Result<&NodeRuntime> {
+        if id.0 >= self.transport.client_count() {
+            return Err(no_such_client(id));
+        }
+        Ok(self.transport.client(id))
+    }
+
+    /// [`Cluster::client_runtime`], mutable.
+    fn client_runtime_mut(&mut self, id: ClientId) -> Result<&mut NodeRuntime> {
+        if id.0 >= self.transport.client_count() {
+            return Err(no_such_client(id));
+        }
+        Ok(self.transport.client_mut(id))
     }
 
     // --- scenario setup -----------------------------------------------------
 
     /// Register an ifunc library on the primary client, returning its handle.
     pub fn register_ifunc(&mut self, library: IfuncLibrary) -> IfuncHandle {
-        self.register_ifunc_on(ClientId::PRIMARY, library)
+        self.client_mut().register_library(library)
     }
 
     /// Register an ifunc library on client `client`.  Handles are
     /// per-runtime: a library meant to be sent by several clients must be
     /// registered on each.
-    pub fn register_ifunc_on(&mut self, client: ClientId, library: IfuncLibrary) -> IfuncHandle {
-        self.transport.client_mut(client).register_library(library)
+    pub fn register_ifunc_on(
+        &mut self,
+        client: ClientId,
+        library: IfuncLibrary,
+    ) -> Result<IfuncHandle> {
+        Ok(self.client_runtime_mut(client)?.register_library(library))
     }
 
     /// Create a bitcode-representation message for a library registered on
@@ -751,8 +726,7 @@ impl<T: Transport> Cluster<T> {
         handle: IfuncHandle,
         payload: Vec<u8>,
     ) -> Result<IfuncMessage> {
-        self.transport
-            .client(client)
+        self.client_runtime(client)?
             .create_bitcode_message(handle, payload)
     }
 
@@ -776,8 +750,7 @@ impl<T: Transport> Cluster<T> {
         target_triple: &str,
         payload: Vec<u8>,
     ) -> Result<IfuncMessage> {
-        self.transport
-            .client(client)
+        self.client_runtime(client)?
             .create_binary_message(handle, target_triple, payload)
     }
 
@@ -816,10 +789,8 @@ impl<T: Transport> Cluster<T> {
         message: &IfuncMessage,
         dst: usize,
     ) -> Result<usize> {
-        let bytes = self
-            .transport
-            .client_mut(client)
-            .send_ifunc(message, WorkerAddr(dst as u32));
+        let runtime = self.client_runtime_mut(client)?;
+        let bytes = runtime.send_ifunc(message, WorkerAddr(dst as u32));
         self.transport.flush_client(client)?;
         Ok(bytes)
     }
@@ -843,10 +814,8 @@ impl<T: Transport> Cluster<T> {
         dst: usize,
         payload: impl Into<Bytes>,
     ) -> Result<usize> {
-        let size =
-            self.transport
-                .client_mut(client)
-                .send_am(handler, WorkerAddr(dst as u32), payload)?;
+        let runtime = self.client_runtime_mut(client)?;
+        let size = runtime.send_am(handler, WorkerAddr(dst as u32), payload)?;
         self.transport.flush_client(client)?;
         Ok(size)
     }
@@ -867,10 +836,8 @@ impl<T: Transport> Cluster<T> {
         addr: u64,
         data: impl Into<Bytes>,
     ) -> Result<RequestId> {
-        let request =
-            self.transport
-                .client_mut(client)
-                .post_put(WorkerAddr(dst as u32), addr, data);
+        let runtime = self.client_runtime_mut(client)?;
+        let request = runtime.post_put(WorkerAddr(dst as u32), addr, data);
         self.transport.flush_client(client)?;
         Ok(request)
     }
@@ -896,17 +863,9 @@ impl<T: Transport> Cluster<T> {
         addr: u64,
         data: impl Into<Bytes>,
     ) -> Result<PutHandle> {
-        let request = self.transport.client_mut(client).post_put_confirmed(
-            WorkerAddr(dst as u32),
-            addr,
-            data,
-        );
+        let handle = self.post_put_confirmed_from(client, dst, addr, data)?;
         self.transport.flush_client(client)?;
-        Ok(PutHandle {
-            client,
-            request,
-            target: dst,
-        })
+        Ok(handle)
     }
 
     /// Post a one-sided GET against `dst` from the primary client, returning
@@ -923,7 +882,7 @@ impl<T: Transport> Cluster<T> {
         addr: u64,
         len: u64,
     ) -> Result<GetHandle> {
-        let handle = self.post_get_from(client, dst, addr, len);
+        let handle = self.post_get_from(client, dst, addr, len)?;
         self.transport.flush_client(client)?;
         Ok(handle)
     }
@@ -933,7 +892,13 @@ impl<T: Transport> Cluster<T> {
     /// calls [`Cluster::flush`] once — paying the fabric hand-off per batch
     /// instead of per operation.
     pub fn post_get(&mut self, dst: usize, addr: u64, len: u64) -> GetHandle {
-        self.post_get_from(ClientId::PRIMARY, dst, addr, len)
+        let client = self.client_mut();
+        let request = client.post_get(WorkerAddr(dst as u32), addr, len);
+        GetHandle {
+            client: ClientId::PRIMARY,
+            request,
+            target: dst,
+        }
     }
 
     /// Post a one-sided GET from client `client` without flushing.
@@ -943,16 +908,14 @@ impl<T: Transport> Cluster<T> {
         dst: usize,
         addr: u64,
         len: u64,
-    ) -> GetHandle {
-        let request = self
-            .transport
-            .client_mut(client)
-            .post_get(WorkerAddr(dst as u32), addr, len);
-        GetHandle {
+    ) -> Result<GetHandle> {
+        let runtime = self.client_runtime_mut(client)?;
+        let request = runtime.post_get(WorkerAddr(dst as u32), addr, len);
+        Ok(GetHandle {
             client,
             request,
             target: dst,
-        }
+        })
     }
 
     /// Post a confirmed PUT *without* flushing (see [`Cluster::post_get`]).
@@ -962,7 +925,13 @@ impl<T: Transport> Cluster<T> {
         addr: u64,
         data: impl Into<Bytes>,
     ) -> PutHandle {
-        self.post_put_confirmed_from(ClientId::PRIMARY, dst, addr, data)
+        let client = self.client_mut();
+        let request = client.post_put_confirmed(WorkerAddr(dst as u32), addr, data);
+        PutHandle {
+            client: ClientId::PRIMARY,
+            request,
+            target: dst,
+        }
     }
 
     /// Post a confirmed PUT from client `client` without flushing.
@@ -972,17 +941,14 @@ impl<T: Transport> Cluster<T> {
         dst: usize,
         addr: u64,
         data: impl Into<Bytes>,
-    ) -> PutHandle {
-        let request = self.transport.client_mut(client).post_put_confirmed(
-            WorkerAddr(dst as u32),
-            addr,
-            data,
-        );
-        PutHandle {
+    ) -> Result<PutHandle> {
+        let runtime = self.client_runtime_mut(client)?;
+        let request = runtime.post_put_confirmed(WorkerAddr(dst as u32), addr, data);
+        Ok(PutHandle {
             client,
             request,
             target: dst,
-        }
+        })
     }
 
     /// Move everything the primary client posted-but-unflushed into the
@@ -1254,20 +1220,17 @@ impl<T: Transport> Cluster<T> {
     }
 }
 
-/// Builder for a [`Cluster`]: platform, node count, target triples, backend.
+/// Builder for a [`Cluster`]: platform, node count, faults, backend.
 ///
-/// The platform always provides the fabric/CPU calibration for the simulated
-/// backend and the default target triples for both backends.
+/// The platform provides the fabric/CPU calibration for the simulated
+/// backend and the client and server target triples for every backend.
 #[derive(Debug, Clone)]
 pub struct ClusterBuilder {
     platform: Platform,
     clients: usize,
     servers: usize,
-    client_triple: Option<TargetTriple>,
-    server_triple: Option<TargetTriple>,
     fault_plan: Option<tc_chaos::FaultPlan>,
     rel_config: Option<RelConfig>,
-    tuning: Tuning,
     socket: socket::SocketConfig,
 }
 
@@ -1284,11 +1247,8 @@ impl ClusterBuilder {
             platform: Platform::thor_bf2(),
             clients: 1,
             servers: 1,
-            client_triple: None,
-            server_triple: None,
             fault_plan: None,
             rel_config: None,
-            tuning: Tuning::default(),
             socket: socket::SocketConfig::default(),
         }
     }
@@ -1301,7 +1261,7 @@ impl ClusterBuilder {
         self
     }
 
-    /// Select the testbed platform (fabric and CPU calibration, default
+    /// Select the testbed platform (fabric and CPU calibration, target
     /// triples).
     pub fn platform(mut self, platform: Platform) -> Self {
         self.platform = platform;
@@ -1311,18 +1271,6 @@ impl ClusterBuilder {
     /// Number of server nodes (ranks 1..=n).
     pub fn servers(mut self, servers: usize) -> Self {
         self.servers = servers;
-        self
-    }
-
-    /// Override the client's target triple (defaults to the platform's).
-    pub fn client_triple(mut self, triple: TargetTriple) -> Self {
-        self.client_triple = Some(triple);
-        self
-    }
-
-    /// Override the servers' target triple (defaults to the platform's).
-    pub fn server_triple(mut self, triple: TargetTriple) -> Self {
-        self.server_triple = Some(triple);
         self
     }
 
@@ -1353,19 +1301,12 @@ impl ClusterBuilder {
     /// detected (socket failure or PING silence), respawned (or awaited, in
     /// external mode) with bounded exponential backoff, re-handshaken,
     /// brought back to control-plane parity (AM catalog, recorded memory
-    /// writes), and their reliable links replayed.  Requires a fault plan —
-    /// only the reliable plane can replay in-flight frames.  Ignored by the
-    /// other backends.
-    pub fn socket_recovery(mut self) -> Self {
-        self.socket.recover = true;
-        self
-    }
-
-    /// Tune the wall-clock backends' scheduling ([`Tuning`]: step timeout,
-    /// idle grace, batch cap, control timeout, respawn budget).  Ignored by
-    /// the simulated backend.
-    pub fn tuning(mut self, tuning: Tuning) -> Self {
-        self.tuning = tuning;
+    /// writes), and their reliable links replayed.  A rank is given up on
+    /// after `max_respawns` consecutive failed respawn attempts.  Requires a
+    /// fault plan — only the reliable plane can replay in-flight frames.
+    /// Ignored by the other backends.
+    pub fn socket_recovery(mut self, max_respawns: u32) -> Self {
+        self.socket.recover = Some(max_respawns);
         self
     }
 
@@ -1395,13 +1336,9 @@ impl ClusterBuilder {
     }
 
     fn resolved_triples(&self) -> (TargetTriple, TargetTriple) {
-        let client = self.client_triple.unwrap_or_else(|| {
-            TargetTriple::parse(self.platform.client_triple).unwrap_or(TargetTriple::X86_64_GENERIC)
-        });
-        let server = self.server_triple.unwrap_or_else(|| {
-            TargetTriple::parse(self.platform.server_triple)
-                .unwrap_or(TargetTriple::AARCH64_GENERIC)
-        });
+        let parse = |triple, fallback| TargetTriple::parse(triple).unwrap_or(fallback);
+        let client = parse(self.platform.client_triple, TargetTriple::X86_64_GENERIC);
+        let server = parse(self.platform.server_triple, TargetTriple::AARCH64_GENERIC);
         (client, server)
     }
 
@@ -1425,7 +1362,6 @@ impl ClusterBuilder {
             self.servers,
             client,
             server,
-            self.tuning,
             self.fault_plan,
             self.rel_config,
         )
@@ -1438,7 +1374,6 @@ impl ClusterBuilder {
             self.servers,
             client,
             server,
-            self.tuning,
             self.fault_plan,
             self.rel_config,
             self.socket,

@@ -22,20 +22,25 @@
 //! mirroring the threaded backend's envelope filter — and every endpoint
 //! runs a reliable link endpoint (the crate-private `link` module), so
 //! delivery stays exactly-once and in-order over a lossy socket.
+//!
+//! The client ranks, errors, chaos session, tokens and stall rule are the
+//! crate-private `host` module's `Driver`, shared with the threaded backend;
+//! this one keeps the connections and their admission, chaos routing, the
+//! inbox and crash recovery.
 
-use super::host::{self, ClientHost};
-use super::link::{self, Digest, Link};
+use super::host::{Driver, EmitFrom};
+use super::link::{self, Digest};
 use super::reliable::{LinkHealth, RelConfig};
-use super::snapshot::{EventKind, EventRing, RankSnapshot, RankState, Snapshot};
+use super::snapshot::{EventKind, RankSnapshot, RankState, Snapshot};
 use super::wire::{self, Welcome, RANK_ANY};
-use super::{check_server_rank, no_such_client, ClientId, Transport, Tuning};
+use super::{check_server_rank, ClientId, Transport};
 use crate::error::{CoreError, Result};
 use crate::runtime::{NativeAmHandler, NodeRuntime};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use tc_bitir::TargetTriple;
-use tc_chaos::{ChaosSession, FaultPlan, HoldBack};
+use tc_chaos::{FaultPlan, HoldBack};
 use tc_net::{ChildGuard, Connection, Frame, Listener, NetError, SocketSpec};
 
 /// Session tag: server → driver introduction (`[magic][version][rank]`).
@@ -94,13 +99,14 @@ pub struct SocketConfig {
     /// Don't spawn the server processes: wait for externally launched
     /// servers to dial in instead.
     pub external: bool,
-    /// Self-heal dead server ranks: detect death (socket failure or ping
-    /// silence), respawn the process (or await an external rejoin) with
+    /// Self-heal dead server ranks, giving up on a rank after this many
+    /// consecutive failed respawn attempts: detect death (socket failure or
+    /// ping silence), respawn the process (or await an external rejoin) with
     /// bounded exponential backoff, re-run the handshake, re-deploy AMs,
     /// replay recorded server-memory writes, and replay unacked reliable
-    /// frames.  Off by default: without it a dead rank stays dead and
-    /// replays its typed error, the PR 6 semantics.
-    pub recover: bool,
+    /// frames.  Off (`None`) by default: a dead rank then stays dead and
+    /// replays its typed error.
+    pub recover: Option<u32>,
 }
 
 fn default_unix_spec() -> SocketSpec {
@@ -193,31 +199,26 @@ impl ServerLink {
     }
 }
 
-/// Driver-side chaos state (mirrors the threaded backend's `DriverChaos`;
-/// each client's link lives in its [`ClientHost`]).
-struct SocketChaos {
-    session: ChaosSession,
-    /// Held-back frames implementing delay/reorder.
-    held: HoldBack<Frame>,
+/// A driver `emit` that queues the client hosts' frames into `out`.
+fn frames(out: &mut Vec<Frame>) -> impl EmitFrom + '_ {
+    move |from, to, tag, data, payload| {
+        out.push(Frame::with_payload(from as u32, to, tag, data, payload))
+    }
 }
 
 /// The cross-process cluster backend (OS processes + sockets, wall-clock
 /// time).
 pub struct SocketTransport {
     /// The client ranks, progressed by this driver's pump (the backend is
-    /// single-driver: no worker threads).  Their links are reliable exactly
-    /// when `chaos` is set.
-    clients: Vec<ClientHost>,
+    /// single-driver: no worker threads).
+    driver: Driver,
     links: Vec<ServerLink>,
     listener: Option<Listener>,
     servers: usize,
-    errors: Vec<CoreError>,
     /// Fatal link errors waiting to be surfaced from `step`.
     pending_errors: VecDeque<CoreError>,
-    next_token: u64,
-    tuning: Tuning,
-    chaos: Option<SocketChaos>,
-    stalled_since: Option<Instant>,
+    /// Held-back frames implementing the chaos engine's delay/reorder.
+    held: HoldBack<Frame>,
     delivered: u64,
     dropped: u64,
     shut_down: bool,
@@ -241,19 +242,16 @@ pub struct SocketTransport {
     rejoining: Vec<Connection>,
     /// Successful heals.
     heals: u64,
-    /// Liveness, recovery and stall transitions, for [`Transport::observe`].
-    events: EventRing,
-    /// WELCOME ingredients, retained for recovery-mode re-handshakes.
+    /// The servers' target triple, retained for recovery-mode re-handshakes.
     server_triple: TargetTriple,
-    rel_cfg: RelConfig,
 }
 
 impl std::fmt::Debug for SocketTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SocketTransport")
-            .field("clients", &self.clients.len())
+            .field("clients", &self.driver.clients())
             .field("servers", &self.servers)
-            .field("errors", &self.errors.len())
+            .field("errors", &self.driver.errors.len())
             .finish()
     }
 }
@@ -263,33 +261,23 @@ impl SocketTransport {
     /// server processes, run the HELLO/WELCOME handshake with each, and
     /// return once every rank is connected.  What
     /// [`super::ThreadTransport::with_config`] takes, plus the socket setup.
-    #[allow(clippy::too_many_arguments)]
     pub fn connect_config(
         clients: usize,
         servers: usize,
         client_triple: TargetTriple,
         server_triple: TargetTriple,
-        tuning: Tuning,
         fault_plan: Option<FaultPlan>,
         rel_config: Option<RelConfig>,
         mut config: SocketConfig,
     ) -> Result<Self> {
-        let clients = clients.max(1);
-        let total = (clients + servers) as u32;
+        let driver = Driver::new(clients, servers, client_triple, fault_plan, rel_config);
+        let clients = driver.clients();
         let spec = config.addr.clone().unwrap_or_else(default_unix_spec);
         let listener = Listener::bind(&spec)
             .map_err(|e| CoreError::Transport(format!("binding {spec}: {e}")))?;
         let actual = listener
             .local_spec()
             .map_err(|e| CoreError::Transport(e.to_string()))?;
-
-        let rel_cfg = rel_config.unwrap_or_else(RelConfig::threads_default);
-        let chaos = fault_plan.map(|plan| SocketChaos {
-            session: ChaosSession::new(plan),
-            held: HoldBack::default(),
-        });
-        let reliable = chaos.is_some();
-        let link_cfg = reliable.then_some(rel_cfg);
 
         let mut links: Vec<ServerLink> = (0..servers).map(|_| ServerLink::empty()).collect();
         if !config.external {
@@ -306,21 +294,12 @@ impl SocketTransport {
         config.addr = Some(actual);
 
         let mut transport = SocketTransport {
-            clients: (0..clients as u32)
-                .map(|c| {
-                    let runtime = NodeRuntime::new(tc_ucx::WorkerAddr(c), total, client_triple);
-                    ClientHost::new(runtime, Link::new(c, total, link_cfg), clients as u32)
-                })
-                .collect(),
+            driver,
             links,
             listener: Some(listener),
             servers,
-            errors: Vec::new(),
             pending_errors: VecDeque::new(),
-            next_token: 1,
-            tuning,
-            chaos,
-            stalled_since: None,
+            held: HoldBack::default(),
             delivered: 0,
             dropped: 0,
             shut_down: false,
@@ -331,9 +310,7 @@ impl SocketTransport {
             poke_log: std::collections::BTreeMap::new(),
             rejoining: Vec::new(),
             heals: 0,
-            events: EventRing::default(),
             server_triple,
-            rel_cfg,
         };
         if let Err(e) = transport.await_servers() {
             // Nobody to ask politely: dropping the links kills the children.
@@ -428,13 +405,13 @@ impl SocketTransport {
         if startup {
             return Err(e);
         }
-        self.errors.push(e);
+        self.driver.errors.push(e);
         Ok(())
     }
 
     /// The server index a HELLO asking for rank `wanted` is admitted to.
     fn free_rank(&self, wanted: u32, startup: bool) -> Result<usize> {
-        let clients = self.clients.len();
+        let clients = self.driver.clients();
         let free =
             |l: &ServerLink| l.conn.is_none() && (startup || matches!(l.state, LinkState::Dead(_)));
         if wanted == RANK_ANY {
@@ -455,12 +432,13 @@ impl SocketTransport {
     /// Send server `idx` its WELCOME and see it into the socket — bounded: a
     /// peer that connects and never reads must not wedge admission.
     fn welcome(&self, conn: &mut Connection, idx: usize) -> Result<()> {
-        let rank = (self.clients.len() + idx) as u32;
+        let clients = self.driver.clients() as u32;
+        let rank = clients + idx as u32;
         let welcome = Welcome {
-            clients: self.clients.len() as u32,
+            clients,
             servers: self.servers as u32,
             rank,
-            rel: self.chaos.as_ref().map(|_| self.rel_cfg),
+            rel: self.driver.link_config(),
             triple: self.server_triple,
         };
         conn.queue(Frame::new(
@@ -493,7 +471,7 @@ impl SocketTransport {
     /// Errors reported by server processes (or transport-level decode
     /// failures) that were not fatal to a link.
     pub fn errors(&self) -> &[CoreError] {
-        &self.errors
+        &self.driver.errors
     }
 
     /// Number of spawned server processes still running.
@@ -516,7 +494,7 @@ impl SocketTransport {
     /// Classify a socket-plane failure on the link of server `idx` into the
     /// typed core error space and remember it.
     fn fail_link(&mut self, idx: usize, e: NetError) {
-        let rank = self.clients.len() + idx;
+        let rank = self.driver.clients() + idx;
         let link = &mut self.links[idx];
         if matches!(link.state, LinkState::Dead(_)) {
             return;
@@ -570,22 +548,22 @@ impl SocketTransport {
         link.next_attempt_at = None;
         link.forget_rel();
         self.note(idx, EventKind::PeerLost(err.to_string()));
-        if !self.config.recover {
+        if self.config.recover.is_none() {
             self.pending_errors.push_back(err);
         }
     }
 
     /// Record a state transition of server `idx` in the event ring.
     fn note(&mut self, idx: usize, kind: EventKind) {
-        let rank = (self.clients.len() + idx) as u32;
-        self.events.push(Some(rank), kind);
+        let rank = (self.driver.clients() + idx) as u32;
+        self.driver.events.push(Some(rank), kind);
     }
 
     /// Liveness monitor (recovery mode): ping links that have been silent
     /// past the ping interval, and declare ranks whose PING went unanswered
     /// past the ping timeout dead.
     fn health_check(&mut self) {
-        if !self.config.recover || self.shut_down {
+        if self.config.recover.is_none() || self.shut_down {
             return;
         }
         let mut timed_out = Vec::new();
@@ -596,9 +574,8 @@ impl SocketTransport {
             match link.ping_sent_at {
                 Some(at) if at.elapsed() >= link::PING_TIMEOUT => timed_out.push(idx),
                 None if link.last_activity.elapsed() >= link::PING_INTERVAL => {
-                    let nonce = self.next_token.to_le_bytes().to_vec();
-                    self.next_token += 1;
-                    let rank = (self.clients.len() + idx) as u32;
+                    let nonce = self.driver.token().to_le_bytes().to_vec();
+                    let rank = (self.driver.clients() + idx) as u32;
                     conn.queue(Frame::new(DRIVER_PORT, rank, TAG_PING, nonce));
                     link.ping_sent_at = Some(Instant::now());
                 }
@@ -606,7 +583,7 @@ impl SocketTransport {
             }
         }
         for idx in timed_out {
-            let rank = self.clients.len() + idx;
+            let rank = self.driver.clients() + idx;
             self.note(idx, EventKind::PingTimeout);
             self.fail_link_with(
                 idx,
@@ -632,16 +609,17 @@ impl SocketTransport {
     /// from the step and control-wait loops; a no-op while a heal is
     /// already in progress underneath us.
     fn poll_recovery(&mut self) {
-        if !self.config.recover || self.shut_down || self.healing {
+        let ready = !self.shut_down && !self.healing;
+        let Some(max_respawns) = self.config.recover.filter(|_| ready) else {
             return;
-        }
+        };
         self.healing = true;
-        self.poll_recovery_inner();
+        self.poll_recovery_inner(max_respawns);
         self.healing = false;
     }
 
-    fn poll_recovery_inner(&mut self) {
-        let clients = self.clients.len();
+    fn poll_recovery_inner(&mut self, max_respawns: u32) {
+        let clients = self.driver.clients();
         // Respawn scheduling (spawn mode only; external servers rejoin on
         // their own schedule).
         if !self.config.external {
@@ -652,7 +630,7 @@ impl SocketTransport {
                 }
                 let attempts = link.respawn_attempts;
                 let due = link.next_attempt_at.map(|at| Instant::now() >= at);
-                if due != Some(false) && attempts >= self.tuning.max_respawns {
+                if due != Some(false) && attempts >= max_respawns {
                     // Respawn budget exhausted — the rank becomes
                     // terminally failed (surfaced by failed_ranks).
                     link.gave_up = true;
@@ -689,7 +667,7 @@ impl SocketTransport {
                         };
                         match tc_net::spawn_server(bin, spec, rank) {
                             Ok(child) => self.links[idx].child = Some(child),
-                            Err(e) => self.errors.push(CoreError::Transport(format!(
+                            Err(e) => self.driver.errors.push(CoreError::Transport(format!(
                                 "respawning server rank {rank}: {e}"
                             ))),
                         }
@@ -715,7 +693,7 @@ impl SocketTransport {
             if let Err(e) = self.heal_link(idx) {
                 // The rank died again mid-heal; fail_link already re-marked
                 // it and the next poll reschedules.
-                self.errors.push(e);
+                self.driver.errors.push(e);
             }
         }
     }
@@ -725,7 +703,7 @@ impl SocketTransport {
     /// recorded memory writes), renumber and replay the reliable frames the
     /// driver retained for it, and tell surviving servers to do the same.
     fn heal_link(&mut self, idx: usize) -> Result<()> {
-        let clients = self.clients.len();
+        let clients = self.driver.clients();
         let rank = clients + idx;
         self.note(idx, EventKind::HealStart);
         {
@@ -743,16 +721,8 @@ impl SocketTransport {
         // during the heal order behind them) but only hit the wire after
         // the control plane below is rebuilt — they may invoke AM handlers.
         let mut replay = Vec::new();
-        if let Some(chaos) = &mut self.chaos {
-            chaos.held.forget_node(rank);
-        }
-        host::replay_clients(
-            &mut self.clients,
-            rank as u32,
-            |from, to, tag, data, payload| {
-                replay.push(Frame::with_payload(from as u32, to, tag, data, payload))
-            },
-        );
+        self.held.forget_node(rank);
+        self.driver.replay_to(rank as u32, frames(&mut replay));
         // Re-deploy the AM catalog in original deploy order so the reborn
         // process's handler ids line up with the cluster's.
         for name in self.deployed_ams.clone() {
@@ -776,10 +746,8 @@ impl SocketTransport {
         // Now the replay can flow, along with the surviving servers'
         // renumbered re-sends.
         let replayed = replay.len() as u64;
-        for f in replay {
-            self.chaos_route(f);
-        }
-        if self.chaos.is_some() {
+        let _ = self.client_emit(replay);
+        if self.driver.chaos.is_some() {
             for other in 0..self.links.len() {
                 if other == idx || self.links[other].conn.is_none() {
                     continue;
@@ -806,8 +774,7 @@ impl SocketTransport {
     /// Queue a frame toward server rank `rank`.  Dead links replay their
     /// typed error.
     fn queue_to_server(&mut self, rank: usize, frame: Frame) -> Result<()> {
-        let clients = self.clients.len();
-        let idx = rank - clients;
+        let idx = rank - self.driver.clients();
         match &mut self.links[idx] {
             ServerLink {
                 state: LinkState::Dead(err),
@@ -875,22 +842,22 @@ impl SocketTransport {
     /// Route one frame that arrived from a server connection.
     fn route_frame(&mut self, frame: Frame) {
         // The link of the server it came from, for the session frames.
-        let sender = (frame.from as usize).wrapping_sub(self.clients.len());
+        let sender = (frame.from as usize).wrapping_sub(self.driver.clients());
         let sender = self.links.get_mut(sender);
         match frame.tag {
             wire::TAG_OP => {
                 if let Err(e) = self.deliver(frame) {
-                    self.errors.push(e);
+                    self.driver.errors.push(e);
                 }
             }
             wire::TAG_ROP | wire::TAG_ACK => self.chaos_route(frame),
-            wire::TAG_ERROR => self.errors.push(CoreError::Transport(
+            wire::TAG_ERROR => self.driver.errors.push(CoreError::Transport(
                 String::from_utf8_lossy(frame.data.as_slice()).into_owned(),
             )),
             TAG_REL_INFO => match (wire::decode_digest(&frame.data), sender) {
                 (Ok(digest), Some(link)) => link.rel = digest,
                 (Ok(_), None) => {}
-                (Err(e), _) => self.errors.push(e),
+                (Err(e), _) => self.driver.errors.push(e),
             },
             TAG_PONG => {
                 if let Some(link) = sender {
@@ -913,8 +880,8 @@ impl SocketTransport {
     /// surviving frames.  Without a fault plan, reliable frames are a
     /// protocol error (mirroring the threaded backend).
     fn chaos_route(&mut self, frame: Frame) {
-        let Some(chaos) = &mut self.chaos else {
-            self.errors.push(CoreError::Transport(
+        let Some(session) = &self.driver.chaos else {
+            self.driver.errors.push(CoreError::Transport(
                 "reliable frame without a fault plan".into(),
             ));
             return;
@@ -923,17 +890,16 @@ impl SocketTransport {
         let dst = frame.to as usize;
         // Ranks index dense per-link tables (chaos engine, reliable sets):
         // bound them here, where frames from server processes enter.
-        let ranks = self.clients.len() + self.servers;
+        let ranks = self.driver.clients() + self.servers;
         if src >= ranks || dst >= ranks {
-            self.errors.push(CoreError::Transport(format!(
+            self.driver.errors.push(CoreError::Transport(format!(
                 "reliable frame between invalid ranks {src} -> {dst}"
             )));
             return;
         }
-        let decision = chaos.session.decide(src, dst);
+        let decision = session.decide(src, dst);
         let mut release = Vec::new();
-        chaos
-            .held
+        self.held
             .apply(decision, src, dst, frame, &mut |f| release.push(f));
         for f in release {
             self.route_reliable(f);
@@ -943,8 +909,8 @@ impl SocketTransport {
     /// Physically move one reliable frame that survived the chaos engine
     /// (which bounded its ranks).
     fn route_reliable(&mut self, frame: Frame) {
-        let server = (frame.to as usize).checked_sub(self.clients.len());
-        if self.config.recover
+        let server = (frame.to as usize).checked_sub(self.driver.clients());
+        if self.config.recover.is_some()
             && server.is_some_and(|s| matches!(self.links[s].state, LinkState::Dead(_)))
         {
             // The rank is being healed.  The frame stays buffered in its
@@ -954,79 +920,58 @@ impl SocketTransport {
             return;
         }
         if let Err(e) = self.deliver(frame) {
-            self.errors.push(e);
+            self.driver.errors.push(e);
         }
     }
 
-    /// Put one frame a client's host emitted on its way: reliable frames and
-    /// acks traverse the chaos engine, raw ops go straight out.
-    fn client_emit(&mut self, frame: Frame) -> Result<()> {
-        if frame.tag == wire::TAG_OP {
-            return self.deliver(frame);
+    /// Put the frames the client hosts emitted on their way, in order:
+    /// reliable frames and acks through the chaos engine, raw ops straight
+    /// out.  They are routed only after the driver's call returns: routing
+    /// may release held-back frames into these same hosts.
+    fn client_emit(&mut self, out: Vec<Frame>) -> Result<()> {
+        let mut result = Ok(());
+        for frame in out {
+            if frame.tag == wire::TAG_OP {
+                result = result.and(self.deliver(frame));
+            } else {
+                self.chaos_route(frame);
+            }
         }
-        self.chaos_route(frame);
-        Ok(())
+        result
     }
 
     /// Physically move one data-plane frame to the rank it names.  A server
     /// (a relay, or a client's send) gets it queued on its socket; a rank
     /// beyond the cluster is the fabric drop every backend counts.  A
-    /// client's host only stages what became deliverable — the pass close
-    /// in [`SocketTransport::drain_inbox`] polls and answers it — but a
-    /// duplicate's ack leaves at once, its traversal passing the chaos
+    /// client's host only stages what became deliverable — the driver's
+    /// pass close in [`SocketTransport::drain_inbox`] polls and answers it —
+    /// but a duplicate's ack leaves at once, its traversal passing the chaos
     /// engine like any other.
     fn deliver(&mut self, frame: Frame) -> Result<()> {
         let to = frame.to as usize;
-        let Some(host) = self.clients.get_mut(to) else {
-            if to >= self.clients.len() + self.servers {
+        let now = self.driver.now();
+        let Some(host) = self.driver.hosts.get_mut(to) else {
+            if to >= self.driver.clients() + self.servers {
                 self.dropped += 1;
                 return Ok(());
             }
             return self.queue_to_server(to, frame);
         };
-        let mut ack = None;
-        self.delivered += host.on_frame(
-            frame.from,
-            frame.tag,
-            frame.data,
-            frame.payload,
-            link::pass_now(self.chaos.is_some()),
-            |dst, tag, data, payload| {
-                ack = Some(Frame::with_payload(frame.to, dst, tag, data, payload))
-            },
-        );
-        self.errors.extend(host.take_errors());
-        ack.map_or(Ok(()), |ack| self.client_emit(ack))
-    }
-
-    /// Move everything client `origin` (and whoever its loopback traffic
-    /// reaches) posted toward the sockets.  The hosts' frames are routed
-    /// only after the flush returns: routing may release held-back frames
-    /// into these same hosts.
-    fn flush_from(&mut self, origin: usize) -> Result<()> {
-        let mut out = Vec::new();
-        let now = link::pass_now(self.chaos.is_some());
-        let emit = |from, to, tag, data, payload| {
-            out.push(Frame::with_payload(from as u32, to, tag, data, payload))
+        let mut ack = Vec::new();
+        let emit = |dst, tag, data, payload| {
+            ack.push(Frame::with_payload(to as u32, dst, tag, data, payload))
         };
-        host::flush_clients(origin, &mut self.clients, now, emit);
-        for host in &mut self.clients {
-            self.errors.extend(host.take_errors());
-        }
-        let mut result = Ok(());
-        for frame in out {
-            let sent = self.client_emit(frame);
-            result = result.and(sent);
-        }
-        result
+        self.delivered +=
+            host.on_frame(frame.from, frame.tag, frame.data, frame.payload, now, emit);
+        self.client_emit(ack)
     }
 
-    /// Route everything in the inbox, then close the pass on every client:
-    /// poll and answer what the pass staged, emit the one pure cumulative
-    /// ack per (client, server) link that nothing routed has piggybacked
-    /// on, run the retransmission timer, and start the writes.  Returns how
-    /// many frames were routed (a client with operations staged since the
-    /// last pass — released by a flush outside it — counts as one).
+    /// Route everything in the inbox, then have the driver close the pass on
+    /// every client — poll and answer what the pass staged, emit the one
+    /// pure cumulative ack per (client, server) link that nothing routed has
+    /// piggybacked on, run the retransmission timer — and start the writes.
+    /// Returns how many frames were routed (a client with operations staged
+    /// since the last pass — released by a flush outside it — counts as one).
     fn drain_inbox(&mut self) -> usize {
         let mut routed = 0;
         while let Some(frame) = self.inbox.pop_front() {
@@ -1034,19 +979,9 @@ impl SocketTransport {
             routed += 1;
         }
         let mut out = Vec::new();
-        let now = link::pass_now(self.chaos.is_some());
-        for c in 0..self.clients.len() {
-            if self.clients[c].pending() {
-                routed += 1;
-                let _ = self.flush_from(c);
-            }
-            self.clients[c].end_pass(now, |to, tag, data, payload| {
-                out.push(Frame::with_payload(c as u32, to, tag, data, payload))
-            });
-        }
-        for frame in out {
-            let _ = self.client_emit(frame);
-        }
+        let now = self.driver.now();
+        routed += self.driver.close_pass(now, frames(&mut out));
+        let _ = self.client_emit(out);
         self.pump_writes();
         routed
     }
@@ -1076,7 +1011,9 @@ impl SocketTransport {
     /// spawns off a dead rank is perpetually "recovering", not failed.)
     fn rank_state(&self, link: &ServerLink) -> RankState {
         match link.state {
-            LinkState::Dead(_) if !self.config.recover || link.gave_up => RankState::Failed,
+            LinkState::Dead(_) if self.config.recover.is_none() || link.gave_up => {
+                RankState::Failed
+            }
             LinkState::Dead(_) => RankState::Recovering,
             LinkState::Active | LinkState::Closing => RankState::Live,
         }
@@ -1089,21 +1026,19 @@ impl Transport for SocketTransport {
     }
 
     fn node_count(&self) -> usize {
-        self.servers + self.clients.len()
+        self.servers + self.driver.clients()
     }
 
     fn client_count(&self) -> usize {
-        self.clients.len()
+        self.driver.clients()
     }
 
     fn client(&self, id: ClientId) -> &NodeRuntime {
-        assert!(id.0 < self.clients.len(), "no client with id {id}");
-        self.clients[id.0].runtime()
+        self.driver.client(id)
     }
 
     fn client_mut(&mut self, id: ClientId) -> &mut NodeRuntime {
-        assert!(id.0 < self.clients.len(), "no client with id {id}");
-        self.clients[id.0].runtime_mut()
+        self.driver.client_mut(id)
     }
 
     fn deploy_am(&mut self, name: &str, handler: NativeAmHandler) -> Result<()> {
@@ -1111,12 +1046,8 @@ impl Transport for SocketTransport {
         // same-named handler from their compiled-in catalog (closures cannot
         // cross a process boundary).  Deploy order fixes the handler ids
         // cluster-wide, exactly as on the other backends.
-        for client in &mut self.clients {
-            client
-                .runtime_mut()
-                .deploy_am_handler(name.to_string(), handler.clone());
-        }
-        let clients = self.clients.len();
+        self.driver.deploy_am(name, &handler);
+        let clients = self.driver.clients();
         for rank in clients..clients + self.servers {
             let reply = self.control(rank, TAG_AM_DEPLOY, TAG_AM_ACK, name.as_bytes())?;
             if reply != [1] {
@@ -1132,13 +1063,13 @@ impl Transport for SocketTransport {
     }
 
     fn flush_client(&mut self, id: ClientId) -> Result<()> {
-        if id.0 >= self.clients.len() {
-            return Err(no_such_client(id));
-        }
+        let c = self.driver.known(id)?;
         if self.shut_down {
             return Err(CoreError::Transport("socket transport is shut down".into()));
         }
-        let flushed = self.flush_from(id.0);
+        let mut out = Vec::new();
+        self.driver.flush(c, frames(&mut out));
+        let flushed = self.client_emit(out);
         self.pump_writes();
         flushed
     }
@@ -1151,7 +1082,7 @@ impl Transport for SocketTransport {
             return Err(e);
         }
         let started = Instant::now();
-        let step_deadline = started + self.tuning.step_timeout;
+        let step_deadline = started + self.driver.step_timeout;
         let busy_deadline = started + link::BUSY_STEP_TIMEOUT;
         loop {
             self.health_check();
@@ -1161,7 +1092,7 @@ impl Transport for SocketTransport {
                 return Err(e);
             }
             if routed > 0 {
-                self.stalled_since = None;
+                self.driver.progress();
                 return Ok(true);
             }
             let now = Instant::now();
@@ -1169,17 +1100,11 @@ impl Transport for SocketTransport {
                 self.poll_pause(started);
                 continue;
             }
-            // A full step window of silence.  Unacked reliability frames
-            // keep the transport "busy" (they will retransmit), but only up
-            // to a stall horizon — a frame that can never be acked (dead
-            // server process, unhealable partition) must eventually let
-            // waits time out.
-            if host::unacked(&self.clients, self.links.iter().map(|l| l.rel.unacked)) > 0 {
-                let (since, events) = (&mut self.stalled_since, &mut self.events);
-                let rto_max = self.rel_cfg.rto_max;
-                return Ok(link::within_stall_horizon(since, rto_max, events));
+            // A full step window of silence: the driver's stall rule first.
+            let published = self.links.iter().map(|l| l.rel.unacked);
+            if let Some(busy) = self.driver.silence(published) {
+                return Ok(busy);
             }
-            self.stalled_since = None;
             if self.pending_writes_total() > 0 && now < busy_deadline {
                 self.poll_pause(started);
                 continue;
@@ -1189,7 +1114,7 @@ impl Transport for SocketTransport {
     }
 
     fn idle_grace(&self) -> u32 {
-        self.tuning.idle_grace
+        link::IDLE_GRACE
     }
 
     /// Queue the request behind the rank's data and wait for its tokened
@@ -1201,9 +1126,9 @@ impl Transport for SocketTransport {
         reply_tag: u64,
         body: &[u8],
     ) -> Result<Vec<u8>> {
-        let clients = self.clients.len();
+        let clients = self.driver.clients();
         check_server_rank(clients, self.servers, rank)?;
-        if let (true, wire::TAG_POKE, Some((addr, data))) =
+        if let (Some(_), wire::TAG_POKE, Some((addr, data))) =
             (self.config.recover, request_tag, wire::split_poke(body))
         {
             // A healed rank is brought back to parity by replaying its
@@ -1211,8 +1136,7 @@ impl Transport for SocketTransport {
             // enough, replays overwrite.
             self.poke_log.insert((rank, addr), data.to_vec());
         }
-        let token = self.next_token;
-        self.next_token += 1;
+        let token = self.driver.token();
         self.queue_to_server(
             rank,
             Frame::new(
@@ -1223,7 +1147,7 @@ impl Transport for SocketTransport {
             ),
         )?;
         let started = Instant::now();
-        let deadline = started + self.tuning.control_timeout;
+        let deadline = started + self.driver.control_timeout;
         loop {
             self.health_check();
             self.poll_recovery();
@@ -1264,30 +1188,24 @@ impl Transport for SocketTransport {
 
     /// The clients' own links, then what each server process last published.
     fn observe(&self) -> Snapshot {
-        let clients = self.clients.len();
+        let clients = self.driver.clients();
+        let reliable = self.driver.chaos.is_some();
         let server = |(idx, link): (usize, &ServerLink)| {
-            let digest = self.chaos.as_ref().map(|_| link.rel);
+            let digest = reliable.then_some(link.rel);
             RankSnapshot::server(clients + idx, self.rank_state(link), digest)
         };
-        let hosts = self.clients.iter().map(ClientHost::observe);
         let servers = self.links.iter().enumerate().map(server);
         Snapshot {
-            backend: self.backend_name(),
-            now_nanos: self.now_nanos(),
             delivered: self.delivered,
             dropped: self.dropped,
-            chaos: self.chaos.as_ref().map(|c| c.session.stats()),
-            ranks: hosts.chain(servers).collect(),
-            errors: self.errors.len(),
             heals: self.heals,
-            events: self.events.to_vec(),
-            ..Snapshot::default()
+            ..self.driver.snapshot(self.backend_name(), servers)
         }
     }
 
     fn failed_ranks(&self) -> Vec<usize> {
         let failed = |l: &ServerLink| self.rank_state(l) == RankState::Failed;
-        let ranks = self.links.iter().zip(self.clients.len()..);
+        let ranks = self.links.iter().zip(self.driver.clients()..);
         ranks.filter(|(l, _)| failed(l)).map(|(_, r)| r).collect()
     }
 
@@ -1298,7 +1216,7 @@ impl Transport for SocketTransport {
         self.shut_down = true;
         // Ask every live server to flush and exit.
         for idx in 0..self.links.len() {
-            let rank = (self.clients.len() + idx) as u32;
+            let rank = (self.driver.clients() + idx) as u32;
             if let Some(conn) = self.links[idx].conn.as_mut() {
                 conn.queue(Frame::new(DRIVER_PORT, rank, TAG_SHUTDOWN, Vec::new()));
             }

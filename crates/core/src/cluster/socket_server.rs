@@ -16,7 +16,7 @@
 //! entry under it.
 
 use super::host::ServerHost;
-use super::link::{wall_nanos, Digest, Link};
+use super::link::{wall_nanos, Digest, Link, HANDSHAKE_TIMEOUT};
 use super::socket::{
     DRIVER_PORT, TAG_AM_ACK, TAG_AM_DEPLOY, TAG_BYE, TAG_HELLO, TAG_LINK_RESET, TAG_PING, TAG_PONG,
     TAG_REL_INFO, TAG_SHUTDOWN, TAG_WELCOME,
@@ -35,9 +35,6 @@ pub struct ServerOptions {
     pub connect: String,
     /// The rank to claim; `None` lets the driver assign one.
     pub rank: Option<u32>,
-    /// How long to keep retrying the initial connect (the driver may still
-    /// be binding its listener).
-    pub connect_timeout: Duration,
 }
 
 impl ServerOptions {
@@ -65,7 +62,6 @@ impl ServerOptions {
         Ok(ServerOptions {
             connect: connect.ok_or("--connect is required")?,
             rank,
-            connect_timeout: Duration::from_secs(10),
         })
     }
 }
@@ -172,8 +168,10 @@ impl Server {
 /// handlers, looked up by name when the driver calls `deploy_am`.
 pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Result<(), String> {
     let spec = SocketSpec::parse(&opts.connect).map_err(|e| e.to_string())?;
+    // The driver may still be binding its listener: retry for as long as it
+    // waits for this process's handshake.
     let mut conn =
-        Connection::connect_with_retry(&spec, opts.connect_timeout).map_err(|e| e.to_string())?;
+        Connection::connect_with_retry(&spec, HANDSHAKE_TIMEOUT).map_err(|e| e.to_string())?;
 
     let hello_rank = opts.rank.unwrap_or(RANK_ANY);
     conn.queue(Frame::new(

@@ -17,15 +17,15 @@
 //!   to either arrives on the fabric's one external queue, with
 //!   [`Envelope::to`] naming the port.
 //! * The **caller's thread** (whoever owns the [`ThreadTransport`]) carries
-//!   every client rank (the crate-private `host` module's `ClientHost`:
-//!   runtime, link endpoint and the client-rank rules), like the initiator
-//!   of a UCX GET progressing its own worker.  `flush_client` moves posted
-//!   operations into the fabric synchronously, so a control-plane round trip
-//!   issued right after a flush still acts as a barrier behind that client's
-//!   data (both ride the same per-producer FIFO channel).  `step` parks on
-//!   the external queue, feeds a burst to the hosts, flushes what it
-//!   provoked and closes the pass; `control` does the same for whatever
-//!   arrives ahead of its reply.
+//!   every client rank through the crate-private `host` module's `Driver`,
+//!   as the socket driver does, like the initiator of a UCX GET progressing
+//!   its own worker.  `flush_client` moves posted operations into the fabric
+//!   synchronously, so a control-plane round trip issued right after a flush
+//!   still acts as a barrier behind that client's data (both ride the same
+//!   per-producer FIFO channel).  `step` parks on the external queue,
+//!   dispatches a burst by port, and has the driver answer what it provoked
+//!   and close the pass; `control` does the same for whatever arrives ahead
+//!   of its reply.
 //! * No rank arms a timer to park: under a fault plan the fabric's one
 //!   `tc-clock` thread ticks every half base RTO, a server runs its timer
 //!   behind the tick and the caller's park (the step timeout) ends with it.
@@ -41,24 +41,23 @@
 //! order) before handling each message, so `AmHandlerId`s agree cluster-wide
 //! without shipping closures through channels.
 
-use super::host::{self, ClientHost, ServerHost};
+use super::host::{Driver, EmitFrom, ServerHost};
 use super::link::{self, pass_now, Digest, Link};
 use super::reliable::RelConfig;
-use super::snapshot::{EventRing, RankSnapshot, RankState, Snapshot};
+use super::snapshot::{RankSnapshot, RankState, Snapshot};
 use super::socket::DRIVER_PORT;
-use super::{check_server_rank, no_such_client, wire, Transport, Tuning};
+use super::{check_server_rank, wire, ClientId, Transport};
 use crate::error::{CoreError, Result};
 use crate::runtime::{NativeAmHandler, NodeRuntime};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use tc_bitir::TargetTriple;
 use tc_chaos::{ChaosSession, FaultPlan, HoldBack};
+use tc_simnet::threaded::DEFAULT_MAX_BATCH;
 use tc_simnet::{
     external_port, Envelope, EnvelopeFilter, NodeCtx, ThreadCluster, ThreadConfig, ThreadedNode,
 };
 use tc_ucx::{Bytes, WorkerAddr};
-
-use super::ClientId;
 
 /// Shared, append-only list of predeployed AM handlers.  Deploy order defines
 /// the cluster-wide handler ids.
@@ -204,83 +203,108 @@ fn chaos_filter(session: ChaosSession, clients: usize) -> EnvelopeFilter {
     })
 }
 
-/// Inject a frame from client `c` toward rank `to`: a server's thread node
-/// (rank - clients), as client-to-client traffic never leaves its host.
-/// Drops (unknown rank, stopped node) are counted by the fabric and show up
-/// in the transport metrics.
-fn client_send(
-    cluster: &ThreadCluster,
-    clients: usize,
-    c: usize,
-    to: u32,
-    tag: u64,
-    data: Bytes,
-    payload: Bytes,
-) {
-    if let Some(node) = (to as usize).checked_sub(clients) {
-        let _ = cluster.send_vectored_from_port(c, node, tag, data, payload);
+/// The driver's `emit` on this fabric: a frame from client `c` toward rank
+/// `to` goes to a server's thread node (rank - clients), as client-to-client
+/// traffic never leaves the driver.  Drops (unknown rank, stopped node) are
+/// counted by the fabric and show up in the transport metrics.
+fn client_emit(cluster: &ThreadCluster, clients: usize) -> impl EmitFrom + '_ {
+    move |c, to, tag, data, payload| {
+        if let Some(node) = (to as usize).checked_sub(clients) {
+            let _ = cluster.send_vectored_from_port(c, node, tag, data, payload);
+        }
     }
-}
-
-/// Driver-side chaos state: the shared fault session and the servers' digest
-/// table (each client's link lives in its [`ClientHost`]).
-struct DriverChaos {
-    session: ChaosSession,
-    table: RelTable,
-    /// The reliability layer's backoff cap, in nanoseconds — the longest
-    /// silence a healthy-but-lossy link can exhibit between retransmission
-    /// rounds.  Quiescence detection must out-wait several of these.
-    rto_max: u64,
 }
 
 /// The control reply `control` is waiting for: its tag, the thread node it
 /// must come from and the request's token.
 type Awaited = (u64, usize, u64);
 
-/// What the caller's thread carries: every client rank, and the errors
-/// collected on their behalf.  Kept apart from the fabric handle so that a
-/// pass can borrow the hosts mutably and the fabric shared.
-struct Carrier {
-    hosts: Vec<ClientHost>,
-    /// Errors reported by server nodes, the client hosts, or the dispatcher.
-    errors: Vec<CoreError>,
-    /// Links are reliable (a fault plan is installed): passes read the clock.
-    reliable: bool,
-    /// Most envelopes one pass drains from the external queue.
-    batch: usize,
+/// Terminate one envelope taken off the external queue: a data-plane frame
+/// goes to the client host its port names (which only stages what became
+/// deliverable — [`Driver::close_pass`] answers it), an error report to the
+/// error list.  A control reply nobody awaits is stale (its request timed
+/// out) and dropped; a port that is neither a client's nor the control port
+/// is a typed error.
+fn dispatch(driver: &mut Driver, cluster: &ThreadCluster, env: Envelope, now: u64) {
+    let clients = driver.clients();
+    let data_plane = matches!(env.tag, wire::TAG_OP | wire::TAG_ROP | wire::TAG_ACK);
+    let port = external_port(env.to);
+    let host = port.and_then(|port| driver.hosts.get_mut(port));
+    match (port, host) {
+        _ if env.tag == wire::TAG_ERROR => driver.errors.push(CoreError::Transport(
+            String::from_utf8_lossy(&env.data).into_owned(),
+        )),
+        (Some(port), Some(host)) if data_plane => {
+            let from = rank_of(clients, env.from) as u32;
+            let mut send = client_emit(cluster, clients);
+            let emit = |to, tag, data, payload| send(port, to, tag, data, payload);
+            host.on_frame(from, env.tag, env.data, env.payload, now, emit);
+        }
+        (Some(port), None) if !data_plane && port == clients => {}
+        _ => driver.errors.push(CoreError::Transport(format!(
+            "envelope (tag {}) for fabric id {} dropped: the driver has {clients} client \
+             ports and one control port",
+            env.tag, env.to
+        ))),
+    }
+}
+
+/// One pass: `first` (none after a silent park) and the burst behind it (at
+/// most [`DEFAULT_MAX_BATCH`] envelopes, the server nodes' burst too),
+/// dispatched in order and closed once.  Stops at the `awaited` control
+/// reply, if it is in the burst, and returns its body; what is queued behind
+/// it waits for the next pass.
+fn pass(
+    driver: &mut Driver,
+    cluster: &ThreadCluster,
+    first: Option<Envelope>,
+    awaited: Option<Awaited>,
+) -> Option<Vec<u8>> {
+    let now = driver.now();
+    let mut reply = None;
+    let mut next = first;
+    let mut taken = 0;
+    while let Some(env) = next.take() {
+        taken += 1;
+        match awaited {
+            Some((tag, node, token)) if env.tag == tag && env.from == node => {
+                // The reply to an abandoned request carries an older token
+                // and is dropped, as is one that does not decode.
+                match wire::decode_control(&env.data) {
+                    Ok((t, body)) if t == token => reply = Some(body.to_vec()),
+                    _ => {}
+                }
+            }
+            _ => dispatch(driver, cluster, env, now),
+        }
+        if reply.is_none() && taken < DEFAULT_MAX_BATCH {
+            next = cluster.try_recv_external();
+        }
+    }
+    driver.close_pass(now, client_emit(cluster, driver.clients()));
+    reply
 }
 
 /// The real-concurrency cluster backend (threads + channels, wall-clock time).
 pub struct ThreadTransport {
     /// The client ranks, carried by whichever thread drives the transport.
-    carrier: Carrier,
+    driver: Driver,
     /// `None` once shut down (threads joined).
     cluster: Option<ThreadCluster>,
     /// Delivery counters captured at shutdown so `metrics` stays meaningful.
     final_metrics: tc_simnet::ThreadMetrics,
     servers: usize,
     am_registry: AmRegistry,
-    next_token: u64,
-    tuning: Tuning,
-    /// Chaos-mode state (fault session + digest table); `None` keeps the
-    /// lossless fast path.
-    chaos: Option<DriverChaos>,
-    /// Since when `step` has seen zero progress while reliability frames
-    /// stay unacked (chaos mode).  Bounds how long outstanding
-    /// retransmissions can keep the driver reporting "busy" — a frame that
-    /// can never be acked (e.g. a dead node thread) must eventually let
-    /// waits time out instead of spinning forever.
-    stalled_since: Option<Instant>,
-    /// Stall-horizon transitions, for [`Transport::observe`].
-    events: EventRing,
+    /// The servers' digests, under a fault plan only.
+    table: Option<RelTable>,
 }
 
 impl std::fmt::Debug for ThreadTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadTransport")
-            .field("clients", &self.carrier.hosts.len())
+            .field("clients", &self.driver.clients())
             .field("servers", &self.servers)
-            .field("errors", &self.carrier.errors.len())
+            .field("errors", &self.driver.errors.len())
             .finish()
     }
 }
@@ -288,50 +312,36 @@ impl std::fmt::Debug for ThreadTransport {
 impl ThreadTransport {
     /// Full-control constructor used by the cluster builder: `clients`
     /// client runtimes (ranks `0..clients`, carried by the caller),
-    /// `servers` threaded server nodes (ranks `clients..clients+servers`),
-    /// scheduling tunables plus an optional fault plan.  With a plan
-    /// installed, every data-plane envelope passes the chaos engine's
-    /// envelope filter and travels over the reliable-delivery layer
-    /// (sequence numbers, cumulative acks, retransmission, dedup) — with one
-    /// independent sequence space per (client, server) link.
+    /// `servers` threaded server nodes (ranks `clients..clients+servers`)
+    /// and an optional fault plan.  With a plan installed, every data-plane
+    /// envelope passes the chaos engine's envelope filter and travels over
+    /// the reliable-delivery layer (sequence numbers, cumulative acks,
+    /// retransmission, dedup) — with one independent sequence space per
+    /// (client, server) link.
     pub fn with_config(
         clients: usize,
         servers: usize,
         client_triple: TargetTriple,
         server_triple: TargetTriple,
-        tuning: Tuning,
         fault_plan: Option<FaultPlan>,
         rel_config: Option<RelConfig>,
     ) -> Self {
-        let clients = clients.max(1);
+        let driver = Driver::new(clients, servers, client_triple, fault_plan, rel_config);
+        let clients = driver.clients();
         let total = (servers + clients) as u32;
         let am_registry: AmRegistry = Arc::new(Mutex::new(Vec::new()));
         let registry_for_nodes = Arc::clone(&am_registry);
 
-        let rel_cfg = rel_config.unwrap_or_else(RelConfig::threads_default);
-        let chaos = fault_plan.map(|plan| DriverChaos {
-            session: ChaosSession::new(plan),
-            table: (0..servers).map(|_| Mutex::default()).collect(),
-            rto_max: rel_cfg.rto_max,
-        });
         // Reliable links (and the fabric clock that keeps their
         // retransmission cadence) exist exactly when a fault plan does.
-        let link_cfg = chaos.as_ref().map(|_| rel_cfg);
-
-        // One burst size for both rank classes: 0 asks for the fabric's
-        // default on server nodes and the caller's passes alike.
-        let batch = match tuning.node_batch {
-            0 => tc_simnet::threaded::DEFAULT_MAX_BATCH,
-            n => n,
-        };
+        let link_cfg = driver.link_config();
+        let table: Option<RelTable> =
+            link_cfg.map(|_| (0..servers).map(|_| Mutex::default()).collect());
         let config = ThreadConfig {
-            max_batch: batch,
             tick: link_cfg.map(|cfg| Duration::from_nanos(cfg.rto / 2)),
-            filter: chaos
-                .as_ref()
-                .map(|c| chaos_filter(c.session.clone(), clients)),
+            filter: driver.chaos.clone().map(|s| chaos_filter(s, clients)),
         };
-        let node_chaos = chaos.as_ref().map(|c| Arc::clone(&c.table));
+        let node_table = table.clone();
 
         let cluster = ThreadCluster::start_with_config(servers, config, move |thread_id| {
             let rank = (thread_id + clients) as u32;
@@ -341,142 +351,23 @@ impl ThreadTransport {
                 clients,
                 am_registry: Arc::clone(&registry_for_nodes),
                 am_applied: 0,
-                table: node_chaos.clone(),
+                table: node_table.clone(),
             }
         });
-
-        let hosts = (0..clients as u32)
-            .map(|c| {
-                let runtime = NodeRuntime::new(WorkerAddr(c), total, client_triple);
-                ClientHost::new(runtime, Link::new(c, total, link_cfg), clients as u32)
-            })
-            .collect();
         ThreadTransport {
-            carrier: Carrier {
-                hosts,
-                errors: Vec::new(),
-                reliable: chaos.is_some(),
-                batch,
-            },
+            driver,
             cluster: Some(cluster),
             final_metrics: tc_simnet::ThreadMetrics::default(),
             servers,
             am_registry,
-            next_token: 1,
-            tuning,
-            chaos,
-            stalled_since: None,
-            events: EventRing::default(),
+            table,
         }
     }
 
     /// Errors reported by server nodes, the client hosts, or transport-level
     /// decode failures, in observation order.
     pub fn errors(&self) -> &[CoreError] {
-        &self.carrier.errors
-    }
-}
-
-impl Carrier {
-    /// Terminate one envelope taken off the external queue: a data-plane
-    /// frame goes to the client host its port names (which only stages what
-    /// became deliverable — [`Carrier::close_pass`] answers it), an
-    /// error report to the error list.  A control reply nobody awaits is
-    /// stale (its request timed out) and dropped; a port that is neither a
-    /// client's nor the control port is a typed error.
-    fn dispatch(&mut self, cluster: &ThreadCluster, env: Envelope, now: u64) {
-        let clients = self.hosts.len();
-        let data_plane = matches!(env.tag, wire::TAG_OP | wire::TAG_ROP | wire::TAG_ACK);
-        let port = external_port(env.to);
-        let host = port.and_then(|port| self.hosts.get_mut(port));
-        match (port, host) {
-            _ if env.tag == wire::TAG_ERROR => self.errors.push(CoreError::Transport(
-                String::from_utf8_lossy(&env.data).into_owned(),
-            )),
-            (Some(port), Some(host)) if data_plane => {
-                let from = rank_of(clients, env.from) as u32;
-                let emit = |to, tag, data, payload| {
-                    client_send(cluster, clients, port, to, tag, data, payload)
-                };
-                host.on_frame(from, env.tag, env.data, env.payload, now, emit);
-            }
-            (Some(port), None) if !data_plane && port == clients => {}
-            _ => self.errors.push(CoreError::Transport(format!(
-                "envelope (tag {}) for fabric id {} dropped: the driver has {clients} client \
-                 ports and one control port",
-                env.tag, env.to
-            ))),
-        }
-    }
-
-    /// Close one pass over the external queue (or one park of silence): poll
-    /// and answer what the pass staged, collect the hosts' errors and, when
-    /// links are reliable, emit the owed acks and gap repairs and run the
-    /// retransmission timer.
-    fn close_pass(&mut self, cluster: &ThreadCluster, now: u64) {
-        let clients = self.hosts.len();
-        // A flush leaves every client it reached with nothing staged.
-        while let Some(c) = self.hosts.iter().position(ClientHost::pending) {
-            self.flush_from(cluster, c, now);
-        }
-        for (c, host) in self.hosts.iter_mut().enumerate() {
-            host.end_pass(now, |to, tag, data, payload| {
-                client_send(cluster, clients, c, to, tag, data, payload)
-            });
-        }
-        self.collect_errors();
-    }
-
-    /// Move everything client `origin` (and whoever its loopback traffic
-    /// reaches) posted into the fabric.
-    fn flush_from(&mut self, cluster: &ThreadCluster, origin: usize, now: u64) {
-        let clients = self.hosts.len();
-        let emit = |from, to, tag, data, payload| {
-            client_send(cluster, clients, from, to, tag, data, payload)
-        };
-        host::flush_clients(origin, &mut self.hosts, now, emit);
-    }
-
-    /// Move what the hosts' frames and polls left behind to the error list.
-    fn collect_errors(&mut self) {
-        for host in &mut self.hosts {
-            self.errors.extend(host.take_errors());
-        }
-    }
-
-    /// One pass: `first` (none after a silent park) and the burst behind it
-    /// (at most `batch` envelopes), dispatched in order and closed once.
-    /// Stops at the `awaited` control reply, if it is in the burst, and
-    /// returns its body; what is queued behind it waits for the next pass.
-    fn pass(
-        &mut self,
-        cluster: &ThreadCluster,
-        first: Option<Envelope>,
-        awaited: Option<Awaited>,
-    ) -> Option<Vec<u8>> {
-        let now = pass_now(self.reliable);
-        let mut reply = None;
-        let mut next = first;
-        let mut taken = 0;
-        while let Some(env) = next.take() {
-            taken += 1;
-            match awaited {
-                Some((tag, node, token)) if env.tag == tag && env.from == node => {
-                    // The reply to an abandoned request carries an older
-                    // token and is dropped, as is one that does not decode.
-                    match wire::decode_control(&env.data) {
-                        Ok((t, body)) if t == token => reply = Some(body.to_vec()),
-                        _ => {}
-                    }
-                }
-                _ => self.dispatch(cluster, env, now),
-            }
-            if reply.is_none() && taken < self.batch {
-                next = cluster.try_recv_external();
-            }
-        }
-        self.close_pass(cluster, now);
-        reply
+        &self.driver.errors
     }
 }
 
@@ -486,50 +377,39 @@ impl Transport for ThreadTransport {
     }
 
     fn node_count(&self) -> usize {
-        self.servers + self.carrier.hosts.len()
+        self.servers + self.driver.clients()
     }
 
     fn client_count(&self) -> usize {
-        self.carrier.hosts.len()
+        self.driver.clients()
     }
 
     fn client(&self, id: ClientId) -> &NodeRuntime {
-        assert!(id.0 < self.carrier.hosts.len(), "no client with id {id}");
-        self.carrier.hosts[id.0].runtime()
+        self.driver.client(id)
     }
 
     fn client_mut(&mut self, id: ClientId) -> &mut NodeRuntime {
-        assert!(id.0 < self.carrier.hosts.len(), "no client with id {id}");
-        self.carrier.hosts[id.0].runtime_mut()
+        self.driver.client_mut(id)
     }
 
     fn deploy_am(&mut self, name: &str, handler: NativeAmHandler) -> Result<()> {
-        // Clients apply immediately; servers catch up (in registry order,
-        // hence with identical handler ids) before their next message.
-        for host in &mut self.carrier.hosts {
-            host.runtime_mut()
-                .deploy_am_handler(name.to_string(), handler.clone());
-        }
-        self.am_registry
-            .lock()
-            .map_err(|_| CoreError::Transport("AM registry poisoned".into()))?
-            .push((name.to_string(), handler));
+        // Servers catch up (in registry order, hence with identical handler
+        // ids) before their next message.
+        self.driver.deploy_am(name, &handler);
+        relock(&self.am_registry).push((name.to_string(), handler));
         Ok(())
     }
 
     fn flush_client(&mut self, id: ClientId) -> Result<()> {
-        if id.0 >= self.carrier.hosts.len() {
-            return Err(no_such_client(id));
-        }
+        let c = self.driver.known(id)?;
         let Some(cluster) = &self.cluster else {
             return Err(CoreError::Transport("thread transport is shut down".into()));
         };
         // Synchronous on the caller's thread: when this returns, the ops are
         // in the node channels, so a control round trip issued next acts as
         // a barrier behind them (same per-producer FIFO).
-        self.carrier
-            .flush_from(cluster, id.0, pass_now(self.carrier.reliable));
-        self.carrier.collect_errors();
+        let clients = self.driver.clients();
+        self.driver.flush(c, client_emit(cluster, clients));
         Ok(())
     }
 
@@ -541,24 +421,21 @@ impl Transport for ThreadTransport {
             let Some(cluster) = &self.cluster else {
                 return Ok(false);
             };
-            if let Some(env) = cluster.recv_external(self.tuning.step_timeout) {
-                self.carrier.pass(cluster, Some(env), None);
-                self.stalled_since = None;
+            if let Some(env) = cluster.recv_external(self.driver.step_timeout) {
+                pass(&mut self.driver, cluster, Some(env), None);
+                self.driver.progress();
                 return Ok(true);
             }
             // A park of silence; the retransmission timer runs regardless.
-            self.carrier.pass(cluster, None, None);
+            pass(&mut self.driver, cluster, None, None);
             // Only call it idleness when no node-bound message is queued or
             // mid-processing — and, in chaos mode, no frame anywhere awaits
             // an ack (a partitioned link with retransmits pending is *busy*,
             // not idle) — otherwise keep waiting (bounded).
-            let table = self.chaos.iter().flat_map(|c| c.table.iter());
-            if host::unacked(&self.carrier.hosts, table.map(|slot| relock(slot).unacked)) > 0 {
-                let rto_max = self.chaos.as_ref().map_or(0, |c| c.rto_max);
-                let (since, events) = (&mut self.stalled_since, &mut self.events);
-                return Ok(link::within_stall_horizon(since, rto_max, events));
+            let table = self.table.iter().flat_map(|t| t.iter());
+            if let Some(busy) = self.driver.silence(table.map(|slot| relock(slot).unacked)) {
+                return Ok(busy);
             }
-            self.stalled_since = None;
             let now = Instant::now();
             let busy_deadline = *busy_deadline.get_or_insert(now + link::BUSY_STEP_TIMEOUT);
             if cluster.pending_messages() == 0 || now >= busy_deadline {
@@ -568,14 +445,14 @@ impl Transport for ThreadTransport {
                 let Some(env) = cluster.try_recv_external() else {
                     return Ok(false);
                 };
-                self.carrier.pass(cluster, Some(env), None);
+                pass(&mut self.driver, cluster, Some(env), None);
                 return Ok(true);
             }
         }
     }
 
     fn idle_grace(&self) -> u32 {
-        self.tuning.idle_grace
+        link::IDLE_GRACE
     }
 
     /// Issue a control request to server `rank` and wait for its tokened
@@ -589,13 +466,12 @@ impl Transport for ThreadTransport {
         reply_tag: u64,
         body: &[u8],
     ) -> Result<Vec<u8>> {
-        let clients = self.carrier.hosts.len();
+        let clients = self.driver.clients();
         check_server_rank(clients, self.servers, rank)?;
         let Some(cluster) = &self.cluster else {
             return Err(CoreError::Transport("thread transport is shut down".into()));
         };
-        let token = self.next_token;
-        self.next_token += 1;
+        let token = self.driver.token();
         let node = rank - clients;
         let request = wire::encode_control(token, body);
         let status = cluster.send_from_port(clients, node, request_tag, request);
@@ -605,7 +481,7 @@ impl Transport for ThreadTransport {
             )));
         }
         let awaited = Some((reply_tag, node, token));
-        let deadline = Instant::now() + self.tuning.control_timeout;
+        let deadline = Instant::now() + self.driver.control_timeout;
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
@@ -613,13 +489,14 @@ impl Transport for ThreadTransport {
                     what: format!("control reply (tag {reply_tag}) from rank {rank}"),
                 });
             }
-            let Some(env) = cluster.recv_external(remaining.min(self.tuning.step_timeout)) else {
+            let park = remaining.min(self.driver.step_timeout);
+            let Some(env) = cluster.recv_external(park) else {
                 // The retransmission timer keeps its cadence while a reply
                 // is slow in coming.
-                self.carrier.pass(cluster, None, None);
+                pass(&mut self.driver, cluster, None, None);
                 continue;
             };
-            if let Some(reply) = self.carrier.pass(cluster, Some(env), awaited) {
+            if let Some(reply) = pass(&mut self.driver, cluster, Some(env), awaited) {
                 return Ok(reply);
             }
         }
@@ -627,25 +504,19 @@ impl Transport for ThreadTransport {
 
     /// The clients' own links, then what each server node last published.
     fn observe(&self) -> Snapshot {
-        let clients = self.carrier.hosts.len();
+        let clients = self.driver.clients();
         let fabric = self.cluster.as_ref();
         let fabric = fabric.map_or(self.final_metrics, |c| c.metrics());
-        let table = self.chaos.as_ref().map(|c| &c.table);
         let server = |s| {
-            let digest = table.and_then(|t| t.get(s)).map(|slot| *relock(slot));
-            RankSnapshot::server(clients + s, RankState::Live, digest)
+            let digest = self.table.as_ref().and_then(|t| t.get(s));
+            RankSnapshot::server(clients + s, RankState::Live, digest.map(|d| *relock(d)))
         };
-        let hosts = self.carrier.hosts.iter().map(ClientHost::observe);
         Snapshot {
-            backend: self.backend_name(),
-            now_nanos: self.now_nanos(),
             delivered: fabric.delivered,
             dropped: fabric.dropped(),
-            chaos: self.chaos.as_ref().map(|c| c.session.stats()),
-            ranks: hosts.chain((0..self.servers).map(server)).collect(),
-            errors: self.carrier.errors.len(),
-            events: self.events.to_vec(),
-            ..Snapshot::default()
+            ..self
+                .driver
+                .snapshot(self.backend_name(), (0..self.servers).map(server))
         }
     }
 
@@ -666,18 +537,14 @@ impl Drop for ThreadTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::Cluster;
+    use crate::layout::DATA_REGION_BASE;
+    use crate::runtime::Completion;
     use tc_simnet::external_id;
 
-    fn transport(clients: usize) -> ThreadTransport {
-        ThreadTransport::with_config(
-            clients,
-            1,
-            TargetTriple::X86_64_GENERIC,
-            TargetTriple::X86_64_GENERIC,
-            Tuning::default(),
-            None,
-            None,
-        )
+    fn transport(clients: usize, servers: usize) -> ThreadTransport {
+        let triple = TargetTriple::X86_64_GENERIC;
+        ThreadTransport::with_config(clients, servers, triple, triple, None, None)
     }
 
     fn envelope(to_port: usize, tag: u64, data: Vec<u8>) -> Envelope {
@@ -692,8 +559,9 @@ mod tests {
 
     #[test]
     fn an_envelope_for_a_port_the_driver_does_not_have_is_a_typed_error() {
-        let mut t = transport(2);
+        let mut t = transport(2, 1);
         let cluster = t.cluster.take().unwrap();
+        let driver = &mut t.driver;
         // Ports 0 and 1 are clients, port 2 is the control port.
         for (port, tag) in [
             (3, wire::TAG_OP),
@@ -702,27 +570,23 @@ mod tests {
             // A data-plane frame has no business on the control port.
             (2, wire::TAG_OP),
         ] {
-            let before = t.carrier.errors.len();
-            t.carrier
-                .dispatch(&cluster, envelope(port, tag, vec![1, 2, 3]), 0);
+            let before = driver.errors.len();
+            dispatch(driver, &cluster, envelope(port, tag, vec![1, 2, 3]), 0);
             assert!(
-                matches!(t.carrier.errors[before..], [CoreError::Transport(_)]),
+                matches!(driver.errors[before..], [CoreError::Transport(_)]),
                 "port {port}, tag {tag}: {:?}",
-                t.carrier.errors
+                driver.errors
             );
         }
         // An envelope addressed to a node id cannot come off the external
         // queue; if one did, it is dropped the same way.
-        t.carrier.dispatch(
-            &cluster,
-            Envelope {
-                to: 0,
-                ..envelope(0, wire::TAG_OP, vec![])
-            },
-            0,
-        );
-        assert_eq!(t.carrier.errors.len(), 5);
-        for host in &t.carrier.hosts {
+        let to_node = Envelope {
+            to: 0,
+            ..envelope(0, wire::TAG_OP, vec![])
+        };
+        dispatch(driver, &cluster, to_node, 0);
+        assert_eq!(driver.errors.len(), 5);
+        for host in &driver.hosts {
             assert!(!host.pending());
         }
         cluster.shutdown();
@@ -730,27 +594,106 @@ mod tests {
 
     #[test]
     fn error_reports_are_recorded_and_stale_control_replies_dropped() {
-        let mut t = transport(1);
+        let mut t = transport(1, 1);
         let cluster = t.cluster.take().unwrap();
-        t.carrier
-            .dispatch(&cluster, envelope(1, wire::TAG_ERROR, b"boom".to_vec()), 0);
-        assert!(matches!(&t.carrier.errors[..], [CoreError::Transport(m)] if m == "boom"));
-        // A reply nobody awaits any more (its request timed out).
-        let stale = wire::encode_control(41, &[9; 8]);
-        t.carrier.dispatch(
+        let driver = &mut t.driver;
+        dispatch(
+            driver,
             &cluster,
-            envelope(1, wire::TAG_PEEK_REPLY, stale.clone()),
+            envelope(1, wire::TAG_ERROR, b"boom".to_vec()),
             0,
         );
+        assert!(matches!(&driver.errors[..], [CoreError::Transport(m)] if m == "boom"));
+        // A reply nobody awaits any more (its request timed out).
+        let stale = wire::encode_control(41, &[9; 8]);
+        let peek_reply = envelope(1, wire::TAG_PEEK_REPLY, stale.clone());
+        dispatch(driver, &cluster, peek_reply, 0);
         // The same reply arriving while a later request of the same kind is
         // awaited: the token tells them apart.
         let awaited = Some((wire::TAG_PEEK_REPLY, 0, 42));
         let stale = envelope(1, wire::TAG_PEEK_REPLY, stale);
-        assert_eq!(t.carrier.pass(&cluster, Some(stale), awaited), None);
+        assert_eq!(pass(driver, &cluster, Some(stale), awaited), None);
         let live = envelope(1, wire::TAG_PEEK_REPLY, wire::encode_control(42, &[7; 8]));
-        let reply = t.carrier.pass(&cluster, Some(live), awaited);
+        let reply = pass(driver, &cluster, Some(live), awaited);
         assert_eq!(reply, Some(vec![7; 8]));
-        assert_eq!(t.carrier.errors.len(), 1);
+        assert_eq!(driver.errors.len(), 1);
         cluster.shutdown();
+    }
+
+    /// A server enqueues its reply *before* its batch stops counting as in
+    /// flight, so a `step` whose park times out just as the reply lands reads
+    /// "nothing pending" over a queued reply.  Each GET here queues behind an
+    /// AM that spins for 0–150 µs, so its reply lands at every phase of the
+    /// shortest park; one step answering idle while the GET is outstanding is
+    /// that misreading — a `WaitTimeout` at a grace of one step.
+    #[test]
+    fn idleness_is_never_declared_over_a_queued_reply() {
+        let mut t = transport(1, 2);
+        t.driver.step_timeout = Duration::from_micros(50);
+        let spin: NativeAmHandler = Arc::new(|_, payload| {
+            let micros = u64::from_le_bytes(payload[..8].try_into().unwrap());
+            let started = Instant::now();
+            while started.elapsed() < Duration::from_micros(micros) {
+                std::hint::spin_loop();
+            }
+            1
+        });
+        t.deploy_am("spin", spin).unwrap();
+        for rank in 1..=2u64 {
+            let value = rank.to_le_bytes();
+            t.write_memory(rank as usize, DATA_REGION_BASE, &value)
+                .unwrap();
+        }
+        for i in 0..4_000u64 {
+            let rank = 1 + i % 2;
+            let client = t.client_mut(ClientId::PRIMARY);
+            let micros = (i * 37 % 150).to_le_bytes().to_vec();
+            client
+                .send_am("spin", WorkerAddr(rank as u32), micros)
+                .unwrap();
+            let request = client.post_get(WorkerAddr(rank as u32), DATA_REGION_BASE, 8);
+            t.flush_client(ClientId::PRIMARY).unwrap();
+            let data = loop {
+                if let Some(Completion::Get { request: r, data }) =
+                    t.take_completions(ClientId::PRIMARY).pop()
+                {
+                    assert_eq!(r, request, "GET {i}");
+                    break data;
+                }
+                assert!(t.step().unwrap(), "GET {i}: idle over its reply");
+            };
+            assert_eq!(data.as_slice(), rank.to_le_bytes(), "GET {i}");
+        }
+        assert!(t.errors().is_empty());
+    }
+
+    /// A control request abandoned at its timeout still gets its reply, late.
+    /// That reply is stale: the next request of the same kind must not take it
+    /// for its own, and nothing else may trip over it.
+    #[test]
+    fn a_late_reply_to_an_abandoned_control_request_is_dropped() {
+        let mut t = transport(1, 1);
+        t.driver.control_timeout = Duration::from_millis(100);
+        let mut cluster = Cluster::new(t);
+        let nap: NativeAmHandler = Arc::new(|_, _| {
+            std::thread::sleep(Duration::from_millis(500));
+            1
+        });
+        cluster.deploy_am("nap", nap).unwrap();
+        cluster.send_am("nap", 1, vec![]).unwrap();
+        // The request waits behind the sleeping handler and is given up on.
+        assert!(matches!(
+            cluster.stats(1),
+            Err(CoreError::WaitTimeout { .. })
+        ));
+        std::thread::sleep(Duration::from_millis(600));
+        // Its reply (`ams_executed == 1`) is queued by now; the GET in between
+        // makes the second snapshot differ from it.
+        let h = cluster.get(1, DATA_REGION_BASE, 8).unwrap();
+        let waited = cluster.wait(&h);
+        assert!(waited.is_ok(), "{waited:?}\n{}", cluster.snapshot());
+        let stats = cluster.stats(1).unwrap();
+        assert_eq!((stats.ams_executed, stats.gets_served), (1, 1));
+        assert!(cluster.transport().errors().is_empty());
     }
 }

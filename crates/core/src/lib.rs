@@ -80,7 +80,7 @@ pub use cluster::{
     Backend, ChaosStats, ClaimTable, ClientId, Cluster, ClusterBuilder, CompletionHandle,
     CompletionSet, CompletionToken, FaultPlan, GetHandle, LinkFaults, LinkHealth, PutHandle, Ready,
     RelConfig, RelMetrics, ResultHandle, SimTransport, ThreadTransport, Transport,
-    TransportMetrics, Tuning,
+    TransportMetrics,
 };
 pub use error::{CoreError, Result};
 pub use frame::{CodeRepr, DecodedFrame, MessageFrame, FRAME_MAGIC};
@@ -98,7 +98,7 @@ pub mod prelude {
         Backend, ChaosStats, ClaimTable, ClientId, Cluster, ClusterBuilder, CompletionHandle,
         CompletionSet, CompletionToken, FaultPlan, GetHandle, LinkFaults, LinkHealth, PutHandle,
         Ready, RelConfig, RelMetrics, ResultHandle, SimTransport, ThreadTransport, Transport,
-        TransportMetrics, Tuning,
+        TransportMetrics,
     };
     pub use crate::error::{CoreError, Result};
     pub use crate::frame::{CodeRepr, MessageFrame};

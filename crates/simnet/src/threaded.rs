@@ -15,7 +15,7 @@
 //! * **zero-copy payloads** — envelopes carry [`tc_ucx::Bytes`] views, so
 //!   handing a message to a channel moves a refcount, not the payload;
 //! * **batched draining** — a node thread that wakes up drains everything
-//!   queued on its channel (up to a cap) and hands the whole batch to
+//!   queued on its channel (up to [`DEFAULT_MAX_BATCH`]) and hands the whole batch to
 //!   [`ThreadedNode::on_batch`], paying the wakeup/synchronisation cost once
 //!   per burst instead of once per message;
 //! * **no rank arms a timer to park** — every node thread parks untimed on
@@ -68,9 +68,10 @@ pub const fn external_port(id: usize) -> Option<usize> {
     }
 }
 
-/// Default for [`ThreadConfig::max_batch`]: most messages a node thread
-/// drains per wakeup before handing the batch to the node (bounds per-batch
-/// latency under sustained load).
+/// Most messages a node thread drains per wakeup before handing the batch to
+/// the node (bounds per-batch latency under sustained load).  `tc-core`'s
+/// threaded driver caps its own passes over the external queue at the same
+/// burst.
 pub const DEFAULT_MAX_BATCH: usize = 128;
 
 /// An interposed envelope filter: sees every envelope entering the fabric
@@ -88,8 +89,6 @@ pub type EnvelopeFilter = Arc<dyn Fn(Envelope, &mut dyn FnMut(Envelope)) + Send 
 /// behaviour.
 #[derive(Clone, Default)]
 pub struct ThreadConfig {
-    /// Most messages a node thread drains per wakeup (0 = default).
-    pub max_batch: usize,
     /// When set, the cluster runs a clock thread and every node receives
     /// [`ThreadedNode::on_tick`] callbacks at least this often — the hook
     /// reliability layers use for timeout-based retransmission — while
@@ -102,20 +101,9 @@ pub struct ThreadConfig {
 impl std::fmt::Debug for ThreadConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadConfig")
-            .field("max_batch", &self.max_batch)
             .field("tick", &self.tick)
             .field("filter", &self.filter.is_some())
             .finish()
-    }
-}
-
-impl ThreadConfig {
-    fn effective_batch(&self) -> usize {
-        if self.max_batch == 0 {
-            DEFAULT_MAX_BATCH
-        } else {
-            self.max_batch
-        }
     }
 }
 
@@ -426,8 +414,8 @@ impl ThreadCluster {
         Self::start_with_config(n, ThreadConfig::default(), factory)
     }
 
-    /// Start `n` nodes under explicit [`ThreadConfig`] tunables (batch cap,
-    /// tick cadence, interposed envelope filter).
+    /// Start `n` nodes under explicit [`ThreadConfig`] tunables (tick
+    /// cadence, interposed envelope filter).
     pub fn start_with_config<N, F>(n: usize, config: ThreadConfig, factory: F) -> Self
     where
         N: ThreadedNode + 'static,
@@ -438,7 +426,6 @@ impl ThreadCluster {
         let senders: Vec<Sender<Control>> = channels.iter().map(|(tx, _)| tx.clone()).collect();
         let (ext_tx, ext_rx) = channel();
         let counters = Arc::new(Counters::default());
-        let max_batch = config.effective_batch();
         let router = Router {
             peers: senders,
             external: ext_tx,
@@ -486,7 +473,7 @@ impl ThreadCluster {
                                 }
                                 Control::Stop => stop = true,
                             }
-                            if stop || batch.len() >= max_batch {
+                            if stop || batch.len() >= DEFAULT_MAX_BATCH {
                                 break;
                             }
                             match rx.try_recv() {
@@ -1068,31 +1055,32 @@ mod tests {
         t.cluster.shutdown();
     }
 
+    /// However deep the queue, one batch holds at most [`DEFAULT_MAX_BATCH`]
+    /// messages.
     #[test]
     fn custom_max_batch_bounds_drain() {
-        let cluster = ThreadCluster::start_with_config(
-            1,
-            ThreadConfig {
-                max_batch: 4,
-                ..ThreadConfig::default()
-            },
-            |_| CountingNode {
-                count: 0,
-                batches: 0,
-            },
-        );
-        for _ in 0..64 {
+        const SENT: usize = 4 * DEFAULT_MAX_BATCH;
+        let cluster = ThreadCluster::start(1, |_| CountingNode {
+            count: 0,
+            batches: 0,
+        });
+        for _ in 0..SENT {
             let _ = cluster.send(0, 0, vec![]);
         }
         let _ = cluster.send(0, 1, vec![]);
         let env = cluster
             .recv_external(Duration::from_secs(5))
             .expect("count");
-        assert_eq!(u64::from_le_bytes(env.data[..8].try_into().unwrap()), 64);
+        assert_eq!(
+            u64::from_le_bytes(env.data[..8].try_into().unwrap()),
+            SENT as u64
+        );
         let batches = u64::from_le_bytes(env.data[8..16].try_into().unwrap());
+        let least = (SENT + 1).div_ceil(DEFAULT_MAX_BATCH) as u64;
         assert!(
-            batches >= 65 / 4,
-            "65 messages with max_batch 4 need ≥ 17 batches, saw {batches}"
+            batches >= least,
+            "{} messages at {DEFAULT_MAX_BATCH} per batch need ≥ {least} batches, saw {batches}",
+            SENT + 1
         );
         cluster.shutdown();
     }

@@ -96,7 +96,7 @@ fn gather_all_clients<T: Transport>(
             while next[c] < total && inflight[c] < window.inflight {
                 let g = next[c] as u64;
                 let rank = cluster.server_rank(table.owner_index(g));
-                let handle = cluster.post_get_from(ClientId(c), rank, table.entry_addr(g), 8);
+                let handle = cluster.post_get_from(ClientId(c), rank, table.entry_addr(g), 8)?;
                 owner.insert(set.add_get(handle), (c, next[c]));
                 next[c] += 1;
                 inflight[c] += 1;
@@ -130,9 +130,9 @@ fn register_chaser_everywhere<T: Transport>(
     platform: &tc_simnet::Platform,
 ) -> Result<Vec<IfuncHandle>> {
     let library = build_ifunc_library(&chaser_module("mc_chaser"), &platform_toolchain(platform))?;
-    Ok((0..cluster.client_count())
+    (0..cluster.client_count())
         .map(|c| cluster.register_ifunc_on(ClientId(c), library.clone()))
-        .collect())
+        .collect()
 }
 
 /// Phase 2: every client runs its chase stream concurrently.
@@ -216,7 +216,7 @@ pub fn multi_client_get_burst<T: Transport>(
             let mut posted = false;
             while next[c] < ops_per_client && inflight[c] < window.inflight {
                 let rank = cluster.server_rank((next[c] + c) % servers);
-                let handle = cluster.post_get_from(ClientId(c), rank, addr, len);
+                let handle = cluster.post_get_from(ClientId(c), rank, addr, len)?;
                 owner.insert(set.add_get(handle), c);
                 next[c] += 1;
                 inflight[c] += 1;

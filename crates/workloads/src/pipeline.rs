@@ -78,7 +78,7 @@ pub fn gather_entries_from<T: Transport>(
         while next < total && set.len() < window.inflight {
             let g = next as u64;
             let rank = cluster.server_rank(table.owner_index(g));
-            let handle = cluster.post_get_from(client, rank, table.entry_addr(g), 8);
+            let handle = cluster.post_get_from(client, rank, table.entry_addr(g), 8)?;
             owners.insert(set.add_get(handle), next);
             next += 1;
             posted = true;

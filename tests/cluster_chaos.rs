@@ -552,8 +552,8 @@ fn two_client_reporting_tsi_under_chaos_is_exactly_once_in_order() {
     )
     .unwrap();
     let handles = [
-        cluster.register_ifunc_on(ClientId(0), lib.clone()),
-        cluster.register_ifunc_on(ClientId(1), lib),
+        cluster.register_ifunc_on(ClientId(0), lib.clone()).unwrap(),
+        cluster.register_ifunc_on(ClientId(1), lib).unwrap(),
     ];
 
     const OPS: usize = 16;

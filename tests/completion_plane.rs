@@ -4,11 +4,10 @@
 //! completion-draining, quiescence-timeout and result-slot-collision bugs
 //! this plane's design surfaced.
 
-use std::time::Duration;
 use tc_core::layout::DATA_REGION_BASE;
 use tc_core::{
     build_ifunc_library, Backend, ClientId, Cluster, ClusterBuilder, CompletionSet, CoreError,
-    FaultPlan, GetHandle, PutHandle, Ready, ResultHandle, Transport, Tuning,
+    FaultPlan, GetHandle, PutHandle, Ready, ResultHandle, Transport,
 };
 use tc_workloads::{
     chaser_module, gather_entries, platform_toolchain, run_reporting_tsi, tsi_reporting_module,
@@ -155,7 +154,7 @@ fn wait_any_follows_arrival_order_across_two_clients() {
     .unwrap();
     let server = cluster.server_rank(0);
     let (c0, c1) = (ClientId(0), ClientId(1));
-    let ifuncs = [c0, c1].map(|c| cluster.register_ifunc_on(c, lib.clone()));
+    let ifuncs = [c0, c1].map(|c| cluster.register_ifunc_on(c, lib.clone()).unwrap());
     let nobody = ResultHandle::for_slot(4000);
 
     let schedule = [
@@ -401,22 +400,17 @@ fn result_slot_allocator_wraps_with_the_mailbox() {
     }
 }
 
-/// REGRESSION (wait-timeout/RTO interplay, threaded backend): with a park
-/// timeout far below the reliable layer's 30 ms base RTO and 480 ms backoff
-/// cap, a partition covering the first link traversals used
+/// REGRESSION (wait-timeout/RTO interplay, threaded backend): with the 20 ms
+/// park below the reliable layer's 30 ms base RTO and 480 ms backoff cap, a
+/// partition covering the first link traversals used
 /// to make `wait()` report `WaitTimeout` while frames sat unacked with an
 /// armed retransmission deadline.  Quiescence now out-waits the RTO backoff.
 #[test]
 fn threaded_wait_survives_partition_until_reliable_heal() {
     let plan = FaultPlan::seeded(11).partition(&[0], 0, 4);
-    let tuning = Tuning {
-        step_timeout: Duration::from_millis(10),
-        ..Tuning::default()
-    };
     let mut cluster = ClusterBuilder::new()
         .servers(1)
         .fault_plan(plan)
-        .tuning(tuning)
         .build_threaded();
     cluster.write_u64(1, DATA_REGION_BASE, 0x50AF).unwrap();
     let handle = cluster.get(1, DATA_REGION_BASE, 8).unwrap();

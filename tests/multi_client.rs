@@ -234,7 +234,9 @@ fn merged_completion_set_routes_by_client() {
         let mut tokens = Vec::new();
         for c in 0..2 {
             for _ in 0..4 {
-                let h = cluster.post_get_from(ClientId(c), cluster.server_rank(0), addr, 8);
+                let h = cluster
+                    .post_get_from(ClientId(c), cluster.server_rank(0), addr, 8)
+                    .unwrap();
                 tokens.push((set.add_get(h), c));
             }
             cluster.flush_from(ClientId(c)).unwrap();
@@ -269,7 +271,7 @@ fn reporting_tsi_from_a_secondary_client_routes_results_home() {
     )
     .unwrap();
     let client = ClientId(1);
-    let handle = cluster.register_ifunc_on(client, lib);
+    let handle = cluster.register_ifunc_on(client, lib).unwrap();
     let mut mk = move |c: &mut Cluster<tc_core::SimTransport>, payload: Vec<u8>| {
         c.bitcode_message_on(client, handle, payload)
     };
@@ -307,7 +309,7 @@ fn pipelined_chases_from_a_secondary_client_hop_correct_servers() {
     )
     .unwrap();
     let client = ClientId(1);
-    let handle = cluster.register_ifunc_on(client, lib);
+    let handle = cluster.register_ifunc_on(client, lib).unwrap();
     let mut mk = move |c: &mut Cluster<tc_core::SimTransport>, payload: Vec<u8>| {
         c.bitcode_message_on(client, handle, payload)
     };
@@ -457,11 +459,21 @@ fn four_client_layout_is_consistent_on_both_backends() {
         assert_eq!(cluster.server_rank(2), 6);
         for c in 0..4 {
             assert_eq!(
-                cluster.client_runtime(ClientId(c)).node_id().index(),
+                cluster
+                    .client_runtime(ClientId(c))
+                    .unwrap()
+                    .node_id()
+                    .index(),
                 c,
                 "{backend}: client {c} rank"
             );
         }
+        // A client the cluster does not have is a typed error, not a panic.
+        let refused = cluster.get_from(ClientId(4), cluster.server_rank(0), DATA_REGION_BASE, 8);
+        assert!(
+            matches!(&refused, Err(tc_core::CoreError::Transport(m)) if m.contains("no client")),
+            "{backend}: {refused:?}"
+        );
         // TSI through every client against every server: counters add up.
         for s in 0..3 {
             cluster
@@ -475,7 +487,7 @@ fn four_client_layout_is_consistent_on_both_backends() {
         )
         .unwrap();
         for c in 0..4 {
-            let handle = cluster.register_ifunc_on(ClientId(c), lib.clone());
+            let handle = cluster.register_ifunc_on(ClientId(c), lib.clone()).unwrap();
             let msg = cluster
                 .bitcode_message_on(ClientId(c), handle, vec![c as u8 + 1])
                 .unwrap();
@@ -524,7 +536,9 @@ fn control_round_trips_do_not_eat_data_in_flight() {
         for c in 0..2 {
             for i in 0..PER_CLIENT {
                 let server = cluster.server_rank((i % 2) as usize);
-                let h = cluster.post_get_from(ClientId(c as usize), server, addr(c, i), 8);
+                let h = cluster
+                    .post_get_from(ClientId(c as usize), server, addr(c, i), 8)
+                    .unwrap();
                 assert_eq!(h.client(), ClientId(c as usize));
                 expected.insert(set.add_get(h), value(c, i));
             }
@@ -557,36 +571,4 @@ fn control_round_trips_do_not_eat_data_in_flight() {
         assert_eq!(cluster.pending_completions(), 0, "{backend}");
         cluster.shutdown();
     }
-}
-
-/// A control request abandoned at its timeout still gets its reply, late.
-/// That reply is stale: the next request of the same kind must not take it
-/// for its own, and nothing else may trip over it.
-#[test]
-fn a_late_reply_to_an_abandoned_control_request_is_dropped() {
-    let tuning = tc_core::Tuning {
-        control_timeout: std::time::Duration::from_millis(100),
-        ..tc_core::Tuning::default()
-    };
-    let mut cluster = builder(1, 1).tuning(tuning).build_threaded();
-    let nap: tc_core::NativeAmHandler = std::sync::Arc::new(|_, _| {
-        std::thread::sleep(std::time::Duration::from_millis(500));
-        1
-    });
-    cluster.deploy_am("nap", nap).unwrap();
-    cluster.send_am("nap", 1, vec![]).unwrap();
-    // The request waits behind the sleeping handler and is given up on.
-    assert!(matches!(
-        cluster.stats(1),
-        Err(tc_core::CoreError::WaitTimeout { .. })
-    ));
-    std::thread::sleep(std::time::Duration::from_millis(600));
-    // Its reply (`ams_executed == 1`) is queued by now; the GET in between
-    // makes the second snapshot differ from it.
-    let h = cluster.get(1, DATA_REGION_BASE, 8).unwrap();
-    cluster.wait(&h).or_dump(&cluster);
-    let stats = cluster.stats(1).unwrap();
-    assert_eq!((stats.ams_executed, stats.gets_served), (1, 1));
-    assert!(cluster.transport().errors().is_empty());
-    cluster.shutdown();
 }

@@ -12,7 +12,7 @@ use common::OrDump;
 use std::collections::HashMap;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
-use tc_core::cluster::{CompletionSet, Event, EventKind, RankState, Snapshot, SocketSpec, Tuning};
+use tc_core::cluster::{CompletionSet, Event, EventKind, RankState, Snapshot, SocketSpec};
 use tc_core::layout::DATA_REGION_BASE;
 use tc_core::{Backend, ClusterBuilder, CoreError, FaultPlan, Ready, Transport};
 
@@ -293,7 +293,7 @@ fn sigkill_mid_workload_heals_and_completes_byte_identical() {
     // frames — the heal itself is the only disturbance.
     let mut cluster = builder(SERVERS)
         .fault_plan(FaultPlan::seeded(0xB007))
-        .socket_recovery()
+        .socket_recovery(8)
         .build_socket()
         .expect("cluster starts");
     let addr = DATA_REGION_BASE;
@@ -396,11 +396,7 @@ fn sigkill_mid_workload_heals_and_completes_byte_identical() {
 fn wait_any_resolves_peer_lost_when_the_respawn_budget_is_exhausted() {
     let mut cluster = builder(2)
         .fault_plan(FaultPlan::seeded(7))
-        .socket_recovery()
-        .tuning(Tuning {
-            max_respawns: 0,
-            ..Tuning::default()
-        })
+        .socket_recovery(0)
         .build_socket()
         .expect("cluster starts");
     let addr = DATA_REGION_BASE;

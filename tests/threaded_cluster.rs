@@ -171,52 +171,14 @@ fn threaded_sends_to_unknown_ranks_are_counted_not_lost_silently() {
     cluster.shutdown();
 }
 
+/// Both rank classes drain the fabric's default burst per pass.  A client
+/// side that read one envelope per wakeup would show under a zero-rate fault
+/// plan: a carrier that closes its pass after every reply owes — and sends —
+/// a pure ack per reply instead of one per burst.
 #[test]
-fn thread_tuning_is_configurable_through_the_builder() {
-    // The former hard-coded scheduling constants (park timeout, batch caps,
-    // idle grace, control timeout) are builder-configurable; a deliberately
-    // unusual combination must still run the scenario correctly.
-    let platform = tc_simnet::Platform::thor_bf2();
-    let tuning = tc_core::Tuning {
-        step_timeout: std::time::Duration::from_millis(5),
-        idle_grace: 4,
-        node_batch: 4,
-        control_timeout: std::time::Duration::from_secs(2),
-        ..tc_core::Tuning::default()
-    };
-    let mut cluster = ClusterBuilder::new()
-        .platform(platform)
-        .servers(3)
-        .tuning(tuning)
-        .build_threaded();
-    let library = build_ifunc_library(&tsi_module(), &platform_toolchain(&platform)).unwrap();
-    let handle = cluster.register_ifunc(library);
-    let message = cluster.bitcode_message(handle, vec![2]).unwrap();
-    for _ in 0..10 {
-        for server in 1..=3 {
-            cluster.send_ifunc(&message, server).unwrap();
-        }
-    }
-    cluster.run_until_idle(100_000).unwrap();
-    for server in 1..=3 {
-        assert_eq!(cluster.read_u64(server, TARGET_REGION_BASE).unwrap(), 20);
-        assert_eq!(cluster.stats(server).unwrap().ifuncs_executed, 10);
-    }
-    cluster.shutdown();
-}
-
-/// `node_batch: 0` asks for the default burst on *both* rank classes.  The
-/// client side used to read it as "one envelope per wakeup", which shows
-/// under a zero-rate fault plan: a carrier that closes its pass after every
-/// reply owes — and sends — a pure ack per reply instead of one per burst.
-#[test]
-fn node_batch_zero_means_the_default_burst_for_servers_and_clients() {
+fn a_pass_over_a_burst_of_replies_acks_once_for_the_burst() {
     const OPS: u64 = 2_000;
     const WINDOW: u64 = 16;
-    let tuning = tc_core::Tuning {
-        node_batch: 0,
-        ..tc_core::Tuning::default()
-    };
     // Patient enough that a loaded test host never retransmits.
     let patient = tc_core::RelConfig {
         rto: 250_000_000,
@@ -225,7 +187,6 @@ fn node_batch_zero_means_the_default_burst_for_servers_and_clients() {
     };
     let mut cluster = ClusterBuilder::new()
         .servers(1)
-        .tuning(tuning)
         .fault_plan(tc_core::FaultPlan::seeded(11))
         .rel_config(patient)
         .build_threaded();
@@ -336,63 +297,6 @@ fn driver_flush_racing_the_worker_flush_keeps_every_link_in_order() {
             (0, 0, 0),
             "rank {rank}"
         );
-    }
-    assert!(cluster.transport().errors().is_empty());
-    cluster.shutdown();
-}
-
-/// A server enqueues its reply *before* its batch stops counting as in
-/// flight, so a `step` whose park times out just as the reply lands reads
-/// "nothing pending" over a queued reply.  With the shortest park and no
-/// grace at all, one such misreading is a `WaitTimeout`.
-#[test]
-fn idleness_is_never_declared_over_a_queued_reply() {
-    use tc_workloads::{chaser_module, run_pipelined_chases, PointerTable, Window};
-    let platform = tc_simnet::Platform::thor_xeon();
-    let tuning = tc_core::Tuning {
-        step_timeout: std::time::Duration::from_micros(50),
-        idle_grace: 1,
-        ..tc_core::Tuning::default()
-    };
-    let mut cluster = ClusterBuilder::new()
-        .platform(platform)
-        .servers(2)
-        .tuning(tuning)
-        .build_threaded();
-    let table = PointerTable::generate(2, 64, 19);
-    table.install_cluster(&mut cluster).unwrap();
-    for i in 0..20_000u64 {
-        let g = i % table.total_entries() as u64;
-        let handle = cluster
-            .get(table.owner_rank(g), table.entry_addr(g), 8)
-            .unwrap();
-        let data = cluster.wait(&handle).unwrap();
-        assert_eq!(
-            u64::from_le_bytes(data[..8].try_into().unwrap()),
-            table.next(g)
-        );
-    }
-    let library = build_ifunc_library(
-        &chaser_module("idle_chaser"),
-        &platform_toolchain(&platform),
-    )
-    .unwrap();
-    let handle = cluster.register_ifunc(library);
-    let mut message = move |c: &mut tc_core::Cluster<tc_core::ThreadTransport>, payload| {
-        c.bitcode_message(handle, payload)
-    };
-    let starts: Vec<u64> = (0..2_000).map(|i| (i * 7) % 128).collect();
-    let values = run_pipelined_chases(
-        &mut cluster,
-        &mut message,
-        &table,
-        &starts,
-        8,
-        Window::new(1),
-    )
-    .unwrap();
-    for (value, start) in values.iter().zip(&starts) {
-        assert_eq!(*value, table.chase(*start, 8));
     }
     assert!(cluster.transport().errors().is_empty());
     cluster.shutdown();
