@@ -119,9 +119,9 @@ impl BinOp {
         BinOp::CmpGe,
     ];
 
-    /// Stable numeric tag used by the bitcode encoder.
+    /// Stable numeric tag used by the bitcode encoder: the index in [`Self::ALL`].
     pub fn tag(self) -> u8 {
-        Self::ALL.iter().position(|&op| op == self).unwrap() as u8
+        self as u8
     }
 
     /// Inverse of [`BinOp::tag`].
@@ -174,9 +174,9 @@ impl UnOp {
         UnOp::FloatCast,
     ];
 
-    /// Stable numeric tag used by the bitcode encoder.
+    /// Stable numeric tag used by the bitcode encoder: the index in [`Self::ALL`].
     pub fn tag(self) -> u8 {
-        Self::ALL.iter().position(|&op| op == self).unwrap() as u8
+        self as u8
     }
 
     /// Inverse of [`UnOp::tag`].
@@ -207,9 +207,9 @@ impl AtomicOp {
         AtomicOp::CompareSwap,
     ];
 
-    /// Stable numeric tag used by the bitcode encoder.
+    /// Stable numeric tag used by the bitcode encoder: the index in [`Self::ALL`].
     pub fn tag(self) -> u8 {
-        Self::ALL.iter().position(|&op| op == self).unwrap() as u8
+        self as u8
     }
 
     /// Inverse of [`AtomicOp::tag`].
@@ -235,9 +235,9 @@ impl VecOp {
     /// All vector operators.
     pub const ALL: [VecOp; 3] = [VecOp::Add, VecOp::Mul, VecOp::Fma];
 
-    /// Stable numeric tag used by the bitcode encoder.
+    /// Stable numeric tag used by the bitcode encoder: the index in [`Self::ALL`].
     pub fn tag(self) -> u8 {
-        Self::ALL.iter().position(|&op| op == self).unwrap() as u8
+        self as u8
     }
 
     /// Inverse of [`VecOp::tag`].
@@ -421,34 +421,38 @@ impl Inst {
         }
     }
 
-    /// Registers read by this instruction.
-    pub fn use_regs(&self) -> Vec<Reg> {
-        match self {
-            Inst::Const { .. } | Inst::GlobalAddr { .. } | Inst::Br { .. } | Inst::Trap { .. } => {
-                Vec::new()
+    /// Registers read by this instruction, in operand order: up to four
+    /// fixed operands, or a call's argument list, borrowed.  Verifying a
+    /// module walks these for every instruction, so nothing is allocated.
+    pub fn use_regs(&self) -> impl Iterator<Item = Reg> + '_ {
+        let (fixed, n, list): ([Reg; 4], usize, &[Reg]) = match *self {
+            Inst::Const { dst, .. } | Inst::GlobalAddr { dst, .. } => ([dst; 4], 0, &[]),
+            Inst::Br { .. } | Inst::Trap { .. } | Inst::Ret { value: None } => {
+                ([Reg(0); 4], 0, &[])
             }
-            Inst::Move { src, .. } => vec![*src],
-            Inst::Bin { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Inst::Un { src, .. } => vec![*src],
-            Inst::Load { addr, .. } => vec![*addr],
-            Inst::Store { src, addr, .. } => vec![*src, *addr],
+            Inst::Move { src, .. }
+            | Inst::Un { src, .. }
+            | Inst::Load { addr: src, .. }
+            | Inst::BrIf { cond: src, .. }
+            | Inst::Ret { value: Some(src) } => ([src; 4], 1, &[]),
+            Inst::Bin { lhs, rhs, .. } => ([lhs, rhs, rhs, rhs], 2, &[]),
+            Inst::Store { src, addr, .. } => ([src, addr, addr, addr], 2, &[]),
             Inst::Atomic {
                 addr,
                 src,
                 expected,
                 ..
-            } => vec![*addr, *src, *expected],
+            } => ([addr, src, expected, expected], 3, &[]),
             Inst::Vec {
                 dst_addr,
                 a_addr,
                 b_addr,
                 count,
                 ..
-            } => vec![*dst_addr, *a_addr, *b_addr, *count],
-            Inst::Call { args, .. } | Inst::CallExt { args, .. } => args.clone(),
-            Inst::BrIf { cond, .. } => vec![*cond],
-            Inst::Ret { value } => value.iter().copied().collect(),
-        }
+            } => ([dst_addr, a_addr, b_addr, count], 4, &[]),
+            Inst::Call { ref args, .. } | Inst::CallExt { ref args, .. } => ([Reg(0); 4], 0, args),
+        };
+        fixed.into_iter().take(n).chain(list.iter().copied())
     }
 }
 
@@ -628,6 +632,27 @@ mod tests {
         }
     }
 
+    /// A tag is the operator's index in `ALL` both ways, for all four
+    /// operator enums (the encoders write `tag()`, the decoders read `ALL`).
+    #[test]
+    fn every_tag_is_its_index_in_all() {
+        fn check<T: Copy + PartialEq + std::fmt::Debug>(
+            all: &[T],
+            tag: fn(T) -> u8,
+            from_tag: fn(u8) -> Option<T>,
+        ) {
+            for (i, &op) in all.iter().enumerate() {
+                assert_eq!(tag(op), i as u8, "{op:?}");
+                assert_eq!(from_tag(i as u8), Some(op));
+            }
+            assert_eq!(from_tag(all.len() as u8), None);
+        }
+        check(&BinOp::ALL, BinOp::tag, BinOp::from_tag);
+        check(&UnOp::ALL, UnOp::tag, UnOp::from_tag);
+        check(&AtomicOp::ALL, AtomicOp::tag, AtomicOp::from_tag);
+        check(&VecOp::ALL, VecOp::tag, VecOp::from_tag);
+    }
+
     #[test]
     fn terminator_classification() {
         assert!(Inst::Ret { value: None }.is_terminator());
@@ -650,7 +675,7 @@ mod tests {
             rhs: Reg(1),
         };
         assert_eq!(inst.def_reg(), Some(Reg(2)));
-        assert_eq!(inst.use_regs(), vec![Reg(0), Reg(1)]);
+        assert_eq!(inst.use_regs().collect::<Vec<_>>(), vec![Reg(0), Reg(1)]);
 
         let store = Inst::Store {
             ty: ScalarType::U8,
@@ -659,7 +684,7 @@ mod tests {
             offset: 16,
         };
         assert_eq!(store.def_reg(), None);
-        assert_eq!(store.use_regs(), vec![Reg(3), Reg(4)]);
+        assert_eq!(store.use_regs().collect::<Vec<_>>(), vec![Reg(3), Reg(4)]);
     }
 
     #[test]

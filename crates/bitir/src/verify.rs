@@ -6,7 +6,7 @@
 //! it (so a corrupted or hostile message cannot crash the target runtime).
 
 use crate::error::{BitirError, Result};
-use crate::ir::{BinOp, Block, Function, Inst, Module, Reg, UnOp};
+use crate::ir::{BinOp, Block, Function, Inst, Module, UnOp};
 use crate::types::ScalarType;
 
 /// Verify a whole module.
@@ -75,17 +75,6 @@ fn verify_function(module: &Module, f: &Function) -> std::result::Result<(), Str
     Ok(())
 }
 
-fn check_reg(f: &Function, r: Reg) -> std::result::Result<(), String> {
-    if r.0 >= f.num_regs {
-        Err(format!(
-            "register {r} out of range (num_regs = {})",
-            f.num_regs
-        ))
-    } else {
-        Ok(())
-    }
-}
-
 fn verify_block(module: &Module, f: &Function, block: &Block) -> std::result::Result<(), String> {
     if block.insts.is_empty() {
         return Err("is empty (must end with a terminator)".into());
@@ -105,11 +94,14 @@ fn verify_block(module: &Module, f: &Function, block: &Block) -> std::result::Re
 
 fn verify_inst(module: &Module, f: &Function, inst: &Inst) -> std::result::Result<(), String> {
     // Register range checks for all defs and uses.
-    if let Some(d) = inst.def_reg() {
-        check_reg(f, d)?;
-    }
-    for u in inst.use_regs() {
-        check_reg(f, u)?;
+    let n = f.num_regs;
+    if let Some(r) = inst
+        .def_reg()
+        .into_iter()
+        .chain(inst.use_regs())
+        .find(|r| r.0 >= n)
+    {
+        return Err(format!("register {r} out of range (num_regs = {n})"));
     }
 
     match inst {
@@ -239,7 +231,7 @@ fn verify_inst(module: &Module, f: &Function, inst: &Inst) -> std::result::Resul
 mod tests {
     use super::*;
     use crate::builder::ModuleBuilder;
-    use crate::ir::{BlockId, FuncId};
+    use crate::ir::{BlockId, FuncId, Reg};
 
     fn trivial_entry(name: &str) -> ModuleBuilder {
         let mut mb = ModuleBuilder::new(name);

@@ -38,9 +38,7 @@ pub fn build_object(
     // .text: the serialised machine module followed by one 8-byte GOT
     // reference slot per external symbol (the slots are what relocations
     // patch; the serialised code itself is never modified by the loader).
-    let code_bytes = mach.encode();
-    let code_len = code_bytes.len();
-    obj.text.bytes = code_bytes;
+    obj.text.bytes = mach.encode();
     for sym in &mach.ext_symbols {
         let slot_offset = obj.text.bytes.len() as u64;
         obj.text.bytes.extend_from_slice(&[0u8; 8]);
@@ -70,7 +68,7 @@ pub fn build_object(
     // Function symbols: the entry (and every other function) nominally lives
     // at offset 0 of .text since the serialised module is one blob; we record
     // distinct offsets inside the blob for diagnostics.
-    for (i, f) in mach.functions.iter().enumerate() {
+    for (i, f) in mach.functions().iter().enumerate() {
         obj.symbols.push(Symbol {
             name: f.name.clone(),
             section: SectionKind::Text,
@@ -78,12 +76,8 @@ pub fn build_object(
             kind: SymbolKind::Func,
         });
     }
-    if obj.symbol("main").is_none() {
-        // Still produce an object (library without an entry), but callers
-        // that need an ifunc will fail at load time with NoEntry.
-    }
-
-    let _ = code_len;
+    // A library without an entry is still an object: a caller that needs an
+    // ifunc fails at load time with NoEntry.
     Ok(obj)
 }
 

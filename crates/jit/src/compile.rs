@@ -94,14 +94,14 @@ pub fn compile_module(module: &Module, options: CompileOptions) -> Result<Compil
         })
         .collect();
 
-    let mach = MachModule {
-        name: module.name.clone(),
-        triple: triple_name,
+    let mach = MachModule::new(
+        module.name.clone(),
+        triple_name,
         functions,
-        ext_symbols: module.ext_symbols.clone(),
+        module.ext_symbols.clone(),
         data,
-        deps: module.deps.clone(),
-    };
+        module.deps.clone(),
+    )?;
     stats.mach_insts = mach.inst_count();
 
     Ok(Compiled {
@@ -433,7 +433,7 @@ mod tests {
         let bf2 = lower_and_compile(&m, TargetTriple::THOR_BF2, CompileOptions::default()).unwrap();
 
         let lanes = |c: &Compiled| {
-            c.module.functions[0]
+            c.module.functions()[0]
                 .blocks
                 .iter()
                 .flatten()
@@ -457,7 +457,7 @@ mod tests {
             lower_and_compile(&m, TargetTriple::OOKAMI_A64FX, CompileOptions::default()).unwrap();
         let bf2 = lower_and_compile(&m, TargetTriple::THOR_BF2, CompileOptions::default()).unwrap();
         let find_lse = |c: &Compiled| {
-            c.module.functions[0]
+            c.module.functions()[0]
                 .blocks
                 .iter()
                 .flatten()
@@ -485,7 +485,7 @@ mod tests {
         let o2 = compile_module(&mb.build(), CompileOptions::default()).unwrap();
         assert!(o2.stats.insts_folded >= 2);
         // The folded constant must be correct.
-        let has_42 = o2.module.functions[0]
+        let has_42 = o2.module.functions()[0]
             .blocks
             .iter()
             .flatten()
@@ -508,7 +508,7 @@ mod tests {
         let compiled = compile_module(&mb.build(), CompileOptions::default()).unwrap();
         // All three Imm+Alu chain still evaluates to 82 at run time — we just
         // check the immediates survived.
-        let imm_count = compiled.module.functions[0]
+        let imm_count = compiled.module.functions()[0]
             .blocks
             .iter()
             .flatten()
@@ -529,7 +529,7 @@ mod tests {
     fn portable_module_compiles_with_scalar_fallback() {
         let m = vec_module();
         let compiled = compile_module(&m, CompileOptions::default()).unwrap();
-        let lanes = compiled.module.functions[0]
+        let lanes = compiled.module.functions()[0]
             .blocks
             .iter()
             .flatten()

@@ -7,13 +7,17 @@
 //! simulated shared-library functions).  Execution is fully functional —
 //! pointer tables are really chased, counters really incremented — while the
 //! engine also accounts a deterministic cycle count used by the
-//! discrete-event simulator to charge virtual execution time.
+//! discrete-event simulator to charge virtual execution time.  It runs the
+//! pre-decoded ops a module carries from when it was made (the crate's
+//! `emit` module), not its [`crate::machine::MachInst`]s.
 
+use crate::emit::{atomic, nonzero, vec_loop, Op, Program};
 use crate::error::{JitError, Result};
-use crate::machine::{MReg, MachFunction, MachInst, MachModule};
+use crate::machine::{MReg, MachFunction, MachModule};
 use std::cell::Cell;
 use std::collections::HashMap;
-use tc_bitir::{AtomicOp, BinOp, ScalarType, UnOp, VecOp};
+use std::ops::{Index, IndexMut};
+use tc_bitir::ScalarType;
 
 /// Byte-addressable memory the engine loads from and stores to.
 pub trait Memory {
@@ -151,6 +155,15 @@ impl SparseMemory {
 
 impl Memory for SparseMemory {
     fn read(&self, addr: u64, buf: &mut [u8]) -> Result<()> {
+        // A word inside one mapped page (an engine's 64-bit load) is one
+        // fixed-width copy, not a loop around `memcpy`.
+        let (page, off) = Self::page_of(addr);
+        if let (Ok(word), Some(slot)) = (<&mut [u8; 8]>::try_from(&mut *buf), self.slot_of(page)) {
+            if off <= Self::PAGE_SIZE - 8 {
+                word.copy_from_slice(&self.pages[slot][off..off + 8]);
+                return Ok(());
+            }
+        }
         let mut done = 0usize;
         while done < buf.len() {
             let (page, off) = Self::page_of(addr.wrapping_add(done as u64));
@@ -388,30 +401,45 @@ fn gather<'b>(
     }
 }
 
+/// A register file, indexed by the registers ops name — each checked
+/// against the frame when the code was emitted.
+struct Regs<'r>(&'r mut [u64]);
+
+impl Index<MReg> for Regs<'_> {
+    type Output = u64;
+    fn index(&self, r: MReg) -> &u64 {
+        &self.0[r as usize]
+    }
+}
+
+impl IndexMut<MReg> for Regs<'_> {
+    fn index_mut(&mut self, r: MReg) -> &mut u64 {
+        &mut self.0[r as usize]
+    }
+}
+
+fn trap(reason: String) -> JitError {
+    JitError::Trap { reason }
+}
+
 impl<'a> ExecContext<'a> {
     fn call_function(&mut self, func_index: u32, args: &[u64], depth: u32) -> Result<u64> {
         if depth > self.max_depth {
-            return Err(JitError::Trap {
-                reason: format!("call depth exceeded {}", self.max_depth),
-            });
+            return Err(trap(format!("call depth exceeded {}", self.max_depth)));
         }
         let module: &'a MachModule = self.module;
-        let func: &MachFunction =
-            module
-                .functions
-                .get(func_index as usize)
-                .ok_or_else(|| JitError::UnknownFunction {
-                    name: format!("#{func_index}"),
-                })?;
+        let func: &MachFunction = module.functions().get(func_index as usize).ok_or_else(|| {
+            JitError::UnknownFunction {
+                name: format!("#{func_index}"),
+            }
+        })?;
         if args.len() != func.num_params as usize {
-            return Err(JitError::Trap {
-                reason: format!(
-                    "function `{}` called with {} args, expects {}",
-                    func.name,
-                    args.len(),
-                    func.num_params
-                ),
-            });
+            return Err(trap(format!(
+                "function `{}` called with {} args, expects {}",
+                func.name,
+                args.len(),
+                func.num_params
+            )));
         }
         let num_regs = func.num_regs.max(func.num_params) as usize;
         let mut inline = [0u64; INLINE_REGS];
@@ -425,377 +453,149 @@ impl<'a> ExecContext<'a> {
             &mut spilled
         };
         regs[..args.len()].copy_from_slice(args);
-        let ret = self.run_frame(func, regs, depth);
+        let entry = module.program.entries[func_index as usize] as usize;
+        let ret = self.run_frame(func, entry, &mut Regs(regs), depth);
         if num_regs > INLINE_REGS {
             self.spare_frames.push(spilled);
         }
         ret
     }
 
-    /// Interpret `func` over its register file until it returns or traps.
-    fn run_frame(&mut self, func: &'a MachFunction, regs: &mut [u64], depth: u32) -> Result<u64> {
-        let module: &'a MachModule = self.module;
-        let mut block = 0usize;
+    /// Run `func`'s code from op `pc` over its register file until it
+    /// returns or traps.
+    fn run_frame(
+        &mut self,
+        func: &MachFunction,
+        mut pc: usize,
+        r: &mut Regs<'_>,
+        depth: u32,
+    ) -> Result<u64> {
+        let program: &'a Program = &self.module.program;
+        let code = &program.code[..];
         loop {
-            let insts = func.blocks.get(block).ok_or_else(|| JitError::Trap {
-                reason: format!("jump to non-existent block {block} in `{}`", func.name),
-            })?;
-            let mut next_block: Option<usize> = None;
-            for inst in insts {
-                if self.fuel_left == 0 {
-                    return Err(JitError::OutOfFuel {
-                        executed: self.insts,
-                    });
+            let op = &code[pc];
+            pc += 1;
+            match *op {
+                Op::Charge(insts, cycles) => {
+                    if self.fuel_left < insts {
+                        return Err(self.run_out(&code[pc..], r));
+                    }
+                    self.fuel_left -= insts;
+                    self.insts += insts;
+                    self.cycles += cycles;
                 }
-                self.fuel_left -= 1;
-                self.insts += 1;
-                self.cycles += inst.base_cycles();
-
-                match inst {
-                    MachInst::Imm { dst, ty, bits } => {
-                        regs[*dst as usize] = normalize(*ty, *bits);
-                    }
-                    MachInst::Mov { dst, src } => {
-                        regs[*dst as usize] = regs[*src as usize];
-                    }
-                    MachInst::Alu {
-                        op,
-                        ty,
-                        dst,
-                        lhs,
-                        rhs,
-                    } => {
-                        regs[*dst as usize] =
-                            eval_bin(*op, *ty, regs[*lhs as usize], regs[*rhs as usize])?;
-                    }
-                    MachInst::AluUn { op, ty, dst, src } => {
-                        regs[*dst as usize] = eval_un(*op, *ty, regs[*src as usize]);
-                    }
-                    MachInst::Ld {
-                        ty,
-                        dst,
-                        addr,
-                        offset,
-                    } => {
-                        let a = regs[*addr as usize].wrapping_add(*offset as u64);
-                        regs[*dst as usize] = self.mem.read_scalar(*ty, a)?;
-                    }
-                    MachInst::St {
-                        ty,
-                        src,
-                        addr,
-                        offset,
-                    } => {
-                        let a = regs[*addr as usize].wrapping_add(*offset as u64);
-                        self.mem.write_scalar(*ty, a, regs[*src as usize])?;
-                    }
-                    MachInst::AtomicRmw {
-                        op,
-                        ty,
-                        dst,
-                        addr,
-                        src,
-                        expected,
-                        lse: _,
-                    } => {
-                        let a = regs[*addr as usize];
-                        let old = self.mem.read_scalar(*ty, a)?;
-                        let operand = regs[*src as usize];
-                        let new = match op {
-                            AtomicOp::FetchAdd => eval_bin(BinOp::Add, *ty, old, operand)?,
-                            AtomicOp::Exchange => operand,
-                            AtomicOp::CompareSwap => {
-                                if old == normalize(*ty, regs[*expected as usize]) {
-                                    operand
-                                } else {
-                                    old
-                                }
-                            }
-                        };
-                        self.mem.write_scalar(*ty, a, new)?;
-                        regs[*dst as usize] = old;
-                    }
-                    MachInst::VecLoop {
-                        op,
-                        ty,
-                        dst_addr,
-                        a_addr,
-                        b_addr,
-                        count,
-                        lanes,
-                    } => {
-                        let n = regs[*count as usize];
-                        let elem = u64::from(ty.size_bytes(8));
-                        let da = regs[*dst_addr as usize];
-                        let aa = regs[*a_addr as usize];
-                        let ba = regs[*b_addr as usize];
-                        for i in 0..n {
-                            let av = self.mem.read_scalar(*ty, aa + i * elem)?;
-                            let bv = self.mem.read_scalar(*ty, ba + i * elem)?;
-                            let dv = match op {
-                                VecOp::Add => eval_bin(vec_add_op(*ty), *ty, av, bv)?,
-                                VecOp::Mul => eval_bin(vec_mul_op(*ty), *ty, av, bv)?,
-                                VecOp::Fma => {
-                                    let prod = eval_bin(vec_mul_op(*ty), *ty, av, bv)?;
-                                    let acc = self.mem.read_scalar(*ty, da + i * elem)?;
-                                    eval_bin(vec_add_op(*ty), *ty, prod, acc)?
-                                }
-                            };
-                            self.mem.write_scalar(*ty, da + i * elem, dv)?;
-                        }
-                        // Dynamic cost: one chunk of work per `lanes` elements.
-                        let chunks = n.div_ceil(u64::from((*lanes).max(1)));
-                        self.cycles += chunks.saturating_mul(inst.base_cycles());
-                    }
-                    MachInst::DataAddr { dst, data_index } => {
-                        let addr = self
-                            .data_addrs
-                            .get(*data_index as usize)
-                            .copied()
-                            .ok_or_else(|| JitError::Trap {
-                                reason: format!(
-                                    "data object #{data_index} not materialised ({} available)",
-                                    self.data_addrs.len()
-                                ),
-                            })?;
-                        regs[*dst as usize] = addr;
-                    }
-                    MachInst::CallLocal {
-                        dst,
-                        func_index,
-                        args,
-                    } => {
-                        let (mut inline, mut heap) = ([0u64; INLINE_ARGS], Vec::new());
-                        let argv = gather(regs, args, &mut inline, &mut heap);
-                        let ret = self.call_function(*func_index, argv, depth + 1)?;
-                        if let Some(d) = dst {
-                            regs[*d as usize] = ret;
-                        }
-                    }
-                    MachInst::CallSym {
-                        dst,
-                        sym_index,
-                        args,
-                    } => {
-                        // Borrowed from the module for the length of the call.
-                        let symbol: &str =
-                            module.ext_symbols.get(*sym_index as usize).ok_or_else(|| {
-                                JitError::Trap {
-                                    reason: format!("external symbol #{sym_index} out of range"),
-                                }
-                            })?;
-                        let (mut inline, mut heap) = ([0u64; INLINE_ARGS], Vec::new());
-                        let argv = gather(regs, args, &mut inline, &mut heap);
-                        self.cycles += self.host.external_cost(symbol);
-                        let ret = self.host.call_external(symbol, argv, self.mem)?;
-                        if let Some(d) = dst {
-                            regs[*d as usize] = ret;
-                        }
-                    }
-                    MachInst::Jmp { block: b } => {
-                        next_block = Some(*b as usize);
-                        break;
-                    }
-                    MachInst::JmpIf {
-                        cond,
-                        then_block,
-                        else_block,
-                    } => {
-                        next_block = Some(if regs[*cond as usize] != 0 {
-                            *then_block as usize
-                        } else {
-                            *else_block as usize
-                        });
-                        break;
-                    }
-                    MachInst::Ret { value } => {
-                        return Ok(value.map(|r| regs[r as usize]).unwrap_or(0));
-                    }
-                    MachInst::Trap { code } => {
-                        return Err(JitError::Trap {
-                            reason: format!("explicit trap (code {code}) in `{}`", func.name),
-                        });
+                Op::CallLocal(dst, callee, first, n) => {
+                    let (mut inline, mut heap) = ([0u64; INLINE_ARGS], Vec::new());
+                    let names = &program.args[first as usize..][..n as usize];
+                    let argv = gather(r.0, names, &mut inline, &mut heap);
+                    let ret = self.call_function(callee, argv, depth + 1)?;
+                    if let Some(d) = dst {
+                        r[d] = ret;
                     }
                 }
-            }
-            match next_block {
-                Some(b) => block = b,
-                None => {
-                    return Err(JitError::Trap {
-                        reason: format!(
-                            "block {block} of `{}` fell through without terminator",
-                            func.name
-                        ),
-                    })
+                Op::Jmp(to) => pc = to as usize,
+                Op::JmpIf(cond, then, other) => {
+                    pc = if r[cond] != 0 { then } else { other } as usize
                 }
+                Op::Ret(value) => return Ok(value.map_or(0, |v| r[v])),
+                Op::Trap(code) => {
+                    let name = &func.name;
+                    return Err(trap(format!("explicit trap (code {code}) in `{name}`")));
+                }
+                _ => self.step(op, r)?,
             }
         }
     }
-}
 
-fn vec_add_op(ty: ScalarType) -> BinOp {
-    if ty.is_float() {
-        BinOp::FAdd
-    } else {
-        BinOp::Add
+    /// Execute one straight-line op: anything but a charge, a local call, a
+    /// branch or the end of a function.
+    #[inline(always)]
+    fn step(&mut self, op: &Op, r: &mut Regs<'_>) -> Result<()> {
+        match *op {
+            Op::Imm(d, bits) => r[d] = bits,
+            Op::Mov(d, s) => r[d] = r[s],
+            Op::Add(d, a, b) => r[d] = r[a].wrapping_add(r[b]),
+            Op::Sub(d, a, b) => r[d] = r[a].wrapping_sub(r[b]),
+            Op::Mul(d, a, b) => r[d] = r[a].wrapping_mul(r[b]),
+            Op::DivU(d, a, b) => r[d] = r[a] / nonzero(r[b], "division")?,
+            Op::RemU(d, a, b) => r[d] = r[a] % nonzero(r[b], "remainder")?,
+            Op::Eq(d, a, b) => r[d] = u64::from(r[a] == r[b]),
+            Op::Ne(d, a, b) => r[d] = u64::from(r[a] != r[b]),
+            Op::LtU(d, a, b) => r[d] = u64::from(r[a] < r[b]),
+            Op::LtS(d, a, b) => r[d] = u64::from((r[a] as i64) < (r[b] as i64)),
+            Op::LeU(d, a, b) => r[d] = u64::from(r[a] <= r[b]),
+            Op::LeS(d, a, b) => r[d] = u64::from((r[a] as i64) <= (r[b] as i64)),
+            Op::Bin(f, d, a, b) => r[d] = f(r[a], r[b])?,
+            Op::Un(f, d, s) => r[d] = f(r[s]),
+            Op::Ld64(d, a, offset) => r[d] = self.mem.read_u64(r[a].wrapping_add(offset as u64))?,
+            Op::St64(s, a, offset) => self.mem.write_u64(r[a].wrapping_add(offset as u64), r[s])?,
+            Op::Ld(f, d, a, offset) => r[d] = f(self.mem, r[a].wrapping_add(offset as u64))?,
+            Op::St(f, s, a, offset) => f(self.mem, r[a].wrapping_add(offset as u64), r[s])?,
+            Op::Atomic(op, ty, [d, a, s, e]) => r[d] = atomic(self.mem, op, ty, r[a], r[s], r[e])?,
+            Op::VecLoop(op, ty, [d, a, b, n], lanes) => {
+                self.cycles += vec_loop(self.mem, op, ty, [r[d], r[a], r[b]], r[n], lanes)?
+            }
+            Op::DataAddr(d, i) => {
+                r[d] = *self.data_addrs.get(i as usize).ok_or_else(|| {
+                    let available = self.data_addrs.len();
+                    trap(format!(
+                        "data object #{i} not materialised ({available} available)"
+                    ))
+                })?
+            }
+            Op::CallSym(dst, sym, first, n) => {
+                // Borrowed from the module for the length of the call.
+                let module: &'a MachModule = self.module;
+                let symbol: &str = module
+                    .ext_symbols
+                    .get(sym as usize)
+                    .ok_or_else(|| trap(format!("external symbol #{sym} out of range")))?;
+                let (mut inline, mut heap) = ([0u64; INLINE_ARGS], Vec::new());
+                let names = &module.program.args[first as usize..][..n as usize];
+                let argv = gather(r.0, names, &mut inline, &mut heap);
+                self.cycles += self.host.external_cost(symbol);
+                let ret = self.host.call_external(symbol, argv, self.mem)?;
+                if let Some(d) = dst {
+                    r[d] = ret;
+                }
+            }
+            // A charge, a local call or control flow: `run_frame`'s.
+            _ => {}
+        }
+        Ok(())
     }
-}
 
-fn vec_mul_op(ty: ScalarType) -> BinOp {
-    if ty.is_float() {
-        BinOp::FMul
-    } else {
-        BinOp::Mul
+    /// A charge the fuel left cannot pay.  Retire what it can pay for one
+    /// instruction at a time, exactly as far as fuel reaches — every one of
+    /// them precedes the charge's call or terminator, so each is straight
+    /// line — and stop.
+    #[cold]
+    fn run_out(&mut self, ops: &[Op], r: &mut Regs<'_>) -> JitError {
+        let paid = std::mem::take(&mut self.fuel_left) as usize;
+        for op in &ops[..paid] {
+            self.insts += 1;
+            if let Err(e) = self.step(op, r) {
+                return e;
+            }
+        }
+        JitError::OutOfFuel {
+            executed: self.insts,
+        }
     }
 }
 
 /// Normalise a 64-bit slot to the canonical representation of `ty`
 /// (truncate to width, sign-extend signed types back into the slot).
-fn normalize(ty: ScalarType, bits: u64) -> u64 {
+pub(crate) fn normalize(ty: ScalarType, bits: u64) -> u64 {
     match ty {
         ScalarType::I8 => bits as u8 as i8 as i64 as u64,
         ScalarType::I16 => bits as u16 as i16 as i64 as u64,
         ScalarType::I32 => bits as u32 as i32 as i64 as u64,
-        ScalarType::I64 => bits,
         ScalarType::U8 => u64::from(bits as u8),
         ScalarType::U16 => u64::from(bits as u16),
         ScalarType::U32 => u64::from(bits as u32),
-        ScalarType::U64 | ScalarType::Ptr => bits,
         ScalarType::F32 => u64::from((f32::from_bits(bits as u32)).to_bits()),
-        ScalarType::F64 => bits,
-    }
-}
-
-fn to_f64(ty: ScalarType, bits: u64) -> f64 {
-    match ty {
-        ScalarType::F32 => f64::from(f32::from_bits(bits as u32)),
-        _ => f64::from_bits(bits),
-    }
-}
-
-fn from_f64(ty: ScalarType, v: f64) -> u64 {
-    match ty {
-        ScalarType::F32 => u64::from((v as f32).to_bits()),
-        _ => v.to_bits(),
-    }
-}
-
-/// Evaluate a binary operation on normalised 64-bit slots.
-fn eval_bin(op: BinOp, ty: ScalarType, lhs: u64, rhs: u64) -> Result<u64> {
-    if op.is_float_only() || (ty.is_float() && op.is_comparison()) {
-        let a = to_f64(ty, lhs);
-        let b = to_f64(ty, rhs);
-        let result = match op {
-            BinOp::FAdd => from_f64(ty, a + b),
-            BinOp::FSub => from_f64(ty, a - b),
-            BinOp::FMul => from_f64(ty, a * b),
-            BinOp::FDiv => from_f64(ty, a / b),
-            BinOp::CmpEq => u64::from(a == b),
-            BinOp::CmpNe => u64::from(a != b),
-            BinOp::CmpLt => u64::from(a < b),
-            BinOp::CmpLe => u64::from(a <= b),
-            BinOp::CmpGt => u64::from(a > b),
-            BinOp::CmpGe => u64::from(a >= b),
-            _ => {
-                return Err(JitError::Trap {
-                    reason: format!("operator {op:?} not valid on float type {ty}"),
-                })
-            }
-        };
-        return Ok(result);
-    }
-
-    let signed = ty.is_signed();
-    let a = normalize(ty, lhs);
-    let b = normalize(ty, rhs);
-    let result = match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Div => {
-            if b == 0 {
-                return Err(JitError::Trap {
-                    reason: "integer division by zero".into(),
-                });
-            }
-            if signed {
-                ((a as i64).wrapping_div(b as i64)) as u64
-            } else {
-                a / b
-            }
-        }
-        BinOp::Rem => {
-            if b == 0 {
-                return Err(JitError::Trap {
-                    reason: "integer remainder by zero".into(),
-                });
-            }
-            if signed {
-                ((a as i64).wrapping_rem(b as i64)) as u64
-            } else {
-                a % b
-            }
-        }
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
-        BinOp::Shl => a.wrapping_shl((b & 63) as u32),
-        BinOp::Shr => {
-            if signed {
-                ((a as i64).wrapping_shr((b & 63) as u32)) as u64
-            } else {
-                a.wrapping_shr((b & 63) as u32)
-            }
-        }
-        BinOp::CmpEq => u64::from(a == b),
-        BinOp::CmpNe => u64::from(a != b),
-        BinOp::CmpLt => u64::from(if signed {
-            (a as i64) < (b as i64)
-        } else {
-            a < b
-        }),
-        BinOp::CmpLe => u64::from(if signed {
-            (a as i64) <= (b as i64)
-        } else {
-            a <= b
-        }),
-        BinOp::CmpGt => u64::from(if signed {
-            (a as i64) > (b as i64)
-        } else {
-            a > b
-        }),
-        BinOp::CmpGe => u64::from(if signed {
-            (a as i64) >= (b as i64)
-        } else {
-            a >= b
-        }),
-        BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv => unreachable!(),
-    };
-    Ok(normalize(ty, result))
-}
-
-/// Evaluate a unary operation.
-fn eval_un(op: UnOp, ty: ScalarType, src: u64) -> u64 {
-    match op {
-        UnOp::Not => normalize(ty, !src),
-        UnOp::Neg => normalize(ty, (src as i64).wrapping_neg() as u64),
-        UnOp::FNeg => from_f64(ty, -to_f64(ty, src)),
-        UnOp::IntToFloat => from_f64(ty, src as i64 as f64),
-        UnOp::FloatToInt => {
-            let v = f64::from_bits(src);
-            normalize(ty, v as i64 as u64)
-        }
-        UnOp::IntCast => normalize(ty, src),
-        UnOp::FloatCast => {
-            // The source is whichever float width the value currently is; we
-            // just re-encode at the destination width.
-            let as_f64 = if ty == ScalarType::F32 {
-                f64::from_bits(src)
-            } else {
-                f64::from(f32::from_bits(src as u32))
-            };
-            from_f64(ty, as_f64)
-        }
+        ScalarType::I64 | ScalarType::U64 | ScalarType::Ptr | ScalarType::F64 => bits,
     }
 }
 
@@ -803,7 +603,463 @@ fn eval_un(op: UnOp, ty: ScalarType, src: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::compile::{compile_module, lower_and_compile, CompileOptions};
-    use tc_bitir::{ModuleBuilder, TargetTriple};
+    use crate::emit::{eval_bin, eval_un};
+    use tc_bitir::{AtomicOp, BinOp, ModuleBuilder, TargetTriple, UnOp, VecOp};
+
+    /// The interpreter of [`MachInst`] that the pre-decoded engine replaced,
+    /// kept as the reference it is held to: per instruction a `match`,
+    /// `eval_bin` deciding operator and type, a fuel check and a cycle add.
+    mod reference {
+        use super::super::*;
+        use crate::machine::MachInst;
+        use tc_bitir::{AtomicOp, BinOp, UnOp, VecOp};
+
+        /// [`Engine::run_index`] on the reference interpreter.
+        pub(super) fn run_index(
+            limits: ExecLimits,
+            module: &MachModule,
+            func_index: u32,
+            args: &[u64],
+            data_addrs: &[u64],
+            mem: &mut dyn Memory,
+            host: &mut dyn ExternalHost,
+        ) -> Result<ExecOutcome> {
+            let mut ctx = Reference {
+                module,
+                data_addrs,
+                mem,
+                host,
+                fuel_left: limits.fuel,
+                max_depth: limits.max_call_depth,
+                insts: 0,
+                cycles: 0,
+                spare_frames: Vec::new(),
+            };
+            let ret = ctx.call_function(func_index, args, 0)?;
+            Ok(ExecOutcome {
+                return_value: ret,
+                insts_retired: ctx.insts,
+                cycles: ctx.cycles,
+            })
+        }
+
+        struct Reference<'a> {
+            module: &'a MachModule,
+            data_addrs: &'a [u64],
+            mem: &'a mut dyn Memory,
+            host: &'a mut dyn ExternalHost,
+            fuel_left: u64,
+            max_depth: u32,
+            insts: u64,
+            cycles: u64,
+            /// Register files too large for the stack, handed back by the calls that
+            /// returned and reused by the next one.
+            spare_frames: Vec<Vec<u64>>,
+        }
+
+        impl<'a> Reference<'a> {
+            fn call_function(&mut self, func_index: u32, args: &[u64], depth: u32) -> Result<u64> {
+                if depth > self.max_depth {
+                    return Err(JitError::Trap {
+                        reason: format!("call depth exceeded {}", self.max_depth),
+                    });
+                }
+                let module: &'a MachModule = self.module;
+                let func: &MachFunction =
+                    module.functions().get(func_index as usize).ok_or_else(|| {
+                        JitError::UnknownFunction {
+                            name: format!("#{func_index}"),
+                        }
+                    })?;
+                if args.len() != func.num_params as usize {
+                    return Err(JitError::Trap {
+                        reason: format!(
+                            "function `{}` called with {} args, expects {}",
+                            func.name,
+                            args.len(),
+                            func.num_params
+                        ),
+                    });
+                }
+                let num_regs = func.num_regs.max(func.num_params) as usize;
+                let mut inline = [0u64; INLINE_REGS];
+                let mut spilled = Vec::new();
+                let regs: &mut [u64] = if num_regs <= INLINE_REGS {
+                    &mut inline[..num_regs]
+                } else {
+                    spilled = self.spare_frames.pop().unwrap_or_default();
+                    spilled.clear();
+                    spilled.resize(num_regs, 0);
+                    &mut spilled
+                };
+                regs[..args.len()].copy_from_slice(args);
+                let ret = self.run_frame(func, regs, depth);
+                if num_regs > INLINE_REGS {
+                    self.spare_frames.push(spilled);
+                }
+                ret
+            }
+
+            /// Interpret `func` over its register file until it returns or traps.
+            fn run_frame(
+                &mut self,
+                func: &'a MachFunction,
+                regs: &mut [u64],
+                depth: u32,
+            ) -> Result<u64> {
+                let module: &'a MachModule = self.module;
+                let mut block = 0usize;
+                loop {
+                    let insts = func.blocks.get(block).ok_or_else(|| JitError::Trap {
+                        reason: format!("jump to non-existent block {block} in `{}`", func.name),
+                    })?;
+                    let mut next_block: Option<usize> = None;
+                    for inst in insts {
+                        if self.fuel_left == 0 {
+                            return Err(JitError::OutOfFuel {
+                                executed: self.insts,
+                            });
+                        }
+                        self.fuel_left -= 1;
+                        self.insts += 1;
+                        self.cycles += inst.base_cycles();
+
+                        match inst {
+                            MachInst::Imm { dst, ty, bits } => {
+                                regs[*dst as usize] = normalize(*ty, *bits);
+                            }
+                            MachInst::Mov { dst, src } => {
+                                regs[*dst as usize] = regs[*src as usize];
+                            }
+                            MachInst::Alu {
+                                op,
+                                ty,
+                                dst,
+                                lhs,
+                                rhs,
+                            } => {
+                                regs[*dst as usize] =
+                                    eval_bin(*op, *ty, regs[*lhs as usize], regs[*rhs as usize])?;
+                            }
+                            MachInst::AluUn { op, ty, dst, src } => {
+                                regs[*dst as usize] = eval_un(*op, *ty, regs[*src as usize]);
+                            }
+                            MachInst::Ld {
+                                ty,
+                                dst,
+                                addr,
+                                offset,
+                            } => {
+                                let a = regs[*addr as usize].wrapping_add(*offset as u64);
+                                regs[*dst as usize] = self.mem.read_scalar(*ty, a)?;
+                            }
+                            MachInst::St {
+                                ty,
+                                src,
+                                addr,
+                                offset,
+                            } => {
+                                let a = regs[*addr as usize].wrapping_add(*offset as u64);
+                                self.mem.write_scalar(*ty, a, regs[*src as usize])?;
+                            }
+                            MachInst::AtomicRmw {
+                                op,
+                                ty,
+                                dst,
+                                addr,
+                                src,
+                                expected,
+                                lse: _,
+                            } => {
+                                let a = regs[*addr as usize];
+                                let old = self.mem.read_scalar(*ty, a)?;
+                                let operand = regs[*src as usize];
+                                let new = match op {
+                                    AtomicOp::FetchAdd => eval_bin(BinOp::Add, *ty, old, operand)?,
+                                    AtomicOp::Exchange => operand,
+                                    AtomicOp::CompareSwap => {
+                                        if old == normalize(*ty, regs[*expected as usize]) {
+                                            operand
+                                        } else {
+                                            old
+                                        }
+                                    }
+                                };
+                                self.mem.write_scalar(*ty, a, new)?;
+                                regs[*dst as usize] = old;
+                            }
+                            MachInst::VecLoop {
+                                op,
+                                ty,
+                                dst_addr,
+                                a_addr,
+                                b_addr,
+                                count,
+                                lanes,
+                            } => {
+                                let n = regs[*count as usize];
+                                let elem = u64::from(ty.size_bytes(8));
+                                let da = regs[*dst_addr as usize];
+                                let aa = regs[*a_addr as usize];
+                                let ba = regs[*b_addr as usize];
+                                for i in 0..n {
+                                    let av = self.mem.read_scalar(*ty, aa + i * elem)?;
+                                    let bv = self.mem.read_scalar(*ty, ba + i * elem)?;
+                                    let dv = match op {
+                                        VecOp::Add => eval_bin(vec_add_op(*ty), *ty, av, bv)?,
+                                        VecOp::Mul => eval_bin(vec_mul_op(*ty), *ty, av, bv)?,
+                                        VecOp::Fma => {
+                                            let prod = eval_bin(vec_mul_op(*ty), *ty, av, bv)?;
+                                            let acc = self.mem.read_scalar(*ty, da + i * elem)?;
+                                            eval_bin(vec_add_op(*ty), *ty, prod, acc)?
+                                        }
+                                    };
+                                    self.mem.write_scalar(*ty, da + i * elem, dv)?;
+                                }
+                                // Dynamic cost: one chunk of work per `lanes` elements.
+                                let chunks = n.div_ceil(u64::from((*lanes).max(1)));
+                                self.cycles += chunks.saturating_mul(inst.base_cycles());
+                            }
+                            MachInst::DataAddr { dst, data_index } => {
+                                let addr = self
+                                    .data_addrs
+                                    .get(*data_index as usize)
+                                    .copied()
+                                    .ok_or_else(|| JitError::Trap {
+                                        reason: format!(
+                                            "data object #{data_index} not materialised ({} available)",
+                                            self.data_addrs.len()
+                                        ),
+                                    })?;
+                                regs[*dst as usize] = addr;
+                            }
+                            MachInst::CallLocal {
+                                dst,
+                                func_index,
+                                args,
+                            } => {
+                                let (mut inline, mut heap) = ([0u64; INLINE_ARGS], Vec::new());
+                                let argv = gather(regs, args, &mut inline, &mut heap);
+                                let ret = self.call_function(*func_index, argv, depth + 1)?;
+                                if let Some(d) = dst {
+                                    regs[*d as usize] = ret;
+                                }
+                            }
+                            MachInst::CallSym {
+                                dst,
+                                sym_index,
+                                args,
+                            } => {
+                                // Borrowed from the module for the length of the call.
+                                let symbol: &str = module
+                                    .ext_symbols
+                                    .get(*sym_index as usize)
+                                    .ok_or_else(|| JitError::Trap {
+                                        reason: format!(
+                                            "external symbol #{sym_index} out of range"
+                                        ),
+                                    })?;
+                                let (mut inline, mut heap) = ([0u64; INLINE_ARGS], Vec::new());
+                                let argv = gather(regs, args, &mut inline, &mut heap);
+                                self.cycles += self.host.external_cost(symbol);
+                                let ret = self.host.call_external(symbol, argv, self.mem)?;
+                                if let Some(d) = dst {
+                                    regs[*d as usize] = ret;
+                                }
+                            }
+                            MachInst::Jmp { block: b } => {
+                                next_block = Some(*b as usize);
+                                break;
+                            }
+                            MachInst::JmpIf {
+                                cond,
+                                then_block,
+                                else_block,
+                            } => {
+                                next_block = Some(if regs[*cond as usize] != 0 {
+                                    *then_block as usize
+                                } else {
+                                    *else_block as usize
+                                });
+                                break;
+                            }
+                            MachInst::Ret { value } => {
+                                return Ok(value.map(|r| regs[r as usize]).unwrap_or(0));
+                            }
+                            MachInst::Trap { code } => {
+                                return Err(JitError::Trap {
+                                    reason: format!(
+                                        "explicit trap (code {code}) in `{}`",
+                                        func.name
+                                    ),
+                                });
+                            }
+                        }
+                    }
+                    match next_block {
+                        Some(b) => block = b,
+                        None => {
+                            return Err(JitError::Trap {
+                                reason: format!(
+                                    "block {block} of `{}` fell through without terminator",
+                                    func.name
+                                ),
+                            })
+                        }
+                    }
+                }
+            }
+        }
+
+        fn vec_add_op(ty: ScalarType) -> BinOp {
+            if ty.is_float() {
+                BinOp::FAdd
+            } else {
+                BinOp::Add
+            }
+        }
+
+        fn vec_mul_op(ty: ScalarType) -> BinOp {
+            if ty.is_float() {
+                BinOp::FMul
+            } else {
+                BinOp::Mul
+            }
+        }
+
+        fn to_f64(ty: ScalarType, bits: u64) -> f64 {
+            match ty {
+                ScalarType::F32 => f64::from(f32::from_bits(bits as u32)),
+                _ => f64::from_bits(bits),
+            }
+        }
+
+        fn from_f64(ty: ScalarType, v: f64) -> u64 {
+            match ty {
+                ScalarType::F32 => u64::from((v as f32).to_bits()),
+                _ => v.to_bits(),
+            }
+        }
+
+        /// Evaluate a binary operation on normalised 64-bit slots.
+        fn eval_bin(op: BinOp, ty: ScalarType, lhs: u64, rhs: u64) -> Result<u64> {
+            if op.is_float_only() || (ty.is_float() && op.is_comparison()) {
+                let a = to_f64(ty, lhs);
+                let b = to_f64(ty, rhs);
+                let result = match op {
+                    BinOp::FAdd => from_f64(ty, a + b),
+                    BinOp::FSub => from_f64(ty, a - b),
+                    BinOp::FMul => from_f64(ty, a * b),
+                    BinOp::FDiv => from_f64(ty, a / b),
+                    BinOp::CmpEq => u64::from(a == b),
+                    BinOp::CmpNe => u64::from(a != b),
+                    BinOp::CmpLt => u64::from(a < b),
+                    BinOp::CmpLe => u64::from(a <= b),
+                    BinOp::CmpGt => u64::from(a > b),
+                    BinOp::CmpGe => u64::from(a >= b),
+                    _ => {
+                        return Err(JitError::Trap {
+                            reason: format!("operator {op:?} not valid on float type {ty}"),
+                        })
+                    }
+                };
+                return Ok(result);
+            }
+
+            let signed = ty.is_signed();
+            let a = normalize(ty, lhs);
+            let b = normalize(ty, rhs);
+            let result = match op {
+                BinOp::Add => a.wrapping_add(b),
+                BinOp::Sub => a.wrapping_sub(b),
+                BinOp::Mul => a.wrapping_mul(b),
+                BinOp::Div => {
+                    if b == 0 {
+                        return Err(JitError::Trap {
+                            reason: "integer division by zero".into(),
+                        });
+                    }
+                    if signed {
+                        ((a as i64).wrapping_div(b as i64)) as u64
+                    } else {
+                        a / b
+                    }
+                }
+                BinOp::Rem => {
+                    if b == 0 {
+                        return Err(JitError::Trap {
+                            reason: "integer remainder by zero".into(),
+                        });
+                    }
+                    if signed {
+                        ((a as i64).wrapping_rem(b as i64)) as u64
+                    } else {
+                        a % b
+                    }
+                }
+                BinOp::And => a & b,
+                BinOp::Or => a | b,
+                BinOp::Xor => a ^ b,
+                BinOp::Shl => a.wrapping_shl((b & 63) as u32),
+                BinOp::Shr => {
+                    if signed {
+                        ((a as i64).wrapping_shr((b & 63) as u32)) as u64
+                    } else {
+                        a.wrapping_shr((b & 63) as u32)
+                    }
+                }
+                BinOp::CmpEq => u64::from(a == b),
+                BinOp::CmpNe => u64::from(a != b),
+                BinOp::CmpLt => u64::from(if signed {
+                    (a as i64) < (b as i64)
+                } else {
+                    a < b
+                }),
+                BinOp::CmpLe => u64::from(if signed {
+                    (a as i64) <= (b as i64)
+                } else {
+                    a <= b
+                }),
+                BinOp::CmpGt => u64::from(if signed {
+                    (a as i64) > (b as i64)
+                } else {
+                    a > b
+                }),
+                BinOp::CmpGe => u64::from(if signed {
+                    (a as i64) >= (b as i64)
+                } else {
+                    a >= b
+                }),
+                BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv => unreachable!(),
+            };
+            Ok(normalize(ty, result))
+        }
+
+        /// Evaluate a unary operation.
+        fn eval_un(op: UnOp, ty: ScalarType, src: u64) -> u64 {
+            match op {
+                UnOp::Not => normalize(ty, !src),
+                UnOp::Neg => normalize(ty, (src as i64).wrapping_neg() as u64),
+                UnOp::FNeg => from_f64(ty, -to_f64(ty, src)),
+                UnOp::IntToFloat => from_f64(ty, src as i64 as f64),
+                UnOp::FloatToInt => {
+                    let v = f64::from_bits(src);
+                    normalize(ty, v as i64 as u64)
+                }
+                UnOp::IntCast => normalize(ty, src),
+                UnOp::FloatCast => {
+                    // The source is whichever float width the value currently is; we
+                    // just re-encode at the destination width.
+                    let as_f64 = if ty == ScalarType::F32 {
+                        f64::from_bits(src)
+                    } else {
+                        f64::from(f32::from_bits(src as u32))
+                    };
+                    from_f64(ty, as_f64)
+                }
+            }
+        }
+    }
 
     /// Host recording external calls.
     #[derive(Default)]
@@ -1036,7 +1292,7 @@ mod tests {
             f.finish();
         }
         let compiled = compile_module(&mb.build(), CompileOptions::default()).unwrap();
-        let wide = &compiled.module.functions[wide_id.0 as usize];
+        let wide = &compiled.module.functions()[wide_id.0 as usize];
         assert!(wide.num_regs as usize > INLINE_REGS, "{}", wide.num_regs);
         let mut mem = VecMemory::new(0, 8);
         let mut host = RecordingHost::default();
@@ -1330,5 +1586,396 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, JitError::Trap { .. }));
+    }
+
+    // -- the pre-decoded engine against the reference, on generated programs
+
+    /// Base and size of the memory every generated program runs against.
+    const BASE: u64 = 0x1000;
+    const SIZE: u64 = 4096;
+
+    /// SplitMix64, the generator family of tc_simnet's.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            from[self.below(from.len() as u64) as usize]
+        }
+
+        /// An address inside the memory with `room` bytes behind it — or,
+        /// one time in `1 / miss`, one that runs off its end.
+        fn addr(&mut self, room: u64, miss: u64) -> u64 {
+            match self.below(miss) {
+                0 => BASE + SIZE - self.below(room.max(1)),
+                _ => BASE + self.below(SIZE - room),
+            }
+        }
+    }
+
+    /// Answers every external call the generator emits, and logs it.
+    #[derive(Default)]
+    struct LogHost {
+        calls: Vec<(String, Vec<u64>)>,
+    }
+
+    impl ExternalHost for LogHost {
+        fn call_external(
+            &mut self,
+            symbol: &str,
+            args: &[u64],
+            mem: &mut dyn Memory,
+        ) -> Result<u64> {
+            self.calls.push((symbol.to_string(), args.to_vec()));
+            let first = args.first().copied().unwrap_or(0);
+            match symbol {
+                "sum" => Ok(args
+                    .iter()
+                    .fold(7, |a, b| a.wrapping_mul(31).wrapping_add(*b))),
+                "poke" => mem.write_u64(BASE + first % (SIZE - 8), first).map(|()| 1),
+                "fail" => Err(JitError::Host(format!("fail({first})"))),
+                _ => Err(JitError::UnresolvedSymbol {
+                    symbol: symbol.to_string(),
+                }),
+            }
+        }
+
+        fn external_cost(&self, symbol: &str) -> u64 {
+            symbol.len() as u64
+        }
+    }
+
+    /// `(parameters, returns a value)` of each helper function.
+    type Sigs = [(usize, bool)];
+
+    /// One straight-line instruction of every kind the builder has: ALU at
+    /// any operator and type the verifier admits, loads and stores of every
+    /// width, atomics, vector loops, globals, local and external calls.
+    fn gen_inst(
+        f: &mut tc_bitir::FunctionBuilder<'_>,
+        g: &mut Rng,
+        regs: &mut Vec<tc_bitir::Reg>,
+        sigs: &Sigs,
+    ) {
+        use ScalarType as T;
+        let ints = [
+            T::I8,
+            T::I16,
+            T::I32,
+            T::I64,
+            T::U8,
+            T::U16,
+            T::U32,
+            T::U64,
+            T::Ptr,
+        ];
+        let floats = [T::F32, T::F64];
+        let reg = |g: &mut Rng| g.pick(regs);
+        let def = match g.below(16) {
+            0 | 1 => Some(f.const_bits(g.pick(&ScalarType::ALL), g.next() >> g.below(64))),
+            2..=5 => {
+                let op = g.pick(&BinOp::ALL);
+                let ty = match op {
+                    BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv => g.pick(&floats),
+                    BinOp::Div | BinOp::Rem | BinOp::And | BinOp::Or => g.pick(&ints),
+                    BinOp::Xor | BinOp::Shl | BinOp::Shr => g.pick(&ints),
+                    _ => g.pick(&ScalarType::ALL),
+                };
+                let (lhs, rhs) = (reg(g), reg(g));
+                Some(f.bin(op, ty, lhs, rhs))
+            }
+            6 => {
+                let op = g.pick(&UnOp::ALL);
+                let ty = match op {
+                    UnOp::FNeg | UnOp::FloatCast | UnOp::IntToFloat => g.pick(&floats),
+                    _ => g.pick(&ints),
+                };
+                let src = reg(g);
+                Some(f.un(op, ty, src))
+            }
+            7 | 8 => {
+                let ty = g.pick(&ScalarType::ALL);
+                let addr = f.const_u64(g.addr(16, 40));
+                Some(f.load(ty, addr, g.below(8) as i64))
+            }
+            9 => {
+                let (ty, src) = (g.pick(&ScalarType::ALL), reg(g));
+                let addr = f.const_u64(g.addr(16, 40));
+                f.store(ty, src, addr, g.below(8) as i64);
+                None
+            }
+            10 => {
+                let (op, ty) = (g.pick(&AtomicOp::ALL), g.pick(&ints));
+                let addr = f.const_u64(g.addr(8, 40));
+                let (src, expected) = (reg(g), reg(g));
+                Some(f.atomic(op, ty, addr, src, expected))
+            }
+            11 => {
+                let ty = g.pick(&[T::I8, T::I32, T::U16, T::U64, T::F32, T::F64]);
+                let [dst, a, b] = [0; 3].map(|_| f.const_u64(g.addr(80, 40)));
+                let count = f.const_u64(g.below(10));
+                f.vec_op(g.pick(&VecOp::ALL), ty, dst, a, b, count);
+                None
+            }
+            12 => Some(f.global_addr(tc_bitir::GlobalId(0))),
+            13 if !sigs.is_empty() => {
+                let callee = g.below(sigs.len() as u64) as usize;
+                let (params, returns) = sigs[callee];
+                let args = (0..params).map(|_| reg(g)).collect();
+                f.call(tc_bitir::FuncId(callee as u32), args, returns)
+            }
+            14 => {
+                let symbol = g.pick(&["sum", "sum", "poke", "fail", "missing"]);
+                let args = (0..g.below(11)).map(|_| reg(g)).collect();
+                f.call_ext(symbol, args, g.below(2) == 0)
+            }
+            _ => {
+                let (dst, src) = (reg(g), reg(g));
+                f.assign(dst, src);
+                None
+            }
+        };
+        regs.extend(def);
+    }
+
+    /// A function body: up to five blocks of up to 24 instructions, each
+    /// ended by a branch, a countdown loop, a return or a trap.
+    fn gen_body(
+        f: &mut tc_bitir::FunctionBuilder<'_>,
+        g: &mut Rng,
+        params: usize,
+        returns: bool,
+        sigs: &Sigs,
+    ) {
+        let mut blocks = vec![f.entry_block()];
+        blocks.extend((0..g.below(5)).map(|_| f.new_block()));
+        let mut regs: Vec<_> = (0..params).map(|i| f.param(i)).collect();
+        let counter = f.const_u64(g.below(6));
+        let one = f.const_u64(1);
+        regs.extend([counter, one]);
+        for (i, &block) in blocks.iter().enumerate() {
+            f.switch_to(block);
+            for _ in 0..g.below(25) {
+                gen_inst(f, g, &mut regs, sigs);
+            }
+            let (there, next) = (g.pick(&blocks), blocks.get(i + 1).copied());
+            match (g.below(10), next) {
+                (0 | 1, _) => {
+                    let cond = g.pick(&regs);
+                    let other = g.pick(&blocks);
+                    f.br_if(cond, there, other)
+                }
+                (2, _) => f.br(there),
+                (3..=5, Some(next)) => {
+                    let left = f.bin(BinOp::Sub, ScalarType::U64, counter, one);
+                    f.assign(counter, left);
+                    f.br_if(counter, there, next)
+                }
+                (9, _) => f.trap(g.below(4) as u32),
+                _ if returns => {
+                    let value = g.pick(&regs);
+                    f.ret(value)
+                }
+                _ => f.ret_void(),
+            }
+        }
+    }
+
+    /// A verified module of up to three helpers (which call each other and
+    /// themselves) and an entry function that calls them.
+    fn gen_module(g: &mut Rng) -> tc_bitir::Module {
+        let mut mb = ModuleBuilder::new("generated");
+        mb.add_global("lut", (0..24).collect(), true);
+        let sigs: Vec<(usize, bool)> = (0..g.below(4))
+            .map(|_| (g.below(4) as usize, g.below(3) != 0))
+            .collect();
+        for (i, &(params, returns)) in sigs.iter().enumerate() {
+            let ret = returns.then_some(ScalarType::U64);
+            let mut f = mb.function(format!("f{i}"), vec![ScalarType::U64; params], ret);
+            gen_body(&mut f, g, params, returns, &sigs);
+            f.finish();
+        }
+        let mut f = mb.entry_function();
+        gen_body(&mut f, g, 3, true, &sigs);
+        f.finish();
+        mb.build()
+    }
+
+    /// Which way a run ended, for the coverage check.
+    fn kind(outcome: &Result<ExecOutcome>) -> usize {
+        match outcome {
+            Ok(_) => 0,
+            Err(JitError::OutOfFuel { .. }) => 1,
+            Err(JitError::Trap { .. }) => 2,
+            Err(_) => 3,
+        }
+    }
+
+    /// Generated programs run on the reference interpreter and on the
+    /// pre-decoded engine — compiled, and decoded again from their `.text`
+    /// bytes — with the same memory, host and limits: the same outcome
+    /// (`ExecOutcome`, or the same error, `OutOfFuel { executed }` included,
+    /// at a large and at a seeded small fuel limit), the same memory image
+    /// and the same host-call log.  A failure prints its seed.
+    #[test]
+    fn the_pre_decoded_engine_runs_generated_programs_as_the_reference_does() {
+        const CASES: u64 = 2_400;
+        let mut seen = [0usize; 4];
+        for case in 0..CASES {
+            let seed = 0x0DEC_0DED_0000 + case;
+            let mut g = Rng(seed);
+            let module = gen_module(&mut g);
+            let target = g.pick(&[TargetTriple::THOR_XEON, TargetTriple::OOKAMI_A64FX]);
+            let compiled = lower_and_compile(&module, target, CompileOptions::default())
+                .unwrap_or_else(|e| panic!("seed {seed:#x}: {e}"));
+            let decoded = MachModule::decode(&compiled.module.encode()).unwrap();
+            let entry = compiled.module.function_index("main").unwrap();
+            let args = [BASE, g.below(64), BASE + SIZE / 2];
+            // The global is materialised, or (sometimes) not.
+            let data: &[u64] = [&[BASE + 8][..], &[]][usize::from(g.below(8) == 0)];
+            let mut image = VecMemory::new(BASE, SIZE as usize);
+            for at in (0..SIZE).step_by(8) {
+                image.write_u64(BASE + at, g.next() >> g.below(64)).unwrap();
+            }
+            for fuel in [5_000, g.below(200)] {
+                let limits = ExecLimits {
+                    fuel,
+                    max_call_depth: 12,
+                };
+                let (mut mem, mut host) = (image.clone(), LogHost::default());
+                let want = reference::run_index(
+                    limits,
+                    &compiled.module,
+                    entry,
+                    &args,
+                    data,
+                    &mut mem,
+                    &mut host,
+                );
+                seen[kind(&want)] += 1;
+                for module in [&compiled.module, &decoded] {
+                    let (mut got_mem, mut got_host) = (image.clone(), LogHost::default());
+                    let got = Engine { limits }.run_index(
+                        module,
+                        entry,
+                        &args,
+                        data,
+                        &mut got_mem,
+                        &mut got_host,
+                    );
+                    assert_eq!(got, want, "seed {seed:#x}, fuel {fuel}");
+                    assert!(
+                        got_mem.as_slice() == mem.as_slice(),
+                        "seed {seed:#x}, fuel {fuel}: memory"
+                    );
+                    assert_eq!(got_host.calls, host.calls, "seed {seed:#x}, fuel {fuel}");
+                }
+            }
+        }
+        // Every way a run ends is reached often: returns, fuel running out,
+        // traps, and host errors.
+        for (kind, n) in seen.iter().enumerate() {
+            assert!(
+                *n as u64 > CASES / 50,
+                "outcome kind {kind} seen {n} times: {seen:?}"
+            );
+        }
+    }
+
+    /// Every operator at every type — the pairs the verifier refuses too —
+    /// on edge values, against the reference's own `eval_bin` / `eval_un`.
+    #[test]
+    fn every_operator_at_every_type_computes_what_the_reference_does() {
+        let mut mb = ModuleBuilder::new("alu");
+        for op in BinOp::ALL {
+            for ty in ScalarType::ALL {
+                let mut f = mb.function(format!("{op:?}{ty}"), vec![ScalarType::U64; 2], Some(ty));
+                let (a, b) = (f.param(0), f.param(1));
+                let v = f.bin(op, ty, a, b);
+                f.ret(v);
+                f.finish();
+            }
+        }
+        for op in UnOp::ALL {
+            for ty in ScalarType::ALL {
+                let mut f = mb.function(format!("{op:?}{ty}"), vec![ScalarType::U64; 2], Some(ty));
+                let v = f.un(op, ty, f.param(0));
+                f.ret(v);
+                f.finish();
+            }
+        }
+        let unchecked = CompileOptions { verify: false };
+        let module = compile_module(&mb.build(), unchecked).unwrap().module;
+        let (i64_min, f32_nan) = (i64::MIN as u64, u64::from(f32::NAN.to_bits()));
+        let values = [
+            0,
+            1,
+            2,
+            7,
+            31,
+            63,
+            64,
+            65,
+            0x7f,
+            0x80,
+            0xff,
+            0x7fff,
+            0x8000,
+            0xffff,
+            0x8000_0000,
+            0xffff_ffff,
+            i64_min,
+            i64::MAX as u64,
+            u64::MAX,
+            u64::MAX - 1,
+            f32_nan,
+            u64::from(1.5f32.to_bits()),
+            u64::from((-0.0f32).to_bits()),
+            1.5f64.to_bits(),
+            (-2.25f64).to_bits(),
+            f64::NAN.to_bits(),
+            f64::INFINITY.to_bits(),
+            (-0.0f64).to_bits(),
+        ];
+        let mut mem = VecMemory::new(0, 8);
+        for index in 0..module.functions().len() as u32 {
+            for (a, b) in values
+                .iter()
+                .flat_map(|&a| values.iter().map(move |&b| (a, b)))
+            {
+                let args = [a, b];
+                let limits = ExecLimits::default();
+                let want = reference::run_index(
+                    limits,
+                    &module,
+                    index,
+                    &args,
+                    &[],
+                    &mut mem,
+                    &mut NoExternals,
+                );
+                let got = Engine { limits }.run_index(
+                    &module,
+                    index,
+                    &args,
+                    &[],
+                    &mut mem,
+                    &mut NoExternals,
+                );
+                let name = &module.functions()[index as usize].name;
+                assert_eq!(got, want, "{name}({a:#x}, {b:#x})");
+            }
+        }
     }
 }

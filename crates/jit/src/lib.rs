@@ -29,6 +29,7 @@
 pub mod aot;
 pub mod compile;
 mod dylib;
+mod emit;
 pub mod engine;
 pub mod error;
 pub mod machine;

@@ -14,11 +14,17 @@
 //! * it serialises to a compact byte stream — this is what a *binary* ifunc
 //!   ships in its `.text` section.
 
+use crate::emit::{emit, Program};
 use crate::error::{JitError, Result};
-use tc_bitir::{AtomicOp, BinOp, ScalarType, UnOp, VecOp};
+use tc_bitir::bitcode::{Reader, Writer};
+use tc_bitir::{AtomicOp, BinOp, BitirError, ScalarType, UnOp, VecOp};
 
 /// A machine register index (virtual; the interpreter keeps a flat frame).
 pub type MReg = u32;
+
+/// Cycles of one chunk of a [`MachInst::VecLoop`]: one chunk per `lanes`
+/// elements.
+pub(crate) const VEC_CHUNK_CYCLES: u64 = 2;
 
 /// One lowered machine instruction.
 #[derive(Debug, Clone, PartialEq)]
@@ -198,7 +204,7 @@ impl MachInst {
                     20
                 }
             }
-            MachInst::VecLoop { .. } => 2, // per chunk; engine multiplies by trip count
+            MachInst::VecLoop { .. } => VEC_CHUNK_CYCLES, // and again per chunk run
             MachInst::DataAddr { .. } => 1,
             MachInst::CallLocal { .. } => 4,
             MachInst::CallSym { .. } => 10,
@@ -255,23 +261,67 @@ pub struct DataObject {
 
 /// A fully compiled module: the unit the ORC-like JIT caches and the
 /// execution engine runs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct MachModule {
     /// Module (ifunc library) name.
     pub name: String,
     /// Triple string the module was compiled for.
     pub triple: String,
-    /// Compiled functions.
-    pub functions: Vec<MachFunction>,
+    /// Compiled functions; read through [`MachModule::functions`], because
+    /// the engine runs `program`, emitted from them when the module was made.
+    functions: Vec<MachFunction>,
     /// External symbols referenced by [`MachInst::CallSym`], in index order.
     pub ext_symbols: Vec<String>,
     /// Data objects referenced by [`MachInst::DataAddr`], in index order.
     pub data: Vec<DataObject>,
     /// Shared-library dependencies that must be loadable before execution.
     pub deps: Vec<String>,
+    /// The executable form of `functions` (see [`crate::emit`]).
+    pub(crate) program: Program,
+}
+
+/// Modules are equal when all but their programs are: a program is emitted
+/// from the functions.
+impl PartialEq for MachModule {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.triple == other.triple
+            && self.functions == other.functions
+            && self.ext_symbols == other.ext_symbols
+            && self.data == other.data
+            && self.deps == other.deps
+    }
 }
 
 impl MachModule {
+    /// Make a module: the one constructor, so the compiler's modules and
+    /// the `.text` decoder's are emitted alike.  Fails on code the engine
+    /// could not run (see [`crate::emit`]).
+    pub(crate) fn new(
+        name: String,
+        triple: String,
+        functions: Vec<MachFunction>,
+        ext_symbols: Vec<String>,
+        data: Vec<DataObject>,
+        deps: Vec<String>,
+    ) -> Result<Self> {
+        let program = emit(&functions)?;
+        Ok(MachModule {
+            name,
+            triple,
+            functions,
+            ext_symbols,
+            data,
+            deps,
+            program,
+        })
+    }
+
+    /// Compiled functions, in index order.
+    pub fn functions(&self) -> &[MachFunction] {
+        &self.functions
+    }
+
     /// Find a function index by name.
     pub fn function_index(&self, name: &str) -> Option<u32> {
         self.functions
@@ -289,436 +339,174 @@ impl MachModule {
 
     /// Serialise the module to a compact byte stream.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = tc_bitir::bitcode::Writer::new();
-        w.string(&self.name);
-        w.string(&self.triple);
-        w.varint(self.ext_symbols.len() as u64);
-        for s in &self.ext_symbols {
-            w.string(s);
-        }
-        w.varint(self.deps.len() as u64);
-        for d in &self.deps {
-            w.string(d);
-        }
-        w.varint(self.data.len() as u64);
-        for d in &self.data {
-            w.string(&d.name);
-            w.u8(u8::from(d.mutable));
-            w.bytes(&d.init);
-        }
-        w.varint(self.functions.len() as u64);
-        for f in &self.functions {
-            w.string(&f.name);
-            w.varint(u64::from(f.num_params));
-            w.u8(u8::from(f.has_ret));
-            w.varint(u64::from(f.num_regs));
-            w.varint(f.blocks.len() as u64);
-            for b in &f.blocks {
-                w.varint(b.len() as u64);
-                for inst in b {
-                    encode_inst(&mut w, inst);
-                }
-            }
-        }
+        let mut w = Writer::new();
+        self.name.put(&mut w);
+        self.triple.put(&mut w);
+        self.ext_symbols.put(&mut w);
+        self.deps.put(&mut w);
+        self.data.put(&mut w);
+        self.functions.put(&mut w);
         w.finish()
     }
 
     /// Deserialise a module previously produced by [`MachModule::encode`].
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let mut r = tc_bitir::bitcode::Reader::new(bytes);
-        let map_err = |e: tc_bitir::BitirError| JitError::Decode(e.to_string());
-        let name = r.string().map_err(map_err)?;
-        let triple = r.string().map_err(map_err)?;
-        let nsyms = r.varint().map_err(map_err)? as usize;
-        let mut ext_symbols = Vec::with_capacity(nsyms.min(1024));
-        for _ in 0..nsyms {
-            ext_symbols.push(r.string().map_err(map_err)?);
-        }
-        let ndeps = r.varint().map_err(map_err)? as usize;
-        let mut deps = Vec::with_capacity(ndeps.min(256));
-        for _ in 0..ndeps {
-            deps.push(r.string().map_err(map_err)?);
-        }
-        let ndata = r.varint().map_err(map_err)? as usize;
-        let mut data = Vec::with_capacity(ndata.min(1024));
-        for _ in 0..ndata {
-            let name = r.string().map_err(map_err)?;
-            let mutable = r.u8().map_err(map_err)? != 0;
-            let init = r.bytes().map_err(map_err)?;
-            data.push(DataObject {
-                name,
-                init,
-                mutable,
-            });
-        }
-        let nfuncs = r.varint().map_err(map_err)? as usize;
-        let mut functions = Vec::with_capacity(nfuncs.min(4096));
-        for _ in 0..nfuncs {
-            let name = r.string().map_err(map_err)?;
-            let num_params = r.varint().map_err(map_err)? as u32;
-            let has_ret = r.u8().map_err(map_err)? != 0;
-            let num_regs = r.varint().map_err(map_err)? as u32;
-            let nblocks = r.varint().map_err(map_err)? as usize;
-            let mut blocks = Vec::with_capacity(nblocks.min(4096));
-            for _ in 0..nblocks {
-                let ninsts = r.varint().map_err(map_err)? as usize;
-                let mut insts = Vec::with_capacity(ninsts.min(65536));
-                for _ in 0..ninsts {
-                    insts.push(decode_inst(&mut r).map_err(|e| JitError::Decode(e.to_string()))?);
-                }
-                blocks.push(insts);
-            }
-            functions.push(MachFunction {
-                name,
-                num_params,
-                has_ret,
-                num_regs,
-                blocks,
-            });
-        }
-        Ok(MachModule {
-            name,
-            triple,
-            functions,
-            ext_symbols,
-            data,
-            deps,
-        })
+        let r = &mut Reader::new(bytes);
+        let fields = (|| Ok((get(r)?, get(r)?, get(r)?, get(r)?, get(r)?, get(r)?)))();
+        let (name, triple, ext_symbols, deps, data, functions) =
+            fields.map_err(|e: BitirError| JitError::Decode(e.to_string()))?;
+        MachModule::new(name, triple, functions, ext_symbols, data, deps)
     }
 }
 
-// Machine instruction opcodes for serialization.
-mod mop {
-    pub const IMM: u8 = 1;
-    pub const MOV: u8 = 2;
-    pub const ALU: u8 = 3;
-    pub const ALU_UN: u8 = 4;
-    pub const LD: u8 = 5;
-    pub const ST: u8 = 6;
-    pub const ATOMIC: u8 = 7;
-    pub const VEC_LOOP: u8 = 8;
-    pub const DATA_ADDR: u8 = 9;
-    pub const CALL_LOCAL: u8 = 10;
-    pub const CALL_SYM: u8 = 11;
-    pub const JMP: u8 = 12;
-    pub const JMP_IF: u8 = 13;
-    pub const RET: u8 = 14;
-    pub const TRAP: u8 = 15;
+/// One field of the serialised module: how it is written, and read back.
+trait Field: Sized {
+    fn put(&self, w: &mut Writer);
+    fn get(r: &mut Reader<'_>) -> tc_bitir::Result<Self>;
 }
 
-fn encode_inst(w: &mut tc_bitir::bitcode::Writer, inst: &MachInst) {
-    match inst {
-        MachInst::Imm { dst, ty, bits } => {
-            w.u8(mop::IMM);
-            w.varint(u64::from(*dst));
-            w.u8(ty.tag());
-            w.varint(*bits);
-        }
-        MachInst::Mov { dst, src } => {
-            w.u8(mop::MOV);
-            w.varint(u64::from(*dst));
-            w.varint(u64::from(*src));
-        }
-        MachInst::Alu {
-            op,
-            ty,
-            dst,
-            lhs,
-            rhs,
-        } => {
-            w.u8(mop::ALU);
-            w.u8(op.tag());
-            w.u8(ty.tag());
-            w.varint(u64::from(*dst));
-            w.varint(u64::from(*lhs));
-            w.varint(u64::from(*rhs));
-        }
-        MachInst::AluUn { op, ty, dst, src } => {
-            w.u8(mop::ALU_UN);
-            w.u8(op.tag());
-            w.u8(ty.tag());
-            w.varint(u64::from(*dst));
-            w.varint(u64::from(*src));
-        }
-        MachInst::Ld {
-            ty,
-            dst,
-            addr,
-            offset,
-        } => {
-            w.u8(mop::LD);
-            w.u8(ty.tag());
-            w.varint(u64::from(*dst));
-            w.varint(u64::from(*addr));
-            w.svarint(*offset);
-        }
-        MachInst::St {
-            ty,
-            src,
-            addr,
-            offset,
-        } => {
-            w.u8(mop::ST);
-            w.u8(ty.tag());
-            w.varint(u64::from(*src));
-            w.varint(u64::from(*addr));
-            w.svarint(*offset);
-        }
-        MachInst::AtomicRmw {
-            op,
-            ty,
-            dst,
-            addr,
-            src,
-            expected,
-            lse,
-        } => {
-            w.u8(mop::ATOMIC);
-            w.u8(op.tag());
-            w.u8(ty.tag());
-            w.varint(u64::from(*dst));
-            w.varint(u64::from(*addr));
-            w.varint(u64::from(*src));
-            w.varint(u64::from(*expected));
-            w.u8(u8::from(*lse));
-        }
-        MachInst::VecLoop {
-            op,
-            ty,
-            dst_addr,
-            a_addr,
-            b_addr,
-            count,
-            lanes,
-        } => {
-            w.u8(mop::VEC_LOOP);
-            w.u8(op.tag());
-            w.u8(ty.tag());
-            w.varint(u64::from(*dst_addr));
-            w.varint(u64::from(*a_addr));
-            w.varint(u64::from(*b_addr));
-            w.varint(u64::from(*count));
-            w.varint(u64::from(*lanes));
-        }
-        MachInst::DataAddr { dst, data_index } => {
-            w.u8(mop::DATA_ADDR);
-            w.varint(u64::from(*dst));
-            w.varint(u64::from(*data_index));
-        }
-        MachInst::CallLocal {
-            dst,
-            func_index,
-            args,
-        } => {
-            w.u8(mop::CALL_LOCAL);
-            encode_opt_reg(w, dst);
-            w.varint(u64::from(*func_index));
-            w.varint(args.len() as u64);
-            for a in args {
-                w.varint(u64::from(*a));
+fn get<T: Field>(r: &mut Reader<'_>) -> tc_bitir::Result<T> {
+    T::get(r)
+}
+
+/// The scalars, as the bitcode writer and reader encode them: registers,
+/// indices, lane counts and trap codes are `u32` varints, operators and
+/// types their tags.
+macro_rules! scalar {
+    ($($ty:ty => |$w:ident, $v:ident| $put:expr, |$r:ident| $get:expr;)*) => {$(
+        impl Field for $ty {
+            fn put(&self, $w: &mut Writer) {
+                let $v = self;
+                $put
+            }
+            fn get($r: &mut Reader<'_>) -> tc_bitir::Result<Self> {
+                $get
             }
         }
-        MachInst::CallSym {
-            dst,
-            sym_index,
-            args,
-        } => {
-            w.u8(mop::CALL_SYM);
-            encode_opt_reg(w, dst);
-            w.varint(u64::from(*sym_index));
-            w.varint(args.len() as u64);
-            for a in args {
-                w.varint(u64::from(*a));
-            }
-        }
-        MachInst::Jmp { block } => {
-            w.u8(mop::JMP);
-            w.varint(u64::from(*block));
-        }
-        MachInst::JmpIf {
-            cond,
-            then_block,
-            else_block,
-        } => {
-            w.u8(mop::JMP_IF);
-            w.varint(u64::from(*cond));
-            w.varint(u64::from(*then_block));
-            w.varint(u64::from(*else_block));
-        }
-        MachInst::Ret { value } => {
-            w.u8(mop::RET);
-            encode_opt_reg(w, value);
-        }
-        MachInst::Trap { code } => {
-            w.u8(mop::TRAP);
-            w.varint(u64::from(*code));
-        }
-    }
+    )*};
+}
+scalar! {
+    u8 => |w, v| w.u8(*v), |r| r.u8();
+    bool => |w, v| w.u8(u8::from(*v)), |r| Ok(r.u8()? != 0);
+    u32 => |w, v| w.varint(u64::from(*v)), |r| Ok(r.varint()? as u32);
+    u64 => |w, v| w.varint(*v), |r| r.varint();
+    i64 => |w, v| w.svarint(*v), |r| r.svarint();
+    String => |w, v| w.string(v), |r| r.string();
+    ScalarType => |w, v| w.u8(v.tag()), |r| tag(r, ScalarType::from_tag);
+    BinOp => |w, v| w.u8(v.tag()), |r| tag(r, BinOp::from_tag);
+    UnOp => |w, v| w.u8(v.tag()), |r| tag(r, UnOp::from_tag);
+    AtomicOp => |w, v| w.u8(v.tag()), |r| tag(r, AtomicOp::from_tag);
+    VecOp => |w, v| w.u8(v.tag()), |r| tag(r, VecOp::from_tag);
 }
 
-fn encode_opt_reg(w: &mut tc_bitir::bitcode::Writer, reg: &Option<MReg>) {
-    match reg {
-        Some(r) => {
-            w.u8(1);
-            w.varint(u64::from(*r));
-        }
-        None => w.u8(0),
-    }
-}
-
-fn decode_opt_reg(r: &mut tc_bitir::bitcode::Reader<'_>) -> tc_bitir::Result<Option<MReg>> {
-    match r.u8()? {
-        0 => Ok(None),
-        _ => Ok(Some(r.varint()? as MReg)),
-    }
-}
-
-fn decode_scalar(r: &mut tc_bitir::bitcode::Reader<'_>) -> tc_bitir::Result<ScalarType> {
+/// An operator or type, by its one-byte tag.
+fn tag<T>(r: &mut Reader<'_>, from_tag: fn(u8) -> Option<T>) -> tc_bitir::Result<T> {
     let tag = r.u8()?;
-    ScalarType::from_tag(tag)
-        .ok_or_else(|| tc_bitir::BitirError::Decode(format!("bad scalar tag {tag}")))
+    from_tag(tag).ok_or_else(|| BitirError::Decode(format!("bad tag {tag}")))
 }
 
-fn decode_inst(r: &mut tc_bitir::bitcode::Reader<'_>) -> tc_bitir::Result<MachInst> {
-    use tc_bitir::BitirError;
-    let op = r.u8()?;
-    let inst = match op {
-        mop::IMM => MachInst::Imm {
-            dst: r.varint()? as MReg,
-            ty: decode_scalar(r)?,
-            bits: r.varint()?,
-        },
-        mop::MOV => MachInst::Mov {
-            dst: r.varint()? as MReg,
-            src: r.varint()? as MReg,
-        },
-        mop::ALU => {
-            let tag = r.u8()?;
-            let op = BinOp::from_tag(tag)
-                .ok_or_else(|| BitirError::Decode(format!("bad binop {tag}")))?;
-            MachInst::Alu {
-                op,
-                ty: decode_scalar(r)?,
-                dst: r.varint()? as MReg,
-                lhs: r.varint()? as MReg,
-                rhs: r.varint()? as MReg,
-            }
+impl<T: Field> Field for Option<T> {
+    fn put(&self, w: &mut Writer) {
+        self.is_some().put(w);
+        if let Some(v) = self {
+            v.put(w);
         }
-        mop::ALU_UN => {
-            let tag = r.u8()?;
-            let op =
-                UnOp::from_tag(tag).ok_or_else(|| BitirError::Decode(format!("bad unop {tag}")))?;
-            MachInst::AluUn {
-                op,
-                ty: decode_scalar(r)?,
-                dst: r.varint()? as MReg,
-                src: r.varint()? as MReg,
-            }
+    }
+    fn get(r: &mut Reader<'_>) -> tc_bitir::Result<Self> {
+        Ok(if get(r)? { Some(get(r)?) } else { None })
+    }
+}
+
+/// A count, then the elements.
+impl<T: Field> Field for Vec<T> {
+    fn put(&self, w: &mut Writer) {
+        (self.len() as u64).put(w);
+        self.iter().for_each(|v| v.put(w));
+    }
+    fn get(r: &mut Reader<'_>) -> tc_bitir::Result<Self> {
+        let n: u64 = get(r)?;
+        // A hostile count is bounded by the input running out, not by this.
+        let mut out = Vec::with_capacity(n.min(1024) as usize);
+        for _ in 0..n {
+            out.push(get(r)?);
         }
-        mop::LD => MachInst::Ld {
-            ty: decode_scalar(r)?,
-            dst: r.varint()? as MReg,
-            addr: r.varint()? as MReg,
-            offset: r.svarint()?,
-        },
-        mop::ST => MachInst::St {
-            ty: decode_scalar(r)?,
-            src: r.varint()? as MReg,
-            addr: r.varint()? as MReg,
-            offset: r.svarint()?,
-        },
-        mop::ATOMIC => {
-            let tag = r.u8()?;
-            let op = AtomicOp::from_tag(tag)
-                .ok_or_else(|| BitirError::Decode(format!("bad atomic {tag}")))?;
-            MachInst::AtomicRmw {
-                op,
-                ty: decode_scalar(r)?,
-                dst: r.varint()? as MReg,
-                addr: r.varint()? as MReg,
-                src: r.varint()? as MReg,
-                expected: r.varint()? as MReg,
-                lse: r.u8()? != 0,
+        Ok(out)
+    }
+}
+
+/// Structs and enums field by field, in the order listed: an enum's
+/// variants each behind their opcode byte.
+macro_rules! fields {
+    ($ty:ident { $($f:ident),* }) => {
+        impl Field for $ty {
+            fn put(&self, w: &mut Writer) {
+                $(self.$f.put(w);)*
             }
-        }
-        mop::VEC_LOOP => {
-            let tag = r.u8()?;
-            let op = VecOp::from_tag(tag)
-                .ok_or_else(|| BitirError::Decode(format!("bad vecop {tag}")))?;
-            MachInst::VecLoop {
-                op,
-                ty: decode_scalar(r)?,
-                dst_addr: r.varint()? as MReg,
-                a_addr: r.varint()? as MReg,
-                b_addr: r.varint()? as MReg,
-                count: r.varint()? as MReg,
-                lanes: r.varint()? as u32,
+            fn get(r: &mut Reader<'_>) -> tc_bitir::Result<Self> {
+                Ok($ty { $($f: get(r)?),* })
             }
-        }
-        mop::DATA_ADDR => MachInst::DataAddr {
-            dst: r.varint()? as MReg,
-            data_index: r.varint()? as u32,
-        },
-        mop::CALL_LOCAL => {
-            let dst = decode_opt_reg(r)?;
-            let func_index = r.varint()? as u32;
-            let n = r.varint()? as usize;
-            let mut args = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                args.push(r.varint()? as MReg);
-            }
-            MachInst::CallLocal {
-                dst,
-                func_index,
-                args,
-            }
-        }
-        mop::CALL_SYM => {
-            let dst = decode_opt_reg(r)?;
-            let sym_index = r.varint()? as u32;
-            let n = r.varint()? as usize;
-            let mut args = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                args.push(r.varint()? as MReg);
-            }
-            MachInst::CallSym {
-                dst,
-                sym_index,
-                args,
-            }
-        }
-        mop::JMP => MachInst::Jmp {
-            block: r.varint()? as u32,
-        },
-        mop::JMP_IF => MachInst::JmpIf {
-            cond: r.varint()? as MReg,
-            then_block: r.varint()? as u32,
-            else_block: r.varint()? as u32,
-        },
-        mop::RET => MachInst::Ret {
-            value: decode_opt_reg(r)?,
-        },
-        mop::TRAP => MachInst::Trap {
-            code: r.varint()? as u32,
-        },
-        other => {
-            return Err(BitirError::Decode(format!(
-                "unknown machine opcode {other}"
-            )))
         }
     };
-    Ok(inst)
+    ($ty:ident: $($op:literal => $v:ident { $($f:ident),* }),* $(,)?) => {
+        impl Field for $ty {
+            fn put(&self, w: &mut Writer) {
+                match self {
+                    $($ty::$v { $($f),* } => {
+                        w.u8($op);
+                        $($f.put(w);)*
+                    })*
+                }
+            }
+            fn get(r: &mut Reader<'_>) -> tc_bitir::Result<Self> {
+                Ok(match r.u8()? {
+                    $($op => $ty::$v { $($f: get(r)?),* },)*
+                    other => {
+                        return Err(BitirError::Decode(format!("unknown machine opcode {other}")))
+                    }
+                })
+            }
+        }
+    };
 }
+fields!(DataObject {
+    name,
+    mutable,
+    init
+});
+fields!(MachFunction {
+    name,
+    num_params,
+    has_ret,
+    num_regs,
+    blocks
+});
+fields!(MachInst:
+    1 => Imm { dst, ty, bits },
+    2 => Mov { dst, src },
+    3 => Alu { op, ty, dst, lhs, rhs },
+    4 => AluUn { op, ty, dst, src },
+    5 => Ld { ty, dst, addr, offset },
+    6 => St { ty, src, addr, offset },
+    7 => AtomicRmw { op, ty, dst, addr, src, expected, lse },
+    8 => VecLoop { op, ty, dst_addr, a_addr, b_addr, count, lanes },
+    9 => DataAddr { dst, data_index },
+    10 => CallLocal { dst, func_index, args },
+    11 => CallSym { dst, sym_index, args },
+    12 => Jmp { block },
+    13 => JmpIf { cond, then_block, else_block },
+    14 => Ret { value },
+    15 => Trap { code },
+);
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn sample_module() -> MachModule {
-        MachModule {
-            name: "m".into(),
-            triple: "x86_64-xeon-e5-sim".into(),
-            functions: vec![MachFunction {
+        MachModule::new(
+            "m".into(),
+            "x86_64-xeon-e5-sim".into(),
+            vec![MachFunction {
                 name: "main".into(),
                 num_params: 3,
                 has_ret: true,
@@ -768,14 +556,15 @@ mod tests {
                     ],
                 ],
             }],
-            ext_symbols: vec!["tc_return_result".into()],
-            data: vec![DataObject {
+            vec!["tc_return_result".into()],
+            vec![DataObject {
                 name: "lut".into(),
                 init: vec![9, 8, 7],
                 mutable: false,
             }],
-            deps: vec!["libc.so".into()],
-        }
+            vec!["libc.so".into()],
+        )
+        .unwrap()
     }
 
     #[test]
@@ -849,5 +638,34 @@ mod tests {
         assert_eq!(m.function_index("main"), Some(0));
         assert_eq!(m.function_index("missing"), None);
         assert_eq!(m.inst_count(), 7);
+    }
+
+    /// Code the engine could not run — a register outside the frame, a
+    /// branch outside the function, a block not ended by its one terminator,
+    /// a function without blocks — is refused when its `.text` is decoded,
+    /// with a typed error and no panic.
+    #[test]
+    fn malformed_code_is_refused_when_the_module_is_made() {
+        let ret = MachInst::Ret { value: None };
+        let cases: [(&str, Vec<Vec<MachInst>>); 6] = [
+            (
+                "register",
+                vec![vec![MachInst::Mov { dst: 8, src: 0 }, ret.clone()]],
+            ),
+            ("block", vec![vec![MachInst::Jmp { block: 1 }]]),
+            (
+                "no terminator",
+                vec![vec![MachInst::Mov { dst: 1, src: 0 }]],
+            ),
+            ("early terminator", vec![vec![ret.clone(), ret.clone()]]),
+            ("empty block", vec![vec![ret.clone()], vec![]]),
+            ("no blocks", vec![]),
+        ];
+        for (what, blocks) in cases {
+            let mut m = sample_module();
+            m.functions[0].blocks = blocks;
+            let err = MachModule::decode(&m.encode()).unwrap_err();
+            assert!(matches!(err, JitError::Compile(_)), "{what}: {err:?}");
+        }
     }
 }

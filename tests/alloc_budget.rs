@@ -227,8 +227,12 @@ fn the_allocation_count_does_not_grow_with_name_length_or_dependency_count() {
 /// full frame of a five-target archive → `poll` (decode the archive and the
 /// server's slice, compile, register, run) → `take_outgoing` (the result's
 /// PUT back to the client).  It was 63 while the JIT session kept its own
-/// name-keyed copy of every module beside the registration table.
-const FIRST_ARRIVAL: u64 = 61;
+/// name-keyed copy of every module beside the registration table, and 61
+/// until the verifier stopped collecting each instruction's operands into a
+/// vector of their own (19 fewer) and the compiler began emitting the
+/// engine's executable form with the machine code (3 more: its code,
+/// function entries and call arguments).
+const FIRST_ARRIVAL: u64 = 45;
 
 #[test]
 fn a_bitcode_first_arrival_allocates_what_it_did() {

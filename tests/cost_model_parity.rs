@@ -7,14 +7,15 @@
 //! they were; this suite pins them for the kernels the paper's workloads
 //! run, through both the by-name API and the resolved entry point.
 
-use tc_bitir::{lower_for_target, Module, ModuleBuilder, TargetTriple};
+use tc_bitir::{lower_for_target, FuncId, Module, ModuleBuilder, TargetTriple};
 use tc_core::layout::{DATA_REGION_BASE, PAYLOAD_STAGING_BASE, TARGET_REGION_BASE};
 use tc_core::{
     build_ifunc_library, CoreError, NodeRuntime, OutcomeKind, ProcessOutcome, ToolchainOptions,
 };
 use tc_jit::{
-    compile_module, lower_and_compile, CompileOptions, Engine, ExecOutcome, ExternalHost, JitError,
-    MaterializedModule, Memory, MemoryExt, NoExternals, OrcJit, SparseMemory, VecMemory,
+    compile_module, lower_and_compile, CompileOptions, Engine, ExecLimits, ExecOutcome,
+    ExternalHost, JitError, MaterializedModule, Memory, MemoryExt, NoExternals, OrcJit,
+    SparseMemory, VecMemory,
 };
 use tc_ucx::{Bytes, OutgoingMessage, RequestId, UcpOp, WorkerAddr};
 use tc_workloads::{chaser_module, chaser_payload, tsi_module};
@@ -68,6 +69,71 @@ fn a_chaser_hop_costs_what_it_cost() {
         .run_index(module, entry, &args, &[], &mut mem, &mut HopHost)
         .unwrap();
     assert_eq!(resolved, expected);
+}
+
+/// The chaser with its `main` renamed `chase` and called from a new `main`:
+/// one local call around the hop.
+fn chaser_behind_a_call() -> Module {
+    let mut module = chaser_module("called_chaser");
+    module.functions[0].name = "chase".into();
+    let mut mb = ModuleBuilder::new("wrapper");
+    {
+        let mut f = mb.entry_function();
+        let args = (0..3).map(|i| f.param(i)).collect();
+        let chased = f.call(FuncId(0), args, true).unwrap();
+        f.ret(chased);
+        f.finish();
+    }
+    module.functions.extend(mb.build().functions);
+    module
+}
+
+/// Fuel that runs out inside a block, inside a callee, and at the caller's
+/// return after it stops the chaser exactly where one instruction at a time
+/// stops it: a block is charged on entry only when the fuel left covers it,
+/// and its charge is split at a local call.
+#[test]
+fn the_chaser_runs_out_of_fuel_where_it_did() {
+    let compile = |module: &Module| {
+        let lowered = lower_for_target(module, XEON).unwrap();
+        compile_module(&lowered, CompileOptions::default()).unwrap()
+    };
+    let (direct, called) = (
+        compile(&chaser_module("c")),
+        compile(&chaser_behind_a_call()),
+    );
+    let payload = chaser_payload::encode(0, 0, 0, 1, 1, 4096);
+    let mut mem = SparseMemory::new();
+    mem.write_u64(DATA_REGION_BASE, 17).unwrap();
+    mem.write(PAYLOAD_STAGING_BASE, &payload).unwrap();
+    let args = [
+        PAYLOAD_STAGING_BASE,
+        payload.len() as u64,
+        TARGET_REGION_BASE,
+    ];
+    let run = |module: &tc_jit::Compiled, fuel: u64, mem: &mut SparseMemory| {
+        let limits = ExecLimits {
+            fuel,
+            ..ExecLimits::default()
+        };
+        Engine { limits }.run(&module.module, "main", &args, &[], mem, &mut HopHost)
+    };
+    // Inside the chaser's first block, which holds 13 instructions.
+    let mid_block = run(&direct, 5, &mut mem);
+    assert_eq!(mid_block, Err(JitError::OutOfFuel { executed: 5 }));
+    // The call, then 9 of the callee's first block.
+    let in_callee = run(&called, 10, &mut mem);
+    assert_eq!(in_callee, Err(JitError::OutOfFuel { executed: 10 }));
+    // The call and the whole hop, but not the caller's return.
+    let at_return = run(&called, 32, &mut mem);
+    assert_eq!(at_return, Err(JitError::OutOfFuel { executed: 32 }));
+    let whole = run(&called, 33, &mut mem).unwrap();
+    let expected = ExecOutcome {
+        return_value: 0,
+        insts_retired: 33,
+        cycles: 111 + 4 + 2,
+    };
+    assert_eq!(whole, expected);
 }
 
 #[test]
