@@ -1,14 +1,26 @@
-//! Bitcode: the compact binary encoding of an IR module.
+//! Bitcode: the compact binary encoding of an IR module, and the one codec
+//! of shipped code.
 //!
 //! This is the reproduction's analogue of LLVM bitcode: the serialized form
 //! of a module that is placed in the `BITCODE` field of an ifunc message
 //! frame (Figure 3 of the paper), shipped over the fabric and decoded /
 //! JIT-compiled on the target process.
 //!
-//! The format is deliberately simple (magic, version, then LEB128-style
-//! varint-encoded structures) but its *size behaviour* matters for the
-//! reproduction: bitcode is several kilobytes even for a trivial kernel,
-//! which is exactly what makes the paper's caching protocol worthwhile.
+//! Every shipped format — a bitcode module here, a fat-bitcode archive
+//! ([`crate::fat`]) and a binary ifunc's `.text` (`tc-jit`'s `machine`) — is
+//! a *field table*: [`fields!`] lists a type's fields, and its encoding is
+//! theirs in that order, an enum variant's behind its opcode byte.  Integers
+//! are LEB128 varints (signed ones zigzagged), operators and types their
+//! one-byte tags, a `bool` or an `Option` a 0/1 flag, a `Vec` a count and
+//! its elements (bytes as one run), a string its UTF-8 bytes.  Each
+//! [`Reader`] primitive answers `None` when the input runs out or holds no
+//! valid value — a register varint past `u32`, a flag of 2 — and a format
+//! turns that into one [`BitirError::Decode`] naming itself and the offset.
+//!
+//! The format is deliberately simple, but its *size behaviour* matters for
+//! the reproduction: bitcode is several kilobytes even for a trivial kernel,
+//! which is exactly what makes the paper's caching protocol worthwhile.  The
+//! bulk is metadata padding, written as a run of zeros and skipped unread.
 
 use crate::error::{BitirError, Result};
 use crate::ir::{
@@ -32,79 +44,56 @@ pub const PER_FUNCTION_METADATA_BYTES: usize = 700;
 /// Fixed module-level metadata overhead (target datalayout, module flags…).
 pub const MODULE_METADATA_BYTES: usize = 1_600;
 
-// ---------------------------------------------------------------------------
-// Writer / reader primitives
-// ---------------------------------------------------------------------------
-
-/// Byte-stream writer used by the encoder.
-#[derive(Debug, Default)]
-pub struct Writer {
-    buf: Vec<u8>,
+/// Encode a module into bitcode bytes.
+pub fn encode_module(module: &Module) -> Vec<u8> {
+    encode_framed(BITCODE_MAGIC, BITCODE_VERSION, module)
 }
 
-impl Writer {
-    /// New empty writer.
-    pub fn new() -> Self {
-        Writer { buf: Vec::new() }
-    }
+/// Decode bitcode bytes back into a module.
+pub fn decode_module(bytes: &[u8]) -> Result<Module> {
+    decode_framed(bytes, BITCODE_MAGIC, BITCODE_VERSION, "bitcode")
+}
 
-    /// Append a single byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
+/// `value` behind a magic and a version.
+pub(crate) fn encode_framed<T: Field>(magic: [u8; 4], version: u16, value: &T) -> Vec<u8> {
+    // A module is a few KiB, most of it padding: one allocation holds it.
+    let mut w = Vec::with_capacity(4096);
+    w.extend_from_slice(&magic);
+    w.extend_from_slice(&version.to_le_bytes());
+    value.put(&mut w);
+    w
+}
 
-    /// Append a little-endian u16.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+/// Read what [`encode_framed`] wrote; a wrong magic or version has its own
+/// message, anything else malformed is one error at its offset.
+pub(crate) fn decode_framed<T: Field>(
+    bytes: &[u8],
+    magic: [u8; 4],
+    version: u16,
+    format: &str,
+) -> Result<T> {
+    let r = &mut Reader::new(bytes);
+    let found = r.take(4).ok_or_else(|| r.error(format))?;
+    if found != magic {
+        return Err(BitirError::Decode(format!(
+            "bad {format} magic {found:02x?}, expected {magic:02x?}"
+        )));
     }
-
-    /// Append an unsigned LEB128 varint.
-    pub fn varint(&mut self, mut v: u64) {
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.buf.push(byte);
-                break;
-            }
-            self.buf.push(byte | 0x80);
-        }
-    }
-
-    /// Append a signed integer using zigzag + varint encoding.
-    pub fn svarint(&mut self, v: i64) {
-        let zigzag = ((v << 1) ^ (v >> 63)) as u64;
-        self.varint(zigzag);
-    }
-
-    /// Append a length-prefixed byte slice.
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.varint(b.len() as u64);
-        self.buf.extend_from_slice(b);
-    }
-
-    /// Append a length-prefixed UTF-8 string.
-    pub fn string(&mut self, s: &str) {
-        self.bytes(s.as_bytes());
-    }
-
-    /// Consume the writer and return the bytes.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+    match r.u16() {
+        Some(v) if v == version => T::get(r).ok_or_else(|| r.error(format)),
+        Some(v) => Err(BitirError::Decode(format!(
+            "unsupported {format} version {v} (expected {version})"
+        ))),
+        None => Err(r.error(format)),
     }
 }
 
-/// Byte-stream reader used by the decoder.
+// ---------------------------------------------------------------------------
+// The reader and the field trait
+// ---------------------------------------------------------------------------
+
+/// A checked cursor over shipped bytes: every primitive answers `None` past
+/// the end, and never panics.
 #[derive(Debug)]
 pub struct Reader<'a> {
     buf: &'a [u8],
@@ -117,590 +106,313 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
-    fn err(&self, msg: &str) -> BitirError {
-        BitirError::Decode(format!("{msg} at offset {}", self.pos))
+    /// Bytes consumed so far.
+    pub fn offset(&self) -> usize {
+        self.pos
     }
 
-    /// Read a single byte.
-    pub fn u8(&mut self) -> Result<u8> {
-        let b = *self
-            .buf
-            .get(self.pos)
-            .ok_or_else(|| self.err("unexpected end of stream"))?;
+    /// Bytes left.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// The one decode error of `format`, at the current offset.
+    fn error(&self, format: &str) -> BitirError {
+        BitirError::Decode(format!("malformed {format} at offset {}", self.pos))
+    }
+
+    /// The next `n` bytes.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let run = self.buf.get(self.pos..self.pos.checked_add(n)?)?;
+        self.pos += n;
+        Some(run)
+    }
+
+    /// One byte.
+    #[inline]
+    pub fn u8(&mut self) -> Option<u8> {
+        let b = *self.buf.get(self.pos)?;
         self.pos += 1;
-        Ok(b)
+        Some(b)
     }
 
-    /// Read a little-endian u16.
-    pub fn u16(&mut self) -> Result<u16> {
-        let lo = self.u8()?;
-        let hi = self.u8()?;
-        Ok(u16::from_le_bytes([lo, hi]))
+    /// A little-endian `u16`.
+    #[inline]
+    pub fn u16(&mut self) -> Option<u16> {
+        Some(u16::from_le_bytes(self.take(2)?.try_into().ok()?))
     }
 
-    /// Read an unsigned LEB128 varint.
-    pub fn varint(&mut self) -> Result<u64> {
-        let mut result: u64 = 0;
-        let mut shift = 0u32;
+    /// An unsigned LEB128 varint of at most ten bytes.
+    #[inline]
+    pub fn varint(&mut self) -> Option<u64> {
+        let (mut v, mut shift) = (0u64, 0u32);
         loop {
-            let byte = self.u8()?;
+            let b = self.u8()?;
             if shift >= 64 {
-                return Err(self.err("varint too long"));
+                return None;
             }
-            result |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(result);
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return Some(v);
             }
             shift += 7;
         }
     }
 
-    /// Read a zigzag-encoded signed varint.
-    pub fn svarint(&mut self) -> Result<i64> {
-        let zigzag = self.varint()?;
-        Ok(((zigzag >> 1) as i64) ^ -((zigzag & 1) as i64))
+    /// A zigzag-encoded signed varint.
+    #[inline]
+    pub fn svarint(&mut self) -> Option<i64> {
+        let z = self.varint()?;
+        Some((z >> 1) as i64 ^ -((z & 1) as i64))
     }
 
-    /// Read a length-prefixed byte vector (with a sanity bound).
-    pub fn bytes(&mut self) -> Result<Vec<u8>> {
-        let len = self.varint()? as usize;
-        if len > self.buf.len().saturating_sub(self.pos) {
-            return Err(self.err("byte string length exceeds remaining input"));
+    /// Skip a run of `len` bytes of metadata padding without reading it.
+    #[inline]
+    pub fn skip_padding(&mut self, len: usize) -> Option<()> {
+        if self.varint()? != len as u64 {
+            return None;
         }
-        let out = self.buf[self.pos..self.pos + len].to_vec();
-        self.pos += len;
-        Ok(out)
+        self.take(len).map(drop)
+    }
+}
+
+/// One field of a shipped format: how it is written, and read back.
+pub trait Field: Sized {
+    /// Append the encoding to `w`.
+    fn put(&self, w: &mut Vec<u8>);
+
+    /// Read one back: `None` when the input runs out or holds no valid value.
+    fn get(r: &mut Reader<'_>) -> Option<Self>;
+
+    /// Append the elements of a `Vec` after its count, one by one unless
+    /// the type writes a run at once.
+    #[inline]
+    fn put_run(run: &[Self], w: &mut Vec<u8>) {
+        run.iter().for_each(|v| v.put(w));
     }
 
-    /// Read a length-prefixed UTF-8 string.
-    pub fn string(&mut self) -> Result<String> {
-        let bytes = self.bytes()?;
-        String::from_utf8(bytes).map_err(|_| self.err("invalid UTF-8 in string"))
-    }
-
-    /// True when the whole input has been consumed.
-    pub fn at_end(&self) -> bool {
-        self.pos >= self.buf.len()
-    }
-
-    /// Skip `n` bytes.
-    pub fn skip(&mut self, n: usize) -> Result<()> {
-        if self.buf.len().saturating_sub(self.pos) < n {
-            return Err(self.err("skip past end of stream"));
+    /// Read the `n` elements of a `Vec`.
+    #[inline]
+    fn get_run(n: usize, r: &mut Reader<'_>) -> Option<Vec<Self>> {
+        // Every field takes at least a byte: a hostile count is bounded by
+        // the input left.
+        let mut out = Vec::with_capacity(n.min(r.remaining()));
+        for _ in 0..n {
+            out.push(Self::get(r)?);
         }
-        self.pos += n;
-        Ok(())
+        Some(out)
     }
+}
+
+/// A byte; a run of them is one copy.
+impl Field for u8 {
+    #[inline]
+    fn put(&self, w: &mut Vec<u8>) {
+        w.push(*self);
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        r.u8()
+    }
+    #[inline]
+    fn put_run(run: &[u8], w: &mut Vec<u8>) {
+        w.extend_from_slice(run);
+    }
+    #[inline]
+    fn get_run(n: usize, r: &mut Reader<'_>) -> Option<Vec<u8>> {
+        r.take(n).map(<[u8]>::to_vec)
+    }
+}
+
+/// A count, then the elements.
+impl<T: Field> Field for Vec<T> {
+    #[inline]
+    fn put(&self, w: &mut Vec<u8>) {
+        (self.len() as u64).put(w);
+        T::put_run(self, w);
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        let n = usize::try_from(r.varint()?).ok()?;
+        T::get_run(n, r)
+    }
+}
+
+/// A 0/1 flag, then the value if there is one.
+impl<T: Field> Field for Option<T> {
+    #[inline]
+    fn put(&self, w: &mut Vec<u8>) {
+        self.is_some().put(w);
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        match bool::get(r)? {
+            true => T::get(r).map(Some),
+            false => Some(None),
+        }
+    }
+}
+
+/// Scalars written by hand.
+macro_rules! scalar {
+    ($($ty:ty => |$w:ident, $v:ident| $put:expr, |$r:ident| $get:expr;)*) => {$(
+        impl Field for $ty {
+            #[inline]
+            fn put(&self, $w: &mut Vec<u8>) {
+                let $v = self;
+                $put
+            }
+            #[inline]
+            fn get($r: &mut Reader<'_>) -> Option<Self> {
+                $get
+            }
+        }
+    )*};
+}
+scalar! {
+    bool => |w, v| w.push(u8::from(*v)), |r| match r.u8()? {
+        0 => Some(false),
+        1 => Some(true),
+        _ => None,
+    };
+    u64 => |w, v| {
+        let mut v = *v;
+        while v >= 0x80 {
+            w.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        w.push(v as u8);
+    }, |r| r.varint();
+    u32 => |w, v| u64::from(*v).put(w), |r| u32::try_from(r.varint()?).ok();
+    i64 => |w, v| (((*v << 1) ^ (*v >> 63)) as u64).put(w), |r| r.svarint();
+    String => |w, v| {
+        (v.len() as u64).put(w);
+        w.extend_from_slice(v.as_bytes());
+    }, |r| {
+        let n = usize::try_from(r.varint()?).ok()?;
+        std::str::from_utf8(r.take(n)?).ok().map(str::to_owned)
+    };
+}
+
+/// Operators, types and target parts, by their one-byte tags.
+macro_rules! by_tag {
+    ($($ty:ty),*) => {$(
+        impl Field for $ty {
+            #[inline]
+            fn put(&self, w: &mut Vec<u8>) {
+                w.push(self.tag());
+            }
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> Option<Self> {
+                Self::from_tag(r.u8()?)
+            }
+        }
+    )*};
+}
+by_tag!(ScalarType, BinOp, UnOp, AtomicOp, VecOp, Isa, Microarch, VectorExt, AtomicsExt);
+
+/// The field table of a struct — `fields!(Ty { a, b })`, tuple fields by
+/// index, then optionally `pad N` bytes of metadata padding — or of an
+/// enum, each variant behind its opcode byte: `fields!(Ty: 1 => V { a }, …)`.
+#[macro_export]
+macro_rules! fields {
+    ($ty:ident { $($f:tt),* } $(pad $pad:expr)?) => {
+        impl $crate::bitcode::Field for $ty {
+            #[inline]
+            fn put(&self, w: &mut Vec<u8>) {
+                $($crate::bitcode::Field::put(&self.$f, w);)*
+                $(
+                    $crate::bitcode::Field::put(&($pad as u64), w);
+                    w.resize(w.len() + $pad, 0);
+                )?
+            }
+            #[inline]
+            fn get(r: &mut $crate::bitcode::Reader<'_>) -> Option<Self> {
+                let v = $ty { $($f: $crate::bitcode::Field::get(r)?),* };
+                $(r.skip_padding($pad)?;)?
+                Some(v)
+            }
+        }
+    };
+    ($ty:ident: $($op:literal => $v:ident { $($f:ident),* }),* $(,)?) => {
+        impl $crate::bitcode::Field for $ty {
+            #[inline]
+            fn put(&self, w: &mut Vec<u8>) {
+                match self {
+                    $($ty::$v { $($f),* } => {
+                        w.push($op);
+                        $($crate::bitcode::Field::put($f, w);)*
+                    })*
+                }
+            }
+            #[inline]
+            fn get(r: &mut $crate::bitcode::Reader<'_>) -> Option<Self> {
+                Some(match r.u8()? {
+                    $($op => $ty::$v { $($f: $crate::bitcode::Field::get(r)?),* },)*
+                    _ => return None,
+                })
+            }
+        }
+    };
 }
 
 // ---------------------------------------------------------------------------
-// Instruction opcodes
+// The bitcode tables
 // ---------------------------------------------------------------------------
 
-mod opcode {
-    pub const CONST: u8 = 1;
-    pub const MOVE: u8 = 2;
-    pub const BIN: u8 = 3;
-    pub const UN: u8 = 4;
-    pub const LOAD: u8 = 5;
-    pub const STORE: u8 = 6;
-    pub const ATOMIC: u8 = 7;
-    pub const VEC: u8 = 8;
-    pub const GLOBAL_ADDR: u8 = 9;
-    pub const CALL: u8 = 10;
-    pub const CALL_EXT: u8 = 11;
-    pub const BR: u8 = 12;
-    pub const BR_IF: u8 = 13;
-    pub const RET: u8 = 14;
-    pub const TRAP: u8 = 15;
-}
-
-fn encode_inst(w: &mut Writer, inst: &Inst) {
-    match inst {
-        Inst::Const { dst, ty, bits } => {
-            w.u8(opcode::CONST);
-            w.varint(u64::from(dst.0));
-            w.u8(ty.tag());
-            w.varint(*bits);
-        }
-        Inst::Move { dst, src } => {
-            w.u8(opcode::MOVE);
-            w.varint(u64::from(dst.0));
-            w.varint(u64::from(src.0));
-        }
-        Inst::Bin {
-            op,
-            ty,
-            dst,
-            lhs,
-            rhs,
-        } => {
-            w.u8(opcode::BIN);
-            w.u8(op.tag());
-            w.u8(ty.tag());
-            w.varint(u64::from(dst.0));
-            w.varint(u64::from(lhs.0));
-            w.varint(u64::from(rhs.0));
-        }
-        Inst::Un { op, ty, dst, src } => {
-            w.u8(opcode::UN);
-            w.u8(op.tag());
-            w.u8(ty.tag());
-            w.varint(u64::from(dst.0));
-            w.varint(u64::from(src.0));
-        }
-        Inst::Load {
-            ty,
-            dst,
-            addr,
-            offset,
-        } => {
-            w.u8(opcode::LOAD);
-            w.u8(ty.tag());
-            w.varint(u64::from(dst.0));
-            w.varint(u64::from(addr.0));
-            w.svarint(*offset);
-        }
-        Inst::Store {
-            ty,
-            src,
-            addr,
-            offset,
-        } => {
-            w.u8(opcode::STORE);
-            w.u8(ty.tag());
-            w.varint(u64::from(src.0));
-            w.varint(u64::from(addr.0));
-            w.svarint(*offset);
-        }
-        Inst::Atomic {
-            op,
-            ty,
-            dst,
-            addr,
-            src,
-            expected,
-        } => {
-            w.u8(opcode::ATOMIC);
-            w.u8(op.tag());
-            w.u8(ty.tag());
-            w.varint(u64::from(dst.0));
-            w.varint(u64::from(addr.0));
-            w.varint(u64::from(src.0));
-            w.varint(u64::from(expected.0));
-        }
-        Inst::Vec {
-            op,
-            ty,
-            dst_addr,
-            a_addr,
-            b_addr,
-            count,
-        } => {
-            w.u8(opcode::VEC);
-            w.u8(op.tag());
-            w.u8(ty.tag());
-            w.varint(u64::from(dst_addr.0));
-            w.varint(u64::from(a_addr.0));
-            w.varint(u64::from(b_addr.0));
-            w.varint(u64::from(count.0));
-        }
-        Inst::GlobalAddr { dst, global } => {
-            w.u8(opcode::GLOBAL_ADDR);
-            w.varint(u64::from(dst.0));
-            w.varint(u64::from(global.0));
-        }
-        Inst::Call { dst, func, args } => {
-            w.u8(opcode::CALL);
-            encode_opt_reg(w, dst);
-            w.varint(u64::from(func.0));
-            w.varint(args.len() as u64);
-            for a in args {
-                w.varint(u64::from(a.0));
-            }
-        }
-        Inst::CallExt { dst, sym, args } => {
-            w.u8(opcode::CALL_EXT);
-            encode_opt_reg(w, dst);
-            w.varint(u64::from(sym.0));
-            w.varint(args.len() as u64);
-            for a in args {
-                w.varint(u64::from(a.0));
-            }
-        }
-        Inst::Br { target } => {
-            w.u8(opcode::BR);
-            w.varint(u64::from(target.0));
-        }
-        Inst::BrIf {
-            cond,
-            then_blk,
-            else_blk,
-        } => {
-            w.u8(opcode::BR_IF);
-            w.varint(u64::from(cond.0));
-            w.varint(u64::from(then_blk.0));
-            w.varint(u64::from(else_blk.0));
-        }
-        Inst::Ret { value } => {
-            w.u8(opcode::RET);
-            encode_opt_reg(w, value);
-        }
-        Inst::Trap { code } => {
-            w.u8(opcode::TRAP);
-            w.varint(u64::from(*code));
-        }
+/// A triple is its two tags, and must be a consistent pair.
+impl Field for TargetTriple {
+    #[inline]
+    fn put(&self, w: &mut Vec<u8>) {
+        self.isa.put(w);
+        self.march.put(w);
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        TargetTriple::new(Isa::get(r)?, Microarch::get(r)?)
     }
 }
 
-fn encode_opt_reg(w: &mut Writer, reg: &Option<Reg>) {
-    match reg {
-        Some(r) => {
-            w.u8(1);
-            w.varint(u64::from(r.0));
-        }
-        None => w.u8(0),
-    }
-}
-
-fn decode_opt_reg(r: &mut Reader<'_>) -> Result<Option<Reg>> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(Reg(r.varint()? as u32))),
-        _ => Err(BitirError::Decode("invalid optional-register flag".into())),
-    }
-}
-
-fn decode_scalar(r: &mut Reader<'_>) -> Result<ScalarType> {
-    let tag = r.u8()?;
-    ScalarType::from_tag(tag).ok_or_else(|| BitirError::Decode(format!("invalid type tag {tag}")))
-}
-
-fn decode_inst(r: &mut Reader<'_>) -> Result<Inst> {
-    let op = r.u8()?;
-    let inst = match op {
-        opcode::CONST => Inst::Const {
-            dst: Reg(r.varint()? as u32),
-            ty: decode_scalar(r)?,
-            bits: r.varint()?,
-        },
-        opcode::MOVE => Inst::Move {
-            dst: Reg(r.varint()? as u32),
-            src: Reg(r.varint()? as u32),
-        },
-        opcode::BIN => {
-            let tag = r.u8()?;
-            let op = BinOp::from_tag(tag)
-                .ok_or_else(|| BitirError::Decode(format!("invalid binop tag {tag}")))?;
-            Inst::Bin {
-                op,
-                ty: decode_scalar(r)?,
-                dst: Reg(r.varint()? as u32),
-                lhs: Reg(r.varint()? as u32),
-                rhs: Reg(r.varint()? as u32),
-            }
-        }
-        opcode::UN => {
-            let tag = r.u8()?;
-            let op = UnOp::from_tag(tag)
-                .ok_or_else(|| BitirError::Decode(format!("invalid unop tag {tag}")))?;
-            Inst::Un {
-                op,
-                ty: decode_scalar(r)?,
-                dst: Reg(r.varint()? as u32),
-                src: Reg(r.varint()? as u32),
-            }
-        }
-        opcode::LOAD => Inst::Load {
-            ty: decode_scalar(r)?,
-            dst: Reg(r.varint()? as u32),
-            addr: Reg(r.varint()? as u32),
-            offset: r.svarint()?,
-        },
-        opcode::STORE => Inst::Store {
-            ty: decode_scalar(r)?,
-            src: Reg(r.varint()? as u32),
-            addr: Reg(r.varint()? as u32),
-            offset: r.svarint()?,
-        },
-        opcode::ATOMIC => {
-            let tag = r.u8()?;
-            let op = AtomicOp::from_tag(tag)
-                .ok_or_else(|| BitirError::Decode(format!("invalid atomic tag {tag}")))?;
-            Inst::Atomic {
-                op,
-                ty: decode_scalar(r)?,
-                dst: Reg(r.varint()? as u32),
-                addr: Reg(r.varint()? as u32),
-                src: Reg(r.varint()? as u32),
-                expected: Reg(r.varint()? as u32),
-            }
-        }
-        opcode::VEC => {
-            let tag = r.u8()?;
-            let op = VecOp::from_tag(tag)
-                .ok_or_else(|| BitirError::Decode(format!("invalid vecop tag {tag}")))?;
-            Inst::Vec {
-                op,
-                ty: decode_scalar(r)?,
-                dst_addr: Reg(r.varint()? as u32),
-                a_addr: Reg(r.varint()? as u32),
-                b_addr: Reg(r.varint()? as u32),
-                count: Reg(r.varint()? as u32),
-            }
-        }
-        opcode::GLOBAL_ADDR => Inst::GlobalAddr {
-            dst: Reg(r.varint()? as u32),
-            global: GlobalId(r.varint()? as u32),
-        },
-        opcode::CALL => {
-            let dst = decode_opt_reg(r)?;
-            let func = FuncId(r.varint()? as u32);
-            let n = r.varint()? as usize;
-            let mut args = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                args.push(Reg(r.varint()? as u32));
-            }
-            Inst::Call { dst, func, args }
-        }
-        opcode::CALL_EXT => {
-            let dst = decode_opt_reg(r)?;
-            let sym = ExtSymId(r.varint()? as u32);
-            let n = r.varint()? as usize;
-            let mut args = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                args.push(Reg(r.varint()? as u32));
-            }
-            Inst::CallExt { dst, sym, args }
-        }
-        opcode::BR => Inst::Br {
-            target: BlockId(r.varint()? as u32),
-        },
-        opcode::BR_IF => Inst::BrIf {
-            cond: Reg(r.varint()? as u32),
-            then_blk: BlockId(r.varint()? as u32),
-            else_blk: BlockId(r.varint()? as u32),
-        },
-        opcode::RET => Inst::Ret {
-            value: decode_opt_reg(r)?,
-        },
-        opcode::TRAP => Inst::Trap {
-            code: r.varint()? as u32,
-        },
-        other => return Err(BitirError::Decode(format!("unknown opcode {other}"))),
-    };
-    Ok(inst)
-}
-
-fn encode_function(w: &mut Writer, f: &Function) {
-    w.string(&f.name);
-    w.varint(f.params.len() as u64);
-    for p in &f.params {
-        w.u8(p.tag());
-    }
-    match f.ret {
-        Some(t) => {
-            w.u8(1);
-            w.u8(t.tag());
-        }
-        None => w.u8(0),
-    }
-    w.varint(u64::from(f.num_regs));
-    w.varint(f.blocks.len() as u64);
-    for b in &f.blocks {
-        w.varint(b.insts.len() as u64);
-        for i in &b.insts {
-            encode_inst(w, i);
-        }
-    }
-    // Fixed metadata padding, modelling LLVM's per-function attribute and
-    // debug-info overhead; zero bytes so the stream stays deterministic.
-    w.bytes(&vec![0u8; PER_FUNCTION_METADATA_BYTES]);
-}
-
-fn decode_function(r: &mut Reader<'_>) -> Result<Function> {
-    let name = r.string()?;
-    let nparams = r.varint()? as usize;
-    let mut params = Vec::with_capacity(nparams.min(64));
-    for _ in 0..nparams {
-        params.push(decode_scalar(r)?);
-    }
-    let ret = match r.u8()? {
-        0 => None,
-        1 => Some(decode_scalar(r)?),
-        _ => return Err(BitirError::Decode("invalid return-type flag".into())),
-    };
-    let num_regs = r.varint()? as u32;
-    let nblocks = r.varint()? as usize;
-    let mut blocks = Vec::with_capacity(nblocks.min(1024));
-    for _ in 0..nblocks {
-        let ninsts = r.varint()? as usize;
-        let mut insts = Vec::with_capacity(ninsts.min(4096));
-        for _ in 0..ninsts {
-            insts.push(decode_inst(r)?);
-        }
-        blocks.push(Block { insts });
-    }
-    let _metadata = r.bytes()?;
-    Ok(Function {
-        name,
-        params,
-        ret,
-        num_regs,
-        blocks,
-    })
-}
-
-fn encode_triple(w: &mut Writer, t: &TargetTriple) {
-    w.u8(t.isa.tag());
-    w.u8(t.march.tag());
-}
-
-fn decode_triple(r: &mut Reader<'_>) -> Result<TargetTriple> {
-    let isa_tag = r.u8()?;
-    let march_tag = r.u8()?;
-    let isa = Isa::from_tag(isa_tag)
-        .ok_or_else(|| BitirError::Decode(format!("bad ISA tag {isa_tag}")))?;
-    let march = Microarch::from_tag(march_tag)
-        .ok_or_else(|| BitirError::Decode(format!("bad microarch tag {march_tag}")))?;
-    TargetTriple::new(isa, march)
-        .ok_or_else(|| BitirError::Decode("inconsistent ISA/microarch pair".into()))
-}
-
-/// Encode a module into bitcode bytes.
-pub fn encode_module(module: &Module) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.buf_extend(&BITCODE_MAGIC);
-    w.u16(BITCODE_VERSION);
-    w.string(&module.name);
-    match &module.triple {
-        Some(t) => {
-            w.u8(1);
-            encode_triple(&mut w, t);
-        }
-        None => w.u8(0),
-    }
-    match &module.lower_info {
-        Some(li) => {
-            w.u8(1);
-            w.u8(li.vector.tag());
-            w.u8(li.atomics.tag());
-            w.u8(li.ptr_bytes);
-        }
-        None => w.u8(0),
-    }
-    w.varint(module.ext_symbols.len() as u64);
-    for s in &module.ext_symbols {
-        w.string(s);
-    }
-    w.varint(module.deps.len() as u64);
-    for d in &module.deps {
-        w.string(d);
-    }
-    w.varint(module.globals.len() as u64);
-    for g in &module.globals {
-        w.string(&g.name);
-        w.u8(u8::from(g.mutable));
-        w.bytes(&g.init);
-    }
-    w.varint(module.functions.len() as u64);
-    for f in &module.functions {
-        encode_function(&mut w, f);
-    }
-    // Module-level metadata padding (datalayout string, module flags, …).
-    w.bytes(&vec![0u8; MODULE_METADATA_BYTES]);
-    w.finish()
-}
-
-impl Writer {
-    fn buf_extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-}
-
-/// Decode bitcode bytes back into a module.
-pub fn decode_module(bytes: &[u8]) -> Result<Module> {
-    let mut r = Reader::new(bytes);
-    let mut magic = [0u8; 4];
-    for m in &mut magic {
-        *m = r.u8()?;
-    }
-    if magic != BITCODE_MAGIC {
-        return Err(BitirError::Decode(format!(
-            "bad magic {:02x?}, expected {:02x?}",
-            magic, BITCODE_MAGIC
-        )));
-    }
-    let version = r.u16()?;
-    if version != BITCODE_VERSION {
-        return Err(BitirError::Decode(format!(
-            "unsupported bitcode version {version} (expected {BITCODE_VERSION})"
-        )));
-    }
-    let name = r.string()?;
-    let triple = match r.u8()? {
-        0 => None,
-        1 => Some(decode_triple(&mut r)?),
-        _ => return Err(BitirError::Decode("invalid triple flag".into())),
-    };
-    let lower_info = match r.u8()? {
-        0 => None,
-        1 => {
-            let vtag = r.u8()?;
-            let atag = r.u8()?;
-            let ptr_bytes = r.u8()?;
-            Some(LowerInfo {
-                vector: VectorExt::from_tag(vtag)
-                    .ok_or_else(|| BitirError::Decode(format!("bad vector tag {vtag}")))?,
-                atomics: AtomicsExt::from_tag(atag)
-                    .ok_or_else(|| BitirError::Decode(format!("bad atomics tag {atag}")))?,
-                ptr_bytes,
-            })
-        }
-        _ => return Err(BitirError::Decode("invalid lower-info flag".into())),
-    };
-    let nsyms = r.varint()? as usize;
-    let mut ext_symbols = Vec::with_capacity(nsyms.min(1024));
-    for _ in 0..nsyms {
-        ext_symbols.push(r.string()?);
-    }
-    let ndeps = r.varint()? as usize;
-    let mut deps = Vec::with_capacity(ndeps.min(256));
-    for _ in 0..ndeps {
-        deps.push(r.string()?);
-    }
-    let nglobals = r.varint()? as usize;
-    let mut globals = Vec::with_capacity(nglobals.min(1024));
-    for _ in 0..nglobals {
-        let name = r.string()?;
-        let mutable = match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(BitirError::Decode("invalid mutable flag".into())),
-        };
-        let init = r.bytes()?;
-        globals.push(Global {
-            name,
-            mutable,
-            init,
-        });
-    }
-    let nfuncs = r.varint()? as usize;
-    let mut functions = Vec::with_capacity(nfuncs.min(4096));
-    for _ in 0..nfuncs {
-        functions.push(decode_function(&mut r)?);
-    }
-    let _module_metadata = r.bytes()?;
-    Ok(Module {
-        name,
-        triple,
-        lower_info,
-        functions,
-        globals,
-        ext_symbols,
-        deps,
-    })
-}
+fields!(Reg { 0 });
+fields!(BlockId { 0 });
+fields!(FuncId { 0 });
+fields!(GlobalId { 0 });
+fields!(ExtSymId { 0 });
+fields!(Inst:
+    1 => Const { dst, ty, bits },
+    2 => Move { dst, src },
+    3 => Bin { op, ty, dst, lhs, rhs },
+    4 => Un { op, ty, dst, src },
+    5 => Load { ty, dst, addr, offset },
+    6 => Store { ty, src, addr, offset },
+    7 => Atomic { op, ty, dst, addr, src, expected },
+    8 => Vec { op, ty, dst_addr, a_addr, b_addr, count },
+    9 => GlobalAddr { dst, global },
+    10 => Call { dst, func, args },
+    11 => CallExt { dst, sym, args },
+    12 => Br { target },
+    13 => BrIf { cond, then_blk, else_blk },
+    14 => Ret { value },
+    15 => Trap { code },
+);
+fields!(Block { insts });
+fields!(Function { name, params, ret, num_regs, blocks } pad PER_FUNCTION_METADATA_BYTES);
+fields!(Global {
+    name,
+    mutable,
+    init
+});
+fields!(LowerInfo {
+    vector,
+    atomics,
+    ptr_bytes
+});
+fields!(Module { name, triple, lower_info, ext_symbols, deps, globals, functions }
+    pad MODULE_METADATA_BYTES);
 
 #[cfg(test)]
 mod tests {
@@ -810,22 +522,25 @@ mod tests {
 
     #[test]
     fn varint_roundtrip_extremes() {
-        let mut w = Writer::new();
+        let mut w = Vec::new();
         let values = [0u64, 1, 127, 128, 16383, 16384, u32::MAX as u64, u64::MAX];
         for &v in &values {
-            w.varint(v);
+            v.put(&mut w);
         }
-        let buf = w.finish();
-        let mut r = Reader::new(&buf);
+        let mut r = Reader::new(&w);
         for &v in &values {
-            assert_eq!(r.varint().unwrap(), v);
+            assert_eq!(r.varint(), Some(v));
         }
-        assert!(r.at_end());
+        assert_eq!(r.remaining(), 0);
+        // A `u32` field refuses what does not fit rather than truncating it.
+        let mut w = Vec::new();
+        (1u64 << 32).put(&mut w);
+        assert_eq!(u32::get(&mut Reader::new(&w)), None);
     }
 
     #[test]
     fn svarint_roundtrip_extremes() {
-        let mut w = Writer::new();
+        let mut w = Vec::new();
         let values = [
             0i64,
             1,
@@ -838,23 +553,29 @@ mod tests {
             i64::MIN,
         ];
         for &v in &values {
-            w.svarint(v);
+            v.put(&mut w);
         }
-        let buf = w.finish();
-        let mut r = Reader::new(&buf);
+        let mut r = Reader::new(&w);
         for &v in &values {
-            assert_eq!(r.svarint().unwrap(), v);
+            assert_eq!(r.svarint(), Some(v));
         }
     }
 
     #[test]
     fn reader_bounds_checks() {
         let mut r = Reader::new(&[0x80]);
-        // Unterminated varint must error, not loop or panic.
-        assert!(r.varint().is_err());
+        // Unterminated varint must fail, not loop or panic.
+        assert_eq!(r.varint(), None);
 
         let mut r = Reader::new(&[5, 1, 2]);
         // Declared length 5 but only 2 bytes remain.
-        assert!(r.bytes().is_err());
+        assert_eq!(Vec::<u8>::get(&mut r), None);
+
+        // A flag is 0 or 1.
+        assert_eq!(bool::get(&mut Reader::new(&[2])), None);
+
+        // Padding is skipped unread, but only at the length it was written.
+        assert_eq!(Reader::new(&[2, 9, 9]).skip_padding(2), Some(()));
+        assert_eq!(Reader::new(&[2, 0, 0]).skip_padding(3), None);
     }
 }

@@ -6,8 +6,12 @@
 //! files will be packed into a bitcode archive […] the fat-bitcode is shipped
 //! with the payload and list of bitcode dependencies".  The receiving process
 //! extracts the entry matching its local target and JIT-compiles it.
+//!
+//! On the wire an archive is a magic, a version and one field table
+//! (name, dependencies, then each entry's triple and bitcode bytes) over
+//! [`crate::bitcode`]'s codec.
 
-use crate::bitcode::{decode_module, encode_module, Reader, Writer};
+use crate::bitcode::{decode_framed, decode_module, encode_framed, encode_module};
 use crate::error::{BitirError, Result};
 use crate::ir::Module;
 use crate::lower::lower_for_target;
@@ -109,71 +113,21 @@ impl FatBitcode {
 
     /// Serialize the archive.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        for b in FAT_MAGIC {
-            w.u8(b);
-        }
-        w.u16(FAT_VERSION);
-        w.string(&self.name);
-        w.varint(self.deps.len() as u64);
-        for d in &self.deps {
-            w.string(d);
-        }
-        w.varint(self.entries.len() as u64);
-        for e in &self.entries {
-            w.u8(e.triple.isa.tag());
-            w.u8(e.triple.march.tag());
-            w.bytes(&e.bitcode);
-        }
-        w.finish()
+        encode_framed(FAT_MAGIC, FAT_VERSION, self)
     }
 
     /// Deserialize an archive.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        let mut magic = [0u8; 4];
-        for m in &mut magic {
-            *m = r.u8()?;
-        }
-        if magic != FAT_MAGIC {
-            return Err(BitirError::Decode(format!(
-                "bad fat-bitcode magic {:02x?}",
-                magic
-            )));
-        }
-        let version = r.u16()?;
-        if version != FAT_VERSION {
-            return Err(BitirError::Decode(format!(
-                "unsupported fat-bitcode version {version}"
-            )));
-        }
-        let name = r.string()?;
-        let ndeps = r.varint()? as usize;
-        let mut deps = Vec::with_capacity(ndeps.min(256));
-        for _ in 0..ndeps {
-            deps.push(r.string()?);
-        }
-        let nentries = r.varint()? as usize;
-        let mut entries = Vec::with_capacity(nentries.min(64));
-        for _ in 0..nentries {
-            let isa_tag = r.u8()?;
-            let march_tag = r.u8()?;
-            let isa = crate::types::Isa::from_tag(isa_tag)
-                .ok_or_else(|| BitirError::Decode(format!("bad ISA tag {isa_tag}")))?;
-            let march = crate::types::Microarch::from_tag(march_tag)
-                .ok_or_else(|| BitirError::Decode(format!("bad march tag {march_tag}")))?;
-            let triple = TargetTriple::new(isa, march)
-                .ok_or_else(|| BitirError::Decode("inconsistent triple in archive".into()))?;
-            let bitcode = r.bytes()?;
-            entries.push(FatEntry { triple, bitcode });
-        }
-        Ok(FatBitcode {
-            name,
-            entries,
-            deps,
-        })
+        decode_framed(bytes, FAT_MAGIC, FAT_VERSION, "fat-bitcode")
     }
 }
+
+crate::fields!(FatEntry { triple, bitcode });
+crate::fields!(FatBitcode {
+    name,
+    deps,
+    entries
+});
 
 #[cfg(test)]
 mod tests {

@@ -330,9 +330,14 @@ fn to_f64(ty: ScalarType, bits: u64) -> f64 {
     }
 }
 
+/// A float result at `ty`.  A NaN is the canonical quiet NaN of its width:
+/// which operand's payload a NaN carries is the optimiser's choice, not the
+/// program's.
 fn from_f64(ty: ScalarType, v: f64) -> u64 {
     match ty {
+        ScalarType::F32 if v.is_nan() => u64::from(f32::NAN.to_bits()),
         ScalarType::F32 => u64::from((v as f32).to_bits()),
+        _ if v.is_nan() => f64::NAN.to_bits(),
         _ => v.to_bits(),
     }
 }
@@ -452,17 +457,19 @@ pub(crate) fn vec_loop(
         true => (BinOp::FAdd, BinOp::FMul),
         false => (BinOp::Add, BinOp::Mul),
     };
-    for at in (0..count).map(|i| i * elem) {
-        let (x, y) = (mem.read_scalar(ty, a + at)?, mem.read_scalar(ty, b + at)?);
+    // Addresses wrap, as every other access's do.
+    for at in (0..count).map(|i| i.wrapping_mul(elem)) {
+        let (a, b, dst) = (a.wrapping_add(at), b.wrapping_add(at), dst.wrapping_add(at));
+        let (x, y) = (mem.read_scalar(ty, a)?, mem.read_scalar(ty, b)?);
         let v = match op {
             VecOp::Add => eval_bin(add, ty, x, y)?,
             VecOp::Mul => eval_bin(mul, ty, x, y)?,
             VecOp::Fma => {
-                let acc = mem.read_scalar(ty, dst + at)?;
+                let acc = mem.read_scalar(ty, dst)?;
                 eval_bin(add, ty, eval_bin(mul, ty, x, y)?, acc)?
             }
         };
-        mem.write_scalar(ty, dst + at, v)?;
+        mem.write_scalar(ty, dst, v)?;
     }
     Ok(count
         .div_ceil(u64::from(lanes.max(1)))

@@ -803,18 +803,19 @@ mod tests {
                                 let aa = regs[*a_addr as usize];
                                 let ba = regs[*b_addr as usize];
                                 for i in 0..n {
-                                    let av = self.mem.read_scalar(*ty, aa + i * elem)?;
-                                    let bv = self.mem.read_scalar(*ty, ba + i * elem)?;
+                                    let at = |base: u64| base.wrapping_add(i.wrapping_mul(elem));
+                                    let av = self.mem.read_scalar(*ty, at(aa))?;
+                                    let bv = self.mem.read_scalar(*ty, at(ba))?;
                                     let dv = match op {
                                         VecOp::Add => eval_bin(vec_add_op(*ty), *ty, av, bv)?,
                                         VecOp::Mul => eval_bin(vec_mul_op(*ty), *ty, av, bv)?,
                                         VecOp::Fma => {
                                             let prod = eval_bin(vec_mul_op(*ty), *ty, av, bv)?;
-                                            let acc = self.mem.read_scalar(*ty, da + i * elem)?;
+                                            let acc = self.mem.read_scalar(*ty, at(da))?;
                                             eval_bin(vec_add_op(*ty), *ty, prod, acc)?
                                         }
                                     };
-                                    self.mem.write_scalar(*ty, da + i * elem, dv)?;
+                                    self.mem.write_scalar(*ty, at(da), dv)?;
                                 }
                                 // Dynamic cost: one chunk of work per `lanes` elements.
                                 let chunks = n.div_ceil(u64::from((*lanes).max(1)));
@@ -936,7 +937,9 @@ mod tests {
 
         fn from_f64(ty: ScalarType, v: f64) -> u64 {
             match ty {
+                ScalarType::F32 if v.is_nan() => u64::from(f32::NAN.to_bits()),
                 ScalarType::F32 => u64::from((v as f32).to_bits()),
+                _ if v.is_nan() => f64::NAN.to_bits(),
                 _ => v.to_bits(),
             }
         }
@@ -1375,6 +1378,31 @@ mod tests {
         assert!(matches!(err, JitError::Trap { .. }));
     }
 
+    /// A vector loop whose arrays run past the top of the address space
+    /// wraps to address 0, as every other access does, and does not panic.
+    #[test]
+    fn a_vector_loop_across_the_top_of_memory_wraps() {
+        let mut mb = ModuleBuilder::new("vwrap");
+        {
+            let mut f = mb.entry_function();
+            let (a, n, dst) = (f.param(0), f.param(1), f.param(2));
+            f.vec_op(VecOp::Add, ScalarType::U64, dst, a, a, n);
+            let z = f.const_i64(0);
+            f.ret(z);
+            f.finish();
+        }
+        let compiled = compile_module(&mb.build(), CompileOptions::default()).unwrap();
+        let mut mem = SparseMemory::new();
+        mem.write_u64(0, 21).unwrap();
+        let args = [u64::MAX - 7, 2, 0x1000];
+        let engine = Engine::new();
+        let module = &compiled.module;
+        engine
+            .run(module, "main", &args, &[], &mut mem, &mut NoExternals)
+            .unwrap();
+        assert_eq!(mem.read_u64(0x1008).unwrap(), 42);
+    }
+
     #[test]
     fn vector_loop_computes_and_costs_scale_with_lanes() {
         let mut mb = ModuleBuilder::new("vadd");
@@ -1460,6 +1488,18 @@ mod tests {
         assert_eq!(i, 7);
         let f = eval_un(UnOp::IntToFloat, ScalarType::F64, (-3i64) as u64);
         assert_eq!(f64::from_bits(f), -3.0);
+    }
+
+    /// A NaN result is the canonical quiet NaN, whichever operand's payload
+    /// the optimiser would have carried through.
+    #[test]
+    fn nan_results_are_canonical_either_way_round() {
+        let (x, y) = (0x7ff8_0000_0000_0001, 0xfff4_0000_0000_0002);
+        let add = |a, b| eval_bin(BinOp::FAdd, ScalarType::F64, a, b).unwrap();
+        assert_eq!(
+            (add(x, y), add(y, x)),
+            (f64::NAN.to_bits(), f64::NAN.to_bits())
+        );
     }
 
     #[test]

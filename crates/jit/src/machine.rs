@@ -16,8 +16,8 @@
 
 use crate::emit::{emit, Program};
 use crate::error::{JitError, Result};
-use tc_bitir::bitcode::{Reader, Writer};
-use tc_bitir::{AtomicOp, BinOp, BitirError, ScalarType, UnOp, VecOp};
+use tc_bitir::bitcode::{Field, Reader};
+use tc_bitir::{fields, AtomicOp, BinOp, ScalarType, UnOp, VecOp};
 
 /// A machine register index (virtual; the interpreter keeps a flat frame).
 pub type MReg = u32;
@@ -339,135 +339,37 @@ impl MachModule {
 
     /// Serialise the module to a compact byte stream.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Vec::new();
         self.name.put(&mut w);
         self.triple.put(&mut w);
         self.ext_symbols.put(&mut w);
         self.deps.put(&mut w);
         self.data.put(&mut w);
         self.functions.put(&mut w);
-        w.finish()
+        w
     }
 
     /// Deserialise a module previously produced by [`MachModule::encode`].
     pub fn decode(bytes: &[u8]) -> Result<Self> {
         let r = &mut Reader::new(bytes);
-        let fields = (|| Ok((get(r)?, get(r)?, get(r)?, get(r)?, get(r)?, get(r)?)))();
-        let (name, triple, ext_symbols, deps, data, functions) =
-            fields.map_err(|e: BitirError| JitError::Decode(e.to_string()))?;
+        let get = |r: &mut Reader<'_>| {
+            Some((
+                Field::get(r)?,
+                Field::get(r)?,
+                Field::get(r)?,
+                Field::get(r)?,
+                Field::get(r)?,
+                Field::get(r)?,
+            ))
+        };
+        let (name, triple, ext_symbols, deps, data, functions) = get(r)
+            .ok_or_else(|| JitError::Decode(format!("malformed .text at offset {}", r.offset())))?;
         MachModule::new(name, triple, functions, ext_symbols, data, deps)
     }
 }
 
-/// One field of the serialised module: how it is written, and read back.
-trait Field: Sized {
-    fn put(&self, w: &mut Writer);
-    fn get(r: &mut Reader<'_>) -> tc_bitir::Result<Self>;
-}
-
-fn get<T: Field>(r: &mut Reader<'_>) -> tc_bitir::Result<T> {
-    T::get(r)
-}
-
-/// The scalars, as the bitcode writer and reader encode them: registers,
-/// indices, lane counts and trap codes are `u32` varints, operators and
-/// types their tags.
-macro_rules! scalar {
-    ($($ty:ty => |$w:ident, $v:ident| $put:expr, |$r:ident| $get:expr;)*) => {$(
-        impl Field for $ty {
-            fn put(&self, $w: &mut Writer) {
-                let $v = self;
-                $put
-            }
-            fn get($r: &mut Reader<'_>) -> tc_bitir::Result<Self> {
-                $get
-            }
-        }
-    )*};
-}
-scalar! {
-    u8 => |w, v| w.u8(*v), |r| r.u8();
-    bool => |w, v| w.u8(u8::from(*v)), |r| Ok(r.u8()? != 0);
-    u32 => |w, v| w.varint(u64::from(*v)), |r| Ok(r.varint()? as u32);
-    u64 => |w, v| w.varint(*v), |r| r.varint();
-    i64 => |w, v| w.svarint(*v), |r| r.svarint();
-    String => |w, v| w.string(v), |r| r.string();
-    ScalarType => |w, v| w.u8(v.tag()), |r| tag(r, ScalarType::from_tag);
-    BinOp => |w, v| w.u8(v.tag()), |r| tag(r, BinOp::from_tag);
-    UnOp => |w, v| w.u8(v.tag()), |r| tag(r, UnOp::from_tag);
-    AtomicOp => |w, v| w.u8(v.tag()), |r| tag(r, AtomicOp::from_tag);
-    VecOp => |w, v| w.u8(v.tag()), |r| tag(r, VecOp::from_tag);
-}
-
-/// An operator or type, by its one-byte tag.
-fn tag<T>(r: &mut Reader<'_>, from_tag: fn(u8) -> Option<T>) -> tc_bitir::Result<T> {
-    let tag = r.u8()?;
-    from_tag(tag).ok_or_else(|| BitirError::Decode(format!("bad tag {tag}")))
-}
-
-impl<T: Field> Field for Option<T> {
-    fn put(&self, w: &mut Writer) {
-        self.is_some().put(w);
-        if let Some(v) = self {
-            v.put(w);
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> tc_bitir::Result<Self> {
-        Ok(if get(r)? { Some(get(r)?) } else { None })
-    }
-}
-
-/// A count, then the elements.
-impl<T: Field> Field for Vec<T> {
-    fn put(&self, w: &mut Writer) {
-        (self.len() as u64).put(w);
-        self.iter().for_each(|v| v.put(w));
-    }
-    fn get(r: &mut Reader<'_>) -> tc_bitir::Result<Self> {
-        let n: u64 = get(r)?;
-        // A hostile count is bounded by the input running out, not by this.
-        let mut out = Vec::with_capacity(n.min(1024) as usize);
-        for _ in 0..n {
-            out.push(get(r)?);
-        }
-        Ok(out)
-    }
-}
-
-/// Structs and enums field by field, in the order listed: an enum's
-/// variants each behind their opcode byte.
-macro_rules! fields {
-    ($ty:ident { $($f:ident),* }) => {
-        impl Field for $ty {
-            fn put(&self, w: &mut Writer) {
-                $(self.$f.put(w);)*
-            }
-            fn get(r: &mut Reader<'_>) -> tc_bitir::Result<Self> {
-                Ok($ty { $($f: get(r)?),* })
-            }
-        }
-    };
-    ($ty:ident: $($op:literal => $v:ident { $($f:ident),* }),* $(,)?) => {
-        impl Field for $ty {
-            fn put(&self, w: &mut Writer) {
-                match self {
-                    $($ty::$v { $($f),* } => {
-                        w.u8($op);
-                        $($f.put(w);)*
-                    })*
-                }
-            }
-            fn get(r: &mut Reader<'_>) -> tc_bitir::Result<Self> {
-                Ok(match r.u8()? {
-                    $($op => $ty::$v { $($f: get(r)?),* },)*
-                    other => {
-                        return Err(BitirError::Decode(format!("unknown machine opcode {other}")))
-                    }
-                })
-            }
-        }
-    };
-}
+// The `.text` tables: bitcode's scalars (`tc_bitir::bitcode`), with
+// registers, indices, lane counts and trap codes as `u32` varints.
 fields!(DataObject {
     name,
     mutable,
