@@ -216,11 +216,8 @@ impl Connection {
                     });
                 }
                 Ok(n) => {
-                    let chunk = {
-                        let (filled, _) = self.scratch.split_at(n);
-                        filled.to_vec()
-                    };
-                    self.decoder.extend(&chunk);
+                    let (filled, _) = self.scratch.split_at(n);
+                    self.decoder.extend(filled);
                     while let Some(f) = self.decoder.next_frame()? {
                         out.push(f);
                     }

@@ -11,12 +11,14 @@
 //! [`BufPool`] complements it on the *send* side: encode scratch buffers are
 //! `Arc<[u8]>` allocations the pool keeps a reference to.  While a message is
 //! in flight the pool's slot is shared (refcount ≥ 2) and untouchable; once
-//! the last `Bytes` view drops, the slot becomes unique again and the next
+//! the last `Bytes` view drops, the slot becomes unique again and a later
 //! [`BufPool::acquire`] reuses it in place — steady-state sends allocate
 //! nothing.  The pool counts allocations vs. reuses, which doubles as the
 //! copy/allocation instrumentation the wire-parity tests assert on.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::iter;
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
@@ -253,37 +255,39 @@ pub struct PoolStats {
 
 /// A recycling pool of `Arc<[u8]>` encode-scratch buffers.
 ///
-/// The pool retains a reference to every buffer it has handed out.  A slot
-/// whose refcount has dropped back to one (every [`Bytes`] view of it is
-/// gone) is writable again and gets reused by the next [`BufPool::acquire`]
-/// that fits, so the steady-state send path performs **zero allocations**:
-/// the same few buffers rotate through the fabric.
+/// The pool retains a reference to every buffer it has handed out, in a ring
+/// ordered oldest first: buffers come back in roughly the order they left,
+/// so the slot at the front is the one most likely free.  A slot whose
+/// refcount has dropped back to one (every [`Bytes`] view of it is gone) is
+/// writable again and gets reused by a later [`BufPool::acquire`] that
+/// fits, so the steady-state send path performs **zero allocations**: the
+/// same few buffers rotate through the fabric.
+///
+/// An acquire looks at no more than `PROBE` slots, and at the cap the slot
+/// held longest is evicted (the pool drops its reference; live views keep
+/// the memory).  A slot pinned for good — a received ifunc's code is a view
+/// of its arrival buffer — is looked at only while it is near the front and
+/// leaves the ring once it is the front slot at the cap: no acquire scans
+/// every slot.
 #[derive(Debug, Default)]
 pub struct BufPool {
-    slots: Vec<Arc<[u8]>>,
-    max_slots: usize,
+    /// Retained slots, the one held longest at the front.
+    slots: VecDeque<Arc<[u8]>>,
     /// Allocation/reuse counters.
     pub stats: PoolStats,
 }
 
 /// Smallest buffer the pool allocates; tiny envelopes share slots.
 const MIN_BUF: usize = 256;
-/// Default cap on retained slots (beyond it, freed buffers are dropped).
+/// Cap on retained slots; retaining one more evicts the front slot.
 const DEFAULT_MAX_SLOTS: usize = 64;
+/// Slots one [`BufPool::acquire`] looks at before it allocates.
+const PROBE: usize = 4;
 
 impl BufPool {
-    /// A pool retaining up to the default number of slots.
+    /// An empty pool retaining up to `DEFAULT_MAX_SLOTS` slots.
     pub fn new() -> Self {
-        Self::with_max_slots(DEFAULT_MAX_SLOTS)
-    }
-
-    /// A pool retaining up to `max_slots` buffers.
-    pub fn with_max_slots(max_slots: usize) -> Self {
-        BufPool {
-            slots: Vec::new(),
-            max_slots,
-            stats: PoolStats::default(),
-        }
+        Self::default()
     }
 
     /// Acquire a writable buffer of capacity at least `len`.  Call
@@ -292,23 +296,28 @@ impl BufPool {
     pub fn acquire(&mut self, len: usize) -> PoolWriter {
         self.stats.bytes_acquired += len as u64;
         // A retained slot is free exactly when the pool holds the only
-        // reference; `get_mut` is the authoritative uniqueness check.
-        let free = self
+        // reference; `get_mut` is the authoritative uniqueness check.  The
+        // slots a hit passes over go to the back of the ring; a miss moves
+        // nothing, so the front stays the slot held longest and the freeze
+        // that follows evicts it at the cap.
+        let hit = self
             .slots
             .iter_mut()
+            .take(PROBE)
             .position(|s| s.len() >= len && Arc::get_mut(s).is_some());
-        let buf = match free {
-            Some(i) => {
+        if let Some(i) = hit {
+            self.slots.rotate_left(i);
+            if let Some(buf) = self.slots.pop_front() {
                 self.stats.reused += 1;
-                self.slots.swap_remove(i)
+                return PoolWriter { buf, len: 0 };
             }
-            None => {
-                self.stats.allocated += 1;
-                let cap = len.next_power_of_two().max(MIN_BUF);
-                Arc::from(vec![0u8; cap])
-            }
-        };
-        PoolWriter { buf, len: 0 }
+        }
+        self.stats.allocated += 1;
+        let cap = len.next_power_of_two().max(MIN_BUF);
+        PoolWriter {
+            buf: iter::repeat_n(0, cap).collect(),
+            len: 0,
+        }
     }
 }
 
@@ -321,8 +330,10 @@ pub struct PoolWriter {
 }
 
 impl PoolWriter {
+    /// The buffer, writable: `acquire` handed out a unique slot, so this
+    /// never clones.
     fn buf_mut(&mut self) -> &mut [u8] {
-        Arc::get_mut(&mut self.buf).expect("pool writer buffer is uniquely owned")
+        Arc::make_mut(&mut self.buf)
     }
 
     /// Append a slice.
@@ -350,9 +361,10 @@ impl PoolWriter {
     /// the slot back to `pool` for reuse after all views drop.
     pub fn freeze(self, pool: &mut BufPool) -> Bytes {
         let PoolWriter { buf, len } = self;
-        if pool.slots.len() < pool.max_slots {
-            pool.slots.push(Arc::clone(&buf));
+        if pool.slots.len() >= DEFAULT_MAX_SLOTS {
+            pool.slots.pop_front();
         }
+        pool.slots.push_back(Arc::clone(&buf));
         Bytes {
             data: buf,
             start: 0,
@@ -491,14 +503,65 @@ mod tests {
 
     #[test]
     fn pool_respects_slot_cap_and_min_size() {
-        let mut pool = BufPool::with_max_slots(1);
-        let a = pool.acquire(10).freeze(&mut pool);
-        let b = pool.acquire(10).freeze(&mut pool);
-        assert_eq!(pool.slots.len(), 1, "cap of one slot");
-        drop((a, b));
+        let mut pool = BufPool::new();
+        let held: Vec<Bytes> = (0..DEFAULT_MAX_SLOTS + 1)
+            .map(|_| pool.acquire(10).freeze(&mut pool))
+            .collect();
+        assert_eq!(pool.slots.len(), DEFAULT_MAX_SLOTS, "the cap holds");
+        assert!(
+            !pool.slots.iter().any(|s| s.as_ptr() == held[0].as_ptr()),
+            "the slot held longest was evicted"
+        );
+        drop(held);
         let w = pool.acquire(1);
         assert!(w.buf.len() >= MIN_BUF);
         drop(w);
+    }
+
+    /// Every slot pinned by a view that outlives the loop (a registration
+    /// table holding received code): each miss evicts the slot held longest,
+    /// so within one cap's worth of rounds the ring holds free slots again
+    /// and an acquire → freeze → drop loop stops allocating.
+    #[test]
+    fn a_pool_whose_every_slot_is_pinned_recovers() {
+        let mut pool = BufPool::new();
+        let pinned: Vec<Bytes> = (0..DEFAULT_MAX_SLOTS)
+            .map(|_| pool.acquire(100).freeze(&mut pool))
+            .collect();
+        let round = |pool: &mut BufPool| drop(pool.acquire(100).freeze(pool));
+        for _ in 0..DEFAULT_MAX_SLOTS {
+            round(&mut pool);
+        }
+        let settled = pool.stats.allocated;
+        for _ in 0..4 * DEFAULT_MAX_SLOTS {
+            round(&mut pool);
+        }
+        assert_eq!(pool.stats.allocated, settled, "{:?}", pool.stats);
+        assert!(settled <= 2 * DEFAULT_MAX_SLOTS as u64, "{:?}", pool.stats);
+        drop(pinned);
+    }
+
+    /// A window of 16 buffers in flight, released oldest first — the order
+    /// replies come back in: the slot at the front is the free one, and the
+    /// window is served without allocating.
+    #[test]
+    fn a_window_released_in_fifo_order_is_served_without_allocating() {
+        const WINDOW: usize = 16;
+        let mut pool = BufPool::new();
+        let mut in_flight: VecDeque<Bytes> = (0..WINDOW)
+            .map(|_| pool.acquire(1024).freeze(&mut pool))
+            .collect();
+        let warm = pool.stats;
+        assert_eq!(warm.allocated, WINDOW as u64);
+        for _ in 0..10 * DEFAULT_MAX_SLOTS {
+            in_flight.pop_front();
+            in_flight.push_back(pool.acquire(1024).freeze(&mut pool));
+        }
+        assert_eq!(pool.stats.allocated, warm.allocated, "{:?}", pool.stats);
+        assert_eq!(
+            pool.stats.reused,
+            warm.reused + 10 * DEFAULT_MAX_SLOTS as u64
+        );
     }
 
     #[test]

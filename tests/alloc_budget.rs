@@ -33,7 +33,7 @@ use tc_core::{
     Transport,
 };
 use tc_jit::MemoryExt;
-use tc_ucx::{OutgoingMessage, UcpOp, WorkerAddr};
+use tc_ucx::{BufPool, Bytes, OutgoingMessage, UcpOp, WorkerAddr};
 use tc_workloads::{chaser_module, chaser_payload, reporting_tsi_payload, tsi_reporting_module};
 
 thread_local! {
@@ -279,6 +279,35 @@ fn a_bitcode_first_arrival_allocates_what_it_did() {
         allocs, FIRST_ARRIVAL,
         "allocations of one bitcode first arrival"
     );
+}
+
+/// What one encode-pool acquire and freeze allocate when every retained slot
+/// is pinned — by a registration table holding received code, say: the
+/// missed buffer, once.  The parent of the change that bounded the pool's
+/// probe scanned every slot and then allocated twice, a zeroed `Vec` and the
+/// `Arc<[u8]>` it was copied into.
+const PINNED_POOL_MISS: u64 = 1;
+
+#[test]
+fn an_acquire_on_a_pool_of_pinned_slots_allocates_once() {
+    let mut pool = BufPool::new();
+    // More than the pool's cap of 64 slots, every one of them held here.
+    let pinned: Vec<Bytes> = (0..80)
+        .map(|_| pool.acquire(8 * 1024).freeze(&mut pool))
+        .collect();
+    let reused = pool.stats.reused;
+    let (frame, allocs) = count(|| {
+        let mut writer = pool.acquire(8 * 1024);
+        writer.put_u64_le(7);
+        writer.freeze(&mut pool)
+    });
+    assert_eq!(pool.stats.reused, reused, "no pinned slot can be reused");
+    assert_eq!(frame, 7u64.to_le_bytes());
+    assert_eq!(
+        allocs, PINNED_POOL_MISS,
+        "allocations of one acquire on a pinned pool"
+    );
+    drop(pinned);
 }
 
 /// What one `step` of a healthy threaded cluster allocates on the caller's
