@@ -315,10 +315,10 @@ impl Tokens {
     }
 
     /// Lowest registered token (duplicates resolve earliest-token-first).
-    fn first(&self) -> u64 {
+    fn first(&self) -> Option<u64> {
         match self {
-            Tokens::One(t) => *t,
-            Tokens::Many(set) => *set.first().expect("Many is never empty"),
+            Tokens::One(t) => Some(*t),
+            Tokens::Many(set) => set.first().copied(),
         }
     }
 
@@ -328,8 +328,8 @@ impl Tokens {
             Tokens::One(t) => *t == token,
             Tokens::Many(set) => {
                 set.remove(&token);
-                if set.len() == 1 {
-                    *self = Tokens::One(*set.first().expect("len is 1"));
+                if let (1, Some(&last)) = (set.len(), set.first()) {
+                    *self = Tokens::One(last);
                 }
                 false
             }
@@ -478,7 +478,7 @@ impl CompletionSet {
     ) -> Option<(CompletionToken, Ready)> {
         let index = &self.index;
         let key = claims.earliest_pending(|k| index.contains_key(&k))?;
-        let token = CompletionToken(index.get(&key)?.first());
+        let token = CompletionToken(index.get(&key)?.first()?);
         let ready = claims.claim(key)?;
         self.remove(token);
         Some((token, ready))

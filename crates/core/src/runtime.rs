@@ -383,7 +383,7 @@ impl NodeRuntime {
             self.am_handlers[usize::from(id.0)] = handler;
             return id;
         }
-        let id = self.worker.register_am_handler(name.clone());
+        let id = AmHandlerId(self.am_handlers.len() as u16);
         self.am_ids.insert(name, id);
         self.am_handlers.push(handler);
         id

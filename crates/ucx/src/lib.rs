@@ -27,4 +27,4 @@ pub mod bytes;
 pub mod worker;
 
 pub use bytes::{BufPool, Bytes, PoolStats, PoolWriter};
-pub use worker::{AmHandlerId, OutgoingMessage, RequestId, UcpOp, Worker, WorkerAddr, WorkerStats};
+pub use worker::{AmHandlerId, OutgoingMessage, RequestId, UcpOp, Worker, WorkerAddr};

@@ -3,7 +3,7 @@
 //! Three-Chains is implemented as an extension of the UCP interface in UCX
 //! (Section III-A).  This module reproduces the slice of that interface the
 //! framework needs, in simulation form.  A [`Worker`] is the per-process
-//! communication object (≈ `ucp_worker_h`), and it is four things:
+//! communication object (≈ `ucp_worker_h`), and it is three things:
 //!
 //! * an address ([`WorkerAddr`], a dense rank);
 //! * a request-id counter, so a reply can name the operation it answers;
@@ -13,8 +13,10 @@
 //!   them to the destination's inbox ([`Worker::deliver`]) with whatever
 //!   timing it models, and the destination's runtime pops them one at a
 //!   time ([`Worker::next_delivered`], the equivalent of
-//!   `ucp_worker_progress` plus the paper's ifunc polling function);
-//! * the active-message name table, which hands out [`AmHandlerId`]s.
+//!   `ucp_worker_progress` plus the paper's ifunc polling function).
+//!
+//! Active-message handler ids ([`AmHandlerId`]) are handed out by the
+//! runtime that deploys the handlers, not by the worker.
 //!
 //! An operation has one representation from post to handler:
 //! [`OutgoingMessage`] carrying a [`UcpOp`].  The operation set is what the
@@ -137,24 +139,6 @@ pub struct Worker {
     next_request: u64,
     outbox: VecDeque<OutgoingMessage>,
     inbox: VecDeque<OutgoingMessage>,
-    am_handlers: Vec<String>,
-    /// Counters for observability.
-    pub stats: WorkerStats,
-}
-
-/// Operation counters kept by a worker.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Operations posted.
-    pub posted: u64,
-    /// Messages delivered into the inbox.
-    pub delivered: u64,
-    /// Delivered messages handed to the runtime.
-    pub progressed: u64,
-    /// Bytes posted on the wire.
-    pub bytes_sent: u64,
-    /// Bytes received.
-    pub bytes_received: u64,
 }
 
 impl Worker {
@@ -171,21 +155,10 @@ impl Worker {
         self.addr
     }
 
-    /// Register an active-message handler name, returning its id.  The name
-    /// is what the target runtime uses to find the predeployed function —
-    /// exactly the "code must be present on the remote machine" constraint
-    /// that distinguishes AM from ifuncs.
-    pub fn register_am_handler(&mut self, name: impl Into<String>) -> AmHandlerId {
-        self.am_handlers.push(name.into());
-        AmHandlerId((self.am_handlers.len() - 1) as u16)
-    }
-
     /// Post an operation towards `dst`, returning its request id.
     pub fn post(&mut self, dst: WorkerAddr, op: UcpOp) -> RequestId {
         let request = RequestId(self.next_request);
         self.next_request += 1;
-        self.stats.posted += 1;
-        self.stats.bytes_sent += op.wire_size() as u64;
         self.outbox.push_back(OutgoingMessage {
             src: self.addr,
             dst,
@@ -205,8 +178,6 @@ impl Worker {
     /// driver when the message "arrives").
     pub fn deliver(&mut self, msg: OutgoingMessage) {
         debug_assert_eq!(msg.dst, self.addr, "message delivered to wrong worker");
-        self.stats.delivered += 1;
-        self.stats.bytes_received += msg.op.wire_size() as u64;
         self.inbox.push_back(msg);
     }
 
@@ -214,9 +185,7 @@ impl Worker {
     /// `ucp_worker_progress` plus the ifunc polling function): the runtime
     /// that owns this worker matches on its [`UcpOp`].
     pub fn next_delivered(&mut self) -> Option<OutgoingMessage> {
-        let msg = self.inbox.pop_front()?;
-        self.stats.progressed += 1;
-        Some(msg)
+        self.inbox.pop_front()
     }
 }
 
@@ -253,9 +222,6 @@ mod tests {
             other => panic!("unexpected operation {other:?}"),
         }
         assert_eq!(b.next_delivered(), None, "popping drains the inbox");
-        assert_eq!(b.stats.delivered, 1);
-        assert_eq!(b.stats.progressed, 1);
-        assert!(a.stats.bytes_sent > 0);
     }
 
     #[test]
@@ -302,17 +268,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    /// Ids are dense and follow registration order — what lets every node
-    /// of a job agree on them by registering the same names in the same
-    /// order.
-    #[test]
-    fn am_handlers_are_registered_by_name() {
-        let mut w = Worker::new(WorkerAddr(3));
-        let h1 = w.register_am_handler("tsi_increment");
-        let h2 = w.register_am_handler("dapc_chase_step");
-        assert_eq!((h1, h2), (AmHandlerId(0), AmHandlerId(1)));
     }
 
     /// A caller bounds how many events it handles by how often it pops: what

@@ -12,10 +12,10 @@
 //!   baseline, with depth sweeps and server-count scaling (Figures 5–12);
 //! * [`pipeline`] — the same workloads as pipelined drivers over the async
 //!   completion plane (`CompletionSet` / `wait_any`, hundreds of operations
-//!   in flight), generic over both backends;
-//! * [`multi_client`] — N concurrent driver runtimes each injecting an
-//!   independent stream (per-client completion routing, client-scaling
-//!   message-rate driver);
+//!   in flight): one window loop, each driver run on any set of clients,
+//!   generic over every backend;
+//! * [`multi_client`] — those drivers run with every client of the cluster,
+//!   each injecting an independent stream (per-client completion routing);
 //! * [`report`] — text/CSV rendering of tables and figures.
 //!
 //! The `tc-bench` crate wraps these in the `repro_tables` / `repro_figures`
@@ -45,12 +45,10 @@ pub use kernels::{
     chaser_module, chaser_module_chainlang, chaser_payload, reporting_tsi_payload, tsi_module,
     tsi_module_chainlang, tsi_reporting_module, CHASER_CHAINLANG_SRC, TSI_CHAINLANG_SRC,
 };
-pub use multi_client::{
-    chase_starts, multi_client_get_burst, run_multi_client_streams, MultiClientReport,
-};
+pub use multi_client::{chase_starts, run_multi_client_streams, MultiClientReport};
 pub use pipeline::{
-    gather_entries, gather_entries_from, run_pipelined_chases, run_pipelined_chases_from,
-    run_reporting_tsi, run_reporting_tsi_from, ReportingTsiOutcome, Window,
+    gather_entries, multi_client_get_burst, run_pipelined_chases, run_reporting_tsi,
+    ReportingTsiOutcome, Window,
 };
 pub use pointer_table::PointerTable;
 pub use report::{

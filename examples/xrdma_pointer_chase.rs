@@ -8,7 +8,7 @@
 //! cargo run --release --example xrdma_pointer_chase
 //! ```
 
-use tc_core::{build_ifunc_library, ClusterBuilder};
+use tc_core::{build_ifunc_library, ClientId, ClusterBuilder};
 use tc_simnet::Platform;
 use tc_workloads::{
     chaser_module, platform_toolchain, run_pipelined_chases, ChaseConfig, ChaseMode,
@@ -35,9 +35,10 @@ fn pipelined_virtual_secs(
     )
     .expect("chaser library builds");
     let handle = cluster.register_ifunc(lib);
-    let mut mk = move |c: &mut tc_core::Cluster<tc_core::SimTransport>, payload: Vec<u8>| {
+    let mut mk = move |c: &mut tc_core::Cluster<tc_core::SimTransport>, _, payload: Vec<u8>| {
         c.bitcode_message(handle, payload)
     };
+    let primary = &[ClientId::PRIMARY];
     let starts: Vec<u64> = (0..chases as u64)
         .map(|i| (i * 7919) % table.total_entries() as u64)
         .collect();
@@ -45,18 +46,28 @@ fn pipelined_virtual_secs(
     let warm: Vec<u64> = (0..table.num_servers as u64)
         .map(|s| s * table.shard_size as u64)
         .collect();
-    run_pipelined_chases(&mut cluster, &mut mk, table, &warm, 1, Window::new(1))
-        .expect("warm-up chases");
+    run_pipelined_chases(
+        &mut cluster,
+        primary,
+        &mut mk,
+        table,
+        &[warm],
+        1,
+        Window::new(1),
+    )
+    .expect("warm-up chases");
     let t0 = cluster.transport().now();
     let values = run_pipelined_chases(
         &mut cluster,
+        primary,
         &mut mk,
         table,
-        &starts,
+        std::slice::from_ref(&starts),
         depth,
         Window::new(window),
     )
-    .expect("pipelined chases");
+    .expect("pipelined chases")
+    .remove(0);
     for (i, &start) in starts.iter().enumerate() {
         assert_eq!(values[i], table.chase(start, depth), "chase from {start}");
     }

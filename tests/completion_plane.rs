@@ -15,6 +15,7 @@ use tc_workloads::{
 };
 
 const SERVERS: usize = 4;
+const PRIMARY: &[ClientId] = &[ClientId::PRIMARY];
 const SHARD: usize = 128; // 4 × 128 = 512 entries ⇒ windows up to 512
 
 fn builder() -> ClusterBuilder {
@@ -46,7 +47,9 @@ fn pipelined_gather_is_byte_identical_across_backends_windows_and_faults() {
                 }
                 let mut cluster = b.build(backend);
                 table.install_cluster(&mut cluster).unwrap();
-                let image = gather_entries(&mut cluster, &table, Window::new(inflight)).unwrap();
+                let image = gather_entries(&mut cluster, PRIMARY, &table, Window::new(inflight))
+                    .unwrap()
+                    .remove(0);
                 assert_eq!(
                     image,
                     expected,
@@ -80,10 +83,11 @@ fn reporting_tsi_outcome_is_window_and_backend_invariant() {
     let run = |backend: Backend, inflight: usize| {
         let mut cluster = builder().build(backend);
         let handle = cluster.register_ifunc(lib());
-        let mut mk = move |c: &mut Cluster<Box<dyn Transport>>, payload: Vec<u8>| {
+        let mut mk = move |c: &mut Cluster<Box<dyn Transport>>, _: ClientId, payload: Vec<u8>| {
             c.bitcode_message(handle, payload)
         };
-        let out = run_reporting_tsi(&mut cluster, &mut mk, 64, Window::new(inflight), 8).unwrap();
+        let out = run_reporting_tsi(&mut cluster, PRIMARY, &mut mk, 64, Window::new(inflight), 8)
+            .unwrap();
         cluster.shutdown();
         out
     };
@@ -459,19 +463,21 @@ fn pipelined_chases_run_on_real_threads() {
     let lib =
         build_ifunc_library(&chaser_module("thr_chaser"), &platform_toolchain(&platform)).unwrap();
     let handle = cluster.register_ifunc(lib);
-    let mut mk = move |c: &mut Cluster<tc_core::ThreadTransport>, payload: Vec<u8>| {
+    let mut mk = move |c: &mut Cluster<tc_core::ThreadTransport>, _: ClientId, payload: Vec<u8>| {
         c.bitcode_message(handle, payload)
     };
     let starts: Vec<u64> = (0..256u64).map(|i| (i * 31) % 512).collect();
     let values = tc_workloads::run_pipelined_chases(
         &mut cluster,
+        PRIMARY,
         &mut mk,
         &table,
-        &starts,
+        std::slice::from_ref(&starts),
         8,
         Window::new(256),
     )
-    .unwrap();
+    .unwrap()
+    .remove(0);
     for (i, &start) in starts.iter().enumerate() {
         assert_eq!(values[i], table.chase(start, 8), "chase from {start}");
     }

@@ -20,8 +20,8 @@ use common::OrDump;
 use tc_core::layout::{DATA_REGION_BASE, TARGET_REGION_BASE};
 use tc_core::{Backend, ClientId, Cluster, ClusterBuilder, CompletionSet, Ready, Transport};
 use tc_workloads::{
-    chase_starts, gather_entries_from, multi_client_get_burst, run_multi_client_streams,
-    run_pipelined_chases_from, run_reporting_tsi_from, MultiClientReport, PointerTable, Window,
+    chase_starts, gather_entries, multi_client_get_burst, run_multi_client_streams,
+    run_pipelined_chases, run_reporting_tsi, MultiClientReport, PointerTable, Window,
 };
 
 const SEED: u64 = 0x5EED_C11E;
@@ -272,18 +272,18 @@ fn reporting_tsi_from_a_secondary_client_routes_results_home() {
     .unwrap();
     let client = ClientId(1);
     let handle = cluster.register_ifunc_on(client, lib).unwrap();
-    let mut mk = move |c: &mut Cluster<tc_core::SimTransport>, payload: Vec<u8>| {
+    let mut mk = move |c: &mut Cluster<tc_core::SimTransport>, client, payload: Vec<u8>| {
         c.bitcode_message_on(client, handle, payload)
     };
-    let out = run_reporting_tsi_from(&mut cluster, client, &mut mk, 20, Window::new(4), 2).unwrap();
+    let out = run_reporting_tsi(&mut cluster, &[client], &mut mk, 20, Window::new(4), 2).unwrap();
     let mut expect = vec![0u64; 2];
     for op in 0..20usize {
         expect[op % 2] += 1 + (op as u64 % 7);
     }
     assert_eq!(out.counters, expect, "per-server sums exact from client 1");
     // In-order per link: the last report per server equals the final sum.
-    assert_eq!(out.reported[18], expect[0]);
-    assert_eq!(out.reported[19], expect[1]);
+    assert_eq!(out.reported[0][18], expect[0]);
+    assert_eq!(out.reported[0][19], expect[1]);
     // Nothing ever landed in client 0's mailbox.
     let addr = tc_core::ResultHandle::for_slot(0).mailbox_addr();
     assert_eq!(
@@ -310,20 +310,21 @@ fn pipelined_chases_from_a_secondary_client_hop_correct_servers() {
     .unwrap();
     let client = ClientId(1);
     let handle = cluster.register_ifunc_on(client, lib).unwrap();
-    let mut mk = move |c: &mut Cluster<tc_core::SimTransport>, payload: Vec<u8>| {
+    let mut mk = move |c: &mut Cluster<tc_core::SimTransport>, client, payload: Vec<u8>| {
         c.bitcode_message_on(client, handle, payload)
     };
     let starts: Vec<u64> = (0..8).map(|i| (i * 3) % 32).collect();
-    let values = run_pipelined_chases_from(
+    let values = run_pipelined_chases(
         &mut cluster,
-        client,
+        &[client],
         &mut mk,
         &table,
-        &starts,
+        std::slice::from_ref(&starts),
         10,
         Window::new(4),
     )
-    .unwrap();
+    .unwrap()
+    .remove(0);
     for (i, &start) in starts.iter().enumerate() {
         assert_eq!(values[i], table.chase(start, 10), "chase from {start}");
     }
@@ -350,7 +351,9 @@ fn gather_from_secondary_client_reads_servers_not_clients() {
     let mut cluster = builder(3, 2).build_sim();
     table.install_cluster(&mut cluster).unwrap();
     for c in 0..3 {
-        let image = gather_entries_from(&mut cluster, ClientId(c), &table, Window::new(8)).unwrap();
+        let image = gather_entries(&mut cluster, &[ClientId(c)], &table, Window::new(8))
+            .unwrap()
+            .remove(0);
         assert_eq!(image, expected, "client {c} image");
     }
 }
@@ -409,7 +412,9 @@ fn get_burst_scales_across_client_counts_on_both_backends() {
                     .write_memory(cluster.server_rank(s), addr, &[0x5A; 256])
                     .unwrap();
             }
-            let done = multi_client_get_burst(&mut cluster, 32, addr, 256, Window::new(8)).unwrap();
+            let ids: Vec<ClientId> = (0..clients).map(ClientId).collect();
+            let done =
+                multi_client_get_burst(&mut cluster, &ids, 32, addr, 256, Window::new(8)).unwrap();
             assert_eq!(done, 32 * clients, "{backend}, {clients} clients");
             cluster.shutdown();
         }
