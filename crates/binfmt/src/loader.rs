@@ -16,8 +16,8 @@ use std::collections::HashMap;
 /// Resolves external symbol names to addresses in the loading process.
 ///
 /// In the real system this is `ld.so` plus the set of shared libraries the
-/// ifunc's `.deps` file names; in the reproduction the `tc-jit` dylib
-/// registry and the `tc-core` runtime implement it.
+/// ifunc's `.deps` file names; in the reproduction `tc-jit`'s `LoadedLibs`
+/// implements it (framework symbols plus the loaded libraries' exports).
 pub trait SymbolResolver {
     /// Resolve `symbol` to an address, or `None` when it is unknown.
     fn resolve(&self, symbol: &str) -> Option<u64>;

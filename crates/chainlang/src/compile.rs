@@ -31,12 +31,6 @@ const BUILTINS: &[(&str, ScalarType, bool)] = &[
     ("store_f64", ScalarType::F64, true),
 ];
 
-/// External symbols a Chainlang program may call: the framework services and
-/// the simulated standard libraries.  Anything else is "dynamic dispatch" and
-/// rejected by the restriction checker.
-const EXTERNAL_WHITELIST_PREFIXES: &[&str] = &["tc_"];
-const EXTERNAL_WHITELIST: &[&str] = &["memcpy", "memset", "strlen_u64", "sqrt", "fabs", "pow2"];
-
 fn is_builtin(name: &str) -> Option<(ScalarType, bool)> {
     BUILTINS
         .iter()
@@ -44,11 +38,11 @@ fn is_builtin(name: &str) -> Option<(ScalarType, bool)> {
         .map(|(_, ty, st)| (*ty, *st))
 }
 
+/// External symbols a Chainlang program may call: the framework services and
+/// the exports of every simulated library, as `tc-jit` links them.  Anything
+/// else is "dynamic dispatch" and rejected by the restriction checker.
 fn is_whitelisted_external(name: &str) -> bool {
-    EXTERNAL_WHITELIST.contains(&name)
-        || EXTERNAL_WHITELIST_PREFIXES
-            .iter()
-            .any(|p| name.starts_with(p))
+    tc_jit::LoadedLibs::ALL.links(name)
 }
 
 fn scalar_of(ty: Ty) -> ScalarType {

@@ -33,8 +33,9 @@ pub struct IfuncLibrary {
     /// A shared view: every message created from this library references the
     /// same allocation.
     pub fat_bitcode_bytes: Bytes,
-    /// Per-target binary objects, keyed by triple name (binary representation).
-    pub binaries: HashMap<String, Vec<u8>>,
+    /// Per-target binary objects, keyed by triple name (binary
+    /// representation); shared views, like `fat_bitcode_bytes`.
+    pub binaries: HashMap<String, Bytes>,
     /// Dependency list (the `.deps` file contents).
     pub deps: Vec<String>,
 }
@@ -46,8 +47,8 @@ impl IfuncLibrary {
     }
 
     /// Binary object bytes for a target triple name.
-    pub fn binary_for(&self, triple: &str) -> Result<&[u8]> {
-        self.binaries.get(triple).map(Vec::as_slice).ok_or_else(|| {
+    pub fn binary_for(&self, triple: &str) -> Result<&Bytes> {
+        self.binaries.get(triple).ok_or_else(|| {
             CoreError::Toolchain(format!(
                 "no binary object for target `{triple}` in ifunc `{}` (built for: {})",
                 self.name,
@@ -121,7 +122,7 @@ pub fn build_ifunc_library(module: &Module, options: &ToolchainOptions) -> Resul
                 CompileOptions { verify: false }, // already verified above
             )
             .map_err(|e| CoreError::Toolchain(e.to_string()))?;
-            binaries.insert(t.name(), obj.encode());
+            binaries.insert(t.name(), Bytes::from(obj.encode()));
         }
     }
 
@@ -265,7 +266,7 @@ impl IfuncMessage {
         target_triple: &str,
         payload: Vec<u8>,
     ) -> Result<Self> {
-        let code = library.binary_for(target_triple)?.to_vec();
+        let code = library.binary_for(target_triple)?.clone();
         Ok(IfuncMessage {
             handle,
             wire: WireCache::default(),
@@ -402,10 +403,11 @@ mod tests {
 
         let bin = IfuncMessage::binary(h, &lib, "aarch64-a64fx-sim", vec![1]).unwrap();
         assert_eq!(bin.frame.repr, CodeRepr::Binary);
-        assert_eq!(
-            bin.frame.code.len(),
-            lib.binary_for("aarch64-a64fx-sim").unwrap().len()
-        );
+        // Both code sections are views of the library's bytes, not copies.
+        let object = lib.binary_for("aarch64-a64fx-sim").unwrap();
+        assert_eq!(bin.frame.code.as_ptr(), object.as_ptr());
+        assert_eq!(bin.frame.code.len(), object.len());
+        assert_eq!(bc.frame.code.as_ptr(), lib.fat_bitcode_bytes.as_ptr());
 
         assert!(IfuncMessage::binary(h, &lib, "riscv64-generic-sim", vec![1]).is_err());
     }

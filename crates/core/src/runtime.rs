@@ -10,8 +10,9 @@
 //! * **source side** — register ifunc libraries, create messages, send them
 //!   with transparent code-section caching ([`NodeRuntime::send_ifunc`]);
 //! * **target side** — poll for delivered messages
-//!   ([`NodeRuntime::poll`]), auto-register ifuncs on first arrival (JIT the
-//!   bitcode or load the binary), invoke the entry function with the payload
+//!   ([`NodeRuntime::poll`]), auto-register ifuncs on first arrival (compile
+//!   the bitcode or GOT-patch the binary, then link either through the JIT
+//!   session's one link step), invoke the entry function with the payload
 //!   and the target pointer, and carry out any follow-on actions the running
 //!   ifunc requested (recursive forwards, PUTs, result returns) — the X-RDMA
 //!   behaviour.
@@ -34,7 +35,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use tc_bitir::{decode_module, FatBitcode, TargetTriple};
 use tc_jit::{
-    Engine, ExternalHost, JitError, MachModule, MaterializedModule, Memory, OrcJit, SparseMemory,
+    Engine, ExternalHost, JitError, LoadedLibs, MaterializedModule, Memory, OrcJit, SparseMemory,
 };
 use tc_ucx::{AmHandlerId, BufPool, Bytes, OutgoingMessage, RequestId, UcpOp, Worker, WorkerAddr};
 
@@ -131,21 +132,17 @@ pub enum Completion {
     },
 }
 
-/// Executable form of a registered ifunc.
-enum LoadedCode {
-    /// Bitcode, compiled once by this node's JIT session when the ifunc was
-    /// registered; the registration table is the only thing that keeps it.
-    Jit(MaterializedModule),
-    /// A binary object, loaded and GOT-patched for this node's ISA.
-    Binary(MachModule),
-}
-
 /// Target-side record of an ifunc that has been received and registered:
 /// everything a later arrival of the same name needs, resolved once.
 struct ReceivedIfunc {
     /// The registration key, shared with the table that holds this record.
     name: Arc<str>,
-    loaded: LoadedCode,
+    /// The linked module — compiled from bitcode or loaded from a binary
+    /// object once, when the ifunc was registered; the registration table
+    /// is the only thing that keeps it.
+    module: MaterializedModule,
+    /// The representation it arrived in, and is forwarded in.
+    repr: CodeRepr,
     /// Index of the entry function in the loaded module.
     entry: u32,
     /// The code section as originally received — a shared view of the
@@ -153,15 +150,6 @@ struct ReceivedIfunc {
     /// peers that have not seen it (recursive propagation) without copying.
     code: Bytes,
     deps: Vec<String>,
-}
-
-impl ReceivedIfunc {
-    fn repr(&self) -> CodeRepr {
-        match self.loaded {
-            LoadedCode::Jit(_) => CodeRepr::Bitcode,
-            LoadedCode::Binary(_) => CodeRepr::Binary,
-        }
-    }
 }
 
 /// The per-node Three-Chains runtime.
@@ -567,13 +555,14 @@ impl NodeRuntime {
             },
             exec_cycles,
             jit_bitcode_bytes,
-            binary_loaded: first_arrival && rec.repr() == CodeRepr::Binary,
+            binary_loaded: first_arrival && rec.repr == CodeRepr::Binary,
             actions_emitted,
             payload_bytes: payload.len(),
         })
     }
 
-    /// Register a newly arrived full frame whose code section is `code`.
+    /// Register a newly arrived full frame whose code section is `code`,
+    /// linked by the JIT session's one link step whatever its representation.
     /// Returns the record and, for a bitcode frame, the size of the bitcode
     /// that was compiled.
     fn register_received(
@@ -581,7 +570,7 @@ impl NodeRuntime {
         frame: &FrameView<'_>,
         code: Bytes,
     ) -> Result<(Arc<ReceivedIfunc>, Option<usize>)> {
-        let (loaded, jit_bitcode_bytes) = match frame.repr {
+        let (module, jit_bitcode_bytes) = match frame.repr {
             CodeRepr::Bitcode => {
                 let fat = FatBitcode::decode(&code)?;
                 let slice = &fat.select(self.triple)?.bitcode;
@@ -596,37 +585,32 @@ impl NodeRuntime {
                     }
                     .into());
                 }
-                // The archive's deps, then the frame's DEPS field, behind
-                // the module's own (they are normally identical).
                 let deps = fat.deps.iter().map(String::as_str);
-                for d in deps.chain(frame.deps.iter().copied()) {
-                    if !module.deps.iter().any(|have| have == d) {
-                        module.deps.push(d.to_string());
-                    }
-                }
+                merge_deps(&mut module.deps, deps.chain(frame.deps.iter().copied()));
                 let module = self.jit.materialize(module, &mut self.memory)?;
                 self.stats.jit_compilations += 1;
-                (LoadedCode::Jit(module), Some(slice.len()))
+                (module, Some(slice.len()))
             }
             CodeRepr::Binary => {
-                let obj = tc_binfmt::ObjectFile::decode(&code)?;
-                let resolver = FrameworkSymbolResolver;
+                let mut obj = tc_binfmt::ObjectFile::decode(&code)?;
+                merge_deps(&mut obj.deps, frame.deps.iter().copied());
+                // A missing library is refused first, as bitcode's is.
+                let libs = LoadedLibs::load(&obj.deps)?;
                 let image = tc_binfmt::load_object(
                     &obj,
                     &self.triple.name(),
-                    &resolver,
+                    &libs,
                     tc_binfmt::LoadOptions::default(),
                 )?;
-                let mach = tc_jit::module_from_image(&image)?;
+                let mut module = tc_jit::module_from_image(&image)?;
+                module.deps = obj.deps;
+                let module = self.jit.link(module, &mut self.memory)?;
                 self.stats.binary_loads += 1;
-                (LoadedCode::Binary(mach), None)
+                (module, None)
             }
         };
-        let module = match &loaded {
-            LoadedCode::Jit(m) => &m.compiled.module,
-            LoadedCode::Binary(m) => m,
-        };
         let entry = module
+            .module
             .function_index(tc_bitir::Module::ENTRY_NAME)
             .ok_or_else(|| JitError::UnknownFunction {
                 name: tc_bitir::Module::ENTRY_NAME.to_string(),
@@ -634,7 +618,8 @@ impl NodeRuntime {
         let name: Arc<str> = Arc::from(frame.ifunc_name);
         let rec = Arc::new(ReceivedIfunc {
             name: Arc::clone(&name),
-            loaded,
+            module,
+            repr: frame.repr,
             entry,
             code,
             deps: frame.deps.iter().map(|d| d.to_string()).collect(),
@@ -662,15 +647,9 @@ impl NodeRuntime {
             payload.len() as u64,
             TARGET_REGION_BASE,
         ];
-        let out = match &rec.loaded {
-            LoadedCode::Jit(module) => {
-                module.execute(&self.engine, rec.entry, &args, &mut self.memory, &mut host)?
-            }
-            LoadedCode::Binary(module) => {
-                self.engine
-                    .run_index(module, rec.entry, &args, &[], &mut self.memory, &mut host)?
-            }
-        };
+        let out =
+            rec.module
+                .execute(&self.engine, rec.entry, &args, &mut self.memory, &mut host)?;
 
         let actions = host.actions;
         let emitted = actions.len();
@@ -760,7 +739,7 @@ impl NodeRuntime {
                 self.stats.ifunc_full_sends += 1;
                 MessageFrame::new(
                     &*rec.name,
-                    rec.repr(),
+                    rec.repr,
                     payload,
                     rec.code.clone(),
                     rec.deps.clone(),
@@ -773,7 +752,7 @@ impl NodeRuntime {
                 // full frame this record was registered from.
                 encode_truncated_parts(
                     &rec.name,
-                    rec.repr(),
+                    rec.repr,
                     &payload,
                     rec.code.len() as u32,
                     rec.deps.len() as u16,
@@ -786,27 +765,12 @@ impl NodeRuntime {
     }
 }
 
-/// Resolver used when loading binary ifuncs: framework symbols resolve to
-/// symbolic token addresses (execution dispatches by name through the host
-/// interface, so the addresses only need to exist).
-struct FrameworkSymbolResolver;
-
-impl tc_binfmt::SymbolResolver for FrameworkSymbolResolver {
-    fn resolve(&self, symbol: &str) -> Option<u64> {
-        // Framework and standard-library symbols all resolve; anything else
-        // is unknown, which surfaces the paper's remote-linking failure mode.
-        const KNOWN_PREFIXES: [&str; 2] = ["tc_", "omp_"];
-        const KNOWN_SYMBOLS: [&str; 6] = ["memcpy", "memset", "strlen_u64", "sqrt", "fabs", "pow2"];
-        if KNOWN_PREFIXES.iter().any(|p| symbol.starts_with(p)) || KNOWN_SYMBOLS.contains(&symbol) {
-            // Stable fake address derived from the name.
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for b in symbol.bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-            Some(0x6000_0000_0000 | (h & 0xffff_ffff))
-        } else {
-            None
+/// Append each of `extra` not yet in `deps`: a module links against its own
+/// dependencies and the frame's DEPS field (normally the same).
+fn merge_deps<'a>(deps: &mut Vec<String>, extra: impl Iterator<Item = &'a str>) {
+    for d in extra {
+        if !deps.iter().any(|have| have == d) {
+            deps.push(d.to_string());
         }
     }
 }

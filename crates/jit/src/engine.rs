@@ -234,8 +234,8 @@ impl<M: Memory + ?Sized> MemoryExt for M {}
 /// Host interface for external calls made by executing code.
 ///
 /// The framework runtime (`tc-core`) implements this to expose UCX-style
-/// operations and the recursive-injection API; the dylib registry implements
-/// it for libc/libm-style symbols; the two are typically chained.
+/// operations and the recursive-injection API; a linked module's host
+/// answers its loaded libraries' symbols first and chains to it.
 pub trait ExternalHost {
     /// Invoke `symbol` with `args`, possibly touching `mem`.  Returns the
     /// call's result value (0 for void functions).
@@ -309,7 +309,7 @@ impl Engine {
     ///
     /// `data_addrs[i]` must give the address at which the module's `i`-th
     /// data object has been materialised in `mem` (see
-    /// [`crate::orc::OrcJit::materialize`]); pass an empty slice for modules
+    /// [`crate::orc::OrcJit::link`]); pass an empty slice for modules
     /// without globals.
     pub fn run(
         &self,

@@ -13,11 +13,15 @@
 //!   compact serialisation (the contents of a binary ifunc's `.text`);
 //! * [`engine`] — the execution engine (interpreter) with memory abstraction,
 //!   external host calls, fuel limits and cycle accounting;
-//! * [`orc`] — the per-process ORC-like session: compile a module, link its
-//!   simulated shared-library dependencies and materialise its globals (the
-//!   caller's registration table is what caches the result);
-//! * [`aot`] — the binary-ifunc path: build `tc-binfmt` objects ahead of time
-//!   and reload them from GOT-patched images.
+//! * [`orc`] — the per-process ORC-like session and its one link step for
+//!   received code, bitcode or binary: load the module's simulated
+//!   shared-library dependencies and materialise its globals (the caller's
+//!   registration table is what caches the result);
+//! * the simulated libraries themselves — one static table of host
+//!   functions (`libc.so`, `libm.so`); [`LoadedLibs`] is the set one module
+//!   loaded, and the GOT resolver its binary object is loaded against;
+//! * [`aot`] — the binary-ifunc toolchain: build `tc-binfmt` objects ahead of
+//!   time and recover the machine module from a GOT-patched image.
 //!
 //! The simulator's compile-time and execution-time charges are
 //! `tc-simnet`'s `CpuProfile::{jit_time, exec_time}`, fed the bitcode size
@@ -37,6 +41,7 @@ pub mod orc;
 
 pub use aot::{build_object, module_from_image};
 pub use compile::{compile_module, lower_and_compile, CompileOptions, CompileStats, Compiled};
+pub use dylib::LoadedLibs;
 pub use engine::{
     Engine, ExecLimits, ExecOutcome, ExternalHost, Memory, MemoryExt, NoExternals, SparseMemory,
     VecMemory,

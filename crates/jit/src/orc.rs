@@ -1,38 +1,34 @@
 //! The ORC-like JIT session.
 //!
-//! [`OrcJit`] is the per-process object that mirrors LLVM's ORC-JIT as the
-//! paper uses it (Section III-C/III-D): [`OrcJit::materialize`] takes one
-//! module — the slice of a fat-bitcode archive the receiver selected for its
-//! own target, or in-memory IR —
-//!
-//! * lowers it for the local target if it is still portable;
-//! * loads the shared-library dependencies it names, against which its
-//!   external symbols resolve at the call (remote dynamic linking);
-//! * compiles it;
-//! * materialises its globals into the node's memory,
-//!
-//! and hands back everything the execution engine needs to invoke it.  The
-//! session keeps no table of what it compiled: the paper's "LLVM has to do
-//! minimal work since it looks up the ifunc from previous JIT invocations"
-//! is the caller's registration table (`tc-core`'s runtime), which never
-//! asks for a name twice.
+//! [`OrcJit`] mirrors LLVM's ORC-JIT as the paper uses it (Section
+//! III-C/III-D).  Received code, in either representation, leaves through
+//! one link step, [`OrcJit::link`]: load the shared-library dependencies the
+//! module names and materialise its globals into the node's memory.  Bitcode
+//! reaches it through [`OrcJit::materialize`] (lower if still portable,
+//! compile); a binary object's module through `tc-binfmt`'s loader, run
+//! against the same libraries' [`LoadedLibs`] GOT resolver, and
+//! [`crate::aot::module_from_image`].  The session keeps no table of what it
+//! linked: the paper's "LLVM has to do minimal work since it looks up the
+//! ifunc from previous JIT invocations" is the caller's registration table
+//! (`tc-core`'s runtime), which never asks for a name twice.
 
-use crate::compile::{compile_module, CompileOptions, Compiled};
-use crate::dylib::{DylibHost, DylibRegistry, LoadedDylibs};
+use crate::compile::{compile_module, CompileOptions};
+use crate::dylib::{LinkedHost, LoadedLibs};
 use crate::engine::{Engine, ExecOutcome, ExternalHost, Memory};
 use crate::error::Result;
+use crate::machine::MachModule;
 use tc_bitir::{Module, TargetTriple};
 
 /// Base address at which JIT-materialised globals are placed in node memory.
 pub const JIT_DATA_BASE: u64 = 0x7000_0000_0000;
 
-/// A compiled, linked, materialised module ready for execution.
+/// A linked, materialised module ready for execution.
 #[derive(Debug)]
 pub struct MaterializedModule {
-    /// Compilation artefacts (machine code + stats).
-    pub compiled: Compiled,
+    /// The machine module, compiled here or recovered from a binary object.
+    pub module: MachModule,
     /// Dependencies loaded for this module.
-    deps: LoadedDylibs,
+    libs: LoadedLibs,
     /// Addresses at which the module's data objects were materialised.
     pub data_addrs: Vec<u64>,
 }
@@ -40,10 +36,10 @@ pub struct MaterializedModule {
 impl MaterializedModule {
     /// Execute function number `func_index` of this module on `engine` —
     /// for callers that resolved the index once (see
-    /// [`crate::machine::MachModule::function_index`]) and run the function
-    /// on every arrival.
+    /// [`MachModule::function_index`]) and run the function on every
+    /// arrival.
     ///
-    /// External symbols are resolved against the module's loaded dylibs
+    /// External symbols are resolved against the module's loaded libraries
     /// first, then against `framework_host` (the Three-Chains runtime).
     pub fn execute(
         &self,
@@ -53,9 +49,12 @@ impl MaterializedModule {
         mem: &mut dyn Memory,
         framework_host: &mut dyn ExternalHost,
     ) -> Result<ExecOutcome> {
-        let mut host = DylibHost::new(&self.deps, framework_host);
+        let mut host = LinkedHost {
+            libs: self.libs,
+            framework: framework_host,
+        };
         engine.run_index(
-            &self.compiled.module,
+            &self.module,
             func_index,
             args,
             &self.data_addrs,
@@ -69,25 +68,22 @@ impl MaterializedModule {
 #[derive(Debug)]
 pub struct OrcJit {
     target: TargetTriple,
-    registry: DylibRegistry,
     data_cursor: u64,
 }
 
 impl OrcJit {
-    /// Create a JIT session for the given target with the standard library
-    /// registry.
+    /// Create a JIT session for the given target.
     pub fn new(target: TargetTriple) -> Self {
         OrcJit {
             target,
-            registry: DylibRegistry::with_standard_libs(),
             data_cursor: JIT_DATA_BASE,
         }
     }
 
     /// Lower `module` if it is still portable (bitcode shipped from the
-    /// toolchain is already lowered), load its dependencies, compile it and
-    /// write its globals into `mem`.  Every call compiles: deciding whether a
-    /// module needs compiling at all is the caller's business.
+    /// toolchain is already lowered), compile it and [`link`](Self::link)
+    /// it.  Every call compiles: deciding whether a module needs compiling
+    /// at all is the caller's business.
     pub fn materialize(
         &mut self,
         module: Module,
@@ -98,24 +94,27 @@ impl OrcJit {
         } else {
             module
         };
-
-        // Remote dynamic linking: every dependency must be loadable here.
-        let deps = self.registry.load(&module.deps)?;
-
         let compiled = compile_module(&module, CompileOptions::default())?;
+        self.link(compiled.module, mem)
+    }
 
-        let mut data_addrs = Vec::with_capacity(compiled.module.data.len());
-        for d in &compiled.module.data {
+    /// The one link step of received code, whatever its representation:
+    /// load the libraries `module.deps` names — every one must be loadable
+    /// here, or the module is refused with `MissingDependency` — and write
+    /// its globals into `mem` behind the previous module's.
+    pub fn link(&mut self, module: MachModule, mem: &mut dyn Memory) -> Result<MaterializedModule> {
+        let libs = LoadedLibs::load(&module.deps)?;
+        let mut data_addrs = Vec::with_capacity(module.data.len());
+        for d in &module.data {
             let addr = self.data_cursor;
             mem.write(addr, &d.init)?;
             data_addrs.push(addr);
             let len = (d.init.len() as u64).max(8);
             self.data_cursor += (len + 63) & !63; // 64-byte align the next object
         }
-
         Ok(MaterializedModule {
-            compiled,
-            deps,
+            module,
+            libs,
             data_addrs,
         })
     }
@@ -172,7 +171,7 @@ mod tests {
         args: [u64; 3],
         mem: &mut dyn Memory,
     ) -> Result<ExecOutcome> {
-        let entry = module.compiled.module.function_index(Module::ENTRY_NAME);
+        let entry = module.module.function_index(Module::ENTRY_NAME);
         module.execute(&Engine::new(), entry.unwrap(), &args, mem, &mut NoExternals)
     }
 

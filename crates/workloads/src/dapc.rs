@@ -254,17 +254,14 @@ impl DapcExperiment {
         (value, elapsed_us)
     }
 
+    /// The chase's result, from mailbox `slot`.  A result that never
+    /// arrives fails loudly: the mailbox slot may be a reused one, so reading
+    /// it instead could return an earlier chase's value.
     fn wait_for_result(&mut self, slot: u64) -> u64 {
         let handle = tc_core::ResultHandle::for_slot(slot);
         match self.sim.wait(&handle) {
             Ok(value) => value,
-            // Fall back to polling the mailbox directly (the result may have
-            // been delivered by a direct memory write).
-            Err(_) => self
-                .sim
-                .client()
-                .poll_result_slot(slot)
-                .expect("chase result never arrived"),
+            Err(e) => panic!("chase result for slot {slot} never arrived: {e}"),
         }
     }
 

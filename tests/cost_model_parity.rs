@@ -182,7 +182,7 @@ fn copying_module(name: &str, symbol: &str) -> Module {
 
 /// Run `main(0, 0, 0x500)` of a materialised module.
 fn run_main(module: &MaterializedModule, mem: &mut dyn Memory) -> tc_jit::Result<ExecOutcome> {
-    let entry = module.compiled.module.function_index("main").unwrap();
+    let entry = module.module.function_index("main").unwrap();
     module.execute(&Engine::new(), entry, &[0, 0, 0x500], mem, &mut NoExternals)
 }
 

@@ -1,25 +1,29 @@
 //! Hostile shipped code, generated.
 //!
 //! Code reaches a target process as bytes a remote peer chose: a fat-bitcode
-//! archive, one bitcode slice of it, or a binary ifunc's `.text`.  This suite
-//! mutates the shipped forms of every `tc-workloads` kernel with a seeded
-//! generator — a byte set, a bit flipped, the tail cut off, one to four of
-//! them per case — and drives each case through every stage a target runs:
-//! archive decode, bitcode decode, verification, compilation and execution
-//! (under a small fuel limit), or `.text` decode and execution.  Any stage may
-//! refuse the input with an error; none may panic.  A failing case prints
-//! its seed, and `case(seed)` replays it.
+//! archive, one bitcode slice of it, a binary ifunc's `.text`, or the whole
+//! binary object.  This suite mutates the shipped forms of every
+//! `tc-workloads` kernel with a seeded generator — a byte set, a bit flipped,
+//! the tail cut off, one to four of them per case — and drives each case
+//! through every stage a target runs: archive decode, bitcode decode,
+//! verification, compilation and execution (under a small fuel limit),
+//! `.text` decode and execution, or the runtime's binary intake — object
+//! decode, GOT patching, module recovery, the JIT session's link step and
+//! execution.  Any stage may refuse the input with an error; none may panic.
+//! A failing case prints its seed, and `case(seed)` (`binary_case(seed)`)
+//! replays it.
 //!
 //! Beside it, the shipped bytes themselves are pinned: a refactor of a codec
 //! must not change what travels.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use tc_binfmt::{load_object, LoadOptions, ObjectFile};
 use tc_bitir::{decode_module, encode_module, verify_module, FatBitcode, Module, TargetTriple};
 use tc_core::layout::{DATA_REGION_BASE, PAYLOAD_STAGING_BASE, TARGET_REGION_BASE};
 use tc_core::{build_ifunc_library, ToolchainOptions};
 use tc_jit::{
-    compile_module, lower_and_compile, CompileOptions, Engine, ExecLimits, ExternalHost,
-    MachModule, Memory, MemoryExt, SparseMemory,
+    build_object, compile_module, lower_and_compile, module_from_image, CompileOptions, Engine,
+    ExecLimits, ExternalHost, LoadedLibs, MachModule, Memory, MemoryExt, OrcJit, SparseMemory,
 };
 use tc_workloads::{
     chaser_module, chaser_module_chainlang, chaser_payload, tsi_module, tsi_module_chainlang,
@@ -215,6 +219,29 @@ impl ExternalHost for AnyHost {
     }
 }
 
+/// The engine a case runs on: 5 000 instructions of fuel.
+fn engine() -> Engine {
+    Engine {
+        limits: ExecLimits {
+            fuel: 5_000,
+            ..ExecLimits::default()
+        },
+    }
+}
+
+/// Stage a target's memory for one arrival — a chaser payload and a target
+/// word — and return the entry's arguments.
+fn stage(mem: &mut SparseMemory) -> Option<[u64; 3]> {
+    let payload = chaser_payload::encode(0, 0, 3, 2, 1, 16);
+    mem.write(PAYLOAD_STAGING_BASE, &payload).ok()?;
+    mem.write_u64(TARGET_REGION_BASE, 7).ok()?;
+    Some([
+        PAYLOAD_STAGING_BASE,
+        payload.len() as u64,
+        TARGET_REGION_BASE,
+    ])
+}
+
 /// Run a module's entry, if it has one, the way a target does: a staged
 /// chaser payload, a target region, globals at the data region.
 fn execute(module: &MachModule) {
@@ -222,7 +249,6 @@ fn execute(module: &MachModule) {
         return;
     };
     let mut mem = SparseMemory::new();
-    let payload = chaser_payload::encode(0, 0, 3, 2, 1, 16);
     let mut data_addrs = Vec::new();
     let mut at = DATA_REGION_BASE;
     for d in &module.data {
@@ -232,23 +258,10 @@ fn execute(module: &MachModule) {
         data_addrs.push(at);
         at += (d.init.len() as u64).div_ceil(8) * 8 + 8;
     }
-    if mem.write(PAYLOAD_STAGING_BASE, &payload).is_err()
-        || mem.write_u64(TARGET_REGION_BASE, 7).is_err()
-    {
+    let Some(args) = stage(&mut mem) else {
         return;
-    }
-    let engine = Engine {
-        limits: ExecLimits {
-            fuel: 5_000,
-            ..ExecLimits::default()
-        },
     };
-    let args = [
-        PAYLOAD_STAGING_BASE,
-        payload.len() as u64,
-        TARGET_REGION_BASE,
-    ];
-    let _ = engine.run_index(module, entry, &args, &data_addrs, &mut mem, &mut AnyHost);
+    let _ = engine().run_index(module, entry, &args, &data_addrs, &mut mem, &mut AnyHost);
 }
 
 /// A bitcode slice: decode, verify, compile, run.
@@ -288,7 +301,56 @@ fn case(inputs: &[Vec<Input>; 3], seed: u64) {
     }
 }
 
+/// A binary object through the runtime's binary intake, on a node of
+/// `target`: decode, load the declared libraries, GOT-patch against them,
+/// recover the module, link it (globals placed) and run its entry.
+fn run_binary(bytes: &[u8], target: TargetTriple) {
+    let Ok(object) = ObjectFile::decode(bytes) else {
+        return;
+    };
+    let Ok(libs) = LoadedLibs::load(&object.deps) else {
+        return;
+    };
+    let Ok(image) = load_object(&object, &target.name(), &libs, LoadOptions::default()) else {
+        return;
+    };
+    let Ok(mut module) = module_from_image(&image) else {
+        return;
+    };
+    module.deps = object.deps;
+    let mut mem = SparseMemory::new();
+    let Ok(linked) = OrcJit::new(target).link(module, &mut mem) else {
+        return;
+    };
+    let (Some(entry), Some(args)) = (linked.module.function_index("main"), stage(&mut mem)) else {
+        return;
+    };
+    let _ = linked.execute(&engine(), entry, &args, &mut mem, &mut AnyHost);
+}
+
+/// Every kernel's binary object for each default toolchain target, with
+/// the target it was built for.
+fn binary_inputs() -> Vec<(Input, TargetTriple)> {
+    let mut objects = Vec::new();
+    for (_, module) in kernels() {
+        for target in TargetTriple::default_toolchain_targets() {
+            let object = build_object(&module, target, CompileOptions::default()).unwrap();
+            objects.push((Input::new(object.encode()), target));
+        }
+    }
+    objects
+}
+
+/// One binary case: the objects are taken in turn, each mutated and taken
+/// in on its target.
+fn binary_case(inputs: &[(Input, TargetTriple)], seed: u64) {
+    let (original, target) = &inputs[seed as usize % inputs.len()];
+    run_binary(&mutate(&mut Rng(seed), original), *target);
+}
+
 const CASES: u64 = 20_000;
+/// 5 000 per kernel: five kernels, five objects each, taken in turn.
+const BINARY_CASES: u64 = 25_000;
 
 #[test]
 fn mutated_shipped_code_is_refused_or_run_never_panics() {
@@ -362,4 +424,21 @@ fn a_text_option_flag_of_two_is_refused() {
     hostile[n - 2] = 2;
     assert!(MachModule::decode(&bytes).is_ok());
     assert!(MachModule::decode(&hostile).is_err());
+}
+
+#[test]
+fn mutated_binary_objects_are_refused_or_run_never_panic() {
+    let inputs = binary_inputs();
+    let mut panicked = Vec::new();
+    for seed in 0..BINARY_CASES {
+        if catch_unwind(AssertUnwindSafe(|| binary_case(&inputs, seed))).is_err() {
+            panicked.push(seed);
+        }
+    }
+    assert!(
+        panicked.is_empty(),
+        "{} of {BINARY_CASES} binary cases panicked; replay with binary_case(seed) for seeds {:?}",
+        panicked.len(),
+        &panicked[..panicked.len().min(20)]
+    );
 }
