@@ -10,9 +10,9 @@
 //!   is a hash lookup plus an O(1) amortized queue pop — not the linear
 //!   `Vec<Completion>` scan (quadratic across a pipelined run) it replaces;
 //! * [`CompletionSet`] — a registration set of heterogeneous handles
-//!   ([`GetHandle`], [`ResultHandle`], [`PutHandle`]), each with an optional
-//!   per-handle deadline, indexed by completion key so readiness checks
-//!   never scan the registrations; driven by
+//!   ([`GetHandle`], [`ResultHandle`], [`PutHandle`]), one registration per
+//!   completion key, so readiness checks never scan the registrations;
+//!   driven by
 //!   [`Cluster::wait_any`](super::Cluster::wait_any) /
 //!   [`wait_all`](super::Cluster::wait_all) /
 //!   [`poll_any`](super::Cluster::poll_any);
@@ -26,11 +26,16 @@
 //! A completion leaves the table one way: a typed handle claims it, directly
 //! ([`Cluster::wait`](super::Cluster::wait) /
 //! [`try_claim`](super::Cluster::try_claim)) or through a [`CompletionSet`].
+//!
+//! A wait ends one of three ways: its completion arrives (earliest arrival
+//! first); a GET or confirmed PUT pinned to a terminally failed rank resolves
+//! as [`Ready::PeerLost`]; or the transport goes quiescent first and the wait
+//! fails with [`CoreError::WaitTimeout`](crate::CoreError::WaitTimeout).
 
 use super::{ClientId, CompletionHandle, GetHandle, ResultHandle};
 use crate::runtime::Completion;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use tc_ucx::{Bytes, RequestId};
 
 /// What a pending completion is keyed by — the join point between the claim
@@ -262,27 +267,13 @@ pub enum Ready {
     Result(u64),
     /// A confirmed PUT was applied remotely and acknowledged.
     Put,
-    /// The handle's deadline expired (or the transport went quiescent with
-    /// the deadline armed) before the completion arrived.  The registration
-    /// is removed; the completion, should it still arrive, stays claimable
-    /// through the claim table.
-    Deadline,
     /// The server rank the operation was pinned to failed terminally (dead
     /// with no recovery pending), so the completion can never arrive.  The
     /// registration is removed; carries the lost rank.  Only GETs and
-    /// confirmed PUTs are pinned to a rank — result mailboxes can be filled
-    /// from anywhere and resolve through deadlines instead.
+    /// confirmed PUTs are pinned to a rank — a result mailbox can be filled
+    /// from anywhere, so a result registration waits until its value arrives
+    /// or the wait times out at quiescence.
     PeerLost(u32),
-}
-
-/// Deadline state of one registration.  Relative deadlines are resolved to
-/// absolute transport-clock instants the first time the set is driven (the
-/// set itself holds no clock — virtual nanoseconds on the simulated backend,
-/// wall-clock nanoseconds on the threaded one).
-#[derive(Debug, Clone, Copy)]
-enum DeadlineState {
-    Relative(u64),
-    Absolute(u64),
 }
 
 #[derive(Debug)]
@@ -291,79 +282,27 @@ struct SetEntry {
     /// The server rank the operation is pinned to (GETs and confirmed PUTs;
     /// a result can be delivered from anywhere).
     target: Option<usize>,
-    deadline: Option<DeadlineState>,
-}
-
-/// Tokens registered for one completion key.  Almost every key has exactly
-/// one registration; the single-token representation avoids a heap
-/// allocation per outstanding operation on the hot path.
-#[derive(Debug)]
-enum Tokens {
-    One(u64),
-    /// Two or more (never empty: it collapses back to `One`).
-    Many(BTreeSet<u64>),
-}
-
-impl Tokens {
-    fn insert(&mut self, token: u64) {
-        match self {
-            Tokens::One(existing) => *self = Tokens::Many(BTreeSet::from([*existing, token])),
-            Tokens::Many(set) => {
-                set.insert(token);
-            }
-        }
-    }
-
-    /// Lowest registered token (duplicates resolve earliest-token-first).
-    fn first(&self) -> Option<u64> {
-        match self {
-            Tokens::One(t) => Some(*t),
-            Tokens::Many(set) => set.first().copied(),
-        }
-    }
-
-    /// Remove `token`; true when the key has no registrations left.
-    fn remove(&mut self, token: u64) -> bool {
-        match self {
-            Tokens::One(t) => *t == token,
-            Tokens::Many(set) => {
-                set.remove(&token);
-                if let (1, Some(&last)) = (set.len(), set.first()) {
-                    *self = Tokens::One(last);
-                }
-                false
-            }
-        }
-    }
 }
 
 /// A poll/select-style registration set of heterogeneous completion handles.
 ///
 /// Register handles with [`CompletionSet::add_get`] /
 /// [`add_result`](CompletionSet::add_result) /
-/// [`add_put`](CompletionSet::add_put) (optionally arming a per-handle
-/// deadline with [`deadline`](CompletionSet::deadline)), then drive the set
-/// with [`Cluster::wait_any`](super::Cluster::wait_any) — first ready wins,
-/// ties broken by completion arrival order — or
+/// [`add_put`](CompletionSet::add_put), then drive the set with
+/// [`Cluster::wait_any`](super::Cluster::wait_any) — first ready wins, ties
+/// broken by completion arrival order — or
 /// [`Cluster::wait_all`](super::Cluster::wait_all).
 ///
-/// Registrations are indexed by completion key, so resolving one of
-/// hundreds of outstanding operations costs a queue pop and two hash
-/// operations, independent of the set size.
-///
-/// Registering the *same* underlying handle twice is allowed but the
-/// completion is claimed exactly once: the earliest registration receives
-/// it, the duplicate only resolves through its deadline or the final
-/// timeout.
+/// Registrations are indexed by completion key, one token per key, so
+/// resolving one of hundreds of outstanding operations costs a queue pop and
+/// two hash operations, independent of the set size.  Adding a handle that
+/// is already registered returns its existing token: every registration has
+/// exactly one completion that can resolve it.
 #[derive(Debug, Default)]
 pub struct CompletionSet {
     entries: HashMap<u64, SetEntry>,
-    /// Registration index: completion key → tokens waiting on it (ordered,
-    /// so duplicate registrations resolve earliest-token-first).
-    index: HashMap<ClaimKey, Tokens>,
-    /// Registrations with an armed deadline (resolve/expiry scans touch
-    /// only these).
-    deadlined: BTreeSet<u64>,
+    /// Registration index: completion key → the one token waiting on it.
+    index: HashMap<ClaimKey, u64>,
     next_token: u64,
 }
 
@@ -383,57 +322,34 @@ impl CompletionSet {
         self.entries.is_empty()
     }
 
+    /// Register `key`, or return the token it is already registered under.
     fn push(&mut self, key: ClaimKey, target: Option<usize>) -> CompletionToken {
-        let token = self.next_token;
-        self.next_token += 1;
-        match self.index.entry(key) {
-            Entry::Vacant(v) => {
-                v.insert(Tokens::One(token));
-            }
-            Entry::Occupied(mut o) => o.get_mut().insert(token),
-        }
-        self.entries.insert(
-            token,
-            SetEntry {
-                key,
-                target,
-                deadline: None,
-            },
-        );
+        let token = *self.index.entry(key).or_insert_with(|| {
+            let token = self.next_token;
+            self.next_token += 1;
+            self.entries.insert(token, SetEntry { key, target });
+            token
+        });
         CompletionToken(token)
     }
 
-    /// Register a GET handle.
+    /// Register a GET handle (or return its token if it is registered).
     pub fn add_get(&mut self, handle: GetHandle) -> CompletionToken {
         let key = ClaimKey::Get(handle.client(), handle.request().0);
         self.push(key, Some(handle.target()))
     }
 
-    /// Register an X-RDMA result handle.
+    /// Register an X-RDMA result handle (or return its token if it is
+    /// registered).
     pub fn add_result(&mut self, handle: ResultHandle) -> CompletionToken {
         self.push(ClaimKey::Result(handle.client(), handle.slot()), None)
     }
 
-    /// Register a confirmed-PUT handle.
+    /// Register a confirmed-PUT handle (or return its token if it is
+    /// registered).
     pub fn add_put(&mut self, handle: PutHandle) -> CompletionToken {
         let key = ClaimKey::Put(handle.client, handle.request.0);
         self.push(key, Some(handle.target))
-    }
-
-    /// Arm (or re-arm) a per-handle deadline, `nanos` transport-clock
-    /// nanoseconds from the moment the set is next driven.  On the simulated
-    /// backend the clock is virtual time; on the threaded backend it is
-    /// wall-clock time.  Returns false when the token is no longer
-    /// registered.
-    pub fn deadline(&mut self, token: CompletionToken, nanos: u64) -> bool {
-        match self.entries.get_mut(&token.0) {
-            Some(e) => {
-                e.deadline = Some(DeadlineState::Relative(nanos));
-                self.deadlined.insert(token.0);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Deregister a token without resolving it.  Returns false when it was
@@ -442,43 +358,20 @@ impl CompletionSet {
         let Some(entry) = self.entries.remove(&token.0) else {
             return false;
         };
-        if let Entry::Occupied(mut tokens) = self.index.entry(entry.key) {
-            if tokens.get_mut().remove(token.0) {
-                tokens.remove();
-            }
-        }
-        self.deadlined.remove(&token.0);
+        self.index.remove(&entry.key);
         true
-    }
-
-    /// Resolve relative deadlines against the transport clock.  Called by
-    /// the cluster before checking expiry; touches only deadline-armed
-    /// registrations.
-    pub(super) fn resolve_deadlines(&mut self, now: u64) {
-        for token in &self.deadlined {
-            if let Some(e) = self.entries.get_mut(token) {
-                if let Some(DeadlineState::Relative(d)) = e.deadline {
-                    e.deadline = Some(DeadlineState::Absolute(now.saturating_add(d)));
-                }
-            }
-        }
-    }
-
-    /// True when any registration has an armed deadline.
-    pub(super) fn has_deadlines(&self) -> bool {
-        !self.deadlined.is_empty()
     }
 
     /// Claim the ready entry whose completion arrived earliest, if any: the
     /// first live record of the table's arrival queue whose key is
-    /// registered here, handed to that key's earliest registration.
+    /// registered here, handed to that key's registration.
     pub(super) fn claim_earliest(
         &mut self,
         claims: &mut ClaimTable,
     ) -> Option<(CompletionToken, Ready)> {
         let index = &self.index;
         let key = claims.earliest_pending(|k| index.contains_key(&k))?;
-        let token = CompletionToken(index.get(&key)?.first()?);
+        let token = CompletionToken(*index.get(&key)?);
         let ready = claims.claim(key)?;
         self.remove(token);
         Some((token, ready))
@@ -498,45 +391,6 @@ impl CompletionSet {
             .min()?;
         self.remove(CompletionToken(token));
         Some((CompletionToken(token), rank))
-    }
-
-    /// Remove and return the entry with the earliest expired deadline, if
-    /// any is at or past `now`.
-    pub(super) fn take_expired(&mut self, now: u64) -> Option<CompletionToken> {
-        let mut best: Option<(u64, u64)> = None;
-        for &token in &self.deadlined {
-            if let Some(DeadlineState::Absolute(at)) =
-                self.entries.get(&token).and_then(|e| e.deadline)
-            {
-                if at <= now && best.map(|(b, _)| at < b).unwrap_or(true) {
-                    best = Some((at, token));
-                }
-            }
-        }
-        let token = CompletionToken(best?.1);
-        self.remove(token);
-        Some(token)
-    }
-
-    /// Remove and return the deadline-armed entry whose deadline is
-    /// earliest, regardless of the clock — used when the transport goes
-    /// quiescent, at which point an armed deadline can never be beaten by a
-    /// completion.  (Unresolved relative deadlines sort after resolved
-    /// absolute ones; ties break on the lower token.)
-    pub(super) fn take_any_deadlined(&mut self) -> Option<CompletionToken> {
-        let mut best: Option<(u64, u64)> = None;
-        for &token in &self.deadlined {
-            let at = match self.entries.get(&token).and_then(|e| e.deadline) {
-                Some(DeadlineState::Absolute(at)) => at,
-                Some(DeadlineState::Relative(_)) | None => u64::MAX,
-            };
-            if best.map(|(b, _)| at < b).unwrap_or(true) {
-                best = Some((at, token));
-            }
-        }
-        let token = CompletionToken(best?.1);
-        self.remove(token);
-        Some(token)
     }
 
     /// Description of the still-registered handles, for timeout errors.
@@ -783,8 +637,10 @@ mod tests {
             target: 1,
         };
         let t1 = set.add_get(g);
-        let t2 = set.add_get(g); // duplicate registration of the same handle
         let t3 = set.add_result(ResultHandle::for_slot(1));
+        // A duplicate registration of the same handle is the same one.
+        assert_eq!(set.add_get(g), t1);
+        assert_eq!(set.len(), 2);
         claims.absorb(
             C0,
             vec![
@@ -797,15 +653,37 @@ mod tests {
         let (tok, ready) = set.claim_earliest(&mut claims).unwrap();
         assert_eq!(tok, t3);
         assert_eq!(ready, Ready::Result(11));
-        // The first GET registration claims the data…
+        // The GET's one registration claims the data, once.
         let (tok, ready) = set.claim_earliest(&mut claims).unwrap();
         assert_eq!(tok, t1);
         assert!(matches!(ready, Ready::Get(d) if d[0] == 5));
-        // …and the duplicate stays unresolved.
-        assert!(set.claim_earliest(&mut claims).is_none());
-        assert_eq!(set.len(), 1);
-        assert!(set.remove(t2));
         assert!(set.is_empty());
+        assert!(set.claim_earliest(&mut claims).is_none());
+        assert!(!set.remove(t1), "resolved registrations are gone");
+    }
+
+    #[test]
+    fn a_handle_added_twice_is_one_registration() {
+        let mut claims = ClaimTable::default();
+        let mut set = CompletionSet::new();
+        let g = GetHandle {
+            client: C0,
+            request: RequestId(4),
+            target: 1,
+        };
+        let t = set.add_get(g);
+        assert_eq!(set.add_get(g), t, "one token per handle");
+        assert_eq!((set.len(), set.index.len()), (1, 1));
+        claims.absorb(C0, vec![get_completion(4, 5), get_completion(4, 6)]);
+        let (tok, ready) = set.claim_earliest(&mut claims).unwrap();
+        assert_eq!(tok, t);
+        assert!(matches!(ready, Ready::Get(d) if d[0] == 5));
+        // Resolved once: nothing is left registered or pending.
+        assert!(set.is_empty() && set.index.is_empty());
+        assert!(set.claim_earliest(&mut claims).is_none());
+        assert!(claims.is_empty());
+        // Registered again after it resolved, it is a new registration.
+        assert_ne!(set.add_get(g), t);
     }
 
     // --- the table against a naive model -----------------------------------
@@ -910,6 +788,8 @@ mod tests {
                 Op::ClaimEarliest(keys, rounds) => {
                     let mut set = CompletionSet::new();
                     let tokens: Vec<_> = keys.iter().map(|&k| register(&mut set, k)).collect();
+                    let distinct: std::collections::HashSet<_> = keys.iter().collect();
+                    assert_eq!(set.len(), distinct.len(), "{}: one per key", at());
                     for _ in 0..*rounds {
                         let want = m.earliest(keys).and_then(|key| {
                             let token = tokens[keys.iter().position(|&k| k == key)?];
@@ -1005,33 +885,5 @@ mod tests {
         assert_eq!(set.take_peer_lost(&[1, 2, 3]), None);
         assert!(set.remove(t_res));
         assert!(set.is_empty());
-    }
-
-    #[test]
-    fn quiescence_resolves_the_earliest_deadline_first() {
-        let mut set = CompletionSet::new();
-        let t_late = set.add_result(ResultHandle::for_slot(1));
-        let t_early = set.add_result(ResultHandle::for_slot(2));
-        set.deadline(t_late, 10_000);
-        set.deadline(t_early, 100);
-        set.resolve_deadlines(0);
-        // The lower token has the *later* deadline; quiescence must still
-        // resolve the earlier deadline first.
-        assert_eq!(set.take_any_deadlined(), Some(t_early));
-        assert_eq!(set.take_any_deadlined(), Some(t_late));
-        assert_eq!(set.take_any_deadlined(), None);
-    }
-
-    #[test]
-    fn deadlines_resolve_relative_to_first_drive() {
-        let mut set = CompletionSet::new();
-        let t = set.add_result(ResultHandle::for_slot(9));
-        assert!(set.deadline(t, 100));
-        assert!(set.has_deadlines());
-        set.resolve_deadlines(1_000);
-        assert!(set.take_expired(1_099).is_none());
-        assert_eq!(set.take_expired(1_100), Some(t));
-        assert!(set.take_expired(u64::MAX).is_none());
-        assert!(!set.has_deadlines());
     }
 }

@@ -241,10 +241,10 @@ pub trait Transport {
         1
     }
 
-    /// The transport's clock in nanoseconds.  Per-handle deadlines in a
-    /// [`CompletionSet`] are measured on this clock.  The default is wall
-    /// time on the one process-wide origin the wall-clock backends' links
-    /// share; the simulated backend answers with its virtual time.
+    /// The transport's clock in nanoseconds, as stamped on a [`Snapshot`].
+    /// The default is wall time on the one process-wide origin the
+    /// wall-clock backends' links share; the simulated backend answers with
+    /// its virtual time.
     fn now_nanos(&self) -> u64 {
         link::wall_nanos()
     }
@@ -512,18 +512,21 @@ impl ResultHandle {
     /// first with [`Cluster::reserve_result_slot`] (which also returns the
     /// handle) — the allocator then skips it.  Unreserved manual slots are
     /// only safe if the driver never calls `result_slot()`.
+    ///
+    /// A slot names a mailbox slot modulo [`RESULT_MAILBOX_SLOTS`], as its
+    /// [`mailbox_addr`](ResultHandle::mailbox_addr) does.
     pub fn for_slot(slot: u64) -> Self {
-        ResultHandle {
-            client: ClientId::PRIMARY,
-            slot,
-        }
+        Self::for_client_slot(ClientId::PRIMARY, slot)
     }
 
-    /// A handle for an explicitly chosen mailbox slot on client `client`.
-    /// Each client owns an independent mailbox, so equal slot numbers on
-    /// different clients never collide.
+    /// A handle for an explicitly chosen mailbox slot on client `client`
+    /// (modulo [`RESULT_MAILBOX_SLOTS`]).  Each client owns an independent
+    /// mailbox, so equal slot numbers on different clients never collide.
     pub fn for_client_slot(client: ClientId, slot: u64) -> Self {
-        ResultHandle { client, slot }
+        ResultHandle {
+            client,
+            slot: slot % RESULT_MAILBOX_SLOTS,
+        }
     }
 
     /// The mailbox slot this handle waits on (encode it into the ifunc
@@ -1003,8 +1006,9 @@ impl<T: Transport> Cluster<T> {
     /// never hand out a reserved slot, which is the safe way to mix manual
     /// ([`ResultHandle::for_slot`]) and allocated slots in one driver.
     pub fn reserve_result_slot(&mut self, slot: u64) -> ResultHandle {
-        self.slots[0].reserved.insert(slot % RESULT_MAILBOX_SLOTS);
-        ResultHandle::for_slot(slot)
+        let handle = ResultHandle::for_slot(slot);
+        self.slots[0].reserved.insert(handle.slot);
+        handle
     }
 
     /// Reserve an explicitly chosen mailbox slot on client `client`.
@@ -1013,8 +1017,9 @@ impl<T: Transport> Cluster<T> {
     pub fn reserve_result_slot_on(&mut self, client: ClientId, slot: u64) -> Result<ResultHandle> {
         let slots = self.slots.get_mut(client.0);
         let reserved = &mut slots.ok_or_else(|| no_such_client(client))?.reserved;
-        reserved.insert(slot % RESULT_MAILBOX_SLOTS);
-        Ok(ResultHandle { client, slot })
+        let handle = ResultHandle::for_client_slot(client, slot);
+        reserved.insert(handle.slot);
+        Ok(handle)
     }
 
     // --- completion and progress --------------------------------------------
@@ -1080,32 +1085,22 @@ impl<T: Transport> Cluster<T> {
         handle.try_claim(&mut self.claims)
     }
 
-    /// Drive the transport until any handle registered in `set` resolves:
-    /// first ready wins (ties broken by completion arrival order), a handle
-    /// pinned to a terminally failed rank surfaces as [`Ready::PeerLost`],
-    /// expired per-handle deadlines as [`Ready::Deadline`].  The resolved
-    /// registration is removed from the set.
-    ///
-    /// When the transport goes quiescent with registrations outstanding, a
-    /// deadline-armed registration (earliest first) resolves as
-    /// [`Ready::Deadline`] — nothing can beat the deadline anymore — and
-    /// only a set with no armed deadlines fails with
-    /// [`CoreError::WaitTimeout`].
+    /// Drive the transport until any handle registered in `set` resolves,
+    /// and remove that registration from the set.  A wait ends one of three
+    /// ways: a completion arrives (the earliest arrival wins); a handle
+    /// pinned to a terminally failed rank resolves as [`Ready::PeerLost`];
+    /// or the transport goes quiescent first, and the wait fails with
+    /// [`CoreError::WaitTimeout`], leaving every registration in place.
     pub fn wait_any(&mut self, set: &mut CompletionSet) -> Result<(CompletionToken, Ready)> {
         if set.is_empty() {
             return Err(CoreError::WaitTimeout {
                 what: "wait_any on an empty completion set".into(),
             });
         }
-        if let (Some(resolved), _) = self.drive(u64::MAX, |cluster| cluster.poll_any(set))? {
-            return Ok(resolved);
-        }
-        match set.take_any_deadlined() {
-            Some(token) => Ok((token, Ready::Deadline)),
-            None => Err(CoreError::WaitTimeout {
-                what: set.describe(),
-            }),
-        }
+        let (resolved, _) = self.drive(u64::MAX, |cluster| cluster.poll_any(set))?;
+        resolved.ok_or_else(|| CoreError::WaitTimeout {
+            what: set.describe(),
+        })
     }
 
     /// Drive the transport until every registration in `set` has resolved,
@@ -1120,8 +1115,7 @@ impl<T: Transport> Cluster<T> {
 
     /// Non-blocking check of `set`: absorbs pending completions and resolves
     /// at most one registration — ready completion first, then a handle
-    /// whose peer is lost, then an expired deadline — without driving the
-    /// transport.
+    /// whose peer is lost — without driving the transport.
     pub fn poll_any(&mut self, set: &mut CompletionSet) -> Option<(CompletionToken, Ready)> {
         self.absorb_completions();
         if let Some(ready) = set.claim_earliest(&mut self.claims) {
@@ -1131,17 +1125,11 @@ impl<T: Transport> Cluster<T> {
         // fail it fast instead of riding to the quiescence timeout.  (A
         // rank mid-recovery is not in `failed_ranks`.)
         let failed = self.transport.failed_ranks();
-        if !failed.is_empty() {
-            if let Some((token, rank)) = set.take_peer_lost(&failed) {
-                return Some((token, Ready::PeerLost(rank as u32)));
-            }
-        }
-        if !set.has_deadlines() {
+        if failed.is_empty() {
             return None;
         }
-        let now = self.transport.now_nanos();
-        set.resolve_deadlines(now);
-        set.take_expired(now).map(|t| (t, Ready::Deadline))
+        let (token, rank) = set.take_peer_lost(&failed)?;
+        Some((token, Ready::PeerLost(rank as u32)))
     }
 
     /// Number of arrived-but-unclaimed completions buffered client-side.
@@ -1268,7 +1256,7 @@ impl ClusterBuilder {
         self
     }
 
-    /// Number of server nodes (ranks 1..=n).
+    /// Number of server nodes (ranks `clients..clients + n`).
     pub fn servers(mut self, servers: usize) -> Self {
         self.servers = servers;
         self

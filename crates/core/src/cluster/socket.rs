@@ -1042,11 +1042,12 @@ impl Transport for SocketTransport {
     }
 
     fn deploy_am(&mut self, name: &str, handler: NativeAmHandler) -> Result<()> {
-        // Clients deploy the closure directly; server processes deploy the
-        // same-named handler from their compiled-in catalog (closures cannot
-        // cross a process boundary).  Deploy order fixes the handler ids
-        // cluster-wide, exactly as on the other backends.
-        self.driver.deploy_am(name, &handler);
+        // Server processes deploy the same-named handler from their
+        // compiled-in catalog (closures cannot cross a process boundary);
+        // clients deploy the closure directly.  Deploy order fixes the
+        // handler ids cluster-wide, exactly as on the other backends, so the
+        // servers are asked first: they all run one binary with one catalog,
+        // and a name it lacks must leave no rank's AM table a handler ahead.
         let clients = self.driver.clients();
         for rank in clients..clients + self.servers {
             let reply = self.control(rank, TAG_AM_DEPLOY, TAG_AM_ACK, name.as_bytes())?;
@@ -1056,6 +1057,7 @@ impl Transport for SocketTransport {
                 });
             }
         }
+        self.driver.deploy_am(name, &handler);
         // Remember the catalog (in deploy order — it fixes handler ids) so
         // a healed rank can be brought back to parity.
         self.deployed_ams.push(name.to_string());

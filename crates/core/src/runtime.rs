@@ -28,7 +28,7 @@ use crate::frame::{encode_truncated_parts, CodeRepr, FrameView, MessageFrame};
 use crate::ifunc::{IfuncHandle, IfuncLibrary, IfuncMessage, IfuncRegistry};
 use crate::layout::{
     decode_result_record, encode_result_record, is_result_mailbox_addr, result_slot_addr,
-    result_slot_of_addr, PAYLOAD_STAGING_BASE, TARGET_REGION_BASE,
+    result_slot_of_addr, PAYLOAD_STAGING_BASE, RESULT_MAILBOX_SLOTS, TARGET_REGION_BASE,
 };
 use crate::metrics::{OutcomeKind, ProcessOutcome, RuntimeStats};
 use std::collections::HashMap;
@@ -708,6 +708,8 @@ impl NodeRuntime {
                         self.memory
                             .write(result_slot_addr(slot), &record)
                             .map_err(|e| CoreError::Sim(e.to_string()))?;
+                        // The slot its address names, as on the remote path.
+                        let slot = slot % RESULT_MAILBOX_SLOTS;
                         self.completions.push(Completion::Result { slot, value });
                     } else {
                         self.post_put(dst, result_slot_addr(slot), record);
@@ -1064,6 +1066,26 @@ mod tests {
         assert_eq!(client.poll_result_slot(7), Some(42));
         let completions = client.take_completions();
         assert!(completions.contains(&Completion::Result { slot: 7, value: 42 }));
+    }
+
+    /// A result returned to the executing node itself completes under the
+    /// slot its address names, exactly as a remote return to that slot does.
+    #[test]
+    fn a_local_return_completes_under_the_slot_its_address_names() {
+        let mut client = NodeRuntime::new(WorkerAddr(0), 2, TargetTriple::THOR_XEON);
+        let mut server = NodeRuntime::new(WorkerAddr(1), 2, TargetTriple::THOR_BF2);
+        let handle = client.register_library(lib(&doubler_module()));
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&1u64.to_le_bytes()); // the server itself
+        payload.extend_from_slice(&(RESULT_MAILBOX_SLOTS + 7).to_le_bytes());
+        payload.extend_from_slice(&21u64.to_le_bytes());
+        let msg = client.create_bitcode_message(handle, payload).unwrap();
+        client.send_ifunc(&msg, WorkerAddr(1));
+        route(&mut client, &mut server);
+
+        assert_eq!(server.poll_result_slot(7), Some(42));
+        let completions = server.take_completions();
+        assert_eq!(completions, [Completion::Result { slot: 7, value: 42 }]);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use tc_bitir::TargetTriple;
 use tc_core::cluster::{Cluster, CompletionSet, Snapshot, Transport};
 use tc_core::{
-    ClientId, Completion, CoreError, GetHandle, NativeAmHandler, NodeRuntime, Ready, ResultHandle,
+    ClientId, Completion, CoreError, GetHandle, NativeAmHandler, NodeRuntime, ResultHandle,
 };
 use tc_ucx::{RequestId, WorkerAddr};
 
@@ -385,8 +385,7 @@ fn completion_set_resolves_in_arrival_order_across_clients() {
         feed(&mut cluster, &events);
 
         let mut resolved = Vec::new();
-        while let Some((token, ready)) = cluster.poll_any(&mut set) {
-            assert!(!matches!(ready, Ready::Deadline), "case {case}");
+        while let Some((token, _)) = cluster.poll_any(&mut set) {
             resolved.push(token);
         }
         // One absorb round drains client 0's queue, then client 1's, … —

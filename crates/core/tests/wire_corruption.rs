@@ -5,9 +5,11 @@
 //! covers the next failure class down — corrupted bytes.  Every decoder on
 //! the receive path (`wire::decode_op_vectored`,
 //! `wire::decode_rel_head`, `wire::decode_ack`, `wire::decode_control`,
-//! `wire::decode_stats`, `MessageFrame::decode_view`) must return an error
-//! for malformed input — never panic, never misindex — because a production
-//! fabric will eventually hand it garbage.
+//! `wire::decode_stats`, `MessageFrame::decode_view`, the socket session's
+//! `wire::decode_{hello,welcome,digest}`, and the peek / poke / stats
+//! requests a server rank serves) must return an error for malformed input —
+//! never panic, never misindex — because a production fabric will
+//! eventually hand it garbage.
 
 use tc_core::cluster::wire;
 use tc_core::frame::{CodeRepr, MessageFrame};
@@ -260,6 +262,173 @@ fn control_plane_codecs_reject_garbage() {
         rel.on_gap(1, rng.below(6), Some(rng.below(8)), 1, &mut resent);
     }
     assert!(resent.len() <= 4, "{resent:?}");
+}
+
+/// Mutated copies of `body`, `cases` of them from `seed`: a truncation, one
+/// to three bit flips, or a truncation with junk appended.
+fn corruptions(seed: u64, body: &[u8], cases: usize) -> impl Iterator<Item = Vec<u8>> + '_ {
+    let mut rng = SplitMix64::new(seed);
+    (0..cases).map(move |_| {
+        let mut bad = body.to_vec();
+        let len = bad.len() as u64;
+        match rng.below(3) {
+            0 => bad.truncate(rng.below(len) as usize),
+            1 => {
+                for _ in 0..=rng.below(3) {
+                    bad[rng.below(len) as usize] ^= 1 << rng.below(8);
+                }
+            }
+            _ => {
+                bad.truncate(rng.below(len + 1) as usize);
+                bad.extend(rng.bytes(8));
+            }
+        }
+        bad
+    })
+}
+
+/// Mutations of each socket-session codec, and of each control request a
+/// server rank serves: every case is `Ok` or a typed `Err`, never a panic.
+mod session_codecs {
+    use super::*;
+    use tc_bitir::TargetTriple;
+    use tc_core::cluster::reliable::{LinkHealth, RelMetrics};
+    use tc_core::cluster::{Cluster, ClusterBuilder, LinkDigest, SimTransport, Transport};
+    use tc_core::layout::DATA_REGION_BASE;
+    use tc_core::{CoreError, RelConfig};
+
+    const CASES: usize = 2_000;
+
+    /// Every strict prefix of a session body is refused, and the intact
+    /// body decodes to `want`.
+    fn check_prefixes_and_round_trip<T: PartialEq + std::fmt::Debug>(
+        body: &[u8],
+        want: T,
+        decode: impl Fn(&[u8]) -> tc_core::Result<T>,
+    ) {
+        assert_eq!(truncation_sweep(body, |b| decode(b).is_ok()), 0);
+        assert_eq!(decode(body).unwrap(), want);
+    }
+
+    fn typed<T>(result: tc_core::Result<T>) -> Option<T> {
+        match result {
+            Ok(value) => Some(value),
+            Err(CoreError::Transport(_)) => None,
+            Err(other) => panic!("untyped session error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn hello_welcome_and_rel_info_survive_seeded_mutations() {
+        let hello = wire::encode_hello(3);
+        check_prefixes_and_round_trip(&hello, 3, wire::decode_hello);
+        for bad in corruptions(0x4E11, &hello, CASES) {
+            let rank = typed(wire::decode_hello(&bad));
+            // Magic and version guard the first eight bytes.
+            if bad.len() == hello.len() && bad[..8] != hello[..8] {
+                assert_eq!(rank, None, "{bad:?}");
+            }
+        }
+
+        let welcome = wire::Welcome {
+            clients: 2,
+            servers: 3,
+            rank: 3,
+            rel: Some(RelConfig::sim_default()),
+            triple: TargetTriple::THOR_BF2,
+        };
+        let body = wire::encode_welcome(&welcome);
+        check_prefixes_and_round_trip(&body, welcome, wire::decode_welcome);
+        for bad in corruptions(0x3E1C, &body, CASES) {
+            // Whatever decodes names a server rank of its own layout.
+            if let Some(w) = typed(wire::decode_welcome(&bad)) {
+                assert!(
+                    w.clients <= w.rank && w.rank - w.clients < w.servers,
+                    "{w:?}"
+                );
+            }
+        }
+
+        let digest = LinkDigest {
+            unacked: 7,
+            metrics: RelMetrics {
+                retransmits: 5,
+                fast_retransmits: 4,
+                dup_drops: 3,
+                out_of_order: 2,
+                acks_sent: 1,
+            },
+            health: Some(LinkHealth {
+                peer: 2,
+                srtt: 9_000,
+                rttvar: 1_000,
+                rto: 50_000,
+                unacked: 7,
+                silent_rounds: 1,
+            }),
+        };
+        let body = wire::encode_digest(&digest);
+        check_prefixes_and_round_trip(&body, digest, wire::decode_digest);
+        for bad in corruptions(0xD16E, &body, CASES) {
+            // Every 104-byte body is a digest; no other length is.
+            let decoded = typed(wire::decode_digest(&bad));
+            assert_eq!(decoded.is_some(), bad.len() == body.len(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn mutated_peek_poke_and_stats_requests_get_typed_answers() {
+        let mut cluster = ClusterBuilder::new().servers(1).build_sim();
+        let rank = cluster.server_rank(0);
+        let control = |cluster: &mut Cluster<SimTransport>, tags: (u64, u64), body: &[u8]| {
+            typed(cluster.transport_mut().control(rank, tags.0, tags.1, body))
+        };
+
+        let mut peek = DATA_REGION_BASE.to_le_bytes().to_vec();
+        peek.extend_from_slice(&64u64.to_le_bytes());
+        let peek_tags = (wire::TAG_PEEK, wire::TAG_PEEK_REPLY);
+        assert_eq!(control(&mut cluster, peek_tags, &peek).unwrap().len(), 64);
+        for bad in corruptions(0x9EE4, &peek, CASES) {
+            let reply = control(&mut cluster, peek_tags, &bad);
+            // A request of any other shape is refused; a failed read is an
+            // empty reply; a read answers exactly the bytes it asked for.
+            match (bad.len(), reply) {
+                (16, Some(read)) => {
+                    let len = u64::from_le_bytes(bad[8..].try_into().unwrap());
+                    assert!(read.is_empty() || read.len() as u64 == len, "{bad:?}");
+                }
+                (_, reply) => assert_eq!(reply, None, "{bad:?}"),
+            }
+        }
+
+        let mut poke = DATA_REGION_BASE.to_le_bytes().to_vec();
+        poke.extend_from_slice(&[0xA5; 32]);
+        let poke_tags = (wire::TAG_POKE, wire::TAG_POKE_ACK);
+        assert_eq!(control(&mut cluster, poke_tags, &poke).unwrap(), [1]);
+        for bad in corruptions(0x90CE, &poke, CASES) {
+            let reply = control(&mut cluster, poke_tags, &bad);
+            if bad.len() < 8 {
+                assert_eq!(reply, None, "{bad:?}");
+            } else {
+                assert!(matches!(reply.as_deref(), Some([0] | [1])), "{bad:?}");
+            }
+        }
+
+        // A stats request has no body of its own: whatever it carries, the
+        // reply is one stats record, and mutated records decode or refuse.
+        let stats_tags = (wire::TAG_STATS, wire::TAG_STATS_REPLY);
+        let record = control(&mut cluster, stats_tags, &[]).unwrap();
+        let stats = wire::decode_stats(&record).unwrap();
+        assert!(stats.puts_applied == 0 && stats.gets_served == 0);
+        let mut rng = SplitMix64::new(0x57A7);
+        for bad in corruptions(0x57A7, &record, CASES) {
+            let junk = rng.bytes(24);
+            let reply = control(&mut cluster, stats_tags, &junk).unwrap();
+            assert!(wire::decode_stats(&reply).is_ok());
+            let decoded = typed(wire::decode_stats(&bad));
+            assert_eq!(decoded.is_some(), bad.len() == record.len(), "{bad:?}");
+        }
+    }
 }
 
 /// The socket backend adds one more decode layer beneath everything above:

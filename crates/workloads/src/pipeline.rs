@@ -388,9 +388,9 @@ mod tests {
             .servers(1)
             .build_sim();
         let addr = tc_core::layout::DATA_REGION_BASE;
-        // `twice` registers the GET a second time and hands the loop the
-        // later token; the earlier one claims the completion.
-        let mut run = |twice: bool| {
+        // `stray` also registers a GET posted just before the stream's own,
+        // whose token the loop never hears of; it completes first.
+        let mut run = |stray: bool| {
             drive(
                 &mut cluster,
                 PRIMARY,
@@ -398,10 +398,10 @@ mod tests {
                 Window::new(1),
                 |cluster, set, _, _| {
                     let rank = cluster.server_rank(0);
-                    let handle = cluster.post_get_from(ClientId::PRIMARY, rank, addr, 8)?;
-                    if twice {
-                        set.add_get(handle);
+                    if stray {
+                        set.add_get(cluster.post_get_from(ClientId::PRIMARY, rank, addr, 8)?);
                     }
+                    let handle = cluster.post_get_from(ClientId::PRIMARY, rank, addr, 8)?;
                     Ok(set.add_get(handle))
                 },
                 |_, _, ready| matches!(ready, Ready::Result(_)),

@@ -1,10 +1,10 @@
 //! The async completion plane, end to end: `CompletionSet`/`wait_any`
 //! multiplexing, pipelined drivers with hundreds of operations in flight,
-//! per-handle deadlines, confirmed PUTs — plus the regression tests for the
+//! one registration per handle, confirmed PUTs — plus the regression tests for the
 //! completion-draining, quiescence-timeout and result-slot-collision bugs
 //! this plane's design surfaced.
 
-use tc_core::layout::DATA_REGION_BASE;
+use tc_core::layout::{DATA_REGION_BASE, RESULT_MAILBOX_SLOTS};
 use tc_core::{
     build_ifunc_library, Backend, ClientId, Cluster, ClusterBuilder, CompletionSet, CoreError,
     FaultPlan, GetHandle, PutHandle, Ready, ResultHandle, Transport,
@@ -266,39 +266,51 @@ fn a_handle_for_an_unknown_client_times_out_instead_of_panicking() {
     }
 }
 
-/// Registering the same handle twice: exactly one token claims the
-/// completion, the duplicate resolves through its deadline.
+/// Registering the same handle twice is one registration: one token, and
+/// the completion resolves it once.
 #[test]
-fn duplicate_handle_claims_once_and_duplicate_deadlines() {
+fn duplicate_handle_is_one_registration_claimed_once() {
     let mut cluster = builder().build_sim();
     cluster.write_u64(1, DATA_REGION_BASE, 9).unwrap();
     let get = cluster.get(1, DATA_REGION_BASE, 8).unwrap();
     let mut set = CompletionSet::new();
-    let t1 = set.add_get(get);
-    let t2 = set.add_get(get);
-    set.deadline(t2, 1_000_000_000);
+    let t = set.add_get(get);
+    assert_eq!(set.add_get(get), t, "the same handle, the same token");
+    assert_eq!(set.len(), 1);
 
     let (tok, ready) = cluster.wait_any(&mut set).unwrap();
-    assert_eq!(tok, t1, "first registration claims");
-    assert!(matches!(ready, Ready::Get(_)));
-    let (tok, ready) = cluster.wait_any(&mut set).unwrap();
-    assert_eq!(tok, t2, "duplicate cannot claim again");
-    assert_eq!(ready, Ready::Deadline);
+    assert_eq!(tok, t);
+    assert!(matches!(ready, Ready::Get(d) if d[0] == 9));
+    assert!(
+        set.is_empty(),
+        "nothing is left that no completion can resolve"
+    );
+    assert!(matches!(
+        cluster.wait_any(&mut set),
+        Err(CoreError::WaitTimeout { .. })
+    ));
 }
 
-/// Per-handle deadlines expire on both backends: a result that never
-/// arrives resolves as `Ready::Deadline` instead of hanging or erroring.
+/// A result slot names its mailbox slot modulo `RESULT_MAILBOX_SLOTS`: a
+/// handle for a slot past the end resolves when the result the kernel
+/// returns to that slot lands.
 #[test]
-fn deadline_expiry_resolves_never_completing_handles() {
-    for backend in [Backend::Simnet, Backend::Threads] {
-        let mut cluster = builder().build(backend);
-        let mut set = CompletionSet::new();
-        let t = set.add_result(cluster.reserve_result_slot(4000));
-        set.deadline(t, 50_000_000); // 50 ms (wall or virtual)
-        let (tok, ready) = cluster.wait_any(&mut set).unwrap();
-        assert_eq!((tok, ready), (t, Ready::Deadline), "{backend}");
-        cluster.shutdown();
-    }
+fn a_result_slot_past_the_mailbox_end_resolves() {
+    let platform = tc_simnet::Platform::thor_xeon();
+    let mut cluster = builder().build_sim();
+    let lib = build_ifunc_library(
+        &tsi_reporting_module("rtsi_wrap"),
+        &platform_toolchain(&platform),
+    )
+    .unwrap();
+    let handle = cluster.register_ifunc(lib);
+    let slot = RESULT_MAILBOX_SLOTS + 3;
+    let result = ResultHandle::for_slot(slot);
+    assert_eq!(result.slot(), 3);
+    let payload = tc_workloads::reporting_tsi_payload::encode(0, slot, 5, 0);
+    let msg = cluster.bitcode_message(handle, payload).unwrap();
+    cluster.send_ifunc(&msg, 1).unwrap();
+    assert_eq!(cluster.wait(&result).unwrap(), 5);
 }
 
 /// Confirmed PUTs complete on both backends — including with a payload

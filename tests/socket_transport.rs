@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 use tc_core::cluster::{CompletionSet, Event, EventKind, RankState, Snapshot, SocketSpec};
-use tc_core::layout::DATA_REGION_BASE;
+use tc_core::layout::{DATA_REGION_BASE, TARGET_REGION_BASE};
 use tc_core::{Backend, ClusterBuilder, CoreError, FaultPlan, Ready, Transport};
 
 /// What the event ring of `snapshot` says happened to `rank`, oldest first.
@@ -151,6 +151,33 @@ fn tcp_transport_round_trips_puts_and_gets() {
         let data = cluster.wait(&handle).or_dump(&cluster);
         assert_eq!(&data[..], &payload[..], "TCP round trip of {size} bytes");
     }
+    cluster.shutdown();
+}
+
+/// A name missing from the server processes' catalog is refused before any
+/// rank deploys it, so the handler ids of the next deployment still agree
+/// between the clients and the servers.
+#[test]
+fn a_refused_am_deployment_leaves_handler_ids_in_step() {
+    let mut cluster = builder(2).build_socket().expect("cluster starts");
+    let noop: tc_core::NativeAmHandler = std::sync::Arc::new(|_, _| 0);
+    assert!(matches!(
+        cluster.deploy_am("not_in_the_catalog", noop),
+        Err(CoreError::UnknownAmHandler { .. })
+    ));
+    cluster
+        .deploy_am("tsi_am", tc_workloads::tsi_am_handler())
+        .unwrap();
+    let server = cluster.server_rank(1);
+    cluster.send_am("tsi_am", server, vec![5]).unwrap();
+    cluster.run_until_idle(1_000_000).or_dump(&cluster);
+    assert_eq!(
+        cluster
+            .read_u64(server, TARGET_REGION_BASE)
+            .or_dump(&cluster),
+        5
+    );
+    assert_eq!(cluster.stats(server).unwrap().ams_executed, 1);
     cluster.shutdown();
 }
 
