@@ -1,6 +1,6 @@
 //! The deterministic fault-decision machine.
 //!
-//! [`ChaosEngine::decide`] is the single choke point both backends consult
+//! [`ChaosEngine::decide`] is the single choke point every backend consults
 //! for every link traversal.  Each directed link owns an independent
 //! splitmix64 stream seeded from `(plan.seed, src, dst)` and a traversal
 //! counter; a decision always draws the same number of values from the
@@ -9,7 +9,6 @@
 
 use crate::plan::FaultPlan;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use tc_simnet::SplitMix64;
 
@@ -251,9 +250,11 @@ impl ChaosEngine {
 
 /// A clonable, thread-safe handle to a shared [`ChaosEngine`].
 ///
-/// The threaded backend's envelope filter runs on many node threads at once;
-/// the simulated backend is single-threaded but shares the same interface so
-/// transports are written once.  All methods lock internally.
+/// One session per cluster: every emitting host's [`HoldBack`] holds a
+/// clone, and the threaded backend's hosts run on many node threads at once,
+/// so the per-link streams and the counters live behind one lock.  The
+/// simulated backend is single-threaded but decides through the same
+/// interface.  All methods lock internally.
 #[derive(Clone, Debug)]
 pub struct ChaosSession {
     engine: Arc<Mutex<ChaosEngine>>,
@@ -291,54 +292,41 @@ impl ChaosSession {
     }
 }
 
-/// How carriers that cannot delay a message in time (threads, sockets) act
-/// on a [`Decision`]: delay and reorder share one mechanism — the message is
-/// *held back*, one slot per directed link, and released behind the link's
-/// next traffic.  A held message that is never overtaken is recovered by the
-/// sender's retransmission timer, whose re-send also flushes it.
+/// The fault gate of one emitting host: every reliable frame the host sends
+/// meets one [`ChaosSession`] decision here, and the gate carries it out.
+/// Carriers that cannot delay a message in time (threads, sockets) realise
+/// delay and reorder by one mechanism — the message is *held back*, one slot
+/// per directed link, and released behind the link's next traffic.  A held
+/// message that is never overtaken is recovered by the sender's
+/// retransmission timer, whose re-send also flushes it.
 ///
-/// Shareable between sender threads.  A message that is not being held back
-/// skips the table while nothing is parked; racing a concurrent hold-back on
-/// its own link it may miss that release, which the retransmission timer
-/// covers like any other never-overtaken message.
+/// One owner, no lock: the table is keyed by `(src, dst)` and every link's
+/// frames pass exactly one gate (their sender's, or one that stands in for
+/// senders that carry no plan), so each gate holds exactly what one table
+/// shared by every sender would hold for its links.
 #[derive(Debug)]
 pub struct HoldBack<T> {
-    held: Mutex<HashMap<(usize, usize), T>>,
-    /// Entries in `held`, written under its lock.
-    len: AtomicUsize,
-}
-
-impl<T> Default for HoldBack<T> {
-    fn default() -> Self {
-        HoldBack {
-            held: Mutex::new(HashMap::new()),
-            len: AtomicUsize::new(0),
-        }
-    }
+    session: ChaosSession,
+    held: HashMap<(usize, usize), T>,
 }
 
 impl<T: Clone> HoldBack<T> {
-    /// Update the table under its lock (recovered from poison: every update
-    /// is a single map operation) and republish its length.
-    fn with_table<R>(&self, f: impl FnOnce(&mut HashMap<(usize, usize), T>) -> R) -> R {
-        let mut held = self.held.lock().unwrap_or_else(|e| e.into_inner());
-        let r = f(&mut held);
-        self.len.store(held.len(), Ordering::SeqCst);
-        r
+    /// A gate drawing its decisions from `session` (a clone of the
+    /// cluster's one session, so the per-link streams and the counters stay
+    /// shared).
+    pub fn new(session: ChaosSession) -> Self {
+        HoldBack {
+            session,
+            held: HashMap::new(),
+        }
     }
 
-    /// Carry out `decision` for `item` crossing `(src, dst)`: whatever
-    /// travels now goes to `out`, in order — the duplicate, the item itself
-    /// unless it is dropped or held back, then what the link had parked (it
-    /// has now been overtaken at least once).
-    pub fn apply(
-        &self,
-        decision: Decision,
-        src: usize,
-        dst: usize,
-        item: T,
-        out: &mut dyn FnMut(T),
-    ) {
+    /// Decide the fate of `item` crossing `(src, dst)` and carry it out:
+    /// whatever travels now goes to `out`, in order — the duplicate, the
+    /// item itself unless it is dropped or held back, then what the link had
+    /// parked (it has now been overtaken at least once).
+    pub fn apply(&mut self, src: usize, dst: usize, item: T, mut out: impl FnMut(T)) {
+        let decision = self.session.decide(src, dst);
         if !decision.deliver {
             return;
         }
@@ -346,13 +334,13 @@ impl<T: Clone> HoldBack<T> {
             out(item.clone());
         }
         let prev = if decision.reorder || decision.delay_units > 0 {
-            self.with_table(|held| held.insert((src, dst), item))
+            self.held.insert((src, dst), item)
         } else {
             out(item);
-            if self.len.load(Ordering::SeqCst) == 0 {
+            if self.held.is_empty() {
                 return;
             }
-            self.with_table(|held| held.remove(&(src, dst)))
+            self.held.remove(&(src, dst))
         };
         if let Some(prev) = prev {
             out(prev);
@@ -361,8 +349,9 @@ impl<T: Clone> HoldBack<T> {
 
     /// Discard everything parked on links touching `node` (it restarted:
     /// frames of its old sequence space must not be released at it).
-    pub fn forget_node(&self, node: usize) {
-        self.with_table(|held| held.retain(|&(src, dst), _| src != node && dst != node));
+    pub fn forget_node(&mut self, node: usize) {
+        self.held
+            .retain(|&(src, dst), _| src != node && dst != node);
     }
 }
 
@@ -493,28 +482,78 @@ mod tests {
 
     #[test]
     fn hold_back_releases_behind_the_links_next_traffic() {
-        let hb = HoldBack::default();
+        let plan = FaultPlan::seeded(1)
+            .link(
+                0,
+                1,
+                LinkFaults {
+                    reorder: 1.0,
+                    ..LinkFaults::default()
+                },
+            )
+            .link(
+                0,
+                2,
+                LinkFaults {
+                    duplicate: 1.0,
+                    ..LinkFaults::default()
+                },
+            )
+            .link(
+                0,
+                3,
+                LinkFaults {
+                    drop: 1.0,
+                    ..LinkFaults::default()
+                },
+            );
+        let session = ChaosSession::new(plan);
+        let mut gate = HoldBack::new(session.clone());
         let mut seen = Vec::new();
-        let reorder = Decision {
-            reorder: true,
-            ..Decision::CLEAN
-        };
-        let dup = Decision {
-            duplicate: true,
-            ..Decision::CLEAN
-        };
-        let drop = Decision {
-            deliver: false,
-            ..Decision::CLEAN
-        };
-        hb.apply(reorder, 0, 1, 'a', &mut |x| seen.push(x)); // parked
-        hb.apply(Decision::CLEAN, 0, 2, 'b', &mut |x| seen.push(x)); // other link
-        hb.apply(drop, 0, 1, 'c', &mut |x| seen.push(x)); // dropped, releases nothing
-        hb.apply(dup, 0, 1, 'd', &mut |x| seen.push(x)); // overtakes 'a'
-        assert_eq!(seen, vec!['b', 'd', 'd', 'a']);
-        hb.apply(reorder, 0, 1, 'e', &mut |x| seen.push(x));
-        hb.forget_node(1);
-        hb.apply(Decision::CLEAN, 0, 1, 'f', &mut |x| seen.push(x));
-        assert_eq!(seen[4..], ['f'], "'e' was forgotten with its node");
+        gate.apply(0, 1, 'a', |x| seen.push(x)); // parked
+        gate.apply(0, 2, 'b', |x| seen.push(x)); // other link, duplicated
+        gate.apply(0, 3, 'c', |x| seen.push(x)); // dropped, releases nothing
+        gate.apply(1, 0, 'd', |x| seen.push(x)); // clean, other direction
+        gate.apply(0, 1, 'e', |x| seen.push(x)); // parked, overtakes 'a'
+        assert_eq!(seen, vec!['b', 'b', 'd', 'a']);
+        gate.forget_node(1);
+        gate.apply(0, 1, 'f', |x| seen.push(x));
+        assert_eq!(seen.len(), 4, "'e' was forgotten with its node");
+        // Every traversal met exactly one decision of the shared session.
+        let stats = session.stats();
+        assert_eq!(stats.decisions, 6);
+        assert_eq!((stats.reorders, stats.duplicates, stats.drops), (3, 1, 1));
+    }
+
+    /// A clean traversal releases what its link parked, behind itself and
+    /// behind its own duplicate: checked against the session's own
+    /// decisions on a mixed plan.
+    #[test]
+    fn hold_back_carries_out_each_decision_of_its_session() {
+        let plan = FaultPlan::seeded(9)
+            .drop_rate(0.1)
+            .duplicate_rate(0.3)
+            .reorder_rate(0.4);
+        let mut oracle = ChaosEngine::new(plan.clone());
+        let mut gate = HoldBack::new(ChaosSession::new(plan));
+        let mut parked = None;
+        for i in 0..256u32 {
+            let d = oracle.decide(0, 1);
+            let mut want = Vec::new();
+            if d.deliver {
+                if d.duplicate {
+                    want.push(i);
+                }
+                if d.reorder || d.delay_units > 0 {
+                    want.extend(parked.replace(i));
+                } else {
+                    want.push(i);
+                    want.extend(parked.take());
+                }
+            }
+            let mut seen = Vec::new();
+            gate.apply(0, 1, i, |x| seen.push(x));
+            assert_eq!(seen, want, "traversal {i}: {d:?}");
+        }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The paper's X-RDMA/ifunc pattern assumes a lossless fabric; real fabrics
 //! (and the ROADMAP's production ambitions) are not so polite.  This crate
-//! defines the *fault model* both cluster backends inject and the reliable
+//! defines the *fault model* every cluster backend injects and the reliable
 //! delivery layer in `tc-core` must survive:
 //!
 //! * [`FaultPlan`] — a seeded, declarative description of what goes wrong:
@@ -12,16 +12,20 @@
 //!   a `(src, dst)` link traversal it answers "what happens to this
 //!   message?", drawing from a per-link splitmix64 stream so the same plan
 //!   produces the same fault schedule on every run;
-//! * [`ChaosSession`] — a cheaply clonable, thread-safe handle shared
-//!   between a transport's send paths (the simulated event engine injects
-//!   faults as virtual-time effects; the threaded backend interposes an
-//!   envelope filter), with a [`ChaosStats`] snapshot for reporting.
+//! * [`ChaosSession`] — a cheaply clonable, thread-safe handle to the
+//!   cluster's one engine, with a [`ChaosStats`] snapshot for reporting.
+//!   The simulated event engine injects its decisions as virtual-time
+//!   effects;
+//! * [`HoldBack`] — the fault gate of one emitting host on the wall-clock
+//!   backends: it decides every reliable frame the host sends through a
+//!   session clone and carries the decision out, holding a frame back where
+//!   the simulator would delay or reorder it.
 //!
 //! Determinism contract: fault decisions are a pure function of
 //! `(plan.seed, src, dst, per-link traversal count)`.  Every traversal of a
 //! link — first sends, retransmits, acks — consumes exactly one decision, so
 //! a partition window expressed in traversal counts heals the same way on
-//! both backends even though their notions of time differ.
+//! every backend even though their notions of time differ.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

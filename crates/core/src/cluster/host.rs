@@ -62,6 +62,15 @@
 //!   pass's acks named missing, emits the owed pure acks, runs the
 //!   retransmission timer.
 //!
+//! # Fault gates
+//!
+//! Under a fault plan a host owns a fault gate ([`HoldBack`]): every reliable
+//! frame and ack it emits meets one decision of the cluster's one
+//! [`ChaosSession`] there, on the emitting thread, as the simulator decides
+//! at its sender.  The host is the only sender on its links, so the gate's
+//! `(src, dst)`-keyed table needs no lock.  (A socket server process has no
+//! plan: the socket driver gates its frames on arrival.)
+//!
 //! # The driver
 //!
 //! In the paper an initiator posts, progresses its own worker and reaps its
@@ -74,7 +83,7 @@
 //! payload)`; [`Driver::snapshot`] is the half of a [`Snapshot`] both
 //! backends share.  A backend keeps only its own: the threaded fabric
 //! (dispatch by port, the AM registry, the digest table) or the socket
-//! connections (admission, chaos routing, the inbox, recovery).
+//! connections (admission, the ingress gate, the inbox, recovery).
 
 use super::link::{self, pass_now, Digest, Emit, Link};
 use super::reliable::RelConfig;
@@ -85,13 +94,39 @@ use crate::error::{CoreError, Result};
 use crate::runtime::{NativeAmHandler, NodeRuntime};
 use std::time::{Duration, Instant};
 use tc_bitir::TargetTriple;
-use tc_chaos::{ChaosSession, FaultPlan};
+use tc_chaos::{ChaosSession, FaultPlan, HoldBack};
 use tc_ucx::{Bytes, OutgoingMessage, WorkerAddr};
+
+/// A host's fault gate (see the module docs): its rank and the hold-back of
+/// what it emits, `(to, tag, data, payload)`; `None` without a fault plan.
+type Gate = Option<(u32, HoldBack<(u32, u64, Bytes, Bytes)>)>;
+
+/// `emit` behind `gate`: reliable frames and acks meet one decision each;
+/// raw operations, errors and control replies pass.
+fn gated<'a>(gate: &'a mut Gate, mut emit: impl Emit + 'a) -> impl Emit + 'a {
+    move |to, tag, data, payload| match gate {
+        Some((rank, held)) if matches!(tag, wire::TAG_ROP | wire::TAG_ACK) => {
+            let out = |(to, tag, data, payload)| emit(to, tag, data, payload);
+            held.apply(*rank as usize, to as usize, (to, tag, data, payload), out)
+        }
+        _ => emit(to, tag, data, payload),
+    }
+}
+
+/// Rank `peer` was reborn with a fresh sequence space: drop what the gate
+/// parked on its links, then renumber and re-send what the link retained.
+fn reborn(peer: u32, link: &mut Link, gate: &mut Gate, emit: impl Emit) {
+    if let Some((_, held)) = gate {
+        held.forget_node(peer as usize);
+    }
+    link.replay(peer, gated(gate, emit));
+}
 
 /// One server rank: see the module docs.
 pub(crate) struct ServerHost {
     runtime: NodeRuntime,
     link: Link,
+    gate: Gate,
     /// Deliver sends to this rank locally instead of emitting them.
     loopback: bool,
     /// Operations were delivered to the runtime and not polled yet.
@@ -99,10 +134,18 @@ pub(crate) struct ServerHost {
 }
 
 impl ServerHost {
-    pub(crate) fn new(runtime: NodeRuntime, link: Link, loopback: bool) -> Self {
+    /// Links reliable under `rel`; frames faulted as they leave under `chaos`
+    /// (a socket server process has none: the driver gates its frames).
+    pub(crate) fn new(
+        runtime: NodeRuntime,
+        rel: Option<RelConfig>,
+        loopback: bool,
+        chaos: Option<&ChaosSession>,
+    ) -> Self {
         ServerHost {
+            link: Link::new(runtime.node_id().0, runtime.num_nodes(), rel),
+            gate: chaos.map(|c| (runtime.node_id().0, HoldBack::new(c.clone()))),
             runtime,
-            link,
             loopback,
             pending: false,
         }
@@ -115,10 +158,11 @@ impl ServerHost {
     /// Poll every delivered operation and emit what the runtime posted.
     fn flush(&mut self, now: u64, emit: &mut impl Emit) {
         let rank = self.runtime.node_id().0;
+        let mut emit = gated(&mut self.gate, emit);
         while std::mem::take(&mut self.pending) {
             for outcome in self.runtime.poll(usize::MAX) {
                 if let Err(e) = outcome {
-                    report(emit, e.to_string());
+                    report(&mut emit, e.to_string());
                 }
             }
             for msg in self.runtime.take_outgoing() {
@@ -170,7 +214,7 @@ impl ServerHost {
             Ok(None) => {}
             Ok(Some(ack)) => {
                 self.flush(now, &mut emit);
-                emit(from, wire::TAG_ACK, ack, Bytes::new());
+                gated(&mut self.gate, emit)(from, wire::TAG_ACK, ack, Bytes::new());
             }
             Err(e) => report(&mut emit, e.to_string()),
         }
@@ -179,14 +223,14 @@ impl ServerHost {
     /// Close one pass over the carrier's inbound frames (or one idle tick).
     pub(crate) fn end_pass(&mut self, now: u64, mut emit: impl Emit) -> Digest {
         self.flush(now, &mut emit);
-        self.link.finish_batch(now, &mut emit);
+        self.link.finish_batch(now, gated(&mut self.gate, emit));
         self.link.digest().unwrap_or_default()
     }
 
-    /// Peer rank `peer` was reborn with a fresh sequence space: renumber and
-    /// re-send what this rank retained for it.
+    /// Peer rank `peer` was reborn with no code: [`reborn`], and forget it in the sender cache.
     pub(crate) fn replay(&mut self, peer: u32, emit: impl Emit) -> Digest {
-        self.link.replay(peer, emit);
+        self.runtime.forget_endpoint(WorkerAddr(peer));
+        reborn(peer, &mut self.link, &mut self.gate, emit);
         self.link.digest().unwrap_or_default()
     }
 }
@@ -207,6 +251,7 @@ fn report(emit: &mut impl Emit, text: String) {
 pub(crate) struct ClientHost {
     runtime: NodeRuntime,
     link: Link,
+    gate: Gate,
     /// Ranks `0..clients` are the client ranks.
     clients: u32,
     /// Operations were delivered to the runtime and not polled yet.
@@ -216,10 +261,16 @@ pub(crate) struct ClientHost {
 }
 
 impl ClientHost {
-    pub(crate) fn new(runtime: NodeRuntime, link: Link, clients: u32) -> Self {
+    pub(crate) fn new(
+        runtime: NodeRuntime,
+        rel: Option<RelConfig>,
+        clients: u32,
+        chaos: Option<&ChaosSession>,
+    ) -> Self {
         ClientHost {
+            link: Link::new(runtime.node_id().0, runtime.num_nodes(), rel),
+            gate: chaos.map(|c| (runtime.node_id().0, HoldBack::new(c.clone()))),
             runtime,
-            link,
             clients,
             pending: false,
             errors: Vec::new(),
@@ -259,7 +310,7 @@ impl ClientHost {
         data: Bytes,
         payload: Bytes,
         now: u64,
-        mut emit: impl Emit,
+        emit: impl Emit,
     ) -> u64 {
         let rank = self.runtime.node_id().0;
         let (runtime, errors) = (&mut self.runtime, &mut self.errors);
@@ -278,7 +329,7 @@ impl ClientHost {
         self.pending |= staged > 0;
         match arrival {
             Ok(None) => {}
-            Ok(Some(ack)) => emit(from, wire::TAG_ACK, ack, Bytes::new()),
+            Ok(Some(ack)) => gated(&mut self.gate, emit)(from, wire::TAG_ACK, ack, Bytes::new()),
             Err(e) => self.errors.push(e),
         }
         staged
@@ -293,8 +344,9 @@ impl ClientHost {
     /// Poll what is staged and move everything the runtime posted, until it
     /// posts no more.  Returns the sibling-bound messages, in posting order,
     /// for the caller to [`ClientHost::accept`] into their destinations.
-    pub(crate) fn flush(&mut self, now: u64, mut emit: impl Emit) -> Vec<OutgoingMessage> {
+    pub(crate) fn flush(&mut self, now: u64, emit: impl Emit) -> Vec<OutgoingMessage> {
         let rank = self.runtime.node_id().0;
+        let mut emit = gated(&mut self.gate, emit);
         let mut siblings = Vec::new();
         loop {
             if std::mem::take(&mut self.pending) {
@@ -307,7 +359,8 @@ impl ClientHost {
             }
             for msg in outgoing {
                 if msg.dst.0 == rank {
-                    self.accept(msg);
+                    self.runtime.deliver(msg);
+                    self.pending = true;
                 } else if msg.dst.0 < self.clients {
                     siblings.push(msg);
                 } else {
@@ -322,7 +375,13 @@ impl ClientHost {
     /// Close one pass over the carrier's inbound frames (or one idle tick),
     /// after [`flush_clients`] answered what the pass staged.
     pub(crate) fn end_pass(&mut self, now: u64, emit: impl Emit) {
-        self.link.finish_batch(now, emit);
+        self.link.finish_batch(now, gated(&mut self.gate, emit));
+    }
+
+    /// As [`ServerHost::replay`].
+    pub(crate) fn replay(&mut self, peer: u32, emit: impl Emit) {
+        self.runtime.forget_endpoint(WorkerAddr(peer));
+        reborn(peer, &mut self.link, &mut self.gate, emit);
     }
 }
 
@@ -394,16 +453,17 @@ impl Driver {
         let total = (clients + servers) as u32;
         let rel = rel.unwrap_or_else(RelConfig::threads_default);
         let link = plan.as_ref().map(|_| rel);
+        let chaos = plan.map(ChaosSession::new);
         let hosts = (0..clients as u32)
             .map(|c| {
                 let runtime = NodeRuntime::new(WorkerAddr(c), total, triple);
-                ClientHost::new(runtime, Link::new(c, total, link), clients as u32)
+                ClientHost::new(runtime, link, clients as u32, chaos.as_ref())
             })
             .collect();
         Driver {
             hosts,
             errors: Vec::new(),
-            chaos: plan.map(ChaosSession::new),
+            chaos,
             rel,
             token: 0,
             stalled_since: None,
@@ -529,12 +589,13 @@ impl Driver {
         Some(within)
     }
 
-    /// Server rank `peer` was reborn with a fresh sequence space: every
-    /// client renumbers and re-sends what it retained for it.
+    /// Server rank `peer` was reborn with a fresh sequence space and no
+    /// code: every client forgets it in its gate and its sender cache, and
+    /// renumbers and re-sends what it retained for it.
     pub(crate) fn replay_to(&mut self, peer: u32, mut emit: impl EmitFrom) {
         for (c, host) in self.hosts.iter_mut().enumerate() {
             let emit = |to, tag, data, payload| emit(c, to, tag, data, payload);
-            host.link.replay(peer, emit);
+            host.replay(peer, emit);
         }
     }
 
@@ -564,6 +625,7 @@ mod tests {
     use super::super::reliable::tests::Net;
     use super::super::reliable::RelConfig;
     use super::*;
+    use crate::layout::DATA_REGION_BASE;
     use crate::runtime::Completion;
     use std::collections::{HashMap, VecDeque};
     use std::sync::{Arc, Mutex};
@@ -585,7 +647,7 @@ mod tests {
 
     fn host(rel: Option<RelConfig>, loopback: bool) -> ServerHost {
         let runtime = NodeRuntime::new(WorkerAddr(SERVER), 2, TargetTriple::X86_64_GENERIC);
-        ServerHost::new(runtime, Link::new(SERVER, 2, rel), loopback)
+        ServerHost::new(runtime, rel, loopback, None)
     }
 
     fn get(src: u32, request: u64) -> OutgoingMessage {
@@ -741,6 +803,69 @@ mod tests {
         assert_eq!(ack_of(&out[before + 1]), 4);
     }
 
+    /// Every reliable frame and ack a host emits — flushed, acked at once,
+    /// closing a pass or replayed to a reborn peer — meets exactly one
+    /// decision of its gate; a control reply meets none.
+    #[test]
+    fn each_reliable_frame_a_host_emits_meets_one_fault_decision() {
+        // Zero rates: every decision delivers once, so what is emitted is
+        // exactly what was decided.
+        let session = ChaosSession::new(FaultPlan::seeded(0x6A7E));
+        let decided = |out: &[Emitted]| {
+            let reliable = |f: &&Emitted| matches!(f.1, wire::TAG_ROP | wire::TAG_ACK);
+            (
+                out.iter().filter(reliable).count() as u64,
+                session.stats().decisions,
+            )
+        };
+        let triple = TargetTriple::X86_64_GENERIC;
+        let runtime = NodeRuntime::new(WorkerAddr(SERVER), 2, triple);
+        let mut server = ServerHost::new(runtime, Some(CFG), true, Some(&session));
+        let mut peer = Link::new(0, 2, Some(CFG));
+        let mut out: Vec<Emitted> = Vec::new();
+        let mut emit = |to, tag, data, payload| out.push((to, tag, data, payload));
+        for request in 1..=3 {
+            let (tag, data, payload) = peer.outbound(&get(0, request), NOW);
+            server.on_frame(0, tag, data.clone(), payload.clone(), NOW, &mut emit);
+            server.on_frame(0, tag, data, payload, NOW, &mut emit);
+        }
+        let stats = wire::encode_control(7, &[]).into();
+        server.on_frame(0, wire::TAG_STATS, stats, Bytes::new(), NOW, &mut emit);
+        server.end_pass(NOW, &mut emit);
+        server.replay(0, &mut emit);
+        assert!(out.iter().any(|f| f.1 == wire::TAG_STATS_REPLY), "{out:?}");
+        let (emitted, decisions) = decided(&out);
+        assert!(
+            emitted >= 9,
+            "3 replies, 3 duplicate acks, 3 replays: {out:?}"
+        );
+        assert_eq!(emitted, decisions);
+
+        let runtime = NodeRuntime::new(WorkerAddr(0), 2, triple);
+        let mut client = ClientHost::new(runtime, Some(CFG), 1, Some(&session));
+        let mut more: Vec<Emitted> = Vec::new();
+        let mut emit = |to, tag, data, payload| more.push((to, tag, data, payload));
+        client
+            .runtime_mut()
+            .post_get(WorkerAddr(SERVER), DATA_REGION_BASE, 8);
+        assert!(client.flush(NOW, &mut emit).is_empty());
+        let (_, tag, data, payload) = out.iter().find(|f| f.1 == wire::TAG_ROP).unwrap().clone();
+        client.on_frame(SERVER, tag, data.clone(), payload.clone(), NOW, &mut emit);
+        client
+            .runtime_mut()
+            .post_get(WorkerAddr(SERVER), DATA_REGION_BASE, 8);
+        assert!(client.flush(NOW, &mut emit).is_empty());
+        client.on_frame(SERVER, tag, data, payload, NOW, &mut emit);
+        client.end_pass(NOW, &mut emit);
+        client.replay(SERVER, &mut emit);
+        let (emitted, decisions) = decided(&more);
+        assert!(
+            emitted >= 4,
+            "two GETs, an immediate ack, a replay: {more:?}"
+        );
+        assert_eq!(emitted + decided(&out).0, decisions);
+    }
+
     // --- the client rank: two clients (ranks 0, 1) and one server (rank 2) --
 
     const FAR: u32 = 2;
@@ -750,7 +875,7 @@ mod tests {
         (0..2)
             .map(|c| {
                 let runtime = NodeRuntime::new(WorkerAddr(c), 3, TargetTriple::X86_64_GENERIC);
-                ClientHost::new(runtime, Link::new(c, 3, rel), 2)
+                ClientHost::new(runtime, rel, 2, None)
             })
             .collect()
     }
@@ -1225,11 +1350,10 @@ mod tests {
             );
             rt
         };
-        let link = |rank| Link::new(rank, 3, Some(TICKS));
         let mut ranks = Ranks {
             at: format!("seed {seed} faults {faults:?}"),
-            client: [ClientHost::new(runtime(0), link(0), 1)],
-            servers: [1, 2].map(|r| ServerHost::new(runtime(r), link(r), true)),
+            client: [ClientHost::new(runtime(0), Some(TICKS), 1, None)],
+            servers: [1, 2].map(|r| ServerHost::new(runtime(r), Some(TICKS), true, None)),
             inbox: Default::default(),
             posted: Posted::default(),
             logs,

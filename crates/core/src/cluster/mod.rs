@@ -1308,8 +1308,7 @@ impl ClusterBuilder {
 
     /// Point the socket backend at the server binary it should spawn (a
     /// `tc-socket-server`-style executable).  Without this, the backend
-    /// honours `TC_SOCKET_SERVER_BIN` and then looks for `tc-socket-server`
-    /// next to the current executable.
+    /// looks for `tc-socket-server` next to the current executable.
     pub fn server_bin(mut self, bin: impl Into<std::path::PathBuf>) -> Self {
         self.socket.server_bin = Some(bin.into());
         self

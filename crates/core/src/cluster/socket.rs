@@ -16,17 +16,17 @@
 //! a large PUT or ifunc library crosses the process boundary without a
 //! send-side copy.
 //!
-//! With a [`FaultPlan`] installed, the driver applies the chaos engine's
-//! per-link decisions exactly once per traversal (client egress, server
-//! ingress, server-to-server relay) to reliable data frames and acks —
-//! mirroring the threaded backend's envelope filter — and every endpoint
-//! runs a reliable link endpoint (the crate-private `link` module), so
-//! delivery stays exactly-once and in-order over a lossy socket.
+//! With a [`FaultPlan`] installed, every endpoint runs a reliable link
+//! endpoint (the crate-private `link` module), so delivery stays
+//! exactly-once and in-order over a lossy socket, and every reliable frame
+//! and ack meets one fault decision per traversal: a client's at its host's
+//! gate as it is emitted, as on the threaded backend; a server process's
+//! (it carries no plan) at the driver's one ingress gate as it arrives.
 //!
 //! The client ranks, errors, chaos session, tokens and stall rule are the
 //! crate-private `host` module's `Driver`, shared with the threaded backend;
-//! this one keeps the connections and their admission, chaos routing, the
-//! inbox and crash recovery.
+//! this one keeps the connections and their admission, the ingress gate,
+//! the inbox and crash recovery.
 
 use super::host::{Driver, EmitFrom};
 use super::link::{self, Digest};
@@ -93,8 +93,7 @@ pub struct SocketConfig {
     /// socket under the system temp directory.
     pub addr: Option<SocketSpec>,
     /// The server binary to spawn (a `tc-socket-server`-style executable).
-    /// `None` falls back to `TC_SOCKET_SERVER_BIN` and then to a sibling of
-    /// the current executable.
+    /// `None` looks for a `tc-socket-server` next to the current executable.
     pub server_bin: Option<PathBuf>,
     /// Don't spawn the server processes: wait for externally launched
     /// servers to dial in instead.
@@ -116,16 +115,12 @@ fn default_unix_spec() -> SocketSpec {
     SocketSpec::Unix(std::env::temp_dir().join(format!("tc-net-{}-{}.sock", std::process::id(), n)))
 }
 
-/// Locate the server binary: explicit config, then the
-/// `TC_SOCKET_SERVER_BIN` environment variable, then a `tc-socket-server`
-/// next to the current executable (covers `cargo run --example` and
-/// test binaries alike).
+/// Locate the server binary: explicit config, then a `tc-socket-server`
+/// next to the current executable (covers `cargo run --example` and test
+/// binaries alike).
 fn resolve_server_bin(config: &SocketConfig) -> Result<PathBuf> {
     if let Some(bin) = &config.server_bin {
         return Ok(bin.clone());
-    }
-    if let Ok(bin) = std::env::var("TC_SOCKET_SERVER_BIN") {
-        return Ok(PathBuf::from(bin));
     }
     if let Ok(exe) = std::env::current_exe() {
         for dir in exe.ancestors().skip(1).take(3) {
@@ -137,7 +132,7 @@ fn resolve_server_bin(config: &SocketConfig) -> Result<PathBuf> {
     }
     Err(CoreError::Transport(
         "cannot locate the tc-socket-server binary: set ClusterBuilder::server_bin, \
-         export TC_SOCKET_SERVER_BIN, or build the `tc-socket-server` bin target first \
+         or build the `tc-socket-server` bin target first \
          (`cargo build --bin tc-socket-server`)"
             .into(),
     ))
@@ -217,8 +212,8 @@ pub struct SocketTransport {
     servers: usize,
     /// Fatal link errors waiting to be surfaced from `step`.
     pending_errors: VecDeque<CoreError>,
-    /// Held-back frames implementing the chaos engine's delay/reorder.
-    held: HoldBack<Frame>,
+    /// The fault gate of frames from server processes (they carry no plan).
+    ingress: Option<HoldBack<Frame>>,
     delivered: u64,
     dropped: u64,
     shut_down: bool,
@@ -272,6 +267,7 @@ impl SocketTransport {
     ) -> Result<Self> {
         let driver = Driver::new(clients, servers, client_triple, fault_plan, rel_config);
         let clients = driver.clients();
+        let ingress = driver.chaos.clone().map(HoldBack::new);
         let spec = config.addr.clone().unwrap_or_else(default_unix_spec);
         let listener = Listener::bind(&spec)
             .map_err(|e| CoreError::Transport(format!("binding {spec}: {e}")))?;
@@ -299,7 +295,7 @@ impl SocketTransport {
             listener: Some(listener),
             servers,
             pending_errors: VecDeque::new(),
-            held: HoldBack::default(),
+            ingress,
             delivered: 0,
             dropped: 0,
             shut_down: false,
@@ -441,12 +437,8 @@ impl SocketTransport {
             rel: self.driver.link_config(),
             triple: self.server_triple,
         };
-        conn.queue(Frame::new(
-            DRIVER_PORT,
-            rank,
-            TAG_WELCOME,
-            wire::encode_welcome(&welcome),
-        ));
+        let body = wire::encode_welcome(&welcome);
+        conn.queue(Frame::new(DRIVER_PORT, rank, TAG_WELCOME, body));
         let deadline = Instant::now() + link::WELCOME_DRAIN_TIMEOUT;
         while conn.pending_writes() > 0 {
             conn.pump_write()
@@ -721,7 +713,9 @@ impl SocketTransport {
         // during the heal order behind them) but only hit the wire after
         // the control plane below is rebuilt — they may invoke AM handlers.
         let mut replay = Vec::new();
-        self.held.forget_node(rank);
+        if let Some(gate) = &mut self.ingress {
+            gate.forget_node(rank);
+        }
         self.driver.replay_to(rank as u32, frames(&mut replay));
         // Re-deploy the AM catalog in original deploy order so the reborn
         // process's handler ids line up with the cluster's.
@@ -743,26 +737,14 @@ impl SocketTransport {
         for (addr, data) in pokes {
             self.write_memory(rank, addr, &data)?;
         }
-        // Now the replay can flow, along with the surviving servers'
-        // renumbered re-sends.
+        // Now the replay can flow, with the surviving servers' renumbered
+        // re-sends (they also forget which code the reborn rank was sent).
         let replayed = replay.len() as u64;
         let _ = self.client_emit(replay);
-        if self.driver.chaos.is_some() {
-            for other in 0..self.links.len() {
-                if other == idx || self.links[other].conn.is_none() {
-                    continue;
-                }
-                let other_rank = (clients + other) as u32;
-                let _ = self.queue_to_server(
-                    clients + other,
-                    Frame::new(
-                        DRIVER_PORT,
-                        other_rank,
-                        TAG_LINK_RESET,
-                        (rank as u32).to_le_bytes().to_vec(),
-                    ),
-                );
-            }
+        let reset = (rank as u32).to_le_bytes();
+        for other in (clients..clients + self.servers).filter(|&other| other != rank) {
+            let frame = Frame::new(DRIVER_PORT, other as u32, TAG_LINK_RESET, reset.to_vec());
+            let _ = self.queue_to_server(other, frame);
         }
         self.pump_writes();
         self.links[idx].respawn_attempts = 0;
@@ -876,18 +858,17 @@ impl SocketTransport {
         }
     }
 
-    /// Apply the chaos engine to one reliable-plane traversal and move the
-    /// surviving frames.  Without a fault plan, reliable frames are a
-    /// protocol error (mirroring the threaded backend).
+    /// Pass one reliable frame or ack from a server process through the
+    /// ingress gate and move what travels.  Without a fault plan, reliable
+    /// frames are a protocol error (mirroring the threaded backend).
     fn chaos_route(&mut self, frame: Frame) {
-        let Some(session) = &self.driver.chaos else {
+        let Some(gate) = &mut self.ingress else {
             self.driver.errors.push(CoreError::Transport(
                 "reliable frame without a fault plan".into(),
             ));
             return;
         };
-        let src = frame.from as usize;
-        let dst = frame.to as usize;
+        let (src, dst) = (frame.from as usize, frame.to as usize);
         // Ranks index dense per-link tables (chaos engine, reliable sets):
         // bound them here, where frames from server processes enter.
         let ranks = self.driver.clients() + self.servers;
@@ -897,17 +878,15 @@ impl SocketTransport {
             )));
             return;
         }
-        let decision = session.decide(src, dst);
         let mut release = Vec::new();
-        self.held
-            .apply(decision, src, dst, frame, &mut |f| release.push(f));
+        gate.apply(src, dst, frame, |f| release.push(f));
         for f in release {
             self.route_reliable(f);
         }
     }
 
-    /// Physically move one reliable frame that survived the chaos engine
-    /// (which bounded its ranks).
+    /// Physically move one reliable frame that passed a fault gate (its
+    /// ranks are bounded: by its host's link, or by [`Self::chaos_route`]).
     fn route_reliable(&mut self, frame: Frame) {
         let server = (frame.to as usize).checked_sub(self.driver.clients());
         if self.config.recover.is_some()
@@ -924,17 +903,17 @@ impl SocketTransport {
         }
     }
 
-    /// Put the frames the client hosts emitted on their way, in order:
-    /// reliable frames and acks through the chaos engine, raw ops straight
-    /// out.  They are routed only after the driver's call returns: routing
-    /// may release held-back frames into these same hosts.
+    /// Put the frames the client hosts emitted — their faults already
+    /// decided by each host's gate — on their way, in order.  They are
+    /// routed only after the driver's call returns: delivering a frame may
+    /// hand a client host a frame of its own.
     fn client_emit(&mut self, out: Vec<Frame>) -> Result<()> {
         let mut result = Ok(());
         for frame in out {
             if frame.tag == wire::TAG_OP {
                 result = result.and(self.deliver(frame));
             } else {
-                self.chaos_route(frame);
+                self.route_reliable(frame);
             }
         }
         result
@@ -945,8 +924,8 @@ impl SocketTransport {
     /// beyond the cluster is the fabric drop every backend counts.  A
     /// client's host only stages what became deliverable — the driver's
     /// pass close in [`SocketTransport::drain_inbox`] polls and answers it —
-    /// but a duplicate's ack leaves at once, its traversal passing the chaos
-    /// engine like any other.
+    /// but a duplicate's ack leaves at once, through the client host's gate
+    /// like any other.
     fn deliver(&mut self, frame: Frame) -> Result<()> {
         let to = frame.to as usize;
         let now = self.driver.now();
@@ -1139,14 +1118,10 @@ impl Transport for SocketTransport {
             self.poke_log.insert((rank, addr), data.to_vec());
         }
         let token = self.driver.token();
+        let request = wire::encode_control(token, body);
         self.queue_to_server(
             rank,
-            Frame::new(
-                DRIVER_PORT,
-                rank as u32,
-                request_tag,
-                wire::encode_control(token, body),
-            ),
+            Frame::new(DRIVER_PORT, rank as u32, request_tag, request),
         )?;
         let started = Instant::now();
         let deadline = started + self.driver.control_timeout;
@@ -1156,22 +1131,17 @@ impl Transport for SocketTransport {
             self.pump_writes();
             self.pump_reads();
             let mut reply = None;
-            let mut rest = VecDeque::new();
-            while let Some(frame) = self.inbox.pop_front() {
-                if reply.is_none() && frame.tag == reply_tag && frame.from as usize == rank {
-                    if let Ok((reply_token, reply_body)) =
-                        wire::decode_control(frame.data.as_slice())
-                    {
-                        if reply_token == token {
-                            reply = Some(reply_body.to_vec());
-                            continue;
-                        }
-                        continue; // stale reply from an abandoned request
-                    }
+            self.inbox.retain(|f| {
+                if reply.is_some() || f.tag != reply_tag || f.from as usize != rank {
+                    return true;
                 }
-                rest.push_back(frame);
-            }
-            self.inbox = rest;
+                let Ok((t, body)) = wire::decode_control(f.data.as_slice()) else {
+                    return true;
+                };
+                // A reply with an older token answers an abandoned request.
+                reply = (t == token).then(|| body.to_vec());
+                false
+            });
             self.drain_inbox();
             if let Some(body) = reply {
                 return Ok(body);

@@ -16,7 +16,7 @@
 //! entry under it.
 
 use super::host::ServerHost;
-use super::link::{wall_nanos, Digest, Link, HANDSHAKE_TIMEOUT};
+use super::link::{wall_nanos, Digest, HANDSHAKE_TIMEOUT};
 use super::socket::{
     DRIVER_PORT, TAG_AM_ACK, TAG_AM_DEPLOY, TAG_BYE, TAG_HELLO, TAG_LINK_RESET, TAG_PING, TAG_PONG,
     TAG_REL_INFO, TAG_SHUTDOWN, TAG_WELCOME,
@@ -215,8 +215,9 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
     let runtime = NodeRuntime::new(tc_ucx::WorkerAddr(welcome.rank), total, welcome.triple);
     let mut server = Server {
         conn,
-        // A process's only wire leads to the driver: self-sends loop back.
-        host: ServerHost::new(runtime, Link::new(welcome.rank, total, welcome.rel), true),
+        // A process's only wire leads to the driver: self-sends loop back,
+        // and the driver decides the faults of what this rank emits.
+        host: ServerHost::new(runtime, welcome.rel, true, None),
         rank: welcome.rank,
         published: Digest::default(),
         catalog,

@@ -29,6 +29,8 @@
 //! * No rank arms a timer to park: under a fault plan the fabric's one
 //!   `tc-clock` thread ticks every half base RTO, a server runs its timer
 //!   behind the tick and the caller's park (the step timeout) ends with it.
+//! * A frame's faults are decided at the gate of the host that emits it, on
+//!   its thread (`host`'s "Fault gates"); the fabric delivers what it gets.
 //!
 //! So nothing moves on a client rank unless the caller is inside `flush*`,
 //! `step`, a wait or a control call — the progress model of the simulated
@@ -42,7 +44,7 @@
 //! without shipping closures through channels.
 
 use super::host::{Driver, EmitFrom, ServerHost};
-use super::link::{self, pass_now, Digest, Link};
+use super::link::{self, pass_now, Digest};
 use super::reliable::RelConfig;
 use super::snapshot::{RankSnapshot, RankState, Snapshot};
 use super::socket::DRIVER_PORT;
@@ -52,11 +54,9 @@ use crate::runtime::{NativeAmHandler, NodeRuntime};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use tc_bitir::TargetTriple;
-use tc_chaos::{ChaosSession, FaultPlan, HoldBack};
+use tc_chaos::FaultPlan;
 use tc_simnet::threaded::DEFAULT_MAX_BATCH;
-use tc_simnet::{
-    external_port, Envelope, EnvelopeFilter, NodeCtx, ThreadCluster, ThreadConfig, ThreadedNode,
-};
+use tc_simnet::{external_port, Envelope, NodeCtx, ThreadCluster, ThreadConfig, ThreadedNode};
 use tc_ucx::{Bytes, WorkerAddr};
 
 /// Shared, append-only list of predeployed AM handlers.  Deploy order defines
@@ -74,10 +74,8 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Map a threaded-fabric sender/receiver id to a cluster rank in a cluster
 /// with `clients` driver-side runtimes: external port `p` is client rank
-/// `p`, thread node `n` is rank `n + clients`.  (The single-client layout —
-/// client rank 0, thread node `n` at rank `n + 1` — is the `clients == 1`
-/// case.)  The driver's control port (`p == clients`) is not a data-plane
-/// endpoint and never reaches this map on a faulted or reliable path.
+/// `p`, thread node `n` is rank `n + clients`.  The driver's control port
+/// (`p == clients`) is not a data-plane endpoint: no reliable path maps it.
 fn rank_of(clients: usize, fabric_id: usize) -> usize {
     match external_port(fabric_id) {
         Some(port) => port,
@@ -91,23 +89,6 @@ fn rank_of(clients: usize, fabric_id: usize) -> usize {
 /// the copy of a digest, so the driver never stalls a node and a snapshot
 /// never tears.
 type RelTable = Arc<[Mutex<Digest>]>;
-
-/// Put a frame for rank `to` on the fabric from a node thread.  Ranks below
-/// `clients` are driver-side endpoints (external ports), and [`DRIVER_PORT`]
-/// — error reports and control replies — is the driver's own control port
-/// `clients`.  Drops (unknown rank, stopped node) are
-/// counted by the ThreadCluster's delivery counters and surfaced through
-/// the transport metrics.
-fn node_send(ctx: &NodeCtx, clients: usize, to: u32, tag: u64, data: Bytes, payload: Bytes) {
-    let to = to as usize;
-    let _ = if to < clients {
-        ctx.send_external_port_vectored(to, tag, data, payload)
-    } else if to == DRIVER_PORT as usize {
-        ctx.send_external_port_vectored(clients, tag, data, payload)
-    } else {
-        ctx.send_vectored(to - clients, tag, data, payload)
-    };
-}
 
 /// A server node: the fabric carrier of one [`ServerHost`].  It feeds the
 /// host envelopes in FIFO order, sends what the host emits (self-sends
@@ -124,10 +105,22 @@ struct ServerNode {
 }
 
 impl ServerNode {
-    /// The host's `emit`: everything leaves through [`node_send`].
+    /// The host's `emit`, onto the fabric.  Ranks below `clients` are
+    /// driver-side endpoints (external ports), and [`DRIVER_PORT`] — error
+    /// reports and control replies — is the driver's own control port
+    /// `clients`.  The fabric counts what it cannot deliver (unknown rank,
+    /// stopped node) and the transport metrics surface it.
     fn emit<'a>(&self, ctx: &'a NodeCtx) -> impl FnMut(u32, u64, Bytes, Bytes) + 'a {
         let clients = self.clients;
-        move |to, tag, data, payload| node_send(ctx, clients, to, tag, data, payload)
+        move |to, tag, data, payload| {
+            let _ = match to as usize {
+                rank if rank < clients => ctx.send_external_port_vectored(rank, tag, data, payload),
+                _ if to == DRIVER_PORT => {
+                    ctx.send_external_port_vectored(clients, tag, data, payload)
+                }
+                rank => ctx.send_vectored(rank - clients, tag, data, payload),
+            };
+        }
     }
 
     fn sync_am(&mut self, now: u64, ctx: &NodeCtx) {
@@ -177,30 +170,6 @@ impl ThreadedNode for ServerNode {
     fn on_tick(&mut self, ctx: &NodeCtx) {
         self.end_pass(pass_now(self.table.is_some()), ctx);
     }
-}
-
-/// Build the interposing envelope filter that injects a [`ChaosSession`]'s
-/// decisions into the threaded fabric.  Only reliable data-plane traffic
-/// ([`wire::TAG_ROP`]) and acks ([`wire::TAG_ACK`]) are faulted; the
-/// control plane (peek/poke/stats) stays exact so observation never lies.
-///
-/// Delay and reorder are carried out by a [`HoldBack`] (wall-clock sleeping
-/// inside a sender is not an option).
-///
-/// `clients` maps fabric ids to cluster ranks, so the per-link decision
-/// streams are drawn for the *true* (src rank, dst rank) pair — a send from
-/// client 1 and one from client 0 to the same server are different links,
-/// exactly as on the simulated backend.
-fn chaos_filter(session: ChaosSession, clients: usize) -> EnvelopeFilter {
-    let held = HoldBack::default();
-    Arc::new(move |env: Envelope, out: &mut dyn FnMut(Envelope)| {
-        if env.tag != wire::TAG_ROP && env.tag != wire::TAG_ACK {
-            return out(env);
-        }
-        let src = rank_of(clients, env.from);
-        let dst = rank_of(clients, env.to);
-        held.apply(session.decide(src, dst), src, dst, env, out);
-    })
 }
 
 /// The driver's `emit` on this fabric: a frame from client `c` toward rank
@@ -314,10 +283,10 @@ impl ThreadTransport {
     /// client runtimes (ranks `0..clients`, carried by the caller),
     /// `servers` threaded server nodes (ranks `clients..clients+servers`)
     /// and an optional fault plan.  With a plan installed, every data-plane
-    /// envelope passes the chaos engine's envelope filter and travels over
-    /// the reliable-delivery layer (sequence numbers, cumulative acks,
-    /// retransmission, dedup) — with one independent sequence space per
-    /// (client, server) link.
+    /// frame travels over the reliable-delivery layer (sequence numbers,
+    /// cumulative acks, retransmission, dedup) — with one independent
+    /// sequence space per (client, server) link — and meets its fault
+    /// decision at the gate of the host that emits it.
     pub fn with_config(
         clients: usize,
         servers: usize,
@@ -339,15 +308,15 @@ impl ThreadTransport {
             link_cfg.map(|_| (0..servers).map(|_| Mutex::default()).collect());
         let config = ThreadConfig {
             tick: link_cfg.map(|cfg| Duration::from_nanos(cfg.rto / 2)),
-            filter: driver.chaos.clone().map(|s| chaos_filter(s, clients)),
         };
         let node_table = table.clone();
+        let chaos = driver.chaos.clone();
 
         let cluster = ThreadCluster::start_with_config(servers, config, move |thread_id| {
             let rank = (thread_id + clients) as u32;
             let runtime = NodeRuntime::new(WorkerAddr(rank), total, server_triple);
             ServerNode {
-                host: ServerHost::new(runtime, Link::new(rank, total, link_cfg), false),
+                host: ServerHost::new(runtime, link_cfg, false, chaos.as_ref()),
                 clients,
                 am_registry: Arc::clone(&registry_for_nodes),
                 am_applied: 0,

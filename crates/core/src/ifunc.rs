@@ -168,11 +168,6 @@ impl IfuncRegistry {
         handle
     }
 
-    /// Look up a handle by name.
-    pub fn handle(&self, name: &str) -> Option<IfuncHandle> {
-        self.by_name.get(name).copied()
-    }
-
     /// Fetch a registered library.
     pub fn get(&self, handle: IfuncHandle) -> Result<&Arc<IfuncLibrary>> {
         self.libraries
@@ -385,8 +380,6 @@ mod tests {
         let h2 = reg.register(lib);
         assert_eq!(h1, h2);
         assert_eq!(reg.len(), 1);
-        assert_eq!(reg.handle("tsi"), Some(h1));
-        assert_eq!(reg.handle("other"), None);
         assert_eq!(reg.names(), vec!["tsi"]);
     }
 

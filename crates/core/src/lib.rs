@@ -26,7 +26,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use tc_core::prelude::*;
+//! use tc_core::{build_ifunc_library, ClusterBuilder, ToolchainOptions};
 //! use tc_bitir::{ModuleBuilder, ScalarType, BinOp};
 //!
 //! // 1. Write an ifunc library (the "C path"): add the payload's first byte
@@ -90,26 +90,3 @@ pub use ifunc::{
 pub use metrics::{OutcomeKind, ProcessOutcome, RuntimeStats};
 pub use runtime::{AmContext, Completion, HostAction, NativeAmHandler, NodeRuntime};
 pub use sim::{DeliveryRecord, TimingLog};
-
-/// Commonly used items, re-exported for examples and downstream crates.
-pub mod prelude {
-    pub use crate::cache::{SendDecision, SenderCache};
-    pub use crate::cluster::{
-        Backend, ChaosStats, ClaimTable, ClientId, Cluster, ClusterBuilder, CompletionHandle,
-        CompletionSet, CompletionToken, FaultPlan, GetHandle, LinkFaults, LinkHealth, PutHandle,
-        Ready, RelConfig, RelMetrics, ResultHandle, SimTransport, ThreadTransport, Transport,
-        TransportMetrics,
-    };
-    pub use crate::error::{CoreError, Result};
-    pub use crate::frame::{CodeRepr, MessageFrame};
-    pub use crate::ifunc::{
-        build_ifunc_library, IfuncHandle, IfuncLibrary, IfuncMessage, IfuncRegistry,
-        ToolchainOptions,
-    };
-    pub use crate::layout::{
-        DATA_REGION_BASE, PAYLOAD_STAGING_BASE, RESULT_MAILBOX_BASE, TARGET_REGION_BASE,
-    };
-    pub use crate::metrics::{OutcomeKind, ProcessOutcome, RuntimeStats};
-    pub use crate::runtime::{AmContext, Completion, HostAction, NativeAmHandler, NodeRuntime};
-    pub use crate::sim::{DeliveryRecord, TimingLog};
-}

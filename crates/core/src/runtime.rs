@@ -61,15 +61,6 @@ pub enum HostAction {
         /// New payload bytes.
         payload: Vec<u8>,
     },
-    /// Send a (different) registered ifunc by name.
-    SendIfunc {
-        /// Registered ifunc name.
-        name: String,
-        /// Destination node.
-        dst: WorkerAddr,
-        /// Payload bytes.
-        payload: Vec<u8>,
-    },
     /// Send an Active Message to a predeployed handler.
     SendAm {
         /// Handler name (must be predeployed on the destination).
@@ -283,6 +274,12 @@ impl NodeRuntime {
         self.stats.bytes_sent += len as u64;
         self.worker.post(dst, UcpOp::IfuncFrame { bytes });
         len
+    }
+
+    /// `endpoint` restarted with no code: the next send of every ifunc to it
+    /// ships the code again.
+    pub(crate) fn forget_endpoint(&mut self, endpoint: WorkerAddr) {
+        self.sender_cache.forget_endpoint(endpoint);
     }
 
     /// Post a one-sided GET of `len` bytes at `addr` on node `dst`.
@@ -684,16 +681,6 @@ impl NodeRuntime {
                         CoreError::Sim("tc_forward_self called outside an ifunc".into())
                     })?;
                     self.forward_received(rec, dst, payload)?;
-                }
-                HostAction::SendIfunc { name, dst, payload } => {
-                    if let Some(handle) = self.registry.handle(&name) {
-                        let msg = self.create_bitcode_message(handle, payload)?;
-                        self.send_ifunc(&msg, dst);
-                    } else if let Some(rec) = self.received.get(name.as_str()).cloned() {
-                        self.forward_received(&rec, dst, payload)?;
-                    } else {
-                        return Err(CoreError::UnknownIfunc { name });
-                    }
                 }
                 HostAction::SendAm {
                     handler,

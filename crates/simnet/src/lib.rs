@@ -15,7 +15,8 @@
 //!   generation and property tests;
 //! * [`threaded`] — a real-thread, channel-based transport used by the
 //!   cluster API's thread backend to exercise the runtime under genuine
-//!   concurrency.
+//!   concurrency.  It delivers what it is handed: faults are decided by the
+//!   sender before it sends, never inside the fabric.
 //!
 //! The functional behaviour of the framework (what ifuncs do when they run)
 //! never depends on this crate; only *when* things happen in virtual time
@@ -38,7 +39,7 @@ pub use fabric::{paper_sizes, FabricOp, FabricProfile};
 pub use platform::{Platform, PlatformId};
 pub use rand::SplitMix64;
 pub use threaded::{
-    external_id, external_port, Envelope, EnvelopeFilter, NodeCtx, SendStatus, ThreadCluster,
-    ThreadConfig, ThreadMetrics, ThreadedNode, EXTERNAL_SENDER, MAX_EXTERNAL_PORTS,
+    external_id, external_port, Envelope, NodeCtx, SendStatus, ThreadCluster, ThreadConfig,
+    ThreadMetrics, ThreadedNode, EXTERNAL_SENDER, MAX_EXTERNAL_PORTS,
 };
 pub use time::{SimDuration, SimTime};

@@ -27,12 +27,13 @@
 //!   deadline register once to arm and once to cancel — around *every*
 //!   hand-off, where the clock pays it once per cadence.
 //!
-//! Delivery is not silent-lossy: every send reports a [`SendStatus`], and the
-//! cluster counts messages that could not be delivered (unknown node id,
-//! stopped node) in [`ThreadMetrics`] so transports can surface drops instead
-//! of hiding them.  The cluster also tracks how many node-bound messages are
-//! enqueued-or-processing ([`ThreadCluster::pending_messages`]), giving
-//! drivers a cheap, race-tolerant idleness signal.
+//! Delivery is exact and not silent-lossy: the fabric injects no faults (a
+//! sender that wants its traffic faulted decides before it sends), every
+//! send reports a [`SendStatus`], and the cluster counts what it could not
+//! deliver (unknown node id, stopped node) in [`ThreadMetrics`] so
+//! transports can surface drops.  It also tracks how many node-bound
+//! messages are enqueued-or-processing ([`ThreadCluster::pending_messages`]),
+//! a cheap, race-tolerant idleness signal for drivers.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -74,37 +75,16 @@ pub const fn external_port(id: usize) -> Option<usize> {
 /// burst.
 pub const DEFAULT_MAX_BATCH: usize = 128;
 
-/// An interposed envelope filter: sees every envelope entering the fabric
-/// (node-to-node, driver-to-node and node-to-driver) *before* it is
-/// enqueued, and decides what actually travels by handing envelopes to the
-/// sink it is given.  Emitting the envelope unchanged is a pass-through;
-/// emitting nothing absorbs it (reported as [`SendStatus::Filtered`], not
-/// counted as a fabric drop); emitting several delivers each, in order —
-/// which is how fault injection expresses duplication and release of
-/// previously held-back traffic.  The sink routes as it is called, so a
-/// filter allocates nothing for the envelopes it lets through.
-pub type EnvelopeFilter = Arc<dyn Fn(Envelope, &mut dyn FnMut(Envelope)) + Send + Sync>;
-
-/// Tunables of a [`ThreadCluster`], all defaulted to the former hard-coded
-/// behaviour.
-#[derive(Clone, Default)]
+/// Tunables of a [`ThreadCluster`].  The fabric delivers what it is handed:
+/// it has no interposition hook, so a sender that wants faults injected
+/// decides them before it sends.
+#[derive(Clone, Debug, Default)]
 pub struct ThreadConfig {
     /// When set, the cluster runs a clock thread and every node receives
     /// [`ThreadedNode::on_tick`] callbacks at least this often — the hook
     /// reliability layers use for timeout-based retransmission — while
     /// [`ThreadCluster::recv_external`] returns early once per cadence.
     pub tick: Option<Duration>,
-    /// Interposed envelope filter (fault injection).
-    pub filter: Option<EnvelopeFilter>,
-}
-
-impl std::fmt::Debug for ThreadConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadConfig")
-            .field("tick", &self.tick)
-            .field("filter", &self.filter.is_some())
-            .finish()
-    }
 }
 
 /// A message travelling between threaded nodes.
@@ -138,9 +118,6 @@ pub enum SendStatus {
     /// The destination node has stopped and its channel is closed; the
     /// message was dropped (and counted).
     Disconnected,
-    /// The interposed [`EnvelopeFilter`] absorbed the message (fault
-    /// injection); counted separately from fabric drops.
-    Filtered,
 }
 
 impl SendStatus {
@@ -156,7 +133,6 @@ struct Counters {
     delivered: AtomicU64,
     dropped_unknown: AtomicU64,
     dropped_disconnected: AtomicU64,
-    filtered: AtomicU64,
     /// Node-bound messages enqueued but not yet fully processed.
     in_flight: AtomicU64,
 }
@@ -170,9 +146,6 @@ pub struct ThreadMetrics {
     pub dropped_unknown: u64,
     /// Messages dropped because the destination node had stopped.
     pub dropped_disconnected: u64,
-    /// Messages absorbed by the interposed envelope filter (fault
-    /// injection); not part of [`ThreadMetrics::dropped`].
-    pub filtered: u64,
 }
 
 impl ThreadMetrics {
@@ -188,7 +161,6 @@ impl Counters {
             delivered: self.delivered.load(Ordering::Relaxed),
             dropped_unknown: self.dropped_unknown.load(Ordering::Relaxed),
             dropped_disconnected: self.dropped_disconnected.load(Ordering::Relaxed),
-            filtered: self.filtered.load(Ordering::Relaxed),
         }
     }
 
@@ -197,7 +169,6 @@ impl Counters {
             SendStatus::Delivered => &self.delivered,
             SendStatus::UnknownNode => &self.dropped_unknown,
             SendStatus::Disconnected => &self.dropped_disconnected,
-            SendStatus::Filtered => &self.filtered,
         };
         counter.fetch_add(1, Ordering::Relaxed);
         status
@@ -257,17 +228,15 @@ fn send_control(peers: &[Sender<Control>], counters: &Counters, env: Envelope) -
     }
 }
 
-/// The shared routing fabric: node channels, the external queue, counters,
-/// and the interposed filter.  Every path that can inject an envelope — node
-/// contexts and the cluster handle — goes through one `Router`, so fault
-/// filtering and delivery accounting stay uniform no matter which thread
-/// sends.
+/// The shared routing fabric: node channels, the external queue and the
+/// counters.  Every path that can inject an envelope — node contexts and the
+/// cluster handle — goes through one `Router`, so delivery accounting stays
+/// uniform no matter which thread sends.
 #[derive(Clone)]
 struct Router {
     peers: Vec<Sender<Control>>,
     external: Sender<Control>,
     counters: Arc<Counters>,
-    filter: Option<EnvelopeFilter>,
 }
 
 impl Router {
@@ -282,22 +251,6 @@ impl Router {
             Ok(()) => self.counters.record(SendStatus::Delivered),
             Err(_) => self.counters.record(SendStatus::Disconnected),
         }
-    }
-
-    /// Pass an envelope through the interposed filter (if any) and route
-    /// whatever survives.  The returned status describes the *original*
-    /// envelope: [`SendStatus::Filtered`] when the filter absorbed it, the
-    /// first routed envelope's status otherwise.
-    fn dispatch(&self, env: Envelope) -> SendStatus {
-        let Some(filter) = self.filter.as_ref() else {
-            return self.route(env);
-        };
-        let mut first = None;
-        filter(env, &mut |e| {
-            let status = self.route(e);
-            first.get_or_insert(status);
-        });
-        first.unwrap_or_else(|| self.counters.record(SendStatus::Filtered))
     }
 }
 
@@ -328,7 +281,7 @@ impl NodeCtx {
     /// Send a two-segment message (`data ‖ payload`) to another node without
     /// copying the payload: the bulk segment is moved as a shared view.
     pub fn send_vectored(&self, to: usize, tag: u64, data: Bytes, payload: Bytes) -> SendStatus {
-        self.router.dispatch(Envelope {
+        self.router.route(Envelope {
             from: self.node_id,
             to,
             tag,
@@ -352,7 +305,7 @@ impl NodeCtx {
         data: Bytes,
         payload: Bytes,
     ) -> SendStatus {
-        self.router.dispatch(Envelope {
+        self.router.route(Envelope {
             from: self.node_id,
             to: external_id(port),
             tag,
@@ -414,8 +367,8 @@ impl ThreadCluster {
         Self::start_with_config(n, ThreadConfig::default(), factory)
     }
 
-    /// Start `n` nodes under explicit [`ThreadConfig`] tunables (tick
-    /// cadence, interposed envelope filter).
+    /// Start `n` nodes under explicit [`ThreadConfig`] tunables (the tick
+    /// cadence).
     pub fn start_with_config<N, F>(n: usize, config: ThreadConfig, factory: F) -> Self
     where
         N: ThreadedNode + 'static,
@@ -430,7 +383,6 @@ impl ThreadCluster {
             peers: senders,
             external: ext_tx,
             counters: Arc::clone(&counters),
-            filter: config.filter.clone(),
         };
         // The external queue's tick port first, then one per node.
         let external_tick = Arc::new(AtomicBool::new(false));
@@ -585,7 +537,7 @@ impl ThreadCluster {
         data: Bytes,
         payload: Bytes,
     ) -> SendStatus {
-        self.router.dispatch(Envelope {
+        self.router.route(Envelope {
             from: external_id(port),
             to,
             tag,
@@ -817,77 +769,6 @@ mod tests {
         cluster.shutdown();
     }
 
-    #[test]
-    fn filter_can_absorb_duplicate_and_pass() {
-        // A filter that drops tag 0, duplicates tag 1, passes the rest.
-        let filter: EnvelopeFilter = Arc::new(|env, out| match env.tag {
-            0 => {}
-            1 => {
-                out(env.clone());
-                out(env);
-            }
-            _ => out(env),
-        });
-        let cluster = ThreadCluster::start_with_config(
-            1,
-            ThreadConfig {
-                filter: Some(filter),
-                ..ThreadConfig::default()
-            },
-            |_| CountingNode {
-                count: 0,
-                batches: 0,
-            },
-        );
-        assert_eq!(cluster.send(0, 0, vec![]), SendStatus::Filtered); // absorbed
-        for _ in 0..3 {
-            assert!(cluster.send(0, 1, vec![]).is_delivered()); // doubled
-        }
-        // tag 0 counts deliveries; the query tag (2 here) is remapped by the
-        // node to "report": CountingNode reports on any tag != 0.
-        let _ = cluster.send(0, 2, vec![]);
-        let env = cluster
-            .recv_external(Duration::from_secs(5))
-            .expect("count");
-        assert_eq!(
-            u64::from_le_bytes(env.data[..8].try_into().unwrap()),
-            0, // the three tag-1 sends report, not count
-        );
-        let metrics = cluster.metrics();
-        assert_eq!(metrics.filtered, 1);
-        // 3 duplicated sends -> 6 deliveries, +1 query, +external reports.
-        assert!(metrics.delivered >= 7);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn filter_applies_to_external_sends_too() {
-        // Absorb everything a node reports outward.
-        let filter: EnvelopeFilter = Arc::new(|env, out| {
-            if env.to != EXTERNAL_SENDER {
-                out(env);
-            }
-        });
-        struct Reporter;
-        impl ThreadedNode for Reporter {
-            fn on_message(&mut self, msg: Envelope, ctx: &NodeCtx) {
-                let _ = ctx.send_external(msg.tag, msg.data);
-            }
-        }
-        let cluster = ThreadCluster::start_with_config(
-            1,
-            ThreadConfig {
-                filter: Some(filter),
-                ..ThreadConfig::default()
-            },
-            |_| Reporter,
-        );
-        let _ = cluster.send(0, 7, 5u64.to_le_bytes().to_vec());
-        assert!(cluster.recv_external(Duration::from_millis(100)).is_none());
-        assert!(cluster.metrics().filtered >= 1);
-        cluster.shutdown();
-    }
-
     /// What a node under the clock did, in order.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Did {
@@ -944,7 +825,6 @@ mod tests {
         let release_rx = Arc::new(std::sync::Mutex::new(release_rx));
         let config = ThreadConfig {
             tick: Some(cadence),
-            ..ThreadConfig::default()
         };
         let cluster = ThreadCluster::start_with_config(nodes, config, |id| Logged {
             log: Arc::clone(&logs[id]),
@@ -1130,27 +1010,6 @@ mod tests {
             .filter_map(|env| Some((external_port(env.to)?, env.tag)))
             .collect();
         assert_eq!(got, sends);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn port_sends_pass_the_interposed_filter() {
-        // A send carrying a port's identity must see the same fault filter
-        // as every other — absorb everything and check the status + counter.
-        let filter: EnvelopeFilter = Arc::new(|_, _| {});
-        let cluster = ThreadCluster::start_with_config(
-            1,
-            ThreadConfig {
-                filter: Some(filter),
-                ..ThreadConfig::default()
-            },
-            |_| RelayNode,
-        );
-        assert_eq!(
-            cluster.send_from_port(3, 0, 0, vec![]),
-            SendStatus::Filtered
-        );
-        assert_eq!(cluster.metrics().filtered, 1);
         cluster.shutdown();
     }
 

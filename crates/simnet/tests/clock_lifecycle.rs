@@ -26,11 +26,7 @@ fn clocks() -> usize {
 }
 
 fn start(tick: Option<Duration>) -> ThreadCluster {
-    let config = ThreadConfig {
-        tick,
-        ..ThreadConfig::default()
-    };
-    ThreadCluster::start_with_config(2, config, |_| Idle)
+    ThreadCluster::start_with_config(2, ThreadConfig { tick }, |_| Idle)
 }
 
 #[test]

@@ -56,8 +56,8 @@ fn run<T: Transport>(cluster: &mut Cluster<T>) -> (usize, usize, u64) {
 
 fn main() {
     // Spawns one tc-socket-server process per server rank; the binary is
-    // resolved from the directory next to this example (or set
-    // TC_SOCKET_SERVER_BIN / `.server_bin(path)` explicitly).
+    // resolved from the directory next to this example (or set it with
+    // `.server_bin(path)`).
     let mut cluster = ClusterBuilder::new()
         .platform(Platform::thor_bf2())
         .servers(2)

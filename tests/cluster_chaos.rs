@@ -1,10 +1,10 @@
 //! Chaos parity: the `tests/cluster_parity.rs` TSI + X-RDMA scenario, run
 //! under a seeded `FaultPlan` that drops, duplicates and reorders envelopes
-//! and opens (then heals) a network partition mid-run — on BOTH backends.
+//! and opens (then heals) a network partition mid-run — on every backend.
 //!
 //! The reliable-delivery layer must make the run indistinguishable from a
 //! fault-free one at the functional level: identical counters, execution
-//! counts and result values on the simulated and the threaded transport,
+//! counts and result values on the simulated, threaded and socket transports,
 //! with `TransportMetrics` proving the faults actually fired (retransmits,
 //! dedup drops, injected-fault counts all nonzero).
 
@@ -161,51 +161,52 @@ fn assert_analytic_expectation(outcome: &ScenarioOutcome) {
 }
 
 #[test]
-fn chaos_scenario_identical_results_on_both_backends() {
+fn chaos_scenario_identical_results_on_every_backend() {
     let builder = || {
         ClusterBuilder::new()
             .platform(tc_simnet::Platform::thor_bf2())
             .servers(SERVERS)
             .fault_plan(chaos_plan())
+            .server_bin(env!("CARGO_BIN_EXE_tc-socket-server"))
     };
 
-    let mut sim = builder().build(Backend::Simnet);
-    let sim_outcome = run_scenario(&mut sim);
-    let sim_metrics = sim.metrics();
-    let sim_chaos = sim.snapshot().chaos.expect("chaos installed");
+    // Functional parity: every observable agrees with the simulator's
+    // despite each backend realising the fault plan in its own time domain —
+    // the simulator at its event engine's sender, the wall-clock backends at
+    // the gate of the host that emits the frame (or, for a socket server
+    // process, at the driver's ingress gate).
+    let mut sim_outcome = None;
+    for backend in [Backend::Simnet, Backend::Threads, Backend::Socket] {
+        let mut cluster = builder().build(backend);
+        let outcome = run_scenario(&mut cluster);
+        match &sim_outcome {
+            None => {
+                assert_analytic_expectation(&outcome);
+                sim_outcome = Some(outcome);
+            }
+            Some(sim) => assert_eq!(&outcome, sim, "{backend}"),
+        }
+        let metrics = cluster.metrics();
+        let chaos = cluster.snapshot().chaos.expect("chaos installed");
+        cluster.shutdown();
 
-    let mut threaded = builder().build(Backend::Threads);
-    let threaded_outcome = run_scenario(&mut threaded);
-    let threaded_metrics = threaded.metrics();
-    let threaded_chaos = threaded.snapshot().chaos.expect("chaos installed");
-    threaded.shutdown();
-
-    // Functional parity: every observable agrees across backends despite
-    // each backend realising the fault plan in its own time domain.
-    assert_eq!(sim_outcome, threaded_outcome);
-    assert_analytic_expectation(&sim_outcome);
-
-    // The faults really fired, and the reliability layer really worked.
-    for (name, metrics, chaos) in [
-        ("simnet", sim_metrics, sim_chaos),
-        ("threads", threaded_metrics, threaded_chaos),
-    ] {
+        // The faults really fired, and the reliability layer really worked.
         assert!(
             chaos.total_injected() > 0,
-            "{name}: the plan must inject faults"
+            "{backend}: the plan must inject faults"
         );
         assert!(
             chaos.partition_drops > 0,
-            "{name}: the partition must actually cut traffic"
+            "{backend}: the partition must actually cut traffic"
         );
         assert!(
             metrics.retransmits > 0,
-            "{name}: recovery must come from retransmission"
+            "{backend}: recovery must come from retransmission"
         );
         assert_eq!(
             metrics.faults_injected,
             chaos.total_injected(),
-            "{name}: transport metrics must surface the chaos counters"
+            "{backend}: transport metrics must surface the chaos counters"
         );
     }
 }
@@ -452,7 +453,7 @@ fn misaddressed_sends_under_chaos_do_not_wedge_either_side() {
 /// partition that heals.  Exactly-once, in-order delivery must hold *per
 /// (client, server) link*: the per-link `ReliableSet` sequence spaces of the
 /// two client ranks are independent, so neither client's dedup can swallow
-/// the other's frames — byte-exact artifacts on BOTH backends are the
+/// the other's frames — byte-exact artifacts on every backend are the
 /// functional proof, the reliability counters of both client ranks the
 /// mechanical one.
 #[test]
@@ -468,12 +469,13 @@ fn two_client_streams_survive_chaos_exactly_once() {
     };
     let table = tc_workloads::PointerTable::generate(2, 16, 0xC0FFEE);
     let expected: Vec<u8> = (0..2).flat_map(|s| table.shard_image(s)).collect();
-    for backend in [Backend::Simnet, Backend::Threads] {
+    for backend in [Backend::Simnet, Backend::Threads, Backend::Socket] {
         let mut cluster = ClusterBuilder::new()
             .platform(tc_simnet::Platform::thor_bf2())
             .clients(2)
             .servers(2)
             .fault_plan(plan())
+            .server_bin(env!("CARGO_BIN_EXE_tc-socket-server"))
             .build(backend);
         table.install_cluster(&mut cluster).unwrap();
         let report = tc_workloads::run_multi_client_streams(
@@ -508,6 +510,14 @@ fn two_client_streams_survive_chaos_exactly_once() {
             chaos.partition_drops > 0,
             "{backend}: the partition must actually cut traffic"
         );
+        // A wall-clock rank holds a frame back at its gate where the
+        // simulator delays it: both kinds of fault must have fired there.
+        if backend != Backend::Simnet {
+            assert!(
+                chaos.reorders > 0 && chaos.duplicates > 0,
+                "{backend}: reorders and duplicates must fire at the gates: {chaos:?}"
+            );
+        }
         // Both client ranks keep their own reliability state: each acked
         // its own inbound stream (replies/results) independently.
         for c in 0..2 {

@@ -12,7 +12,9 @@ use common::OrDump;
 use std::collections::HashMap;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
-use tc_core::cluster::{CompletionSet, Event, EventKind, RankState, Snapshot, SocketSpec};
+use tc_core::cluster::{
+    Cluster, CompletionSet, Event, EventKind, RankState, Snapshot, SocketSpec, SocketTransport,
+};
 use tc_core::layout::{DATA_REGION_BASE, TARGET_REGION_BASE};
 use tc_core::{Backend, ClusterBuilder, CoreError, FaultPlan, Ready, Transport};
 
@@ -413,6 +415,95 @@ fn sigkill_mid_workload_heals_and_completes_byte_identical() {
 
     let mut transport = cluster.shutdown();
     assert_eq!(transport.live_children(), 0, "shutdown reaps everything");
+}
+
+/// A recovering cluster of two server processes, and the code a test ships:
+/// `library` built for the servers' platform and registered.
+fn healing_cluster(library: tc_bitir::Module) -> (Cluster<SocketTransport>, tc_core::IfuncHandle) {
+    // A zero-rate plan, as above: the heal is the only disturbance.
+    let mut cluster = builder(2)
+        .fault_plan(FaultPlan::seeded(0xB007))
+        .socket_recovery(8)
+        .build_socket()
+        .expect("cluster starts");
+    let toolchain = tc_workloads::platform_toolchain(&tc_simnet::Platform::thor_xeon());
+    let library = tc_core::build_ifunc_library(&library, &toolchain).unwrap();
+    let handle = cluster.register_ifunc(library);
+    (cluster, handle)
+}
+
+/// SIGKILL server 0 and ride the heal out with a GET to it.
+fn kill_and_heal(cluster: &mut Cluster<SocketTransport>) {
+    let rank = cluster.server_rank(0);
+    cluster.transport_mut().kill_server(0);
+    let get = cluster.get(rank, DATA_REGION_BASE, 8).unwrap();
+    cluster.wait(&get).or_dump(cluster);
+    assert_eq!(cluster.snapshot().heals, 1, "{}", cluster.snapshot());
+}
+
+/// A reborn rank has seen no code, so a client that sent it an ifunc before
+/// the kill ships the code with its next send instead of a frame that
+/// elides it.
+#[test]
+fn a_client_sends_a_healed_rank_its_code_again() {
+    let (mut cluster, tsi) = healing_cluster(tc_workloads::tsi_module());
+    let rank = cluster.server_rank(0);
+    let msg = cluster.bitcode_message(tsi, vec![1]).unwrap();
+    cluster.send_ifunc(&msg, rank).unwrap();
+    cluster.run_until_idle(1_000_000).or_dump(&cluster);
+    assert_eq!(cluster.read_u64(rank, TARGET_REGION_BASE).unwrap(), 1);
+
+    kill_and_heal(&mut cluster);
+    for _ in 0..5 {
+        cluster.send_ifunc(&msg, rank).unwrap();
+    }
+    cluster.run_until_idle(1_000_000).or_dump(&cluster);
+    let counter = cluster.read_u64(rank, TARGET_REGION_BASE).or_dump(&cluster);
+    assert_eq!(counter, 5, "{}", cluster.snapshot());
+    assert!(
+        cluster.transport().errors().is_empty(),
+        "{:?}",
+        cluster.transport().errors()
+    );
+    cluster.shutdown();
+}
+
+/// The same rule on a surviving server: a chaser that hopped from it to the
+/// killed rank before the kill carries its code on the first hop after the
+/// heal.
+#[test]
+fn a_surviving_server_sends_a_healed_rank_its_code_again() {
+    use tc_workloads::{chaser_payload, PointerTable};
+    let (mut cluster, chaser) = healing_cluster(tc_workloads::chaser_module("chaser"));
+    let table = PointerTable::generate(2, 8, 0x4EA1);
+    table.install_cluster(&mut cluster).unwrap();
+    // A chase of depth 2 from `start` looks up on server 1, then hops to
+    // server 0 for its second lookup.
+    let entries = 0..table.total_entries() as u64;
+    let start = entries
+        .filter(|&g| table.owner_index(g) == 1)
+        .find(|&g| table.owner_index(table.next(g)) == 0)
+        .expect("a link from shard 1 to shard 0");
+    let chase = |cluster: &mut Cluster<SocketTransport>| {
+        let slot = cluster.result_slot();
+        let base = cluster.first_server_rank() as u64;
+        let shard = table.shard_size as u64;
+        let payload = chaser_payload::encode(0, slot.slot(), start, 2, base, shard);
+        let msg = cluster.bitcode_message(chaser, payload).unwrap();
+        let first = cluster.server_rank(1);
+        cluster.send_ifunc(&msg, first).unwrap();
+        cluster.wait(&slot)
+    };
+    assert_eq!(chase(&mut cluster).or_dump(&cluster), table.chase(start, 2));
+
+    kill_and_heal(&mut cluster);
+    assert_eq!(chase(&mut cluster).or_dump(&cluster), table.chase(start, 2));
+    assert!(
+        cluster.transport().errors().is_empty(),
+        "{:?}",
+        cluster.transport().errors()
+    );
+    cluster.shutdown();
 }
 
 /// With recovery on but a zero respawn budget, a killed rank becomes
