@@ -32,10 +32,6 @@ pub enum SendDecision {
 #[derive(Debug, Default, Clone)]
 pub struct SenderCache {
     seen: HashMap<String, HashSet<WorkerAddr>>,
-    /// Number of sends that shipped the full frame.
-    pub full_sends: u64,
-    /// Number of sends that shipped the truncated frame.
-    pub truncated_sends: u64,
 }
 
 impl SenderCache {
@@ -45,7 +41,10 @@ impl SenderCache {
     }
 
     /// Record a send of `ifunc_name` to `endpoint` and return what should be
-    /// transmitted.
+    /// transmitted.  The runtime counts the decisions
+    /// ([`crate::RuntimeStats::ifunc_full_sends`] and
+    /// [`crate::RuntimeStats::ifunc_truncated_sends`]); the cache keeps no
+    /// second count.
     pub fn on_send(&mut self, ifunc_name: &str, endpoint: WorkerAddr) -> SendDecision {
         let first = match self.seen.get_mut(ifunc_name) {
             Some(endpoints) => endpoints.insert(endpoint),
@@ -56,10 +55,8 @@ impl SenderCache {
             }
         };
         if first {
-            self.full_sends += 1;
             SendDecision::SendFull
         } else {
-            self.truncated_sends += 1;
             SendDecision::SendTruncated
         }
     }
@@ -101,8 +98,7 @@ mod tests {
         assert_eq!(c.on_send("tsi", ep), SendDecision::SendFull);
         assert_eq!(c.on_send("tsi", ep), SendDecision::SendTruncated);
         assert_eq!(c.on_send("tsi", ep), SendDecision::SendTruncated);
-        assert_eq!(c.full_sends, 1);
-        assert_eq!(c.truncated_sends, 2);
+        assert_eq!(c.len(), 1);
     }
 
     #[test]

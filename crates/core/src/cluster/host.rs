@@ -10,9 +10,13 @@
 //! A threaded server node and a socket server process are carriers over a
 //! [`ServerHost`], which owns the four rules both must keep:
 //!
-//! * **Control is a FIFO barrier.**  A control request (peek/poke/stats, or
-//!   a carrier's own through [`ServerHost::barrier`]) is served only after
-//!   every data frame that arrived before it has been polled and answered.
+//! * **Control is a FIFO barrier.**  A control request — peek, poke, stats
+//!   or AM deployment — is served only after every data frame that arrived
+//!   before it has been polled and answered, so an AM posted before a
+//!   redeployment runs the handler it was posted under.  The handler a
+//!   deployment names comes from the [`AmCatalog`] the carrier built the host
+//!   with, and [`deploy_am`] is the one deploy order: every server, then the
+//!   clients.
 //! * **Replies leave behind the poll.**  Whatever the runtime posts is
 //!   emitted after `poll(usize::MAX)`, so no cumulative ack — pure or
 //!   piggybacked — ever covers an operation whose effects do not exist yet.
@@ -82,20 +86,34 @@
 //! [`Driver::close_pass`] take the carrier's `emit(from, to, tag, data,
 //! payload)`; [`Driver::snapshot`] is the half of a [`Snapshot`] both
 //! backends share.  A backend keeps only its own: the threaded fabric
-//! (dispatch by port, the AM registry, the digest table) or the socket
+//! (dispatch by port, the AM catalog, the digest table) or the socket
 //! connections (admission, the ingress gate, the inbox, recovery).
 
 use super::link::{self, pass_now, Digest, Emit, Link};
 use super::reliable::RelConfig;
 use super::snapshot::{EventKind, EventRing, RankSnapshot, Snapshot};
 use super::socket::DRIVER_PORT;
-use super::{no_such_client, wire, ClientId};
+use super::{no_such_client, wire, ClientId, Transport};
 use crate::error::{CoreError, Result};
 use crate::runtime::{NativeAmHandler, NodeRuntime};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use tc_bitir::TargetTriple;
 use tc_chaos::{ChaosSession, FaultPlan, HoldBack};
 use tc_ucx::{Bytes, OutgoingMessage, WorkerAddr};
+
+/// The AM handlers a server rank deploys by name: a socket process's
+/// compiled-in catalog, or the one the threaded backend's `deploy_am` adds to
+/// before it asks.  Locked only while a deployment is served.
+pub(crate) type AmCatalog = Arc<Mutex<HashMap<String, NativeAmHandler>>>;
+
+/// Lock a mutex, recovering from poison: every structure behind these locks
+/// (catalog entries, digests) is whole between statements, and losing the
+/// transport to a thread that panicked elsewhere would be worse.
+pub(crate) fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A host's fault gate (see the module docs): its rank and the hold-back of
 /// what it emits, `(to, tag, data, payload)`; `None` without a fault plan.
@@ -127,6 +145,7 @@ pub(crate) struct ServerHost {
     runtime: NodeRuntime,
     link: Link,
     gate: Gate,
+    catalog: AmCatalog,
     /// Deliver sends to this rank locally instead of emitting them.
     loopback: bool,
     /// Operations were delivered to the runtime and not polled yet.
@@ -135,16 +154,19 @@ pub(crate) struct ServerHost {
 
 impl ServerHost {
     /// Links reliable under `rel`; frames faulted as they leave under `chaos`
-    /// (a socket server process has none: the driver gates its frames).
+    /// (a socket server process has none: the driver gates its frames); AM
+    /// handlers deployed from `catalog`.
     pub(crate) fn new(
         runtime: NodeRuntime,
         rel: Option<RelConfig>,
         loopback: bool,
         chaos: Option<&ChaosSession>,
+        catalog: AmCatalog,
     ) -> Self {
         ServerHost {
             link: Link::new(runtime.node_id().0, runtime.num_nodes(), rel),
             gate: chaos.map(|c| (runtime.node_id().0, HoldBack::new(c.clone()))),
+            catalog,
             runtime,
             loopback,
             pending: false,
@@ -179,16 +201,26 @@ impl ServerHost {
         }
     }
 
-    /// Everything that arrived before this point has taken effect and been
-    /// answered: the runtime, for a control request of the carrier's own.
-    pub(crate) fn barrier(&mut self, now: u64, mut emit: impl Emit) -> &mut NodeRuntime {
-        self.flush(now, &mut emit);
-        &mut self.runtime
+    /// Answer one control request: its reply body under its token, or
+    /// `None` for a malformed request or an unknown tag.
+    fn serve(&mut self, tag: u64, data: &[u8]) -> Option<Vec<u8>> {
+        let (token, body) = wire::decode_control(data).ok()?;
+        let reply = match tag {
+            wire::TAG_AM_DEPLOY => {
+                let name = String::from_utf8_lossy(body);
+                let handler = relock(&self.catalog).get(&*name).cloned();
+                let deployed = handler.map(|h| self.runtime.deploy_am_handler(name, h));
+                vec![deployed.is_some() as u8]
+            }
+            _ => wire::serve_control(&mut self.runtime, tag, body)?,
+        };
+        Some(wire::encode_control(token, &reply))
     }
 
     /// Terminate one frame `from` sent to this rank: a data-plane frame goes
-    /// through the link into the runtime; anything else is a control request
-    /// served behind a [`ServerHost::barrier`] (unknown tags are dropped).
+    /// through the link into the runtime; anything else is a control request,
+    /// served once everything that arrived before it has been polled and
+    /// answered (unknown tags are dropped).
     pub(crate) fn on_frame(
         &mut self,
         from: u32,
@@ -200,8 +232,8 @@ impl ServerHost {
     ) {
         if !matches!(tag, wire::TAG_OP | wire::TAG_ROP | wire::TAG_ACK) {
             self.flush(now, &mut emit);
-            if let Some((tag, reply)) = wire::serve_control(&mut self.runtime, tag, &data) {
-                emit(DRIVER_PORT, tag, reply.into(), Bytes::new());
+            if let Some(reply) = self.serve(tag, &data) {
+                emit(DRIVER_PORT, wire::TAG_REPLY, reply.into(), Bytes::new());
             }
             return;
         }
@@ -236,8 +268,7 @@ impl ServerHost {
 }
 
 /// Report a node-side failure to the driver.  Errors ride the same wire as
-/// control replies, so one emitted before a stats reply is collected before
-/// it.
+/// control replies, so one emitted before a reply is collected before it.
 fn report(emit: &mut impl Emit, text: String) {
     emit(
         DRIVER_PORT,
@@ -415,6 +446,32 @@ fn flush_clients(origin: usize, hosts: &mut [ClientHost], now: u64, mut emit: im
     }
 }
 
+/// Ask server `rank` to deploy the handler its catalog holds for `name`.
+pub(crate) fn deploy_on(t: &mut impl Transport, rank: usize, name: &str) -> Result<()> {
+    match t.control(rank, wire::TAG_AM_DEPLOY, name.as_bytes())?[..] {
+        [1] => Ok(()),
+        _ => Err(CoreError::UnknownAmHandler {
+            name: format!("{name} (not in the AM catalog of rank {rank})"),
+        }),
+    }
+}
+
+/// Deploy AM `name` on every rank of a wall-clock backend, in the one order
+/// that keeps handler ids agreeing: every server first, then the clients.
+/// The servers share one catalog, so a name it lacks is refused by the first
+/// and no rank holds a handler ahead of the others.
+pub(crate) fn deploy_am(t: &mut impl Transport, name: &str, am: &NativeAmHandler) -> Result<()> {
+    let clients = t.client_count();
+    for rank in clients..t.node_count() {
+        deploy_on(t, rank, name)?;
+    }
+    for c in 0..clients {
+        t.client_mut(ClientId(c))
+            .deploy_am_handler(name, am.clone());
+    }
+    Ok(())
+}
+
 /// The driver side of a wall-clock backend: see the module docs.
 pub(crate) struct Driver {
     /// The client ranks, in rank order.
@@ -510,15 +567,6 @@ impl Driver {
     pub(crate) fn client_mut(&mut self, id: ClientId) -> &mut NodeRuntime {
         assert!(id.0 < self.hosts.len(), "no client with id {id}");
         self.hosts[id.0].runtime_mut()
-    }
-
-    /// Deploy an AM handler on every client rank (the backend deploys it on
-    /// the servers, in the same order).
-    pub(crate) fn deploy_am(&mut self, name: &str, handler: &NativeAmHandler) {
-        for host in &mut self.hosts {
-            host.runtime_mut()
-                .deploy_am_handler(name.to_string(), handler.clone());
-        }
     }
 
     /// Move everything client `origin` (and whoever its loopback traffic
@@ -647,7 +695,7 @@ mod tests {
 
     fn host(rel: Option<RelConfig>, loopback: bool) -> ServerHost {
         let runtime = NodeRuntime::new(WorkerAddr(SERVER), 2, TargetTriple::X86_64_GENERIC);
-        ServerHost::new(runtime, rel, loopback, None)
+        ServerHost::new(runtime, rel, loopback, None, AmCatalog::default())
     }
 
     fn get(src: u32, request: u64) -> OutgoingMessage {
@@ -703,7 +751,7 @@ mod tests {
                 tags,
                 [
                     (0, wire::TAG_OP),
-                    (DRIVER_PORT, wire::TAG_STATS_REPLY),
+                    (DRIVER_PORT, wire::TAG_REPLY),
                     (0, wire::TAG_OP)
                 ],
                 "loopback {loopback}"
@@ -820,7 +868,8 @@ mod tests {
         };
         let triple = TargetTriple::X86_64_GENERIC;
         let runtime = NodeRuntime::new(WorkerAddr(SERVER), 2, triple);
-        let mut server = ServerHost::new(runtime, Some(CFG), true, Some(&session));
+        let catalog = AmCatalog::default();
+        let mut server = ServerHost::new(runtime, Some(CFG), true, Some(&session), catalog);
         let mut peer = Link::new(0, 2, Some(CFG));
         let mut out: Vec<Emitted> = Vec::new();
         let mut emit = |to, tag, data, payload| out.push((to, tag, data, payload));
@@ -833,7 +882,7 @@ mod tests {
         server.on_frame(0, wire::TAG_STATS, stats, Bytes::new(), NOW, &mut emit);
         server.end_pass(NOW, &mut emit);
         server.replay(0, &mut emit);
-        assert!(out.iter().any(|f| f.1 == wire::TAG_STATS_REPLY), "{out:?}");
+        assert!(out.iter().any(|f| f.1 == wire::TAG_REPLY), "{out:?}");
         let (emitted, decisions) = decided(&out);
         assert!(
             emitted >= 9,
@@ -1353,7 +1402,9 @@ mod tests {
         let mut ranks = Ranks {
             at: format!("seed {seed} faults {faults:?}"),
             client: [ClientHost::new(runtime(0), Some(TICKS), 1, None)],
-            servers: [1, 2].map(|r| ServerHost::new(runtime(r), Some(TICKS), true, None)),
+            servers: [1, 2].map(|r| {
+                ServerHost::new(runtime(r), Some(TICKS), true, None, AmCatalog::default())
+            }),
             inbox: Default::default(),
             posted: Posted::default(),
             logs,

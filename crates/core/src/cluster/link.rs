@@ -42,11 +42,12 @@ use tc_ucx::{Bytes, OutgoingMessage};
 /// under a fault plan; socket: polls its connections) before running its
 /// idleness checks.  Bounds *idle-detection* latency only.
 pub(crate) const STEP_TIMEOUT: Duration = Duration::from_millis(20);
-/// Consecutive idle steps before a wall-clock backend's waits give up.  A
-/// step only reports idle after a silent park (a whole one from the second
-/// on) with nothing queued or mid-processing, so two suffice: the second
-/// covers the one-step race where work finished right as the first wait
-/// timed out.
+/// Consecutive idle steps before a wait gives up, on every backend.  A
+/// wall-clock step only reports idle after a silent park (a whole one from
+/// the second on) with nothing queued or mid-processing, so two suffice: the
+/// second covers the one-step race where work finished right as the first
+/// wait timed out.  A simulator step that found its queue empty finds it
+/// empty again.
 pub(crate) const IDLE_GRACE: u32 = 2;
 /// How long a control-plane round trip (peek/poke/stats/AM deploy) may take.
 pub(crate) const CONTROL_TIMEOUT: Duration = Duration::from_secs(10);
@@ -84,8 +85,7 @@ pub(crate) const RECOVERY_BACKOFF_MAX: Duration = Duration::from_secs(2);
 
 /// Nanoseconds on the wall clock shared by everything in this process that
 /// keeps wall-clock time (origin: first use) — every [`Link`]'s reliable
-/// layer, and [`super::Transport::now_nanos`] unless a backend keeps virtual
-/// time.  One origin means a deadline a link arms and the time a driver
+/// layer, and [`super::Snapshot::now_nanos`] on the wall-clock backends.  One origin means a deadline a link arms and the time a driver
 /// reads are directly comparable, with no epoch to hand around.
 pub(crate) fn wall_nanos() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();

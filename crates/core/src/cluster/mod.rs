@@ -218,7 +218,10 @@ pub trait Transport {
     fn client_mut(&mut self, id: ClientId) -> &mut NodeRuntime;
 
     /// Predeploy a native Active-Message handler on every node, assigning
-    /// consistent handler ids cluster-wide.
+    /// consistent handler ids cluster-wide.  The wall-clock backends ask every
+    /// server first, with a [`wire::TAG_AM_DEPLOY`] control request served
+    /// behind the data already flushed toward it, then deploy on the clients;
+    /// the simulated backend deploys in place.
     fn deploy_am(&mut self, name: &str, handler: NativeAmHandler) -> Result<()>;
 
     /// Pick up operations client `id` has posted and move them into the
@@ -233,35 +236,13 @@ pub trait Transport {
     /// `false` is the whole quiescence signal the wait loop needs.
     fn step(&mut self) -> Result<bool>;
 
-    /// How many consecutive idle [`Transport::step`]s mean "quiescent".  The
-    /// simulator's queue emptiness is definitive (1); the wall-clock
-    /// backends need a grace period because work may be mid-flight on a
-    /// server thread or in a server process.
-    fn idle_grace(&self) -> u32 {
-        1
-    }
-
-    /// The transport's clock in nanoseconds, as stamped on a [`Snapshot`].
-    /// The default is wall time on the one process-wide origin the
-    /// wall-clock backends' links share; the simulated backend answers with
-    /// its virtual time.
-    fn now_nanos(&self) -> u64 {
-        link::wall_nanos()
-    }
-
     /// One control-plane round trip to *server* rank `rank`: send `body`
-    /// under `request_tag` (one of the [`wire`] control tags), return the
-    /// body of the matching `reply_tag` reply.  The request queues behind
-    /// everything already flushed toward that rank, so it doubles as a
-    /// barrier behind the data plane.  A rank that is not a server is a
-    /// typed error.
-    fn control(
-        &mut self,
-        rank: usize,
-        request_tag: u64,
-        reply_tag: u64,
-        body: &[u8],
-    ) -> Result<Vec<u8>>;
+    /// under `request_tag` (one of the [`wire`] control tags) and return the
+    /// body of the [`wire::TAG_REPLY`] that carries the request's token.  The
+    /// request queues behind everything already flushed toward that rank, so
+    /// it doubles as a barrier behind the data plane.  A rank that is not a
+    /// server is a typed error.
+    fn control(&mut self, rank: usize, request_tag: u64, body: &[u8]) -> Result<Vec<u8>>;
 
     /// Everything this backend knows about its cluster right now, from
     /// state the driver already holds: no control round trip, no waiting (a
@@ -304,7 +285,7 @@ pub trait Transport {
         let mut body = Vec::with_capacity(16);
         body.extend_from_slice(&addr.to_le_bytes());
         body.extend_from_slice(&(len as u64).to_le_bytes());
-        let reply = self.control(rank, wire::TAG_PEEK, wire::TAG_PEEK_REPLY, &body)?;
+        let reply = self.control(rank, wire::TAG_PEEK, &body)?;
         // A failed peek answers with an empty body.
         if reply.len() != len {
             return Err(failed());
@@ -322,7 +303,7 @@ pub trait Transport {
             let mut body = Vec::with_capacity(8 + data.len());
             body.extend_from_slice(&addr.to_le_bytes());
             body.extend_from_slice(data);
-            self.control(rank, wire::TAG_POKE, wire::TAG_POKE_ACK, &body)? == [1]
+            self.control(rank, wire::TAG_POKE, &body)? == [1]
         };
         if !ok {
             return Err(CoreError::Transport(format!(
@@ -338,7 +319,7 @@ pub trait Transport {
         if rank < self.client_count() {
             return Ok(self.client(ClientId(rank)).stats);
         }
-        let reply = self.control(rank, wire::TAG_STATS, wire::TAG_STATS_REPLY, &[])?;
+        let reply = self.control(rank, wire::TAG_STATS, &[])?;
         wire::decode_stats(&reply)
     }
 
@@ -412,20 +393,8 @@ impl Transport for Box<dyn Transport> {
     fn step(&mut self) -> Result<bool> {
         (**self).step()
     }
-    fn idle_grace(&self) -> u32 {
-        (**self).idle_grace()
-    }
-    fn now_nanos(&self) -> u64 {
-        (**self).now_nanos()
-    }
-    fn control(
-        &mut self,
-        rank: usize,
-        request_tag: u64,
-        reply_tag: u64,
-        body: &[u8],
-    ) -> Result<Vec<u8>> {
-        (**self).control(rank, request_tag, reply_tag, body)
+    fn control(&mut self, rank: usize, request_tag: u64, body: &[u8]) -> Result<Vec<u8>> {
+        (**self).control(rank, request_tag, body)
     }
     fn observe(&self) -> Snapshot {
         (**self).observe()
@@ -1037,24 +1006,25 @@ impl<T: Transport> Cluster<T> {
     /// The one wait loop under [`Cluster::wait`], [`Cluster::wait_any`] and
     /// [`Cluster::run_until_idle`]: ask `check` (which absorbs and claims
     /// whatever its caller is after), then step the transport, until `check`
-    /// answers, `max_steps` steps have made progress, or
-    /// [`Transport::idle_grace`] steps in a row made none.  Returns `check`'s
-    /// answer, if any, and the progress steps taken.
+    /// answers, `max_steps` steps have made progress, or two steps in a row
+    /// made none.  Returns `check`'s answer, if any, and the progress steps
+    /// taken.
     ///
     /// An idle step is the only quiescence signal: how long unacked frames
     /// keep a wait alive is decided inside each backend's `step` (the
     /// simulator's retransmission tick is an event; the wall-clock backends
-    /// report progress up to their stall horizon).
+    /// report progress up to their stall horizon).  The second idle step is
+    /// the wall-clock backends' grace for work mid-flight on a server thread
+    /// or process; on the simulator it pops nothing either.
     fn drive<R>(
         &mut self,
         max_steps: u64,
         mut check: impl FnMut(&mut Self) -> Option<R>,
     ) -> Result<(Option<R>, u64)> {
-        let grace = self.transport.idle_grace();
         let (mut steps, mut idle) = (0u64, 0u32);
         loop {
             let found = check(self);
-            if found.is_some() || steps >= max_steps || idle >= grace {
+            if found.is_some() || steps >= max_steps || idle >= link::IDLE_GRACE {
                 return Ok((found, steps));
             }
             if self.transport.step()? {

@@ -570,27 +570,16 @@ impl Transport for SimTransport {
         Ok(self.step_event())
     }
 
-    fn now_nanos(&self) -> u64 {
-        self.queue.now().as_nanos()
-    }
-
     /// The oracle runs the same server-side control code as the live
-    /// backends, minus the wire: the request is served in place.
-    fn control(
-        &mut self,
-        rank: usize,
-        request_tag: u64,
-        reply_tag: u64,
-        body: &[u8],
-    ) -> Result<Vec<u8>> {
+    /// backends, minus the wire and the token: the request is served in
+    /// place (AM deployment too, by [`Transport::deploy_am`]).
+    fn control(&mut self, rank: usize, request_tag: u64, body: &[u8]) -> Result<Vec<u8>> {
         check_server_rank(self.clients, self.nodes.len() - self.clients, rank)?;
-        let request = wire::encode_control(0, body);
-        match wire::serve_control(&mut self.nodes[rank], request_tag, &request) {
-            Some((tag, reply)) if tag == reply_tag => Ok(wire::decode_control(&reply)?.1.to_vec()),
-            _ => Err(CoreError::Transport(format!(
-                "rank {rank} did not answer control request {request_tag} with {reply_tag}"
-            ))),
-        }
+        wire::serve_control(&mut self.nodes[rank], request_tag, body).ok_or_else(|| {
+            CoreError::Transport(format!(
+                "rank {rank} did not answer control request {request_tag}"
+            ))
+        })
     }
 
     /// Every rank's link rows are here; nothing dies, heals or stalls.
@@ -602,7 +591,7 @@ impl Transport for SimTransport {
         };
         Snapshot {
             backend: self.backend_name(),
-            now_nanos: self.now_nanos(),
+            now_nanos: self.now().as_nanos(),
             delivered: self.delivered,
             dropped: self.dropped_misaddressed,
             chaos: self.chaos.as_ref().map(|c| c.session.stats()),

@@ -19,7 +19,8 @@ use tc_chaos::ChaosStats;
 pub struct Snapshot {
     /// [`super::Transport::backend_name`].
     pub backend: &'static str,
-    /// When it was taken, on [`super::Transport::now_nanos`] (as [`Event::at`]).
+    /// When it was taken, in nanoseconds: virtual time on the simulated
+    /// backend, the wall clock [`Event::at`] reads on the others.
     pub now_nanos: u64,
     /// Messages the fabric delivered to a destination node.
     pub delivered: u64,
@@ -100,7 +101,7 @@ pub enum RankState {
 /// One driver-side state transition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
-    /// When, on [`super::Transport::now_nanos`].
+    /// When, on the wall-clock backends' [`Snapshot::now_nanos`] clock.
     pub at: u64,
     /// The rank it concerns (`None`: the cluster as a whole).
     pub rank: Option<u32>,

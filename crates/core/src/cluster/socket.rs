@@ -14,7 +14,11 @@
 //! detached `payload` segment is the scatter-gather half of
 //! [`wire::encode_op_vectored`], written to the socket with vectored I/O so
 //! a large PUT or ifunc library crosses the process boundary without a
-//! send-side copy.
+//! send-side copy.  The control plane — peek, poke, stats, AM deployment —
+//! is [`wire`]'s too, served by each server process's host as on the
+//! threaded backend; the `TAG_*` constants here are only the session frames
+//! between the driver and a server process (handshake, digest, liveness,
+//! link reset, shutdown).
 //!
 //! With a [`FaultPlan`] installed, every endpoint runs a reliable link
 //! endpoint (the crate-private `link` module), so delivery stays
@@ -28,7 +32,7 @@
 //! this one keeps the connections and their admission, the ingress gate,
 //! the inbox and crash recovery.
 
-use super::host::{Driver, EmitFrom};
+use super::host::{self, Driver, EmitFrom};
 use super::link::{self, Digest};
 use super::reliable::{LinkHealth, RelConfig};
 use super::snapshot::{EventKind, RankSnapshot, RankState, Snapshot};
@@ -47,12 +51,6 @@ use tc_net::{ChildGuard, Connection, Frame, Listener, NetError, SocketSpec};
 pub const TAG_HELLO: u64 = 100;
 /// Session tag: driver → server configuration reply.
 pub const TAG_WELCOME: u64 = 101;
-/// Session tag: driver asks a server to deploy a catalogued AM handler
-/// (control body: handler name bytes).
-pub const TAG_AM_DEPLOY: u64 = 102;
-/// Session tag: server answers a [`TAG_AM_DEPLOY`] (`[1]` deployed, `[0]`
-/// unknown name).
-pub const TAG_AM_ACK: u64 = 103;
 /// Session tag: driver tells a server to flush and exit.
 pub const TAG_SHUTDOWN: u64 = 104;
 /// Session tag: server announces a voluntary close (EOF after this is a
@@ -720,12 +718,7 @@ impl SocketTransport {
         // Re-deploy the AM catalog in original deploy order so the reborn
         // process's handler ids line up with the cluster's.
         for name in self.deployed_ams.clone() {
-            let reply = self.control(rank, TAG_AM_DEPLOY, TAG_AM_ACK, name.as_bytes())?;
-            if reply != [1] {
-                return Err(CoreError::UnknownAmHandler {
-                    name: format!("{name} (lost from the server AM catalog after respawn)"),
-                });
-            }
+            host::deploy_on(self, rank, &name)?;
         }
         // Replay the recorded memory writes (latest value per address —
         // e.g. this rank's PointerTable shard image).
@@ -1020,25 +1013,10 @@ impl Transport for SocketTransport {
         self.driver.client_mut(id)
     }
 
+    /// Server processes deploy the same-named handler from their
+    /// compiled-in catalog: closures cannot cross a process boundary.
     fn deploy_am(&mut self, name: &str, handler: NativeAmHandler) -> Result<()> {
-        // Server processes deploy the same-named handler from their
-        // compiled-in catalog (closures cannot cross a process boundary);
-        // clients deploy the closure directly.  Deploy order fixes the
-        // handler ids cluster-wide, exactly as on the other backends, so the
-        // servers are asked first: they all run one binary with one catalog,
-        // and a name it lacks must leave no rank's AM table a handler ahead.
-        let clients = self.driver.clients();
-        for rank in clients..clients + self.servers {
-            let reply = self.control(rank, TAG_AM_DEPLOY, TAG_AM_ACK, name.as_bytes())?;
-            if reply != [1] {
-                return Err(CoreError::UnknownAmHandler {
-                    name: format!("{name} (not in the server-process AM catalog)"),
-                });
-            }
-        }
-        self.driver.deploy_am(name, &handler);
-        // Remember the catalog (in deploy order — it fixes handler ids) so
-        // a healed rank can be brought back to parity.
+        host::deploy_am(self, name, &handler)?;
         self.deployed_ams.push(name.to_string());
         Ok(())
     }
@@ -1094,19 +1072,9 @@ impl Transport for SocketTransport {
         }
     }
 
-    fn idle_grace(&self) -> u32 {
-        link::IDLE_GRACE
-    }
-
     /// Queue the request behind the rank's data and wait for its tokened
     /// reply, routing data-plane traffic that arrives in between.
-    fn control(
-        &mut self,
-        rank: usize,
-        request_tag: u64,
-        reply_tag: u64,
-        body: &[u8],
-    ) -> Result<Vec<u8>> {
+    fn control(&mut self, rank: usize, request_tag: u64, body: &[u8]) -> Result<Vec<u8>> {
         let clients = self.driver.clients();
         check_server_rank(clients, self.servers, rank)?;
         if let (Some(_), wire::TAG_POKE, Some((addr, data))) =
@@ -1132,7 +1100,7 @@ impl Transport for SocketTransport {
             self.pump_reads();
             let mut reply = None;
             self.inbox.retain(|f| {
-                if reply.is_some() || f.tag != reply_tag || f.from as usize != rank {
+                if reply.is_some() || f.tag != wire::TAG_REPLY || f.from as usize != rank {
                     return true;
                 }
                 let Ok((t, body)) = wire::decode_control(f.data.as_slice()) else {
@@ -1151,7 +1119,7 @@ impl Transport for SocketTransport {
             }
             if Instant::now() >= deadline {
                 return Err(CoreError::WaitTimeout {
-                    what: format!("control reply (tag {reply_tag}) from rank {rank}"),
+                    what: format!("control reply (request tag {request_tag}) from rank {rank}"),
                 });
             }
             self.poll_pause(started);

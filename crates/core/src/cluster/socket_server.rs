@@ -4,25 +4,27 @@
 //! A server process owns one full [`NodeRuntime`] and one connection to the
 //! driver.  It introduces itself with HELLO, builds its runtime from the
 //! WELCOME configuration (rank layout, target triple, opt level,
-//! reliability tunables), then loops: deliver data-plane frames to the
-//! runtime, flush whatever the runtime posts back onto the socket, answer
-//! control requests (peek/poke/stats/AM deploy), and exit cleanly on
-//! SHUTDOWN — or silently when the driver disappears, so a crashed driver
+//! reliability tunables), then loops: hand every frame to its server host
+//! (the crate-private `host` module's `ServerHost`) — data into the runtime,
+//! control requests (peek, poke, stats, AM deployment) served behind it —
+//! flush whatever the runtime posts back onto the socket, and exit cleanly
+//! on SHUTDOWN — or silently when the driver disappears, so a crashed driver
 //! never leaves orphan processes grinding the CPU.
 //!
 //! Native AM handlers are closures and cannot cross a process boundary, so
-//! a server binary compiles in a *catalog* of named handlers; the driver's
-//! `deploy_am` ships only the name, and the server deploys its catalog
-//! entry under it.
+//! a server binary compiles in a *catalog* of named handlers and builds its
+//! host with it; the driver's `deploy_am` ships only the name, as the
+//! threaded backend's does.
 
 use super::host::ServerHost;
 use super::link::{wall_nanos, Digest, HANDSHAKE_TIMEOUT};
 use super::socket::{
-    DRIVER_PORT, TAG_AM_ACK, TAG_AM_DEPLOY, TAG_BYE, TAG_HELLO, TAG_LINK_RESET, TAG_PING, TAG_PONG,
-    TAG_REL_INFO, TAG_SHUTDOWN, TAG_WELCOME,
+    DRIVER_PORT, TAG_BYE, TAG_HELLO, TAG_LINK_RESET, TAG_PING, TAG_PONG, TAG_REL_INFO,
+    TAG_SHUTDOWN, TAG_WELCOME,
 };
 use super::wire::{self, Welcome, RANK_ANY};
 use crate::runtime::{NativeAmHandler, NodeRuntime};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tc_net::{Connection, Frame, NetError, SocketSpec};
 use tc_ucx::Bytes;
@@ -66,17 +68,16 @@ impl ServerOptions {
     }
 }
 
-/// The socket carrier of one [`ServerHost`]: a connection to the driver, the
-/// last reliability digest pushed over it, and the AM catalog.  Frames the
-/// host emits — replies, acks, errors, control replies — are queued on the
-/// connection; the driver routes them.
+/// The socket carrier of one [`ServerHost`]: a connection to the driver and
+/// the last reliability digest pushed over it.  Frames the host emits —
+/// replies, acks, errors, control replies — are queued on the connection;
+/// the driver routes them.
 struct Server {
     conn: Connection,
     host: ServerHost,
     rank: u32,
     /// The digest the driver holds (a fresh link's, until the first push).
     published: Digest,
-    catalog: Vec<(String, NativeAmHandler)>,
 }
 
 /// Queue a frame from `rank` toward `to` (a rank, or [`DRIVER_PORT`]).
@@ -97,9 +98,8 @@ impl Server {
 
     /// One frame off the socket, in FIFO position.  Liveness probes, link
     /// resets and the shutdown request (returns `true`) are the carrier's
-    /// own; AM deployment is a control request of this carrier, served
-    /// behind the host's barrier; everything else is the host's.  `now` is
-    /// the pass's one clock reading.
+    /// own; everything else is the host's.  `now` is the pass's one clock
+    /// reading.
     fn on_frame(&mut self, frame: Frame, now: u64) -> bool {
         let (conn, rank) = (&mut self.conn, self.rank);
         let mut emit = |to, tag, data, payload| queue(conn, rank, to, tag, data, payload);
@@ -113,23 +113,6 @@ impl Server {
                 }
             }
             TAG_SHUTDOWN => return true,
-            TAG_AM_DEPLOY => {
-                let Ok((token, body)) = wire::decode_control(frame.data.as_slice()) else {
-                    return false;
-                };
-                let name = String::from_utf8_lossy(body).into_owned();
-                let found = self.catalog.iter().find(|(n, _)| *n == name);
-                let runtime = self.host.barrier(now, &mut emit);
-                let ok = match found {
-                    Some((_, handler)) => {
-                        runtime.deploy_am_handler(name, handler.clone());
-                        true
-                    }
-                    None => false,
-                };
-                let ack = wire::encode_control(token, &[ok as u8]);
-                emit(DRIVER_PORT, TAG_AM_ACK, ack.into(), Bytes::new());
-            }
             tag => self
                 .host
                 .on_frame(frame.from, tag, frame.data, frame.payload, now, emit),
@@ -212,15 +195,15 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
     // `decode_welcome` validated the layout: the sum cannot overflow and the
     // rank is a server's.
     let total = welcome.clients + welcome.servers;
+    let catalog = Arc::new(Mutex::new(catalog.into_iter().collect()));
     let runtime = NodeRuntime::new(tc_ucx::WorkerAddr(welcome.rank), total, welcome.triple);
     let mut server = Server {
         conn,
         // A process's only wire leads to the driver: self-sends loop back,
         // and the driver decides the faults of what this rank emits.
-        host: ServerHost::new(runtime, welcome.rel, true, None),
+        host: ServerHost::new(runtime, welcome.rel, true, None, catalog),
         rank: welcome.rank,
         published: Digest::default(),
-        catalog,
     };
 
     let mut frames = Vec::new();

@@ -37,13 +37,8 @@
 //! and socket backends.  A caller that computes for longer than a server's
 //! RTO between waits sees that server's retransmission arrive and be
 //! deduplicated, as on the socket backend.
-//!
-//! Active-Message deployment after startup works through a shared,
-//! append-only handler registry: every node applies new registry entries (in
-//! order) before handling each message, so `AmHandlerId`s agree cluster-wide
-//! without shipping closures through channels.
 
-use super::host::{Driver, EmitFrom, ServerHost};
+use super::host::{self, relock, AmCatalog, Driver, EmitFrom, ServerHost};
 use super::link::{self, pass_now, Digest};
 use super::reliable::RelConfig;
 use super::snapshot::{RankSnapshot, RankState, Snapshot};
@@ -51,26 +46,13 @@ use super::socket::DRIVER_PORT;
 use super::{check_server_rank, wire, ClientId, Transport};
 use crate::error::{CoreError, Result};
 use crate::runtime::{NativeAmHandler, NodeRuntime};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tc_bitir::TargetTriple;
 use tc_chaos::FaultPlan;
 use tc_simnet::threaded::DEFAULT_MAX_BATCH;
 use tc_simnet::{external_port, Envelope, NodeCtx, ThreadCluster, ThreadConfig, ThreadedNode};
 use tc_ucx::{Bytes, WorkerAddr};
-
-/// Shared, append-only list of predeployed AM handlers.  Deploy order defines
-/// the cluster-wide handler ids.
-type AmRegistry = Arc<Mutex<Vec<(String, NativeAmHandler)>>>;
-
-/// Lock a mutex, recovering from poison: a node thread that panicked
-/// mid-update may leave partial state, but every structure behind these
-/// locks is per-message (handler registry entries, digests) and safe to keep
-/// using — losing the whole transport to a poisoned diagnostic lock would be
-/// worse.
-fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Map a threaded-fabric sender/receiver id to a cluster rank in a cluster
 /// with `clients` driver-side runtimes: external port `p` is client rank
@@ -98,8 +80,6 @@ struct ServerNode {
     /// Number of driver-side client ranks (this node's rank is
     /// `clients + thread_id`; the driver's control port is `clients`).
     clients: usize,
-    am_registry: AmRegistry,
-    am_applied: usize,
     /// Where the link digest is published (chaos mode only).
     table: Option<RelTable>,
 }
@@ -123,19 +103,6 @@ impl ServerNode {
         }
     }
 
-    fn sync_am(&mut self, now: u64, ctx: &NodeCtx) {
-        let registry = relock(&self.am_registry);
-        if self.am_applied == registry.len() {
-            return;
-        }
-        let emit = self.emit(ctx);
-        let runtime = self.host.barrier(now, emit);
-        for (name, handler) in registry.iter().skip(self.am_applied) {
-            runtime.deploy_am_handler(name.clone(), handler.clone());
-        }
-        self.am_applied = registry.len();
-    }
-
     /// Close the pass and publish its digest.
     fn end_pass(&mut self, now: u64, ctx: &NodeCtx) {
         let emit = self.emit(ctx);
@@ -153,7 +120,6 @@ impl ThreadedNode for ServerNode {
     /// flush instead of N.
     fn on_batch(&mut self, msgs: Vec<Envelope>, ctx: &NodeCtx) {
         let now = pass_now(self.table.is_some());
-        self.sync_am(now, ctx);
         let mut emit = self.emit(ctx);
         for msg in msgs {
             let from = rank_of(self.clients, msg.from) as u32;
@@ -184,9 +150,9 @@ fn client_emit(cluster: &ThreadCluster, clients: usize) -> impl EmitFrom + '_ {
     }
 }
 
-/// The control reply `control` is waiting for: its tag, the thread node it
-/// must come from and the request's token.
-type Awaited = (u64, usize, u64);
+/// The control reply `control` is waiting for: the thread node it must come
+/// from and the request's token.
+type Awaited = (usize, u64);
 
 /// Terminate one envelope taken off the external queue: a data-plane frame
 /// goes to the client host its port names (which only stages what became
@@ -236,7 +202,7 @@ fn pass(
     while let Some(env) = next.take() {
         taken += 1;
         match awaited {
-            Some((tag, node, token)) if env.tag == tag && env.from == node => {
+            Some((node, token)) if env.tag == wire::TAG_REPLY && env.from == node => {
                 // The reply to an abandoned request carries an older token
                 // and is dropped, as is one that does not decode.
                 match wire::decode_control(&env.data) {
@@ -263,7 +229,9 @@ pub struct ThreadTransport {
     /// Delivery counters captured at shutdown so `metrics` stays meaningful.
     final_metrics: tc_simnet::ThreadMetrics,
     servers: usize,
-    am_registry: AmRegistry,
+    /// What the servers deploy AM handlers from: `deploy_am` adds to it
+    /// before it asks them.
+    catalog: AmCatalog,
     /// The servers' digests, under a fault plan only.
     table: Option<RelTable>,
 }
@@ -298,8 +266,8 @@ impl ThreadTransport {
         let driver = Driver::new(clients, servers, client_triple, fault_plan, rel_config);
         let clients = driver.clients();
         let total = (servers + clients) as u32;
-        let am_registry: AmRegistry = Arc::new(Mutex::new(Vec::new()));
-        let registry_for_nodes = Arc::clone(&am_registry);
+        let catalog = AmCatalog::default();
+        let node_catalog = Arc::clone(&catalog);
 
         // Reliable links (and the fabric clock that keeps their
         // retransmission cadence) exist exactly when a fault plan does.
@@ -315,11 +283,10 @@ impl ThreadTransport {
         let cluster = ThreadCluster::start_with_config(servers, config, move |thread_id| {
             let rank = (thread_id + clients) as u32;
             let runtime = NodeRuntime::new(WorkerAddr(rank), total, server_triple);
+            let catalog = Arc::clone(&node_catalog);
             ServerNode {
-                host: ServerHost::new(runtime, link_cfg, false, chaos.as_ref()),
+                host: ServerHost::new(runtime, link_cfg, false, chaos.as_ref(), catalog),
                 clients,
-                am_registry: Arc::clone(&registry_for_nodes),
-                am_applied: 0,
                 table: node_table.clone(),
             }
         });
@@ -328,7 +295,7 @@ impl ThreadTransport {
             cluster: Some(cluster),
             final_metrics: tc_simnet::ThreadMetrics::default(),
             servers,
-            am_registry,
+            catalog,
             table,
         }
     }
@@ -362,11 +329,8 @@ impl Transport for ThreadTransport {
     }
 
     fn deploy_am(&mut self, name: &str, handler: NativeAmHandler) -> Result<()> {
-        // Servers catch up (in registry order, hence with identical handler
-        // ids) before their next message.
-        self.driver.deploy_am(name, &handler);
-        relock(&self.am_registry).push((name.to_string(), handler));
-        Ok(())
+        relock(&self.catalog).insert(name.to_string(), handler.clone());
+        host::deploy_am(self, name, &handler)
     }
 
     fn flush_client(&mut self, id: ClientId) -> Result<()> {
@@ -420,21 +384,11 @@ impl Transport for ThreadTransport {
         }
     }
 
-    fn idle_grace(&self) -> u32 {
-        link::IDLE_GRACE
-    }
-
     /// Issue a control request to server `rank` and wait for its tokened
     /// reply.  The request is sent from the driver's own control port
     /// (`clients`); data-plane traffic that arrives ahead of the reply is
     /// handed to the client hosts exactly as `step` would.
-    fn control(
-        &mut self,
-        rank: usize,
-        request_tag: u64,
-        reply_tag: u64,
-        body: &[u8],
-    ) -> Result<Vec<u8>> {
+    fn control(&mut self, rank: usize, request_tag: u64, body: &[u8]) -> Result<Vec<u8>> {
         let clients = self.driver.clients();
         check_server_rank(clients, self.servers, rank)?;
         let Some(cluster) = &self.cluster else {
@@ -449,13 +403,13 @@ impl Transport for ThreadTransport {
                 "control request to rank {rank} not delivered: {status:?}"
             )));
         }
-        let awaited = Some((reply_tag, node, token));
+        let awaited = Some((node, token));
         let deadline = Instant::now() + self.driver.control_timeout;
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 return Err(CoreError::WaitTimeout {
-                    what: format!("control reply (tag {reply_tag}) from rank {rank}"),
+                    what: format!("control reply (request tag {request_tag}) from rank {rank}"),
                 });
             }
             let park = remaining.min(self.driver.step_timeout);
@@ -535,7 +489,7 @@ mod tests {
         for (port, tag) in [
             (3, wire::TAG_OP),
             (tc_simnet::MAX_EXTERNAL_PORTS - 1, wire::TAG_ACK),
-            (7, wire::TAG_STATS_REPLY),
+            (7, wire::TAG_REPLY),
             // A data-plane frame has no business on the control port.
             (2, wire::TAG_OP),
         ] {
@@ -575,14 +529,18 @@ mod tests {
         assert!(matches!(&driver.errors[..], [CoreError::Transport(m)] if m == "boom"));
         // A reply nobody awaits any more (its request timed out).
         let stale = wire::encode_control(41, &[9; 8]);
-        let peek_reply = envelope(1, wire::TAG_PEEK_REPLY, stale.clone());
-        dispatch(driver, &cluster, peek_reply, 0);
-        // The same reply arriving while a later request of the same kind is
-        // awaited: the token tells them apart.
-        let awaited = Some((wire::TAG_PEEK_REPLY, 0, 42));
-        let stale = envelope(1, wire::TAG_PEEK_REPLY, stale);
+        dispatch(
+            driver,
+            &cluster,
+            envelope(1, wire::TAG_REPLY, stale.clone()),
+            0,
+        );
+        // The same reply arriving while a later request is awaited: the
+        // token tells them apart.
+        let awaited = Some((0, 42));
+        let stale = envelope(1, wire::TAG_REPLY, stale);
         assert_eq!(pass(driver, &cluster, Some(stale), awaited), None);
-        let live = envelope(1, wire::TAG_PEEK_REPLY, wire::encode_control(42, &[7; 8]));
+        let live = envelope(1, wire::TAG_REPLY, wire::encode_control(42, &[7; 8]));
         let reply = pass(driver, &cluster, Some(live), awaited);
         assert_eq!(reply, Some(vec![7; 8]));
         assert_eq!(driver.errors.len(), 1);

@@ -7,11 +7,11 @@
 //!
 //! * [`TAG_OP`] — an encoded fabric operation (the segments of
 //!   [`encode_op_vectored`]); this is the data plane.
-//! * [`TAG_PEEK`] / [`TAG_PEEK_REPLY`] — driver reads a node's memory
-//!   (control plane; token-matched).
-//! * [`TAG_POKE`] / [`TAG_POKE_ACK`] — driver writes a node's memory.
-//! * [`TAG_STATS`] / [`TAG_STATS_REPLY`] — driver samples a node's
-//!   [`RuntimeStats`].
+//! * [`TAG_PEEK`], [`TAG_POKE`], [`TAG_STATS`], [`TAG_AM_DEPLOY`] — the
+//!   driver reads or writes a server's memory, samples its [`RuntimeStats`],
+//!   or deploys an AM handler on it (the control plane).
+//! * [`TAG_REPLY`] — a server answers a control request; the request's token
+//!   pairs the two, whatever the request was.
 //! * [`TAG_ERROR`] — a node reports a runtime error to the driver.
 //!
 //! The bodies of the socket backend's session frames — HELLO, WELCOME and the
@@ -32,16 +32,15 @@ use tc_ucx::{AmHandlerId, BufPool, Bytes, OutgoingMessage, RequestId, UcpOp, Wor
 pub const TAG_OP: u64 = 1;
 /// Envelope tag: driver asks a node to read memory.
 pub const TAG_PEEK: u64 = 2;
-/// Envelope tag: node answers a [`TAG_PEEK`].
-pub const TAG_PEEK_REPLY: u64 = 3;
+/// Envelope tag: node answers a control request, under the request's token.
+pub const TAG_REPLY: u64 = 3;
 /// Envelope tag: driver asks a node to write memory.
 pub const TAG_POKE: u64 = 4;
-/// Envelope tag: node acknowledges a [`TAG_POKE`].
-pub const TAG_POKE_ACK: u64 = 5;
+/// Envelope tag: driver asks a server to deploy the AM handler its catalog
+/// holds under the name in the body (`[1]` deployed, `[0]` unknown name).
+pub const TAG_AM_DEPLOY: u64 = 5;
 /// Envelope tag: driver asks a node for its runtime counters.
 pub const TAG_STATS: u64 = 6;
-/// Envelope tag: node answers a [`TAG_STATS`].
-pub const TAG_STATS_REPLY: u64 = 7;
 /// Envelope tag: node reports a processing error to the driver.
 pub const TAG_ERROR: u64 = 8;
 /// Envelope tag: a *reliable* data-plane operation — a 16-byte reliability
@@ -416,16 +415,11 @@ pub(crate) fn split_poke(body: &[u8]) -> Option<(u64, &[u8])> {
     Some((c.take_u64()?, c.0))
 }
 
-/// Serve one control-plane request (peek/poke/stats) against a node's
-/// runtime: the reply's tag and body, or `None` for a malformed request or a
-/// tag that is not one of the three.  A peek that fails — unreadable range,
-/// or a length no reply could carry — answers with an empty body.
-pub(crate) fn serve_control(
-    runtime: &mut NodeRuntime,
-    tag: u64,
-    data: &[u8],
-) -> Option<(u64, Vec<u8>)> {
-    let (token, body) = decode_control(data).ok()?;
+/// Serve one peek, poke or stats request body against a node's runtime: the
+/// reply body, or `None` for a malformed request or a tag that is not one of
+/// the three.  A peek that fails — unreadable range, or a length no reply
+/// could carry — answers with an empty body.
+pub(crate) fn serve_control(runtime: &mut NodeRuntime, tag: u64, body: &[u8]) -> Option<Vec<u8>> {
     match tag {
         TAG_PEEK => {
             let mut c = Cursor(body);
@@ -433,23 +427,18 @@ pub(crate) fn serve_control(
             if !c.0.is_empty() {
                 return None;
             }
-            let read = peek(runtime, addr, len).unwrap_or_default();
-            Some((TAG_PEEK_REPLY, encode_control(token, &read)))
+            Some(peek(runtime, addr, len).unwrap_or_default())
         }
         TAG_POKE => {
             let (addr, data) = split_poke(body)?;
-            let ok = runtime.memory.write(addr, data).is_ok();
-            Some((TAG_POKE_ACK, encode_control(token, &[ok as u8])))
+            Some(vec![runtime.memory.write(addr, data).is_ok() as u8])
         }
-        TAG_STATS => Some((
-            TAG_STATS_REPLY,
-            encode_control(token, &encode_stats(&runtime.stats)),
-        )),
+        TAG_STATS => Some(encode_stats(&runtime.stats)),
         _ => None,
     }
 }
 
-/// Serialize runtime counters for a [`TAG_STATS_REPLY`].
+/// Serialize runtime counters for a [`TAG_STATS`] reply.
 pub fn encode_stats(stats: &RuntimeStats) -> Vec<u8> {
     put_u64s(&[
         stats.full_frames_received,
@@ -492,10 +481,11 @@ pub fn decode_stats(bytes: &[u8]) -> Result<RuntimeStats> {
 
 /// HELLO magic ("TCN1").
 pub const HELLO_MAGIC: u32 = 0x5443_4E31;
-/// Session protocol version.  4: the reliability digest a server process
-/// publishes lost its retransmission deadline (104 bytes, was 112) — an older
-/// server must be refused at HELLO, not fed bodies it would reject one by one.
-pub const PROTO_VERSION: u32 = 4;
+/// Session protocol version.  5: every control request is answered under one
+/// [`TAG_REPLY`], and AM deployment is the control request [`TAG_AM_DEPLOY`]
+/// — an older server must be refused at HELLO, not left unanswered request
+/// by request.
+pub const PROTO_VERSION: u32 = 5;
 /// HELLO rank value meaning "assign me one".
 pub const RANK_ANY: u32 = u32::MAX;
 
@@ -913,12 +903,7 @@ mod tests {
         let peek_reply = |runtime: &mut NodeRuntime, len: u64| {
             let mut body = addr.to_le_bytes().to_vec();
             body.extend_from_slice(&len.to_le_bytes());
-            let (tag, reply) =
-                serve_control(runtime, TAG_PEEK, &encode_control(9, &body)).expect("well-formed");
-            assert_eq!(tag, TAG_PEEK_REPLY);
-            let (token, read) = decode_control(&reply).unwrap();
-            assert_eq!(token, 9);
-            read.to_vec()
+            serve_control(runtime, TAG_PEEK, &body).expect("well-formed")
         };
         assert_eq!(peek_reply(&mut runtime, 8), [0u8; 8]);
         // Lengths that would abort the process if allocated answer with the

@@ -1297,8 +1297,6 @@ mod tests {
 
         assert_eq!(node.stats.ifunc_full_sends, 3);
         assert_eq!(node.stats.ifunc_truncated_sends, 3);
-        assert_eq!(node.sender_cache.full_sends, 3);
-        assert_eq!(node.sender_cache.truncated_sends, 3);
         assert_eq!(node.stats.jit_compilations, 1);
     }
 

@@ -51,13 +51,7 @@ impl Transport for MockTransport {
     fn read_memory(&mut self, _rank: usize, _addr: u64, len: usize) -> tc_core::Result<Vec<u8>> {
         Ok(vec![0xAA; len.saturating_sub(self.short_by)])
     }
-    fn control(
-        &mut self,
-        rank: usize,
-        _request_tag: u64,
-        _reply_tag: u64,
-        _body: &[u8],
-    ) -> tc_core::Result<Vec<u8>> {
+    fn control(&mut self, rank: usize, _tag: u64, _body: &[u8]) -> tc_core::Result<Vec<u8>> {
         Err(CoreError::Transport(format!("rank {rank} is not served")))
     }
     fn observe(&self) -> Snapshot {

@@ -172,13 +172,7 @@ impl Transport for MockTransport {
     fn take_completions(&mut self, id: ClientId) -> Vec<Completion> {
         std::mem::take(&mut self.queued[id.0])
     }
-    fn control(
-        &mut self,
-        rank: usize,
-        _request_tag: u64,
-        _reply_tag: u64,
-        _body: &[u8],
-    ) -> tc_core::Result<Vec<u8>> {
+    fn control(&mut self, rank: usize, _tag: u64, _body: &[u8]) -> tc_core::Result<Vec<u8>> {
         Err(tc_core::CoreError::Transport(format!(
             "rank {rank} is not served"
         )))

@@ -54,9 +54,6 @@ impl Transport for ScriptedTransport {
         self.steps += 1;
         Ok(self.script.get(self.steps - 1).copied().unwrap_or(false))
     }
-    fn idle_grace(&self) -> u32 {
-        2
-    }
     fn take_completions(&mut self, _id: ClientId) -> Vec<Completion> {
         let steps = self.steps;
         let (due, later) = std::mem::take(&mut self.arrivals)
@@ -65,13 +62,7 @@ impl Transport for ScriptedTransport {
         self.arrivals = later;
         due.into_iter().map(|(_, c)| c).collect()
     }
-    fn control(
-        &mut self,
-        rank: usize,
-        _request_tag: u64,
-        _reply_tag: u64,
-        _body: &[u8],
-    ) -> tc_core::Result<Vec<u8>> {
+    fn control(&mut self, rank: usize, _tag: u64, _body: &[u8]) -> tc_core::Result<Vec<u8>> {
         Err(CoreError::Transport(format!("rank {rank} is not served")))
     }
     fn observe(&self) -> Snapshot {
@@ -93,8 +84,9 @@ type Wait<'a> = &'a dyn Fn(&mut Cluster<ScriptedTransport>);
 /// How long unacked frames keep a wait alive is the backend's decision,
 /// expressed through `step`'s answer (both wall-clock backends report
 /// progress up to their stall horizon, the simulator's retransmission tick
-/// is an event).  The loop above must not keep a second rule: `idle_grace`
-/// idle steps end every wait, whatever the digests say.
+/// is an event).  The loop above must not keep a second rule: two idle
+/// steps in a row end every wait, on every backend, whatever the digests
+/// say.
 #[test]
 fn an_idle_step_is_the_only_quiescence_signal() {
     let ghost = ResultHandle::for_slot(7);

@@ -380,16 +380,18 @@ mod session_codecs {
     fn mutated_peek_poke_and_stats_requests_get_typed_answers() {
         let mut cluster = ClusterBuilder::new().servers(1).build_sim();
         let rank = cluster.server_rank(0);
-        let control = |cluster: &mut Cluster<SimTransport>, tags: (u64, u64), body: &[u8]| {
-            typed(cluster.transport_mut().control(rank, tags.0, tags.1, body))
+        let control = |cluster: &mut Cluster<SimTransport>, tag: u64, body: &[u8]| {
+            typed(cluster.transport_mut().control(rank, tag, body))
         };
 
         let mut peek = DATA_REGION_BASE.to_le_bytes().to_vec();
         peek.extend_from_slice(&64u64.to_le_bytes());
-        let peek_tags = (wire::TAG_PEEK, wire::TAG_PEEK_REPLY);
-        assert_eq!(control(&mut cluster, peek_tags, &peek).unwrap().len(), 64);
+        assert_eq!(
+            control(&mut cluster, wire::TAG_PEEK, &peek).unwrap().len(),
+            64
+        );
         for bad in corruptions(0x9EE4, &peek, CASES) {
-            let reply = control(&mut cluster, peek_tags, &bad);
+            let reply = control(&mut cluster, wire::TAG_PEEK, &bad);
             // A request of any other shape is refused; a failed read is an
             // empty reply; a read answers exactly the bytes it asked for.
             match (bad.len(), reply) {
@@ -403,10 +405,9 @@ mod session_codecs {
 
         let mut poke = DATA_REGION_BASE.to_le_bytes().to_vec();
         poke.extend_from_slice(&[0xA5; 32]);
-        let poke_tags = (wire::TAG_POKE, wire::TAG_POKE_ACK);
-        assert_eq!(control(&mut cluster, poke_tags, &poke).unwrap(), [1]);
+        assert_eq!(control(&mut cluster, wire::TAG_POKE, &poke).unwrap(), [1]);
         for bad in corruptions(0x90CE, &poke, CASES) {
-            let reply = control(&mut cluster, poke_tags, &bad);
+            let reply = control(&mut cluster, wire::TAG_POKE, &bad);
             if bad.len() < 8 {
                 assert_eq!(reply, None, "{bad:?}");
             } else {
@@ -416,14 +417,13 @@ mod session_codecs {
 
         // A stats request has no body of its own: whatever it carries, the
         // reply is one stats record, and mutated records decode or refuse.
-        let stats_tags = (wire::TAG_STATS, wire::TAG_STATS_REPLY);
-        let record = control(&mut cluster, stats_tags, &[]).unwrap();
+        let record = control(&mut cluster, wire::TAG_STATS, &[]).unwrap();
         let stats = wire::decode_stats(&record).unwrap();
         assert!(stats.puts_applied == 0 && stats.gets_served == 0);
         let mut rng = SplitMix64::new(0x57A7);
         for bad in corruptions(0x57A7, &record, CASES) {
             let junk = rng.bytes(24);
-            let reply = control(&mut cluster, stats_tags, &junk).unwrap();
+            let reply = control(&mut cluster, wire::TAG_STATS, &junk).unwrap();
             assert!(wire::decode_stats(&reply).is_ok());
             let decoded = typed(wire::decode_stats(&bad));
             assert_eq!(decoded.is_some(), bad.len() == record.len(), "{bad:?}");

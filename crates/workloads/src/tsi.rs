@@ -264,7 +264,6 @@ mod tests {
     /// (what a sender without the cache would post).
     #[test]
     fn cached_sends_finish_earlier_and_carry_fewer_bytes_than_full_frames() {
-        use tc_core::Transport;
         use tc_ucx::{UcpOp, WorkerAddr};
 
         let platform = Platform::thor_xeon();
@@ -276,7 +275,7 @@ mod tests {
             sim.send_ifunc(&msg, 1).unwrap();
             sim.run_until_idle(10_000).unwrap();
             let (start, warm) = (
-                sim.transport().now_nanos(),
+                sim.transport().now().as_nanos(),
                 sim.transport().timings().records.len(),
             );
             for _ in 0..50 {
@@ -298,7 +297,7 @@ mod tests {
                 .iter()
                 .map(|r| r.wire_bytes)
                 .sum();
-            (sim.transport().now_nanos() - start, carried)
+            (sim.transport().now().as_nanos() - start, carried)
         };
         let (cached_ns, cached_bytes) = run(true);
         let (full_ns, full_bytes) = run(false);

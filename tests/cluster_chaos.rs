@@ -363,7 +363,7 @@ fn a_lost_frame_is_repaired_on_the_gap_signal_not_the_timer() {
                 assert_eq!(data, image[i * LEN..][..LEN], "{backend}: GET {i}");
             }
         }
-        let (elapsed, virtual_ns) = (start.elapsed(), cluster.transport().now_nanos());
+        let (elapsed, virtual_ns) = (start.elapsed(), cluster.snapshot().now_nanos);
         cluster.run_until_idle(10_000_000).or_dump(&cluster);
         let m = cluster.metrics();
         assert!(
@@ -761,7 +761,7 @@ fn adaptive_rto_against_both_fixed_provisionings_is_exact_on_sim() {
         }
         let m = cluster.metrics();
         Arm {
-            now: cluster.transport().now_nanos(),
+            now: cluster.transport().now().as_nanos(),
             retransmits: m.retransmits,
             dup_drops: m.dup_drops,
         }

@@ -241,6 +241,87 @@ fn externally_launched_servers_join_a_waiting_driver() {
     }
 }
 
+/// A server process launched by the test; killed when dropped, stopped or
+/// not, so a failing assertion leaves no process behind.
+struct Launched(std::process::Child);
+
+impl Drop for Launched {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The one driver → server request that is deliberately not behind the
+/// barrier is the PING liveness probe: a process that stops answering while
+/// its socket stays open (here SIGSTOPped) is declared lost by the probe
+/// alone, within about two ping timeouts, and a process relaunched under the
+/// same rank heals it and serves the rank's data again.
+#[test]
+fn a_stopped_server_fails_its_liveness_probe_and_a_relaunch_heals_it() {
+    // `link::PING_INTERVAL` of silence sends the probe; `link::PING_TIMEOUT`
+    // without its echo loses the rank.
+    const PING_INTERVAL: Duration = Duration::from_millis(250);
+    const PING_TIMEOUT: Duration = Duration::from_secs(1);
+    let sock = std::env::temp_dir().join(format!("tc-ping-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&sock);
+    let spec = format!("unix:{}", sock.display());
+    let launch = || {
+        let args = ["--connect", &spec, "--rank", "1"];
+        Launched(
+            Command::new(server_bin())
+                .args(args)
+                .stdin(Stdio::null())
+                .spawn()
+                .unwrap(),
+        )
+    };
+    let mut server = launch();
+    let mut cluster = ClusterBuilder::new()
+        .platform(tc_simnet::Platform::thor_xeon())
+        .servers(1)
+        .socket_addr(SocketSpec::parse(&spec).unwrap())
+        .socket_external()
+        .fault_plan(FaultPlan::seeded(0x9196))
+        .socket_recovery(8)
+        .build_socket()
+        .expect("driver accepts the external server");
+    cluster.write_u64(1, DATA_REGION_BASE, 0x5106).unwrap();
+
+    let stopped = Command::new("kill")
+        .args(["-STOP", &server.0.id().to_string()])
+        .status();
+    assert!(stopped.unwrap().success());
+    let started = Instant::now();
+    let lost = |cluster: &Cluster<SocketTransport>| {
+        let snapshot = cluster.snapshot();
+        let mut story = events_of(&snapshot, 1).skip_while(|e| **e != EventKind::PingTimeout);
+        story.any(|e| matches!(e, EventKind::PeerLost(_)))
+    };
+    while !lost(&cluster) && started.elapsed() < 5 * PING_TIMEOUT {
+        cluster.transport_mut().step().or_dump(&cluster);
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        lost(&cluster),
+        "the probe never fired:\n{}",
+        cluster.snapshot()
+    );
+    assert!(
+        elapsed < 2 * PING_TIMEOUT + PING_INTERVAL,
+        "lost after {elapsed:?}"
+    );
+    assert_eq!(cluster.snapshot().ranks[1].state, RankState::Recovering);
+
+    server = launch();
+    let get = cluster.get(1, DATA_REGION_BASE, 8).unwrap();
+    let data = cluster.wait(&get).or_dump(&cluster);
+    assert_eq!(data.as_slice(), 0x5106u64.to_le_bytes());
+    assert_eq!(cluster.snapshot().heals, 1, "{}", cluster.snapshot());
+    cluster.shutdown();
+    drop(server);
+}
+
 /// Satellite: a server process dying mid-run must surface as a *typed*
 /// error on the driver — never a panic, never a hang.  A GET against the
 /// dead rank fails with `PeerDisconnected`/`ShortRead` (the socket saw the

@@ -411,3 +411,40 @@ fn a_tick_close_behind_an_envelope_does_not_make_quiescence_eager() {
         "the plans must bite: {faults} faults, {retransmits} retransmits"
     );
 }
+
+/// A redeployment is a control request, so it is served behind the AMs
+/// already flushed toward the server: the AM posted under the first handler
+/// runs the first handler even while the server is still busy with the one
+/// ahead of it.  (The simulated backend deploys in place, at once, so there
+/// the same sequence logs `[2, 2]`.)
+#[test]
+fn an_am_posted_before_a_redeploy_runs_the_handler_it_was_posted_under() {
+    use std::sync::{Arc, Mutex};
+    use std::time::{Duration, Instant};
+    use tc_core::NativeAmHandler;
+
+    let mut cluster = ClusterBuilder::new().servers(1).build_threaded();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let tag = |version: u64| -> NativeAmHandler {
+        let log = Arc::clone(&log);
+        Arc::new(move |_, _| {
+            log.lock().unwrap().push(version);
+            0
+        })
+    };
+    let spin: NativeAmHandler = Arc::new(|_, _| {
+        let started = Instant::now();
+        while started.elapsed() < Duration::from_millis(30) {
+            std::hint::spin_loop();
+        }
+        0
+    });
+    cluster.deploy_am("spin", spin).unwrap();
+    cluster.deploy_am("tag", tag(1)).unwrap();
+    cluster.send_am("spin", 1, vec![]).unwrap();
+    cluster.send_am("tag", 1, vec![]).unwrap();
+    cluster.deploy_am("tag", tag(2)).unwrap();
+    cluster.send_am("tag", 1, vec![]).unwrap();
+    assert_eq!(cluster.stats(1).unwrap().ams_executed, 3);
+    assert_eq!(*log.lock().unwrap(), [1, 2]);
+}
