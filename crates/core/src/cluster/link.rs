@@ -55,12 +55,16 @@ pub(crate) const CONTROL_TIMEOUT: Duration = Duration::from_secs(10);
 /// are verifiably queued or mid-processing without reporting progress.
 /// Guards against a runaway ifunc wedging the driver forever.
 pub(crate) const BUSY_STEP_TIMEOUT: Duration = Duration::from_secs(1);
-/// Socket driver: sleep between poll iterations once the sockets are quiet.
+/// Socket poll loops (the driver's, a server's handshake): sleep per quiet pass.
 pub(crate) const POLL_INTERVAL: Duration = Duration::from_micros(500);
 /// Socket driver: how long a poll loop busy-yields before it starts sleeping
 /// [`POLL_INTERVAL`] per iteration — a socket round trip is tens of
 /// microseconds, far below any sleep quantum.
 pub(crate) const SPIN_WINDOW: Duration = Duration::from_micros(300);
+/// Socket server: how long its loop yields after traffic before it sleeps.
+pub(crate) const SERVER_YIELD_WINDOW: Duration = Duration::from_millis(1);
+/// Socket server: its sleep per loop once quiet for [`SERVER_YIELD_WINDOW`].
+pub(crate) const SERVER_IDLE_SLEEP: Duration = Duration::from_micros(200);
 /// Socket backend: how long every server process has to dial in and complete
 /// the HELLO/WELCOME handshake at startup (a server process retries its
 /// connect for as long).

@@ -958,14 +958,6 @@ impl SocketTransport {
         routed
     }
 
-    /// One I/O round: flush writes, read frames, route everything in the
-    /// inbox.  Returns how many frames were routed.
-    fn pump_round(&mut self) -> usize {
-        self.pump_writes();
-        self.pump_reads();
-        self.drain_inbox()
-    }
-
     /// Briefly yield, then back off to `poll_interval` sleeps once a quiet
     /// poll loop has outlived the spin window.
     fn poll_pause(&self, since: Instant) {
@@ -1046,7 +1038,9 @@ impl Transport for SocketTransport {
         loop {
             self.health_check();
             self.poll_recovery();
-            let routed = self.pump_round();
+            self.pump_writes();
+            self.pump_reads();
+            let routed = self.drain_inbox();
             if let Some(e) = self.pending_errors.pop_front() {
                 return Err(e);
             }

@@ -17,7 +17,7 @@
 //! threaded backend's does.
 
 use super::host::ServerHost;
-use super::link::{wall_nanos, Digest, HANDSHAKE_TIMEOUT};
+use super::link::{self, wall_nanos, Digest, HANDSHAKE_TIMEOUT};
 use super::socket::{
     DRIVER_PORT, TAG_BYE, TAG_HELLO, TAG_LINK_RESET, TAG_PING, TAG_PONG, TAG_REL_INFO,
     TAG_SHUTDOWN, TAG_WELCOME,
@@ -140,7 +140,7 @@ impl Server {
                 Err(_) => return,
             }
             if self.conn.pending_writes() > 0 {
-                std::thread::sleep(Duration::from_micros(200));
+                std::thread::sleep(link::SERVER_IDLE_SLEEP);
             }
         }
     }
@@ -189,7 +189,7 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
         if let Some(w) = welcome {
             break 'hs w;
         }
-        std::thread::sleep(Duration::from_micros(500));
+        std::thread::sleep(link::POLL_INTERVAL);
     };
 
     // `decode_welcome` validated the layout: the sum cannot overflow and the
@@ -239,12 +239,10 @@ pub fn serve(opts: ServerOptions, catalog: Vec<(String, NativeAmHandler)>) -> Re
             };
         }
         if server.conn.pending_writes() == 0 && server.host.runtime().completions_pending() == 0 {
-            // Spin briefly after traffic (a driver round trip is tens of
-            // microseconds away), then back off to sleeping when idle.
-            if now - last_activity < 1_000_000 {
+            if now - last_activity < link::SERVER_YIELD_WINDOW.as_nanos() as u64 {
                 std::thread::yield_now();
             } else {
-                std::thread::sleep(Duration::from_micros(200));
+                std::thread::sleep(link::SERVER_IDLE_SLEEP);
             }
         }
     }

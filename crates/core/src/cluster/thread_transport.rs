@@ -396,8 +396,9 @@ impl Transport for ThreadTransport {
         };
         let token = self.driver.token();
         let node = rank - clients;
-        let request = wire::encode_control(token, body);
-        let status = cluster.send_from_port(clients, node, request_tag, request);
+        let request = Bytes::from(wire::encode_control(token, body));
+        let status =
+            cluster.send_vectored_from_port(clients, node, request_tag, request, Bytes::new());
         if !status.is_delivered() {
             return Err(CoreError::Transport(format!(
                 "control request to rank {rank} not delivered: {status:?}"

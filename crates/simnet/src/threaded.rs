@@ -10,7 +10,7 @@
 //! result return) are correct under genuine concurrency, independent of the
 //! virtual-time model.
 //!
-//! Three properties matter for performance:
+//! Four properties matter for performance:
 //!
 //! * **zero-copy payloads** — envelopes carry [`tc_ucx::Bytes`] views, so
 //!   handing a message to a channel moves a refcount, not the payload;
@@ -25,7 +25,13 @@
 //!   external queue.  A park whose timeout is shorter than the kernel's own
 //!   tick becomes the earliest timer on its CPU and re-programs the
 //!   deadline register once to arm and once to cancel — around *every*
-//!   hand-off, where the clock pays it once per cadence.
+//!   hand-off, where the clock pays it once per cadence;
+//! * **yield before park** — a thread that finds its queue empty yields the
+//!   CPU `YIELDS_BEFORE_PARK` times, looking again after each, before it
+//!   parks.  A `std` channel wakes only a receiver registered as parked, so
+//!   a send to a yielding thread makes no wake call; on a shared CPU the
+//!   yield runs the peer just woken, whose reply is then taken without a
+//!   futex wait.  Unlike a spin, a yield hands the CPU over.
 //!
 //! Delivery is exact and not silent-lossy: the fabric injects no faults (a
 //! sender that wants its traffic faulted decides before it sends), every
@@ -36,7 +42,7 @@
 //! a cheap, race-tolerant idleness signal for drivers.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -210,6 +216,25 @@ fn run_clock(period: Duration, ports: Vec<TickPort>, stop: Receiver<()>) {
     }
 }
 
+/// How often a thread that finds its queue empty yields before it parks.
+const YIELDS_BEFORE_PARK: u32 = 2;
+
+/// The one way a fabric thread waits: look, yield, look again — up to
+/// [`YIELDS_BEFORE_PARK`] yields — then park on the channel, untimed or for
+/// `timeout`.  `None`: the timeout elapsed or every sender is gone.
+fn recv_yielding(rx: &Receiver<Control>, timeout: Option<Duration>) -> Option<Control> {
+    for _ in 0..YIELDS_BEFORE_PARK {
+        match rx.try_recv() {
+            Err(TryRecvError::Empty) => std::thread::yield_now(),
+            got => return got.ok(),
+        }
+    }
+    match timeout {
+        Some(timeout) => rx.recv_timeout(timeout).ok(),
+        None => rx.recv().ok(),
+    }
+}
+
 fn send_control(peers: &[Sender<Control>], counters: &Counters, env: Envelope) -> SendStatus {
     match peers.get(env.to) {
         None => counters.record(SendStatus::UnknownNode),
@@ -313,18 +338,10 @@ impl NodeCtx {
             payload,
         })
     }
-
-    /// Snapshot of the cluster-wide delivery counters.
-    pub fn metrics(&self) -> ThreadMetrics {
-        self.router.counters.snapshot()
-    }
 }
 
 /// A node running inside a [`ThreadCluster`].
 pub trait ThreadedNode: Send {
-    /// Called once when the node's thread starts.
-    fn on_start(&mut self, _ctx: &NodeCtx) {}
-
     /// Called for every delivered message.
     fn on_message(&mut self, msg: Envelope, ctx: &NodeCtx);
 
@@ -406,10 +423,9 @@ impl ThreadCluster {
             let handle = std::thread::Builder::new()
                 .name(format!("tc-node-{node_id}"))
                 .spawn(move || {
-                    node.on_start(&ctx);
                     let mut batch: Vec<Envelope> = Vec::new();
-                    // One untimed park per wakeup, ticked cluster or not.
-                    while let Ok(mut ctrl) = rx.recv() {
+                    // A few yields, then one untimed park per wakeup, ticked or not.
+                    while let Some(mut ctrl) = recv_yielding(&rx, None) {
                         // Drain the burst that accumulated while we were
                         // parked (or busy), then process it in one go.  A
                         // tick met on the way runs once, behind the batch:
@@ -506,29 +522,13 @@ impl ThreadCluster {
     /// Inject a message into the cluster from the driver thread (external
     /// port 0).
     pub fn send(&self, to: usize, tag: u64, data: impl Into<Bytes>) -> SendStatus {
-        self.send_vectored(to, tag, data.into(), Bytes::new())
+        self.send_vectored_from_port(0, to, tag, data.into(), Bytes::new())
     }
 
-    /// Inject a two-segment message (`data ‖ payload`) without copying the
-    /// payload segment (external port 0).
-    pub fn send_vectored(&self, to: usize, tag: u64, data: Bytes, payload: Bytes) -> SendStatus {
-        self.send_vectored_from_port(0, to, tag, data, payload)
-    }
-
-    /// Inject a message carrying the identity of external port `port` —
-    /// nodes see `from ==`[`external_id`]`(port)` and can answer the exact
+    /// Inject a two-segment message (`data ‖ payload`, the payload moved as
+    /// a shared view) carrying the identity of external port `port` — nodes
+    /// see `from ==`[`external_id`]`(port)` and can answer the exact
     /// driver-side endpoint that sent it.
-    pub fn send_from_port(
-        &self,
-        port: usize,
-        to: usize,
-        tag: u64,
-        data: impl Into<Bytes>,
-    ) -> SendStatus {
-        self.send_vectored_from_port(port, to, tag, data.into(), Bytes::new())
-    }
-
-    /// Two-segment injection from external port `port`.
     pub fn send_vectored_from_port(
         &self,
         port: usize,
@@ -559,13 +559,13 @@ impl ThreadCluster {
         }
     }
 
-    /// Wait for a message sent to the external observer.  Parks on the
-    /// channel and wakes immediately on enqueue (no polling).  `None` means
-    /// `timeout` elapsed — or, with a [`ThreadConfig::tick`], that a cadence
-    /// did: the caller's timeout-driven work is due, and it never had to arm
-    /// a timer shorter than `timeout` to learn so.
+    /// Wait for a message sent to the external observer: yield a few times,
+    /// then park until an enqueue.  `None` means `timeout` elapsed — or,
+    /// with a [`ThreadConfig::tick`], that a cadence did: the caller's
+    /// timeout-driven work is due, and it never had to arm a timer shorter
+    /// than `timeout` to learn so.
     pub fn recv_external(&self, timeout: Duration) -> Option<Envelope> {
-        self.external(self.external_rx.recv_timeout(timeout).ok()?)
+        self.external(recv_yielding(&self.external_rx, Some(timeout))?)
     }
 
     /// Take an already-queued external message without blocking (a queued
@@ -745,6 +745,56 @@ mod tests {
         assert_eq!(cluster.recv_external(Duration::from_millis(50)), None);
         assert!(parked.elapsed() >= Duration::from_millis(50));
         cluster.shutdown();
+    }
+
+    #[test]
+    fn an_envelope_enqueued_after_the_yields_ends_the_park_at_once() {
+        // The sender waits 5 ms, long past the few yields, so the envelope
+        // lands on a receiver parked on the channel: the park must end on
+        // the enqueue, not ride out its timeout.
+        let cluster = ThreadCluster::start(1, |_| RelayNode);
+        let router = cluster.router.clone();
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(5));
+            router.route(Envelope {
+                from: 0,
+                to: EXTERNAL_SENDER,
+                tag: 9,
+                data: Bytes::from(vec![1]),
+                payload: Bytes::new(),
+            })
+        });
+        let parked = std::time::Instant::now();
+        let env = cluster.recv_external(Duration::from_secs(5));
+        let waited = parked.elapsed();
+        assert_eq!(env.expect("the late envelope").tag, 9);
+        assert!(waited < Duration::from_secs(1), "woke after {waited:?}");
+        assert!(sender.join().unwrap().is_delivered());
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn shutdown_joins_two_nodes_that_keep_a_ping_pong_going() {
+        // Each node bounces every message to the other, so neither queue is
+        // ever empty for long and both threads spend their waits yielding;
+        // the `Stop` behind the traffic must still end both loops.
+        struct PingPong;
+        impl ThreadedNode for PingPong {
+            fn on_message(&mut self, msg: Envelope, ctx: &NodeCtx) {
+                let _ = ctx.send_vectored(1 - ctx.node_id(), msg.tag, msg.data, msg.payload);
+            }
+        }
+        let cluster = ThreadCluster::start(2, |_| PingPong);
+        for node in [0, 1] {
+            assert!(cluster.send(node, 0, vec![0; 8]).is_delivered());
+        }
+        while cluster.metrics().delivered < 1000 {
+            std::thread::yield_now();
+        }
+        let stopping = std::time::Instant::now();
+        cluster.shutdown();
+        let took = stopping.elapsed();
+        assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
     }
 
     #[test]
@@ -1002,7 +1052,8 @@ mod tests {
         let cluster = ThreadCluster::start(1, |_| PortEcho);
         let sends = [(1usize, 10u64), (0, 11), (1, 12), (0, 13), (0, 14), (1, 15)];
         for (port, tag) in sends {
-            assert!(cluster.send_from_port(port, 0, tag, vec![]).is_delivered());
+            let sent = cluster.send_vectored_from_port(port, 0, tag, Bytes::new(), Bytes::new());
+            assert!(sent.is_delivered());
         }
         let got: Vec<(usize, u64)> = sends
             .iter()
@@ -1038,7 +1089,8 @@ mod tests {
         }
         let cluster = ThreadCluster::start(1, |_| PortEcho);
         for port in [0usize, 1, 5] {
-            let _ = cluster.send_from_port(port, 0, 40 + port as u64, vec![port as u8]);
+            let data = Bytes::from(vec![port as u8]);
+            let _ = cluster.send_vectored_from_port(port, 0, 40 + port as u64, data, Bytes::new());
         }
         for _ in 0..3 {
             let env = cluster
