@@ -9,7 +9,7 @@
 //! * [`SimTransport`] — the calibrated discrete-event engine (virtual time,
 //!   [`crate::sim::TimingLog`] records, the machinery behind every table and
 //!   figure reproduction);
-//! * [`ThreadTransport`] — server ranks as real OS threads over channels
+//! * [`ThreadTransport`] — server ranks as real OS threads over inboxes
 //!   (wall-clock time, genuine concurrency; no timing model);
 //! * [`SocketTransport`] — server ranks as OS processes over TCP/Unix
 //!   sockets, [`socket_server`] on their side.
@@ -111,7 +111,7 @@ use tc_ucx::{Bytes, RequestId, WorkerAddr};
 pub enum Backend {
     /// The calibrated discrete-event simulation ([`SimTransport`]).
     Simnet,
-    /// Real OS threads and channels ([`ThreadTransport`]).
+    /// Real OS threads and inboxes ([`ThreadTransport`]).
     Threads,
     /// Separate OS processes over TCP/Unix sockets ([`SocketTransport`]).
     Socket,

@@ -1,6 +1,6 @@
 //! The real-concurrency backend: server runtimes on OS threads, the client
 //! runtimes on the caller's thread, fabric operations as tagged envelopes
-//! over channels.
+//! over inboxes.
 //!
 //! No virtual time is involved — this backend exists to show that the
 //! framework's state machines (auto-registration, sender-side caching,
@@ -9,9 +9,10 @@
 //!
 //! # Execution model
 //!
-//! * Server rank `r` (ranks `clients..clients + servers`) runs as thread
-//!   node `r - clients` of a [`tc_simnet::ThreadCluster`] and drains its own
-//!   inbox independently.
+//! * Server rank `r` (ranks `clients..clients + servers`) is thread node
+//!   `r - clients` of a [`tc_simnet::ThreadCluster`]: its own thread drains
+//!   its inbox, and a server → server forward that finds the next server
+//!   idle runs that server's batch on the forwarding thread (one level deep).
 //! * Client rank `c` (ranks `0..clients`) is external port `c` of the fabric
 //!   and the driver's control plane is port `clients`; everything addressed
 //!   to either arrives on the fabric's one external queue, with
@@ -22,7 +23,7 @@
 //!   its own worker.  `flush_client` moves posted operations into the fabric
 //!   synchronously, so a control-plane round trip issued right after a flush
 //!   still acts as a barrier behind that client's data (both ride the same
-//!   per-producer FIFO channel).  `step` parks on the external queue,
+//!   per-producer FIFO inbox).  `step` parks on the external queue,
 //!   dispatches a burst by port, and has the driver answer what it provoked
 //!   and close the pass; `control` does the same for whatever arrives ahead
 //!   of its reply.
@@ -220,7 +221,7 @@ fn pass(
     reply
 }
 
-/// The real-concurrency cluster backend (threads + channels, wall-clock time).
+/// The real-concurrency cluster backend (threads + inboxes, wall-clock time).
 pub struct ThreadTransport {
     /// The client ranks, carried by whichever thread drives the transport.
     driver: Driver,
@@ -339,7 +340,7 @@ impl Transport for ThreadTransport {
             return Err(CoreError::Transport("thread transport is shut down".into()));
         };
         // Synchronous on the caller's thread: when this returns, the ops are
-        // in the node channels, so a control round trip issued next acts as
+        // in the node inboxes, so a control round trip issued next acts as
         // a barrier behind them (same per-producer FIFO).
         let clients = self.driver.clients();
         self.driver.flush(c, client_emit(cluster, clients));
@@ -444,17 +445,12 @@ impl Transport for ThreadTransport {
         }
     }
 
+    /// Keeps the fabric's final counts and drops the fabric, which joins
+    /// its threads (as dropping the transport does).
     fn shutdown(&mut self) {
         if let Some(cluster) = self.cluster.take() {
             self.final_metrics = cluster.metrics();
-            cluster.shutdown();
         }
-    }
-}
-
-impl Drop for ThreadTransport {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 

@@ -1,49 +1,43 @@
-//! A real-concurrency transport: nodes as threads, messages over channels.
+//! A real-concurrency transport: nodes as threads, messages over inboxes.
 //!
-//! The discrete-event simulator gives us calibrated *timing*; this module
-//! gives us real *parallelism*.  Each node of a [`ThreadCluster`] runs on its
-//! own OS thread with an mpsc channel as its receive queue — the analogue
-//! of the paper's recommendation that "the target processes should setup a
-//! daemon thread that polls the message buffers periodically".  The cluster
-//! transport in `tc-core` drives node runtimes over it to show that the
-//! Three-Chains state machines (registration caching, recursive forwarding,
-//! result return) are correct under genuine concurrency, independent of the
-//! virtual-time model.
+//! The discrete-event simulator gives calibrated *timing*; this module gives
+//! real *parallelism*: each node of a [`ThreadCluster`] has its own OS thread
+//! and inbox — the paper's "daemon thread that polls the message buffers
+//! periodically" — so `tc-core` can show its state machines (registration
+//! caching, recursive forwarding, result return) under genuine concurrency.
 //!
-//! Four properties matter for performance:
+//! Five properties matter for performance:
 //!
 //! * **zero-copy payloads** — envelopes carry [`tc_ucx::Bytes`] views, so
-//!   handing a message to a channel moves a refcount, not the payload;
-//! * **batched draining** — a node thread that wakes up drains everything
-//!   queued on its channel (up to [`DEFAULT_MAX_BATCH`]) and hands the whole batch to
-//!   [`ThreadedNode::on_batch`], paying the wakeup/synchronisation cost once
-//!   per burst instead of once per message;
-//! * **no rank arms a timer to park** — every node thread parks untimed on
-//!   its channel.  A cluster with a [`ThreadConfig::tick`] has one
-//!   timekeeper, the `tc-clock` thread, the only thread that sleeps on a
-//!   timer; each cadence it puts one tick on every node's queue and on the
-//!   external queue.  A park whose timeout is shorter than the kernel's own
-//!   tick becomes the earliest timer on its CPU and re-programs the
-//!   deadline register once to arm and once to cancel — around *every*
-//!   hand-off, where the clock pays it once per cadence;
-//! * **yield before park** — a thread that finds its queue empty yields the
-//!   CPU `YIELDS_BEFORE_PARK` times, looking again after each, before it
-//!   parks.  A `std` channel wakes only a receiver registered as parked, so
-//!   a send to a yielding thread makes no wake call; on a shared CPU the
-//!   yield runs the peer just woken, whose reply is then taken without a
-//!   futex wait.  Unlike a spin, a yield hands the CPU over.
+//!   handing a message to an inbox moves a refcount, not the payload;
+//! * **batched draining** — a node thread hands everything queued on its
+//!   inbox (up to [`DEFAULT_MAX_BATCH`]) to [`ThreadedNode::on_batch`] at
+//!   once, paying the wakeup cost once per burst, not once per message;
+//! * **no rank arms a timer to park** — node threads park untimed; with a
+//!   [`ThreadConfig::tick`] the one `tc-clock` thread sleeps on a timer and
+//!   ticks every inbox per cadence (a park shorter than the kernel's tick
+//!   would re-program the CPU's deadline register around *every* hand-off);
+//! * **yield before park** — a thread that finds its inbox empty yields
+//!   `YIELDS_BEFORE_PARK` times, looking after each, before it parks; a
+//!   send wakes only a parked waiter, and on a shared CPU the yield runs
+//!   the peer just woken.  Unlike a spin, a yield hands the CPU over;
+//! * **a forward runs where it lands** — a node that sends to an *idle*
+//!   node (no thread runs it: its node object sits in its inbox) runs that
+//!   node's next batch itself, skipping the hand-off, like L4's direct
+//!   process switch.  Idle destinations only, envelopes only (a tick waits
+//!   for the owner thread), one level deep (what that node sends is only
+//!   queued), never from the driver, and still FIFO per producer.
 //!
-//! Delivery is exact and not silent-lossy: the fabric injects no faults (a
-//! sender that wants its traffic faulted decides before it sends), every
-//! send reports a [`SendStatus`], and the cluster counts what it could not
-//! deliver (unknown node id, stopped node) in [`ThreadMetrics`] so
-//! transports can surface drops.  It also tracks how many node-bound
-//! messages are enqueued-or-processing ([`ThreadCluster::pending_messages`]),
-//! a cheap, race-tolerant idleness signal for drivers.
+//! Delivery is exact: the fabric injects no faults (a sender that wants its
+//! traffic faulted decides before it sends), every send reports a
+//! [`SendStatus`], and what could not be delivered is counted in
+//! [`ThreadMetrics`].  [`ThreadCluster::pending_messages`] counts node-bound
+//! messages enqueued or processing, a cheap idleness signal for drivers.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use tc_ucx::Bytes;
@@ -116,12 +110,12 @@ pub struct Envelope {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[must_use = "dropped messages are silent data loss; check or explicitly discard the status"]
 pub enum SendStatus {
-    /// The message was enqueued on the destination's receive channel.
+    /// The message was enqueued on the destination's inbox.
     Delivered,
     /// No node with the given id exists in this cluster; the message was
     /// dropped (and counted).
     UnknownNode,
-    /// The destination node has stopped and its channel is closed; the
+    /// The destination node has stopped and its inbox is closed; the
     /// message was dropped (and counted).
     Disconnected,
 }
@@ -133,156 +127,209 @@ impl SendStatus {
     }
 }
 
-/// Delivery counters shared by every sender of a cluster.
-#[derive(Debug, Default)]
-struct Counters {
+/// A snapshot of a cluster's delivery counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ThreadMetrics {
+    /// Messages successfully enqueued on a destination inbox.
+    pub delivered: u64,
+    dropped: u64,
+}
+
+impl ThreadMetrics {
+    /// Messages dropped for any reason (unknown node id, stopped node).
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
+}
+
+/// What travels on an inbox: an envelope, or `None` — the clock's tick
+/// (never queued twice: see [`Slot::tick_pending`]).
+type Control = Option<Envelope>;
+
+/// An inbox's state, all under its one lock.
+#[derive(Default)]
+struct Slot {
+    queue: VecDeque<Control>,
+    /// The node while no thread runs it: a node found here is idle.
+    node: Option<Box<dyn ThreadedNode>>,
+    /// The one waiter (the owner thread, or the driver) sleeps on the condvar.
+    parked: bool,
+    /// A tick is queued: a waiter away for twenty cadences finds one tick.
+    tick_pending: bool,
+    /// The cluster is stopping: the owner thread leaves, sends are refused.
+    closed: bool,
+}
+
+impl Slot {
+    /// Take the front of the queue: `Some(None)` is a tick.
+    fn pop(&mut self) -> Option<Control> {
+        let got = self.queue.pop_front()?;
+        self.tick_pending &= got.is_some();
+        Some(got)
+    }
+
+    /// Move up to [`DEFAULT_MAX_BATCH`] envelopes off the front into
+    /// `batch`.  The owner takes a tick it meets (`true`: `on_tick` behind
+    /// the batch); a run in place stops at one, leaving it for the owner.
+    fn drain(&mut self, batch: &mut Vec<Envelope>, owner: bool) -> bool {
+        let mut ticked = false;
+        while batch.len() < DEFAULT_MAX_BATCH
+            && (owner || matches!(self.queue.front(), Some(Some(_))))
+        {
+            match self.pop() {
+                Some(Some(env)) => batch.push(env),
+                Some(None) => ticked = true,
+                None => break,
+            }
+        }
+        ticked
+    }
+}
+
+/// A lock is held only to move queue entries and flags, never across a
+/// node's code, so a poisoned one is whole.
+fn unpoisoned<G>(locked: LockResult<G>) -> G {
+    locked.unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One queue of the fabric — a node's inbox, or the driver's one external
+/// queue — and the condvar its one waiter parks on.
+#[derive(Default)]
+struct Inbox {
+    slot: Mutex<Slot>,
+    wake: Condvar,
+}
+
+impl Inbox {
+    fn lock(&self) -> MutexGuard<'_, Slot> {
+        unpoisoned(self.slot.lock())
+    }
+
+    /// The one way a fabric thread waits: look (`take`), yield, look again
+    /// — [`YIELDS_BEFORE_PARK`] yields — then park, marked parked, untimed
+    /// or for `timeout`.  `None`: the timeout elapsed.
+    fn wait_for<T>(
+        &self,
+        timeout: Option<Duration>,
+        mut take: impl FnMut(&mut Slot) -> Option<T>,
+    ) -> Option<T> {
+        for _ in 0..YIELDS_BEFORE_PARK {
+            if let Some(got) = take(&mut self.lock()) {
+                return Some(got);
+            }
+            std::thread::yield_now();
+        }
+        let (slot, mut got) = (self.lock(), None);
+        let nothing = |slot: &mut Slot| {
+            got = take(slot);
+            slot.parked = got.is_none();
+            slot.parked
+        };
+        let mut slot = match timeout {
+            None => unpoisoned(self.wake.wait_while(slot, nothing)),
+            Some(t) => unpoisoned(self.wake.wait_timeout_while(slot, t, nothing)).0,
+        };
+        slot.parked = false;
+        got
+    }
+
+    /// The clock's cadence: one tick, unless one is still queued.
+    fn tick(&self) {
+        let mut slot = self.lock();
+        if !std::mem::replace(&mut slot.tick_pending, true) {
+            slot.queue.push_back(None);
+            if slot.parked {
+                self.wake.notify_one();
+            }
+        }
+    }
+
+    /// Hand a node back; wake its owner if it parked while work queued.
+    fn put_back(&self, node: Box<dyn ThreadedNode>) {
+        let mut slot = self.lock();
+        slot.node = Some(node);
+        if slot.parked && (slot.closed || !slot.queue.is_empty()) {
+            self.wake.notify_one();
+        }
+    }
+}
+
+/// How often a thread that finds its inbox empty yields before it parks.
+const YIELDS_BEFORE_PARK: u32 = 2;
+
+fn spawn(name: String, run: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    let thread = std::thread::Builder::new().name(name);
+    thread.spawn(run).expect("failed to spawn a fabric thread")
+}
+
+/// The fabric's one timekeeper: every `period`, one (coalesced) tick on
+/// every inbox.  It parks on `stop`, so dropping the cluster ends it at once.
+fn run_clock(period: Duration, fabric: Arc<Fabric>, stop: Receiver<()>) {
+    while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(period) {
+        std::iter::once(&fabric.external)
+            .chain(&fabric.nodes)
+            .for_each(Inbox::tick);
+    }
+}
+
+/// The shared routing fabric: the node inboxes, the external queue and the
+/// delivery counters.  Every send, the driver's too, goes through one
+/// [`NodeCtx::route`], so accounting is uniform whichever thread sends.
+#[derive(Default)]
+struct Fabric {
+    nodes: Vec<Inbox>,
+    external: Inbox,
     delivered: AtomicU64,
-    dropped_unknown: AtomicU64,
-    dropped_disconnected: AtomicU64,
+    dropped: AtomicU64,
     /// Node-bound messages enqueued but not yet fully processed.
     in_flight: AtomicU64,
 }
 
-/// A snapshot of a cluster's delivery counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ThreadMetrics {
-    /// Messages successfully enqueued on a destination channel.
-    pub delivered: u64,
-    /// Messages dropped because the destination node id does not exist.
-    pub dropped_unknown: u64,
-    /// Messages dropped because the destination node had stopped.
-    pub dropped_disconnected: u64,
-}
-
-impl ThreadMetrics {
-    /// Total messages dropped for any reason.
-    pub fn dropped(&self) -> u64 {
-        self.dropped_unknown + self.dropped_disconnected
-    }
-}
-
-impl Counters {
-    fn snapshot(&self) -> ThreadMetrics {
-        ThreadMetrics {
-            delivered: self.delivered.load(Ordering::Relaxed),
-            dropped_unknown: self.dropped_unknown.load(Ordering::Relaxed),
-            dropped_disconnected: self.dropped_disconnected.load(Ordering::Relaxed),
-        }
-    }
-
+impl Fabric {
     fn record(&self, status: SendStatus) -> SendStatus {
         let counter = match status {
             SendStatus::Delivered => &self.delivered,
-            SendStatus::UnknownNode => &self.dropped_unknown,
-            SendStatus::Disconnected => &self.dropped_disconnected,
+            _ => &self.dropped,
         };
         counter.fetch_add(1, Ordering::Relaxed);
         status
     }
 }
 
-/// What travels on a node's channel and on the external queue.
-enum Control {
-    Deliver(Envelope),
-    /// The clock's cadence elapsed (never queued twice: see [`TickPort`]).
-    Tick,
-    Stop,
+/// Hand `batch` to `node`; it stops counting as in flight only once the
+/// node has sent what it provokes.
+fn run_batch(node: &mut dyn ThreadedNode, batch: Vec<Envelope>, ctx: &NodeCtx) {
+    let count = batch.len() as u64;
+    node.on_batch(batch, ctx);
+    ctx.fabric.in_flight.fetch_sub(count, Ordering::SeqCst);
 }
 
-/// One queue as the clock sees it.  `pending` is set while a tick sits on
-/// the queue and cleared by whoever takes it off, so a receiver that was
-/// away for twenty cadences finds one tick, not twenty.  The flag publishes
-/// no data (the channel orders the tick itself); the clear is a `Release`
-/// store so that it stays behind the dequeue it follows.
-struct TickPort {
-    tx: Sender<Control>,
-    pending: Arc<AtomicBool>,
-}
-
-impl TickPort {
-    fn tick(&self) {
-        if !self.pending.swap(true, Ordering::AcqRel) {
-            let _ = self.tx.send(Control::Tick);
+/// A node's own thread: wait for work *and* the node in its inbox, run
+/// the batch (a tick met on the way behind it), put the node back.
+fn run_node(ctx: NodeCtx) {
+    let (inbox, mut batch) = (&ctx.fabric.nodes[ctx.node_id], Vec::new());
+    let take = |slot: &mut Slot, batch: &mut Vec<Envelope>| match slot.closed {
+        true => Some(None),
+        false if slot.queue.is_empty() => None,
+        false => Some(Some((slot.node.take()?, slot.drain(batch, true)))),
+    };
+    while let Some((mut node, ticked)) = inbox.wait_for(None, |s| take(s, &mut batch)).flatten() {
+        if !batch.is_empty() {
+            run_batch(node.as_mut(), std::mem::take(&mut batch), &ctx);
         }
-    }
-}
-
-/// The fabric's one timekeeper: every `period`, one (coalesced) tick on
-/// every port.  It parks on the stop channel rather than sleeping, so
-/// [`ThreadCluster::shutdown`] — or dropping the cluster — ends it at once.
-fn run_clock(period: Duration, ports: Vec<TickPort>, stop: Receiver<()>) {
-    while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(period) {
-        ports.iter().for_each(TickPort::tick);
-    }
-}
-
-/// How often a thread that finds its queue empty yields before it parks.
-const YIELDS_BEFORE_PARK: u32 = 2;
-
-/// The one way a fabric thread waits: look, yield, look again — up to
-/// [`YIELDS_BEFORE_PARK`] yields — then park on the channel, untimed or for
-/// `timeout`.  `None`: the timeout elapsed or every sender is gone.
-fn recv_yielding(rx: &Receiver<Control>, timeout: Option<Duration>) -> Option<Control> {
-    for _ in 0..YIELDS_BEFORE_PARK {
-        match rx.try_recv() {
-            Err(TryRecvError::Empty) => std::thread::yield_now(),
-            got => return got.ok(),
+        if ticked {
+            node.on_tick(&ctx);
         }
-    }
-    match timeout {
-        Some(timeout) => rx.recv_timeout(timeout).ok(),
-        None => rx.recv().ok(),
-    }
-}
-
-fn send_control(peers: &[Sender<Control>], counters: &Counters, env: Envelope) -> SendStatus {
-    match peers.get(env.to) {
-        None => counters.record(SendStatus::UnknownNode),
-        Some(tx) => {
-            // Count the message as in flight *before* enqueueing so the
-            // pending counter never reads zero while work exists.
-            counters.in_flight.fetch_add(1, Ordering::SeqCst);
-            match tx.send(Control::Deliver(env)) {
-                Ok(()) => counters.record(SendStatus::Delivered),
-                Err(_) => {
-                    counters.in_flight.fetch_sub(1, Ordering::SeqCst);
-                    counters.record(SendStatus::Disconnected)
-                }
-            }
-        }
-    }
-}
-
-/// The shared routing fabric: node channels, the external queue and the
-/// counters.  Every path that can inject an envelope — node contexts and the
-/// cluster handle — goes through one `Router`, so delivery accounting stays
-/// uniform no matter which thread sends.
-#[derive(Clone)]
-struct Router {
-    peers: Vec<Sender<Control>>,
-    external: Sender<Control>,
-    counters: Arc<Counters>,
-}
-
-impl Router {
-    /// Route one envelope to its destination queue: a node channel, or the
-    /// external observer's one queue (the envelope's `to` field tells the
-    /// driver which port it was for).
-    fn route(&self, env: Envelope) -> SendStatus {
-        if external_port(env.to).is_none() {
-            return send_control(&self.peers, &self.counters, env);
-        }
-        match self.external.send(Control::Deliver(env)) {
-            Ok(()) => self.counters.record(SendStatus::Delivered),
-            Err(_) => self.counters.record(SendStatus::Disconnected),
-        }
+        inbox.put_back(node);
     }
 }
 
 /// Handle through which a node sends messages and inspects the cluster.
 pub struct NodeCtx {
     node_id: usize,
-    router: Router,
+    fabric: Arc<Fabric>,
+    /// Sends only queue (a node run in place, or the driver's handle).
+    nested: bool,
 }
 
 impl NodeCtx {
@@ -293,7 +340,51 @@ impl NodeCtx {
 
     /// Number of nodes in the cluster.
     pub fn node_count(&self) -> usize {
-        self.router.peers.len()
+        self.fabric.nodes.len()
+    }
+
+    /// Queue one envelope on its destination: a node's inbox, or the
+    /// external observer's one queue (the envelope's `to` field tells the
+    /// driver which port it was for).  Sent to an idle node from a node's
+    /// own thread, it runs that node's next batch here, one level deep.
+    fn route(&self, env: Envelope) -> SendStatus {
+        let (fabric, to, to_node) = (&self.fabric, env.to, external_port(env.to).is_none());
+        let inbox = external_port(to).map_or(fabric.nodes.get(to), |_| Some(&fabric.external));
+        let Some(inbox) = inbox else {
+            return fabric.record(SendStatus::UnknownNode);
+        };
+        let mut slot = inbox.lock();
+        if slot.closed {
+            return fabric.record(SendStatus::Disconnected);
+        }
+        // Count the message as in flight *before* enqueueing so the
+        // pending counter never reads zero while work exists.
+        if to_node {
+            fabric.in_flight.fetch_add(1, Ordering::SeqCst);
+        }
+        slot.queue.push_back(Some(env));
+        let mut batch = Vec::new();
+        if !self.nested && slot.node.is_some() {
+            slot.drain(&mut batch, false);
+        }
+        let node = slot.node.take_if(|_| !batch.is_empty());
+        // Wake a parked owner only once the lock is free for it to take.
+        let wake = node.is_none() && slot.parked;
+        drop(slot);
+        if wake {
+            inbox.wake.notify_one();
+        }
+        let status = fabric.record(SendStatus::Delivered);
+        if let Some(mut node) = node {
+            let ctx = NodeCtx {
+                node_id: to,
+                fabric: Arc::clone(fabric),
+                nested: true,
+            };
+            run_batch(node.as_mut(), batch, &ctx);
+            inbox.put_back(node);
+        }
+        status
     }
 
     /// Send bytes to another node.  Sends to an unknown or stopped node are
@@ -306,7 +397,7 @@ impl NodeCtx {
     /// Send a two-segment message (`data ‖ payload`) to another node without
     /// copying the payload: the bulk segment is moved as a shared view.
     pub fn send_vectored(&self, to: usize, tag: u64, data: Bytes, payload: Bytes) -> SendStatus {
-        self.router.route(Envelope {
+        self.route(Envelope {
             from: self.node_id,
             to,
             tag,
@@ -330,13 +421,7 @@ impl NodeCtx {
         data: Bytes,
         payload: Bytes,
     ) -> SendStatus {
-        self.router.route(Envelope {
-            from: self.node_id,
-            to: external_id(port),
-            tag,
-            data,
-            payload,
-        })
+        self.send_vectored(external_id(port), tag, data, payload)
     }
 }
 
@@ -345,7 +430,7 @@ pub trait ThreadedNode: Send {
     /// Called for every delivered message.
     fn on_message(&mut self, msg: Envelope, ctx: &NodeCtx);
 
-    /// Called with everything drained from the channel in one wakeup
+    /// Called with everything drained from the inbox in one wakeup
     /// (FIFO order preserved).  The default processes messages one at a
     /// time; nodes that can amortise per-wakeup work (polling, flushing)
     /// across a burst should override this.
@@ -361,16 +446,15 @@ pub trait ThreadedNode: Send {
     fn on_tick(&mut self, _ctx: &NodeCtx) {}
 }
 
-/// A running cluster of threaded nodes.
+/// A running cluster of threaded nodes.  Dropping it stops the clock and
+/// every node and joins their threads.
 pub struct ThreadCluster {
-    router: Router,
-    external_rx: Receiver<Control>,
-    /// Set while a tick sits on the external queue.
-    external_tick: Arc<AtomicBool>,
+    /// The driver's handle on the fabric: its sends only queue.
+    driver: NodeCtx,
+    /// The node threads, then the clock thread (if any).
     handles: Vec<JoinHandle<()>>,
-    /// The clock thread and the channel that stops it (only with a
-    /// [`ThreadConfig::tick`]).
-    clock: Option<(Sender<()>, JoinHandle<()>)>,
+    /// Dropped to stop the clock (only with a [`ThreadConfig::tick`]).
+    clock: Option<Sender<()>>,
 }
 
 impl ThreadCluster {
@@ -391,109 +475,37 @@ impl ThreadCluster {
         N: ThreadedNode + 'static,
         F: Fn(usize) -> N,
     {
-        let channels: Vec<(Sender<Control>, Receiver<Control>)> =
-            (0..n).map(|_| channel()).collect();
-        let senders: Vec<Sender<Control>> = channels.iter().map(|(tx, _)| tx.clone()).collect();
-        let (ext_tx, ext_rx) = channel();
-        let counters = Arc::new(Counters::default());
-        let router = Router {
-            peers: senders,
-            external: ext_tx,
-            counters: Arc::clone(&counters),
-        };
-        // The external queue's tick port first, then one per node.
-        let external_tick = Arc::new(AtomicBool::new(false));
-        let mut ports = vec![TickPort {
-            tx: router.external.clone(),
-            pending: Arc::clone(&external_tick),
-        }];
-
-        let mut handles = Vec::with_capacity(n);
-        for (node_id, (tx, rx)) in channels.into_iter().enumerate() {
-            let ctx = NodeCtx {
-                node_id,
-                router: router.clone(),
-            };
-            let tick_pending = Arc::new(AtomicBool::new(false));
-            ports.push(TickPort {
-                tx,
-                pending: Arc::clone(&tick_pending),
-            });
-            let mut node = factory(node_id);
-            let handle = std::thread::Builder::new()
-                .name(format!("tc-node-{node_id}"))
-                .spawn(move || {
-                    let mut batch: Vec<Envelope> = Vec::new();
-                    // A few yields, then one untimed park per wakeup, ticked or not.
-                    while let Some(mut ctrl) = recv_yielding(&rx, None) {
-                        // Drain the burst that accumulated while we were
-                        // parked (or busy), then process it in one go.  A
-                        // tick met on the way runs once, behind the batch:
-                        // the queue is FIFO, so a saturated node still gets
-                        // its `on_tick` every cadence.
-                        let (mut ticked, mut stop) = (false, false);
-                        loop {
-                            match ctrl {
-                                Control::Deliver(env) => batch.push(env),
-                                Control::Tick => {
-                                    tick_pending.store(false, Ordering::Release);
-                                    ticked = true;
-                                }
-                                Control::Stop => stop = true,
-                            }
-                            if stop || batch.len() >= DEFAULT_MAX_BATCH {
-                                break;
-                            }
-                            match rx.try_recv() {
-                                Ok(next) => ctrl = next,
-                                Err(_) => break,
-                            }
-                        }
-                        if !batch.is_empty() {
-                            let count = batch.len() as u64;
-                            node.on_batch(std::mem::take(&mut batch), &ctx);
-                            ctx.router
-                                .counters
-                                .in_flight
-                                .fetch_sub(count, Ordering::SeqCst);
-                        }
-                        if ticked {
-                            node.on_tick(&ctx);
-                        }
-                        if stop {
-                            break;
-                        }
-                    }
-                    // Anything left queued on a stopping node is no longer
-                    // in flight.
-                    let leftover = rx
-                        .try_iter()
-                        .filter(|c| matches!(c, Control::Deliver(_)))
-                        .count() as u64;
-                    if leftover > 0 {
-                        ctx.router
-                            .counters
-                            .in_flight
-                            .fetch_sub(leftover, Ordering::SeqCst);
-                    }
-                })
-                .expect("failed to spawn node thread");
-            handles.push(handle);
-        }
-
-        let clock = config.tick.map(|period| {
-            let (stop_tx, stop_rx) = channel();
-            let handle = std::thread::Builder::new()
-                .name("tc-clock".into())
-                .spawn(move || run_clock(period, ports, stop_rx))
-                .expect("failed to spawn clock thread");
-            (stop_tx, handle)
+        let nodes = (0..n).map(|_| Inbox::default()).collect();
+        let fabric = Arc::new(Fabric {
+            nodes,
+            ..Fabric::default()
         });
-
+        let mut handles: Vec<_> = (0..n)
+            .map(|node_id| {
+                fabric.nodes[node_id].lock().node = Some(Box::new(factory(node_id)));
+                let ctx = NodeCtx {
+                    node_id,
+                    fabric: Arc::clone(&fabric),
+                    nested: false,
+                };
+                spawn(format!("tc-node-{node_id}"), move || run_node(ctx))
+            })
+            .collect();
+        let clock = config.tick.map(|period| {
+            let (stop, stopped) = channel();
+            let fabric = Arc::clone(&fabric);
+            handles.push(spawn("tc-clock".into(), move || {
+                run_clock(period, fabric, stopped)
+            }));
+            stop
+        });
+        let driver = NodeCtx {
+            node_id: EXTERNAL_SENDER,
+            fabric,
+            nested: true,
+        };
         ThreadCluster {
-            router,
-            external_rx: ext_rx,
-            external_tick,
+            driver,
             handles,
             clock,
         }
@@ -501,22 +513,24 @@ impl ThreadCluster {
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.router.peers.len()
+        self.driver.node_count()
     }
 
     /// Snapshot of the cluster-wide delivery counters.
     pub fn metrics(&self) -> ThreadMetrics {
-        self.router.counters.snapshot()
+        let fabric = &self.driver.fabric;
+        ThreadMetrics {
+            delivered: fabric.delivered.load(Ordering::Relaxed),
+            dropped: fabric.dropped.load(Ordering::Relaxed),
+        }
     }
 
-    /// Node-bound messages currently enqueued or being processed.  Zero
-    /// means every node thread is parked with an empty queue.  A node sends
-    /// what a batch provokes *before* the batch stops counting, so zero
-    /// followed by an empty external queue means the cluster is quiescent —
-    /// in that order: a reply can land between an earlier look at the queue
-    /// and the count reaching zero.
+    /// Node-bound messages enqueued or being processed.  A node sends what
+    /// a batch provokes *before* the batch stops counting, so zero followed
+    /// by an empty external queue means the cluster is quiescent — in that
+    /// order: a reply can land between a look at the queue and the zero.
     pub fn pending_messages(&self) -> u64 {
-        self.router.counters.in_flight.load(Ordering::SeqCst)
+        self.driver.fabric.in_flight.load(Ordering::SeqCst)
     }
 
     /// Inject a message into the cluster from the driver thread (external
@@ -528,7 +542,8 @@ impl ThreadCluster {
     /// Inject a two-segment message (`data ‖ payload`, the payload moved as
     /// a shared view) carrying the identity of external port `port` — nodes
     /// see `from ==`[`external_id`]`(port)` and can answer the exact
-    /// driver-side endpoint that sent it.
+    /// driver-side endpoint that sent it.  The driver only queues: it never
+    /// runs a node.
     pub fn send_vectored_from_port(
         &self,
         port: usize,
@@ -537,7 +552,7 @@ impl ThreadCluster {
         data: Bytes,
         payload: Bytes,
     ) -> SendStatus {
-        self.router.route(Envelope {
+        self.driver.route(Envelope {
             from: external_id(port),
             to,
             tag,
@@ -546,49 +561,38 @@ impl ThreadCluster {
         })
     }
 
-    /// The envelope in something taken off the external queue, if it is one;
-    /// a tick is taken off the books instead.
-    fn external(&self, ctrl: Control) -> Option<Envelope> {
-        match ctrl {
-            Control::Deliver(env) => Some(env),
-            Control::Tick => {
-                self.external_tick.store(false, Ordering::Release);
-                None
-            }
-            Control::Stop => None,
-        }
-    }
-
     /// Wait for a message sent to the external observer: yield a few times,
     /// then park until an enqueue.  `None` means `timeout` elapsed — or,
     /// with a [`ThreadConfig::tick`], that a cadence did: the caller's
     /// timeout-driven work is due, and it never had to arm a timer shorter
     /// than `timeout` to learn so.
     pub fn recv_external(&self, timeout: Duration) -> Option<Envelope> {
-        self.external(recv_yielding(&self.external_rx, Some(timeout))?)
+        let external = &self.driver.fabric.external;
+        external.wait_for(Some(timeout), Slot::pop).flatten()
     }
 
     /// Take an already-queued external message without blocking (a queued
     /// tick is skipped).
     pub fn try_recv_external(&self) -> Option<Envelope> {
-        loop {
-            if let Some(env) = self.external(self.external_rx.try_recv().ok()?) {
-                return Some(env);
-            }
-        }
+        let mut slot = self.driver.fabric.external.lock();
+        std::iter::from_fn(|| slot.pop()).flatten().next()
     }
 
     /// Stop the clock and all nodes and join their threads.
     pub fn shutdown(self) {
-        if let Some((stop, handle)) = self.clock {
-            let _ = stop.send(());
+        drop(self);
+    }
+}
+
+impl Drop for ThreadCluster {
+    fn drop(&mut self) {
+        self.clock.take();
+        for inbox in &self.driver.fabric.nodes {
+            inbox.lock().closed = true;
+            inbox.wake.notify_one();
+        }
+        for handle in self.handles.drain(..) {
             let _ = handle.join();
-        }
-        for tx in &self.router.peers {
-            let _ = tx.send(Control::Stop);
-        }
-        for h in self.handles {
-            let _ = h.join();
         }
     }
 }
@@ -734,7 +738,6 @@ mod tests {
         assert_eq!(cluster.send(99, 0, vec![0; 8]), SendStatus::UnknownNode);
         assert_eq!(cluster.node_count(), 2);
         assert_eq!(cluster.metrics().dropped(), 1);
-        assert_eq!(cluster.metrics().dropped_unknown, 1);
         cluster.shutdown();
     }
 
@@ -750,19 +753,25 @@ mod tests {
     #[test]
     fn an_envelope_enqueued_after_the_yields_ends_the_park_at_once() {
         // The sender waits 5 ms, long past the few yields, so the envelope
-        // lands on a receiver parked on the channel: the park must end on
+        // lands on a receiver parked on its condvar: the park must end on
         // the enqueue, not ride out its timeout.
         let cluster = ThreadCluster::start(1, |_| RelayNode);
-        let router = cluster.router.clone();
+        let fabric = Arc::clone(&cluster.driver.fabric);
         let sender = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(5));
-            router.route(Envelope {
+            let env = Envelope {
                 from: 0,
                 to: EXTERNAL_SENDER,
                 tag: 9,
                 data: Bytes::from(vec![1]),
                 payload: Bytes::new(),
-            })
+            };
+            let ctx = NodeCtx {
+                node_id: 0,
+                fabric,
+                nested: true,
+            };
+            ctx.route(env)
         });
         let parked = std::time::Instant::now();
         let env = cluster.recv_external(Duration::from_secs(5));
@@ -823,11 +832,15 @@ mod tests {
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Did {
         Batch(usize),
+        /// `on_tick`, on the node's own thread.
         Tick,
+        /// `on_tick` on any other thread.
+        TickElsewhere,
     }
 
     /// Logs batches and ticks; tag 2 blocks its handler until released, tag
-    /// 1 is echoed to the external queue.
+    /// 1 is echoed to the external queue, tag 3 is forwarded to node 1 as a
+    /// tag 2.
     struct Logged {
         log: Arc<std::sync::Mutex<Vec<Did>>>,
         entered: std::sync::mpsc::Sender<()>,
@@ -844,6 +857,9 @@ mod tests {
                     let _ = self.entered.send(());
                     let _ = self.release.lock().unwrap().recv();
                 }
+                3 => {
+                    let _ = ctx.send(1, 2, msg.data);
+                }
                 _ => {}
             }
         }
@@ -855,27 +871,29 @@ mod tests {
             }
         }
 
-        fn on_tick(&mut self, _ctx: &NodeCtx) {
-            self.log.lock().unwrap().push(Did::Tick);
+        fn on_tick(&mut self, ctx: &NodeCtx) {
+            let own = std::thread::current().name() == Some(&format!("tc-node-{}", ctx.node_id()));
+            let did = if own { Did::Tick } else { Did::TickElsewhere };
+            self.log.lock().unwrap().push(did);
         }
     }
 
-    /// A cluster of `Logged` nodes under a clock of `cadence`.
+    /// A cluster of `Logged` nodes, under a clock of `tick` if given.
+    /// (`release` is declared first so that it drops first: a failing test
+    /// unblocks a held handler before the cluster joins its thread.)
     struct Ticked {
-        cluster: ThreadCluster,
-        logs: Vec<Arc<std::sync::Mutex<Vec<Did>>>>,
-        entered: Receiver<()>,
         release: Sender<()>,
+        entered: Receiver<()>,
+        logs: Vec<Arc<std::sync::Mutex<Vec<Did>>>>,
+        cluster: ThreadCluster,
     }
 
-    fn ticked(nodes: usize, cadence: Duration) -> Ticked {
+    fn ticked(nodes: usize, tick: Option<Duration>) -> Ticked {
         let logs: Vec<_> = (0..nodes).map(|_| Arc::default()).collect();
         let (entered_tx, entered) = channel();
         let (release, release_rx) = channel();
         let release_rx = Arc::new(std::sync::Mutex::new(release_rx));
-        let config = ThreadConfig {
-            tick: Some(cadence),
-        };
+        let config = ThreadConfig { tick };
         let cluster = ThreadCluster::start_with_config(nodes, config, |id| Logged {
             log: Arc::clone(&logs[id]),
             entered: entered_tx.clone(),
@@ -903,7 +921,7 @@ mod tests {
 
     #[test]
     fn the_clock_ticks_every_node_and_ends_the_drivers_park_with_no_traffic_at_all() {
-        let t = ticked(3, CADENCE);
+        let t = ticked(3, Some(CADENCE));
         // The park is asked for five seconds and arms no shorter timer: it
         // is the clock's tick that ends it, silent, not an envelope.
         let parked = std::time::Instant::now();
@@ -932,7 +950,7 @@ mod tests {
 
     #[test]
     fn a_node_busy_for_twenty_cadences_runs_on_tick_once_behind_its_next_batch() {
-        let t = ticked(1, CADENCE);
+        let t = ticked(1, Some(CADENCE));
         assert!(t.cluster.send(0, 2, vec![]).is_delivered());
         t.entered.recv().expect("the handler is entered");
         // Twenty cadences pass over the blocked handler; three messages
@@ -966,7 +984,7 @@ mod tests {
 
     #[test]
     fn a_driver_away_for_twenty_cadences_finds_one_tick_then_its_envelopes_in_order() {
-        let t = ticked(1, CADENCE);
+        let t = ticked(1, Some(CADENCE));
         std::thread::sleep(CADENCE * 20);
         // The one pending tick keeps the clock off the queue, so the echoes
         // line up behind it and nothing lands between them.
@@ -983,6 +1001,240 @@ mod tests {
         }
         assert_eq!(t.cluster.metrics().delivered, 6);
         t.cluster.shutdown();
+    }
+
+    /// Forwards like [`RelayNode`] and logs which thread ran each batch.
+    struct Traced(Arc<std::sync::Mutex<Vec<(usize, String)>>>);
+
+    impl ThreadedNode for Traced {
+        fn on_message(&mut self, msg: Envelope, ctx: &NodeCtx) {
+            RelayNode.on_message(msg, ctx);
+        }
+
+        fn on_batch(&mut self, msgs: Vec<Envelope>, ctx: &NodeCtx) {
+            let thread = std::thread::current().name().map(String::from);
+            let ran = (ctx.node_id(), thread.unwrap_or_default());
+            self.0.lock().unwrap().push(ran);
+            for msg in msgs {
+                self.on_message(msg, ctx);
+            }
+        }
+    }
+
+    /// Relay one envelope from the driver down `nodes` traced nodes: which
+    /// node ran on which thread, in order.
+    fn traced_relay(nodes: usize) -> Vec<(usize, String)> {
+        let log = Arc::default();
+        let cluster = ThreadCluster::start(nodes, |_| Traced(Arc::clone(&log)));
+        assert!(cluster
+            .send(0, 7, 1u64.to_le_bytes().to_vec())
+            .is_delivered());
+        let env = cluster.recv_external(Duration::from_secs(5));
+        assert_eq!(env.expect("the relay's result").from, nodes - 1);
+        cluster.shutdown();
+        let ran = log.lock().unwrap().clone();
+        ran
+    }
+
+    fn on(node: usize, thread: usize) -> (usize, String) {
+        (node, format!("tc-node-{thread}"))
+    }
+
+    #[test]
+    fn a_forward_to_an_idle_node_runs_on_the_senders_thread() {
+        // The driver's send wakes node 0; node 1 sits idle in its inbox, so
+        // node 0's forward runs it right there.
+        assert_eq!(traced_relay(2), [on(0, 0), on(1, 0)]);
+    }
+
+    #[test]
+    fn a_node_run_in_place_only_queues_so_the_next_hop_runs_on_its_own_thread() {
+        assert_eq!(traced_relay(3), [on(0, 0), on(1, 0), on(2, 2)]);
+    }
+
+    #[test]
+    fn each_producer_s_envelopes_reach_a_node_in_the_order_it_sent_them() {
+        // Every round, nodes 0 and 1 each answer the driver's go with a
+        // burst of sequenced envelopes to node 2 — running it in place
+        // whenever they find it idle — while the driver sends its own burst
+        // to node 2 directly.  Node 2 takes a few microseconds a message, so
+        // the producers often find it busy, or idle with others' envelopes
+        // still queued.
+        const ROUNDS: u64 = 300;
+        const BURST: u64 = 8;
+        type Seen = Arc<std::sync::Mutex<Vec<(usize, u64)>>>;
+        struct Sequenced {
+            sent: u64,
+            seen: Seen,
+        }
+        impl ThreadedNode for Sequenced {
+            fn on_message(&mut self, msg: Envelope, ctx: &NodeCtx) {
+                if ctx.node_id() == 2 {
+                    let seq = u64::from_le_bytes(msg.data[..8].try_into().unwrap());
+                    self.seen.lock().unwrap().push((msg.from, seq));
+                    let busy = std::time::Instant::now();
+                    while busy.elapsed() < Duration::from_micros(3) {}
+                    return;
+                }
+                for _ in 0..BURST {
+                    assert!(ctx
+                        .send(2, 0, self.sent.to_le_bytes().to_vec())
+                        .is_delivered());
+                    self.sent += 1;
+                }
+            }
+        }
+        let seen = Seen::default();
+        let cluster = ThreadCluster::start(3, |_| Sequenced {
+            sent: 0,
+            seen: Arc::clone(&seen),
+        });
+        let mut sent = 0u64;
+        for _ in 0..ROUNDS {
+            for producer in [0, 1] {
+                assert!(cluster.send(producer, 1, vec![]).is_delivered());
+            }
+            for _ in 0..BURST {
+                assert!(cluster
+                    .send(2, 0, sent.to_le_bytes().to_vec())
+                    .is_delivered());
+                sent += 1;
+            }
+        }
+        eventually("every envelope processed", || {
+            cluster.pending_messages() == 0
+        });
+        let seen = seen.lock().unwrap();
+        for producer in [0, 1, EXTERNAL_SENDER] {
+            let order: Vec<u64> = seen
+                .iter()
+                .filter(|s| s.0 == producer)
+                .map(|s| s.1)
+                .collect();
+            assert!(
+                order.iter().copied().eq(0..ROUNDS * BURST),
+                "producer {producer}: {} envelopes, out of order or missing",
+                order.len()
+            );
+        }
+        drop(seen);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn an_envelope_queued_behind_a_run_in_place_wakes_the_owner_when_the_run_ends() {
+        let t = ticked(2, None);
+        // Node 0 forwards the tag 3 to idle node 1 as a tag 2: node 1 runs
+        // in place on node 0's thread and blocks in its handler.
+        assert!(t.cluster.send(0, 3, vec![]).is_delivered());
+        t.entered.recv().expect("node 1's handler is entered");
+        // The driver's echo request queues behind the run; node 1's owner
+        // thread, woken to it, finds its node away and parks again.
+        assert!(t.cluster.send(1, 1, vec![42]).is_delivered());
+        let inbox = &t.cluster.driver.fabric.nodes[1];
+        eventually("node 1's owner parked", || inbox.lock().parked);
+        let released = std::time::Instant::now();
+        t.release.send(()).unwrap();
+        let echo = t.cluster.recv_external(Duration::from_secs(5));
+        let took = released.elapsed();
+        assert_eq!(echo.expect("the echo").data[..], [42]);
+        assert!(
+            took < Duration::from_secs(1),
+            "answered {took:?} after the release"
+        );
+        assert_eq!(*t.logs[1].lock().unwrap(), [Did::Batch(1), Did::Batch(1)]);
+        t.cluster.shutdown();
+    }
+
+    #[test]
+    fn a_tick_or_a_close_behind_a_run_in_place_is_taken_by_the_owner_thread() {
+        let t = ticked(2, Some(CADENCE));
+        assert!(t.cluster.send(0, 3, vec![]).is_delivered());
+        t.entered.recv().expect("node 1 runs in place and blocks");
+        // A cadence passes over the run: node 1's tick waits in its inbox
+        // for its owner thread, not for the thread running the node.
+        let fabric = Arc::clone(&t.cluster.driver.fabric);
+        eventually("a tick queued on node 1", || {
+            fabric.nodes[1].lock().tick_pending
+        });
+        std::thread::sleep(CADENCE * 4);
+        let log = &t.logs[1];
+        assert_eq!(*log.lock().unwrap(), [Did::Batch(1)]);
+        t.release.send(()).unwrap();
+        eventually("node 1's tick on its own thread", || {
+            log.lock().unwrap().contains(&Did::Tick)
+        });
+        // Block node 1 in place again, then close the cluster behind it: its
+        // owner thread leaves though its node is away, and the close waits
+        // only for the run to end.
+        assert!(t.cluster.send(0, 3, vec![]).is_delivered());
+        t.entered.recv().expect("node 1 runs in place again");
+        let cluster = t.cluster;
+        let closing = std::thread::spawn(move || cluster.shutdown());
+        eventually("the close", || fabric.nodes[1].lock().closed);
+        let released = std::time::Instant::now();
+        t.release.send(()).unwrap();
+        closing.join().unwrap();
+        let took = released.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "closed {took:?} after the release"
+        );
+        assert!(!log.lock().unwrap().contains(&Did::TickElsewhere));
+    }
+
+    #[test]
+    fn a_run_in_place_takes_its_inbox_from_the_front_and_leaves_a_tick_to_the_owner() {
+        // A fabric with no threads, so nothing races the sends below: node
+        // 0's inbox holds an envelope queued while the node was busy.
+        struct Tags(Arc<std::sync::Mutex<Vec<Vec<u64>>>>);
+        impl ThreadedNode for Tags {
+            fn on_message(&mut self, _msg: Envelope, _ctx: &NodeCtx) {}
+            fn on_batch(&mut self, msgs: Vec<Envelope>, _ctx: &NodeCtx) {
+                self.0
+                    .lock()
+                    .unwrap()
+                    .push(msgs.iter().map(|m| m.tag).collect());
+            }
+        }
+        let ran = Arc::default();
+        let fabric = Arc::new(Fabric {
+            nodes: (0..2).map(|_| Inbox::default()).collect(),
+            ..Fabric::default()
+        });
+        let enqueue = |ctrl: Control| {
+            fabric
+                .in_flight
+                .fetch_add(u64::from(ctrl.is_some()), Ordering::SeqCst);
+            fabric.nodes[0].lock().queue.push_back(ctrl);
+        };
+        fabric.nodes[0].lock().node = Some(Box::new(Tags(Arc::clone(&ran))));
+        enqueue(Some(Envelope {
+            from: 1,
+            to: 0,
+            tag: 1,
+            data: Bytes::new(),
+            payload: Bytes::new(),
+        }));
+        let node_1 = NodeCtx {
+            node_id: 1,
+            fabric: Arc::clone(&fabric),
+            nested: false,
+        };
+        // Node 1's next envelope runs node 0 here, behind the queued one.
+        assert!(node_1.send(0, 2, vec![]).is_delivered());
+        assert_eq!(*ran.lock().unwrap(), [vec![1, 2]]);
+        // With a tick at the front, a send only queues: the tick, and what
+        // stands behind it, wait for the owner thread.
+        enqueue(None);
+        assert!(node_1.send(0, 3, vec![]).is_delivered());
+        assert_eq!(ran.lock().unwrap().len(), 1, "nothing ran in place");
+        let mut batch = Vec::new();
+        assert!(
+            fabric.nodes[0].lock().drain(&mut batch, true),
+            "the owner takes the tick"
+        );
+        assert_eq!(batch.iter().map(|m| m.tag).collect::<Vec<_>>(), [3]);
     }
 
     /// However deep the queue, one batch holds at most [`DEFAULT_MAX_BATCH`]

@@ -1,4 +1,4 @@
-//! The lifetime of the threaded fabric's clock thread, by thread count —
+//! The lifetime of the threaded fabric's threads, by thread count —
 //! one test in a binary of its own, so that no other test's threads are in
 //! `/proc/self/task` while it counts.
 #![cfg(target_os = "linux")]
@@ -65,13 +65,16 @@ fn one_clock_per_ticked_cluster_none_without_a_tick_and_shutdown_does_not_wait_a
     );
     assert_eq!(threads().len(), at_start);
 
-    // Dropping the handle without `shutdown` still ends the clock.
+    // Dropping the handle without `shutdown` still ends the clock — and
+    // every node thread.
     drop(start(Some(CADENCE)));
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while clocks() > 0 {
+    drop(start(None));
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while clocks() > 0 || threads().len() != at_start {
         assert!(
             Instant::now() < deadline,
-            "a dropped cluster's clock ran on"
+            "a dropped cluster's threads ran on: {:?}",
+            threads()
         );
         std::thread::sleep(Duration::from_millis(1));
     }
