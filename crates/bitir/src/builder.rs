@@ -73,11 +73,6 @@ impl ModuleBuilder {
         self.function(Module::ENTRY_NAME, params, ret)
     }
 
-    /// Number of functions committed so far.
-    pub fn function_count(&self) -> usize {
-        self.module.functions.len()
-    }
-
     /// The id the *next* committed function will receive.  Useful for
     /// building mutually-recursive functions.
     pub fn next_func_id(&self) -> FuncId {
@@ -159,11 +154,6 @@ impl<'m> FunctionBuilder<'m> {
         self.current = block.0 as usize;
     }
 
-    /// Block currently being appended to.
-    pub fn current_block(&self) -> BlockId {
-        BlockId(self.current as u32)
-    }
-
     /// Append a raw instruction to the current block.
     pub fn push(&mut self, inst: Inst) {
         self.blocks[self.current].insts.push(inst);
@@ -239,11 +229,6 @@ impl<'m> FunctionBuilder<'m> {
     /// `lhs - rhs` at i64.
     pub fn sub_i64(&mut self, lhs: Reg, rhs: Reg) -> Reg {
         self.bin(BinOp::Sub, ScalarType::I64, lhs, rhs)
-    }
-
-    /// `lhs * rhs` at i64.
-    pub fn mul_i64(&mut self, lhs: Reg, rhs: Reg) -> Reg {
-        self.bin(BinOp::Mul, ScalarType::I64, lhs, rhs)
     }
 
     /// Unsigned `lhs / rhs` at u64.

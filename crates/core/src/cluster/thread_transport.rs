@@ -1,29 +1,27 @@
 //! The real-concurrency backend: server runtimes on OS threads, the client
 //! runtimes on the caller's thread, fabric operations as tagged envelopes
-//! over inboxes.
-//!
-//! No virtual time is involved — this backend exists to show that the
-//! framework's state machines (auto-registration, sender-side caching,
-//! recursive forwarding, result return) are correct under genuine
-//! parallelism.
+//! over inboxes, in wall-clock time.
 //!
 //! # Execution model
 //!
 //! * Server rank `r` (ranks `clients..clients + servers`) is thread node
 //!   `r - clients` of a [`tc_simnet::ThreadCluster`]: its own thread drains
-//!   its inbox, and a server → server forward that finds the next server
-//!   idle runs that server's batch on the forwarding thread (one level deep).
+//!   its inbox.  An *idle* server is run, one level deep, by the thread that
+//!   sends to it: by a server forwarding to it, and by the caller for a GET,
+//!   PUT or confirmed PUT alone in its inbox (`client_emit`), as a NIC serves
+//!   a one-sided op.  AMs, ifuncs and control requests from the caller run
+//!   on the server's own thread (under a fault plan, a repaired GET that
+//!   fills a gap also delivers the frames parked behind it).
 //! * Client rank `c` (ranks `0..clients`) is external port `c` of the fabric
 //!   and the driver's control plane is port `clients`; everything addressed
 //!   to either arrives on the fabric's one external queue, with
 //!   [`Envelope::to`] naming the port.
-//! * The **caller's thread** (whoever owns the [`ThreadTransport`]) carries
-//!   every client rank through the crate-private `host` module's `Driver`,
-//!   as the socket driver does, like the initiator of a UCX GET progressing
-//!   its own worker.  `flush_client` moves posted operations into the fabric
-//!   synchronously, so a control-plane round trip issued right after a flush
-//!   still acts as a barrier behind that client's data (both ride the same
-//!   per-producer FIFO inbox).  `step` parks on the external queue,
+//! * The **caller's thread** carries every client rank through `host`'s
+//!   `Driver`, as the socket driver does.  `flush_client` moves posted
+//!   operations into the fabric synchronously (a one-sided op to an idle
+//!   server is served before it returns), so a control round trip issued
+//!   next is a barrier behind that client's data (the same per-producer
+//!   FIFO inbox).  `step` parks on the external queue,
 //!   dispatches a burst by port, and has the driver answer what it provoked
 //!   and close the pass; `control` does the same for whatever arrives ahead
 //!   of its reply.
@@ -60,17 +58,12 @@ use tc_ucx::{Bytes, WorkerAddr};
 /// `p`, thread node `n` is rank `n + clients`.  The driver's control port
 /// (`p == clients`) is not a data-plane endpoint: no reliable path maps it.
 fn rank_of(clients: usize, fabric_id: usize) -> usize {
-    match external_port(fabric_id) {
-        Some(port) => port,
-        None => fabric_id + clients,
-    }
+    external_port(fabric_id).unwrap_or_else(|| fabric_id + clients)
 }
 
-/// Every server's latest link [`Digest`], published by its node thread once
-/// per batch or retransmission tick and read by the driver (the clients'
-/// links are the driver's own).  One leaf mutex per server, held only for
-/// the copy of a digest, so the driver never stalls a node and a snapshot
-/// never tears.
+/// Every server's latest link [`Digest`], published once per batch or tick
+/// and read by the driver.  One leaf mutex per server, held only for the copy
+/// of a digest, so the driver never stalls a node and a snapshot never tears.
 type RelTable = Arc<[Mutex<Digest>]>;
 
 /// A server node: the fabric carrier of one [`ServerHost`].  It feeds the
@@ -86,11 +79,9 @@ struct ServerNode {
 }
 
 impl ServerNode {
-    /// The host's `emit`, onto the fabric.  Ranks below `clients` are
-    /// driver-side endpoints (external ports), and [`DRIVER_PORT`] — error
-    /// reports and control replies — is the driver's own control port
-    /// `clients`.  The fabric counts what it cannot deliver (unknown rank,
-    /// stopped node) and the transport metrics surface it.
+    /// The host's `emit`, onto the fabric: ranks below `clients` and
+    /// [`DRIVER_PORT`] (error reports, control replies: port `clients`) are
+    /// external ports.  The fabric counts what it cannot deliver.
     fn emit<'a>(&self, ctx: &'a NodeCtx) -> impl FnMut(u32, u64, Bytes, Bytes) + 'a {
         let clients = self.clients;
         move |to, tag, data, payload| {
@@ -115,10 +106,8 @@ impl ServerNode {
 }
 
 impl ThreadedNode for ServerNode {
-    /// One wakeup's worth of envelopes, in FIFO order: the host delivers
-    /// consecutive data-plane messages together and polls/flushes them once,
-    /// so a burst of N ifunc frames pays for one poll loop and one outgoing
-    /// flush instead of N.
+    /// One wakeup's worth of envelopes, in FIFO order, closed by one pass:
+    /// a burst of N frames pays for one poll loop and one flush, not N.
     fn on_batch(&mut self, msgs: Vec<Envelope>, ctx: &NodeCtx) {
         let now = pass_now(self.table.is_some());
         let mut emit = self.emit(ctx);
@@ -141,13 +130,18 @@ impl ThreadedNode for ServerNode {
 
 /// The driver's `emit` on this fabric: a frame from client `c` toward rank
 /// `to` goes to a server's thread node (rank - clients), as client-to-client
-/// traffic never leaves the driver.  Drops (unknown rank, stopped node) are
-/// counted by the fabric and show up in the transport metrics.
+/// traffic never leaves the driver.  A GET or PUT goes one-sided: an idle
+/// server serves it on the caller's thread.  Drops (unknown rank, stopped
+/// node) are counted by the fabric and show up in the transport metrics.
 fn client_emit(cluster: &ThreadCluster, clients: usize) -> impl EmitFrom + '_ {
-    move |c, to, tag, data, payload| {
-        if let Some(node) = (to as usize).checked_sub(clients) {
+    move |c, to, tag, data, payload| match (to as usize).checked_sub(clients) {
+        Some(node) if wire::one_sided(tag, &data) => {
+            let _ = cluster.send_one_sided_from_port(c, node, tag, data, payload);
+        }
+        Some(node) => {
             let _ = cluster.send_vectored_from_port(c, node, tag, data, payload);
         }
+        None => {}
     }
 }
 
@@ -589,6 +583,58 @@ mod tests {
             assert_eq!(data.as_slice(), rank.to_le_bytes(), "GET {i}");
         }
         assert!(t.errors().is_empty());
+    }
+
+    /// A GET is one-sided: flushed to an idle server, it is served on the
+    /// caller's thread, so when `flush_client` returns nothing is in flight
+    /// and the reply already waits on the external queue.
+    #[test]
+    fn a_get_flushed_to_an_idle_server_is_served_before_the_flush_returns() {
+        // A fresh server is idle, and no clock ticks without a fault plan.
+        let mut t = transport(1, 1);
+        let client = t.client_mut(ClientId::PRIMARY);
+        let request = client.post_get(WorkerAddr(1), DATA_REGION_BASE, 8);
+        t.flush_client(ClientId::PRIMARY).unwrap();
+        let cluster = t.cluster.as_ref().unwrap();
+        let (pending, delivered) = (cluster.pending_messages(), cluster.metrics().delivered);
+        assert_eq!((pending, delivered), (0, 2), "the GET and its reply");
+        // The stats request, a barrier, takes the reply off the queue too.
+        assert_eq!(t.node_stats(1).unwrap().gets_served, 1);
+        let got = t.take_completions(ClientId::PRIMARY);
+        assert!(
+            matches!(&got[..], [Completion::Get { request: r, .. }] if *r == request),
+            "{got:?}"
+        );
+    }
+
+    /// Only one-sided operations run on the caller's thread: an AM posted
+    /// right behind a GET that an idle server served in place still runs its
+    /// handler on the server's own thread.
+    #[test]
+    fn an_am_posted_behind_a_get_runs_its_handler_on_the_servers_own_thread() {
+        const ROUNDS: usize = 50;
+        let mut t = transport(1, 1);
+        let threads = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&threads);
+        let handler: NativeAmHandler = Arc::new(move |_, _| {
+            log.lock().unwrap().push(std::thread::current().id());
+            1
+        });
+        t.deploy_am("where", handler).unwrap();
+        let mut cluster = Cluster::new(t);
+        for _ in 0..ROUNDS {
+            let h = cluster.get(1, DATA_REGION_BASE, 8).unwrap();
+            cluster.send_am("where", 1, vec![]).unwrap();
+            cluster.wait(&h).unwrap();
+        }
+        assert_eq!(cluster.stats(1).unwrap().ams_executed, ROUNDS as u64);
+        let caller = std::thread::current().id();
+        let threads = threads.lock().unwrap();
+        assert_eq!(threads.len(), ROUNDS);
+        assert!(
+            threads.iter().all(|&ran| ran != caller),
+            "an AM ran on the caller's thread"
+        );
     }
 
     /// A control request abandoned at its timeout still gets its reply, late.

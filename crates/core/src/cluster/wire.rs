@@ -157,6 +157,18 @@ const OP_IFUNC: u8 = 4;
 const OP_PUT_CONFIRM: u8 = 5;
 const OP_PUT_ACK: u8 = 6;
 
+/// A GET, PUT or confirmed PUT: one-sided in the paper, it runs no guest code
+/// and never blocks.  The op code follows `[src u32][dst u32][request u64]`,
+/// behind the `(seq, ack)` prefix in a [`TAG_ROP`] frame; other tags never are.
+pub fn one_sided(tag: u64, data: &[u8]) -> bool {
+    let at = match tag {
+        TAG_OP => 16,
+        TAG_ROP => REL_HEAD_LEN + 16,
+        _ => return false,
+    };
+    matches!(data.get(at), Some(&(OP_GET | OP_PUT | OP_PUT_CONFIRM)))
+}
+
 /// The bulk payload of an operation: what follows its fixed fields on the
 /// wire, and what a scatter-gather encode may detach.
 fn bulk(op: &UcpOp) -> Option<&Bytes> {
@@ -170,18 +182,23 @@ fn bulk(op: &UcpOp) -> Option<&Bytes> {
     }
 }
 
+/// An op's code, and the bytes of its fixed fields behind the 17-byte
+/// `[src u32][dst u32][request u64][code u8]` header.
+fn op_code(op: &UcpOp) -> (u8, usize) {
+    match op {
+        UcpOp::Put { .. } => (OP_PUT, 8),
+        UcpOp::PutConfirm { .. } => (OP_PUT_CONFIRM, 8),
+        UcpOp::PutAck { .. } => (OP_PUT_ACK, 8),
+        UcpOp::Get { .. } => (OP_GET, 16),
+        UcpOp::GetReply { .. } => (OP_GET_REPLY, 8),
+        UcpOp::ActiveMessage { .. } => (OP_AM, 2),
+        UcpOp::IfuncFrame { .. } => (OP_IFUNC, 0),
+    }
+}
+
 /// Exact encoded size of a [`TAG_OP`] envelope for `msg`.
 fn encoded_op_size(op: &UcpOp) -> usize {
-    let fixed = match op {
-        UcpOp::Put { .. }
-        | UcpOp::PutConfirm { .. }
-        | UcpOp::PutAck { .. }
-        | UcpOp::GetReply { .. } => 8,
-        UcpOp::Get { .. } => 16,
-        UcpOp::ActiveMessage { .. } => 2,
-        UcpOp::IfuncFrame { .. } => 0,
-    };
-    17 + fixed + bulk(op).map_or(0, |b| b.len())
+    17 + op_code(op).1 + bulk(op).map_or(0, |b| b.len())
 }
 
 /// Write `msg`'s envelope header and fixed op fields — everything but the
@@ -190,33 +207,20 @@ fn put_op_head(out: &mut &mut [u8], msg: &OutgoingMessage) {
     put(out, &msg.src.0.to_le_bytes());
     put(out, &msg.dst.0.to_le_bytes());
     put(out, &msg.request.0.to_le_bytes());
+    put(out, &[op_code(&msg.op).0]);
     match &msg.op {
-        UcpOp::Put { remote_addr, .. } => {
-            put(out, &[OP_PUT]);
-            put(out, &remote_addr.to_le_bytes());
+        UcpOp::Put { remote_addr, .. } | UcpOp::PutConfirm { remote_addr, .. } => {
+            put(out, &remote_addr.to_le_bytes())
         }
-        UcpOp::PutConfirm { remote_addr, .. } => {
-            put(out, &[OP_PUT_CONFIRM]);
-            put(out, &remote_addr.to_le_bytes());
-        }
-        UcpOp::PutAck { acked } => {
-            put(out, &[OP_PUT_ACK]);
-            put(out, &acked.0.to_le_bytes());
+        UcpOp::PutAck { acked: id } | UcpOp::GetReply { request: id, .. } => {
+            put(out, &id.0.to_le_bytes())
         }
         UcpOp::Get { remote_addr, len } => {
-            put(out, &[OP_GET]);
             put(out, &remote_addr.to_le_bytes());
             put(out, &len.to_le_bytes());
         }
-        UcpOp::GetReply { request, .. } => {
-            put(out, &[OP_GET_REPLY]);
-            put(out, &request.0.to_le_bytes());
-        }
-        UcpOp::ActiveMessage { handler, .. } => {
-            put(out, &[OP_AM]);
-            put(out, &handler.0.to_le_bytes());
-        }
-        UcpOp::IfuncFrame { .. } => put(out, &[OP_IFUNC]),
+        UcpOp::ActiveMessage { handler, .. } => put(out, &handler.0.to_le_bytes()),
+        UcpOp::IfuncFrame { .. } => {}
     }
 }
 
@@ -381,19 +385,13 @@ pub fn decode_op_vectored(head: &Bytes, payload: &Bytes) -> Result<OutgoingMessa
 
 /// Encode a control request carrying a matching token and a body.
 pub fn encode_control(token: u64, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + body.len());
-    out.extend_from_slice(&token.to_le_bytes());
-    out.extend_from_slice(body);
-    out
+    [&token.to_le_bytes()[..], body].concat()
 }
 
 /// Split a control envelope into `(token, body)`.
 pub fn decode_control(bytes: &[u8]) -> Result<(u64, &[u8])> {
-    let mut c = Cursor(bytes);
-    let token = c
-        .take_u64()
-        .ok_or_else(|| CoreError::Transport("control envelope shorter than its token".into()))?;
-    Ok((token, c.0))
+    split_poke(bytes)
+        .ok_or_else(|| CoreError::Transport("control envelope shorter than its token".into()))
 }
 
 /// Read `len` bytes at `addr` of a node's memory; `None` when the read
@@ -409,7 +407,8 @@ pub(crate) fn peek(runtime: &NodeRuntime, addr: u64, len: u64) -> Option<Vec<u8>
     Some(buf)
 }
 
-/// Split a [`TAG_POKE`] body into `(addr, data)`.
+/// Split a [`TAG_POKE`] body into `(addr, data)` (a control envelope splits
+/// into `(token, body)` the same way).
 pub(crate) fn split_poke(body: &[u8]) -> Option<(u64, &[u8])> {
     let mut c = Cursor(body);
     Some((c.take_u64()?, c.0))
@@ -861,6 +860,73 @@ mod tests {
         assert_eq!(inner, head);
         assert!(inner.shares_storage(&wrapped), "head must be a sub-view");
         assert!(decode_rel_head(&Bytes::from(vec![0u8; 15])).is_err());
+    }
+
+    #[test]
+    fn only_gets_and_puts_are_one_sided_in_either_framing_and_whatever_the_length() {
+        let expected = |op: &UcpOp| {
+            matches!(
+                op,
+                UcpOp::Get { .. } | UcpOp::Put { .. } | UcpOp::PutConfirm { .. }
+            )
+        };
+        let large = UcpOp::Put {
+            remote_addr: 0x40,
+            data: vec![9; SCATTER_THRESHOLD].into(),
+        };
+        for op in sample_ops().into_iter().chain([large]) {
+            let msg = OutgoingMessage {
+                src: WorkerAddr(2),
+                dst: WorkerAddr(5),
+                request: RequestId(77),
+                op,
+            };
+            let frames = [
+                (TAG_OP, encode_op_vectored(&msg).0),
+                (TAG_ROP, encode_rel_op_vectored(&msg, 7, 3).0),
+            ];
+            for (tag, data) in frames {
+                let at = if tag == TAG_ROP {
+                    REL_HEAD_LEN + 16
+                } else {
+                    16
+                };
+                assert_eq!(one_sided(tag, &data), expected(&msg.op), "{:?}", msg.op);
+                // Every truncation: no panic, and never one-sided once the
+                // op code is cut off.
+                for len in 0..data.len() {
+                    let cut = one_sided(tag, &data[..len]);
+                    assert_eq!(cut, len > at && expected(&msg.op), "{len} of {tag}");
+                }
+                // The same bytes under any other tag are never one-sided.
+                for other in [
+                    TAG_ACK,
+                    TAG_PEEK,
+                    TAG_POKE,
+                    TAG_STATS,
+                    TAG_AM_DEPLOY,
+                    TAG_REPLY,
+                    TAG_ERROR,
+                ] {
+                    assert!(!one_sided(other, &data), "tag {other}");
+                }
+            }
+        }
+        // A pure ack, with and without a gap, and control bodies.
+        for ack in [encode_ack(42, None), encode_ack(42, Some(45))] {
+            assert!(!one_sided(TAG_ACK, &ack));
+        }
+        let request = encode_control(9, &[0; 32]);
+        for tag in [
+            TAG_PEEK,
+            TAG_POKE,
+            TAG_STATS,
+            TAG_AM_DEPLOY,
+            TAG_REPLY,
+            TAG_ERROR,
+        ] {
+            assert!(!one_sided(tag, &request));
+        }
     }
 
     #[test]

@@ -13,10 +13,8 @@
 //! * [`platform`] — the Ookami and Thor testbed configurations;
 //! * [`rand`] — the seeded splitmix64 generator shared by workload
 //!   generation and property tests;
-//! * [`threaded`] — a real-thread, channel-based transport used by the
-//!   cluster API's thread backend to exercise the runtime under genuine
-//!   concurrency.  It delivers what it is handed: faults are decided by the
-//!   sender before it sends, never inside the fabric.
+//! * [`threaded`] — nodes as threads over inboxes, the cluster API's thread
+//!   backend; it delivers what it is handed (a sender decides faults).
 //!
 //! The functional behaviour of the framework (what ifuncs do when they run)
 //! never depends on this crate; only *when* things happen in virtual time

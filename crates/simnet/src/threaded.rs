@@ -2,9 +2,7 @@
 //!
 //! The discrete-event simulator gives calibrated *timing*; this module gives
 //! real *parallelism*: each node of a [`ThreadCluster`] has its own OS thread
-//! and inbox — the paper's "daemon thread that polls the message buffers
-//! periodically" — so `tc-core` can show its state machines (registration
-//! caching, recursive forwarding, result return) under genuine concurrency.
+//! and inbox, the paper's "daemon thread that polls the message buffers".
 //!
 //! Five properties matter for performance:
 //!
@@ -21,12 +19,12 @@
 //!   `YIELDS_BEFORE_PARK` times, looking after each, before it parks; a
 //!   send wakes only a parked waiter, and on a shared CPU the yield runs
 //!   the peer just woken.  Unlike a spin, a yield hands the CPU over;
-//! * **a forward runs where it lands** — a node that sends to an *idle*
-//!   node (no thread runs it: its node object sits in its inbox) runs that
-//!   node's next batch itself, skipping the hand-off, like L4's direct
-//!   process switch.  Idle destinations only, envelopes only (a tick waits
-//!   for the owner thread), one level deep (what that node sends is only
-//!   queued), never from the driver, and still FIFO per producer.
+//! * **a send runs where it lands** — a node that sends to an *idle* node
+//!   (its node object sits in its inbox) runs that node's next batch itself,
+//!   like L4's direct process switch: envelopes only (a tick waits for the
+//!   owner thread), one level deep (what that node sends only queues), FIFO
+//!   per producer.  The driver does so only for a one-sided envelope alone
+//!   in the inbox ([`ThreadCluster::send_one_sided_from_port`]).
 //!
 //! Delivery is exact: the fabric injects no faults (a sender that wants its
 //! traffic faulted decides before it sends), every send reports a
@@ -328,7 +326,7 @@ fn run_node(ctx: NodeCtx) {
 pub struct NodeCtx {
     node_id: usize,
     fabric: Arc<Fabric>,
-    /// Sends only queue (a node run in place, or the driver's handle).
+    /// Sends only queue, one-sided ones aside (a node run in place, the driver).
     nested: bool,
 }
 
@@ -343,11 +341,11 @@ impl NodeCtx {
         self.fabric.nodes.len()
     }
 
-    /// Queue one envelope on its destination: a node's inbox, or the
-    /// external observer's one queue (the envelope's `to` field tells the
-    /// driver which port it was for).  Sent to an idle node from a node's
-    /// own thread, it runs that node's next batch here, one level deep.
-    fn route(&self, env: Envelope) -> SendStatus {
+    /// Queue one envelope on a node's inbox or the external queue (its `to`
+    /// names the driver's port).  Sent to an idle node from a node's own
+    /// thread, it runs that node's next batch here, one level deep; from a
+    /// nested handle, only a `one_sided` envelope alone in the inbox does.
+    fn route(&self, env: Envelope, one_sided: bool) -> SendStatus {
         let (fabric, to, to_node) = (&self.fabric, env.to, external_port(env.to).is_none());
         let inbox = external_port(to).map_or(fabric.nodes.get(to), |_| Some(&fabric.external));
         let Some(inbox) = inbox else {
@@ -364,7 +362,8 @@ impl NodeCtx {
         }
         slot.queue.push_back(Some(env));
         let mut batch = Vec::new();
-        if !self.nested && slot.node.is_some() {
+        let alone = one_sided && slot.queue.len() == 1;
+        if (!self.nested || alone) && slot.node.is_some() {
             slot.drain(&mut batch, false);
         }
         let node = slot.node.take_if(|_| !batch.is_empty());
@@ -397,13 +396,14 @@ impl NodeCtx {
     /// Send a two-segment message (`data ‖ payload`) to another node without
     /// copying the payload: the bulk segment is moved as a shared view.
     pub fn send_vectored(&self, to: usize, tag: u64, data: Bytes, payload: Bytes) -> SendStatus {
-        self.route(Envelope {
+        let env = Envelope {
             from: self.node_id,
             to,
             tag,
             data,
             payload,
-        })
+        };
+        self.route(env, false)
     }
 
     /// Send bytes to the external observer (the driving thread), port 0.
@@ -449,7 +449,8 @@ pub trait ThreadedNode: Send {
 /// A running cluster of threaded nodes.  Dropping it stops the clock and
 /// every node and joins their threads.
 pub struct ThreadCluster {
-    /// The driver's handle on the fabric: its sends only queue.
+    /// The driver's handle on the fabric: its sends only queue, one-sided
+    /// ones aside.
     driver: NodeCtx,
     /// The node threads, then the clock thread (if any).
     handles: Vec<JoinHandle<()>>,
@@ -542,8 +543,8 @@ impl ThreadCluster {
     /// Inject a two-segment message (`data ‖ payload`, the payload moved as
     /// a shared view) carrying the identity of external port `port` — nodes
     /// see `from ==`[`external_id`]`(port)` and can answer the exact
-    /// driver-side endpoint that sent it.  The driver only queues: it never
-    /// runs a node.
+    /// driver-side endpoint that sent it.  It only queues: the node's own
+    /// thread runs it.
     pub fn send_vectored_from_port(
         &self,
         port: usize,
@@ -552,13 +553,36 @@ impl ThreadCluster {
         data: Bytes,
         payload: Bytes,
     ) -> SendStatus {
-        self.driver.route(Envelope {
+        let env = Envelope {
             from: external_id(port),
             to,
             tag,
             data,
             payload,
-        })
+        };
+        self.driver.route(env, false)
+    }
+
+    /// [`send_vectored_from_port`](Self::send_vectored_from_port) for an
+    /// envelope the caller vouches runs no guest code and never blocks (a
+    /// one-sided GET or PUT): alone in an idle node's inbox, it is run here
+    /// by that node, one level deep (what the node sends only queues).
+    pub fn send_one_sided_from_port(
+        &self,
+        port: usize,
+        to: usize,
+        tag: u64,
+        data: Bytes,
+        payload: Bytes,
+    ) -> SendStatus {
+        let env = Envelope {
+            from: external_id(port),
+            to,
+            tag,
+            data,
+            payload,
+        };
+        self.driver.route(env, true)
     }
 
     /// Wait for a message sent to the external observer: yield a few times,
@@ -771,7 +795,7 @@ mod tests {
                 fabric,
                 nested: true,
             };
-            ctx.route(env)
+            ctx.route(env, false)
         });
         let parked = std::time::Instant::now();
         let env = cluster.recv_external(Duration::from_secs(5));
@@ -1004,7 +1028,7 @@ mod tests {
     }
 
     /// Forwards like [`RelayNode`] and logs which thread ran each batch.
-    struct Traced(Arc<std::sync::Mutex<Vec<(usize, String)>>>);
+    struct Traced(Arc<std::sync::Mutex<Vec<(usize, std::thread::Thread)>>>);
 
     impl ThreadedNode for Traced {
         fn on_message(&mut self, msg: Envelope, ctx: &NodeCtx) {
@@ -1012,8 +1036,7 @@ mod tests {
         }
 
         fn on_batch(&mut self, msgs: Vec<Envelope>, ctx: &NodeCtx) {
-            let thread = std::thread::current().name().map(String::from);
-            let ran = (ctx.node_id(), thread.unwrap_or_default());
+            let ran = (ctx.node_id(), std::thread::current());
             self.0.lock().unwrap().push(ran);
             for msg in msgs {
                 self.on_message(msg, ctx);
@@ -1021,19 +1044,29 @@ mod tests {
         }
     }
 
-    /// Relay one envelope from the driver down `nodes` traced nodes: which
-    /// node ran on which thread, in order.
-    fn traced_relay(nodes: usize) -> Vec<(usize, String)> {
+    /// Relay one envelope from the driver down `nodes` traced nodes, sent
+    /// one-sided or plain: which node ran on which thread, in order (the
+    /// thread that sent it, by id, as `"caller"`).
+    fn traced_relay(nodes: usize, one_sided: bool) -> Vec<(usize, String)> {
         let log = Arc::default();
         let cluster = ThreadCluster::start(nodes, |_| Traced(Arc::clone(&log)));
-        assert!(cluster
-            .send(0, 7, 1u64.to_le_bytes().to_vec())
-            .is_delivered());
+        let data = Bytes::from(1u64.to_le_bytes().to_vec());
+        let sent = match one_sided {
+            true => cluster.send_one_sided_from_port(0, 0, 7, data, Bytes::new()),
+            false => cluster.send_vectored_from_port(0, 0, 7, data, Bytes::new()),
+        };
+        assert!(sent.is_delivered());
         let env = cluster.recv_external(Duration::from_secs(5));
         assert_eq!(env.expect("the relay's result").from, nodes - 1);
         cluster.shutdown();
-        let ran = log.lock().unwrap().clone();
-        ran
+        let caller = std::thread::current().id();
+        let ran = log.lock().unwrap();
+        ran.iter()
+            .map(|(node, thread)| match thread.id() == caller {
+                true => (*node, "caller".to_string()),
+                false => (*node, thread.name().unwrap_or_default().to_string()),
+            })
+            .collect()
     }
 
     fn on(node: usize, thread: usize) -> (usize, String) {
@@ -1044,12 +1077,31 @@ mod tests {
     fn a_forward_to_an_idle_node_runs_on_the_senders_thread() {
         // The driver's send wakes node 0; node 1 sits idle in its inbox, so
         // node 0's forward runs it right there.
-        assert_eq!(traced_relay(2), [on(0, 0), on(1, 0)]);
+        assert_eq!(traced_relay(2, false), [on(0, 0), on(1, 0)]);
     }
 
     #[test]
     fn a_node_run_in_place_only_queues_so_the_next_hop_runs_on_its_own_thread() {
-        assert_eq!(traced_relay(3), [on(0, 0), on(1, 0), on(2, 2)]);
+        assert_eq!(traced_relay(3, false), [on(0, 0), on(1, 0), on(2, 2)]);
+    }
+
+    #[test]
+    fn a_one_sided_send_to_an_idle_node_runs_on_the_callers_thread() {
+        assert_eq!(traced_relay(1, true), [(0, "caller".to_string())]);
+    }
+
+    #[test]
+    fn a_plain_send_from_the_driver_to_an_idle_node_never_runs_in_place() {
+        assert_eq!(traced_relay(1, false), [on(0, 0)]);
+    }
+
+    #[test]
+    fn what_a_node_run_by_the_driver_sends_only_queues_and_runs_on_its_own_thread() {
+        // Node 0 runs on the caller's thread; its forward to idle node 1 is
+        // only queued, so node 1 runs on its own thread, and node 1's own
+        // forward to idle node 2 runs node 2 there as usual.
+        let caller = (0, "caller".to_string());
+        assert_eq!(traced_relay(3, true), [caller, on(1, 1), on(2, 1)]);
     }
 
     #[test]
@@ -1183,39 +1235,54 @@ mod tests {
         assert!(!log.lock().unwrap().contains(&Did::TickElsewhere));
     }
 
-    #[test]
-    fn a_run_in_place_takes_its_inbox_from_the_front_and_leaves_a_tick_to_the_owner() {
-        // A fabric with no threads, so nothing races the sends below: node
-        // 0's inbox holds an envelope queued while the node was busy.
-        struct Tags(Arc<std::sync::Mutex<Vec<Vec<u64>>>>);
-        impl ThreadedNode for Tags {
-            fn on_message(&mut self, _msg: Envelope, _ctx: &NodeCtx) {}
-            fn on_batch(&mut self, msgs: Vec<Envelope>, _ctx: &NodeCtx) {
-                self.0
-                    .lock()
-                    .unwrap()
-                    .push(msgs.iter().map(|m| m.tag).collect());
-            }
+    /// The tags of every batch a node ran, batch by batch.
+    type Ran = Arc<std::sync::Mutex<Vec<Vec<u64>>>>;
+
+    /// Logs the tags of every batch it runs.
+    struct Tags(Ran);
+
+    impl ThreadedNode for Tags {
+        fn on_message(&mut self, _msg: Envelope, _ctx: &NodeCtx) {}
+        fn on_batch(&mut self, msgs: Vec<Envelope>, _ctx: &NodeCtx) {
+            let tags = msgs.iter().map(|m| m.tag).collect();
+            self.0.lock().unwrap().push(tags);
         }
-        let ran = Arc::default();
+    }
+
+    /// A fabric of two inboxes and no threads, so nothing races a test's
+    /// sends, with a [`Tags`] node idle in node 0's inbox: the fabric, what
+    /// node 0 ran, and `enqueue`, which queues on node 0 as if it were busy.
+    fn threadless() -> (Arc<Fabric>, Ran, impl Fn(Control)) {
+        let ran = Ran::default();
         let fabric = Arc::new(Fabric {
             nodes: (0..2).map(|_| Inbox::default()).collect(),
             ..Fabric::default()
         });
-        let enqueue = |ctrl: Control| {
-            fabric
-                .in_flight
-                .fetch_add(u64::from(ctrl.is_some()), Ordering::SeqCst);
-            fabric.nodes[0].lock().queue.push_back(ctrl);
-        };
         fabric.nodes[0].lock().node = Some(Box::new(Tags(Arc::clone(&ran))));
-        enqueue(Some(Envelope {
-            from: 1,
+        let queued = Arc::clone(&fabric);
+        let enqueue = move |ctrl: Control| {
+            let count = u64::from(ctrl.is_some());
+            queued.in_flight.fetch_add(count, Ordering::SeqCst);
+            queued.nodes[0].lock().queue.push_back(ctrl);
+        };
+        (fabric, ran, enqueue)
+    }
+
+    fn to_node_0(from: usize, tag: u64) -> Envelope {
+        Envelope {
+            from,
             to: 0,
-            tag: 1,
+            tag,
             data: Bytes::new(),
             payload: Bytes::new(),
-        }));
+        }
+    }
+
+    #[test]
+    fn a_run_in_place_takes_its_inbox_from_the_front_and_leaves_a_tick_to_the_owner() {
+        // Node 0's inbox holds an envelope queued while the node was busy.
+        let (fabric, ran, enqueue) = threadless();
+        enqueue(Some(to_node_0(1, 1)));
         let node_1 = NodeCtx {
             node_id: 1,
             fabric: Arc::clone(&fabric),
@@ -1235,6 +1302,64 @@ mod tests {
             "the owner takes the tick"
         );
         assert_eq!(batch.iter().map(|m| m.tag).collect::<Vec<_>>(), [3]);
+    }
+
+    #[test]
+    fn a_one_sided_send_behind_a_queued_envelope_only_queues_and_keeps_send_order() {
+        let (fabric, ran, enqueue) = threadless();
+        let driver = NodeCtx {
+            node_id: EXTERNAL_SENDER,
+            fabric: Arc::clone(&fabric),
+            nested: true,
+        };
+        // Node 0 is idle, but node 1's envelope is queued ahead: the driver
+        // neither overtakes it nor runs it.
+        enqueue(Some(to_node_0(1, 1)));
+        assert!(driver
+            .route(to_node_0(EXTERNAL_SENDER, 2), true)
+            .is_delivered());
+        assert!(ran.lock().unwrap().is_empty(), "nothing ran on the driver");
+        let mut batch = Vec::new();
+        fabric.nodes[0].lock().drain(&mut batch, true);
+        assert_eq!(batch.iter().map(|m| m.tag).collect::<Vec<_>>(), [1, 2]);
+        // Alone in the idle inbox, the next one runs here, and only it.
+        assert!(driver
+            .route(to_node_0(EXTERNAL_SENDER, 3), true)
+            .is_delivered());
+        assert_eq!(*ran.lock().unwrap(), [vec![3]]);
+    }
+
+    #[test]
+    fn a_tick_queued_behind_a_one_sided_run_is_taken_by_the_owner_thread() {
+        // No clock: the test queues the one tick itself, so no tick can be
+        // ahead of the one-sided envelope and keep it from running in place.
+        let t = ticked(1, None);
+        let inbox = &t.cluster.driver.fabric.nodes[0];
+        let (in_place, during, sent) = std::thread::scope(|scope| {
+            let sending = scope.spawn(|| {
+                let (data, payload) = (Bytes::new(), Bytes::new());
+                t.cluster.send_one_sided_from_port(0, 0, 2, data, payload)
+            });
+            t.entered.recv().expect("node 0's handler is entered");
+            // The send has not returned: its own thread is in the handler.
+            let in_place = !sending.is_finished();
+            inbox.tick();
+            // The tick wakes the parked owner, which finds its node away and
+            // parks again: only the hand-back may wake it now.
+            std::thread::sleep(CADENCE * 4);
+            let during = t.logs[0].lock().unwrap().clone();
+            t.release.send(()).unwrap();
+            (in_place, during, sending.join().unwrap())
+        });
+        assert!(in_place, "the handler ran on another thread");
+        assert!(sent.is_delivered());
+        assert_eq!(during, [Did::Batch(1)]);
+        let log = &t.logs[0];
+        eventually("node 0's tick on its own thread", || {
+            log.lock().unwrap().contains(&Did::Tick)
+        });
+        assert_eq!(*log.lock().unwrap(), [Did::Batch(1), Did::Tick]);
+        t.cluster.shutdown();
     }
 
     /// However deep the queue, one batch holds at most [`DEFAULT_MAX_BATCH`]
