@@ -494,10 +494,9 @@ fn compile_call(
             let (r, _) = compile_expr(f, ctx, a, Some(Ty::U64))?;
             arg_regs.push(r);
         }
-        let dst = f
-            .call_ext(name, arg_regs, true)
-            .expect("ext call returns value");
-        Ok((dst, Ty::U64))
+        let dst = f.call_ext(name, arg_regs, true);
+        let no_value = || ChainlangError::Codegen(format!("call to `{name}` yields no register"));
+        Ok((dst.ok_or_else(no_value)?, Ty::U64))
     } else {
         Err(ChainlangError::Restriction(format!(
             "call to `{name}` cannot be resolved statically"

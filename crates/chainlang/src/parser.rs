@@ -109,113 +109,6 @@ impl<'a> Lexer<'a> {
             return Ok((Tok::Eof, line));
         };
         let tok = match b {
-            b'(' => {
-                self.bump();
-                Tok::LParen
-            }
-            b')' => {
-                self.bump();
-                Tok::RParen
-            }
-            b'{' => {
-                self.bump();
-                Tok::LBrace
-            }
-            b'}' => {
-                self.bump();
-                Tok::RBrace
-            }
-            b',' => {
-                self.bump();
-                Tok::Comma
-            }
-            b';' => {
-                self.bump();
-                Tok::Semi
-            }
-            b':' => {
-                self.bump();
-                Tok::Colon
-            }
-            b'+' => {
-                self.bump();
-                Tok::Plus
-            }
-            b'*' => {
-                self.bump();
-                Tok::Star
-            }
-            b'/' => {
-                self.bump();
-                Tok::Slash
-            }
-            b'%' => {
-                self.bump();
-                Tok::Percent
-            }
-            b'-' => {
-                self.bump();
-                if self.peek_byte() == Some(b'>') {
-                    self.bump();
-                    Tok::Arrow
-                } else {
-                    Tok::Minus
-                }
-            }
-            b'=' => {
-                self.bump();
-                if self.peek_byte() == Some(b'=') {
-                    self.bump();
-                    Tok::EqEq
-                } else {
-                    Tok::Assign
-                }
-            }
-            b'!' => {
-                self.bump();
-                if self.peek_byte() == Some(b'=') {
-                    self.bump();
-                    Tok::NotEq
-                } else {
-                    return Err(self.error("expected `!=`"));
-                }
-            }
-            b'<' => {
-                self.bump();
-                if self.peek_byte() == Some(b'=') {
-                    self.bump();
-                    Tok::Le
-                } else {
-                    Tok::Lt
-                }
-            }
-            b'>' => {
-                self.bump();
-                if self.peek_byte() == Some(b'=') {
-                    self.bump();
-                    Tok::Ge
-                } else {
-                    Tok::Gt
-                }
-            }
-            b'&' => {
-                self.bump();
-                if self.peek_byte() == Some(b'&') {
-                    self.bump();
-                    Tok::AndAnd
-                } else {
-                    return Err(self.error("expected `&&`"));
-                }
-            }
-            b'|' => {
-                self.bump();
-                if self.peek_byte() == Some(b'|') {
-                    self.bump();
-                    Tok::OrOr
-                } else {
-                    return Err(self.error("expected `||`"));
-                }
-            }
             b'"' => {
                 self.bump();
                 let mut s = String::new();
@@ -234,9 +127,9 @@ impl<'a> Lexer<'a> {
                 {
                     self.bump();
                 }
-                let text: String = std::str::from_utf8(&self.src[start..self.pos])
-                    .unwrap()
-                    .replace('_', "");
+                // ASCII digits, `.` and `_` only: each byte is its own char.
+                let digits = self.src[start..self.pos].iter().filter(|&&c| c != b'_');
+                let text: String = digits.map(|&c| c as char).collect();
                 if text.contains('.') {
                     let v: f64 = text
                         .parse()
@@ -255,8 +148,9 @@ impl<'a> Lexer<'a> {
                 {
                     self.bump();
                 }
-                let word = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
-                match word {
+                let bytes = &self.src[start..self.pos];
+                let word: String = bytes.iter().map(|&c| c as char).collect();
+                match word.as_str() {
                     "fn" => Tok::Fn,
                     "let" => Tok::Let,
                     "if" => Tok::If,
@@ -264,12 +158,52 @@ impl<'a> Lexer<'a> {
                     "while" => Tok::While,
                     "return" => Tok::Return,
                     "dep" => Tok::Dep,
-                    _ => Tok::Ident(word.to_string()),
+                    _ => Tok::Ident(word),
                 }
             }
-            other => return Err(self.error(format!("unexpected character `{}`", other as char))),
+            _ => self.punct(b)?,
         };
         Ok((tok, line))
+    }
+
+    /// The operator or punctuation token starting with `b`: its two-byte
+    /// form when the second byte follows, else its one-byte form, if any.
+    fn punct(&mut self, b: u8) -> Result<Tok> {
+        let (second, two, one) = match b {
+            b'-' => (b'>', Tok::Arrow, Some(Tok::Minus)),
+            b'=' => (b'=', Tok::EqEq, Some(Tok::Assign)),
+            b'!' => (b'=', Tok::NotEq, None),
+            b'<' => (b'=', Tok::Le, Some(Tok::Lt)),
+            b'>' => (b'=', Tok::Ge, Some(Tok::Gt)),
+            b'&' => (b'&', Tok::AndAnd, None),
+            b'|' => (b'|', Tok::OrOr, None),
+            _ => {
+                let one = match b {
+                    b'(' => Tok::LParen,
+                    b')' => Tok::RParen,
+                    b'{' => Tok::LBrace,
+                    b'}' => Tok::RBrace,
+                    b',' => Tok::Comma,
+                    b';' => Tok::Semi,
+                    b':' => Tok::Colon,
+                    b'+' => Tok::Plus,
+                    b'*' => Tok::Star,
+                    b'/' => Tok::Slash,
+                    b'%' => Tok::Percent,
+                    other => {
+                        return Err(self.error(format!("unexpected character `{}`", other as char)))
+                    }
+                };
+                self.bump();
+                return Ok(one);
+            }
+        };
+        self.bump();
+        if self.peek_byte() == Some(second) {
+            self.bump();
+            return Ok(two);
+        }
+        one.ok_or_else(|| self.error(format!("expected `{}{}`", b as char, second as char)))
     }
 }
 
@@ -317,7 +251,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, tok: Tok, what: &str) -> Result<()> {
+    fn eat(&mut self, tok: Tok, what: &str) -> Result<()> {
         if *self.peek() == tok {
             self.bump();
             Ok(())
@@ -348,7 +282,7 @@ impl Parser {
                             )))
                         }
                     }
-                    self.expect(Tok::Semi, "`;`")?;
+                    self.eat(Tok::Semi, "`;`")?;
                 }
                 Tok::Fn => program.functions.push(self.function()?),
                 other => return Err(self.error(format!("expected `fn` or `dep`, found {other:?}"))),
@@ -358,22 +292,22 @@ impl Parser {
     }
 
     fn function(&mut self) -> Result<FnDef> {
-        self.expect(Tok::Fn, "`fn`")?;
+        self.eat(Tok::Fn, "`fn`")?;
         let name = self.ident("function name")?;
-        self.expect(Tok::LParen, "`(`")?;
+        self.eat(Tok::LParen, "`(`")?;
         let mut params = Vec::new();
         while *self.peek() != Tok::RParen {
             if !params.is_empty() {
-                self.expect(Tok::Comma, "`,`")?;
+                self.eat(Tok::Comma, "`,`")?;
             }
             let pname = self.ident("parameter name")?;
-            self.expect(Tok::Colon, "`:`")?;
+            self.eat(Tok::Colon, "`:`")?;
             let tname = self.ident("parameter type")?;
             let ty =
                 Ty::parse(&tname).ok_or_else(|| self.error(format!("unknown type `{tname}`")))?;
             params.push((pname, ty));
         }
-        self.expect(Tok::RParen, "`)`")?;
+        self.eat(Tok::RParen, "`)`")?;
         let ret = if *self.peek() == Tok::Arrow {
             self.bump();
             let tname = self.ident("return type")?;
@@ -391,12 +325,12 @@ impl Parser {
     }
 
     fn block(&mut self) -> Result<Vec<Stmt>> {
-        self.expect(Tok::LBrace, "`{`")?;
+        self.eat(Tok::LBrace, "`{`")?;
         let mut stmts = Vec::new();
         while *self.peek() != Tok::RBrace {
             stmts.push(self.statement()?);
         }
-        self.expect(Tok::RBrace, "`}`")?;
+        self.eat(Tok::RBrace, "`}`")?;
         Ok(stmts)
     }
 
@@ -405,13 +339,13 @@ impl Parser {
             Tok::Let => {
                 self.bump();
                 let name = self.ident("variable name")?;
-                self.expect(Tok::Colon, "`:` (all variables are explicitly typed)")?;
+                self.eat(Tok::Colon, "`:` (all variables are explicitly typed)")?;
                 let tname = self.ident("type")?;
                 let ty = Ty::parse(&tname)
                     .ok_or_else(|| self.error(format!("unknown type `{tname}`")))?;
-                self.expect(Tok::Assign, "`=`")?;
+                self.eat(Tok::Assign, "`=`")?;
                 let value = self.expr()?;
-                self.expect(Tok::Semi, "`;`")?;
+                self.eat(Tok::Semi, "`;`")?;
                 Ok(Stmt::Let { name, ty, value })
             }
             Tok::If => {
@@ -439,7 +373,7 @@ impl Parser {
             Tok::Return => {
                 self.bump();
                 let value = self.expr()?;
-                self.expect(Tok::Semi, "`;`")?;
+                self.eat(Tok::Semi, "`;`")?;
                 Ok(Stmt::Return(value))
             }
             Tok::Ident(name) => {
@@ -448,11 +382,11 @@ impl Parser {
                     self.bump();
                     self.bump();
                     let value = self.expr()?;
-                    self.expect(Tok::Semi, "`;`")?;
+                    self.eat(Tok::Semi, "`;`")?;
                     Ok(Stmt::Assign { name, value })
                 } else {
                     let e = self.expr()?;
-                    self.expect(Tok::Semi, "`;`")?;
+                    self.eat(Tok::Semi, "`;`")?;
                     Ok(Stmt::Expr(e))
                 }
             }
@@ -561,7 +495,7 @@ impl Parser {
             Tok::Float(v) => Ok(Expr::Float(v)),
             Tok::LParen => {
                 let e = self.expr()?;
-                self.expect(Tok::RParen, "`)`")?;
+                self.eat(Tok::RParen, "`)`")?;
                 Ok(e)
             }
             Tok::Ident(name) => {
@@ -570,11 +504,11 @@ impl Parser {
                     let mut args = Vec::new();
                     while *self.peek() != Tok::RParen {
                         if !args.is_empty() {
-                            self.expect(Tok::Comma, "`,`")?;
+                            self.eat(Tok::Comma, "`,`")?;
                         }
                         args.push(self.expr()?);
                     }
-                    self.expect(Tok::RParen, "`)`")?;
+                    self.eat(Tok::RParen, "`)`")?;
                     Ok(Expr::Call { name, args })
                 } else {
                     Ok(Expr::Var(name))
@@ -588,6 +522,29 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_operator_lexes_and_a_lone_half_of_a_pair_is_refused() {
+        use Tok::*;
+        let mut lexer = Lexer::new("( ) { } , ; : -> - == = != <= < >= > && || + * / %");
+        for want in [
+            LParen, RParen, LBrace, RBrace, Comma, Semi, Colon, Arrow, Minus, EqEq, Assign, NotEq,
+            Le, Lt, Ge, Gt, AndAnd, OrOr, Plus, Star, Slash, Percent, Eof,
+        ] {
+            assert_eq!(lexer.next_tok().unwrap().0, want);
+        }
+        for (src, want) in [
+            ("!x", "expected `!=`"),
+            ("&", "expected `&&`"),
+            ("|x", "expected `||`"),
+            ("@", "unexpected character `@`"),
+        ] {
+            match Lexer::new(src).next_tok() {
+                Err(ChainlangError::Parse { line: 1, message }) => assert_eq!(message, want),
+                other => panic!("{src}: {other:?}"),
+            }
+        }
+    }
 
     #[test]
     fn parses_tsi_kernel() {

@@ -225,7 +225,9 @@ pub trait Transport {
     fn deploy_am(&mut self, name: &str, handler: NativeAmHandler) -> Result<()>;
 
     /// Pick up operations client `id` has posted and move them into the
-    /// fabric.
+    /// fabric.  The socket driver writes only to a server that has answered
+    /// its last write and leaves the rest to the caller's next progress call
+    /// ([`SocketTransport`]'s `flush_client` has the rule and its limits).
     fn flush_client(&mut self, id: ClientId) -> Result<()>;
 
     /// Advance the transport by one unit of progress (one simulated event,
@@ -282,9 +284,7 @@ pub trait Transport {
         if rank < self.client_count() {
             return wire::peek(self.client(ClientId(rank)), addr, len as u64).ok_or_else(failed);
         }
-        let mut body = Vec::with_capacity(16);
-        body.extend_from_slice(&addr.to_le_bytes());
-        body.extend_from_slice(&(len as u64).to_le_bytes());
+        let body = [addr.to_le_bytes(), (len as u64).to_le_bytes()].concat();
         let reply = self.control(rank, wire::TAG_PEEK, &body)?;
         // A failed peek answers with an empty body.
         if reply.len() != len {
@@ -300,9 +300,7 @@ pub trait Transport {
             let client = self.client_mut(ClientId(rank));
             client.memory.write(addr, data).is_ok()
         } else {
-            let mut body = Vec::with_capacity(8 + data.len());
-            body.extend_from_slice(&addr.to_le_bytes());
-            body.extend_from_slice(data);
+            let body = [&addr.to_le_bytes()[..], data].concat();
             self.control(rank, wire::TAG_POKE, &body)? == [1]
         };
         if !ok {
@@ -660,9 +658,7 @@ impl<T: Transport> Cluster<T> {
 
     /// [`Cluster::client_runtime`], mutable.
     fn client_runtime_mut(&mut self, id: ClientId) -> Result<&mut NodeRuntime> {
-        if id.0 >= self.transport.client_count() {
-            return Err(no_such_client(id));
-        }
+        self.client_runtime(id)?;
         Ok(self.transport.client_mut(id))
     }
 
@@ -734,8 +730,7 @@ impl<T: Transport> Cluster<T> {
 
     /// Write a u64 into a node's memory (seed counters, install tables).
     pub fn write_u64(&mut self, rank: usize, addr: u64, value: u64) -> Result<()> {
-        self.transport
-            .write_memory(rank, addr, &value.to_le_bytes())
+        self.write_memory(rank, addr, &value.to_le_bytes())
     }
 
     /// Write bytes into a node's memory.
@@ -1299,9 +1294,10 @@ impl ClusterBuilder {
         (client, server)
     }
 
-    fn sim_transport(self) -> SimTransport {
+    /// Build on the discrete-event backend.
+    pub fn build_sim(self) -> Cluster<SimTransport> {
         let (client, server) = self.resolved_triples();
-        SimTransport::with_config(
+        Cluster::new(SimTransport::with_config(
             self.platform,
             self.clients,
             self.servers,
@@ -1309,42 +1305,20 @@ impl ClusterBuilder {
             server,
             self.fault_plan,
             self.rel_config,
-        )
-    }
-
-    fn thread_transport(self) -> ThreadTransport {
-        let (client, server) = self.resolved_triples();
-        ThreadTransport::with_config(
-            self.clients,
-            self.servers,
-            client,
-            server,
-            self.fault_plan,
-            self.rel_config,
-        )
-    }
-
-    fn socket_transport(self) -> Result<SocketTransport> {
-        let (client, server) = self.resolved_triples();
-        SocketTransport::connect_config(
-            self.clients,
-            self.servers,
-            client,
-            server,
-            self.fault_plan,
-            self.rel_config,
-            self.socket,
-        )
-    }
-
-    /// Build on the discrete-event backend.
-    pub fn build_sim(self) -> Cluster<SimTransport> {
-        Cluster::new(self.sim_transport())
+        ))
     }
 
     /// Build on the real-thread backend.
     pub fn build_threaded(self) -> Cluster<ThreadTransport> {
-        Cluster::new(self.thread_transport())
+        let (client, server) = self.resolved_triples();
+        Cluster::new(ThreadTransport::with_config(
+            self.clients,
+            self.servers,
+            client,
+            server,
+            self.fault_plan,
+            self.rel_config,
+        ))
     }
 
     /// Build on the cross-process socket backend: spawns (or awaits) one OS
@@ -1352,7 +1326,16 @@ impl ClusterBuilder {
     /// backends, startup is fallible — the server binary may be missing or
     /// a server process may fail to dial in.
     pub fn build_socket(self) -> Result<Cluster<SocketTransport>> {
-        Ok(Cluster::new(self.socket_transport()?))
+        let (client, server) = self.resolved_triples();
+        Ok(Cluster::new(SocketTransport::connect_config(
+            self.clients,
+            self.servers,
+            client,
+            server,
+            self.fault_plan,
+            self.rel_config,
+            self.socket,
+        )?))
     }
 
     /// Build on a runtime-chosen backend behind a trait object — lets one
@@ -1360,11 +1343,12 @@ impl ClusterBuilder {
     /// wrapped once.
     pub fn build(self, backend: Backend) -> Cluster<Box<dyn Transport>> {
         let transport: Box<dyn Transport> = match backend {
-            Backend::Simnet => Box::new(self.sim_transport()),
-            Backend::Threads => Box::new(self.thread_transport()),
+            Backend::Simnet => Box::new(self.build_sim().into_transport()),
+            Backend::Threads => Box::new(self.build_threaded().into_transport()),
             Backend::Socket => Box::new(
-                self.socket_transport()
-                    .expect("socket backend failed to start"),
+                self.build_socket()
+                    .expect("socket backend failed to start")
+                    .into_transport(),
             ),
         };
         Cluster::new(transport)

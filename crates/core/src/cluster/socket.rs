@@ -1,36 +1,27 @@
 //! The cross-process backend: each server rank is a separate OS process,
 //! reached over TCP or Unix-domain sockets.
 //!
-//! Topology is a star: the driver process hosts the client runtimes and a
-//! listener; every server process dials in, introduces itself with a HELLO
-//! frame, and receives the cluster configuration (rank layout, target
-//! triple, reliability tunables) in the WELCOME reply.
-//! Server-to-server traffic — recursive ifunc hops, X-RDMA result returns —
-//! is relayed through the driver, preserving end-to-end reliability
-//! semantics per (source, destination) link.
+//! Topology is a star: the driver hosts the client runtimes and a listener;
+//! every server process dials in with a HELLO and gets the cluster
+//! configuration (rank layout, target triple, link tunables) in the WELCOME.
+//! Server-to-server traffic is relayed through the driver, reliable per
+//! (source, destination) link.
 //!
-//! Frames reuse the [`wire`] codec unchanged: a [`tc_net::Frame`]'s `data`
-//! segment carries exactly the bytes a threaded envelope would, and the
-//! detached `payload` segment is the scatter-gather half of
-//! [`wire::encode_op_vectored`], written to the socket with vectored I/O so
-//! a large PUT or ifunc library crosses the process boundary without a
-//! send-side copy.  The control plane — peek, poke, stats, AM deployment —
-//! is [`wire`]'s too, served by each server process's host as on the
-//! threaded backend; the `TAG_*` constants here are only the session frames
-//! between the driver and a server process (handshake, digest, liveness,
-//! link reset, shutdown).
+//! Frames carry the [`wire`] codec unchanged: a [`tc_net::Frame`]'s `data`
+//! is what a threaded envelope holds, its `payload` the scatter-gather half
+//! of [`wire::encode_op_vectored`], written with vectored I/O (no send-side
+//! copy).  Control requests are [`wire`]'s too, served by each process's
+//! host; the `TAG_*` constants here are the driver ↔ process session frames.
+//! A flush writes to a server only once it has answered the driver's last
+//! write (`flush_client`), so a window of operations costs one `writev` per
+//! pass, not one per operation.
 //!
-//! With a [`FaultPlan`] installed, every endpoint runs a reliable link
-//! endpoint (the crate-private `link` module), so delivery stays
-//! exactly-once and in-order over a lossy socket, and every reliable frame
-//! and ack meets one fault decision per traversal: a client's at its host's
-//! gate as it is emitted, as on the threaded backend; a server process's
-//! (it carries no plan) at the driver's one ingress gate as it arrives.
-//!
-//! The client ranks, errors, chaos session, tokens and stall rule are the
-//! crate-private `host` module's `Driver`, shared with the threaded backend;
-//! this one keeps the connections and their admission, the ingress gate,
-//! the inbox and crash recovery.
+//! Under a [`FaultPlan`] every endpoint runs a reliable link, and every
+//! reliable frame and ack meets one fault decision: a client's at its host's
+//! gate, a server process's (it carries no plan) at the driver's ingress gate.
+//! The client ranks, errors, tokens and stall rule are the crate-private
+//! `host` module's `Driver`; this module keeps the connections, their
+//! admission, the ingress gate, the inbox and crash recovery.
 
 use super::host::{self, Driver, EmitFrom};
 use super::link::{self, Digest};
@@ -45,7 +36,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use tc_bitir::TargetTriple;
 use tc_chaos::{FaultPlan, HoldBack};
-use tc_net::{ChildGuard, Connection, Frame, Listener, NetError, SocketSpec};
+use tc_net::{ChildGuard, Connection, Frame, IoCalls, Listener, NetError, SocketSpec};
 
 /// Session tag: server → driver introduction (`[magic][version][rank]`).
 pub const TAG_HELLO: u64 = 100;
@@ -155,6 +146,9 @@ struct ServerLink {
     state: LinkState,
     /// Latest link digest published by the server.
     rel: Digest,
+    /// The server has sent a frame since the driver last wrote to it: only
+    /// then may a flush write to it (Nagle's rule, see `flush_client`).
+    answered: bool,
     /// Last instant any frame arrived from this link (liveness baseline).
     last_activity: Instant,
     /// When an outstanding liveness PING was sent, if any.
@@ -174,6 +168,7 @@ impl ServerLink {
             child: None,
             state: LinkState::Active,
             rel: Digest::default(),
+            answered: true,
             last_activity: Instant::now(),
             ping_sent_at: None,
             respawn_attempts: 0,
@@ -464,13 +459,17 @@ impl SocketTransport {
         &self.driver.errors
     }
 
+    /// The driver's system calls on its live server connections (a
+    /// connection that dies takes its counts with it).
+    pub fn io_calls(&self) -> IoCalls {
+        let conns = self.links.iter().filter_map(|l| l.conn.as_ref());
+        conns.map(Connection::io_calls).sum()
+    }
+
     /// Number of spawned server processes still running.
     pub fn live_children(&mut self) -> usize {
-        self.links
-            .iter_mut()
-            .filter_map(|l| l.child.as_mut())
-            .map(|c| c.alive() as usize)
-            .sum()
+        let children = self.links.iter_mut().filter_map(|l| l.child.as_mut());
+        children.map(|c| c.alive() as usize).sum()
     }
 
     /// Kill the spawned process behind server index `idx` (rank
@@ -587,10 +586,8 @@ impl SocketTransport {
 
     /// Exponential respawn backoff: `recovery_backoff · 2^attempt`, capped.
     fn recovery_delay(&self, attempt: u32) -> Duration {
-        let mult = 1u32 << attempt.min(10);
-        link::RECOVERY_BACKOFF
-            .saturating_mul(mult)
-            .min(link::RECOVERY_BACKOFF_MAX)
+        let backoff = link::RECOVERY_BACKOFF.saturating_mul(1 << attempt.min(10));
+        backoff.min(link::RECOVERY_BACKOFF_MAX)
     }
 
     /// The recovery driver (recovery mode): schedule respawns of dead ranks
@@ -699,6 +696,7 @@ impl SocketTransport {
         {
             let link = &mut self.links[idx];
             link.state = LinkState::Active;
+            link.answered = true;
             link.gave_up = false;
             link.last_activity = Instant::now();
             link.ping_sent_at = None;
@@ -769,18 +767,23 @@ impl SocketTransport {
         }
     }
 
-    /// Pump every link's write queue; socket failures mark the link dead.
+    /// Pump every link's write queue.
     fn pump_writes(&mut self) {
         for idx in 0..self.links.len() {
-            let Some(conn) = self.links[idx].conn.as_mut() else {
-                continue;
-            };
-            if conn.pending_writes() == 0 {
-                continue;
-            }
-            if let Err(e) = conn.pump_write() {
-                self.fail_link(idx, e);
-            }
+            self.pump_write(idx);
+        }
+    }
+
+    /// Pump link `idx`'s write queue: bytes written leave the link
+    /// unanswered; a socket failure marks it dead.
+    fn pump_write(&mut self, idx: usize) {
+        let link = &mut self.links[idx];
+        let Some(conn) = link.conn.as_mut().filter(|c| c.pending_writes() > 0) else {
+            return;
+        };
+        match conn.pump_write() {
+            Ok(wrote) => link.answered &= !wrote,
+            Err(e) => self.fail_link(idx, e),
         }
     }
 
@@ -796,8 +799,9 @@ impl SocketTransport {
                 conn.pump_read(&mut frames)
             };
             if !frames.is_empty() {
-                // Any traffic is proof of life.
+                // Any traffic is proof of life, and answers the last write.
                 self.links[idx].last_activity = Instant::now();
+                self.links[idx].answered = true;
             }
             self.inbox.extend(frames.drain(..));
             if let Err(e) = res {
@@ -1013,6 +1017,13 @@ impl Transport for SocketTransport {
         Ok(())
     }
 
+    /// Nagle's rule (RFC 896): a server link is written only if the server
+    /// has sent a frame since the driver last wrote to it; what is held back
+    /// leaves at the top of the caller's next progress call (`step`,
+    /// `control`), in one `writev` with whatever queued behind it.  A raw PUT
+    /// is never answered, so what is flushed behind one waits for that call;
+    /// under a fault plan a held-back frame's RTO starts here, so a caller
+    /// away longer than an RTO sees one deduplicated retransmit.
     fn flush_client(&mut self, id: ClientId) -> Result<()> {
         let c = self.driver.known(id)?;
         if self.shut_down {
@@ -1021,7 +1032,11 @@ impl Transport for SocketTransport {
         let mut out = Vec::new();
         self.driver.flush(c, frames(&mut out));
         let flushed = self.client_emit(out);
-        self.pump_writes();
+        for idx in 0..self.links.len() {
+            if self.links[idx].answered {
+                self.pump_write(idx);
+            }
+        }
         flushed
     }
 

@@ -96,6 +96,25 @@ impl QueuedFrame {
     }
 }
 
+/// The system calls a [`Connection`] has made on its stream, counted
+/// whatever they returned (the `read` that finds the stream empty too).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IoCalls {
+    /// `read` calls.
+    pub reads: u64,
+    /// `write_vectored` (`writev`) calls.
+    pub writevs: u64,
+}
+
+impl std::iter::Sum for IoCalls {
+    fn sum<I: Iterator<Item = IoCalls>>(calls: I) -> IoCalls {
+        calls.fold(IoCalls::default(), |sum, c| IoCalls {
+            reads: sum.reads + c.reads,
+            writevs: sum.writevs + c.writevs,
+        })
+    }
+}
+
 /// One non-blocking stream with framing on both directions.
 pub struct Connection {
     stream: Stream,
@@ -104,6 +123,7 @@ pub struct Connection {
     /// Bytes of the queue head already written.
     out_offset: usize,
     scratch: Vec<u8>,
+    calls: IoCalls,
 }
 
 impl Connection {
@@ -115,6 +135,7 @@ impl Connection {
             outq: std::collections::VecDeque::new(),
             out_offset: 0,
             scratch: vec![0u8; READ_CHUNK],
+            calls: IoCalls::default(),
         })
     }
 
@@ -162,6 +183,11 @@ impl Connection {
         self.outq.len()
     }
 
+    /// The system calls made so far.
+    pub fn io_calls(&self) -> IoCalls {
+        self.calls
+    }
+
     /// Push queued frames into the socket until it would block or the queue
     /// drains.  Returns true when any bytes were written.
     pub fn pump_write(&mut self) -> Result<bool> {
@@ -171,6 +197,7 @@ impl Connection {
             for (i, qf) in self.outq.iter().take(WRITE_BATCH_FRAMES).enumerate() {
                 qf.slices(if i == 0 { self.out_offset } else { 0 }, &mut slices);
             }
+            self.calls.writevs += 1;
             let n = match self.stream.write_vectored(&slices) {
                 Ok(0) => {
                     return Err(NetError::PeerClosed {
@@ -206,6 +233,7 @@ impl Connection {
     /// how many bytes the frame still `wanted`.
     pub fn pump_read(&mut self, out: &mut Vec<Frame>) -> Result<()> {
         loop {
+            self.calls.reads += 1;
             match self.stream.read(&mut self.scratch) {
                 Ok(0) => {
                     let wanted = self.decoder.wanted();
@@ -346,6 +374,43 @@ mod tests {
         assert_eq!(got[0].data.as_slice(), &[1, 2, 3]);
         assert_eq!(got[1].payload.len(), 2048);
         assert!(got[1].payload.as_slice().iter().all(|&b| b == 0xAB));
+    }
+
+    #[test]
+    fn one_pass_over_a_queue_is_one_writev_and_a_read_pass_ends_on_an_empty_read() {
+        let (mut client, mut server) = unix_pair("calls");
+        client.queue(Frame::new(0, 1, 7, vec![1]));
+        client.queue(Frame::new(0, 1, 8, vec![2]));
+        assert!(client.pump_write().unwrap());
+        assert!(
+            !client.pump_write().unwrap(),
+            "an empty queue writes nothing"
+        );
+        assert_eq!(
+            client.io_calls(),
+            IoCalls {
+                reads: 0,
+                writevs: 1
+            }
+        );
+        let mut got = Vec::new();
+        server.pump_read(&mut got).unwrap();
+        assert_eq!(got.len(), 2, "a Unix socket holds the whole write");
+        assert_eq!(
+            server.io_calls(),
+            IoCalls {
+                reads: 2,
+                writevs: 0
+            }
+        );
+        let total: IoCalls = [client.io_calls(), server.io_calls()].into_iter().sum();
+        assert_eq!(
+            total,
+            IoCalls {
+                reads: 2,
+                writevs: 1
+            }
+        );
     }
 
     #[test]

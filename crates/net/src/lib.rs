@@ -26,7 +26,7 @@ mod conn;
 mod frame;
 mod spawn;
 
-pub use conn::{Connection, Listener};
+pub use conn::{Connection, IoCalls, Listener};
 pub use frame::{Frame, FrameDecoder, FRAME_OVERHEAD, MAX_FRAME_BYTES};
 pub use spawn::{spawn_server, ChildGuard};
 

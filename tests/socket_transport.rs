@@ -17,6 +17,7 @@ use tc_core::cluster::{
 };
 use tc_core::layout::{DATA_REGION_BASE, TARGET_REGION_BASE};
 use tc_core::{Backend, ClusterBuilder, CoreError, FaultPlan, Ready, Transport};
+use tc_net::IoCalls;
 
 /// What the event ring of `snapshot` says happened to `rank`, oldest first.
 fn events_of(snapshot: &Snapshot, rank: usize) -> impl Iterator<Item = &EventKind> {
@@ -132,6 +133,97 @@ fn an_acked_put_is_already_applied_on_threads_and_socket() {
         );
         cluster.shutdown();
     }
+}
+
+/// The driver's `writev` calls since `before`.
+fn writevs_since(cluster: &Cluster<SocketTransport>, before: IoCalls) -> u64 {
+    cluster.transport().io_calls().writevs - before.writevs
+}
+
+/// Nagle's rule: a flush writes to a server only once it has answered the
+/// driver's last write.  Two GETs flushed with no progress call between
+/// them cost one `writev`; the second leaves at the caller's next `step`.
+#[test]
+fn a_flush_behind_an_unanswered_write_leaves_with_the_next_step() {
+    let mut cluster = builder(1).build_socket().expect("cluster starts");
+    let server = cluster.server_rank(0);
+    cluster.write_u64(server, DATA_REGION_BASE, 7).unwrap();
+    cluster.write_u64(server, DATA_REGION_BASE + 8, 8).unwrap();
+    let before = cluster.transport().io_calls();
+    let first = cluster.get(server, DATA_REGION_BASE, 8).unwrap();
+    let second = cluster.get(server, DATA_REGION_BASE + 8, 8).unwrap();
+    assert_eq!(writevs_since(&cluster, before), 1, "two flushes, one write");
+    cluster.transport_mut().step().unwrap();
+    assert_eq!(
+        writevs_since(&cluster, before),
+        2,
+        "the step writes the second GET"
+    );
+    assert_eq!(cluster.wait(&first).unwrap().as_slice(), 7u64.to_le_bytes());
+    assert_eq!(
+        cluster.wait(&second).unwrap().as_slice(),
+        8u64.to_le_bytes()
+    );
+    cluster.shutdown();
+}
+
+/// Once the server's reply has been read, the next flush writes at once.
+#[test]
+fn a_flush_after_the_reply_was_read_writes_at_once() {
+    let mut cluster = builder(1).build_socket().expect("cluster starts");
+    let server = cluster.server_rank(0);
+    cluster.write_u64(server, DATA_REGION_BASE, 11).unwrap();
+    for round in 0..4 {
+        let before = cluster.transport().io_calls();
+        let get = cluster.get(server, DATA_REGION_BASE, 8).unwrap();
+        assert_eq!(
+            writevs_since(&cluster, before),
+            1,
+            "round {round}: held back"
+        );
+        assert_eq!(cluster.wait(&get).unwrap().as_slice(), 11u64.to_le_bytes());
+    }
+    cluster.shutdown();
+}
+
+/// The documented boundary: a raw PUT is never answered, so PUTs flushed
+/// behind one stay queued until the next progress call — here a control
+/// request, which writes them ahead of itself and so sees every one applied,
+/// in order.
+#[test]
+fn raw_puts_behind_an_unanswered_write_wait_for_the_next_progress_call() {
+    const PUTS: u64 = 8;
+    let last = DATA_REGION_BASE + 8 * PUTS;
+    let mut cluster = builder(1).build_socket().expect("cluster starts");
+    let server = cluster.server_rank(0);
+    cluster.write_u64(server, last, 0).unwrap();
+    let before = cluster.transport().io_calls();
+    for i in 1..=PUTS {
+        let value = i.to_le_bytes().to_vec();
+        cluster
+            .put(server, DATA_REGION_BASE + 8 * (i - 1), value.clone())
+            .unwrap();
+        cluster.put(server, last, value).unwrap();
+    }
+    assert_eq!(
+        writevs_since(&cluster, before),
+        1,
+        "only the first PUT left at its flush"
+    );
+    assert_eq!(
+        cluster.read_u64(server, last).unwrap(),
+        PUTS,
+        "the PUTs were reordered"
+    );
+    for i in 1..=PUTS {
+        assert_eq!(
+            cluster
+                .read_u64(server, DATA_REGION_BASE + 8 * (i - 1))
+                .unwrap(),
+            i
+        );
+    }
+    cluster.shutdown();
 }
 
 /// Byte-level round trips over real TCP (loopback, ephemeral port), both
