@@ -39,6 +39,10 @@
 //! (node memory, node counters, reliability totals, quiescence inputs, the
 //! [`Snapshot`] behind [`Cluster::snapshot`]) is written once, here.
 //!
+//! A client posts through its view, `cluster.on(c)?.get(..)`: [`Cluster::on`]
+//! checks the [`ClientId`] once; each operation has its one body in [`On`].
+//! `cluster.get(..)` and its siblings are the primary client's (rank 0).
+//!
 //! ```
 //! use tc_core::cluster::ClusterBuilder;
 //! use tc_core::{build_ifunc_library, ToolchainOptions};
@@ -131,21 +135,16 @@ impl std::fmt::Display for Backend {
 ///
 /// A cluster built with [`ClusterBuilder::clients`]`(C)` hosts `C`
 /// independent injection streams: client `i` *is* fabric rank `i` (clients
-/// occupy ranks `0..C`, servers ranks `C..C+S`).  Every per-client API —
-/// sends, completion claiming, result-slot allocation — is keyed by this id,
-/// so two clients can pipeline against the same servers without stealing
-/// each other's completions.
+/// occupy ranks `0..C`, servers ranks `C..C+S`).  A client posts through
+/// [`Cluster::on`]`(id)`, and its handles and result slots carry the id, so
+/// two clients can pipeline against the same servers without stealing each
+/// other's completions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClientId(pub usize);
 
 impl ClientId {
-    /// The primary client (rank 0) — what every single-client wrapper uses.
+    /// The primary client (rank 0): the one the cluster's own sends post from.
     pub const PRIMARY: ClientId = ClientId(0);
-
-    /// The client's index (equal to its fabric rank).
-    pub fn index(self) -> usize {
-        self.0
-    }
 
     /// The client's fabric rank (clients occupy ranks `0..client_count`).
     pub fn rank(self) -> usize {
@@ -636,91 +635,129 @@ impl<T: Transport> Cluster<T> {
         self.transport.client_count() + idx
     }
 
-    /// The primary client's runtime.
-    pub fn client(&self) -> &NodeRuntime {
-        self.transport.client(ClientId::PRIMARY)
-    }
-
-    /// Mutable primary-client runtime (escape hatch for source-side
-    /// operations the high-level API does not cover).
-    pub fn client_mut(&mut self) -> &mut NodeRuntime {
-        self.transport.client_mut(ClientId::PRIMARY)
-    }
-
-    /// The runtime of client `id`.  A client this cluster does not have is
-    /// the typed error every per-client method returns.
-    pub fn client_runtime(&self, id: ClientId) -> Result<&NodeRuntime> {
-        if id.0 >= self.transport.client_count() {
-            return Err(no_such_client(id));
+    /// Client `client`'s sends, posts, flushes and result slots, as methods of
+    /// the returned [`On`].  The id is checked here, once: a client this
+    /// cluster does not have is a typed error, so a view never names one.
+    pub fn on(&mut self, client: ClientId) -> Result<On<'_, T>> {
+        if client.0 >= self.transport.client_count() {
+            return Err(no_such_client(client));
         }
-        Ok(self.transport.client(id))
+        Ok(On {
+            cluster: self,
+            client,
+        })
     }
 
-    /// [`Cluster::client_runtime`], mutable.
-    fn client_runtime_mut(&mut self, id: ClientId) -> Result<&mut NodeRuntime> {
-        self.client_runtime(id)?;
-        Ok(self.transport.client_mut(id))
+    /// The primary client's view: every cluster has rank 0, so no check.
+    fn primary(&mut self) -> On<'_, T> {
+        On {
+            cluster: self,
+            client: ClientId::PRIMARY,
+        }
+    }
+
+    // --- the primary client's operations ([`On`] has each one's body) -------
+
+    /// [`On::register_ifunc`] on the primary client.
+    pub fn register_ifunc(&mut self, library: IfuncLibrary) -> IfuncHandle {
+        self.primary().register_ifunc(library)
+    }
+
+    /// [`On::bitcode_message`] on the primary client.
+    pub fn bitcode_message(
+        &mut self,
+        handle: IfuncHandle,
+        payload: Vec<u8>,
+    ) -> Result<IfuncMessage> {
+        self.primary().bitcode_message(handle, payload)
+    }
+
+    /// [`On::binary_message`] on the primary client.
+    pub fn binary_message(
+        &mut self,
+        handle: IfuncHandle,
+        target_triple: &str,
+        payload: Vec<u8>,
+    ) -> Result<IfuncMessage> {
+        self.primary()
+            .binary_message(handle, target_triple, payload)
+    }
+
+    /// [`On::send_ifunc`] from the primary client.
+    pub fn send_ifunc(&mut self, message: &IfuncMessage, dst: usize) -> Result<usize> {
+        self.primary().send_ifunc(message, dst)
+    }
+
+    /// [`On::send_am`] from the primary client.
+    pub fn send_am(
+        &mut self,
+        handler: &str,
+        dst: usize,
+        payload: impl Into<Bytes>,
+    ) -> Result<usize> {
+        self.primary().send_am(handler, dst, payload)
+    }
+
+    /// [`On::put`] from the primary client.
+    pub fn put(&mut self, dst: usize, addr: u64, data: impl Into<Bytes>) -> Result<RequestId> {
+        self.primary().put(dst, addr, data)
+    }
+
+    /// [`On::put_confirmed`] from the primary client.
+    pub fn put_confirmed(
+        &mut self,
+        dst: usize,
+        addr: u64,
+        data: impl Into<Bytes>,
+    ) -> Result<PutHandle> {
+        self.primary().put_confirmed(dst, addr, data)
+    }
+
+    /// [`On::get`] from the primary client.
+    pub fn get(&mut self, dst: usize, addr: u64, len: u64) -> Result<GetHandle> {
+        self.primary().get(dst, addr, len)
+    }
+
+    /// [`On::post_get`] from the primary client.
+    pub fn post_get(&mut self, dst: usize, addr: u64, len: u64) -> GetHandle {
+        self.primary().post_get(dst, addr, len)
+    }
+
+    /// [`On::post_put_confirmed`] from the primary client.
+    pub fn post_put_confirmed(
+        &mut self,
+        dst: usize,
+        addr: u64,
+        data: impl Into<Bytes>,
+    ) -> PutHandle {
+        self.primary().post_put_confirmed(dst, addr, data)
+    }
+
+    /// [`On::flush`] of the primary client.
+    pub fn flush(&mut self) -> Result<()> {
+        self.primary().flush()
+    }
+
+    /// [`On::result_slot`] on the primary client.
+    pub fn result_slot(&mut self) -> ResultHandle {
+        self.primary().result_slot()
+    }
+
+    /// [`On::reserve_result_slot`] on the primary client.
+    pub fn reserve_result_slot(&mut self, slot: u64) -> ResultHandle {
+        self.primary().reserve_result_slot(slot)
+    }
+
+    /// Flush every client's staged operations (multi-client drivers that
+    /// post across several clients before driving the transport).
+    pub fn flush_all(&mut self) -> Result<()> {
+        for c in 0..self.transport.client_count() {
+            self.transport.flush_client(ClientId(c))?;
+        }
+        Ok(())
     }
 
     // --- scenario setup -----------------------------------------------------
-
-    /// Register an ifunc library on the primary client, returning its handle.
-    pub fn register_ifunc(&mut self, library: IfuncLibrary) -> IfuncHandle {
-        self.client_mut().register_library(library)
-    }
-
-    /// Register an ifunc library on client `client`.  Handles are
-    /// per-runtime: a library meant to be sent by several clients must be
-    /// registered on each.
-    pub fn register_ifunc_on(
-        &mut self,
-        client: ClientId,
-        library: IfuncLibrary,
-    ) -> Result<IfuncHandle> {
-        Ok(self.client_runtime_mut(client)?.register_library(library))
-    }
-
-    /// Create a bitcode-representation message for a library registered on
-    /// the primary client.
-    pub fn bitcode_message(&self, handle: IfuncHandle, payload: Vec<u8>) -> Result<IfuncMessage> {
-        self.bitcode_message_on(ClientId::PRIMARY, handle, payload)
-    }
-
-    /// Create a bitcode-representation message for a library registered on
-    /// client `client`.
-    pub fn bitcode_message_on(
-        &self,
-        client: ClientId,
-        handle: IfuncHandle,
-        payload: Vec<u8>,
-    ) -> Result<IfuncMessage> {
-        self.client_runtime(client)?
-            .create_bitcode_message(handle, payload)
-    }
-
-    /// Create a binary-representation message targeted at a triple (primary
-    /// client).
-    pub fn binary_message(
-        &self,
-        handle: IfuncHandle,
-        target_triple: &str,
-        payload: Vec<u8>,
-    ) -> Result<IfuncMessage> {
-        self.binary_message_on(ClientId::PRIMARY, handle, target_triple, payload)
-    }
-
-    /// Create a binary-representation message for a library registered on
-    /// client `client`.
-    pub fn binary_message_on(
-        &self,
-        client: ClientId,
-        handle: IfuncHandle,
-        target_triple: &str,
-        payload: Vec<u8>,
-    ) -> Result<IfuncMessage> {
-        self.client_runtime(client)?
-            .create_binary_message(handle, target_triple, payload)
-    }
 
     /// Predeploy a native Active-Message handler on every node (the AM
     /// baseline requires code presence everywhere).
@@ -736,254 +773,6 @@ impl<T: Transport> Cluster<T> {
     /// Write bytes into a node's memory.
     pub fn write_memory(&mut self, rank: usize, addr: u64, data: &[u8]) -> Result<()> {
         self.transport.write_memory(rank, addr, data)
-    }
-
-    // --- sends --------------------------------------------------------------
-
-    /// Send an ifunc message from the primary client to server `dst`,
-    /// applying the sender-side code cache.  Returns the bytes that actually
-    /// travelled.
-    pub fn send_ifunc(&mut self, message: &IfuncMessage, dst: usize) -> Result<usize> {
-        self.send_ifunc_from(ClientId::PRIMARY, message, dst)
-    }
-
-    /// Send an ifunc message from client `client` to server `dst`.  Each
-    /// client keeps its own sender-side code cache, so the first send per
-    /// (client, destination) ships the code.
-    pub fn send_ifunc_from(
-        &mut self,
-        client: ClientId,
-        message: &IfuncMessage,
-        dst: usize,
-    ) -> Result<usize> {
-        let runtime = self.client_runtime_mut(client)?;
-        let bytes = runtime.send_ifunc(message, WorkerAddr(dst as u32));
-        self.transport.flush_client(client)?;
-        Ok(bytes)
-    }
-
-    /// Send an Active Message from the primary client to a predeployed
-    /// handler on `dst`.
-    pub fn send_am(
-        &mut self,
-        handler: &str,
-        dst: usize,
-        payload: impl Into<Bytes>,
-    ) -> Result<usize> {
-        self.send_am_from(ClientId::PRIMARY, handler, dst, payload)
-    }
-
-    /// Send an Active Message from client `client`.
-    pub fn send_am_from(
-        &mut self,
-        client: ClientId,
-        handler: &str,
-        dst: usize,
-        payload: impl Into<Bytes>,
-    ) -> Result<usize> {
-        let runtime = self.client_runtime_mut(client)?;
-        let size = runtime.send_am(handler, WorkerAddr(dst as u32), payload)?;
-        self.transport.flush_client(client)?;
-        Ok(size)
-    }
-
-    /// Post a one-sided PUT into `dst`'s memory from the primary client.
-    /// PUTs have no completion event in this model; the returned id
-    /// identifies the posted request.  Passing a [`Bytes`] view makes the
-    /// post zero-copy end to end.
-    pub fn put(&mut self, dst: usize, addr: u64, data: impl Into<Bytes>) -> Result<RequestId> {
-        self.put_from(ClientId::PRIMARY, dst, addr, data)
-    }
-
-    /// Post a one-sided PUT from client `client`.
-    pub fn put_from(
-        &mut self,
-        client: ClientId,
-        dst: usize,
-        addr: u64,
-        data: impl Into<Bytes>,
-    ) -> Result<RequestId> {
-        let runtime = self.client_runtime_mut(client)?;
-        let request = runtime.post_put(WorkerAddr(dst as u32), addr, data);
-        self.transport.flush_client(client)?;
-        Ok(request)
-    }
-
-    /// Post a *confirmed* one-sided PUT into `dst`'s memory from the primary
-    /// client: the destination applies the write and acknowledges it through
-    /// the transport.  Wait on the returned [`PutHandle`] (or register it in
-    /// a [`CompletionSet`]) for transport-confirmed delivery.
-    pub fn put_confirmed(
-        &mut self,
-        dst: usize,
-        addr: u64,
-        data: impl Into<Bytes>,
-    ) -> Result<PutHandle> {
-        self.put_confirmed_from(ClientId::PRIMARY, dst, addr, data)
-    }
-
-    /// Post a confirmed PUT from client `client`.
-    pub fn put_confirmed_from(
-        &mut self,
-        client: ClientId,
-        dst: usize,
-        addr: u64,
-        data: impl Into<Bytes>,
-    ) -> Result<PutHandle> {
-        let handle = self.post_put_confirmed_from(client, dst, addr, data)?;
-        self.transport.flush_client(client)?;
-        Ok(handle)
-    }
-
-    /// Post a one-sided GET against `dst` from the primary client, returning
-    /// a typed handle to wait on with [`Cluster::wait`].
-    pub fn get(&mut self, dst: usize, addr: u64, len: u64) -> Result<GetHandle> {
-        self.get_from(ClientId::PRIMARY, dst, addr, len)
-    }
-
-    /// Post (and flush) a one-sided GET from client `client`.
-    pub fn get_from(
-        &mut self,
-        client: ClientId,
-        dst: usize,
-        addr: u64,
-        len: u64,
-    ) -> Result<GetHandle> {
-        let handle = self.post_get_from(client, dst, addr, len)?;
-        self.transport.flush_client(client)?;
-        Ok(handle)
-    }
-
-    /// Post a one-sided GET *without* flushing it into the fabric.  A
-    /// pipelined driver filling a deep window posts the whole burst, then
-    /// calls [`Cluster::flush`] once — paying the fabric hand-off per batch
-    /// instead of per operation.
-    pub fn post_get(&mut self, dst: usize, addr: u64, len: u64) -> GetHandle {
-        let client = self.client_mut();
-        let request = client.post_get(WorkerAddr(dst as u32), addr, len);
-        GetHandle {
-            client: ClientId::PRIMARY,
-            request,
-            target: dst,
-        }
-    }
-
-    /// Post a one-sided GET from client `client` without flushing.
-    pub fn post_get_from(
-        &mut self,
-        client: ClientId,
-        dst: usize,
-        addr: u64,
-        len: u64,
-    ) -> Result<GetHandle> {
-        let runtime = self.client_runtime_mut(client)?;
-        let request = runtime.post_get(WorkerAddr(dst as u32), addr, len);
-        Ok(GetHandle {
-            client,
-            request,
-            target: dst,
-        })
-    }
-
-    /// Post a confirmed PUT *without* flushing (see [`Cluster::post_get`]).
-    pub fn post_put_confirmed(
-        &mut self,
-        dst: usize,
-        addr: u64,
-        data: impl Into<Bytes>,
-    ) -> PutHandle {
-        let client = self.client_mut();
-        let request = client.post_put_confirmed(WorkerAddr(dst as u32), addr, data);
-        PutHandle {
-            client: ClientId::PRIMARY,
-            request,
-            target: dst,
-        }
-    }
-
-    /// Post a confirmed PUT from client `client` without flushing.
-    pub fn post_put_confirmed_from(
-        &mut self,
-        client: ClientId,
-        dst: usize,
-        addr: u64,
-        data: impl Into<Bytes>,
-    ) -> Result<PutHandle> {
-        let runtime = self.client_runtime_mut(client)?;
-        let request = runtime.post_put_confirmed(WorkerAddr(dst as u32), addr, data);
-        Ok(PutHandle {
-            client,
-            request,
-            target: dst,
-        })
-    }
-
-    /// Move everything the primary client posted-but-unflushed into the
-    /// fabric (the batch counterpart of the auto-flush in [`Cluster::get`] /
-    /// [`Cluster::put`]).
-    pub fn flush(&mut self) -> Result<()> {
-        self.transport.flush_client(ClientId::PRIMARY)
-    }
-
-    /// Flush client `client`'s posted-but-unflushed operations.
-    pub fn flush_from(&mut self, client: ClientId) -> Result<()> {
-        self.transport.flush_client(client)
-    }
-
-    /// Flush every client's staged operations (multi-client drivers that
-    /// post across several clients before driving the transport).
-    pub fn flush_all(&mut self) -> Result<()> {
-        for c in 0..self.transport.client_count() {
-            self.transport.flush_client(ClientId(c))?;
-        }
-        Ok(())
-    }
-
-    /// Allocate an X-RDMA result-mailbox slot on the primary client.
-    /// Encode [`ResultHandle::slot`] into the ifunc payload, send, then
-    /// [`Cluster::wait`] on the handle.  Slots reserved through
-    /// [`Cluster::reserve_result_slot`] are skipped, so manually constructed
-    /// handles never collide with allocated ones.
-    ///
-    /// **Contract (claimed before reuse):** the mailbox has
-    /// [`RESULT_MAILBOX_SLOTS`] slots and the allocator wraps, so a slot is
-    /// handed out again after that many allocations.  A handle must have
-    /// been claimed (waited on) by then; an unclaimed result still sitting
-    /// in a reused slot would resolve the newer handle.
-    pub fn result_slot(&mut self) -> ResultHandle {
-        ResultHandle::for_slot(self.slots[0].allocate())
-    }
-
-    /// Allocate a result-mailbox slot on client `client`.  Allocators are
-    /// per-client: each client owns an independent mailbox, so two clients
-    /// receiving results into equal slot numbers never interfere.  A client
-    /// this cluster does not have is the typed error [`Cluster::flush_from`]
-    /// gives.
-    pub fn result_slot_on(&mut self, client: ClientId) -> Result<ResultHandle> {
-        let slots = self.slots.get_mut(client.0);
-        let slot = slots.ok_or_else(|| no_such_client(client))?.allocate();
-        Ok(ResultHandle { client, slot })
-    }
-
-    /// Reserve an explicitly chosen mailbox slot on the primary client,
-    /// returning its handle.  The [`Cluster::result_slot`] allocator will
-    /// never hand out a reserved slot, which is the safe way to mix manual
-    /// ([`ResultHandle::for_slot`]) and allocated slots in one driver.
-    pub fn reserve_result_slot(&mut self, slot: u64) -> ResultHandle {
-        let handle = ResultHandle::for_slot(slot);
-        self.slots[0].reserved.insert(handle.slot);
-        handle
-    }
-
-    /// Reserve an explicitly chosen mailbox slot on client `client`.
-    /// Reservations are per-client and never affect another client's
-    /// allocator; an unknown client fails as in [`Cluster::result_slot_on`].
-    pub fn reserve_result_slot_on(&mut self, client: ClientId, slot: u64) -> Result<ResultHandle> {
-        let slots = self.slots.get_mut(client.0);
-        let reserved = &mut slots.ok_or_else(|| no_such_client(client))?.reserved;
-        let handle = ResultHandle::for_client_slot(client, slot);
-        reserved.insert(handle.slot);
-        Ok(handle)
     }
 
     // --- completion and progress --------------------------------------------
@@ -1170,6 +959,169 @@ impl<T: Transport> Cluster<T> {
     /// boxing).  Any buffered completions are dropped.
     pub fn into_transport(self) -> T {
         self.transport
+    }
+}
+
+/// One client's view of a [`Cluster`], from [`Cluster::on`]: every
+/// operation a client posts has its one body here.  A view exists only for a
+/// client the cluster has, so no method checks the id again.
+pub struct On<'a, T: Transport> {
+    cluster: &'a mut Cluster<T>,
+    client: ClientId,
+}
+
+impl<T: Transport> On<'_, T> {
+    /// The client's runtime, for source-side operations this view lacks.
+    pub fn runtime(&mut self) -> &mut NodeRuntime {
+        self.cluster.transport.client_mut(self.client)
+    }
+
+    /// Register an ifunc library on this client, returning its handle.
+    /// Handles are per-runtime: a library meant to be sent by several
+    /// clients must be registered on each.
+    pub fn register_ifunc(&mut self, library: IfuncLibrary) -> IfuncHandle {
+        self.runtime().register_library(library)
+    }
+
+    /// Create a bitcode-representation message for a library registered on
+    /// this client.
+    pub fn bitcode_message(
+        &mut self,
+        handle: IfuncHandle,
+        payload: Vec<u8>,
+    ) -> Result<IfuncMessage> {
+        self.runtime().create_bitcode_message(handle, payload)
+    }
+
+    /// Create a binary-representation message targeted at a triple.
+    pub fn binary_message(
+        &mut self,
+        handle: IfuncHandle,
+        target_triple: &str,
+        payload: Vec<u8>,
+    ) -> Result<IfuncMessage> {
+        self.runtime()
+            .create_binary_message(handle, target_triple, payload)
+    }
+
+    /// Send an ifunc message to server `dst`, applying this client's
+    /// sender-side code cache: the first send per (client, destination)
+    /// ships the code.  Returns the bytes that actually travelled.
+    pub fn send_ifunc(&mut self, message: &IfuncMessage, dst: usize) -> Result<usize> {
+        let bytes = self.runtime().send_ifunc(message, WorkerAddr(dst as u32));
+        self.flush()?;
+        Ok(bytes)
+    }
+
+    /// Send an Active Message to a predeployed handler on `dst`.
+    pub fn send_am(
+        &mut self,
+        handler: &str,
+        dst: usize,
+        payload: impl Into<Bytes>,
+    ) -> Result<usize> {
+        let runtime = self.runtime();
+        let size = runtime.send_am(handler, WorkerAddr(dst as u32), payload)?;
+        self.flush()?;
+        Ok(size)
+    }
+
+    /// Post (and flush) a one-sided PUT into `dst`'s memory.  PUTs have no
+    /// completion event in this model; the returned id identifies the
+    /// posted request.  Passing a [`Bytes`] view makes the post zero-copy
+    /// end to end.
+    pub fn put(&mut self, dst: usize, addr: u64, data: impl Into<Bytes>) -> Result<RequestId> {
+        let request = self.runtime().post_put(WorkerAddr(dst as u32), addr, data);
+        self.flush()?;
+        Ok(request)
+    }
+
+    /// Post (and flush) a *confirmed* one-sided PUT: the destination applies
+    /// the write and acknowledges it through the transport.  Wait on the
+    /// returned [`PutHandle`] (or register it in a [`CompletionSet`]) for
+    /// transport-confirmed delivery.
+    pub fn put_confirmed(
+        &mut self,
+        dst: usize,
+        addr: u64,
+        data: impl Into<Bytes>,
+    ) -> Result<PutHandle> {
+        let handle = self.post_put_confirmed(dst, addr, data);
+        self.flush()?;
+        Ok(handle)
+    }
+
+    /// Post (and flush) a one-sided GET against `dst`, returning a typed
+    /// handle to wait on with [`Cluster::wait`].
+    pub fn get(&mut self, dst: usize, addr: u64, len: u64) -> Result<GetHandle> {
+        let handle = self.post_get(dst, addr, len);
+        self.flush()?;
+        Ok(handle)
+    }
+
+    /// Post a one-sided GET *without* flushing it into the fabric.  A
+    /// pipelined driver filling a deep window posts the whole burst, then
+    /// calls [`On::flush`] once — paying the fabric hand-off per batch
+    /// instead of per operation.
+    pub fn post_get(&mut self, dst: usize, addr: u64, len: u64) -> GetHandle {
+        let request = self.runtime().post_get(WorkerAddr(dst as u32), addr, len);
+        GetHandle {
+            client: self.client,
+            request,
+            target: dst,
+        }
+    }
+
+    /// Post a confirmed PUT *without* flushing (see [`On::post_get`]).
+    pub fn post_put_confirmed(
+        &mut self,
+        dst: usize,
+        addr: u64,
+        data: impl Into<Bytes>,
+    ) -> PutHandle {
+        let runtime = self.runtime();
+        let request = runtime.post_put_confirmed(WorkerAddr(dst as u32), addr, data);
+        PutHandle {
+            client: self.client,
+            request,
+            target: dst,
+        }
+    }
+
+    /// Move everything this client posted-but-unflushed into the fabric (the
+    /// batch counterpart of the flush in [`On::get`] / [`On::put`]).
+    pub fn flush(&mut self) -> Result<()> {
+        self.cluster.transport.flush_client(self.client)
+    }
+
+    /// Allocate an X-RDMA result-mailbox slot on this client.  Encode
+    /// [`ResultHandle::slot`] into the ifunc payload, send, then
+    /// [`Cluster::wait`] on the handle.  Each client owns an independent
+    /// mailbox and allocator, and slots reserved through
+    /// [`On::reserve_result_slot`] are skipped, so manually constructed
+    /// handles never collide with allocated ones.
+    ///
+    /// **Contract (claimed before reuse):** the mailbox has
+    /// [`RESULT_MAILBOX_SLOTS`] slots and the allocator wraps, so a slot is
+    /// handed out again after that many allocations.  A handle must have
+    /// been claimed (waited on) by then; an unclaimed result still sitting
+    /// in a reused slot would resolve the newer handle.
+    pub fn result_slot(&mut self) -> ResultHandle {
+        let slot = self.cluster.slots[self.client.0].allocate();
+        ResultHandle::for_client_slot(self.client, slot)
+    }
+
+    /// Reserve an explicitly chosen mailbox slot on this client, returning
+    /// its handle.  The [`On::result_slot`] allocator will never hand out a
+    /// reserved slot, which is the safe way to mix manual
+    /// ([`ResultHandle::for_client_slot`]) and allocated slots in one
+    /// driver.  Reservations never affect another client's allocator.
+    pub fn reserve_result_slot(&mut self, slot: u64) -> ResultHandle {
+        let handle = ResultHandle::for_client_slot(self.client, slot);
+        self.cluster.slots[self.client.0]
+            .reserved
+            .insert(handle.slot);
+        handle
     }
 }
 

@@ -212,8 +212,9 @@ fn mint_get_handles(
         let max = *requests.last().expect("non-empty by construction");
         for _ in 0..=max {
             let h = cluster
-                .post_get_from(ClientId(client), usize::MAX, 0, 0)
-                .unwrap();
+                .on(ClientId(client))
+                .unwrap()
+                .post_get(usize::MAX, 0, 0);
             if requests.contains(&h.request().0) {
                 out.insert((client, h.request().0), h);
             }
@@ -401,22 +402,11 @@ fn completion_set_resolves_in_arrival_order_across_clients() {
     }
 }
 
-/// An ifunc library with an entry that returns 0.
-fn noop_library() -> tc_core::IfuncLibrary {
-    let mut mb = tc_bitir::ModuleBuilder::new("noop");
-    let mut f = mb.entry_function();
-    let zero = f.const_i64(0);
-    f.ret(zero);
-    f.finish();
-    tc_core::build_ifunc_library(&mb.build(), &tc_core::ToolchainOptions::default()).unwrap()
-}
-
 /// The reserved-slot path (PR 4) stays correct per client: allocators skip
 /// random per-client reservations, never hand a slot out twice, and other
 /// clients' reservations have no effect.
 #[test]
 fn reserved_slots_are_skipped_per_client() {
-    let library = noop_library();
     for case in 0..CASES {
         let mut g = Gen::for_case(case ^ 0x5107);
         let clients = g.range(2, 5) as usize;
@@ -425,13 +415,13 @@ fn reserved_slots_are_skipped_per_client() {
         for _ in 0..g.range(0, 10) {
             let c = g.range(0, clients as u64) as usize;
             let slot = g.range(0, 12);
-            cluster.reserve_result_slot_on(ClientId(c), slot).unwrap();
+            cluster.on(ClientId(c)).unwrap().reserve_result_slot(slot);
             reserved[c].push(slot);
         }
         for (c, reserved_here) in reserved.iter().enumerate() {
             let mut handed = Vec::new();
             for _ in 0..10 {
-                let h = cluster.result_slot_on(ClientId(c)).unwrap();
+                let h = cluster.on(ClientId(c)).unwrap().result_slot();
                 assert_eq!(h.client(), ClientId(c), "case {case}");
                 assert!(
                     !reserved_here.contains(&h.slot()),
@@ -452,74 +442,19 @@ fn reserved_slots_are_skipped_per_client() {
                 .collect();
             assert_eq!(handed, expect, "case {case}: client {c} stream");
         }
-        // A client the cluster does not have is a typed error on every
-        // per-client path, checked before the transport sees the id.
-        let handle = cluster.register_ifunc(library.clone());
-        let message = cluster.bitcode_message(handle, vec![1]).unwrap();
+        // A client the cluster does not have is a typed error at the one
+        // way in to every per-client operation, before the transport sees
+        // the id.
         for unknown in [clients, clients + g.range(1, 1000) as usize] {
-            let id = ClientId(unknown);
-            let slot = g.range(0, 12);
-            let refusals = [
-                ("result_slot_on", cluster.result_slot_on(id).map(drop)),
-                (
-                    "reserve_result_slot_on",
-                    cluster.reserve_result_slot_on(id, slot).map(drop),
-                ),
-                (
-                    "send_ifunc_from",
-                    cluster.send_ifunc_from(id, &message, clients).map(drop),
-                ),
-                (
-                    "send_am_from",
-                    cluster.send_am_from(id, "am", clients, vec![1]).map(drop),
-                ),
-                (
-                    "put_from",
-                    cluster.put_from(id, clients, 0, vec![1]).map(drop),
-                ),
-                (
-                    "put_confirmed_from",
-                    cluster
-                        .put_confirmed_from(id, clients, 0, vec![1])
-                        .map(drop),
-                ),
-                ("get_from", cluster.get_from(id, clients, 0, 8).map(drop)),
-                (
-                    "post_get_from",
-                    cluster.post_get_from(id, clients, 0, 8).map(drop),
-                ),
-                (
-                    "post_put_confirmed_from",
-                    cluster
-                        .post_put_confirmed_from(id, clients, 0, vec![1])
-                        .map(drop),
-                ),
-                (
-                    "register_ifunc_on",
-                    cluster.register_ifunc_on(id, library.clone()).map(drop),
-                ),
-                (
-                    "bitcode_message_on",
-                    cluster.bitcode_message_on(id, handle, vec![1]).map(drop),
-                ),
-                (
-                    "binary_message_on",
-                    cluster
-                        .binary_message_on(id, handle, "x86_64-unknown-linux-gnu", vec![1])
-                        .map(drop),
-                ),
-                ("client_runtime", cluster.client_runtime(id).map(drop)),
-            ];
-            for (method, refused) in refusals {
-                assert!(
-                    matches!(&refused, Err(CoreError::Transport(m)) if m.contains("no client with id")),
-                    "case {case}: {method} for client {unknown} of {clients}: {refused:?}"
-                );
-            }
+            let refused = cluster.on(ClientId(unknown)).map(drop);
+            assert!(
+                matches!(&refused, Err(CoreError::Transport(m)) if m.contains("no client with id")),
+                "case {case}: client {unknown} of {clients}: {refused:?}"
+            );
         }
         // The refusals moved no allocator: client 0's stream goes on.
         let eleventh = (0..).filter(|s| !reserved[0].contains(s)).nth(10);
-        let next = cluster.result_slot_on(ClientId(0)).unwrap();
+        let next = cluster.on(ClientId(0)).unwrap().result_slot();
         assert_eq!(Some(next.slot()), eleventh, "case {case}");
     }
 }

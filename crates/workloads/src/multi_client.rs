@@ -60,14 +60,16 @@ pub fn run_multi_client_streams<T: Transport>(
     let library = build_ifunc_library(&chaser_module("mc_chaser"), &platform_toolchain(platform))?;
     let handles = clients
         .iter()
-        .map(|&c| cluster.register_ifunc_on(c, library.clone()))
+        .map(|&c| Ok(cluster.on(c)?.register_ifunc(library.clone())))
         .collect::<Result<Vec<_>>>()?;
     let starts: Vec<Vec<u64>> = clients
         .iter()
         .map(|&c| chase_starts(table, c, chases_per_client, seed))
         .collect();
     let mut mk = |cluster: &mut Cluster<T>, client: ClientId, payload| {
-        cluster.bitcode_message_on(client, handles[client.0], payload)
+        cluster
+            .on(client)?
+            .bitcode_message(handles[client.0], payload)
     };
     let chased = run_pipelined_chases(cluster, &clients, &mut mk, table, &starts, depth, window)?;
     Ok(MultiClientReport { gathered, chased })

@@ -32,7 +32,7 @@ use tc_core::{CoreError, IfuncMessage, Result};
 
 /// Callback that materialises an [`IfuncMessage`] for one operation's
 /// payload on the client that sends it (typically
-/// `|c, client, payload| c.bitcode_message_on(client, handle, payload)`).
+/// `|c, client, payload| c.on(client)?.bitcode_message(handle, payload)`).
 pub type MessageMaker<'a, T> =
     &'a mut dyn FnMut(&mut Cluster<T>, ClientId, Vec<u8>) -> Result<IfuncMessage>;
 
@@ -89,7 +89,7 @@ fn drive<T: Transport>(
                 inflight[c] += 1;
             }
             if next[c] > first {
-                cluster.flush_from(client)?;
+                cluster.on(client)?.flush()?;
             }
         }
         let (token, ready) = cluster.wait_any(&mut set)?;
@@ -131,7 +131,9 @@ pub fn gather_entries<T: Transport>(
         |cluster, set, c, index| {
             let g = index as u64;
             let rank = cluster.server_rank(table.owner_index(g));
-            let handle = cluster.post_get_from(clients[c], rank, table.entry_addr(g), 8)?;
+            let handle = cluster
+                .on(clients[c])?
+                .post_get(rank, table.entry_addr(g), 8);
             Ok(set.add_get(handle))
         },
         |c, index, ready| match ready {
@@ -183,12 +185,13 @@ pub fn run_reporting_tsi<T: Transport>(
         window,
         |cluster, set, c, op| {
             let client = clients[c];
-            let slot = cluster.result_slot_on(client)?;
+            let slot = cluster.on(client)?.result_slot();
             let delta = 1 + (op as u64 % 7);
             let payload =
                 reporting_tsi_payload::encode(client.rank() as u64, slot.slot(), delta, work);
             let msg = make_message(cluster, client, payload)?;
-            cluster.send_ifunc_from(client, &msg, cluster.server_rank(op % servers))?;
+            let rank = cluster.server_rank(op % servers);
+            cluster.on(client)?.send_ifunc(&msg, rank)?;
             Ok(set.add_result(slot))
         },
         |c, op, ready| match *ready {
@@ -237,7 +240,7 @@ pub fn run_pipelined_chases<T: Transport>(
         window,
         |cluster, set, c, chase| {
             let (client, start) = (clients[c], starts[c][chase]);
-            let slot = cluster.result_slot_on(client)?;
+            let slot = cluster.on(client)?.result_slot();
             let payload = chaser_payload::encode(
                 client.rank() as u64,
                 slot.slot(),
@@ -247,7 +250,8 @@ pub fn run_pipelined_chases<T: Transport>(
                 table.shard_size as u64,
             );
             let msg = make_message(cluster, client, payload)?;
-            cluster.send_ifunc_from(client, &msg, cluster.server_rank(table.owner_index(start)))?;
+            let rank = cluster.server_rank(table.owner_index(start));
+            cluster.on(client)?.send_ifunc(&msg, rank)?;
             Ok(set.add_result(slot))
         },
         |c, chase, ready| match *ready {
@@ -281,7 +285,7 @@ pub fn multi_client_get_burst<T: Transport>(
         window,
         |cluster, set, c, op| {
             let rank = cluster.server_rank((op + c) % servers);
-            Ok(set.add_get(cluster.post_get_from(clients[c], rank, addr, len)?))
+            Ok(set.add_get(cluster.on(clients[c])?.post_get(rank, addr, len)))
         },
         |_, _, ready| matches!(ready, Ready::Get(data) if data.len() == len as usize),
     )?;
@@ -399,9 +403,9 @@ mod tests {
                 |cluster, set, _, _| {
                     let rank = cluster.server_rank(0);
                     if stray {
-                        set.add_get(cluster.post_get_from(ClientId::PRIMARY, rank, addr, 8)?);
+                        set.add_get(cluster.post_get(rank, addr, 8));
                     }
-                    let handle = cluster.post_get_from(ClientId::PRIMARY, rank, addr, 8)?;
+                    let handle = cluster.post_get(rank, addr, 8);
                     Ok(set.add_get(handle))
                 },
                 |_, _, ready| matches!(ready, Ready::Result(_)),

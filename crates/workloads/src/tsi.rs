@@ -264,6 +264,7 @@ mod tests {
     /// (what a sender without the cache would post).
     #[test]
     fn cached_sends_finish_earlier_and_carry_fewer_bytes_than_full_frames() {
+        use tc_core::cluster::ClientId;
         use tc_ucx::{UcpOp, WorkerAddr};
 
         let platform = Platform::thor_xeon();
@@ -283,7 +284,9 @@ mod tests {
                     sim.send_ifunc(&msg, 1).unwrap();
                 } else {
                     let bytes = msg.frame.encode_full();
-                    sim.client_mut()
+                    sim.on(ClientId::PRIMARY)
+                        .unwrap()
+                        .runtime()
                         .worker
                         .post(WorkerAddr(1), UcpOp::IfuncFrame { bytes });
                     sim.flush().unwrap();

@@ -562,8 +562,8 @@ fn two_client_reporting_tsi_under_chaos_is_exactly_once_in_order() {
     )
     .unwrap();
     let handles = [
-        cluster.register_ifunc_on(ClientId(0), lib.clone()).unwrap(),
-        cluster.register_ifunc_on(ClientId(1), lib).unwrap(),
+        cluster.on(ClientId(0)).unwrap().register_ifunc(lib.clone()),
+        cluster.on(ClientId(1)).unwrap().register_ifunc(lib),
     ];
 
     const OPS: usize = 16;
@@ -580,15 +580,13 @@ fn two_client_reporting_tsi_under_chaos_is_exactly_once_in_order() {
             while next[c] < OPS && inflight[c] < WINDOW {
                 let op = next[c];
                 let server = op % 2;
-                let slot = cluster.result_slot_on(ClientId(c)).unwrap();
+                let rank = cluster.server_rank(server);
+                let mut on = cluster.on(ClientId(c)).unwrap();
+                let slot = on.result_slot();
                 let delta = 1 + (op as u64 % 3) + c as u64;
                 let payload = reporting_tsi_payload::encode(c as u64, slot.slot(), delta, 1);
-                let msg = cluster
-                    .bitcode_message_on(ClientId(c), handles[c], payload)
-                    .unwrap();
-                cluster
-                    .send_ifunc_from(ClientId(c), &msg, cluster.server_rank(server))
-                    .unwrap();
+                let msg = on.bitcode_message(handles[c], payload).unwrap();
+                on.send_ifunc(&msg, rank).unwrap();
                 owner.insert(set.add_result(slot), (c, op, server));
                 next[c] += 1;
                 inflight[c] += 1;

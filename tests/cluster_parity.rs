@@ -336,10 +336,12 @@ fn snapshots_agree_with_metrics_and_across_backends_under_a_seeded_plan() {
                 let addr = DATA_REGION_BASE + 64 * c as u64;
                 let word = (round << 8 | c as u64).to_le_bytes();
                 let put = cluster
-                    .put_confirmed_from(client, server, addr, word.to_vec())
+                    .on(client)
+                    .unwrap()
+                    .put_confirmed(server, addr, word.to_vec())
                     .unwrap();
                 cluster.wait(&put).unwrap();
-                let get = cluster.get_from(client, server, addr, 8).unwrap();
+                let get = cluster.on(client).unwrap().get(server, addr, 8).unwrap();
                 assert_eq!(cluster.wait(&get).unwrap(), word, "{backend}");
             }
         }

@@ -158,7 +158,7 @@ fn wait_any_follows_arrival_order_across_two_clients() {
     .unwrap();
     let server = cluster.server_rank(0);
     let (c0, c1) = (ClientId(0), ClientId(1));
-    let ifuncs = [c0, c1].map(|c| cluster.register_ifunc_on(c, lib.clone()).unwrap());
+    let ifuncs = [c0, c1].map(|c| cluster.on(c).unwrap().register_ifunc(lib.clone()));
     let nobody = ResultHandle::for_slot(4000);
 
     let schedule = [
@@ -172,19 +172,15 @@ fn wait_any_follows_arrival_order_across_two_clients() {
     let posted: Vec<Posted> = schedule
         .iter()
         .map(|&(client, kind)| {
+            let mut on = cluster.on(client).unwrap();
             let posted = match kind {
-                'g' => Posted::Get(
-                    cluster
-                        .get_from(client, server, DATA_REGION_BASE, 8)
-                        .unwrap(),
-                ),
+                'g' => Posted::Get(on.get(server, DATA_REGION_BASE, 8).unwrap()),
                 'p' => Posted::Put(
-                    cluster
-                        .put_confirmed_from(client, server, DATA_REGION_BASE, vec![7u8; 8])
+                    on.put_confirmed(server, DATA_REGION_BASE, vec![7u8; 8])
                         .unwrap(),
                 ),
                 _ => {
-                    let slot = cluster.result_slot_on(client).unwrap();
+                    let slot = on.result_slot();
                     assert_eq!(slot.slot(), 0, "both clients use mailbox slot 0");
                     let payload = tc_workloads::reporting_tsi_payload::encode(
                         client.rank() as u64,
@@ -192,10 +188,8 @@ fn wait_any_follows_arrival_order_across_two_clients() {
                         1,
                         0,
                     );
-                    let msg = cluster
-                        .bitcode_message_on(client, ifuncs[client.index()], payload)
-                        .unwrap();
-                    cluster.send_ifunc_from(client, &msg, server).unwrap();
+                    let msg = on.bitcode_message(ifuncs[client.rank()], payload).unwrap();
+                    on.send_ifunc(&msg, server).unwrap();
                     Posted::Result(slot)
                 }
             };

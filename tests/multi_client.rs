@@ -156,12 +156,9 @@ fn completions_never_leak_across_clients() {
             .unwrap();
 
         // Same per-client request-id space: both handles carry request 0.
-        let h0 = cluster
-            .get_from(ClientId(0), cluster.server_rank(0), addr, 8)
-            .unwrap();
-        let h1 = cluster
-            .get_from(ClientId(1), cluster.server_rank(1), addr, 8)
-            .unwrap();
+        let (s0, s1) = (cluster.server_rank(0), cluster.server_rank(1));
+        let h0 = cluster.on(ClientId(0)).unwrap().get(s0, addr, 8).unwrap();
+        let h1 = cluster.on(ClientId(1)).unwrap().get(s1, addr, 8).unwrap();
         assert_eq!(h0.request(), h1.request(), "ids collide by construction");
 
         // Wait for client 1's reply first.
@@ -232,14 +229,13 @@ fn merged_completion_set_routes_by_client() {
             .unwrap();
         let mut set = CompletionSet::new();
         let mut tokens = Vec::new();
+        let server = cluster.server_rank(0);
         for c in 0..2 {
+            let mut on = cluster.on(ClientId(c)).unwrap();
             for _ in 0..4 {
-                let h = cluster
-                    .post_get_from(ClientId(c), cluster.server_rank(0), addr, 8)
-                    .unwrap();
-                tokens.push((set.add_get(h), c));
+                tokens.push((set.add_get(on.post_get(server, addr, 8)), c));
             }
-            cluster.flush_from(ClientId(c)).unwrap();
+            on.flush().unwrap();
         }
         let mut resolved = 0;
         while !set.is_empty() {
@@ -271,9 +267,9 @@ fn reporting_tsi_from_a_secondary_client_routes_results_home() {
     )
     .unwrap();
     let client = ClientId(1);
-    let handle = cluster.register_ifunc_on(client, lib).unwrap();
+    let handle = cluster.on(client).unwrap().register_ifunc(lib);
     let mut mk = move |c: &mut Cluster<tc_core::SimTransport>, client, payload: Vec<u8>| {
-        c.bitcode_message_on(client, handle, payload)
+        c.on(client)?.bitcode_message(handle, payload)
     };
     let out = run_reporting_tsi(&mut cluster, &[client], &mut mk, 20, Window::new(4), 2).unwrap();
     let mut expect = vec![0u64; 2];
@@ -309,9 +305,9 @@ fn pipelined_chases_from_a_secondary_client_hop_correct_servers() {
     )
     .unwrap();
     let client = ClientId(1);
-    let handle = cluster.register_ifunc_on(client, lib).unwrap();
+    let handle = cluster.on(client).unwrap().register_ifunc(lib);
     let mut mk = move |c: &mut Cluster<tc_core::SimTransport>, client, payload: Vec<u8>| {
-        c.bitcode_message_on(client, handle, payload)
+        c.on(client)?.bitcode_message(handle, payload)
     };
     let starts: Vec<u64> = (0..8).map(|i| (i * 3) % 32).collect();
     let values = run_pipelined_chases(
@@ -388,15 +384,50 @@ fn install_cluster_targets_server_ranks() {
 #[test]
 fn result_slot_allocators_are_per_client() {
     let mut cluster = builder(3, 1).build_sim();
-    let r = cluster.reserve_result_slot_on(ClientId(1), 0).unwrap();
+    let r = cluster.on(ClientId(1)).unwrap().reserve_result_slot(0);
     assert_eq!(r.slot(), 0);
     assert_eq!(r.client(), ClientId(1));
     // Client 0 and 2 still allocate from 0; client 1 skips its reservation.
-    let mut next = |c| cluster.result_slot_on(ClientId(c)).unwrap().slot();
+    let mut next = |c| cluster.on(ClientId(c)).unwrap().result_slot().slot();
     assert_eq!(next(0), 0);
     assert_eq!(next(1), 1);
     assert_eq!(next(2), 0);
     assert_eq!(next(0), 1);
+}
+
+/// The cluster's own methods and `on(ClientId::PRIMARY)` are one client:
+/// mixed calls share one allocator, one reservation set and one request-id
+/// stream.
+#[test]
+fn primary_forms_and_on_primary_are_one_stream() {
+    let mut cluster = builder(2, 1).build_sim();
+    let primary = ClientId::PRIMARY;
+    cluster.reserve_result_slot(1);
+    cluster.on(primary).unwrap().reserve_result_slot(3);
+    let mut slots = Vec::new();
+    for _ in 0..3 {
+        slots.push(cluster.result_slot());
+        slots.push(cluster.on(primary).unwrap().result_slot());
+    }
+    let slots: Vec<(ClientId, u64)> = slots.iter().map(|h| (h.client(), h.slot())).collect();
+    let expect: Vec<(ClientId, u64)> = [0, 2, 4, 5, 6, 7].map(|s| (primary, s)).to_vec();
+    assert_eq!(
+        slots, expect,
+        "consecutive slots, both reservations skipped"
+    );
+
+    let server = cluster.server_rank(0);
+    let a = cluster.post_get(server, DATA_REGION_BASE, 8);
+    let b = cluster
+        .on(primary)
+        .unwrap()
+        .post_get(server, DATA_REGION_BASE, 8);
+    let c = cluster.get(server, DATA_REGION_BASE, 8).unwrap();
+    let ids = [a, b, c].map(|h| (h.client(), h.request().0));
+    assert_eq!(ids, [(primary, 0), (primary, 1), (primary, 2)]);
+    for h in [a, b, c] {
+        cluster.wait(&h).unwrap();
+    }
 }
 
 /// The aggregate burst driver completes every operation for every client
@@ -434,7 +465,9 @@ fn cross_client_traffic_bypasses_the_fault_plan_on_both_backends() {
             .fault_plan(tc_core::FaultPlan::seeded(3).drop_rate(1.0))
             .build(backend);
         cluster
-            .put_from(ClientId(0), 1, DATA_REGION_BASE, vec![0xEE; 8])
+            .on(ClientId(0))
+            .unwrap()
+            .put(1, DATA_REGION_BASE, vec![0xEE; 8])
             .unwrap();
         cluster.run_until_idle(100_000).or_dump(&cluster);
         assert_eq!(
@@ -464,17 +497,13 @@ fn four_client_layout_is_consistent_on_both_backends() {
         assert_eq!(cluster.server_rank(2), 6);
         for c in 0..4 {
             assert_eq!(
-                cluster
-                    .client_runtime(ClientId(c))
-                    .unwrap()
-                    .node_id()
-                    .index(),
+                cluster.on(ClientId(c)).unwrap().runtime().node_id().index(),
                 c,
                 "{backend}: client {c} rank"
             );
         }
         // A client the cluster does not have is a typed error, not a panic.
-        let refused = cluster.get_from(ClientId(4), cluster.server_rank(0), DATA_REGION_BASE, 8);
+        let refused = cluster.on(ClientId(4)).map(drop);
         assert!(
             matches!(&refused, Err(tc_core::CoreError::Transport(m)) if m.contains("no client")),
             "{backend}: {refused:?}"
@@ -492,14 +521,12 @@ fn four_client_layout_is_consistent_on_both_backends() {
         )
         .unwrap();
         for c in 0..4 {
-            let handle = cluster.register_ifunc_on(ClientId(c), lib.clone()).unwrap();
-            let msg = cluster
-                .bitcode_message_on(ClientId(c), handle, vec![c as u8 + 1])
-                .unwrap();
-            for s in 0..3 {
-                cluster
-                    .send_ifunc_from(ClientId(c), &msg, cluster.server_rank(s))
-                    .unwrap();
+            let ranks: Vec<usize> = (0..3).map(|s| cluster.server_rank(s)).collect();
+            let mut on = cluster.on(ClientId(c)).unwrap();
+            let handle = on.register_ifunc(lib.clone());
+            let msg = on.bitcode_message(handle, vec![c as u8 + 1]).unwrap();
+            for rank in ranks {
+                on.send_ifunc(&msg, rank).unwrap();
             }
         }
         cluster.run_until_idle(1_000_000).or_dump(&cluster);
@@ -542,8 +569,9 @@ fn control_round_trips_do_not_eat_data_in_flight() {
             for i in 0..PER_CLIENT {
                 let server = cluster.server_rank((i % 2) as usize);
                 let h = cluster
-                    .post_get_from(ClientId(c as usize), server, addr(c, i), 8)
-                    .unwrap();
+                    .on(ClientId(c as usize))
+                    .unwrap()
+                    .post_get(server, addr(c, i), 8);
                 assert_eq!(h.client(), ClientId(c as usize));
                 expected.insert(set.add_get(h), value(c, i));
             }

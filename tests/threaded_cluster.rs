@@ -6,7 +6,7 @@
 //! through exactly the same `ClusterBuilder` API as the simulated backend.
 
 use tc_core::layout::{DATA_REGION_BASE, TARGET_REGION_BASE};
-use tc_core::{build_ifunc_library, ClusterBuilder, Transport};
+use tc_core::{build_ifunc_library, ClientId, ClusterBuilder, Transport};
 use tc_ucx::{UcpOp, WorkerAddr};
 use tc_workloads::{platform_toolchain, tsi_module};
 
@@ -87,7 +87,9 @@ fn threaded_truncated_frame_to_cold_server_is_rejected_not_crashing() {
     // bypassing the sender cache.
     let truncated = message.frame.encode_truncated();
     cluster
-        .client_mut()
+        .on(ClientId::PRIMARY)
+        .unwrap()
+        .runtime()
         .worker
         .post(WorkerAddr(1), UcpOp::IfuncFrame { bytes: truncated });
     cluster.flush().unwrap();
@@ -256,7 +258,9 @@ fn driver_flush_racing_the_worker_flush_keeps_every_link_in_order() {
                 // Posted, not flushed: the first one per server ships the
                 // code, every later one only its id.
                 cluster
-                    .client_mut()
+                    .on(ClientId::PRIMARY)
+                    .unwrap()
+                    .runtime()
                     .send_ifunc(&message, WorkerAddr(server as u32));
                 ifuncs[server - 1] += 1;
             } else {
@@ -314,9 +318,12 @@ fn no_thread_is_started_for_a_client_rank() {
         cluster.write_u64(rank, DATA_REGION_BASE, 0xC0DE).unwrap();
     }
     for c in 0..2 {
-        let client = tc_core::ClientId(c);
+        let client = ClientId(c);
+        let rank = cluster.server_rank(c);
         let handle = cluster
-            .get_from(client, cluster.server_rank(c), DATA_REGION_BASE, 8)
+            .on(client)
+            .unwrap()
+            .get(rank, DATA_REGION_BASE, 8)
             .unwrap();
         let data = cluster.wait(&handle).unwrap();
         assert_eq!(u64::from_le_bytes(data[..8].try_into().unwrap()), 0xC0DE);

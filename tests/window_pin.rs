@@ -78,9 +78,9 @@ fn secondary_chases(faulty: bool) -> (u64, TransportMetrics) {
     let lib =
         build_ifunc_library(&chaser_module("pin_chaser"), &platform_toolchain(&platform)).unwrap();
     let client = ClientId(1);
-    let handle = cluster.register_ifunc_on(client, lib).unwrap();
+    let handle = cluster.on(client).unwrap().register_ifunc(lib);
     let mut mk = move |c: &mut Cluster<SimTransport>, client, payload: Vec<u8>| {
-        c.bitcode_message_on(client, handle, payload)
+        c.on(client)?.bitcode_message(handle, payload)
     };
     let starts: Vec<u64> = (0..8).map(|i| (i * 5) % 32).collect();
     let values = run_pipelined_chases(
