@@ -32,13 +32,9 @@ impl SectionKind {
     /// All section kinds.
     pub const ALL: [SectionKind; 3] = [SectionKind::Text, SectionKind::Data, SectionKind::RoData];
 
-    /// Stable tag for serialization.
+    /// Stable tag for serialization: its position in declaration order.
     pub fn tag(self) -> u8 {
-        match self {
-            SectionKind::Text => 0,
-            SectionKind::Data => 1,
-            SectionKind::RoData => 2,
-        }
+        self as u8
     }
 
     /// Inverse of [`SectionKind::tag`].
@@ -66,21 +62,14 @@ pub enum SymbolKind {
 }
 
 impl SymbolKind {
-    /// Stable tag for serialization.
+    /// Stable tag for serialization: its position in declaration order.
     pub fn tag(self) -> u8 {
-        match self {
-            SymbolKind::Func => 0,
-            SymbolKind::Object => 1,
-        }
+        self as u8
     }
 
     /// Inverse of [`SymbolKind::tag`].
     pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(SymbolKind::Func),
-            1 => Some(SymbolKind::Object),
-            _ => None,
-        }
+        [Self::Func, Self::Object].get(usize::from(tag)).copied()
     }
 }
 
@@ -110,21 +99,14 @@ pub enum RelocKind {
 }
 
 impl RelocKind {
-    /// Stable tag for serialization.
+    /// Stable tag for serialization: its position in declaration order.
     pub fn tag(self) -> u8 {
-        match self {
-            RelocKind::GotSlot => 0,
-            RelocKind::Abs64 => 1,
-        }
+        self as u8
     }
 
     /// Inverse of [`RelocKind::tag`].
     pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(RelocKind::GotSlot),
-            1 => Some(RelocKind::Abs64),
-            _ => None,
-        }
+        [Self::GotSlot, Self::Abs64].get(usize::from(tag)).copied()
     }
 }
 

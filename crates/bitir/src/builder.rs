@@ -168,35 +168,17 @@ impl<'m> FunctionBuilder<'m> {
 
     /// Materialise a signed 64-bit constant.
     pub fn const_i64(&mut self, v: i64) -> Reg {
-        let dst = self.new_reg();
-        self.push(Inst::Const {
-            dst,
-            ty: ScalarType::I64,
-            bits: v as u64,
-        });
-        dst
+        self.const_bits(ScalarType::I64, v as u64)
     }
 
     /// Materialise an unsigned 64-bit constant.
     pub fn const_u64(&mut self, v: u64) -> Reg {
-        let dst = self.new_reg();
-        self.push(Inst::Const {
-            dst,
-            ty: ScalarType::U64,
-            bits: v,
-        });
-        dst
+        self.const_bits(ScalarType::U64, v)
     }
 
     /// Materialise a double-precision constant.
     pub fn const_f64(&mut self, v: f64) -> Reg {
-        let dst = self.new_reg();
-        self.push(Inst::Const {
-            dst,
-            ty: ScalarType::F64,
-            bits: v.to_bits(),
-        });
-        dst
+        self.const_bits(ScalarType::F64, v.to_bits())
     }
 
     /// Materialise a typed constant from a raw bit pattern.

@@ -88,21 +88,9 @@ impl ScalarType {
         )
     }
 
-    /// Stable numeric tag used by the bitcode encoder.
+    /// Stable numeric tag used by the bitcode encoder: its position in declaration order.
     pub fn tag(self) -> u8 {
-        match self {
-            ScalarType::I8 => 0,
-            ScalarType::I16 => 1,
-            ScalarType::I32 => 2,
-            ScalarType::I64 => 3,
-            ScalarType::U8 => 4,
-            ScalarType::U16 => 5,
-            ScalarType::U32 => 6,
-            ScalarType::U64 => 7,
-            ScalarType::F32 => 8,
-            ScalarType::F64 => 9,
-            ScalarType::Ptr => 10,
-        }
+        self as u8
     }
 
     /// Inverse of [`ScalarType::tag`].
@@ -140,21 +128,14 @@ pub enum Isa {
 }
 
 impl Isa {
-    /// Stable numeric tag used by the bitcode encoder.
+    /// Stable numeric tag used by the bitcode encoder: its position in declaration order.
     pub fn tag(self) -> u8 {
-        match self {
-            Isa::X86_64 => 0,
-            Isa::Aarch64 => 1,
-        }
+        self as u8
     }
 
     /// Inverse of [`Isa::tag`].
     pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(Isa::X86_64),
-            1 => Some(Isa::Aarch64),
-            _ => None,
-        }
+        [Self::X86_64, Self::Aarch64].get(usize::from(tag)).copied()
     }
 
     /// Canonical lower-case name.
@@ -186,25 +167,16 @@ pub enum Microarch {
 }
 
 impl Microarch {
-    /// Stable numeric tag used by the bitcode encoder.
+    /// Stable numeric tag used by the bitcode encoder: its position in declaration order.
     pub fn tag(self) -> u8 {
-        match self {
-            Microarch::Generic => 0,
-            Microarch::XeonE5 => 1,
-            Microarch::A64fx => 2,
-            Microarch::CortexA72 => 3,
-        }
+        self as u8
     }
 
     /// Inverse of [`Microarch::tag`].
     pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(Microarch::Generic),
-            1 => Some(Microarch::XeonE5),
-            2 => Some(Microarch::A64fx),
-            3 => Some(Microarch::CortexA72),
-            _ => None,
-        }
+        [Self::Generic, Self::XeonE5, Self::A64fx, Self::CortexA72]
+            .get(usize::from(tag))
+            .copied()
     }
 
     /// Canonical lower-case name (used in triple strings).
@@ -272,25 +244,16 @@ impl VectorExt {
         }
     }
 
-    /// Stable numeric tag used by the bitcode encoder.
+    /// Stable numeric tag used by the bitcode encoder: its position in declaration order.
     pub fn tag(self) -> u8 {
-        match self {
-            VectorExt::None => 0,
-            VectorExt::Simd128 => 1,
-            VectorExt::Simd256 => 2,
-            VectorExt::Simd512 => 3,
-        }
+        self as u8
     }
 
     /// Inverse of [`VectorExt::tag`].
     pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(VectorExt::None),
-            1 => Some(VectorExt::Simd128),
-            2 => Some(VectorExt::Simd256),
-            3 => Some(VectorExt::Simd512),
-            _ => None,
-        }
+        [Self::None, Self::Simd128, Self::Simd256, Self::Simd512]
+            .get(usize::from(tag))
+            .copied()
     }
 }
 
@@ -304,21 +267,14 @@ pub enum AtomicsExt {
 }
 
 impl AtomicsExt {
-    /// Stable numeric tag used by the bitcode encoder.
+    /// Stable numeric tag used by the bitcode encoder: its position in declaration order.
     pub fn tag(self) -> u8 {
-        match self {
-            AtomicsExt::CasLoop => 0,
-            AtomicsExt::Lse => 1,
-        }
+        self as u8
     }
 
     /// Inverse of [`AtomicsExt::tag`].
     pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(AtomicsExt::CasLoop),
-            1 => Some(AtomicsExt::Lse),
-            _ => None,
-        }
+        [Self::CasLoop, Self::Lse].get(usize::from(tag)).copied()
     }
 }
 

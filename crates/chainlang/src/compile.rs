@@ -346,67 +346,26 @@ fn compile_expr(
                 )));
             }
             let sty = scalar_of(lty);
+            let float = lty == Ty::F64;
+            let arith = |int, fp| (if float { fp } else { int }, lty);
+            let refuse = |msg: &str| Err(ChainlangError::Check(msg.into()));
             let (bitir_op, result_ty) = match op {
-                BinOpKind::Add => (
-                    if lty == Ty::F64 {
-                        BinOp::FAdd
-                    } else {
-                        BinOp::Add
-                    },
-                    lty,
-                ),
-                BinOpKind::Sub => (
-                    if lty == Ty::F64 {
-                        BinOp::FSub
-                    } else {
-                        BinOp::Sub
-                    },
-                    lty,
-                ),
-                BinOpKind::Mul => (
-                    if lty == Ty::F64 {
-                        BinOp::FMul
-                    } else {
-                        BinOp::Mul
-                    },
-                    lty,
-                ),
-                BinOpKind::Div => (
-                    if lty == Ty::F64 {
-                        BinOp::FDiv
-                    } else {
-                        BinOp::Div
-                    },
-                    lty,
-                ),
-                BinOpKind::Rem => {
-                    if lty == Ty::F64 {
-                        return Err(ChainlangError::Check("`%` is not defined for f64".into()));
-                    }
-                    (BinOp::Rem, lty)
-                }
+                BinOpKind::Add => arith(BinOp::Add, BinOp::FAdd),
+                BinOpKind::Sub => arith(BinOp::Sub, BinOp::FSub),
+                BinOpKind::Mul => arith(BinOp::Mul, BinOp::FMul),
+                BinOpKind::Div => arith(BinOp::Div, BinOp::FDiv),
+                BinOpKind::Rem if float => return refuse("`%` is not defined for f64"),
+                BinOpKind::And if float => return refuse("`&&` requires integer operands"),
+                BinOpKind::Or if float => return refuse("`||` requires integer operands"),
+                BinOpKind::Rem => (BinOp::Rem, lty),
                 BinOpKind::Eq => (BinOp::CmpEq, Ty::U64),
                 BinOpKind::Ne => (BinOp::CmpNe, Ty::U64),
                 BinOpKind::Lt => (BinOp::CmpLt, Ty::U64),
                 BinOpKind::Le => (BinOp::CmpLe, Ty::U64),
                 BinOpKind::Gt => (BinOp::CmpGt, Ty::U64),
                 BinOpKind::Ge => (BinOp::CmpGe, Ty::U64),
-                BinOpKind::And => {
-                    if lty == Ty::F64 {
-                        return Err(ChainlangError::Check(
-                            "`&&` requires integer operands".into(),
-                        ));
-                    }
-                    (BinOp::And, Ty::U64)
-                }
-                BinOpKind::Or => {
-                    if lty == Ty::F64 {
-                        return Err(ChainlangError::Check(
-                            "`||` requires integer operands".into(),
-                        ));
-                    }
-                    (BinOp::Or, Ty::U64)
-                }
+                BinOpKind::And => (BinOp::And, Ty::U64),
+                BinOpKind::Or => (BinOp::Or, Ty::U64),
             };
             Ok((f.bin(bitir_op, sty, l, r), result_ty))
         }

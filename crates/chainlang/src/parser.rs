@@ -207,6 +207,30 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// The binding level of comparisons.
+const COMPARISON: u8 = 2;
+
+/// The binary operator `tok` stands for and its binding level, loosest
+/// first: `||`, `&&`, comparisons, `+ -`, `* / %`.
+fn binary_op(tok: &Tok) -> Option<(u8, BinOpKind)> {
+    Some(match tok {
+        Tok::OrOr => (0, BinOpKind::Or),
+        Tok::AndAnd => (1, BinOpKind::And),
+        Tok::EqEq => (COMPARISON, BinOpKind::Eq),
+        Tok::NotEq => (COMPARISON, BinOpKind::Ne),
+        Tok::Lt => (COMPARISON, BinOpKind::Lt),
+        Tok::Le => (COMPARISON, BinOpKind::Le),
+        Tok::Gt => (COMPARISON, BinOpKind::Gt),
+        Tok::Ge => (COMPARISON, BinOpKind::Ge),
+        Tok::Plus => (3, BinOpKind::Add),
+        Tok::Minus => (3, BinOpKind::Sub),
+        Tok::Star => (4, BinOpKind::Mul),
+        Tok::Slash => (4, BinOpKind::Div),
+        Tok::Percent => (4, BinOpKind::Rem),
+        _ => return None,
+    })
+}
+
 /// Parse Chainlang source into a [`Program`].
 pub fn parse(source: &str) -> Result<Program> {
     let mut lexer = Lexer::new(source);
@@ -395,95 +419,30 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+        self.binary(0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.and_expr()?;
-        while *self.peek() == Tok::OrOr {
-            self.bump();
-            let rhs = self.and_expr()?;
-            lhs = Expr::Bin {
-                op: BinOpKind::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.cmp_expr()?;
-        while *self.peek() == Tok::AndAnd {
-            self.bump();
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::Bin {
-                op: BinOpKind::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_expr(&mut self) -> Result<Expr> {
-        let lhs = self.add_expr()?;
-        let op = match self.peek() {
-            Tok::EqEq => Some(BinOpKind::Eq),
-            Tok::NotEq => Some(BinOpKind::Ne),
-            Tok::Lt => Some(BinOpKind::Lt),
-            Tok::Le => Some(BinOpKind::Le),
-            Tok::Gt => Some(BinOpKind::Gt),
-            Tok::Ge => Some(BinOpKind::Ge),
-            _ => None,
-        };
-        if let Some(op) = op {
-            self.bump();
-            let rhs = self.add_expr()?;
-            Ok(Expr::Bin {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            })
-        } else {
-            Ok(lhs)
-        }
-    }
-
-    fn add_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOpKind::Add,
-                Tok::Minus => BinOpKind::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = Expr::Bin {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr> {
+    /// Atoms joined by binary operators of binding level `min` or tighter
+    /// (see [`binary_op`]), each level left-associative.  An operator binds
+    /// no tighter than the one before it at this depth, and a comparison is
+    /// followed by none: `a < b < c` does not parse.
+    fn binary(&mut self, min: u8) -> Result<Expr> {
         let mut lhs = self.atom()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinOpKind::Mul,
-                Tok::Slash => BinOpKind::Div,
-                Tok::Percent => BinOpKind::Rem,
-                _ => break,
-            };
+        let mut max = u8::MAX;
+        while let Some((level, op)) =
+            binary_op(self.peek()).filter(|(l, _)| (min..=max).contains(l))
+        {
             self.bump();
-            let rhs = self.atom()?;
+            let rhs = self.binary(level + 1)?;
             lhs = Expr::Bin {
                 op,
                 lhs: Box::new(lhs),
                 rhs: Box::new(rhs),
+            };
+            max = if level == COMPARISON {
+                COMPARISON - 1
+            } else {
+                level
             };
         }
         Ok(lhs)
@@ -593,6 +552,28 @@ mod tests {
         let main = prog.function("main").unwrap();
         assert!(matches!(main.body[2], Stmt::While { .. }));
         assert!(matches!(main.body[3], Stmt::If { .. }));
+    }
+
+    /// Every level is left-associative, comparisons take one operator and
+    /// bind looser than arithmetic, `&&` looser than comparisons.
+    #[test]
+    fn levels_associate_left_and_comparisons_do_not_chain() {
+        let ret = |e: &str| match parse(&format!("fn f() -> u64 {{ return {e}; }}")) {
+            Ok(p) => Ok(format!("{:?}", p.functions[0].body[0])),
+            Err(e) => Err(e),
+        };
+        let bin = |op, l: String, r: String| format!("Bin {{ op: {op}, lhs: {l}, rhs: {r} }}");
+        let var = |v: &str| format!("Var(\"{v}\")");
+        let minus = bin("Sub", bin("Sub", var("a"), var("b")), var("c"));
+        assert_eq!(ret("a - b - c"), Ok(format!("Return({minus})")));
+        let lt = |l, r| bin("Lt", var(l), var(r));
+        let both = bin("And", lt("a", "b"), lt("c", "d"));
+        assert_eq!(ret("a < b && c < d"), Ok(format!("Return({both})")));
+        let sum = bin("Lt", bin("Add", var("a"), var("b")), var("c"));
+        assert_eq!(ret("a + b < c"), Ok(format!("Return({sum})")));
+        for chained in ["a < b < c", "a == b != c", "a && b < c < d"] {
+            assert!(ret(chained).is_err(), "{chained}");
+        }
     }
 
     #[test]

@@ -8,12 +8,14 @@
 //! […] the runtime will only send the message up to the second last signal
 //! byte, skipping the code section."
 //!
-//! The cache is keyed by `(ifunc name, destination endpoint)`.  It is purely
-//! a sender-side optimisation: correctness never depends on it because the
-//! receiver auto-registers on the first full frame it sees and can always ask
-//! for retransmission by reporting [`crate::error::CoreError::TruncatedWithoutRegistration`].
+//! The cache is a table of rows, one per ifunc type a node sends: the
+//! type's name and the endpoints that have its code.  A received ifunc's
+//! registration record keeps its [`CacheRow`], so a forward is decided
+//! without looking a name up.  It is purely a sender-side optimisation:
+//! correctness never depends on it because the receiver auto-registers on
+//! the first full frame it sees and can always ask for retransmission by
+//! reporting [`crate::error::CoreError::TruncatedWithoutRegistration`].
 
-use std::collections::{HashMap, HashSet};
 use tc_ucx::WorkerAddr;
 
 /// Decision made for one send.
@@ -25,13 +27,17 @@ pub enum SendDecision {
     SendTruncated,
 }
 
+/// One row of a [`SenderCache`]: the ifunc type it names, by position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheRow(u32);
+
 /// Sender-side cache of which endpoints have seen which ifunc types.
-///
-/// Stored as ifunc name → endpoints, so a send is answered from the borrowed
-/// name: one probe, and no key is built unless the name is new.
 #[derive(Debug, Default, Clone)]
 pub struct SenderCache {
-    seen: HashMap<String, HashSet<WorkerAddr>>,
+    /// Per row: the ifunc name and the endpoints that have its code, sorted.
+    rows: Vec<(Box<str>, Vec<WorkerAddr>)>,
+    /// The rows in name order, so a name is found by a binary search.
+    by_name: Vec<CacheRow>,
 }
 
 impl SenderCache {
@@ -40,50 +46,65 @@ impl SenderCache {
         Self::default()
     }
 
-    /// Record a send of `ifunc_name` to `endpoint` and return what should be
-    /// transmitted.  The runtime counts the decisions
+    /// The row of `ifunc_name`, added on its first send: one row per name.
+    pub fn row_of(&mut self, ifunc_name: &str) -> CacheRow {
+        let rows = &self.rows;
+        let at = self
+            .by_name
+            .binary_search_by(|r| (*rows[r.0 as usize].0).cmp(ifunc_name));
+        at.map(|i| self.by_name[i]).unwrap_or_else(|i| {
+            let row = CacheRow(self.rows.len() as u32);
+            self.rows.push((ifunc_name.into(), Vec::new()));
+            self.by_name.insert(i, row);
+            row
+        })
+    }
+
+    /// Whether `endpoint` has the code of `row`'s ifunc.
+    pub fn has(&self, row: CacheRow, endpoint: WorkerAddr) -> bool {
+        self.rows[row.0 as usize].1.binary_search(&endpoint).is_ok()
+    }
+
+    /// Record a send of `row`'s ifunc to `endpoint` and return what should
+    /// be transmitted.  The runtime counts the decisions
     /// ([`crate::RuntimeStats::ifunc_full_sends`] and
     /// [`crate::RuntimeStats::ifunc_truncated_sends`]); the cache keeps no
     /// second count.
-    pub fn on_send(&mut self, ifunc_name: &str, endpoint: WorkerAddr) -> SendDecision {
-        let first = match self.seen.get_mut(ifunc_name) {
-            Some(endpoints) => endpoints.insert(endpoint),
-            None => {
-                self.seen
-                    .insert(ifunc_name.to_string(), HashSet::from([endpoint]));
-                true
+    pub fn decide(&mut self, row: CacheRow, endpoint: WorkerAddr) -> SendDecision {
+        let seen = &mut self.rows[row.0 as usize].1;
+        match seen.binary_search(&endpoint) {
+            Ok(_) => SendDecision::SendTruncated,
+            Err(at) => {
+                seen.insert(at, endpoint);
+                SendDecision::SendFull
             }
-        };
-        if first {
-            SendDecision::SendFull
-        } else {
-            SendDecision::SendTruncated
         }
     }
 
     /// Forget an endpoint entirely (connection teardown).
     pub fn forget_endpoint(&mut self, endpoint: WorkerAddr) {
-        self.seen.retain(|_, endpoints| {
-            endpoints.remove(&endpoint);
-            !endpoints.is_empty()
-        });
+        for (_, seen) in &mut self.rows {
+            seen.retain(|&e| e != endpoint);
+        }
     }
 
     /// Forget one ifunc type everywhere (ifunc de-registration on the source:
     /// the next send must ship code again because targets may also have
     /// dropped it).
     pub fn forget_ifunc(&mut self, ifunc_name: &str) {
-        self.seen.remove(ifunc_name);
+        if let Some((_, seen)) = self.rows.iter_mut().find(|(n, _)| **n == *ifunc_name) {
+            seen.clear();
+        }
     }
 
     /// Number of `(ifunc, endpoint)` pairs currently cached.
     pub fn len(&self) -> usize {
-        self.seen.values().map(HashSet::len).sum()
+        self.rows.iter().map(|(_, seen)| seen.len()).sum()
     }
 
     /// True when nothing has been cached.
     pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
+        self.len() == 0
     }
 }
 
@@ -91,49 +112,99 @@ impl SenderCache {
 mod tests {
     use super::*;
 
+    /// One send of `name` to `ep`, decided by the name's row.
+    fn send(c: &mut SenderCache, name: &str, ep: WorkerAddr) -> SendDecision {
+        let row = c.row_of(name);
+        c.decide(row, ep)
+    }
+
     #[test]
     fn first_send_full_then_truncated() {
         let mut c = SenderCache::new();
         let ep = WorkerAddr(3);
-        assert_eq!(c.on_send("tsi", ep), SendDecision::SendFull);
-        assert_eq!(c.on_send("tsi", ep), SendDecision::SendTruncated);
-        assert_eq!(c.on_send("tsi", ep), SendDecision::SendTruncated);
+        assert_eq!(send(&mut c, "tsi", ep), SendDecision::SendFull);
+        assert_eq!(send(&mut c, "tsi", ep), SendDecision::SendTruncated);
+        assert_eq!(send(&mut c, "tsi", ep), SendDecision::SendTruncated);
         assert_eq!(c.len(), 1);
     }
 
     #[test]
     fn cache_is_per_endpoint_and_per_type() {
         let mut c = SenderCache::new();
-        assert_eq!(c.on_send("tsi", WorkerAddr(1)), SendDecision::SendFull);
-        assert_eq!(c.on_send("tsi", WorkerAddr(2)), SendDecision::SendFull);
-        assert_eq!(c.on_send("chaser", WorkerAddr(1)), SendDecision::SendFull);
-        assert_eq!(c.on_send("tsi", WorkerAddr(1)), SendDecision::SendTruncated);
+        assert_eq!(send(&mut c, "tsi", WorkerAddr(1)), SendDecision::SendFull);
+        assert_eq!(send(&mut c, "tsi", WorkerAddr(2)), SendDecision::SendFull);
+        assert_eq!(
+            send(&mut c, "chaser", WorkerAddr(1)),
+            SendDecision::SendFull
+        );
+        assert_eq!(
+            send(&mut c, "tsi", WorkerAddr(1)),
+            SendDecision::SendTruncated
+        );
         assert_eq!(c.len(), 3);
     }
 
     #[test]
     fn forgetting_endpoint_resends_code() {
         let mut c = SenderCache::new();
-        c.on_send("tsi", WorkerAddr(1));
-        c.on_send("chaser", WorkerAddr(1));
-        c.on_send("tsi", WorkerAddr(2));
+        send(&mut c, "tsi", WorkerAddr(1));
+        send(&mut c, "chaser", WorkerAddr(1));
+        send(&mut c, "tsi", WorkerAddr(2));
         c.forget_endpoint(WorkerAddr(1));
-        assert_eq!(c.on_send("tsi", WorkerAddr(1)), SendDecision::SendFull);
-        assert_eq!(c.on_send("tsi", WorkerAddr(2)), SendDecision::SendTruncated);
+        assert_eq!(send(&mut c, "tsi", WorkerAddr(1)), SendDecision::SendFull);
+        assert_eq!(
+            send(&mut c, "tsi", WorkerAddr(2)),
+            SendDecision::SendTruncated
+        );
     }
 
     #[test]
     fn forgetting_ifunc_resends_everywhere() {
         let mut c = SenderCache::new();
-        c.on_send("tsi", WorkerAddr(1));
-        c.on_send("tsi", WorkerAddr(2));
-        c.on_send("chaser", WorkerAddr(1));
+        send(&mut c, "tsi", WorkerAddr(1));
+        send(&mut c, "tsi", WorkerAddr(2));
+        send(&mut c, "chaser", WorkerAddr(1));
         c.forget_ifunc("tsi");
-        assert_eq!(c.on_send("tsi", WorkerAddr(1)), SendDecision::SendFull);
-        assert_eq!(c.on_send("tsi", WorkerAddr(2)), SendDecision::SendFull);
+        assert_eq!(send(&mut c, "tsi", WorkerAddr(1)), SendDecision::SendFull);
+        assert_eq!(send(&mut c, "tsi", WorkerAddr(2)), SendDecision::SendFull);
         assert_eq!(
-            c.on_send("chaser", WorkerAddr(1)),
+            send(&mut c, "chaser", WorkerAddr(1)),
             SendDecision::SendTruncated
         );
+    }
+
+    #[test]
+    fn a_row_is_decided_by_index_and_forgotten_by_name_or_endpoint() {
+        let mut c = SenderCache::new();
+        // One row per name, however often it is asked for.
+        let (a, b) = (c.row_of("tsi"), c.row_of("chaser"));
+        assert_eq!((c.row_of("tsi"), c.row_of("chaser")), (a, b));
+        assert_eq!(c.decide(a, WorkerAddr(1)), SendDecision::SendFull);
+        assert_eq!(c.decide(a, WorkerAddr(1)), SendDecision::SendTruncated);
+        assert_eq!(c.decide(b, WorkerAddr(1)), SendDecision::SendFull);
+        assert_eq!(c.len(), 2);
+        c.forget_endpoint(WorkerAddr(1));
+        assert!(c.is_empty());
+        for row in [a, b] {
+            c.decide(row, WorkerAddr(2));
+        }
+        c.forget_ifunc("tsi");
+        assert!(!c.has(a, WorkerAddr(2)) && c.has(b, WorkerAddr(2)));
+    }
+
+    /// Names asked for in any order each get one row, found again by name
+    /// however many rows there are.
+    #[test]
+    fn every_name_keeps_one_row_among_many() {
+        let mut c = SenderCache::new();
+        let names: Vec<String> = (0..512u32)
+            .map(|i| format!("cold_{:03}", (i * 389) % 512))
+            .collect();
+        let rows: Vec<CacheRow> = names.iter().map(|n| c.row_of(n)).collect();
+        for (i, (name, row)) in names.iter().zip(&rows).enumerate() {
+            assert_eq!(c.row_of(name), *row, "{name}");
+            assert_eq!(row.0 as usize, i, "rows are handed out in first-send order");
+        }
+        assert_eq!((c.rows.len(), c.by_name.len()), (512, 512));
     }
 }

@@ -182,12 +182,12 @@ impl ServerHost {
         let rank = self.runtime.node_id().0;
         let mut emit = gated(&mut self.gate, emit);
         while std::mem::take(&mut self.pending) {
-            for outcome in self.runtime.poll(usize::MAX) {
+            self.runtime.poll_each(usize::MAX, |outcome| {
                 if let Err(e) = outcome {
                     report(&mut emit, e.to_string());
                 }
-            }
-            for msg in self.runtime.take_outgoing() {
+            });
+            while let Some(msg) = self.runtime.next_outgoing() {
                 if self.loopback && msg.dst.0 == rank {
                     // The fault model excludes self-sends on every backend:
                     // deliver directly and poll again.
@@ -381,14 +381,11 @@ impl ClientHost {
         let mut siblings = Vec::new();
         loop {
             if std::mem::take(&mut self.pending) {
-                let failed = self.runtime.poll(usize::MAX).into_iter();
-                self.errors.extend(failed.filter_map(Result::err));
+                let errors = &mut self.errors;
+                self.runtime
+                    .poll_each(usize::MAX, |outcome| errors.extend(outcome.err()));
             }
-            let outgoing = self.runtime.take_outgoing();
-            if outgoing.is_empty() {
-                break;
-            }
-            for msg in outgoing {
+            while let Some(msg) = self.runtime.next_outgoing() {
                 if msg.dst.0 == rank {
                     self.runtime.deliver(msg);
                     self.pending = true;
@@ -399,8 +396,10 @@ impl ClientHost {
                     emit(msg.dst.0, tag, data, payload);
                 }
             }
+            if !self.pending {
+                return siblings;
+            }
         }
-        siblings
     }
 
     /// Close one pass over the carrier's inbound frames (or one idle tick),

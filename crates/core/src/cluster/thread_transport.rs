@@ -49,7 +49,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tc_bitir::TargetTriple;
 use tc_chaos::FaultPlan;
-use tc_simnet::threaded::DEFAULT_MAX_BATCH;
+use tc_simnet::threaded::{Batch, DEFAULT_MAX_BATCH};
 use tc_simnet::{external_port, Envelope, NodeCtx, ThreadCluster, ThreadConfig, ThreadedNode};
 use tc_ucx::{Bytes, WorkerAddr};
 
@@ -108,7 +108,7 @@ impl ServerNode {
 impl ThreadedNode for ServerNode {
     /// One wakeup's worth of envelopes, in FIFO order, closed by one pass:
     /// a burst of N frames pays for one poll loop and one flush, not N.
-    fn on_batch(&mut self, msgs: Vec<Envelope>, ctx: &NodeCtx) {
+    fn on_batch(&mut self, msgs: Batch<'_>, ctx: &NodeCtx) {
         let now = pass_now(self.table.is_some());
         let mut emit = self.emit(ctx);
         for msg in msgs {
@@ -120,7 +120,7 @@ impl ThreadedNode for ServerNode {
     }
 
     fn on_message(&mut self, msg: Envelope, ctx: &NodeCtx) {
-        self.on_batch(vec![msg], ctx);
+        self.on_batch(vec![msg].drain(..), ctx);
     }
 
     fn on_tick(&mut self, ctx: &NodeCtx) {

@@ -25,8 +25,8 @@ use crate::metrics::RuntimeStats;
 use crate::runtime::NodeRuntime;
 use tc_bitir::TargetTriple;
 use tc_jit::Memory;
-use tc_ucx::bytes::put;
-use tc_ucx::{AmHandlerId, BufPool, Bytes, OutgoingMessage, RequestId, UcpOp, WorkerAddr};
+use tc_ucx::bytes::{pooled, put};
+use tc_ucx::{AmHandlerId, Bytes, OutgoingMessage, RequestId, UcpOp, WorkerAddr};
 
 /// Envelope tag: encoded fabric operation (data plane).
 pub const TAG_OP: u64 = 1;
@@ -103,12 +103,10 @@ fn put_u64s(words: &[u64]) -> Vec<u8> {
 /// cumulative ack).  First transmissions use [`encode_rel_op_vectored`],
 /// which writes the prefix and the head into one buffer.
 pub fn encode_rel_head(seq: u64, ack: u64, head: &[u8]) -> Bytes {
-    tc_ucx::bytes::with_pool(|pool| {
-        let mut out = pool.acquire(REL_HEAD_LEN + head.len());
-        out.put_u64_le(seq);
-        out.put_u64_le(ack);
-        out.put_slice(head);
-        out.freeze(pool)
+    pooled(REL_HEAD_LEN + head.len(), |mut out| {
+        put(&mut out, &seq.to_le_bytes());
+        put(&mut out, &ack.to_le_bytes());
+        put(&mut out, head);
     })
 }
 
@@ -128,13 +126,11 @@ pub fn decode_rel_head(bytes: &Bytes) -> Result<(u64, u64, Bytes)> {
 /// [`TAG_ACK`] envelope (a pooled buffer: steady-state acks allocate
 /// nothing).
 pub fn encode_ack(ack: u64, gap: Option<u64>) -> Bytes {
-    tc_ucx::bytes::with_pool(|pool| {
-        let mut out = pool.acquire(if gap.is_some() { 16 } else { 8 });
-        out.put_u64_le(ack);
+    pooled(if gap.is_some() { 16 } else { 8 }, |mut out| {
+        put(&mut out, &ack.to_le_bytes());
         if let Some(gap) = gap {
-            out.put_u64_le(gap);
+            put(&mut out, &gap.to_le_bytes());
         }
-        out.freeze(pool)
     })
 }
 
@@ -235,7 +231,7 @@ pub const SCATTER_THRESHOLD: usize = 512;
 /// copied behind the head.  Steady-state sends reuse released pool slots, so
 /// the encode path performs at most one (small) payload copy and zero
 /// allocations.
-fn encode(msg: &OutgoingMessage, rel: Option<(u64, u64)>, pool: &mut BufPool) -> (Bytes, Bytes) {
+fn encode(msg: &OutgoingMessage, rel: Option<(u64, u64)>) -> (Bytes, Bytes) {
     let bulk = bulk(&msg.op);
     let detached = bulk
         .filter(|b| b.len() >= SCATTER_THRESHOLD)
@@ -243,19 +239,19 @@ fn encode(msg: &OutgoingMessage, rel: Option<(u64, u64)>, pool: &mut BufPool) ->
         .unwrap_or_default();
     let prefix = if rel.is_some() { REL_HEAD_LEN } else { 0 };
     let size = prefix + encoded_op_size(&msg.op) - detached.len();
-    let mut writer = pool.acquire(size);
     // The whole envelope is one region of the pool buffer: one uniqueness
     // check, however many fields.
-    let mut out = writer.reserve(size);
-    if let Some((seq, ack)) = rel {
-        put(&mut out, &seq.to_le_bytes());
-        put(&mut out, &ack.to_le_bytes());
-    }
-    put_op_head(&mut out, msg);
-    if let (Some(bulk), true) = (bulk, detached.is_empty()) {
-        put(&mut out, bulk);
-    }
-    (writer.freeze(pool), detached)
+    let head = pooled(size, |mut out| {
+        if let Some((seq, ack)) = rel {
+            put(&mut out, &seq.to_le_bytes());
+            put(&mut out, &ack.to_le_bytes());
+        }
+        put_op_head(&mut out, msg);
+        if let (Some(bulk), true) = (bulk, detached.is_empty()) {
+            put(&mut out, bulk);
+        }
+    });
+    (head, detached)
 }
 
 /// Scatter-gather encode with this thread's encode pool: returns
@@ -267,7 +263,7 @@ fn encode(msg: &OutgoingMessage, rel: Option<(u64, u64)>, pool: &mut BufPool) ->
 /// image is `head ‖ payload`, which decodes to the same operation from one
 /// buffer.
 pub fn encode_op_vectored(msg: &OutgoingMessage) -> (Bytes, Bytes) {
-    tc_ucx::bytes::with_pool(|pool| encode(msg, None, pool))
+    encode(msg, None)
 }
 
 /// First transmission of a reliable frame: `(data, payload)` where `data` is
@@ -277,7 +273,7 @@ pub fn encode_op_vectored(msg: &OutgoingMessage) -> (Bytes, Bytes) {
 /// `data.slice(REL_HEAD_LEN..)` is the bare op head to retain for
 /// retransmission ([`encode_rel_head`] re-prefixes it).
 pub fn encode_rel_op_vectored(msg: &OutgoingMessage, seq: u64, ack: u64) -> (Bytes, Bytes) {
-    tc_ucx::bytes::with_pool(|pool| encode(msg, Some((seq, ack)), pool))
+    encode(msg, Some((seq, ack)))
 }
 
 /// An encoded data-plane message as the threaded and socket backends retain

@@ -62,6 +62,17 @@ pub enum CoreError {
         /// Bytes the transport actually returned.
         got: usize,
     },
+    /// A length asked for — off the wire, or by executing code — exceeds
+    /// what the message it names could carry; refused before anything was
+    /// allocated for it.
+    TooLarge {
+        /// What asked (`GET`, `tc_put`, `tc_forward_self`).
+        what: String,
+        /// The length asked for.
+        len: u64,
+        /// The most it accepts.
+        max: u64,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -99,6 +110,9 @@ impl fmt::Display for CoreError {
                 f,
                 "short read on rank {rank} at {addr:#x}: wanted {wanted} bytes, got {got}"
             ),
+            CoreError::TooLarge { what, len, max } => {
+                write!(f, "{what} of {len} bytes exceeds its limit of {max}")
+            }
         }
     }
 }
@@ -113,7 +127,10 @@ impl From<tc_bitir::BitirError> for CoreError {
 
 impl From<tc_jit::JitError> for CoreError {
     fn from(e: tc_jit::JitError) -> Self {
-        CoreError::Jit(e.to_string())
+        match e {
+            tc_jit::JitError::TooLarge { what, len, max } => CoreError::TooLarge { what, len, max },
+            e => CoreError::Jit(e.to_string()),
+        }
     }
 }
 

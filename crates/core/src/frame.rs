@@ -12,6 +12,7 @@
 //! trusting the sender.
 
 use crate::error::{CoreError, Result};
+use std::convert::Infallible;
 use std::ops::Range;
 use tc_ucx::bytes::put;
 use tc_ucx::Bytes;
@@ -31,21 +32,14 @@ pub enum CodeRepr {
 }
 
 impl CodeRepr {
-    /// Stable tag for serialization.
+    /// Stable tag for serialization: its position in declaration order.
     pub fn tag(self) -> u8 {
-        match self {
-            CodeRepr::Bitcode => 0,
-            CodeRepr::Binary => 1,
-        }
+        self as u8
     }
 
     /// Inverse of [`CodeRepr::tag`].
     pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(CodeRepr::Bitcode),
-            1 => Some(CodeRepr::Binary),
-            _ => None,
-        }
+        [Self::Bitcode, Self::Binary].get(usize::from(tag)).copied()
     }
 
     /// Display name used in reports.
@@ -100,26 +94,7 @@ impl MessageFrame {
     /// Encode the *full* frame into a buffer of this thread's encode pool:
     /// HEADER | PAYLOAD | MAGIC | CODE | DEPS | MAGIC.
     pub fn encode_full(&self) -> Bytes {
-        tc_ucx::bytes::with_pool(|pool| {
-            let size = self.full_size();
-            let mut w = pool.acquire(size);
-            let mut out = w.reserve(size);
-            write_truncated(
-                &mut out,
-                &self.ifunc_name,
-                self.repr,
-                &self.payload,
-                self.code.len() as u32,
-                self.deps.len() as u16,
-            );
-            put(&mut out, &self.code);
-            for d in &self.deps {
-                put(&mut out, &(d.len() as u16).to_le_bytes());
-                put(&mut out, d.as_bytes());
-            }
-            put(&mut out, &FRAME_MAGIC);
-            w.freeze(pool)
-        })
+        self.encode(true)
     }
 
     /// Encode the *truncated* frame into a buffer of this thread's encode
@@ -127,13 +102,18 @@ impl MessageFrame {
     /// target has already cached this ifunc type, so the code section and
     /// trailer are elided.
     pub fn encode_truncated(&self) -> Bytes {
-        encode_truncated_parts(
-            &self.ifunc_name,
-            self.repr,
-            &self.payload,
-            self.code.len() as u32,
-            self.deps.len() as u16,
-        )
+        self.encode(false)
+    }
+
+    fn encode(&self, full: bool) -> Bytes {
+        let payload = &self.payload;
+        let copy = |out: &mut [u8]| {
+            out.copy_from_slice(payload);
+            Ok::<_, Infallible>(())
+        };
+        let parts = (&*self.ifunc_name, self.repr, &self.code[..], &self.deps[..]);
+        let Ok(bytes) = encode_frame(parts, payload.len(), copy, full);
+        bytes
     }
 
     /// Size in bytes of the full encoding (computed, not materialised).
@@ -167,55 +147,54 @@ impl MessageFrame {
 /// Size of a truncated frame: version + repr + name len + name + payload
 /// len + code len + deps count, the payload, the MAGIC.
 fn truncated_size(name: &str, payload: &[u8]) -> usize {
-    1 + 1 + 2 + name.len() + 4 + 4 + 2 + payload.len() + FRAME_MAGIC.len()
+    header_size(name) + payload.len() + FRAME_MAGIC.len()
 }
 
-/// Write HEADER | PAYLOAD | MAGIC to the front of `out`.  The length fields
-/// are as wide as the wire format makes them; the toolchain refuses names
-/// and dependency lists that do not fit
-/// ([`crate::ifunc::build_ifunc_library`]).
-fn write_truncated(
-    out: &mut &mut [u8],
-    name: &str,
-    repr: CodeRepr,
-    payload: &[u8],
-    code_len: u32,
-    deps_count: u16,
-) {
-    put(out, &[FRAME_VERSION, repr.tag()]);
-    put(out, &(name.len() as u16).to_le_bytes());
-    put(out, name.as_bytes());
-    put(out, &(payload.len() as u32).to_le_bytes());
-    put(out, &code_len.to_le_bytes());
-    put(out, &deps_count.to_le_bytes());
-    put(out, payload);
-    put(out, &FRAME_MAGIC);
+fn header_size(name: &str) -> usize {
+    1 + 1 + 2 + name.len() + 4 + 4 + 2
 }
 
-/// The truncated encoding written straight from its parts — byte for byte
-/// what [`MessageFrame::encode_truncated`] produces for a frame with this
-/// name, representation and payload whose code section is `code_len` bytes
-/// and which names `deps_count` dependencies.  A node forwarding an ifunc it
-/// has received sends this without materialising a [`MessageFrame`].
-pub(crate) fn encode_truncated_parts(
-    name: &str,
-    repr: CodeRepr,
-    payload: &[u8],
-    code_len: u32,
-    deps_count: u16,
-) -> Bytes {
+/// What a frame carries besides its payload: the ifunc's name, the
+/// representation of its code, the code section and the dependency names.
+pub(crate) type FrameParts<'a> = (&'a str, CodeRepr, &'a [u8], &'a [String]);
+
+/// The one frame encoder, into a buffer of this thread's encode pool:
+/// HEADER | PAYLOAD | MAGIC, and for a `full` frame CODE | DEPS | MAGIC
+/// behind it.  `payload` writes the frame's `payload_len` payload bytes into
+/// the slice it is handed — copied from a message, or read straight out of
+/// an executing ifunc's memory by a forward.  The length fields are as wide
+/// as the wire format makes them; the toolchain refuses names and
+/// dependency lists that do not fit ([`crate::ifunc::build_ifunc_library`]),
+/// and a forward refuses a payload that does not.
+pub(crate) fn encode_frame<E>(
+    (name, repr, code, deps): FrameParts<'_>,
+    payload_len: usize,
+    payload: impl FnOnce(&mut [u8]) -> std::result::Result<(), E>,
+    full: bool,
+) -> std::result::Result<Bytes, E> {
+    let trailer = code.len() + deps.iter().map(|d| 2 + d.len()).sum::<usize>() + FRAME_MAGIC.len();
+    let size = header_size(name) + payload_len + FRAME_MAGIC.len() + if full { trailer } else { 0 };
     tc_ucx::bytes::with_pool(|pool| {
-        let size = truncated_size(name, payload);
-        let mut w = pool.acquire(size);
-        write_truncated(
-            &mut w.reserve(size),
-            name,
-            repr,
-            payload,
-            code_len,
-            deps_count,
-        );
-        w.freeze(pool)
+        pool.fill(size, |mut out| {
+            put(&mut out, &[FRAME_VERSION, repr.tag()]);
+            put(&mut out, &(name.len() as u16).to_le_bytes());
+            put(&mut out, name.as_bytes());
+            put(&mut out, &(payload_len as u32).to_le_bytes());
+            put(&mut out, &(code.len() as u32).to_le_bytes());
+            put(&mut out, &(deps.len() as u16).to_le_bytes());
+            let (body, mut rest) = out.split_at_mut(payload_len);
+            payload(body)?;
+            put(&mut rest, &FRAME_MAGIC);
+            if full {
+                put(&mut rest, code);
+                for d in deps {
+                    put(&mut rest, &(d.len() as u16).to_le_bytes());
+                    put(&mut rest, d.as_bytes());
+                }
+                put(&mut rest, &FRAME_MAGIC);
+            }
+            Ok(())
+        })
     })
 }
 
@@ -544,7 +523,7 @@ mod tests {
     }
 
     /// Over 256 seeded frames: the by-value encoders and the encoder that
-    /// writes a truncated frame straight from its parts all produce the
+    /// writes a frame straight from its parts all produce the
     /// reference bytes, and the borrowed parse agrees with the owned decoders
     /// field for field.
     #[test]
@@ -556,14 +535,15 @@ mod tests {
             let truncated = f.encode_truncated();
             assert_eq!(full, reference_encoding(&f, true), "case {case}");
             assert_eq!(truncated, reference_encoding(&f, false), "case {case}");
-            let direct = encode_truncated_parts(
-                &f.ifunc_name,
-                f.repr,
-                &f.payload,
-                f.code.len() as u32,
-                f.deps.len() as u16,
-            );
-            assert_eq!(direct, truncated, "case {case}");
+            for (whole, expected) in [(true, &full), (false, &truncated)] {
+                let parts = (&*f.ifunc_name, f.repr, &f.code[..], &f.deps[..]);
+                let read = |out: &mut [u8]| {
+                    out.copy_from_slice(&f.payload);
+                    Ok::<_, ()>(())
+                };
+                let direct = encode_frame(parts, f.payload.len(), read, whole).unwrap();
+                assert_eq!(direct, *expected, "case {case}");
+            }
 
             for (bytes, has_code) in [(&full, true), (&truncated, false)] {
                 let view = FrameView::parse(bytes).unwrap();

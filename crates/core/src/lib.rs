@@ -75,7 +75,7 @@ pub mod metrics;
 pub mod runtime;
 pub mod sim;
 
-pub use cache::{SendDecision, SenderCache};
+pub use cache::{CacheRow, SendDecision, SenderCache};
 pub use cluster::{
     Backend, ChaosStats, ClaimTable, ClientId, Cluster, ClusterBuilder, CompletionHandle,
     CompletionSet, CompletionToken, FaultPlan, GetHandle, LinkFaults, LinkHealth, PutHandle, Ready,
@@ -88,5 +88,5 @@ pub use ifunc::{
     build_ifunc_library, IfuncHandle, IfuncLibrary, IfuncMessage, IfuncRegistry, ToolchainOptions,
 };
 pub use metrics::{OutcomeKind, ProcessOutcome, RuntimeStats};
-pub use runtime::{AmContext, Completion, HostAction, NativeAmHandler, NodeRuntime};
+pub use runtime::{AmContext, Completion, NativeAmHandler, NodeRuntime};
 pub use sim::{DeliveryRecord, TimingLog};

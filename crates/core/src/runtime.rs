@@ -13,76 +13,36 @@
 //!   ([`NodeRuntime::poll`]), auto-register ifuncs on first arrival (compile
 //!   the bitcode or GOT-patch the binary, then link either through the JIT
 //!   session's one link step), invoke the entry function with the payload
-//!   and the target pointer, and carry out any follow-on actions the running
-//!   ifunc requested (recursive forwards, PUTs, result returns) — the X-RDMA
-//!   behaviour.
+//!   and the target pointer, and post what the running ifunc asks for as it
+//!   asks (recursive forwards, PUTs, result returns) — the X-RDMA behaviour.
 //!
 //! Framework services are exposed to running ifuncs as external symbols
-//! (`tc_node_id`, `tc_put`, `tc_forward_self`, `tc_return_result`, …)
-//! resolved through the execution engine's host interface, mirroring how the
-//! real system lets injected code call back into UCX.
+//! (`tc_node_id`, `tc_put`, `tc_forward_self`, `tc_return_result`, …),
+//! resolved to a [`HostCall`] when the module is emitted and answered through
+//! the execution engine's host interface, mirroring how the real system lets
+//! injected code call back into UCX.
 
-use crate::cache::{SendDecision, SenderCache};
+use crate::cache::{CacheRow, SendDecision, SenderCache};
 use crate::error::{CoreError, Result};
-use crate::frame::{encode_truncated_parts, CodeRepr, FrameView, MessageFrame};
+use crate::frame::{encode_frame, CodeRepr, FrameView};
 use crate::ifunc::{IfuncHandle, IfuncLibrary, IfuncMessage, IfuncRegistry};
 use crate::layout::{
     decode_result_record, encode_result_record, is_result_mailbox_addr, result_slot_addr,
     result_slot_of_addr, PAYLOAD_STAGING_BASE, RESULT_MAILBOX_SLOTS, TARGET_REGION_BASE,
 };
 use crate::metrics::{OutcomeKind, ProcessOutcome, RuntimeStats};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use tc_bitir::{decode_module, FatBitcode, TargetTriple};
 use tc_jit::{
-    Engine, ExternalHost, JitError, LoadedLibs, MaterializedModule, Memory, OrcJit, SparseMemory,
+    Engine, ExternalHost, HostCall, JitError, LoadedLibs, MaterializedModule, Memory, OrcJit,
+    SparseMemory,
 };
 use tc_ucx::{AmHandlerId, BufPool, Bytes, OutgoingMessage, RequestId, UcpOp, Worker, WorkerAddr};
 
-/// Follow-on work requested by executing code (ifunc externals or native AM
-/// handlers); the runtime converts these into posted fabric operations after
-/// the execution completes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum HostAction {
-    /// One-sided PUT of `data` into `remote_addr` on node `dst`.
-    Put {
-        /// Destination node.
-        dst: WorkerAddr,
-        /// Destination address in the remote node's memory.
-        remote_addr: u64,
-        /// Bytes to write.
-        data: Vec<u8>,
-    },
-    /// Re-send the currently executing ifunc (same code) to `dst` with a new
-    /// payload — the recursive-propagation primitive behind X-RDMA.
-    ForwardSelf {
-        /// Destination node.
-        dst: WorkerAddr,
-        /// New payload bytes.
-        payload: Vec<u8>,
-    },
-    /// Send an Active Message to a predeployed handler.
-    SendAm {
-        /// Handler name (must be predeployed on the destination).
-        handler: String,
-        /// Destination node.
-        dst: WorkerAddr,
-        /// Payload bytes.
-        payload: Vec<u8>,
-    },
-    /// X-RDMA ReturnResult: deliver `value` into result-mailbox `slot` on
-    /// node `dst`.
-    ReturnResult {
-        /// Destination (requesting) node.
-        dst: WorkerAddr,
-        /// Mailbox slot index.
-        slot: u64,
-        /// Result value.
-        value: u64,
-    },
-}
-
-/// Execution context handed to native Active-Message handlers.
+/// Execution context handed to native Active-Message handlers.  What a
+/// handler asks to send is posted as it asks, as an ifunc's framework calls
+/// are.
 pub struct AmContext<'a> {
     /// This node's rank.
     pub node_id: u32,
@@ -90,8 +50,29 @@ pub struct AmContext<'a> {
     pub num_nodes: u32,
     /// The node's memory.
     pub memory: &'a mut SparseMemory,
-    /// Follow-on actions the handler wants performed.
-    pub actions: &'a mut Vec<HostAction>,
+    out: Outbox<'a>,
+    am_ids: &'a HashMap<String, AmHandlerId>,
+    /// The first request that failed: the message's handling fails with it.
+    failed: Option<CoreError>,
+}
+
+impl AmContext<'_> {
+    /// Send an Active Message to the handler predeployed as `handler` on
+    /// `dst`.
+    pub fn send_am(&mut self, handler: &str, dst: WorkerAddr, payload: impl Into<Bytes>) {
+        match am_op(self.am_ids, handler, payload.into()) {
+            Ok(op) => self.out.post(dst, op),
+            Err(e) => self.failed = self.failed.take().or(Some(e)),
+        }
+    }
+
+    /// X-RDMA ReturnResult: deliver `value` into result-mailbox `slot` on
+    /// node `dst`.
+    pub fn return_result(&mut self, dst: WorkerAddr, slot: u64, value: u64) {
+        if let Err(e) = self.out.return_result(self.memory, dst, slot, value) {
+            self.failed = self.failed.take().or(Some(e.into()));
+        }
+    }
 }
 
 /// A native (predeployed) Active-Message handler.  Returns an estimated
@@ -126,21 +107,29 @@ pub enum Completion {
 /// Target-side record of an ifunc that has been received and registered:
 /// everything a later arrival of the same name needs, resolved once.
 struct ReceivedIfunc {
-    /// The registration key, shared with the table that holds this record.
-    name: Arc<str>,
     /// The linked module — compiled from bitcode or loaded from a binary
     /// object once, when the ifunc was registered; the registration table
     /// is the only thing that keeps it.
     module: MaterializedModule,
-    /// The representation it arrived in, and is forwarded in.
-    repr: CodeRepr,
     /// Index of the entry function in the loaded module.
     entry: u32,
+    /// What the ifunc forwards itself as.
+    origin: Origin,
+}
+
+/// The parts of the frame a received ifunc arrived in that its forwards
+/// send again, and the sender-cache row that says which peers have its code.
+struct Origin {
+    /// The registration key, shared with the name index of the table.
+    name: Arc<str>,
+    /// The representation it arrived in, and is forwarded in.
+    repr: CodeRepr,
     /// The code section as originally received — a shared view of the
     /// arrival buffer, kept so this node can itself forward the ifunc to
     /// peers that have not seen it (recursive propagation) without copying.
     code: Bytes,
     deps: Vec<String>,
+    row: CacheRow,
 }
 
 /// The per-node Three-Chains runtime.
@@ -156,18 +145,19 @@ pub struct NodeRuntime {
     engine: Engine,
     registry: IfuncRegistry,
     sender_cache: SenderCache,
-    /// Probed once per arrival, by the name borrowed from the arrival
-    /// buffer; the record is shared out so it can be used while the rest of
-    /// the runtime is borrowed mutably.
-    received: HashMap<Arc<str>, Arc<ReceivedIfunc>>,
+    /// The registration table: records in arrival order, found by name
+    /// through `by_name` — or, for an arrival of the ifunc the last one ran,
+    /// as `received[last]`, by one comparison of the name.
+    received: Vec<ReceivedIfunc>,
+    by_name: HashMap<Arc<str>, usize>,
+    last: usize,
+    /// Frames this node forwarded to itself: its next arrivals, ahead of
+    /// the worker's inbox.
+    local: VecDeque<Bytes>,
     /// Predeployed AM handlers, indexed by [`AmHandlerId`].
     am_handlers: Vec<NativeAmHandler>,
     am_ids: HashMap<String, AmHandlerId>,
     completions: Vec<Completion>,
-    /// The action list of the execution before, emptied: executing code
-    /// requests its follow-on actions into it, so a handled message grows no
-    /// list of its own.
-    spare_actions: Vec<HostAction>,
     /// Recycled scratch buffers for reply payloads (GET serving).
     reply_pool: BufPool,
     /// Cumulative counters.
@@ -181,7 +171,7 @@ impl std::fmt::Debug for NodeRuntime {
             .field("num_nodes", &self.num_nodes)
             .field("triple", &self.triple.name())
             .field("registered", &self.registry.names())
-            .field("received", &self.received.keys().collect::<Vec<_>>())
+            .field("received", &self.by_name.keys().collect::<Vec<_>>())
             .field("stats", &self.stats)
             .finish()
     }
@@ -201,11 +191,13 @@ impl NodeRuntime {
             engine: Engine::new(),
             registry: IfuncRegistry::new(),
             sender_cache: SenderCache::new(),
-            received: HashMap::new(),
+            received: Vec::new(),
+            by_name: HashMap::new(),
+            last: 0,
+            local: VecDeque::new(),
             am_handlers: Vec::new(),
             am_ids: HashMap::new(),
             completions: Vec::new(),
-            spare_actions: Vec::new(),
             reply_pool: BufPool::new(),
             stats: RuntimeStats::default(),
         }
@@ -260,7 +252,8 @@ impl NodeRuntime {
     pub fn send_ifunc(&mut self, message: &IfuncMessage, dst: WorkerAddr) -> usize {
         // Both encodings are cached on the message: repeat sends (to any
         // destination) clone a shared buffer instead of re-encoding.
-        let bytes = match self.sender_cache.on_send(&message.frame.ifunc_name, dst) {
+        let row = self.sender_cache.row_of(&message.frame.ifunc_name);
+        let bytes = match self.sender_cache.decide(row, dst) {
             SendDecision::SendFull => {
                 self.stats.ifunc_full_sends += 1;
                 message.wire_full()
@@ -336,17 +329,7 @@ impl NodeRuntime {
         dst: WorkerAddr,
         payload: impl Into<Bytes>,
     ) -> Result<usize> {
-        let id = self
-            .am_ids
-            .get(handler)
-            .copied()
-            .ok_or_else(|| CoreError::UnknownAmHandler {
-                name: handler.to_string(),
-            })?;
-        let op = UcpOp::ActiveMessage {
-            handler: id,
-            payload: payload.into(),
-        };
+        let op = am_op(&self.am_ids, handler, payload.into())?;
         let size = op.wire_size();
         self.stats.bytes_sent += size as u64;
         self.worker.post(dst, op);
@@ -381,6 +364,12 @@ impl NodeRuntime {
         self.worker.take_outgoing()
     }
 
+    /// The oldest operation this node has posted and no driver has taken:
+    /// [`NodeRuntime::take_outgoing`] one at a time, building no list.
+    pub fn next_outgoing(&mut self) -> Option<OutgoingMessage> {
+        self.worker.next_outgoing()
+    }
+
     /// Deliver an in-flight message into this node's worker (called by the
     /// transport driver when the message arrives).
     pub fn deliver(&mut self, msg: OutgoingMessage) {
@@ -393,13 +382,32 @@ impl NodeRuntime {
     /// periodically.
     pub fn poll(&mut self, max_events: usize) -> Vec<Result<ProcessOutcome>> {
         let mut outcomes = Vec::new();
-        while outcomes.len() < max_events {
-            let Some(msg) = self.worker.next_delivered() else {
+        self.poll_each(max_events, |outcome| outcomes.push(outcome));
+        outcomes
+    }
+
+    /// [`NodeRuntime::poll`] handing each outcome to `each` instead of
+    /// collecting them; returns how many messages were handled.  A frame
+    /// this node forwarded to itself is its next arrival, so every hop of a
+    /// self-forwarding ifunc is one event of its own.
+    pub fn poll_each(
+        &mut self,
+        max_events: usize,
+        mut each: impl FnMut(Result<ProcessOutcome>),
+    ) -> usize {
+        let mut handled = 0;
+        while handled < max_events {
+            let outcome = if let Some(frame) = self.local.pop_front() {
+                self.handle_ifunc_frame(&frame, true)
+            } else if let Some(msg) = self.worker.next_delivered() {
+                self.handle_message(msg)
+            } else {
                 break;
             };
-            outcomes.push(self.handle_message(msg));
+            each(outcome);
+            handled += 1;
         }
-        outcomes
+        handled
     }
 
     /// Take accumulated client-side completions (GET results, X-RDMA results).
@@ -456,13 +464,16 @@ impl NodeRuntime {
                 Ok(ProcessOutcome::passive(OutcomeKind::PutAckReceived))
             }
             UcpOp::Get { remote_addr, len } => {
+                // `len` came off the wire: no reply longer than a frame could
+                // carry is allocated.
+                let len = bounded("GET", len, tc_net::MAX_FRAME_BYTES)?;
                 // Read straight into a recycled pool buffer: serving a GET
                 // allocates nothing in steady state.
-                let mut writer = self.reply_pool.acquire(len as usize);
-                self.memory
-                    .read(remote_addr, writer.reserve(len as usize))
+                let memory = &self.memory;
+                let data = self
+                    .reply_pool
+                    .fill(len, |out| memory.read(remote_addr, out))
                     .map_err(|e| CoreError::Sim(e.to_string()))?;
-                let data = writer.freeze(&mut self.reply_pool);
                 self.worker.post(src, UcpOp::GetReply { request, data });
                 self.stats.gets_served += 1;
                 Ok(ProcessOutcome::passive(OutcomeKind::GetServed))
@@ -472,7 +483,7 @@ impl NodeRuntime {
                 Ok(ProcessOutcome::passive(OutcomeKind::GetCompleted))
             }
             UcpOp::ActiveMessage { handler, payload } => self.handle_am(handler, &payload),
-            UcpOp::IfuncFrame { bytes } => self.handle_ifunc_frame(&bytes),
+            UcpOp::IfuncFrame { bytes } => self.handle_ifunc_frame(&bytes, false),
         }
     }
 
@@ -483,19 +494,26 @@ impl NodeRuntime {
             .ok_or_else(|| CoreError::UnknownAmHandler {
                 name: format!("#{}", handler.0),
             })?;
-        let mut actions = std::mem::take(&mut self.spare_actions);
-        let cycles = {
-            let mut ctx = AmContext {
-                node_id: self.node_id.0,
-                num_nodes: self.num_nodes,
-                memory: &mut self.memory,
-                actions: &mut actions,
-            };
-            func(&mut ctx, payload)
+        let mut ctx = AmContext {
+            node_id: self.node_id.0,
+            num_nodes: self.num_nodes,
+            memory: &mut self.memory,
+            out: Outbox {
+                node_id: self.node_id,
+                worker: &mut self.worker,
+                stats: &mut self.stats,
+                completions: &mut self.completions,
+                emitted: 0,
+            },
+            am_ids: &self.am_ids,
+            failed: None,
         };
+        let cycles = func(&mut ctx, payload);
+        let (actions_emitted, failed) = (ctx.out.emitted, ctx.failed);
         self.stats.ams_executed += 1;
-        let actions_emitted = actions.len();
-        self.perform_actions(actions, None)?;
+        if let Some(e) = failed {
+            return Err(e);
+        }
         Ok(ProcessOutcome {
             kind: OutcomeKind::AmExecuted,
             exec_cycles: cycles,
@@ -506,19 +524,21 @@ impl NodeRuntime {
         })
     }
 
-    fn handle_ifunc_frame(&mut self, bytes: &Bytes) -> Result<ProcessOutcome> {
+    /// Handle one ifunc frame: one delivered by the worker, or one this node
+    /// forwarded to itself (`local`, counted as an execution alone).
+    fn handle_ifunc_frame(&mut self, bytes: &Bytes, local: bool) -> Result<ProcessOutcome> {
         // Parsed in place: the name is borrowed from the received buffer and
         // the payload is a sub-slice of it.
         let frame = FrameView::parse(bytes)?;
         // The receiver decides by its own registration table, not by
         // trusting the sender.
-        let known = self.received.get(frame.ifunc_name).cloned();
+        let known = self.lookup(frame.ifunc_name);
         let first_arrival = known.is_none();
         let mut jit_bitcode_bytes = None;
 
-        let rec = match &frame.code {
+        let index = match &frame.code {
             None => {
-                self.stats.truncated_frames_received += 1;
+                self.stats.truncated_frames_received += u64::from(!local);
                 known.ok_or_else(|| CoreError::TruncatedWithoutRegistration {
                     name: frame.ifunc_name.to_string(),
                 })?
@@ -530,19 +550,19 @@ impl NodeRuntime {
                     // (e.g. a different source that had not sent to us
                     // before); treat as cached — no recompilation: the
                     // registration table plays ORC-JIT's symbol cache.
-                    Some(rec) => rec,
+                    Some(index) => index,
                     None => {
-                        let (rec, jitted) =
+                        let (index, jitted) =
                             self.register_received(&frame, bytes.slice(code.clone()))?;
                         jit_bitcode_bytes = jitted;
-                        rec
+                        index
                     }
                 }
             }
         };
 
         let payload = &bytes[frame.payload.clone()];
-        let (exec_cycles, actions_emitted) = self.execute_ifunc(&rec, payload)?;
+        let (exec_cycles, actions_emitted) = self.execute_ifunc(index, payload)?;
         self.stats.ifuncs_executed += 1;
         Ok(ProcessOutcome {
             kind: if first_arrival {
@@ -552,21 +572,33 @@ impl NodeRuntime {
             },
             exec_cycles,
             jit_bitcode_bytes,
-            binary_loaded: first_arrival && rec.repr == CodeRepr::Binary,
+            binary_loaded: first_arrival && self.received[index].origin.repr == CodeRepr::Binary,
             actions_emitted,
             payload_bytes: payload.len(),
         })
     }
 
+    /// The registration record of `name`: the one the last arrival ran, by
+    /// comparing the name — a chase sends one ifunc over and over — or else
+    /// through the name index.
+    fn lookup(&mut self, name: &str) -> Option<usize> {
+        let last = self.received.get(self.last);
+        if last.is_some_and(|rec| *rec.origin.name == *name) {
+            return Some(self.last);
+        }
+        self.last = *self.by_name.get(name)?;
+        Some(self.last)
+    }
+
     /// Register a newly arrived full frame whose code section is `code`,
     /// linked by the JIT session's one link step whatever its representation.
-    /// Returns the record and, for a bitcode frame, the size of the bitcode
-    /// that was compiled.
+    /// Returns the record's index and, for a bitcode frame, the size of the
+    /// bitcode that was compiled.
     fn register_received(
         &mut self,
         frame: &FrameView<'_>,
         code: Bytes,
-    ) -> Result<(Arc<ReceivedIfunc>, Option<usize>)> {
+    ) -> Result<(usize, Option<usize>)> {
         let (module, jit_bitcode_bytes) = match frame.repr {
             CodeRepr::Bitcode => {
                 let fat = FatBitcode::decode(&code)?;
@@ -613,31 +645,46 @@ impl NodeRuntime {
                 name: tc_bitir::Module::ENTRY_NAME.to_string(),
             })?;
         let name: Arc<str> = Arc::from(frame.ifunc_name);
-        let rec = Arc::new(ReceivedIfunc {
+        let index = self.received.len();
+        let origin = Origin {
+            row: self.sender_cache.row_of(&name),
             name: Arc::clone(&name),
-            module,
             repr: frame.repr,
-            entry,
             code,
             deps: frame.deps.iter().map(|d| d.to_string()).collect(),
+        };
+        self.received.push(ReceivedIfunc {
+            module,
+            entry,
+            origin,
         });
-        self.received.insert(name, Arc::clone(&rec));
-        Ok((rec, jit_bitcode_bytes))
+        self.by_name.insert(name, index);
+        self.last = index;
+        Ok((index, jit_bitcode_bytes))
     }
 
-    /// Execute a registered ifunc with the given payload.  Returns
-    /// (exec_cycles, actions_emitted).
-    fn execute_ifunc(&mut self, rec: &ReceivedIfunc, payload: &[u8]) -> Result<(u64, usize)> {
+    /// Execute registered ifunc number `index` with the given payload; its
+    /// framework calls post as they are made.  Returns (exec_cycles, calls
+    /// that posted or queued something).
+    fn execute_ifunc(&mut self, index: usize, payload: &[u8]) -> Result<(u64, usize)> {
         // Stage the payload.
         self.memory
             .write(PAYLOAD_STAGING_BASE, payload)
             .map_err(|e| CoreError::Sim(e.to_string()))?;
 
+        let rec = &self.received[index];
         let mut host = FrameworkHost {
-            node_id: self.node_id.0,
             num_nodes: self.num_nodes,
-            current_ifunc: &rec.name,
-            actions: std::mem::take(&mut self.spare_actions),
+            ifunc: &rec.origin,
+            cache: &mut self.sender_cache,
+            local: &mut self.local,
+            out: Outbox {
+                node_id: self.node_id,
+                worker: &mut self.worker,
+                stats: &mut self.stats,
+                completions: &mut self.completions,
+                emitted: 0,
+            },
         };
         let args = [
             PAYLOAD_STAGING_BASE,
@@ -647,110 +694,7 @@ impl NodeRuntime {
         let out =
             rec.module
                 .execute(&self.engine, rec.entry, &args, &mut self.memory, &mut host)?;
-
-        let actions = host.actions;
-        let emitted = actions.len();
-        self.perform_actions(actions, Some(rec))?;
-        Ok((out.cycles, emitted))
-    }
-
-    /// Convert follow-on actions into posted fabric operations.  The emptied
-    /// list is kept for the next execution (an error drops it).
-    fn perform_actions(
-        &mut self,
-        mut actions: Vec<HostAction>,
-        current_ifunc: Option<&ReceivedIfunc>,
-    ) -> Result<()> {
-        for action in actions.drain(..) {
-            match action {
-                HostAction::Put {
-                    dst,
-                    remote_addr,
-                    data,
-                } => {
-                    if dst == self.node_id {
-                        self.memory
-                            .write(remote_addr, &data)
-                            .map_err(|e| CoreError::Sim(e.to_string()))?;
-                    } else {
-                        self.post_put(dst, remote_addr, data);
-                    }
-                }
-                HostAction::ForwardSelf { dst, payload } => {
-                    let rec = current_ifunc.ok_or_else(|| {
-                        CoreError::Sim("tc_forward_self called outside an ifunc".into())
-                    })?;
-                    self.forward_received(rec, dst, payload)?;
-                }
-                HostAction::SendAm {
-                    handler,
-                    dst,
-                    payload,
-                } => {
-                    self.send_am(&handler, dst, payload)?;
-                }
-                HostAction::ReturnResult { dst, slot, value } => {
-                    let record = encode_result_record(value);
-                    if dst == self.node_id {
-                        self.memory
-                            .write(result_slot_addr(slot), &record)
-                            .map_err(|e| CoreError::Sim(e.to_string()))?;
-                        // The slot its address names, as on the remote path.
-                        let slot = slot % RESULT_MAILBOX_SLOTS;
-                        self.completions.push(Completion::Result { slot, value });
-                    } else {
-                        self.post_put(dst, result_slot_addr(slot), record);
-                    }
-                }
-            }
-        }
-        self.spare_actions = actions;
-        Ok(())
-    }
-
-    /// Forward a *received* ifunc onward to another node, re-using its code
-    /// section and applying this node's own sender cache — recursive
-    /// propagation of injected code.
-    fn forward_received(
-        &mut self,
-        rec: &ReceivedIfunc,
-        dst: WorkerAddr,
-        payload: Vec<u8>,
-    ) -> Result<()> {
-        // Local delivery: execute directly without touching the fabric.
-        if dst == self.node_id {
-            let (_cycles, _emitted) = self.execute_ifunc(rec, &payload)?;
-            self.stats.ifuncs_executed += 1;
-            return Ok(());
-        }
-        let bytes = match self.sender_cache.on_send(&rec.name, dst) {
-            SendDecision::SendFull => {
-                self.stats.ifunc_full_sends += 1;
-                MessageFrame::new(
-                    &*rec.name,
-                    rec.repr,
-                    payload,
-                    rec.code.clone(),
-                    rec.deps.clone(),
-                )
-                .encode_full()
-            }
-            SendDecision::SendTruncated => {
-                self.stats.ifunc_truncated_sends += 1;
-                // The lengths below were read from u32 / u16 fields of the
-                // full frame this record was registered from.
-                encode_truncated_parts(
-                    &rec.name,
-                    rec.repr,
-                    &payload,
-                    rec.code.len() as u32,
-                    rec.deps.len() as u16,
-                )
-            }
-        };
-        self.stats.bytes_sent += bytes.len() as u64;
-        self.worker.post(dst, UcpOp::IfuncFrame { bytes });
-        Ok(())
+        Ok((out.cycles, host.out.emitted))
     }
 }
 
@@ -764,20 +708,124 @@ fn merge_deps<'a>(deps: &mut Vec<String>, extra: impl Iterator<Item = &'a str>) 
     }
 }
 
+/// Where executing code's follow-on operations go — an ifunc's framework
+/// calls and an AM handler's requests alike: posted as they are made, in
+/// order.
+struct Outbox<'a> {
+    node_id: WorkerAddr,
+    worker: &'a mut Worker,
+    stats: &'a mut RuntimeStats,
+    completions: &'a mut Vec<Completion>,
+    /// Operations posted, or queued for this node itself.
+    emitted: usize,
+}
+
+impl Outbox<'_> {
+    fn post(&mut self, dst: WorkerAddr, op: UcpOp) {
+        self.stats.bytes_sent += op.wire_size() as u64;
+        self.worker.post(dst, op);
+        self.emitted += 1;
+    }
+
+    /// X-RDMA ReturnResult: `value` into result-mailbox `slot` on `dst` —
+    /// written into `mem` when `dst` is this node.
+    fn return_result(
+        &mut self,
+        mem: &mut dyn Memory,
+        dst: WorkerAddr,
+        slot: u64,
+        value: u64,
+    ) -> tc_jit::Result<()> {
+        let (remote_addr, record) = (result_slot_addr(slot), encode_result_record(value));
+        if dst != self.node_id {
+            let data = tc_ucx::bytes::pooled(record.len(), |out| out.copy_from_slice(&record));
+            self.post(dst, UcpOp::Put { remote_addr, data });
+            return Ok(());
+        }
+        mem.write(remote_addr, &record)?;
+        // The slot its address names, as on the remote path.
+        let slot = slot % RESULT_MAILBOX_SLOTS;
+        self.completions.push(Completion::Result { slot, value });
+        self.emitted += 1;
+        Ok(())
+    }
+}
+
+/// The AM deployed as `handler`, carrying `payload`.
+fn am_op(am_ids: &HashMap<String, AmHandlerId>, handler: &str, payload: Bytes) -> Result<UcpOp> {
+    let id = am_ids.get(handler).copied();
+    let id = id.ok_or_else(|| CoreError::UnknownAmHandler {
+        name: handler.to_string(),
+    })?;
+    Ok(UcpOp::ActiveMessage {
+        handler: id,
+        payload,
+    })
+}
+
 /// The [`ExternalHost`] exposed to executing ifuncs: framework services
-/// reachable as external symbols.
+/// reachable as external symbols, answered by the [`HostCall`] each symbol
+/// was resolved to when the module was emitted.  A forward is encoded
+/// straight from the ifunc's memory into a buffer of the thread's encode
+/// pool.
 struct FrameworkHost<'a> {
-    node_id: u32,
     num_nodes: u32,
-    current_ifunc: &'a str,
-    actions: Vec<HostAction>,
+    ifunc: &'a Origin,
+    cache: &'a mut SenderCache,
+    local: &'a mut VecDeque<Bytes>,
+    out: Outbox<'a>,
+}
+
+/// A length `what` asked for, if it is at most `max`.
+fn bounded(what: &str, len: u64, max: usize) -> tc_jit::Result<usize> {
+    usize::try_from(len)
+        .ok()
+        .filter(|&n| n <= max)
+        .ok_or_else(|| JitError::TooLarge {
+            what: what.into(),
+            len,
+            max: max as u64,
+        })
 }
 
 impl FrameworkHost<'_> {
-    fn read_bytes(mem: &mut dyn Memory, addr: u64, len: u64) -> tc_jit::Result<Vec<u8>> {
-        let mut buf = vec![0u8; len as usize];
-        mem.read(addr, &mut buf)?;
-        Ok(buf)
+    /// `tc_forward_self`: the executing ifunc, with the `len` bytes at
+    /// `payload` as its payload, to `dst` — the full frame to a peer this
+    /// node has not sent its code to, the truncated one otherwise, and to
+    /// this node itself as its next arrival.
+    fn forward(
+        &mut self,
+        dst: WorkerAddr,
+        payload: u64,
+        len: u64,
+        mem: &mut dyn Memory,
+    ) -> tc_jit::Result<()> {
+        // The frame's payload length field is a u32.
+        let len = bounded("tc_forward_self", len, u32::MAX as usize)?;
+        let (origin, me) = (self.ifunc, self.out.node_id);
+        let parts = (
+            &*origin.name,
+            origin.repr,
+            &origin.code[..],
+            &origin.deps[..],
+        );
+        let full = dst != me && !self.cache.has(origin.row, dst);
+        let bytes = encode_frame(parts, len, |out| mem.read(payload, out), full)?;
+        self.out.emitted += 1;
+        if dst == me {
+            self.local.push_back(bytes);
+            return Ok(());
+        }
+        let stats = &mut *self.out.stats;
+        if full {
+            self.cache.decide(origin.row, dst);
+            stats.ifunc_full_sends += 1;
+        } else {
+            stats.ifunc_truncated_sends += 1;
+        }
+        stats.bytes_sent += bytes.len() as u64;
+        self.out.worker.post(dst, UcpOp::IfuncFrame { bytes });
+        Ok(())
     }
 }
 
@@ -788,80 +836,87 @@ impl ExternalHost for FrameworkHost<'_> {
         args: &[u64],
         mem: &mut dyn Memory,
     ) -> tc_jit::Result<u64> {
-        let need = |n: usize| -> tc_jit::Result<()> {
-            if args.len() != n {
-                Err(JitError::Host(format!(
-                    "{symbol} expects {n} arguments, got {}",
-                    args.len()
-                )))
-            } else {
-                Ok(())
-            }
-        };
-        match symbol {
-            "tc_node_id" => {
-                need(0)?;
-                Ok(u64::from(self.node_id))
-            }
-            "tc_num_nodes" => {
-                need(0)?;
-                Ok(u64::from(self.num_nodes))
-            }
-            "tc_put" => {
-                // tc_put(dst_node, remote_addr, local_addr, len)
-                need(4)?;
-                let data = Self::read_bytes(mem, args[2], args[3])?;
-                self.actions.push(HostAction::Put {
-                    dst: WorkerAddr(args[0] as u32),
-                    remote_addr: args[1],
-                    data,
-                });
-                Ok(0)
-            }
-            "tc_forward_self" => {
-                // tc_forward_self(dst_node, payload_addr, payload_len)
-                need(3)?;
-                let payload = Self::read_bytes(mem, args[1], args[2])?;
-                self.actions.push(HostAction::ForwardSelf {
-                    dst: WorkerAddr(args[0] as u32),
-                    payload,
-                });
-                Ok(0)
-            }
-            "tc_return_result" => {
-                // tc_return_result(dst_node, slot, value)
-                need(3)?;
-                self.actions.push(HostAction::ReturnResult {
-                    dst: WorkerAddr(args[0] as u32),
-                    slot: args[1],
-                    value: args[2],
-                });
-                Ok(0)
-            }
-            "tc_self_name_len" => {
-                need(0)?;
-                Ok(self.current_ifunc.len() as u64)
-            }
-            other => Err(JitError::UnresolvedSymbol {
-                symbol: other.to_string(),
-            }),
-        }
+        let (value, _) = self.call_host(HostCall::of(symbol), symbol, args, mem)?;
+        Ok(value)
     }
 
     fn external_cost(&self, symbol: &str) -> u64 {
-        match symbol {
-            "tc_node_id" | "tc_num_nodes" | "tc_self_name_len" => 5,
-            // Posting a network operation costs some local work; the fabric
-            // latency itself is charged by the simulator.
-            _ => 150,
+        cost(HostCall::of(symbol))
+    }
+
+    fn call_host(
+        &mut self,
+        call: HostCall,
+        symbol: &str,
+        args: &[u64],
+        mem: &mut dyn Memory,
+    ) -> tc_jit::Result<(u64, u64)> {
+        let arity = match call {
+            HostCall::NodeId | HostCall::NumNodes | HostCall::SelfNameLen => 0,
+            HostCall::ForwardSelf | HostCall::ReturnResult => 3,
+            HostCall::Put => 4,
+            HostCall::Library(..) | HostCall::Unresolved => {
+                return Err(JitError::UnresolvedSymbol {
+                    symbol: symbol.to_string(),
+                })
+            }
+        };
+        if args.len() != arity {
+            let got = args.len();
+            return Err(JitError::Host(format!(
+                "{symbol} expects {arity} arguments, got {got}"
+            )));
         }
+        let dst = || WorkerAddr(args[0] as u32);
+        let value = match call {
+            HostCall::NodeId => u64::from(self.out.node_id.0),
+            HostCall::NumNodes => u64::from(self.num_nodes),
+            HostCall::SelfNameLen => self.ifunc.name.len() as u64,
+            // tc_put(dst_node, remote_addr, local_addr, len)
+            HostCall::Put => {
+                let len = bounded("tc_put", args[3], tc_net::MAX_FRAME_BYTES)?;
+                let read = |out: &mut [u8]| mem.read(args[2], out);
+                let data = tc_ucx::bytes::with_pool(|pool| pool.fill(len, read))?;
+                if dst() == self.out.node_id {
+                    mem.write(args[1], &data)?;
+                    self.out.emitted += 1;
+                } else {
+                    let remote_addr = args[1];
+                    self.out.post(dst(), UcpOp::Put { remote_addr, data });
+                }
+                0
+            }
+            // tc_forward_self(dst_node, payload_addr, payload_len)
+            HostCall::ForwardSelf => {
+                self.forward(dst(), args[1], args[2], mem)?;
+                0
+            }
+            // tc_return_result(dst_node, slot, value)
+            _ => {
+                self.out.return_result(mem, dst(), args[1], args[2])?;
+                0
+            }
+        };
+        Ok((value, cost(call)))
+    }
+}
+
+/// Cycles charged for a framework call.
+fn cost(call: HostCall) -> u64 {
+    match call {
+        HostCall::NodeId | HostCall::NumNodes | HostCall::SelfNameLen => 5,
+        // Posting a network operation costs some local work; the fabric
+        // latency itself is charged by the simulator.
+        _ => 150,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::MessageFrame;
     use crate::ifunc::{build_ifunc_library, ToolchainOptions};
+    use crate::layout::DATA_REGION_BASE;
     use tc_bitir::{BinOp, Module, ModuleBuilder, ScalarType};
     use tc_jit::MemoryExt;
 
@@ -1441,5 +1496,270 @@ mod tests {
         assert_eq!(node.poll(usize::MAX).len(), 7);
         assert_eq!(*seen.lock().unwrap(), (0..10).collect::<Vec<u8>>());
         assert!(node.poll(usize::MAX).is_empty());
+    }
+
+    /// A forward to the executing node itself is that node's next arrival,
+    /// handled by the same poll loop: a million of them run in constant
+    /// stack, each one event, counted as an execution and nothing else.
+    #[test]
+    fn a_million_self_forwards_run_one_poll_event_each() {
+        const HOPS: u64 = 1_000_000;
+        let me = WorkerAddr(1);
+        let mut node = NodeRuntime::new(me, 2, TargetTriple::THOR_XEON);
+        let library = lib(&forwarder_module());
+        let mut payload = u64::from(me.0).to_le_bytes().to_vec();
+        payload.extend_from_slice(&HOPS.to_le_bytes());
+        let frame = IfuncMessage::bitcode(IfuncHandle(0), &library, payload).frame;
+        node.deliver(OutgoingMessage {
+            src: WorkerAddr(0),
+            dst: me,
+            request: RequestId(0),
+            op: UcpOp::IfuncFrame {
+                bytes: frame.encode_full(),
+            },
+        });
+        let (mut events, mut failed) = (0, 0);
+        // Bounded polls: each handles at most its share and leaves the rest.
+        loop {
+            let handled = node.poll_each(4096, |o| failed += u64::from(o.is_err()));
+            events += handled as u64;
+            if handled == 0 {
+                break;
+            }
+        }
+        assert_eq!((events, failed), (HOPS + 1, 0));
+        let stats = node.stats;
+        assert_eq!(stats.ifuncs_executed, HOPS + 1);
+        assert_eq!(stats.full_frames_received, 1);
+        assert_eq!(stats.truncated_frames_received, 0);
+        assert_eq!(
+            (stats.ifunc_full_sends, stats.ifunc_truncated_sends),
+            (0, 0)
+        );
+        assert_eq!((stats.bytes_sent, stats.jit_compilations), (0, 1));
+        assert!(node.take_outgoing().is_empty());
+    }
+
+    /// An ifunc whose entry makes one framework call, `symbol`, with the
+    /// staged payload's address at `payload_at` among constant arguments.
+    fn one_call_module(name: &str, symbol: &str, mut args: Vec<u64>, payload_at: usize) -> Module {
+        let mut mb = ModuleBuilder::new(name);
+        {
+            let mut f = mb.entry_function();
+            let payload = f.param(0);
+            let mut regs: Vec<_> = args.drain(..).map(|a| f.const_u64(a)).collect();
+            regs.insert(payload_at, payload);
+            f.call_ext(symbol, regs, true);
+            let z = f.const_i64(0);
+            f.ret(z);
+            f.finish();
+        }
+        mb.build()
+    }
+
+    /// Executing code posts each operation when it asks for it, as a
+    /// one-sided post on a real fabric leaves when it is made: a trap later
+    /// in the same execution fails the message but withdraws nothing.  An
+    /// ifunc that returns a result, forwards itself and then traps leaves
+    /// both operations posted, its forward counted and its code marked as
+    /// sent; an AM handler's request that names no handler fails the message
+    /// and the requests around it still go out.
+    #[test]
+    fn what_executing_code_posted_stays_posted_when_it_fails_later() {
+        let mut mb = ModuleBuilder::new("trapper");
+        {
+            let mut f = mb.entry_function();
+            let (payload, len) = (f.param(0), f.param(1));
+            let regs = [0, 3, 42].map(|v| f.const_u64(v));
+            f.call_ext("tc_return_result", regs.to_vec(), true);
+            let two = f.const_u64(2);
+            f.call_ext("tc_forward_self", vec![two, payload, len], true);
+            f.trap(7);
+            f.finish();
+        }
+        let frame = IfuncMessage::bitcode(IfuncHandle(0), &lib(&mb.build()), vec![1]).frame;
+        let mut node = NodeRuntime::new(WorkerAddr(1), 3, TargetTriple::THOR_XEON);
+        assert!(arrive(&mut node, WorkerAddr(0), frame.encode_full()).is_err());
+        let sent: Vec<_> = node
+            .take_outgoing()
+            .into_iter()
+            .map(|m| (m.dst, m.op))
+            .collect();
+        assert!(
+            matches!(
+                &sent[..],
+                [
+                    (WorkerAddr(0), UcpOp::Put { .. }),
+                    (WorkerAddr(2), UcpOp::IfuncFrame { .. }),
+                ]
+            ),
+            "{sent:?}"
+        );
+        let stats = node.stats;
+        assert_eq!((stats.ifunc_full_sends, stats.ifuncs_executed), (1, 0));
+        assert!(node
+            .sender_cache
+            .has(node.received[0].origin.row, WorkerAddr(2)));
+
+        let handler: NativeAmHandler = Arc::new(|ctx, _| {
+            ctx.return_result(WorkerAddr(0), 1, 5);
+            ctx.send_am("missing", WorkerAddr(2), vec![1]);
+            ctx.send_am("relay", WorkerAddr(2), vec![2]);
+            10
+        });
+        let mut node = NodeRuntime::new(WorkerAddr(1), 3, TargetTriple::THOR_XEON);
+        let id = node.deploy_am_handler("relay", handler);
+        node.deliver(OutgoingMessage {
+            src: WorkerAddr(0),
+            dst: WorkerAddr(1),
+            request: RequestId(0),
+            op: UcpOp::ActiveMessage {
+                handler: id,
+                payload: Bytes::from(vec![0]),
+            },
+        });
+        let outcome = node.poll(usize::MAX).remove(0);
+        let missing = CoreError::UnknownAmHandler {
+            name: "missing".into(),
+        };
+        assert_eq!(outcome, Err(missing));
+        let sent: Vec<_> = node
+            .take_outgoing()
+            .into_iter()
+            .map(|m| (m.dst, m.op))
+            .collect();
+        assert!(
+            matches!(
+                &sent[..],
+                [
+                    (WorkerAddr(0), UcpOp::Put { .. }),
+                    (WorkerAddr(2), UcpOp::ActiveMessage { .. }),
+                ]
+            ),
+            "{sent:?}"
+        );
+        assert_eq!(node.stats.ams_executed, 1);
+    }
+
+    /// A length an ifunc hands `tc_put` or `tc_forward_self` is bounded
+    /// before anything is read, allocated or encoded for it: 2^40 bytes is
+    /// a typed error, and nothing is posted.
+    #[test]
+    fn a_put_or_forward_longer_than_its_message_can_carry_is_refused() {
+        let huge = 1u64 << 40;
+        for (symbol, args, at, max) in [
+            (
+                "tc_put",
+                vec![2, DATA_REGION_BASE, huge],
+                2,
+                tc_net::MAX_FRAME_BYTES as u64,
+            ),
+            ("tc_forward_self", vec![2, huge], 1, u64::from(u32::MAX)),
+        ] {
+            let mut node = NodeRuntime::new(WorkerAddr(1), 3, TargetTriple::THOR_XEON);
+            let module = one_call_module("greedy", symbol, args, at);
+            let frame = IfuncMessage::bitcode(IfuncHandle(0), &lib(&module), vec![1]).frame;
+            let refused = arrive(&mut node, WorkerAddr(0), frame.encode_full());
+            assert!(
+                matches!(&refused, Err(CoreError::TooLarge { what, len, max: m })
+                    if what == symbol && *len == huge && *m == max),
+                "{symbol}: {refused:?}"
+            );
+            assert!(node.take_outgoing().is_empty(), "{symbol} posted nothing");
+            assert_eq!(node.stats.bytes_sent, 0);
+        }
+    }
+
+    /// Every framework call answers by the id it was resolved to what it
+    /// answers by name — the same value, the same cycles, the same
+    /// operations posted and completions raised — and a name the framework
+    /// does not export is refused alike, with the same typed error.
+    #[test]
+    fn framework_calls_answer_the_same_by_id_as_by_name() {
+        let calls: [(&str, Vec<u64>); 12] = [
+            ("tc_node_id", vec![]),
+            ("tc_num_nodes", vec![]),
+            ("tc_self_name_len", vec![]),
+            (
+                "tc_put",
+                vec![2, DATA_REGION_BASE, PAYLOAD_STAGING_BASE, 16],
+            ),
+            (
+                "tc_put",
+                vec![1, DATA_REGION_BASE, PAYLOAD_STAGING_BASE, 16],
+            ),
+            ("tc_forward_self", vec![2, PAYLOAD_STAGING_BASE, 16]),
+            ("tc_forward_self", vec![1, PAYLOAD_STAGING_BASE, 16]),
+            ("tc_return_result", vec![0, 3, 42]),
+            ("tc_return_result", vec![1, 3, 42]),
+            ("tc_node_id", vec![1]),
+            ("tc_no_such_call", vec![]),
+            ("memcpy", vec![0, 0, 0]),
+        ];
+        for (symbol, args) in &calls {
+            let run = |by_id: bool| {
+                let mut cache = SenderCache::new();
+                let origin = Origin {
+                    name: Arc::from("caller"),
+                    repr: CodeRepr::Bitcode,
+                    code: Bytes::from(vec![9u8; 32]),
+                    deps: vec!["libm.so".into()],
+                    row: cache.row_of("caller"),
+                };
+                let (mut worker, mut stats) = (Worker::new(WorkerAddr(1)), RuntimeStats::default());
+                let (mut local, mut completions) = (VecDeque::new(), Vec::new());
+                let mut mem = SparseMemory::new();
+                mem.write(PAYLOAD_STAGING_BASE, &[7u8; 16]).unwrap();
+                let mut host = FrameworkHost {
+                    num_nodes: 3,
+                    ifunc: &origin,
+                    cache: &mut cache,
+                    local: &mut local,
+                    out: Outbox {
+                        node_id: WorkerAddr(1),
+                        worker: &mut worker,
+                        stats: &mut stats,
+                        completions: &mut completions,
+                        emitted: 0,
+                    },
+                };
+                let answer = match by_id {
+                    true => host.call_host(HostCall::of(symbol), symbol, args, &mut mem),
+                    false => {
+                        let cycles = host.external_cost(symbol);
+                        host.call_external(symbol, args, &mut mem)
+                            .map(|v| (v, cycles))
+                    }
+                };
+                let emitted = host.out.emitted;
+                let mut page = [0u8; 16];
+                mem.read(DATA_REGION_BASE, &mut page).unwrap();
+                let sent = worker.take_outgoing();
+                (answer, emitted, sent, stats, local, completions, page)
+            };
+            let (by_id, by_name) = (run(true), run(false));
+            assert_eq!(by_id, by_name, "{symbol}{args:?}");
+            if let "tc_no_such_call" | "memcpy" = *symbol {
+                let symbol = symbol.to_string();
+                assert_eq!(by_id.0, Err(JitError::UnresolvedSymbol { symbol }));
+            }
+        }
+    }
+
+    /// A call to a name neither the framework nor a loaded library exports
+    /// links (the `tc_` prefix is the framework's) and is refused when it is
+    /// made, with the error it always had.
+    #[test]
+    fn an_unresolvable_call_is_refused_when_it_is_made() {
+        let mut node = NodeRuntime::new(WorkerAddr(1), 2, TargetTriple::THOR_XEON);
+        let module = one_call_module("dangling", "tc_no_such_call", vec![], 0);
+        let frame = IfuncMessage::bitcode(IfuncHandle(0), &lib(&module), vec![1]).frame;
+        let refused = arrive(&mut node, WorkerAddr(0), frame.encode_full());
+        let expected: CoreError = JitError::UnresolvedSymbol {
+            symbol: "tc_no_such_call".into(),
+        }
+        .into();
+        assert_eq!(refused, Err(expected));
+        assert_eq!(node.stats.jit_compilations, 1);
     }
 }

@@ -12,6 +12,12 @@ use tc_ucx::{Bytes, WorkerAddr};
 
 const CASES: u64 = 128;
 
+/// One send of `name` to `ep`, decided by the name's row.
+fn send(cache: &mut SenderCache, name: &str, ep: WorkerAddr) -> SendDecision {
+    let row = cache.row_of(name);
+    cache.decide(row, ep)
+}
+
 /// Deterministic case generator over the shared splitmix64 stream.
 struct Gen(tc_simnet::SplitMix64);
 
@@ -143,7 +149,7 @@ fn cache_ships_code_exactly_once_per_pair_under_random_interleaving() {
         for _ in 0..g.range(1, 128) {
             let ifunc = g.range(0, 5);
             let ep = g.range(0, 7);
-            let decision = cache.on_send(&format!("f{ifunc}"), WorkerAddr(ep as u32));
+            let decision = send(&mut cache, &format!("f{ifunc}"), WorkerAddr(ep as u32));
             if seen.insert((ifunc, ep)) {
                 assert_eq!(decision, SendDecision::SendFull, "case {case}");
             } else {
@@ -165,7 +171,7 @@ fn endpoint_eviction_forces_code_resend_only_for_that_endpoint() {
         let ifuncs: Vec<String> = (0..g.range(1, 5)).map(|i| format!("f{i}")).collect();
         for ep in &endpoints {
             for name in &ifuncs {
-                let _ = cache.on_send(name, WorkerAddr(*ep));
+                let _ = send(&mut cache, name, WorkerAddr(*ep));
             }
         }
         let victim = endpoints[g.range(0, endpoints.len() as u64) as usize];
@@ -181,12 +187,12 @@ fn endpoint_eviction_forces_code_resend_only_for_that_endpoint() {
                     SendDecision::SendTruncated
                 };
                 assert_eq!(
-                    cache.on_send(name, WorkerAddr(*ep)),
+                    send(&mut cache, name, WorkerAddr(*ep)),
                     first,
                     "case {case}, ep {ep}, ifunc {name}"
                 );
                 assert_eq!(
-                    cache.on_send(name, WorkerAddr(*ep)),
+                    send(&mut cache, name, WorkerAddr(*ep)),
                     SendDecision::SendTruncated
                 );
             }
@@ -203,7 +209,7 @@ fn ifunc_eviction_forces_code_resend_on_every_endpoint() {
         let ifuncs: Vec<String> = (0..g.range(2, 5)).map(|i| format!("f{i}")).collect();
         for ep in &endpoints {
             for name in &ifuncs {
-                let _ = cache.on_send(name, WorkerAddr(*ep));
+                let _ = send(&mut cache, name, WorkerAddr(*ep));
             }
         }
         let victim = &ifuncs[g.range(0, ifuncs.len() as u64) as usize];
@@ -222,7 +228,7 @@ fn ifunc_eviction_forces_code_resend_on_every_endpoint() {
                     SendDecision::SendTruncated
                 };
                 assert_eq!(
-                    cache.on_send(name, WorkerAddr(*ep)),
+                    send(&mut cache, name, WorkerAddr(*ep)),
                     next,
                     "case {case}, ep {ep}, ifunc {name}"
                 );

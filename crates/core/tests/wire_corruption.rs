@@ -134,6 +134,35 @@ fn op_decode_rejects_structurally_broken_bodies() {
     }
 }
 
+/// A GET is served as well as decoded, and the length it asks for came off
+/// the wire: one no frame could carry back is refused with a typed error
+/// before a reply buffer is allocated, and nothing is posted.
+#[test]
+fn a_served_get_longer_than_a_frame_is_refused_before_anything_is_allocated() {
+    let mut server = tc_core::NodeRuntime::new(WorkerAddr(1), 2, tc_bitir::TargetTriple::THOR_XEON);
+    let max = tc_net::MAX_FRAME_BYTES as u64;
+    for len in [max + 1, 1 << 40, u64::MAX] {
+        let get = encode_inline(&OutgoingMessage {
+            src: WorkerAddr(0),
+            dst: WorkerAddr(1),
+            request: RequestId(0),
+            op: UcpOp::Get {
+                remote_addr: 0x80,
+                len,
+            },
+        });
+        server.deliver(decode_inline(&get).unwrap());
+        let served = server.poll(1);
+        assert!(
+            matches!(&served[..], [Err(tc_core::CoreError::TooLarge { what, len: l, max: m })]
+                if what == "GET" && *l == len && *m == max),
+            "{len}: {served:?}"
+        );
+        assert!(server.take_outgoing().is_empty());
+    }
+    assert_eq!(server.stats.gets_served, 0);
+}
+
 #[test]
 fn vectored_decode_survives_corrupt_heads() {
     let mut rng = SplitMix64::new(0xBEEF);

@@ -51,6 +51,52 @@ static LIBRARIES: [(&str, &[Export]); 2] = [
     ),
 ];
 
+/// What an external symbol names, decided once — when a module's ops are
+/// emitted — so that a call answers by this id and looks nothing up by name:
+/// one of the framework's services (answered by the runtime's host), an
+/// export of the library table, or neither.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HostCall {
+    /// `tc_node_id()`: the executing node's rank.
+    NodeId,
+    /// `tc_num_nodes()`: the number of nodes in the job.
+    NumNodes,
+    /// `tc_put(dst_node, remote_addr, local_addr, len)`.
+    Put,
+    /// `tc_forward_self(dst_node, payload_addr, payload_len)`.
+    ForwardSelf,
+    /// `tc_return_result(dst_node, slot, value)`.
+    ReturnResult,
+    /// `tc_self_name_len()`: the length of the executing ifunc's name.
+    SelfNameLen,
+    /// Export `.1` of row `.0` of the library table.
+    Library(u8, u8),
+    /// A name neither the framework nor the library table exports.
+    Unresolved,
+}
+
+impl HostCall {
+    /// The call `symbol` names.
+    pub fn of(symbol: &str) -> HostCall {
+        match symbol {
+            "tc_node_id" => HostCall::NodeId,
+            "tc_num_nodes" => HostCall::NumNodes,
+            "tc_put" => HostCall::Put,
+            "tc_forward_self" => HostCall::ForwardSelf,
+            "tc_return_result" => HostCall::ReturnResult,
+            "tc_self_name_len" => HostCall::SelfNameLen,
+            _ => LIBRARIES
+                .iter()
+                .enumerate()
+                .find_map(|(row, (_, exports))| {
+                    let i = exports.iter().position(|(name, _, _)| *name == symbol)?;
+                    Some(HostCall::Library(row as u8, i as u8))
+                })
+                .unwrap_or(HostCall::Unresolved),
+        }
+    }
+}
+
 /// The libraries loaded for one module: a set of rows of the static table.
 #[derive(Debug, Clone, Copy)]
 pub struct LoadedLibs {
@@ -82,24 +128,24 @@ impl LoadedLibs {
     /// framework service (`tc_put`, `tc_forward_self`, …, answered by the
     /// runtime's host) or a loaded export.
     pub fn links(self, symbol: &str) -> bool {
-        symbol.starts_with("tc_") || self.export(symbol).is_some()
+        symbol.starts_with("tc_") || self.get(HostCall::of(symbol)).is_some()
     }
 
-    /// The loaded export named `symbol`, if any.
-    fn export(self, symbol: &str) -> Option<&'static Export> {
-        LIBRARIES
-            .iter()
-            .enumerate()
-            .filter(|&(row, _)| self.rows & (1 << row) != 0)
-            .flat_map(|(_, (_, exports))| exports.iter())
-            .find(|(name, _, _)| *name == symbol)
+    /// The export `call` names, if its library is loaded.
+    fn get(self, call: HostCall) -> Option<&'static Export> {
+        match call {
+            HostCall::Library(row, i) if self.rows & (1 << row) != 0 => {
+                LIBRARIES[usize::from(row)].1.get(usize::from(i))
+            }
+            _ => None,
+        }
     }
 }
 
 /// A binary object's GOT resolver: what [`LoadedLibs::links`] resolves, to a
 /// stable symbolic address derived from the name (execution dispatches by
-/// name, so the address only has to exist); anything else is the paper's
-/// remote-linking failure.
+/// [`HostCall`], so the address only has to exist); anything else is the
+/// paper's remote-linking failure.
 impl SymbolResolver for LoadedLibs {
     fn resolve(&self, symbol: &str) -> Option<u64> {
         let fnv1a = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
@@ -118,21 +164,32 @@ pub(crate) struct LinkedHost<'a> {
 
 impl ExternalHost for LinkedHost<'_> {
     fn call_external(&mut self, symbol: &str, args: &[u64], mem: &mut dyn Memory) -> Result<u64> {
-        match self.libs.export(symbol) {
+        let (value, _) = self.call_host(HostCall::of(symbol), symbol, args, mem)?;
+        Ok(value)
+    }
+
+    fn external_cost(&self, symbol: &str) -> u64 {
+        match self.libs.get(HostCall::of(symbol)) {
+            Some(_) => LIBRARY_CALL_CYCLES,
+            None => self.framework.external_cost(symbol),
+        }
+    }
+
+    fn call_host(
+        &mut self,
+        call: HostCall,
+        symbol: &str,
+        args: &[u64],
+        mem: &mut dyn Memory,
+    ) -> Result<(u64, u64)> {
+        match self.libs.get(call) {
             Some(&(_, arity, _)) if args.len() != arity => Err(JitError::Host(format!(
                 "{symbol} expects {arity} arg{}, got {}",
                 if arity == 1 { "" } else { "s" },
                 args.len()
             ))),
-            Some((_, _, call)) => call(args, mem),
-            None => self.framework.call_external(symbol, args, mem),
-        }
-    }
-
-    fn external_cost(&self, symbol: &str) -> u64 {
-        match self.libs.export(symbol) {
-            Some(_) => LIBRARY_CALL_CYCLES,
-            None => self.framework.external_cost(symbol),
+            Some((_, _, export)) => Ok((export(args, mem)?, LIBRARY_CALL_CYCLES)),
+            None => self.framework.call_host(call, symbol, args, mem),
         }
     }
 }
@@ -177,10 +234,10 @@ mod tests {
     #[test]
     fn registry_loads_known_deps_and_rejects_unknown() {
         let libs = loaded(&["libc.so", "libm.so"]);
-        assert!(libs.export("memcpy").is_some());
-        assert!(libs.export("sqrt").is_some());
-        assert!(libs.export("nonexistent").is_none());
-        assert!(loaded(&["libc.so"]).export("sqrt").is_none());
+        assert!(libs.get(HostCall::of("memcpy")).is_some());
+        assert!(libs.get(HostCall::of("sqrt")).is_some());
+        assert!(libs.get(HostCall::of("nonexistent")).is_none());
+        assert!(loaded(&["libc.so"]).get(HostCall::of("sqrt")).is_none());
 
         let err = LoadedLibs::load(&["libomp.so".into()]).unwrap_err();
         assert_eq!(
@@ -300,5 +357,75 @@ mod tests {
         assert_eq!(err, JitError::Host("memcpy expects 3 args, got 2".into()));
         let err = host.call_external("sqrt", &[], &mut mem).unwrap_err();
         assert_eq!(err, JitError::Host("sqrt expects 1 arg, got 0".into()));
+    }
+
+    /// Every export of every library answers by the id it was resolved to
+    /// what it answers by name: the same value, the same cycles, the same
+    /// memory; and an export of a library the module did not load, or a
+    /// name nothing exports, is refused alike, with the same typed error.
+    #[test]
+    fn every_export_answers_the_same_by_id_as_by_name() {
+        let args = |symbol: &str| -> Vec<u64> {
+            match symbol {
+                "memcpy" => vec![100, 0, 11],
+                "memset" => vec![0, 0xAB, 4],
+                "strlen_u64" => vec![200],
+                _ => vec![2.25f64.to_bits()],
+            }
+        };
+        let run = |deps: &[&str], symbol: &str, by_id: bool| {
+            let mut mem = VecMemory::new(0, 256);
+            mem.write(0, b"hello world").unwrap();
+            mem.write(200, b"abc\0").unwrap();
+            let mut none = NoExternals;
+            let mut host = LinkedHost {
+                libs: loaded(deps),
+                framework: &mut none,
+            };
+            let args = args(symbol);
+            let answer = match by_id {
+                true => host.call_host(HostCall::of(symbol), symbol, &args, &mut mem),
+                false => {
+                    let cycles = host.external_cost(symbol);
+                    host.call_external(symbol, &args, &mut mem)
+                        .map(|v| (v, cycles))
+                }
+            };
+            (answer, mem.as_slice().to_vec())
+        };
+        let mut exports = 0;
+        for (library, table) in &LIBRARIES {
+            for (symbol, _, _) in table.iter() {
+                assert!(matches!(HostCall::of(symbol), HostCall::Library(..)));
+                let both = run(&["libc.so", "libm.so"], symbol, true);
+                assert_eq!(
+                    both,
+                    run(&["libc.so", "libm.so"], symbol, false),
+                    "{symbol}"
+                );
+                assert_eq!(both.0.map(|(_, cycles)| cycles), Ok(LIBRARY_CALL_CYCLES));
+                // Not loaded: the framework host refuses it, by id as by name.
+                let other = if *library == "libc.so" {
+                    "libm.so"
+                } else {
+                    "libc.so"
+                };
+                let refused = run(&[other], symbol, true);
+                assert_eq!(refused, run(&[other], symbol, false), "{symbol}");
+                assert_eq!(
+                    refused.0,
+                    Err(JitError::UnresolvedSymbol {
+                        symbol: symbol.to_string()
+                    })
+                );
+                exports += 1;
+            }
+        }
+        assert_eq!(exports, 6);
+        assert_eq!(HostCall::of("nonexistent"), HostCall::Unresolved);
+        assert_eq!(
+            run(&["libc.so"], "nonexistent", true),
+            run(&["libc.so"], "nonexistent", false)
+        );
     }
 }

@@ -18,6 +18,7 @@
 //! A register outside its frame, a branch outside its function or a block
 //! not ended by its one terminator is refused here.
 
+use crate::dylib::HostCall;
 use crate::engine::{normalize, Memory, MemoryExt};
 use crate::error::{JitError, Result};
 use crate::machine::{MReg, MachFunction, MachInst, VEC_CHUNK_CYCLES};
@@ -65,8 +66,9 @@ pub(crate) enum Op {
     DataAddr(MReg, u32),
     /// `(dst, callee, first argument in Program::args, argument count)`.
     CallLocal(Option<MReg>, u32, u32, u32),
-    /// `(dst, symbol, first argument in Program::args, argument count)`.
-    CallSym(Option<MReg>, u32, u32, u32),
+    /// `(dst, symbol, what the symbol names, first argument in
+    /// Program::args, argument count)`.
+    CallSym(Option<MReg>, u32, HostCall, u32, u32),
     Jmp(u32),
     JmpIf(MReg, u32, u32),
     Ret(Option<MReg>),
@@ -84,8 +86,9 @@ pub(crate) struct Program {
     pub(crate) args: Vec<MReg>,
 }
 
-/// Emit the executable form of `functions`.
-pub(crate) fn emit(functions: &[MachFunction]) -> Result<Program> {
+/// Emit the executable form of `functions`, whose external calls name
+/// `ext_symbols`.
+pub(crate) fn emit(functions: &[MachFunction], ext_symbols: &[String]) -> Result<Program> {
     let most_blocks = functions.iter().map(|f| f.blocks.len()).max().unwrap_or(0);
     let mut entries = Vec::with_capacity(functions.len() + most_blocks);
     let (mut code, mut args) = (Vec::new(), Vec::new());
@@ -125,7 +128,14 @@ pub(crate) fn emit(functions: &[MachFunction]) -> Result<Program> {
                     return Err(malformed(f, what));
                 }
                 cycles += inst.base_cycles();
-                code.push(lower(inst, f, &entries[first..], &mut args)?);
+                let mut op = lower(inst, f, &entries[first..], &mut args)?;
+                // What a call names is resolved here, once; a symbol out of
+                // range traps when it is called, as before.
+                if let Op::CallSym(_, sym, ref mut call, ..) = op {
+                    let name = ext_symbols.get(sym as usize);
+                    *call = name.map_or(HostCall::Unresolved, |s| HostCall::of(s));
+                }
+                code.push(op);
                 if let MachInst::CallLocal { .. } = inst {
                     code[charge] = Op::Charge(insts, cycles);
                     (charge, insts, cycles) = (code.len(), 0, 0);
@@ -239,7 +249,7 @@ fn lower(inst: &MachInst, f: &MachFunction, blocks: &[u32], args: &mut Vec<MReg>
             args,
         } => {
             let (first, n) = call(args)?;
-            Op::CallSym(opt(dst)?, *sym_index, first, n)
+            Op::CallSym(opt(dst)?, *sym_index, HostCall::Unresolved, first, n)
         }
         MachInst::Jmp { block } => Op::Jmp(to(*block)?),
         MachInst::JmpIf {
@@ -474,4 +484,16 @@ pub(crate) fn vec_loop(
     Ok(count
         .div_ceil(u64::from(lanes.max(1)))
         .saturating_mul(VEC_CHUNK_CYCLES))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Op;
+
+    /// A call's host-call id rides in its padding: an op is four words, as
+    /// it was before calls carried one.
+    #[test]
+    fn an_op_is_four_words() {
+        assert_eq!(std::mem::size_of::<Op>(), 32);
+    }
 }

@@ -11,6 +11,7 @@
 //! pre-decoded ops a module carries from when it was made (the crate's
 //! `emit` module), not its [`crate::machine::MachInst`]s.
 
+use crate::dylib::HostCall;
 use crate::emit::{atomic, nonzero, vec_loop, Op, Program};
 use crate::error::{JitError, Result};
 use crate::machine::{MReg, MachFunction, MachModule};
@@ -246,6 +247,23 @@ pub trait ExternalHost {
     /// the default of 0 is fine for pure host functions).
     fn external_cost(&self, _symbol: &str) -> u64 {
         0
+    }
+
+    /// Invoke the host call `_call` — what `symbol` names, fixed when the
+    /// module's ops were emitted — and return its result and the cycles it
+    /// charges.  The engine calls only this.  The default answers by name,
+    /// [`ExternalHost::external_cost`] and then
+    /// [`ExternalHost::call_external`]; a host that knows the ids answers
+    /// without comparing a name.
+    fn call_host(
+        &mut self,
+        _call: HostCall,
+        symbol: &str,
+        args: &[u64],
+        mem: &mut dyn Memory,
+    ) -> Result<(u64, u64)> {
+        let cycles = self.external_cost(symbol);
+        Ok((self.call_external(symbol, args, mem)?, cycles))
     }
 }
 
@@ -543,7 +561,7 @@ impl<'a> ExecContext<'a> {
                     ))
                 })?
             }
-            Op::CallSym(dst, sym, first, n) => {
+            Op::CallSym(dst, sym, call, first, n) => {
                 // Borrowed from the module for the length of the call.
                 let module: &'a MachModule = self.module;
                 let symbol: &str = module
@@ -553,8 +571,8 @@ impl<'a> ExecContext<'a> {
                 let (mut inline, mut heap) = ([0u64; INLINE_ARGS], Vec::new());
                 let names = &module.program.args[first as usize..][..n as usize];
                 let argv = gather(r.0, names, &mut inline, &mut heap);
-                self.cycles += self.host.external_cost(symbol);
-                let ret = self.host.call_external(symbol, argv, self.mem)?;
+                let (ret, cycles) = self.host.call_host(call, symbol, argv, self.mem)?;
+                self.cycles += cycles;
                 if let Some(d) = dst {
                     r[d] = ret;
                 }

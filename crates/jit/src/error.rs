@@ -39,6 +39,16 @@ pub enum JitError {
     Decode(String),
     /// An error bubbled up from an external host call (framework or dylib).
     Host(String),
+    /// A framework call asked to send more bytes than the message it would
+    /// build can carry; refused before anything is read or allocated.
+    TooLarge {
+        /// The call (`tc_put`, `tc_forward_self`).
+        what: String,
+        /// The length the call asked for.
+        len: u64,
+        /// The most it accepts.
+        max: u64,
+    },
 }
 
 impl fmt::Display for JitError {
@@ -61,6 +71,9 @@ impl fmt::Display for JitError {
             JitError::UnknownFunction { name } => write!(f, "unknown function `{name}`"),
             JitError::Decode(msg) => write!(f, "machine code decode failed: {msg}"),
             JitError::Host(msg) => write!(f, "external host call failed: {msg}"),
+            JitError::TooLarge { what, len, max } => {
+                write!(f, "{what} of {len} bytes exceeds its limit of {max}")
+            }
         }
     }
 }

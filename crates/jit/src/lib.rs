@@ -41,7 +41,7 @@ pub mod orc;
 
 pub use aot::{build_object, module_from_image};
 pub use compile::{compile_module, lower_and_compile, CompileOptions, CompileStats, Compiled};
-pub use dylib::LoadedLibs;
+pub use dylib::{HostCall, LoadedLibs};
 pub use engine::{
     Engine, ExecLimits, ExecOutcome, ExternalHost, Memory, MemoryExt, NoExternals, SparseMemory,
     VecMemory,

@@ -305,7 +305,7 @@ impl MachModule {
         data: Vec<DataObject>,
         deps: Vec<String>,
     ) -> Result<Self> {
-        let program = emit(&functions)?;
+        let program = emit(&functions, &ext_symbols)?;
         Ok(MachModule {
             name,
             triple,

@@ -156,6 +156,9 @@ struct Slot {
     tick_pending: bool,
     /// The cluster is stopping: the owner thread leaves, sends are refused.
     closed: bool,
+    /// The node's batch buffer, empty while it is idle, so a batch
+    /// allocates nothing.
+    batch: Vec<Envelope>,
 }
 
 impl Slot {
@@ -166,11 +169,12 @@ impl Slot {
         Some(got)
     }
 
-    /// Move up to [`DEFAULT_MAX_BATCH`] envelopes off the front into
-    /// `batch`.  The owner takes a tick it meets (`true`: `on_tick` behind
-    /// the batch); a run in place stops at one, leaving it for the owner.
-    fn drain(&mut self, batch: &mut Vec<Envelope>, owner: bool) -> bool {
-        let mut ticked = false;
+    /// Move up to [`DEFAULT_MAX_BATCH`] envelopes off the front into the
+    /// batch buffer, which is taken along.  The owner takes a tick it meets
+    /// (`true`: `on_tick` behind the batch); a run in place stops at one,
+    /// leaving it for the owner.
+    fn drain(&mut self, owner: bool) -> (Vec<Envelope>, bool) {
+        let (mut batch, mut ticked) = (std::mem::take(&mut self.batch), false);
         while batch.len() < DEFAULT_MAX_BATCH
             && (owner || matches!(self.queue.front(), Some(Some(_))))
         {
@@ -180,7 +184,7 @@ impl Slot {
                 None => break,
             }
         }
-        ticked
+        (batch, ticked)
     }
 }
 
@@ -242,10 +246,12 @@ impl Inbox {
         }
     }
 
-    /// Hand a node back; wake its owner if it parked while work queued.
-    fn put_back(&self, node: Box<dyn ThreadedNode>) {
+    /// Hand a node and its emptied batch buffer back; wake its owner if it
+    /// parked while work queued.
+    fn put_back(&self, node: Box<dyn ThreadedNode>, batch: Vec<Envelope>) {
         let mut slot = self.lock();
         slot.node = Some(node);
+        slot.batch = batch;
         if slot.parked && (slot.closed || !slot.queue.is_empty()) {
             self.wake.notify_one();
         }
@@ -294,31 +300,31 @@ impl Fabric {
     }
 }
 
-/// Hand `batch` to `node`; it stops counting as in flight only once the
-/// node has sent what it provokes.
-fn run_batch(node: &mut dyn ThreadedNode, batch: Vec<Envelope>, ctx: &NodeCtx) {
+/// Hand `batch` to `node`, emptying it; it stops counting as in flight only
+/// once the node has sent what it provokes.
+fn run_batch(node: &mut dyn ThreadedNode, batch: &mut Vec<Envelope>, ctx: &NodeCtx) {
     let count = batch.len() as u64;
-    node.on_batch(batch, ctx);
+    node.on_batch(batch.drain(..), ctx);
     ctx.fabric.in_flight.fetch_sub(count, Ordering::SeqCst);
 }
 
 /// A node's own thread: wait for work *and* the node in its inbox, run
 /// the batch (a tick met on the way behind it), put the node back.
 fn run_node(ctx: NodeCtx) {
-    let (inbox, mut batch) = (&ctx.fabric.nodes[ctx.node_id], Vec::new());
-    let take = |slot: &mut Slot, batch: &mut Vec<Envelope>| match slot.closed {
+    let inbox = &ctx.fabric.nodes[ctx.node_id];
+    let take = |slot: &mut Slot| match slot.closed {
         true => Some(None),
         false if slot.queue.is_empty() => None,
-        false => Some(Some((slot.node.take()?, slot.drain(batch, true)))),
+        false => Some(Some((slot.node.take()?, slot.drain(true)))),
     };
-    while let Some((mut node, ticked)) = inbox.wait_for(None, |s| take(s, &mut batch)).flatten() {
+    while let Some((mut node, (mut batch, ticked))) = inbox.wait_for(None, take).flatten() {
         if !batch.is_empty() {
-            run_batch(node.as_mut(), std::mem::take(&mut batch), &ctx);
+            run_batch(node.as_mut(), &mut batch, &ctx);
         }
         if ticked {
             node.on_tick(&ctx);
         }
-        inbox.put_back(node);
+        inbox.put_back(node, batch);
     }
 }
 
@@ -361,12 +367,13 @@ impl NodeCtx {
             fabric.in_flight.fetch_add(1, Ordering::SeqCst);
         }
         slot.queue.push_back(Some(env));
-        let mut batch = Vec::new();
         let alone = one_sided && slot.queue.len() == 1;
-        if (!self.nested || alone) && slot.node.is_some() {
-            slot.drain(&mut batch, false);
-        }
-        let node = slot.node.take_if(|_| !batch.is_empty());
+        // A tick at the front stays there for the owner thread.
+        let runs = (!self.nested || alone) && matches!(slot.queue.front(), Some(Some(_)));
+        let node = slot
+            .node
+            .take_if(|_| runs)
+            .map(|node| (node, slot.drain(false).0));
         // Wake a parked owner only once the lock is free for it to take.
         let wake = node.is_none() && slot.parked;
         drop(slot);
@@ -374,14 +381,14 @@ impl NodeCtx {
             inbox.wake.notify_one();
         }
         let status = fabric.record(SendStatus::Delivered);
-        if let Some(mut node) = node {
+        if let Some((mut node, mut batch)) = node {
             let ctx = NodeCtx {
                 node_id: to,
                 fabric: Arc::clone(fabric),
                 nested: true,
             };
-            run_batch(node.as_mut(), batch, &ctx);
-            inbox.put_back(node);
+            run_batch(node.as_mut(), &mut batch, &ctx);
+            inbox.put_back(node, batch);
         }
         status
     }
@@ -425,16 +432,20 @@ impl NodeCtx {
     }
 }
 
+/// One wakeup's envelopes, in FIFO order: see [`ThreadedNode::on_batch`].
+pub type Batch<'a> = std::vec::Drain<'a, Envelope>;
+
 /// A node running inside a [`ThreadCluster`].
 pub trait ThreadedNode: Send {
     /// Called for every delivered message.
     fn on_message(&mut self, msg: Envelope, ctx: &NodeCtx);
 
     /// Called with everything drained from the inbox in one wakeup
-    /// (FIFO order preserved).  The default processes messages one at a
-    /// time; nodes that can amortise per-wakeup work (polling, flushing)
-    /// across a burst should override this.
-    fn on_batch(&mut self, msgs: Vec<Envelope>, ctx: &NodeCtx) {
+    /// (FIFO order preserved), moved out of a buffer the fabric reuses.  The
+    /// default processes messages one at a time; nodes that can amortise
+    /// per-wakeup work (polling, flushing) across a burst should override
+    /// this.
+    fn on_batch(&mut self, msgs: Batch<'_>, ctx: &NodeCtx) {
         for msg in msgs {
             self.on_message(msg, ctx);
         }
@@ -677,7 +688,7 @@ mod tests {
             }
         }
 
-        fn on_batch(&mut self, msgs: Vec<Envelope>, ctx: &NodeCtx) {
+        fn on_batch(&mut self, msgs: Batch<'_>, ctx: &NodeCtx) {
             self.batches += 1;
             for msg in msgs {
                 self.on_message(msg, ctx);
@@ -724,7 +735,7 @@ mod tests {
                     self.0.on_message(msg, ctx);
                 }
             }
-            fn on_batch(&mut self, msgs: Vec<Envelope>, ctx: &NodeCtx) {
+            fn on_batch(&mut self, msgs: Batch<'_>, ctx: &NodeCtx) {
                 self.0.batches += 1;
                 for msg in msgs {
                     self.on_message(msg, ctx);
@@ -888,7 +899,7 @@ mod tests {
             }
         }
 
-        fn on_batch(&mut self, msgs: Vec<Envelope>, ctx: &NodeCtx) {
+        fn on_batch(&mut self, msgs: Batch<'_>, ctx: &NodeCtx) {
             self.log.lock().unwrap().push(Did::Batch(msgs.len()));
             for msg in msgs {
                 self.on_message(msg, ctx);
@@ -1035,7 +1046,7 @@ mod tests {
             RelayNode.on_message(msg, ctx);
         }
 
-        fn on_batch(&mut self, msgs: Vec<Envelope>, ctx: &NodeCtx) {
+        fn on_batch(&mut self, msgs: Batch<'_>, ctx: &NodeCtx) {
             let ran = (ctx.node_id(), std::thread::current());
             self.0.lock().unwrap().push(ran);
             for msg in msgs {
@@ -1243,8 +1254,8 @@ mod tests {
 
     impl ThreadedNode for Tags {
         fn on_message(&mut self, _msg: Envelope, _ctx: &NodeCtx) {}
-        fn on_batch(&mut self, msgs: Vec<Envelope>, _ctx: &NodeCtx) {
-            let tags = msgs.iter().map(|m| m.tag).collect();
+        fn on_batch(&mut self, msgs: Batch<'_>, _ctx: &NodeCtx) {
+            let tags = msgs.map(|m| m.tag).collect();
             self.0.lock().unwrap().push(tags);
         }
     }
@@ -1296,11 +1307,8 @@ mod tests {
         enqueue(None);
         assert!(node_1.send(0, 3, vec![]).is_delivered());
         assert_eq!(ran.lock().unwrap().len(), 1, "nothing ran in place");
-        let mut batch = Vec::new();
-        assert!(
-            fabric.nodes[0].lock().drain(&mut batch, true),
-            "the owner takes the tick"
-        );
+        let (batch, ticked) = fabric.nodes[0].lock().drain(true);
+        assert!(ticked, "the owner takes the tick");
         assert_eq!(batch.iter().map(|m| m.tag).collect::<Vec<_>>(), [3]);
     }
 
@@ -1319,8 +1327,7 @@ mod tests {
             .route(to_node_0(EXTERNAL_SENDER, 2), true)
             .is_delivered());
         assert!(ran.lock().unwrap().is_empty(), "nothing ran on the driver");
-        let mut batch = Vec::new();
-        fabric.nodes[0].lock().drain(&mut batch, true);
+        let (batch, _) = fabric.nodes[0].lock().drain(true);
         assert_eq!(batch.iter().map(|m| m.tag).collect::<Vec<_>>(), [1, 2]);
         // Alone in the idle inbox, the next one runs here, and only it.
         assert!(driver

@@ -12,12 +12,13 @@
 //! `Arc<[u8]>` allocations the pool keeps a reference to.  While a message is
 //! in flight the pool's slot is shared (refcount ≥ 2) and untouchable; once
 //! the last `Bytes` view drops, the slot becomes unique again and a later
-//! [`BufPool::acquire`] reuses it in place — steady-state sends allocate
+//! [`BufPool::fill`] reuses it in place — steady-state sends allocate
 //! nothing.  The pool counts allocations vs. reuses, which doubles as the
 //! copy/allocation instrumentation the wire-parity tests assert on.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::iter;
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
@@ -30,16 +31,19 @@ use std::sync::Arc;
 /// [`Bytes::shares_storage`]).
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    /// `None` for an empty view that never had storage: making, cloning and
+    /// dropping one touches no reference count.
+    data: Option<Arc<[u8]>>,
     start: usize,
     len: usize,
 }
 
 impl Bytes {
-    /// An empty buffer.
+    /// An empty buffer, backed by nothing: making one allocates nothing.
+    #[inline]
     pub fn new() -> Self {
         Bytes {
-            data: Arc::from(&[][..]),
+            data: None,
             start: 0,
             len: 0,
         }
@@ -48,25 +52,31 @@ impl Bytes {
     /// Copy a slice into a fresh allocation.
     pub fn copy_from_slice(src: &[u8]) -> Self {
         Bytes {
-            data: Arc::from(src),
+            data: Some(Arc::from(src)),
             start: 0,
             len: src.len(),
         }
     }
 
     /// Length of this view in bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// True when the view is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// The viewed bytes.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.start + self.len]
+        match &self.data {
+            Some(data) => &data[self.start..self.start + self.len],
+            None => &[],
+        }
     }
 
     /// A sub-view of this view (zero-copy; shares the backing allocation).
@@ -90,7 +100,7 @@ impl Bytes {
             self.len
         );
         Bytes {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             start: self.start + begin,
             len: end - begin,
         }
@@ -107,7 +117,10 @@ impl Bytes {
     /// True when both views are backed by the same allocation — the
     /// zero-copy property tests' witness that no bytes were copied.
     pub fn shares_storage(&self, other: &Bytes) -> bool {
-        Arc::ptr_eq(&self.data, &other.data)
+        match (&self.data, &other.data) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     /// Copy the viewed bytes into a fresh `Vec`.
@@ -124,12 +137,14 @@ impl Default for Bytes {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for Bytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self.as_slice()
     }
@@ -155,7 +170,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let len = v.len();
         Bytes {
-            data: Arc::from(v),
+            data: Some(Arc::from(v)),
             start: 0,
             len,
         }
@@ -249,7 +264,7 @@ pub struct PoolStats {
     pub allocated: u64,
     /// Buffers recycled from a previously released slot.
     pub reused: u64,
-    /// Total bytes handed out across all acquires.
+    /// Total bytes handed out across all fills.
     pub bytes_acquired: u64,
 }
 
@@ -259,15 +274,15 @@ pub struct PoolStats {
 /// ordered oldest first: buffers come back in roughly the order they left,
 /// so the slot at the front is the one most likely free.  A slot whose
 /// refcount has dropped back to one (every [`Bytes`] view of it is gone) is
-/// writable again and gets reused by a later [`BufPool::acquire`] that
+/// writable again and gets reused by a later [`BufPool::fill`] that
 /// fits, so the steady-state send path performs **zero allocations**: the
 /// same few buffers rotate through the fabric.
 ///
-/// An acquire looks at no more than `PROBE` slots, and at the cap the slot
+/// A fill looks at no more than `PROBE` slots, and at the cap the slot
 /// held longest is evicted (the pool drops its reference; live views keep
 /// the memory).  A slot pinned for good — a received ifunc's code is a view
 /// of its arrival buffer — is looked at only while it is near the front and
-/// leaves the ring once it is the front slot at the cap: no acquire scans
+/// leaves the ring once it is the front slot at the cap: no fill scans
 /// every slot.
 #[derive(Debug, Default)]
 pub struct BufPool {
@@ -281,7 +296,7 @@ pub struct BufPool {
 const MIN_BUF: usize = 256;
 /// Cap on retained slots; retaining one more evicts the front slot.
 const DEFAULT_MAX_SLOTS: usize = 64;
-/// Slots one [`BufPool::acquire`] looks at before it allocates.
+/// Slots one [`BufPool::fill`] looks at before it allocates.
 const PROBE: usize = 4;
 
 impl BufPool {
@@ -290,98 +305,60 @@ impl BufPool {
         Self::default()
     }
 
-    /// Acquire a writable buffer of capacity at least `len`.  Call
-    /// [`PoolWriter::freeze`] to turn the written prefix into a [`Bytes`] and
-    /// return the slot to the pool for reuse once all views drop.
-    pub fn acquire(&mut self, len: usize) -> PoolWriter {
+    /// Write `len` bytes into a pool buffer with `write` and freeze them
+    /// into a view; the slot returns to the pool for reuse once every view
+    /// of it drops.  A retained slot is free when the pool holds its only
+    /// reference: the slots a hit passes over go to the back of the ring; a
+    /// miss moves nothing, so the front stays the slot held longest and is
+    /// the one evicted at the cap.  Free slots are found by reading
+    /// reference counts, and the one taken is made writable by one
+    /// uniqueness check.  A `write` that fails hands its slot back.
+    pub fn fill<E>(
+        &mut self,
+        len: usize,
+        write: impl FnOnce(&mut [u8]) -> Result<(), E>,
+    ) -> Result<Bytes, E> {
         self.stats.bytes_acquired += len as u64;
-        // A retained slot is free exactly when the pool holds the only
-        // reference; `get_mut` is the authoritative uniqueness check.  The
-        // slots a hit passes over go to the back of the ring; a miss moves
-        // nothing, so the front stays the slot held longest and the freeze
-        // that follows evicts it at the cap.
-        let hit = self
-            .slots
-            .iter_mut()
-            .take(PROBE)
-            .position(|s| s.len() >= len && Arc::get_mut(s).is_some());
-        if let Some(i) = hit {
+        let free = |s: &Arc<[u8]>| s.len() >= len && Arc::strong_count(s) == 1;
+        let hit = self.slots.iter().take(PROBE).position(free);
+        let reused = hit.and_then(|i| {
             self.slots.rotate_left(i);
-            if let Some(buf) = self.slots.pop_front() {
+            self.slots.pop_front()
+        });
+        let mut buf = match reused {
+            Some(buf) => {
                 self.stats.reused += 1;
-                return PoolWriter { buf, len: 0 };
+                buf
             }
+            None => {
+                self.stats.allocated += 1;
+                iter::repeat_n(0, len.next_power_of_two().max(MIN_BUF)).collect()
+            }
+        };
+        // Unique unless a weak reference appeared: then this copies.
+        let written = write(&mut Arc::make_mut(&mut buf)[..len]);
+        if self.slots.len() >= DEFAULT_MAX_SLOTS {
+            self.slots.pop_front();
         }
-        self.stats.allocated += 1;
-        let cap = len.next_power_of_two().max(MIN_BUF);
-        PoolWriter {
-            buf: iter::repeat_n(0, cap).collect(),
-            len: 0,
-        }
-    }
-}
-
-/// A writable pool buffer with an append cursor.  Produced by
-/// [`BufPool::acquire`]; consumed by [`PoolWriter::freeze`].
-#[derive(Debug)]
-pub struct PoolWriter {
-    buf: Arc<[u8]>,
-    len: usize,
-}
-
-impl PoolWriter {
-    /// The buffer, writable: `acquire` handed out a unique slot, so this
-    /// never clones.
-    fn buf_mut(&mut self) -> &mut [u8] {
-        Arc::make_mut(&mut self.buf)
-    }
-
-    /// Append a slice.
-    pub fn put_slice(&mut self, src: &[u8]) {
-        let at = self.len;
-        self.buf_mut()[at..at + src.len()].copy_from_slice(src);
-        self.len += src.len();
-    }
-
-    /// Append a little-endian u64.
-    pub fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Direct access to `n` writable bytes starting at the cursor; the
-    /// cursor advances by `n`.  For callers that fill the region themselves
-    /// (e.g. a memory read straight into the wire buffer).
-    pub fn reserve(&mut self, n: usize) -> &mut [u8] {
-        let at = self.len;
-        self.len += n;
-        &mut self.buf_mut()[at..at + n]
-    }
-
-    /// Freeze the written prefix into an immutable [`Bytes`] view and hand
-    /// the slot back to `pool` for reuse after all views drop.
-    pub fn freeze(self, pool: &mut BufPool) -> Bytes {
-        let PoolWriter { buf, len } = self;
-        if pool.slots.len() >= DEFAULT_MAX_SLOTS {
-            pool.slots.pop_front();
-        }
-        pool.slots.push_back(Arc::clone(&buf));
-        Bytes {
-            data: buf,
+        self.slots.push_back(Arc::clone(&buf));
+        let view = Bytes {
+            data: Some(buf),
             start: 0,
             len,
-        }
+        };
+        written.map(|()| view)
     }
 }
 
 /// Copy `src` to the front of `*out` and advance `*out` past it.
 ///
-/// The append step for encoders that fill one [`PoolWriter::reserve`]d
-/// region field by field: the region costs one uniqueness check of the pool
-/// buffer, where every `PoolWriter::put_*` call costs its own.
+/// The append step for encoders that write a [`BufPool::fill`] region
+/// field by field.
 ///
 /// # Panics
 /// Panics when `src` is longer than what is left of `*out`, mirroring slice
 /// indexing.
+#[inline]
 pub fn put(out: &mut &mut [u8], src: &[u8]) {
     let (head, rest) = std::mem::take(out).split_at_mut(src.len());
     head.copy_from_slice(src);
@@ -390,6 +367,17 @@ pub fn put(out: &mut &mut [u8], src: &[u8]) {
 
 thread_local! {
     static TLS_POOL: RefCell<BufPool> = RefCell::new(BufPool::new());
+}
+
+/// `len` bytes written by `write` into a buffer of this thread's encode
+/// pool: [`BufPool::fill`] for a write that cannot fail.
+pub fn pooled(len: usize, write: impl FnOnce(&mut [u8])) -> Bytes {
+    let write = |out: &mut [u8]| {
+        write(out);
+        Ok::<_, Infallible>(())
+    };
+    let Ok(bytes) = with_pool(|pool| pool.fill(len, write));
+    bytes
 }
 
 /// Run `f` with this thread's encode pool.  The wire codecs use this so hot
@@ -477,25 +465,36 @@ mod tests {
         assert_eq!(a.slice(1..), [2u8, 3]);
     }
 
+    /// A view of `len` zero bytes from `pool`.
+    fn take(pool: &mut BufPool, len: usize) -> Bytes {
+        let zeroed = pool.fill(len, |out| {
+            out.fill(0);
+            Ok::<_, ()>(())
+        });
+        zeroed.unwrap()
+    }
+
     #[test]
     fn pool_reuses_buffer_after_views_drop() {
         let mut pool = BufPool::new();
-        let mut w = pool.acquire(100);
-        w.put_slice(&[7; 100]);
-        let bytes = w.freeze(&mut pool);
+        let bytes = pool.fill(100, |out| {
+            out.fill(7);
+            Ok::<_, ()>(())
+        });
+        let bytes = bytes.unwrap();
+        assert_eq!(bytes, [7; 100]);
         assert_eq!(pool.stats.allocated, 1);
         assert_eq!(pool.slots.len(), 1);
 
-        // In flight: the slot is shared, a second acquire must allocate.
-        let w2 = pool.acquire(100);
+        // In flight: the slot is shared, a second fill must allocate.
+        let bytes2 = take(&mut pool, 100);
         assert_eq!(pool.stats.allocated, 2);
-        let bytes2 = w2.freeze(&mut pool);
 
         drop(bytes);
         drop(bytes2);
-        // Both slots free again: the next two acquires allocate nothing.
-        let w3 = pool.acquire(64).freeze(&mut pool);
-        let w4 = pool.acquire(128).freeze(&mut pool);
+        // Both slots free again: the next two fills allocate nothing.
+        let w3 = take(&mut pool, 64);
+        let w4 = take(&mut pool, 128);
         assert_eq!(pool.stats.allocated, 2);
         assert_eq!(pool.stats.reused, 2);
         drop((w3, w4));
@@ -505,7 +504,7 @@ mod tests {
     fn pool_respects_slot_cap_and_min_size() {
         let mut pool = BufPool::new();
         let held: Vec<Bytes> = (0..DEFAULT_MAX_SLOTS + 1)
-            .map(|_| pool.acquire(10).freeze(&mut pool))
+            .map(|_| take(&mut pool, 10))
             .collect();
         assert_eq!(pool.slots.len(), DEFAULT_MAX_SLOTS, "the cap holds");
         assert!(
@@ -513,22 +512,21 @@ mod tests {
             "the slot held longest was evicted"
         );
         drop(held);
-        let w = pool.acquire(1);
-        assert!(w.buf.len() >= MIN_BUF);
-        drop(w);
+        let w = take(&mut pool, 1);
+        assert!(w.data.as_ref().is_some_and(|buf| buf.len() >= MIN_BUF));
     }
 
     /// Every slot pinned by a view that outlives the loop (a registration
     /// table holding received code): each miss evicts the slot held longest,
     /// so within one cap's worth of rounds the ring holds free slots again
-    /// and an acquire → freeze → drop loop stops allocating.
+    /// and a fill → drop loop stops allocating.
     #[test]
     fn a_pool_whose_every_slot_is_pinned_recovers() {
         let mut pool = BufPool::new();
         let pinned: Vec<Bytes> = (0..DEFAULT_MAX_SLOTS)
-            .map(|_| pool.acquire(100).freeze(&mut pool))
+            .map(|_| take(&mut pool, 100))
             .collect();
-        let round = |pool: &mut BufPool| drop(pool.acquire(100).freeze(pool));
+        let round = |pool: &mut BufPool| drop(take(pool, 100));
         for _ in 0..DEFAULT_MAX_SLOTS {
             round(&mut pool);
         }
@@ -548,14 +546,12 @@ mod tests {
     fn a_window_released_in_fifo_order_is_served_without_allocating() {
         const WINDOW: usize = 16;
         let mut pool = BufPool::new();
-        let mut in_flight: VecDeque<Bytes> = (0..WINDOW)
-            .map(|_| pool.acquire(1024).freeze(&mut pool))
-            .collect();
+        let mut in_flight: VecDeque<Bytes> = (0..WINDOW).map(|_| take(&mut pool, 1024)).collect();
         let warm = pool.stats;
         assert_eq!(warm.allocated, WINDOW as u64);
         for _ in 0..10 * DEFAULT_MAX_SLOTS {
             in_flight.pop_front();
-            in_flight.push_back(pool.acquire(1024).freeze(&mut pool));
+            in_flight.push_back(take(&mut pool, 1024));
         }
         assert_eq!(pool.stats.allocated, warm.allocated, "{:?}", pool.stats);
         assert_eq!(
@@ -564,34 +560,37 @@ mod tests {
         );
     }
 
+    /// The writer gets exactly the bytes asked for; a failed write keeps
+    /// its slot for the next fill.
     #[test]
     fn writer_cursor_and_reserve() {
         let mut pool = BufPool::new();
-        let mut w = pool.acquire(32);
-        w.put_slice(&[0xAB]);
-        w.put_slice(&0x1234u16.to_le_bytes());
-        w.put_slice(&0xDEADBEEFu32.to_le_bytes());
-        w.put_u64_le(42);
-        w.reserve(2).copy_from_slice(&[9, 9]);
-        assert_eq!(w.len, 17);
-        let b = w.freeze(&mut pool);
-        assert_eq!(b.len(), 17);
-        assert_eq!(b[0], 0xAB);
+        let b = pool.fill(11, |mut out| {
+            put(&mut out, &[0xAB]);
+            put(&mut out, &0x1234u16.to_le_bytes());
+            put(&mut out, &42u64.to_le_bytes());
+            Ok::<_, ()>(())
+        });
+        let b = b.unwrap();
+        assert_eq!(b.len(), 11);
         assert_eq!(u16::from_le_bytes(b[1..3].try_into().unwrap()), 0x1234);
-        assert_eq!(&b[15..], &[9, 9]);
+        drop(b);
+        assert_eq!(pool.fill(8, |_| Err("refused")), Err("refused"));
+        take(&mut pool, 8);
+        assert_eq!((pool.stats.allocated, pool.stats.reused), (1, 2));
     }
 
     #[test]
     fn put_fills_a_reserved_region_field_by_field() {
         let mut pool = BufPool::new();
-        let mut w = pool.acquire(16);
-        w.put_slice(&[0xAB]);
-        let mut region = w.reserve(7);
-        put(&mut region, &0x1234u16.to_le_bytes());
-        put(&mut region, &[]);
-        put(&mut region, &[1, 2, 3, 4, 5]);
-        assert!(region.is_empty(), "the cursor ends where the region does");
-        assert_eq!(w.len, 8);
-        assert_eq!(w.freeze(&mut pool), [0xAB, 0x34, 0x12, 1, 2, 3, 4, 5]);
+        let filled = pool.fill(8, |mut region| {
+            put(&mut region, &[0xAB]);
+            put(&mut region, &0x1234u16.to_le_bytes());
+            put(&mut region, &[]);
+            put(&mut region, &[1, 2, 3, 4, 5]);
+            assert!(region.is_empty(), "the cursor ends where the region does");
+            Ok::<_, ()>(())
+        });
+        assert_eq!(filled.unwrap(), [0xAB, 0x34, 0x12, 1, 2, 3, 4, 5]);
     }
 }

@@ -26,5 +26,5 @@
 pub mod bytes;
 pub mod worker;
 
-pub use bytes::{BufPool, Bytes, PoolStats, PoolWriter};
+pub use bytes::{BufPool, Bytes, PoolStats};
 pub use worker::{AmHandlerId, OutgoingMessage, RequestId, UcpOp, Worker, WorkerAddr};

@@ -174,6 +174,12 @@ impl Worker {
         self.outbox.drain(..).collect()
     }
 
+    /// The oldest posted operation not yet taken: [`Worker::take_outgoing`]
+    /// one at a time, for a driver that moves each as it takes it.
+    pub fn next_outgoing(&mut self) -> Option<OutgoingMessage> {
+        self.outbox.pop_front()
+    }
+
     /// Deliver a message into this worker's inbox (called by the transport
     /// driver when the message "arrives").
     pub fn deliver(&mut self, msg: OutgoingMessage) {

@@ -6,9 +6,7 @@ use crate::pointer_table::PointerTable;
 use crate::tsi::platform_toolchain;
 use std::sync::Arc;
 use tc_core::layout::DATA_REGION_BASE;
-use tc_core::{
-    build_ifunc_library, Cluster, ClusterBuilder, HostAction, NativeAmHandler, SimTransport,
-};
+use tc_core::{build_ifunc_library, Cluster, ClusterBuilder, NativeAmHandler, SimTransport};
 use tc_jit::MemoryExt;
 use tc_simnet::Platform;
 use tc_ucx::WorkerAddr;
@@ -103,11 +101,8 @@ pub fn dapc_am_handler() -> NativeAmHandler {
             // Shard s lives on rank base + s (base = first server rank).
             let owner = idx / shard + base;
             if owner != me {
-                ctx.actions.push(HostAction::SendAm {
-                    handler: "dapc_chase".to_string(),
-                    dst: WorkerAddr(owner as u32),
-                    payload: chaser_payload::encode(client, slot, idx, depth, base, shard),
-                });
+                let payload = chaser_payload::encode(client, slot, idx, depth, base, shard);
+                ctx.send_am("dapc_chase", WorkerAddr(owner as u32), payload);
                 return cycles;
             }
             let addr = DATA_REGION_BASE + (idx % shard) * 8;
@@ -116,11 +111,7 @@ pub fn dapc_am_handler() -> NativeAmHandler {
             depth -= 1;
             idx = next;
             if depth == 0 {
-                ctx.actions.push(HostAction::ReturnResult {
-                    dst: WorkerAddr(client as u32),
-                    slot,
-                    value: idx,
-                });
+                ctx.return_result(WorkerAddr(client as u32), slot, idx);
                 return cycles;
             }
         }

@@ -129,7 +129,8 @@ fn sender_cache_full_once_per_pair() {
             let ifunc = g.range(0, 4) as u32;
             let ep = g.range(0, 6) as u32;
             let name = format!("ifunc{ifunc}");
-            let decision = cache.on_send(&name, WorkerAddr(ep));
+            let row = cache.row_of(&name);
+            let decision = cache.decide(row, WorkerAddr(ep));
             let first_time = seen.insert((ifunc, ep));
             if first_time {
                 assert_eq!(decision, SendDecision::SendFull, "case {case}");
