@@ -73,12 +73,6 @@ impl ModuleBuilder {
         self.function(Module::ENTRY_NAME, params, ret)
     }
 
-    /// The id the *next* committed function will receive.  Useful for
-    /// building mutually-recursive functions.
-    pub fn next_func_id(&self) -> FuncId {
-        FuncId(self.module.functions.len() as u32)
-    }
-
     /// Finish and return the module.
     pub fn build(self) -> Module {
         self.module
@@ -140,11 +134,6 @@ impl<'m> FunctionBuilder<'m> {
         BlockId((self.blocks.len() - 1) as u32)
     }
 
-    /// The entry block id.
-    pub fn entry_block(&self) -> BlockId {
-        BlockId(0)
-    }
-
     /// Switch the insertion point to `block`.
     pub fn switch_to(&mut self, block: BlockId) {
         assert!(
@@ -201,11 +190,6 @@ impl<'m> FunctionBuilder<'m> {
             rhs,
         });
         dst
-    }
-
-    /// `lhs + rhs` at i64.
-    pub fn add_i64(&mut self, lhs: Reg, rhs: Reg) -> Reg {
-        self.bin(BinOp::Add, ScalarType::I64, lhs, rhs)
     }
 
     /// `lhs - rhs` at i64.
@@ -279,12 +263,6 @@ impl<'m> FunctionBuilder<'m> {
             expected,
         });
         dst
-    }
-
-    /// Atomic fetch-add convenience wrapper.
-    pub fn atomic_fetch_add(&mut self, ty: ScalarType, addr: Reg, src: Reg) -> Reg {
-        let zero = self.const_bits(ty, 0);
-        self.atomic(AtomicOp::FetchAdd, ty, addr, src, zero)
     }
 
     /// Element-wise vector operation.

@@ -11,7 +11,7 @@
 //! (name, dependencies, then each entry's triple and bitcode bytes) over
 //! [`crate::bitcode`]'s codec.
 
-use crate::bitcode::{decode_framed, decode_module, encode_framed, encode_module};
+use crate::bitcode::{decode_framed, encode_framed, encode_module};
 use crate::error::{BitirError, Result};
 use crate::ir::Module;
 use crate::lower::lower_for_target;
@@ -99,18 +99,6 @@ impl FatBitcode {
         })
     }
 
-    /// Select and decode the module for a target.
-    pub fn select_module(&self, target: TargetTriple) -> Result<Module> {
-        let entry = self.select(target)?;
-        decode_module(&entry.bitcode)
-    }
-
-    /// Total encoded size of the archive in bytes (what actually travels in
-    /// the BITCODE + DEPS fields of an uncached ifunc message).
-    pub fn encoded_size(&self) -> usize {
-        self.encode().len()
-    }
-
     /// Serialize the archive.
     pub fn encode(&self) -> Vec<u8> {
         encode_framed(FAT_MAGIC, FAT_VERSION, self)
@@ -132,6 +120,20 @@ crate::fields!(FatBitcode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FatBitcode {
+        /// Total encoded size of the archive in bytes (what actually travels in
+        /// the BITCODE + DEPS fields of an uncached ifunc message).
+        fn encoded_size(&self) -> usize {
+            self.encode().len()
+        }
+
+        /// Select and decode the module for a target.
+        fn select_module(&self, target: TargetTriple) -> Result<Module> {
+            let entry = self.select(target)?;
+            crate::bitcode::decode_module(&entry.bitcode)
+        }
+    }
     use crate::builder::ModuleBuilder;
     use crate::types::{Isa, ScalarType};
 

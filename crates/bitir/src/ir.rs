@@ -579,11 +579,6 @@ impl Module {
         }
     }
 
-    /// Name of an interned external symbol.
-    pub fn ext_symbol_name(&self, id: ExtSymId) -> Option<&str> {
-        self.ext_symbols.get(id.0 as usize).map(String::as_str)
-    }
-
     /// Total number of instructions in the module (used by the JIT
     /// compile-cost model and the caching-size accounting).
     pub fn inst_count(&self) -> usize {
@@ -610,6 +605,13 @@ pub fn entry_signature() -> (Vec<ScalarType>, Option<ScalarType>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Module {
+        /// Name of an interned external symbol.
+        fn ext_symbol_name(&self, id: ExtSymId) -> Option<&str> {
+            self.ext_symbols.get(id.0 as usize).map(String::as_str)
+        }
+    }
 
     #[test]
     fn binop_tag_roundtrip() {

@@ -51,22 +51,22 @@ pub fn lower_for_targets(module: &Module, targets: &[TargetTriple]) -> Result<Ve
         .collect()
 }
 
-/// Rough estimate of how much larger/smaller the lowered bitcode will be per
-/// target, relative to the portable form.  Wider-vector targets carry more
-/// metadata (intrinsics declarations, predication attributes), narrower ones
-/// carry less.  Only used for size accounting in tests and benches.
-pub fn lowering_size_factor(target: TargetTriple) -> f64 {
-    match target.features().vector.bits() {
-        0 => 0.95,
-        128 => 1.0,
-        256 => 1.05,
-        _ => 1.10,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Rough estimate of how much larger/smaller the lowered bitcode will be per
+    /// target, relative to the portable form.  Wider-vector targets carry more
+    /// metadata (intrinsics declarations, predication attributes), narrower ones
+    /// carry less.  Only used for size accounting in tests and benches.
+    fn lowering_size_factor(target: TargetTriple) -> f64 {
+        match target.features().vector.bits() {
+            0 => 0.95,
+            128 => 1.0,
+            256 => 1.05,
+            _ => 1.10,
+        }
+    }
     use crate::builder::ModuleBuilder;
     use crate::types::{AtomicsExt, ScalarType, VectorExt};
 
@@ -75,8 +75,14 @@ mod tests {
         {
             let mut f = mb.entry_function();
             let target = f.param(2);
-            let one = f.const_u64(1);
-            f.atomic_fetch_add(ScalarType::U64, target, one);
+            let (one, zero) = (f.const_u64(1), f.const_u64(0));
+            f.atomic(
+                crate::AtomicOp::FetchAdd,
+                ScalarType::U64,
+                target,
+                one,
+                zero,
+            );
             let z = f.const_i64(0);
             f.ret(z);
             f.finish();

@@ -399,12 +399,6 @@ impl TargetTriple {
         TargetTriple::new(isa, march)
     }
 
-    /// Two triples are binary-compatible when they share an ISA (a generic
-    /// AArch64 object runs on A64FX, just without µarch tuning).
-    pub fn binary_compatible(&self, other: &TargetTriple) -> bool {
-        self.isa == other.isa
-    }
-
     /// The triples the reproduction's "toolchain" emits by default, i.e. the
     /// contents of a fat-bitcode archive built with no extra flags.
     pub fn default_toolchain_targets() -> Vec<TargetTriple> {
@@ -427,6 +421,14 @@ impl fmt::Display for TargetTriple {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TargetTriple {
+        /// Two triples are binary-compatible when they share an ISA (a generic
+        /// AArch64 object runs on A64FX, just without µarch tuning).
+        fn binary_compatible(&self, other: &TargetTriple) -> bool {
+            self.isa == other.isa
+        }
+    }
 
     #[test]
     fn scalar_sizes_are_correct() {

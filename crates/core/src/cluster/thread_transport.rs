@@ -8,10 +8,10 @@
 //!   `r - clients` of a [`tc_simnet::ThreadCluster`]: its own thread drains
 //!   its inbox.  An *idle* server is run, one level deep, by the thread that
 //!   sends to it: by a server forwarding to it, and by the caller for a GET,
-//!   PUT or confirmed PUT alone in its inbox (`client_emit`), as a NIC serves
-//!   a one-sided op.  AMs, ifuncs and control requests from the caller run
-//!   on the server's own thread (under a fault plan, a repaired GET that
-//!   fills a gap also delivers the frames parked behind it).
+//!   PUT or ifunc alone in its inbox (`client_emit`), as a NIC serves a
+//!   one-sided op; an ifunc's `ExecLimits` bound how long.  An AM's native
+//!   handler has no such bound, so AMs and control requests run on the
+//!   server's own thread (a repaired GET also delivers frames parked behind it).
 //! * Client rank `c` (ranks `0..clients`) is external port `c` of the fabric
 //!   and the driver's control plane is port `clients`; everything addressed
 //!   to either arrives on the fabric's one external queue, with
@@ -21,10 +21,9 @@
 //!   operations into the fabric synchronously (a one-sided op to an idle
 //!   server is served before it returns), so a control round trip issued
 //!   next is a barrier behind that client's data (the same per-producer
-//!   FIFO inbox).  `step` parks on the external queue,
-//!   dispatches a burst by port, and has the driver answer what it provoked
-//!   and close the pass; `control` does the same for whatever arrives ahead
-//!   of its reply.
+//!   FIFO inbox).  `step` parks on the external queue, dispatches a burst by
+//!   port, and has the driver answer what it provoked and close the pass;
+//!   `control` does the same for whatever arrives ahead of its reply.
 //! * No rank arms a timer to park: under a fault plan the fabric's one
 //!   `tc-clock` thread ticks every half base RTO, a server runs its timer
 //!   behind the tick and the caller's park (the step timeout) ends with it.
@@ -130,8 +129,8 @@ impl ThreadedNode for ServerNode {
 
 /// The driver's `emit` on this fabric: a frame from client `c` toward rank
 /// `to` goes to a server's thread node (rank - clients), as client-to-client
-/// traffic never leaves the driver.  A GET or PUT goes one-sided: an idle
-/// server serves it on the caller's thread.  Drops (unknown rank, stopped
+/// traffic never leaves the driver.  A GET, PUT or ifunc goes one-sided: an
+/// idle server serves it on the caller's thread.  Drops (unknown rank, stopped
 /// node) are counted by the fabric and show up in the transport metrics.
 fn client_emit(cluster: &ThreadCluster, clients: usize) -> impl EmitFrom + '_ {
     move |c, to, tag, data, payload| match (to as usize).checked_sub(clients) {
@@ -452,8 +451,10 @@ impl Transport for ThreadTransport {
 mod tests {
     use super::*;
     use crate::cluster::Cluster;
-    use crate::layout::DATA_REGION_BASE;
+    use crate::ifunc::{build_ifunc_library, ToolchainOptions};
+    use crate::layout::{DATA_REGION_BASE, TARGET_REGION_BASE};
     use crate::runtime::Completion;
+    use tc_bitir::{Module, ModuleBuilder, ScalarType, VecOp};
     use tc_simnet::external_id;
 
     fn transport(clients: usize, servers: usize) -> ThreadTransport {
@@ -605,6 +606,117 @@ mod tests {
             matches!(&got[..], [Completion::Get { request: r, .. }] if *r == request),
             "{got:?}"
         );
+    }
+
+    /// `main` returns `value` into result slot `slot` of client 0 (its
+    /// payload, `[slot u64][value u64]`), declaring `libc.so`; with `fill`,
+    /// it first adds two arrays of 2^40 elements, which no fuel pays for.
+    fn returner(name: &str, fill: bool) -> Module {
+        let mut mb = ModuleBuilder::new(name);
+        mb.add_dep("libc.so");
+        let mut f = mb.entry_function();
+        let payload = f.param(0);
+        if fill {
+            let (at, n) = (f.const_u64(TARGET_REGION_BASE), f.const_u64(1 << 40));
+            f.vec_op(VecOp::Add, ScalarType::U64, at, at, at, n);
+        }
+        let client = f.const_u64(0);
+        let slot = f.load(ScalarType::U64, payload, 0);
+        let value = f.load(ScalarType::U64, payload, 8);
+        f.call_ext("tc_return_result", vec![client, slot, value], true);
+        let z = f.const_i64(0);
+        f.ret(z);
+        f.finish();
+        mb.build()
+    }
+
+    /// Post `module` from the primary client to server rank 1, carrying
+    /// `[slot][value]`.
+    fn post_ifunc(t: &mut ThreadTransport, module: &Module, slot: u64, value: u64) {
+        let client = t.client_mut(ClientId::PRIMARY);
+        let library = build_ifunc_library(module, &ToolchainOptions::default()).unwrap();
+        let handle = client.register_library(library);
+        let payload = [slot.to_le_bytes(), value.to_le_bytes()].concat();
+        let msg = client.create_bitcode_message(handle, payload).unwrap();
+        client.send_ifunc(&msg, WorkerAddr(1));
+    }
+
+    /// An ifunc is one-sided too, a bounded guest: flushed to an idle server,
+    /// it is compiled and run on the caller's thread, so when `flush_client`
+    /// returns nothing is in flight and its result already waits on the
+    /// external queue.
+    #[test]
+    fn an_ifunc_flushed_to_an_idle_server_is_served_before_the_flush_returns() {
+        let mut t = transport(1, 1);
+        post_ifunc(&mut t, &returner("in_place", false), 5, 42);
+        t.flush_client(ClientId::PRIMARY).unwrap();
+        let cluster = t.cluster.as_ref().unwrap();
+        let (pending, delivered) = (cluster.pending_messages(), cluster.metrics().delivered);
+        assert_eq!((pending, delivered), (0, 2), "the ifunc and its result");
+        let stats = t.node_stats(1).unwrap();
+        assert_eq!((stats.ifuncs_executed, stats.jit_compilations), (1, 1));
+        let got = t.take_completions(ClientId::PRIMARY);
+        assert!(
+            matches!(&got[..], [Completion::Result { slot: 5, value: 42 }]),
+            "{got:?}"
+        );
+        assert!(t.errors().is_empty());
+    }
+
+    /// An ifunc behind an AM is not alone in the server's inbox: it queues,
+    /// and runs on the server's own thread after the handler, not inside the
+    /// caller's flush.
+    #[test]
+    fn an_ifunc_queued_behind_an_am_runs_on_the_servers_own_thread() {
+        let mut t = transport(1, 1);
+        let nap: NativeAmHandler = Arc::new(|_, _| {
+            std::thread::sleep(Duration::from_millis(100));
+            1
+        });
+        t.deploy_am("nap", nap).unwrap();
+        let client = t.client_mut(ClientId::PRIMARY);
+        client.send_am("nap", WorkerAddr(1), vec![]).unwrap();
+        post_ifunc(&mut t, &returner("queued", false), 6, 7);
+        t.flush_client(ClientId::PRIMARY).unwrap();
+        // The AM sleeps on the server's thread with the ifunc queued behind
+        // it; had the ifunc run in place, the flush would have waited for
+        // the handler and found nothing left in flight.
+        let pending = t.cluster.as_ref().unwrap().pending_messages();
+        assert_eq!(pending, 2, "the sleeping AM and the ifunc behind it");
+        let stats = t.node_stats(1).unwrap();
+        assert_eq!((stats.ams_executed, stats.ifuncs_executed), (1, 1));
+        let got = t.take_completions(ClientId::PRIMARY);
+        assert!(
+            matches!(&got[..], [Completion::Result { slot: 6, value: 7 }]),
+            "{got:?}"
+        );
+    }
+
+    /// A guest run on the caller's thread holds it no longer than its fuel:
+    /// a vector loop no fuel can pay for is refused before it touches an
+    /// element, in place, and the caller is handed the typed error.
+    #[test]
+    fn an_ifunc_that_runs_out_of_fuel_in_place_hands_the_caller_a_typed_error() {
+        let mut t = transport(1, 1);
+        post_ifunc(&mut t, &returner("unpayable", true), 5, 42);
+        t.flush_client(ClientId::PRIMARY).unwrap();
+        let cluster = t.cluster.as_ref().unwrap();
+        let (pending, delivered) = (cluster.pending_messages(), cluster.metrics().delivered);
+        assert_eq!(
+            (pending, delivered),
+            (0, 2),
+            "the ifunc and its error report"
+        );
+        let stats = t.node_stats(1).unwrap();
+        assert_eq!((stats.ifuncs_executed, stats.jit_compilations), (0, 1));
+        let exhausted = "target-side JIT error: execution exceeded fuel budget after";
+        assert!(
+            matches!(t.errors(), [CoreError::Transport(m)] if m.starts_with(exhausted)),
+            "{:?}",
+            t.errors()
+        );
+        assert!(t.take_completions(ClientId::PRIMARY).is_empty());
+        assert_eq!(t.read_memory(1, TARGET_REGION_BASE, 8).unwrap(), [0; 8]);
     }
 
     /// Only one-sided operations run on the caller's thread: an AM posted

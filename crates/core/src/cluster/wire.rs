@@ -153,16 +153,17 @@ const OP_IFUNC: u8 = 4;
 const OP_PUT_CONFIRM: u8 = 5;
 const OP_PUT_ACK: u8 = 6;
 
-/// A GET, PUT or confirmed PUT: one-sided in the paper, it runs no guest code
-/// and never blocks.  The op code follows `[src u32][dst u32][request u64]`,
-/// behind the `(seq, ack)` prefix in a [`TAG_ROP`] frame; other tags never are.
+/// A GET, PUT, confirmed PUT or ifunc frame: one-sided, it never blocks, and
+/// an ifunc's work is bounded by its `ExecLimits`.  The op code follows `[src
+/// u32][dst u32][request u64]`, behind `(seq, ack)` in a [`TAG_ROP`] frame.
 pub fn one_sided(tag: u64, data: &[u8]) -> bool {
     let at = match tag {
         TAG_OP => 16,
         TAG_ROP => REL_HEAD_LEN + 16,
         _ => return false,
     };
-    matches!(data.get(at), Some(&(OP_GET | OP_PUT | OP_PUT_CONFIRM)))
+    let code = data.get(at).copied();
+    matches!(code, Some(OP_GET | OP_PUT | OP_PUT_CONFIRM | OP_IFUNC))
 }
 
 /// The bulk payload of an operation: what follows its fixed fields on the
@@ -859,18 +860,31 @@ mod tests {
     }
 
     #[test]
-    fn only_gets_and_puts_are_one_sided_in_either_framing_and_whatever_the_length() {
+    fn gets_puts_and_ifuncs_are_one_sided_in_either_framing_and_whatever_the_length() {
         let expected = |op: &UcpOp| {
             matches!(
                 op,
-                UcpOp::Get { .. } | UcpOp::Put { .. } | UcpOp::PutConfirm { .. }
+                UcpOp::Get { .. }
+                    | UcpOp::Put { .. }
+                    | UcpOp::PutConfirm { .. }
+                    | UcpOp::IfuncFrame { .. }
             )
         };
         let large = UcpOp::Put {
             remote_addr: 0x40,
             data: vec![9; SCATTER_THRESHOLD].into(),
         };
-        for op in sample_ops().into_iter().chain([large]) {
+        let large_ifunc = UcpOp::IfuncFrame {
+            bytes: vec![0xCD; SCATTER_THRESHOLD].into(),
+        };
+        let ops: Vec<UcpOp> = sample_ops()
+            .into_iter()
+            .chain([large, large_ifunc])
+            .collect();
+        // The set, pinned: a GET, a PUT, a confirmed PUT and an ifunc frame,
+        // each large and small; never an AM, a GET reply or a PUT ack.
+        assert_eq!(ops.iter().filter(|op| expected(op)).count(), 6);
+        for op in ops {
             let msg = OutgoingMessage {
                 src: WorkerAddr(2),
                 dst: WorkerAddr(5),

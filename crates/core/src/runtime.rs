@@ -420,14 +420,6 @@ impl NodeRuntime {
         self.completions.len()
     }
 
-    /// Read the result-mailbox slot `slot`, returning the value if a result
-    /// has arrived (one-sided completion check).
-    pub fn poll_result_slot(&self, slot: u64) -> Option<u64> {
-        let mut buf = [0u8; 16];
-        self.memory.read(result_slot_addr(slot), &mut buf).ok()?;
-        decode_result_record(&buf)
-    }
-
     /// Apply a remotely written PUT payload to local memory, surfacing a
     /// result completion when it lands in the X-RDMA mailbox.
     fn apply_put(&mut self, addr: u64, data: &Bytes) -> Result<()> {
@@ -914,6 +906,16 @@ fn cost(call: HostCall) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl NodeRuntime {
+        /// Read the result-mailbox slot `slot`, returning the value if a result
+        /// has arrived (one-sided completion check).
+        fn poll_result_slot(&self, slot: u64) -> Option<u64> {
+            let mut buf = [0u8; 16];
+            self.memory.read(result_slot_addr(slot), &mut buf).ok()?;
+            decode_result_record(&buf)
+        }
+    }
     use crate::frame::MessageFrame;
     use crate::ifunc::{build_ifunc_library, ToolchainOptions};
     use crate::layout::DATA_REGION_BASE;

@@ -414,8 +414,14 @@ mod tests {
             let target = f.param(2);
             let count = f.const_u64(64);
             f.vec_op(VecOp::Add, ScalarType::F64, target, payload, payload, count);
-            let one = f.const_u64(1);
-            f.atomic_fetch_add(ScalarType::U64, target, one);
+            let (one, zero) = (f.const_u64(1), f.const_u64(0));
+            f.atomic(
+                tc_bitir::AtomicOp::FetchAdd,
+                ScalarType::U64,
+                target,
+                one,
+                zero,
+            );
             let z = f.const_i64(0);
             f.ret(z);
             f.finish();
@@ -478,7 +484,7 @@ mod tests {
             let mut f = mb.function("f", vec![], Some(ScalarType::I64));
             let a = f.const_i64(40);
             let b = f.const_i64(2);
-            let c = f.add_i64(a, b);
+            let c = f.bin(BinOp::Add, ScalarType::I64, a, b);
             f.ret(c);
             f.finish();
         }
@@ -500,8 +506,8 @@ mod tests {
             let mut f = mb.function("f", vec![], Some(ScalarType::I64));
             let a = f.const_i64(40);
             let b = f.const_i64(2);
-            let c = f.add_i64(a, b);
-            let d = f.add_i64(c, a); // `a` used again: folding must not remove it
+            let c = f.bin(BinOp::Add, ScalarType::I64, a, b);
+            let d = f.bin(BinOp::Add, ScalarType::I64, c, a); // `a` used again: folding must not remove it
             f.ret(d);
             f.finish();
         }

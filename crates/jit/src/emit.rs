@@ -13,13 +13,14 @@
 //! * immediates are normalised;
 //! * a block's instructions and base cycles are one [`Op::Charge`] at its
 //!   start, split behind each local call so that a callee running out of fuel
-//!   reports exactly what ran before it.
+//!   reports exactly what ran before it, and behind each vector loop, whose
+//!   chunks are charged to the fuel the instructions before it left.
 //!
 //! A register outside its frame, a branch outside its function or a block
 //! not ended by its one terminator is refused here.
 
-use crate::dylib::HostCall;
-use crate::engine::{normalize, Memory, MemoryExt};
+use crate::dylib::{HostCall, LoadedLibs};
+use crate::engine::{normalize, Fuel, Memory, MemoryExt};
 use crate::error::{JitError, Result};
 use crate::machine::{MReg, MachFunction, MachInst, VEC_CHUNK_CYCLES};
 use std::cmp::Ordering;
@@ -84,6 +85,9 @@ pub(crate) struct Program {
     pub(crate) entries: Vec<u32>,
     /// The argument registers of every call.
     pub(crate) args: Vec<MReg>,
+    /// The libraries external calls are answered from before the host:
+    /// none until [`crate::orc::OrcJit::link`] loads the module's.
+    pub(crate) libs: LoadedLibs,
 }
 
 /// Emit the executable form of `functions`, whose external calls name
@@ -104,6 +108,7 @@ pub(crate) fn emit(functions: &[MachFunction], ext_symbols: &[String]) -> Result
                 match inst {
                     MachInst::CallLocal { args, .. } => (at, nargs) = (at + 1, nargs + args.len()),
                     MachInst::CallSym { args, .. } => nargs += args.len(),
+                    MachInst::VecLoop { .. } => at += 1,
                     _ => {}
                 }
             }
@@ -136,7 +141,7 @@ pub(crate) fn emit(functions: &[MachFunction], ext_symbols: &[String]) -> Result
                     *call = name.map_or(HostCall::Unresolved, |s| HostCall::of(s));
                 }
                 code.push(op);
-                if let MachInst::CallLocal { .. } = inst {
+                if let MachInst::CallLocal { .. } | MachInst::VecLoop { .. } = inst {
                     code[charge] = Op::Charge(insts, cycles);
                     (charge, insts, cycles) = (code.len(), 0, 0);
                     code.push(Op::Charge(0, 0));
@@ -150,6 +155,7 @@ pub(crate) fn emit(functions: &[MachFunction], ext_symbols: &[String]) -> Result
         code,
         entries,
         args,
+        libs: LoadedLibs::NONE,
     })
 }
 
@@ -452,16 +458,20 @@ pub(crate) fn atomic(
 }
 
 /// `dst[i] = a[i] op b[i]` over `count` elements of `ty` at the addresses
-/// `[dst, a, b]`; returns the loop's dynamic cycles, a chunk per `lanes`
-/// elements.
+/// `[dst, a, b]`, a chunk per `lanes` elements: each chunk is one unit of
+/// `fuel`, all paid before any element is touched.  Returns the loop's
+/// dynamic cycles.
 pub(crate) fn vec_loop(
     mem: &mut dyn Memory,
+    fuel: &mut Fuel,
     op: VecOp,
     ty: ScalarType,
     [dst, a, b]: [u64; 3],
     count: u64,
     lanes: u32,
 ) -> Result<u64> {
+    let chunks = count.div_ceil(u64::from(lanes.max(1)));
+    fuel.burn(chunks)?;
     let elem = u64::from(ty.size_bytes(8));
     let (add, mul) = match ty.is_float() {
         true => (BinOp::FAdd, BinOp::FMul),
@@ -481,9 +491,7 @@ pub(crate) fn vec_loop(
         };
         mem.write_scalar(ty, dst, v)?;
     }
-    Ok(count
-        .div_ceil(u64::from(lanes.max(1)))
-        .saturating_mul(VEC_CHUNK_CYCLES))
+    Ok(chunks.saturating_mul(VEC_CHUNK_CYCLES))
 }
 
 #[cfg(test)]

@@ -30,6 +30,12 @@ pub trait Memory {
     fn size_hint(&self) -> Option<u64> {
         None
     }
+    /// Refuse, from now on, a write that would add more than `budget` bytes
+    /// of storage in all (`None`: no limit), and return the limit this one
+    /// replaces.  A memory that never grows limits nothing.
+    fn limit_growth(&mut self, _budget: Option<u64>) -> Option<u64> {
+        None
+    }
 }
 
 /// A flat, vector-backed memory with a configurable base address.
@@ -116,13 +122,18 @@ impl Memory for VecMemory {
 /// memo of the page touched last, so a run of accesses to one page (an
 /// ifunc reading its staged payload field by field) pays for one probe.
 /// Pages are never unmapped, so a memoised slot stays valid; a clone copies
-/// slab, map and memo together and shares nothing with its origin.
+/// slab, map and memo together and shares nothing with its origin.  Under a
+/// [`Memory::limit_growth`] budget, a page that would take the bytes added
+/// past it is refused before it is allocated.
 #[derive(Debug, Clone, Default)]
 pub struct SparseMemory {
     slots: HashMap<u64, usize>,
     pages: Vec<Box<[u8; Self::PAGE_SIZE]>>,
     /// `(page number, slab slot)` of the page touched last.
     last: Cell<Option<(u64, usize)>>,
+    /// The growth limit, and the bytes added since it was set.
+    budget: Option<u64>,
+    added: u64,
 }
 
 impl SparseMemory {
@@ -188,6 +199,12 @@ impl Memory for SparseMemory {
             let slot = match self.slot_of(page) {
                 Some(slot) => slot,
                 None => {
+                    let len = self.added + Self::PAGE_SIZE as u64;
+                    if let Some(max) = self.budget.filter(|&max| len > max) {
+                        let what = "memory growth".into();
+                        return Err(JitError::TooLarge { what, len, max });
+                    }
+                    self.added = len;
                     let slot = self.pages.len();
                     self.pages.push(Box::new([0u8; Self::PAGE_SIZE]));
                     self.slots.insert(page, slot);
@@ -199,6 +216,11 @@ impl Memory for SparseMemory {
             done += chunk;
         }
         Ok(())
+    }
+
+    fn limit_growth(&mut self, budget: Option<u64>) -> Option<u64> {
+        self.added = 0;
+        std::mem::replace(&mut self.budget, budget)
     }
 }
 
@@ -251,7 +273,8 @@ pub trait ExternalHost {
 
     /// Invoke the host call `_call` — what `symbol` names, fixed when the
     /// module's ops were emitted — and return its result and the cycles it
-    /// charges.  The engine calls only this.  The default answers by name,
+    /// charges.  The engine calls only this, for every call the module's
+    /// loaded libraries do not export.  The default answers by name,
     /// [`ExternalHost::external_cost`] and then
     /// [`ExternalHost::call_external`]; a host that knows the ids answers
     /// without comparing a name.
@@ -291,13 +314,18 @@ pub struct ExecOutcome {
     pub cycles: u64,
 }
 
-/// Execution limits.
+/// Execution limits: what one run may make its host do.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecLimits {
-    /// Maximum number of machine instructions to retire before aborting.
+    /// Units of work before the run stops with [`JitError::OutOfFuel`]: one
+    /// per instruction retired, per vector-loop chunk, per 8 bytes a library
+    /// call copies or sets and per byte `strlen_u64` reads.
     pub fuel: u64,
     /// Maximum local call depth.
     pub max_call_depth: u32,
+    /// Bytes the run may add to its memory (a [`SparseMemory`]'s pages); a
+    /// write past them is refused with [`JitError::TooLarge`].
+    pub bytes: u64,
 }
 
 impl Default for ExecLimits {
@@ -305,7 +333,26 @@ impl Default for ExecLimits {
         ExecLimits {
             fuel: 50_000_000,
             max_call_depth: 256,
+            bytes: 16 << 20,
         }
+    }
+}
+
+/// The fuel a run has left, and the instructions it has retired: what every
+/// unit of its work is charged against.
+pub(crate) struct Fuel {
+    pub(crate) left: u64,
+    pub(crate) retired: u64,
+}
+
+impl Fuel {
+    /// Pay `units` of work, or stop the run with none of it done.
+    pub(crate) fn burn(&mut self, units: u64) -> Result<()> {
+        let out = JitError::OutOfFuel {
+            executed: self.retired,
+        };
+        self.left = self.left.checked_sub(units).ok_or(out)?;
+        Ok(())
     }
 }
 
@@ -359,22 +406,29 @@ impl Engine {
         mem: &mut dyn Memory,
         host: &mut dyn ExternalHost,
     ) -> Result<ExecOutcome> {
+        // `step` answers the linked libraries' exports on the fuel; `mem`
+        // may add at most `limits.bytes` while the function runs.
+        let outer = mem.limit_growth(Some(self.limits.bytes));
         let mut ctx = ExecContext {
             module,
             data_addrs,
-            mem,
+            mem: &mut *mem,
             host,
-            fuel_left: self.limits.fuel,
+            fuel: Fuel {
+                left: self.limits.fuel,
+                retired: 0,
+            },
             max_depth: self.limits.max_call_depth,
-            insts: 0,
             cycles: 0,
             spare_frames: Vec::new(),
         };
-        let ret = ctx.call_function(func_index, args, 0)?;
+        let ret = ctx.call_function(func_index, args, 0);
+        let (insts_retired, cycles) = (ctx.fuel.retired, ctx.cycles);
+        mem.limit_growth(outer);
         Ok(ExecOutcome {
-            return_value: ret,
-            insts_retired: ctx.insts,
-            cycles: ctx.cycles,
+            return_value: ret?,
+            insts_retired,
+            cycles,
         })
     }
 }
@@ -391,9 +445,8 @@ struct ExecContext<'a> {
     data_addrs: &'a [u64],
     mem: &'a mut dyn Memory,
     host: &'a mut dyn ExternalHost,
-    fuel_left: u64,
+    fuel: Fuel,
     max_depth: u32,
-    insts: u64,
     cycles: u64,
     /// Register files too large for the stack, handed back by the calls that
     /// returned and reused by the next one.
@@ -495,11 +548,11 @@ impl<'a> ExecContext<'a> {
             pc += 1;
             match *op {
                 Op::Charge(insts, cycles) => {
-                    if self.fuel_left < insts {
+                    if self.fuel.left < insts {
                         return Err(self.run_out(&code[pc..], r));
                     }
-                    self.fuel_left -= insts;
-                    self.insts += insts;
+                    self.fuel.left -= insts;
+                    self.fuel.retired += insts;
                     self.cycles += cycles;
                 }
                 Op::CallLocal(dst, callee, first, n) => {
@@ -551,7 +604,8 @@ impl<'a> ExecContext<'a> {
             Op::St(f, s, a, offset) => f(self.mem, r[a].wrapping_add(offset as u64), r[s])?,
             Op::Atomic(op, ty, [d, a, s, e]) => r[d] = atomic(self.mem, op, ty, r[a], r[s], r[e])?,
             Op::VecLoop(op, ty, [d, a, b, n], lanes) => {
-                self.cycles += vec_loop(self.mem, op, ty, [r[d], r[a], r[b]], r[n], lanes)?
+                let (fuel, addrs) = (&mut self.fuel, [r[d], r[a], r[b]]);
+                self.cycles += vec_loop(self.mem, fuel, op, ty, addrs, r[n], lanes)?
             }
             Op::DataAddr(d, i) => {
                 r[d] = *self.data_addrs.get(i as usize).ok_or_else(|| {
@@ -571,7 +625,11 @@ impl<'a> ExecContext<'a> {
                 let (mut inline, mut heap) = ([0u64; INLINE_ARGS], Vec::new());
                 let names = &module.program.args[first as usize..][..n as usize];
                 let argv = gather(r.0, names, &mut inline, &mut heap);
-                let (ret, cycles) = self.host.call_host(call, symbol, argv, self.mem)?;
+                let (mem, fuel) = (&mut *self.mem, &mut self.fuel);
+                let (ret, cycles) = match module.program.libs.call(call, symbol, argv, mem, fuel) {
+                    Some(answer) => answer?,
+                    None => self.host.call_host(call, symbol, argv, self.mem)?,
+                };
                 self.cycles += cycles;
                 if let Some(d) = dst {
                     r[d] = ret;
@@ -585,19 +643,19 @@ impl<'a> ExecContext<'a> {
 
     /// A charge the fuel left cannot pay.  Retire what it can pay for one
     /// instruction at a time, exactly as far as fuel reaches — every one of
-    /// them precedes the charge's call or terminator, so each is straight
-    /// line — and stop.
+    /// them precedes the charge's call, vector loop or terminator, so each is
+    /// straight line and charges nothing more — and stop.
     #[cold]
     fn run_out(&mut self, ops: &[Op], r: &mut Regs<'_>) -> JitError {
-        let paid = std::mem::take(&mut self.fuel_left) as usize;
+        let paid = std::mem::take(&mut self.fuel.left) as usize;
         for op in &ops[..paid] {
-            self.insts += 1;
+            self.fuel.retired += 1;
             if let Err(e) = self.step(op, r) {
                 return e;
             }
         }
         JitError::OutOfFuel {
-            executed: self.insts,
+            executed: self.fuel.retired,
         }
     }
 }
@@ -816,6 +874,15 @@ mod tests {
                                 lanes,
                             } => {
                                 let n = regs[*count as usize];
+                                // A unit of fuel per chunk of `lanes`
+                                // elements, paid before any is touched.
+                                let chunks = n.div_ceil(u64::from((*lanes).max(1)));
+                                if self.fuel_left < chunks {
+                                    return Err(JitError::OutOfFuel {
+                                        executed: self.insts,
+                                    });
+                                }
+                                self.fuel_left -= chunks;
                                 let elem = u64::from(ty.size_bytes(8));
                                 let da = regs[*dst_addr as usize];
                                 let aa = regs[*a_addr as usize];
@@ -836,7 +903,6 @@ mod tests {
                                     self.mem.write_scalar(*ty, at(da), dv)?;
                                 }
                                 // Dynamic cost: one chunk of work per `lanes` elements.
-                                let chunks = n.div_ceil(u64::from((*lanes).max(1)));
                                 self.cycles += chunks.saturating_mul(inst.base_cycles());
                             }
                             MachInst::DataAddr { dst, data_index } => {
@@ -1238,7 +1304,7 @@ mod tests {
     fn recursion_works_and_depth_is_bounded() {
         // fact(n) = n <= 1 ? 1 : n * fact(n-1)
         let mut mb = ModuleBuilder::new("fact");
-        let fact_id = mb.next_func_id();
+        let fact_id = tc_bitir::FuncId(0);
         {
             let mut f = mb.function("fact", vec![ScalarType::U64], Some(ScalarType::U64));
             let n = f.param(0);
@@ -1289,7 +1355,7 @@ mod tests {
     #[test]
     fn wide_frames_and_long_argument_lists_execute_like_small_ones() {
         let mut mb = ModuleBuilder::new("wide");
-        let wide_id = mb.next_func_id();
+        let wide_id = tc_bitir::FuncId(0);
         {
             // wide(x) = x + 1 + 2 + … + 100, every term in its own register.
             let mut f = mb.function("wide", vec![ScalarType::U64], Some(ScalarType::U64));
@@ -1336,7 +1402,7 @@ mod tests {
         let mut mb = ModuleBuilder::new("spin");
         {
             let mut f = mb.function("spin", vec![], None);
-            let blk = f.entry_block();
+            let blk = tc_bitir::BlockId(0);
             f.br(blk);
             f.finish();
         }
@@ -1816,7 +1882,7 @@ mod tests {
         returns: bool,
         sigs: &Sigs,
     ) {
-        let mut blocks = vec![f.entry_block()];
+        let mut blocks = vec![tc_bitir::BlockId(0)];
         blocks.extend((0..g.below(5)).map(|_| f.new_block()));
         let mut regs: Vec<_> = (0..params).map(|i| f.param(i)).collect();
         let counter = f.const_u64(g.below(6));
@@ -1910,6 +1976,7 @@ mod tests {
                 let limits = ExecLimits {
                     fuel,
                     max_call_depth: 12,
+                    ..ExecLimits::default()
                 };
                 let (mut mem, mut host) = (image.clone(), LogHost::default());
                 let want = reference::run_index(

@@ -13,7 +13,7 @@
 //! (`tc-core`'s runtime), which never asks for a name twice.
 
 use crate::compile::{compile_module, CompileOptions};
-use crate::dylib::{LinkedHost, LoadedLibs};
+use crate::dylib::LoadedLibs;
 use crate::engine::{Engine, ExecOutcome, ExternalHost, Memory};
 use crate::error::Result;
 use crate::machine::MachModule;
@@ -25,10 +25,9 @@ pub const JIT_DATA_BASE: u64 = 0x7000_0000_0000;
 /// A linked, materialised module ready for execution.
 #[derive(Debug)]
 pub struct MaterializedModule {
-    /// The machine module, compiled here or recovered from a binary object.
+    /// The machine module, compiled here or recovered from a binary object,
+    /// linked against the libraries it loaded.
     pub module: MachModule,
-    /// Dependencies loaded for this module.
-    libs: LoadedLibs,
     /// Addresses at which the module's data objects were materialised.
     pub data_addrs: Vec<u64>,
 }
@@ -49,18 +48,8 @@ impl MaterializedModule {
         mem: &mut dyn Memory,
         framework_host: &mut dyn ExternalHost,
     ) -> Result<ExecOutcome> {
-        let mut host = LinkedHost {
-            libs: self.libs,
-            framework: framework_host,
-        };
-        engine.run_index(
-            &self.module,
-            func_index,
-            args,
-            &self.data_addrs,
-            mem,
-            &mut host,
-        )
+        let (module, data) = (&self.module, &self.data_addrs[..]);
+        engine.run_index(module, func_index, args, data, mem, framework_host)
     }
 }
 
@@ -102,8 +91,12 @@ impl OrcJit {
     /// load the libraries `module.deps` names — every one must be loadable
     /// here, or the module is refused with `MissingDependency` — and write
     /// its globals into `mem` behind the previous module's.
-    pub fn link(&mut self, module: MachModule, mem: &mut dyn Memory) -> Result<MaterializedModule> {
-        let libs = LoadedLibs::load(&module.deps)?;
+    pub fn link(
+        &mut self,
+        mut module: MachModule,
+        mem: &mut dyn Memory,
+    ) -> Result<MaterializedModule> {
+        module.program.libs = LoadedLibs::load(&module.deps)?;
         let mut data_addrs = Vec::with_capacity(module.data.len());
         for d in &module.data {
             let addr = self.data_cursor;
@@ -112,11 +105,7 @@ impl OrcJit {
             let len = (d.init.len() as u64).max(8);
             self.data_cursor += (len + 63) & !63; // 64-byte align the next object
         }
-        Ok(MaterializedModule {
-            module,
-            libs,
-            data_addrs,
-        })
+        Ok(MaterializedModule { module, data_addrs })
     }
 }
 

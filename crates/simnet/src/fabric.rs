@@ -127,24 +127,18 @@ impl FabricProfile {
     }
 }
 
-/// Sizes (in bytes) of the messages the TSI microbenchmark sends, as reported
-/// in Section V-A of the paper.  These are used by tests and by the
-/// experiment harness to cross-check the frame layer's actual sizes.
-pub mod paper_sizes {
-    /// A cached bitcode ifunc message (header + 1-byte payload, code elided).
-    pub const CACHED_IFUNC_BYTES: usize = 26;
-    /// An Active Message request (payload + function index).
-    pub const ACTIVE_MESSAGE_BYTES: usize = 33;
-    /// An uncached bitcode ifunc message (full frame with fat-bitcode).
-    pub const UNCACHED_IFUNC_BYTES: usize = 5_185;
-    /// The fat-bitcode portion of the TSI ifunc.
-    pub const TSI_BITCODE_BYTES: usize = 5_159;
-}
-
 #[cfg(test)]
 mod tests {
-    use super::paper_sizes::*;
     use super::*;
+
+    // Sizes (in bytes) of the messages the TSI microbenchmark sends, as
+    // reported in Section V-A of the paper.
+    /// A cached bitcode ifunc message (header + 1-byte payload, code elided).
+    const CACHED_IFUNC_BYTES: usize = 26;
+    /// An Active Message request (payload + function index).
+    const ACTIVE_MESSAGE_BYTES: usize = 33;
+    /// An uncached bitcode ifunc message (full frame with fat-bitcode).
+    const UNCACHED_IFUNC_BYTES: usize = 5_185;
 
     #[test]
     fn ookami_latencies_match_table_one() {

@@ -33,7 +33,7 @@ pub mod time;
 
 pub use cpu::CpuProfile;
 pub use event::EventQueue;
-pub use fabric::{paper_sizes, FabricOp, FabricProfile};
+pub use fabric::{FabricOp, FabricProfile};
 pub use platform::{Platform, PlatformId};
 pub use rand::SplitMix64;
 pub use threaded::{

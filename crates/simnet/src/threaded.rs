@@ -23,8 +23,9 @@
 //!   (its node object sits in its inbox) runs that node's next batch itself,
 //!   like L4's direct process switch: envelopes only (a tick waits for the
 //!   owner thread), one level deep (what that node sends only queues), FIFO
-//!   per producer.  The driver does so only for a one-sided envelope alone
-//!   in the inbox ([`ThreadCluster::send_one_sided_from_port`]).
+//!   per producer.  The driver does so only for a one-sided envelope (a GET,
+//!   PUT or budgeted ifunc; an AM's native handler has no budget) alone in
+//!   the inbox ([`ThreadCluster::send_one_sided_from_port`]).
 //!
 //! Delivery is exact: the fabric injects no faults (a sender that wants its
 //! traffic faulted decides before it sends), every send reports a
@@ -575,9 +576,9 @@ impl ThreadCluster {
     }
 
     /// [`send_vectored_from_port`](Self::send_vectored_from_port) for an
-    /// envelope the caller vouches runs no guest code and never blocks (a
-    /// one-sided GET or PUT): alone in an idle node's inbox, it is run here
-    /// by that node, one level deep (what the node sends only queues).
+    /// envelope the caller vouches never blocks and does bounded work (a GET,
+    /// a PUT, budgeted guest code): alone in an idle node's inbox, it is run
+    /// here by that node, one level deep (what the node sends only queues).
     pub fn send_one_sided_from_port(
         &self,
         port: usize,

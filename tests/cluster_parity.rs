@@ -8,7 +8,9 @@
 use std::sync::Arc;
 use tc_bitir::{BinOp, Module, ModuleBuilder, ScalarType};
 use tc_core::layout::TARGET_REGION_BASE;
-use tc_core::{build_ifunc_library, Backend, Cluster, ClusterBuilder, NativeAmHandler, Transport};
+use tc_core::{
+    build_ifunc_library, Backend, Cluster, ClusterBuilder, CoreError, NativeAmHandler, Transport,
+};
 use tc_workloads::{platform_toolchain, tsi_module};
 
 const SERVERS: usize = 4;
@@ -389,4 +391,115 @@ fn snapshots_agree_with_metrics_and_across_backends_under_a_seeded_plan() {
             );
         }
     }
+}
+
+/// `main` posts first and traps after: with `forwards`, it forwards itself
+/// to server rank 2 once (payload `[slot u64][hops u64]`, hops then 0) and
+/// traps with code 2; otherwise, and on the forwarded arrival, it returns
+/// `value` into client 0's result slot `slot`, and traps with code 1 unless
+/// it arrived forwarded.
+fn posts_then_traps(name: &str, forwards: bool, value: u64) -> Module {
+    let mut mb = ModuleBuilder::new(name);
+    let mut f = mb.entry_function();
+    let (payload, len) = (f.param(0), f.param(1));
+    let slot = f.load(ScalarType::U64, payload, 0);
+    let (forward, result) = (f.new_block(), f.new_block());
+    if forwards {
+        let hops = f.load(ScalarType::U64, payload, 8);
+        f.br_if(hops, forward, result);
+    } else {
+        f.br(result);
+    }
+    f.switch_to(forward);
+    let (zero, server) = (f.const_u64(0), f.const_u64(2));
+    f.store(ScalarType::U64, zero, payload, 8);
+    f.call_ext("tc_forward_self", vec![server, payload, len], true);
+    f.trap(2);
+    f.switch_to(result);
+    let (client, value) = (f.const_u64(0), f.const_u64(value));
+    f.call_ext("tc_return_result", vec![client, slot, value], true);
+    if forwards {
+        let z = f.const_i64(0);
+        f.ret(z);
+    } else {
+        f.trap(1);
+    }
+    f.finish();
+    mb.build()
+}
+
+/// What executing code posted stays posted when the code traps later (the
+/// runtime's rule since posts leave as they are made).  At cluster level, on
+/// every backend: an ifunc that returns a result and then traps, and one
+/// that forwards itself and then traps, each complete their result exactly
+/// once; each trap reaches the backend's `errors()` and `Snapshot.errors`;
+/// and no completion is left unclaimed.  On threads the first arrival at an
+/// idle server runs on the caller's thread, the forward on server 2's own.
+#[test]
+fn a_trap_after_a_post_completes_what_was_posted_and_reports_the_error_on_every_backend() {
+    fn run<T: Transport>(
+        mut cluster: Cluster<T>,
+        errors: fn(&Cluster<T>) -> &[CoreError],
+    ) -> Vec<String> {
+        let toolchain = platform_toolchain(&tc_simnet::Platform::thor_bf2());
+        let mut texts = Vec::new();
+        for (name, forwards, value) in [
+            ("returns_then_traps", false, 7),
+            ("forwards_then_traps", true, 9),
+        ] {
+            let library =
+                build_ifunc_library(&posts_then_traps(name, forwards, value), &toolchain).unwrap();
+            let handle = cluster.register_ifunc(library);
+            let slot = cluster.result_slot();
+            let payload = [slot.slot(), 1]
+                .iter()
+                .flat_map(|v| v.to_le_bytes())
+                .collect();
+            let msg = cluster.bitcode_message(handle, payload).unwrap();
+            cluster.send_ifunc(&msg, 1).unwrap();
+            assert_eq!(cluster.wait(&slot).unwrap(), value, "{name}");
+            cluster.run_until_idle(1_000_000).unwrap();
+            // Barriers behind each server's data: its error report is in.
+            let (first, second) = (cluster.stats(1).unwrap(), cluster.stats(2).unwrap());
+            assert_eq!(cluster.try_claim(&slot), None, "{name}: completed twice");
+            let snapshot = cluster.snapshot();
+            assert_eq!(snapshot.pending_claims, 0, "{name}: an orphaned completion");
+            assert_eq!(snapshot.errors, errors(&cluster).len(), "{name}");
+            assert_eq!(
+                first.ifuncs_executed, 0,
+                "{name}: the trapped run is no execution"
+            );
+            assert_eq!(second.ifuncs_executed, u64::from(forwards), "{name}");
+            assert_eq!(first.ifunc_full_sends, u64::from(forwards), "{name}");
+            texts.push(
+                errors(&cluster)
+                    .iter()
+                    .map(|e| match e {
+                        CoreError::Transport(msg) => msg.clone(),
+                        other => other.to_string(),
+                    })
+                    .collect::<Vec<_>>()
+                    .join(" | "),
+            );
+        }
+        texts
+    }
+    let builder = || {
+        ClusterBuilder::new()
+            .platform(tc_simnet::Platform::thor_bf2())
+            .servers(2)
+    };
+    let sim = run(builder().build_sim(), |c| c.transport().errors());
+    let threads = run(builder().build_threaded(), |c| c.transport().errors());
+    let socket = builder()
+        .server_bin(env!("CARGO_BIN_EXE_tc-socket-server"))
+        .build_socket();
+    let socket = run(socket.unwrap(), |c| c.transport().errors());
+    let trap = |code, name| {
+        format!("target-side JIT error: execution trapped: explicit trap (code {code}) in `{name}`")
+    };
+    let one = trap(1, "main");
+    assert_eq!(sim, [one.clone(), format!("{one} | {}", trap(2, "main"))]);
+    assert_eq!(threads, sim);
+    assert_eq!(socket, sim);
 }

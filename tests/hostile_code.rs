@@ -18,12 +18,16 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use tc_binfmt::{load_object, LoadOptions, ObjectFile};
-use tc_bitir::{decode_module, encode_module, verify_module, FatBitcode, Module, TargetTriple};
+use tc_bitir::{
+    decode_module, encode_module, verify_module, BinOp, FatBitcode, FunctionBuilder, Module,
+    ModuleBuilder, Reg, ScalarType, TargetTriple, VecOp,
+};
 use tc_core::layout::{DATA_REGION_BASE, PAYLOAD_STAGING_BASE, TARGET_REGION_BASE};
 use tc_core::{build_ifunc_library, ToolchainOptions};
 use tc_jit::{
     build_object, compile_module, lower_and_compile, module_from_image, CompileOptions, Engine,
-    ExecLimits, ExternalHost, LoadedLibs, MachModule, Memory, MemoryExt, OrcJit, SparseMemory,
+    ExecLimits, ExecOutcome, ExternalHost, JitError, LoadedLibs, MachModule, Memory, MemoryExt,
+    NoExternals, OrcJit, SparseMemory,
 };
 use tc_workloads::{
     chaser_module, chaser_module_chainlang, chaser_payload, tsi_module, tsi_module_chainlang,
@@ -440,5 +444,212 @@ fn mutated_binary_objects_are_refused_or_run_never_panic() {
         "{} of {BINARY_CASES} binary cases panicked; replay with binary_case(seed) for seeds {:?}",
         panicked.len(),
         &panicked[..panicked.len().min(20)]
+    );
+}
+
+// A bounded guest: fuel counts every unit of work a guest makes its host do,
+// not just its instructions, and a run may add only so many bytes to its
+// node's memory.  Each path below once ran unbounded in one instruction or
+// one library call.
+
+/// `module`, linked into `mem` on an x86-64 node, run with `args` under
+/// `fuel` and the default byte budget.
+fn run_guest(
+    module: Module,
+    args: [u64; 3],
+    fuel: u64,
+    mem: &mut SparseMemory,
+) -> tc_jit::Result<ExecOutcome> {
+    let linked = OrcJit::new(TargetTriple::X86_64_GENERIC).materialize(module, mem)?;
+    let entry = linked.module.function_index(Module::ENTRY_NAME).unwrap();
+    let limits = ExecLimits {
+        fuel,
+        ..ExecLimits::default()
+    };
+    linked.execute(&Engine { limits }, entry, &args, mem, &mut NoExternals)
+}
+
+/// `main(payload, len, target)` declaring `libc.so`, whose body `body`
+/// builds from those three registers.
+fn guest(body: impl FnOnce(&mut FunctionBuilder<'_>, [Reg; 3]) -> Reg) -> Module {
+    let mut mb = ModuleBuilder::new("guest");
+    mb.add_dep("libc.so");
+    let mut f = mb.entry_function();
+    let params = [f.param(0), f.param(1), f.param(2)];
+    let value = body(&mut f, params);
+    f.ret(value);
+    f.finish();
+    mb.build()
+}
+
+#[test]
+fn a_vector_loop_of_two_to_the_forty_elements_is_refused_before_it_touches_one() {
+    let module = || {
+        guest(|f, [a, n, dst]| {
+            f.vec_op(VecOp::Add, ScalarType::U64, dst, a, a, n);
+            f.const_i64(0)
+        })
+    };
+    let mut mem = SparseMemory::new();
+    mem.write_u64(0x100, 21).unwrap();
+    let args = |n| [0x100, n, TARGET_REGION_BASE];
+    let refused = run_guest(module(), args(1 << 40), 1_000_000, &mut mem);
+    assert!(
+        matches!(refused, Err(JitError::OutOfFuel { executed }) if executed < 8),
+        "{refused:?}"
+    );
+    assert_eq!(mem.read_u64(TARGET_REGION_BASE).unwrap(), 0);
+    // A loop the fuel pays for runs.
+    run_guest(module(), args(1), 1_000_000, &mut mem).unwrap();
+    assert_eq!(mem.read_u64(TARGET_REGION_BASE).unwrap(), 42);
+}
+
+#[test]
+fn a_run_that_touches_a_new_page_at_every_step_is_refused_past_its_byte_budget() {
+    let module = guest(|f, [_, _, target]| {
+        let (at, page) = (f.copy(target), f.const_u64(SparseMemory::PAGE_SIZE as u64));
+        let body = f.new_block();
+        f.br(body);
+        f.switch_to(body);
+        f.store(ScalarType::U64, page, at, 0);
+        let next = f.bin(BinOp::Add, ScalarType::U64, at, page);
+        f.assign(at, next);
+        f.br(body);
+        // Never reached: the return `guest` adds needs a block of its own.
+        let exit = f.new_block();
+        f.switch_to(exit);
+        f.const_i64(0)
+    });
+    let mut mem = SparseMemory::new();
+    let refused = run_guest(module, [0, 0, TARGET_REGION_BASE], 60_000, &mut mem);
+    let max = ExecLimits::default().bytes;
+    let len = max + SparseMemory::PAGE_SIZE as u64;
+    let what = "memory growth".to_string();
+    assert_eq!(refused.unwrap_err(), JitError::TooLarge { what, len, max });
+    // The budget is the run's: the node's memory grows again afterwards.
+    mem.write_u64(TARGET_REGION_BASE + len, 1).unwrap();
+}
+
+#[test]
+fn memcpy_and_memset_of_two_to_the_forty_bytes_run_out_of_fuel_before_any_is_done() {
+    for symbol in ["memcpy", "memset"] {
+        let module = guest(|f, [payload, len, target]| {
+            f.call_ext(symbol, vec![target, payload, len], true)
+                .unwrap()
+        });
+        let mut mem = SparseMemory::new();
+        mem.write_u64(0x100, 0x0101_0101_0101_0101).unwrap();
+        let refused = run_guest(
+            module,
+            [0x100, 1 << 40, TARGET_REGION_BASE],
+            1_000_000,
+            &mut mem,
+        );
+        assert!(
+            matches!(refused, Err(JitError::OutOfFuel { .. })),
+            "{symbol}: {refused:?}"
+        );
+        assert_eq!(mem.read_u64(TARGET_REGION_BASE).unwrap(), 0, "{symbol}");
+    }
+}
+
+#[test]
+fn strlen_u64_is_charged_per_byte_it_reads() {
+    let module = || guest(|f, [s, _, _]| f.call_ext("strlen_u64", vec![s], true).unwrap());
+    let mut mem = SparseMemory::new();
+    mem.write(0x1000, &[b'a'; 65_536]).unwrap();
+    let refused = run_guest(module(), [0x1000, 0, 0], 10_000, &mut mem);
+    assert!(
+        matches!(refused, Err(JitError::OutOfFuel { .. })),
+        "{refused:?}"
+    );
+    let read = run_guest(module(), [0x1000, 0, 0], 100_000, &mut mem).unwrap();
+    assert_eq!(read.return_value, 65_536);
+}
+
+/// A kernel declaring `libc.so` copies, fills and measures with lengths
+/// and addresses from its payload, which a seeded generator draws from the
+/// edges (2^40 and `u64::MAX` among them), then returns a result.  It runs
+/// through a target's real runtime — its framework host, default limits,
+/// node memory — and every arrival either completes or fails with a typed
+/// error, each within its fuel and byte budget; none aborts or panics.
+#[test]
+fn a_libc_kernel_with_generated_lengths_stays_within_its_budget() {
+    use tc_core::{CoreError, NodeRuntime};
+    use tc_ucx::WorkerAddr;
+    let module = guest(|f, [p, _, _]| {
+        let field = |f: &mut FunctionBuilder<'_>, i: i64| f.load(ScalarType::U64, p, 8 * i);
+        let (dst, src, len) = (field(f, 0), field(f, 1), field(f, 2));
+        f.call_ext("memcpy", vec![dst, src, len], true);
+        let (byte, len) = (field(f, 3), field(f, 4));
+        f.call_ext("memset", vec![dst, byte, len], true);
+        let s = field(f, 5);
+        let n = f.call_ext("strlen_u64", vec![s], true).unwrap();
+        let (client, slot) = (f.const_u64(0), f.const_u64(3));
+        f.call_ext("tc_return_result", vec![client, slot, n], true);
+        f.const_i64(0)
+    });
+    let triple = TargetTriple::X86_64_GENERIC;
+    let mut client = NodeRuntime::new(WorkerAddr(0), 2, triple);
+    let mut server = NodeRuntime::new(WorkerAddr(1), 2, triple);
+    let library = build_ifunc_library(&module, &ToolchainOptions::default()).unwrap();
+    let handle = client.register_library(library);
+    server
+        .memory
+        .write(DATA_REGION_BASE, &[b'z'; 8192])
+        .unwrap();
+    let lengths = [
+        0,
+        1,
+        4095,
+        4096,
+        1 << 20,
+        1 << 24,
+        1 << 32,
+        1 << 40,
+        u64::MAX,
+    ];
+    let (mut completed, mut refused) = (0, 0);
+    for seed in 0..100u64 {
+        let mut rng = Rng(seed);
+        let mut draw = |from: &[u64]| from[rng.below(from.len())];
+        // Destinations stay in a window, so the node's memory does not grow
+        // past it from one arrival to the next.
+        let dst = TARGET_REGION_BASE + draw(&[0, 8, 4090, 1 << 20]);
+        let src = draw(&[0, DATA_REGION_BASE, PAYLOAD_STAGING_BASE, u64::MAX - 8]);
+        let payload = [
+            dst,
+            src,
+            draw(&lengths),
+            draw(&[0, 0xAB, u64::MAX]),
+            draw(&lengths),
+            draw(&[DATA_REGION_BASE, DATA_REGION_BASE + 8000, dst]),
+        ];
+        let payload: Vec<u8> = payload.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let msg = client.create_bitcode_message(handle, payload).unwrap();
+        client.send_ifunc(&msg, WorkerAddr(1));
+        for msg in client.take_outgoing() {
+            server.deliver(msg);
+        }
+        for outcome in server.poll(usize::MAX) {
+            match outcome {
+                Ok(_) => completed += 1,
+                Err(CoreError::TooLarge { what, max, .. }) => {
+                    assert_eq!(
+                        (what.as_str(), max),
+                        ("memory growth", 16 << 20),
+                        "seed {seed}"
+                    );
+                    refused += 1;
+                }
+                Err(CoreError::Jit(e)) if e.contains("fuel budget") => refused += 1,
+                Err(e) => panic!("seed {seed}: {e}"),
+            }
+        }
+        server.take_outgoing();
+    }
+    assert!(
+        completed > 20 && refused > 20,
+        "{completed} completed, {refused} refused"
     );
 }
