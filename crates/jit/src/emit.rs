@@ -12,9 +12,8 @@
 //!   fixed, which normalises nothing at 64 bits;
 //! * immediates are normalised;
 //! * a block's instructions and base cycles are one [`Op::Charge`] at its
-//!   start, split behind each local call so that a callee running out of fuel
-//!   reports exactly what ran before it, and behind each vector loop, whose
-//!   chunks are charged to the fuel the instructions before it left.
+//!   start, split behind each local call, vector loop and library call so
+//!   that running out of fuel inside one reports exactly what ran before it.
 //!
 //! A register outside its frame, a branch outside its function or a block
 //! not ended by its one terminator is refused here.
@@ -90,6 +89,17 @@ pub(crate) struct Program {
     pub(crate) libs: LoadedLibs,
 }
 
+/// Whether `inst` ends its charge segment: a local call, a vector loop or a
+/// library call (see the module docs).
+fn ends_charge(inst: &MachInst, ext_symbols: &[String]) -> bool {
+    let library = |s: &String| matches!(HostCall::of(s), HostCall::Library(..));
+    match *inst {
+        MachInst::CallLocal { .. } | MachInst::VecLoop { .. } => true,
+        MachInst::CallSym { sym_index: i, .. } => ext_symbols.get(i as usize).is_some_and(library),
+        _ => false,
+    }
+}
+
 /// Emit the executable form of `functions`, whose external calls name
 /// `ext_symbols`.
 pub(crate) fn emit(functions: &[MachFunction], ext_symbols: &[String]) -> Result<Program> {
@@ -105,12 +115,10 @@ pub(crate) fn emit(functions: &[MachFunction], ext_symbols: &[String]) -> Result
             entries.push(at as u32);
             at += 1 + block.len();
             for inst in block {
-                match inst {
-                    MachInst::CallLocal { args, .. } => (at, nargs) = (at + 1, nargs + args.len()),
-                    MachInst::CallSym { args, .. } => nargs += args.len(),
-                    MachInst::VecLoop { .. } => at += 1,
-                    _ => {}
+                if let MachInst::CallLocal { args, .. } | MachInst::CallSym { args, .. } = inst {
+                    nargs += args.len();
                 }
+                at += usize::from(ends_charge(inst, ext_symbols));
             }
         }
         if f.blocks.is_empty() {
@@ -141,7 +149,7 @@ pub(crate) fn emit(functions: &[MachFunction], ext_symbols: &[String]) -> Result
                     *call = name.map_or(HostCall::Unresolved, |s| HostCall::of(s));
                 }
                 code.push(op);
-                if let MachInst::CallLocal { .. } | MachInst::VecLoop { .. } = inst {
+                if ends_charge(inst, ext_symbols) {
                     code[charge] = Op::Charge(insts, cycles);
                     (charge, insts, cycles) = (code.len(), 0, 0);
                     code.push(Op::Charge(0, 0));
@@ -458,9 +466,9 @@ pub(crate) fn atomic(
 }
 
 /// `dst[i] = a[i] op b[i]` over `count` elements of `ty` at the addresses
-/// `[dst, a, b]`, a chunk per `lanes` elements: each chunk is one unit of
-/// `fuel`, all paid before any element is touched.  Returns the loop's
-/// dynamic cycles.
+/// `[dst, a, b]`, a unit of `fuel` per memory access (three an element, four
+/// for `Fma`, as scalar loads and stores would pay), all paid before any is
+/// touched.  Returns the loop's dynamic cycles, a chunk per `lanes` elements.
 pub(crate) fn vec_loop(
     mem: &mut dyn Memory,
     fuel: &mut Fuel,
@@ -471,7 +479,7 @@ pub(crate) fn vec_loop(
     lanes: u32,
 ) -> Result<u64> {
     let chunks = count.div_ceil(u64::from(lanes.max(1)));
-    fuel.burn(chunks)?;
+    fuel.burn(count.saturating_mul(3 + u64::from(op == VecOp::Fma)))?;
     let elem = u64::from(ty.size_bytes(8));
     let (add, mul) = match ty.is_float() {
         true => (BinOp::FAdd, BinOp::FMul),

@@ -318,22 +318,22 @@ pub struct ExecOutcome {
 #[derive(Debug, Clone, Copy)]
 pub struct ExecLimits {
     /// Units of work before the run stops with [`JitError::OutOfFuel`]: one
-    /// per instruction retired, per vector-loop chunk, per 8 bytes a library
-    /// call copies or sets and per byte `strlen_u64` reads.
+    /// per instruction retired, per memory access a vector loop makes, per 8
+    /// bytes a library call copies or sets and per byte `strlen_u64` reads.
     pub fuel: u64,
     /// Maximum local call depth.
     pub max_call_depth: u32,
-    /// Bytes the run may add to its memory (a [`SparseMemory`]'s pages); a
-    /// write past them is refused with [`JitError::TooLarge`].
-    pub bytes: u64,
 }
+
+/// Bytes one run may add to its memory (a [`SparseMemory`]'s pages); a
+/// write past them is refused with [`JitError::TooLarge`].
+pub const GROWTH_BYTES: u64 = 16 << 20;
 
 impl Default for ExecLimits {
     fn default() -> Self {
         ExecLimits {
             fuel: 50_000_000,
             max_call_depth: 256,
-            bytes: 16 << 20,
         }
     }
 }
@@ -348,10 +348,8 @@ pub(crate) struct Fuel {
 impl Fuel {
     /// Pay `units` of work, or stop the run with none of it done.
     pub(crate) fn burn(&mut self, units: u64) -> Result<()> {
-        let out = JitError::OutOfFuel {
-            executed: self.retired,
-        };
-        self.left = self.left.checked_sub(units).ok_or(out)?;
+        let (left, executed) = (self.left.checked_sub(units), self.retired);
+        self.left = left.ok_or(JitError::OutOfFuel { executed })?;
         Ok(())
     }
 }
@@ -385,12 +383,9 @@ impl Engine {
         mem: &mut dyn Memory,
         host: &mut dyn ExternalHost,
     ) -> Result<ExecOutcome> {
-        let func_index =
-            module
-                .function_index(func_name)
-                .ok_or_else(|| JitError::UnknownFunction {
-                    name: func_name.to_string(),
-                })?;
+        let unknown = |name: &str| JitError::UnknownFunction { name: name.into() };
+        let func_index = module.function_index(func_name);
+        let func_index = func_index.ok_or_else(|| unknown(func_name))?;
         self.run_index(module, func_index, args, data_addrs, mem, host)
     }
 
@@ -407,8 +402,8 @@ impl Engine {
         host: &mut dyn ExternalHost,
     ) -> Result<ExecOutcome> {
         // `step` answers the linked libraries' exports on the fuel; `mem`
-        // may add at most `limits.bytes` while the function runs.
-        let outer = mem.limit_growth(Some(self.limits.bytes));
+        // may add at most `GROWTH_BYTES` while the function runs.
+        let outer = mem.limit_growth(Some(GROWTH_BYTES));
         let mut ctx = ExecContext {
             module,
             data_addrs,
@@ -654,9 +649,8 @@ impl<'a> ExecContext<'a> {
                 return e;
             }
         }
-        JitError::OutOfFuel {
-            executed: self.fuel.retired,
-        }
+        let executed = self.fuel.retired;
+        JitError::OutOfFuel { executed }
     }
 }
 
@@ -874,15 +868,15 @@ mod tests {
                                 lanes,
                             } => {
                                 let n = regs[*count as usize];
-                                // A unit of fuel per chunk of `lanes`
-                                // elements, paid before any is touched.
-                                let chunks = n.div_ceil(u64::from((*lanes).max(1)));
-                                if self.fuel_left < chunks {
+                                // A unit of fuel per memory access, all
+                                // paid before any element is touched.
+                                let units = n.saturating_mul(3 + u64::from(*op == VecOp::Fma));
+                                if self.fuel_left < units {
                                     return Err(JitError::OutOfFuel {
                                         executed: self.insts,
                                     });
                                 }
-                                self.fuel_left -= chunks;
+                                self.fuel_left -= units;
                                 let elem = u64::from(ty.size_bytes(8));
                                 let da = regs[*dst_addr as usize];
                                 let aa = regs[*a_addr as usize];
@@ -903,6 +897,7 @@ mod tests {
                                     self.mem.write_scalar(*ty, at(da), dv)?;
                                 }
                                 // Dynamic cost: one chunk of work per `lanes` elements.
+                                let chunks = n.div_ceil(u64::from((*lanes).max(1)));
                                 self.cycles += chunks.saturating_mul(inst.base_cycles());
                             }
                             MachInst::DataAddr { dst, data_index } => {
@@ -1976,7 +1971,6 @@ mod tests {
                 let limits = ExecLimits {
                     fuel,
                     max_call_depth: 12,
-                    ..ExecLimits::default()
                 };
                 let (mut mem, mut host) = (image.clone(), LogHost::default());
                 let want = reference::run_index(

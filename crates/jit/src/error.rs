@@ -26,8 +26,8 @@ pub enum JitError {
     },
     /// Execution exceeded its fuel budget (runaway ifunc protection).
     OutOfFuel {
-        /// Number of instructions that were executed before the engine
-        /// stopped.
+        /// Instructions retired before the engine stopped, a vector loop or
+        /// library call that ran out of fuel among them.
         executed: u64,
     },
     /// The requested function does not exist in the compiled module.
@@ -42,7 +42,7 @@ pub enum JitError {
     /// A framework call asked to send more bytes than the message it would
     /// build can carry; refused before anything is read or allocated.
     TooLarge {
-        /// The call (`tc_put`, `tc_forward_self`).
+        /// The call (`tc_put`, `tc_forward_self`), or `memory growth`.
         what: String,
         /// The length the call asked for.
         len: u64,
@@ -62,11 +62,8 @@ impl fmt::Display for JitError {
                 write!(f, "missing shared-library dependency `{library}`")
             }
             JitError::Trap { reason } => write!(f, "execution trapped: {reason}"),
-            JitError::OutOfFuel { executed } => {
-                write!(
-                    f,
-                    "execution exceeded fuel budget after {executed} instructions"
-                )
+            JitError::OutOfFuel { executed: n } => {
+                write!(f, "execution exceeded fuel budget after {n} instructions")
             }
             JitError::UnknownFunction { name } => write!(f, "unknown function `{name}`"),
             JitError::Decode(msg) => write!(f, "machine code decode failed: {msg}"),

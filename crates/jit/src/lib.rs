@@ -44,7 +44,7 @@ pub use compile::{compile_module, lower_and_compile, CompileOptions, CompileStat
 pub use dylib::{HostCall, LoadedLibs};
 pub use engine::{
     Engine, ExecLimits, ExecOutcome, ExternalHost, Memory, MemoryExt, NoExternals, SparseMemory,
-    VecMemory,
+    VecMemory, GROWTH_BYTES,
 };
 pub use error::{JitError, Result};
 pub use machine::{DataObject, MachFunction, MachInst, MachModule};

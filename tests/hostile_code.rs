@@ -27,7 +27,7 @@ use tc_core::{build_ifunc_library, ToolchainOptions};
 use tc_jit::{
     build_object, compile_module, lower_and_compile, module_from_image, CompileOptions, Engine,
     ExecLimits, ExecOutcome, ExternalHost, JitError, LoadedLibs, MachModule, Memory, MemoryExt,
-    NoExternals, OrcJit, SparseMemory,
+    NoExternals, OrcJit, SparseMemory, GROWTH_BYTES,
 };
 use tc_workloads::{
     chaser_module, chaser_module_chainlang, chaser_payload, tsi_module, tsi_module_chainlang,
@@ -500,8 +500,18 @@ fn a_vector_loop_of_two_to_the_forty_elements_is_refused_before_it_touches_one()
     );
     assert_eq!(mem.read_u64(TARGET_REGION_BASE).unwrap(), 0);
     // A loop the fuel pays for runs.
-    run_guest(module(), args(1), 1_000_000, &mut mem).unwrap();
+    let done = run_guest(module(), args(1), 1_000_000, &mut mem).unwrap();
     assert_eq!(mem.read_u64(TARGET_REGION_BASE).unwrap(), 42);
+    // Each element pays for its three accesses, as scalar loads and a store
+    // would: 1 000 elements run on their instructions' fuel and 3 000 more,
+    // and not on one unit less.
+    let fuel = done.insts_retired + 3_000;
+    run_guest(module(), args(1_000), fuel, &mut mem).unwrap();
+    let short = run_guest(module(), args(1_000), fuel - 1, &mut mem);
+    assert!(
+        matches!(short, Err(JitError::OutOfFuel { .. })),
+        "{short:?}"
+    );
 }
 
 #[test]
@@ -522,7 +532,7 @@ fn a_run_that_touches_a_new_page_at_every_step_is_refused_past_its_byte_budget()
     });
     let mut mem = SparseMemory::new();
     let refused = run_guest(module, [0, 0, TARGET_REGION_BASE], 60_000, &mut mem);
-    let max = ExecLimits::default().bytes;
+    let max = GROWTH_BYTES;
     let len = max + SparseMemory::PAGE_SIZE as u64;
     let what = "memory growth".to_string();
     assert_eq!(refused.unwrap_err(), JitError::TooLarge { what, len, max });
@@ -530,25 +540,61 @@ fn a_run_that_touches_a_new_page_at_every_step_is_refused_past_its_byte_budget()
     mem.write_u64(TARGET_REGION_BASE + len, 1).unwrap();
 }
 
+/// The gap the byte budget leaves open, pinned so that it stays in sight:
+/// pages are never unmapped and each run's budget starts afresh, so runs one
+/// after another, each within its budget, grow a memory past it.
+#[test]
+fn runs_each_within_the_byte_budget_grow_one_memory_past_it_together() {
+    let module = || {
+        guest(|f, [byte, len, target]| f.call_ext("memset", vec![target, byte, len], true).unwrap())
+    };
+    let mut mem = SparseMemory::new();
+    let regions = [TARGET_REGION_BASE, TARGET_REGION_BASE + GROWTH_BYTES];
+    for target in regions {
+        run_guest(module(), [7, GROWTH_BYTES, target], 50_000_000, &mut mem).unwrap();
+    }
+    for target in regions {
+        assert_eq!(
+            mem.read_u64(target + GROWTH_BYTES - 8).unwrap(),
+            0x0707_0707_0707_0707
+        );
+    }
+    // A single run past the budget is still refused.
+    let past = [7, GROWTH_BYTES + 1, TARGET_REGION_BASE + 2 * GROWTH_BYTES];
+    let refused = run_guest(module(), past, 50_000_000, &mut mem);
+    assert!(
+        matches!(refused, Err(JitError::TooLarge { .. })),
+        "{refused:?}"
+    );
+}
+
 #[test]
 fn memcpy_and_memset_of_two_to_the_forty_bytes_run_out_of_fuel_before_any_is_done() {
     for symbol in ["memcpy", "memset"] {
-        let module = guest(|f, [payload, len, target]| {
-            f.call_ext(symbol, vec![target, payload, len], true)
-                .unwrap()
-        });
+        let module = || {
+            guest(|f, [payload, len, target]| {
+                f.call_ext(symbol, vec![target, payload, len], true)
+                    .unwrap()
+            })
+        };
         let mut mem = SparseMemory::new();
         mem.write_u64(0x100, 0x0101_0101_0101_0101).unwrap();
         let refused = run_guest(
-            module,
+            module(),
             [0x100, 1 << 40, TARGET_REGION_BASE],
             1_000_000,
             &mut mem,
         );
-        assert!(
-            matches!(refused, Err(JitError::OutOfFuel { .. })),
-            "{symbol}: {refused:?}"
+        // `executed` counts the call and what ran before it, not the return
+        // behind it: a library call ends its charge segment.
+        let done = run_guest(
+            module(),
+            [0x100, 8, TARGET_REGION_BASE],
+            1_000,
+            &mut mem.clone(),
         );
+        let executed = done.unwrap().insts_retired - 1;
+        assert_eq!(refused, Err(JitError::OutOfFuel { executed }), "{symbol}");
         assert_eq!(mem.read_u64(TARGET_REGION_BASE).unwrap(), 0, "{symbol}");
     }
 }
@@ -637,7 +683,7 @@ fn a_libc_kernel_with_generated_lengths_stays_within_its_budget() {
                 Err(CoreError::TooLarge { what, max, .. }) => {
                     assert_eq!(
                         (what.as_str(), max),
-                        ("memory growth", 16 << 20),
+                        ("memory growth", GROWTH_BYTES),
                         "seed {seed}"
                     );
                     refused += 1;
