@@ -51,7 +51,7 @@ pub fn encode_module(module: &Module) -> Vec<u8> {
 
 /// Decode bitcode bytes back into a module.
 pub fn decode_module(bytes: &[u8]) -> Result<Module> {
-    decode_framed(bytes, BITCODE_MAGIC, BITCODE_VERSION, "bitcode")
+    decode_framed(bytes, BITCODE_MAGIC, BITCODE_VERSION, "bitcode", Field::get)
 }
 
 /// `value` behind a magic and a version.
@@ -64,13 +64,15 @@ pub(crate) fn encode_framed<T: Field>(magic: [u8; 4], version: u16, value: &T) -
     w
 }
 
-/// Read what [`encode_framed`] wrote; a wrong magic or version has its own
-/// message, anything else malformed is one error at its offset.
-pub(crate) fn decode_framed<T: Field>(
-    bytes: &[u8],
+/// Read what [`encode_framed`] wrote, the value behind the magic and version
+/// by `get` (which may borrow from `bytes`); a wrong magic or version has its
+/// own message, anything else malformed is one error at its offset.
+pub(crate) fn decode_framed<'a, T>(
+    bytes: &'a [u8],
     magic: [u8; 4],
     version: u16,
     format: &str,
+    get: impl FnOnce(&mut Reader<'a>) -> Option<T>,
 ) -> Result<T> {
     let r = &mut Reader::new(bytes);
     let found = r.take(4).ok_or_else(|| r.error(format))?;
@@ -80,7 +82,7 @@ pub(crate) fn decode_framed<T: Field>(
         )));
     }
     match r.u16() {
-        Some(v) if v == version => T::get(r).ok_or_else(|| r.error(format)),
+        Some(v) if v == version => get(r).ok_or_else(|| r.error(format)),
         Some(v) => Err(BitirError::Decode(format!(
             "unsupported {format} version {v} (expected {version})"
         ))),
@@ -165,6 +167,13 @@ impl<'a> Reader<'a> {
     pub fn svarint(&mut self) -> Option<i64> {
         let z = self.varint()?;
         Some((z >> 1) as i64 ^ -((z & 1) as i64))
+    }
+
+    /// A string: its length, then its UTF-8 bytes, borrowed.
+    #[inline]
+    pub fn str(&mut self) -> Option<&'a str> {
+        let n = usize::try_from(self.varint()?).ok()?;
+        std::str::from_utf8(self.take(n)?).ok()
     }
 
     /// Skip a run of `len` bytes of metadata padding without reading it.
@@ -292,10 +301,7 @@ scalar! {
     String => |w, v| {
         (v.len() as u64).put(w);
         w.extend_from_slice(v.as_bytes());
-    }, |r| {
-        let n = usize::try_from(r.varint()?).ok()?;
-        std::str::from_utf8(r.take(n)?).ok().map(str::to_owned)
-    };
+    }, |r| r.str().map(str::to_owned);
 }
 
 /// Operators, types and target parts, by their one-byte tags.

@@ -11,11 +11,12 @@
 //! (name, dependencies, then each entry's triple and bitcode bytes) over
 //! [`crate::bitcode`]'s codec.
 
-use crate::bitcode::{decode_framed, encode_framed, encode_module};
+use crate::bitcode::{decode_framed, encode_framed, encode_module, Field, Reader};
 use crate::error::{BitirError, Result};
 use crate::ir::Module;
 use crate::lower::lower_for_target;
 use crate::types::TargetTriple;
+use std::ops::Range;
 
 /// Magic bytes at the start of a fat-bitcode archive (`TCFB` = Three-Chains
 /// Fat Bitcode).
@@ -87,16 +88,39 @@ impl FatBitcode {
     /// generic-tuned bitcode still runs, just without µarch specialisation) —
     /// mirroring how a `x86_64-pc-linux-gnu` bitcode serves any x86-64 host.
     pub fn select(&self, target: TargetTriple) -> Result<&FatEntry> {
-        if let Some(exact) = self.entries.iter().find(|e| e.triple == target) {
-            return Ok(exact);
+        let exact = self.entries.iter().find(|e| e.triple == target);
+        exact
+            .or_else(|| self.entries.iter().find(|e| e.triple.isa == target.isa))
+            .ok_or_else(|| no_entry(target, self.triples()))
+    }
+
+    /// What [`FatBitcode::decode`] then [`FatBitcode::select`] pick for
+    /// `target`, read in place with the decoder's own reads: the range of
+    /// that entry's bitcode in `bytes`, and the archive's dependencies.  What
+    /// the two refuse is refused with the same error; no entry is copied.
+    pub fn select_encoded<'a>(
+        bytes: &'a [u8],
+        target: TargetTriple,
+    ) -> Result<(Range<usize>, Vec<&'a str>)> {
+        let walk = |r: &mut Reader<'a>| {
+            r.str()?;
+            let deps = usize::try_from(r.varint()?).ok()?;
+            let deps = (0..deps).map(|_| r.str()).collect::<Option<Vec<_>>>()?;
+            let (mut exact, mut same_isa) = (None, None);
+            for _ in 0..usize::try_from(r.varint()?).ok()? {
+                let triple = TargetTriple::get(r)?;
+                let len = usize::try_from(r.varint()?).ok()?;
+                let at = r.offset();
+                let entry = at..at + r.take(len)?.len();
+                exact = exact.or((triple == target).then(|| entry.clone()));
+                same_isa = same_isa.or((triple.isa == target.isa).then_some(entry));
+            }
+            Some((exact.or(same_isa), deps))
+        };
+        match decode_framed(bytes, FAT_MAGIC, FAT_VERSION, "fat-bitcode", walk)? {
+            (Some(slice), deps) => Ok((slice, deps)),
+            (None, _) => Err(no_entry(target, Self::decode(bytes)?.triples())),
         }
-        if let Some(isa_match) = self.entries.iter().find(|e| e.triple.isa == target.isa) {
-            return Ok(isa_match);
-        }
-        Err(BitirError::NoBitcodeForTarget {
-            requested: target.name(),
-            available: self.entries.iter().map(|e| e.triple.name()).collect(),
-        })
     }
 
     /// Serialize the archive.
@@ -106,7 +130,16 @@ impl FatBitcode {
 
     /// Deserialize an archive.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        decode_framed(bytes, FAT_MAGIC, FAT_VERSION, "fat-bitcode")
+        decode_framed(bytes, FAT_MAGIC, FAT_VERSION, "fat-bitcode", Self::get)
+    }
+}
+
+/// The refusal of an archive holding no entry for `target`.
+fn no_entry(target: TargetTriple, available: Vec<TargetTriple>) -> BitirError {
+    let available = available.iter().map(|t| t.name()).collect();
+    BitirError::NoBitcodeForTarget {
+        requested: target.name(),
+        available,
     }
 }
 
@@ -191,6 +224,38 @@ mod tests {
                 assert_eq!(available.len(), 1);
             }
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    /// The in-place selector picks the bytes `decode` + `select` pick, with
+    /// the same dependencies, or refuses with the same error: exact,
+    /// same-ISA and missing targets, over archives of one, two and five.
+    #[test]
+    fn the_in_place_selector_picks_what_decode_and_select_pick() {
+        use TargetTriple as T;
+        let archives = [
+            TargetTriple::default_toolchain_targets(),
+            vec![T::X86_64_GENERIC, T::AARCH64_GENERIC],
+            vec![T::THOR_XEON],
+        ];
+        for targets in archives {
+            let fat = FatBitcode::from_module(&tsi_module(), &targets).unwrap();
+            let bytes = fat.encode();
+            for host in [
+                T::THOR_XEON,
+                T::THOR_BF2,
+                T::OOKAMI_A64FX,
+                T::X86_64_GENERIC,
+            ] {
+                match (FatBitcode::select_encoded(&bytes, host), fat.select(host)) {
+                    (Ok((slice, deps)), Ok(entry)) => {
+                        assert_eq!(bytes[slice], entry.bitcode[..], "{host:?}");
+                        assert_eq!(deps, fat.deps, "{host:?}");
+                    }
+                    (Err(a), Err(b)) => assert_eq!(a, b, "{host:?}"),
+                    other => panic!("{host:?}: {other:?}"),
+                }
+            }
         }
     }
 

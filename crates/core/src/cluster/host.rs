@@ -1048,7 +1048,9 @@ mod tests {
             .iter()
             .zip(1..)
             .map(|((_, frame), seq)| match op_of(frame) {
-                (UcpOp::IfuncFrame { bytes }, Some((s, 0))) if s == seq => bytes.len(),
+                (UcpOp::IfuncFrame { bytes, code }, Some((s, 0))) if s == seq => {
+                    bytes.len() + code.len()
+                }
                 other => panic!("frame {seq}: {other:?}"),
             })
             .collect();

@@ -366,7 +366,10 @@ mod tests {
                     handler: AmHandlerId(3),
                     payload: bulk(),
                 },
-                UcpOp::IfuncFrame { bytes: bulk() },
+                UcpOp::IfuncFrame {
+                    bytes: bulk(),
+                    code: Bytes::new(),
+                },
             ]);
         }
         let msg = |(i, op)| OutgoingMessage {

@@ -174,7 +174,7 @@ fn bulk(op: &UcpOp) -> Option<&Bytes> {
             Some(data)
         }
         UcpOp::ActiveMessage { payload, .. } => Some(payload),
-        UcpOp::IfuncFrame { bytes } => Some(bytes),
+        UcpOp::IfuncFrame { bytes, .. } => Some(bytes),
         UcpOp::Get { .. } | UcpOp::PutAck { .. } => None,
     }
 }
@@ -191,11 +191,6 @@ fn op_code(op: &UcpOp) -> (u8, usize) {
         UcpOp::ActiveMessage { .. } => (OP_AM, 2),
         UcpOp::IfuncFrame { .. } => (OP_IFUNC, 0),
     }
-}
-
-/// Exact encoded size of a [`TAG_OP`] envelope for `msg`.
-fn encoded_op_size(op: &UcpOp) -> usize {
-    17 + op_code(op).1 + bulk(op).map_or(0, |b| b.len())
 }
 
 /// Write `msg`'s envelope header and fixed op fields — everything but the
@@ -229,17 +224,19 @@ pub const SCATTER_THRESHOLD: usize = 512;
 /// The one encoder: an optional `(seq, ack)` reliability prefix, then the op
 /// head, in **one** pool buffer; a bulk payload of at least
 /// [`SCATTER_THRESHOLD`] bytes is detached as a shared view instead of
-/// copied behind the head.  Steady-state sends reuse released pool slots, so
-/// the encode path performs at most one (small) payload copy and zero
-/// allocations.
+/// copied behind the head, and so is the tail of a full ifunc frame sent as
+/// two views, behind its head.  Steady-state sends reuse released pool
+/// slots, so the encode path performs at most one (small) payload copy and
+/// zero allocations.
 fn encode(msg: &OutgoingMessage, rel: Option<(u64, u64)>) -> (Bytes, Bytes) {
     let bulk = bulk(&msg.op);
-    let detached = bulk
-        .filter(|b| b.len() >= SCATTER_THRESHOLD)
-        .cloned()
-        .unwrap_or_default();
+    let (bulk, detached) = match (&msg.op, bulk) {
+        (UcpOp::IfuncFrame { code, .. }, _) if !code.is_empty() => (bulk, code.clone()),
+        (_, Some(b)) if b.len() >= SCATTER_THRESHOLD => (None, b.clone()),
+        _ => (bulk, Bytes::new()),
+    };
     let prefix = if rel.is_some() { REL_HEAD_LEN } else { 0 };
-    let size = prefix + encoded_op_size(&msg.op) - detached.len();
+    let size = prefix + 17 + op_code(&msg.op).1 + bulk.map_or(0, Bytes::len);
     // The whole envelope is one region of the pool buffer: one uniqueness
     // check, however many fields.
     let head = pooled(size, |mut out| {
@@ -248,7 +245,7 @@ fn encode(msg: &OutgoingMessage, rel: Option<(u64, u64)>) -> (Bytes, Bytes) {
             put(&mut out, &ack.to_le_bytes());
         }
         put_op_head(&mut out, msg);
-        if let (Some(bulk), true) = (bulk, detached.is_empty()) {
+        if let Some(bulk) = bulk {
             put(&mut out, bulk);
         }
     });
@@ -307,7 +304,8 @@ pub fn send_reliable(
 /// Zero-copy: the payload of the returned operation (`Put` data, `GetReply`
 /// data, AM payload, ifunc frame bytes) is the detached segment when there
 /// is one, else a sub-view of `head`'s shared allocation — a refcount
-/// clone, never a memcpy.
+/// clone, never a memcpy.  An ifunc head with a detached segment behind it
+/// is a full frame sent as two views, and decodes to both.
 pub fn decode_op_vectored(head: &Bytes, payload: &Bytes) -> Result<OutgoingMessage> {
     let err = |msg: &str| CoreError::Transport(format!("bad op envelope: {msg}"));
     let mut c = Cursor(head);
@@ -331,10 +329,10 @@ pub fn decode_op_vectored(head: &Bytes, payload: &Bytes) -> Result<OutgoingMessa
         return Err(err("op tag cannot carry a payload segment"));
     }
     // The bulk is the rest of the head — or the detached segment, behind a
-    // head that ends with the fixed fields.
+    // head that ends with the fixed fields, or behind an ifunc frame's head.
     let inline_bulk = has_bulk && payload.is_empty();
     let short = || err("wrong length for its op tag");
-    if body.len() < fixed || (!inline_bulk && body.len() != fixed) {
+    if body.len() < fixed || (!inline_bulk && body.len() != fixed && tag != OP_IFUNC) {
         return Err(short());
     }
     let bulk = || {
@@ -370,7 +368,13 @@ pub fn decode_op_vectored(head: &Bytes, payload: &Bytes) -> Result<OutgoingMessa
             handler: AmHandlerId(c.take_u16().ok_or_else(short)?),
             payload: bulk(),
         },
-        _ => UcpOp::IfuncFrame { bytes: bulk() },
+        _ => {
+            let (bytes, code) = match body.is_empty() {
+                true => (bulk(), Bytes::new()),
+                false => (head.slice(17..), payload.clone()),
+            };
+            UcpOp::IfuncFrame { bytes, code }
+        }
     };
     Ok(OutgoingMessage {
         src: WorkerAddr(src),
@@ -537,17 +541,11 @@ pub fn encode_welcome(w: &Welcome) -> Vec<u8> {
     let triple = w.triple.to_string();
     // Without a fault plan the tunables are carried, and ignored.
     let rel = w.rel.unwrap_or_else(RelConfig::threads_default);
-    let mut out = Vec::with_capacity(32 + triple.len());
-    out.extend_from_slice(&w.clients.to_le_bytes());
-    out.extend_from_slice(&w.servers.to_le_bytes());
-    out.extend_from_slice(&w.rank.to_le_bytes());
-    out.push(w.rel.is_some() as u8);
-    out.push(rel.adaptive as u8);
-    out.extend_from_slice(&rel.rto.to_le_bytes());
-    out.extend_from_slice(&rel.rto_max.to_le_bytes());
-    out.extend_from_slice(&(triple.len() as u16).to_le_bytes());
-    out.extend_from_slice(triple.as_bytes());
-    out
+    let ranks = [w.clients, w.servers, w.rank].map(u32::to_le_bytes);
+    let flags = [w.rel.is_some() as u8, rel.adaptive as u8];
+    let rto = put_u64s(&[rel.rto, rel.rto_max]);
+    let len = (triple.len() as u16).to_le_bytes();
+    [ranks.as_flattened(), &flags, &rto, &len, triple.as_bytes()].concat()
 }
 
 /// Decode a WELCOME body.
@@ -667,6 +665,7 @@ mod tests {
             },
             UcpOp::IfuncFrame {
                 bytes: vec![0xAB; 64].into(),
+                code: Bytes::new(),
             },
             UcpOp::PutConfirm {
                 remote_addr: 0x48,
@@ -729,7 +728,7 @@ mod tests {
                 UcpOp::ActiveMessage { payload, .. } => {
                     assert!(payload.shares_storage(&encoded))
                 }
-                UcpOp::IfuncFrame { bytes } => assert!(bytes.shares_storage(&encoded)),
+                UcpOp::IfuncFrame { bytes, .. } => assert!(bytes.shares_storage(&encoded)),
                 UcpOp::Get { .. } | UcpOp::PutAck { .. } => {}
             }
             drop(decoded);
@@ -766,6 +765,7 @@ mod tests {
             },
             UcpOp::IfuncFrame {
                 bytes: large.clone(),
+                code: Bytes::new(),
             },
         ];
         for (i, op) in ops.into_iter().enumerate() {
@@ -876,6 +876,7 @@ mod tests {
         };
         let large_ifunc = UcpOp::IfuncFrame {
             bytes: vec![0xCD; SCATTER_THRESHOLD].into(),
+            code: Bytes::new(),
         };
         let ops: Vec<UcpOp> = sample_ops()
             .into_iter()

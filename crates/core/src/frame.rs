@@ -10,6 +10,12 @@
 //! size arguments to the UCP PUT interface".  The receiver decides how to
 //! interpret what arrived by checking its own registration table, not by
 //! trusting the sender.
+//!
+//! A full frame is sent as two views with an unchanged wire image: the
+//! message's HEADER | PAYLOAD | MAGIC head, and the CODE | DEPS | MAGIC tail
+//! that the toolchain built once per library ([`encode_tail`]), so no send
+//! copies code.  `head ‖ tail` is byte for byte the one-buffer
+//! [`MessageFrame::encode_full`], and the receiver parses either form.
 
 use crate::error::{CoreError, Result};
 use std::convert::Infallible;
@@ -22,26 +28,18 @@ pub const FRAME_MAGIC: [u8; 4] = *b"3CMG";
 /// Frame format version.
 pub const FRAME_VERSION: u8 = 2;
 
-/// Code representation carried by a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CodeRepr {
-    /// LLVM-bitcode-analogue (fat-bitcode archive).
-    Bitcode,
-    /// Pre-compiled machine code (ELF-like object).
-    Binary,
+tc_bitir::tagged! {
+    /// Code representation carried by a frame.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum CodeRepr {
+        /// LLVM-bitcode-analogue (fat-bitcode archive).
+        Bitcode,
+        /// Pre-compiled machine code (ELF-like object).
+        Binary,
+    }
 }
 
 impl CodeRepr {
-    /// Stable tag for serialization: its position in declaration order.
-    pub fn tag(self) -> u8 {
-        self as u8
-    }
-
-    /// Inverse of [`CodeRepr::tag`].
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        [Self::Bitcode, Self::Binary].get(usize::from(tag)).copied()
-    }
-
     /// Display name used in reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -111,17 +109,16 @@ impl MessageFrame {
             out.copy_from_slice(payload);
             Ok::<_, Infallible>(())
         };
-        let parts = (&*self.ifunc_name, self.repr, &self.code[..], &self.deps[..]);
-        let Ok(bytes) = encode_frame(parts, payload.len(), copy, full);
+        let (name, code, deps) = (&*self.ifunc_name, &self.code[..], &self.deps[..]);
+        let head = (name, self.repr, code.len(), deps.len());
+        let tail = full.then_some((code, deps));
+        let Ok(bytes) = encode_frame(head, payload.len(), copy, tail);
         bytes
     }
 
     /// Size in bytes of the full encoding (computed, not materialised).
     pub fn full_size(&self) -> usize {
-        self.truncated_size()
-            + self.code.len()
-            + self.deps.iter().map(|d| 2 + d.len()).sum::<usize>()
-            + FRAME_MAGIC.len()
+        self.truncated_size() + self.code.len() + deps_size(&self.deps)
     }
 
     /// Size in bytes of the truncated encoding (computed, not materialised).
@@ -130,17 +127,31 @@ impl MessageFrame {
     }
 
     /// Decode a frame from a borrowed slice.  The payload and code of the
-    /// returned [`DecodedFrame`] are copied out of `bytes` (one copy each);
-    /// prefer [`MessageFrame::decode_view`] on the receive path, which
-    /// borrows sub-views of the shared buffer and copies nothing.
+    /// returned [`DecodedFrame`] are views of one copy of `bytes`; prefer
+    /// [`MessageFrame::decode_view`] on the receive path, which borrows
+    /// sub-views of the shared buffer and copies nothing.
     pub fn decode(bytes: &[u8]) -> Result<DecodedFrame> {
-        Ok(FrameView::parse(bytes)?.to_decoded(|range| Bytes::copy_from_slice(&bytes[range])))
+        Self::decode_view(&Bytes::copy_from_slice(bytes))
     }
 
     /// Decode a frame as zero-copy views into a shared receive buffer: the
     /// payload and code sections of the result alias `bytes`' allocation.
     pub fn decode_view(bytes: &Bytes) -> Result<DecodedFrame> {
-        Ok(FrameView::parse(bytes)?.to_decoded(|range| bytes.slice(range)))
+        Self::decode_views(bytes, &Bytes::new())
+    }
+
+    /// [`MessageFrame::decode_view`] of a frame that arrived as its head and,
+    /// for a full frame sent as two views, its tail (empty when the frame
+    /// arrived in one buffer).
+    pub fn decode_views(head: &Bytes, tail: &Bytes) -> Result<DecodedFrame> {
+        let view = FrameView::parse(head, tail)?;
+        Ok(DecodedFrame {
+            ifunc_name: view.ifunc_name.to_string(),
+            repr: view.repr,
+            payload: head.slice(view.payload.clone()),
+            code: view.code.clone().map(|r| view.tail(head, tail).slice(r)),
+            deps: view.deps.iter().map(|d| d.to_string()).collect(),
+        })
     }
 }
 
@@ -154,161 +165,201 @@ fn header_size(name: &str) -> usize {
     1 + 1 + 2 + name.len() + 4 + 4 + 2
 }
 
-/// What a frame carries besides its payload: the ifunc's name, the
-/// representation of its code, the code section and the dependency names.
-pub(crate) type FrameParts<'a> = (&'a str, CodeRepr, &'a [u8], &'a [String]);
+/// Bytes of a tail behind its code: each dependency's length and name, the
+/// trailing MAGIC.
+fn deps_size(deps: &[String]) -> usize {
+    deps.iter().map(|d| 2 + d.len()).sum::<usize>() + FRAME_MAGIC.len()
+}
+
+/// Write DEPS | MAGIC, the end of a tail, to the front of `out`.
+fn put_deps(out: &mut &mut [u8], deps: &[String]) {
+    for d in deps {
+        put(out, &(d.len() as u16).to_le_bytes());
+        put(out, d.as_bytes());
+    }
+    put(out, &FRAME_MAGIC);
+}
+
+/// A full frame's tail, CODE | DEPS | MAGIC, written behind `code` in a
+/// buffer of its own: built once per library and code representation, and
+/// shared by every full send of it.  The code section is its first
+/// `code.len()` bytes.
+pub(crate) fn encode_tail(mut code: Vec<u8>, deps: &[String]) -> Bytes {
+    let at = code.len();
+    code.resize(at + deps_size(deps), 0);
+    put_deps(&mut &mut code[at..], deps);
+    Bytes::from(code)
+}
+
+/// What a frame's head says besides its payload: the ifunc's name, the
+/// representation of its code, the code section's length and the number of
+/// dependencies.
+pub(crate) type FrameHead<'a> = (&'a str, CodeRepr, usize, usize);
 
 /// The one frame encoder, into a buffer of this thread's encode pool:
-/// HEADER | PAYLOAD | MAGIC, and for a `full` frame CODE | DEPS | MAGIC
-/// behind it.  `payload` writes the frame's `payload_len` payload bytes into
-/// the slice it is handed — copied from a message, or read straight out of
-/// an executing ifunc's memory by a forward.  The length fields are as wide
-/// as the wire format makes them; the toolchain refuses names and
-/// dependency lists that do not fit ([`crate::ifunc::build_ifunc_library`]),
-/// and a forward refuses a payload that does not.
+/// HEADER | PAYLOAD | MAGIC, and CODE | DEPS | MAGIC behind it when `tail`
+/// gives the code and the dependencies.  `payload` writes the frame's
+/// `payload_len` payload bytes into the slice it is handed — copied from a
+/// message, or read straight out of an executing ifunc's memory by a
+/// forward.  The length fields are as wide as the wire format makes them;
+/// the toolchain refuses names and dependency lists that do not fit
+/// ([`crate::ifunc::build_ifunc_library`]), and a forward refuses a payload
+/// that does not.
 pub(crate) fn encode_frame<E>(
-    (name, repr, code, deps): FrameParts<'_>,
+    (name, repr, code_len, deps_count): FrameHead<'_>,
     payload_len: usize,
     payload: impl FnOnce(&mut [u8]) -> std::result::Result<(), E>,
-    full: bool,
+    tail: Option<(&[u8], &[String])>,
 ) -> std::result::Result<Bytes, E> {
-    let trailer = code.len() + deps.iter().map(|d| 2 + d.len()).sum::<usize>() + FRAME_MAGIC.len();
-    let size = header_size(name) + payload_len + FRAME_MAGIC.len() + if full { trailer } else { 0 };
+    let tail_size = tail.map_or(0, |(code, deps)| code.len() + deps_size(deps));
+    let size = header_size(name) + payload_len + FRAME_MAGIC.len() + tail_size;
     tc_ucx::bytes::with_pool(|pool| {
         pool.fill(size, |mut out| {
             put(&mut out, &[FRAME_VERSION, repr.tag()]);
             put(&mut out, &(name.len() as u16).to_le_bytes());
             put(&mut out, name.as_bytes());
             put(&mut out, &(payload_len as u32).to_le_bytes());
-            put(&mut out, &(code.len() as u32).to_le_bytes());
-            put(&mut out, &(deps.len() as u16).to_le_bytes());
+            put(&mut out, &(code_len as u32).to_le_bytes());
+            put(&mut out, &(deps_count as u16).to_le_bytes());
             let (body, mut rest) = out.split_at_mut(payload_len);
             payload(body)?;
             put(&mut rest, &FRAME_MAGIC);
-            if full {
+            if let Some((code, deps)) = tail {
                 put(&mut rest, code);
-                for d in deps {
-                    put(&mut rest, &(d.len() as u16).to_le_bytes());
-                    put(&mut rest, d.as_bytes());
-                }
-                put(&mut rest, &FRAME_MAGIC);
+                put_deps(&mut rest, deps);
             }
             Ok(())
         })
     })
 }
 
-/// One encoded frame parsed in place: names borrowed from the buffer, byte
+/// One encoded frame parsed in place: names borrowed from the buffers, byte
 /// ranges for the bulk sections.  Parsing allocates nothing for a truncated
-/// frame; [`MessageFrame::decode`] and [`MessageFrame::decode_view`] are thin
-/// wrappers over it.
+/// frame; [`MessageFrame::decode`] and [`MessageFrame::decode_views`] are
+/// thin wrappers over it.
 #[derive(Debug)]
 pub(crate) struct FrameView<'a> {
     pub(crate) ifunc_name: &'a str,
     pub(crate) repr: CodeRepr,
+    /// The payload's range in the head.
     pub(crate) payload: Range<usize>,
-    /// `None` when the sender elided the code section (cached path).
+    /// Where the head ends: a frame in one buffer has its tail behind it.
+    head_len: usize,
+    /// The code section's range in the tail; `None` when the sender elided
+    /// the tail (cached path).
     pub(crate) code: Option<Range<usize>>,
     pub(crate) deps: Vec<&'a str>,
 }
 
-impl<'a> FrameView<'a> {
-    pub(crate) fn parse(bytes: &'a [u8]) -> Result<FrameView<'a>> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&'a [u8]> {
-            let s = pos
-                .checked_add(n)
-                .and_then(|end| bytes.get(*pos..end))
-                .ok_or_else(|| {
-                    CoreError::Frame(format!(
-                        "truncated header: need {n} bytes at offset {pos}",
-                        pos = *pos
-                    ))
-                })?;
-            *pos += n;
-            Ok(s)
-        };
-        let take_u16 = |pos: &mut usize| -> Result<usize> {
-            let b = take(pos, 2)?;
-            Ok(usize::from(u16::from_le_bytes([b[0], b[1]])))
-        };
-        let take_u32 = |pos: &mut usize| -> Result<usize> {
-            let b = take(pos, 4)?;
-            Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize)
-        };
+/// A checked cursor over one buffer of a frame; `base` is where the buffer
+/// starts in the frame, so an error names the same offset in either form.
+struct Cut<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    base: usize,
+}
 
-        let version = take(&mut pos, 1)?[0];
+impl<'a> Cut<'a> {
+    fn at(buf: &'a [u8], base: usize) -> Self {
+        Cut { buf, pos: 0, base }
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        let s = self
+            .pos
+            .checked_add(n)
+            .and_then(|end| self.buf.get(self.pos..end));
+        let at = self.base + self.pos;
+        let s = s.ok_or_else(|| {
+            CoreError::Frame(format!("truncated header: need {n} bytes at offset {at}"))
+        })?;
+        self.pos += n;
+        Ok(s)
+    }
+
+    /// A little-endian length field of `n` bytes.
+    fn uint(&mut self, n: usize) -> Result<usize> {
+        Ok(self
+            .take(n)?
+            .iter()
+            .rev()
+            .fold(0, |v, &b| v << 8 | usize::from(b)))
+    }
+}
+
+impl<'a> FrameView<'a> {
+    /// Parse a frame that arrived in one buffer (`tail` empty), or as a head
+    /// and the tail of a full frame sent as two views.
+    pub(crate) fn parse(bytes: &'a [u8], tail: &'a [u8]) -> Result<FrameView<'a>> {
+        let r = &mut Cut::at(bytes, 0);
+        let version = r.take(1)?[0];
         if version != FRAME_VERSION {
             return Err(CoreError::Frame(format!(
                 "unsupported frame version {version}"
             )));
         }
-        let repr_tag = take(&mut pos, 1)?[0];
+        let repr_tag = r.take(1)?[0];
         let repr = CodeRepr::from_tag(repr_tag)
             .ok_or_else(|| CoreError::Frame(format!("bad code representation tag {repr_tag}")))?;
-        let name_len = take_u16(&mut pos)?;
-        let ifunc_name = std::str::from_utf8(take(&mut pos, name_len)?)
+        let name_len = r.uint(2)?;
+        let ifunc_name = std::str::from_utf8(r.take(name_len)?)
             .map_err(|_| CoreError::Frame("ifunc name is not UTF-8".into()))?;
-        let payload_len = take_u32(&mut pos)?;
-        let code_len = take_u32(&mut pos)?;
-        let deps_count = take_u16(&mut pos)?;
-        let payload_start = pos;
-        take(&mut pos, payload_len)?;
-        let payload = payload_start..pos;
-        if take(&mut pos, 4)? != FRAME_MAGIC {
+        let (payload_len, code_len, deps_count) = (r.uint(4)?, r.uint(4)?, r.uint(2)?);
+        let payload_start = r.pos;
+        r.take(payload_len)?;
+        let payload = payload_start..r.pos;
+        if r.take(4)? != FRAME_MAGIC {
             return Err(CoreError::Frame(
                 "missing payload/code MAGIC delimiter".into(),
             ));
         }
-
-        if pos == bytes.len() {
-            // Truncated frame: code section elided by the sender-side cache.
-            return Ok(FrameView {
-                ifunc_name,
-                repr,
-                payload,
-                code: None,
-                deps: Vec::new(),
-            });
-        }
-
-        let code_start = pos;
-        take(&mut pos, code_len)?;
-        let code = code_start..pos;
-        let mut deps = Vec::with_capacity(deps_count);
-        for _ in 0..deps_count {
-            let dlen = take_u16(&mut pos)?;
-            let dep = std::str::from_utf8(take(&mut pos, dlen)?)
-                .map_err(|_| CoreError::Frame("dependency name is not UTF-8".into()))?;
-            deps.push(dep);
-        }
-        if take(&mut pos, 4)? != FRAME_MAGIC {
-            return Err(CoreError::Frame("missing trailer MAGIC delimiter".into()));
-        }
-        if pos != bytes.len() {
-            return Err(CoreError::Frame(format!(
-                "{} trailing bytes after trailer MAGIC",
-                bytes.len() - pos
-            )));
-        }
-        Ok(FrameView {
+        let head_len = r.pos;
+        let mut view = FrameView {
             ifunc_name,
             repr,
             payload,
-            code: Some(code),
-            deps,
-        })
+            head_len,
+            code: None,
+            deps: Vec::new(),
+        };
+        let tail = match tail.is_empty() {
+            true => &bytes[head_len..],
+            false if head_len == bytes.len() => tail,
+            false => return Err(CoreError::Frame("a split frame's head is too long".into())),
+        };
+        if tail.is_empty() {
+            // Truncated frame: code section elided by the sender-side cache.
+            return Ok(view);
+        }
+
+        let r = &mut Cut::at(tail, head_len);
+        r.take(code_len)?;
+        view.code = Some(0..code_len);
+        view.deps.reserve_exact(deps_count);
+        for _ in 0..deps_count {
+            let dlen = r.uint(2)?;
+            let dep = std::str::from_utf8(r.take(dlen)?)
+                .map_err(|_| CoreError::Frame("dependency name is not UTF-8".into()))?;
+            view.deps.push(dep);
+        }
+        if r.take(4)? != FRAME_MAGIC {
+            return Err(CoreError::Frame("missing trailer MAGIC delimiter".into()));
+        }
+        if r.pos != tail.len() {
+            return Err(CoreError::Frame(format!(
+                "{} trailing bytes after trailer MAGIC",
+                tail.len() - r.pos
+            )));
+        }
+        Ok(view)
     }
 
-    /// The owned form, its bulk sections produced by `section` from their
-    /// byte ranges (a copy or a shared view).
-    fn to_decoded(&self, section: impl Fn(Range<usize>) -> Bytes) -> DecodedFrame {
-        DecodedFrame {
-            ifunc_name: self.ifunc_name.to_string(),
-            repr: self.repr,
-            payload: section(self.payload.clone()),
-            code: self.code.clone().map(section),
-            deps: self.deps.iter().map(|d| d.to_string()).collect(),
+    /// The frame's tail as a shared view: the rest of `bytes` for a frame in
+    /// one buffer, else `tail` itself.
+    pub(crate) fn tail(&self, bytes: &Bytes, tail: &Bytes) -> Bytes {
+        match tail.is_empty() {
+            true => bytes.slice(self.head_len..),
+            false => tail.clone(),
         }
     }
 }
@@ -536,17 +587,25 @@ mod tests {
             assert_eq!(full, reference_encoding(&f, true), "case {case}");
             assert_eq!(truncated, reference_encoding(&f, false), "case {case}");
             for (whole, expected) in [(true, &full), (false, &truncated)] {
-                let parts = (&*f.ifunc_name, f.repr, &f.code[..], &f.deps[..]);
+                let head = (&*f.ifunc_name, f.repr, f.code.len(), f.deps.len());
                 let read = |out: &mut [u8]| {
                     out.copy_from_slice(&f.payload);
                     Ok::<_, ()>(())
                 };
-                let direct = encode_frame(parts, f.payload.len(), read, whole).unwrap();
+                let tail = whole.then_some((&f.code[..], &f.deps[..]));
+                let direct = encode_frame(head, f.payload.len(), read, tail).unwrap();
                 assert_eq!(direct, *expected, "case {case}");
             }
+            // The two views of a full frame: the truncated encoding and the
+            // tail, whose concatenation is the full encoding, decode to it.
+            let tail = encode_tail(f.code.to_vec(), &f.deps);
+            assert_eq!(full[truncated.len()..], tail[..], "case {case}");
+            let split = MessageFrame::decode_views(&truncated, &tail).unwrap();
+            assert_eq!(split, MessageFrame::decode(&full).unwrap(), "case {case}");
+            assert!(split.code.as_ref().unwrap().shares_storage(&tail));
 
             for (bytes, has_code) in [(&full, true), (&truncated, false)] {
-                let view = FrameView::parse(bytes).unwrap();
+                let view = FrameView::parse(bytes, &[]).unwrap();
                 let owned = MessageFrame::decode(bytes).unwrap();
                 assert_eq!(owned, MessageFrame::decode_view(bytes).unwrap());
                 assert_eq!(view.ifunc_name, owned.ifunc_name);
@@ -555,8 +614,9 @@ mod tests {
                 assert_eq!(bytes[view.payload.clone()], *owned.payload);
                 assert_eq!(owned.payload, f.payload);
                 assert_eq!(view.code.is_some(), has_code);
+                let tail = &bytes[truncated.len()..];
                 assert_eq!(
-                    view.code.clone().map(|r| &bytes[r]),
+                    view.code.clone().map(|r| &tail[r]),
                     owned.code.as_deref(),
                     "case {case}"
                 );
@@ -620,7 +680,7 @@ mod tests {
         ];
         for (what, bad, message) in cases {
             let expected = CoreError::Frame(message.to_string());
-            assert_eq!(FrameView::parse(&bad).unwrap_err(), expected, "{what}");
+            assert_eq!(FrameView::parse(&bad, &[]).unwrap_err(), expected, "{what}");
             assert_eq!(MessageFrame::decode(&bad).unwrap_err(), expected, "{what}");
             assert_eq!(
                 MessageFrame::decode_view(&Bytes::from(bad)).unwrap_err(),

@@ -13,8 +13,8 @@
 //!   III-B), of which the sender must pick one matching the destination ISA.
 
 use crate::error::{CoreError, Result};
-use crate::frame::{CodeRepr, MessageFrame};
-use std::collections::HashMap;
+use crate::frame::{encode_tail, CodeRepr, MessageFrame};
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::{Arc, OnceLock};
 use tc_bitir::{FatBitcode, Module, TargetTriple};
 use tc_jit::{build_object, CompileOptions};
@@ -27,17 +27,20 @@ pub struct IfuncLibrary {
     pub name: String,
     /// The portable source module (kept for local execution and re-targeting).
     pub module: Module,
-    /// Fat-bitcode archive (bitcode representation).
-    pub fat_bitcode: FatBitcode,
-    /// Encoded fat-bitcode bytes (what ships in the frame's code section).
-    /// A shared view: every message created from this library references the
-    /// same allocation.
+    /// Encoded fat-bitcode archive (what ships in the frame's code section):
+    /// a shared view of the front of the bitcode's frame tail, so every
+    /// message created from this library references the same allocation.
     pub fat_bitcode_bytes: Bytes,
     /// Per-target binary objects, keyed by triple name (binary
-    /// representation); shared views, like `fat_bitcode_bytes`.
+    /// representation); views of their own frame tails, like
+    /// `fat_bitcode_bytes`.
     pub binaries: HashMap<String, Bytes>,
     /// Dependency list (the `.deps` file contents).
     pub deps: Vec<String>,
+    /// The frame tails, CODE | DEPS | MAGIC, that a full send posts as they
+    /// are: the bitcode's, and each binary object's by triple name.
+    bitcode_tail: Bytes,
+    binary_tails: HashMap<String, Bytes>,
 }
 
 impl IfuncLibrary {
@@ -48,13 +51,17 @@ impl IfuncLibrary {
 
     /// Binary object bytes for a target triple name.
     pub fn binary_for(&self, triple: &str) -> Result<&Bytes> {
-        self.binaries.get(triple).ok_or_else(|| {
-            CoreError::Toolchain(format!(
-                "no binary object for target `{triple}` in ifunc `{}` (built for: {})",
-                self.name,
-                self.binaries.keys().cloned().collect::<Vec<_>>().join(", ")
-            ))
-        })
+        self.binaries
+            .get(triple)
+            .ok_or_else(|| self.no_binary(triple))
+    }
+
+    fn no_binary(&self, triple: &str) -> CoreError {
+        CoreError::Toolchain(format!(
+            "no binary object for target `{triple}` in ifunc `{}` (built for: {})",
+            self.name,
+            self.binaries.keys().cloned().collect::<Vec<_>>().join(", ")
+        ))
     }
 }
 
@@ -110,10 +117,17 @@ pub fn build_ifunc_library(module: &Module, options: &ToolchainOptions) -> Resul
             u16::MAX
         )));
     }
-    let fat = FatBitcode::from_module(module, &options.targets)?;
-    let fat_bytes = Bytes::from(fat.encode());
+    // Each code section is encoded straight into its frame tail, and the
+    // library keeps the section as a view of the tail's front.
+    let shipped = |code: Vec<u8>| {
+        let len = code.len();
+        let tail = encode_tail(code, &module.deps);
+        (tail.slice(..len), tail)
+    };
+    let (fat_bitcode_bytes, bitcode_tail) =
+        shipped(FatBitcode::from_module(module, &options.targets)?.encode());
 
-    let mut binaries = HashMap::new();
+    let (mut binaries, mut binary_tails) = (HashMap::new(), HashMap::new());
     if options.build_binaries {
         for &t in &options.targets {
             let obj = build_object(
@@ -122,17 +136,20 @@ pub fn build_ifunc_library(module: &Module, options: &ToolchainOptions) -> Resul
                 CompileOptions { verify: false }, // already verified above
             )
             .map_err(|e| CoreError::Toolchain(e.to_string()))?;
-            binaries.insert(t.name(), Bytes::from(obj.encode()));
+            let (code, tail) = shipped(obj.encode());
+            binaries.insert(t.name(), code);
+            binary_tails.insert(t.name(), tail);
         }
     }
 
     Ok(IfuncLibrary {
         name: module.name.clone(),
         module: module.clone(),
-        fat_bitcode: fat,
-        fat_bitcode_bytes: fat_bytes,
+        fat_bitcode_bytes,
         binaries,
         deps: module.deps.clone(),
+        bitcode_tail,
+        binary_tails,
     })
 }
 
@@ -157,15 +174,17 @@ impl IfuncRegistry {
 
     /// Register a library, returning its handle.  Registering the same name
     /// twice returns the existing handle (idempotent, like the paper's
-    /// name-keyed registration).
+    /// name-keyed registration); the name is hashed once.
     pub fn register(&mut self, library: IfuncLibrary) -> IfuncHandle {
-        if let Some(&h) = self.by_name.get(&library.name) {
-            return h;
-        }
         let handle = IfuncHandle(self.libraries.len() as u32);
-        self.by_name.insert(library.name.clone(), handle);
-        self.libraries.push(Arc::new(library));
-        handle
+        match self.by_name.entry(library.name.clone()) {
+            Entry::Occupied(known) => *known.get(),
+            Entry::Vacant(new) => {
+                new.insert(handle);
+                self.libraries.push(Arc::new(library));
+                handle
+            }
+        }
     }
 
     /// Fetch a registered library.
@@ -194,61 +213,52 @@ impl IfuncRegistry {
 }
 
 /// A user-facing ifunc message: a registered library plus a payload, bound to
-/// a code representation.  Creating the message materialises the full frame;
-/// the caching layer decides per-destination how much of it to transmit.
+/// a code representation.  The caching layer decides per destination how
+/// much of the frame to transmit.
 ///
-/// The frame is never modified by sending, so both wire encodings are
-/// computed at most once ([`IfuncMessage::wire_full`] /
-/// [`IfuncMessage::wire_truncated`]) and every send after the first clones a
-/// shared [`Bytes`] view — re-sending a message to many destinations copies
-/// nothing.
-#[derive(Debug, Clone, Default)]
-struct WireCache {
-    full: OnceLock<Bytes>,
-    truncated: OnceLock<Bytes>,
-}
-
-/// See [`WireCache`] above for the send-side encoding cache.
+/// The frame is never modified by sending, so its head — HEADER | PAYLOAD |
+/// MAGIC, the whole truncated frame — is encoded at most once
+/// ([`IfuncMessage::head`]), and a full send posts the library's tail
+/// ([`IfuncMessage::tail`]) behind it: re-sending a message to many
+/// destinations copies nothing, and no send copies code.
 #[derive(Debug, Clone)]
 pub struct IfuncMessage {
     /// The library handle this message is an instance of.
     pub handle: IfuncHandle,
     /// The frame (header + payload + code), never modified by sending.
     pub frame: MessageFrame,
-    wire: WireCache,
+    tail: Bytes,
+    head: OnceLock<Bytes>,
 }
 
 impl IfuncMessage {
-    /// The full wire encoding (header + payload + code), encoded on first
-    /// use and shared by every subsequent send.
-    pub fn wire_full(&self) -> Bytes {
-        self.wire
-            .full
-            .get_or_init(|| self.frame.encode_full())
-            .clone()
-    }
-
-    /// The truncated wire encoding (code section elided), encoded on first
-    /// use and shared by every subsequent send.
-    pub fn wire_truncated(&self) -> Bytes {
-        self.wire
-            .truncated
+    /// The frame's head, encoded on first use and shared by every send.
+    pub fn head(&self) -> Bytes {
+        self.head
             .get_or_init(|| self.frame.encode_truncated())
             .clone()
     }
 
+    /// The full frame's CODE | DEPS | MAGIC tail: a view of the library's.
+    pub fn tail(&self) -> &Bytes {
+        &self.tail
+    }
+
     /// Create a bitcode-representation message.
     pub fn bitcode(handle: IfuncHandle, library: &IfuncLibrary, payload: Vec<u8>) -> Self {
+        let frame = MessageFrame::new(
+            library.name.clone(),
+            CodeRepr::Bitcode,
+            payload,
+            library.fat_bitcode_bytes.clone(),
+            library.deps.clone(),
+        );
+        let (tail, head) = (library.bitcode_tail.clone(), OnceLock::new());
         IfuncMessage {
             handle,
-            frame: MessageFrame::new(
-                library.name.clone(),
-                CodeRepr::Bitcode,
-                payload,
-                library.fat_bitcode_bytes.clone(),
-                library.deps.clone(),
-            ),
-            wire: WireCache::default(),
+            frame,
+            tail,
+            head,
         }
     }
 
@@ -261,17 +271,22 @@ impl IfuncMessage {
         target_triple: &str,
         payload: Vec<u8>,
     ) -> Result<Self> {
-        let code = library.binary_for(target_triple)?.clone();
+        let shipped =
+            (library.binaries.get(target_triple)).zip(library.binary_tails.get(target_triple));
+        let (code, tail) = shipped.ok_or_else(|| library.no_binary(target_triple))?;
+        let frame = MessageFrame::new(
+            library.name.clone(),
+            CodeRepr::Binary,
+            payload,
+            code.clone(),
+            library.deps.clone(),
+        );
+        let (tail, head) = (tail.clone(), OnceLock::new());
         Ok(IfuncMessage {
             handle,
-            wire: WireCache::default(),
-            frame: MessageFrame::new(
-                library.name.clone(),
-                CodeRepr::Binary,
-                payload,
-                code,
-                library.deps.clone(),
-            ),
+            frame,
+            tail,
+            head,
         })
     }
 }

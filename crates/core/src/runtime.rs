@@ -32,6 +32,7 @@ use crate::layout::{
 };
 use crate::metrics::{OutcomeKind, ProcessOutcome, RuntimeStats};
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::Arc;
 use tc_bitir::{decode_module, FatBitcode, TargetTriple};
 use tc_jit::{
@@ -124,11 +125,14 @@ struct Origin {
     name: Arc<str>,
     /// The representation it arrived in, and is forwarded in.
     repr: CodeRepr,
-    /// The code section as originally received — a shared view of the
-    /// arrival buffer, kept so this node can itself forward the ifunc to
-    /// peers that have not seen it (recursive propagation) without copying.
-    code: Bytes,
-    deps: Vec<String>,
+    /// The frame's CODE | DEPS | MAGIC tail as it arrived — a view of the
+    /// sender's tail or of the arrival buffer — posted as it is behind the
+    /// head of a forward to a peer that has not seen the ifunc, so recursive
+    /// propagation copies no code.
+    tail: Bytes,
+    /// The code length and the dependency count a forward's head names.
+    code_len: usize,
+    deps: usize,
     row: CacheRow,
 }
 
@@ -250,22 +254,24 @@ impl NodeRuntime {
     /// Send an ifunc message to `dst`, applying the sender-side code cache.
     /// Returns the number of bytes actually posted to the fabric.
     pub fn send_ifunc(&mut self, message: &IfuncMessage, dst: WorkerAddr) -> usize {
-        // Both encodings are cached on the message: repeat sends (to any
-        // destination) clone a shared buffer instead of re-encoding.
+        // The head is cached on the message and the tail is the library's:
+        // repeat sends (to any destination) clone shared views, and a full
+        // send copies no code.
         let row = self.sender_cache.row_of(&message.frame.ifunc_name);
-        let bytes = match self.sender_cache.decide(row, dst) {
+        let code = match self.sender_cache.decide(row, dst) {
             SendDecision::SendFull => {
                 self.stats.ifunc_full_sends += 1;
-                message.wire_full()
+                message.tail().clone()
             }
             SendDecision::SendTruncated => {
                 self.stats.ifunc_truncated_sends += 1;
-                message.wire_truncated()
+                Bytes::new()
             }
         };
-        let len = bytes.len();
+        let bytes = message.head();
+        let len = bytes.len() + code.len();
         self.stats.bytes_sent += len as u64;
-        self.worker.post(dst, UcpOp::IfuncFrame { bytes });
+        self.worker.post(dst, UcpOp::IfuncFrame { bytes, code });
         len
     }
 
@@ -398,7 +404,7 @@ impl NodeRuntime {
         let mut handled = 0;
         while handled < max_events {
             let outcome = if let Some(frame) = self.local.pop_front() {
-                self.handle_ifunc_frame(&frame, true)
+                self.handle_ifunc(&frame, &Bytes::new(), true)
             } else if let Some(msg) = self.worker.next_delivered() {
                 self.handle_message(msg)
             } else {
@@ -475,7 +481,7 @@ impl NodeRuntime {
                 Ok(ProcessOutcome::passive(OutcomeKind::GetCompleted))
             }
             UcpOp::ActiveMessage { handler, payload } => self.handle_am(handler, &payload),
-            UcpOp::IfuncFrame { bytes } => self.handle_ifunc_frame(&bytes, false),
+            UcpOp::IfuncFrame { bytes, code } => self.handle_ifunc(&bytes, &code, false),
         }
     }
 
@@ -516,12 +522,13 @@ impl NodeRuntime {
         })
     }
 
-    /// Handle one ifunc frame: one delivered by the worker, or one this node
-    /// forwarded to itself (`local`, counted as an execution alone).
-    fn handle_ifunc_frame(&mut self, bytes: &Bytes, local: bool) -> Result<ProcessOutcome> {
+    /// Handle one ifunc frame — in one buffer, or the head and the `tail` of
+    /// a full frame sent as two views: one delivered by the worker, or one
+    /// this node forwarded to itself (`local`, counted as an execution alone).
+    fn handle_ifunc(&mut self, bytes: &Bytes, tail: &Bytes, local: bool) -> Result<ProcessOutcome> {
         // Parsed in place: the name is borrowed from the received buffer and
         // the payload is a sub-slice of it.
-        let frame = FrameView::parse(bytes)?;
+        let frame = FrameView::parse(bytes, tail)?;
         // The receiver decides by its own registration table, not by
         // trusting the sender.
         let known = self.lookup(frame.ifunc_name);
@@ -544,8 +551,8 @@ impl NodeRuntime {
                     // registration table plays ORC-JIT's symbol cache.
                     Some(index) => index,
                     None => {
-                        let (index, jitted) =
-                            self.register_received(&frame, bytes.slice(code.clone()))?;
+                        let tail = frame.tail(bytes, tail);
+                        let (index, jitted) = self.register_received(&frame, tail, code.clone())?;
                         jit_bitcode_bytes = jitted;
                         index
                     }
@@ -582,19 +589,22 @@ impl NodeRuntime {
         Some(self.last)
     }
 
-    /// Register a newly arrived full frame whose code section is `code`,
-    /// linked by the JIT session's one link step whatever its representation.
-    /// Returns the record's index and, for a bitcode frame, the size of the
-    /// bitcode that was compiled.
+    /// Register a newly arrived full frame whose code section is `code` of
+    /// its `tail`, linked by the JIT session's one link step whatever its
+    /// representation.  Returns the record's index and, for a bitcode frame,
+    /// the size of the bitcode that was compiled — the host's slice of the
+    /// archive, the only part of it read.
     fn register_received(
         &mut self,
         frame: &FrameView<'_>,
-        code: Bytes,
+        tail: Bytes,
+        code: Range<usize>,
     ) -> Result<(usize, Option<usize>)> {
+        let (code_len, code) = (code.len(), &tail[code]);
         let (module, jit_bitcode_bytes) = match frame.repr {
             CodeRepr::Bitcode => {
-                let fat = FatBitcode::decode(&code)?;
-                let slice = &fat.select(self.triple)?.bitcode;
+                let (slice, deps) = FatBitcode::select_encoded(code, self.triple)?;
+                let slice = &code[slice];
                 // A slice that does not decode is a JIT error, as one that
                 // does not compile is.
                 let mut module = decode_module(slice).map_err(JitError::from)?;
@@ -606,14 +616,14 @@ impl NodeRuntime {
                     }
                     .into());
                 }
-                let deps = fat.deps.iter().map(String::as_str);
-                merge_deps(&mut module.deps, deps.chain(frame.deps.iter().copied()));
+                let deps = deps.into_iter().chain(frame.deps.iter().copied());
+                merge_deps(&mut module.deps, deps);
                 let module = self.jit.materialize(module, &mut self.memory)?;
                 self.stats.jit_compilations += 1;
                 (module, Some(slice.len()))
             }
             CodeRepr::Binary => {
-                let mut obj = tc_binfmt::ObjectFile::decode(&code)?;
+                let mut obj = tc_binfmt::ObjectFile::decode(code)?;
                 merge_deps(&mut obj.deps, frame.deps.iter().copied());
                 // A missing library is refused first, as bitcode's is.
                 let libs = LoadedLibs::load(&obj.deps)?;
@@ -642,8 +652,9 @@ impl NodeRuntime {
             row: self.sender_cache.row_of(&name),
             name: Arc::clone(&name),
             repr: frame.repr,
-            code,
-            deps: frame.deps.iter().map(|d| d.to_string()).collect(),
+            tail,
+            code_len,
+            deps: frame.deps.len(),
         };
         self.received.push(ReceivedIfunc {
             module,
@@ -795,28 +806,25 @@ impl FrameworkHost<'_> {
         // The frame's payload length field is a u32.
         let len = bounded("tc_forward_self", len, u32::MAX as usize)?;
         let (origin, me) = (self.ifunc, self.out.node_id);
-        let parts = (
-            &*origin.name,
-            origin.repr,
-            &origin.code[..],
-            &origin.deps[..],
-        );
-        let full = dst != me && !self.cache.has(origin.row, dst);
-        let bytes = encode_frame(parts, len, |out| mem.read(payload, out), full)?;
+        let head = (&*origin.name, origin.repr, origin.code_len, origin.deps);
+        let bytes = encode_frame(head, len, |out| mem.read(payload, out), None)?;
         self.out.emitted += 1;
         if dst == me {
             self.local.push_back(bytes);
             return Ok(());
         }
+        // A peer without the code gets the tail this node's copy arrived with.
         let stats = &mut *self.out.stats;
-        if full {
+        let code = if self.cache.has(origin.row, dst) {
+            stats.ifunc_truncated_sends += 1;
+            Bytes::new()
+        } else {
             self.cache.decide(origin.row, dst);
             stats.ifunc_full_sends += 1;
-        } else {
-            stats.ifunc_truncated_sends += 1;
-        }
-        stats.bytes_sent += bytes.len() as u64;
-        self.out.worker.post(dst, UcpOp::IfuncFrame { bytes });
+            origin.tail.clone()
+        };
+        stats.bytes_sent += (bytes.len() + code.len()) as u64;
+        self.out.worker.post(dst, UcpOp::IfuncFrame { bytes, code });
         Ok(())
     }
 }
@@ -1080,9 +1088,10 @@ mod tests {
         // ...then forge the situation by sending a *truncated* frame straight
         // to server B (bypassing the cache), which has never seen the code.
         let bytes = msg.frame.encode_truncated();
+        let code = Bytes::new();
         client
             .worker
-            .post(WorkerAddr(2), UcpOp::IfuncFrame { bytes });
+            .post(WorkerAddr(2), UcpOp::IfuncFrame { bytes, code });
         for m in client.take_outgoing() {
             server_b.deliver(m);
         }
@@ -1213,11 +1222,22 @@ mod tests {
 
     /// Deliver `frame` bytes to `node` as if `from` had sent them, and poll.
     fn arrive(node: &mut NodeRuntime, from: WorkerAddr, bytes: Bytes) -> Result<ProcessOutcome> {
+        arrive_split(node, from, bytes, Bytes::new())
+    }
+
+    /// [`arrive`] of a frame's head and, for a full frame sent as two views,
+    /// its tail.
+    fn arrive_split(
+        node: &mut NodeRuntime,
+        from: WorkerAddr,
+        bytes: Bytes,
+        code: Bytes,
+    ) -> Result<ProcessOutcome> {
         node.deliver(OutgoingMessage {
             src: from,
             dst: node.node_id(),
             request: RequestId(0),
-            op: UcpOp::IfuncFrame { bytes },
+            op: UcpOp::IfuncFrame { bytes, code },
         });
         node.poll(usize::MAX).remove(0)
     }
@@ -1227,9 +1247,11 @@ mod tests {
         node.take_outgoing()
             .into_iter()
             .map(|m| match m.op {
-                UcpOp::IfuncFrame { bytes } => (
+                UcpOp::IfuncFrame { bytes, code } => (
                     m.dst,
-                    MessageFrame::decode_view(&bytes).unwrap().is_truncated(),
+                    MessageFrame::decode_views(&bytes, &code)
+                        .unwrap()
+                        .is_truncated(),
                 ),
                 other => panic!("unexpected operation {other:?}"),
             })
@@ -1288,7 +1310,8 @@ mod tests {
         let frame = IfuncMessage::bitcode(IfuncHandle(0), &library, vec![1]).frame;
         let first = arrive(&mut server, WorkerAddr(0), frame.encode_full()).unwrap();
         assert_eq!(first.kind, OutcomeKind::IfuncExecutedFirstArrival);
-        let slice = library.fat_bitcode.select(TargetTriple::THOR_XEON).unwrap();
+        let fat = FatBitcode::decode(&library.fat_bitcode_bytes).unwrap();
+        let slice = fat.select(TargetTriple::THOR_XEON).unwrap();
         assert_eq!(first.jit_bitcode_bytes, Some(slice.bitcode.len()));
         assert_eq!(server.stats.jit_compilations, 1);
     }
@@ -1299,10 +1322,11 @@ mod tests {
     fn fat_bitcode_intake_takes_only_the_hosts_slice() {
         let mut server = NodeRuntime::new(WorkerAddr(1), 2, TargetTriple::THOR_XEON);
         let library = lib(&tsi_module());
-        assert_eq!(library.fat_bitcode.entries.len(), 5);
+        let fat = FatBitcode::decode(&library.fat_bitcode_bytes).unwrap();
+        assert_eq!(fat.entries.len(), 5);
         let frame = IfuncMessage::bitcode(IfuncHandle(0), &library, vec![1]).frame;
         let outcome = arrive(&mut server, WorkerAddr(0), frame.encode_full()).unwrap();
-        let slice = library.fat_bitcode.select(TargetTriple::THOR_XEON).unwrap();
+        let slice = fat.select(TargetTriple::THOR_XEON).unwrap();
         assert_eq!(slice.triple, TargetTriple::THOR_XEON);
         assert_eq!(outcome.jit_bitcode_bytes, Some(slice.bitcode.len()));
         assert!(slice.bitcode.len() * 4 < library.bitcode_size());
@@ -1378,7 +1402,76 @@ mod tests {
             arrive(&mut node, WorkerAddr(0), arriving).unwrap();
             let sent = node.take_outgoing();
             assert_eq!(sent.len(), 1);
-            assert_eq!(sent[0].op, UcpOp::IfuncFrame { bytes: expected });
+            let UcpOp::IfuncFrame { bytes, code } = &sent[0].op else {
+                panic!("{:?}", sent[0].op);
+            };
+            assert_eq!([&bytes[..], &code[..]].concat(), expected);
+        }
+    }
+
+    /// A full send posts the message's head and the library's tail as two
+    /// views: the tail is the library's own storage, the encode pool is
+    /// asked for the head alone, and `head ‖ tail` is the one-buffer frame,
+    /// which the server registers and runs.
+    #[test]
+    fn a_full_send_posts_the_librarys_tail_and_encodes_only_the_head() {
+        let mut client = NodeRuntime::new(WorkerAddr(0), 2, TargetTriple::THOR_XEON);
+        let library = lib(&tsi_module());
+        let archive = library.fat_bitcode_bytes.clone();
+        let handle = client.register_library(library);
+        let msg = client.create_bitcode_message(handle, vec![1]).unwrap();
+        let acquired = || tc_ucx::bytes::with_pool(|pool| pool.stats.bytes_acquired);
+        let before = acquired();
+        let sent = client.send_ifunc(&msg, WorkerAddr(1));
+        assert!(acquired() - before < archive.len() as u64);
+        let posted = client.take_outgoing();
+        let [OutgoingMessage {
+            op: UcpOp::IfuncFrame { bytes, code },
+            ..
+        }] = &posted[..]
+        else {
+            panic!("{posted:?}");
+        };
+        assert!(code.shares_storage(&archive));
+        assert_eq!(sent, bytes.len() + code.len());
+        assert_eq!([&bytes[..], &code[..]].concat(), msg.frame.encode_full());
+
+        let mut server = NodeRuntime::new(WorkerAddr(1), 2, TargetTriple::THOR_XEON);
+        let first = arrive_split(&mut server, WorkerAddr(0), bytes.clone(), code.clone());
+        assert_eq!(first.unwrap().kind, OutcomeKind::IfuncExecutedFirstArrival);
+        assert_eq!(server.memory.read_u64(TARGET_REGION_BASE).unwrap(), 1);
+    }
+
+    /// A forward of a full frame posts the tail its origin arrived with — a
+    /// view of the sender's library after a split arrival, of the arrival
+    /// buffer after a one-buffer one — so recursive propagation copies no
+    /// code.
+    #[test]
+    fn a_full_forward_shares_the_tail_its_origin_arrived_with() {
+        let b = WorkerAddr(2);
+        let library = lib(&forwarder_module());
+        let mut payload = u64::from(b.0).to_le_bytes().to_vec();
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        let msg = IfuncMessage::bitcode(IfuncHandle(0), &library, payload);
+        let full = msg.frame.encode_full();
+        let arrivals = [
+            (msg.head(), msg.tail().clone(), msg.tail().clone()),
+            (full.clone(), Bytes::new(), full),
+        ];
+        for (head, tail, origin) in arrivals {
+            let mut node = NodeRuntime::new(WorkerAddr(1), 3, TargetTriple::THOR_XEON);
+            arrive_split(&mut node, WorkerAddr(0), head, tail).unwrap();
+            let sent = node.take_outgoing();
+            let [OutgoingMessage {
+                dst,
+                op: UcpOp::IfuncFrame { code, .. },
+                ..
+            }] = &sent[..]
+            else {
+                panic!("{sent:?}");
+            };
+            assert_eq!(*dst, b);
+            assert!(code.shares_storage(&origin), "{sent:?}");
         }
     }
 
@@ -1518,6 +1611,7 @@ mod tests {
             request: RequestId(0),
             op: UcpOp::IfuncFrame {
                 bytes: frame.encode_full(),
+                code: Bytes::new(),
             },
         });
         let (mut events, mut failed) = (0, 0);
@@ -1704,8 +1798,9 @@ mod tests {
                 let origin = Origin {
                     name: Arc::from("caller"),
                     repr: CodeRepr::Bitcode,
-                    code: Bytes::from(vec![9u8; 32]),
-                    deps: vec!["libm.so".into()],
+                    tail: crate::frame::encode_tail(vec![9u8; 32], &["libm.so".into()]),
+                    code_len: 32,
+                    deps: 1,
                     row: cache.row_of("caller"),
                 };
                 let (mut worker, mut stats) = (Worker::new(WorkerAddr(1)), RuntimeStats::default());

@@ -5,7 +5,8 @@
 //! covers the next failure class down — corrupted bytes.  Every decoder on
 //! the receive path (`wire::decode_op_vectored`,
 //! `wire::decode_rel_head`, `wire::decode_ack`, `wire::decode_control`,
-//! `wire::decode_stats`, `MessageFrame::decode_view`, the socket session's
+//! `wire::decode_stats`, `MessageFrame::decode_view` and `decode_views` (a
+//! full frame sent as two views), the socket session's
 //! `wire::decode_{hello,welcome,digest}`, and the peek / poke / stats
 //! requests a server rank serves) must return an error for malformed input —
 //! never panic, never misindex — because a production fabric will
@@ -36,6 +37,7 @@ fn sample_messages() -> Vec<OutgoingMessage> {
         },
         UcpOp::IfuncFrame {
             bytes: vec![0xCD; 96].into(),
+            code: Bytes::new(),
         },
     ];
     ops.into_iter()
@@ -204,6 +206,78 @@ fn frame_decode_view_survives_truncation_and_flips() {
             bad[byte] ^= 1 << bit;
             let _ = MessageFrame::decode_view(&Bytes::from(bad));
         }
+    }
+}
+
+/// A full frame sent as two views — its head behind the op header, its tail
+/// the detached segment — decodes to the frame it carries.  Every
+/// truncation of either segment is a typed error or that same frame, and
+/// seeded flips in either are a typed error or some frame; none panics.
+#[test]
+fn a_split_full_frame_survives_truncation_and_flips_of_either_view() {
+    let frame = sample_frame();
+    let full = frame.encode_full();
+    let head = frame.encode_truncated();
+    let tail = Bytes::copy_from_slice(&full[head.len()..]);
+    let msg = OutgoingMessage {
+        src: WorkerAddr(0),
+        dst: WorkerAddr(1),
+        request: RequestId(7),
+        op: UcpOp::IfuncFrame {
+            bytes: head,
+            code: tail.clone(),
+        },
+    };
+    let (env, seg) = wire::encode_op_vectored(&msg);
+    assert!(seg.shares_storage(&tail), "the tail travels as it is held");
+    assert_eq!([&env[17..], &seg[..]].concat(), full, "the wire image");
+    let want = MessageFrame::decode(&full).unwrap();
+    // The frame the two segments carry, if the envelope and the frame decode.
+    let carried = |env: &[u8], seg: &[u8]| {
+        let (env, seg) = (Bytes::copy_from_slice(env), Bytes::copy_from_slice(seg));
+        match wire::decode_op_vectored(&env, &seg) {
+            Ok(OutgoingMessage {
+                op: UcpOp::IfuncFrame { bytes, code },
+                ..
+            }) => match MessageFrame::decode_views(&bytes, &code) {
+                Ok(frame) => Some(frame),
+                Err(tc_core::CoreError::Frame(_)) => None,
+                Err(other) => panic!("untyped frame error {other:?}"),
+            },
+            Ok(_) | Err(tc_core::CoreError::Transport(_)) => None,
+            Err(other) => panic!("untyped envelope error {other:?}"),
+        }
+    };
+    assert_eq!(carried(&env, &seg), Some(want.clone()));
+    for n in 0..env.len() {
+        let cut = carried(&env[..n], &seg);
+        assert!(
+            cut.is_none() || cut == Some(want.clone()),
+            "head cut at {n}"
+        );
+    }
+    // Without its tail the head is the truncated frame, which is what a
+    // cached send posts: the receiver decides by its registration table.
+    let truncated = MessageFrame::decode(&frame.encode_truncated()).unwrap();
+    assert_eq!(carried(&env, &[]), Some(truncated));
+    for n in 1..seg.len() {
+        let cut = carried(&env, &seg[..n]);
+        assert!(
+            cut.is_none() || cut == Some(want.clone()),
+            "tail cut at {n}"
+        );
+    }
+    let mut rng = SplitMix64::new(0x5B11);
+    for _ in 0..2_000 {
+        let (mut env, mut seg) = (env.to_vec(), seg.to_vec());
+        let bad = if rng.below(2) == 0 {
+            &mut env
+        } else {
+            &mut seg
+        };
+        let at = rng.below(bad.len() as u64) as usize;
+        bad[at] ^= 1 << rng.below(8);
+        carried(&env, &seg);
     }
 }
 

@@ -280,10 +280,10 @@ pub struct PoolStats {
 ///
 /// A fill looks at no more than `PROBE` slots, and at the cap the slot
 /// held longest is evicted (the pool drops its reference; live views keep
-/// the memory).  A slot pinned for good — a received ifunc's code is a view
-/// of its arrival buffer — is looked at only while it is near the front and
-/// leaves the ring once it is the front slot at the cap: no fill scans
-/// every slot.
+/// the memory).  A slot pinned for good — by the registration of an ifunc
+/// whose frame arrived in one buffer — is looked at only while it is near
+/// the front and leaves the ring once it is the front slot at the cap: no
+/// fill scans every slot.
 #[derive(Debug, Default)]
 pub struct BufPool {
     /// Retained slots, the one held longest at the front.

@@ -95,8 +95,12 @@ pub enum UcpOp {
     },
     /// A Three-Chains ifunc message frame (opaque to this layer).
     IfuncFrame {
-        /// Encoded frame bytes.
+        /// Encoded frame bytes: HEADER | PAYLOAD | MAGIC, or the whole frame
+        /// when it travels in one buffer.
         bytes: Bytes,
+        /// A full frame's CODE | DEPS | MAGIC tail when it travels as a second
+        /// view (of the sender's library, say); empty otherwise.
+        code: Bytes,
     },
 }
 
@@ -114,7 +118,7 @@ impl UcpOp {
                 UcpOp::Get { .. } => 16,
                 UcpOp::GetReply { data, .. } => 8 + data.len(),
                 UcpOp::ActiveMessage { payload, .. } => 2 + payload.len(),
-                UcpOp::IfuncFrame { bytes } => bytes.len(),
+                UcpOp::IfuncFrame { bytes, code } => bytes.len() + code.len(),
             }
     }
 }
@@ -307,12 +311,20 @@ mod tests {
     fn wire_sizes_track_payload_sizes() {
         let small = UcpOp::IfuncFrame {
             bytes: vec![0; 26].into(),
+            code: Bytes::new(),
         };
         let large = UcpOp::IfuncFrame {
             bytes: vec![0; 5185].into(),
+            code: Bytes::new(),
         };
         assert!(small.wire_size() < large.wire_size());
         assert_eq!(large.wire_size() - small.wire_size(), 5185 - 26);
+        // A full frame as two views costs what it costs in one buffer.
+        let split = UcpOp::IfuncFrame {
+            bytes: vec![0; 26].into(),
+            code: vec![0; 5185 - 26].into(),
+        };
+        assert_eq!(split.wire_size(), large.wire_size());
         let get = UcpOp::Get {
             remote_addr: 0,
             len: 8,

@@ -265,7 +265,7 @@ mod tests {
     #[test]
     fn cached_sends_finish_earlier_and_carry_fewer_bytes_than_full_frames() {
         use tc_core::cluster::ClientId;
-        use tc_ucx::{UcpOp, WorkerAddr};
+        use tc_ucx::{Bytes, UcpOp, WorkerAddr};
 
         let platform = Platform::thor_xeon();
         let run = |cached: bool| {
@@ -283,12 +283,12 @@ mod tests {
                 if cached {
                     sim.send_ifunc(&msg, 1).unwrap();
                 } else {
-                    let bytes = msg.frame.encode_full();
+                    let (bytes, code) = (msg.frame.encode_full(), Bytes::new());
                     sim.on(ClientId::PRIMARY)
                         .unwrap()
                         .runtime()
                         .worker
-                        .post(WorkerAddr(1), UcpOp::IfuncFrame { bytes });
+                        .post(WorkerAddr(1), UcpOp::IfuncFrame { bytes, code });
                     sim.flush().unwrap();
                 }
             }

@@ -9,7 +9,7 @@
 //! ([`BUDGET`]), whatever the length of the ifunc's name or the number of
 //! dependencies it names (both were cloned per message before the
 //! registration record carried them).  A bitcode first arrival —
-//! archive decode, slice decode, compile, registration — is pinned at the
+//! archive walk, slice decode, compile, registration — is pinned at the
 //! count it has, so that a change to the receive path states what it moved.
 //!
 //! The same counter holds the driver plane's idle and observation paths to
@@ -185,8 +185,8 @@ fn forwarding_arrival_allocs(name: &str, deps: &[&str]) -> u64 {
     chase(&mut nodes, 2);
     let mut arrival: Vec<OutgoingMessage> = nodes.client.take_outgoing();
     let arrival = arrival.pop().expect("the client posted one frame");
-    assert!(matches!(&arrival.op, UcpOp::IfuncFrame { bytes }
-        if MessageFrame::decode_view(bytes).unwrap().is_truncated()));
+    assert!(matches!(&arrival.op, UcpOp::IfuncFrame { bytes, code }
+        if MessageFrame::decode_views(bytes, code).unwrap().is_truncated()));
 
     let jit_before = nodes.a.stats.jit_compilations;
     let mut outcome = None;
@@ -203,8 +203,8 @@ fn forwarding_arrival_allocs(name: &str, deps: &[&str]) -> u64 {
     assert_eq!(nodes.a.stats.jit_compilations, jit_before);
     let forwarded = forwarded.expect("one forward");
     assert_eq!(forwarded.dst, SERVER_B);
-    assert!(matches!(&forwarded.op, UcpOp::IfuncFrame { bytes }
-        if MessageFrame::decode_view(bytes).unwrap().is_truncated()));
+    assert!(matches!(&forwarded.op, UcpOp::IfuncFrame { bytes, code }
+        if MessageFrame::decode_views(bytes, code).unwrap().is_truncated()));
     allocs
 }
 
@@ -228,18 +228,20 @@ fn the_allocation_count_does_not_grow_with_name_length_or_dependency_count() {
 }
 
 /// What one bitcode first arrival allocates at a warm server: deliver of a
-/// full frame of a five-target archive → `poll` (decode the archive and the
-/// server's slice, compile, register, run) → `take_outgoing` (the result's
-/// PUT back to the client).  It was 63 while the JIT session kept its own
+/// full frame of a five-target archive → `poll` (find the server's slice
+/// of the archive in place, decode it, compile, register, run) →
+/// `take_outgoing` (the result's PUT back to the client).  It was 63 while the JIT session kept its own
 /// name-keyed copy of every module beside the registration table, and 61
 /// until the verifier stopped collecting each instruction's operands into a
 /// vector of their own (19 fewer) and the compiler began emitting the
 /// engine's executable form with the machine code (3 more: its code,
 /// function entries and call arguments), 45 until the bitcode decoder
 /// skipped the function and module metadata padding instead of copying it
-/// (2 fewer), and 43 until the result record the ifunc returns was written
-/// into a pooled buffer (1 fewer).
-const FIRST_ARRIVAL: u64 = 42;
+/// (2 fewer), 43 until the result record the ifunc returns was written
+/// into a pooled buffer (1 fewer), and 42 until intake read the server's
+/// slice of the archive in place instead of decoding every entry (7 fewer:
+/// the archive's name, dependency list, entry list and the five entries).
+const FIRST_ARRIVAL: u64 = 35;
 
 #[test]
 fn a_bitcode_first_arrival_allocates_what_it_did() {

@@ -224,7 +224,10 @@ fn arrive(server: &mut NodeRuntime, bytes: Bytes) -> tc_core::Result<ProcessOutc
         src: WorkerAddr(0),
         dst: server.node_id(),
         request: RequestId(0),
-        op: UcpOp::IfuncFrame { bytes },
+        op: UcpOp::IfuncFrame {
+            bytes,
+            code: Bytes::new(),
+        },
     });
     server.poll(usize::MAX).remove(0)
 }

@@ -181,7 +181,8 @@ fn toolchain_options_match_paper_deployment_sizes() {
     let platform = Platform::thor_bf2();
     let lib =
         build_ifunc_library(&tc_workloads::tsi_module(), &platform_toolchain(&platform)).unwrap();
-    assert_eq!(lib.fat_bitcode.triples().len(), 2);
+    let fat = tc_bitir::FatBitcode::decode(&lib.fat_bitcode_bytes).unwrap();
+    assert_eq!(fat.triples().len(), 2);
     assert!(lib.bitcode_size() > 3_000 && lib.bitcode_size() < 12_000);
 
     let opts = ToolchainOptions::default();

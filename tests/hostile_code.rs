@@ -11,7 +11,9 @@
 //! decode, GOT patching, module recovery, the JIT session's link step and
 //! execution.  Any stage may refuse the input with an error; none may panic.
 //! A failing case prints its seed, and `case(seed)` (`binary_case(seed)`)
-//! replays it.
+//! replays it.  Every mutated archive is also read by the runtime's
+//! in-place selector, which must pick the slice and dependencies that
+//! decode + select pick, or refuse with the same error.
 //!
 //! Beside it, the shipped bytes themselves are pinned: a refactor of a codec
 //! must not change what travels.
@@ -290,7 +292,21 @@ fn case(inputs: &[Vec<Input>; 3], seed: u64) {
     let bytes = mutate(&mut rng, original);
     match form {
         0 => {
-            if let Ok(fat) = FatBitcode::decode(&bytes) {
+            let decoded = FatBitcode::decode(&bytes);
+            // The runtime's in-place selector agrees with decode + select on
+            // every host: the same slice and dependencies, or the same error.
+            for host in TargetTriple::default_toolchain_targets() {
+                let picked = decoded.clone().and_then(|fat| {
+                    let entry = fat.select(host)?;
+                    Ok((entry.bitcode.clone(), fat.deps.clone()))
+                });
+                let in_place = FatBitcode::select_encoded(&bytes, host).map(|(slice, deps)| {
+                    let deps = deps.iter().map(|d| d.to_string()).collect();
+                    (bytes[slice].to_vec(), deps)
+                });
+                assert_eq!(in_place, picked, "seed {seed}, host {host:?}");
+            }
+            if let Ok(fat) = decoded {
                 for entry in &fat.entries {
                     run_bitcode(&entry.bitcode);
                 }

@@ -7,7 +7,7 @@
 
 use tc_core::layout::{DATA_REGION_BASE, TARGET_REGION_BASE};
 use tc_core::{build_ifunc_library, ClientId, ClusterBuilder, Transport};
-use tc_ucx::{UcpOp, WorkerAddr};
+use tc_ucx::{Bytes, UcpOp, WorkerAddr};
 use tc_workloads::{platform_toolchain, tsi_module};
 
 #[test]
@@ -91,7 +91,13 @@ fn threaded_truncated_frame_to_cold_server_is_rejected_not_crashing() {
         .unwrap()
         .runtime()
         .worker
-        .post(WorkerAddr(1), UcpOp::IfuncFrame { bytes: truncated });
+        .post(
+            WorkerAddr(1),
+            UcpOp::IfuncFrame {
+                bytes: truncated,
+                code: Bytes::new(),
+            },
+        );
     cluster.flush().unwrap();
 
     // The server reports the failure through the transport's error channel;
