@@ -73,11 +73,6 @@ impl FatBitcode {
         })
     }
 
-    /// Build a fat archive for the default toolchain target set.
-    pub fn from_module_default_targets(module: &Module) -> Result<Self> {
-        Self::from_module(module, &TargetTriple::default_toolchain_targets())
-    }
-
     /// Triples present in the archive.
     pub fn triples(&self) -> Vec<TargetTriple> {
         self.entries.iter().map(|e| e.triple).collect()
@@ -98,6 +93,8 @@ impl FatBitcode {
     /// `target`, read in place with the decoder's own reads: the range of
     /// that entry's bitcode in `bytes`, and the archive's dependencies.  What
     /// the two refuse is refused with the same error; no entry is copied.
+    /// Only a refusal for want of an entry decodes the whole archive, to
+    /// list the triples it holds as `select`'s refusal does.
     pub fn select_encoded<'a>(
         bytes: &'a [u8],
         target: TargetTriple,
@@ -190,7 +187,9 @@ mod tests {
 
     #[test]
     fn build_and_select_exact_target() {
-        let fat = FatBitcode::from_module_default_targets(&tsi_module()).unwrap();
+        let fat =
+            FatBitcode::from_module(&tsi_module(), &TargetTriple::default_toolchain_targets())
+                .unwrap();
         assert_eq!(fat.entries.len(), 5);
         let entry = fat.select(TargetTriple::OOKAMI_A64FX).unwrap();
         assert_eq!(entry.triple, TargetTriple::OOKAMI_A64FX);
@@ -276,7 +275,9 @@ mod tests {
 
     #[test]
     fn archive_roundtrip() {
-        let fat = FatBitcode::from_module_default_targets(&tsi_module()).unwrap();
+        let fat =
+            FatBitcode::from_module(&tsi_module(), &TargetTriple::default_toolchain_targets())
+                .unwrap();
         let bytes = fat.encode();
         let decoded = FatBitcode::decode(&bytes).unwrap();
         assert_eq!(fat, decoded);
@@ -287,7 +288,9 @@ mod tests {
         // Paper: ~5 KiB of fat-bitcode for a two-ISA TSI archive.  Our default
         // target set has five triples, so a couple of KiB up to ~20 KiB is the
         // right order of magnitude.
-        let fat = FatBitcode::from_module_default_targets(&tsi_module()).unwrap();
+        let fat =
+            FatBitcode::from_module(&tsi_module(), &TargetTriple::default_toolchain_targets())
+                .unwrap();
         let size = fat.encoded_size();
         assert!(size > 2000, "archive unexpectedly small: {size}");
         assert!(size < 32 * 1024, "archive unexpectedly large: {size}");
@@ -304,7 +307,9 @@ mod tests {
 
     #[test]
     fn corrupted_archive_rejected() {
-        let fat = FatBitcode::from_module_default_targets(&tsi_module()).unwrap();
+        let fat =
+            FatBitcode::from_module(&tsi_module(), &TargetTriple::default_toolchain_targets())
+                .unwrap();
         let mut bytes = fat.encode();
         bytes[0] = b'Z';
         assert!(FatBitcode::decode(&bytes).is_err());
@@ -314,7 +319,9 @@ mod tests {
 
     #[test]
     fn truncated_archive_rejected() {
-        let fat = FatBitcode::from_module_default_targets(&tsi_module()).unwrap();
+        let fat =
+            FatBitcode::from_module(&tsi_module(), &TargetTriple::default_toolchain_targets())
+                .unwrap();
         let bytes = fat.encode();
         assert!(FatBitcode::decode(&bytes[..bytes.len() / 3]).is_err());
     }

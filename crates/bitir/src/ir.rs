@@ -47,56 +47,88 @@ pub struct GlobalId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExtSymId(pub u32);
 
-crate::tagged! {
-    /// Binary operations.  Integer ops operate on the 64-bit slot truncated to
-    /// the operand type's width; float ops reinterpret the slot as f32/f64 bits.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    pub enum BinOp {
-        /// Wrapping integer addition.
-        Add,
-        /// Wrapping integer subtraction.
-        Sub,
-        /// Wrapping integer multiplication.
-        Mul,
-        /// Integer division (signedness from the operand type); division by zero
-        /// traps.
-        Div,
-        /// Integer remainder; remainder by zero traps.
-        Rem,
-        /// Bitwise and.
-        And,
-        /// Bitwise or.
-        Or,
-        /// Bitwise xor.
-        Xor,
-        /// Shift left.
-        Shl,
-        /// Shift right (arithmetic for signed types, logical otherwise).
-        Shr,
-        /// Floating point addition.
-        FAdd,
-        /// Floating point subtraction.
-        FSub,
-        /// Floating point multiplication.
-        FMul,
-        /// Floating point division.
-        FDiv,
-        /// Equality comparison, result 0/1.
-        CmpEq,
-        /// Inequality comparison, result 0/1.
-        CmpNe,
-        /// Less-than (signedness/floatness from operand type), result 0/1.
-        CmpLt,
-        /// Less-or-equal, result 0/1.
-        CmpLe,
-        /// Greater-than, result 0/1.
-        CmpGt,
-        /// Greater-or-equal, result 0/1.
-        CmpGe,
-    }
+/// Binary operations.  Integer ops operate on the 64-bit slot truncated to
+/// the operand type's width; float ops reinterpret the slot as f32/f64 bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BinOp {
+    /// Wrapping integer addition.
+    Add,
+    /// Wrapping integer subtraction.
+    Sub,
+    /// Wrapping integer multiplication.
+    Mul,
+    /// Integer division (signedness from the operand type); division by zero
+    /// traps.
+    Div,
+    /// Integer remainder; remainder by zero traps.
+    Rem,
+    /// Bitwise and.
+    And,
+    /// Bitwise or.
+    Or,
+    /// Bitwise xor.
+    Xor,
+    /// Shift left.
+    Shl,
+    /// Shift right (arithmetic for signed types, logical otherwise).
+    Shr,
+    /// Floating point addition.
+    FAdd,
+    /// Floating point subtraction.
+    FSub,
+    /// Floating point multiplication.
+    FMul,
+    /// Floating point division.
+    FDiv,
+    /// Equality comparison, result 0/1.
+    CmpEq,
+    /// Inequality comparison, result 0/1.
+    CmpNe,
+    /// Less-than (signedness/floatness from operand type), result 0/1.
+    CmpLt,
+    /// Less-or-equal, result 0/1.
+    CmpLe,
+    /// Greater-than, result 0/1.
+    CmpGt,
+    /// Greater-or-equal, result 0/1.
+    CmpGe,
 }
 
 impl BinOp {
+    /// All binary operators (property testing helper).
+    pub const ALL: [BinOp; 20] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Rem,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::Xor,
+        BinOp::Shl,
+        BinOp::Shr,
+        BinOp::FAdd,
+        BinOp::FSub,
+        BinOp::FMul,
+        BinOp::FDiv,
+        BinOp::CmpEq,
+        BinOp::CmpNe,
+        BinOp::CmpLt,
+        BinOp::CmpLe,
+        BinOp::CmpGt,
+        BinOp::CmpGe,
+    ];
+
+    /// Stable numeric tag used by the bitcode encoder: the index in [`Self::ALL`].
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// Inverse of [`BinOp::tag`].
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        Self::ALL.get(tag as usize).copied()
+    }
+
     /// True if this operator requires floating point operands.
     pub fn is_float_only(self) -> bool {
         matches!(self, BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv)
@@ -111,55 +143,106 @@ impl BinOp {
     }
 }
 
-crate::tagged! {
-    /// Unary operations (including conversions).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    pub enum UnOp {
-        /// Bitwise not.
-        Not,
-        /// Integer negation (wrapping).
-        Neg,
-        /// Floating point negation.
-        FNeg,
-        /// Integer → float conversion.
-        IntToFloat,
-        /// Float → integer conversion (truncating; saturates at type bounds).
-        FloatToInt,
-        /// Integer width/sign conversion into the destination type.
-        IntCast,
-        /// f32 ↔ f64 conversion into the destination type.
-        FloatCast,
+/// Unary operations (including conversions).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum UnOp {
+    /// Bitwise not.
+    Not,
+    /// Integer negation (wrapping).
+    Neg,
+    /// Floating point negation.
+    FNeg,
+    /// Integer → float conversion.
+    IntToFloat,
+    /// Float → integer conversion (truncating; saturates at type bounds).
+    FloatToInt,
+    /// Integer width/sign conversion into the destination type.
+    IntCast,
+    /// f32 ↔ f64 conversion into the destination type.
+    FloatCast,
+}
+
+impl UnOp {
+    /// All unary operators.
+    pub const ALL: [UnOp; 7] = [
+        UnOp::Not,
+        UnOp::Neg,
+        UnOp::FNeg,
+        UnOp::IntToFloat,
+        UnOp::FloatToInt,
+        UnOp::IntCast,
+        UnOp::FloatCast,
+    ];
+
+    /// Stable numeric tag used by the bitcode encoder: the index in [`Self::ALL`].
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// Inverse of [`UnOp::tag`].
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        Self::ALL.get(tag as usize).copied()
     }
 }
 
-crate::tagged! {
-    /// Atomic read-modify-write operations.  How these lower (LSE-style single
-    /// instruction vs. CAS loop) is a per-target decision recorded during
-    /// lowering, mirroring the paper's observation that ORC-JIT emitted Arm LSE
-    /// atomics on A64FX from bitcode produced on a Xeon.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    pub enum AtomicOp {
-        /// Atomic fetch-add; destination receives the previous value.
-        FetchAdd,
-        /// Atomic exchange; destination receives the previous value.
-        Exchange,
-        /// Atomic compare-and-swap; destination receives the previous value.
-        CompareSwap,
+/// Atomic read-modify-write operations.  How these lower (LSE-style single
+/// instruction vs. CAS loop) is a per-target decision recorded during
+/// lowering, mirroring the paper's observation that ORC-JIT emitted Arm LSE
+/// atomics on A64FX from bitcode produced on a Xeon.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum AtomicOp {
+    /// Atomic fetch-add; destination receives the previous value.
+    FetchAdd,
+    /// Atomic exchange; destination receives the previous value.
+    Exchange,
+    /// Atomic compare-and-swap; destination receives the previous value.
+    CompareSwap,
+}
+
+impl AtomicOp {
+    /// All atomic operators.
+    pub const ALL: [AtomicOp; 3] = [
+        AtomicOp::FetchAdd,
+        AtomicOp::Exchange,
+        AtomicOp::CompareSwap,
+    ];
+
+    /// Stable numeric tag used by the bitcode encoder: the index in [`Self::ALL`].
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// Inverse of [`AtomicOp::tag`].
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        Self::ALL.get(tag as usize).copied()
     }
 }
 
-crate::tagged! {
-    /// Element-wise vector operations over memory regions.  These are the
-    /// instructions whose lowering benefits from the target's SIMD width
-    /// (SVE on A64FX, AVX2 on Xeon, NEON on the DPU cores).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    pub enum VecOp {
-        /// `dst[i] = a[i] + b[i]`
-        Add,
-        /// `dst[i] = a[i] * b[i]`
-        Mul,
-        /// `dst[i] = a[i] * b[i] + dst[i]` (fused multiply-add accumulation)
-        Fma,
+/// Element-wise vector operations over memory regions.  These are the
+/// instructions whose lowering benefits from the target's SIMD width
+/// (SVE on A64FX, AVX2 on Xeon, NEON on the DPU cores).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum VecOp {
+    /// `dst[i] = a[i] + b[i]`
+    Add,
+    /// `dst[i] = a[i] * b[i]`
+    Mul,
+    /// `dst[i] = a[i] * b[i] + dst[i]` (fused multiply-add accumulation)
+    Fma,
+}
+
+impl VecOp {
+    /// All vector operators.
+    pub const ALL: [VecOp; 3] = [VecOp::Add, VecOp::Mul, VecOp::Fma];
+
+    /// Stable numeric tag used by the bitcode encoder: the index in [`Self::ALL`].
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// Inverse of [`VecOp::tag`].
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        Self::ALL.get(tag as usize).copied()
     }
 }
 

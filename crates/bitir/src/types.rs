@@ -9,68 +9,53 @@
 
 use std::fmt;
 
-/// A fieldless enum numbered in declaration order: the enum as written, and
-/// `ALL` (its variants in that order), `tag` (a variant's position, the form
-/// every codec writes) and `from_tag` (the inverse, `None` past the end).
-#[macro_export]
-macro_rules! tagged {
-    ($(#[$meta:meta])* $vis:vis enum $ty:ident { $($(#[$vmeta:meta])* $v:ident),* $(,)? }) => {
-        $(#[$meta])*
-        $vis enum $ty {
-            $($(#[$vmeta])* $v),*
-        }
-
-        impl $ty {
-            /// Every variant, in declaration (tag) order.
-            pub const ALL: [$ty; [$($ty::$v),*].len()] = [$($ty::$v),*];
-
-            /// Stable tag for serialization: the variant's position in `ALL`.
-            pub fn tag(self) -> u8 {
-                self as u8
-            }
-
-            /// Inverse of `tag`: `None` past the last variant.
-            pub fn from_tag(tag: u8) -> Option<Self> {
-                Self::ALL.get(usize::from(tag)).copied()
-            }
-        }
-    };
-}
-
-crate::tagged! {
-    /// Scalar value types understood by the IR.
-    ///
-    /// Every runtime value is carried in a 64-bit slot; the type controls how
-    /// arithmetic, comparisons, loads and stores interpret those bits, mirroring
-    /// how LLVM IR types drive instruction selection.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    pub enum ScalarType {
-        /// Signed 8-bit integer.
-        I8,
-        /// Signed 16-bit integer.
-        I16,
-        /// Signed 32-bit integer.
-        I32,
-        /// Signed 64-bit integer.
-        I64,
-        /// Unsigned 8-bit integer.
-        U8,
-        /// Unsigned 16-bit integer.
-        U16,
-        /// Unsigned 32-bit integer.
-        U32,
-        /// Unsigned 64-bit integer.
-        U64,
-        /// IEEE-754 single precision.
-        F32,
-        /// IEEE-754 double precision.
-        F64,
-        /// Pointer-sized integer (address into the node's memory).
-        Ptr,
-    }
+/// Scalar value types understood by the IR.
+///
+/// Every runtime value is carried in a 64-bit slot; the type controls how
+/// arithmetic, comparisons, loads and stores interpret those bits, mirroring
+/// how LLVM IR types drive instruction selection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ScalarType {
+    /// Signed 8-bit integer.
+    I8,
+    /// Signed 16-bit integer.
+    I16,
+    /// Signed 32-bit integer.
+    I32,
+    /// Signed 64-bit integer.
+    I64,
+    /// Unsigned 8-bit integer.
+    U8,
+    /// Unsigned 16-bit integer.
+    U16,
+    /// Unsigned 32-bit integer.
+    U32,
+    /// Unsigned 64-bit integer.
+    U64,
+    /// IEEE-754 single precision.
+    F32,
+    /// IEEE-754 double precision.
+    F64,
+    /// Pointer-sized integer (address into the node's memory).
+    Ptr,
 }
 
 impl ScalarType {
+    /// All scalar types, useful for property based testing.
+    pub const ALL: [ScalarType; 11] = [
+        ScalarType::I8,
+        ScalarType::I16,
+        ScalarType::I32,
+        ScalarType::I64,
+        ScalarType::U8,
+        ScalarType::U16,
+        ScalarType::U32,
+        ScalarType::U64,
+        ScalarType::F32,
+        ScalarType::F64,
+        ScalarType::Ptr,
+    ];
+
     /// Size in bytes of a value of this type when stored in memory.
     ///
     /// `ptr_bytes` is the pointer width of the target (8 on every target we
@@ -102,30 +87,57 @@ impl ScalarType {
             ScalarType::I8 | ScalarType::I16 | ScalarType::I32 | ScalarType::I64
         )
     }
+
+    /// Stable numeric tag used by the bitcode encoder: its position in declaration order.
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// Inverse of [`ScalarType::tag`].
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        Self::ALL.get(tag as usize).copied()
+    }
 }
 
 impl fmt::Display for ScalarType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // In tag order, as `ScalarType::ALL` lists the types.
-        let names = [
-            "i8", "i16", "i32", "i64", "u8", "u16", "u32", "u64", "f32", "f64", "ptr",
-        ];
-        f.write_str(names[usize::from(self.tag())])
+        let s = match self {
+            ScalarType::I8 => "i8",
+            ScalarType::I16 => "i16",
+            ScalarType::I32 => "i32",
+            ScalarType::I64 => "i64",
+            ScalarType::U8 => "u8",
+            ScalarType::U16 => "u16",
+            ScalarType::U32 => "u32",
+            ScalarType::U64 => "u64",
+            ScalarType::F32 => "f32",
+            ScalarType::F64 => "f64",
+            ScalarType::Ptr => "ptr",
+        };
+        f.write_str(s)
     }
 }
 
-crate::tagged! {
-    /// Instruction-set architectures modelled by the reproduction.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-    pub enum Isa {
-        /// x86-64 (the Thor Xeon hosts in the paper).
-        X86_64,
-        /// AArch64 (the Ookami A64FX nodes and the BlueField-2 DPU cores).
-        Aarch64,
-    }
+/// Instruction-set architectures modelled by the reproduction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Isa {
+    /// x86-64 (the Thor Xeon hosts in the paper).
+    X86_64,
+    /// AArch64 (the Ookami A64FX nodes and the BlueField-2 DPU cores).
+    Aarch64,
 }
 
 impl Isa {
+    /// Stable numeric tag used by the bitcode encoder: its position in declaration order.
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// Inverse of [`Isa::tag`].
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        [Self::X86_64, Self::Aarch64].get(usize::from(tag)).copied()
+    }
+
     /// Canonical lower-case name.
     pub fn name(self) -> &'static str {
         match self {
@@ -141,22 +153,32 @@ impl fmt::Display for Isa {
     }
 }
 
-crate::tagged! {
-    /// Micro-architectures that appear in the paper's testbeds.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-    pub enum Microarch {
-        /// Generic tuning for the ISA, no micro-architecture specific features.
-        Generic,
-        /// Intel Xeon E5-2697A v4 (Thor host CPUs) — AVX2, fast JIT.
-        XeonE5,
-        /// Fujitsu A64FX (Ookami) — 512-bit SVE, LSE atomics, slower scalar core.
-        A64fx,
-        /// Arm Cortex-A72 (BlueField-2 DPU cores) — NEON, LSE atomics, modest core.
-        CortexA72,
-    }
+/// Micro-architectures that appear in the paper's testbeds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Microarch {
+    /// Generic tuning for the ISA, no micro-architecture specific features.
+    Generic,
+    /// Intel Xeon E5-2697A v4 (Thor host CPUs) — AVX2, fast JIT.
+    XeonE5,
+    /// Fujitsu A64FX (Ookami) — 512-bit SVE, LSE atomics, slower scalar core.
+    A64fx,
+    /// Arm Cortex-A72 (BlueField-2 DPU cores) — NEON, LSE atomics, modest core.
+    CortexA72,
 }
 
 impl Microarch {
+    /// Stable numeric tag used by the bitcode encoder: its position in declaration order.
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// Inverse of [`Microarch::tag`].
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        [Self::Generic, Self::XeonE5, Self::A64fx, Self::CortexA72]
+            .get(usize::from(tag))
+            .copied()
+    }
+
     /// Canonical lower-case name (used in triple strings).
     pub fn name(self) -> &'static str {
         match self {
@@ -184,21 +206,19 @@ impl fmt::Display for Microarch {
     }
 }
 
-crate::tagged! {
-    /// Vector extension available on a target, expressed as the SIMD width in
-    /// bits.  The JIT uses this to split vector IR operations into machine-level
-    /// chunks (the analogue of ORC-JIT emitting SVE on A64FX and AVX2 on Xeon).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    pub enum VectorExt {
-        /// No SIMD: vector ops are fully scalarised.
-        None,
-        /// 128-bit NEON-class SIMD.
-        Simd128,
-        /// 256-bit AVX2-class SIMD.
-        Simd256,
-        /// 512-bit SVE-class SIMD.
-        Simd512,
-    }
+/// Vector extension available on a target, expressed as the SIMD width in
+/// bits.  The JIT uses this to split vector IR operations into machine-level
+/// chunks (the analogue of ORC-JIT emitting SVE on A64FX and AVX2 on Xeon).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum VectorExt {
+    /// No SIMD: vector ops are fully scalarised.
+    None,
+    /// 128-bit NEON-class SIMD.
+    Simd128,
+    /// 256-bit AVX2-class SIMD.
+    Simd256,
+    /// 512-bit SVE-class SIMD.
+    Simd512,
 }
 
 impl VectorExt {
@@ -223,16 +243,38 @@ impl VectorExt {
             (width / elem_bits).max(1)
         }
     }
+
+    /// Stable numeric tag used by the bitcode encoder: its position in declaration order.
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// Inverse of [`VectorExt::tag`].
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        [Self::None, Self::Simd128, Self::Simd256, Self::Simd512]
+            .get(usize::from(tag))
+            .copied()
+    }
 }
 
-crate::tagged! {
-    /// How atomic read-modify-write operations are lowered.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    pub enum AtomicsExt {
-        /// Compare-and-swap loop (pre-LSE AArch64, baseline x86 path).
-        CasLoop,
-        /// Single-instruction atomics (Arm LSE / x86 `lock xadd` class).
-        Lse,
+/// How atomic read-modify-write operations are lowered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum AtomicsExt {
+    /// Compare-and-swap loop (pre-LSE AArch64, baseline x86 path).
+    CasLoop,
+    /// Single-instruction atomics (Arm LSE / x86 `lock xadd` class).
+    Lse,
+}
+
+impl AtomicsExt {
+    /// Stable numeric tag used by the bitcode encoder: its position in declaration order.
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// Inverse of [`AtomicsExt::tag`].
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        [Self::CasLoop, Self::Lse].get(usize::from(tag)).copied()
     }
 }
 
@@ -251,18 +293,32 @@ pub struct IsaFeatures {
 impl IsaFeatures {
     /// Feature bundle for a (ISA, micro-architecture) pair.
     pub fn for_target(isa: Isa, march: Microarch) -> Self {
-        // The Xeon E5 and the A64FX have wide vectors and LSE-style atomics;
-        // every other target 128-bit vectors and a CAS loop.
-        let (vector, atomics) = match (isa, march) {
-            (Isa::X86_64, Microarch::XeonE5) => (VectorExt::Simd256, AtomicsExt::Lse),
-            (Isa::Aarch64, Microarch::A64fx) => (VectorExt::Simd512, AtomicsExt::Lse),
-            _ => (VectorExt::Simd128, AtomicsExt::CasLoop),
-        };
-        let ptr_bytes = 8;
-        IsaFeatures {
-            vector,
-            atomics,
-            ptr_bytes,
+        match (isa, march) {
+            (Isa::X86_64, Microarch::XeonE5) => IsaFeatures {
+                vector: VectorExt::Simd256,
+                atomics: AtomicsExt::Lse,
+                ptr_bytes: 8,
+            },
+            (Isa::X86_64, _) => IsaFeatures {
+                vector: VectorExt::Simd128,
+                atomics: AtomicsExt::CasLoop,
+                ptr_bytes: 8,
+            },
+            (Isa::Aarch64, Microarch::A64fx) => IsaFeatures {
+                vector: VectorExt::Simd512,
+                atomics: AtomicsExt::Lse,
+                ptr_bytes: 8,
+            },
+            (Isa::Aarch64, Microarch::CortexA72) => IsaFeatures {
+                vector: VectorExt::Simd128,
+                atomics: AtomicsExt::CasLoop,
+                ptr_bytes: 8,
+            },
+            (Isa::Aarch64, _) => IsaFeatures {
+                vector: VectorExt::Simd128,
+                atomics: AtomicsExt::CasLoop,
+                ptr_bytes: 8,
+            },
         }
     }
 }
@@ -280,25 +336,36 @@ pub struct TargetTriple {
 
 impl TargetTriple {
     /// Generic x86-64 triple.
-    pub const X86_64_GENERIC: TargetTriple = Self::of(Isa::X86_64, Microarch::Generic);
+    pub const X86_64_GENERIC: TargetTriple = TargetTriple {
+        isa: Isa::X86_64,
+        march: Microarch::Generic,
+    };
     /// Thor host CPUs.
-    pub const THOR_XEON: TargetTriple = Self::of(Isa::X86_64, Microarch::XeonE5);
+    pub const THOR_XEON: TargetTriple = TargetTriple {
+        isa: Isa::X86_64,
+        march: Microarch::XeonE5,
+    };
     /// Generic AArch64 triple.
-    pub const AARCH64_GENERIC: TargetTriple = Self::of(Isa::Aarch64, Microarch::Generic);
+    pub const AARCH64_GENERIC: TargetTriple = TargetTriple {
+        isa: Isa::Aarch64,
+        march: Microarch::Generic,
+    };
     /// Ookami compute nodes.
-    pub const OOKAMI_A64FX: TargetTriple = Self::of(Isa::Aarch64, Microarch::A64fx);
+    pub const OOKAMI_A64FX: TargetTriple = TargetTriple {
+        isa: Isa::Aarch64,
+        march: Microarch::A64fx,
+    };
     /// BlueField-2 DPU Arm cores.
-    pub const THOR_BF2: TargetTriple = Self::of(Isa::Aarch64, Microarch::CortexA72);
-
-    const fn of(isa: Isa, march: Microarch) -> Self {
-        TargetTriple { isa, march }
-    }
+    pub const THOR_BF2: TargetTriple = TargetTriple {
+        isa: Isa::Aarch64,
+        march: Microarch::CortexA72,
+    };
 
     /// Create a triple, checking the micro-architecture belongs to the ISA.
     pub fn new(isa: Isa, march: Microarch) -> Option<Self> {
         match march.isa() {
             Some(m) if m != isa => None,
-            _ => Some(Self::of(isa, march)),
+            _ => Some(TargetTriple { isa, march }),
         }
     }
 
@@ -314,14 +381,22 @@ impl TargetTriple {
 
     /// Parse the canonical string form produced by [`TargetTriple::name`].
     pub fn parse(s: &str) -> Option<Self> {
-        // The valid triple of that name, among every (ISA, µarch) pair.
-        let marches = |isa| {
-            (0..)
-                .map_while(Microarch::from_tag)
-                .filter_map(move |m| Self::new(isa, m))
+        let mut parts = s.splitn(3, '-');
+        let isa = match parts.next()? {
+            "x86_64" => Isa::X86_64,
+            "aarch64" => Isa::Aarch64,
+            _ => return None,
         };
-        let mut all = (0..).map_while(Isa::from_tag).flat_map(marches);
-        all.find(|t| t.name() == s)
+        let rest = s.strip_prefix(isa.name())?.strip_prefix('-')?;
+        let march_str = rest.strip_suffix("-sim")?;
+        let march = match march_str {
+            "generic" => Microarch::Generic,
+            "xeon-e5" => Microarch::XeonE5,
+            "a64fx" => Microarch::A64fx,
+            "cortex-a72" => Microarch::CortexA72,
+            _ => return None,
+        };
+        TargetTriple::new(isa, march)
     }
 
     /// The triples the reproduction's "toolchain" emits by default, i.e. the

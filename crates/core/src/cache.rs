@@ -9,17 +9,17 @@
 //! byte, skipping the code section."
 //!
 //! The cache is a table of rows, one per ifunc type a node sends: the
-//! endpoints that have its code, found by name through a hash index.  A
-//! received ifunc's registration record keeps its [`CacheRow`], so a forward
-//! is decided without looking a name up.  What a full send ships is the
-//! frame as two views, the message's head and the library's (or the arrival's)
-//! CODE | DEPS | MAGIC tail, with a wire image unchanged from one buffer
-//! ([`crate::frame`]).  The cache is purely a sender-side optimisation:
+//! type's name and the endpoints that have its code, found by a binary
+//! search of the names.  A received ifunc's registration record keeps its
+//! [`CacheRow`], so a forward is decided without looking a name up.  A full
+//! send ships the frame as two views, the message's head and the library's
+//! (or the arrival's) CODE | DEPS | MAGIC tail, with a wire image unchanged
+//! from one buffer ([`crate::frame`]).  The cache is purely a sender-side
+//! optimisation:
 //! correctness never depends on it because the receiver auto-registers on
 //! the first full frame it sees and can always ask for retransmission by
 //! reporting [`crate::error::CoreError::TruncatedWithoutRegistration`].
 
-use std::collections::HashMap;
 use tc_ucx::WorkerAddr;
 
 /// Decision made for one send.
@@ -38,10 +38,10 @@ pub struct CacheRow(u32);
 /// Sender-side cache of which endpoints have seen which ifunc types.
 #[derive(Debug, Default, Clone)]
 pub struct SenderCache {
-    /// Per row: the endpoints that have its ifunc's code, sorted.
-    rows: Vec<Vec<WorkerAddr>>,
-    /// The row of each ifunc name.
-    by_name: HashMap<Box<str>, CacheRow>,
+    /// Per row: the ifunc name and the endpoints that have its code, sorted.
+    rows: Vec<(Box<str>, Vec<WorkerAddr>)>,
+    /// The rows in name order, so a name is found by a binary search.
+    by_name: Vec<CacheRow>,
 }
 
 impl SenderCache {
@@ -52,18 +52,21 @@ impl SenderCache {
 
     /// The row of `ifunc_name`, added on its first send: one row per name.
     pub fn row_of(&mut self, ifunc_name: &str) -> CacheRow {
-        if let Some(&row) = self.by_name.get(ifunc_name) {
-            return row;
-        }
-        let row = CacheRow(self.rows.len() as u32);
-        self.rows.push(Vec::new());
-        self.by_name.insert(ifunc_name.into(), row);
-        row
+        let rows = &self.rows;
+        let at = self
+            .by_name
+            .binary_search_by(|r| (*rows[r.0 as usize].0).cmp(ifunc_name));
+        at.map(|i| self.by_name[i]).unwrap_or_else(|i| {
+            let row = CacheRow(self.rows.len() as u32);
+            self.rows.push((ifunc_name.into(), Vec::new()));
+            self.by_name.insert(i, row);
+            row
+        })
     }
 
     /// Whether `endpoint` has the code of `row`'s ifunc.
     pub fn has(&self, row: CacheRow, endpoint: WorkerAddr) -> bool {
-        self.rows[row.0 as usize].binary_search(&endpoint).is_ok()
+        self.rows[row.0 as usize].1.binary_search(&endpoint).is_ok()
     }
 
     /// Record a send of `row`'s ifunc to `endpoint` and return what should
@@ -72,7 +75,7 @@ impl SenderCache {
     /// [`crate::RuntimeStats::ifunc_truncated_sends`]); the cache keeps no
     /// second count.
     pub fn decide(&mut self, row: CacheRow, endpoint: WorkerAddr) -> SendDecision {
-        let seen = &mut self.rows[row.0 as usize];
+        let seen = &mut self.rows[row.0 as usize].1;
         match seen.binary_search(&endpoint) {
             Ok(_) => SendDecision::SendTruncated,
             Err(at) => {
@@ -84,7 +87,7 @@ impl SenderCache {
 
     /// Forget an endpoint entirely (connection teardown).
     pub fn forget_endpoint(&mut self, endpoint: WorkerAddr) {
-        for seen in &mut self.rows {
+        for (_, seen) in &mut self.rows {
             seen.retain(|&e| e != endpoint);
         }
     }
@@ -93,14 +96,14 @@ impl SenderCache {
     /// the next send must ship code again because targets may also have
     /// dropped it).
     pub fn forget_ifunc(&mut self, ifunc_name: &str) {
-        if let Some(row) = self.by_name.get(ifunc_name) {
-            self.rows[row.0 as usize].clear();
+        if let Some((_, seen)) = self.rows.iter_mut().find(|(n, _)| **n == *ifunc_name) {
+            seen.clear();
         }
     }
 
     /// Number of `(ifunc, endpoint)` pairs currently cached.
     pub fn len(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum()
+        self.rows.iter().map(|(_, seen)| seen.len()).sum()
     }
 
     /// True when nothing has been cached.

@@ -224,10 +224,12 @@ pub const SCATTER_THRESHOLD: usize = 512;
 /// The one encoder: an optional `(seq, ack)` reliability prefix, then the op
 /// head, in **one** pool buffer; a bulk payload of at least
 /// [`SCATTER_THRESHOLD`] bytes is detached as a shared view instead of
-/// copied behind the head, and so is the tail of a full ifunc frame sent as
-/// two views, behind its head.  Steady-state sends reuse released pool
-/// slots, so the encode path performs at most one (small) payload copy and
-/// zero allocations.
+/// copied behind the head.  A full ifunc frame sent as two views detaches its
+/// CODE | DEPS | MAGIC tail instead, and its HEADER | PAYLOAD | MAGIC head is
+/// copied behind the op header whatever its size (an envelope has one
+/// detached segment), so that copy grows with the ifunc's payload.  Other
+/// ops copy at most one small payload.  Steady-state sends reuse released
+/// pool slots, so the encode path performs zero allocations.
 fn encode(msg: &OutgoingMessage, rel: Option<(u64, u64)>) -> (Bytes, Bytes) {
     let bulk = bulk(&msg.op);
     let (bulk, detached) = match (&msg.op, bulk) {
@@ -541,11 +543,17 @@ pub fn encode_welcome(w: &Welcome) -> Vec<u8> {
     let triple = w.triple.to_string();
     // Without a fault plan the tunables are carried, and ignored.
     let rel = w.rel.unwrap_or_else(RelConfig::threads_default);
-    let ranks = [w.clients, w.servers, w.rank].map(u32::to_le_bytes);
-    let flags = [w.rel.is_some() as u8, rel.adaptive as u8];
-    let rto = put_u64s(&[rel.rto, rel.rto_max]);
-    let len = (triple.len() as u16).to_le_bytes();
-    [ranks.as_flattened(), &flags, &rto, &len, triple.as_bytes()].concat()
+    let mut out = Vec::with_capacity(32 + triple.len());
+    out.extend_from_slice(&w.clients.to_le_bytes());
+    out.extend_from_slice(&w.servers.to_le_bytes());
+    out.extend_from_slice(&w.rank.to_le_bytes());
+    out.push(w.rel.is_some() as u8);
+    out.push(rel.adaptive as u8);
+    out.extend_from_slice(&rel.rto.to_le_bytes());
+    out.extend_from_slice(&rel.rto_max.to_le_bytes());
+    out.extend_from_slice(&(triple.len() as u16).to_le_bytes());
+    out.extend_from_slice(triple.as_bytes());
+    out
 }
 
 /// Decode a WELCOME body.
@@ -800,6 +808,46 @@ mod tests {
         let (head, payload) = encode_op_vectored(&small);
         assert!(payload.is_empty());
         assert_eq!(decode_op_vectored(&head, &payload).unwrap(), small);
+    }
+
+    /// A full ifunc frame sent as two views detaches its tail and copies its
+    /// head behind the op header, however large its payload makes the head;
+    /// both framings, received split or in one buffer, carry the frame's one
+    /// wire image.
+    #[test]
+    fn a_full_ifunc_frame_detaches_its_tail_and_copies_a_large_head() {
+        use crate::frame::{CodeRepr, MessageFrame};
+        let payload = vec![7u8; 64 * 1024];
+        let deps = vec!["libm".to_string()];
+        let frame = MessageFrame::new("big", CodeRepr::Bitcode, payload, vec![0xC0; 4096], deps);
+        let (full, head) = (frame.encode_full(), frame.encode_truncated());
+        let tail = full.slice(head.len()..);
+        let msg = OutgoingMessage {
+            src: WorkerAddr(1),
+            dst: WorkerAddr(2),
+            request: RequestId(3),
+            op: UcpOp::IfuncFrame {
+                bytes: head.clone(),
+                code: tail.clone(),
+            },
+        };
+        let framings = [
+            (0, encode_op_vectored(&msg)),
+            (REL_HEAD_LEN, encode_rel_op_vectored(&msg, 7, 3)),
+        ];
+        for (prefix, (data, detached)) in framings {
+            assert!(detached.shares_storage(&tail), "the tail is never copied");
+            assert_eq!(data.len(), prefix + 17 + head.len(), "the head is");
+            let data = data.slice(prefix..);
+            assert_eq!(decode_op_vectored(&data, &detached).unwrap(), msg);
+            let joined = Bytes::from([&data[..], &detached[..]].concat());
+            match decode_inline(&joined).unwrap().op {
+                UcpOp::IfuncFrame { bytes, code } => {
+                    assert_eq!((bytes, code.len()), (full.clone(), 0));
+                }
+                other => panic!("{other:?}"),
+            }
+        }
     }
 
     #[test]

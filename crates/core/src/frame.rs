@@ -28,18 +28,26 @@ pub const FRAME_MAGIC: [u8; 4] = *b"3CMG";
 /// Frame format version.
 pub const FRAME_VERSION: u8 = 2;
 
-tc_bitir::tagged! {
-    /// Code representation carried by a frame.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    pub enum CodeRepr {
-        /// LLVM-bitcode-analogue (fat-bitcode archive).
-        Bitcode,
-        /// Pre-compiled machine code (ELF-like object).
-        Binary,
-    }
+/// Code representation carried by a frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CodeRepr {
+    /// LLVM-bitcode-analogue (fat-bitcode archive).
+    Bitcode,
+    /// Pre-compiled machine code (ELF-like object).
+    Binary,
 }
 
 impl CodeRepr {
+    /// Stable tag for serialization: its position in declaration order.
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// Inverse of [`CodeRepr::tag`].
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        [Self::Bitcode, Self::Binary].get(usize::from(tag)).copied()
+    }
+
     /// Display name used in reports.
     pub fn name(self) -> &'static str {
         match self {

@@ -15,7 +15,7 @@
 use crate::error::{CoreError, Result};
 use crate::frame::{encode_tail, CodeRepr, MessageFrame};
 use std::collections::hash_map::{Entry, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use tc_bitir::{FatBitcode, Module, TargetTriple};
 use tc_jit::{build_object, CompileOptions};
 use tc_ucx::Bytes;
@@ -44,11 +44,6 @@ pub struct IfuncLibrary {
 }
 
 impl IfuncLibrary {
-    /// Size of the bitcode code section in bytes.
-    pub fn bitcode_size(&self) -> usize {
-        self.fat_bitcode_bytes.len()
-    }
-
     /// Binary object bytes for a target triple name.
     pub fn binary_for(&self, triple: &str) -> Result<&Bytes> {
         self.binaries
@@ -216,27 +211,28 @@ impl IfuncRegistry {
 /// a code representation.  The caching layer decides per destination how
 /// much of the frame to transmit.
 ///
-/// The frame is never modified by sending, so its head — HEADER | PAYLOAD |
-/// MAGIC, the whole truncated frame — is encoded at most once
-/// ([`IfuncMessage::head`]), and a full send posts the library's tail
-/// ([`IfuncMessage::tail`]) behind it: re-sending a message to many
-/// destinations copies nothing, and no send copies code.
+/// What a send posts is fixed when the message is created, from the
+/// library: the head — HEADER | PAYLOAD | MAGIC, the whole truncated frame —
+/// encoded once ([`IfuncMessage::head`]), and for a full send the library's
+/// tail ([`IfuncMessage::tail`]) behind it.  Re-sending a message to many
+/// destinations copies nothing, no send copies code, and `head ‖ tail` is
+/// the full encoding of `frame` as created; editing `frame` afterwards
+/// changes neither view.
 #[derive(Debug, Clone)]
 pub struct IfuncMessage {
     /// The library handle this message is an instance of.
     pub handle: IfuncHandle,
     /// The frame (header + payload + code), never modified by sending.
     pub frame: MessageFrame,
+    head: Bytes,
     tail: Bytes,
-    head: OnceLock<Bytes>,
 }
 
 impl IfuncMessage {
-    /// The frame's head, encoded on first use and shared by every send.
-    pub fn head(&self) -> Bytes {
-        self.head
-            .get_or_init(|| self.frame.encode_truncated())
-            .clone()
+    /// The frame's head, encoded when the message was created and shared by
+    /// every send.
+    pub fn head(&self) -> &Bytes {
+        &self.head
     }
 
     /// The full frame's CODE | DEPS | MAGIC tail: a view of the library's.
@@ -253,12 +249,12 @@ impl IfuncMessage {
             library.fat_bitcode_bytes.clone(),
             library.deps.clone(),
         );
-        let (tail, head) = (library.bitcode_tail.clone(), OnceLock::new());
+        let (head, tail) = (frame.encode_truncated(), library.bitcode_tail.clone());
         IfuncMessage {
             handle,
             frame,
-            tail,
             head,
+            tail,
         }
     }
 
@@ -281,12 +277,12 @@ impl IfuncMessage {
             code.clone(),
             library.deps.clone(),
         );
-        let (tail, head) = (tail.clone(), OnceLock::new());
+        let (head, tail) = (frame.encode_truncated(), tail.clone());
         Ok(IfuncMessage {
             handle,
             frame,
-            tail,
             head,
+            tail,
         })
     }
 }
@@ -317,14 +313,17 @@ mod tests {
     fn toolchain_builds_bitcode_and_binaries() {
         let lib = build_ifunc_library(&tsi_module(), &ToolchainOptions::default()).unwrap();
         assert_eq!(lib.name, "tsi");
-        assert!(lib.bitcode_size() > 2000, "fat bitcode should be KiB-scale");
+        assert!(
+            lib.fat_bitcode_bytes.len() > 2000,
+            "fat bitcode should be KiB-scale"
+        );
         assert_eq!(
             lib.binaries.len(),
             TargetTriple::default_toolchain_targets().len()
         );
         let xeon = lib.binary_for("x86_64-xeon-e5-sim").unwrap().len();
         assert!(
-            xeon < lib.bitcode_size() / 4,
+            xeon < lib.fat_bitcode_bytes.len() / 4,
             "binary must be much smaller than fat bitcode"
         );
         assert!(lib.binary_for("mips-unknown").is_err());
@@ -384,7 +383,7 @@ mod tests {
         };
         let lib = build_ifunc_library(&tsi_module(), &opts).unwrap();
         assert!(lib.binaries.is_empty());
-        assert!(lib.bitcode_size() > 0);
+        assert!(!lib.fat_bitcode_bytes.is_empty());
     }
 
     #[test]
@@ -407,7 +406,7 @@ mod tests {
 
         let bc = IfuncMessage::bitcode(h, &lib, vec![1]);
         assert_eq!(bc.frame.repr, CodeRepr::Bitcode);
-        assert_eq!(bc.frame.code.len(), lib.bitcode_size());
+        assert_eq!(bc.frame.code.len(), lib.fat_bitcode_bytes.len());
 
         let bin = IfuncMessage::binary(h, &lib, "aarch64-a64fx-sim", vec![1]).unwrap();
         assert_eq!(bin.frame.repr, CodeRepr::Binary);
@@ -418,5 +417,29 @@ mod tests {
         assert_eq!(bc.frame.code.as_ptr(), lib.fat_bitcode_bytes.as_ptr());
 
         assert!(IfuncMessage::binary(h, &lib, "riscv64-generic-sim", vec![1]).is_err());
+    }
+
+    /// Every message a constructor makes sends the wire image of its frame:
+    /// `head ‖ tail` is `frame.encode_full()` byte for byte, and the tail is
+    /// the library's, shared.
+    #[test]
+    fn head_and_tail_are_the_full_frame_for_every_constructor() {
+        let mut module = tsi_module();
+        module.deps = vec!["libm.so".into(), "libc.so".into()];
+        let lib = build_ifunc_library(&module, &ToolchainOptions::default()).unwrap();
+        let mut messages = vec![IfuncMessage::bitcode(IfuncHandle(0), &lib, vec![1, 2])];
+        for triple in lib.binaries.keys() {
+            messages.push(IfuncMessage::binary(IfuncHandle(0), &lib, triple, vec![3]).unwrap());
+        }
+        assert_eq!(
+            messages.len(),
+            1 + TargetTriple::default_toolchain_targets().len()
+        );
+        for msg in messages {
+            let wire = [&msg.head()[..], &msg.tail()[..]].concat();
+            assert_eq!(wire, msg.frame.encode_full()[..], "{:?}", msg.frame.repr);
+            assert!(msg.tail().shares_storage(&msg.frame.code));
+            assert_eq!(msg.head()[..], msg.frame.encode_truncated()[..]);
+        }
     }
 }

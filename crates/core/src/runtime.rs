@@ -254,9 +254,9 @@ impl NodeRuntime {
     /// Send an ifunc message to `dst`, applying the sender-side code cache.
     /// Returns the number of bytes actually posted to the fabric.
     pub fn send_ifunc(&mut self, message: &IfuncMessage, dst: WorkerAddr) -> usize {
-        // The head is cached on the message and the tail is the library's:
-        // repeat sends (to any destination) clone shared views, and a full
-        // send copies no code.
+        // The head was encoded with the message and the tail is the
+        // library's: repeat sends (to any destination) clone shared views,
+        // and a full send copies no code.
         let row = self.sender_cache.row_of(&message.frame.ifunc_name);
         let code = match self.sender_cache.decide(row, dst) {
             SendDecision::SendFull => {
@@ -268,7 +268,7 @@ impl NodeRuntime {
                 Bytes::new()
             }
         };
-        let bytes = message.head();
+        let bytes = message.head().clone();
         let len = bytes.len() + code.len();
         self.stats.bytes_sent += len as u64;
         self.worker.post(dst, UcpOp::IfuncFrame { bytes, code });
@@ -1329,7 +1329,7 @@ mod tests {
         let slice = fat.select(TargetTriple::THOR_XEON).unwrap();
         assert_eq!(slice.triple, TargetTriple::THOR_XEON);
         assert_eq!(outcome.jit_bitcode_bytes, Some(slice.bitcode.len()));
-        assert!(slice.bitcode.len() * 4 < library.bitcode_size());
+        assert!(slice.bitcode.len() * 4 < library.fat_bitcode_bytes.len());
         assert_eq!(server.stats.jit_compilations, 1);
     }
 
@@ -1455,7 +1455,7 @@ mod tests {
         let msg = IfuncMessage::bitcode(IfuncHandle(0), &library, payload);
         let full = msg.frame.encode_full();
         let arrivals = [
-            (msg.head(), msg.tail().clone(), msg.tail().clone()),
+            (msg.head().clone(), msg.tail().clone(), msg.tail().clone()),
             (full.clone(), Bytes::new(), full),
         ];
         for (head, tail, origin) in arrivals {

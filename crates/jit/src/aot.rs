@@ -168,7 +168,9 @@ mod tests {
         let module = tsi_module();
         let obj =
             build_object(&module, TargetTriple::THOR_XEON, CompileOptions::default()).unwrap();
-        let fat = tc_bitir::FatBitcode::from_module_default_targets(&module).unwrap();
+        let fat =
+            tc_bitir::FatBitcode::from_module(&module, &TargetTriple::default_toolchain_targets())
+                .unwrap();
         assert!(
             obj.shipped_size() * 4 < fat.encode().len(),
             "binary ({}) should be far smaller than fat bitcode ({})",

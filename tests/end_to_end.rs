@@ -183,7 +183,7 @@ fn toolchain_options_match_paper_deployment_sizes() {
         build_ifunc_library(&tc_workloads::tsi_module(), &platform_toolchain(&platform)).unwrap();
     let fat = tc_bitir::FatBitcode::decode(&lib.fat_bitcode_bytes).unwrap();
     assert_eq!(fat.triples().len(), 2);
-    assert!(lib.bitcode_size() > 3_000 && lib.bitcode_size() < 12_000);
+    assert!((3_000..12_000).contains(&lib.fat_bitcode_bytes.len()));
 
     let opts = ToolchainOptions::default();
     assert!(opts.targets.len() >= 4, "default toolchain is multi-target");

@@ -205,7 +205,8 @@ fn mutate(rng: &mut Rng, input: &Input) -> Vec<u8> {
 fn inputs() -> [Vec<Input>; 3] {
     let [mut archives, mut slices, mut texts] = [Vec::new(), Vec::new(), Vec::new()];
     for (_, module) in kernels() {
-        let fat = FatBitcode::from_module_default_targets(&module).unwrap();
+        let fat =
+            FatBitcode::from_module(&module, &TargetTriple::default_toolchain_targets()).unwrap();
         archives.push(Input::new(fat.encode()));
         for entry in &fat.entries {
             slices.push(Input::new(entry.bitcode.clone()));
