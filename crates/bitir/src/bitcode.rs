@@ -430,7 +430,6 @@ mod tests {
     fn sample_module() -> Module {
         let mut mb = ModuleBuilder::new("sample");
         mb.add_dep("libm.so");
-        mb.add_global("table", vec![1, 2, 3, 4], true);
         {
             let mut f = mb.entry_function();
             let payload = f.param(0);
@@ -452,7 +451,13 @@ mod tests {
             f.ret(y);
             f.finish();
         }
-        mb.build()
+        let mut module = mb.build();
+        module.globals.push(crate::ir::Global {
+            name: "table".into(),
+            init: vec![1, 2, 3, 4],
+            mutable: true,
+        });
+        module
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! crate (the Julia analogue) emits the same IR from source text.
 
 use crate::ir::{
-    AtomicOp, BinOp, Block, BlockId, ExtSymId, FuncId, Function, Global, GlobalId, Inst, Module,
-    Reg, UnOp, VecOp,
+    AtomicOp, BinOp, Block, BlockId, ExtSymId, FuncId, Function, Inst, Module, Reg, UnOp,
 };
 use crate::types::ScalarType;
 
@@ -33,21 +32,6 @@ impl ModuleBuilder {
             self.module.deps.push(dep);
         }
         self
-    }
-
-    /// Add a global data object, returning its id.
-    pub fn add_global(
-        &mut self,
-        name: impl Into<String>,
-        init: Vec<u8>,
-        mutable: bool,
-    ) -> GlobalId {
-        self.module.globals.push(Global {
-            name: name.into(),
-            init,
-            mutable,
-        });
-        GlobalId((self.module.globals.len() - 1) as u32)
     }
 
     /// Declare (or look up) an external symbol.
@@ -262,33 +246,6 @@ impl<'m> FunctionBuilder<'m> {
             src,
             expected,
         });
-        dst
-    }
-
-    /// Element-wise vector operation.
-    pub fn vec_op(
-        &mut self,
-        op: VecOp,
-        ty: ScalarType,
-        dst_addr: Reg,
-        a_addr: Reg,
-        b_addr: Reg,
-        count: Reg,
-    ) {
-        self.push(Inst::Vec {
-            op,
-            ty,
-            dst_addr,
-            a_addr,
-            b_addr,
-            count,
-        });
-    }
-
-    /// Address of a module global.
-    pub fn global_addr(&mut self, global: GlobalId) -> Reg {
-        let dst = self.new_reg();
-        self.push(Inst::GlobalAddr { dst, global });
         dst
     }
 

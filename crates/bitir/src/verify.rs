@@ -24,18 +24,7 @@ use crate::types::ScalarType;
 /// * the entry function, when present, has the canonical ifunc signature;
 /// * function names are unique and non-empty.
 pub fn verify_module(module: &Module) -> Result<()> {
-    let mut names = std::collections::HashSet::new();
-    for f in &module.functions {
-        if f.name.is_empty() {
-            return Err(BitirError::Verify("function with empty name".into()));
-        }
-        if !names.insert(f.name.as_str()) {
-            return Err(BitirError::Verify(format!(
-                "duplicate function name `{}`",
-                f.name
-            )));
-        }
-    }
+    check_names(&module.functions)?;
 
     if let Some((_, entry)) = module.entry() {
         let (want_params, want_ret) = crate::ir::entry_signature();
@@ -56,6 +45,33 @@ pub fn verify_module(module: &Module) -> Result<()> {
             .map_err(|e| BitirError::Verify(format!("function #{fi} `{}`: {e}", f.name)))?;
     }
     Ok(())
+}
+
+/// The first function, in module order, whose name is empty or repeats an
+/// earlier one is refused.  Names are compared in sorted order, so a
+/// hostile module of many functions costs O(n log n); a module of one
+/// function allocates nothing.
+fn check_names(functions: &[Function]) -> Result<()> {
+    let name = |i: usize| &functions[i].name;
+    let mut order = Vec::new();
+    if functions.len() > 1 {
+        order.extend(0..functions.len());
+        order.sort_unstable_by_key(|&i| (name(i), i));
+    }
+    let repeats = order.windows(2).filter(|p| name(p[0]) == name(p[1]));
+    match (
+        functions.iter().position(|f| f.name.is_empty()),
+        repeats.map(|p| p[1]).min(),
+    ) {
+        (Some(e), r) if r.is_none_or(|r| e < r) => {
+            Err(BitirError::Verify("function with empty name".into()))
+        }
+        (_, Some(r)) => Err(BitirError::Verify(format!(
+            "duplicate function name `{}`",
+            name(r)
+        ))),
+        _ => Ok(()),
+    }
 }
 
 fn verify_function(module: &Module, f: &Function) -> std::result::Result<(), String> {
@@ -260,7 +276,56 @@ mod tests {
         }
         let m = mb.build();
         let err = verify_module(&m).unwrap_err();
-        assert!(err.to_string().contains("duplicate"));
+        assert_eq!(
+            err.to_string(),
+            BitirError::Verify("duplicate function name `foo`".into()).to_string()
+        );
+    }
+
+    /// The first function in module order whose name is empty or repeats an
+    /// earlier one is the one refused, as a scan in order would refuse it.
+    #[test]
+    fn the_first_bad_name_in_module_order_is_refused() {
+        let module = |names: &[&str]| {
+            let mut mb = ModuleBuilder::new("names");
+            for name in names {
+                let mut f = mb.function(*name, vec![], None);
+                f.ret_void();
+                f.finish();
+            }
+            mb.build()
+        };
+        let refusal = |names: &[&str]| verify_module(&module(names)).unwrap_err().to_string();
+        let dup = |name: &str| BitirError::Verify(format!("duplicate function name `{name}`"));
+        let empty = BitirError::Verify("function with empty name".into());
+        assert_eq!(refusal(&["b", "a", "b", "a"]), dup("b").to_string());
+        assert_eq!(refusal(&["b", "a", "a", "b"]), dup("a").to_string());
+        assert_eq!(refusal(&["a", "", "a", ""]), empty.to_string());
+        assert_eq!(refusal(&["a", "a", ""]), dup("a").to_string());
+        assert_eq!(refusal(&[""]), empty.to_string());
+        assert!(verify_module(&module(&["a", "b", "c"])).is_ok());
+    }
+
+    /// Ten thousand functions, and the same with the last one repeating the
+    /// first name, are checked in time a scan of every pair would not take.
+    #[test]
+    fn ten_thousand_function_names_are_checked_within_a_time_bound() {
+        let names: Vec<String> = (0..10_000).map(|i| format!("f{i}")).collect();
+        let mut mb = ModuleBuilder::new("many");
+        for name in &names {
+            let mut f = mb.function(name.clone(), vec![], None);
+            f.ret_void();
+            f.finish();
+        }
+        let distinct = mb.build();
+        let mut repeated = distinct.clone();
+        repeated.functions[9_999].name = "f0".into();
+        let started = std::time::Instant::now();
+        assert!(verify_module(&distinct).is_ok());
+        let err = verify_module(&repeated).unwrap_err().to_string();
+        let took = started.elapsed();
+        assert!(err.contains("duplicate function name `f0`"), "{err}");
+        assert!(took < std::time::Duration::from_millis(500), "{took:?}");
     }
 
     #[test]

@@ -443,7 +443,8 @@ mod tests {
 
     #[test]
     fn delay_units_respect_bound() {
-        let plan = FaultPlan::seeded(11).delay_rate(1.0);
+        let mut plan = FaultPlan::seeded(11);
+        plan.default_link.delay = 1.0;
         let mut e = ChaosEngine::new(plan);
         for d in decisions(&mut e, 0, 1, 200) {
             assert!(d.delay_units >= 1 && d.delay_units <= 4, "{d:?}");

@@ -131,12 +131,6 @@ impl FaultPlan {
         self
     }
 
-    /// Set the default per-traversal delay probability.
-    pub fn delay_rate(mut self, p: f64) -> Self {
-        self.default_link.delay = p;
-        self
-    }
-
     /// Set the default per-traversal reorder probability.
     pub fn reorder_rate(mut self, p: f64) -> Self {
         self.default_link.reorder = p;

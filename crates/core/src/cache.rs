@@ -10,8 +10,10 @@
 //!
 //! The cache is a table of rows, one per ifunc type a node sends: the
 //! type's name and the endpoints that have its code, found by a binary
-//! search of the names.  A received ifunc's registration record keeps its
-//! [`CacheRow`], so a forward is decided without looking a name up.  A full
+//! search of the names.  A received ifunc's registration record takes its
+//! [`CacheRow`] on its first forward and keeps it, so an ifunc that never
+//! forwards adds no row and a later forward is decided without looking a
+//! name up.  A full
 //! send ships the frame as two views, the message's head and the library's
 //! (or the arrival's) CODE | DEPS | MAGIC tail, with a wire image unchanged
 //! from one buffer ([`crate::frame`]).  The cache is purely a sender-side
@@ -92,15 +94,6 @@ impl SenderCache {
         }
     }
 
-    /// Forget one ifunc type everywhere (ifunc de-registration on the source:
-    /// the next send must ship code again because targets may also have
-    /// dropped it).
-    pub fn forget_ifunc(&mut self, ifunc_name: &str) {
-        if let Some((_, seen)) = self.rows.iter_mut().find(|(n, _)| **n == *ifunc_name) {
-            seen.clear();
-        }
-    }
-
     /// Number of `(ifunc, endpoint)` pairs currently cached.
     pub fn len(&self) -> usize {
         self.rows.iter().map(|(_, seen)| seen.len()).sum()
@@ -163,22 +156,7 @@ mod tests {
     }
 
     #[test]
-    fn forgetting_ifunc_resends_everywhere() {
-        let mut c = SenderCache::new();
-        send(&mut c, "tsi", WorkerAddr(1));
-        send(&mut c, "tsi", WorkerAddr(2));
-        send(&mut c, "chaser", WorkerAddr(1));
-        c.forget_ifunc("tsi");
-        assert_eq!(send(&mut c, "tsi", WorkerAddr(1)), SendDecision::SendFull);
-        assert_eq!(send(&mut c, "tsi", WorkerAddr(2)), SendDecision::SendFull);
-        assert_eq!(
-            send(&mut c, "chaser", WorkerAddr(1)),
-            SendDecision::SendTruncated
-        );
-    }
-
-    #[test]
-    fn a_row_is_decided_by_index_and_forgotten_by_name_or_endpoint() {
+    fn a_row_is_decided_by_index_and_forgotten_by_endpoint() {
         let mut c = SenderCache::new();
         // One row per name, however often it is asked for.
         let (a, b) = (c.row_of("tsi"), c.row_of("chaser"));
@@ -189,10 +167,7 @@ mod tests {
         assert_eq!(c.len(), 2);
         c.forget_endpoint(WorkerAddr(1));
         assert!(c.is_empty());
-        for row in [a, b] {
-            c.decide(row, WorkerAddr(2));
-        }
-        c.forget_ifunc("tsi");
+        c.decide(b, WorkerAddr(2));
         assert!(!c.has(a, WorkerAddr(2)) && c.has(b, WorkerAddr(2)));
     }
 

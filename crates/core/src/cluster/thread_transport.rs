@@ -618,7 +618,14 @@ mod tests {
         let payload = f.param(0);
         if fill {
             let (at, n) = (f.const_u64(TARGET_REGION_BASE), f.const_u64(1 << 40));
-            f.vec_op(VecOp::Add, ScalarType::U64, at, at, at, n);
+            f.push(tc_bitir::Inst::Vec {
+                op: VecOp::Add,
+                ty: ScalarType::U64,
+                dst_addr: at,
+                a_addr: at,
+                b_addr: at,
+                count: n,
+            });
         }
         let client = f.const_u64(0);
         let slot = f.load(ScalarType::U64, payload, 0);

@@ -389,13 +389,6 @@ pub struct DecodedFrame {
     pub deps: Vec<String>,
 }
 
-impl DecodedFrame {
-    /// True when the code section was elided by the sender.
-    pub fn is_truncated(&self) -> bool {
-        self.code.is_none()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,14 +412,14 @@ mod tests {
         assert_eq!(decoded.payload, vec![1]);
         assert_eq!(decoded.code.as_deref(), Some(&[0xABu8; 5000][..]));
         assert_eq!(decoded.deps.len(), 2);
-        assert!(!decoded.is_truncated());
+        assert!(decoded.code.is_some());
     }
 
     #[test]
     fn truncated_roundtrip() {
         let f = frame();
         let decoded = MessageFrame::decode(&f.encode_truncated()).unwrap();
-        assert!(decoded.is_truncated());
+        assert!(decoded.code.is_none());
         assert_eq!(decoded.payload, vec![1]);
         assert!(decoded.deps.is_empty());
     }
@@ -506,7 +499,7 @@ mod tests {
 
         let truncated = f.encode_truncated();
         let decoded = MessageFrame::decode_view(&truncated).unwrap();
-        assert!(decoded.is_truncated());
+        assert!(decoded.code.is_none());
         assert!(decoded.payload.shares_storage(&truncated));
     }
 
@@ -535,10 +528,10 @@ mod tests {
     fn empty_payload_and_empty_code_frames() {
         let f = MessageFrame::new("noop", CodeRepr::Bitcode, vec![], vec![], vec![]);
         let full = MessageFrame::decode(&f.encode_full()).unwrap();
-        assert!(!full.is_truncated());
+        assert!(full.code.is_some());
         assert_eq!(full.code.unwrap().len(), 0);
         let trunc = MessageFrame::decode(&f.encode_truncated()).unwrap();
-        assert!(trunc.is_truncated());
+        assert!(trunc.code.is_none());
     }
 
     /// The wire format written out longhand, as Figures 2 and 3 give it:

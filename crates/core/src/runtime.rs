@@ -119,7 +119,8 @@ struct ReceivedIfunc {
 }
 
 /// The parts of the frame a received ifunc arrived in that its forwards
-/// send again, and the sender-cache row that says which peers have its code.
+/// send again, and, once it has forwarded, the sender-cache row that says
+/// which peers have its code.
 struct Origin {
     /// The registration key, shared with the name index of the table.
     name: Arc<str>,
@@ -133,7 +134,9 @@ struct Origin {
     /// The code length and the dependency count a forward's head names.
     code_len: usize,
     deps: usize,
-    row: CacheRow,
+    /// Taken on the first forward, so that an ifunc that never forwards
+    /// adds no row and a cached forward names nothing.
+    row: Option<CacheRow>,
 }
 
 /// The per-node Three-Chains runtime.
@@ -617,16 +620,15 @@ impl NodeRuntime {
                     .into());
                 }
                 let deps = deps.into_iter().chain(frame.deps.iter().copied());
-                merge_deps(&mut module.deps, deps);
+                merge_deps(&mut module.deps, deps)?;
                 let module = self.jit.materialize(module, &mut self.memory)?;
                 self.stats.jit_compilations += 1;
                 (module, Some(slice.len()))
             }
             CodeRepr::Binary => {
                 let mut obj = tc_binfmt::ObjectFile::decode(code)?;
-                merge_deps(&mut obj.deps, frame.deps.iter().copied());
                 // A missing library is refused first, as bitcode's is.
-                let libs = LoadedLibs::load(&obj.deps)?;
+                let libs = merge_deps(&mut obj.deps, frame.deps.iter().copied())?;
                 let image = tc_binfmt::load_object(
                     &obj,
                     &self.triple.name(),
@@ -649,7 +651,7 @@ impl NodeRuntime {
         let name: Arc<str> = Arc::from(frame.ifunc_name);
         let index = self.received.len();
         let origin = Origin {
-            row: self.sender_cache.row_of(&name),
+            row: None,
             name: Arc::clone(&name),
             repr: frame.repr,
             tail,
@@ -675,10 +677,10 @@ impl NodeRuntime {
             .write(PAYLOAD_STAGING_BASE, payload)
             .map_err(|e| CoreError::Sim(e.to_string()))?;
 
-        let rec = &self.received[index];
+        let rec = &mut self.received[index];
         let mut host = FrameworkHost {
             num_nodes: self.num_nodes,
-            ifunc: &rec.origin,
+            ifunc: &mut rec.origin,
             cache: &mut self.sender_cache,
             local: &mut self.local,
             out: Outbox {
@@ -701,14 +703,23 @@ impl NodeRuntime {
     }
 }
 
-/// Append each of `extra` not yet in `deps`: a module links against its own
-/// dependencies and the frame's DEPS field (normally the same).
-fn merge_deps<'a>(deps: &mut Vec<String>, extra: impl Iterator<Item = &'a str>) {
+/// Append each of `extra` that names a library `deps` does not load: a
+/// module links against its own dependencies and the frame's DEPS field
+/// (normally the same).  Each name is resolved as it is merged, so a hostile
+/// list is refused at its first unknown name in one pass.
+fn merge_deps<'a>(
+    deps: &mut Vec<String>,
+    extra: impl Iterator<Item = &'a str>,
+) -> Result<LoadedLibs> {
+    let mut libs = LoadedLibs::load(deps)?;
     for d in extra {
-        if !deps.iter().any(|have| have == d) {
+        let (more, new) = libs.with(d)?;
+        if new {
             deps.push(d.to_string());
+            libs = more;
         }
     }
+    Ok(libs)
 }
 
 /// Where executing code's follow-on operations go — an ifunc's framework
@@ -773,7 +784,7 @@ fn am_op(am_ids: &HashMap<String, AmHandlerId>, handler: &str, payload: Bytes) -
 /// pool.
 struct FrameworkHost<'a> {
     num_nodes: u32,
-    ifunc: &'a Origin,
+    ifunc: &'a mut Origin,
     cache: &'a mut SenderCache,
     local: &'a mut VecDeque<Bytes>,
     out: Outbox<'a>,
@@ -805,7 +816,7 @@ impl FrameworkHost<'_> {
     ) -> tc_jit::Result<()> {
         // The frame's payload length field is a u32.
         let len = bounded("tc_forward_self", len, u32::MAX as usize)?;
-        let (origin, me) = (self.ifunc, self.out.node_id);
+        let (origin, me) = (&mut *self.ifunc, self.out.node_id);
         let head = (&*origin.name, origin.repr, origin.code_len, origin.deps);
         let bytes = encode_frame(head, len, |out| mem.read(payload, out), None)?;
         self.out.emitted += 1;
@@ -815,11 +826,14 @@ impl FrameworkHost<'_> {
         }
         // A peer without the code gets the tail this node's copy arrived with.
         let stats = &mut *self.out.stats;
-        let code = if self.cache.has(origin.row, dst) {
+        let row = *origin
+            .row
+            .get_or_insert_with(|| self.cache.row_of(&origin.name));
+        let code = if self.cache.has(row, dst) {
             stats.ifunc_truncated_sends += 1;
             Bytes::new()
         } else {
-            self.cache.decide(origin.row, dst);
+            self.cache.decide(row, dst);
             stats.ifunc_full_sends += 1;
             origin.tail.clone()
         };
@@ -1251,7 +1265,8 @@ mod tests {
                     m.dst,
                     MessageFrame::decode_views(&bytes, &code)
                         .unwrap()
-                        .is_truncated(),
+                        .code
+                        .is_none(),
                 ),
                 other => panic!("unexpected operation {other:?}"),
             })
@@ -1351,7 +1366,7 @@ mod tests {
     }
 
     #[test]
-    fn forgetting_an_endpoint_or_an_ifunc_makes_the_next_forward_ship_code_again() {
+    fn forgetting_an_endpoint_makes_the_next_forward_ship_code_again() {
         let (a, b) = (WorkerAddr(1), WorkerAddr(2));
         let mut node = NodeRuntime::new(a, 3, TargetTriple::THOR_XEON);
         let library = lib(&forwarder_module());
@@ -1372,13 +1387,43 @@ mod tests {
         assert_eq!(forward(&mut node, frame.encode_truncated()), [(b, false)]);
         assert_eq!(forward(&mut node, frame.encode_truncated()), [(b, true)]);
 
-        node.sender_cache.forget_ifunc("forwarder");
-        assert_eq!(forward(&mut node, frame.encode_truncated()), [(b, false)]);
-        assert_eq!(forward(&mut node, frame.encode_truncated()), [(b, true)]);
-
-        assert_eq!(node.stats.ifunc_full_sends, 3);
-        assert_eq!(node.stats.ifunc_truncated_sends, 3);
+        assert_eq!(node.stats.ifunc_full_sends, 2);
+        assert_eq!(node.stats.ifunc_truncated_sends, 2);
         assert_eq!(node.stats.jit_compilations, 1);
+    }
+
+    /// A received ifunc takes its sender-cache row on its first forward: one
+    /// that never forwards adds no row, and a forwarder adds exactly one,
+    /// which its record keeps for every later forward.
+    #[test]
+    fn a_received_ifunc_takes_its_sender_cache_row_on_its_first_forward() {
+        // A cache's next new row is numbered by the rows it has.
+        let next_row = |cache: &SenderCache| cache.clone().row_of("next");
+        let rows = |n: usize| {
+            let mut cache = SenderCache::new();
+            (0..n).for_each(|i| _ = cache.row_of(&format!("row {i}")));
+            next_row(&cache)
+        };
+        let (a, b) = (WorkerAddr(1), WorkerAddr(2));
+        let mut node = NodeRuntime::new(a, 3, TargetTriple::THOR_XEON);
+
+        let tsi = IfuncMessage::bitcode(IfuncHandle(0), &lib(&tsi_module()), vec![1]).frame;
+        arrive(&mut node, WorkerAddr(0), tsi.encode_full()).unwrap();
+        assert_eq!(node.received[0].origin.row, None);
+        assert_eq!(next_row(&node.sender_cache), rows(0));
+
+        let mut payload = u64::from(b.0).to_le_bytes().to_vec();
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        let library = lib(&forwarder_module());
+        let forwarder = IfuncMessage::bitcode(IfuncHandle(0), &library, payload).frame;
+        arrive(&mut node, WorkerAddr(0), forwarder.encode_full()).unwrap();
+        let row = node.received[1].origin.row;
+        assert!(row.is_some());
+        assert_eq!(next_row(&node.sender_cache), rows(1));
+        arrive(&mut node, WorkerAddr(0), forwarder.encode_truncated()).unwrap();
+        assert_eq!(node.received[1].origin.row, row);
+        assert_eq!(next_row(&node.sender_cache), rows(1));
+        assert_eq!(posted_frames(&mut node), [(b, false), (b, true)]);
     }
 
     /// A forwarded frame is byte for byte the frame the origin would have
@@ -1693,9 +1738,8 @@ mod tests {
         );
         let stats = node.stats;
         assert_eq!((stats.ifunc_full_sends, stats.ifuncs_executed), (1, 0));
-        assert!(node
-            .sender_cache
-            .has(node.received[0].origin.row, WorkerAddr(2)));
+        let row = node.received[0].origin.row.unwrap();
+        assert!(node.sender_cache.has(row, WorkerAddr(2)));
 
         let handler: NativeAmHandler = Arc::new(|ctx, _| {
             ctx.return_result(WorkerAddr(0), 1, 5);
@@ -1795,13 +1839,13 @@ mod tests {
         for (symbol, args) in &calls {
             let run = |by_id: bool| {
                 let mut cache = SenderCache::new();
-                let origin = Origin {
+                let mut origin = Origin {
                     name: Arc::from("caller"),
                     repr: CodeRepr::Bitcode,
                     tail: crate::frame::encode_tail(vec![9u8; 32], &["libm.so".into()]),
                     code_len: 32,
                     deps: 1,
-                    row: cache.row_of("caller"),
+                    row: None,
                 };
                 let (mut worker, mut stats) = (Worker::new(WorkerAddr(1)), RuntimeStats::default());
                 let (mut local, mut completions) = (VecDeque::new(), Vec::new());
@@ -1809,7 +1853,7 @@ mod tests {
                 mem.write(PAYLOAD_STAGING_BASE, &[7u8; 16]).unwrap();
                 let mut host = FrameworkHost {
                     num_nodes: 3,
-                    ifunc: &origin,
+                    ifunc: &mut origin,
                     cache: &mut cache,
                     local: &mut local,
                     out: Outbox {

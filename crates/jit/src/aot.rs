@@ -38,7 +38,7 @@ pub fn build_object(
     // .text: the serialised machine module followed by one 8-byte GOT
     // reference slot per external symbol (the slots are what relocations
     // patch; the serialised code itself is never modified by the loader).
-    obj.text.bytes = mach.encode();
+    obj.text.bytes = mach.encode(&target.name(), &compiled.code);
     for sym in &mach.ext_symbols {
         let slot_offset = obj.text.bytes.len() as u64;
         obj.text.bytes.extend_from_slice(&[0u8; 8]);
@@ -248,16 +248,25 @@ mod tests {
     #[test]
     fn globals_become_data_symbols() {
         let mut mb = ModuleBuilder::new("gdata");
-        mb.add_global("tbl", vec![1, 2, 3, 4, 5], false);
-        mb.add_global("state", vec![0; 16], true);
         {
             let mut f = mb.entry_function();
             let z = f.const_i64(0);
             f.ret(z);
             f.finish();
         }
+        let mut module = mb.build();
+        module.globals.push(tc_bitir::Global {
+            name: "tbl".into(),
+            init: vec![1, 2, 3, 4, 5],
+            mutable: false,
+        });
+        module.globals.push(tc_bitir::Global {
+            name: "state".into(),
+            init: vec![0; 16],
+            mutable: true,
+        });
         let obj = build_object(
-            &mb.build(),
+            &module,
             TargetTriple::OOKAMI_A64FX,
             CompileOptions::default(),
         )

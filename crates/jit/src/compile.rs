@@ -12,10 +12,9 @@
 //! functional work.
 
 use crate::error::Result;
-use crate::machine::{DataObject, MachFunction, MachInst, MachModule};
-use tc_bitir::{
-    AtomicsExt, BinOp, Function, Inst, LowerInfo, Module, ScalarType, TargetTriple, VectorExt,
-};
+use crate::machine::{Blocks, MReg, MachInst, MachModule, Signature};
+use std::borrow::Cow;
+use tc_bitir::{AtomicsExt, BinOp, Inst, LowerInfo, Module, ScalarType, TargetTriple, VectorExt};
 
 /// Compiler configuration.
 #[derive(Debug, Clone, Copy)]
@@ -51,6 +50,10 @@ pub struct Compiled {
     pub module: MachModule,
     /// Compilation statistics.
     pub stats: CompileStats,
+    /// The machine code `module` was emitted from, one entry per function:
+    /// what a binary ifunc's `.text` carries ([`MachModule::encode`]).  A
+    /// module the JIT materialises keeps none of it.
+    pub code: Vec<Blocks>,
 }
 
 /// Compile a lowered IR module into machine code.
@@ -60,54 +63,7 @@ pub struct Compiled {
 /// compiled with generic (scalar, CAS-loop) lowering, matching how LLVM would
 /// pick a conservative subtarget when none is specified.
 pub fn compile_module(module: &Module, options: CompileOptions) -> Result<Compiled> {
-    if options.verify {
-        tc_bitir::verify_module(module)?;
-    }
-
-    let lower_info = module.lower_info.unwrap_or(LowerInfo {
-        vector: VectorExt::None,
-        atomics: AtomicsExt::CasLoop,
-        ptr_bytes: 8,
-    });
-    let triple_name = module
-        .triple
-        .map(|t| t.name())
-        .unwrap_or_else(|| "portable-sim".to_string());
-
-    let mut stats = CompileStats {
-        ir_insts: module.inst_count(),
-        ..CompileStats::default()
-    };
-
-    let mut functions = Vec::with_capacity(module.functions.len());
-    for f in &module.functions {
-        functions.push(compile_function(f, &lower_info, &mut stats)?);
-    }
-
-    let data = module
-        .globals
-        .iter()
-        .map(|g| DataObject {
-            name: g.name.clone(),
-            init: g.init.clone(),
-            mutable: g.mutable,
-        })
-        .collect();
-
-    let mach = MachModule::new(
-        module.name.clone(),
-        triple_name,
-        functions,
-        module.ext_symbols.clone(),
-        data,
-        module.deps.clone(),
-    )?;
-    stats.mach_insts = mach.inst_count();
-
-    Ok(Compiled {
-        module: mach,
-        stats,
-    })
+    compile(Cow::Borrowed(module), options)
 }
 
 /// Convenience: lower a portable module for `target` and compile it.
@@ -117,40 +73,101 @@ pub fn lower_and_compile(
     options: CompileOptions,
 ) -> Result<Compiled> {
     let lowered = tc_bitir::lower_for_target(module, target)?;
-    compile_module(&lowered, options)
+    compile(Cow::Owned(lowered), options)
 }
 
-fn compile_function(
-    f: &Function,
-    lower: &LowerInfo,
-    stats: &mut CompileStats,
-) -> Result<MachFunction> {
-    let mut blocks = Vec::with_capacity(f.blocks.len());
-    for block in &f.blocks {
-        let mut insts = Vec::with_capacity(block.insts.len());
-        for inst in &block.insts {
-            insts.push(select_inst(inst, lower, stats));
+/// The compiler: [`compile_module`] of a module lent to it, or of one
+/// handed to it ([`crate::orc::OrcJit::materialize`]), whose names, lists,
+/// globals and call arguments then move into the machine module instead of
+/// being copied.
+pub(crate) fn compile(ir: Cow<'_, Module>, options: CompileOptions) -> Result<Compiled> {
+    if options.verify {
+        tc_bitir::verify_module(&ir)?;
+    }
+    let lower = ir.lower_info.unwrap_or(LowerInfo {
+        vector: VectorExt::None,
+        atomics: AtomicsExt::CasLoop,
+        ptr_bytes: 8,
+    });
+    let mut stats = CompileStats {
+        ir_insts: ir.inst_count(),
+        ..CompileStats::default()
+    };
+    let (name, ext_symbols, deps, data, functions): (_, _, _, _, Cow<[_]>) = match ir {
+        Cow::Owned(m) => (m.name, m.ext_symbols, m.deps, m.globals, m.functions.into()),
+        Cow::Borrowed(m) => (
+            m.name.clone(),
+            m.ext_symbols.clone(),
+            m.deps.clone(),
+            m.globals.clone(),
+            (&m.functions).into(),
+        ),
+    };
+    let (mut sigs, mut code) = (Vec::with_capacity(functions.len()), Vec::new());
+    for f in each(functions) {
+        let (num_params, has_ret, num_regs) = (f.params.len() as u32, f.ret.is_some(), f.num_regs);
+        let (name, blocks): (_, Cow<[_]>) = match f {
+            Cow::Owned(f) => (f.name, f.blocks.into()),
+            Cow::Borrowed(f) => (f.name.clone(), (&f.blocks).into()),
+        };
+        let mut machine = Vec::with_capacity(blocks.len());
+        for block in each(blocks) {
+            let insts: Cow<[_]> = match block {
+                Cow::Owned(b) => b.insts.into(),
+                Cow::Borrowed(b) => (&b.insts).into(),
+            };
+            let mut selected = Vec::with_capacity(insts.len());
+            for inst in each(insts) {
+                selected.push(select_inst(inst, &lower, &mut stats));
+            }
+            stats.insts_folded += eliminate_redundant_moves(&mut selected);
+            stats.insts_folded += fold_constant_alu(&mut selected);
+            stats.mach_insts += selected.len();
+            machine.push(selected);
         }
-        blocks.push(insts);
+        sigs.push(Signature {
+            name,
+            num_params,
+            has_ret,
+            num_regs,
+        });
+        code.push(machine);
     }
-
-    for block in &mut blocks {
-        stats.insts_folded += eliminate_redundant_moves(block);
-        stats.insts_folded += fold_constant_alu(block);
-    }
-
-    Ok(MachFunction {
-        name: f.name.clone(),
-        num_params: f.params.len() as u32,
-        has_ret: f.ret.is_some(),
-        num_regs: f.num_regs,
-        blocks,
+    let module = MachModule::new(name, sigs, &code, ext_symbols, data, deps)?;
+    Ok(Compiled {
+        module,
+        stats,
+        code,
     })
 }
 
-/// Instruction selection: IR → machine, applying target specialisation.
-fn select_inst(inst: &Inst, lower: &LowerInfo, stats: &mut CompileStats) -> MachInst {
+/// The items of `list`: moved out of an owned one, lent by a borrowed one.
+fn each<'m, T: Clone>(list: Cow<'m, [T]>) -> impl Iterator<Item = Cow<'m, T>> {
+    let (owned, lent) = match list {
+        Cow::Owned(v) => (Some(v), None),
+        Cow::Borrowed(s) => (None, Some(s)),
+    };
+    let owned = owned.into_iter().flatten().map(Cow::Owned);
+    owned.chain(lent.into_iter().flatten().map(Cow::Borrowed))
+}
+
+/// A call's argument registers: moved out of an owned instruction, whose
+/// vector becomes the machine instruction's, or copied from a lent one.
+fn call_args(inst: Cow<'_, Inst>) -> Vec<MReg> {
     match inst {
+        Cow::Owned(Inst::Call { args, .. } | Inst::CallExt { args, .. }) => {
+            args.into_iter().map(|r| r.0).collect()
+        }
+        Cow::Borrowed(Inst::Call { args, .. } | Inst::CallExt { args, .. }) => {
+            args.iter().map(|r| r.0).collect()
+        }
+        _ => Vec::new(),
+    }
+}
+
+/// Instruction selection: IR → machine, applying target specialisation.
+fn select_inst(inst: Cow<'_, Inst>, lower: &LowerInfo, stats: &mut CompileStats) -> MachInst {
+    match &*inst {
         Inst::Const { dst, ty, bits } => MachInst::Imm {
             dst: dst.0,
             ty: *ty,
@@ -243,16 +260,24 @@ fn select_inst(inst: &Inst, lower: &LowerInfo, stats: &mut CompileStats) -> Mach
             dst: dst.0,
             data_index: global.0,
         },
-        Inst::Call { dst, func, args } => MachInst::CallLocal {
-            dst: dst.map(|r| r.0),
-            func_index: func.0,
-            args: args.iter().map(|r| r.0).collect(),
-        },
-        Inst::CallExt { dst, sym, args } => MachInst::CallSym {
-            dst: dst.map(|r| r.0),
-            sym_index: sym.0,
-            args: args.iter().map(|r| r.0).collect(),
-        },
+        Inst::Call { dst, func, .. } => {
+            let (dst, func_index) = (dst.map(|r| r.0), func.0);
+            let args = call_args(inst);
+            MachInst::CallLocal {
+                dst,
+                func_index,
+                args,
+            }
+        }
+        Inst::CallExt { dst, sym, .. } => {
+            let (dst, sym_index) = (dst.map(|r| r.0), sym.0);
+            let args = call_args(inst);
+            MachInst::CallSym {
+                dst,
+                sym_index,
+                args,
+            }
+        }
         Inst::Br { target } => MachInst::Jmp { block: target.0 },
         Inst::BrIf {
             cond,
@@ -413,7 +438,14 @@ mod tests {
             let payload = f.param(0);
             let target = f.param(2);
             let count = f.const_u64(64);
-            f.vec_op(VecOp::Add, ScalarType::F64, target, payload, payload, count);
+            f.push(tc_bitir::Inst::Vec {
+                op: VecOp::Add,
+                ty: ScalarType::F64,
+                dst_addr: target,
+                a_addr: payload,
+                b_addr: payload,
+                count,
+            });
             let (one, zero) = (f.const_u64(1), f.const_u64(0));
             f.atomic(
                 tc_bitir::AtomicOp::FetchAdd,
@@ -439,8 +471,7 @@ mod tests {
         let bf2 = lower_and_compile(&m, TargetTriple::THOR_BF2, CompileOptions::default()).unwrap();
 
         let lanes = |c: &Compiled| {
-            c.module.functions()[0]
-                .blocks
+            c.code[0]
                 .iter()
                 .flatten()
                 .find_map(|i| match i {
@@ -463,8 +494,7 @@ mod tests {
             lower_and_compile(&m, TargetTriple::OOKAMI_A64FX, CompileOptions::default()).unwrap();
         let bf2 = lower_and_compile(&m, TargetTriple::THOR_BF2, CompileOptions::default()).unwrap();
         let find_lse = |c: &Compiled| {
-            c.module.functions()[0]
-                .blocks
+            c.code[0]
                 .iter()
                 .flatten()
                 .find_map(|i| match i {
@@ -491,8 +521,7 @@ mod tests {
         let o2 = compile_module(&mb.build(), CompileOptions::default()).unwrap();
         assert!(o2.stats.insts_folded >= 2);
         // The folded constant must be correct.
-        let has_42 = o2.module.functions()[0]
-            .blocks
+        let has_42 = o2.code[0]
             .iter()
             .flatten()
             .any(|i| matches!(i, MachInst::Imm { bits: 42, .. }));
@@ -514,8 +543,7 @@ mod tests {
         let compiled = compile_module(&mb.build(), CompileOptions::default()).unwrap();
         // All three Imm+Alu chain still evaluates to 82 at run time — we just
         // check the immediates survived.
-        let imm_count = compiled.module.functions()[0]
-            .blocks
+        let imm_count = compiled.code[0]
             .iter()
             .flatten()
             .filter(|i| matches!(i, MachInst::Imm { .. }))
@@ -535,8 +563,7 @@ mod tests {
     fn portable_module_compiles_with_scalar_fallback() {
         let m = vec_module();
         let compiled = compile_module(&m, CompileOptions::default()).unwrap();
-        let lanes = compiled.module.functions()[0]
-            .blocks
+        let lanes = compiled.code[0]
             .iter()
             .flatten()
             .find_map(|i| match i {
@@ -545,7 +572,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(lanes, 1, "portable compile must scalarise");
-        assert_eq!(compiled.module.triple, "portable-sim");
     }
 
     #[test]
@@ -553,6 +579,7 @@ mod tests {
         let m = vec_module();
         let compiled = compile_module(&m, CompileOptions::default()).unwrap();
         assert_eq!(compiled.stats.ir_insts, m.inst_count());
-        assert_eq!(compiled.stats.mach_insts, compiled.module.inst_count());
+        let mach_insts: usize = compiled.code.iter().flatten().map(Vec::len).sum();
+        assert_eq!(compiled.stats.mach_insts, mach_insts);
     }
 }

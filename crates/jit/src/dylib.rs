@@ -130,17 +130,22 @@ impl LoadedLibs {
     /// does not hold (the paper's "dependency must be present on the
     /// target" requirement).
     pub fn load(deps: &[String]) -> Result<Self> {
-        let mut rows = 0;
-        for dep in deps {
-            let row = LIBRARIES
-                .iter()
-                .position(|(name, _)| name == dep)
-                .ok_or_else(|| JitError::MissingDependency {
-                    library: dep.clone(),
-                })?;
-            rows |= 1 << row;
-        }
-        Ok(LoadedLibs { rows })
+        let add = |libs: LoadedLibs, dep: &String| Ok(libs.with(dep)?.0);
+        deps.iter().try_fold(LoadedLibs::NONE, add)
+    }
+
+    /// These libraries and the one `dep` names, and whether it was not
+    /// loaded yet; a name the table does not hold is refused as
+    /// [`LoadedLibs::load`] refuses it.
+    pub fn with(self, dep: &str) -> Result<(Self, bool)> {
+        let row = LIBRARIES
+            .iter()
+            .position(|(name, _)| *name == dep)
+            .ok_or_else(|| JitError::MissingDependency {
+                library: dep.to_string(),
+            })?;
+        let rows = self.rows | 1 << row;
+        Ok((LoadedLibs { rows }, rows != self.rows))
     }
 
     /// Whether code linked against these libraries may call `symbol`: a

@@ -21,7 +21,7 @@
 use crate::dylib::{HostCall, LoadedLibs};
 use crate::engine::{normalize, Fuel, Memory, MemoryExt};
 use crate::error::{JitError, Result};
-use crate::machine::{MReg, MachFunction, MachInst, VEC_CHUNK_CYCLES};
+use crate::machine::{Blocks, MReg, MachInst, Signature, VEC_CHUNK_CYCLES};
 use std::cmp::Ordering;
 use tc_bitir::{AtomicOp, BinOp, ScalarType, UnOp, VecOp};
 
@@ -100,18 +100,22 @@ fn ends_charge(inst: &MachInst, ext_symbols: &[String]) -> bool {
     }
 }
 
-/// Emit the executable form of `functions`, whose external calls name
-/// `ext_symbols`.
-pub(crate) fn emit(functions: &[MachFunction], ext_symbols: &[String]) -> Result<Program> {
-    let most_blocks = functions.iter().map(|f| f.blocks.len()).max().unwrap_or(0);
+/// Emit the executable form of the machine code of `functions`, whose
+/// external calls name `ext_symbols`.
+pub(crate) fn emit(
+    functions: &[Signature],
+    machine: &[Blocks],
+    ext_symbols: &[String],
+) -> Result<Program> {
+    let most_blocks = machine.iter().map(Vec::len).max().unwrap_or(0);
     let mut entries = Vec::with_capacity(functions.len() + most_blocks);
     let (mut code, mut args) = (Vec::new(), Vec::new());
-    for f in functions {
+    for (f, blocks) in functions.iter().zip(machine) {
         // Where each block will start, parked behind the entries while the
         // function is emitted; block 0's stays, as the function's entry.
         let first = entries.len();
         let (mut at, mut nargs) = (code.len(), 0);
-        for block in &f.blocks {
+        for block in blocks {
             entries.push(at as u32);
             at += 1 + block.len();
             for inst in block {
@@ -121,14 +125,14 @@ pub(crate) fn emit(functions: &[MachFunction], ext_symbols: &[String]) -> Result
                 at += usize::from(ends_charge(inst, ext_symbols));
             }
         }
-        if f.blocks.is_empty() {
+        if blocks.is_empty() {
             return Err(malformed(f, "has no blocks".into()));
         }
         // Reserved exactly, so that a one-function module's code and call
         // arguments are one allocation each.
         code.reserve_exact(at - code.len());
         args.reserve_exact(nargs);
-        for (b, block) in f.blocks.iter().enumerate() {
+        for (b, block) in blocks.iter().enumerate() {
             if block.is_empty() {
                 return Err(malformed(f, format!("leaves block {b} empty")));
             }
@@ -167,12 +171,12 @@ pub(crate) fn emit(functions: &[MachFunction], ext_symbols: &[String]) -> Result
     })
 }
 
-fn malformed(f: &MachFunction, what: String) -> JitError {
+fn malformed(f: &Signature, what: String) -> JitError {
     JitError::Compile(format!("function `{}` {what}", f.name))
 }
 
 /// Lower one instruction of `f`, whose blocks start at `blocks`.
-fn lower(inst: &MachInst, f: &MachFunction, blocks: &[u32], args: &mut Vec<MReg>) -> Result<Op> {
+fn lower(inst: &MachInst, f: &Signature, blocks: &[u32], args: &mut Vec<MReg>) -> Result<Op> {
     let (frame, nblocks) = (f.num_regs.max(f.num_params), blocks.len());
     let reg = |r: MReg| match r < frame {
         true => Ok(r),

@@ -14,7 +14,7 @@
 use crate::dylib::HostCall;
 use crate::emit::{atomic, nonzero, vec_loop, Op, Program};
 use crate::error::{JitError, Result};
-use crate::machine::{MReg, MachFunction, MachModule};
+use crate::machine::{MReg, MachModule, Signature};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::{Index, IndexMut};
@@ -494,7 +494,7 @@ impl<'a> ExecContext<'a> {
             return Err(trap(format!("call depth exceeded {}", self.max_depth)));
         }
         let module: &'a MachModule = self.module;
-        let func: &MachFunction = module.functions().get(func_index as usize).ok_or_else(|| {
+        let func: &Signature = module.functions().get(func_index as usize).ok_or_else(|| {
             JitError::UnknownFunction {
                 name: format!("#{func_index}"),
             }
@@ -531,7 +531,7 @@ impl<'a> ExecContext<'a> {
     /// returns or traps.
     fn run_frame(
         &mut self,
-        func: &MachFunction,
+        func: &Signature,
         mut pc: usize,
         r: &mut Regs<'_>,
         depth: u32,
@@ -672,8 +672,9 @@ pub(crate) fn normalize(ty: ScalarType, bits: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::{compile_module, lower_and_compile, CompileOptions};
+    use crate::compile::{compile, compile_module, lower_and_compile, CompileOptions};
     use crate::emit::{eval_bin, eval_un};
+    use std::borrow::Cow;
     use tc_bitir::{AtomicOp, BinOp, ModuleBuilder, TargetTriple, UnOp, VecOp};
 
     /// The interpreter of [`MachInst`] that the pre-decoded engine replaced,
@@ -681,13 +682,14 @@ mod tests {
     /// `eval_bin` deciding operator and type, a fuel check and a cycle add.
     mod reference {
         use super::super::*;
-        use crate::machine::MachInst;
+        use crate::machine::{Blocks, MachInst};
         use tc_bitir::{AtomicOp, BinOp, UnOp, VecOp};
 
-        /// [`Engine::run_index`] on the reference interpreter.
+        /// [`Engine::run_index`] on the reference interpreter, which runs the
+        /// machine code `module` was emitted from.
         pub(super) fn run_index(
             limits: ExecLimits,
-            module: &MachModule,
+            (module, code): (&MachModule, &[Blocks]),
             func_index: u32,
             args: &[u64],
             data_addrs: &[u64],
@@ -696,6 +698,7 @@ mod tests {
         ) -> Result<ExecOutcome> {
             let mut ctx = Reference {
                 module,
+                code,
                 data_addrs,
                 mem,
                 host,
@@ -715,6 +718,7 @@ mod tests {
 
         struct Reference<'a> {
             module: &'a MachModule,
+            code: &'a [Blocks],
             data_addrs: &'a [u64],
             mem: &'a mut dyn Memory,
             host: &'a mut dyn ExternalHost,
@@ -735,12 +739,13 @@ mod tests {
                     });
                 }
                 let module: &'a MachModule = self.module;
-                let func: &MachFunction =
+                let func: &Signature =
                     module.functions().get(func_index as usize).ok_or_else(|| {
                         JitError::UnknownFunction {
                             name: format!("#{func_index}"),
                         }
                     })?;
+                let blocks = &self.code[func_index as usize];
                 if args.len() != func.num_params as usize {
                     return Err(JitError::Trap {
                         reason: format!(
@@ -763,7 +768,7 @@ mod tests {
                     &mut spilled
                 };
                 regs[..args.len()].copy_from_slice(args);
-                let ret = self.run_frame(func, regs, depth);
+                let ret = self.run_frame(func, blocks, regs, depth);
                 if num_regs > INLINE_REGS {
                     self.spare_frames.push(spilled);
                 }
@@ -773,14 +778,15 @@ mod tests {
             /// Interpret `func` over its register file until it returns or traps.
             fn run_frame(
                 &mut self,
-                func: &'a MachFunction,
+                func: &'a Signature,
+                blocks: &'a Blocks,
                 regs: &mut [u64],
                 depth: u32,
             ) -> Result<u64> {
                 let module: &'a MachModule = self.module;
                 let mut block = 0usize;
                 loop {
-                    let insts = func.blocks.get(block).ok_or_else(|| JitError::Trap {
+                    let insts = blocks.get(block).ok_or_else(|| JitError::Trap {
                         reason: format!("jump to non-existent block {block} in `{}`", func.name),
                     })?;
                     let mut next_block: Option<usize> = None;
@@ -1465,7 +1471,14 @@ mod tests {
         {
             let mut f = mb.entry_function();
             let (a, n, dst) = (f.param(0), f.param(1), f.param(2));
-            f.vec_op(VecOp::Add, ScalarType::U64, dst, a, a, n);
+            f.push(tc_bitir::Inst::Vec {
+                op: VecOp::Add,
+                ty: ScalarType::U64,
+                dst_addr: dst,
+                a_addr: a,
+                b_addr: a,
+                count: n,
+            });
             let z = f.const_i64(0);
             f.ret(z);
             f.finish();
@@ -1490,14 +1503,14 @@ mod tests {
             let payload = f.param(0);
             let len = f.param(1);
             let target = f.param(2);
-            f.vec_op(
-                tc_bitir::VecOp::Add,
-                ScalarType::F64,
-                target,
-                payload,
-                payload,
-                len,
-            );
+            f.push(tc_bitir::Inst::Vec {
+                op: tc_bitir::VecOp::Add,
+                ty: ScalarType::F64,
+                dst_addr: target,
+                a_addr: payload,
+                b_addr: payload,
+                count: len,
+            });
             let z = f.const_i64(0);
             f.ret(z);
             f.finish();
@@ -1844,10 +1857,24 @@ mod tests {
                 let ty = g.pick(&[T::I8, T::I32, T::U16, T::U64, T::F32, T::F64]);
                 let [dst, a, b] = [0; 3].map(|_| f.const_u64(g.addr(80, 40)));
                 let count = f.const_u64(g.below(10));
-                f.vec_op(g.pick(&VecOp::ALL), ty, dst, a, b, count);
+                f.push(tc_bitir::Inst::Vec {
+                    op: g.pick(&VecOp::ALL),
+                    ty,
+                    dst_addr: dst,
+                    a_addr: a,
+                    b_addr: b,
+                    count,
+                });
                 None
             }
-            12 => Some(f.global_addr(tc_bitir::GlobalId(0))),
+            12 => {
+                let dst = f.new_reg();
+                f.push(tc_bitir::Inst::GlobalAddr {
+                    dst,
+                    global: tc_bitir::GlobalId(0),
+                });
+                Some(dst)
+            }
             13 if !sigs.is_empty() => {
                 let callee = g.below(sigs.len() as u64) as usize;
                 let (params, returns) = sigs[callee];
@@ -1915,7 +1942,6 @@ mod tests {
     /// themselves) and an entry function that calls them.
     fn gen_module(g: &mut Rng) -> tc_bitir::Module {
         let mut mb = ModuleBuilder::new("generated");
-        mb.add_global("lut", (0..24).collect(), true);
         let sigs: Vec<(usize, bool)> = (0..g.below(4))
             .map(|_| (g.below(4) as usize, g.below(3) != 0))
             .collect();
@@ -1928,7 +1954,13 @@ mod tests {
         let mut f = mb.entry_function();
         gen_body(&mut f, g, 3, true, &sigs);
         f.finish();
-        mb.build()
+        let mut module = mb.build();
+        module.globals.push(tc_bitir::Global {
+            name: "lut".into(),
+            init: (0..24).collect(),
+            mutable: true,
+        });
+        module
     }
 
     /// Which way a run ended, for the coverage check.
@@ -1942,8 +1974,10 @@ mod tests {
     }
 
     /// Generated programs run on the reference interpreter and on the
-    /// pre-decoded engine — compiled, and decoded again from their `.text`
-    /// bytes — with the same memory, host and limits: the same outcome
+    /// pre-decoded engine — compiled through both compiler entries, which
+    /// give the same machine code and the same program, and decoded again
+    /// from their `.text` bytes — with the same memory, host and limits: the
+    /// same outcome
     /// (`ExecOutcome`, or the same error, `OutOfFuel { executed }` included,
     /// at a large and at a seeded small fuel limit), the same memory image
     /// and the same host-call log.  A failure prints its seed.
@@ -1956,9 +1990,17 @@ mod tests {
             let mut g = Rng(seed);
             let module = gen_module(&mut g);
             let target = g.pick(&[TargetTriple::THOR_XEON, TargetTriple::OOKAMI_A64FX]);
-            let compiled = lower_and_compile(&module, target, CompileOptions::default())
+            let lowered = tc_bitir::lower_for_target(&module, target).unwrap();
+            // Both compiler entries: the module lent, and the module handed
+            // over, as the JIT session hands it.
+            let compiled = compile_module(&lowered, CompileOptions::default())
                 .unwrap_or_else(|e| panic!("seed {seed:#x}: {e}"));
-            let decoded = MachModule::decode(&compiled.module.encode()).unwrap();
+            let handed = compile(Cow::Owned(lowered), CompileOptions::default()).unwrap();
+            assert_eq!(handed, compiled, "seed {seed:#x}");
+            let program = |m: &MachModule| format!("{:?}", m.program);
+            assert_eq!(program(&handed.module), program(&compiled.module));
+            let text = compiled.module.encode(&target.name(), &compiled.code);
+            let decoded = MachModule::decode(&text).unwrap();
             let entry = compiled.module.function_index("main").unwrap();
             let args = [BASE, g.below(64), BASE + SIZE / 2];
             // The global is materialised, or (sometimes) not.
@@ -1975,7 +2017,7 @@ mod tests {
                 let (mut mem, mut host) = (image.clone(), LogHost::default());
                 let want = reference::run_index(
                     limits,
-                    &compiled.module,
+                    (&compiled.module, &compiled.code),
                     entry,
                     &args,
                     data,
@@ -1983,7 +2025,7 @@ mod tests {
                     &mut host,
                 );
                 seen[kind(&want)] += 1;
-                for module in [&compiled.module, &decoded] {
+                for module in [&compiled.module, &handed.module, &decoded] {
                     let (mut got_mem, mut got_host) = (image.clone(), LogHost::default());
                     let got = Engine { limits }.run_index(
                         module,
@@ -2035,7 +2077,8 @@ mod tests {
             }
         }
         let unchecked = CompileOptions { verify: false };
-        let module = compile_module(&mb.build(), unchecked).unwrap().module;
+        let compiled = compile_module(&mb.build(), unchecked).unwrap();
+        let module = &compiled.module;
         let (i64_min, f32_nan) = (i64::MIN as u64, u64::from(f32::NAN.to_bits()));
         let values = [
             0,
@@ -2077,7 +2120,7 @@ mod tests {
                 let limits = ExecLimits::default();
                 let want = reference::run_index(
                     limits,
-                    &module,
+                    (module, &compiled.code),
                     index,
                     &args,
                     &[],
@@ -2085,7 +2128,7 @@ mod tests {
                     &mut NoExternals,
                 );
                 let got = Engine { limits }.run_index(
-                    &module,
+                    module,
                     index,
                     &args,
                     &[],

@@ -47,5 +47,5 @@ pub use engine::{
     VecMemory, GROWTH_BYTES,
 };
 pub use error::{JitError, Result};
-pub use machine::{DataObject, MachFunction, MachInst, MachModule};
+pub use machine::{Blocks, DataObject, MachInst, MachModule, Signature};
 pub use orc::{MaterializedModule, OrcJit, JIT_DATA_BASE};

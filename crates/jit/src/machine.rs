@@ -226,9 +226,9 @@ impl MachInst {
     }
 }
 
-/// A compiled function: blocks of machine instructions.
+/// What the engine reads of a compiled function: its name and its frame.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MachFunction {
+pub struct Signature {
     /// Function name.
     pub name: String,
     /// Number of parameters (arrive in registers 0..n).
@@ -237,46 +237,34 @@ pub struct MachFunction {
     pub has_ret: bool,
     /// Number of virtual registers used.
     pub num_regs: u32,
-    /// Basic blocks of machine instructions.
-    pub blocks: Vec<Vec<MachInst>>,
 }
 
-impl MachFunction {
-    /// Total instruction count.
-    pub fn inst_count(&self) -> usize {
-        self.blocks.iter().map(Vec::len).sum()
-    }
-}
+/// A function's machine code: its basic blocks, block 0 first.  The
+/// compiler's output and [`crate::emit`]'s input; a module keeps only what
+/// is emitted from it.
+pub type Blocks = Vec<Vec<MachInst>>;
 
-/// A data object carried alongside the code (lowered module global).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DataObject {
-    /// Symbol name.
-    pub name: String,
-    /// Initial bytes.
-    pub init: Vec<u8>,
-    /// Whether stores to it are allowed.
-    pub mutable: bool,
-}
+/// A data object carried alongside the code: a module global as it was
+/// lowered, kept by the compiled module and written to `.text` alike.
+pub type DataObject = tc_bitir::Global;
 
-/// A fully compiled module: the unit the ORC-like JIT caches and the
-/// execution engine runs.
+/// A fully compiled module: what the runtime's registration table keeps and
+/// the execution engine runs.  It holds the program emitted from the
+/// functions' machine code, not the code itself.
 #[derive(Debug, Clone)]
 pub struct MachModule {
     /// Module (ifunc library) name.
     pub name: String,
-    /// Triple string the module was compiled for.
-    pub triple: String,
-    /// Compiled functions; read through [`MachModule::functions`], because
-    /// the engine runs `program`, emitted from them when the module was made.
-    functions: Vec<MachFunction>,
+    /// The functions' signatures, in index order; read through
+    /// [`MachModule::functions`].
+    functions: Vec<Signature>,
     /// External symbols referenced by [`MachInst::CallSym`], in index order.
     pub ext_symbols: Vec<String>,
     /// Data objects referenced by [`MachInst::DataAddr`], in index order.
     pub data: Vec<DataObject>,
     /// Shared-library dependencies that must be loadable before execution.
     pub deps: Vec<String>,
-    /// The executable form of `functions` (see [`crate::emit`]).
+    /// The executable form of the functions (see [`crate::emit`]).
     pub(crate) program: Program,
 }
 
@@ -285,7 +273,6 @@ pub struct MachModule {
 impl PartialEq for MachModule {
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name
-            && self.triple == other.triple
             && self.functions == other.functions
             && self.ext_symbols == other.ext_symbols
             && self.data == other.data
@@ -294,21 +281,21 @@ impl PartialEq for MachModule {
 }
 
 impl MachModule {
-    /// Make a module: the one constructor, so the compiler's modules and
-    /// the `.text` decoder's are emitted alike.  Fails on code the engine
-    /// could not run (see [`crate::emit`]).
+    /// Make a module from the machine code of `functions`: the one
+    /// constructor, so the compiler's modules and the `.text` decoder's are
+    /// emitted alike.  Fails on code the engine could not run (see
+    /// [`crate::emit`]).
     pub(crate) fn new(
         name: String,
-        triple: String,
-        functions: Vec<MachFunction>,
+        functions: Vec<Signature>,
+        code: &[Blocks],
         ext_symbols: Vec<String>,
         data: Vec<DataObject>,
         deps: Vec<String>,
     ) -> Result<Self> {
-        let program = emit(&functions, &ext_symbols)?;
+        let program = emit(&functions, code, &ext_symbols)?;
         Ok(MachModule {
             name,
-            triple,
             functions,
             ext_symbols,
             data,
@@ -317,8 +304,8 @@ impl MachModule {
         })
     }
 
-    /// Compiled functions, in index order.
-    pub fn functions(&self) -> &[MachFunction] {
+    /// The compiled functions' signatures, in index order.
+    pub fn functions(&self) -> &[Signature] {
         &self.functions
     }
 
@@ -330,58 +317,62 @@ impl MachModule {
             .map(|i| i as u32)
     }
 
-    /// Total machine instruction count.
-    pub fn inst_count(&self) -> usize {
-        self.functions.iter().map(MachFunction::inst_count).sum()
-    }
-
     // -- serialization (the contents of a binary ifunc's .text) -------------
 
-    /// Serialise the module to a compact byte stream.
-    pub fn encode(&self) -> Vec<u8> {
+    /// Serialise the module, compiled for `triple` from `code` (see
+    /// [`crate::Compiled`]), to the compact byte stream a binary ifunc's
+    /// `.text` carries: its tables, then each function's signature and blocks.
+    pub fn encode(&self, triple: &str, code: &[Blocks]) -> Vec<u8> {
         let mut w = Vec::new();
         self.name.put(&mut w);
-        self.triple.put(&mut w);
+        triple.to_string().put(&mut w);
         self.ext_symbols.put(&mut w);
         self.deps.put(&mut w);
         self.data.put(&mut w);
-        self.functions.put(&mut w);
+        // A `Vec<TextFunction>`: the count, then each row.
+        (self.functions.len() as u64).put(&mut w);
+        for (f, blocks) in self.functions.iter().zip(code) {
+            f.put(&mut w);
+            blocks.put(&mut w);
+        }
         w
     }
 
-    /// Deserialise a module previously produced by [`MachModule::encode`].
+    /// Deserialise a module from a `.text` byte stream: its machine code is
+    /// emitted and dropped, and its triple, which the loader has checked
+    /// against the host's, is not kept.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
         let r = &mut Reader::new(bytes);
         let get = |r: &mut Reader<'_>| {
-            Some((
+            let (name, _triple, ext_symbols, deps, data, functions): (String, String, _, _, _, _) = (
                 Field::get(r)?,
                 Field::get(r)?,
                 Field::get(r)?,
                 Field::get(r)?,
                 Field::get(r)?,
                 Field::get(r)?,
-            ))
+            );
+            Some((name, ext_symbols, deps, data, functions))
         };
-        let (name, triple, ext_symbols, deps, data, functions) = get(r)
+        let (name, ext_symbols, deps, data, functions): (_, _, _, _, Vec<TextFunction>) = get(r)
             .ok_or_else(|| JitError::Decode(format!("malformed .text at offset {}", r.offset())))?;
-        MachModule::new(name, triple, functions, ext_symbols, data, deps)
+        let (functions, code): (_, Vec<Blocks>) = functions.into_iter().map(|f| (f.0, f.1)).unzip();
+        MachModule::new(name, functions, &code, ext_symbols, data, deps)
     }
 }
 
-// The `.text` tables: bitcode's scalars (`tc_bitir::bitcode`), with
-// registers, indices, lane counts and trap codes as `u32` varints.
-fields!(DataObject {
-    name,
-    mutable,
-    init
-});
-fields!(MachFunction {
+// The `.text` tables: bitcode's scalars and globals (`tc_bitir::bitcode`),
+// with registers, indices, lane counts and trap codes as `u32` varints.
+fields!(Signature {
     name,
     num_params,
     has_ret,
-    num_regs,
-    blocks
+    num_regs
 });
+
+/// A function as `.text` carries it: its signature, then its blocks.
+struct TextFunction(Signature, Blocks);
+fields!(TextFunction { 0, 1 });
 fields!(MachInst:
     1 => Imm { dst, ty, bits },
     2 => Mov { dst, src },
@@ -404,60 +395,70 @@ fields!(MachInst:
 mod tests {
     use super::*;
 
-    fn sample_module() -> MachModule {
-        MachModule::new(
+    const TRIPLE: &str = "x86_64-xeon-e5-sim";
+
+    /// A one-function module's machine code, with its signature.
+    fn sample_code() -> (Vec<Signature>, Vec<Blocks>) {
+        let main = Signature {
+            name: "main".into(),
+            num_params: 3,
+            has_ret: true,
+            num_regs: 8,
+        };
+        let blocks = vec![
+            vec![
+                MachInst::Imm {
+                    dst: 3,
+                    ty: ScalarType::U64,
+                    bits: 41,
+                },
+                MachInst::Ld {
+                    ty: ScalarType::U64,
+                    dst: 4,
+                    addr: 2,
+                    offset: 0,
+                },
+                MachInst::Alu {
+                    op: BinOp::Add,
+                    ty: ScalarType::U64,
+                    dst: 5,
+                    lhs: 3,
+                    rhs: 4,
+                },
+                MachInst::JmpIf {
+                    cond: 5,
+                    then_block: 1,
+                    else_block: 1,
+                },
+            ],
+            vec![
+                MachInst::CallSym {
+                    dst: Some(6),
+                    sym_index: 0,
+                    args: vec![5],
+                },
+                MachInst::AtomicRmw {
+                    op: AtomicOp::FetchAdd,
+                    ty: ScalarType::U64,
+                    dst: 7,
+                    addr: 2,
+                    src: 5,
+                    expected: 5,
+                    lse: true,
+                },
+                MachInst::Ret { value: Some(7) },
+            ],
+        ];
+        (vec![main], vec![blocks])
+    }
+
+    /// The module made of `code`, and its `.text`.
+    fn sample_module(code: (Vec<Signature>, Vec<Blocks>)) -> Result<(MachModule, Vec<u8>)> {
+        let (functions, code) = code;
+        let m = MachModule::new(
             "m".into(),
-            "x86_64-xeon-e5-sim".into(),
-            vec![MachFunction {
-                name: "main".into(),
-                num_params: 3,
-                has_ret: true,
-                num_regs: 8,
-                blocks: vec![
-                    vec![
-                        MachInst::Imm {
-                            dst: 3,
-                            ty: ScalarType::U64,
-                            bits: 41,
-                        },
-                        MachInst::Ld {
-                            ty: ScalarType::U64,
-                            dst: 4,
-                            addr: 2,
-                            offset: 0,
-                        },
-                        MachInst::Alu {
-                            op: BinOp::Add,
-                            ty: ScalarType::U64,
-                            dst: 5,
-                            lhs: 3,
-                            rhs: 4,
-                        },
-                        MachInst::JmpIf {
-                            cond: 5,
-                            then_block: 1,
-                            else_block: 1,
-                        },
-                    ],
-                    vec![
-                        MachInst::CallSym {
-                            dst: Some(6),
-                            sym_index: 0,
-                            args: vec![5],
-                        },
-                        MachInst::AtomicRmw {
-                            op: AtomicOp::FetchAdd,
-                            ty: ScalarType::U64,
-                            dst: 7,
-                            addr: 2,
-                            src: 5,
-                            expected: 5,
-                            lse: true,
-                        },
-                        MachInst::Ret { value: Some(7) },
-                    ],
-                ],
-            }],
+            functions,
+            &code,
             vec!["tc_return_result".into()],
             vec![DataObject {
                 name: "lut".into(),
@@ -465,16 +466,19 @@ mod tests {
                 mutable: false,
             }],
             vec!["libc.so".into()],
-        )
-        .unwrap()
+        )?;
+        let text = m.encode(TRIPLE, &code);
+        Ok((m, text))
     }
 
+    /// What a `.text` decodes to is the module it was encoded from, less
+    /// the machine code it was emitted from.
     #[test]
     fn encode_decode_roundtrip() {
-        let m = sample_module();
-        let bytes = m.encode();
+        let (m, bytes) = sample_module(sample_code()).unwrap();
         let decoded = MachModule::decode(&bytes).unwrap();
         assert_eq!(m, decoded);
+        assert_eq!(decoded.encode(TRIPLE, &sample_code().1), bytes);
     }
 
     #[test]
@@ -482,13 +486,13 @@ mod tests {
         // Binary ifuncs in the paper are tens of bytes for the TSI kernel —
         // two orders of magnitude smaller than fat-bitcode.  Our machine
         // encoding of a small kernel must stay well under a kilobyte.
-        let m = sample_module();
-        assert!(m.encode().len() < 512, "got {}", m.encode().len());
+        let (_, text) = sample_module(sample_code()).unwrap();
+        assert!(text.len() < 512, "got {}", text.len());
     }
 
     #[test]
     fn truncated_stream_rejected() {
-        let bytes = sample_module().encode();
+        let (_, bytes) = sample_module(sample_code()).unwrap();
         for cut in [1usize, 8, bytes.len() / 2, bytes.len() - 1] {
             assert!(MachModule::decode(&bytes[..cut]).is_err(), "cut {cut}");
         }
@@ -536,10 +540,9 @@ mod tests {
 
     #[test]
     fn function_index_lookup() {
-        let m = sample_module();
+        let (m, _) = sample_module(sample_code()).unwrap();
         assert_eq!(m.function_index("main"), Some(0));
         assert_eq!(m.function_index("missing"), None);
-        assert_eq!(m.inst_count(), 7);
     }
 
     /// Code the engine could not run — a register outside the frame, a
@@ -564,9 +567,12 @@ mod tests {
             ("no blocks", vec![]),
         ];
         for (what, blocks) in cases {
-            let mut m = sample_module();
-            m.functions[0].blocks = blocks;
-            let err = MachModule::decode(&m.encode()).unwrap_err();
+            let code = vec![blocks];
+            let err = sample_module((sample_code().0, code.clone())).unwrap_err();
+            assert!(matches!(err, JitError::Compile(_)), "{what}: {err:?}");
+            // The same code in a `.text` is refused when it is decoded.
+            let (good, _) = sample_module(sample_code()).unwrap();
+            let err = MachModule::decode(&good.encode(TRIPLE, &code)).unwrap_err();
             assert!(matches!(err, JitError::Compile(_)), "{what}: {err:?}");
         }
     }

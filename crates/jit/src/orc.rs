@@ -12,11 +12,12 @@
 //! ifunc from previous JIT invocations" is the caller's registration table
 //! (`tc-core`'s runtime), which never asks for a name twice.
 
-use crate::compile::{compile_module, CompileOptions};
+use crate::compile::{compile, CompileOptions, Compiled};
 use crate::dylib::LoadedLibs;
 use crate::engine::{Engine, ExecOutcome, ExternalHost, Memory};
 use crate::error::Result;
 use crate::machine::MachModule;
+use std::borrow::Cow;
 use tc_bitir::{Module, TargetTriple};
 
 /// Base address at which JIT-materialised globals are placed in node memory.
@@ -72,7 +73,8 @@ impl OrcJit {
     /// Lower `module` if it is still portable (bitcode shipped from the
     /// toolchain is already lowered), compile it and [`link`](Self::link)
     /// it.  Every call compiles: deciding whether a module needs compiling
-    /// at all is the caller's business.
+    /// at all is the caller's business.  The compiler consumes the module,
+    /// and the machine code is dropped once the program is emitted from it.
     pub fn materialize(
         &mut self,
         module: Module,
@@ -83,8 +85,8 @@ impl OrcJit {
         } else {
             module
         };
-        let compiled = compile_module(&module, CompileOptions::default())?;
-        self.link(compiled.module, mem)
+        let Compiled { module, .. } = compile(Cow::Owned(module), CompileOptions::default())?;
+        self.link(module, mem)
     }
 
     /// The one link step of received code, whatever its representation:
@@ -136,11 +138,15 @@ mod tests {
     fn module_with_global_and_dep() -> Module {
         let mut mb = ModuleBuilder::new("globals");
         mb.add_dep("libc.so");
-        let g = mb.add_global("lut", vec![10, 0, 0, 0, 0, 0, 0, 0], false);
+        let g = tc_bitir::GlobalId(0);
         {
             let mut f = mb.entry_function();
             let target = f.param(2);
-            let lut = f.global_addr(g);
+            let lut = f.new_reg();
+            f.push(tc_bitir::Inst::GlobalAddr {
+                dst: lut,
+                global: g,
+            });
             let v = f.load(ScalarType::U64, lut, 0);
             f.store(ScalarType::U64, v, target, 0);
             let dst = f.copy(target);
@@ -151,7 +157,13 @@ mod tests {
             f.ret(z);
             f.finish();
         }
-        mb.build()
+        let mut module = mb.build();
+        module.globals.push(tc_bitir::Global {
+            name: "lut".into(),
+            init: vec![10, 0, 0, 0, 0, 0, 0, 0],
+            mutable: false,
+        });
+        module
     }
 
     /// Run the entry function of `module` with the ifunc calling convention.

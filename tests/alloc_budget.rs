@@ -38,6 +38,8 @@ use tc_workloads::{chaser_module, chaser_payload, reporting_tsi_payload, tsi_rep
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated less bytes freed on this thread.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -46,21 +48,22 @@ struct Counting;
 // upholds the `GlobalAlloc` contract; the counter touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|n| n.set(n.get() - layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -68,9 +71,11 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-fn note() {
+/// One allocation (or reallocation) that adds `bytes` to the live count.
+fn note(bytes: i64) {
     // A thread being torn down has no counter left; nothing is measured there.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = LIVE.try_with(|n| n.set(n.get() + bytes));
 }
 
 /// Allocations (and reallocations) `f` performs on this thread.
@@ -186,7 +191,7 @@ fn forwarding_arrival_allocs(name: &str, deps: &[&str]) -> u64 {
     let mut arrival: Vec<OutgoingMessage> = nodes.client.take_outgoing();
     let arrival = arrival.pop().expect("the client posted one frame");
     assert!(matches!(&arrival.op, UcpOp::IfuncFrame { bytes, code }
-        if MessageFrame::decode_views(bytes, code).unwrap().is_truncated()));
+        if MessageFrame::decode_views(bytes, code).unwrap().code.is_none()));
 
     let jit_before = nodes.a.stats.jit_compilations;
     let mut outcome = None;
@@ -204,7 +209,7 @@ fn forwarding_arrival_allocs(name: &str, deps: &[&str]) -> u64 {
     let forwarded = forwarded.expect("one forward");
     assert_eq!(forwarded.dst, SERVER_B);
     assert!(matches!(&forwarded.op, UcpOp::IfuncFrame { bytes, code }
-        if MessageFrame::decode_views(bytes, code).unwrap().is_truncated()));
+        if MessageFrame::decode_views(bytes, code).unwrap().code.is_none()));
     allocs
 }
 
@@ -238,10 +243,22 @@ fn the_allocation_count_does_not_grow_with_name_length_or_dependency_count() {
 /// function entries and call arguments), 45 until the bitcode decoder
 /// skipped the function and module metadata padding instead of copying it
 /// (2 fewer), 43 until the result record the ifunc returns was written
-/// into a pooled buffer (1 fewer), and 42 until intake read the server's
+/// into a pooled buffer (1 fewer), 42 until intake read the server's
 /// slice of the archive in place instead of decoding every entry (7 fewer:
-/// the archive's name, dependency list, entry list and the five entries).
-const FIRST_ARRIVAL: u64 = 35;
+/// the archive's name, dependency list, entry list and the five entries),
+/// and 35 until the compiler took the module it compiles instead of copying
+/// its parts (9 fewer: the module's name, its symbol list and symbol, the
+/// function's name and the call's argument list move; no triple string, no
+/// name set in the verifier, and no sender-cache row for an ifunc that has
+/// not forwarded).
+const FIRST_ARRIVAL: u64 = 26;
+
+/// What one bitcode first arrival leaves live: the registration record with
+/// its program, function signature and name, less the head buffer of the
+/// arrival it freed.  It was 2 338 bytes while the module kept the machine
+/// blocks its program was emitted from and every arrival took a
+/// sender-cache row.
+const FIRST_ARRIVAL_KEEPS: i64 = 1_121;
 
 #[test]
 fn a_bitcode_first_arrival_allocates_what_it_did() {
@@ -271,6 +288,7 @@ fn a_bitcode_first_arrival_allocates_what_it_did() {
     send(&mut nodes, "cold_measured", 1);
     let arrival = nodes.client.take_outgoing().pop().expect("one full frame");
     let compiled = nodes.a.stats.jit_compilations;
+    let live = LIVE.with(Cell::get);
     let ((outcomes, replies), allocs) = count(|| {
         nodes.a.deliver(arrival);
         let outcomes = nodes.a.poll(usize::MAX);
@@ -285,6 +303,12 @@ fn a_bitcode_first_arrival_allocates_what_it_did() {
     assert_eq!(
         allocs, FIRST_ARRIVAL,
         "allocations of one bitcode first arrival"
+    );
+    drop(replies);
+    assert_eq!(
+        LIVE.with(Cell::get) - live,
+        FIRST_ARRIVAL_KEEPS,
+        "bytes one bitcode first arrival leaves live"
     );
 }
 

@@ -655,7 +655,7 @@ fn adaptive_estimator_trajectory_is_deterministic_on_sim() {
     let run = |delay: f64| -> (Vec<Vec<(u32, LinkHealth)>>, Vec<u64>) {
         let mut plan = FaultPlan::seeded(0xADA7).drop_rate(0.02);
         if delay > 0.0 {
-            plan = plan.delay_rate(delay);
+            plan.default_link.delay = delay;
         }
         let platform = tc_simnet::Platform::thor_bf2();
         let mut cluster = ClusterBuilder::new()
@@ -737,11 +737,13 @@ fn adaptive_rto_against_both_fixed_provisionings_is_exact_on_sim() {
     const OPS: usize = 2_000;
     const LEN: usize = 512;
     let image: Vec<u8> = (0..4 * LEN).map(|i| ((i * 31) >> 3) as u8).collect();
+    let mut plan = FaultPlan::seeded(0x1EC0).drop_rate(0.02);
+    plan.default_link.delay = 0.2;
     let run = |cfg: RelConfig| {
         let mut cluster = ClusterBuilder::new()
             .platform(tc_simnet::Platform::thor_bf2())
             .servers(2)
-            .fault_plan(FaultPlan::seeded(0x1EC0).drop_rate(0.02).delay_rate(0.2))
+            .fault_plan(plan.clone())
             .rel_config(cfg)
             .build_sim();
         for server in 1..=2 {

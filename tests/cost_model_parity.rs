@@ -18,7 +18,10 @@ use tc_jit::{
     SparseMemory, VecMemory,
 };
 use tc_ucx::{Bytes, OutgoingMessage, RequestId, UcpOp, WorkerAddr};
-use tc_workloads::{chaser_module, chaser_payload, tsi_module};
+use tc_workloads::{
+    chaser_module, chaser_module_chainlang, chaser_payload, tsi_module, tsi_module_chainlang,
+    tsi_reporting_module,
+};
 
 const XEON: TargetTriple = TargetTriple::THOR_XEON;
 
@@ -166,18 +169,28 @@ fn the_tsi_kernel_costs_what_it_cost() {
 fn copying_module(name: &str, symbol: &str) -> Module {
     let mut mb = ModuleBuilder::new(name);
     mb.add_dep("libc.so");
-    let g = mb.add_global("lut", vec![10, 0, 0, 0, 0, 0, 0, 0], false);
+    let g = tc_bitir::GlobalId(0);
     {
         let mut f = mb.entry_function();
         let target = f.param(2);
-        let lut = f.global_addr(g);
+        let lut = f.new_reg();
+        f.push(tc_bitir::Inst::GlobalAddr {
+            dst: lut,
+            global: g,
+        });
         let n = f.const_u64(8);
         f.call_ext(symbol, vec![target, lut, n], true);
         let z = f.const_i64(0);
         f.ret(z);
         f.finish();
     }
-    mb.build()
+    let mut module = mb.build();
+    module.globals.push(tc_bitir::Global {
+        name: "lut".into(),
+        init: vec![10, 0, 0, 0, 0, 0, 0, 0],
+        mutable: false,
+    });
+    module
 }
 
 /// Run `main(0, 0, 0x500)` of a materialised module.
@@ -269,4 +282,54 @@ fn an_unresolved_symbol_fails_each_arrival_not_the_registration() {
     let outcome = arrive(&mut server, frame.encode_full()).unwrap();
     assert_eq!(outcome.kind, OutcomeKind::IfuncExecutedFirstArrival);
     assert_eq!(server.memory.read_u64(TARGET_REGION_BASE).unwrap(), 10);
+}
+
+/// Every workload kernel, lowered for each toolchain target, through both
+/// compiler entries — `compile_module`, lent the module, and
+/// `OrcJit::materialize`, handed it — links to the same module, its program
+/// included, and runs to the same `ExecOutcome` over the same memory.
+#[test]
+fn both_compiler_entries_give_every_kernel_the_same_program_and_outcome() {
+    let kernels = [
+        tsi_module(),
+        tsi_module_chainlang(),
+        tsi_reporting_module("tsi_reporting"),
+        chaser_module("chaser"),
+        chaser_module_chainlang("chaser_chainlang"),
+    ];
+    let payload = chaser_payload::encode(0, 0, 0, 1, 1, 4096);
+    let args = [
+        PAYLOAD_STAGING_BASE,
+        payload.len() as u64,
+        TARGET_REGION_BASE,
+    ];
+    let staged = || {
+        let mut mem = SparseMemory::new();
+        mem.write_u64(DATA_REGION_BASE, 17).unwrap();
+        mem.write(PAYLOAD_STAGING_BASE, &payload).unwrap();
+        mem
+    };
+    for module in kernels {
+        for target in TargetTriple::default_toolchain_targets() {
+            let lowered = lower_for_target(&module, target).unwrap();
+            let (mut lent_mem, mut handed_mem) = (staged(), staged());
+            let lent = compile_module(&lowered, CompileOptions::default()).unwrap();
+            let lent = OrcJit::new(target)
+                .link(lent.module, &mut lent_mem)
+                .unwrap();
+            let handed = OrcJit::new(target)
+                .materialize(lowered, &mut handed_mem)
+                .unwrap();
+            let what = format!("{} on {target}", module.name);
+            assert_eq!(format!("{lent:?}"), format!("{handed:?}"), "{what}");
+            let entry = lent.module.function_index("main").unwrap();
+            let run = |m: &MaterializedModule, mem: &mut SparseMemory| {
+                let out = m.execute(&Engine::new(), entry, &args, mem, &mut HopHost);
+                (out, mem.read_u64(TARGET_REGION_BASE).unwrap())
+            };
+            let want = run(&lent, &mut lent_mem);
+            assert!(want.0.is_ok(), "{what}: {want:?}");
+            assert_eq!(run(&handed, &mut handed_mem), want, "{what}");
+        }
+    }
 }

@@ -19,18 +19,22 @@
 //! must not change what travels.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
 use tc_binfmt::{load_object, LoadOptions, ObjectFile};
 use tc_bitir::{
     decode_module, encode_module, verify_module, BinOp, FatBitcode, FunctionBuilder, Module,
     ModuleBuilder, Reg, ScalarType, TargetTriple, VecOp,
 };
 use tc_core::layout::{DATA_REGION_BASE, PAYLOAD_STAGING_BASE, TARGET_REGION_BASE};
-use tc_core::{build_ifunc_library, ToolchainOptions};
+use tc_core::{
+    build_ifunc_library, CodeRepr, CoreError, MessageFrame, NodeRuntime, ToolchainOptions,
+};
 use tc_jit::{
     build_object, compile_module, lower_and_compile, module_from_image, CompileOptions, Engine,
     ExecLimits, ExecOutcome, ExternalHost, JitError, LoadedLibs, MachModule, Memory, MemoryExt,
     NoExternals, OrcJit, SparseMemory, GROWTH_BYTES,
 };
+use tc_ucx::{Bytes, OutgoingMessage, RequestId, UcpOp, WorkerAddr};
 use tc_workloads::{
     chaser_module, chaser_module_chainlang, chaser_payload, tsi_module, tsi_module_chainlang,
     tsi_reporting_module,
@@ -211,7 +215,9 @@ fn inputs() -> [Vec<Input>; 3] {
         for entry in &fat.entries {
             slices.push(Input::new(entry.bitcode.clone()));
             let compiled = lower_and_compile(&module, entry.triple, CompileOptions::default());
-            texts.push(Input::new(compiled.unwrap().module.encode()));
+            let compiled = compiled.unwrap();
+            let text = compiled.module.encode(&entry.triple.name(), &compiled.code);
+            texts.push(Input::new(text));
         }
     }
     [archives, slices, texts]
@@ -436,7 +442,8 @@ fn a_text_option_flag_of_two_is_refused() {
         TargetTriple::THOR_XEON,
         CompileOptions::default(),
     );
-    let bytes = compiled.unwrap().module.encode();
+    let compiled = compiled.unwrap();
+    let bytes = (compiled.module).encode(&TargetTriple::THOR_XEON.name(), &compiled.code);
     // The module ends in its one function's `Ret { value: Some(r) }`:
     // opcode 14, flag 1, then a one-byte register.
     let n = bytes.len();
@@ -503,7 +510,14 @@ fn guest(body: impl FnOnce(&mut FunctionBuilder<'_>, [Reg; 3]) -> Reg) -> Module
 fn a_vector_loop_of_two_to_the_forty_elements_is_refused_before_it_touches_one() {
     let module = || {
         guest(|f, [a, n, dst]| {
-            f.vec_op(VecOp::Add, ScalarType::U64, dst, a, a, n);
+            f.push(tc_bitir::Inst::Vec {
+                op: VecOp::Add,
+                ty: ScalarType::U64,
+                dst_addr: dst,
+                a_addr: a,
+                b_addr: a,
+                count: n,
+            });
             f.const_i64(0)
         })
     };
@@ -715,4 +729,85 @@ fn a_libc_kernel_with_generated_lengths_stays_within_its_budget() {
         completed > 20 && refused > 20,
         "{completed} completed, {refused} refused"
     );
+}
+
+/// A frame may name up to 65 535 dependencies (its count is a `u16`), and
+/// an archive's own list has no cap.  Lists of distinct names no library
+/// answers to are refused at the first unknown name — the module's, then
+/// the archive's, then the frame's — with the link step's
+/// `MissingDependency`, in one pass, for bitcode and binary frames alike.
+/// Merging them by a scan of the merged list per name held the receiving
+/// node for seconds before the same refusal.
+#[test]
+fn a_frame_naming_sixty_five_thousand_unknown_libraries_is_refused_in_one_pass() {
+    const XEON: TargetTriple = TargetTriple::THOR_XEON;
+    let names = |prefix: &str, n: u32| -> Vec<String> {
+        let known = ["libc.so", "libm.so"].map(String::from);
+        known
+            .into_iter()
+            .chain((0..n).map(|i| format!("{prefix}{i}")))
+            .collect()
+    };
+    let frame_deps = names("f", u32::from(u16::MAX) - 2);
+    let module = |deps: Vec<String>| Module {
+        deps,
+        ..tsi_module()
+    };
+    let archive = |module: Module, deps: Vec<String>| {
+        let targets = TargetTriple::default_toolchain_targets();
+        let fat = FatBitcode::from_module(&module, &targets).unwrap();
+        FatBitcode { deps, ..fat }.encode()
+    };
+    let object = |deps: Vec<String>| {
+        let object = build_object(&tsi_module(), XEON, CompileOptions::default()).unwrap();
+        ObjectFile { deps, ..object }.encode()
+    };
+    let cases = [
+        (
+            CodeRepr::Bitcode,
+            archive(module(names("m", 3)), names("a", 100_000)),
+            "m0",
+        ),
+        (
+            CodeRepr::Bitcode,
+            archive(module(names("", 0)), names("a", 100_000)),
+            "a0",
+        ),
+        (
+            CodeRepr::Bitcode,
+            archive(module(names("", 0)), names("", 0)),
+            "f0",
+        ),
+        (CodeRepr::Binary, object(names("", 0)), "f0"),
+    ];
+    for (repr, code, first) in cases {
+        let frame = MessageFrame {
+            ifunc_name: tsi_module().name,
+            repr,
+            payload: Bytes::from(vec![1u8]),
+            code: Bytes::from(code),
+            deps: frame_deps.clone(),
+        };
+        let mut node = NodeRuntime::new(WorkerAddr(1), 2, XEON);
+        node.deliver(OutgoingMessage {
+            src: WorkerAddr(0),
+            dst: WorkerAddr(1),
+            request: RequestId(0),
+            op: UcpOp::IfuncFrame {
+                bytes: frame.encode_full(),
+                code: Bytes::new(),
+            },
+        });
+        let started = Instant::now();
+        let refused = node.poll(usize::MAX).remove(0).unwrap_err();
+        let took = started.elapsed();
+        let missing = JitError::MissingDependency {
+            library: first.into(),
+        };
+        assert_eq!(refused.to_string(), CoreError::from(missing).to_string());
+        assert!(
+            took < Duration::from_millis(500),
+            "{repr:?} {first}: {took:?}"
+        );
+    }
 }

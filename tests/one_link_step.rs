@@ -40,18 +40,28 @@ fn sqrt_kernel(name: &str, declares: bool) -> Module {
 /// `main` copies its module global, 7, to its target.
 fn global_kernel() -> Module {
     let mut mb = ModuleBuilder::new("reads_a_global");
-    let seven = mb.add_global("seven", 7u64.to_le_bytes().to_vec(), false);
+    let seven = tc_bitir::GlobalId(0);
     {
         let mut f = mb.entry_function();
         let target = f.param(2);
-        let at = f.global_addr(seven);
+        let at = f.new_reg();
+        f.push(tc_bitir::Inst::GlobalAddr {
+            dst: at,
+            global: seven,
+        });
         let v = f.load(ScalarType::U64, at, 0);
         f.store(ScalarType::U64, v, target, 0);
         let z = f.const_i64(0);
         f.ret(z);
         f.finish();
     }
-    mb.build()
+    let mut module = mb.build();
+    module.globals.push(tc_bitir::Global {
+        name: "seven".into(),
+        init: 7u64.to_le_bytes().to_vec(),
+        mutable: false,
+    });
+    module
 }
 
 /// `main` stores 1 at its target, and declares a library no target has.
